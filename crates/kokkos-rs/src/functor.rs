@@ -121,6 +121,20 @@ pub trait Functor3D: Sync {
 pub trait FunctorList: Sync {
     fn operator(&self, n: usize, idx: u32);
 
+    /// Run the list positions `n0..n0 + entries.len()`, whose packed
+    /// indices are `entries` — always one whole policy tile, never more,
+    /// so tile contents, scheduling and cost charging do not depend on it.
+    /// The default is the per-entry loop; a kernel overrides it to decode
+    /// once per run of consecutive packed indices or to process adjacent
+    /// entries together, and must then produce exactly what the per-entry
+    /// loop produces.
+    #[inline]
+    fn operator_span(&self, n0: usize, entries: &[u32]) {
+        for (d, &idx) in entries.iter().enumerate() {
+            self.operator(n0 + d, idx);
+        }
+    }
+
     fn cost(&self) -> IterCost {
         IterCost::default()
     }

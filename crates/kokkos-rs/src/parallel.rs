@@ -274,10 +274,12 @@ pub fn parallel_for_3d<F: Functor3D + 'static>(space: &Space, policy: MDRangePol
 }
 
 /// Index-list parallel for (active-set iteration): run `f.operator(n,
-/// policy.entry(n))` for every list position `n` in the policy's range.
-/// Host backends use the cost-weighted tile drivers; SwAthread goes through
-/// the registry to [`registry::tramp_for_list`], whose per-CPE tile ranges
-/// are cost-weighted the same way.
+/// policy.entry(n))` for every list position `n` in the policy's range,
+/// handed to the functor one tile at a time through
+/// [`FunctorList::operator_span`]. Host backends use the cost-weighted tile
+/// drivers; SwAthread goes through the registry to
+/// [`registry::tramp_for_list`], whose per-CPE tile ranges are cost-weighted
+/// the same way.
 pub fn parallel_for_list<F: FunctorList + 'static>(space: &Space, policy: &ListPolicy, f: &F) {
     let _span = profiling::begin_kernel(
         space,
@@ -287,10 +289,8 @@ pub fn parallel_for_list<F: FunctorList + 'static>(space: &Space, policy: &ListP
         policy.len() as u64,
     );
     let run_tile = |t: usize| {
-        let (lo, hi) = policy.tile_range(t);
-        for n in lo..hi {
-            f.operator(n, policy.entry(n));
-        }
+        let (n0, entries) = policy.tile_entries(t);
+        f.operator_span(n0, entries);
     };
     match space {
         Space::SwAthread(sw) => {
@@ -785,6 +785,85 @@ mod tests {
             match &reference {
                 None => reference = Some(bits),
                 Some(r) => assert_eq!(r, &bits, "backend {} diverged", space.name()),
+            }
+        }
+    }
+
+    #[test]
+    fn default_span_equals_per_entry_dispatch_on_all_backends() {
+        list_scatter();
+        let n = 997;
+        let src: View1<f64> = View::from_fn("src", [n], |[i]| (i as f64 * 0.37).sin());
+        // A CSR-style slice, so tile 0 starts mid-array.
+        let policy = skewed_list_policy(n).slice(13, 981);
+        let want: View1<f64> = View::host("want", [n]);
+        let by_entry = ListScatter {
+            src: src.clone(),
+            dst: want.clone(),
+        };
+        for pos in policy.start..policy.end {
+            by_entry.operator(pos, policy.entry(pos));
+        }
+        for space in all_spaces() {
+            let dst: View1<f64> = View::host("dst", [n]);
+            let f = ListScatter {
+                src: src.clone(),
+                dst: dst.clone(),
+            };
+            parallel_for_list(&space, &policy, &f);
+            let bits = |v: &View1<f64>| v.to_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&want), bits(&dst), "backend {}", space.name());
+        }
+    }
+
+    // Records, per list position, the span it was delivered in.
+    struct SpanProbe {
+        first: View1<u64>,
+        len: View1<u64>,
+        idx: View1<u64>,
+    }
+    impl FunctorList for SpanProbe {
+        fn operator(&self, _n: usize, _idx: u32) {
+            unreachable!("the drivers dispatch whole tiles through operator_span")
+        }
+        fn operator_span(&self, n0: usize, entries: &[u32]) {
+            for (d, &idx) in entries.iter().enumerate() {
+                self.first.set_at(n0 + d, n0 as u64);
+                self.len.set_at(n0 + d, entries.len() as u64);
+                self.idx.set_at(n0 + d, idx as u64);
+            }
+        }
+    }
+    crate::register_for_list!(span_probe, SpanProbe);
+
+    #[test]
+    fn spans_are_exactly_the_policy_tiles_on_all_backends() {
+        span_probe();
+        let n = 500;
+        let policy = skewed_list_policy(n).slice(3, 489);
+        for space in all_spaces() {
+            let f = SpanProbe {
+                first: View::host("first", [n]),
+                len: View::host("len", [n]),
+                idx: View::host("idx", [n]),
+            };
+            f.first.fill(u64::MAX);
+            parallel_for_list(&space, &policy, &f);
+            for t in 0..policy.total_tiles() {
+                let (lo, hi) = policy.tile_range(t);
+                for pos in lo..hi {
+                    let at = format!("backend {} tile {t} position {pos}", space.name());
+                    assert_eq!(f.first.at(pos), lo as u64, "span start, {at}");
+                    assert_eq!(f.len.at(pos), (hi - lo) as u64, "span length, {at}");
+                    assert_eq!(f.idx.at(pos), policy.entry(pos) as u64, "entry, {at}");
+                }
+            }
+            for pos in (0..policy.start).chain(policy.end..n) {
+                assert_eq!(
+                    f.first.at(pos),
+                    u64::MAX,
+                    "position {pos} is outside the slice"
+                );
             }
         }
     }

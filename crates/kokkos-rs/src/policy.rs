@@ -325,6 +325,14 @@ impl ListPolicy {
         (lo, hi)
     }
 
+    /// Tile `t` as [`crate::FunctorList::operator_span`] takes it: its first
+    /// list position and its packed indices.
+    #[inline]
+    pub fn tile_entries(&self, t: usize) -> (usize, &[u32]) {
+        let (lo, hi) = self.tile_range(t);
+        (lo, &self.indices[lo..hi])
+    }
+
     /// Cumulative cost of tiles `[0, t)`. Without a cost prefix every entry
     /// costs 1, so this degenerates to the entry count (Eq. 2 split).
     fn cum_cost(&self, t: usize) -> u64 {

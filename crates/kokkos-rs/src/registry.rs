@@ -393,10 +393,8 @@ pub fn tramp_for_list<F: FunctorList>(ctx: &mut CpeCtx, arg: usize) {
         (hi - lo) as u64
     };
     drive_pipelined(ctx, p.cost, policy.tile, t0, t1, iters, |t| {
-        let (lo, hi) = policy.tile_range(t);
-        for n in lo..hi {
-            f.operator(n, policy.entry(n));
-        }
+        let (n0, entries) = policy.tile_entries(t);
+        f.operator_span(n0, entries);
     });
 }
 

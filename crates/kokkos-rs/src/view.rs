@@ -40,7 +40,12 @@ unsafe impl<T: Send + Sync> Send for ViewBuf<T> {}
 
 /// A rank-`R` multi-dimensional array with shared ownership.
 pub struct View<T, const R: usize> {
+    /// Keeps the allocation alive; element access goes through `base`.
     buf: Arc<ViewBuf<T>>,
+    /// `allocation + base_offset`, cached so `at`/`set_at` are one add and
+    /// one load/store: re-deriving it through `Arc → UnsafeCell → Box` after
+    /// every store kept LLVM from hoisting bases out of inlined kernel loops.
+    base: *mut T,
     dims: [usize; R],
     strides: [usize; R],
     layout: Layout,
@@ -49,6 +54,18 @@ pub struct View<T, const R: usize> {
     /// Linear offset into the allocation (nonzero for subviews).
     base_offset: usize,
 }
+
+// SAFETY: `base` points into the boxed slice owned by `buf`, which this
+// handle keeps alive and which never moves or reallocates (the box is
+// created once in `new` and only ever read through `ViewBuf::data`), so the
+// pointer is valid on any thread for the handle's lifetime. Sharing or
+// sending a handle exposes exactly what `Arc<ViewBuf<T>>` already exposes —
+// `&T`/`T` on other threads, hence the `T: Send + Sync` bounds — and
+// concurrent mutation follows the Kokkos aliasing contract stated on
+// `ViewBuf`. The remaining fields (`dims`, `strides`, `layout`, `space`,
+// `base_offset`, `label: Arc<str>`) are plain `Send + Sync` data.
+unsafe impl<T: Send + Sync, const R: usize> Send for View<T, R> {}
+unsafe impl<T: Send + Sync, const R: usize> Sync for View<T, R> {}
 
 /// Rank aliases matching Kokkos spelling (`View1<f64>` ~ `View<double*>`).
 pub type View1<T> = View<T, 1>;
@@ -61,6 +78,7 @@ impl<T, const R: usize> Clone for View<T, R> {
     fn clone(&self) -> Self {
         Self {
             buf: Arc::clone(&self.buf),
+            base: self.base,
             dims: self.dims,
             strides: self.strides,
             layout: self.layout,
@@ -100,10 +118,16 @@ impl<T: Clone + Default + Send + Sync, const R: usize> View<T, R> {
         let data: Box<[T]> = vec![T::default(); len].into_boxed_slice();
         let mut strides = [0usize; R];
         strides.copy_from_slice(&strides_for(&dims, layout));
+        let buf = Arc::new(ViewBuf {
+            data: UnsafeCell::new(data),
+        });
+        // SAFETY: no other handle exists yet, so the exclusive borrow of
+        // the cell's contents is unique; the heap block it points at stays
+        // put for as long as any clone of `buf` lives.
+        let base = unsafe { (*buf.data.get()).as_mut_ptr() };
         Self {
-            buf: Arc::new(ViewBuf {
-                data: UnsafeCell::new(data),
-            }),
+            buf,
+            base,
             dims,
             strides,
             layout,
@@ -180,8 +204,7 @@ impl<T, const R: usize> View<T, R> {
 
     #[inline(always)]
     fn ptr(&self) -> *mut T {
-        // SAFETY: pointer derived from a live allocation kept alive by Arc.
-        unsafe { (*self.buf.data.get()).as_mut_ptr().add(self.base_offset) }
+        self.base
     }
 
     /// True when this view addresses its allocation from the start with
@@ -238,6 +261,42 @@ impl<T: Copy, const R: usize> View<T, R> {
     pub fn set_linear(&self, off: usize, v: T) {
         debug_assert!(off < self.len());
         unsafe { *self.ptr().add(off) = v }
+    }
+
+    /// Lane access needs the last index contiguous ([`Layout::Right`], or
+    /// rank 1). A cold check, not a fallback: a strided path merged into
+    /// the same code keeps the compiler from forming vector loads.
+    #[inline(always)]
+    fn lanes_ptr<const W: usize>(&self, idx: [usize; R]) -> *mut [T; W] {
+        assert!(
+            self.strides[R - 1] == 1,
+            "lane access to view '{}' needs a contiguous last index",
+            self.label
+        );
+        debug_assert!(idx[R - 1] + W <= self.dims[R - 1], "lanes run off the row");
+        // SAFETY: `idx` is in bounds (caller contract, as for `get`), so the
+        // offset stays inside the allocation.
+        unsafe { self.ptr().add(self.offset(idx)).cast() }
+    }
+
+    /// Read the `W` elements at `idx`, `idx + 1`, … along the **last**
+    /// index as one contiguous load — the lane load of a `W`-wide kernel
+    /// body. Panics unless the last index is the layout's fastest. Bounds
+    /// (`idx[R-1] + W ≤ extent`) are the caller's, as for [`View::get`].
+    #[inline(always)]
+    pub fn get_lanes<const W: usize>(&self, idx: [usize; R]) -> [T; W] {
+        // SAFETY: the `W` lanes are in bounds (caller contract, checked in
+        // debug builds) and contiguous (checked by `lanes_ptr`).
+        unsafe { self.lanes_ptr::<W>(idx).read_unaligned() }
+    }
+
+    /// Write `W` elements along the last index starting at `idx`; the
+    /// store counterpart of [`View::get_lanes`]. Concurrent writers must
+    /// target disjoint elements.
+    #[inline(always)]
+    pub fn set_lanes<const W: usize>(&self, idx: [usize; R], v: [T; W]) {
+        // SAFETY: as in `get_lanes`.
+        unsafe { self.lanes_ptr::<W>(idx).write_unaligned(v) }
     }
 
     /// Fill every element with `v` (single-threaded).
@@ -496,6 +555,9 @@ impl<T: Copy + Send + Sync> View<T, 3> {
         };
         View {
             buf: Arc::clone(&self.buf),
+            // SAFETY: `k < dims[0]` (asserted above), so the level's first
+            // element lies inside the parent's extent of the allocation.
+            base: unsafe { self.base.add(offset) },
             dims,
             strides,
             layout: self.layout,
@@ -563,6 +625,56 @@ mod subview_tests {
     fn level_out_of_range_panics() {
         let v: View3<f64> = View::host("v", [2, 2, 2]);
         let _ = v.level(2);
+    }
+
+    #[test]
+    fn slices_and_clones_alias_through_the_cached_pointer() {
+        let v: View3<f64> = View::host("v", [3, 4, 5]);
+        let s = v.clone().level(2);
+        let s2 = s.clone();
+        assert!(!s.is_root_view());
+        assert_eq!(s.data_ptr(), unsafe { v.data_ptr().add(2 * 4 * 5) });
+        assert_eq!(s2.data_ptr(), s.data_ptr(), "clone copies the pointer");
+        v.set_at(2, 1, 3, 4.5);
+        assert_eq!(s2.at(1, 3), 4.5, "parent write seen by a cloned slice");
+        s2.set_at(3, 4, -1.0);
+        assert_eq!(v.at(2, 3, 4), -1.0, "slice-clone write seen by parent");
+        assert_eq!(v.get_linear(v.offset([2, 3, 4])), -1.0);
+        // The slice keeps the allocation alive on its own.
+        drop(v);
+        drop(s);
+        assert_eq!(s2.at(1, 3), 4.5);
+    }
+
+    #[test]
+    fn lanes_run_along_the_last_index() {
+        let v: View3<f64> =
+            View::from_fn("v", [2, 3, 7], |[k, j, i]| (k * 100 + j * 10 + i) as f64);
+        assert_eq!(v.get_lanes::<4>([1, 2, 3]), [123.0, 124.0, 125.0, 126.0]);
+        v.set_lanes([0, 1, 2], [-1.0, -2.0, -3.0]);
+        assert_eq!(
+            v.get_lanes::<5>([0, 1, 1]),
+            [11.0, -1.0, -2.0, -3.0, 15.0],
+            "exactly the three lanes written"
+        );
+        assert_eq!(v.level(1).get_lanes::<2>([2, 5]), [125.0, 126.0]);
+        let m: View2<i32> = View::from_fn("m", [2, 4], |[j, i]| (10 * j + i) as i32);
+        assert_eq!(m.get_lanes::<1>([1, 3]), [13]);
+    }
+
+    #[test]
+    #[should_panic(expected = "contiguous last index")]
+    fn lanes_reject_a_strided_last_index() {
+        let v: View2<f64> = View::new("left", [3, 4], Layout::Left, MemSpace::Host);
+        let _ = v.get_lanes::<2>([0, 0]);
+    }
+
+    #[test]
+    fn views_are_send_and_sync() {
+        fn assert_send_sync<X: Send + Sync>() {}
+        assert_send_sync::<View1<f64>>();
+        assert_send_sync::<View3<f64>>();
+        assert_send_sync::<View2<i32>>();
     }
 
     #[test]

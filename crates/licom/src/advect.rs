@@ -30,6 +30,7 @@ use kokkos_rs::{
 
 use halo_exchange::{FoldKind, Halo3D, HaloError, StepGraph, HALO as H};
 
+use crate::lanes::{self, above, ColumnKernel, F64x, Mask};
 use crate::localgrid::LocalGrid;
 
 /// How [`advect_tracer`] refreshes the intermediate field's halos between
@@ -47,24 +48,37 @@ pub enum TmpExchange<'a> {
 }
 
 /// Van Leer limiter φ(r); φ(r)·dq is evaluated safely for tiny dq.
-#[inline]
-fn van_leer(r: f64) -> f64 {
+#[inline(always)]
+fn van_leer<const W: usize>(r: F64x<W>) -> F64x<W> {
     (r + r.abs()) / (1.0 + r.abs())
 }
 
-/// Limited face value for donor-cell `qc` with downwind `qd`, upwind
-/// `qu` (behind the donor), local CFL `c`.
-#[inline]
-fn face_value(qu: f64, qc: f64, qd: f64, c: f64, limited: bool) -> f64 {
+/// Limited face values of `W` faces: donor cells `qc` with downwind `qd`,
+/// upwind `qu` (behind the donor), local CFL `c`. The one body of the
+/// limiter: the x/y flux kernels call it with `W = 1`, the vertical pass
+/// with a block of columns.
+#[inline(always)]
+fn face_values<const W: usize>(
+    qu: F64x<W>,
+    qc: F64x<W>,
+    qd: F64x<W>,
+    c: F64x<W>,
+    limited: bool,
+) -> F64x<W> {
     if !limited {
         return qc;
     }
     let dq = qd - qc;
-    if dq.abs() < 1e-30 {
-        return qc;
-    }
     let r = (qc - qu) / dq;
-    qc + 0.5 * van_leer(r) * (1.0 - c) * dq
+    let corrected = qc + 0.5 * van_leer(r) * (1.0 - c) * dq;
+    // Flat profile: pure upstream (and the `r` above is discarded).
+    dq.abs().lt(F64x::splat(1e-30)).select(qc, corrected)
+}
+
+/// [`face_values`] of a single face.
+#[inline]
+fn face_value(qu: f64, qc: f64, qd: f64, c: f64, limited: bool) -> f64 {
+    face_values(F64x([qu]), F64x([qc]), F64x([qd]), F64x([c]), limited).0[0]
 }
 
 /// Zonal face transports `F = uf · q_face · dy` at the **east** face of
@@ -260,61 +274,79 @@ pub struct FunctorDiagnoseW {
 }
 
 impl FunctorDiagnoseW {
-    #[inline]
-    fn face_u(&self, k: usize, jl: usize, il: usize) -> f64 {
-        // East face of (jl, il); zero if either side dry.
-        let ki = k as i32;
-        if self.kmt.at(jl, il) <= ki || self.kmt.at(jl, il + 1) <= ki {
-            0.0
-        } else {
-            0.5 * (self.u.at(k, jl, il) + self.u.at(k, jl - 1, il))
-        }
-    }
-
-    #[inline]
-    fn face_v(&self, k: usize, jl: usize, il: usize) -> f64 {
-        // North face of (jl, il).
-        let ki = k as i32;
-        if self.kmt.at(jl, il) <= ki || self.kmt.at(jl + 1, il) <= ki {
-            0.0
-        } else {
-            0.5 * (self.v.at(k, jl, il) + self.v.at(k, jl, il - 1))
-        }
+    /// Face-normal velocity at `W` faces adjacent in `i` from the sum of
+    /// each face's two B-grid corners: their mean, zero where the
+    /// shallower of the face's two T cells (`kface` levels) is dry at `k`.
+    #[inline(always)]
+    fn face<const W: usize>(k: usize, kface: &[usize; W], corners: [f64; W]) -> F64x<W> {
+        above(k, kface).select(0.5 * F64x(corners), F64x::splat(0.0))
     }
 }
 
-impl FunctorDiagnoseW {
-    /// Diagnose one column at **padded** indices (shared by the dense and
-    /// active-set launches). Land columns only re-zero `w`, which nothing
-    /// else writes — so the active-set launch can skip them bitwise-safely.
-    fn column(&self, jl: usize, il: usize) {
-        let kmt = self.kmt.at(jl, il) as usize;
-        for k in kmt..=self.nz {
-            self.w.set_at(k, jl, il, 0.0);
+impl ColumnKernel for FunctorDiagnoseW {
+    /// The staged corner sums of a block's four faces.
+    fn scratch_words(&self) -> usize {
+        4 * self.nz
+    }
+
+    /// Diagnose the columns `(jl, il..il + W)` at **padded** indices — the
+    /// one body of the dense and active-set launches. Land columns only
+    /// re-zero `w`, which nothing else writes, so the active-set launch can
+    /// skip them bitwise-safely. A lane shallower than the block's deepest
+    /// column sees only dry faces below its bottom, so its `w` stays zero
+    /// there.
+    fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
+        let (kmt, kmax) = lanes::depths::<W>(&self.kmt, jl, il);
+        let zero = F64x::<W>::splat(0.0);
+        for k in kmax..=self.nz {
+            zero.store(&self.w, k, jl, il);
         }
-        if kmt == 0 {
+        if kmax == 0 {
             return;
         }
+        // Stage the corner sums of the east/west/north/south faces first:
+        // loads and one add each, so a cache miss per level stays in
+        // flight. East/west faces of (jl, il) lie between corners (jl, ·)
+        // and (jl-1, ·); north/south faces between (·, il) and (·, il-1).
+        let (e, rest) = scratch.split_at_mut(self.nz * W);
+        let (w_, rest) = rest.split_at_mut(self.nz * W);
+        let (n, s) = rest.split_at_mut(self.nz * W);
+        let rows = |r| lanes::rows::<W>(r, kmax);
+        let (e, w_, n, s) = (rows(e), rows(w_), rows(n), rows(s));
+        let u = |k, jn, i_n| F64x::<W>::load(&self.u, k, jn, i_n);
+        let v = |k, jn, i_n| F64x::<W>::load(&self.v, k, jn, i_n);
+        for k in 0..kmax {
+            e[k] = (u(k, jl, il) + u(k, jl - 1, il)).0;
+            w_[k] = (u(k, jl, il - 1) + u(k, jl - 1, il - 1)).0;
+            n[k] = (v(k, jl, il) + v(k, jl, il - 1)).0;
+            s[k] = (v(k, jl - 1, il) + v(k, jl - 1, il - 1)).0;
+        }
+        // Wet depth of each face: the shallower of its two T cells.
+        let face_depth = |jn: usize, i_n: usize| -> [usize; W] {
+            let (nb, _) = lanes::depths::<W>(&self.kmt, jn, i_n);
+            std::array::from_fn(|l| kmt[l].min(nb[l]))
+        };
+        let (ke, kw) = (face_depth(jl, il + 1), face_depth(jl, il - 1));
+        let (kn, ks) = (face_depth(jl + 1, il), face_depth(jl - 1, il));
         let area = self.dxt.at(jl) * self.dyt;
-        let mut w = 0.0; // bottom interface of deepest wet layer
-        self.w.set_at(kmt, jl, il, 0.0);
-        for k in (0..kmt).rev() {
-            let fe = self.face_u(k, jl, il) * self.dyt;
-            let fw = self.face_u(k, jl, il - 1) * self.dyt;
-            let dxn = 0.5 * (self.dxt.at(jl) + self.dxt.at(jl + 1));
-            let dxs = 0.5 * (self.dxt.at(jl) + self.dxt.at(jl - 1));
-            let fn_ = self.face_v(k, jl, il) * dxn;
-            let fs = self.face_v(k, jl - 1, il) * dxs;
+        let dxn = 0.5 * (self.dxt.at(jl) + self.dxt.at(jl + 1));
+        let dxs = 0.5 * (self.dxt.at(jl) + self.dxt.at(jl - 1));
+        let mut w = zero; // bottom interface of each lane's deepest wet layer
+        for k in (0..kmax).rev() {
+            let fe = Self::face(k, &ke, e[k]) * self.dyt;
+            let fw = Self::face(k, &kw, w_[k]) * self.dyt;
+            let fn_ = Self::face(k, &kn, n[k]) * dxn;
+            let fs = Self::face(k, &ks, s[k]) * dxs;
             let div = (fe - fw + fn_ - fs) / area;
-            w -= self.dz.at(k) * div;
-            self.w.set_at(k, jl, il, w);
+            w = above(k, &kmt).select(w - self.dz.at(k) * div, w);
+            w.store(&self.w, k, jl, il);
         }
     }
 }
 
 impl Functor2D for FunctorDiagnoseW {
     fn operator(&self, j: usize, i: usize) {
-        self.column(j + H, i + H);
+        lanes::run_column(self, j + H, i + H);
     }
 
     fn cost(&self) -> IterCost {
@@ -336,7 +368,11 @@ pub struct FunctorDiagnoseWList {
 impl FunctorList for FunctorDiagnoseWList {
     fn operator(&self, _n: usize, idx: u32) {
         let packed = idx as usize;
-        self.f.column(packed / self.pi, packed % self.pi);
+        lanes::run_column(&self.f, packed / self.pi, packed % self.pi);
+    }
+
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        lanes::run_span(&self.f, self.pi, entries);
     }
 
     fn cost(&self) -> IterCost {
@@ -360,16 +396,26 @@ pub struct FunctorAdvectZ {
     pub limited: bool,
 }
 
-impl FunctorAdvectZ {
-    /// One column at **padded** indices. As used by [`advect_tracer`] the
-    /// pass is in place (`q` and `q1` alias), so the land/below-`kmt`
-    /// copy-through is the identity — the active-set launch skips it.
-    fn column(&self, jl: usize, il: usize) {
-        let kmt = self.kmt.at(jl, il) as usize;
-        for k in kmt..self.nz {
-            self.q1.set_at(k, jl, il, self.q.at(k, jl, il));
+impl ColumnKernel for FunctorAdvectZ {
+    /// Interface fluxes `f[k]`, `k = 0..=nz`, and the staged `q` and `w`.
+    fn scratch_words(&self) -> usize {
+        3 * self.nz + 1
+    }
+
+    /// The columns `(jl, il..il + W)` at **padded** indices — the one body
+    /// of the dense and active-set launches. As used by [`advect_tracer`]
+    /// the pass is in place (`q` and `q1` alias), so the land/below-`kmt`
+    /// copy-through is the identity — the active-set launch skips it for
+    /// land columns.
+    fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
+        let (kmt, kmax) = lanes::depths::<W>(&self.kmt, jl, il);
+        let (q, wv) = (&self.q, &self.w);
+        let kmin = kmt.iter().copied().min().unwrap_or(0);
+        for k in kmin..self.nz {
+            let dry = Mask::<W>::from_fn(|l| k >= kmt[l]);
+            F64x::load(q, k, jl, il).store_where(dry, &self.q1, k, jl, il);
         }
-        if kmt == 0 {
+        if kmax == 0 {
             return;
         }
         // Interface fluxes f[k], k = 0..=kmt; f[kmt] (bottom) is zero.
@@ -381,55 +427,55 @@ impl FunctorAdvectZ {
         // secularly. With it, the fixed control volume exchanges tracer
         // with the moving surface at the surface value — bounded and
         // zero-mean under oscillating η.
-        let mut f = [0.0f64; 257];
-        assert!(kmt < 257, "column deeper than supported 256 levels");
-        f[0] = self.w.at(0, jl, il) * self.q.at(0, jl, il);
-        for (k, fk) in f.iter_mut().enumerate().take(kmt).skip(1) {
-            let w = self.w.at(k, jl, il);
-            let c = (w.abs() * self.dt / self.dz.at(k)).min(1.0);
-            let qf = if w >= 0.0 {
-                // Donor layer k (below interface k); upwind is k+1.
-                let qu = if k + 1 < kmt {
-                    self.q.at(k + 1, jl, il)
-                } else {
-                    self.q.at(k, jl, il)
-                };
-                face_value(
-                    qu,
-                    self.q.at(k, jl, il),
-                    self.q.at(k - 1, jl, il),
-                    c,
-                    self.limited,
-                )
-            } else {
-                // Donor layer k-1 (above); upwind is k-2.
-                let qu = if k >= 2 {
-                    self.q.at(k - 2, jl, il)
-                } else {
-                    self.q.at(k - 1, jl, il)
-                };
-                face_value(
-                    qu,
-                    self.q.at(k - 1, jl, il),
-                    self.q.at(k, jl, il),
-                    c,
-                    self.limited,
-                )
-            };
-            *fk = w * qf;
+        let zero = F64x::<W>::splat(0.0);
+        let (f, staged) = scratch.split_at_mut((self.nz + 1) * W);
+        let (qs, ws) = staged.split_at_mut(self.nz * W);
+        let f = lanes::rows::<W>(f, kmax + 1);
+        let (qs, ws) = (lanes::rows::<W>(qs, kmax), lanes::rows::<W>(ws, kmax));
+        // Stage the block's inputs first: a bare copy loop keeps a cache
+        // miss per level in flight, which the flux loop (two divides per
+        // level) cannot — the vertical stride puts every level on its own
+        // line and page.
+        for k in 0..kmax {
+            qs[k] = F64x::<W>::load(q, k, jl, il).0;
+            ws[k] = F64x::<W>::load(wv, k, jl, il).0;
         }
-        for k in 0..kmt {
+        f[0] = above(0, &kmt).select(F64x(ws[0]) * F64x(qs[0]), zero).0;
+        f[kmax] = zero.0;
+        for (k, fk) in f.iter_mut().enumerate().take(kmax).skip(1) {
+            let w = F64x(ws[k]);
+            let c = (w.abs() * self.dt / self.dz.at(k)).min(F64x::splat(1.0));
+            let (q_k, q_above) = (F64x(qs[k]), F64x(qs[k - 1]));
+            // w ≥ 0: donor layer k (below interface k), upwind k+1 while
+            // that is still water. Otherwise donor layer k-1 (above),
+            // upwind k-2.
+            let behind_up = if k + 1 < kmax {
+                above(k + 1, &kmt).select(F64x(qs[k + 1]), q_k)
+            } else {
+                q_k
+            };
+            let behind_down = if k >= 2 { F64x(qs[k - 2]) } else { q_above };
+            let up = w.ge(zero);
+            let qf = face_values(
+                up.select(behind_up, behind_down),
+                up.select(q_k, q_above),
+                up.select(q_above, q_k),
+                c,
+                self.limited,
+            );
+            *fk = above(k, &kmt).select(w * qf, zero).0;
+        }
+        for k in 0..kmax {
             // d(q)/dt = -(f[k] - f[k+1]) / dz  (f positive upward).
-            let q = self.q.at(k, jl, il);
-            let dq = -self.dt * (f[k] - f[k + 1]) / self.dz.at(k);
-            self.q1.set_at(k, jl, il, q + dq);
+            let dq = -self.dt * (F64x(f[k]) - F64x(f[k + 1])) / self.dz.at(k);
+            (F64x(qs[k]) + dq).store_where(above(k, &kmt), &self.q1, k, jl, il);
         }
     }
 }
 
 impl Functor2D for FunctorAdvectZ {
     fn operator(&self, j: usize, i: usize) {
-        self.column(j + H, i + H);
+        lanes::run_column(self, j + H, i + H);
     }
 
     fn cost(&self) -> IterCost {
@@ -444,7 +490,7 @@ kokkos_rs::register_for_2d!(kernel_advect_z, FunctorAdvectZ);
 
 /// Active-set vertical pass: entry `idx` is a packed wet T column. Only
 /// valid when the pass is in place (`q` aliases `q1`), as in
-/// [`advect_tracer`] — see [`FunctorAdvectZ::column`].
+/// [`advect_tracer`] — see the [`ColumnKernel`] body of [`FunctorAdvectZ`].
 pub struct FunctorAdvectZList {
     pub f: FunctorAdvectZ,
     pub pi: usize,
@@ -453,7 +499,11 @@ pub struct FunctorAdvectZList {
 impl FunctorList for FunctorAdvectZList {
     fn operator(&self, _n: usize, idx: u32) {
         let packed = idx as usize;
-        self.f.column(packed / self.pi, packed % self.pi);
+        lanes::run_column(&self.f, packed / self.pi, packed % self.pi);
+    }
+
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        lanes::run_span(&self.f, self.pi, entries);
     }
 
     fn cost(&self) -> IterCost {
@@ -642,6 +692,10 @@ pub fn advect_tracer(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn van_leer(r: f64) -> f64 {
+        super::van_leer(F64x([r])).0[0]
+    }
 
     #[test]
     fn van_leer_limiter_properties() {

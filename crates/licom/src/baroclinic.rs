@@ -156,6 +156,16 @@ impl FunctorList for FunctorMomentumTendList {
         self.f.at_point(rest / self.pj, rest % self.pj, il);
     }
 
+    /// Decode `(k, jl, il)` once per run of cells adjacent in `i`.
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        crate::lanes::for_each_run(entries, self.pi, |row, il, len| {
+            let (k, jl) = (row / self.pj, row % self.pj);
+            for il in il..il + len {
+                self.f.at_point(k, jl, il);
+            }
+        });
+    }
+
     fn cost(&self) -> IterCost {
         self.f.cost()
     }

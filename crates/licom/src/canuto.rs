@@ -26,7 +26,16 @@
 //!    shipping column inputs to under-loaded ranks and collecting the
 //!    results (the full Fig. 4 scheme).
 //!
-//! All three produce **bitwise identical** coefficients.
+//! All three produce **bitwise identical** coefficients: there is one
+//! closure body, [`CanutoFields::block`], generic over the number `W` of
+//! adjacent columns it evaluates together (see [`crate::lanes`]). The
+//! fixed-point iteration of the stability functions is a chain of eight
+//! dependent divides per interface; a [`LANES`](crate::lanes::LANES)-wide
+//! block runs eight such chains side by side, with the regime early-outs
+//! (`Ri < 0`, non-finite) and the per-column depth as lane selects. The
+//! packed-list launch walks runs of wet columns in such blocks; the
+//! rectangle launch, list tails, the cross-rank donor/receiver paths and
+//! the scalar [`stability_functions`] are the `W = 1` instantiation.
 
 use kokkos_rs::{Functor2D, FunctorList, IterCost, View1, View2, View3};
 use mpi_sim::Comm;
@@ -35,36 +44,52 @@ use ocean_grid::{GRAVITY, RHO0};
 use halo_exchange::HALO as H;
 
 use crate::constants::{KH_BACKGROUND, KM_BACKGROUND, K_MAX};
+use crate::lanes::{self, above, ColumnKernel, F64x};
 
-/// Stability functions: `(s_m, s_h)` from the gradient Richardson number.
+/// Stability functions `(s_m, s_h)` of `W` gradient Richardson numbers.
 ///
 /// Deliberately iterative/expensive in the same way the real closure is:
 /// a small fixed-point refinement models the scheme's implicit
 /// turbulence-level equation.
-pub fn stability_functions(ri: f64) -> (f64, f64) {
-    if !ri.is_finite() {
-        return (0.0, 0.0);
-    }
-    if ri < 0.0 {
-        // Convective regime: saturated mixing.
-        return (1.0, 1.0);
-    }
+#[inline(always)]
+fn stability_lanes<const W: usize>(ri: F64x<W>) -> (F64x<W>, F64x<W>) {
     // Quasi-equilibrium fixed point: x = 1 / (1 + 10 Ri x)², solved by a
-    // few damped iterations (converges for all Ri ≥ 0).
-    let mut x: f64 = 1.0;
+    // few damped iterations (converges for all Ri ≥ 0). Every lane
+    // iterates; the other regimes are selected afterwards.
+    let mut x = F64x::<W>::splat(1.0);
     for _ in 0..8 {
-        let next = 1.0 / (1.0 + 10.0 * ri * x).powi(2);
+        let y = 1.0 + 10.0 * ri * x;
+        let next = 1.0 / (y * y);
         x = 0.5 * (x + next);
     }
-    let s_m = x;
-    let s_h = x / (1.0 + 3.0 * ri);
-    (s_m, s_h)
+    let (s_m, s_h) = (x, x / (1.0 + 3.0 * ri));
+    // Convective regime (Ri < 0): saturated mixing. Non-finite Ri: none.
+    let (zero, one) = (F64x::splat(0.0), F64x::splat(1.0));
+    let convective = ri.lt(zero);
+    let finite = ri.is_finite();
+    (
+        finite.select(convective.select(one, s_m), zero),
+        finite.select(convective.select(one, s_h), zero),
+    )
+}
+
+/// Mixing coefficients from `Ri`: background plus closure contribution.
+#[inline(always)]
+fn mixing_lanes<const W: usize>(ri: F64x<W>) -> (F64x<W>, F64x<W>) {
+    let (s_m, s_h) = stability_lanes(ri);
+    (KM_BACKGROUND + K_MAX * s_m, KH_BACKGROUND + K_MAX * s_h)
+}
+
+/// Stability functions: `(s_m, s_h)` from the gradient Richardson number.
+pub fn stability_functions(ri: f64) -> (f64, f64) {
+    let (s_m, s_h) = stability_lanes(F64x([ri]));
+    (s_m.0[0], s_h.0[0])
 }
 
 /// Mixing coefficients from `Ri`: background plus closure contribution.
 pub fn mixing_coefficients(ri: f64) -> (f64, f64) {
-    let (s_m, s_h) = stability_functions(ri);
-    (KM_BACKGROUND + K_MAX * s_m, KH_BACKGROUND + K_MAX * s_h)
+    let (km, kh) = mixing_lanes(F64x([ri]));
+    (km.0[0], kh.0[0])
 }
 
 /// The field set the column computation reads/writes.
@@ -83,44 +108,91 @@ pub struct CanutoFields {
 }
 
 impl CanutoFields {
-    /// Shear-squared and buoyancy-frequency-squared at interface `k`
-    /// (between layers `k-1` and `k`) of column `(jl, il)`.
-    fn n2_s2(&self, k: usize, jl: usize, il: usize) -> (f64, f64) {
+    /// Velocity `field` at the T columns `(jl, il..il + W)` of level `k`:
+    /// the average of the 4 surrounding corners.
+    #[inline(always)]
+    fn at_t<const W: usize>(field: &View3<f64>, k: usize, jl: usize, il: usize) -> F64x<W> {
+        0.25 * (F64x::load(field, k, jl, il)
+            + F64x::load(field, k, jl - 1, il)
+            + F64x::load(field, k, jl, il - 1)
+            + F64x::load(field, k, jl - 1, il - 1))
+    }
+
+    /// Buoyancy-frequency-squared and shear-squared at interface `k`
+    /// (between layers `k-1` and `k`) from the densities and T-column
+    /// velocities of the two layers (`[upper, lower]`).
+    #[inline(always)]
+    fn n2_s2_lanes<const W: usize>(
+        &self,
+        k: usize,
+        rho: [F64x<W>; 2],
+        uc: [F64x<W>; 2],
+        vc: [F64x<W>; 2],
+    ) -> (F64x<W>, F64x<W>) {
         let dzw = self.z_t.at(k) - self.z_t.at(k - 1);
-        let n2 = GRAVITY / RHO0 * (self.rho.at(k, jl, il) - self.rho.at(k - 1, jl, il)) / dzw;
-        // Velocity at the T column: average of the 4 surrounding corners.
-        let uc = |kk: usize| {
-            0.25 * (self.u.at(kk, jl, il)
-                + self.u.at(kk, jl - 1, il)
-                + self.u.at(kk, jl, il - 1)
-                + self.u.at(kk, jl - 1, il - 1))
-        };
-        let vc = |kk: usize| {
-            0.25 * (self.v.at(kk, jl, il)
-                + self.v.at(kk, jl - 1, il)
-                + self.v.at(kk, jl, il - 1)
-                + self.v.at(kk, jl - 1, il - 1))
-        };
-        let du = (uc(k) - uc(k - 1)) / dzw;
-        let dv = (vc(k) - vc(k - 1)) / dzw;
+        let n2 = GRAVITY / RHO0 * (rho[1] - rho[0]) / dzw;
+        let du = (uc[1] - uc[0]) / dzw;
+        let dv = (vc[1] - vc[0]) / dzw;
         (n2, du * du + dv * dv)
     }
 
-    /// Full column evaluation: interfaces `1..kmt` get closure values,
-    /// the rest background.
-    pub fn compute_column(&self, jl: usize, il: usize) {
-        let kmt = self.kmt.at(jl, il) as usize;
-        for k in 0..=self.nz {
-            if k >= 1 && k < kmt {
-                let (n2, s2) = self.n2_s2(k, jl, il);
-                let ri = n2 / s2.max(1e-12);
-                let (km, kh) = mixing_coefficients(ri);
-                self.km.set_at(k, jl, il, km);
-                self.kh.set_at(k, jl, il, kh);
-            } else {
-                self.km.set_at(k, jl, il, KM_BACKGROUND);
-                self.kh.set_at(k, jl, il, KH_BACKGROUND);
+    /// `(N², S²)` at interface `k` of the single column `(jl, il)` — the
+    /// record the cross-rank scheme ships.
+    fn n2_s2(&self, k: usize, jl: usize, il: usize) -> (f64, f64) {
+        let rho = |kk| F64x::<1>::load(&self.rho, kk, jl, il);
+        let at = |f, kk| Self::at_t::<1>(f, kk, jl, il);
+        let (n2, s2) = self.n2_s2_lanes(
+            k,
+            [rho(k - 1), rho(k)],
+            [at(&self.u, k - 1), at(&self.u, k)],
+            [at(&self.v, k - 1), at(&self.v, k)],
+        );
+        (n2.0[0], s2.0[0])
+    }
+}
+
+impl ColumnKernel for CanutoFields {
+    /// The staged density and T-column velocities of a block.
+    fn scratch_words(&self) -> usize {
+        3 * self.nz
+    }
+
+    /// The columns `(jl, il..il + W)`: interfaces `1..kmt` of each get
+    /// closure values, the rest background. Down to the block's deepest
+    /// column every lane evaluates the closure and lanes already below
+    /// their own bottom select background.
+    fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
+        let (kmt, kmax) = lanes::depths::<W>(&self.kmt, jl, il);
+        let (km_bg, kh_bg) = (F64x::<W>::splat(KM_BACKGROUND), F64x::splat(KH_BACKGROUND));
+        km_bg.store(&self.km, 0, jl, il);
+        kh_bg.store(&self.kh, 0, jl, il);
+        if kmax > 1 {
+            // Stage the block's inputs first: this loop is loads and three
+            // adds, so a cache miss per level stays in flight; the closure
+            // loop below (a dozen divides per level) would expose them one
+            // at a time.
+            let (rho, rest) = scratch.split_at_mut(self.nz * W);
+            let (uc, vc) = rest.split_at_mut(self.nz * W);
+            let rho = lanes::rows::<W>(rho, kmax);
+            let (uc, vc) = (lanes::rows::<W>(uc, kmax), lanes::rows::<W>(vc, kmax));
+            for k in 0..kmax {
+                rho[k] = F64x::<W>::load(&self.rho, k, jl, il).0;
+                uc[k] = Self::at_t::<W>(&self.u, k, jl, il).0;
+                vc[k] = Self::at_t::<W>(&self.v, k, jl, il).0;
             }
+            for k in 1..kmax {
+                let layers = |s: &[[f64; W]]| [F64x(s[k - 1]), F64x(s[k])];
+                let (n2, s2) = self.n2_s2_lanes(k, layers(rho), layers(uc), layers(vc));
+                let ri = n2 / s2.max(F64x::splat(1e-12));
+                let (km, kh) = mixing_lanes(ri);
+                let wet = above(k, &kmt);
+                wet.select(km, km_bg).store(&self.km, k, jl, il);
+                wet.select(kh, kh_bg).store(&self.kh, k, jl, il);
+            }
+        }
+        for k in kmax.max(1)..=self.nz {
+            km_bg.store(&self.km, k, jl, il);
+            kh_bg.store(&self.kh, k, jl, il);
         }
     }
 }
@@ -132,7 +204,7 @@ pub struct FunctorCanutoRect {
 
 impl Functor2D for FunctorCanutoRect {
     fn operator(&self, j: usize, i: usize) {
-        self.f.compute_column(j + H, i + H);
+        lanes::run_column(&self.f, j + H, i + H);
     }
 
     fn cost(&self) -> IterCost {
@@ -160,7 +232,11 @@ pub struct FunctorCanutoCols {
 impl FunctorList for FunctorCanutoCols {
     fn operator(&self, _n: usize, idx: u32) {
         let packed = idx as usize;
-        self.f.compute_column(packed / self.pi, packed % self.pi);
+        lanes::run_column(&self.f, packed / self.pi, packed % self.pi);
+    }
+
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        lanes::run_span(&self.f, self.pi, entries);
     }
 
     fn cost(&self) -> IterCost {
@@ -281,7 +357,7 @@ pub fn balanced_cross_rank(
     let keep = wet_cols.len() - total_out;
     for &col in &wet_cols[..keep] {
         let p = col as usize;
-        fields.compute_column(p / pi, p % pi);
+        lanes::run_column(fields, p / pi, p % pi);
     }
     // Fixed record size: nz-1 interface pairs per column (dry interfaces
     // padded with a s2<0 sentinel). Messages go through the pooled
@@ -349,7 +425,7 @@ pub fn balanced_cross_rank(
                 let p = col as usize;
                 let (jl, il) = (p / pi, p % pi);
                 // Surface and bottom interfaces are background, as in
-                // compute_column.
+                // the local evaluation.
                 let kmt = fields.kmt.at(jl, il) as usize;
                 for k in 0..=nz {
                     let (km, kh) = if k >= 1 && k < kmt && k < nz {

@@ -1,0 +1,331 @@
+//! Lane blocks: the in-tree `f64xN` the column kernels are written over.
+//!
+//! A per-column kernel (tridiagonal solve, canuto closure, continuity,
+//! vertical advection) is a chain of dependent divides walked down one
+//! `(jl, il)` at a time; the host cannot overlap anything inside it. The
+//! same arithmetic over `W` columns adjacent in `i` is `W` independent
+//! chains on contiguous memory, which the compiler keeps in flight
+//! together. So each column kernel has **one body, generic over
+//! `const W: usize`**: [`F64x<W>`] values carry one number per column, every
+//! operator applies the scalar IEEE operation lane by lane in the order the
+//! scalar code would (no FMA, no reassociation — results are bitwise those
+//! of `W = 1`), and ragged depths are handled by [`Mask`] selects and
+//! masked stores instead of branches.
+//!
+//! [`run_span`] feeds such a body from a `ListPolicy` tile: maximal runs of
+//! consecutive packed indices in [`LANES`]-wide blocks, the `W = 1`
+//! instantiation as tail. [`run_column`] is the dense / per-entry path.
+//! `LANES` is a constant, not an option.
+
+use std::cell::RefCell;
+use std::ops::{Add, Div, Mul, Sub};
+
+use kokkos_rs::{View2, View3};
+
+/// Columns per block on the span path (a 64-byte row of `f64`).
+pub const LANES: usize = 8;
+
+/// Deepest supported column. A `LANES`-wide block of the implicit solver
+/// keeps `4 · nz · LANES` work words, which at this depth is 64 kB — the
+/// ¼-LDM stream budget of a CPE; the 244-level full-depth configuration
+/// fits. Checked once where the grid is built
+/// ([`crate::localgrid::LocalGrid::build`]).
+pub const MAX_NZ: usize = 256;
+
+/// `W` doubles, one per column of a block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct F64x<const W: usize>(pub [f64; W]);
+
+/// `W` lane predicates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mask<const W: usize>(pub [bool; W]);
+
+impl<const W: usize> F64x<W> {
+    #[inline(always)]
+    pub fn splat(x: f64) -> Self {
+        Self([x; W])
+    }
+
+    #[inline(always)]
+    pub fn from_fn(mut f: impl FnMut(usize) -> f64) -> Self {
+        let mut out = [0.0; W];
+        for (l, o) in out.iter_mut().enumerate() {
+            *o = f(l);
+        }
+        Self(out)
+    }
+
+    #[inline(always)]
+    fn zip(self, o: Self, f: impl Fn(f64, f64) -> f64) -> Self {
+        Self::from_fn(|l| f(self.0[l], o.0[l]))
+    }
+
+    #[inline(always)]
+    pub fn abs(self) -> Self {
+        Self::from_fn(|l| self.0[l].abs())
+    }
+
+    /// Lane-wise [`f64::min`] (same NaN behaviour as the scalar call).
+    #[inline(always)]
+    pub fn min(self, o: Self) -> Self {
+        self.zip(o, f64::min)
+    }
+
+    /// Lane-wise [`f64::max`].
+    #[inline(always)]
+    pub fn max(self, o: Self) -> Self {
+        self.zip(o, f64::max)
+    }
+
+    #[inline(always)]
+    pub fn lt(self, o: Self) -> Mask<W> {
+        Mask::from_fn(|l| self.0[l] < o.0[l])
+    }
+
+    #[inline(always)]
+    pub fn ge(self, o: Self) -> Mask<W> {
+        Mask::from_fn(|l| self.0[l] >= o.0[l])
+    }
+
+    #[inline(always)]
+    pub fn is_finite(self) -> Mask<W> {
+        Mask::from_fn(|l| self.0[l].is_finite())
+    }
+
+    /// `W` values adjacent in `i`, starting at `(k, jl, il)`.
+    #[inline(always)]
+    pub fn load(v: &View3<f64>, k: usize, jl: usize, il: usize) -> Self {
+        Self(v.get_lanes([k, jl, il]))
+    }
+
+    /// Write every lane.
+    #[inline(always)]
+    pub fn store(self, v: &View3<f64>, k: usize, jl: usize, il: usize) {
+        v.set_lanes([k, jl, il], self.0);
+    }
+
+    /// Write the lanes `m` selects; the others' cells are not touched.
+    #[inline(always)]
+    pub fn store_where(self, m: Mask<W>, v: &View3<f64>, k: usize, jl: usize, il: usize) {
+        for l in 0..W {
+            if m.0[l] {
+                v.set_at(k, jl, il + l, self.0[l]);
+            }
+        }
+    }
+}
+
+impl<const W: usize> Mask<W> {
+    #[inline(always)]
+    pub fn from_fn(mut f: impl FnMut(usize) -> bool) -> Self {
+        let mut out = [false; W];
+        for (l, o) in out.iter_mut().enumerate() {
+            *o = f(l);
+        }
+        Self(out)
+    }
+
+    /// Lane `l` is `a[l]` where the mask holds, else `b[l]`.
+    #[inline(always)]
+    pub fn select(self, a: F64x<W>, b: F64x<W>) -> F64x<W> {
+        F64x::from_fn(|l| if self.0[l] { a.0[l] } else { b.0[l] })
+    }
+}
+
+macro_rules! lane_op {
+    ($tr:ident, $m:ident, $op:tt) => {
+        impl<const W: usize> $tr for F64x<W> {
+            type Output = Self;
+            #[inline(always)]
+            fn $m(self, o: Self) -> Self {
+                self.zip(o, |a, b| a $op b)
+            }
+        }
+        impl<const W: usize> $tr<f64> for F64x<W> {
+            type Output = Self;
+            #[inline(always)]
+            fn $m(self, o: f64) -> Self {
+                Self::from_fn(|l| self.0[l] $op o)
+            }
+        }
+        impl<const W: usize> $tr<F64x<W>> for f64 {
+            type Output = F64x<W>;
+            #[inline(always)]
+            fn $m(self, o: F64x<W>) -> F64x<W> {
+                F64x::from_fn(|l| self $op o.0[l])
+            }
+        }
+    };
+}
+
+lane_op!(Add, add, +);
+lane_op!(Sub, sub, -);
+lane_op!(Mul, mul, *);
+lane_op!(Div, div, /);
+
+/// Wet depths of the `W` columns starting at `(jl, il)`, and the deepest.
+#[inline(always)]
+pub fn depths<const W: usize>(mask: &View2<i32>, jl: usize, il: usize) -> ([usize; W], usize) {
+    let kb = mask.get_lanes::<W>([jl, il]).map(|d| d as usize);
+    (kb, kb.into_iter().max().unwrap_or(0))
+}
+
+/// Lanes whose column is wet at level `k` (`k < kb[l]`).
+#[inline(always)]
+pub fn above<const W: usize>(k: usize, kb: &[usize; W]) -> Mask<W> {
+    Mask::from_fn(|l| k < kb[l])
+}
+
+/// The first `n` rows of `W` words of a flat work array.
+#[inline(always)]
+pub fn rows<const W: usize>(s: &mut [f64], n: usize) -> &mut [[f64; W]] {
+    s[..n * W].as_chunks_mut::<W>().0
+}
+
+/// A column kernel written once: `block::<W>` runs the `W` columns
+/// `(jl, il..il + W)` of one padded row together.
+pub trait ColumnKernel {
+    /// Work words **per lane** a block needs (`0` for streaming bodies).
+    fn scratch_words(&self) -> usize {
+        0
+    }
+
+    /// `scratch` holds at least `W · scratch_words()` words; contents on
+    /// entry are arbitrary.
+    fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]);
+}
+
+thread_local! {
+    /// Per-thread work arrays of the blocked bodies, grown on first use and
+    /// then reused — the steady-state step allocates nothing, and a block
+    /// touches only the rows down to its deepest column.
+    static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+fn with_scratch<R>(words: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    SCRATCH.with(|s| {
+        let mut s = s.borrow_mut();
+        if s.len() < words {
+            s.resize(words, 0.0);
+        }
+        f(&mut s[..words])
+    })
+}
+
+/// Call `f(row, il, len)` for each maximal run of consecutive packed
+/// indices `row · pi + il ..` in `entries` that stays inside one row, in
+/// list order. One div/mod per run instead of per entry.
+#[inline]
+pub fn for_each_run(entries: &[u32], pi: usize, mut f: impl FnMut(usize, usize, usize)) {
+    let mut s = 0;
+    while s < entries.len() {
+        let first = entries[s] as usize;
+        let (row, il) = (first / pi, first % pi);
+        let room = (pi - il).min(entries.len() - s);
+        let mut len = 1;
+        while len < room && entries[s + len] as usize == first + len {
+            len += 1;
+        }
+        f(row, il, len);
+        s += len;
+    }
+}
+
+/// Run `kernel` over one list tile of packed columns `jl · pi + il`:
+/// [`LANES`]-wide blocks down each run, single columns for the tail.
+#[inline]
+pub fn run_span<K: ColumnKernel>(kernel: &K, pi: usize, entries: &[u32]) {
+    with_scratch(kernel.scratch_words() * LANES, |scratch| {
+        for_each_run(entries, pi, |jl, il, len| {
+            let mut d = 0;
+            while d + LANES <= len {
+                kernel.block::<LANES>(jl, il + d, scratch);
+                d += LANES;
+            }
+            for d in d..len {
+                kernel.block::<1>(jl, il + d, scratch);
+            }
+        });
+    });
+}
+
+/// Run `kernel` on the single column `(jl, il)` — the dense launch and the
+/// per-entry list path.
+#[inline]
+pub fn run_column<K: ColumnKernel>(kernel: &K, jl: usize, il: usize) {
+    with_scratch(kernel.scratch_words(), |scratch| {
+        kernel.block::<1>(jl, il, scratch);
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn runs_split_at_gaps_and_row_ends() {
+        let pi = 10;
+        // Row 1: 12,13,14 | gap | 17 ; row 1→2 wrap 19,20 must split.
+        let entries = [12, 13, 14, 17, 19, 20, 21, 35];
+        let mut got = Vec::new();
+        for_each_run(&entries, pi, |row, il, len| got.push((row, il, len)));
+        assert_eq!(
+            got,
+            vec![(1, 2, 3), (1, 7, 1), (1, 9, 1), (2, 0, 2), (3, 5, 1)]
+        );
+        for_each_run(&[], pi, |_, _, _| panic!("empty list has no runs"));
+    }
+
+    #[test]
+    fn lane_ops_are_the_scalar_ops_per_lane() {
+        let a = F64x::<4>([1.5, -2.0, 0.0, f64::NAN]);
+        let b = F64x::<4>([0.5, 4.0, -3.0, 1.0]);
+        let bits = |x: F64x<4>| x.0.map(f64::to_bits);
+        assert_eq!(
+            bits(a / b)[..3],
+            [1.5f64 / 0.5, -2.0 / 4.0, 0.0 / -3.0].map(f64::to_bits),
+            "including the signed zero"
+        );
+        assert_eq!(
+            bits(2.0 * a - b)[..3],
+            bits(F64x::from_fn(|l| 2.0 * a.0[l] - b.0[l]))[..3]
+        );
+        assert_eq!(
+            a.min(b).0[3],
+            1.0,
+            "f64::min drops the NaN like the scalar call"
+        );
+        assert_eq!(a.lt(b), Mask([false, true, false, false]));
+        assert_eq!(a.lt(b).select(a, b).0[..3], [0.5, -2.0, -3.0]);
+    }
+
+    struct Count<'a>(&'a RefCell<Vec<(usize, usize, usize)>>);
+    impl ColumnKernel for Count<'_> {
+        fn scratch_words(&self) -> usize {
+            3
+        }
+        fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
+            assert!(scratch.len() >= 3 * W);
+            self.0.borrow_mut().push((W, jl, il));
+        }
+    }
+
+    #[test]
+    fn span_walks_runs_in_blocks_with_a_scalar_tail() {
+        let log = RefCell::new(Vec::new());
+        // A run of LANES + 2 in row 2, then an isolated column in row 3.
+        let pi = 40;
+        let mut entries: Vec<u32> = (0..LANES as u32 + 2).map(|d| 2 * 40 + 5 + d).collect();
+        entries.push(3 * 40 + 1);
+        run_span(&Count(&log), pi, &entries);
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                (LANES, 2, 5),
+                (1, 2, 5 + LANES),
+                (1, 2, 6 + LANES),
+                (1, 3, 1)
+            ]
+        );
+    }
+}

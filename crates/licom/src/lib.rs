@@ -34,6 +34,7 @@ pub mod forcing;
 pub mod guard;
 pub mod history;
 pub mod io;
+pub mod lanes;
 pub mod localgrid;
 pub mod model;
 pub mod spectra;

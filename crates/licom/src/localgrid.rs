@@ -88,6 +88,13 @@ impl LocalGrid {
     /// Extract this rank's padded block from the global grid.
     pub fn build(global: &GlobalGrid, halo: &Halo2D) -> Self {
         let (nx, ny, nz) = (halo.nx, halo.ny, global.nz());
+        // The column kernels size their work arrays from `nz`; this is the
+        // one place the depth they are budgeted for is enforced.
+        assert!(
+            nz <= crate::lanes::MAX_NZ,
+            "nz = {nz} exceeds the {} levels the column kernels support",
+            crate::lanes::MAX_NZ
+        );
         let (pj, pi) = halo.padded();
         let (nxg, nyg) = (global.nx(), global.ny());
         let (x0, y0) = (halo.x0, halo.y0);

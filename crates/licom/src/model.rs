@@ -248,6 +248,16 @@ impl FunctorList for FunctorTracerHDiffList {
         self.f.operator(k, jl - H, il - H);
     }
 
+    /// Decode `(k, jl, il)` once per run of cells adjacent in `i`.
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        crate::lanes::for_each_run(entries, self.pi, |row, il, len| {
+            let (k, jl) = (row / self.pj, row % self.pj);
+            for il in il..il + len {
+                self.f.operator(k, jl - H, il - H);
+            }
+        });
+    }
+
     fn cost(&self) -> IterCost {
         self.f.cost()
     }
@@ -778,7 +788,8 @@ impl Model {
         self.timers.stop("update_uv");
         self.timers.start("vmix_momentum");
         for field in [&self.state.u[n], &self.state.v[n]] {
-            self.launch_vmix(&space, field, &self.state.km, &g.kmu, dt2, active);
+            let wet = active.then_some(&self.wet.ucols);
+            self.launch_vmix(&space, field, &self.state.km, &g.kmu, dt2, wet);
         }
         let f_btc = FunctorBtCorrect {
             u: self.state.u[n].clone(),
@@ -973,7 +984,8 @@ impl Model {
         hd_res?;
         self.timers.start("vmix_tracer");
         for field in [&self.state.t[n], &self.state.s[n]] {
-            self.launch_vmix(&space, field, &self.state.kh, &g.kmt, dt, active);
+            let wet = active.then_some(&self.wet.cols);
+            self.launch_vmix(&space, field, &self.state.kh, &g.kmt, dt, wet);
         }
         self.timers.stop("vmix_tracer");
         self.timers.start("forcing");
@@ -1222,9 +1234,10 @@ impl Model {
         self.gv.fill(0.0);
     }
 
-    /// Launch one implicit vertical solve through the configured shape
-    /// (flat rectangle launch, TeamPolicy with LDM scratch, or the
-    /// active-set packed wet-column list matching `mask`).
+    /// Launch one implicit vertical solve through the configured shape:
+    /// TeamPolicy with LDM scratch, the active-set list `wet` (the packed
+    /// owned columns with `mask > 0`, which the caller knows: `ucols` for
+    /// `kmu`, `cols` for `kmt`), or the flat rectangle launch when `None`.
     fn launch_vmix(
         &self,
         space: &Space,
@@ -1232,7 +1245,7 @@ impl Model {
         kcoef: &kokkos_rs::View3<f64>,
         mask: &View2<i32>,
         dt: f64,
-        active: bool,
+        wet: Option<&ListPolicy>,
     ) {
         let g = &self.grid;
         let _r = kokkos_rs::profiling::region("vmix:solve");
@@ -1261,17 +1274,9 @@ impl Model {
                 dt,
                 nz: g.nz,
             };
-            if active {
-                // Pick the wet set matching the solve's mask (kmu for
-                // momentum, kmt for tracers).
-                let wet = if mask.data_ptr() == g.kmu.data_ptr() {
-                    &self.wet.ucols
-                } else {
-                    &self.wet.cols
-                };
-                parallel_for_list(space, wet, &FunctorVmixList { f, pi: g.pi });
-            } else {
-                parallel_for_2d(space, MDRangePolicy2::new([g.ny, g.nx]), &f);
+            match wet {
+                Some(wet) => parallel_for_list(space, wet, &FunctorVmixList { f, pi: g.pi }),
+                None => parallel_for_2d(space, MDRangePolicy2::new([g.ny, g.nx]), &f),
             }
         }
     }

@@ -7,15 +7,19 @@
 //! `(I − dt ∂z K ∂z) q' = q`,
 //!
 //! one tridiagonal system per wet column, solved with the Thomas
-//! algorithm in thread-local stack arrays (max 256 levels, enough for the
-//! 244-level full-depth configuration).
+//! algorithm. There is one solver body, `solve_block`, generic over the
+//! number `W` of adjacent columns it eliminates together (see
+//! [`crate::lanes`]): the active-set launch walks each run of wet columns in
+//! [`LANES`](crate::lanes::LANES)-wide blocks, the dense launch, the list
+//! tail and the team variant are its `W = 1` instantiation. Work arrays are
+//! `nz` rows of `W` words, of which a block touches only the rows down to
+//! its deepest column; ragged depths inside a block are lane masks.
 
 use kokkos_rs::{Functor2D, FunctorList, IterCost, View1, View2, View3};
 
 use halo_exchange::HALO as H;
 
-/// Maximum supported vertical levels (full-depth config has 244).
-pub const MAX_NZ: usize = 256;
+use crate::lanes::{self, above, ColumnKernel, F64x, Mask};
 
 /// Solve `(I − dt ∂z K ∂z) q' = q` in place for one field, column-wise.
 ///
@@ -32,41 +36,29 @@ pub struct FunctorVmixImplicit {
     pub nz: usize,
 }
 
-impl FunctorVmixImplicit {
-    /// Solve one column at **padded** indices (shared by the rectangle
-    /// and active-set launches, so both are bitwise identical).
-    fn column(&self, jl: usize, il: usize) {
-        let kb = self.mask.at(jl, il) as usize;
-        if kb == 0 {
-            return;
-        }
-        assert!(kb <= MAX_NZ);
-        // Thread-local stack work arrays (the flat-launch shape); the
-        // team variant stages the same arrays in LDM scratch instead.
-        let mut a = [0.0f64; MAX_NZ];
-        let mut b = [0.0f64; MAX_NZ];
-        let mut c = [0.0f64; MAX_NZ];
-        let mut d = [0.0f64; MAX_NZ];
-        solve_column(
+impl ColumnKernel for FunctorVmixImplicit {
+    fn scratch_words(&self) -> usize {
+        4 * self.nz
+    }
+
+    fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
+        solve_block::<W>(
             &self.q,
             &self.kcoef,
+            &self.mask,
             &self.dz,
             &self.z_t,
             self.dt,
             jl,
             il,
-            kb,
-            &mut a[..kb],
-            &mut b[..kb],
-            &mut c[..kb],
-            &mut d[..kb],
+            scratch,
         );
     }
 }
 
 impl Functor2D for FunctorVmixImplicit {
     fn operator(&self, j: usize, i: usize) {
-        self.column(j + H, i + H);
+        lanes::run_column(self, j + H, i + H);
     }
 
     fn cost(&self) -> IterCost {
@@ -90,7 +82,11 @@ pub struct FunctorVmixList {
 impl FunctorList for FunctorVmixList {
     fn operator(&self, _n: usize, idx: u32) {
         let packed = idx as usize;
-        self.f.column(packed / self.pi, packed % self.pi);
+        lanes::run_column(&self.f, packed / self.pi, packed % self.pi);
+    }
+
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        lanes::run_span(&self.f, self.pi, entries);
     }
 
     fn cost(&self) -> IterCost {
@@ -217,52 +213,70 @@ mod tests {
     }
 }
 
-/// Shared tridiagonal column solve used by both launch shapes, so the
-/// flat and team variants are bitwise identical.
+/// The tridiagonal solve of the `W` columns `(jl, il..il + W)`, in place
+/// on `q` — the one arithmetic body behind every launch shape, so dense,
+/// active-set and team launches are bitwise identical.
+///
+/// `scratch` supplies the four work arrays (`a`, `b`, `c`, `d`, each
+/// `≥ kmax` rows of `W`). Lane `l` is the column of depth `kb[l]`: its
+/// last row has no lower neighbour (`c = 0`), its back-substitution starts
+/// there, and rows below it are computed with the block but never stored.
 #[allow(clippy::too_many_arguments)]
-fn solve_column(
+fn solve_block<const W: usize>(
     q: &View3<f64>,
     kcoef: &View3<f64>,
+    mask: &View2<i32>,
     dz: &View1<f64>,
     z_t: &View1<f64>,
     dt: f64,
     jl: usize,
     il: usize,
-    kb: usize,
-    a: &mut [f64],
-    b: &mut [f64],
-    c: &mut [f64],
-    d: &mut [f64],
+    scratch: &mut [f64],
 ) {
-    for k in 0..kb {
+    let (kb, kmax) = lanes::depths::<W>(mask, jl, il);
+    if kmax == 0 {
+        return;
+    }
+    let n = scratch.len() / 4;
+    let (a, rest) = scratch.split_at_mut(n);
+    let (b, rest) = rest.split_at_mut(n);
+    let (c, d) = rest.split_at_mut(n);
+    let rows = |s| lanes::rows::<W>(s, kmax);
+    let (a, b, c, d) = (rows(a), rows(b), rows(c), rows(d));
+
+    let zero = F64x::<W>::splat(0.0);
+    for k in 0..kmax {
         let dzk = dz.at(k);
         let au = if k > 0 {
             let dzw = z_t.at(k) - z_t.at(k - 1);
-            -dt * kcoef.at(k, jl, il) / (dzk * dzw)
+            -dt * F64x::load(kcoef, k, jl, il) / (dzk * dzw)
         } else {
-            0.0
+            zero
         };
-        let cl = if k + 1 < kb {
+        let cl = if k + 1 < kmax {
             let dzw = z_t.at(k + 1) - z_t.at(k);
-            -dt * kcoef.at(k + 1, jl, il) / (dzk * dzw)
+            let below = -dt * F64x::load(kcoef, k + 1, jl, il) / (dzk * dzw);
+            above(k + 1, &kb).select(below, zero)
         } else {
-            0.0
+            zero
         };
-        a[k] = au;
-        c[k] = cl;
-        b[k] = 1.0 - au - cl;
-        d[k] = q.at(k, jl, il);
+        a[k] = au.0;
+        c[k] = cl.0;
+        b[k] = (1.0 - au - cl).0;
+        d[k] = F64x::<W>::load(q, k, jl, il).0;
     }
-    for k in 1..kb {
-        let m = a[k] / b[k - 1];
-        b[k] -= m * c[k - 1];
-        d[k] -= m * d[k - 1];
+    for k in 1..kmax {
+        let m = F64x(a[k]) / F64x(b[k - 1]);
+        b[k] = (F64x(b[k]) - m * F64x(c[k - 1])).0;
+        d[k] = (F64x(d[k]) - m * F64x(d[k - 1])).0;
     }
-    let mut prev = d[kb - 1] / b[kb - 1];
-    q.set_at(kb - 1, jl, il, prev);
-    for k in (0..kb - 1).rev() {
-        prev = (d[k] - c[k] * prev) / b[k];
-        q.set_at(k, jl, il, prev);
+    let mut prev = zero;
+    for k in (0..kmax).rev() {
+        // A lane's deepest row starts its recurrence: `d / b`, no `c` term.
+        let bottom = Mask::from_fn(|l| k + 1 == kb[l]);
+        let num = bottom.select(F64x(d[k]), F64x(d[k]) - F64x(c[k]) * prev);
+        prev = num / F64x(b[k]);
+        prev.store_where(above(k, &kb), q, k, jl, il);
     }
 }
 
@@ -294,28 +308,16 @@ impl FunctorVmixTeam {
 impl kokkos_rs::FunctorTeam for FunctorVmixTeam {
     fn operator(&self, league: usize, scratch: &mut [f64]) {
         let (j, i) = (league / self.nx, league % self.nx);
-        let (jl, il) = (j + H, i + H);
-        let kb = self.mask.at(jl, il) as usize;
-        if kb == 0 {
-            return;
-        }
-        assert!(scratch.len() >= 4 * self.nz, "scratch too small");
-        let (aa, rest) = scratch.split_at_mut(self.nz);
-        let (bb, rest) = rest.split_at_mut(self.nz);
-        let (cc, dd) = rest.split_at_mut(self.nz);
-        solve_column(
+        solve_block::<1>(
             &self.q,
             &self.kcoef,
+            &self.mask,
             &self.dz,
             &self.z_t,
             self.dt,
-            jl,
-            il,
-            kb,
-            aa,
-            bb,
-            cc,
-            dd,
+            j + H,
+            i + H,
+            scratch,
         );
     }
 

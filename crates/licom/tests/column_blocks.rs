@@ -1,0 +1,343 @@
+//! The lane-blocked column kernels against their own `W = 1` instantiation.
+//!
+//! Each of vmix, canuto, diagnose-w and advect-z has one body, generic over
+//! the number `W` of adjacent columns it runs together. A list launch hands
+//! it whole tiles (`FunctorList::operator_span`), which it walks in
+//! `LANES`-wide blocks with single columns as tail; calling
+//! `FunctorList::operator` entry by entry runs the same body one column at a
+//! time. The two must agree **bitwise** on every execution space, whatever
+//! the wet mask looks like: isolated wet columns, runs shorter than, equal
+//! to and longer than a block, runs cut by a tile boundary, one-level
+//! columns, a one-level grid, all-land rows, ragged depths inside a block.
+
+use halo_exchange::HALO as H;
+use kokkos_rs::{parallel_for_list, FunctorList, ListPolicy, Space, View, View1, View2, View3};
+use licom::advect::{FunctorAdvectZ, FunctorAdvectZList, FunctorDiagnoseW, FunctorDiagnoseWList};
+use licom::canuto::{CanutoFields, FunctorCanutoCols};
+use licom::lanes::LANES;
+use licom::vmix::{FunctorVmixImplicit, FunctorVmixList};
+use ocean_grid::ActiveSet;
+use proptest::prelude::*;
+use sunway_sim::CgConfig;
+
+/// splitmix64: the fields are a pure function of `(seed, position)`.
+fn mix(seed: u64, n: u64) -> u64 {
+    let mut z = seed.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn unit(seed: u64, n: u64) -> f64 {
+    (mix(seed, n) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// What one owned row of the wet mask looks like.
+#[derive(Debug, Clone, Copy)]
+enum Row {
+    Land,
+    /// Wet columns with land on both sides.
+    Isolated,
+    /// Wet runs of exactly this length, one land column between them.
+    Runs(usize),
+    /// One run across the whole row.
+    Full,
+}
+
+/// How deep the wet columns are.
+#[derive(Debug, Clone, Copy)]
+enum Depth {
+    /// Every wet column has one level.
+    One,
+    /// Every wet column reaches the bottom.
+    Flat,
+    /// Each column draws its own depth in `1..=nz`.
+    Ragged,
+}
+
+struct Case {
+    nz: usize,
+    ny: usize,
+    nx: usize,
+    tile: usize,
+    seed: u64,
+    kmt: View2<i32>,
+    policy: ListPolicy,
+}
+
+impl Case {
+    fn new(nz: usize, nx: usize, rows: &[Row], depth: Depth, tile: usize, seed: u64) -> Self {
+        let ny = rows.len();
+        let (pj, pi) = (ny + 2 * H, nx + 2 * H);
+        // Halo masks are arbitrary: diagnose-w compares depths across the
+        // block edge, and a halo cell may be deeper, shallower or land.
+        let kmt: View2<i32> = View::from_fn("kmt", [pj, pi], |[jl, il]| {
+            (mix(seed ^ 0xA5, (jl * pi + il) as u64) % (nz as u64 + 1)) as i32
+        });
+        for (j, row) in rows.iter().enumerate() {
+            for i in 0..nx {
+                let wet = match *row {
+                    Row::Land => false,
+                    Row::Isolated => i % 3 == 1,
+                    Row::Runs(len) => i % (len + 1) < len,
+                    Row::Full => true,
+                };
+                let levels = match depth {
+                    _ if !wet => 0,
+                    Depth::One => 1,
+                    Depth::Flat => nz,
+                    Depth::Ragged => {
+                        1 + (mix(seed ^ 0x5A, (j * nx + i) as u64) % nz as u64) as usize
+                    }
+                };
+                kmt.set_at(j + H, i + H, levels as i32);
+            }
+        }
+        let set = ActiveSet::build_columns(pi, H..H + ny, H..H + nx, |j, i| kmt.at(j, i) as u32);
+        let policy = ListPolicy::new(set.indices.clone())
+            .with_cost_prefix(set.cost_prefix.clone())
+            .with_tile(tile);
+        Self {
+            nz,
+            ny,
+            nx,
+            tile,
+            seed,
+            kmt,
+            policy,
+        }
+    }
+
+    fn dims(&self, levels: usize) -> [usize; 3] {
+        [levels, self.ny + 2 * H, self.nx + 2 * H]
+    }
+
+    /// A `levels`-deep field of values in `lo..hi`, halo included.
+    fn field(&self, salt: u64, levels: usize, lo: f64, hi: f64) -> View3<f64> {
+        let [_, pj, pi] = self.dims(levels);
+        View::from_fn("field", self.dims(levels), |[k, j, i]| {
+            lo + (hi - lo) * unit(self.seed ^ salt, ((k * pj + j) * pi + i) as u64)
+        })
+    }
+
+    /// A tracer with flat stretches (`dq == 0` faces) among the noise.
+    fn tracer(&self, salt: u64) -> View3<f64> {
+        let q = self.field(salt, self.nz, -2.0, 30.0);
+        let [_, pj, pi] = self.dims(self.nz);
+        for n in 0..(self.nz * pj * pi) {
+            if mix(self.seed ^ salt ^ 0xF1, n as u64).is_multiple_of(4) {
+                q.set_linear(n, 10.0);
+            }
+        }
+        q
+    }
+
+    fn dz(&self) -> View1<f64> {
+        View::from_fn("dz", [self.nz], |[k]| 5.0 + 3.0 * k as f64)
+    }
+
+    fn z_t(&self) -> View1<f64> {
+        View::from_fn("z_t", [self.nz], |[k]| {
+            2.5 + 6.5 * k as f64 + 0.25 * (k * k) as f64
+        })
+    }
+
+    fn dxt(&self) -> View1<f64> {
+        View::from_fn("dxt", [self.ny + 2 * H], |[j]| 9.0e3 + 137.0 * j as f64)
+    }
+}
+
+fn spaces() -> Vec<Space> {
+    vec![
+        Space::serial(),
+        Space::threads(),
+        Space::device_sim(),
+        Space::sw_athread_with(CgConfig::test_small()),
+    ]
+}
+
+fn bits(views: &[View3<f64>]) -> Vec<Vec<u64>> {
+    views
+        .iter()
+        .map(|v| v.as_slice().iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+/// `make` builds the functor on fresh copies of whatever it writes and
+/// returns those views. The reference runs it entry by entry (`W = 1`); every
+/// space must reproduce its bits through the span path.
+fn check<F: FunctorList + 'static>(
+    kernel: &str,
+    case: &Case,
+    make: impl Fn() -> (F, Vec<View3<f64>>),
+) -> Result<(), TestCaseError> {
+    let policy = &case.policy;
+    let (f, out) = make();
+    for n in policy.start..policy.end {
+        f.operator(n, policy.entry(n));
+    }
+    let want = bits(&out);
+    for space in spaces() {
+        let (f, out) = make();
+        parallel_for_list(&space, policy, &f);
+        prop_assert!(
+            bits(&out) == want,
+            "{kernel}: span execution on {} differs from per-entry execution \
+             ({} wet columns, tile {}, nz {})",
+            space.name(),
+            policy.len(),
+            case.tile,
+            case.nz
+        );
+    }
+    Ok(())
+}
+
+fn copy_of(v: &View3<f64>) -> View3<f64> {
+    let c: View3<f64> = View::host("copy", v.dims());
+    c.copy_from_slice(v.as_slice());
+    c
+}
+
+fn check_all(case: &Case) -> Result<(), TestCaseError> {
+    licom::register_all_kernels();
+    let pi = case.nx + 2 * H;
+    let (nz, kmt) = (case.nz, &case.kmt);
+    let (dz, z_t, dxt) = (case.dz(), case.z_t(), case.dxt());
+    let u = case.field(1, nz, -1.5, 1.5);
+    let v = case.field(2, nz, -1.5, 1.5);
+    let w = case.field(3, nz + 1, -2.0e-3, 2.0e-3);
+    let rho = case.field(4, nz, 1020.0, 1030.0);
+    let kcoef = case.field(5, nz + 1, 1.0e-5, 5.0e-2);
+    let q0 = case.tracer(6);
+
+    check("vmix", case, || {
+        let q = copy_of(&q0);
+        let f = FunctorVmixImplicit {
+            q: q.clone(),
+            kcoef: kcoef.clone(),
+            mask: kmt.clone(),
+            dz: dz.clone(),
+            z_t: z_t.clone(),
+            dt: 1800.0,
+            nz,
+        };
+        (FunctorVmixList { f, pi }, vec![q])
+    })?;
+    check("canuto", case, || {
+        // Poisoned outputs: every interface of a wet column must be written.
+        let km = case.field(7, nz + 1, -9.0, -8.0);
+        let kh = case.field(8, nz + 1, -9.0, -8.0);
+        let f = CanutoFields {
+            rho: rho.clone(),
+            u: u.clone(),
+            v: v.clone(),
+            km: km.clone(),
+            kh: kh.clone(),
+            kmt: kmt.clone(),
+            z_t: z_t.clone(),
+            nz,
+        };
+        (FunctorCanutoCols { f, pi }, vec![km, kh])
+    })?;
+    check("diagnose_w", case, || {
+        let w_out = case.field(9, nz + 1, -9.0, -8.0);
+        let f = FunctorDiagnoseW {
+            u: u.clone(),
+            v: v.clone(),
+            w: w_out.clone(),
+            kmt: kmt.clone(),
+            dxt: dxt.clone(),
+            dyt: 1.1e4,
+            dz: dz.clone(),
+            nz,
+        };
+        (FunctorDiagnoseWList { f, pi }, vec![w_out])
+    })?;
+    for limited in [true, false] {
+        // In place, as `advect_tracer` launches it.
+        check("advect_z", case, || {
+            let q = copy_of(&q0);
+            let f = FunctorAdvectZ {
+                q: q.clone(),
+                q1: q.clone(),
+                w: w.clone(),
+                kmt: kmt.clone(),
+                dz: dz.clone(),
+                dt: 600.0,
+                nz,
+                limited,
+            };
+            (FunctorAdvectZList { f, pi }, vec![q])
+        })?;
+    }
+    Ok(())
+}
+
+/// The shapes the issue names, one by one, so a failure says which.
+#[test]
+#[rustfmt::skip] // one shape per line
+fn named_mask_shapes_are_bitwise_equal() {
+    let w = LANES;
+    let shape = |name: &str, nz, nx, rows: &[Row], depth, tile| {
+        if let Err(e) = check_all(&Case::new(nz, nx, rows, depth, tile, 0xC01)) {
+            panic!("{name}: {e:?}");
+        }
+    };
+    use Depth::{Flat, One, Ragged};
+    shape("isolated wet columns", 6, 20, &[Row::Isolated; 2], Ragged, 256);
+    shape("runs shorter than a block", 6, 3 * w, &[Row::Runs(w - 1)], Ragged, 256);
+    shape("runs of exactly one block", 6, 3 * w + 2, &[Row::Runs(w)], Ragged, 256);
+    shape("runs longer than a block", 6, 4 * w, &[Row::Runs(2 * w + 1)], Ragged, 256);
+    shape("a run cut by a tile boundary", 5, 3 * w, &[Row::Full; 2], Ragged, w + 3);
+    shape("tiles shorter than a block", 5, 3 * w, &[Row::Full], Flat, 3);
+    shape("one-level columns", 6, 2 * w + 1, &[Row::Full, Row::Runs(3)], One, 256);
+    shape("a one-level grid", 1, 2 * w + 1, &[Row::Full, Row::Isolated], Flat, 7);
+    let land_between = [Row::Land, Row::Full, Row::Land, Row::Land, Row::Runs(w)];
+    shape("all-land rows between wet ones", 4, w + 2, &land_between, Ragged, 5);
+    shape("nothing wet at all", 3, w, &[Row::Land; 2], Flat, 4);
+}
+
+#[test]
+fn a_full_row_really_is_walked_in_blocks() {
+    // Guard the test itself: the span path must reach the W = LANES body,
+    // or the comparisons above compare W = 1 with W = 1.
+    let case = Case::new(4, 2 * LANES + 3, &[Row::Full], Depth::Flat, 256, 1);
+    let entries = case.policy.indices();
+    let mut runs = Vec::new();
+    licom::lanes::for_each_run(entries, case.nx + 2 * H, |_, _, len| runs.push(len));
+    assert_eq!(
+        runs,
+        vec![2 * LANES + 3],
+        "one run: two blocks and a tail of 3"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random row kinds, depths, widths and tile lengths.
+    #[test]
+    fn prop_span_equals_per_entry(
+        seed in 0u64..u64::MAX,
+        nz in 1usize..10,
+        nx in 1usize..40,
+        kinds in proptest::collection::vec(0usize..6, 1..5),
+        depth in 0usize..4,
+        tile in 1usize..40,
+    ) {
+        let rows: Vec<Row> = kinds
+            .iter()
+            .enumerate()
+            .map(|(j, &k)| match k {
+                0 => Row::Land,
+                1 => Row::Isolated,
+                2 => Row::Full,
+                // Run lengths around the block width.
+                _ => Row::Runs(LANES - 2 + (mix(seed, j as u64) % 5) as usize),
+            })
+            .collect();
+        let depth = [Depth::Ragged, Depth::Ragged, Depth::Flat, Depth::One][depth];
+        check_all(&Case::new(nz, nx, &rows, depth, tile, seed))?;
+    }
+}
