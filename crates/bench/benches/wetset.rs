@@ -110,8 +110,8 @@ fn bench_wetset(c: &mut Criterion) {
             nz: g.nz,
         };
         let mk_az = || FunctorAdvectZ {
-            q: m.state.work.adv_tmp.clone(),
-            q1: m.state.work.adv_tmp.clone(),
+            q: m.state.work.adv_tmp[0].clone(),
+            q1: m.state.work.adv_tmp[0].clone(),
             w: m.state.w.clone(),
             kmt: g.kmt.clone(),
             dz: g.dz.clone(),

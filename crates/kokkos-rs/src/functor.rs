@@ -48,13 +48,30 @@ pub trait Functor1D: Sync {
 pub trait Functor2D: Sync {
     fn operator(&self, j: usize, i: usize);
 
+    /// Run the points `j0..j1 × i0..i1` of `bounds = [(j0, j1), (i0, i1)]`
+    /// — always one whole policy tile ([`crate::MDRangePolicy2::tile_bounds`]),
+    /// never more, so tile contents, scheduling and cost charging do not
+    /// depend on it. The default is the per-point loop; a kernel overrides
+    /// it to walk each row in blocks of adjacent `i` and must then produce
+    /// exactly what the per-point loop produces.
+    #[inline]
+    fn operator_tile(&self, bounds: [(usize, usize); 2]) {
+        let [(j0, j1), (i0, i1)] = bounds;
+        for j in j0..j1 {
+            for i in i0..i1 {
+                self.operator(j, i);
+            }
+        }
+    }
+
     fn cost(&self) -> IterCost {
         IterCost::default()
     }
 }
 
 /// Two 2-D bodies fused into one launch (kernel fusion). The members run
-/// per cell in order; with disjoint write sets and no read of the other's
+/// one after the other over each tile (per cell under the per-point
+/// `operator`); with disjoint write sets and no read of the other's
 /// output, results are bitwise identical to two separate launches while
 /// paying one dispatch. On the Sunway backend this matters: the
 /// barotropic substep loop is launch-bound, and each fused launch also
@@ -68,6 +85,11 @@ impl<A: Functor2D, B: Functor2D> Functor2D for FunctorPair2D<A, B> {
     fn operator(&self, j: usize, i: usize) {
         self.a.operator(j, i);
         self.b.operator(j, i);
+    }
+
+    fn operator_tile(&self, bounds: [(usize, usize); 2]) {
+        self.a.operator_tile(bounds);
+        self.b.operator_tile(bounds);
     }
 
     fn cost(&self) -> IterCost {
@@ -93,6 +115,12 @@ impl<A: Functor2D, B: Functor2D, C: Functor2D> Functor2D for FunctorTriple2D<A, 
         self.c.operator(j, i);
     }
 
+    fn operator_tile(&self, bounds: [(usize, usize); 2]) {
+        self.a.operator_tile(bounds);
+        self.b.operator_tile(bounds);
+        self.c.operator_tile(bounds);
+    }
+
     fn cost(&self) -> IterCost {
         let (a, b, c) = (self.a.cost(), self.b.cost(), self.c.cost());
         IterCost {
@@ -105,6 +133,20 @@ impl<A: Functor2D, B: Functor2D, C: Functor2D> Functor2D for FunctorTriple2D<A, 
 /// 3-D parallel-for body; index order `(k, j, i)`, `i` innermost.
 pub trait Functor3D: Sync {
     fn operator(&self, k: usize, j: usize, i: usize);
+
+    /// Run the points of `bounds = [(k0, k1), (j0, j1), (i0, i1)]`, one
+    /// whole policy tile; see [`Functor2D::operator_tile`].
+    #[inline]
+    fn operator_tile(&self, bounds: [(usize, usize); 3]) {
+        let [(k0, k1), (j0, j1), (i0, i1)] = bounds;
+        for k in k0..k1 {
+            for j in j0..j1 {
+                for i in i0..i1 {
+                    self.operator(k, j, i);
+                }
+            }
+        }
+    }
 
     fn cost(&self) -> IterCost {
         IterCost::default()
@@ -143,6 +185,17 @@ pub trait FunctorList: Sync {
 /// Index-list reduction body; see [`FunctorList`] for the `(n, idx)` pair.
 pub trait ReduceFunctorList: Sync {
     fn contribute(&self, n: usize, idx: u32, acc: &mut f64);
+
+    /// Fold the list positions `n0..n0 + entries.len()` — one whole policy
+    /// tile, as in [`FunctorList::operator_span`] — into `acc`, the tile's
+    /// partial. The default is the per-entry loop; an override must leave
+    /// in `acc` exactly the bits that loop leaves.
+    #[inline]
+    fn contribute_span(&self, n0: usize, entries: &[u32], acc: &mut f64) {
+        for (d, &idx) in entries.iter().enumerate() {
+            self.contribute(n0 + d, idx, acc);
+        }
+    }
 
     fn cost(&self) -> IterCost {
         IterCost::default()
@@ -215,6 +268,52 @@ mod tests {
         assert_eq!(Reducer::Sum.join(Reducer::Sum.identity(), 5.0), 5.0);
         assert_eq!(Reducer::Min.join(Reducer::Min.identity(), 5.0), 5.0);
         assert_eq!(Reducer::Max.join(Reducer::Max.identity(), 5.0), 5.0);
+    }
+
+    // Logs which member ran, through which entry point, over what.
+    struct Member<'a>(&'static str, &'a std::sync::Mutex<Vec<String>>);
+    impl Functor2D for Member<'_> {
+        fn operator(&self, j: usize, i: usize) {
+            self.1.lock().unwrap().push(format!("{}({j},{i})", self.0));
+        }
+        fn operator_tile(&self, bounds: [(usize, usize); 2]) {
+            self.1.lock().unwrap().push(format!("{}{bounds:?}", self.0));
+        }
+    }
+
+    #[test]
+    fn pair_and_triple_forward_whole_tiles_member_by_member() {
+        let log = std::sync::Mutex::new(Vec::new());
+        let bounds = [(2, 4), (5, 9)];
+        let pair = FunctorPair2D {
+            a: Member("a", &log),
+            b: Member("b", &log),
+        };
+        pair.operator_tile(bounds);
+        pair.operator(1, 2);
+        let triple = FunctorTriple2D {
+            a: Member("a", &log),
+            b: Member("b", &log),
+            c: Member("c", &log),
+        };
+        triple.operator_tile(bounds);
+        triple.operator(3, 4);
+        let tile = |m: &str| format!("{m}{bounds:?}");
+        assert_eq!(
+            *log.lock().unwrap(),
+            vec![
+                tile("a"),
+                tile("b"),
+                "a(1,2)".to_string(),
+                "b(1,2)".to_string(),
+                tile("a"),
+                tile("b"),
+                tile("c"),
+                "a(3,4)".to_string(),
+                "b(3,4)".to_string(),
+                "c(3,4)".to_string(),
+            ]
+        );
     }
 
     #[test]

@@ -195,7 +195,8 @@ pub fn parallel_for_1d<F: Functor1D + 'static>(space: &Space, policy: RangePolic
     }
 }
 
-/// 2-D parallel for; index order `(j, i)`.
+/// 2-D parallel for; index order `(j, i)`. Every backend hands the functor
+/// one policy tile at a time through [`Functor2D::operator_tile`].
 pub fn parallel_for_2d<F: Functor2D + 'static>(space: &Space, policy: MDRangePolicy2, f: &F) {
     let _span = profiling::begin_kernel(
         space,
@@ -205,14 +206,7 @@ pub fn parallel_for_2d<F: Functor2D + 'static>(space: &Space, policy: MDRangePol
         (policy.extent[0] * policy.extent[1]) as u64,
     );
     let total = policy.total_tiles();
-    let run_tile = |t: usize| {
-        let [(j0, j1), (i0, i1)] = policy.tile_bounds(t);
-        for j in j0..j1 {
-            for i in i0..i1 {
-                f.operator(j, i);
-            }
-        }
-    };
+    let run_tile = |t: usize| f.operator_tile(policy.tile_bounds(t));
     match space {
         Space::SwAthread(sw) => {
             let Some(tramp) = registry::lookup_simd(registry::key_of::<F>(), KernelKind::For2D)
@@ -233,7 +227,8 @@ pub fn parallel_for_2d<F: Functor2D + 'static>(space: &Space, policy: MDRangePol
     }
 }
 
-/// 3-D parallel for; index order `(k, j, i)`.
+/// 3-D parallel for; index order `(k, j, i)`, dispatched tile by tile
+/// through [`Functor3D::operator_tile`].
 pub fn parallel_for_3d<F: Functor3D + 'static>(space: &Space, policy: MDRangePolicy3, f: &F) {
     let _span = profiling::begin_kernel(
         space,
@@ -243,16 +238,7 @@ pub fn parallel_for_3d<F: Functor3D + 'static>(space: &Space, policy: MDRangePol
         (policy.extent[0] * policy.extent[1] * policy.extent[2]) as u64,
     );
     let total = policy.total_tiles();
-    let run_tile = |t: usize| {
-        let [(k0, k1), (j0, j1), (i0, i1)] = policy.tile_bounds(t);
-        for k in k0..k1 {
-            for j in j0..j1 {
-                for i in i0..i1 {
-                    f.operator(k, j, i);
-                }
-            }
-        }
-    };
+    let run_tile = |t: usize| f.operator_tile(policy.tile_bounds(t));
     match space {
         Space::SwAthread(sw) => {
             let Some(tramp) = registry::lookup_simd(registry::key_of::<F>(), KernelKind::For3D)
@@ -311,8 +297,9 @@ pub fn parallel_for_list<F: FunctorList + 'static>(space: &Space, policy: &ListP
     }
 }
 
-/// Index-list reduction. One partial per tile, joined in tile order —
-/// bitwise identical across backends, worker counts and cost weightings.
+/// Index-list reduction. One partial per tile (folded by
+/// [`ReduceFunctorList::contribute_span`]), joined in tile order — bitwise
+/// identical across backends, worker counts and cost weightings.
 pub fn parallel_reduce_list<F: ReduceFunctorList + 'static>(
     space: &Space,
     policy: &ListPolicy,
@@ -327,11 +314,9 @@ pub fn parallel_reduce_list<F: ReduceFunctorList + 'static>(
         policy.len() as u64,
     );
     let tile_partial = |t: usize| {
-        let (lo, hi) = policy.tile_range(t);
+        let (n0, entries) = policy.tile_entries(t);
         let mut acc = op.identity();
-        for n in lo..hi {
-            f.contribute(n, policy.entry(n), &mut acc);
-        }
+        f.contribute_span(n0, entries, &mut acc);
         acc
     };
     let partials: Vec<f64> = match space {
@@ -865,6 +850,197 @@ mod tests {
                     "position {pos} is outside the slice"
                 );
             }
+        }
+    }
+
+    // Records, per point, the tile it was delivered in and how often.
+    struct TileProbe2 {
+        j0: View2<u64>,
+        i0: View2<u64>,
+        points: View2<u64>,
+        hits: View2<u64>,
+    }
+    impl Functor2D for TileProbe2 {
+        fn operator(&self, _j: usize, _i: usize) {
+            unreachable!("the drivers dispatch whole tiles through operator_tile")
+        }
+        fn operator_tile(&self, [(j0, j1), (i0, i1)]: [(usize, usize); 2]) {
+            for j in j0..j1 {
+                for i in i0..i1 {
+                    self.j0.set_at(j, i, j0 as u64);
+                    self.i0.set_at(j, i, i0 as u64);
+                    self.points.set_at(j, i, ((j1 - j0) * (i1 - i0)) as u64);
+                    self.hits.set_at(j, i, self.hits.at(j, i) + 1);
+                }
+            }
+        }
+    }
+    crate::register_for_2d!(tile_probe2, TileProbe2);
+
+    struct TileProbe3 {
+        first: View3<u64>,
+        hits: View3<u64>,
+    }
+    impl Functor3D for TileProbe3 {
+        fn operator(&self, _k: usize, _j: usize, _i: usize) {
+            unreachable!("the drivers dispatch whole tiles through operator_tile")
+        }
+        fn operator_tile(&self, [(k0, k1), (j0, j1), (i0, i1)]: [(usize, usize); 3]) {
+            for k in k0..k1 {
+                for j in j0..j1 {
+                    for i in i0..i1 {
+                        self.first
+                            .set_at(k, j, i, (k0 * 10000 + j0 * 100 + i0) as u64);
+                        self.hits.set_at(k, j, i, self.hits.at(k, j, i) + 1);
+                    }
+                }
+            }
+        }
+    }
+    crate::register_for_3d!(tile_probe3, TileProbe3);
+
+    #[test]
+    fn tiles_and_offsets_partition_the_2d_range_exactly_once_on_all_backends() {
+        tile_probe2();
+        let (pj, pi) = (23, 41);
+        for (extent, tile, offset) in [
+            ([17, 33], [5, 9], [3, 4]),
+            ([1, 37], [8, 64], [22, 0]),
+            ([19, 1], [8, 64], [2, 40]),
+            ([0, 5], [3, 3], [1, 1]),
+        ] {
+            let policy = MDRangePolicy2::new(extent)
+                .with_tile(tile)
+                .with_offset(offset);
+            for space in all_spaces() {
+                let f = TileProbe2 {
+                    j0: View::host("j0", [pj, pi]),
+                    i0: View::host("i0", [pj, pi]),
+                    points: View::host("points", [pj, pi]),
+                    hits: View::host("hits", [pj, pi]),
+                };
+                parallel_for_2d(&space, policy, &f);
+                for j in 0..pj {
+                    for i in 0..pi {
+                        let inside = (offset[0]..offset[0] + extent[0]).contains(&j)
+                            && (offset[1]..offset[1] + extent[1]).contains(&i);
+                        let at = format!("backend {} policy {policy:?} ({j},{i})", space.name());
+                        assert_eq!(f.hits.at(j, i), u64::from(inside), "visits, {at}");
+                    }
+                }
+                // SwAthread re-tiles dense for-launches from the cost model;
+                // the host backends deliver exactly the caller's tiles.
+                if matches!(space, Space::SwAthread(_)) {
+                    continue;
+                }
+                for t in 0..policy.total_tiles() {
+                    let [(j0, j1), (i0, i1)] = policy.tile_bounds(t);
+                    for j in j0..j1 {
+                        for i in i0..i1 {
+                            let at = format!("backend {} tile {t} ({j},{i})", space.name());
+                            assert_eq!(f.j0.at(j, i), j0 as u64, "tile row origin, {at}");
+                            assert_eq!(f.i0.at(j, i), i0 as u64, "tile column origin, {at}");
+                            assert_eq!(
+                                f.points.at(j, i),
+                                ((j1 - j0) * (i1 - i0)) as u64,
+                                "tile size, {at}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiles_and_offsets_partition_the_3d_range_exactly_once_on_all_backends() {
+        tile_probe3();
+        let dims = [7, 13, 29];
+        let policy = MDRangePolicy3::new([4, 9, 21])
+            .with_tile([2, 4, 8])
+            .with_offset([3, 2, 5]);
+        for space in all_spaces() {
+            let f = TileProbe3 {
+                first: View::host("first", dims),
+                hits: View::host("hits", dims),
+            };
+            parallel_for_3d(&space, policy, &f);
+            let total: u64 = f.hits.to_vec().iter().sum();
+            assert_eq!(total, 4 * 9 * 21, "backend {}", space.name());
+            assert!(f.hits.to_vec().iter().all(|&h| h <= 1));
+            if matches!(space, Space::SwAthread(_)) {
+                continue;
+            }
+            for t in 0..policy.total_tiles() {
+                let [(k0, k1), (j0, j1), (i0, i1)] = policy.tile_bounds(t);
+                for k in k0..k1 {
+                    for j in j0..j1 {
+                        for i in i0..i1 {
+                            assert_eq!(
+                                f.first.at(k, j, i),
+                                (k0 * 10000 + j0 * 100 + i0) as u64,
+                                "backend {} tile {t} ({k},{j},{i})",
+                                space.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // Logs the order points are visited in.
+    struct OrderLog(std::sync::Mutex<Vec<[usize; 3]>>);
+    impl Functor2D for OrderLog {
+        fn operator(&self, j: usize, i: usize) {
+            self.0.lock().unwrap().push([0, j, i]);
+        }
+    }
+    impl Functor3D for OrderLog {
+        fn operator(&self, k: usize, j: usize, i: usize) {
+            self.0.lock().unwrap().push([k, j, i]);
+        }
+    }
+
+    #[test]
+    fn default_tile_is_the_per_point_loop_in_row_major_order() {
+        let log = OrderLog(Default::default());
+        Functor2D::operator_tile(&log, [(2, 5), (7, 10)]);
+        let want: Vec<[usize; 3]> = (2..5)
+            .flat_map(|j| (7..10).map(move |i| [0, j, i]))
+            .collect();
+        assert_eq!(*log.0.lock().unwrap(), want);
+
+        let log = OrderLog(Default::default());
+        Functor3D::operator_tile(&log, [(1, 3), (4, 6), (0, 3)]);
+        let want: Vec<[usize; 3]> = (1..3)
+            .flat_map(|k| (4..6).flat_map(move |j| (0..3).map(move |i| [k, j, i])))
+            .collect();
+        assert_eq!(*log.0.lock().unwrap(), want);
+    }
+
+    #[test]
+    fn default_contribute_span_equals_per_entry_on_all_backends() {
+        list_sum();
+        let n = 1361;
+        let src: View1<f64> = View::from_fn("src", [n], |[i]| {
+            ((i % 89) as f64 + 0.3) * 10f64.powi((i % 5) as i32 - 2)
+        });
+        let f = ListSum { src };
+        let policy = skewed_list_policy(n).slice(5, 1350);
+        // One partial per tile by the per-entry call, joined in tile order.
+        let mut want = Reducer::Sum.identity();
+        for t in 0..policy.total_tiles() {
+            let (lo, hi) = policy.tile_range(t);
+            let mut acc = Reducer::Sum.identity();
+            for pos in lo..hi {
+                f.contribute(pos, policy.entry(pos), &mut acc);
+            }
+            want = Reducer::Sum.join(want, acc);
+        }
+        for space in all_spaces() {
+            let got = parallel_reduce_list(&space, &policy, &f, Reducer::Sum);
+            assert_eq!(got.to_bits(), want.to_bits(), "backend {}", space.name());
         }
     }
 

@@ -346,12 +346,7 @@ pub fn tramp_for_2d<F: Functor2D>(ctx: &mut CpeCtx, arg: usize) {
     };
     let tile_elems = p.policy.tile[0] * p.policy.tile[1];
     drive_pipelined(ctx, p.cost, tile_elems, first, last, iters, |t| {
-        let [(j0, j1), (i0, i1)] = p.policy.tile_bounds(t);
-        for j in j0..j1 {
-            for i in i0..i1 {
-                f.operator(j, i);
-            }
-        }
+        f.operator_tile(p.policy.tile_bounds(t));
     });
 }
 
@@ -369,14 +364,7 @@ pub fn tramp_for_3d<F: Functor3D>(ctx: &mut CpeCtx, arg: usize) {
     };
     let tile_elems = p.policy.tile[0] * p.policy.tile[1] * p.policy.tile[2];
     drive_pipelined(ctx, p.cost, tile_elems, first, last, iters, |t| {
-        let [(k0, k1), (j0, j1), (i0, i1)] = p.policy.tile_bounds(t);
-        for k in k0..k1 {
-            for j in j0..j1 {
-                for i in i0..i1 {
-                    f.operator(k, j, i);
-                }
-            }
-        }
+        f.operator_tile(p.policy.tile_bounds(t));
     });
 }
 
@@ -409,11 +397,9 @@ pub fn tramp_reduce_list<F: ReduceFunctorList>(ctx: &mut CpeCtx, arg: usize) {
         (hi - lo) as u64
     };
     drive_pipelined(ctx, p.cost, policy.tile, t0, t1, iters, |t| {
-        let (lo, hi) = policy.tile_range(t);
+        let (n0, entries) = policy.tile_entries(t);
         let mut acc = p.identity;
-        for n in lo..hi {
-            f.contribute(n, policy.entry(n), &mut acc);
-        }
+        f.contribute_span(n0, entries, &mut acc);
         // SAFETY: worker tile ranges are disjoint; tile t has one owner.
         unsafe { *p.partials.add(t) = acc };
     });

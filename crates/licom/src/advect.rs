@@ -33,16 +33,19 @@ use halo_exchange::{FoldKind, Halo3D, HaloError, StepGraph, HALO as H};
 use crate::lanes::{self, above, ColumnKernel, F64x, Mask};
 use crate::localgrid::LocalGrid;
 
-/// How [`advect_tracer`] refreshes the intermediate field's halos between
-/// the x and y passes.
+/// A blocking halo refresh of the two intermediate fields.
+pub type ExchangeTmp<'a> = &'a dyn Fn([&View3<f64>; 2]) -> Result<(), HaloError>;
+
+/// How [`advect_tracer`] refreshes the two intermediate fields' halos
+/// between the x and y passes.
 pub enum TmpExchange<'a> {
     /// Blocking refresh — the dense reference schedule.
-    Blocking(&'a dyn Fn(&View3<f64>) -> Result<(), HaloError>),
-    /// Split-phase refresh: post the exchange after the x pass, compute
-    /// the interior rows of the y-pass flux while messages are in flight
-    /// (driven by a [`StepGraph`]), then finish and sweep the boundary
-    /// rim rows. Bitwise identical to [`TmpExchange::Blocking`]: the rim
-    /// and interior partitions are disjoint and each flux cell's inputs
+    Blocking(ExchangeTmp<'a>),
+    /// Split-phase refresh: post one batched exchange of both fields after
+    /// the x pass, run the y pass on the interior rows while messages are
+    /// in flight (driven by a [`StepGraph`]), then finish and sweep the
+    /// boundary rim rows. Bitwise identical to [`TmpExchange::Blocking`]:
+    /// the rim and interior partitions are disjoint and each cell's inputs
     /// are the same in either schedule.
     Overlap { halo: &'a Halo3D, tag_base: u64 },
 }
@@ -55,8 +58,8 @@ fn van_leer<const W: usize>(r: F64x<W>) -> F64x<W> {
 
 /// Limited face values of `W` faces: donor cells `qc` with downwind `qd`,
 /// upwind `qu` (behind the donor), local CFL `c`. The one body of the
-/// limiter: the x/y flux kernels call it with `W = 1`, the vertical pass
-/// with a block of columns.
+/// limiter: the x/y passes call it with a block of faces adjacent in `i`,
+/// the vertical pass with a block of columns.
 #[inline(always)]
 fn face_values<const W: usize>(
     qu: F64x<W>,
@@ -75,19 +78,15 @@ fn face_values<const W: usize>(
     dq.abs().lt(F64x::splat(1e-30)).select(qc, corrected)
 }
 
-/// [`face_values`] of a single face.
-#[inline]
-fn face_value(qu: f64, qc: f64, qd: f64, c: f64, limited: bool) -> f64 {
-    face_values(F64x([qu]), F64x([qc]), F64x([qd]), F64x([c]), limited).0[0]
-}
-
-/// Zonal face transports `F = uf · q_face · dy` at the **east** face of
-/// each cell. Iterates `i ∈ 0..nx+1` mapped to `il = i + H - 1` so the
-/// west face of the first owned cell is included.
-pub struct FunctorFluxX {
-    pub q: View3<f64>,
-    pub u: View3<f64>,
-    pub flux: View3<f64>,
+/// What the two horizontal passes share: both tracers `q → q1`, the
+/// velocity component normal to the pass's faces, and the metrics.
+pub struct AdvectFields {
+    /// The tracers before the pass (valid halos).
+    pub q: [View3<f64>; 2],
+    /// The tracers after the pass (owned cells; land copies through).
+    pub q1: [View3<f64>; 2],
+    /// `u` for the x pass, `v` for the y pass (B-grid corners).
+    pub vel: View3<f64>,
     pub kmt: View2<i32>,
     pub dxt: View1<f64>,
     pub dyt: f64,
@@ -95,170 +94,205 @@ pub struct FunctorFluxX {
     pub limited: bool,
 }
 
-impl Functor3D for FunctorFluxX {
-    fn operator(&self, k: usize, j: usize, i: usize) {
-        let jl = j + H;
-        let il = i + H - 1;
-        let ki = k as i32;
-        if self.kmt.at(jl, il) <= ki || self.kmt.at(jl, il + 1) <= ki {
-            self.flux.set_at(k, jl, il, 0.0);
-            return;
+impl AdvectFields {
+    /// Transports `vel · q_face · length` of both tracers through `W` faces
+    /// adjacent in `i`. Face velocity, CFL and the wet mask are worked out
+    /// once and serve T and S. `q(t, o)`, `o = 0..4`, loads tracer `t` at
+    /// the four cells of the face's stencil along the pass axis: `o = 1`
+    /// and `2` are the cells on the face's low and high side, `0` and `3`
+    /// the ones behind them. Dry faces carry exactly zero.
+    #[inline(always)]
+    fn transports<const W: usize>(
+        &self,
+        vel: F64x<W>,
+        wet: Mask<W>,
+        spacing: f64,
+        length: f64,
+        q: impl Fn(usize, usize) -> F64x<W>,
+    ) -> [F64x<W>; 2] {
+        let zero = F64x::splat(0.0);
+        if !wet.any() {
+            // A block of coast or sea floor: nothing to limit.
+            return [zero; 2];
         }
+        let c = (vel.abs() * self.dt / spacing).min(F64x::splat(1.0));
+        let along = vel.ge(zero);
+        [0, 1].map(|t| {
+            let (near, far) = (q(t, 1), q(t, 2));
+            let qf = face_values(
+                along.select(q(t, 0), q(t, 3)),
+                along.select(near, far),
+                along.select(far, near),
+                c,
+                self.limited,
+            );
+            wet.select(vel * qf * length, zero)
+        })
+    }
+
+    /// `q1 = q − dt (F_hi − F_lo) / area` on the `W` cells at `(k, jl, il)`
+    /// for both tracers; land copies `q` through. The quotient stays a
+    /// divide: `dt · div · (1 / area)` rounds differently, and every
+    /// result bit is pinned by the goldens.
+    #[inline(always)]
+    fn apply<const W: usize>(
+        &self,
+        k: usize,
+        jl: usize,
+        il: usize,
+        lo: [F64x<W>; 2],
+        hi: [F64x<W>; 2],
+    ) {
+        let wet = lanes::wet::<W>(&self.kmt, k, jl, il);
+        let some_wet = wet.any();
+        let area = self.dxt.at(jl) * self.dyt;
+        for t in 0..2 {
+            let q = F64x::<W>::load(&self.q[t], k, jl, il);
+            let q1 = if some_wet {
+                wet.select(q - self.dt * (hi[t] - lo[t]) / area, q)
+            } else {
+                q
+            };
+            q1.store(&self.q1[t], k, jl, il);
+        }
+    }
+}
+
+/// The zonal pass of both tracers in one sweep: limited face transports
+/// `F = uf · q_face · dy`, then `q1 = q − dt (Fe − Fw) / area`. A tile's
+/// transports live in per-thread scratch between the two — they are read
+/// exactly once, by the same tile, so no 3-D flux field exists.
+pub struct FunctorAdvectX(pub AdvectFields);
+
+impl FunctorAdvectX {
+    /// Transports through the **east** faces of the cells `(jl, il..il+W)`.
+    #[inline(always)]
+    fn faces<const W: usize>(&self, k: usize, jl: usize, il: usize) -> [F64x<W>; 2] {
+        let f = &self.0;
+        let wet = lanes::wet::<W>(&f.kmt, k, jl, il).and(lanes::wet(&f.kmt, k, jl, il + 1));
         // Face velocity from the two adjacent B-grid corners.
-        let uf = 0.5 * (self.u.at(k, jl, il) + self.u.at(k, jl - 1, il));
-        let c = (uf.abs() * self.dt / self.dxt.at(jl)).min(1.0);
-        let qf = if uf >= 0.0 {
-            face_value(
-                self.q.at(k, jl, il - 1),
-                self.q.at(k, jl, il),
-                self.q.at(k, jl, il + 1),
-                c,
-                self.limited,
-            )
-        } else {
-            face_value(
-                self.q.at(k, jl, il + 2),
-                self.q.at(k, jl, il + 1),
-                self.q.at(k, jl, il),
-                c,
-                self.limited,
-            )
-        };
-        self.flux.set_at(k, jl, il, uf * qf * self.dyt);
-    }
-
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 25,
-            bytes: 88,
-        }
+        let uf = 0.5 * (F64x::load(&f.vel, k, jl, il) + F64x::load(&f.vel, k, jl - 1, il));
+        f.transports(uf, wet, f.dxt.at(jl), f.dyt, |t, o| {
+            F64x::load(&f.q[t], k, jl, il + o - 1)
+        })
     }
 }
 
-kokkos_rs::register_for_3d!(kernel_flux_x, FunctorFluxX);
-
-/// Apply the zonal flux divergence: `q1 = q − dt (Fe − Fw) / area`.
-pub struct FunctorApplyX {
-    pub q: View3<f64>,
-    pub q1: View3<f64>,
-    pub flux: View3<f64>,
-    pub kmt: View2<i32>,
-    pub dxt: View1<f64>,
-    pub dyt: f64,
-    pub dt: f64,
-}
-
-impl Functor3D for FunctorApplyX {
+impl Functor3D for FunctorAdvectX {
     fn operator(&self, k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
-        let q = self.q.at(k, jl, il);
-        if self.kmt.at(jl, il) <= k as i32 {
-            self.q1.set_at(k, jl, il, q);
-            return;
-        }
-        let area = self.dxt.at(jl) * self.dyt;
-        let div = self.flux.at(k, jl, il) - self.flux.at(k, jl, il - 1);
-        self.q1.set_at(k, jl, il, q - self.dt * div / area);
+        let (west, east) = (self.faces::<1>(k, jl, il - 1), self.faces::<1>(k, jl, il));
+        self.0.apply(k, jl, il, west, east);
     }
 
+    fn operator_tile(&self, bounds: [(usize, usize); 3]) {
+        let [(k0, k1), (j0, j1), (i0, i1)] = bounds;
+        let (n, il0) = (i1 - i0, i0 + H);
+        lanes::with_scratch(2 * (n + 1), |flux| {
+            let (ft, fs) = flux.split_at_mut(n + 1);
+            for k in k0..k1 {
+                for jl in j0 + H..j1 + H {
+                    // West face of the row's first cell through the east
+                    // face of its last; a face shared with the neighbouring
+                    // tile is computed by both, from the same inputs.
+                    lanes::lane_blocks!(d, W in n + 1 => {
+                        let [t, s] = self.faces::<W>(k, jl, il0 - 1 + d);
+                        t.write(&mut ft[d..]);
+                        s.write(&mut fs[d..]);
+                    });
+                    lanes::lane_blocks!(d, W in n => {
+                        let west = [F64x::<W>::read(&ft[d..]), F64x::read(&fs[d..])];
+                        let east = [F64x::<W>::read(&ft[d + 1..]), F64x::read(&fs[d + 1..])];
+                        self.0.apply(k, jl, il0 + d, west, east);
+                    });
+                }
+            }
+        });
+    }
+
+    /// Per cell, both tracers. Flops: the two flux + apply launches per
+    /// tracer this replaces (2 × (25 + 6)) less the second tracer's face
+    /// velocity and CFL (6). Bytes: the 17 distinct words a cell touches —
+    /// each tracer's ±2 stencil (10), two corner velocities, `kmt` of the
+    /// cell and its neighbours (2), the row metric, two results. The flux
+    /// field's write and two reads per tracer, and the second tracer's
+    /// `u` / `kmt` / `dxt` reads, are what the separate launches' 272 bytes
+    /// had on top.
     fn cost(&self) -> IterCost {
         IterCost {
-            flops: 6,
-            bytes: 48,
+            flops: 56,
+            bytes: 136,
         }
     }
 }
 
-kokkos_rs::register_for_3d!(kernel_apply_x, FunctorApplyX);
+kokkos_rs::register_for_3d!(kernel_advect_x, FunctorAdvectX);
 
-/// Meridional face transports `F = vf · q_face · dx_face` at the
-/// **north** face; `j ∈ 0..ny+1` maps to `jl = j + H - 1`.
-pub struct FunctorFluxY {
-    pub q: View3<f64>,
-    pub v: View3<f64>,
-    pub flux: View3<f64>,
-    pub kmt: View2<i32>,
-    pub dxt: View1<f64>,
-    pub dyt: f64,
-    pub dt: f64,
-    pub limited: bool,
-}
+/// The meridional pass of both tracers: `F = vf · q_face · dx_face` through
+/// north faces, then `q1 = q − dt (Fn − Fs) / area`. A tile keeps one row
+/// of transports per tracer in scratch: each row's north faces are the next
+/// row's south faces.
+pub struct FunctorAdvectY(pub AdvectFields);
 
-impl Functor3D for FunctorFluxY {
-    fn operator(&self, k: usize, j: usize, i: usize) {
-        let jl = j + H - 1;
-        let il = i + H;
-        let ki = k as i32;
-        if self.kmt.at(jl, il) <= ki || self.kmt.at(jl + 1, il) <= ki {
-            self.flux.set_at(k, jl, il, 0.0);
-            return;
-        }
-        let vf = 0.5 * (self.v.at(k, jl, il) + self.v.at(k, jl, il - 1));
-        let c = (vf.abs() * self.dt / self.dyt).min(1.0);
-        let qf = if vf >= 0.0 {
-            face_value(
-                self.q.at(k, jl - 1, il),
-                self.q.at(k, jl, il),
-                self.q.at(k, jl + 1, il),
-                c,
-                self.limited,
-            )
-        } else {
-            face_value(
-                self.q.at(k, jl + 2, il),
-                self.q.at(k, jl + 1, il),
-                self.q.at(k, jl, il),
-                c,
-                self.limited,
-            )
-        };
-        let dx_face = 0.5 * (self.dxt.at(jl) + self.dxt.at(jl + 1));
-        self.flux.set_at(k, jl, il, vf * qf * dx_face);
-    }
-
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 27,
-            bytes: 88,
-        }
+impl FunctorAdvectY {
+    /// Transports through the **north** faces of the cells `(jl, il..il+W)`.
+    #[inline(always)]
+    fn faces<const W: usize>(&self, k: usize, jl: usize, il: usize) -> [F64x<W>; 2] {
+        let f = &self.0;
+        let wet = lanes::wet::<W>(&f.kmt, k, jl, il).and(lanes::wet(&f.kmt, k, jl + 1, il));
+        let vf = 0.5 * (F64x::load(&f.vel, k, jl, il) + F64x::load(&f.vel, k, jl, il - 1));
+        let dx_face = 0.5 * (f.dxt.at(jl) + f.dxt.at(jl + 1));
+        f.transports(vf, wet, f.dyt, dx_face, |t, o| {
+            F64x::load(&f.q[t], k, jl + o - 1, il)
+        })
     }
 }
 
-kokkos_rs::register_for_3d!(kernel_flux_y, FunctorFluxY);
-
-/// Apply the meridional flux divergence.
-pub struct FunctorApplyY {
-    pub q: View3<f64>,
-    pub q1: View3<f64>,
-    pub flux: View3<f64>,
-    pub kmt: View2<i32>,
-    pub dxt: View1<f64>,
-    pub dyt: f64,
-    pub dt: f64,
-}
-
-impl Functor3D for FunctorApplyY {
+impl Functor3D for FunctorAdvectY {
     fn operator(&self, k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
-        let q = self.q.at(k, jl, il);
-        if self.kmt.at(jl, il) <= k as i32 {
-            self.q1.set_at(k, jl, il, q);
-            return;
-        }
-        let area = self.dxt.at(jl) * self.dyt;
-        let div = self.flux.at(k, jl, il) - self.flux.at(k, jl - 1, il);
-        self.q1.set_at(k, jl, il, q - self.dt * div / area);
+        let (south, north) = (self.faces::<1>(k, jl - 1, il), self.faces::<1>(k, jl, il));
+        self.0.apply(k, jl, il, south, north);
     }
 
+    fn operator_tile(&self, bounds: [(usize, usize); 3]) {
+        let [(k0, k1), (j0, j1), (i0, i1)] = bounds;
+        let (n, il0) = (i1 - i0, i0 + H);
+        lanes::with_scratch(2 * n, |rolling| {
+            let (ft, fs) = rolling.split_at_mut(n);
+            for k in k0..k1 {
+                // The south faces of the tile's first row; from there each
+                // block applies its cells and leaves its north faces behind
+                // as the south faces of the row above.
+                lanes::lane_blocks!(d, W in n => {
+                    let [t, s] = self.faces::<W>(k, j0 + H - 1, il0 + d);
+                    t.write(&mut ft[d..]);
+                    s.write(&mut fs[d..]);
+                });
+                for jl in j0 + H..j1 + H {
+                    lanes::lane_blocks!(d, W in n => {
+                        let south = [F64x::<W>::read(&ft[d..]), F64x::read(&fs[d..])];
+                        let north = self.faces::<W>(k, jl, il0 + d);
+                        self.0.apply(k, jl, il0 + d, south, north);
+                        north[0].write(&mut ft[d..]);
+                        north[1].write(&mut fs[d..]);
+                    });
+                }
+            }
+        });
+    }
+
+    /// As [`FunctorAdvectX`]: 2 × (27 + 6) flops less the second tracer's
+    /// face velocity, CFL and `dx_face` (8), and the same 17 words.
     fn cost(&self) -> IterCost {
         IterCost {
-            flops: 6,
-            bytes: 48,
+            flops: 58,
+            bytes: 136,
         }
     }
 }
 
-kokkos_rs::register_for_3d!(kernel_apply_y, FunctorApplyY);
+kokkos_rs::register_for_3d!(kernel_advect_y, FunctorAdvectY);
 
 /// Diagnose the interface vertical velocity from continuity, bottom-up:
 /// `w(k) = w(k+1) − dz_k · div_h(k)`, `w(nz) = 0`. Column-wise.
@@ -515,37 +549,33 @@ kokkos_rs::register_for_list!(kernel_advect_z_list, FunctorAdvectZList);
 
 /// Register this module's functors.
 pub fn register() {
-    kernel_flux_x();
-    kernel_apply_x();
-    kernel_flux_y();
-    kernel_apply_y();
+    kernel_advect_x();
+    kernel_advect_y();
     kernel_diagnose_w();
     kernel_diagnose_w_list();
     kernel_advect_z();
     kernel_advect_z_list();
 }
 
-/// Full dimension-split advection of tracer `q` over `dt`, writing
+/// Full dimension-split advection of both tracers `q` over `dt`, writing
 /// `q_out`. `w` must already be diagnosed ([`FunctorDiagnoseW`]).
 /// Requires valid halos on `q`, `u`, `v`. Uses `tmp` as the intermediate
-/// field and `flux` as face-transport scratch. `exchange` refreshes the
-/// intermediate field's halos between the x and y passes (the y-stencil
-/// reads `tmp` at `j±2`, which the x-pass does not compute in the halo
-/// rows); with [`TmpExchange::Overlap`] that refresh overlaps the
-/// interior y-pass flux rows, which read no `tmp` ghost row.
+/// fields. `exchange` refreshes their halos between the x and y passes
+/// (the y-stencil reads `tmp` at `j±2`, which the x-pass does not compute
+/// in the halo rows); with [`TmpExchange::Overlap`] that refresh overlaps
+/// the y pass of the interior rows, which read no `tmp` ghost row.
 ///
 /// `wet_cols` (packed owned wet T columns) routes the column-local z pass
-/// through the active-set launch; the x/y passes stay dense because their
-/// apply steps copy `q → q1` on land — a real write into the scratch
-/// field that skipping would lose.
+/// through the active-set launch; the x/y passes stay dense because they
+/// copy `q → q1` on land — a real write into the scratch field that
+/// skipping would lose.
 #[allow(clippy::too_many_arguments)]
 pub fn advect_tracer(
     space: &Space,
     g: &LocalGrid,
-    q: &View3<f64>,
-    q_out: &View3<f64>,
-    tmp: &View3<f64>,
-    flux: &View3<f64>,
+    q: [&View3<f64>; 2],
+    q_out: [&View3<f64>; 2],
+    tmp: [&View3<f64>; 2],
     u: &View3<f64>,
     v: &View3<f64>,
     w: &View3<f64>,
@@ -555,60 +585,35 @@ pub fn advect_tracer(
     exchange: TmpExchange<'_>,
 ) -> Result<(), HaloError> {
     let (nx, ny, nz) = (g.nx, g.ny, g.nz);
-    // X pass: q -> tmp.
-    {
-        let _r = kokkos_rs::profiling::region("adv:xpass");
-        let fx = FunctorFluxX {
-            q: q.clone(),
-            u: u.clone(),
-            flux: flux.clone(),
-            kmt: g.kmt.clone(),
-            dxt: g.dxt.clone(),
-            dyt: g.dyt,
-            dt,
-            limited,
-        };
-        parallel_for_3d(space, MDRangePolicy3::new([nz, ny, nx + 1]), &fx);
-        let ax = FunctorApplyX {
-            q: q.clone(),
-            q1: tmp.clone(),
-            flux: flux.clone(),
-            kmt: g.kmt.clone(),
-            dxt: g.dxt.clone(),
-            dyt: g.dyt,
-            dt,
-        };
-        parallel_for_3d(space, MDRangePolicy3::new([nz, ny, nx]), &ax);
-    }
-    // Refresh the intermediate field's halos, then the y pass. The flux
-    // stencil reads `tmp` rows `jl-1..=jl+2` (`jl = j + H - 1`) and no
-    // east/west ghost column, so flux rows `j ∈ [2, ny-2]` touch owned
-    // rows only — they are the interior partition that overlaps the
-    // exchange; rows `{0, 1, ny-1, ny}` are the rim swept after it
-    // finishes. Either schedule computes every flux cell from identical
-    // inputs, so the split is bitwise equal to the dense pass.
-    let fy = FunctorFluxY {
-        q: tmp.clone(),
-        v: v.clone(),
-        flux: flux.clone(),
+    let fields = |q: [&View3<f64>; 2], q1: [&View3<f64>; 2], vel: &View3<f64>| AdvectFields {
+        q: q.map(View3::clone),
+        q1: q1.map(View3::clone),
+        vel: vel.clone(),
         kmt: g.kmt.clone(),
         dxt: g.dxt.clone(),
         dyt: g.dyt,
         dt,
         limited,
     };
+    let cells = MDRangePolicy3::new([nz, ny, nx]);
+    // X pass: q -> tmp.
+    {
+        let _r = kokkos_rs::profiling::region("adv:xpass");
+        parallel_for_3d(space, cells, &FunctorAdvectX(fields(q, tmp, u)));
+    }
+    // Refresh the intermediate fields' halos, then the y pass: tmp ->
+    // q_out. A cell's two faces read `tmp` rows `jl-2..=jl+2` and no
+    // east/west ghost column, so cell rows `j ∈ [2, ny-3]` touch owned
+    // rows only — they are the interior partition that overlaps the
+    // exchange; rows `{0, 1, ny-2, ny-1}` are the rim swept after it
+    // finishes. Either schedule computes every cell from identical inputs,
+    // so the split is bitwise equal to the dense pass.
+    let fy = FunctorAdvectY(fields(tmp, q_out, v));
+    let batch = tmp.map(|t| (t, FoldKind::Scalar));
     match exchange {
-        TmpExchange::Blocking(exchange_tmp) => {
-            {
-                let _r = kokkos_rs::profiling::region("adv:halo");
-                exchange_tmp(tmp)?;
-            }
-            let _r = kokkos_rs::profiling::region("adv:ypass");
-            parallel_for_3d(space, MDRangePolicy3::new([nz, ny + 1, nx]), &fy);
-        }
         TmpExchange::Overlap { halo, tag_base } if ny >= 5 => {
             let _r = kokkos_rs::profiling::region("adv:ypass-overlap");
-            let mut pend = Some(halo.begin_exchange(tmp, FoldKind::Scalar, tag_base)?);
+            let mut pend = Some(halo.begin_exchange_many(&batch, tag_base)?);
             let mut graph = StepGraph::new();
             let comm = graph.comm(
                 |blocking| {
@@ -627,7 +632,7 @@ pub fn advect_tracer(
                 || {
                     parallel_for_3d(
                         space,
-                        MDRangePolicy3::new([nz, ny - 3, nx]).with_offset([0, 2, 0]),
+                        MDRangePolicy3::new([nz, ny - 4, nx]).with_offset([0, 2, 0]),
                         &fy,
                     );
                     Ok(())
@@ -636,54 +641,47 @@ pub fn advect_tracer(
             );
             graph.compute(
                 || {
-                    parallel_for_3d(space, MDRangePolicy3::new([nz, 2, nx]), &fy);
-                    parallel_for_3d(
-                        space,
-                        MDRangePolicy3::new([nz, 2, nx]).with_offset([0, ny - 1, 0]),
-                        &fy,
-                    );
+                    let rim = MDRangePolicy3::new([nz, 2, nx]);
+                    parallel_for_3d(space, rim, &fy);
+                    parallel_for_3d(space, rim.with_offset([0, ny - 2, 0]), &fy);
                     Ok(())
                 },
                 &[comm, interior],
             );
             graph.run()?;
         }
-        TmpExchange::Overlap { halo, tag_base } => {
-            // Too narrow to carve an interior: finish, then dense pass.
-            halo.begin_exchange(tmp, FoldKind::Scalar, tag_base)?
-                .finish()?;
+        blocking_or_narrow => {
+            {
+                let _r = kokkos_rs::profiling::region("adv:halo");
+                match blocking_or_narrow {
+                    TmpExchange::Blocking(exchange_tmp) => exchange_tmp(tmp)?,
+                    // Too narrow to carve an interior: finish, then dense.
+                    TmpExchange::Overlap { halo, tag_base } => {
+                        halo.begin_exchange_many(&batch, tag_base)?.finish()?
+                    }
+                }
+            }
             let _r = kokkos_rs::profiling::region("adv:ypass");
-            parallel_for_3d(space, MDRangePolicy3::new([nz, ny + 1, nx]), &fy);
+            parallel_for_3d(space, cells, &fy);
         }
-    }
-    {
-        let _r = kokkos_rs::profiling::region("adv:ypass");
-        let ay = FunctorApplyY {
-            q: tmp.clone(),
-            q1: q_out.clone(),
-            flux: flux.clone(),
-            kmt: g.kmt.clone(),
-            dxt: g.dxt.clone(),
-            dyt: g.dyt,
-            dt,
-        };
-        parallel_for_3d(space, MDRangePolicy3::new([nz, ny, nx]), &ay);
     }
     // Z pass in place on q_out (column-local, no halo needed).
     let _r = kokkos_rs::profiling::region("adv:zpass");
-    let az = FunctorAdvectZ {
-        q: q_out.clone(),
-        q1: q_out.clone(),
-        w: w.clone(),
-        kmt: g.kmt.clone(),
-        dz: g.dz.clone(),
-        dt,
-        nz,
-        limited,
-    };
-    match wet_cols {
-        Some(cols) => parallel_for_list(space, cols, &FunctorAdvectZList { f: az, pi: g.pi }),
-        None => parallel_for_2d(space, MDRangePolicy2::new([ny, nx]), &az),
+    for q_out in q_out {
+        let az = FunctorAdvectZ {
+            q: q_out.clone(),
+            q1: q_out.clone(),
+            w: w.clone(),
+            kmt: g.kmt.clone(),
+            dz: g.dz.clone(),
+            dt,
+            nz,
+            limited,
+        };
+        match wet_cols {
+            Some(cols) => parallel_for_list(space, cols, &FunctorAdvectZList { f: az, pi: g.pi }),
+            None => parallel_for_2d(space, MDRangePolicy2::new([ny, nx]), &az),
+        }
     }
     Ok(())
 }
@@ -695,6 +693,10 @@ mod tests {
 
     fn van_leer(r: f64) -> f64 {
         super::van_leer(F64x([r])).0[0]
+    }
+
+    fn face_value(qu: f64, qc: f64, qd: f64, c: f64, limited: bool) -> f64 {
+        face_values(F64x([qu]), F64x([qc]), F64x([qd]), F64x([c]), limited).0[0]
     }
 
     #[test]

@@ -21,6 +21,7 @@ use ocean_grid::RHO0;
 use halo_exchange::HALO as H;
 
 use crate::constants::{ASSELIN, BOTTOM_DRAG};
+use crate::lanes::{self, F64x, RowKernel};
 
 /// The model's heavyweight 3-D stencil kernel: full momentum tendency.
 pub struct FunctorMomentumTend {
@@ -182,19 +183,24 @@ pub struct FunctorLeapfrog3D {
     pub dt2: f64,
 }
 
+impl RowKernel for FunctorLeapfrog3D {
+    fn block<const W: usize>(&self, k: usize, j: usize, i: usize) {
+        let (jl, il) = (j + H, i + H);
+        let new =
+            F64x::<W>::load(&self.old, k, jl, il) + self.dt2 * F64x::load(&self.tend, k, jl, il);
+        lanes::wet::<W>(&self.mask, k, jl, il)
+            .select(new, F64x::splat(0.0))
+            .store(&self.new, k, jl, il);
+    }
+}
+
 impl Functor3D for FunctorLeapfrog3D {
     fn operator(&self, k: usize, j: usize, i: usize) {
-        let (jl, il) = (j + H, i + H);
-        if self.mask.at(jl, il) <= k as i32 {
-            self.new.set_at(k, jl, il, 0.0);
-            return;
-        }
-        self.new.set_at(
-            k,
-            jl,
-            il,
-            self.old.at(k, jl, il) + self.dt2 * self.tend.at(k, jl, il),
-        );
+        self.block::<1>(k, j, i);
+    }
+
+    fn operator_tile(&self, bounds: [(usize, usize); 3]) {
+        lanes::run_tile(self, bounds);
     }
 
     fn cost(&self) -> IterCost {
@@ -214,16 +220,25 @@ pub struct FunctorAsselin3D {
     pub new: View3<f64>,
 }
 
+impl RowKernel for FunctorAsselin3D {
+    fn block<const W: usize>(&self, k: usize, j: usize, i: usize) {
+        let (jl, il) = (j + H, i + H);
+        let c = F64x::<W>::load(&self.cur, k, jl, il);
+        let (old, new) = (
+            F64x::load(&self.old, k, jl, il),
+            F64x::load(&self.new, k, jl, il),
+        );
+        (c + ASSELIN * (old - 2.0 * c + new)).store(&self.cur, k, jl, il);
+    }
+}
+
 impl Functor3D for FunctorAsselin3D {
     fn operator(&self, k: usize, j: usize, i: usize) {
-        let (jl, il) = (j + H, i + H);
-        let c = self.cur.at(k, jl, il);
-        self.cur.set_at(
-            k,
-            jl,
-            il,
-            c + ASSELIN * (self.old.at(k, jl, il) - 2.0 * c + self.new.at(k, jl, il)),
-        );
+        self.block::<1>(k, j, i);
+    }
+
+    fn operator_tile(&self, bounds: [(usize, usize); 3]) {
+        lanes::run_tile(self, bounds);
     }
 
     fn cost(&self) -> IterCost {

@@ -23,8 +23,23 @@ use ocean_grid::GRAVITY;
 use halo_exchange::{FoldKind, Halo2D, HaloError, PendingExchange2, HALO as H};
 
 use crate::constants::ASSELIN;
+use crate::lanes::{self, F64x, RowKernel};
 use crate::localgrid::LocalGrid;
 use crate::state::State;
+
+/// The [`Functor2D`] entry points of a [`RowKernel`]: the per-point
+/// `operator` is its `W = 1` block, a policy tile its rows in lane blocks.
+macro_rules! row_kernel_2d {
+    () => {
+        fn operator(&self, j: usize, i: usize) {
+            self.block::<1>(0, j, i);
+        }
+
+        fn operator_tile(&self, bounds: [(usize, usize); 2]) {
+            lanes::run_tile(self, [(0, 1), bounds[0], bounds[1]]);
+        }
+    };
+}
 
 /// Depth-mean of a 3-D tendency at B-grid corners, weighted by layer
 /// thickness over the corner's active column.
@@ -109,43 +124,42 @@ pub struct FunctorBtEta {
 }
 
 impl FunctorBtEta {
-    /// Zonal transport through the east face of `(jl, il)`.
-    #[inline]
-    fn flux_e(&self, jl: usize, il: usize) -> f64 {
-        if self.kmt.at(jl, il) == 0 || self.kmt.at(jl, il + 1) == 0 {
-            return 0.0;
-        }
-        let uf = 0.5 * (self.ub.at(jl, il) + self.ub.at(jl - 1, il));
-        let h = self.depth.at(jl, il).min(self.depth.at(jl, il + 1));
-        uf * h * self.dyt
+    /// Zonal transports through the east faces of `(jl, il..il + W)`;
+    /// zero where either side is land.
+    #[inline(always)]
+    fn flux_e<const W: usize>(&self, jl: usize, il: usize) -> F64x<W> {
+        let open = lanes::wet::<W>(&self.kmt, 0, jl, il).and(lanes::wet(&self.kmt, 0, jl, il + 1));
+        let uf = 0.5 * (F64x::load2(&self.ub, jl, il) + F64x::load2(&self.ub, jl - 1, il));
+        let h = F64x::load2(&self.depth, jl, il).min(F64x::load2(&self.depth, jl, il + 1));
+        open.select(uf * h * self.dyt, F64x::splat(0.0))
     }
 
-    /// Meridional transport through the north face of `(jl, il)`.
-    #[inline]
-    fn flux_n(&self, jl: usize, il: usize) -> f64 {
-        if self.kmt.at(jl, il) == 0 || self.kmt.at(jl + 1, il) == 0 {
-            return 0.0;
-        }
-        let vf = 0.5 * (self.vb.at(jl, il) + self.vb.at(jl, il - 1));
-        let h = self.depth.at(jl, il).min(self.depth.at(jl + 1, il));
+    /// Meridional transports through the north faces of `(jl, il..il + W)`.
+    #[inline(always)]
+    fn flux_n<const W: usize>(&self, jl: usize, il: usize) -> F64x<W> {
+        let open = lanes::wet::<W>(&self.kmt, 0, jl, il).and(lanes::wet(&self.kmt, 0, jl + 1, il));
+        let vf = 0.5 * (F64x::load2(&self.vb, jl, il) + F64x::load2(&self.vb, jl, il - 1));
+        let h = F64x::load2(&self.depth, jl, il).min(F64x::load2(&self.depth, jl + 1, il));
         let dx_face = 0.5 * (self.dxt.at(jl) + self.dxt.at(jl + 1));
-        vf * h * dx_face
+        open.select(vf * h * dx_face, F64x::splat(0.0))
+    }
+}
+
+impl RowKernel for FunctorBtEta {
+    fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
+        let (jl, il) = (j + H, i + H);
+        let area = self.dxt.at(jl) * self.dyt;
+        let div = self.flux_e::<W>(jl, il) - self.flux_e(jl, il - 1) + self.flux_n(jl, il)
+            - self.flux_n(jl - 1, il);
+        let eta = F64x::load2(&self.eta_old, jl, il) - self.dt2 * div / area;
+        lanes::wet::<W>(&self.kmt, 0, jl, il)
+            .select(eta, F64x::splat(0.0))
+            .store2(&self.eta_new, jl, il);
     }
 }
 
 impl Functor2D for FunctorBtEta {
-    fn operator(&self, j: usize, i: usize) {
-        let (jl, il) = (j + H, i + H);
-        if self.kmt.at(jl, il) == 0 {
-            self.eta_new.set_at(jl, il, 0.0);
-            return;
-        }
-        let area = self.dxt.at(jl) * self.dyt;
-        let div = self.flux_e(jl, il) - self.flux_e(jl, il - 1) + self.flux_n(jl, il)
-            - self.flux_n(jl - 1, il);
-        self.eta_new
-            .set_at(jl, il, self.eta_old.at(jl, il) - self.dt2 * div / area);
-    }
+    row_kernel_2d!();
 
     fn cost(&self) -> IterCost {
         IterCost {
@@ -176,36 +190,30 @@ pub struct FunctorBtVel {
     pub dt2: f64,
 }
 
-impl Functor2D for FunctorBtVel {
-    fn operator(&self, j: usize, i: usize) {
+impl RowKernel for FunctorBtVel {
+    fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
-        if self.kmu.at(jl, il) == 0 {
-            self.u_new.set_at(jl, il, 0.0);
-            self.v_new.set_at(jl, il, 0.0);
-            return;
-        }
         let dx_c = 0.5 * (self.dxt.at(jl) + self.dxt.at(jl + 1));
-        let e = &self.eta_cur;
-        let gx = 0.5
-            * ((e.at(jl, il + 1) - e.at(jl, il)) + (e.at(jl + 1, il + 1) - e.at(jl + 1, il)))
-            / dx_c;
-        let gy = 0.5
-            * ((e.at(jl + 1, il) - e.at(jl, il)) + (e.at(jl + 1, il + 1) - e.at(jl, il + 1)))
-            / self.dyt;
+        let e = |jn, i_n| F64x::<W>::load2(&self.eta_cur, jn, i_n);
+        let (sw, se, nw, ne) = (e(jl, il), e(jl, il + 1), e(jl + 1, il), e(jl + 1, il + 1));
+        let gx = 0.5 * ((se - sw) + (ne - nw)) / dx_c;
+        let gy = 0.5 * ((nw - sw) + (ne - se)) / self.dyt;
         let f = self.fcor.at(jl);
-        let u = self.u_cur.at(jl, il);
-        let v = self.v_cur.at(jl, il);
-        self.u_new.set_at(
-            jl,
-            il,
-            self.u_old.at(jl, il) + self.dt2 * (-GRAVITY * gx + f * v + self.gu.at(jl, il)),
-        );
-        self.v_new.set_at(
-            jl,
-            il,
-            self.v_old.at(jl, il) + self.dt2 * (-GRAVITY * gy - f * u + self.gv.at(jl, il)),
-        );
+        let u = F64x::load2(&self.u_cur, jl, il);
+        let v = F64x::load2(&self.v_cur, jl, il);
+        let u_new = F64x::load2(&self.u_old, jl, il)
+            + self.dt2 * (-GRAVITY * gx + f * v + F64x::load2(&self.gu, jl, il));
+        let v_new = F64x::load2(&self.v_old, jl, il)
+            + self.dt2 * (-GRAVITY * gy - f * u + F64x::load2(&self.gv, jl, il));
+        let wet = lanes::wet::<W>(&self.kmu, 0, jl, il);
+        let zero = F64x::splat(0.0);
+        wet.select(u_new, zero).store2(&self.u_new, jl, il);
+        wet.select(v_new, zero).store2(&self.v_new, jl, il);
     }
+}
+
+impl Functor2D for FunctorBtVel {
+    row_kernel_2d!();
 
     fn cost(&self) -> IterCost {
         IterCost {
@@ -225,16 +233,20 @@ pub struct FunctorAsselin2D {
     pub new: View2<f64>,
 }
 
-impl Functor2D for FunctorAsselin2D {
-    fn operator(&self, j: usize, i: usize) {
+impl RowKernel for FunctorAsselin2D {
+    fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
-        let c = self.cur.at(jl, il);
-        self.cur.set_at(
-            jl,
-            il,
-            c + ASSELIN * (self.old.at(jl, il) - 2.0 * c + self.new.at(jl, il)),
+        let c = F64x::<W>::load2(&self.cur, jl, il);
+        let (old, new) = (
+            F64x::load2(&self.old, jl, il),
+            F64x::load2(&self.new, jl, il),
         );
+        (c + ASSELIN * (old - 2.0 * c + new)).store2(&self.cur, jl, il);
     }
+}
+
+impl Functor2D for FunctorAsselin2D {
+    row_kernel_2d!();
 
     fn cost(&self) -> IterCost {
         IterCost {
@@ -254,18 +266,21 @@ pub struct FunctorZonalFilter {
     pub rows: View1<i32>,
 }
 
-impl Functor2D for FunctorZonalFilter {
-    fn operator(&self, j: usize, i: usize) {
+impl RowKernel for FunctorZonalFilter {
+    fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
+        let src = |i_n| F64x::<W>::load2(&self.src, jl, i_n);
         let v = if self.rows.at(jl) != 0 {
-            0.25 * self.src.at(jl, il - 1)
-                + 0.5 * self.src.at(jl, il)
-                + 0.25 * self.src.at(jl, il + 1)
+            0.25 * src(il - 1) + 0.5 * src(il) + 0.25 * src(il + 1)
         } else {
-            self.src.at(jl, il)
+            src(il)
         };
-        self.dst.set_at(jl, il, v);
+        v.store2(&self.dst, jl, il);
     }
+}
+
+impl Functor2D for FunctorZonalFilter {
+    row_kernel_2d!();
 
     fn cost(&self) -> IterCost {
         IterCost {
@@ -283,11 +298,15 @@ pub struct FunctorCopy2D {
     pub dst: View2<f64>,
 }
 
-impl Functor2D for FunctorCopy2D {
-    fn operator(&self, j: usize, i: usize) {
+impl RowKernel for FunctorCopy2D {
+    fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
-        self.dst.set_at(jl, il, self.src.at(jl, il));
+        F64x::<W>::load2(&self.src, jl, il).store2(&self.dst, jl, il);
     }
+}
+
+impl Functor2D for FunctorCopy2D {
+    row_kernel_2d!();
 
     fn cost(&self) -> IterCost {
         IterCost {
@@ -306,10 +325,14 @@ pub struct FunctorAccum2D {
     pub x: View2<f64>,
 }
 
-impl Functor2D for FunctorAccum2D {
-    fn operator(&self, j: usize, i: usize) {
-        self.acc.set_at(j, i, self.acc.at(j, i) + self.x.at(j, i));
+impl RowKernel for FunctorAccum2D {
+    fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
+        (F64x::<W>::load2(&self.acc, j, i) + F64x::load2(&self.x, j, i)).store2(&self.acc, j, i);
     }
+}
+
+impl Functor2D for FunctorAccum2D {
+    row_kernel_2d!();
 
     fn cost(&self) -> IterCost {
         IterCost {
@@ -328,10 +351,14 @@ pub struct FunctorScaleAssign2D {
     pub scale: f64,
 }
 
-impl Functor2D for FunctorScaleAssign2D {
-    fn operator(&self, j: usize, i: usize) {
-        self.dst.set_at(j, i, self.src.at(j, i) * self.scale);
+impl RowKernel for FunctorScaleAssign2D {
+    fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
+        (F64x::<W>::load2(&self.src, j, i) * self.scale).store2(&self.dst, j, i);
     }
+}
+
+impl Functor2D for FunctorScaleAssign2D {
+    row_kernel_2d!();
 
     fn cost(&self) -> IterCost {
         IterCost {

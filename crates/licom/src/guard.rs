@@ -20,6 +20,7 @@
 
 use kokkos_rs::{parallel_reduce_list, ReduceFunctorList, Reducer, Space, View3};
 
+use crate::lanes::LANES;
 use crate::state::State;
 
 /// Guard thresholds. All ranks must use identical values.
@@ -106,52 +107,103 @@ impl std::fmt::Display for GuardViolation {
 
 impl std::error::Error for GuardViolation {}
 
-/// Max of |q| over a packed wet-cell list; non-finite → `+∞` so the
+/// Max over a list tile of `measure(idx)`, which is never NaN: [`LANES`]
+/// independent running maxima over the tile, folded at the end, instead of
+/// one `acc.max(..)` dependency chain. `max` is exact, so the order the
+/// entries are folded in cannot change a bit of the result.
+#[inline(always)]
+fn max_span(entries: &[u32], acc: &mut f64, measure: impl Fn(usize) -> f64) {
+    let mut lane = [*acc; LANES];
+    let blocks = entries.chunks_exact(LANES);
+    let tail = blocks.remainder();
+    for block in blocks {
+        for (m, &idx) in lane.iter_mut().zip(block) {
+            *m = m.max(measure(idx as usize));
+        }
+    }
+    for (m, &idx) in lane.iter_mut().zip(tail) {
+        *m = m.max(measure(idx as usize));
+    }
+    *acc = lane.into_iter().fold(*acc, f64::max);
+}
+
+/// Max of |u|, |v| over a packed wet-cell list; non-finite → `+∞` so the
 /// NaN-dropping max-join cannot hide it. `idx` is the storage offset
 /// (wet sets pack `(k·pj + jl)·pi + il`, row-major `[nz, pj, pi]`).
 pub struct FunctorGuardMaxAbs {
-    pub q: View3<f64>,
+    pub u: View3<f64>,
+    pub v: View3<f64>,
+}
+
+impl FunctorGuardMaxAbs {
+    #[inline(always)]
+    fn measure(&self, idx: usize) -> f64 {
+        let abs = |x: f64| {
+            if x.is_finite() {
+                x.abs()
+            } else {
+                f64::INFINITY
+            }
+        };
+        abs(self.u.get_linear(idx)).max(abs(self.v.get_linear(idx)))
+    }
 }
 
 impl ReduceFunctorList for FunctorGuardMaxAbs {
     fn contribute(&self, _n: usize, idx: u32, acc: &mut f64) {
-        let x = self.q.as_slice()[idx as usize];
-        let m = if x.is_finite() {
-            x.abs()
-        } else {
-            f64::INFINITY
-        };
-        *acc = acc.max(m);
+        *acc = acc.max(self.measure(idx as usize));
+    }
+
+    fn contribute_span(&self, _n0: usize, entries: &[u32], acc: &mut f64) {
+        max_span(entries, acc, |idx| self.measure(idx));
     }
 
     fn cost(&self) -> kokkos_rs::IterCost {
-        kokkos_rs::IterCost { flops: 2, bytes: 8 }
+        kokkos_rs::IterCost {
+            flops: 4,
+            bytes: 16,
+        }
     }
 }
 
 kokkos_rs::register_reduce_list!(kernel_guard_max_abs, FunctorGuardMaxAbs);
 
-/// Max excursion of q outside `[lo, hi]` over a packed wet-cell list;
-/// non-finite → `+∞`.
+/// Max excursion of two fields outside their `(lo, hi)` windows over a
+/// packed wet-cell list; non-finite → `+∞`.
 pub struct FunctorGuardBounds {
-    pub q: View3<f64>,
-    pub lo: f64,
-    pub hi: f64,
+    pub q: [View3<f64>; 2],
+    pub bounds: [(f64, f64); 2],
+}
+
+impl FunctorGuardBounds {
+    #[inline(always)]
+    fn measure(&self, idx: usize) -> f64 {
+        let excess = |t: usize| {
+            let (x, (lo, hi)) = (self.q[t].get_linear(idx), self.bounds[t]);
+            if x.is_finite() {
+                (x - hi).max(lo - x).max(0.0)
+            } else {
+                f64::INFINITY
+            }
+        };
+        excess(0).max(excess(1))
+    }
 }
 
 impl ReduceFunctorList for FunctorGuardBounds {
     fn contribute(&self, _n: usize, idx: u32, acc: &mut f64) {
-        let x = self.q.as_slice()[idx as usize];
-        let e = if x.is_finite() {
-            (x - self.hi).max(self.lo - x).max(0.0)
-        } else {
-            f64::INFINITY
-        };
-        *acc = acc.max(e);
+        *acc = acc.max(self.measure(idx as usize));
+    }
+
+    fn contribute_span(&self, _n0: usize, entries: &[u32], acc: &mut f64) {
+        max_span(entries, acc, |idx| self.measure(idx));
     }
 
     fn cost(&self) -> kokkos_rs::IterCost {
-        kokkos_rs::IterCost { flops: 4, bytes: 8 }
+        kokkos_rs::IterCost {
+            flops: 8,
+            bytes: 16,
+        }
     }
 }
 
@@ -168,30 +220,43 @@ pub fn scan(
     cfg: &GuardConfig,
 ) -> GuardReport {
     let c = lev;
-    let max_abs = |q: &View3<f64>| {
-        parallel_reduce_list(
-            space,
-            wet_ucells,
-            &FunctorGuardMaxAbs { q: q.clone() },
-            Reducer::Max,
-        )
-    };
-    let excess = |q: &View3<f64>, (lo, hi): (f64, f64)| {
+    let max_speed = parallel_reduce_list(
+        space,
+        wet_ucells,
+        &FunctorGuardMaxAbs {
+            u: state.u[c].clone(),
+            v: state.v[c].clone(),
+        },
+        Reducer::Max,
+    );
+    let excess = |q: [&View3<f64>; 2], bounds: [(f64, f64); 2]| {
         parallel_reduce_list(
             space,
             wet_cells,
             &FunctorGuardBounds {
-                q: q.clone(),
-                lo,
-                hi,
+                q: q.map(View3::clone),
+                bounds,
             },
             Reducer::Max,
         )
+        .max(0.0)
+    };
+    // T and S in one pass over the list. Excesses are ≥ 0 and `max` is
+    // exact, so a zero joint excess is two zero excesses; only a trip pays
+    // for the two scans that say whose it is.
+    let (t, s) = (&state.t[c], &state.s[c]);
+    let (t_excess, s_excess) = if excess([t, s], [cfg.t_bounds, cfg.s_bounds]) == 0.0 {
+        (0.0, 0.0)
+    } else {
+        (
+            excess([t, t], [cfg.t_bounds; 2]),
+            excess([s, s], [cfg.s_bounds; 2]),
+        )
     };
     GuardReport {
-        max_speed: max_abs(&state.u[c]).max(max_abs(&state.v[c])).max(0.0),
-        t_excess: excess(&state.t[c], cfg.t_bounds).max(0.0),
-        s_excess: excess(&state.s[c], cfg.s_bounds).max(0.0),
+        max_speed: max_speed.max(0.0),
+        t_excess,
+        s_excess,
     }
 }
 
@@ -275,6 +340,72 @@ mod tests {
         assert!((rep.t_excess - 100.0).abs() < 1e-12, "{}", rep.t_excess);
         let v = rep.violation(&cfg, cfg.max_speed).unwrap();
         assert!(v.t_excess > 0.0 && v.s_excess == 0.0);
+    }
+
+    #[test]
+    fn span_scan_reports_the_per_entry_bits_on_all_spaces() {
+        crate::register_all_kernels();
+        let (g, s) = setup();
+        let (ucells, cells) = policies(&g);
+        let c = s.cur();
+        // Ragged magnitudes, then one excursion per field; S trips too, so
+        // the joint tracer scan has to be attributed.
+        for (n, &idx) in g.wet.ucells3_own.indices.iter().enumerate() {
+            s.u[c].set_linear(idx as usize, 1.0e-3 * (n % 97) as f64 - 0.04);
+            s.v[c].set_linear(idx as usize, 0.03 - 7.0e-4 * (n % 89) as f64);
+        }
+        s.v[c].set_linear(g.wet.ucells3_own.indices[11] as usize, -3.25);
+        s.t[c].set_linear(g.wet.cells3_own.indices[5] as usize, 47.5);
+        s.s[c].set_linear(g.wet.cells3_own.indices[LANES + 1] as usize, 17.0);
+        let cfg = GuardConfig::default();
+        // What `contribute` alone finds, entry by entry.
+        let by_entry = |f: &dyn ReduceFunctorList, list: &ListPolicy| {
+            let mut acc = 0.0;
+            for n in list.start..list.end {
+                f.contribute(n, list.entry(n), &mut acc);
+            }
+            acc
+        };
+        let bounds = |q: &View3<f64>, b| FunctorGuardBounds {
+            q: [q.clone(), q.clone()],
+            bounds: [b; 2],
+        };
+        let want = [
+            by_entry(
+                &FunctorGuardMaxAbs {
+                    u: s.u[c].clone(),
+                    v: s.v[c].clone(),
+                },
+                &ucells,
+            ),
+            by_entry(&bounds(&s.t[c], cfg.t_bounds), &cells),
+            by_entry(&bounds(&s.s[c], cfg.s_bounds), &cells),
+        ];
+        assert_eq!(want, [3.25, 2.5, 1.0]);
+        for space in [
+            Space::serial(),
+            Space::threads(),
+            Space::device_sim(),
+            Space::sw_athread_with(sunway_sim::CgConfig::test_small()),
+        ] {
+            // Tiles shorter than, equal to and longer than a lane block.
+            for tile in [3, LANES, 256] {
+                let rep = scan(
+                    &space,
+                    &s,
+                    c,
+                    &ucells.clone().with_tile(tile),
+                    &cells.clone().with_tile(tile),
+                    &cfg,
+                );
+                assert_eq!(
+                    [rep.max_speed, rep.t_excess, rep.s_excess].map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{} tile {tile}",
+                    space.name()
+                );
+            }
+        }
     }
 
     #[test]

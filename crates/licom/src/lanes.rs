@@ -1,4 +1,5 @@
-//! Lane blocks: the in-tree `f64xN` the column kernels are written over.
+//! Lane blocks: the in-tree `f64xN` the column and row kernels are written
+//! over.
 //!
 //! A per-column kernel (tridiagonal solve, canuto closure, continuity,
 //! vertical advection) is a chain of dependent divides walked down one
@@ -15,7 +16,15 @@
 //! [`run_span`] feeds such a body from a `ListPolicy` tile: maximal runs of
 //! consecutive packed indices in [`LANES`]-wide blocks, the `W = 1`
 //! instantiation as tail. [`run_column`] is the dense / per-entry path.
-//! `LANES` is a constant, not an option.
+//!
+//! The dense horizontal kernels (the advection x/y passes, the barotropic
+//! substep, the leapfrog and Asselin streams) are the same idea turned
+//! sideways: a [`RowKernel`] body updates `W` points adjacent in `i` of one
+//! row, [`run_tile`] walks an MDRange policy tile with it
+//! (`lane_blocks!` is the walk itself, for bodies that stage through
+//! scratch between two sweeps of a row), and the
+//! per-point `operator` is the `W = 1` instantiation. `LANES` is a
+//! constant, not an option.
 
 use std::cell::RefCell;
 use std::ops::{Add, Div, Mul, Sub};
@@ -104,6 +113,30 @@ impl<const W: usize> F64x<W> {
         v.set_lanes([k, jl, il], self.0);
     }
 
+    /// [`Self::load`] from a 2-D field.
+    #[inline(always)]
+    pub fn load2(v: &View2<f64>, jl: usize, il: usize) -> Self {
+        Self(v.get_lanes([jl, il]))
+    }
+
+    /// [`Self::store`] to a 2-D field.
+    #[inline(always)]
+    pub fn store2(self, v: &View2<f64>, jl: usize, il: usize) {
+        v.set_lanes([jl, il], self.0);
+    }
+
+    /// The first `W` words of a scratch row.
+    #[inline(always)]
+    pub fn read(s: &[f64]) -> Self {
+        Self(s[..W].try_into().expect("a slice of W words"))
+    }
+
+    /// Overwrite the first `W` words of a scratch row.
+    #[inline(always)]
+    pub fn write(self, s: &mut [f64]) {
+        s[..W].copy_from_slice(&self.0);
+    }
+
     /// Write the lanes `m` selects; the others' cells are not touched.
     #[inline(always)]
     pub fn store_where(self, m: Mask<W>, v: &View3<f64>, k: usize, jl: usize, il: usize) {
@@ -123,6 +156,17 @@ impl<const W: usize> Mask<W> {
             *o = f(l);
         }
         Self(out)
+    }
+
+    /// True when some lane holds.
+    #[inline(always)]
+    pub fn any(self) -> bool {
+        self.0.iter().any(|&b| b)
+    }
+
+    #[inline(always)]
+    pub fn and(self, o: Self) -> Self {
+        Self::from_fn(|l| self.0[l] & o.0[l])
     }
 
     /// Lane `l` is `a[l]` where the mask holds, else `b[l]`.
@@ -176,6 +220,15 @@ pub fn above<const W: usize>(k: usize, kb: &[usize; W]) -> Mask<W> {
     Mask::from_fn(|l| k < kb[l])
 }
 
+/// Lanes whose cell `(jl, il + l)` has more than `k` wet levels — the
+/// kernels' `mask.at(jl, il) <= k → land` branch as a predicate (`k = 0`
+/// for the 2-D fields).
+#[inline(always)]
+pub fn wet<const W: usize>(mask: &View2<i32>, k: usize, jl: usize, il: usize) -> Mask<W> {
+    let kb = mask.get_lanes::<W>([jl, il]);
+    Mask::from_fn(|l| kb[l] > k as i32)
+}
+
 /// The first `n` rows of `W` words of a flat work array.
 #[inline(always)]
 pub fn rows<const W: usize>(s: &mut [f64], n: usize) -> &mut [[f64; W]] {
@@ -202,7 +255,7 @@ thread_local! {
     static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-fn with_scratch<R>(words: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+pub(crate) fn with_scratch<R>(words: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     SCRATCH.with(|s| {
         let mut s = s.borrow_mut();
         if s.len() < words {
@@ -258,9 +311,69 @@ pub fn run_column<K: ColumnKernel>(kernel: &K, jl: usize, il: usize) {
     });
 }
 
+/// Walk `0..$n` in [`LANES`]-wide blocks and a single-lane tail: `$body`
+/// runs with `$d` the block's offset and the constant `$W` its width, so it
+/// can name `kernel::<$W>` — once per width at compile time, which is what
+/// a `const`-generic closure would be.
+macro_rules! lane_blocks {
+    ($d:ident, $W:ident in $n:expr => $body:expr) => {{
+        let n: usize = $n;
+        let mut $d = 0;
+        while $d + $crate::lanes::LANES <= n {
+            const $W: usize = $crate::lanes::LANES;
+            $body;
+            $d += $W;
+        }
+        while $d < n {
+            const $W: usize = 1;
+            $body;
+            $d += 1;
+        }
+    }};
+}
+pub(crate) use lane_blocks;
+
+/// A dense horizontal kernel written once: `block::<W>` updates the `W`
+/// points `(k, j, i..i + W)` of an MDRange launch (policy coordinates; a
+/// 2-D kernel ignores `k`). Points of a row are independent, so a block
+/// reads whatever neighbours the per-point body reads and writes only its
+/// own `W` outputs.
+pub trait RowKernel {
+    fn block<const W: usize>(&self, k: usize, j: usize, i: usize);
+}
+
+/// Run `kernel` over one policy tile `[(k0, k1), (j0, j1), (i0, i1)]` (a
+/// 2-D launch passes `(0, 1)` for `k`): each row in blocks along `i`.
+#[inline]
+pub fn run_tile<K: RowKernel>(kernel: &K, bounds: [(usize, usize); 3]) {
+    let [(k0, k1), (j0, j1), (i0, i1)] = bounds;
+    for k in k0..k1 {
+        for j in j0..j1 {
+            lane_blocks!(d, W in i1 - i0 => kernel.block::<W>(k, j, i0 + d));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tiles_walk_rows_in_blocks_with_a_scalar_tail() {
+        struct Log(RefCell<Vec<(usize, usize, usize, usize)>>);
+        impl RowKernel for Log {
+            fn block<const W: usize>(&self, k: usize, j: usize, i: usize) {
+                self.0.borrow_mut().push((W, k, j, i));
+            }
+        }
+        let log = Log(RefCell::new(Vec::new()));
+        run_tile(&log, [(3, 4), (5, 7), (2, 2 + LANES + 2)]);
+        let row = |j| [(LANES, 3, j, 2), (1, 3, j, 2 + LANES), (1, 3, j, 3 + LANES)];
+        assert_eq!(*log.0.borrow(), [row(5), row(6)].concat());
+        log.0.borrow_mut().clear();
+        run_tile(&log, [(0, 1), (0, 1), (4, 4)]);
+        assert!(log.0.borrow().is_empty(), "an empty row has no blocks");
+    }
 
     #[test]
     fn runs_split_at_gaps_and_row_ends() {

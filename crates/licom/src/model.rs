@@ -831,8 +831,9 @@ impl Model {
         // Split-phase exchanges carried across the rest of the step
         // (overlap mode). Nothing downstream reads the covered ghosts:
         // u[n]/v[n] ghosts are first read next step, as are t[n]/s[n] and
-        // the Asselin-filtered u[c]/v[c]. All are drained in `halo_drain`
-        // before the step commits.
+        // the Asselin-filtered u[c]/v[c]. The u/v exchange lands before
+        // the tracer one is posted (`halo_ts`); the other two are drained
+        // in `halo_drain` before the step commits.
         let mut pend_uv: Option<Pending3<'_>> = None;
         let mut pend_ts: Option<Pending3<'_>> = None;
         let uv_res = if self.opts.overlap {
@@ -884,44 +885,42 @@ impl Model {
         // intermediate field between the x and y passes), diffusion,
         // implicit vertical mixing, surface restoring.
         self.timers.start("advection_tracer");
-        let mut adv_res = Ok(());
-        let exchange_tmp_blocking =
-            |tmp: &View3<f64>| self.halo3.try_exchange(tmp, FoldKind::Scalar, 820);
-        for (cur, new) in [
-            (&self.state.t[c], &self.state.t[n]),
-            (&self.state.s[c], &self.state.s[n]),
-        ] {
-            adv_res = advect::advect_tracer(
-                &space,
-                g,
-                cur,
-                new,
-                &self.state.work.adv_tmp,
-                &self.state.work.adv_flux,
-                &self.state.u[c],
-                &self.state.v[c],
-                &self.state.w,
-                dt,
-                self.opts.limiter,
-                if active { Some(wet_t_cols) } else { None },
-                if self.opts.overlap {
-                    advect::TmpExchange::Overlap {
-                        halo: &self.halo3,
-                        tag_base: 820,
-                    }
-                } else {
-                    advect::TmpExchange::Blocking(&exchange_tmp_blocking)
-                },
-            );
-            // Drive the carried u/v exchange between tracers.
-            adv_res = adv_res.and_then(|()| match pend_uv.as_mut() {
-                Some(p) => p.poll().map(|_| ()),
-                None => Ok(()),
-            });
-            if adv_res.is_err() {
-                break;
+        let exchange_tmp_blocking = |tmp: [&View3<f64>; 2]| {
+            if self.opts.batched_halo {
+                self.halo3
+                    .try_exchange_many(&tmp.map(|t| (t, FoldKind::Scalar)), 820)
+            } else {
+                tmp.iter()
+                    .try_for_each(|t| self.halo3.try_exchange(t, FoldKind::Scalar, 820))
             }
-        }
+        };
+        let [tmp_t, tmp_s] = &self.state.work.adv_tmp;
+        let adv_res = advect::advect_tracer(
+            &space,
+            g,
+            [&self.state.t[c], &self.state.s[c]],
+            [&self.state.t[n], &self.state.s[n]],
+            [tmp_t, tmp_s],
+            &self.state.u[c],
+            &self.state.v[c],
+            &self.state.w,
+            dt,
+            self.opts.limiter,
+            if active { Some(wet_t_cols) } else { None },
+            if self.opts.overlap {
+                advect::TmpExchange::Overlap {
+                    halo: &self.halo3,
+                    tag_base: 820,
+                }
+            } else {
+                advect::TmpExchange::Blocking(&exchange_tmp_blocking)
+            },
+        )
+        // Drive the carried u/v exchange.
+        .and_then(|()| match pend_uv.as_mut() {
+            Some(p) => p.poll().map(|_| ()),
+            None => Ok(()),
+        });
         self.timers.stop("advection_tracer");
         adv_res?;
         self.timers.start("hdiff");
@@ -1013,16 +1012,25 @@ impl Model {
         // 8. Tracer halo update + Asselin on the leapfrogged fields.
         self.timers.start("halo_ts");
         let ts_res = if self.opts.overlap {
-            // t[n]/s[n] ghosts are first read next step — carry the
-            // exchange through the Asselin section and drain at the end.
-            self.halo3
-                .begin_exchange_many(
-                    &[
-                        (&self.state.t[n], FoldKind::Scalar),
-                        (&self.state.s[n], FoldKind::Scalar),
-                    ],
-                    830,
-                )
+            // Land the carried u/v exchange first. Its polls above cannot
+            // promise that (the fold partner posts its north strip only
+            // when it polls), and beginning the next exchange while this
+            // one may or may not have returned its buffers would leave the
+            // message pool's high-water mark to timing.
+            pend_uv
+                .take()
+                .map_or(Ok(()), |p| p.finish())
+                // t[n]/s[n] ghosts are first read next step — carry the
+                // exchange through the Asselin section and drain at the end.
+                .and_then(|()| {
+                    self.halo3.begin_exchange_many(
+                        &[
+                            (&self.state.t[n], FoldKind::Scalar),
+                            (&self.state.s[n], FoldKind::Scalar),
+                        ],
+                        830,
+                    )
+                })
                 .map(|p| {
                     pend_ts = Some(p);
                 })
@@ -1085,15 +1093,12 @@ impl Model {
         as_res?;
 
         // Drain every split-phase exchange still in flight: ghosts of
-        // u[n]/v[n], t[n]/s[n], and the filtered u[c]/v[c] all become
-        // valid here, before the step commits. The blocking tail of each
-        // pending is counted as halo wait; the time since its begin is
-        // counted as in-flight overlap.
+        // t[n]/s[n] and the filtered u[c]/v[c] become valid here, before
+        // the step commits. The blocking tail of each pending is counted
+        // as halo wait; the time since its begin is counted as in-flight
+        // overlap.
         self.timers.start("halo_drain");
         let drain_res = (|| -> Result<(), HaloError> {
-            if let Some(p) = pend_uv.take() {
-                p.finish()?;
-            }
             if let Some(p) = pend_ts.take() {
                 p.finish()?;
             }
@@ -1216,7 +1221,7 @@ impl Model {
         for v in [&s.w, &s.rho, &s.pressure, &s.ut, &s.vt] {
             v.fill(0.0);
         }
-        for v in [&s.work.adv_flux, &s.work.adv_tmp] {
+        for v in &s.work.adv_tmp {
             v.fill(0.0);
         }
         s.work.filter2.fill(0.0);

@@ -21,10 +21,9 @@ pub const LEVELS: usize = 3;
 /// of allocating (the zero-allocation steady-state guarantee — the halo
 /// message side of the same guarantee lives in `mpi-sim`'s buffer pools).
 pub struct Workspace {
-    /// Advection: face-flux buffer shared by the x/y/z passes.
-    pub adv_flux: View3<f64>,
-    /// Advection: intermediate tracer field between directional passes.
-    pub adv_tmp: View3<f64>,
+    /// Advection: the two tracers' intermediate fields between the x and
+    /// y passes.
+    pub adv_tmp: [View3<f64>; 2],
     /// Polar filter: 2-D destination buffer.
     pub filter2: View2<f64>,
     /// Barotropic window accumulators (η, u, v), zeroed at window entry.
@@ -41,8 +40,7 @@ impl Workspace {
         let d3 = [g.nz, g.pj, g.pi];
         let d2 = [g.pj, g.pi];
         Self {
-            adv_flux: View::host("adv_flux", d3),
-            adv_tmp: View::host("adv_tmp", d3),
+            adv_tmp: [View::host("adv_tmp0", d3), View::host("adv_tmp1", d3)],
             filter2: View::host("filter2", d2),
             acc_eta: View::host("acc_eta", d2),
             acc_u: View::host("acc_u", d2),

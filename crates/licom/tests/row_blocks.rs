@@ -1,0 +1,603 @@
+//! The lane-blocked row kernels against their own `W = 1` instantiation.
+//!
+//! The advection x and y passes, the barotropic substep kernels and the 3-D
+//! leapfrog / Asselin streams each have one body, generic over the number
+//! `W` of points adjacent in `i` it updates together. An MDRange launch
+//! hands the functor whole policy tiles (`operator_tile`), which it walks
+//! in `LANES`-wide blocks with single points as tail; calling `operator`
+//! point by point runs the same body one point at a time. The two must
+//! agree **bitwise** on every execution space, whatever the wet mask, the
+//! tile shape and the launch origin look like — in particular the y pass,
+//! whose tile body carries a row of face transports from one cell row to
+//! the next, must not care where a tile is cut.
+
+use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D, HALO as H};
+use kokkos_rs::{
+    parallel_for_2d, parallel_for_3d, Functor2D, Functor3D, FunctorPair2D, MDRangePolicy2,
+    MDRangePolicy3, Space, View, View1, View2, View3,
+};
+use licom::advect::{advect_tracer, AdvectFields, FunctorAdvectX, FunctorAdvectY, TmpExchange};
+use licom::baroclinic::{FunctorAsselin3D, FunctorLeapfrog3D};
+use licom::barotropic::{
+    FunctorAccum2D, FunctorAsselin2D, FunctorBtEta, FunctorBtVel, FunctorCopy2D,
+    FunctorScaleAssign2D, FunctorZonalFilter,
+};
+use licom::lanes::LANES;
+use licom::localgrid::LocalGrid;
+use mpi_sim::{CartComm, World};
+use ocean_grid::{Bathymetry, GlobalGrid};
+use proptest::prelude::*;
+use sunway_sim::CgConfig;
+
+/// splitmix64: the fields are a pure function of `(seed, position)`.
+fn mix(seed: u64, n: u64) -> u64 {
+    let mut z = seed.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+fn unit(seed: u64, n: u64) -> f64 {
+    (mix(seed, n) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Which owned cells are wet.
+#[derive(Debug, Clone, Copy)]
+enum Wet {
+    /// Every cell draws a depth in `0..=nz`; a third are land.
+    Ragged,
+    /// Row `j` is land from end to end, the rest ragged.
+    LandRow(usize),
+    /// Land everywhere except one cell.
+    Single(usize, usize),
+    /// Land in the first and last column of every `w`-wide tile.
+    LandAtTileEdges(usize),
+}
+
+struct Case {
+    nz: usize,
+    ny: usize,
+    nx: usize,
+    seed: u64,
+    kmt: View2<i32>,
+    kmu: View2<i32>,
+}
+
+impl Case {
+    fn new(nz: usize, ny: usize, nx: usize, wet: Wet, seed: u64) -> Self {
+        let (pj, pi) = (ny + 2 * H, nx + 2 * H);
+        // Halo masks are arbitrary: the face stencils compare across the
+        // block edge, and a halo cell may be deeper, shallower or land.
+        let depth = |salt: u64, n: usize| {
+            let r = mix(seed ^ salt, n as u64);
+            if r.is_multiple_of(3) {
+                0
+            } else {
+                (1 + (r >> 8) % nz as u64) as i32
+            }
+        };
+        let kmt: View2<i32> = View::from_fn("kmt", [pj, pi], |[jl, il]| depth(0xA5, jl * pi + il));
+        let kmu: View2<i32> = View::from_fn("kmu", [pj, pi], |[jl, il]| depth(0x5A, jl * pi + il));
+        for j in 0..ny {
+            for i in 0..nx {
+                let land = match wet {
+                    Wet::Ragged => false,
+                    Wet::LandRow(row) => j == row,
+                    Wet::Single(wj, wi) => (j, i) != (wj, wi),
+                    Wet::LandAtTileEdges(w) => i % w == 0 || i % w == w - 1,
+                };
+                if land {
+                    kmt.set_at(j + H, i + H, 0);
+                    kmu.set_at(j + H, i + H, 0);
+                } else if let Wet::Single(..) = wet {
+                    kmt.set_at(j + H, i + H, nz as i32);
+                    kmu.set_at(j + H, i + H, nz as i32);
+                }
+            }
+        }
+        Self {
+            nz,
+            ny,
+            nx,
+            seed,
+            kmt,
+            kmu,
+        }
+    }
+
+    fn pj(&self) -> usize {
+        self.ny + 2 * H
+    }
+
+    fn pi(&self) -> usize {
+        self.nx + 2 * H
+    }
+
+    /// A `levels`-deep field of values in `lo..hi`, halo included.
+    fn field3(&self, salt: u64, levels: usize, lo: f64, hi: f64) -> View3<f64> {
+        let (pj, pi) = (self.pj(), self.pi());
+        View::from_fn("field", [levels, pj, pi], |[k, j, i]| {
+            lo + (hi - lo) * unit(self.seed ^ salt, ((k * pj + j) * pi + i) as u64)
+        })
+    }
+
+    fn field2(&self, salt: u64, lo: f64, hi: f64) -> View2<f64> {
+        let pi = self.pi();
+        View::from_fn("field", [self.pj(), pi], |[j, i]| {
+            lo + (hi - lo) * unit(self.seed ^ salt, (j * pi + i) as u64)
+        })
+    }
+
+    /// A tracer with exactly flat stretches among the noise: scattered
+    /// equal cells, every fifth row flat along `i` (`dq == 0` on its x
+    /// faces) and every seventh column flat along `j` (on its y faces).
+    fn tracer(&self, salt: u64) -> View3<f64> {
+        let q = self.field3(salt, self.nz, -2.0, 30.0);
+        let (pj, pi) = (self.pj(), self.pi());
+        for k in 0..self.nz {
+            for j in 0..pj {
+                for i in 0..pi {
+                    let n = ((k * pj + j) * pi + i) as u64;
+                    if mix(self.seed ^ salt ^ 0xF1, n).is_multiple_of(4) {
+                        q.set_at(k, j, i, 10.0);
+                    }
+                    if j % 5 == 0 || i % 7 == 0 {
+                        q.set_at(k, j, i, 7.0 + k as f64);
+                    }
+                }
+            }
+        }
+        q
+    }
+
+    fn dxt(&self) -> View1<f64> {
+        View::from_fn("dxt", [self.pj()], |[j]| 9.0e3 + 137.0 * j as f64)
+    }
+
+    /// The launch shapes a kernel must not care about: the dense default,
+    /// the four one-cell-wide rims of the barotropic pipeline, and a ragged
+    /// tiling from a shifted origin.
+    fn policies2(&self) -> Vec<MDRangePolicy2> {
+        let (ny, nx) = (self.ny, self.nx);
+        let mut out = vec![
+            MDRangePolicy2::new([ny, nx]),
+            MDRangePolicy2::new([ny, nx]).with_tile([3, LANES + 3]),
+            MDRangePolicy2::new([1, nx]),
+            MDRangePolicy2::new([1, nx]).with_offset([ny - 1, 0]),
+        ];
+        if ny > 2 && nx > 2 {
+            out.push(MDRangePolicy2::new([ny - 2, 1]).with_offset([1, 0]));
+            out.push(MDRangePolicy2::new([ny - 2, 1]).with_offset([1, nx - 1]));
+            out.push(
+                MDRangePolicy2::new([ny - 2, nx - 2])
+                    .with_tile([2, 5])
+                    .with_offset([1, 1]),
+            );
+        }
+        out
+    }
+
+    fn policies3(&self) -> Vec<MDRangePolicy3> {
+        (self.policies2().into_iter())
+            .map(|p| {
+                MDRangePolicy3::new([self.nz, p.extent[0], p.extent[1]])
+                    .with_tile([1 + self.nz / 2, p.tile[0], p.tile[1]])
+                    .with_offset([0, p.offset[0], p.offset[1]])
+            })
+            .collect()
+    }
+}
+
+fn spaces() -> Vec<Space> {
+    vec![
+        Space::serial(),
+        Space::threads(),
+        Space::device_sim(),
+        Space::sw_athread_with(CgConfig::test_small()),
+    ]
+}
+
+/// What a kernel writes, in either rank.
+enum Out {
+    V2(View2<f64>),
+    V3(View3<f64>),
+}
+
+impl From<&View2<f64>> for Out {
+    fn from(v: &View2<f64>) -> Self {
+        Out::V2(v.clone())
+    }
+}
+
+impl From<&View3<f64>> for Out {
+    fn from(v: &View3<f64>) -> Self {
+        Out::V3(v.clone())
+    }
+}
+
+fn bits(outs: &[Out]) -> Vec<Vec<u64>> {
+    let of = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect();
+    outs.iter()
+        .map(|o| match o {
+            Out::V2(v) => of(v.as_slice()),
+            Out::V3(v) => of(v.as_slice()),
+        })
+        .collect()
+}
+
+/// `make` builds the functor on fresh copies of whatever it writes and
+/// returns those views. The reference runs it point by point (`W = 1`)
+/// over the policy's range; every space must reproduce its bits through
+/// the tile path.
+fn check2<F: Functor2D + 'static>(
+    kernel: &str,
+    policy: MDRangePolicy2,
+    make: impl Fn() -> (F, Vec<Out>),
+) -> Result<(), TestCaseError> {
+    let (f, out) = make();
+    for j in policy.offset[0]..policy.offset[0] + policy.extent[0] {
+        for i in policy.offset[1]..policy.offset[1] + policy.extent[1] {
+            f.operator(j, i);
+        }
+    }
+    let want = bits(&out);
+    for space in spaces() {
+        let (f, out) = make();
+        parallel_for_2d(&space, policy, &f);
+        prop_assert!(
+            bits(&out) == want,
+            "{kernel}: tile execution on {} differs from per-point execution ({policy:?})",
+            space.name()
+        );
+    }
+    Ok(())
+}
+
+fn check3<F: Functor3D + 'static>(
+    kernel: &str,
+    policy: MDRangePolicy3,
+    make: impl Fn() -> (F, Vec<Out>),
+) -> Result<(), TestCaseError> {
+    let (f, out) = make();
+    let range = |d: usize| policy.offset[d]..policy.offset[d] + policy.extent[d];
+    for k in range(0) {
+        for j in range(1) {
+            for i in range(2) {
+                f.operator(k, j, i);
+            }
+        }
+    }
+    let want = bits(&out);
+    for space in spaces() {
+        let (f, out) = make();
+        parallel_for_3d(&space, policy, &f);
+        prop_assert!(
+            bits(&out) == want,
+            "{kernel}: tile execution on {} differs from per-point execution ({policy:?})",
+            space.name()
+        );
+    }
+    Ok(())
+}
+
+fn copy2(v: &View2<f64>) -> View2<f64> {
+    let c: View2<f64> = View::host("copy", v.dims());
+    c.copy_from_slice(v.as_slice());
+    c
+}
+
+fn copy3(v: &View3<f64>) -> View3<f64> {
+    let c: View3<f64> = View::host("copy", v.dims());
+    c.copy_from_slice(v.as_slice());
+    c
+}
+
+/// Every row-bodied 3-D kernel over `policy` (owned-cell coordinates).
+fn check_3d(case: &Case, policy: MDRangePolicy3) -> Result<(), TestCaseError> {
+    let nz = case.nz;
+    let vel = case.field3(1, nz, -1.5, 1.5);
+    let (t0, s0) = (case.tracer(2), case.tracer(3));
+    let dxt = case.dxt();
+    for limited in [true, false] {
+        // Poisoned outputs: the pass must write every cell of its range,
+        // land included.
+        let fields = || {
+            let q1 = [
+                case.field3(4, nz, -9.0, -8.0),
+                case.field3(5, nz, -9.0, -8.0),
+            ];
+            let out = q1.iter().map(Out::from).collect();
+            let f = AdvectFields {
+                q: [t0.clone(), s0.clone()],
+                q1,
+                vel: vel.clone(),
+                kmt: case.kmt.clone(),
+                dxt: dxt.clone(),
+                dyt: 1.1e4,
+                dt: 600.0,
+                limited,
+            };
+            (f, out)
+        };
+        check3("advect_x", policy, || {
+            let (f, out) = fields();
+            (FunctorAdvectX(f), out)
+        })?;
+        check3("advect_y", policy, || {
+            let (f, out) = fields();
+            (FunctorAdvectY(f), out)
+        })?;
+    }
+    let (old, tend, cur0) = (
+        case.field3(6, nz, -1.0, 1.0),
+        case.field3(7, nz, -1.0e-4, 1.0e-4),
+        case.field3(8, nz, -1.0, 1.0),
+    );
+    check3("leapfrog_3d", policy, || {
+        let new = case.field3(9, nz, -9.0, -8.0);
+        let f = FunctorLeapfrog3D {
+            old: old.clone(),
+            new: new.clone(),
+            tend: tend.clone(),
+            mask: case.kmu.clone(),
+            dt2: 40.0,
+        };
+        (f, vec![Out::from(&new)])
+    })?;
+    check3("asselin_3d", policy, || {
+        let cur = copy3(&cur0);
+        let f = FunctorAsselin3D {
+            old: old.clone(),
+            cur: cur.clone(),
+            new: tend.clone(),
+        };
+        (f, vec![Out::from(&cur)])
+    })
+}
+
+/// Every row-bodied 2-D kernel over `policy`. The owned-cell kernels add the
+/// halo width themselves; accumulate / scale-assign index the padded block
+/// directly, so the same policy reaches other cells of theirs.
+fn check_2d(case: &Case, policy: MDRangePolicy2) -> Result<(), TestCaseError> {
+    let dxt = case.dxt();
+    let fcor: View1<f64> = View::from_fn("fcor", [case.pj()], |[j]| 1.0e-4 - 3.0e-6 * j as f64);
+    let depth = case.field2(1, 50.0, 5000.0);
+    let (e0, e1) = (case.field2(2, -0.5, 0.5), case.field2(3, -0.5, 0.5));
+    let (u0, u1) = (case.field2(4, -1.0, 1.0), case.field2(5, -1.0, 1.0));
+    let (v0, v1) = (case.field2(6, -1.0, 1.0), case.field2(7, -1.0, 1.0));
+    let (gu, gv) = (
+        case.field2(8, -1.0e-5, 1.0e-5),
+        case.field2(9, -1.0e-5, 1.0e-5),
+    );
+    let poison = |salt| case.field2(salt, -9.0, -8.0);
+    let eta = |eta_new: &View2<f64>| FunctorBtEta {
+        eta_old: e0.clone(),
+        eta_new: eta_new.clone(),
+        ub: u1.clone(),
+        vb: v1.clone(),
+        depth: depth.clone(),
+        kmt: case.kmt.clone(),
+        dxt: dxt.clone(),
+        dyt: 1.1e4,
+        dt2: 4.0,
+    };
+    let vel = |u_new: &View2<f64>, v_new: &View2<f64>| FunctorBtVel {
+        u_old: u0.clone(),
+        v_old: v0.clone(),
+        u_cur: u1.clone(),
+        v_cur: v1.clone(),
+        eta_cur: e1.clone(),
+        u_new: u_new.clone(),
+        v_new: v_new.clone(),
+        gu: gu.clone(),
+        gv: gv.clone(),
+        fcor: fcor.clone(),
+        kmu: case.kmu.clone(),
+        dxt: dxt.clone(),
+        dyt: 1.1e4,
+        dt2: 4.0,
+    };
+    check2("bt_eta", policy, || {
+        let eta_new = poison(10);
+        (eta(&eta_new), vec![Out::from(&eta_new)])
+    })?;
+    check2("bt_vel", policy, || {
+        let (u_new, v_new) = (poison(11), poison(12));
+        (
+            vel(&u_new, &v_new),
+            vec![Out::from(&u_new), Out::from(&v_new)],
+        )
+    })?;
+    // The fused substep as the model launches it: the pair forwards whole
+    // tiles to its members.
+    check2("bt_step", policy, || {
+        let (eta_new, u_new, v_new) = (poison(10), poison(11), poison(12));
+        let f = FunctorPair2D {
+            a: eta(&eta_new),
+            b: vel(&u_new, &v_new),
+        };
+        let out = [&eta_new, &u_new, &v_new].map(Out::from);
+        (f, out.into())
+    })?;
+    check2("asselin_2d", policy, || {
+        let cur = copy2(&e1);
+        let f = FunctorAsselin2D {
+            old: e0.clone(),
+            cur: cur.clone(),
+            new: u0.clone(),
+        };
+        (f, vec![Out::from(&cur)])
+    })?;
+    // Every other row filtered, the rest copied through.
+    let rows: View1<i32> = View::from_fn("rows", [case.pj()], |[j]| (j % 2) as i32);
+    check2("zonal_filter", policy, || {
+        let dst = poison(13);
+        let f = FunctorZonalFilter {
+            src: e0.clone(),
+            dst: dst.clone(),
+            rows: rows.clone(),
+        };
+        (f, vec![Out::from(&dst)])
+    })?;
+    check2("copy_2d", policy, || {
+        let dst = poison(14);
+        let f = FunctorCopy2D {
+            src: e0.clone(),
+            dst: dst.clone(),
+        };
+        (f, vec![Out::from(&dst)])
+    })?;
+    check2("accum_2d", policy, || {
+        let acc = copy2(&u0);
+        let f = FunctorAccum2D {
+            acc: acc.clone(),
+            x: v0.clone(),
+        };
+        (f, vec![Out::from(&acc)])
+    })?;
+    check2("scale_assign_2d", policy, || {
+        let dst = poison(15);
+        let f = FunctorScaleAssign2D {
+            src: e0.clone(),
+            dst: dst.clone(),
+            scale: 1.0 / 40.0,
+        };
+        (f, vec![Out::from(&dst)])
+    })
+}
+
+fn check_all(case: &Case) -> Result<(), TestCaseError> {
+    licom::register_all_kernels();
+    for p in case.policies2() {
+        check_2d(case, p)?;
+    }
+    for p in case.policies3() {
+        check_3d(case, p)?;
+    }
+    Ok(())
+}
+
+/// The shapes the issue names, one by one, so a failure says which.
+/// (`limiter = false`, the exactly flat `dq == 0` stretches and the rim
+/// policies of extent 1 ride along in every one of them.)
+#[test]
+#[rustfmt::skip] // one shape per line
+fn named_shapes_are_bitwise_equal() {
+    let w = LANES;
+    let shape = |name: &str, nz, ny, nx, wet| {
+        if let Err(e) = check_all(&Case::new(nz, ny, nx, wet, 0xC01)) {
+            panic!("{name}: {e:?}");
+        }
+    };
+    shape("ragged coast", 4, 9, 3 * w + 2, Wet::Ragged);
+    shape("an all-land row", 3, 6, 2 * w, Wet::LandRow(2));
+    shape("a single wet cell", 3, 5, 2 * w + 1, Wet::Single(2, w));
+    shape("land at both edges of every tile", 3, 7, 3 * (w + 3), Wet::LandAtTileEdges(w + 3));
+    shape("nx shorter than a block", 3, 6, w - 3, Wet::Ragged);
+    shape("nx one short of two blocks", 2, 6, 2 * w - 1, Wet::Ragged);
+    shape("nx one past two blocks", 2, 6, 2 * w + 1, Wet::Ragged);
+    shape("ny too short for a y-pass interior", 3, 4, w + 2, Wet::Ragged);
+    shape("a single row, a single level", 1, 1, 2 * w + 3, Wet::Ragged);
+}
+
+#[test]
+fn a_full_row_really_is_walked_in_blocks() {
+    // Guard the test itself: the tile path must reach the W = LANES body,
+    // or the comparisons above compare W = 1 with W = 1.
+    struct Widths(std::cell::RefCell<Vec<usize>>);
+    impl licom::lanes::RowKernel for Widths {
+        fn block<const W: usize>(&self, _k: usize, _j: usize, _i: usize) {
+            self.0.borrow_mut().push(W);
+        }
+    }
+    let log = Widths(Default::default());
+    let policy = MDRangePolicy2::new([1, 2 * LANES + 3]);
+    let [rows, cols] = policy.tile_bounds(0);
+    licom::lanes::run_tile(&log, [(0, 1), rows, cols]);
+    assert_eq!(*log.0.borrow(), [LANES, LANES, 1, 1, 1]);
+}
+
+/// `advect_tracer` under both refresh schedules on one rank: the split
+/// y pass (interior rows under the exchange, rims after) and the dense
+/// fallback for blocks too short to carve an interior must leave the bits
+/// of the blocking schedule.
+#[test]
+fn overlap_schedule_equals_blocking_for_every_block_height() {
+    licom::register_all_kernels();
+    for ny in [4, 5, 6, 11] {
+        let (nx, nz) = (2 * LANES + 4, 3);
+        let global = GlobalGrid::build(nx, ny, nz, &Bathymetry::earth_like(), false);
+        World::run(1, |comm| {
+            let cart = CartComm::new(comm.clone(), 1, 1, true);
+            let h2 = Halo2D::new(&cart, nx, ny);
+            let g = LocalGrid::build(&global, &h2);
+            let halo = Halo3D::new(h2, nz, Strategy3D::Transpose);
+            let case = Case::new(nz, ny, nx, Wet::Ragged, 0xAD7 + ny as u64);
+            let (u, v) = (case.field3(1, nz, -1.5, 1.5), case.field3(2, nz, -1.5, 1.5));
+            let w = case.field3(3, nz + 1, -2.0e-3, 2.0e-3);
+            let q = [case.tracer(4), case.tracer(5)];
+            let run = |overlap: bool| {
+                let [out0, out1, tmp0, tmp1] = [(); 4].map(|()| case.field3(6, nz, -9.0, -8.0));
+                halo.begin_step(u64::from(overlap));
+                let blocking = |tmp: [&View3<f64>; 2]| {
+                    halo.try_exchange_many(&tmp.map(|t| (t, FoldKind::Scalar)), 820)
+                };
+                advect_tracer(
+                    &Space::serial(),
+                    &g,
+                    [&q[0], &q[1]],
+                    [&out0, &out1],
+                    [&tmp0, &tmp1],
+                    &u,
+                    &v,
+                    &w,
+                    600.0,
+                    true,
+                    None,
+                    if overlap {
+                        TmpExchange::Overlap {
+                            halo: &halo,
+                            tag_base: 820,
+                        }
+                    } else {
+                        TmpExchange::Blocking(&blocking)
+                    },
+                )
+                .unwrap();
+                bits(&[Out::from(&out0), Out::from(&out1)])
+            };
+            assert!(run(false) == run(true), "ny = {ny}");
+        });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random masks, block sizes, tile shapes and launch origins.
+    #[test]
+    fn prop_tile_equals_per_point(
+        seed in 0u64..u64::MAX,
+        nz in 1usize..5,
+        ny in 1usize..9,
+        nx in 1usize..30,
+        tile in proptest::collection::vec(1usize..24, 3..4),
+        cut in proptest::collection::vec(0usize..8, 4..5),
+    ) {
+        licom::register_all_kernels();
+        let case = Case::new(nz, ny, nx, Wet::Ragged, seed);
+        // A sub-range of the owned block from a shifted origin, so tiles
+        // start and end anywhere.
+        let (oj, oi) = (cut[0] % ny, cut[1] % nx);
+        let (ej, ei) = (ny - oj - cut[2] % (ny - oj), nx - oi - cut[3] % (nx - oi));
+        let tile = [1 + tile[0] % 3, 1 + tile[1] % 5, tile[2]];
+        check_2d(
+            &case,
+            MDRangePolicy2::new([ej, ei]).with_tile([tile[1], tile[2]]).with_offset([oj, oi]),
+        )?;
+        check_3d(
+            &case,
+            MDRangePolicy3::new([nz, ej, ei]).with_tile(tile).with_offset([0, oj, oi]),
+        )?;
+    }
+}

@@ -1447,6 +1447,9 @@ mod tests {
         let (_, t) = World::run_cfg(cfg, |comm| {
             comm.set_epoch(2);
             assert!(comm.is_alive(1), "not dead before the seeded epoch");
+            // Neither rank advances until both have looked: without this
+            // rank 1 may reach its kill epoch before rank 0's assertion.
+            comm.barrier();
             comm.set_epoch(3);
             if comm.rank() == 1 {
                 assert!(comm.self_failed());

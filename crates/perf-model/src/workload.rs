@@ -61,8 +61,8 @@ pub const PASSES_3D: &[KernelPass] = &[
     },
     KernelPass {
         name: "advection_tracer",
-        flops_per_pt: 188.0,
-        bytes_per_pt: 704.0,
+        flops_per_pt: 174.0,
+        bytes_per_pt: 432.0,
     },
     KernelPass {
         name: "tracer_hdiff",
