@@ -5,10 +5,22 @@
 //! host dispatch), and (b) the linked-list registry lookup vs the
 //! SIMD-accelerated key scan (paper §V-B: "we leveraged Sunway
 //! architecture features such as LDM ... and SIMD vectorization, for
-//! accelerated kernel matching"), as the registry grows.
+//! accelerated kernel matching"), as the registry grows, and (c) the
+//! **crossover** that places `kokkos-rs`'s pool gate: launch time against
+//! iterations for the serial tile loop, the pool driven directly over the
+//! same tiles (the gate is not in the way: this goes past `kokkos-rs`) and
+//! `parallel_for_2d` on `Threads`, for three body weights, alone and beside
+//! a second submitter doing the same (EXPERIMENTS.md, "Work-first dispatch").
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kokkos_rs::{parallel_for_1d, registry, Functor1D, RangePolicy, Space, View, View1};
+use kokkos_rs::{
+    parallel_for_1d, parallel_for_2d, registry, Functor1D, Functor2D, FunctorPair2D,
+    MDRangePolicy2, RangePolicy, Space, View, View1, View2,
+};
+use rayon::prelude::*;
 
 struct Axpy {
     a: f64,
@@ -82,5 +94,115 @@ fn bench_registry_matching(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_launch_overhead, bench_registry_matching);
+struct Empty;
+impl Functor2D for Empty {
+    fn operator(&self, _j: usize, _i: usize) {}
+}
+
+struct Triad {
+    a: View2<f64>,
+    b: View2<f64>,
+    c: View2<f64>,
+}
+impl Functor2D for Triad {
+    fn operator(&self, j: usize, i: usize) {
+        self.a.set_at(j, i, self.b.at(j, i) + 0.5 * self.c.at(j, i));
+    }
+}
+
+/// Five-point stencil with clamped edges: with a second one in a
+/// [`FunctorPair2D`], the weight of the model's fused barotropic launches.
+struct Stencil {
+    src: View2<f64>,
+    dst: View2<f64>,
+}
+impl Functor2D for Stencil {
+    fn operator(&self, j: usize, i: usize) {
+        let [ny, nx] = self.src.dims();
+        let at = |j: usize, i: usize| self.src.at(j.min(ny - 1), i.min(nx - 1));
+        let ns = at(j + 1, i) + at(j.saturating_sub(1), i);
+        let ew = at(j, i + 1) + at(j, i.saturating_sub(1));
+        self.dst.set_at(j, i, 0.2 * (at(j, i) + ns + ew));
+    }
+}
+
+fn triad(dims: [usize; 2]) -> Triad {
+    let [a, b, c] = ["a", "b", "c"].map(|l| View::from_fn(l, dims, |[j, i]| (j + i) as f64));
+    Triad { a, b, c }
+}
+
+fn stencil_pair(dims: [usize; 2]) -> FunctorPair2D<Stencil, Stencil> {
+    let [p, q, r] = ["p", "q", "r"].map(|l| View::from_fn(l, dims, |[j, i]| (j * i) as f64));
+    FunctorPair2D {
+        a: Stencil {
+            src: p.clone(),
+            dst: q,
+        },
+        b: Stencil { src: p, dst: r },
+    }
+}
+
+/// The three ways to run one launch's tiles.
+const DRIVERS: [&str; 3] = ["serial_tiles", "pool_direct", "threads"];
+
+fn drive<F: Functor2D + 'static>(driver: &str, policy: MDRangePolicy2, f: &F) {
+    match driver {
+        "serial_tiles" => parallel_for_2d(&Space::serial(), policy, f),
+        "pool_direct" => (0..policy.total_tiles())
+            .into_par_iter()
+            .for_each(|t| f.operator_tile(policy.tile_bounds(t))),
+        _ => parallel_for_2d(&Space::threads(), policy, f),
+    }
+}
+
+/// 2^6 … 2^18 iterations as `[2^(p/2), 2^(p - p/2)]` grids on the default
+/// `[8, 64]` tiles. With `submitters == 2` a second thread launches the same
+/// thing on its own views for as long as the measurement runs.
+fn crossover<F: Functor2D + 'static>(
+    c: &mut Criterion,
+    body: &str,
+    make: impl Fn([usize; 2]) -> F + Sync,
+) {
+    for submitters in [1, 2] {
+        let mut g = c.benchmark_group(format!("crossover/{body}/{submitters}_submitters"));
+        g.warm_up_time(Duration::from_millis(100))
+            .measurement_time(Duration::from_millis(400));
+        for p in 6..=18 {
+            let dims = [1 << (p / 2), 1 << (p - p / 2)];
+            let policy = MDRangePolicy2::new(dims);
+            let f = make(dims);
+            for driver in DRIVERS {
+                let stop = AtomicBool::new(false);
+                std::thread::scope(|s| {
+                    if submitters == 2 {
+                        s.spawn(|| {
+                            let rival = make(dims);
+                            while !stop.load(Ordering::Relaxed) {
+                                drive(driver, policy, &rival);
+                            }
+                        });
+                    }
+                    g.bench_function(BenchmarkId::new(driver, 1 << p), |b| {
+                        b.iter(|| drive(driver, policy, &f))
+                    });
+                    stop.store(true, Ordering::Relaxed);
+                });
+            }
+        }
+        g.finish();
+    }
+}
+
+fn bench_crossover(c: &mut Criterion) {
+    crossover(c, "empty", |_| Empty);
+    crossover(c, "triad", triad);
+    crossover(c, "stencil_pair", stencil_pair);
+}
+
+criterion_group!(
+    benches,
+    bench_launch_overhead,
+    bench_registry_matching,
+    bench_crossover
+);
 criterion_main!(benches);

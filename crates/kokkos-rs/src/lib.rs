@@ -7,7 +7,7 @@
 //! | Kokkos concept        | Here                                          |
 //! |-----------------------|-----------------------------------------------|
 //! | `Kokkos::View`        | [`view::View`] — rank-`R` arrays, `LayoutLeft`/`LayoutRight`, shared ownership, `deep_copy`, mirrors |
-//! | Execution spaces      | [`space::Space`] — `Serial`, `Threads` (rayon/OpenMP-like), `DeviceSim` (CUDA/HIP-like), `SwAthread` (Sunway CPEs) |
+//! | Execution spaces      | [`space::Space`] — `Serial`, `Threads` (host pool, OpenMP-like), `DeviceSim` (CUDA/HIP-like), `SwAthread` (Sunway CPEs) |
 //! | Memory spaces         | [`memspace::MemSpace`] — `Host` and `Device`, with H2D/D2H transfer accounting |
 //! | `RangePolicy`/`MDRangePolicy` | [`policy`] — incl. the CPE tile mapping of paper Eq. (1)–(2) |
 //! | Functors (`operator()`) | [`functor`] traits `Functor1D/2D/3D`, `ReduceFunctor*` |
@@ -70,7 +70,7 @@ pub use view::{deep_copy, Layout, View, View1, View2, View3, View4};
 pub fn supported_backends() -> Vec<(&'static str, &'static str)> {
     vec![
         ("Serial", "native loop (baseline)"),
-        ("Threads", "rayon work-stealing pool (OpenMP analogue)"),
+        ("Threads", "work-first host thread pool (OpenMP analogue)"),
         (
             "DeviceSim",
             "block/thread grid over pool (CUDA/HIP analogue)",

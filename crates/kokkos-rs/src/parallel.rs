@@ -4,14 +4,17 @@
 //! tiles are executed:
 //!
 //! * `Serial` — tiles in order, one thread;
-//! * `Threads` — tiles on the rayon pool;
-//! * `DeviceSim` — tiles as a block grid on the pool, launch counted;
+//! * `Threads` — tiles on the host pool, or in order on the launching
+//!   thread when the launch is below the size gate;
+//! * `DeviceSim` — the same, as a block grid, launch counted;
 //! * `SwAthread` — registry lookup → trampoline → simulated CPEs.
 //!
 //! **Determinism**: for-loops write disjoint elements, so backend choice
 //! cannot change results. Reductions always produce one partial per tile
 //! and join them in tile order on the launching thread, so their results
 //! are bitwise identical across backends and run-to-run.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rayon::prelude::*;
 
@@ -41,35 +44,37 @@ fn not_registered<F>(kind: &str) -> ! {
 // Shared host-side tile drivers
 // ---------------------------------------------------------------------------
 //
-// Every non-Sunway backend executes tiles through one of the four helpers
-// below, so scheduling changes (and DeviceSim launch accounting, which used
-// to be repeated per pattern) land in exactly one place. The SwAthread
+// Every non-Sunway backend executes tiles through one of the two drivers
+// below, so scheduling changes land in exactly one place. Launch accounting
+// (profiling spans, DeviceSim launch counts, flight events) happens before
+// them, at the dispatch chokepoint [`profiling::begin_kernel`]. The SwAthread
 // backend never reaches them — its dispatch goes through the registry
 // trampolines in each entry point.
 
-/// Run `run_tile` over `0..total` tiles on a host backend (count split).
-/// Launch accounting happens at the dispatch chokepoint
-/// ([`profiling::begin_kernel`]), not here.
-fn drive_tiles(space: &Space, total: usize, run_tile: impl Fn(usize) + Sync) {
+/// A `Threads` / `DeviceSim` launch of fewer iterations than this runs its
+/// tiles in order on the launching thread, exactly as `Serial` does: waking
+/// a pool thread costs more than such a launch has to share out. Measured
+/// by `cargo bench -p bench --bench dispatch` (EXPERIMENTS.md, "Work-first
+/// dispatch"). The gate lives here and not in the pool because a list launch
+/// hands the pool one index per worker: only the driver knows the work.
+const MIN_POOL_ITERATIONS: usize = 8192;
+
+/// Whether a host launch of `iterations` goes to the pool.
+fn forks(space: &Space, iterations: usize) -> bool {
     match space {
-        Space::Serial => (0..total).for_each(run_tile),
-        Space::Threads(_) | Space::DeviceSim(_) => (0..total).into_par_iter().for_each(run_tile),
+        Space::Serial => false,
+        Space::Threads(_) | Space::DeviceSim(_) => iterations >= MIN_POOL_ITERATIONS,
         Space::SwAthread(_) => unreachable!("SwAthread dispatch goes through the registry"),
     }
 }
 
-/// Collect one partial per tile, in tile order, on a host backend.
-fn collect_partials(
-    space: &Space,
-    total: usize,
-    tile_partial: impl Fn(usize) -> f64 + Sync,
-) -> Vec<f64> {
-    match space {
-        Space::Serial => (0..total).map(tile_partial).collect(),
-        Space::Threads(_) | Space::DeviceSim(_) => {
-            (0..total).into_par_iter().map(tile_partial).collect()
-        }
-        Space::SwAthread(_) => unreachable!("SwAthread dispatch goes through the registry"),
+/// Run `run_tile` over `0..total` tiles, `iterations` in all, on a host
+/// backend (count split).
+fn drive_tiles(space: &Space, iterations: usize, total: usize, run_tile: impl Fn(usize) + Sync) {
+    if forks(space, iterations) {
+        (0..total).into_par_iter().for_each(run_tile)
+    } else {
+        (0..total).for_each(run_tile)
     }
 }
 
@@ -79,47 +84,32 @@ fn collect_partials(
 /// count. Tile contents never depend on the split, so results stay bitwise
 /// identical to the serial sweep.
 fn drive_list_tiles(space: &Space, policy: &ListPolicy, run_tile: impl Fn(usize) + Sync) {
-    let total = policy.total_tiles();
-    let par = |workers: usize| {
+    if forks(space, policy.len()) {
+        let workers = rayon::current_num_threads();
         (0..workers).into_par_iter().for_each(|w| {
             let (lo, hi) = policy.worker_tile_range(w, workers);
-            for t in lo..hi {
-                run_tile(t);
-            }
+            (lo..hi).for_each(&run_tile);
         });
-    };
-    match space {
-        Space::Serial => (0..total).for_each(run_tile),
-        Space::Threads(_) | Space::DeviceSim(_) => par(rayon::current_num_threads()),
-        Space::SwAthread(_) => unreachable!("SwAthread dispatch goes through the registry"),
+    } else {
+        (0..policy.total_tiles()).for_each(run_tile)
     }
 }
 
-/// Cost-weighted analogue of [`collect_partials`] for list policies. The
-/// per-worker chunks are contiguous and ascending, so flattening them in
-/// worker order reproduces the tile order exactly — the reduction join
-/// stays deterministic under any worker count.
-fn collect_list_partials(
-    space: &Space,
-    policy: &ListPolicy,
+/// One partial per tile, in tile order, on a host backend: `drive` is handed
+/// the tile body and runs it through one of the two drivers above.
+fn host_partials(
+    tiles: usize,
+    op: Reducer,
     tile_partial: impl Fn(usize) -> f64 + Sync,
+    drive: impl FnOnce(&(dyn Fn(usize) + Sync)),
 ) -> Vec<f64> {
-    let total = policy.total_tiles();
-    let par = |workers: usize| -> Vec<f64> {
-        let chunks: Vec<Vec<f64>> = (0..workers)
-            .into_par_iter()
-            .map(|w| {
-                let (lo, hi) = policy.worker_tile_range(w, workers);
-                (lo..hi).map(&tile_partial).collect()
-            })
-            .collect();
-        chunks.into_iter().flatten().collect()
-    };
-    match space {
-        Space::Serial => (0..total).map(tile_partial).collect(),
-        Space::Threads(_) | Space::DeviceSim(_) => par(rayon::current_num_threads()),
-        Space::SwAthread(_) => unreachable!("SwAthread dispatch goes through the registry"),
-    }
+    let identity = op.identity().to_bits();
+    let partials: Vec<AtomicU64> = (0..tiles).map(|_| AtomicU64::new(identity)).collect();
+    // Relaxed: slot `t` is written by the one thread that runs tile `t`, and
+    // read only after `drive` has returned, which the pool's join orders.
+    drive(&|t| partials[t].store(tile_partial(t).to_bits(), Ordering::Relaxed));
+    let partials = partials.into_iter();
+    partials.map(|p| f64::from_bits(p.into_inner())).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -168,7 +158,6 @@ pub fn parallel_for_1d<F: Functor1D + 'static>(space: &Space, policy: RangePolic
         PolicyKind::Range,
         policy.len() as u64,
     );
-    let total = policy.total_tiles();
     let run_tile = |t: usize| {
         let (lo, hi) = policy.tile_range(t);
         for i in lo..hi {
@@ -191,7 +180,7 @@ pub fn parallel_for_1d<F: Functor1D + 'static>(space: &Space, policy: RangePolic
                 .lock()
                 .run(tramp, &payload as *const registry::Payload1D as usize);
         }
-        host => drive_tiles(host, total, run_tile),
+        host => drive_tiles(host, policy.len(), policy.total_tiles(), run_tile),
     }
 }
 
@@ -203,9 +192,8 @@ pub fn parallel_for_2d<F: Functor2D + 'static>(space: &Space, policy: MDRangePol
         PatternKind::ParallelFor,
         std::any::type_name::<F>(),
         PolicyKind::MDRange2,
-        (policy.extent[0] * policy.extent[1]) as u64,
+        policy.iterations() as u64,
     );
-    let total = policy.total_tiles();
     let run_tile = |t: usize| f.operator_tile(policy.tile_bounds(t));
     match space {
         Space::SwAthread(sw) => {
@@ -223,7 +211,7 @@ pub fn parallel_for_2d<F: Functor2D + 'static>(space: &Space, policy: MDRangePol
                 .lock()
                 .run(tramp, &payload as *const registry::Payload2D as usize);
         }
-        host => drive_tiles(host, total, run_tile),
+        host => drive_tiles(host, policy.iterations(), policy.total_tiles(), run_tile),
     }
 }
 
@@ -235,9 +223,8 @@ pub fn parallel_for_3d<F: Functor3D + 'static>(space: &Space, policy: MDRangePol
         PatternKind::ParallelFor,
         std::any::type_name::<F>(),
         PolicyKind::MDRange3,
-        (policy.extent[0] * policy.extent[1] * policy.extent[2]) as u64,
+        policy.iterations() as u64,
     );
-    let total = policy.total_tiles();
     let run_tile = |t: usize| f.operator_tile(policy.tile_bounds(t));
     match space {
         Space::SwAthread(sw) => {
@@ -255,7 +242,7 @@ pub fn parallel_for_3d<F: Functor3D + 'static>(space: &Space, policy: MDRangePol
                 .lock()
                 .run(tramp, &payload as *const registry::Payload3D as usize);
         }
-        host => drive_tiles(host, total, run_tile),
+        host => drive_tiles(host, policy.iterations(), policy.total_tiles(), run_tile),
     }
 }
 
@@ -340,7 +327,9 @@ pub fn parallel_reduce_list<F: ReduceFunctorList + 'static>(
             );
             partials
         }
-        host => collect_list_partials(host, policy, tile_partial),
+        host => host_partials(policy.total_tiles(), op, tile_partial, |run| {
+            drive_list_tiles(host, policy, run)
+        }),
     };
     join_partials(&partials, op)
 }
@@ -395,7 +384,9 @@ pub fn parallel_reduce_1d<F: ReduceFunctor1D + 'static>(
                 .run(tramp, &payload as *const registry::PayloadReduce1D as usize);
             partials
         }
-        host => collect_partials(host, total, tile_partial),
+        host => host_partials(total, op, tile_partial, |run| {
+            drive_tiles(host, policy.len(), total, run)
+        }),
     };
     join_partials(&partials, op)
 }
@@ -412,7 +403,7 @@ pub fn parallel_reduce_2d<F: ReduceFunctor2D + 'static>(
         PatternKind::ParallelReduce,
         std::any::type_name::<F>(),
         PolicyKind::MDRange2,
-        (policy.extent[0] * policy.extent[1]) as u64,
+        policy.iterations() as u64,
     );
     let total = policy.total_tiles();
     let tile_partial = |t: usize| {
@@ -444,7 +435,9 @@ pub fn parallel_reduce_2d<F: ReduceFunctor2D + 'static>(
                 .run(tramp, &payload as *const registry::PayloadReduce2D as usize);
             partials
         }
-        host => collect_partials(host, total, tile_partial),
+        host => host_partials(total, op, tile_partial, |run| {
+            drive_tiles(host, policy.iterations(), total, run)
+        }),
     };
     join_partials(&partials, op)
 }
@@ -461,7 +454,7 @@ pub fn parallel_reduce_3d<F: ReduceFunctor3D + 'static>(
         PatternKind::ParallelReduce,
         std::any::type_name::<F>(),
         PolicyKind::MDRange3,
-        (policy.extent[0] * policy.extent[1] * policy.extent[2]) as u64,
+        policy.iterations() as u64,
     );
     let total = policy.total_tiles();
     let tile_partial = |t: usize| {
@@ -495,7 +488,9 @@ pub fn parallel_reduce_3d<F: ReduceFunctor3D + 'static>(
                 .run(tramp, &payload as *const registry::PayloadReduce3D as usize);
             partials
         }
-        host => collect_partials(host, total, tile_partial),
+        host => host_partials(total, op, tile_partial, |run| {
+            drive_tiles(host, policy.iterations(), total, run)
+        }),
     };
     join_partials(&partials, op)
 }
@@ -506,6 +501,9 @@ pub fn parallel_reduce_3d<F: ReduceFunctor3D + 'static>(
 pub fn fence(space: &Space) {
     profiling::mark_fence("fence", space.name());
 }
+
+#[cfg(test)]
+mod gate_tests;
 
 #[cfg(test)]
 mod tests {

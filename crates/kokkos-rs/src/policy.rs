@@ -114,6 +114,11 @@ impl MDRangePolicy2 {
         self
     }
 
+    /// Number of iterations (extent product).
+    pub fn iterations(&self) -> usize {
+        self.extent.iter().product()
+    }
+
     /// Paper Eq. (1): product of per-dimension tile counts.
     pub fn total_tiles(&self) -> usize {
         (0..2)
@@ -179,6 +184,11 @@ impl MDRangePolicy3 {
     pub fn with_offset(mut self, offset: [usize; 3]) -> Self {
         self.offset = offset;
         self
+    }
+
+    /// Number of iterations (extent product).
+    pub fn iterations(&self) -> usize {
+        self.extent.iter().product()
     }
 
     /// Paper Eq. (1).

@@ -4,8 +4,14 @@
 //!
 //! * [`Space::Serial`] — reference loop; baseline for bitwise comparisons
 //!   (plays the role of the original Fortran code path).
-//! * [`Space::Threads`] — rayon work-stealing pool; the OpenMP analogue
-//!   used on the ARM Taishan server.
+//! * [`Space::Threads`] — the process-wide host pool (`shims/rayon`, sized by
+//!   `RAYON_NUM_THREADS`); the OpenMP analogue used on the ARM Taishan
+//!   server. Dispatch is work-first, and `DeviceSim` shares pool and rules:
+//!   a launch below `parallel`'s size gate runs on the launching thread;
+//!   a larger one is published and the launcher starts on its chunks at
+//!   once, waiting at the end only for workers that joined in time;
+//!   a launcher that finds the pool serving another launch (another model,
+//!   rank, server worker, or its own outer launch) runs the whole range.
 //! * [`Space::DeviceSim`] — a CUDA/HIP-like device: kernels execute as a
 //!   grid of tile-blocks, launches are counted and carry a fixed overhead,
 //!   and data is expected to live in [`MemSpace::Device`] views that must
@@ -26,7 +32,7 @@ use sunway_sim::{CgConfig, CgCounters, CoreGroup};
 
 use crate::memspace::MemSpace;
 
-/// Marker/config for the rayon-backed host-parallel space.
+/// Marker for the host-parallel space on the shared pool.
 #[derive(Clone, Debug, Default)]
 pub struct ThreadsSpace;
 
@@ -116,7 +122,7 @@ impl Space {
         Space::Serial
     }
 
-    /// Host-parallel space on the global rayon pool.
+    /// Host-parallel space on the process-wide pool.
     pub fn threads() -> Self {
         Space::Threads(ThreadsSpace)
     }

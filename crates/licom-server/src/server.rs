@@ -8,10 +8,12 @@
 //! releases the lock, and steps each claimed instance for a slice of
 //! `slice_steps` model steps. All instances dispatch their kernels into
 //! the **shared** execution-space pools (`Threads`/`DeviceSim`/
-//! `SwAthread` all back onto the one rayon pool), so concurrency across
-//! instances comes from workers slicing in parallel while each slice's
-//! inner parallelism shares the pool — the multi-tenant analogue of the
-//! paper's many-instances-per-node ensemble configuration.
+//! `SwAthread` all back onto the one host pool), so concurrency across
+//! instances comes from workers slicing in parallel. The pool serves one
+//! launch at a time and never makes a launcher wait for it: a worker whose
+//! launch finds the pool taken, or is too small to share out, runs it on
+//! its own thread — the multi-tenant analogue of the paper's
+//! many-instances-per-node ensemble configuration.
 //!
 //! ## Isolation
 //!

@@ -1,29 +1,35 @@
 //! Offline stand-in for the `rayon` crate.
 //!
 //! The build environment cannot reach a cargo registry, so this shim vendors
-//! the exact parallel-iterator subset the workspace uses:
-//!
-//! * `(a..b).into_par_iter().for_each(|i| ...)`
-//! * `(a..b).into_par_iter().map(|i| ...).collect::<Vec<T>>()` (index order
-//!   preserved, like rayon's indexed collect)
+//! the exact surface the workspace uses: `(a..b).into_par_iter().for_each(f)`
+//! and [`current_num_threads`].
 //!
 //! Execution runs on a **persistent worker pool** (started lazily, sized from
-//! `RAYON_NUM_THREADS` or `available_parallelism`), not on per-call spawned
-//! threads — kernel launches in `kokkos-rs` happen thousands of times per
-//! model step, so launch overhead must be a broadcast wake-up, not a clone+
-//! spawn. Work is distributed by an atomic chunk counter (work stealing in
-//! its simplest form). Panics inside a parallel region are caught on the
-//! worker, the region is drained, and the panic is re-thrown on the caller —
-//! the same observable behavior as rayon.
+//! `RAYON_NUM_THREADS` or `available_parallelism`). `kokkos-rs` launches
+//! kernels hundreds of times per model step, many of them microseconds long,
+//! so dispatch is **work-first**:
 //!
-//! Only `Range<usize>` is parallelizable here; that is the only shape the
-//! workspace uses.
+//! 1. *Join on claim.* The submitter publishes the job, rings the workers and
+//!    starts claiming chunks at once. A worker counts itself into the job
+//!    under the state lock, and only while the job is still published. When
+//!    the submitter runs out of chunks it unpublishes the job and waits only
+//!    for workers that joined — a launch it finishes alone costs one lock and
+//!    one notify, and never waits for a sleeping thread to be scheduled.
+//! 2. *Busy pool ⇒ run here.* The pool serves one launch at a time. A caller
+//!    that finds it taken (another model, rank or server worker is mid-launch,
+//!    or this is a nested launch) runs its whole range on its own thread, in
+//!    the same chunk order. Callers never queue behind each other.
+//!
+//! Chunks are handed out by an atomic counter. A panic inside a chunk is
+//! caught where it happens, the rest of the range is dropped, and the panic
+//! is re-thrown on the caller once every participant has left — the same
+//! observable behavior as rayon.
 
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, TryLockError};
 
 type PanicPayload = Box<dyn Any + Send + 'static>;
 
@@ -57,82 +63,46 @@ impl ParRange {
     where
         F: Fn(usize) + Sync,
     {
-        broadcast(self.range, &|lo, hi| {
-            for i in lo..hi {
-                f(i);
-            }
-        });
-    }
-
-    pub fn map<R, F>(self, f: F) -> ParMap<F>
-    where
-        F: Fn(usize) -> R + Sync,
-        R: Send,
-    {
-        ParMap {
-            range: self.range,
-            f,
-        }
+        pool().launch(self.range, &|lo, hi| (lo..hi).for_each(&f));
     }
 }
-
-pub struct ParMap<F> {
-    range: Range<usize>,
-    f: F,
-}
-
-impl<F> ParMap<F> {
-    pub fn collect<C, R>(self) -> C
-    where
-        F: Fn(usize) -> R + Sync,
-        R: Send,
-        C: FromIterator<R>,
-    {
-        let start = self.range.start;
-        let len = self.range.len();
-        let mut out: Vec<Option<R>> = Vec::with_capacity(len);
-        out.resize_with(len, || None);
-        {
-            let slots = SendSlice(out.as_mut_ptr());
-            let f = &self.f;
-            broadcast(self.range.clone(), &move |lo, hi| {
-                let slots = &slots;
-                for i in lo..hi {
-                    // Safety: each index is visited by exactly one worker
-                    // (disjoint chunks), and `out` outlives the broadcast.
-                    unsafe { slots.0.add(i - start).write(Some(f(i))) }
-                }
-            });
-        }
-        out.into_iter().map(|v| v.expect("slot unfilled")).collect()
-    }
-}
-
-struct SendSlice<R>(*mut Option<R>);
-unsafe impl<R: Send> Send for SendSlice<R> {}
-unsafe impl<R: Send> Sync for SendSlice<R> {}
 
 // ---------------------------------------------------------------------------
-// Broadcast pool
+// Work-first pool
 // ---------------------------------------------------------------------------
 
 type Body<'a> = &'a (dyn Fn(usize, usize) + Sync);
 
+/// One launch, as the participants see it: pointers into the stack frame of
+/// the [`Pool::launch`] call that built it.
+// SAFETY: the contract of `Job`. The pointers are valid for as long as
+// `launch` has not returned. A thread may dereference them only
+// (a) inside that `launch` call itself, or
+// (b) on a worker that copied the job out of `PoolState::job` and added
+//     itself to `PoolState::running` in one critical section of
+//     `Pool::state`, until it subtracts itself again.
+// `launch` takes the job out of `PoolState::job` under the same lock and then
+// blocks until `running` is zero, so every worker under (b) is done before
+// the frame dies, and a worker that wakes later finds `None` (or a newer job)
+// and never sees the dead one.
 #[derive(Clone, Copy)]
 struct Job {
-    /// Lifetime-erased pointer to the caller's body closure. Valid because
-    /// the submitting thread blocks until every worker has left the job.
     body: *const (dyn Fn(usize, usize) + Sync + 'static),
     counter: *const AtomicUsize,
     end: usize,
     grain: usize,
     panic_slot: *const Mutex<Option<PanicPayload>>,
 }
+// SAFETY: `body` points at a `Sync` closure and `counter` / `panic_slot` at
+// `Sync` values, so sharing them between the launch's participants is sound;
+// the lifetime half of the argument is the contract above.
 unsafe impl Send for Job {}
 
 struct PoolState {
+    /// Bumped per published job, so a worker joins each job at most once.
     epoch: u64,
     job: Option<Job>,
+    /// Workers inside the published (or just unpublished) job.
     running: usize,
 }
 
@@ -141,21 +111,22 @@ struct Pool {
     state: Mutex<PoolState>,
     work_cv: Condvar,
     done_cv: Condvar,
-    /// Serializes broadcasts from concurrent callers (e.g. mpi-sim ranks).
+    /// Held by the one launch the workers are serving.
     submit: Mutex<()>,
+    #[cfg(test)]
+    hooks: tests::Hooks,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
+/// Every critical section of the pool's mutexes leaves the data valid (plain
+/// stores of whole values), so a poisoned lock is recovered, not propagated.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 fn pool() -> &'static Pool {
     static POOL: OnceLock<&'static Pool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let workers = std::env::var("RAYON_NUM_THREADS")
+        let threads = std::env::var("RAYON_NUM_THREADS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n > 0)
@@ -163,9 +134,16 @@ fn pool() -> &'static Pool {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(4)
-            })
-            .saturating_sub(1) // the submitting thread participates too
-            .min(63);
+            });
+        Pool::start(threads)
+    })
+}
+
+impl Pool {
+    /// A pool of `threads` threads: `threads - 1` workers (at most 63) plus
+    /// whichever thread is launching. Workers live as long as the process.
+    fn start(threads: usize) -> &'static Pool {
+        let workers = threads.saturating_sub(1).min(63);
         let pool: &'static Pool = Box::leak(Box::new(Pool {
             workers,
             state: Mutex::new(PoolState {
@@ -176,44 +154,115 @@ fn pool() -> &'static Pool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             submit: Mutex::new(()),
+            #[cfg(test)]
+            hooks: Default::default(),
         }));
         for w in 0..workers {
             std::thread::Builder::new()
                 .name(format!("par-worker-{w}"))
-                .spawn(move || worker_loop(pool))
+                .spawn(move || pool.worker_loop())
                 .expect("spawn pool worker");
         }
         pool
-    })
-}
+    }
 
-fn worker_loop(pool: &'static Pool) {
-    let mut seen = 0u64;
-    loop {
-        let job = {
-            let mut st = lock(&pool.state);
-            while st.epoch == seen || st.job.is_none() {
-                st = match pool.work_cv.wait(st) {
-                    Ok(g) => g,
-                    Err(p) => p.into_inner(),
-                };
-            }
+    fn worker_loop(&self) {
+        let mut seen = 0u64;
+        let mut st = lock(&self.state);
+        loop {
+            let Some(job) = st.job.filter(|_| st.epoch != seen) else {
+                st = self.work_cv.wait(st).unwrap_or_else(|p| p.into_inner());
+                #[cfg(test)]
+                {
+                    // A waker the OS schedules late: woken, but yet to look
+                    // at the state.
+                    drop(st);
+                    self.hooks.woken();
+                    st = lock(&self.state);
+                }
+                continue;
+            };
             seen = st.epoch;
-            st.job.expect("job present")
+            st.running += 1;
+            drop(st);
+            // SAFETY: joined under the state lock while the job was
+            // published — case (b) of the `Job` contract.
+            unsafe { run_job(job) };
+            st = lock(&self.state);
+            st.running -= 1;
+            if st.running == 0 {
+                self.done_cv.notify_all();
+            }
+        }
+    }
+
+    /// Run `body(lo, hi)` over disjoint chunks covering `range`, on the
+    /// calling thread plus whichever workers join in time. Returns after
+    /// every chunk is done; re-throws the first panic a chunk raised.
+    fn launch(&self, range: Range<usize>, body: Body<'_>) {
+        let len = range.len();
+        if len == 0 {
+            return;
+        }
+        if self.workers == 0 || len == 1 {
+            body(range.start, range.end);
+            return;
+        }
+        let grain = (len / ((self.workers + 1) * 4)).max(1);
+        let counter = AtomicUsize::new(range.start);
+        let panic_slot: Mutex<Option<PanicPayload>> = Mutex::new(None);
+        // SAFETY: only the lifetime is erased; the `Job` contract keeps
+        // every use of the pointer inside this call.
+        let body_static: &(dyn Fn(usize, usize) + Sync + 'static) =
+            unsafe { std::mem::transmute(body) };
+        let job = Job {
+            body: body_static as *const _,
+            counter: &counter,
+            end: range.end,
+            grain,
+            panic_slot: &panic_slot,
         };
-        run_job(job);
-        let mut st = lock(&pool.state);
-        st.running -= 1;
-        if st.running == 0 {
-            pool.done_cv.notify_all();
+        let serving = match self.submit.try_lock() {
+            Ok(g) => Some(g),
+            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+            // Another launch owns the workers: this one runs here, alone.
+            Err(TryLockError::WouldBlock) => None,
+        };
+        if serving.is_some() {
+            let mut st = lock(&self.state);
+            st.epoch += 1;
+            st.job = Some(job);
+            drop(st);
+            self.work_cv.notify_all();
+        }
+        // Work first. A panicking chunk is caught inside `run_job`, so this
+        // thread always reaches the wait below while workers still hold
+        // pointers into its frame.
+        // SAFETY: case (a) of the `Job` contract.
+        unsafe { run_job(job) };
+        if serving.is_some() {
+            let mut st = lock(&self.state);
+            st.job = None;
+            while st.running > 0 {
+                st = self.done_cv.wait(st).unwrap_or_else(|p| p.into_inner());
+            }
+        }
+        drop(serving);
+        let payload = lock(&panic_slot).take();
+        if let Some(payload) = payload {
+            panic::resume_unwind(payload);
         }
     }
 }
 
-fn run_job(job: Job) {
-    let counter = unsafe { &*job.counter };
-    let body = unsafe { &*job.body };
-    let panic_slot = unsafe { &*job.panic_slot };
+/// Claim and run chunks of `job` until none are left.
+///
+/// # Safety
+/// The caller must be a participant of `job` under case (a) or (b) of the
+/// [`Job`] contract for the whole call.
+unsafe fn run_job(job: Job) {
+    // SAFETY: the caller's participation keeps the launch frame alive.
+    let (counter, body, panic_slot) = unsafe { (&*job.counter, &*job.body, &*job.panic_slot) };
     loop {
         let lo = counter.fetch_add(job.grain, Ordering::Relaxed);
         if lo >= job.end {
@@ -221,138 +270,13 @@ fn run_job(job: Job) {
         }
         let hi = (lo + job.grain).min(job.end);
         if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| body(lo, hi))) {
-            let mut slot = lock(panic_slot);
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-            // Drain the rest of the range so the region terminates promptly.
+            lock(panic_slot).get_or_insert(payload);
+            // Drop the rest of the range so the region terminates promptly.
             counter.store(job.end, Ordering::Relaxed);
             break;
         }
     }
 }
 
-/// Run `body(lo, hi)` over disjoint chunks covering `range`, on the pool
-/// plus the calling thread. Returns after every chunk is done.
-fn broadcast(range: Range<usize>, body: Body<'_>) {
-    let len = range.len();
-    if len == 0 {
-        return;
-    }
-    let pool = pool();
-    if pool.workers == 0 || len == 1 {
-        body(range.start, range.end);
-        return;
-    }
-    let grain = (len / ((pool.workers + 1) * 4)).max(1);
-    let counter = AtomicUsize::new(range.start);
-    let panic_slot: Mutex<Option<PanicPayload>> = Mutex::new(None);
-    // Erase the body's lifetime for the trip through the pool; `broadcast`
-    // does not return until every worker has dropped its reference.
-    let body_static: &(dyn Fn(usize, usize) + Sync + 'static) =
-        unsafe { std::mem::transmute(body) };
-    let job = Job {
-        body: body_static as *const _,
-        counter: &counter,
-        end: range.end,
-        grain,
-        panic_slot: &panic_slot,
-    };
-    let _submit = lock(&pool.submit);
-    {
-        let mut st = lock(&pool.state);
-        st.epoch += 1;
-        st.job = Some(job);
-        st.running = pool.workers;
-        pool.work_cv.notify_all();
-    }
-    // Participate; even if the body panics on this thread the catch in
-    // run_job keeps us alive to wait for the workers (their chunks reference
-    // our stack).
-    run_job(job);
-    {
-        let mut st = lock(&pool.state);
-        while st.running > 0 {
-            st = match pool.done_cv.wait(st) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-        }
-        st.job = None;
-    }
-    let payload = lock(&panic_slot).take();
-    if let Some(payload) = payload {
-        panic::resume_unwind(payload);
-    }
-}
-
 #[cfg(test)]
-mod tests {
-    use super::prelude::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn for_each_visits_every_index_once() {
-        let hits: Vec<AtomicU64> = (0..10_000).map(|_| AtomicU64::new(0)).collect();
-        (0..hits.len()).into_par_iter().for_each(|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn map_collect_preserves_order() {
-        let v: Vec<f64> = (0..5_000).into_par_iter().map(|i| i as f64 * 0.5).collect();
-        assert_eq!(v.len(), 5_000);
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i as f64 * 0.5);
-        }
-    }
-
-    #[test]
-    fn empty_and_single() {
-        (0..0).into_par_iter().for_each(|_| panic!("must not run"));
-        let v: Vec<usize> = (7..8).into_par_iter().map(|i| i).collect();
-        assert_eq!(v, vec![7]);
-    }
-
-    #[test]
-    fn nested_sequential_calls_reuse_pool() {
-        for round in 0..50 {
-            let s: Vec<u64> = (0..64)
-                .into_par_iter()
-                .map(|i| (i as u64) + round)
-                .collect();
-            assert_eq!(s.iter().sum::<u64>(), (0..64).sum::<u64>() + 64 * round);
-        }
-    }
-
-    #[test]
-    fn panic_propagates() {
-        let r = std::panic::catch_unwind(|| {
-            (0..100).into_par_iter().for_each(|i| {
-                if i == 57 {
-                    panic!("boom");
-                }
-            });
-        });
-        assert!(r.is_err());
-        // Pool must still be usable afterwards.
-        let v: Vec<usize> = (0..10).into_par_iter().map(|i| i).collect();
-        assert_eq!(v, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn concurrent_submitters_serialize() {
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..20 {
-                        let v: Vec<usize> = (0..256).into_par_iter().map(|i| i * 2).collect();
-                        assert_eq!(v[100], 200);
-                    }
-                });
-            }
-        });
-    }
-}
+mod tests;
