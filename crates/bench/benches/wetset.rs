@@ -101,7 +101,7 @@ fn bench_wetset(c: &mut Criterion) {
         // dt = 0 keeps repeated in-place application numerically inert
         // while running the full instruction mix.
         let mk_vmix = || FunctorVmixImplicit {
-            q: m.state.t[0].clone(),
+            q: [m.state.t[0].clone()],
             kcoef: m.state.kh.clone(),
             mask: g.kmt.clone(),
             dz: g.dz.clone(),
@@ -110,8 +110,8 @@ fn bench_wetset(c: &mut Criterion) {
             nz: g.nz,
         };
         let mk_az = || FunctorAdvectZ {
-            q: m.state.work.adv_tmp[0].clone(),
-            q1: m.state.work.adv_tmp[0].clone(),
+            q: m.state.work.adv_tmp.clone(),
+            q1: m.state.work.adv_tmp.clone(),
             w: m.state.w.clone(),
             kmt: g.kmt.clone(),
             dz: g.dz.clone(),

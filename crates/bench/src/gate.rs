@@ -17,7 +17,12 @@
 //! * **deterministic counters** (`p2p_messages_total`, `p2p_bytes_total`, `wet_cells`,
 //!   `steps`, `drift_*_trips`) — exact: the simulated transport is
 //!   deterministic, so *any* difference is a real behaviour change.
-//! * unknown names — informational, never gate.
+//! * unknown names — informational, never gate. So is
+//!   `sypd_ratio_vs_threads` (Threads SYPD over SwAthread SYPD): a
+//!   wall-clock ratio between a host pool and a simulator, on a grid where
+//!   every Threads launch runs inline, reads the simulator's constant cost
+//!   (5.6 in the committed baseline) and defends nothing; the SwAthread
+//!   deliverables are the deterministic `cg_*` rows.
 //!
 //! A metric present in the baseline but missing from the run fails (a
 //! silently dropped measurement is itself a regression); new metrics in
@@ -112,16 +117,6 @@ pub fn policy_for(name: &str) -> MetricPolicy {
             direction: Direction::HigherIsBetter,
             rel_tol: 0.25,
             abs_floor: 0.0,
-        },
-        // The headline SwAthread gap: Threads SYPD over SwAthread SYPD
-        // (1.0 = parity). Wall-clock on both sides, so noise enters
-        // twice — the ratio swings ±0.3 run to run on a loaded host.
-        // The wide absolute floor keeps jitter out; the real ceiling is
-        // CI's --assert-below bound.
-        "sypd_ratio_vs_threads" => MetricPolicy {
-            direction: Direction::LowerIsBetter,
-            rel_tol: 0.5,
-            abs_floor: 0.5,
         },
         // Serving throughput of the ensemble engine (aggregate model
         // steps per wall second across all concurrent instances). Wall

@@ -312,7 +312,7 @@ impl FunctorDiagnoseW {
     /// each face's two B-grid corners: their mean, zero where the
     /// shallower of the face's two T cells (`kface` levels) is dry at `k`.
     #[inline(always)]
-    fn face<const W: usize>(k: usize, kface: &[usize; W], corners: [f64; W]) -> F64x<W> {
+    fn face<const W: usize>(k: usize, kface: &[i32; W], corners: [f64; W]) -> F64x<W> {
         above(k, kface).select(0.5 * F64x(corners), F64x::splat(0.0))
     }
 }
@@ -356,7 +356,7 @@ impl ColumnKernel for FunctorDiagnoseW {
             s[k] = (v(k, jl - 1, il) + v(k, jl - 1, il - 1)).0;
         }
         // Wet depth of each face: the shallower of its two T cells.
-        let face_depth = |jn: usize, i_n: usize| -> [usize; W] {
+        let face_depth = |jn: usize, i_n: usize| -> [i32; W] {
             let (nb, _) = lanes::depths::<W>(&self.kmt, jn, i_n);
             std::array::from_fn(|l| kmt[l].min(nb[l]))
         };
@@ -416,12 +416,13 @@ impl FunctorList for FunctorDiagnoseWList {
 
 kokkos_rs::register_for_list!(kernel_diagnose_w_list, FunctorDiagnoseWList);
 
-/// Vertical pass: limited upstream fluxes through interfaces and the
-/// divergence update, column-wise (the column loop *is* the stencil, so
-/// one functor does both steps).
+/// Vertical pass of both tracers: limited upstream fluxes through
+/// interfaces and the divergence update, column-wise (the column loop *is*
+/// the stencil, so one functor does both steps). `w` is staged once and
+/// the interface CFL `c = |w| dt / dz` — a divide — serves `T` and `S`.
 pub struct FunctorAdvectZ {
-    pub q: View3<f64>,
-    pub q1: View3<f64>,
+    pub q: [View3<f64>; 2],
+    pub q1: [View3<f64>; 2],
     pub w: View3<f64>,
     pub kmt: View2<i32>,
     pub dz: View1<f64>,
@@ -431,9 +432,10 @@ pub struct FunctorAdvectZ {
 }
 
 impl ColumnKernel for FunctorAdvectZ {
-    /// Interface fluxes `f[k]`, `k = 0..=nz`, and the staged `q` and `w`.
+    /// The staged `w`, and per tracer the staged `q` and the interface
+    /// fluxes `f[k]`, `k = 0..=nz`.
     fn scratch_words(&self) -> usize {
-        3 * self.nz + 1
+        5 * self.nz + 2
     }
 
     /// The columns `(jl, il..il + W)` at **padded** indices — the one body
@@ -443,11 +445,12 @@ impl ColumnKernel for FunctorAdvectZ {
     /// land columns.
     fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
         let (kmt, kmax) = lanes::depths::<W>(&self.kmt, jl, il);
-        let (q, wv) = (&self.q, &self.w);
-        let kmin = kmt.iter().copied().min().unwrap_or(0);
+        let kmin = kmt.iter().copied().min().unwrap_or(0).max(0) as usize;
         for k in kmin..self.nz {
-            let dry = Mask::<W>::from_fn(|l| k >= kmt[l]);
-            F64x::load(q, k, jl, il).store_where(dry, &self.q1, k, jl, il);
+            let dry = Mask::<W>::from_fn(|l| k as i32 >= kmt[l]);
+            for (q, q1) in self.q.iter().zip(&self.q1) {
+                F64x::load(q, k, jl, il).store_where(dry, q1, k, jl, il);
+            }
         }
         if kmax == 0 {
             return;
@@ -462,47 +465,64 @@ impl ColumnKernel for FunctorAdvectZ {
         // with the moving surface at the surface value — bounded and
         // zero-mean under oscillating η.
         let zero = F64x::<W>::splat(0.0);
-        let (f, staged) = scratch.split_at_mut((self.nz + 1) * W);
-        let (qs, ws) = staged.split_at_mut(self.nz * W);
-        let f = lanes::rows::<W>(f, kmax + 1);
-        let (qs, ws) = (lanes::rows::<W>(qs, kmax), lanes::rows::<W>(ws, kmax));
+        let nz = self.nz;
+        let (ws, rest) = scratch.split_at_mut(nz * W);
+        let (qs, f) = rest.split_at_mut(2 * nz * W);
+        let ws = lanes::rows::<W>(ws, kmax);
+        // Row `2k + t` is tracer `t` at level / interface `k`.
+        let (qs, f) = (
+            lanes::rows::<W>(qs, 2 * kmax),
+            lanes::rows::<W>(f, 2 * kmax + 2),
+        );
         // Stage the block's inputs first: a bare copy loop keeps a cache
         // miss per level in flight, which the flux loop (two divides per
-        // level) cannot — the vertical stride puts every level on its own
-        // line and page.
+        // level and tracer) cannot — the vertical stride puts every level
+        // on its own line and page.
         for k in 0..kmax {
-            qs[k] = F64x::<W>::load(q, k, jl, il).0;
-            ws[k] = F64x::<W>::load(wv, k, jl, il).0;
+            ws[k] = F64x::<W>::load(&self.w, k, jl, il).0;
+            for (t, q) in self.q.iter().enumerate() {
+                qs[2 * k + t] = F64x::<W>::load(q, k, jl, il).0;
+            }
         }
-        f[0] = above(0, &kmt).select(F64x(ws[0]) * F64x(qs[0]), zero).0;
-        f[kmax] = zero.0;
-        for (k, fk) in f.iter_mut().enumerate().take(kmax).skip(1) {
+        let top = above(0, &kmt);
+        for t in 0..2 {
+            f[t] = top.select(F64x(ws[0]) * F64x(qs[t]), zero).0;
+            f[2 * kmax + t] = zero.0;
+        }
+        for k in 1..kmax {
             let w = F64x(ws[k]);
             let c = (w.abs() * self.dt / self.dz.at(k)).min(F64x::splat(1.0));
-            let (q_k, q_above) = (F64x(qs[k]), F64x(qs[k - 1]));
-            // w ≥ 0: donor layer k (below interface k), upwind k+1 while
-            // that is still water. Otherwise donor layer k-1 (above),
-            // upwind k-2.
-            let behind_up = if k + 1 < kmax {
-                above(k + 1, &kmt).select(F64x(qs[k + 1]), q_k)
-            } else {
-                q_k
-            };
-            let behind_down = if k >= 2 { F64x(qs[k - 2]) } else { q_above };
             let up = w.ge(zero);
-            let qf = face_values(
-                up.select(behind_up, behind_down),
-                up.select(q_k, q_above),
-                up.select(q_above, q_k),
-                c,
-                self.limited,
-            );
-            *fk = above(k, &kmt).select(w * qf, zero).0;
+            let (wet, wet_below) = (above(k, &kmt), above(k + 1, &kmt));
+            for t in 0..2 {
+                let q_at = |k: usize| F64x(qs[2 * k + t]);
+                let (q_k, q_above) = (q_at(k), q_at(k - 1));
+                // w ≥ 0: donor layer k (below interface k), upwind k+1 while
+                // that is still water. Otherwise donor layer k-1 (above),
+                // upwind k-2.
+                let behind_up = if k + 1 < kmax {
+                    wet_below.select(q_at(k + 1), q_k)
+                } else {
+                    q_k
+                };
+                let behind_down = if k >= 2 { q_at(k - 2) } else { q_above };
+                let qf = face_values(
+                    up.select(behind_up, behind_down),
+                    up.select(q_k, q_above),
+                    up.select(q_above, q_k),
+                    c,
+                    self.limited,
+                );
+                f[2 * k + t] = wet.select(w * qf, zero).0;
+            }
         }
         for k in 0..kmax {
-            // d(q)/dt = -(f[k] - f[k+1]) / dz  (f positive upward).
-            let dq = -self.dt * (F64x(f[k]) - F64x(f[k + 1])) / self.dz.at(k);
-            (F64x(qs[k]) + dq).store_where(above(k, &kmt), &self.q1, k, jl, il);
+            let wet = above(k, &kmt);
+            for (t, q1) in self.q1.iter().enumerate() {
+                // d(q)/dt = -(f[k] - f[k+1]) / dz  (f positive upward).
+                let dq = -self.dt * (F64x(f[2 * k + t]) - F64x(f[2 * k + 2 + t])) / self.dz.at(k);
+                (F64x(qs[2 * k + t]) + dq).store_where(wet, q1, k, jl, il);
+            }
         }
     }
 }
@@ -512,10 +532,13 @@ impl Functor2D for FunctorAdvectZ {
         lanes::run_column(self, j + H, i + H);
     }
 
+    /// Per column, both tracers: the limiter and update per tracer (26
+    /// flops a level), the CFL once (4); per tracer `q` in, `q1` out and the
+    /// staged rows (64 bytes a level), `w` and the metrics once (16).
     fn cost(&self) -> IterCost {
         IterCost {
-            flops: 30 * self.nz as u64,
-            bytes: 80 * self.nz as u64,
+            flops: 56 * self.nz as u64,
+            bytes: 144 * self.nz as u64,
         }
     }
 }
@@ -667,21 +690,19 @@ pub fn advect_tracer(
     }
     // Z pass in place on q_out (column-local, no halo needed).
     let _r = kokkos_rs::profiling::region("adv:zpass");
-    for q_out in q_out {
-        let az = FunctorAdvectZ {
-            q: q_out.clone(),
-            q1: q_out.clone(),
-            w: w.clone(),
-            kmt: g.kmt.clone(),
-            dz: g.dz.clone(),
-            dt,
-            nz,
-            limited,
-        };
-        match wet_cols {
-            Some(cols) => parallel_for_list(space, cols, &FunctorAdvectZList { f: az, pi: g.pi }),
-            None => parallel_for_2d(space, MDRangePolicy2::new([ny, nx]), &az),
-        }
+    let az = FunctorAdvectZ {
+        q: q_out.map(View3::clone),
+        q1: q_out.map(View3::clone),
+        w: w.clone(),
+        kmt: g.kmt.clone(),
+        dz: g.dz.clone(),
+        dt,
+        nz,
+        limited,
+    };
+    match wet_cols {
+        Some(cols) => parallel_for_list(space, cols, &FunctorAdvectZList { f: az, pi: g.pi }),
+        None => parallel_for_2d(space, MDRangePolicy2::new([ny, nx]), &az),
     }
     Ok(())
 }

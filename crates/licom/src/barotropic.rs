@@ -16,7 +16,7 @@
 
 use kokkos_rs::{
     parallel_for_2d, Functor2D, FunctorList, FunctorPair2D, FunctorTriple2D, IterCost,
-    MDRangePolicy2, Space, View1, View2,
+    MDRangePolicy2, Space, View1, View2, View3,
 };
 use ocean_grid::GRAVITY;
 
@@ -41,11 +41,16 @@ macro_rules! row_kernel_2d {
     };
 }
 
-/// Depth-mean of a 3-D tendency at B-grid corners, weighted by layer
-/// thickness over the corner's active column.
+/// Depth-means of the two 3-D momentum tendencies at B-grid corners,
+/// weighted by layer thickness over the corner's active column:
+/// `(ut, vt) → (gu, gv)`. The column thickness `h` is summed once and
+/// serves both. Paired for the launch count and the simulated CG, not for
+/// host time: in the traced step it is ≈ 0.4 ms slower than two
+/// single-field launches (60 page streams instead of 30; EXPERIMENTS.md
+/// "Divide once").
 pub struct FunctorDepthMean {
-    pub tend: kokkos_rs::View3<f64>,
-    pub out: View2<f64>,
+    pub tend: [View3<f64>; 2],
+    pub out: [View2<f64>; 2],
     pub kmu: View2<i32>,
     pub dz: View1<f64>,
 }
@@ -54,18 +59,17 @@ impl FunctorDepthMean {
     /// One corner at **padded** indices (shared by both launch shapes).
     fn column(&self, jl: usize, il: usize) {
         let kb = self.kmu.at(jl, il) as usize;
-        if kb == 0 {
-            self.out.set_at(jl, il, 0.0);
-            return;
-        }
-        let mut sum = 0.0;
-        let mut h = 0.0;
+        let (mut sum, mut h) = ([0.0; 2], 0.0);
         for k in 0..kb {
             let dz = self.dz.at(k);
-            sum += self.tend.at(k, jl, il) * dz;
+            for (sum, tend) in sum.iter_mut().zip(&self.tend) {
+                *sum += tend.at(k, jl, il) * dz;
+            }
             h += dz;
         }
-        self.out.set_at(jl, il, sum / h);
+        for (sum, out) in sum.iter().zip(&self.out) {
+            out.set_at(jl, il, if kb == 0 { 0.0 } else { sum / h });
+        }
     }
 }
 
@@ -74,10 +78,13 @@ impl Functor2D for FunctorDepthMean {
         self.column(j + H, i + H);
     }
 
+    /// Per corner, both components: a multiply-add per level and component
+    /// plus the shared thickness sum; two tendency columns read, `dz` and
+    /// `kmu` once (a single-field mean is 60 flops over 500 bytes).
     fn cost(&self) -> IterCost {
         IterCost {
-            flops: 60,
-            bytes: 500,
+            flops: 100,
+            bytes: 750,
         }
     }
 }
@@ -903,8 +910,8 @@ mod tests {
         let nz = 3;
         let tend: View3<f64> = View::host("t", [nz, pj, pi]);
         let f = FunctorDepthMean {
-            tend: tend.clone(),
-            out: View::host("o", [pj, pi]),
+            tend: [tend.clone(), View::host("t2", [nz, pj, pi])],
+            out: [View::host("o", [pj, pi]), View::host("o2", [pj, pi])],
             kmu: View::host("k", [pj, pi]),
             dz: View::host("dz", [nz]),
         };
@@ -917,7 +924,8 @@ mod tests {
         tend.set_at(2, H, H, 3.0);
         f.operator(0, 0);
         let want = (10.0 + 40.0 + 210.0) / 100.0;
-        assert!((f.out.at(H, H) - want).abs() < 1e-12);
+        assert!((f.out[0].at(H, H) - want).abs() < 1e-12);
+        assert_eq!(f.out[1].at(H, H), 0.0);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use kokkos_rs::{
 use ocean_grid::{GRAVITY, RHO0};
 
 use crate::constants::{ALPHA_T, BETA_S, S_REF, T_REF};
+use crate::lanes::{self, above, ColumnKernel, F64x};
 
 /// Pointwise density from the linearised EOS.
 pub struct FunctorEos {
@@ -87,21 +88,26 @@ pub struct FunctorPressure {
     pub nz: usize,
 }
 
+impl ColumnKernel for FunctorPressure {
+    /// The columns `(jl, il..il + W)`: the integral down to each lane's
+    /// bottom, held constant below it (a land column is all "below").
+    fn block<const W: usize>(&self, jl: usize, il: usize, _scratch: &mut [f64]) {
+        let (kb, _) = lanes::depths::<W>(&self.kmt, jl, il);
+        let mut p = GRAVITY * RHO0 * F64x::<W>::load2(&self.eta, jl, il);
+        let mut prev_rho_dz = F64x::<W>::splat(0.0);
+        for k in 0..self.nz {
+            let rdz = F64x::load(&self.rho, k, jl, il) * self.dz.at(k);
+            p = above(k, &kb).select(p + GRAVITY * 0.5 * (prev_rho_dz + rdz), p);
+            p.store(&self.pressure, k, jl, il);
+            prev_rho_dz = rdz;
+        }
+    }
+}
+
 impl Functor2D for FunctorPressure {
     /// Raw padded indices; see [`FunctorEos::operator`].
     fn operator(&self, jl: usize, il: usize) {
-        let kmt = self.kmt.at(jl, il) as usize;
-        let mut p = GRAVITY * RHO0 * self.eta.at(jl, il);
-        let mut prev_rho_dz = 0.0;
-        for k in 0..self.nz.min(kmt) {
-            let rdz = self.rho.at(k, jl, il) * self.dz.at(k);
-            p += GRAVITY * 0.5 * (prev_rho_dz + rdz);
-            self.pressure.set_at(k, jl, il, p);
-            prev_rho_dz = rdz;
-        }
-        for k in kmt..self.nz {
-            self.pressure.set_at(k, jl, il, p);
-        }
+        lanes::run_column(self, jl, il);
     }
 
     fn cost(&self) -> IterCost {
@@ -127,7 +133,11 @@ pub struct FunctorPressureList {
 impl FunctorList for FunctorPressureList {
     fn operator(&self, _n: usize, idx: u32) {
         let idx = idx as usize;
-        self.f.operator(idx / self.pi, idx % self.pi);
+        lanes::run_column(&self.f, idx / self.pi, idx % self.pi);
+    }
+
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        lanes::run_span(&self.f, self.pi, entries);
     }
 
     fn cost(&self) -> IterCost {

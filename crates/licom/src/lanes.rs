@@ -15,7 +15,10 @@
 //!
 //! [`run_span`] feeds such a body from a `ListPolicy` tile: maximal runs of
 //! consecutive packed indices in [`LANES`]-wide blocks, the `W = 1`
-//! instantiation as tail. [`run_column`] is the dense / per-entry path.
+//! instantiation as tail, each block announced one ahead to
+//! [`ColumnKernel::prefetch`] (the levels of a column block sit on a page
+//! each, which no hardware prefetcher follows for long). [`run_column`] is
+//! the dense / per-entry path.
 //!
 //! The dense horizontal kernels (the advection x/y passes, the barotropic
 //! substep, the leapfrog and Asselin streams) are the same idea turned
@@ -23,11 +26,15 @@
 //! row, [`run_tile`] walks an MDRange policy tile with it
 //! (`lane_blocks!` is the walk itself, for bodies that stage through
 //! scratch between two sweeps of a row), and the
-//! per-point `operator` is the `W = 1` instantiation. `LANES` is a
-//! constant, not an option.
+//! per-point `operator` is the `W = 1` instantiation. The two stencils that
+//! also run over packed wet cells (momentum tendency, tracer diffusion) are
+//! [`RowKernel`]s at padded indices — their dense tile hands [`run_tile`]
+//! padded bounds, their wet-list span walks its runs with the same body —
+//! and take their free-slip neighbours from [`wet_around`] / [`free_slip`].
+//! `LANES` is a constant, not an option.
 
 use std::cell::RefCell;
-use std::ops::{Add, Div, Mul, Sub};
+use std::ops::{Add, Div, Mul, Neg, Sub};
 
 use kokkos_rs::{View2, View3};
 
@@ -45,9 +52,11 @@ pub const MAX_NZ: usize = 256;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct F64x<const W: usize>(pub [f64; W]);
 
-/// `W` lane predicates.
+/// `W` lane predicates, each all-ones or all-zeros — the form a packed
+/// compare produces and a bit blend consumes, so selects compile to
+/// `and`/`andnot`/`or` instead of a branch per lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mask<const W: usize>(pub [bool; W]);
+pub struct Mask<const W: usize>([u64; W]);
 
 impl<const W: usize> F64x<W> {
     #[inline(always)]
@@ -72,6 +81,12 @@ impl<const W: usize> F64x<W> {
     #[inline(always)]
     pub fn abs(self) -> Self {
         Self::from_fn(|l| self.0[l].abs())
+    }
+
+    /// Lane-wise [`f64::sqrt`] (correctly rounded, so bitwise the scalar call).
+    #[inline(always)]
+    pub fn sqrt(self) -> Self {
+        Self::from_fn(|l| self.0[l].sqrt())
     }
 
     /// Lane-wise [`f64::min`] (same NaN behaviour as the scalar call).
@@ -141,7 +156,7 @@ impl<const W: usize> F64x<W> {
     #[inline(always)]
     pub fn store_where(self, m: Mask<W>, v: &View3<f64>, k: usize, jl: usize, il: usize) {
         for l in 0..W {
-            if m.0[l] {
+            if m.0[l] != 0 {
                 v.set_at(k, jl, il + l, self.0[l]);
             }
         }
@@ -151,9 +166,9 @@ impl<const W: usize> F64x<W> {
 impl<const W: usize> Mask<W> {
     #[inline(always)]
     pub fn from_fn(mut f: impl FnMut(usize) -> bool) -> Self {
-        let mut out = [false; W];
+        let mut out = [0; W];
         for (l, o) in out.iter_mut().enumerate() {
-            *o = f(l);
+            *o = 0u64.wrapping_sub(u64::from(f(l)));
         }
         Self(out)
     }
@@ -161,18 +176,22 @@ impl<const W: usize> Mask<W> {
     /// True when some lane holds.
     #[inline(always)]
     pub fn any(self) -> bool {
-        self.0.iter().any(|&b| b)
+        self.0.iter().fold(0, |acc, &m| acc | m) != 0
     }
 
     #[inline(always)]
     pub fn and(self, o: Self) -> Self {
-        Self::from_fn(|l| self.0[l] & o.0[l])
+        Self(std::array::from_fn(|l| self.0[l] & o.0[l]))
     }
 
-    /// Lane `l` is `a[l]` where the mask holds, else `b[l]`.
+    /// Lane `l` is `a[l]` where the mask holds, else `b[l]` (a bit blend:
+    /// the chosen lane keeps its exact bits).
     #[inline(always)]
     pub fn select(self, a: F64x<W>, b: F64x<W>) -> F64x<W> {
-        F64x::from_fn(|l| if self.0[l] { a.0[l] } else { b.0[l] })
+        F64x::from_fn(|l| {
+            let m = self.0[l];
+            f64::from_bits((a.0[l].to_bits() & m) | (b.0[l].to_bits() & !m))
+        })
     }
 }
 
@@ -202,22 +221,33 @@ macro_rules! lane_op {
     };
 }
 
+/// `-x` flips the sign bit; `0.0 - x` would turn `+0` into `+0`, not `-0`.
+impl<const W: usize> Neg for F64x<W> {
+    type Output = Self;
+    #[inline(always)]
+    fn neg(self) -> Self {
+        Self::from_fn(|l| -self.0[l])
+    }
+}
+
 lane_op!(Add, add, +);
 lane_op!(Sub, sub, -);
 lane_op!(Mul, mul, *);
 lane_op!(Div, div, /);
 
-/// Wet depths of the `W` columns starting at `(jl, il)`, and the deepest.
+/// Wet depths of the `W` columns starting at `(jl, il)` — as the mask
+/// stores them, so a level test is one packed 32-bit compare — and the
+/// deepest.
 #[inline(always)]
-pub fn depths<const W: usize>(mask: &View2<i32>, jl: usize, il: usize) -> ([usize; W], usize) {
-    let kb = mask.get_lanes::<W>([jl, il]).map(|d| d as usize);
-    (kb, kb.into_iter().max().unwrap_or(0))
+pub fn depths<const W: usize>(mask: &View2<i32>, jl: usize, il: usize) -> ([i32; W], usize) {
+    let kb = mask.get_lanes::<W>([jl, il]);
+    (kb, kb.into_iter().max().unwrap_or(0).max(0) as usize)
 }
 
 /// Lanes whose column is wet at level `k` (`k < kb[l]`).
 #[inline(always)]
-pub fn above<const W: usize>(k: usize, kb: &[usize; W]) -> Mask<W> {
-    Mask::from_fn(|l| k < kb[l])
+pub fn above<const W: usize>(k: usize, kb: &[i32; W]) -> Mask<W> {
+    Mask::from_fn(|l| (k as i32) < kb[l])
 }
 
 /// Lanes whose cell `(jl, il + l)` has more than `k` wet levels — the
@@ -227,6 +257,47 @@ pub fn above<const W: usize>(k: usize, kb: &[usize; W]) -> Mask<W> {
 pub fn wet<const W: usize>(mask: &View2<i32>, k: usize, jl: usize, il: usize) -> Mask<W> {
     let kb = mask.get_lanes::<W>([jl, il]);
     Mask::from_fn(|l| kb[l] > k as i32)
+}
+
+/// [`wet`] at the east, west, north and south neighbours of the cells
+/// `(jl, il..il + W)` — worked out once per block, whatever number of
+/// fields the stencil then reads.
+#[inline(always)]
+pub fn wet_around<const W: usize>(
+    mask: &View2<i32>,
+    k: usize,
+    jl: usize,
+    il: usize,
+) -> [Mask<W>; 4] {
+    [
+        wet(mask, k, jl, il + 1),
+        wet(mask, k, jl, il - 1),
+        wet(mask, k, jl + 1, il),
+        wet(mask, k, jl - 1, il),
+    ]
+}
+
+/// The free-slip (no-flux) stencil of `field` around the cells
+/// `(k, jl, il..il + W)`: its east, west, north and south values, each
+/// replaced by `centre` where `around` (from [`wet_around`]) says that
+/// neighbour is dry.
+#[inline(always)]
+pub fn free_slip<const W: usize>(
+    field: &View3<f64>,
+    around: &[Mask<W>; 4],
+    centre: F64x<W>,
+    k: usize,
+    jl: usize,
+    il: usize,
+) -> [F64x<W>; 4] {
+    let at = |jn, i_n| F64x::<W>::load(field, k, jn, i_n);
+    let [e, w, n, s] = *around;
+    [
+        e.select(at(jl, il + 1), centre),
+        w.select(at(jl, il - 1), centre),
+        n.select(at(jl + 1, il), centre),
+        s.select(at(jl - 1, il), centre),
+    ]
 }
 
 /// The first `n` rows of `W` words of a flat work array.
@@ -246,6 +317,30 @@ pub trait ColumnKernel {
     /// `scratch` holds at least `W · scratch_words()` words; contents on
     /// entry are arbitrary.
     fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]);
+
+    /// Stream-ahead hook: [`run_span`] names the block it will run *next*
+    /// (its first column) before it computes the current one, so a body can
+    /// [`prefetch3`] that block's levels — each sits on its own cache line
+    /// and page, a stride the hardware prefetchers do not follow. The host
+    /// analogue of `DmaPipe`'s double buffering (§V-C2). Default: nothing.
+    #[inline(always)]
+    fn prefetch(&self, _jl: usize, _il: usize) {}
+}
+
+/// Hint that the cache line holding `v(k, jl, il)` will be read soon.
+#[inline(always)]
+pub fn prefetch3(v: &View3<f64>, k: usize, jl: usize, il: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let p = v.data_ptr().wrapping_add(v.offset([k, jl, il]));
+        // SAFETY: a prefetch is a hint: it dereferences nothing and never
+        // faults, whatever the address; the address itself is formed with
+        // `wrapping_add`, which asks nothing of it either.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (v, k, jl, il);
 }
 
 thread_local! {
@@ -285,18 +380,33 @@ pub fn for_each_run(entries: &[u32], pi: usize, mut f: impl FnMut(usize, usize, 
 }
 
 /// Run `kernel` over one list tile of packed columns `jl · pi + il`:
-/// [`LANES`]-wide blocks down each run, single columns for the tail.
+/// [`LANES`]-wide blocks down each run, single columns for the tail. What
+/// follows a full block, and the run after the current one, is announced
+/// to [`ColumnKernel::prefetch`] one block ahead (the columns of a tail
+/// share their cache lines, so only the first of them is).
 #[inline]
 pub fn run_span<K: ColumnKernel>(kernel: &K, pi: usize, entries: &[u32]) {
     with_scratch(kernel.scratch_words() * LANES, |scratch| {
+        let mut done = 0;
         for_each_run(entries, pi, |jl, il, len| {
+            done += len;
             let mut d = 0;
-            while d + LANES <= len {
-                kernel.block::<LANES>(jl, il + d, scratch);
-                d += LANES;
-            }
-            for d in d..len {
-                kernel.block::<1>(jl, il + d, scratch);
+            while d < len {
+                let full = d + LANES <= len;
+                let next = d + if full { LANES } else { 1 };
+                if next == len {
+                    if let Some(&first) = entries.get(done) {
+                        kernel.prefetch(first as usize / pi, first as usize % pi);
+                    }
+                } else if full {
+                    kernel.prefetch(jl, il + next);
+                }
+                if full {
+                    kernel.block::<LANES>(jl, il + d, scratch);
+                } else {
+                    kernel.block::<1>(jl, il + d, scratch);
+                }
+                d = next;
             }
         });
     });
@@ -334,10 +444,12 @@ macro_rules! lane_blocks {
 pub(crate) use lane_blocks;
 
 /// A dense horizontal kernel written once: `block::<W>` updates the `W`
-/// points `(k, j, i..i + W)` of an MDRange launch (policy coordinates; a
-/// 2-D kernel ignores `k`). Points of a row are independent, so a block
-/// reads whatever neighbours the per-point body reads and writes only its
-/// own `W` outputs.
+/// points `(k, j, i..i + W)` of an MDRange launch (a 2-D kernel ignores
+/// `k`), in whichever coordinates its caller hands to [`run_tile`] — policy
+/// ones for most kernels, padded ones for those that share their body with
+/// a wet-list launch. Points of a row are independent, so a block reads
+/// whatever neighbours the per-point body reads and writes only its own
+/// `W` outputs.
 pub trait RowKernel {
     fn block<const W: usize>(&self, k: usize, j: usize, i: usize);
 }
@@ -408,10 +520,28 @@ mod tests {
             1.0,
             "f64::min drops the NaN like the scalar call"
         );
-        assert_eq!(a.lt(b), Mask([false, true, false, false]));
+        assert_eq!(a.lt(b), Mask::from_fn(|l| l == 1));
         assert_eq!(a.lt(b).select(a, b).0[..3], [0.5, -2.0, -3.0]);
+        assert!(a.lt(b).any() && !a.lt(b).and(b.lt(a)).any());
+        assert_eq!(
+            bits(-a)[..3],
+            [-1.5f64, 2.0, -0.0].map(f64::to_bits),
+            "negation flips the sign of a zero, which `0.0 - x` does not"
+        );
+        assert_ne!(bits(-a)[2], bits(0.0 - a)[2]);
     }
 
+    #[test]
+    fn select_keeps_the_chosen_lane_bit_for_bit() {
+        let nan = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+        let a = F64x::<4>([-0.0, nan, f64::INFINITY, 1.0]);
+        let b = F64x::<4>([0.0, 2.0, nan, -1.0]);
+        let m = Mask::<4>::from_fn(|l| l % 2 == 0);
+        let got = m.select(a, b).0.map(f64::to_bits);
+        assert_eq!(got, [a.0[0], b.0[1], a.0[2], b.0[3]].map(f64::to_bits));
+    }
+
+    /// Logs `(W, jl, il)` per block and `(0, jl, il)` per stream-ahead hint.
     struct Count<'a>(&'a RefCell<Vec<(usize, usize, usize)>>);
     impl ColumnKernel for Count<'_> {
         fn scratch_words(&self) -> usize {
@@ -420,6 +550,9 @@ mod tests {
         fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
             assert!(scratch.len() >= 3 * W);
             self.0.borrow_mut().push((W, jl, il));
+        }
+        fn prefetch(&self, jl: usize, il: usize) {
+            self.0.borrow_mut().push((0, jl, il));
         }
     }
 
@@ -431,14 +564,30 @@ mod tests {
         let mut entries: Vec<u32> = (0..LANES as u32 + 2).map(|d| 2 * 40 + 5 + d).collect();
         entries.push(3 * 40 + 1);
         run_span(&Count(&log), pi, &entries);
-        assert_eq!(
-            *log.borrow(),
-            vec![
-                (LANES, 2, 5),
-                (1, 2, 5 + LANES),
-                (1, 2, 6 + LANES),
-                (1, 3, 1)
-            ]
-        );
+        let blocks = [
+            (LANES, 2, 5),
+            (1, 2, 5 + LANES),
+            (1, 2, 6 + LANES),
+            (1, 3, 1),
+        ];
+        // A hint ahead of whatever follows a full block, and ahead of the
+        // next run; none from one tail column to the next.
+        let want = vec![
+            (0, 2, 5 + LANES),
+            blocks[0],
+            blocks[1],
+            (0, 3, 1),
+            blocks[2],
+            blocks[3],
+        ];
+        assert_eq!(*log.borrow(), want);
+    }
+
+    #[test]
+    fn a_prefetch_is_only_a_hint() {
+        let v: View3<f64> = kokkos_rs::View::host("v", [2, 3, 4]);
+        v.fill(7.0);
+        prefetch3(&v, 1, 2, 3);
+        assert!(v.as_slice().iter().all(|&x| x == 7.0));
     }
 }

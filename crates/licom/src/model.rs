@@ -47,6 +47,7 @@ use crate::forcing::{
     FunctorSurfaceRestore, FunctorSurfaceRestoreList, FunctorWindStress, FunctorWindStressList,
 };
 use crate::guard::{self, GuardViolation};
+use crate::lanes::{self, F64x, RowKernel};
 use crate::localgrid::LocalGrid;
 use crate::state::State;
 use crate::telemetry::{DriftTrip, StepMonitor, StepSample, TelemetryConfig};
@@ -181,11 +182,13 @@ impl std::fmt::Display for StepError {
 
 impl std::error::Error for StepError {}
 
-/// Explicit horizontal tracer diffusion: `q_new += dt · κ ∇² q_cur`,
-/// no-flux across land.
+/// Explicit horizontal diffusion of both tracers:
+/// `q_new += dt · κ ∇² q_cur`, no-flux across land. `T` and `S` share the
+/// wet mask, the four neighbours' wetness and the metrics, which are
+/// worked out once per block.
 pub struct FunctorTracerHDiff {
-    pub q_cur: kokkos_rs::View3<f64>,
-    pub q_new: kokkos_rs::View3<f64>,
+    pub q_cur: [View3<f64>; 2],
+    pub q_new: [View3<f64>; 2],
     pub kmt: View2<i32>,
     pub dxt: View1<f64>,
     pub dyt: f64,
@@ -193,36 +196,46 @@ pub struct FunctorTracerHDiff {
     pub dt: f64,
 }
 
-impl Functor3D for FunctorTracerHDiff {
-    fn operator(&self, k: usize, j: usize, i: usize) {
-        let (jl, il) = (j + H, i + H);
-        let ki = k as i32;
-        if self.kmt.at(jl, il) <= ki {
+impl RowKernel for FunctorTracerHDiff {
+    /// The `W` cells `(k, jl, il..il + W)`, **padded** indices — the one
+    /// body; the per-point `operator` and the list tail are `W = 1`. Dry
+    /// lanes keep their `q_new`.
+    #[inline(always)]
+    fn block<const W: usize>(&self, k: usize, jl: usize, il: usize) {
+        let wet = lanes::wet::<W>(&self.kmt, k, jl, il);
+        if !wet.any() {
             return;
         }
-        let q = self.q_cur.at(k, jl, il);
-        let nb = |jn: usize, inn: usize| -> f64 {
-            if self.kmt.at(jn, inn) > ki {
-                self.q_cur.at(k, jn, inn)
-            } else {
-                q
-            }
-        };
+        let wet_nb = lanes::wet_around::<W>(&self.kmt, k, jl, il);
         let dx = self.dxt.at(jl);
-        let lap = (nb(jl, il + 1) - 2.0 * q + nb(jl, il - 1)) / (dx * dx)
-            + (nb(jl + 1, il) - 2.0 * q + nb(jl - 1, il)) / (self.dyt * self.dyt);
-        self.q_new.set_at(
-            k,
-            jl,
-            il,
-            self.q_new.at(k, jl, il) + self.dt * self.kappa * lap,
-        );
+        for (q_cur, q_new) in self.q_cur.iter().zip(&self.q_new) {
+            let q = F64x::<W>::load(q_cur, k, jl, il);
+            let [e, w, n, s] = lanes::free_slip(q_cur, &wet_nb, q, k, jl, il);
+            let lap = (e - 2.0 * q + w) / (dx * dx) + (n - 2.0 * q + s) / (self.dyt * self.dyt);
+            let old = F64x::load(q_new, k, jl, il);
+            wet.select(old + self.dt * self.kappa * lap, old)
+                .store(q_new, k, jl, il);
+        }
+    }
+}
+
+impl Functor3D for FunctorTracerHDiff {
+    fn operator(&self, k: usize, j: usize, i: usize) {
+        self.block::<1>(k, j + H, i + H);
     }
 
+    fn operator_tile(&self, [k, (j0, j1), (i0, i1)]: [(usize, usize); 3]) {
+        lanes::run_tile(self, [k, (j0 + H, j1 + H), (i0 + H, i1 + H)]);
+    }
+
+    /// Per cell, both tracers: two 14-flop Laplacians less the second one's
+    /// metric products (3); two 7-word stencils (5 reads of `q_cur`, `q_new`
+    /// in and out) plus, once, the cell's and its neighbours' `kmt` and the
+    /// row metric (24 bytes) that two separate launches each paid.
     fn cost(&self) -> IterCost {
         IterCost {
-            flops: 14,
-            bytes: 80,
+            flops: 25,
+            bytes: 136,
         }
     }
 }
@@ -243,18 +256,15 @@ impl FunctorList for FunctorTracerHDiffList {
         let idx = idx as usize;
         let il = idx % self.pi;
         let rest = idx / self.pi;
-        let (k, jl) = (rest / self.pj, rest % self.pj);
-        // The dense operator offsets by the halo width itself.
-        self.f.operator(k, jl - H, il - H);
+        self.f.block::<1>(rest / self.pj, rest % self.pj, il);
     }
 
-    /// Decode `(k, jl, il)` once per run of cells adjacent in `i`.
+    /// Decode `(k, jl, il)` once per run of cells adjacent in `i`, then
+    /// walk the run in blocks.
     fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        crate::lanes::for_each_run(entries, self.pi, |row, il, len| {
+        lanes::for_each_run(entries, self.pi, |row, il, len| {
             let (k, jl) = (row / self.pj, row % self.pj);
-            for il in il..il + len {
-                self.f.operator(k, jl - H, il - H);
-            }
+            lanes::lane_blocks!(d, W in len => self.f.block::<W>(k, jl, il + d));
         });
     }
 
@@ -726,22 +736,20 @@ impl Model {
 
         // 4. Barotropic window.
         self.timers.start("barotropic");
-        for (tend, out) in [(&self.state.ut, &self.gu), (&self.state.vt, &self.gv)] {
-            let f_dm = FunctorDepthMean {
-                tend: tend.clone(),
-                out: out.clone(),
-                kmu: g.kmu.clone(),
-                dz: g.dz.clone(),
-            };
-            if active {
-                parallel_for_list(
-                    &space,
-                    &self.wet.ucols,
-                    &FunctorDepthMeanList { f: f_dm, pi: g.pi },
-                );
-            } else {
-                parallel_for_2d(&space, p2, &f_dm);
-            }
+        let f_dm = FunctorDepthMean {
+            tend: [self.state.ut.clone(), self.state.vt.clone()],
+            out: [self.gu.clone(), self.gv.clone()],
+            kmu: g.kmu.clone(),
+            dz: g.dz.clone(),
+        };
+        if active {
+            parallel_for_list(
+                &space,
+                &self.wet.ucols,
+                &FunctorDepthMeanList { f: f_dm, pi: g.pi },
+            );
+        } else {
+            parallel_for_2d(&space, p2, &f_dm);
         }
         let substeps = ((dt2 / self.cfg.dt_barotropic).round() as usize).max(1);
         let (gu, gv) = (self.gu.clone(), self.gv.clone());
@@ -787,10 +795,14 @@ impl Model {
         }
         self.timers.stop("update_uv");
         self.timers.start("vmix_momentum");
-        for field in [&self.state.u[n], &self.state.v[n]] {
-            let wet = active.then_some(&self.wet.ucols);
-            self.launch_vmix(&space, field, &self.state.km, &g.kmu, dt2, wet);
-        }
+        self.launch_vmix(
+            &space,
+            [&self.state.u[n], &self.state.v[n]],
+            &self.state.km,
+            &g.kmu,
+            dt2,
+            active.then_some(&self.wet.ucols),
+        );
         let f_btc = FunctorBtCorrect {
             u: self.state.u[n].clone(),
             v: self.state.v[n].clone(),
@@ -924,68 +936,45 @@ impl Model {
         self.timers.stop("advection_tracer");
         adv_res?;
         self.timers.start("hdiff");
-        let mut hd_res: Result<(), HaloError> = Ok(());
-        for (cur, new) in [
-            (&self.state.t[c], &self.state.t[n]),
-            (&self.state.s[c], &self.state.s[n]),
-        ] {
-            let mk_hd = || FunctorTracerHDiff {
-                q_cur: cur.clone(),
-                q_new: new.clone(),
+        let mk_hd = || FunctorTracerHDiffList {
+            f: FunctorTracerHDiff {
+                q_cur: [self.state.t[c].clone(), self.state.s[c].clone()],
+                q_new: [self.state.t[n].clone(), self.state.s[n].clone()],
                 kmt: g.kmt.clone(),
                 dxt: g.dxt.clone(),
                 dyt: g.dyt,
                 kappa: self.kappa,
                 dt,
-            };
-            if active {
-                if self.opts.overlap {
-                    // Interior/rim split (disjoint, per-cell independent
-                    // — bitwise identical to the dense list), with a poll
-                    // of the carried u/v exchange between the halves.
-                    parallel_for_list(
-                        &space,
-                        &self.wet.cells_interior,
-                        &FunctorTracerHDiffList {
-                            f: mk_hd(),
-                            pj: g.pj,
-                            pi: g.pi,
-                        },
-                    );
-                    if let Some(p) = pend_uv.as_mut() {
-                        hd_res = hd_res.and_then(|()| p.poll().map(|_| ()));
-                    }
-                    parallel_for_list(
-                        &space,
-                        &self.wet.cells_rim,
-                        &FunctorTracerHDiffList {
-                            f: mk_hd(),
-                            pj: g.pj,
-                            pi: g.pi,
-                        },
-                    );
-                } else {
-                    parallel_for_list(
-                        &space,
-                        &self.wet.cells,
-                        &FunctorTracerHDiffList {
-                            f: mk_hd(),
-                            pj: g.pj,
-                            pi: g.pi,
-                        },
-                    );
-                }
-            } else {
-                parallel_for_3d(&space, p3, &mk_hd());
+            },
+            pj: g.pj,
+            pi: g.pi,
+        };
+        let mut hd_res: Result<(), HaloError> = Ok(());
+        if !active {
+            parallel_for_3d(&space, p3, &mk_hd().f);
+        } else if self.opts.overlap {
+            // Interior/rim split (disjoint, per-cell independent — bitwise
+            // identical to the dense list), with a poll of the carried u/v
+            // exchange between the halves.
+            parallel_for_list(&space, &self.wet.cells_interior, &mk_hd());
+            if let Some(p) = pend_uv.as_mut() {
+                hd_res = p.poll().map(|_| ());
             }
+            parallel_for_list(&space, &self.wet.cells_rim, &mk_hd());
+        } else {
+            parallel_for_list(&space, &self.wet.cells, &mk_hd());
         }
         self.timers.stop("hdiff");
         hd_res?;
         self.timers.start("vmix_tracer");
-        for field in [&self.state.t[n], &self.state.s[n]] {
-            let wet = active.then_some(&self.wet.cols);
-            self.launch_vmix(&space, field, &self.state.kh, &g.kmt, dt, wet);
-        }
+        self.launch_vmix(
+            &space,
+            [&self.state.t[n], &self.state.s[n]],
+            &self.state.kh,
+            &g.kmt,
+            dt,
+            active.then_some(&self.wet.cols),
+        );
         self.timers.stop("vmix_tracer");
         self.timers.start("forcing");
         let f_restore = FunctorSurfaceRestore {
@@ -1239,15 +1228,18 @@ impl Model {
         self.gv.fill(0.0);
     }
 
-    /// Launch one implicit vertical solve through the configured shape:
-    /// TeamPolicy with LDM scratch, the active-set list `wet` (the packed
-    /// owned columns with `mask > 0`, which the caller knows: `ucols` for
-    /// `kmu`, `cols` for `kmt`), or the flat rectangle launch when `None`.
+    /// Launch the implicit vertical solve of two fields that share their
+    /// coefficients — `(u, v)` on `km`/`kmu`, `(T, S)` on `kh`/`kmt` —
+    /// through the configured shape: one paired launch over the active-set
+    /// list `wet` (the packed owned columns with `mask > 0`, which the
+    /// caller knows: `ucols` for `kmu`, `cols` for `kmt`) or over the flat
+    /// rectangle when `None`; or, field by field, a TeamPolicy launch with
+    /// LDM scratch.
     fn launch_vmix(
         &self,
         space: &Space,
-        field: &kokkos_rs::View3<f64>,
-        kcoef: &kokkos_rs::View3<f64>,
+        fields: [&View3<f64>; 2],
+        kcoef: &View3<f64>,
         mask: &View2<i32>,
         dt: f64,
         wet: Option<&ListPolicy>,
@@ -1255,23 +1247,25 @@ impl Model {
         let g = &self.grid;
         let _r = kokkos_rs::profiling::region("vmix:solve");
         if self.opts.vmix_team {
-            kokkos_rs::parallel_for_team(
-                space,
-                kokkos_rs::TeamPolicy::new(g.ny * g.nx, FunctorVmixTeam::scratch_len(g.nz)),
-                &FunctorVmixTeam {
-                    q: field.clone(),
-                    kcoef: kcoef.clone(),
-                    mask: mask.clone(),
-                    dz: g.dz.clone(),
-                    z_t: g.z_t.clone(),
-                    dt,
-                    nz: g.nz,
-                    nx: g.nx,
-                },
-            );
+            for field in fields {
+                kokkos_rs::parallel_for_team(
+                    space,
+                    kokkos_rs::TeamPolicy::new(g.ny * g.nx, FunctorVmixTeam::scratch_len(g.nz)),
+                    &FunctorVmixTeam {
+                        q: field.clone(),
+                        kcoef: kcoef.clone(),
+                        mask: mask.clone(),
+                        dz: g.dz.clone(),
+                        z_t: g.z_t.clone(),
+                        dt,
+                        nz: g.nz,
+                        nx: g.nx,
+                    },
+                );
+            }
         } else {
             let f = FunctorVmixImplicit {
-                q: field.clone(),
+                q: fields.map(View3::clone),
                 kcoef: kcoef.clone(),
                 mask: mask.clone(),
                 dz: g.dz.clone(),

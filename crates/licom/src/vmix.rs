@@ -9,11 +9,18 @@
 //! one tridiagonal system per wet column, solved with the Thomas
 //! algorithm. There is one solver body, `solve_block`, generic over the
 //! number `W` of adjacent columns it eliminates together (see
-//! [`crate::lanes`]): the active-set launch walks each run of wet columns in
-//! [`LANES`](crate::lanes::LANES)-wide blocks, the dense launch, the list
-//! tail and the team variant are its `W = 1` instantiation. Work arrays are
-//! `nz` rows of `W` words, of which a block touches only the rows down to
-//! its deepest column; ragged depths inside a block are lane masks.
+//! [`crate::lanes`]) **and** the number `N` of fields it solves against the
+//! same matrix: `u` and `v` share `km`/`kmu`, `T` and `S` share `kh`/`kmt`,
+//! so the two coefficient divides per level and the elimination divide are
+//! worked out once per block and each field carries only its right-hand
+//! side and its back-substitution divide (10 divides per column-level over
+//! the four fields where four separate solves spend 16). The active-set
+//! launch walks each run of wet columns in
+//! [`LANES`](crate::lanes::LANES)-wide blocks; the dense launch, the list
+//! tail and the team variant are `W = 1`, the team variant and the unit
+//! tests `N = 1`. Work arrays are `(3 + N) · nz` rows of `W` words, of
+//! which a block touches only the rows down to its deepest column; ragged
+//! depths inside a block are lane masks.
 
 use kokkos_rs::{Functor2D, FunctorList, IterCost, View1, View2, View3};
 
@@ -21,13 +28,14 @@ use halo_exchange::HALO as H;
 
 use crate::lanes::{self, above, ColumnKernel, F64x, Mask};
 
-/// Solve `(I − dt ∂z K ∂z) q' = q` in place for one field, column-wise.
+/// Solve `(I − dt ∂z K ∂z) q' = q` in place for `N` fields that share
+/// their coefficients, column-wise.
 ///
 /// `kcoef` holds interface coefficients (`nz+1` levels; interfaces `0`
 /// and `kmt` act as zero-flux boundaries). `mask` is `kmt` for tracers or
 /// `kmu` for momentum.
-pub struct FunctorVmixImplicit {
-    pub q: View3<f64>,
+pub struct FunctorVmixImplicit<const N: usize> {
+    pub q: [View3<f64>; N],
     pub kcoef: View3<f64>,
     pub mask: View2<i32>,
     pub dz: View1<f64>,
@@ -36,14 +44,32 @@ pub struct FunctorVmixImplicit {
     pub nz: usize,
 }
 
-impl ColumnKernel for FunctorVmixImplicit {
+/// Work words per lane of an `N`-field solve over `nz` levels: `a`, `b`,
+/// `c` and one `d` per field.
+const fn work_words(n_fields: usize, nz: usize) -> usize {
+    (3 + n_fields) * nz
+}
+
+/// Per column: the matrix (coefficients, elimination of `b`) once, the
+/// right-hand side update and back substitution per field. Bytes likewise:
+/// `kcoef` and the `a`/`b`/`c` rows are shared, `q` in and out and the `d`
+/// row are per field. `N = 1` is the single-field solve's 14 flops and
+/// 64 bytes per level.
+fn solve_cost(n_fields: usize, nz: usize) -> IterCost {
+    IterCost {
+        flops: ((9 + 5 * n_fields) * nz) as u64,
+        bytes: ((32 + 32 * n_fields) * nz) as u64,
+    }
+}
+
+impl<const N: usize> ColumnKernel for FunctorVmixImplicit<N> {
     fn scratch_words(&self) -> usize {
-        4 * self.nz
+        work_words(N, self.nz)
     }
 
     fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
-        solve_block::<W>(
-            &self.q,
+        solve_block::<W, N>(
+            self.q.each_ref(),
             &self.kcoef,
             &self.mask,
             &self.dz,
@@ -54,32 +80,42 @@ impl ColumnKernel for FunctorVmixImplicit {
             scratch,
         );
     }
+
+    /// The lines a block starting at `(jl, il)` reads, down to its first
+    /// column's depth (a hint: the deeper rows of a ragged block just miss).
+    fn prefetch(&self, jl: usize, il: usize) {
+        for k in 0..self.mask.at(jl, il) as usize {
+            lanes::prefetch3(&self.kcoef, k, jl, il);
+            for q in &self.q {
+                lanes::prefetch3(q, k, jl, il);
+            }
+        }
+    }
 }
 
-impl Functor2D for FunctorVmixImplicit {
+impl<const N: usize> Functor2D for FunctorVmixImplicit<N> {
     fn operator(&self, j: usize, i: usize) {
         lanes::run_column(self, j + H, i + H);
     }
 
     fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 14 * self.nz as u64,
-            bytes: 64 * self.nz as u64,
-        }
+        solve_cost(N, self.nz)
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_vmix_implicit, FunctorVmixImplicit);
+// The model launches pairs only; a test that runs `N = 1` on a registry
+// space registers that instantiation itself.
+kokkos_rs::register_for_2d!(kernel_vmix_implicit_pair, FunctorVmixImplicit<2>);
 
 /// Active-set implicit solve: entry `idx` is a packed wet column
 /// `jl·pi + il` (against the same mask the solver uses, so the dense
 /// launch's land early-return is exactly the set's complement).
-pub struct FunctorVmixList {
-    pub f: FunctorVmixImplicit,
+pub struct FunctorVmixList<const N: usize> {
+    pub f: FunctorVmixImplicit<N>,
     pub pi: usize,
 }
 
-impl FunctorList for FunctorVmixList {
+impl<const N: usize> FunctorList for FunctorVmixList<N> {
     fn operator(&self, _n: usize, idx: u32) {
         let packed = idx as usize;
         lanes::run_column(&self.f, packed / self.pi, packed % self.pi);
@@ -94,12 +130,12 @@ impl FunctorList for FunctorVmixList {
     }
 }
 
-kokkos_rs::register_for_list!(kernel_vmix_list, FunctorVmixList);
+kokkos_rs::register_for_list!(kernel_vmix_list_pair, FunctorVmixList<2>);
 
 /// Register this module's functors.
 pub fn register() {
-    kernel_vmix_implicit();
-    kernel_vmix_list();
+    kernel_vmix_implicit_pair();
+    kernel_vmix_list_pair();
     kernel_vmix_team();
 }
 
@@ -108,7 +144,7 @@ mod tests {
     use super::*;
     use kokkos_rs::View;
 
-    fn setup(nz: usize, k: f64) -> FunctorVmixImplicit {
+    fn setup(nz: usize, k: f64) -> FunctorVmixImplicit<1> {
         let (pj, pi) = (1 + 2 * H, 1 + 2 * H);
         let q: View3<f64> = View::host("q", [nz, pj, pi]);
         let kc: View3<f64> = View::host("kc", [nz + 1, pj, pi]);
@@ -122,7 +158,7 @@ mod tests {
             z_t.set_at(kk, 5.0 + 10.0 * kk as f64);
         }
         FunctorVmixImplicit {
-            q,
+            q: [q],
             kcoef: kc,
             mask,
             dz,
@@ -135,10 +171,10 @@ mod tests {
     #[test]
     fn uniform_profile_is_fixed_point() {
         let f = setup(10, 1e-2);
-        f.q.fill(3.5);
+        f.q[0].fill(3.5);
         f.operator(0, 0);
         for k in 0..10 {
-            assert!((f.q.at(k, H, H) - 3.5).abs() < 1e-12, "k={k}");
+            assert!((f.q[0].at(k, H, H) - 3.5).abs() < 1e-12, "k={k}");
         }
     }
 
@@ -146,11 +182,11 @@ mod tests {
     fn mixing_conserves_column_integral() {
         let f = setup(12, 5e-2);
         for k in 0..12 {
-            f.q.set_at(k, H, H, if k < 6 { 10.0 } else { 0.0 });
+            f.q[0].set_at(k, H, H, if k < 6 { 10.0 } else { 0.0 });
         }
-        let before: f64 = (0..12).map(|k| f.q.at(k, H, H)).sum();
+        let before: f64 = (0..12).map(|k| f.q[0].at(k, H, H)).sum();
         f.operator(0, 0);
-        let after: f64 = (0..12).map(|k| f.q.at(k, H, H)).sum();
+        let after: f64 = (0..12).map(|k| f.q[0].at(k, H, H)).sum();
         assert!(
             (before - after).abs() < 1e-9 * before.abs(),
             "{before} → {after}"
@@ -161,14 +197,14 @@ mod tests {
     fn mixing_smooths_toward_uniform_and_stays_bounded() {
         let f = setup(8, 5e-2);
         for k in 0..8 {
-            f.q.set_at(k, H, H, if k == 3 { 100.0 } else { 0.0 });
+            f.q[0].set_at(k, H, H, if k == 3 { 100.0 } else { 0.0 });
         }
         for _ in 0..200 {
             f.operator(0, 0);
         }
         let mean = 100.0 / 8.0;
         for k in 0..8 {
-            let v = f.q.at(k, H, H);
+            let v = f.q[0].at(k, H, H);
             assert!((-1e-9..=100.0).contains(&v), "k={k} v={v}");
             assert!((v - mean).abs() < 2.0, "should approach uniform: {v}");
         }
@@ -179,21 +215,21 @@ mod tests {
         // Monster diffusivity, thin layers: explicit would explode.
         let f = setup(20, 10.0);
         for k in 0..20 {
-            f.q.set_at(k, H, H, (k as f64 * 1.7).sin() * 50.0);
+            f.q[0].set_at(k, H, H, (k as f64 * 1.7).sin() * 50.0);
         }
         f.operator(0, 0);
         for k in 0..20 {
-            assert!(f.q.at(k, H, H).abs() <= 50.0 + 1e-9);
+            assert!(f.q[0].at(k, H, H).abs() <= 50.0 + 1e-9);
         }
     }
 
     #[test]
     fn land_columns_untouched() {
         let f = setup(5, 1e-2);
-        f.q.fill(7.0);
+        f.q[0].fill(7.0);
         f.mask.set_at(H, H, 0);
         f.operator(0, 0);
-        assert_eq!(f.q.at(0, H, H), 7.0);
+        assert_eq!(f.q[0].at(0, H, H), 7.0);
     }
 
     #[test]
@@ -201,29 +237,34 @@ mod tests {
         let f = setup(10, 5e-2);
         f.mask.set_at(H, H, 4);
         for k in 0..10 {
-            f.q.set_at(k, H, H, if k < 4 { k as f64 } else { -99.0 });
+            f.q[0].set_at(k, H, H, if k < 4 { k as f64 } else { -99.0 });
         }
         f.operator(0, 0);
         // Below kmt untouched; above: mixed but conservative over 0..4.
         for k in 4..10 {
-            assert_eq!(f.q.at(k, H, H), -99.0);
+            assert_eq!(f.q[0].at(k, H, H), -99.0);
         }
-        let sum: f64 = (0..4).map(|k| f.q.at(k, H, H)).sum();
+        let sum: f64 = (0..4).map(|k| f.q[0].at(k, H, H)).sum();
         assert!((sum - 6.0).abs() < 1e-9);
     }
 }
 
 /// The tridiagonal solve of the `W` columns `(jl, il..il + W)`, in place
-/// on `q` — the one arithmetic body behind every launch shape, so dense,
-/// active-set and team launches are bitwise identical.
+/// on each of the `N` fields `q` — the one arithmetic body behind every
+/// launch shape, so dense, active-set and team launches, paired or not, are
+/// bitwise identical.
 ///
-/// `scratch` supplies the four work arrays (`a`, `b`, `c`, `d`, each
-/// `≥ kmax` rows of `W`). Lane `l` is the column of depth `kb[l]`: its
-/// last row has no lower neighbour (`c = 0`), its back-substitution starts
-/// there, and rows below it are computed with the block but never stored.
+/// `scratch` supplies the work arrays (`a`, `b`, `c` and `N` right-hand
+/// sides `d`, each `≥ kmax` rows of `W`). The matrix — the coefficient
+/// divides and the elimination multiplier `m` with its divide — does not
+/// depend on the field and is worked out once; a field carries its `d`
+/// row, its `m · d` update and its back-substitution divide. Lane `l` is
+/// the column of depth `kb[l]`: its last row has no lower neighbour
+/// (`c = 0`), its back-substitution starts there, and rows below it are
+/// computed with the block but never stored.
 #[allow(clippy::too_many_arguments)]
-fn solve_block<const W: usize>(
-    q: &View3<f64>,
+fn solve_block<const W: usize, const N: usize>(
+    q: [&View3<f64>; N],
     kcoef: &View3<f64>,
     mask: &View2<i32>,
     dz: &View1<f64>,
@@ -237,12 +278,14 @@ fn solve_block<const W: usize>(
     if kmax == 0 {
         return;
     }
-    let n = scratch.len() / 4;
+    let n = scratch.len() / (3 + N);
     let (a, rest) = scratch.split_at_mut(n);
     let (b, rest) = rest.split_at_mut(n);
     let (c, d) = rest.split_at_mut(n);
     let rows = |s| lanes::rows::<W>(s, kmax);
-    let (a, b, c, d) = (rows(a), rows(b), rows(c), rows(d));
+    let (a, b, c) = (rows(a), rows(b), rows(c));
+    // Row `k · N + f` is field `f` at level `k`.
+    let d = lanes::rows::<W>(d, kmax * N);
 
     let zero = F64x::<W>::splat(0.0);
     for k in 0..kmax {
@@ -263,28 +306,35 @@ fn solve_block<const W: usize>(
         a[k] = au.0;
         c[k] = cl.0;
         b[k] = (1.0 - au - cl).0;
-        d[k] = F64x::<W>::load(q, k, jl, il).0;
+        for (f, q) in q.iter().enumerate() {
+            d[k * N + f] = F64x::<W>::load(q, k, jl, il).0;
+        }
     }
     for k in 1..kmax {
         let m = F64x(a[k]) / F64x(b[k - 1]);
         b[k] = (F64x(b[k]) - m * F64x(c[k - 1])).0;
-        d[k] = (F64x(d[k]) - m * F64x(d[k - 1])).0;
+        for f in 0..N {
+            d[k * N + f] = (F64x(d[k * N + f]) - m * F64x(d[(k - 1) * N + f])).0;
+        }
     }
-    let mut prev = zero;
+    let mut prev = [zero; N];
     for k in (0..kmax).rev() {
         // A lane's deepest row starts its recurrence: `d / b`, no `c` term.
-        let bottom = Mask::from_fn(|l| k + 1 == kb[l]);
-        let num = bottom.select(F64x(d[k]), F64x(d[k]) - F64x(c[k]) * prev);
-        prev = num / F64x(b[k]);
-        prev.store_where(above(k, &kb), q, k, jl, il);
+        let bottom = Mask::from_fn(|l| (k + 1) as i32 == kb[l]);
+        let wet = above(k, &kb);
+        for (f, (q, prev)) in q.iter().zip(&mut prev).enumerate() {
+            let dk = F64x(d[k * N + f]);
+            *prev = bottom.select(dk, dk - F64x(c[k]) * *prev) / F64x(b[k]);
+            prev.store_where(wet, q, k, jl, il);
+        }
     }
 }
 
-/// Team-policy variant of the implicit solve: the four tridiagonal work
-/// arrays live in **team scratch**, which the `SwAthread` backend
+/// Team-policy variant of the implicit solve (`N = 1`): the four tridiagonal
+/// work arrays live in **team scratch**, which the `SwAthread` backend
 /// allocates from the CPE's LDM — the paper's §V-C2 "defining and using
 /// local arrays within the functor" strategy. Bitwise identical to
-/// [`FunctorVmixImplicit`]; league rank `r` owns column
+/// [`FunctorVmixImplicit`] field by field; league rank `r` owns column
 /// `(r / nx, r % nx)` of the owned block.
 pub struct FunctorVmixTeam {
     pub q: View3<f64>,
@@ -301,15 +351,15 @@ pub struct FunctorVmixTeam {
 impl FunctorVmixTeam {
     /// Scratch length the policy must request: 4 work arrays of `nz`.
     pub fn scratch_len(nz: usize) -> usize {
-        4 * nz
+        work_words(1, nz)
     }
 }
 
 impl kokkos_rs::FunctorTeam for FunctorVmixTeam {
     fn operator(&self, league: usize, scratch: &mut [f64]) {
         let (j, i) = (league / self.nx, league % self.nx);
-        solve_block::<1>(
-            &self.q,
+        solve_block::<1, 1>(
+            [&self.q],
             &self.kcoef,
             &self.mask,
             &self.dz,
@@ -322,10 +372,7 @@ impl kokkos_rs::FunctorTeam for FunctorVmixTeam {
     }
 
     fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 14 * self.nz as u64,
-            bytes: 64 * self.nz as u64,
-        }
+        solve_cost(1, self.nz)
     }
 }
 
@@ -355,7 +402,6 @@ mod team_tests {
 
     #[test]
     fn team_solve_bitwise_matches_flat_solve() {
-        kernel_vmix_implicit();
         kernel_vmix_team();
         let (nz, n) = (12, 9);
         let (q1, kc, mask, dz, z_t) = fields(nz, n);
@@ -366,7 +412,7 @@ mod team_tests {
             &Space::serial(),
             MDRangePolicy2::new([n, n]),
             &FunctorVmixImplicit {
-                q: q1.clone(),
+                q: [q1.clone()],
                 kcoef: kc.clone(),
                 mask: mask.clone(),
                 dz: dz.clone(),

@@ -1,7 +1,9 @@
-//! The lane-blocked column kernels against their own `W = 1` instantiation.
+//! The lane-blocked column kernels against their own `W = 1` instantiation,
+//! and the paired ones against their fields taken one at a time.
 //!
-//! Each of vmix, canuto, diagnose-w and advect-z has one body, generic over
-//! the number `W` of adjacent columns it runs together. A list launch hands
+//! Each of vmix, canuto, diagnose-w, advect-z and the pressure integral has
+//! one body, generic over the number `W` of adjacent columns it runs
+//! together. A list launch hands
 //! it whole tiles (`FunctorList::operator_span`), which it walks in
 //! `LANES`-wide blocks with single columns as tail; calling
 //! `FunctorList::operator` entry by entry runs the same body one column at a
@@ -9,16 +11,29 @@
 //! the wet mask looks like: isolated wet columns, runs shorter than, equal
 //! to and longer than a block, runs cut by a tile boundary, one-level
 //! columns, a one-level grid, all-land rows, ragged depths inside a block.
+//!
+//! The implicit solve is also generic over the number `N` of fields that
+//! share its matrix: the `N = 2` solve must leave, in each field, the bits of
+//! that field's own `N = 1` solve. The paired vertical advection and the
+//! paired depth mean have no single-field form left to compare with; they
+//! must instead not care which partner a field is paired with.
 
 use halo_exchange::HALO as H;
 use kokkos_rs::{parallel_for_list, FunctorList, ListPolicy, Space, View, View1, View2, View3};
 use licom::advect::{FunctorAdvectZ, FunctorAdvectZList, FunctorDiagnoseW, FunctorDiagnoseWList};
+use licom::barotropic::{FunctorDepthMean, FunctorDepthMeanList};
 use licom::canuto::{CanutoFields, FunctorCanutoCols};
+use licom::eos::{FunctorPressure, FunctorPressureList};
 use licom::lanes::LANES;
 use licom::vmix::{FunctorVmixImplicit, FunctorVmixList};
 use ocean_grid::ActiveSet;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use sunway_sim::CgConfig;
+
+// The model launches the solver in pairs only, so `N = 1` is registered
+// here, for the registry spaces this file runs it on.
+kokkos_rs::register_for_list!(kernel_vmix_list_single, FunctorVmixList<1>);
 
 /// splitmix64: the fields are a pure function of `(seed, position)`.
 fn mix(seed: u64, n: u64) -> u64 {
@@ -145,6 +160,23 @@ impl Case {
     fn dxt(&self) -> View1<f64> {
         View::from_fn("dxt", [self.ny + 2 * H], |[j]| 9.0e3 + 137.0 * j as f64)
     }
+
+    /// The implicit solve of the `N` fields `q` against `kcoef`, in place.
+    fn vmix<const N: usize>(&self, kcoef: &View3<f64>, q: [View3<f64>; N]) -> FunctorVmixList<N> {
+        let f = FunctorVmixImplicit {
+            q,
+            kcoef: kcoef.clone(),
+            mask: self.kmt.clone(),
+            dz: self.dz(),
+            z_t: self.z_t(),
+            dt: 1800.0,
+            nz: self.nz,
+        };
+        FunctorVmixList {
+            f,
+            pi: self.nx + 2 * H,
+        }
+    }
 }
 
 fn spaces() -> Vec<Space> {
@@ -170,7 +202,7 @@ fn check<F: FunctorList + 'static>(
     kernel: &str,
     case: &Case,
     make: impl Fn() -> (F, Vec<View3<f64>>),
-) -> Result<(), TestCaseError> {
+) -> Result<Vec<Vec<u64>>, TestCaseError> {
     let policy = &case.policy;
     let (f, out) = make();
     for n in policy.start..policy.end {
@@ -190,7 +222,7 @@ fn check<F: FunctorList + 'static>(
             case.nz
         );
     }
-    Ok(())
+    Ok(want)
 }
 
 fn copy_of(v: &View3<f64>) -> View3<f64> {
@@ -201,6 +233,7 @@ fn copy_of(v: &View3<f64>) -> View3<f64> {
 
 fn check_all(case: &Case) -> Result<(), TestCaseError> {
     licom::register_all_kernels();
+    kernel_vmix_list_single();
     let pi = case.nx + 2 * H;
     let (nz, kmt) = (case.nz, &case.kmt);
     let (dz, z_t, dxt) = (case.dz(), case.z_t(), case.dxt());
@@ -209,21 +242,25 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
     let w = case.field(3, nz + 1, -2.0e-3, 2.0e-3);
     let rho = case.field(4, nz, 1020.0, 1030.0);
     let kcoef = case.field(5, nz + 1, 1.0e-5, 5.0e-2);
-    let q0 = case.tracer(6);
+    let (q0, s0) = (case.tracer(6), case.tracer(10));
 
-    check("vmix", case, || {
-        let q = copy_of(&q0);
-        let f = FunctorVmixImplicit {
-            q: q.clone(),
-            kcoef: kcoef.clone(),
-            mask: kmt.clone(),
-            dz: dz.clone(),
-            z_t: z_t.clone(),
-            dt: 1800.0,
-            nz,
-        };
-        (FunctorVmixList { f, pi }, vec![q])
+    // One field at a time, then both against the one matrix: every field of
+    // the `N = 2` solve carries the bits of its own `N = 1` solve.
+    let mut alone = Vec::new();
+    for field in [&q0, &s0] {
+        alone.extend(check("vmix", case, || {
+            let q = [copy_of(field)];
+            (case.vmix(&kcoef, q.clone()), q.to_vec())
+        })?);
+    }
+    let paired = check("vmix pair", case, || {
+        let q = [copy_of(&q0), copy_of(&s0)];
+        (case.vmix(&kcoef, q.clone()), q.to_vec())
     })?;
+    prop_assert!(
+        paired == alone,
+        "vmix: the N = 2 solve differs from two N = 1 solves (nz {nz})"
+    );
     check("canuto", case, || {
         // Poisoned outputs: every interface of a wet column must be written.
         let km = case.field(7, nz + 1, -9.0, -8.0);
@@ -255,21 +292,86 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
         (FunctorDiagnoseWList { f, pi }, vec![w_out])
     })?;
     for limited in [true, false] {
-        // In place, as `advect_tracer` launches it.
-        check("advect_z", case, || {
-            let q = copy_of(&q0);
-            let f = FunctorAdvectZ {
-                q: q.clone(),
-                q1: q.clone(),
-                w: w.clone(),
-                kmt: kmt.clone(),
-                dz: dz.clone(),
-                dt: 600.0,
-                nz,
-                limited,
-            };
-            (FunctorAdvectZList { f, pi }, vec![q])
-        })?;
+        // In place, as `advect_tracer` launches it. A tracer's result must
+        // not depend on its partner or on which slot it rides in.
+        let pass = |a: &View3<f64>, b: &View3<f64>| {
+            check("advect_z", case, || {
+                let q = [copy_of(a), copy_of(b)];
+                let f = FunctorAdvectZ {
+                    q: q.clone(),
+                    q1: q.clone(),
+                    w: w.clone(),
+                    kmt: kmt.clone(),
+                    dz: dz.clone(),
+                    dt: 600.0,
+                    nz,
+                    limited,
+                };
+                (FunctorAdvectZList { f, pi }, q.to_vec())
+            })
+        };
+        let (ts, st, tt) = (pass(&q0, &s0)?, pass(&s0, &q0)?, pass(&q0, &q0)?);
+        prop_assert!(
+            ts[0] == st[1] && ts[1] == st[0] && tt[0] == ts[0] && tt[1] == ts[0],
+            "advect_z: a tracer's result depends on its partner (limited {limited})"
+        );
+    }
+    check("pressure", case, || {
+        let p = case.field(11, nz, -9.0, -8.0);
+        let f = FunctorPressure {
+            rho: rho.clone(),
+            eta: View::from_fn("eta", [case.ny + 2 * H, pi], |[j, i]| {
+                unit(case.seed ^ 12, (j * pi + i) as u64) - 0.5
+            }),
+            pressure: p.clone(),
+            dz: dz.clone(),
+            kmt: kmt.clone(),
+            nz,
+        };
+        (FunctorPressureList { f, pi }, vec![p])
+    })?;
+    check_depth_mean(case, [&u, &v])
+}
+
+/// The paired depth mean against each field's own thickness-weighted sum,
+/// accumulated the way the kernel does (level by level from the surface).
+fn check_depth_mean(case: &Case, tend: [&View3<f64>; 2]) -> Result<(), TestCaseError> {
+    let (pj, pi) = (case.ny + 2 * H, case.nx + 2 * H);
+    let dz = case.dz();
+    let make = || {
+        // Poisoned outputs: a wet corner's mean must be written.
+        let out: [View2<f64>; 2] = [View::host("gu", [pj, pi]), View::host("gv", [pj, pi])];
+        out.iter().for_each(|o| o.fill(-9.0));
+        let f = FunctorDepthMean {
+            tend: tend.map(View3::clone),
+            out: out.clone(),
+            kmu: case.kmt.clone(),
+            dz: dz.clone(),
+        };
+        (FunctorDepthMeanList { f, pi }, out)
+    };
+    let mut want = [vec![-9.0f64; pj * pi], vec![-9.0f64; pj * pi]];
+    for &packed in case.policy.indices().iter() {
+        let (jl, il) = (packed as usize / pi, packed as usize % pi);
+        for (want, tend) in want.iter_mut().zip(tend) {
+            let (mut sum, mut h) = (0.0, 0.0);
+            for k in 0..case.kmt.at(jl, il) as usize {
+                sum += tend.at(k, jl, il) * dz.at(k);
+                h += dz.at(k);
+            }
+            want[packed as usize] = sum / h;
+        }
+    }
+    let want = want.map(|w| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+    for space in spaces() {
+        let (f, out) = make();
+        parallel_for_list(&space, &case.policy, &f);
+        let got = out.map(|o| o.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        prop_assert!(
+            got == want,
+            "depth mean: the paired launch on {} differs from per-field sums",
+            space.name()
+        );
     }
     Ok(())
 }

@@ -1,7 +1,8 @@
 //! The lane-blocked row kernels against their own `W = 1` instantiation.
 //!
-//! The advection x and y passes, the barotropic substep kernels and the 3-D
-//! leapfrog / Asselin streams each have one body, generic over the number
+//! The advection x and y passes, the barotropic substep kernels, the 3-D
+//! leapfrog / Asselin streams, the momentum tendency and the paired tracer
+//! diffusion each have one body, generic over the number
 //! `W` of points adjacent in `i` it updates together. An MDRange launch
 //! hands the functor whole policy tiles (`operator_tile`), which it walks
 //! in `LANES`-wide blocks with single points as tail; calling `operator`
@@ -10,22 +11,30 @@
 //! tile shape and the launch origin look like — in particular the y pass,
 //! whose tile body carries a row of face transports from one cell row to
 //! the next, must not care where a tile is cut.
+//!
+//! The two stencils that also run over packed wet lists (momentum tendency,
+//! tracer diffusion) are held to more: a list span (`operator_span`, runs
+//! walked in blocks) against its entries one by one, the dense launch
+//! against the wet list, and the interior + rim lists against the whole one.
 
 use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D, HALO as H};
 use kokkos_rs::{
-    parallel_for_2d, parallel_for_3d, Functor2D, Functor3D, FunctorPair2D, MDRangePolicy2,
-    MDRangePolicy3, Space, View, View1, View2, View3,
+    parallel_for_2d, parallel_for_3d, parallel_for_list, Functor2D, Functor3D, FunctorList,
+    FunctorPair2D, ListPolicy, MDRangePolicy2, MDRangePolicy3, Space, View, View1, View2, View3,
 };
 use licom::advect::{advect_tracer, AdvectFields, FunctorAdvectX, FunctorAdvectY, TmpExchange};
-use licom::baroclinic::{FunctorAsselin3D, FunctorLeapfrog3D};
+use licom::baroclinic::{
+    FunctorAsselin3D, FunctorLeapfrog3D, FunctorMomentumTend, FunctorMomentumTendList,
+};
 use licom::barotropic::{
     FunctorAccum2D, FunctorAsselin2D, FunctorBtEta, FunctorBtVel, FunctorCopy2D,
     FunctorScaleAssign2D, FunctorZonalFilter,
 };
 use licom::lanes::LANES;
 use licom::localgrid::LocalGrid;
+use licom::model::{FunctorTracerHDiff, FunctorTracerHDiffList};
 use mpi_sim::{CartComm, World};
-use ocean_grid::{Bathymetry, GlobalGrid};
+use ocean_grid::{ActiveSet3, Bathymetry, GlobalGrid};
 use proptest::prelude::*;
 use sunway_sim::CgConfig;
 
@@ -152,6 +161,51 @@ impl Case {
 
     fn dxt(&self) -> View1<f64> {
         View::from_fn("dxt", [self.pj()], |[j]| 9.0e3 + 137.0 * j as f64)
+    }
+
+    /// The momentum tendency on this case's fields (a pure function of the
+    /// seed), writing `ut` / `vt`.
+    fn momentum(&self, ut: &View3<f64>, vt: &View3<f64>) -> FunctorMomentumTend {
+        let nz = self.nz;
+        FunctorMomentumTend {
+            u_cur: self.field3(20, nz, -1.0, 1.0),
+            v_cur: self.field3(21, nz, -1.0, 1.0),
+            u_old: self.field3(22, nz, -1.0, 1.0),
+            v_old: self.field3(23, nz, -1.0, 1.0),
+            pressure: self.field3(24, nz, 0.0, 3.0e5),
+            ut: ut.clone(),
+            vt: vt.clone(),
+            kmu: self.kmu.clone(),
+            fcor: View::from_fn("fcor", [self.pj()], |[j]| 1.0e-4 - 3.0e-6 * j as f64),
+            dxt: self.dxt(),
+            dyt: 1.1e4,
+            dz: View::from_fn("dz", [nz], |[k]| 5.0 + 3.0 * k as f64),
+            visc: 1.0e3,
+        }
+    }
+
+    /// The paired tracer diffusion of this case's tracers into `q_new`.
+    fn hdiff(&self, q_new: &[View3<f64>; 2]) -> FunctorTracerHDiff {
+        FunctorTracerHDiff {
+            q_cur: [self.tracer(25), self.tracer(26)],
+            q_new: q_new.clone(),
+            kmt: self.kmt.clone(),
+            dxt: self.dxt(),
+            dyt: 1.1e4,
+            kappa: 2.5e2,
+            dt: 600.0,
+        }
+    }
+
+    /// The owned wet cells of `mask` as the model packs them: the whole
+    /// list, and its 1-cell interior / rim split.
+    fn wet_cells(&self, mask: &View2<i32>) -> [ActiveSet3; 3] {
+        let (rows, cols) = (H..H + self.ny, H..H + self.nx);
+        let depth = |j, i| mask.at(j, i).max(0) as u32;
+        let (pj, pi) = (self.pj(), self.pi());
+        let whole = ActiveSet3::build_cells(self.nz, pj, pi, rows.clone(), cols.clone(), depth);
+        let (interior, rim) = ActiveSet3::build_cells_split(self.nz, pj, pi, rows, cols, 1, depth);
+        [whole, interior, rim]
     }
 
     /// The launch shapes a kernel must not care about: the dense default,
@@ -352,7 +406,120 @@ fn check_3d(case: &Case, policy: MDRangePolicy3) -> Result<(), TestCaseError> {
             new: tend.clone(),
         };
         (f, vec![Out::from(&cur)])
+    })?;
+    // Poisoned tendencies: the dense launch writes every cell, dry ones zero.
+    check3("momentum_tend", policy, || {
+        let (ut, vt) = (
+            case.field3(9, nz, -9.0, -8.0),
+            case.field3(9, nz, -9.0, -8.0),
+        );
+        (
+            case.momentum(&ut, &vt),
+            vec![Out::from(&ut), Out::from(&vt)],
+        )
+    })?;
+    check3("tracer_hdiff", policy, || {
+        let q_new = [copy3(&t0), copy3(&s0)];
+        let out = q_new.iter().map(Out::from).collect();
+        (case.hdiff(&q_new), out)
     })
+}
+
+/// `make` as in [`check3`]. The reference runs the list entry by entry
+/// (`W = 1`); every space must reproduce its bits through the span path.
+/// Returns the reference bits.
+fn check_list<F: FunctorList + 'static>(
+    kernel: &str,
+    policy: &ListPolicy,
+    make: impl Fn() -> (F, Vec<Out>),
+) -> Result<Vec<Vec<u64>>, TestCaseError> {
+    let (f, out) = make();
+    for n in policy.start..policy.end {
+        f.operator(n, policy.entry(n));
+    }
+    let want = bits(&out);
+    for space in spaces() {
+        let (f, out) = make();
+        parallel_for_list(&space, policy, &f);
+        prop_assert!(
+            bits(&out) == want,
+            "{kernel}: span execution on {} differs from per-entry execution \
+             ({} entries, tile {})",
+            space.name(),
+            policy.len(),
+            policy.tile
+        );
+    }
+    Ok(want)
+}
+
+/// The two list-launched stencils over this case's wet sets, list tiles of
+/// `tile` entries: span vs per-entry, interior + rim vs the whole list, and
+/// the dense launch vs the list (outputs start as the model's do: zero
+/// tendencies, `q_new` holding the advected tracers).
+fn check_lists(case: &Case, tile: usize) -> Result<(), TestCaseError> {
+    let (nz, pj, pi) = (case.nz, case.pj(), case.pi());
+    let policy = |set: &ActiveSet3| ListPolicy::new(set.indices.clone()).with_tile(tile);
+    let dense = MDRangePolicy3::new([nz, case.ny, case.nx]).with_tile([2, 3, LANES + 3]);
+    let zeros = || -> View3<f64> { View::host("tend", [nz, pj, pi]) };
+
+    let [whole, interior, rim] = case.wet_cells(&case.kmu).map(|s| policy(&s));
+    let tend = |ut: &View3<f64>, vt: &View3<f64>| FunctorMomentumTendList {
+        f: case.momentum(ut, vt),
+        pj,
+        pi,
+    };
+    let want = check_list("momentum_tend", &whole, || {
+        let (ut, vt) = (zeros(), zeros());
+        (tend(&ut, &vt), vec![Out::from(&ut), Out::from(&vt)])
+    })?;
+    let (ut, vt) = (zeros(), zeros());
+    for part in [&interior, &rim] {
+        parallel_for_list(&Space::serial(), part, &tend(&ut, &vt));
+    }
+    prop_assert!(
+        bits(&[Out::from(&ut), Out::from(&vt)]) == want,
+        "momentum_tend: interior + rim differs from the whole list"
+    );
+    let (ut, vt) = (zeros(), zeros());
+    parallel_for_3d(&Space::serial(), dense, &case.momentum(&ut, &vt));
+    prop_assert!(
+        bits(&[Out::from(&ut), Out::from(&vt)]) == want,
+        "momentum_tend: the dense launch differs from the wet list"
+    );
+
+    let [whole, interior, rim] = case.wet_cells(&case.kmt).map(|s| policy(&s));
+    let advected = || {
+        [
+            case.field3(27, nz, -2.0, 30.0),
+            case.field3(28, nz, 30.0, 38.0),
+        ]
+    };
+    let outs = |q: &[View3<f64>; 2]| q.iter().map(Out::from).collect::<Vec<_>>();
+    let diff = |q_new: &[View3<f64>; 2]| FunctorTracerHDiffList {
+        f: case.hdiff(q_new),
+        pj,
+        pi,
+    };
+    let want = check_list("tracer_hdiff", &whole, || {
+        let q_new = advected();
+        (diff(&q_new), outs(&q_new))
+    })?;
+    let q_new = advected();
+    for part in [&interior, &rim] {
+        parallel_for_list(&Space::serial(), part, &diff(&q_new));
+    }
+    prop_assert!(
+        bits(&outs(&q_new)) == want,
+        "tracer_hdiff: interior + rim differs from the whole list"
+    );
+    let q_new = advected();
+    parallel_for_3d(&Space::serial(), dense, &case.hdiff(&q_new));
+    prop_assert!(
+        bits(&outs(&q_new)) == want,
+        "tracer_hdiff: the dense launch differs from the wet list"
+    );
+    Ok(())
 }
 
 /// Every row-bodied 2-D kernel over `policy`. The owned-cell kernels add the
@@ -474,6 +641,10 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
     for p in case.policies3() {
         check_3d(case, p)?;
     }
+    // Whole runs in a tile, and runs cut by tile boundaries.
+    for tile in [256, LANES + 3] {
+        check_lists(case, tile)?;
+    }
     Ok(())
 }
 
@@ -515,6 +686,93 @@ fn a_full_row_really_is_walked_in_blocks() {
     let [rows, cols] = policy.tile_bounds(0);
     licom::lanes::run_tile(&log, [(0, 1), rows, cols]);
     assert_eq!(*log.0.borrow(), [LANES, LANES, 1, 1, 1]);
+}
+
+/// Bottom drag applies to the lanes whose cell is the deepest wet one. One
+/// row per placement of such a lane in a block of the level below the
+/// surface: inside it, at either edge, in every lane, in none.
+#[test]
+fn a_bottom_layer_inside_at_the_edge_of_or_absent_from_a_block() {
+    licom::register_all_kernels();
+    let (nz, nx) = (4, 2 * LANES + 3);
+    let shallow: [&[usize]; 5] = [
+        &[LANES / 2],
+        &[0, LANES - 1],
+        &[LANES, 2 * LANES - 1, 2 * LANES],
+        &[],
+        &(0..nx).collect::<Vec<_>>(),
+    ];
+    let case = Case::new(nz, shallow.len(), nx, Wet::Ragged, 0xB0D);
+    for (j, cols) in shallow.iter().enumerate() {
+        for i in 0..nx {
+            // Two levels where named, full depth elsewhere: level 1 is the
+            // bottom of exactly the named columns.
+            let depth = if cols.contains(&i) { 2 } else { nz };
+            case.kmu.set_at(j + H, i + H, depth as i32);
+        }
+    }
+    check_lists(&case, 256).unwrap();
+    check_3d(&case, MDRangePolicy3::new([nz, shallow.len(), nx])).unwrap();
+    // Guard the test itself: the drag is in the result.
+    let (ut, vt) = (
+        case.field3(9, nz, -9.0, -8.0),
+        case.field3(9, nz, -9.0, -8.0),
+    );
+    let f = case.momentum(&ut, &vt);
+    f.operator(1, 0, LANES / 2);
+    let dragged = ut.at(1, H, H + LANES / 2);
+    case.kmu.set_at(H, H + LANES / 2, nz as i32);
+    f.operator(1, 0, LANES / 2);
+    assert_ne!(dragged.to_bits(), ut.at(1, H, H + LANES / 2).to_bits());
+}
+
+/// The pressure-gradient term is `(-gx) / RHO0`. In a state at rest with a
+/// flat pressure field `gx = +0`, and `-gx = -0` survives the rest of the
+/// sum when every later term is a zero of the right sign — here `v = -0`
+/// (so `f·v = -0`) and an old velocity of `+0` among neighbours of `-0` (so
+/// the Laplacian is `-0`). `0 - gx` would leave `+0`: a different bit, and
+/// the goldens pin every bit.
+#[test]
+fn a_zero_pressure_gradient_keeps_its_sign() {
+    let (nz, ny, nx) = (2, 3, 2 * LANES + 1);
+    let case = Case::new(nz, ny, nx, Wet::Ragged, 0x51);
+    case.kmu.fill(nz as i32);
+    let (ut, vt) = (
+        case.field3(9, nz, -9.0, -8.0),
+        case.field3(9, nz, -9.0, -8.0),
+    );
+    let f = case.momentum(&ut, &vt);
+    f.pressure.fill(1.0e5);
+    f.u_cur.fill(0.0);
+    f.v_cur.fill(-0.0);
+    f.v_old.fill(0.0);
+    // One probe per block position: lane 0, an inner lane, the scalar tail.
+    let probes = [0, LANES / 2, 2 * LANES];
+    f.u_old.fill(-0.0);
+    for i in probes {
+        f.u_old.set_at(0, 1 + H, i + H, 0.0);
+    }
+    let minus_zero = (-0.0f64).to_bits();
+    for i in probes {
+        f.operator(0, 1, i);
+        assert_eq!(
+            ut.at(0, 1 + H, i + H).to_bits(),
+            minus_zero,
+            "W = 1, i = {i}"
+        );
+    }
+    ut.fill(9.0);
+    parallel_for_3d(&Space::serial(), MDRangePolicy3::new([1, ny, nx]), &f);
+    for i in probes {
+        assert_eq!(
+            ut.at(0, 1 + H, i + H).to_bits(),
+            minus_zero,
+            "blocks, i = {i}"
+        );
+    }
+    // Elsewhere the old velocity is uniform, its Laplacian `+0`, and the
+    // sum ends on `+0` whatever the gradient's sign.
+    assert_eq!(ut.at(0, 1 + H, 2 + H).to_bits(), 0.0f64.to_bits());
 }
 
 /// `advect_tracer` under both refresh schedules on one rank: the split
@@ -599,5 +857,8 @@ proptest! {
             &case,
             MDRangePolicy3::new([nz, ej, ei]).with_tile(tile).with_offset([0, oj, oi]),
         )?;
+        // Wet runs of whatever length the mask leaves, cut every `tile[2]`
+        // entries.
+        check_lists(&case, tile[2])?;
     }
 }

@@ -4,7 +4,10 @@
 //! analytic model and the simulated-Sunway cycle accounting describe the
 //! same computation. All 3-D costs are *per wet grid point per
 //! baroclinic step*; 2-D costs are *per wet column per barotropic
-//! substep*.
+//! substep*. Where `licom` runs one kernel over a pair of fields and counts
+//! what they share once (implicit solve, tracer diffusion, vertical
+//! advection), the census keeps the per-field cost of the paper's code;
+//! `crates/bench/tests/census.rs` states the relation row by row.
 
 use ocean_grid::ModelConfig;
 
