@@ -506,6 +506,7 @@ fn main() -> ExitCode {
         "{RANKS} ranks x {STEPS} steps, {}x{}x{} grid",
         cfg.nx, cfg.ny, cfg.nz
     );
+    println!("isa = {}", licom::lanes::Isa::detect().name());
 
     let mut raw: BTreeMap<String, f64> = BTreeMap::new();
     let mut report = String::from("# licomkpp telemetry report\n\n");

@@ -65,6 +65,7 @@ fn main() {
         cfg.nz,
         std::env::temp_dir().join("licomkpp_traces").display()
     );
+    println!("isa = {}", licom::lanes::Isa::detect().name());
     let dir = std::env::temp_dir().join("licomkpp_traces");
     std::fs::create_dir_all(&dir).expect("create trace dir");
 

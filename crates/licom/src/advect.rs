@@ -30,7 +30,7 @@ use kokkos_rs::{
 
 use halo_exchange::{FoldKind, Halo3D, HaloError, StepGraph, HALO as H};
 
-use crate::lanes::{self, above, ColumnKernel, F64x, Mask};
+use crate::lanes::{self, above, ColumnKernel, F64x, Isa, Mask};
 use crate::localgrid::LocalGrid;
 
 /// A blocking halo refresh of the two intermediate fields.
@@ -117,7 +117,10 @@ impl AdvectFields {
         }
         let c = (vel.abs() * self.dt / spacing).min(F64x::splat(1.0));
         let along = vel.ge(zero);
-        [0, 1].map(|t| {
+        // A loop, not `[0, 1].map(..)`: inside the AVX2 clone
+        // ([`lanes::Isa`]) `array::map` stayed an out-of-line call per block.
+        let mut out = [zero; 2];
+        for (t, out) in out.iter_mut().enumerate() {
             let (near, far) = (q(t, 1), q(t, 2));
             let qf = face_values(
                 along.select(q(t, 0), q(t, 3)),
@@ -126,8 +129,9 @@ impl AdvectFields {
                 c,
                 self.limited,
             );
-            wet.select(vel * qf * length, zero)
-        })
+            *out = wet.select(vel * qf * length, zero);
+        }
+        out
     }
 
     /// `q1 = q − dt (F_hi − F_lo) / area` on the `W` cells at `(k, jl, il)`
@@ -176,6 +180,37 @@ impl FunctorAdvectX {
             F64x::load(&f.q[t], k, jl, il + o - 1)
         })
     }
+
+    /// `operator_tile` with the ISA an argument.
+    pub fn tile(&self, isa: Isa, bounds: [(usize, usize); 3]) {
+        let [(k0, k1), (j0, j1), (i0, i1)] = bounds;
+        let (n, il0) = (i1 - i0, i0 + H);
+        isa.run_with_scratch(
+            2 * (n + 1),
+            self,
+            #[inline(always)]
+            |this, flux| {
+                let (ft, fs) = flux.split_at_mut(n + 1);
+                for k in k0..k1 {
+                    for jl in j0 + H..j1 + H {
+                        // West face of the row's first cell through the east
+                        // face of its last; a face shared with the neighbouring
+                        // tile is computed by both, from the same inputs.
+                        lanes::lane_blocks!(d, W in n + 1 => {
+                            let [t, s] = this.faces::<W>(k, jl, il0 - 1 + d);
+                            t.write(&mut ft[d..]);
+                            s.write(&mut fs[d..]);
+                        });
+                        lanes::lane_blocks!(d, W in n => {
+                            let west = [F64x::<W>::read(&ft[d..]), F64x::read(&fs[d..])];
+                            let east = [F64x::<W>::read(&ft[d + 1..]), F64x::read(&fs[d + 1..])];
+                            this.0.apply(k, jl, il0 + d, west, east);
+                        });
+                    }
+                }
+            },
+        );
+    }
 }
 
 impl Functor3D for FunctorAdvectX {
@@ -186,28 +221,7 @@ impl Functor3D for FunctorAdvectX {
     }
 
     fn operator_tile(&self, bounds: [(usize, usize); 3]) {
-        let [(k0, k1), (j0, j1), (i0, i1)] = bounds;
-        let (n, il0) = (i1 - i0, i0 + H);
-        lanes::with_scratch(2 * (n + 1), |flux| {
-            let (ft, fs) = flux.split_at_mut(n + 1);
-            for k in k0..k1 {
-                for jl in j0 + H..j1 + H {
-                    // West face of the row's first cell through the east
-                    // face of its last; a face shared with the neighbouring
-                    // tile is computed by both, from the same inputs.
-                    lanes::lane_blocks!(d, W in n + 1 => {
-                        let [t, s] = self.faces::<W>(k, jl, il0 - 1 + d);
-                        t.write(&mut ft[d..]);
-                        s.write(&mut fs[d..]);
-                    });
-                    lanes::lane_blocks!(d, W in n => {
-                        let west = [F64x::<W>::read(&ft[d..]), F64x::read(&fs[d..])];
-                        let east = [F64x::<W>::read(&ft[d + 1..]), F64x::read(&fs[d + 1..])];
-                        self.0.apply(k, jl, il0 + d, west, east);
-                    });
-                }
-            }
-        });
+        self.tile(Isa::detect(), bounds);
     }
 
     /// Per cell, both tracers. Flops: the two flux + apply launches per
@@ -246,6 +260,39 @@ impl FunctorAdvectY {
             F64x::load(&f.q[t], k, jl + o - 1, il)
         })
     }
+
+    /// `operator_tile` with the ISA an argument.
+    pub fn tile(&self, isa: Isa, bounds: [(usize, usize); 3]) {
+        let [(k0, k1), (j0, j1), (i0, i1)] = bounds;
+        let (n, il0) = (i1 - i0, i0 + H);
+        isa.run_with_scratch(
+            2 * n,
+            self,
+            #[inline(always)]
+            |this, rolling| {
+                let (ft, fs) = rolling.split_at_mut(n);
+                for k in k0..k1 {
+                    // The south faces of the tile's first row; from there each
+                    // block applies its cells and leaves its north faces behind
+                    // as the south faces of the row above.
+                    lanes::lane_blocks!(d, W in n => {
+                        let [t, s] = this.faces::<W>(k, j0 + H - 1, il0 + d);
+                        t.write(&mut ft[d..]);
+                        s.write(&mut fs[d..]);
+                    });
+                    for jl in j0 + H..j1 + H {
+                        lanes::lane_blocks!(d, W in n => {
+                            let south = [F64x::<W>::read(&ft[d..]), F64x::read(&fs[d..])];
+                            let north = this.faces::<W>(k, jl, il0 + d);
+                            this.0.apply(k, jl, il0 + d, south, north);
+                            north[0].write(&mut ft[d..]);
+                            north[1].write(&mut fs[d..]);
+                        });
+                    }
+                }
+            },
+        );
+    }
 }
 
 impl Functor3D for FunctorAdvectY {
@@ -256,30 +303,7 @@ impl Functor3D for FunctorAdvectY {
     }
 
     fn operator_tile(&self, bounds: [(usize, usize); 3]) {
-        let [(k0, k1), (j0, j1), (i0, i1)] = bounds;
-        let (n, il0) = (i1 - i0, i0 + H);
-        lanes::with_scratch(2 * n, |rolling| {
-            let (ft, fs) = rolling.split_at_mut(n);
-            for k in k0..k1 {
-                // The south faces of the tile's first row; from there each
-                // block applies its cells and leaves its north faces behind
-                // as the south faces of the row above.
-                lanes::lane_blocks!(d, W in n => {
-                    let [t, s] = self.faces::<W>(k, j0 + H - 1, il0 + d);
-                    t.write(&mut ft[d..]);
-                    s.write(&mut fs[d..]);
-                });
-                for jl in j0 + H..j1 + H {
-                    lanes::lane_blocks!(d, W in n => {
-                        let south = [F64x::<W>::read(&ft[d..]), F64x::read(&fs[d..])];
-                        let north = self.faces::<W>(k, jl, il0 + d);
-                        self.0.apply(k, jl, il0 + d, south, north);
-                        north[0].write(&mut ft[d..]);
-                        north[1].write(&mut fs[d..]);
-                    });
-                }
-            }
-        });
+        self.tile(Isa::detect(), bounds);
     }
 
     /// As [`FunctorAdvectX`]: 2 × (27 + 6) flops less the second tracer's
@@ -329,6 +353,7 @@ impl ColumnKernel for FunctorDiagnoseW {
     /// skip them bitwise-safely. A lane shallower than the block's deepest
     /// column sees only dry faces below its bottom, so its `w` stays zero
     /// there.
+    #[inline(always)]
     fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
         let (kmt, kmax) = lanes::depths::<W>(&self.kmt, jl, il);
         let zero = F64x::<W>::splat(0.0);
@@ -406,7 +431,7 @@ impl FunctorList for FunctorDiagnoseWList {
     }
 
     fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(&self.f, self.pi, entries);
+        lanes::run_span(Isa::detect(), &self.f, self.pi, entries);
     }
 
     fn cost(&self) -> IterCost {
@@ -443,6 +468,7 @@ impl ColumnKernel for FunctorAdvectZ {
     /// the pass is in place (`q` and `q1` alias), so the land/below-`kmt`
     /// copy-through is the identity — the active-set launch skips it for
     /// land columns.
+    #[inline(always)]
     fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
         let (kmt, kmax) = lanes::depths::<W>(&self.kmt, jl, il);
         let kmin = kmt.iter().copied().min().unwrap_or(0).max(0) as usize;
@@ -560,7 +586,7 @@ impl FunctorList for FunctorAdvectZList {
     }
 
     fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(&self.f, self.pi, entries);
+        lanes::run_span(Isa::detect(), &self.f, self.pi, entries);
     }
 
     fn cost(&self) -> IterCost {

@@ -34,7 +34,7 @@ use ocean_grid::RHO0;
 use halo_exchange::HALO as H;
 
 use crate::constants::{ASSELIN, BOTTOM_DRAG};
-use crate::lanes::{self, F64x, Mask, RowKernel};
+use crate::lanes::{self, F64x, Isa, Mask, RowKernel};
 
 /// The model's heavyweight 3-D stencil kernel: full momentum tendency.
 pub struct FunctorMomentumTend {
@@ -126,7 +126,7 @@ impl Functor3D for FunctorMomentumTend {
     }
 
     fn operator_tile(&self, [k, (j0, j1), (i0, i1)]: [(usize, usize); 3]) {
-        lanes::run_tile(self, [k, (j0 + H, j1 + H), (i0 + H, i1 + H)]);
+        lanes::run_tile(Isa::detect(), self, [k, (j0 + H, j1 + H), (i0 + H, i1 + H)]);
     }
 
     fn cost(&self) -> IterCost {
@@ -159,13 +159,8 @@ impl FunctorList for FunctorMomentumTendList {
         self.f.block::<1>(rest / self.pj, rest % self.pj, il);
     }
 
-    /// Decode `(k, jl, il)` once per run of cells adjacent in `i`, then
-    /// walk the run in blocks.
     fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::for_each_run(entries, self.pi, |row, il, len| {
-            let (k, jl) = (row / self.pj, row % self.pj);
-            lanes::lane_blocks!(d, W in len => self.f.block::<W>(k, jl, il + d));
-        });
+        lanes::run_cells(Isa::detect(), &self.f, self.pj, self.pi, entries);
     }
 
     fn cost(&self) -> IterCost {
@@ -185,6 +180,7 @@ pub struct FunctorLeapfrog3D {
 }
 
 impl RowKernel for FunctorLeapfrog3D {
+    #[inline(always)]
     fn block<const W: usize>(&self, k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
         let new =
@@ -201,7 +197,7 @@ impl Functor3D for FunctorLeapfrog3D {
     }
 
     fn operator_tile(&self, bounds: [(usize, usize); 3]) {
-        lanes::run_tile(self, bounds);
+        lanes::run_tile(Isa::detect(), self, bounds);
     }
 
     fn cost(&self) -> IterCost {
@@ -222,6 +218,7 @@ pub struct FunctorAsselin3D {
 }
 
 impl RowKernel for FunctorAsselin3D {
+    #[inline(always)]
     fn block<const W: usize>(&self, k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
         let c = F64x::<W>::load(&self.cur, k, jl, il);
@@ -239,7 +236,7 @@ impl Functor3D for FunctorAsselin3D {
     }
 
     fn operator_tile(&self, bounds: [(usize, usize); 3]) {
-        lanes::run_tile(self, bounds);
+        lanes::run_tile(Isa::detect(), self, bounds);
     }
 
     fn cost(&self) -> IterCost {

@@ -23,7 +23,7 @@ use ocean_grid::GRAVITY;
 use halo_exchange::{FoldKind, Halo2D, HaloError, PendingExchange2, HALO as H};
 
 use crate::constants::ASSELIN;
-use crate::lanes::{self, F64x, RowKernel};
+use crate::lanes::{self, F64x, Isa, RowKernel};
 use crate::localgrid::LocalGrid;
 use crate::state::State;
 
@@ -36,7 +36,7 @@ macro_rules! row_kernel_2d {
         }
 
         fn operator_tile(&self, bounds: [(usize, usize); 2]) {
-            lanes::run_tile(self, [(0, 1), bounds[0], bounds[1]]);
+            lanes::run_tile(Isa::detect(), self, [(0, 1), bounds[0], bounds[1]]);
         }
     };
 }
@@ -153,6 +153,7 @@ impl FunctorBtEta {
 }
 
 impl RowKernel for FunctorBtEta {
+    #[inline(always)]
     fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
         let area = self.dxt.at(jl) * self.dyt;
@@ -198,6 +199,7 @@ pub struct FunctorBtVel {
 }
 
 impl RowKernel for FunctorBtVel {
+    #[inline(always)]
     fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
         let dx_c = 0.5 * (self.dxt.at(jl) + self.dxt.at(jl + 1));
@@ -241,6 +243,7 @@ pub struct FunctorAsselin2D {
 }
 
 impl RowKernel for FunctorAsselin2D {
+    #[inline(always)]
     fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
         let c = F64x::<W>::load2(&self.cur, jl, il);
@@ -274,6 +277,7 @@ pub struct FunctorZonalFilter {
 }
 
 impl RowKernel for FunctorZonalFilter {
+    #[inline(always)]
     fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
         let src = |i_n| F64x::<W>::load2(&self.src, jl, i_n);
@@ -306,6 +310,7 @@ pub struct FunctorCopy2D {
 }
 
 impl RowKernel for FunctorCopy2D {
+    #[inline(always)]
     fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
         F64x::<W>::load2(&self.src, jl, il).store2(&self.dst, jl, il);
@@ -333,6 +338,7 @@ pub struct FunctorAccum2D {
 }
 
 impl RowKernel for FunctorAccum2D {
+    #[inline(always)]
     fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
         (F64x::<W>::load2(&self.acc, j, i) + F64x::load2(&self.x, j, i)).store2(&self.acc, j, i);
     }
@@ -359,6 +365,7 @@ pub struct FunctorScaleAssign2D {
 }
 
 impl RowKernel for FunctorScaleAssign2D {
+    #[inline(always)]
     fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
         (F64x::<W>::load2(&self.src, j, i) * self.scale).store2(&self.dst, j, i);
     }

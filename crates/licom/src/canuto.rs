@@ -44,7 +44,7 @@ use ocean_grid::{GRAVITY, RHO0};
 use halo_exchange::HALO as H;
 
 use crate::constants::{KH_BACKGROUND, KM_BACKGROUND, K_MAX};
-use crate::lanes::{self, above, ColumnKernel, F64x};
+use crate::lanes::{self, above, ColumnKernel, F64x, Isa};
 
 /// Stability functions `(s_m, s_h)` of `W` gradient Richardson numbers.
 ///
@@ -161,6 +161,7 @@ impl ColumnKernel for CanutoFields {
     /// closure values, the rest background. Down to the block's deepest
     /// column every lane evaluates the closure and lanes already below
     /// their own bottom select background.
+    #[inline(always)]
     fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
         let (kmt, kmax) = lanes::depths::<W>(&self.kmt, jl, il);
         let (km_bg, kh_bg) = (F64x::<W>::splat(KM_BACKGROUND), F64x::splat(KH_BACKGROUND));
@@ -236,7 +237,7 @@ impl FunctorList for FunctorCanutoCols {
     }
 
     fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(&self.f, self.pi, entries);
+        lanes::run_span(Isa::detect(), &self.f, self.pi, entries);
     }
 
     fn cost(&self) -> IterCost {

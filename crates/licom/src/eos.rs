@@ -15,7 +15,7 @@ use kokkos_rs::{
 use ocean_grid::{GRAVITY, RHO0};
 
 use crate::constants::{ALPHA_T, BETA_S, S_REF, T_REF};
-use crate::lanes::{self, above, ColumnKernel, F64x};
+use crate::lanes::{self, above, ColumnKernel, F64x, Isa};
 
 /// Pointwise density from the linearised EOS.
 pub struct FunctorEos {
@@ -91,6 +91,7 @@ pub struct FunctorPressure {
 impl ColumnKernel for FunctorPressure {
     /// The columns `(jl, il..il + W)`: the integral down to each lane's
     /// bottom, held constant below it (a land column is all "below").
+    #[inline(always)]
     fn block<const W: usize>(&self, jl: usize, il: usize, _scratch: &mut [f64]) {
         let (kb, _) = lanes::depths::<W>(&self.kmt, jl, il);
         let mut p = GRAVITY * RHO0 * F64x::<W>::load2(&self.eta, jl, il);
@@ -137,7 +138,7 @@ impl FunctorList for FunctorPressureList {
     }
 
     fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(&self.f, self.pi, entries);
+        lanes::run_span(Isa::detect(), &self.f, self.pi, entries);
     }
 
     fn cost(&self) -> IterCost {

@@ -20,7 +20,7 @@
 
 use kokkos_rs::{parallel_reduce_list, ReduceFunctorList, Reducer, Space, View3};
 
-use crate::lanes::LANES;
+use crate::lanes::{Isa, LANES};
 use crate::state::State;
 
 /// Guard thresholds. All ranks must use identical values.
@@ -112,19 +112,25 @@ impl std::error::Error for GuardViolation {}
 /// one `acc.max(..)` dependency chain. `max` is exact, so the order the
 /// entries are folded in cannot change a bit of the result.
 #[inline(always)]
-fn max_span(entries: &[u32], acc: &mut f64, measure: impl Fn(usize) -> f64) {
-    let mut lane = [*acc; LANES];
-    let blocks = entries.chunks_exact(LANES);
-    let tail = blocks.remainder();
-    for block in blocks {
-        for (m, &idx) in lane.iter_mut().zip(block) {
-            *m = m.max(measure(idx as usize));
-        }
-    }
-    for (m, &idx) in lane.iter_mut().zip(tail) {
-        *m = m.max(measure(idx as usize));
-    }
-    *acc = lane.into_iter().fold(*acc, f64::max);
+fn max_span(isa: Isa, entries: &[u32], acc: &mut f64, measure: impl Fn(usize) -> f64) {
+    *acc = isa.run(
+        &measure,
+        #[inline(always)]
+        |measure| {
+            let mut lane = [*acc; LANES];
+            let blocks = entries.chunks_exact(LANES);
+            let tail = blocks.remainder();
+            for block in blocks {
+                for (m, &idx) in lane.iter_mut().zip(block) {
+                    *m = m.max(measure(idx as usize));
+                }
+            }
+            for (m, &idx) in lane.iter_mut().zip(tail) {
+                *m = m.max(measure(idx as usize));
+            }
+            lane.into_iter().fold(*acc, f64::max)
+        },
+    );
 }
 
 /// Max of |u|, |v| over a packed wet-cell list; non-finite → `+∞` so the
@@ -155,7 +161,7 @@ impl ReduceFunctorList for FunctorGuardMaxAbs {
     }
 
     fn contribute_span(&self, _n0: usize, entries: &[u32], acc: &mut f64) {
-        max_span(entries, acc, |idx| self.measure(idx));
+        max_span(Isa::detect(), entries, acc, |idx| self.measure(idx));
     }
 
     fn cost(&self) -> kokkos_rs::IterCost {
@@ -196,7 +202,7 @@ impl ReduceFunctorList for FunctorGuardBounds {
     }
 
     fn contribute_span(&self, _n0: usize, entries: &[u32], acc: &mut f64) {
-        max_span(entries, acc, |idx| self.measure(idx));
+        max_span(Isa::detect(), entries, acc, |idx| self.measure(idx));
     }
 
     fn cost(&self) -> kokkos_rs::IterCost {
@@ -382,6 +388,17 @@ mod tests {
             by_entry(&bounds(&s.s[c], cfg.s_bounds), &cells),
         ];
         assert_eq!(want, [3.25, 2.5, 1.0]);
+        // The span fold pinned to the baseline ISA (the launches below fold
+        // under `Isa::detect()`).
+        let max_abs = FunctorGuardMaxAbs {
+            u: s.u[c].clone(),
+            v: s.v[c].clone(),
+        };
+        let mut acc = 0.0;
+        max_span(Isa::BASELINE, ucells.indices(), &mut acc, |idx| {
+            max_abs.measure(idx)
+        });
+        assert_eq!(acc.to_bits(), want[0].to_bits());
         for space in [
             Space::serial(),
             Space::threads(),

@@ -29,9 +29,10 @@
 //! per-point `operator` is the `W = 1` instantiation. The two stencils that
 //! also run over packed wet cells (momentum tendency, tracer diffusion) are
 //! [`RowKernel`]s at padded indices — their dense tile hands [`run_tile`]
-//! padded bounds, their wet-list span walks its runs with the same body —
+//! padded bounds, their wet-list span ([`run_cells`]) walks its runs with it —
 //! and take their free-slip neighbours from [`wet_around`] / [`free_slip`].
-//! `LANES` is a constant, not an option.
+//! `LANES` is a constant, not an option; how many of those lanes a register
+//! holds is the host's business ([`Isa`]).
 
 use std::cell::RefCell;
 use std::ops::{Add, Div, Mul, Neg, Sub};
@@ -343,6 +344,84 @@ pub fn prefetch3(v: &View3<f64>, k: usize, jl: usize, il: usize) {
     let _ = (v, k, jl, il);
 }
 
+/// The instruction set a lane walker runs its kernel under. On an x86-64
+/// host that reports AVX2 the walkers run the same generic walk — and,
+/// inlined into it, the same `block::<W>` body — compiled inside one
+/// `#[target_feature(enable = "avx2")]` function: `ymm` operations where the
+/// baseline has `xmm` pairs and no `fma`, so bitwise the results of
+/// [`Isa::BASELINE`] and of the `W = 1` per-point paths, which never enter
+/// the clone. The AVX2 value comes only from [`Isa::detect`]: nothing to set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Isa {
+    avx2: bool,
+}
+
+impl Isa {
+    /// The walk as the build's target compiles it: the only path without
+    /// AVX2, and what the tests hold the clone to.
+    pub const BASELINE: Isa = Isa { avx2: false };
+
+    /// What this host supports (std caches the probe: one relaxed load).
+    #[inline(always)]
+    pub fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        Isa { avx2 }
+    }
+
+    /// `"avx2"` or `"baseline"`, as run summaries print it.
+    pub fn name(self) -> &'static str {
+        ["baseline", "avx2"][usize::from(self.avx2)]
+    }
+
+    /// Run `f(kernel)` compiled for this instruction set. `f` and all under
+    /// it must inline (`#[inline(always)]`, closures included): an
+    /// out-of-line call runs, correctly, at the baseline —
+    /// `scripts/check_isa_clone.sh` finds those. The functor is an argument,
+    /// not a capture: a `&K` parameter tells LLVM its fields do not change
+    /// under the body's stores, a reference loaded back out of a closure
+    /// environment does not (EXPERIMENTS.md "One clone").
+    #[inline(always)]
+    pub fn run<K: ?Sized, R>(self, kernel: &K, f: impl FnOnce(&K) -> R) -> R {
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: `avx2` is private and set nowhere but in `detect`,
+            // from `is_x86_feature_detected!("avx2")`: this CPU executes
+            // the AVX2 instructions `avx2_clone` is compiled to.
+            return unsafe { avx2_clone(kernel, f) };
+        }
+        f(kernel)
+    }
+
+    /// [`Self::run`] with `words` of per-thread scratch. The clone is
+    /// entered inside the scratch closure: `LocalKey::with` does not
+    /// inline, and a walk behind that call would run at the baseline.
+    #[inline(always)]
+    pub(crate) fn run_with_scratch<K: ?Sized, R>(
+        self,
+        words: usize,
+        kernel: &K,
+        f: impl FnOnce(&K, &mut [f64]) -> R,
+    ) -> R {
+        with_scratch(words, |scratch| {
+            self.run(
+                kernel,
+                #[inline(always)]
+                |kernel| f(kernel, scratch),
+            )
+        })
+    }
+}
+
+/// The clone: `f`, inlined, compiled with 256-bit registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2_clone<K: ?Sized, R>(kernel: &K, f: impl FnOnce(&K) -> R) -> R {
+    f(kernel)
+}
+
 thread_local! {
     /// Per-thread work arrays of the blocked bodies, grown on first use and
     /// then reused — the steady-state step allocates nothing, and a block
@@ -350,7 +429,7 @@ thread_local! {
     static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-pub(crate) fn with_scratch<R>(words: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+fn with_scratch<R>(words: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     SCRATCH.with(|s| {
         let mut s = s.borrow_mut();
         if s.len() < words {
@@ -360,22 +439,32 @@ pub(crate) fn with_scratch<R>(words: usize, f: impl FnOnce(&mut [f64]) -> R) -> 
     })
 }
 
-/// Call `f(row, il, len)` for each maximal run of consecutive packed
-/// indices `row · pi + il ..` in `entries` that stays inside one row, in
-/// list order. One div/mod per run instead of per entry.
-#[inline]
-pub fn for_each_run(entries: &[u32], pi: usize, mut f: impl FnMut(usize, usize, usize)) {
-    let mut s = 0;
-    while s < entries.len() {
-        let first = entries[s] as usize;
-        let (row, il) = (first / pi, first % pi);
-        let room = (pi - il).min(entries.len() - s);
+/// The maximal runs `(row, il, len)` of consecutive packed indices
+/// `row · pi + il ..` in `entries` that stay inside one row, in list order.
+/// One div/mod per run instead of per entry.
+pub fn runs(entries: &[u32], pi: usize) -> Runs<'_> {
+    Runs { entries, pi }
+}
+
+pub struct Runs<'a> {
+    entries: &'a [u32],
+    pi: usize,
+}
+
+impl Iterator for Runs<'_> {
+    type Item = (usize, usize, usize);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        let first = *self.entries.first()? as usize;
+        let (row, il) = (first / self.pi, first % self.pi);
+        let room = (self.pi - il).min(self.entries.len());
         let mut len = 1;
-        while len < room && entries[s + len] as usize == first + len {
+        while len < room && self.entries[len] as usize == first + len {
             len += 1;
         }
-        f(row, il, len);
-        s += len;
+        self.entries = &self.entries[len..];
+        Some((row, il, len))
     }
 }
 
@@ -385,31 +474,36 @@ pub fn for_each_run(entries: &[u32], pi: usize, mut f: impl FnMut(usize, usize, 
 /// to [`ColumnKernel::prefetch`] one block ahead (the columns of a tail
 /// share their cache lines, so only the first of them is).
 #[inline]
-pub fn run_span<K: ColumnKernel>(kernel: &K, pi: usize, entries: &[u32]) {
-    with_scratch(kernel.scratch_words() * LANES, |scratch| {
-        let mut done = 0;
-        for_each_run(entries, pi, |jl, il, len| {
-            done += len;
-            let mut d = 0;
-            while d < len {
-                let full = d + LANES <= len;
-                let next = d + if full { LANES } else { 1 };
-                if next == len {
-                    if let Some(&first) = entries.get(done) {
-                        kernel.prefetch(first as usize / pi, first as usize % pi);
+pub fn run_span<K: ColumnKernel>(isa: Isa, kernel: &K, pi: usize, entries: &[u32]) {
+    isa.run_with_scratch(
+        kernel.scratch_words() * LANES,
+        kernel,
+        #[inline(always)]
+        |kernel, scratch| {
+            let mut done = 0;
+            for (jl, il, len) in runs(entries, pi) {
+                done += len;
+                let mut d = 0;
+                while d < len {
+                    let full = d + LANES <= len;
+                    let next = d + if full { LANES } else { 1 };
+                    if next == len {
+                        if let Some(&first) = entries.get(done) {
+                            kernel.prefetch(first as usize / pi, first as usize % pi);
+                        }
+                    } else if full {
+                        kernel.prefetch(jl, il + next);
                     }
-                } else if full {
-                    kernel.prefetch(jl, il + next);
+                    if full {
+                        kernel.block::<LANES>(jl, il + d, scratch);
+                    } else {
+                        kernel.block::<1>(jl, il + d, scratch);
+                    }
+                    d = next;
                 }
-                if full {
-                    kernel.block::<LANES>(jl, il + d, scratch);
-                } else {
-                    kernel.block::<1>(jl, il + d, scratch);
-                }
-                d = next;
             }
-        });
-    });
+        },
+    );
 }
 
 /// Run `kernel` on the single column `(jl, il)` — the dense launch and the
@@ -457,13 +551,35 @@ pub trait RowKernel {
 /// Run `kernel` over one policy tile `[(k0, k1), (j0, j1), (i0, i1)]` (a
 /// 2-D launch passes `(0, 1)` for `k`): each row in blocks along `i`.
 #[inline]
-pub fn run_tile<K: RowKernel>(kernel: &K, bounds: [(usize, usize); 3]) {
+pub fn run_tile<K: RowKernel>(isa: Isa, kernel: &K, bounds: [(usize, usize); 3]) {
     let [(k0, k1), (j0, j1), (i0, i1)] = bounds;
-    for k in k0..k1 {
-        for j in j0..j1 {
-            lane_blocks!(d, W in i1 - i0 => kernel.block::<W>(k, j, i0 + d));
-        }
-    }
+    isa.run(
+        kernel,
+        #[inline(always)]
+        |kernel| {
+            for k in k0..k1 {
+                for j in j0..j1 {
+                    lane_blocks!(d, W in i1 - i0 => kernel.block::<W>(k, j, i0 + d));
+                }
+            }
+        },
+    );
+}
+
+/// Run `kernel` over one list tile of packed cells `(k · pj + jl) · pi + il`
+/// at **padded** indices: `(k, jl, il)` decoded once per run of cells
+/// adjacent in `i`, each run in blocks.
+#[inline]
+pub fn run_cells<K: RowKernel>(isa: Isa, kernel: &K, pj: usize, pi: usize, entries: &[u32]) {
+    isa.run(
+        kernel,
+        #[inline(always)]
+        |kernel| {
+            for (row, il, len) in runs(entries, pi) {
+                lane_blocks!(d, W in len => kernel.block::<W>(row / pj, row % pj, il + d));
+            }
+        },
+    );
 }
 
 #[cfg(test)]
@@ -479,11 +595,11 @@ mod tests {
             }
         }
         let log = Log(RefCell::new(Vec::new()));
-        run_tile(&log, [(3, 4), (5, 7), (2, 2 + LANES + 2)]);
+        run_tile(Isa::detect(), &log, [(3, 4), (5, 7), (2, 2 + LANES + 2)]);
         let row = |j| [(LANES, 3, j, 2), (1, 3, j, 2 + LANES), (1, 3, j, 3 + LANES)];
         assert_eq!(*log.0.borrow(), [row(5), row(6)].concat());
         log.0.borrow_mut().clear();
-        run_tile(&log, [(0, 1), (0, 1), (4, 4)]);
+        run_tile(Isa::detect(), &log, [(0, 1), (0, 1), (4, 4)]);
         assert!(log.0.borrow().is_empty(), "an empty row has no blocks");
     }
 
@@ -492,13 +608,11 @@ mod tests {
         let pi = 10;
         // Row 1: 12,13,14 | gap | 17 ; row 1→2 wrap 19,20 must split.
         let entries = [12, 13, 14, 17, 19, 20, 21, 35];
-        let mut got = Vec::new();
-        for_each_run(&entries, pi, |row, il, len| got.push((row, il, len)));
         assert_eq!(
-            got,
+            runs(&entries, pi).collect::<Vec<_>>(),
             vec![(1, 2, 3), (1, 7, 1), (1, 9, 1), (2, 0, 2), (3, 5, 1)]
         );
-        for_each_run(&[], pi, |_, _, _| panic!("empty list has no runs"));
+        assert_eq!(runs(&[], pi).next(), None, "an empty list has no runs");
     }
 
     #[test]
@@ -541,6 +655,79 @@ mod tests {
         assert_eq!(got, [a.0[0], b.0[1], a.0[2], b.0[3]].map(f64::to_bits));
     }
 
+    /// Every `F64x` / `Mask` operation on the lane pairs `(a, b)`, as bits.
+    /// `#[inline(always)]`, so under [`Isa::run`] it is compiled inside the
+    /// clone like a kernel body.
+    #[inline(always)]
+    fn every_op((a, b, cell): &(F64x<LANES>, F64x<LANES>, View3<f64>)) -> [[u64; LANES]; 15] {
+        let (a, b) = (*a, *b);
+        let bits = |x: F64x<LANES>| x.0.map(f64::to_bits);
+        let lanes = |m: Mask<LANES>| m.0;
+        let lt = a.lt(b);
+        // A masked store over a sentinel: unselected cells keep it.
+        F64x::<LANES>::splat(-7.25).store(cell, 0, 0, 0);
+        (a * b).store_where(lt, cell, 0, 0, 0);
+        [
+            bits(a + b),
+            bits(a - b),
+            bits(a * b),
+            bits(a / b),
+            bits(2.5 * a - b / 3.0),
+            bits(-a),
+            bits(a.abs()),
+            bits(a.sqrt()),
+            bits(a.min(b)),
+            bits(a.max(b)),
+            lanes(lt),
+            lanes(a.ge(b)),
+            lanes(a.is_finite().and(lt)),
+            bits(lt.select(a, b)),
+            bits(F64x::load(cell, 0, 0, 0)),
+        ]
+    }
+
+    #[test]
+    fn the_clone_computes_every_lane_op_bit_for_bit() {
+        let nan = |payload: u64| f64::from_bits(0x7FF8_0000_0000_0000 | payload);
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.5,
+            1.0 / 3.0,
+            6.02e23,
+            -2.5e-300,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            nan(0),
+            nan(0xDEAD_BEEF),
+            -nan(0x1234),
+        ];
+        let cell: View3<f64> = kokkos_rs::View::host("cell", [1, 1, LANES]);
+        for (i, &x) in values.iter().enumerate() {
+            // Lane `l` pairs `x` with `values[i + l + shift]`: over the two
+            // shifts every value meets every value, in both operand orders
+            // (two NaNs of different payloads too: x86 returns the first
+            // operand's, and both compilations keep the operand order).
+            for shift in [0, LANES] {
+                let a = F64x::<LANES>::splat(x);
+                let b = F64x::<LANES>::from_fn(|l| values[(i + l + shift) % values.len()]);
+                let inputs = (a, b, cell.clone());
+                assert_eq!(
+                    Isa::BASELINE.run(&inputs, every_op),
+                    Isa::detect().run(&inputs, every_op),
+                    "{x:e} against {:?} under {:?}",
+                    b.0,
+                    Isa::detect()
+                );
+            }
+        }
+    }
+
     /// Logs `(W, jl, il)` per block and `(0, jl, il)` per stream-ahead hint.
     struct Count<'a>(&'a RefCell<Vec<(usize, usize, usize)>>);
     impl ColumnKernel for Count<'_> {
@@ -563,7 +750,7 @@ mod tests {
         let pi = 40;
         let mut entries: Vec<u32> = (0..LANES as u32 + 2).map(|d| 2 * 40 + 5 + d).collect();
         entries.push(3 * 40 + 1);
-        run_span(&Count(&log), pi, &entries);
+        run_span(Isa::detect(), &Count(&log), pi, &entries);
         let blocks = [
             (LANES, 2, 5),
             (1, 2, 5 + LANES),

@@ -47,7 +47,7 @@ use crate::forcing::{
     FunctorSurfaceRestore, FunctorSurfaceRestoreList, FunctorWindStress, FunctorWindStressList,
 };
 use crate::guard::{self, GuardViolation};
-use crate::lanes::{self, F64x, RowKernel};
+use crate::lanes::{self, F64x, Isa, RowKernel};
 use crate::localgrid::LocalGrid;
 use crate::state::State;
 use crate::telemetry::{DriftTrip, StepMonitor, StepSample, TelemetryConfig};
@@ -225,7 +225,7 @@ impl Functor3D for FunctorTracerHDiff {
     }
 
     fn operator_tile(&self, [k, (j0, j1), (i0, i1)]: [(usize, usize); 3]) {
-        lanes::run_tile(self, [k, (j0 + H, j1 + H), (i0 + H, i1 + H)]);
+        lanes::run_tile(Isa::detect(), self, [k, (j0 + H, j1 + H), (i0 + H, i1 + H)]);
     }
 
     /// Per cell, both tracers: two 14-flop Laplacians less the second one's
@@ -259,13 +259,8 @@ impl FunctorList for FunctorTracerHDiffList {
         self.f.block::<1>(rest / self.pj, rest % self.pj, il);
     }
 
-    /// Decode `(k, jl, il)` once per run of cells adjacent in `i`, then
-    /// walk the run in blocks.
     fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::for_each_run(entries, self.pi, |row, il, len| {
-            let (k, jl) = (row / self.pj, row % self.pj);
-            lanes::lane_blocks!(d, W in len => self.f.block::<W>(k, jl, il + d));
-        });
+        lanes::run_cells(Isa::detect(), &self.f, self.pj, self.pi, entries);
     }
 
     fn cost(&self) -> IterCost {

@@ -23,6 +23,8 @@
 
 use kokkos_profiling::{DriftBank, DriftDetector, DriftEvent, RingBuffer};
 
+use crate::lanes::Isa;
+
 /// Telemetry knobs, carried by [`crate::model::ModelOptions::telemetry`].
 #[derive(Debug, Clone, Copy)]
 pub struct TelemetryConfig {
@@ -195,15 +197,17 @@ impl StepMonitor {
         self.ring.iter().map(&f).sum::<f64>() / self.ring.len() as f64
     }
 
-    /// Render a short window summary for reports.
+    /// Render a short window summary for reports, and which ISA the lane
+    /// walkers ran under: a wall clock reads differently on either.
     pub fn render(&self) -> String {
+        let isa = Isa::detect().name();
         if self.ring.is_empty() {
-            return "telemetry: no samples\n".to_string();
+            return format!("telemetry: no samples\nisa = {isa}\n");
         }
         let wall = self.window_mean(|s| s.wall_seconds);
         let wait = self.window_mean(|s| s.halo_wait_seconds);
         format!(
-            "telemetry over last {} steps ({} total): mean step {:.4}s, mean halo wait {:.4}s ({:.1}%), perf trips {}, physics trips {}\n",
+            "telemetry over last {} steps ({} total): mean step {:.4}s, mean halo wait {:.4}s ({:.1}%), perf trips {}, physics trips {}\nisa = {isa}\n",
             self.ring.len(),
             self.ring.total_pushed(),
             wall,
@@ -243,6 +247,9 @@ mod tests {
         assert_eq!(m.perf_trips(), 0);
         assert_eq!(m.physics_trips(), 0);
         assert!(m.render().contains("physics trips 0"));
+        assert!(m
+            .render()
+            .ends_with(&format!("isa = {}\n", Isa::detect().name())));
     }
 
     #[test]

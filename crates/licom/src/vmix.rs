@@ -26,7 +26,7 @@ use kokkos_rs::{Functor2D, FunctorList, IterCost, View1, View2, View3};
 
 use halo_exchange::HALO as H;
 
-use crate::lanes::{self, above, ColumnKernel, F64x, Mask};
+use crate::lanes::{self, above, ColumnKernel, F64x, Isa, Mask};
 
 /// Solve `(I − dt ∂z K ∂z) q' = q` in place for `N` fields that share
 /// their coefficients, column-wise.
@@ -67,6 +67,7 @@ impl<const N: usize> ColumnKernel for FunctorVmixImplicit<N> {
         work_words(N, self.nz)
     }
 
+    #[inline(always)]
     fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
         solve_block::<W, N>(
             self.q.each_ref(),
@@ -83,6 +84,7 @@ impl<const N: usize> ColumnKernel for FunctorVmixImplicit<N> {
 
     /// The lines a block starting at `(jl, il)` reads, down to its first
     /// column's depth (a hint: the deeper rows of a ragged block just miss).
+    #[inline(always)]
     fn prefetch(&self, jl: usize, il: usize) {
         for k in 0..self.mask.at(jl, il) as usize {
             lanes::prefetch3(&self.kcoef, k, jl, il);
@@ -122,7 +124,7 @@ impl<const N: usize> FunctorList for FunctorVmixList<N> {
     }
 
     fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(&self.f, self.pi, entries);
+        lanes::run_span(Isa::detect(), &self.f, self.pi, entries);
     }
 
     fn cost(&self) -> IterCost {
@@ -263,6 +265,7 @@ mod tests {
 /// (`c = 0`), its back-substitution starts there, and rows below it are
 /// computed with the block but never stored.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn solve_block<const W: usize, const N: usize>(
     q: [&View3<f64>; N],
     kcoef: &View3<f64>,

@@ -11,6 +11,10 @@
 //! the wet mask looks like: isolated wet columns, runs shorter than, equal
 //! to and longer than a block, runs cut by a tile boundary, one-level
 //! columns, a one-level grid, all-land rows, ragged depths inside a block.
+//! A launch walks its spans under `Isa::detect()`; the same walk pinned to
+//! `Isa::BASELINE` must leave those bits too — on an AVX2 host that holds
+//! the clone to the baseline and to `W = 1`, elsewhere it walks the fallback
+//! twice.
 //!
 //! The implicit solve is also generic over the number `N` of fields that
 //! share its matrix: the `N = 2` solve must leave, in each field, the bits of
@@ -24,7 +28,7 @@ use licom::advect::{FunctorAdvectZ, FunctorAdvectZList, FunctorDiagnoseW, Functo
 use licom::barotropic::{FunctorDepthMean, FunctorDepthMeanList};
 use licom::canuto::{CanutoFields, FunctorCanutoCols};
 use licom::eos::{FunctorPressure, FunctorPressureList};
-use licom::lanes::LANES;
+use licom::lanes::{self, Isa, LANES};
 use licom::vmix::{FunctorVmixImplicit, FunctorVmixList};
 use ocean_grid::ActiveSet;
 use proptest::prelude::*;
@@ -34,6 +38,29 @@ use sunway_sim::CgConfig;
 // The model launches the solver in pairs only, so `N = 1` is registered
 // here, for the registry spaces this file runs it on.
 kokkos_rs::register_for_list!(kernel_vmix_list_single, FunctorVmixList<1>);
+
+/// A list functor's span walk with the ISA an argument instead of detected.
+trait Pinned {
+    fn span(&self, isa: Isa, entries: &[u32]);
+}
+
+macro_rules! pinned {
+    ($($F:ty),*) => {$(
+        impl Pinned for $F {
+            fn span(&self, isa: Isa, entries: &[u32]) {
+                lanes::run_span(isa, &self.f, self.pi, entries);
+            }
+        }
+    )*};
+}
+pinned!(
+    FunctorVmixList<1>,
+    FunctorVmixList<2>,
+    FunctorCanutoCols,
+    FunctorDiagnoseWList,
+    FunctorAdvectZList,
+    FunctorPressureList
+);
 
 /// splitmix64: the fields are a pure function of `(seed, position)`.
 fn mix(seed: u64, n: u64) -> u64 {
@@ -197,8 +224,10 @@ fn bits(views: &[View3<f64>]) -> Vec<Vec<u64>> {
 
 /// `make` builds the functor on fresh copies of whatever it writes and
 /// returns those views. The reference runs it entry by entry (`W = 1`); every
-/// space must reproduce its bits through the span path.
-fn check<F: FunctorList + 'static>(
+/// space must reproduce its bits through the span path, and so must the span
+/// walk pinned to `Isa::BASELINE`, tile by tile (the spaces differ in who
+/// runs a tile, not in how it is walked).
+fn check<F: FunctorList + Pinned + 'static>(
     kernel: &str,
     case: &Case,
     make: impl Fn() -> (F, Vec<View3<f64>>),
@@ -222,6 +251,16 @@ fn check<F: FunctorList + 'static>(
             case.nz
         );
     }
+    let (f, out) = make();
+    for t in 0..policy.total_tiles() {
+        f.span(Isa::BASELINE, policy.tile_entries(t).1);
+    }
+    prop_assert!(
+        bits(&out) == want,
+        "{kernel}: the span walk under Isa::BASELINE differs from per-entry \
+         execution (the spaces ran under {:?})",
+        Isa::detect()
+    );
     Ok(want)
 }
 
@@ -406,10 +445,9 @@ fn a_full_row_really_is_walked_in_blocks() {
     // or the comparisons above compare W = 1 with W = 1.
     let case = Case::new(4, 2 * LANES + 3, &[Row::Full], Depth::Flat, 256, 1);
     let entries = case.policy.indices();
-    let mut runs = Vec::new();
-    licom::lanes::for_each_run(entries, case.nx + 2 * H, |_, _, len| runs.push(len));
+    let runs = lanes::runs(entries, case.nx + 2 * H);
     assert_eq!(
-        runs,
+        runs.map(|(_, _, len)| len).collect::<Vec<_>>(),
         vec![2 * LANES + 3],
         "one run: two blocks and a tail of 3"
     );

@@ -10,7 +10,10 @@
 //! agree **bitwise** on every execution space, whatever the wet mask, the
 //! tile shape and the launch origin look like — in particular the y pass,
 //! whose tile body carries a row of face transports from one cell row to
-//! the next, must not care where a tile is cut.
+//! the next, must not care where a tile is cut. A launch walks its tiles
+//! under `Isa::detect()`; the same walk pinned to `Isa::BASELINE` must leave
+//! those bits too — on an AVX2 host that holds the clone to the baseline and
+//! to `W = 1`, elsewhere it walks the fallback twice.
 //!
 //! The two stencils that also run over packed wet lists (momentum tendency,
 //! tracer diffusion) are held to more: a list span (`operator_span`, runs
@@ -30,13 +33,78 @@ use licom::barotropic::{
     FunctorAccum2D, FunctorAsselin2D, FunctorBtEta, FunctorBtVel, FunctorCopy2D,
     FunctorScaleAssign2D, FunctorZonalFilter,
 };
-use licom::lanes::LANES;
+use licom::lanes::{self, Isa, LANES};
 use licom::localgrid::LocalGrid;
 use licom::model::{FunctorTracerHDiff, FunctorTracerHDiffList};
 use mpi_sim::{CartComm, World};
 use ocean_grid::{ActiveSet3, Bathymetry, GlobalGrid};
 use proptest::prelude::*;
 use sunway_sim::CgConfig;
+
+/// A functor's walk of one policy tile (`R` bounds) or list span with the ISA
+/// an argument instead of detected — what its `operator_tile` /
+/// `operator_span` does under `Isa::detect()`.
+trait PinnedTile<const R: usize> {
+    fn tile(&self, isa: Isa, bounds: [(usize, usize); R]);
+}
+
+trait PinnedSpan {
+    fn span(&self, isa: Isa, entries: &[u32]);
+}
+
+macro_rules! pinned {
+    // Row kernels launched in 2-D, owned-cell coordinates.
+    (2: $($F:ty),*) => {$(
+        impl PinnedTile<2> for $F {
+            fn tile(&self, isa: Isa, [rows, cols]: [(usize, usize); 2]) {
+                lanes::run_tile(isa, self, [(0, 1), rows, cols]);
+            }
+        }
+    )*};
+    // Row kernels launched in 3-D whose blocks add the halo themselves.
+    (3: $($F:ty),*) => {$(
+        impl PinnedTile<3> for $F {
+            fn tile(&self, isa: Isa, bounds: [(usize, usize); 3]) {
+                lanes::run_tile(isa, self, bounds);
+            }
+        }
+    )*};
+    // The stencils that share their body with a wet list: padded blocks.
+    (padded: $($F:ty, $L:ty);*) => {$(
+        impl PinnedTile<3> for $F {
+            fn tile(&self, isa: Isa, [k, (j0, j1), (i0, i1)]: [(usize, usize); 3]) {
+                lanes::run_tile(isa, self, [k, (j0 + H, j1 + H), (i0 + H, i1 + H)]);
+            }
+        }
+        impl PinnedSpan for $L {
+            fn span(&self, isa: Isa, entries: &[u32]) {
+                lanes::run_cells(isa, &self.f, self.pj, self.pi, entries);
+            }
+        }
+    )*};
+    // The advection passes sweep their tiles by hand.
+    (swept: $($F:ty),*) => {$(
+        impl PinnedTile<3> for $F {
+            fn tile(&self, isa: Isa, bounds: [(usize, usize); 3]) {
+                <$F>::tile(self, isa, bounds);
+            }
+        }
+    )*};
+}
+pinned!(2: FunctorBtEta, FunctorBtVel, FunctorAsselin2D, FunctorZonalFilter, FunctorCopy2D,
+    FunctorAccum2D, FunctorScaleAssign2D);
+pinned!(3: FunctorLeapfrog3D, FunctorAsselin3D);
+pinned!(padded: FunctorMomentumTend, FunctorMomentumTendList;
+    FunctorTracerHDiff, FunctorTracerHDiffList);
+pinned!(swept: FunctorAdvectX, FunctorAdvectY);
+
+/// The fused substep forwards a tile to its members in turn.
+impl PinnedTile<2> for FunctorPair2D<FunctorBtEta, FunctorBtVel> {
+    fn tile(&self, isa: Isa, bounds: [(usize, usize); 2]) {
+        self.a.tile(isa, bounds);
+        self.b.tile(isa, bounds);
+    }
+}
 
 /// splitmix64: the fields are a pure function of `(seed, position)`.
 fn mix(seed: u64, n: u64) -> u64 {
@@ -279,11 +347,29 @@ fn bits(outs: &[Out]) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// The tile walk of `f` pinned to `Isa::BASELINE`, tile by tile (the spaces
+/// differ in who runs a tile, not in how it is walked), against `want`.
+fn check_pinned<const R: usize, F: PinnedTile<R>>(
+    kernel: &str,
+    (f, out): (F, Vec<Out>),
+    tiles: impl Iterator<Item = [(usize, usize); R]>,
+    want: &[Vec<u64>],
+) -> Result<(), TestCaseError> {
+    tiles.for_each(|bounds| f.tile(Isa::BASELINE, bounds));
+    prop_assert!(
+        bits(&out) == want,
+        "{kernel}: the tile walk under Isa::BASELINE differs from per-point \
+         execution (the spaces ran under {:?})",
+        Isa::detect()
+    );
+    Ok(())
+}
+
 /// `make` builds the functor on fresh copies of whatever it writes and
 /// returns those views. The reference runs it point by point (`W = 1`)
 /// over the policy's range; every space must reproduce its bits through
-/// the tile path.
-fn check2<F: Functor2D + 'static>(
+/// the tile path, and so must the tile walk pinned to `Isa::BASELINE`.
+fn check2<F: Functor2D + PinnedTile<2> + 'static>(
     kernel: &str,
     policy: MDRangePolicy2,
     make: impl Fn() -> (F, Vec<Out>),
@@ -304,10 +390,11 @@ fn check2<F: Functor2D + 'static>(
             space.name()
         );
     }
-    Ok(())
+    let tiles = (0..policy.total_tiles()).map(|t| policy.tile_bounds(t));
+    check_pinned(kernel, make(), tiles, &want)
 }
 
-fn check3<F: Functor3D + 'static>(
+fn check3<F: Functor3D + PinnedTile<3> + 'static>(
     kernel: &str,
     policy: MDRangePolicy3,
     make: impl Fn() -> (F, Vec<Out>),
@@ -331,7 +418,8 @@ fn check3<F: Functor3D + 'static>(
             space.name()
         );
     }
-    Ok(())
+    let tiles = (0..policy.total_tiles()).map(|t| policy.tile_bounds(t));
+    check_pinned(kernel, make(), tiles, &want)
 }
 
 fn copy2(v: &View2<f64>) -> View2<f64> {
@@ -426,9 +514,10 @@ fn check_3d(case: &Case, policy: MDRangePolicy3) -> Result<(), TestCaseError> {
 }
 
 /// `make` as in [`check3`]. The reference runs the list entry by entry
-/// (`W = 1`); every space must reproduce its bits through the span path.
-/// Returns the reference bits.
-fn check_list<F: FunctorList + 'static>(
+/// (`W = 1`); every space must reproduce its bits through the span path, and
+/// so must the span walk pinned to `Isa::BASELINE`. Returns the reference
+/// bits.
+fn check_list<F: FunctorList + PinnedSpan + 'static>(
     kernel: &str,
     policy: &ListPolicy,
     make: impl Fn() -> (F, Vec<Out>),
@@ -450,6 +539,16 @@ fn check_list<F: FunctorList + 'static>(
             policy.tile
         );
     }
+    let (f, out) = make();
+    for t in 0..policy.total_tiles() {
+        f.span(Isa::BASELINE, policy.tile_entries(t).1);
+    }
+    prop_assert!(
+        bits(&out) == want,
+        "{kernel}: the span walk under Isa::BASELINE differs from per-entry \
+         execution (the spaces ran under {:?})",
+        Isa::detect()
+    );
     Ok(want)
 }
 
@@ -684,7 +783,7 @@ fn a_full_row_really_is_walked_in_blocks() {
     let log = Widths(Default::default());
     let policy = MDRangePolicy2::new([1, 2 * LANES + 3]);
     let [rows, cols] = policy.tile_bounds(0);
-    licom::lanes::run_tile(&log, [(0, 1), rows, cols]);
+    lanes::run_tile(Isa::detect(), &log, [(0, 1), rows, cols]);
     assert_eq!(*log.0.borrow(), [LANES, LANES, 1, 1, 1]);
 }
 

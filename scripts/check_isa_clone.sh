@@ -1,0 +1,67 @@
+#!/usr/bin/env bash
+# Clone-completeness check for `licom::lanes::Isa::run`.
+#
+# The AVX2 clone only speeds up what LLVM inlines into it: a kernel body or
+# helper left as an out-of-line call inside `licom::lanes::avx2_clone` still
+# computes the right bits, but at the baseline ISA, silently. This script
+# disassembles a release binary and fails if any instantiation of the clone
+# calls into `licom::`, `kokkos_rs::`, `core::array::` or
+# `std::thread::local::LocalKey`; per instantiation it prints who enters it
+# and how many packed divides are 256-bit (`ymm`) against 128-bit (`xmm`).
+#
+#   scripts/check_isa_clone.sh [BINARY]     (default: target/release/exp_profile)
+set -euo pipefail
+
+bin=${1:-target/release/exp_profile}
+if ! command -v objdump >/dev/null; then
+    echo "check_isa_clone: skipped, objdump not found"
+    exit 0
+fi
+if [ "$(uname -m)" != x86_64 ]; then
+    echo "check_isa_clone: skipped, a $(uname -m) build has no AVX2 clone"
+    exit 0
+fi
+if [ ! -x "$bin" ]; then
+    echo "check_isa_clone: $bin not found (cargo build --release first)" >&2
+    exit 2
+fi
+
+objdump -d -C --no-show-raw-insn "$bin" | awk '
+    # "0000000000134e20 <name>:" opens a function.
+    /^[0-9a-f]+ <.*>:$/ {
+        addr = $1; sub(/^0+/, "", addr)
+        fn = $0; sub(/^[0-9a-f]+ </, "", fn); sub(/>:$/, "", fn)
+        in_clone = (fn == "licom::lanes::avx2_clone")
+        if (in_clone) { clones[++n] = addr; ymm[addr] = 0; xmm[addr] = 0 }
+        next
+    }
+    # A call, or a tail call: a jump to the start of another function.
+    /\t(call|jmp) +[0-9a-f]+ <[^+]*>$/ {
+        target = $0; sub(/^.*\t(call|jmp) +/, "", target)
+        taddr = target; sub(/ .*/, "", taddr)
+        sym = target; sub(/^[0-9a-f]+ </, "", sym); sub(/>$/, "", sym)
+        if (sym == "licom::lanes::avx2_clone") {
+            # Who enters the clone (the scratch walkers do from inside
+            # their `LocalKey::with`, which is all the symbol says).
+            if (index(callers[taddr], fn) == 0) callers[taddr] = callers[taddr] "\n      from " fn
+        } else if (in_clone && sym ~ /^<?(licom|kokkos_rs)::|core::array::|std::thread::local::LocalKey/) {
+            if (index(bad[addr], sym) == 0) bad[addr] = bad[addr] "\n      OUT-OF-LINE " sym
+            failed = 1
+        }
+    }
+    in_clone && /\tv?divpd / {
+        if ($0 ~ /%ymm/) ymm[addr]++; else xmm[addr]++
+    }
+    END {
+        if (n == 0) {
+            print "check_isa_clone: FAILED, no licom::lanes::avx2_clone in the binary"
+            exit 1
+        }
+        for (c = 1; c <= n; c++) {
+            a = clones[c]
+            printf "  avx2_clone @%s  divpd ymm %d / xmm %d%s%s\n", a, ymm[a], xmm[a], callers[a], bad[a]
+        }
+        printf "check_isa_clone: %d instantiations, %s\n", n, failed ? "FAILED" : "ok"
+        exit failed
+    }
+'
