@@ -1,30 +1,13 @@
-//! Halo engine microbenchmarks: the Fig. 5 transposes (naive vs tiled),
-//! full 2-D/3-D exchanges per strategy, and batched vs separate
-//! multi-field updates.
+//! Halo engine microbenchmarks: full 3-D exchanges per buffer order (the
+//! Fig. 5 transpose is `Strategy3D::Transpose`'s pack), batched vs
+//! separate multi-field updates, pooled vs allocating, integrity
+//! overhead, and pack/unpack per execution space.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use halo_exchange::{transpose, FoldKind, Halo2D, Halo3D, Strategy3D};
+use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D};
 use kokkos_rs::{View, View3};
 use mpi_sim::{CartComm, World};
 use std::time::Duration;
-
-fn bench_transpose(c: &mut Criterion) {
-    // A realistic east-edge halo strip: 80 levels x 100 rows x 2 cols.
-    let (nz, nj, ni) = (80, 100, 2);
-    let strip: Vec<f64> = (0..nz * nj * ni).map(|x| x as f64).collect();
-    let mut g = c.benchmark_group("halo_transpose_80x100x2");
-    g.bench_function("h2v_naive", |b| {
-        b.iter(|| transpose::h2v(&strip, nz, nj, ni))
-    });
-    g.bench_function("h2v_tiled16", |b| {
-        b.iter(|| transpose::h2v_tiled(&strip, nz, nj, ni, 16))
-    });
-    g.bench_function("v2h", |b| {
-        let v = transpose::h2v(&strip, nz, nj, ni);
-        b.iter(|| transpose::v2h(&v, nz, nj, ni))
-    });
-    g.finish();
-}
 
 fn bench_exchange_strategies(c: &mut Criterion) {
     let mut g = c.benchmark_group("halo3d_exchange_1rank");
@@ -196,7 +179,6 @@ fn bench_pack_spaces(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_transpose,
     bench_exchange_strategies,
     bench_batched,
     bench_pooled_vs_allocating,

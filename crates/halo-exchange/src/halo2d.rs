@@ -1,4 +1,5 @@
-//! 2-D halo update on the tripolar block decomposition.
+//! The per-rank halo context on the tripolar block decomposition, and the
+//! 2-D face of the exchange engine.
 //!
 //! Layout of a local field (padded views, `H = 2`):
 //!
@@ -19,13 +20,18 @@
 //! `cx` is the block at `px-1-cx` (possibly itself). A clean mirror
 //! requires equal block widths, so fold exchanges assert `nxg % px == 0`.
 //!
-//! The default [`Halo2D::exchange`] is allocation-free in steady state:
+//! [`Halo2D`] owns what one rank needs to run that protocol — geometry and
+//! peers (`plan`), the strips it moves, persistent scratch for
+//! the self paths, frame sequencing for the integrity layer, and the
+//! send/receive chokepoints every strip goes through — and
+//! [`crate::Pending`] runs it. A 2-D exchange is the one-level case:
+//! [`Halo2D::try_exchange`] is a one-field [`Halo2D::begin_exchange_many`]
+//! finished on the spot. Exchanges are allocation-free in steady state:
 //! messages round-trip through the per-rank buffer pools of `mpi-sim`
-//! ([`mpi_sim::Comm::send_into`] / [`mpi_sim::Comm::recv_into`]), self
-//! paths use persistent scratch, and pack/unpack copy contiguous runs
-//! (`copy_from_slice`) instead of walking elements. The original
-//! freshly-allocating implementation survives as [`Halo2D::exchange_alloc`]
-//! — the bitwise-identity reference.
+//! ([`mpi_sim::Comm::send_into`] / [`mpi_sim::Comm::try_recv_into`]) and
+//! pack/unpack copy contiguous runs (`strip`). The freshly
+//! allocating element-wise reference survives as
+//! [`Halo2D::exchange_alloc`] — the bitwise-identity oracle.
 
 use std::cell::{Cell, RefCell, RefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,26 +39,21 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use kokkos_rs::{Space, View2};
-use mpi_sim::{CartComm, Comm, Dir, Neighbor};
+use mpi_sim::{CartComm, Comm, CommError, Dir, Neighbor};
 
-use crate::integrity::{self, FrameSeq, HaloError, IntegrityConfig};
-use crate::strip;
+use crate::halo3d::Strategy3D;
+use crate::integrity::{self, FrameFault, FrameSeq, HaloError, IntegrityConfig};
+use crate::pending::{self, Pending};
+use crate::strip::{self, Rect};
 use crate::HALO as H;
 
-/// Below this many elements a strip copy stays on the MPE: a kernel launch
-/// costs on the order of a microsecond, which a host `memcpy` at tens of
-/// GB/s spends moving a few thousand f64 — dispatching smaller strips to
-/// CPEs (or the thread pool) would pay more in overhead than the copy
-/// itself. Kilometer-scale blocks clear this easily; the coarse test grids
-/// fall back to the serial runs.
+/// Below this many elements a 2-D strip copy stays on the MPE: a kernel
+/// launch costs on the order of a microsecond, which a host `memcpy` at
+/// tens of GB/s spends moving a few thousand f64 — dispatching smaller
+/// strips to CPEs (or the thread pool) would pay more in overhead than the
+/// copy itself. Kilometer-scale blocks clear this easily; the coarse test
+/// grids fall back to the serial runs.
 const STRIP_DISPATCH_MIN: usize = 4096;
-
-/// Tag offsets by direction of travel.
-const T_WEST: u64 = 0;
-const T_EAST: u64 = 1;
-const T_SOUTH: u64 = 2;
-const T_NORTH: u64 = 3;
-const T_FOLD: u64 = 4;
 
 /// How a field transforms across the north fold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +65,7 @@ pub enum FoldKind {
 }
 
 impl FoldKind {
-    fn sign(self) -> f64 {
+    pub(crate) fn sign(self) -> f64 {
         match self {
             FoldKind::Scalar => 1.0,
             FoldKind::Vector => -1.0,
@@ -85,9 +86,8 @@ pub(crate) enum NorthPath {
     Closed,
 }
 
-/// The per-exchange transfer plan shared by every exchange flavor: which
-/// peers to talk to, which north path applies, and the per-field message
-/// lengths. See [`Halo2D::plan`].
+/// The peers of one exchange: who to talk to and which north path
+/// applies. See [`Halo2D::plan`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StripPlan {
     pub west: usize,
@@ -96,10 +96,6 @@ pub(crate) struct StripPlan {
     pub ew_self: bool,
     pub south: Option<usize>,
     pub north: NorthPath,
-    /// East/west message length per field (`ny * H`).
-    pub strip: usize,
-    /// North/south message length per field (`H * pi`, full padded width).
-    pub rows: usize,
 }
 
 /// Per-rank halo exchange context for one decomposition.
@@ -117,13 +113,12 @@ pub struct Halo2D {
     /// Execution space strip pack/unpack dispatches on (serial by
     /// default; the model passes its own so staging runs on CPEs).
     space: Space,
-    /// Minimum strip elements before pack/unpack leaves the MPE
+    /// Minimum 2-D strip elements before pack/unpack leaves the MPE
     /// ([`STRIP_DISPATCH_MIN`]; tests shrink it to force dispatch).
     strip_dispatch_min: usize,
     /// Persistent scratch for self-sends / self-folds (two cells: the
     /// east/west self path needs both strips live at once). Grow-once.
-    scratch_a: RefCell<Vec<f64>>,
-    scratch_b: RefCell<Vec<f64>>,
+    scratch: [RefCell<Vec<f64>>; 2],
     /// End-to-end integrity framing + retry (None = raw strips, the
     /// default — existing byte-count expectations stay exact).
     integrity: Option<IntegrityConfig>,
@@ -133,17 +128,17 @@ pub struct Halo2D {
     epoch: Cell<u64>,
     ordinal: Cell<u64>,
     /// Nanoseconds this rank spent inside receive calls — the wait/unpack
-    /// side of every networked strip, including the overlap variants whose
-    /// whole-call time is deliberately not attributed to the halo phase.
-    /// Shared across clones (`Halo3D` wraps a clone of the model's 2-D
-    /// context) so one counter sees both 2-D and 3-D traffic.
+    /// side of every networked strip, whether the exchange was finished on
+    /// the spot or carried across compute. Shared across clones
+    /// (`Halo3D` wraps a clone of the model's 2-D context) so one counter
+    /// sees both 2-D and 3-D traffic.
     wait_ns: Arc<AtomicU64>,
-    /// Nanoseconds of exchange *span* — begin-to-done for split-phase
-    /// exchanges (which covers whatever compute ran while the strips were
-    /// in flight), whole-call for blocking ones. Concurrent pending spans
-    /// sum additively, so this counts comm·seconds in flight; dividing a
-    /// step's delta by wall time measures how much communication the step
-    /// kept airborne per wall second. Shared across clones like `wait_ns`.
+    /// Nanoseconds of exchange *span* — begin-to-done, which for a carried
+    /// exchange covers whatever compute ran while the strips were in
+    /// flight. Concurrent pending spans sum additively, so this counts
+    /// comm·seconds in flight; dividing a step's delta by wall time
+    /// measures how much communication the step kept airborne per wall
+    /// second. Shared across clones like `wait_ns`.
     inflight_ns: Arc<AtomicU64>,
 }
 
@@ -172,8 +167,7 @@ impl Halo2D {
             ny,
             space: Space::serial(),
             strip_dispatch_min: STRIP_DISPATCH_MIN,
-            scratch_a: RefCell::new(Vec::new()),
-            scratch_b: RefCell::new(Vec::new()),
+            scratch: Default::default(),
             integrity: None,
             epoch: Cell::new(0),
             ordinal: Cell::new(0),
@@ -203,11 +197,12 @@ impl Halo2D {
 
     /// Dispatch strip pack/unpack over `space` instead of serial MPE
     /// loops (paper §V-D: halo staging runs on the CPEs so wide strips
-    /// stop round-tripping through MPE memory). Strips smaller than
-    /// [`STRIP_DISPATCH_MIN`] elements still take the serial fast path —
-    /// launch overhead would dominate the copy.
+    /// stop round-tripping through MPE memory). 2-D strips smaller than
+    /// `STRIP_DISPATCH_MIN` elements still stay on the MPE — launch
+    /// overhead would dominate the copy.
     pub fn with_space(mut self, space: Space) -> Self {
-        strip::register_strip_copy_2d();
+        // Idempotent; makes the strip kernel launchable on SwAthread.
+        strip::register_strip_copy();
         self.space = space;
         self
     }
@@ -217,8 +212,8 @@ impl Halo2D {
         &self.space
     }
 
-    /// Whether a strip of `elems` elements is worth a kernel launch.
-    fn dispatch_strips(&self, elems: usize) -> bool {
+    /// Whether a 2-D strip of `elems` elements is worth a kernel launch.
+    pub(crate) fn dispatch_strips(&self, elems: usize) -> bool {
         elems >= self.strip_dispatch_min && !matches!(self.space, Space::Serial)
     }
 
@@ -271,7 +266,9 @@ impl Halo2D {
         }
     }
 
-    /// Receive one strip, verifying + retrying when integrity is on.
+    /// Receive one strip, verifying + retrying when integrity is on. A
+    /// strip that can never arrive is a typed error either way: raw strips
+    /// wait out the world's own receive bound, once.
     pub(crate) fn recv_strip(
         &self,
         comm: &Comm,
@@ -293,10 +290,17 @@ impl Halo2D {
                 len,
                 unpack,
             ),
-            None => {
-                comm.recv_into(src, tag, |buf| unpack(buf));
-                Ok(())
-            }
+            None => comm
+                .try_recv_into(src, tag, |buf| unpack(buf))
+                .map_err(|e| match e {
+                    CommError::PeerDead { .. } => HaloError::PeerDead { src, tag },
+                    CommError::Timeout { .. } => HaloError::RetriesExhausted {
+                        src,
+                        tag,
+                        attempts: 1,
+                        last: FrameFault::Timeout,
+                    },
+                }),
         };
         self.wait_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -313,192 +317,58 @@ impl Halo2D {
         &self.cart
     }
 
-    /// Zonal offset of the fold partner's block (equal widths enforced).
-    pub fn fold_partner_x0_pub(&self) -> usize {
-        self.fold_partner_x0()
+    /// Zonal offset of the fold partner's block (equal widths guaranteed
+    /// by the constructor assert).
+    pub(crate) fn fold_partner_x0(&self) -> usize {
+        self.nxg - self.x0 - self.nx
     }
 
-    fn check(&self, field: &View2<f64>) {
-        let (pj, pi) = self.padded();
-        assert_eq!(field.dims(), [pj, pi], "field shape != padded block");
-    }
-
-    /// Borrow persistent scratch of at least `len` elements (grow-once).
-    fn scratch(cell: &RefCell<Vec<f64>>, len: usize) -> RefMut<'_, Vec<f64>> {
-        let mut buf = cell.borrow_mut();
+    /// Borrow persistent scratch cell `which` with at least `len`
+    /// elements (grow-once).
+    pub(crate) fn scratch(&self, which: usize, len: usize) -> RefMut<'_, Vec<f64>> {
+        let mut buf = self.scratch[which].borrow_mut();
         if buf.len() < len {
             buf.resize(len, 0.0);
         }
         buf
     }
 
-    // -- packing helpers ----------------------------------------------------
-    //
-    // The `pack_*`/`unpack_*` pairs are the original allocating element-wise
-    // implementations, kept as the reference; the `_into`/`_from` variants
-    // copy contiguous runs in place (rows are `pi` consecutive elements,
-    // column strips `H` consecutive per row).
+    // -- the strips ---------------------------------------------------------
 
-    /// Columns `[c0, c0+H)` over owned rows, row-major.
-    fn pack_cols(&self, f: &View2<f64>, c0: usize) -> Vec<f64> {
-        let mut buf = Vec::with_capacity(self.ny * H);
-        for j in H..H + self.ny {
-            for c in 0..H {
-                buf.push(f.at(j, c0 + c));
-            }
-        }
-        buf
-    }
-
-    fn pack_cols_into(&self, f: &View2<f64>, c0: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.ny * H);
-        if self.dispatch_strips(out.len()) {
-            strip::pack_rect2_on(&self.space, f, H, false, self.ny, c0, H, out);
-            return;
-        }
-        let fs = f.as_slice();
-        for (jj, chunk) in out.chunks_exact_mut(H).enumerate() {
-            let off = f.offset([H + jj, c0]);
-            chunk.copy_from_slice(&fs[off..off + H]);
+    /// Columns `[i0, i0+H)` over the owned rows: an east/west strip.
+    pub(crate) fn cols(&self, i0: usize) -> Rect {
+        Rect {
+            j0: H,
+            nj: self.ny,
+            i0,
+            ni: H,
+            rev: false,
         }
     }
 
-    fn unpack_cols(&self, f: &View2<f64>, c0: usize, buf: &[f64]) {
-        assert_eq!(buf.len(), self.ny * H);
-        let mut it = buf.iter();
-        for j in H..H + self.ny {
-            for c in 0..H {
-                f.set_at(j, c0 + c, *it.next().unwrap());
-            }
+    /// Rows `[j0, j0+H)` over the full padded width: a north/south strip.
+    pub(crate) fn rows(&self, j0: usize) -> Rect {
+        Rect {
+            j0,
+            nj: H,
+            i0: 0,
+            ni: self.nx + 2 * H,
+            rev: false,
         }
     }
 
-    fn unpack_cols_from(&self, f: &View2<f64>, c0: usize, buf: &[f64]) {
-        assert_eq!(buf.len(), self.ny * H);
-        if self.dispatch_strips(buf.len()) {
-            strip::unpack_rect2_on(&self.space, f, H, false, self.ny, c0, H, buf);
-            return;
-        }
-        for (jj, chunk) in buf.chunks_exact(H).enumerate() {
-            let off = f.offset([H + jj, c0]);
-            // SAFETY: serial writes into a root view's backing storage; the
-            // H-element run is in bounds (checked by `offset` + padding).
-            unsafe {
-                std::slice::from_raw_parts_mut(f.data_ptr().add(off), H).copy_from_slice(chunk);
-            }
+    /// What crosses the fold: the rows of global `nyg-1-d` (`d = 0..H`,
+    /// descending from the northernmost owned row), full padded width.
+    pub(crate) fn fold_rows(&self) -> Rect {
+        Rect {
+            j0: H + self.ny - 1,
+            rev: true,
+            ..self.rows(0)
         }
     }
 
-    /// Rows `[r0, r0+H)` over the full padded width, row-major.
-    fn pack_rows(&self, f: &View2<f64>, r0: usize) -> Vec<f64> {
-        let (_, pi) = self.padded();
-        let mut buf = Vec::with_capacity(H * pi);
-        for r in 0..H {
-            for i in 0..pi {
-                buf.push(f.at(r0 + r, i));
-            }
-        }
-        buf
-    }
-
-    fn pack_rows_into(&self, f: &View2<f64>, r0: usize, out: &mut [f64]) {
-        let (_, pi) = self.padded();
-        assert_eq!(out.len(), H * pi);
-        if self.dispatch_strips(out.len()) {
-            strip::pack_rect2_on(&self.space, f, r0, false, H, 0, pi, out);
-            return;
-        }
-        let fs = f.as_slice();
-        for (r, chunk) in out.chunks_exact_mut(pi).enumerate() {
-            let off = f.offset([r0 + r, 0]);
-            chunk.copy_from_slice(&fs[off..off + pi]);
-        }
-    }
-
-    fn unpack_rows(&self, f: &View2<f64>, r0: usize, buf: &[f64]) {
-        let (_, pi) = self.padded();
-        assert_eq!(buf.len(), H * pi);
-        let mut it = buf.iter();
-        for r in 0..H {
-            for i in 0..pi {
-                f.set_at(r0 + r, i, *it.next().unwrap());
-            }
-        }
-    }
-
-    fn unpack_rows_from(&self, f: &View2<f64>, r0: usize, buf: &[f64]) {
-        let (_, pi) = self.padded();
-        assert_eq!(buf.len(), H * pi);
-        if self.dispatch_strips(buf.len()) {
-            strip::unpack_rect2_on(&self.space, f, r0, false, H, 0, pi, buf);
-            return;
-        }
-        for (r, chunk) in buf.chunks_exact(pi).enumerate() {
-            let off = f.offset([r0 + r, 0]);
-            // SAFETY: as in `unpack_cols_from` — serial, in-bounds run.
-            unsafe {
-                std::slice::from_raw_parts_mut(f.data_ptr().add(off), pi).copy_from_slice(chunk);
-            }
-        }
-    }
-
-    /// Fold pack: rows global `nyg-1-d` (d = 0..H) over full padded width.
-    fn pack_fold(&self, f: &View2<f64>) -> Vec<f64> {
-        let (_, pi) = self.padded();
-        let mut buf = Vec::with_capacity(H * pi);
-        for d in 0..H {
-            let jl = H + self.ny - 1 - d; // local row of global nyg-1-d
-            for i in 0..pi {
-                buf.push(f.at(jl, i));
-            }
-        }
-        buf
-    }
-
-    fn pack_fold_into(&self, f: &View2<f64>, out: &mut [f64]) {
-        let (_, pi) = self.padded();
-        assert_eq!(out.len(), H * pi);
-        if self.dispatch_strips(out.len()) {
-            strip::pack_rect2_on(&self.space, f, H + self.ny - 1, true, H, 0, pi, out);
-            return;
-        }
-        let fs = f.as_slice();
-        for (d, chunk) in out.chunks_exact_mut(pi).enumerate() {
-            let off = f.offset([H + self.ny - 1 - d, 0]);
-            chunk.copy_from_slice(&fs[off..off + pi]);
-        }
-    }
-
-    /// Fold unpack into ghost rows `H+ny+d` with zonal mirroring. Stays
-    /// on the MPE: the mirror reverses element order, so there are no
-    /// contiguous runs to hand a strip kernel, and only `H` ghost rows
-    /// ever take this path.
-    fn unpack_fold(&self, f: &View2<f64>, buf: &[f64], kind: FoldKind, partner_x0: usize) {
-        let (_, pi) = self.padded();
-        assert_eq!(buf.len(), H * pi);
-        let sign = kind.sign();
-        for d in 0..H {
-            for il in 0..pi {
-                // Global (unwrapped) column of this ghost cell.
-                let ig = self.x0 as i64 + il as i64 - H as i64;
-                // Mirror across the seam.
-                let src = self.nxg as i64 - 1 - ig;
-                // Column inside the partner's padded buffer.
-                let bc = src - (partner_x0 as i64 - H as i64);
-                debug_assert!((0..pi as i64).contains(&bc), "fold column out of range");
-                f.set_at(H + self.ny + d, il, sign * buf[d * pi + bc as usize]);
-            }
-        }
-    }
-
-    fn fold_partner_x0(&self) -> usize {
-        // Equal widths guaranteed by the constructor assert.
-        self.nxg - self.x0 - self.nx
-    }
-
-    /// The transfer plan for one exchange: peers, paths, and per-field
-    /// message lengths. Computed in one place so the pooled, allocating,
-    /// and split-phase paths cannot drift apart — they differ only in
+    /// The peers of one exchange. Computed in one place so the engine and
+    /// the allocating reference cannot drift apart — they differ only in
     /// transport, never in protocol.
     pub(crate) fn plan(&self) -> StripPlan {
         let comm = self.cart.comm();
@@ -507,7 +377,6 @@ impl Halo2D {
         else {
             unreachable!("zonal neighbors always exist")
         };
-        let (_, pi) = self.padded();
         StripPlan {
             west,
             east,
@@ -522,8 +391,6 @@ impl Halo2D {
                 Neighbor::Fold(p) => NorthPath::FoldOther(p),
                 Neighbor::Closed => NorthPath::Closed,
             },
-            strip: self.ny * H,
-            rows: H * pi,
         }
     }
 
@@ -536,186 +403,24 @@ impl Halo2D {
     /// back to back; callers use distinct bases per field per step.
     ///
     /// # Panics
-    /// If integrity is enabled and a strip is unrecoverable; use
-    /// [`Halo2D::try_exchange`] to handle that as a value.
+    /// If a strip is unrecoverable; use [`Halo2D::try_exchange`] to handle
+    /// that as a value.
     pub fn exchange(&self, field: &View2<f64>, kind: FoldKind, tag_base: u64) {
         self.try_exchange(field, kind, tag_base)
             .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
     }
 
-    /// Fallible exchange: surfaces an unrecoverable strip as a typed
-    /// [`HaloError`] after the integrity layer's bounded retries. Without
-    /// integrity enabled it cannot fail.
+    /// Fallible exchange: a strip that cannot arrive — its sender is dead,
+    /// or the integrity layer's bounded retries ran out — surfaces as a
+    /// typed [`HaloError`].
     pub fn try_exchange(
         &self,
         field: &View2<f64>,
         kind: FoldKind,
         tag_base: u64,
     ) -> Result<(), HaloError> {
-        let _r = kokkos_rs::profiling::region("halo:exchange2d");
-        let t0 = Instant::now();
-        self.check(field);
-        let seq = self.next_seq();
-        self.exchange_ew(field, tag_base, seq)?;
-        let out = self.exchange_ns(field, kind, tag_base, seq);
-        self.add_inflight(t0.elapsed().as_nanos() as u64);
-        out
+        self.try_exchange_many(&[(field, kind)], tag_base)
     }
-
-    /// Overlapped variant: posts the east/west messages, runs `interior`
-    /// (which must not read or write any halo or real-halo cell), then
-    /// completes the update. Bitwise identical to [`Halo2D::exchange`].
-    pub fn exchange_overlap(
-        &self,
-        field: &View2<f64>,
-        kind: FoldKind,
-        tag_base: u64,
-        interior: impl FnOnce(),
-    ) {
-        self.try_exchange_overlap(field, kind, tag_base, interior)
-            .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
-    }
-
-    /// Fallible overlapped exchange; see [`Halo2D::try_exchange`].
-    pub fn try_exchange_overlap(
-        &self,
-        field: &View2<f64>,
-        kind: FoldKind,
-        tag_base: u64,
-        interior: impl FnOnce(),
-    ) -> Result<(), HaloError> {
-        // No whole-call region here: `interior` is caller compute and must
-        // not be attributed to the halo phase. The send/recv strips inside
-        // still carry halo:pack / halo:unpack, and `interior` gets its own
-        // region so `WaitComputeSplit` sees the overlapped compute.
-        let t0 = Instant::now();
-        self.check(field);
-        let seq = self.next_seq();
-        let comm = self.cart.comm();
-        let plan = self.plan();
-        if plan.ew_self {
-            // Single zonal block: no overlap possible; do it directly.
-            self.exchange_ew(field, tag_base, seq)?;
-            {
-                let _c = kokkos_rs::profiling::region("halo:overlap-compute");
-                interior();
-            }
-        } else {
-            let strip = plan.strip;
-            self.send_strip(comm, plan.west, tag_base + T_WEST, seq, strip, |buf| {
-                self.pack_cols_into(field, H, buf);
-            });
-            self.send_strip(comm, plan.east, tag_base + T_EAST, seq, strip, |buf| {
-                self.pack_cols_into(field, self.nx, buf);
-            });
-            {
-                let _c = kokkos_rs::profiling::region("halo:overlap-compute");
-                interior();
-            }
-            self.recv_strip(comm, plan.east, tag_base + T_WEST, seq, strip, |buf| {
-                self.unpack_cols_from(field, H + self.nx, buf);
-            })?;
-            self.recv_strip(comm, plan.west, tag_base + T_EAST, seq, strip, |buf| {
-                self.unpack_cols_from(field, 0, buf);
-            })?;
-        }
-        let out = self.exchange_ns(field, kind, tag_base, seq);
-        self.add_inflight(t0.elapsed().as_nanos() as u64);
-        out
-    }
-
-    fn exchange_ew(
-        &self,
-        field: &View2<f64>,
-        tag_base: u64,
-        seq: Option<FrameSeq>,
-    ) -> Result<(), HaloError> {
-        let comm = self.cart.comm();
-        let plan = self.plan();
-        let strip = plan.strip;
-        if plan.ew_self {
-            // px == 1: periodic wrap within the block, through scratch.
-            let mut wb = Self::scratch(&self.scratch_a, strip);
-            let mut eb = Self::scratch(&self.scratch_b, strip);
-            self.pack_cols_into(field, H, &mut wb[..strip]);
-            self.pack_cols_into(field, self.nx, &mut eb[..strip]);
-            self.unpack_cols_from(field, H + self.nx, &wb[..strip]);
-            self.unpack_cols_from(field, 0, &eb[..strip]);
-            return Ok(());
-        }
-        self.send_strip(comm, plan.west, tag_base + T_WEST, seq, strip, |buf| {
-            self.pack_cols_into(field, H, buf);
-        });
-        self.send_strip(comm, plan.east, tag_base + T_EAST, seq, strip, |buf| {
-            self.pack_cols_into(field, self.nx, buf);
-        });
-        self.recv_strip(comm, plan.east, tag_base + T_WEST, seq, strip, |buf| {
-            self.unpack_cols_from(field, H + self.nx, buf);
-        })?;
-        self.recv_strip(comm, plan.west, tag_base + T_EAST, seq, strip, |buf| {
-            self.unpack_cols_from(field, 0, buf);
-        })
-    }
-
-    fn exchange_ns(
-        &self,
-        field: &View2<f64>,
-        kind: FoldKind,
-        tag_base: u64,
-        seq: Option<FrameSeq>,
-    ) -> Result<(), HaloError> {
-        let comm = self.cart.comm();
-        let plan = self.plan();
-        let rows = plan.rows;
-        // Send southward (fills south neighbor's north ghost).
-        if let Some(s) = plan.south {
-            self.send_strip(comm, s, tag_base + T_SOUTH, seq, rows, |buf| {
-                self.pack_rows_into(field, H, buf);
-            });
-        }
-        // Send northward / foldward.
-        match plan.north {
-            NorthPath::Interior(n) => {
-                self.send_strip(comm, n, tag_base + T_NORTH, seq, rows, |buf| {
-                    self.pack_rows_into(field, self.ny, buf);
-                });
-            }
-            NorthPath::FoldOther(p) => {
-                self.send_strip(comm, p, tag_base + T_FOLD, seq, rows, |buf| {
-                    self.pack_fold_into(field, buf);
-                });
-            }
-            NorthPath::FoldSelf | NorthPath::Closed => {}
-        }
-        // Receive from north (their southward message fills my north ghost).
-        match plan.north {
-            NorthPath::Interior(n) => {
-                self.recv_strip(comm, n, tag_base + T_SOUTH, seq, rows, |buf| {
-                    self.unpack_rows_from(field, H + self.ny, buf);
-                })?;
-            }
-            NorthPath::FoldSelf => {
-                let mut fb = Self::scratch(&self.scratch_a, rows);
-                self.pack_fold_into(field, &mut fb[..rows]);
-                self.unpack_fold(field, &fb[..rows], kind, self.fold_partner_x0());
-            }
-            NorthPath::FoldOther(p) => {
-                self.recv_strip(comm, p, tag_base + T_FOLD, seq, rows, |buf| {
-                    self.unpack_fold(field, buf, kind, self.fold_partner_x0());
-                })?;
-            }
-            NorthPath::Closed => {}
-        }
-        // Receive from south (their northward message fills my south ghost).
-        if let Some(s) = plan.south {
-            self.recv_strip(comm, s, tag_base + T_NORTH, seq, rows, |buf| {
-                self.unpack_rows_from(field, 0, buf);
-            })?;
-        }
-        Ok(())
-    }
-
-    // -- batched + split-phase exchanges ------------------------------------
 
     /// Blocking batched update: all `fields` share one message per
     /// direction (buffers concatenated in field order), cutting the
@@ -726,16 +431,15 @@ impl Halo2D {
         fields: &[(&View2<f64>, FoldKind)],
         tag_base: u64,
     ) -> Result<(), HaloError> {
-        let _r = kokkos_rs::profiling::region("halo:exchange2d");
-        self.begin_exchange_many(fields, tag_base)?.finish()
+        pending::exchange_many(self, 1, Strategy3D::HorizontalMajor, fields, tag_base)
     }
 
     /// Split-phase batched update: posts the east/west messages and
-    /// returns a [`PendingExchange2`] that the caller drives with
-    /// [`PendingExchange2::poll`] between compute launches and
-    /// [`PendingExchange2::finish`] once the ghosts are needed. The field
-    /// contents on completion are bitwise identical to the blocking
-    /// [`Halo2D::try_exchange_many`] (which is begin + finish).
+    /// returns a [`Pending`] that the caller drives with [`Pending::poll`]
+    /// between compute launches and [`Pending::finish`] once the ghosts
+    /// are needed. The field contents on completion are bitwise identical
+    /// to the blocking [`Halo2D::try_exchange_many`] (which is begin +
+    /// finish).
     ///
     /// At most one pending exchange may be outstanding per `tag_base`; the
     /// caller must finish it within the same epoch it was begun.
@@ -743,432 +447,22 @@ impl Halo2D {
         &self,
         fields: &[(&View2<f64>, FoldKind)],
         tag_base: u64,
-    ) -> Result<PendingExchange2<'_>, HaloError> {
-        for (f, _) in fields {
-            self.check(f);
-        }
-        // An empty batch claims no frame ordinal, matching a zero-length
-        // run of per-field exchanges.
-        let seq = if fields.is_empty() {
-            None
-        } else {
-            self.next_seq()
-        };
-        let mut p = PendingExchange2 {
-            h: self,
-            fields: fields.iter().map(|(f, k)| ((*f).clone(), *k)).collect(),
+    ) -> Result<Pending<'_, View2<f64>>, HaloError> {
+        Ok(Pending::begin(
+            self,
+            1,
+            Strategy3D::HorizontalMajor,
+            fields,
             tag_base,
-            seq,
-            plan: self.plan(),
-            stage: PendingStage::EwPosted,
-            t0: Instant::now(),
-        };
-        p.post_ew()?;
-        Ok(p)
+        ))
     }
-
-    // -- allocating reference implementation --------------------------------
 
     /// The original implementation: element-wise pack/unpack into freshly
     /// allocated message vectors. Kept as the bitwise-identity reference
-    /// for the pooled path and as the baseline in the benches.
+    /// for the engine and as the baseline in the benches.
     pub fn exchange_alloc(&self, field: &View2<f64>, kind: FoldKind, tag_base: u64) {
-        self.check(field);
-        self.exchange_ew_alloc(field, tag_base);
-        self.exchange_ns_alloc(field, kind, tag_base);
-    }
-
-    fn exchange_ew_alloc(&self, field: &View2<f64>, tag_base: u64) {
-        let comm = self.cart.comm();
-        let plan = self.plan();
-        if plan.ew_self {
-            // px == 1: periodic wrap within the block.
-            let west_real = self.pack_cols(field, H);
-            let east_real = self.pack_cols(field, self.nx);
-            self.unpack_cols(field, H + self.nx, &west_real);
-            self.unpack_cols(field, 0, &east_real);
-            return;
-        }
-        comm.isend(plan.west, tag_base + T_WEST, self.pack_cols(field, H));
-        comm.isend(plan.east, tag_base + T_EAST, self.pack_cols(field, self.nx));
-        let from_e = comm.recv::<f64>(plan.east, tag_base + T_WEST);
-        self.unpack_cols(field, H + self.nx, &from_e);
-        let from_w = comm.recv::<f64>(plan.west, tag_base + T_EAST);
-        self.unpack_cols(field, 0, &from_w);
-    }
-
-    fn exchange_ns_alloc(&self, field: &View2<f64>, kind: FoldKind, tag_base: u64) {
-        let comm = self.cart.comm();
-        let plan = self.plan();
-        // Send southward (fills south neighbor's north ghost).
-        if let Some(s) = plan.south {
-            comm.isend(s, tag_base + T_SOUTH, self.pack_rows(field, H));
-        }
-        // Send northward / foldward.
-        match plan.north {
-            NorthPath::Interior(n) => {
-                comm.isend(n, tag_base + T_NORTH, self.pack_rows(field, self.ny));
-            }
-            NorthPath::FoldOther(p) => {
-                comm.isend(p, tag_base + T_FOLD, self.pack_fold(field));
-            }
-            NorthPath::FoldSelf | NorthPath::Closed => {}
-        }
-        // Receive from north (their southward message fills my north ghost).
-        match plan.north {
-            NorthPath::Interior(n) => {
-                let buf = comm.recv::<f64>(n, tag_base + T_SOUTH);
-                self.unpack_rows(field, H + self.ny, &buf);
-            }
-            NorthPath::FoldSelf => {
-                let buf = self.pack_fold(field);
-                self.unpack_fold(field, &buf, kind, self.fold_partner_x0());
-            }
-            NorthPath::FoldOther(p) => {
-                let buf = comm.recv::<f64>(p, tag_base + T_FOLD);
-                self.unpack_fold(field, &buf, kind, self.fold_partner_x0());
-            }
-            NorthPath::Closed => {}
-        }
-        // Receive from south (their northward message fills my south ghost).
-        if let Some(s) = plan.south {
-            let buf = comm.recv::<f64>(s, tag_base + T_NORTH);
-            self.unpack_rows(field, 0, &buf);
-        }
-    }
-}
-
-/// Progress state of a split-phase exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PendingStage {
-    /// East/west strips posted; waiting on both zonal receives.
-    EwPosted,
-    /// North/south strips posted; waiting on the meridional receives.
-    NsPosted,
-    /// All ghosts filled.
-    Done,
-}
-
-/// A batched 2-D halo exchange in flight (see
-/// [`Halo2D::begin_exchange_many`]). Holds clones of the field views —
-/// `View` is a shared handle, so the caller keeps using its own handles —
-/// and borrows the context so frame sequencing stays collective.
-pub struct PendingExchange2<'a> {
-    h: &'a Halo2D,
-    fields: Vec<(View2<f64>, FoldKind)>,
-    tag_base: u64,
-    seq: Option<FrameSeq>,
-    plan: StripPlan,
-    stage: PendingStage,
-    t0: Instant,
-}
-
-impl PendingExchange2<'_> {
-    /// Post the east/west leg (or run it locally when px == 1, in which
-    /// case the north/south leg is posted immediately too).
-    fn post_ew(&mut self) -> Result<(), HaloError> {
-        if self.fields.is_empty() {
-            self.stage = PendingStage::Done;
-            return Ok(());
-        }
-        let h = self.h;
-        let comm = h.cart.comm();
-        let (nf, strip) = (self.fields.len(), self.plan.strip);
-        if self.plan.ew_self {
-            let mut wb = Halo2D::scratch(&h.scratch_a, nf * strip);
-            let mut eb = Halo2D::scratch(&h.scratch_b, nf * strip);
-            for (n, (f, _)) in self.fields.iter().enumerate() {
-                h.pack_cols_into(f, H, &mut wb[n * strip..(n + 1) * strip]);
-                h.pack_cols_into(f, h.nx, &mut eb[n * strip..(n + 1) * strip]);
-            }
-            for (n, (f, _)) in self.fields.iter().enumerate() {
-                h.unpack_cols_from(f, H + h.nx, &wb[n * strip..(n + 1) * strip]);
-                h.unpack_cols_from(f, 0, &eb[n * strip..(n + 1) * strip]);
-            }
-            drop((wb, eb));
-            self.post_ns();
-            return Ok(());
-        }
-        let fields = &self.fields;
-        h.send_strip(
-            comm,
-            self.plan.west,
-            self.tag_base + T_WEST,
-            self.seq,
-            nf * strip,
-            |buf| {
-                for (n, (f, _)) in fields.iter().enumerate() {
-                    h.pack_cols_into(f, H, &mut buf[n * strip..(n + 1) * strip]);
-                }
-            },
-        );
-        h.send_strip(
-            comm,
-            self.plan.east,
-            self.tag_base + T_EAST,
-            self.seq,
-            nf * strip,
-            |buf| {
-                for (n, (f, _)) in fields.iter().enumerate() {
-                    h.pack_cols_into(f, h.nx, &mut buf[n * strip..(n + 1) * strip]);
-                }
-            },
-        );
-        self.stage = PendingStage::EwPosted;
-        Ok(())
-    }
-
-    /// Post the north/south leg. Runs after the zonal ghosts are fresh —
-    /// the row strips span the full padded width, which is how corners
-    /// propagate without diagonal messages. Self-folds complete here.
-    fn post_ns(&mut self) {
-        let h = self.h;
-        let comm = h.cart.comm();
-        let (nf, rows) = (self.fields.len(), self.plan.rows);
-        let fields = &self.fields;
-        if let Some(s) = self.plan.south {
-            h.send_strip(
-                comm,
-                s,
-                self.tag_base + T_SOUTH,
-                self.seq,
-                nf * rows,
-                |buf| {
-                    for (n, (f, _)) in fields.iter().enumerate() {
-                        h.pack_rows_into(f, H, &mut buf[n * rows..(n + 1) * rows]);
-                    }
-                },
-            );
-        }
-        match self.plan.north {
-            NorthPath::Interior(nb) => {
-                h.send_strip(
-                    comm,
-                    nb,
-                    self.tag_base + T_NORTH,
-                    self.seq,
-                    nf * rows,
-                    |buf| {
-                        for (n, (f, _)) in fields.iter().enumerate() {
-                            h.pack_rows_into(f, h.ny, &mut buf[n * rows..(n + 1) * rows]);
-                        }
-                    },
-                );
-            }
-            NorthPath::FoldOther(p) => {
-                h.send_strip(
-                    comm,
-                    p,
-                    self.tag_base + T_FOLD,
-                    self.seq,
-                    nf * rows,
-                    |buf| {
-                        for (n, (f, _)) in fields.iter().enumerate() {
-                            h.pack_fold_into(f, &mut buf[n * rows..(n + 1) * rows]);
-                        }
-                    },
-                );
-            }
-            NorthPath::FoldSelf => {
-                let mut fb = Halo2D::scratch(&h.scratch_a, nf * rows);
-                for (n, (f, _)) in fields.iter().enumerate() {
-                    h.pack_fold_into(f, &mut fb[n * rows..(n + 1) * rows]);
-                }
-                for (n, (f, kind)) in fields.iter().enumerate() {
-                    h.unpack_fold(f, &fb[n * rows..(n + 1) * rows], *kind, h.fold_partner_x0());
-                }
-            }
-            NorthPath::Closed => {}
-        }
-        // With no meridional receives outstanding the exchange is already
-        // complete (single-rank column with a self-fold or closed wall).
-        self.stage = if self.plan.south.is_none()
-            && matches!(self.plan.north, NorthPath::FoldSelf | NorthPath::Closed)
-        {
-            h.add_inflight(self.t0.elapsed().as_nanos() as u64);
-            PendingStage::Done
-        } else {
-            PendingStage::NsPosted
-        };
-    }
-
-    /// Have all receives the current stage is waiting on arrived? Probes
-    /// without consuming, so `poll` only commits to receives it can
-    /// satisfy immediately. Allocation-free (polls run in hot loops).
-    fn stage_ready(&self, comm: &Comm) -> bool {
-        match self.stage {
-            PendingStage::EwPosted => {
-                comm.has_message(self.plan.east, self.tag_base + T_WEST)
-                    && comm.has_message(self.plan.west, self.tag_base + T_EAST)
-            }
-            PendingStage::NsPosted => {
-                let north_ok = match self.plan.north {
-                    NorthPath::Interior(nb) => comm.has_message(nb, self.tag_base + T_SOUTH),
-                    NorthPath::FoldOther(p) => comm.has_message(p, self.tag_base + T_FOLD),
-                    NorthPath::FoldSelf | NorthPath::Closed => true,
-                };
-                let south_ok = self
-                    .plan
-                    .south
-                    .is_none_or(|s| comm.has_message(s, self.tag_base + T_NORTH));
-                north_ok && south_ok
-            }
-            PendingStage::Done => true,
-        }
-    }
-
-    /// Is any strip the current stage waits on owed by a dead rank with
-    /// nothing queued? Queued pre-death strips still count as arriving
-    /// (drain-first), so only a truly unfillable wait reports death.
-    fn stage_dead_peer(&self, comm: &Comm) -> Option<(usize, u64)> {
-        let mut owed: [Option<(usize, u64)>; 2] = [None, None];
-        match self.stage {
-            PendingStage::EwPosted => {
-                owed[0] = Some((self.plan.east, self.tag_base + T_WEST));
-                owed[1] = Some((self.plan.west, self.tag_base + T_EAST));
-            }
-            PendingStage::NsPosted => {
-                owed[0] = match self.plan.north {
-                    NorthPath::Interior(nb) => Some((nb, self.tag_base + T_SOUTH)),
-                    NorthPath::FoldOther(p) => Some((p, self.tag_base + T_FOLD)),
-                    NorthPath::FoldSelf | NorthPath::Closed => None,
-                };
-                owed[1] = self.plan.south.map(|s| (s, self.tag_base + T_NORTH));
-            }
-            PendingStage::Done => {}
-        }
-        owed.into_iter()
-            .flatten()
-            .find(|&(src, tag)| !comm.is_alive(src) && !comm.has_message(src, tag))
-    }
-
-    fn advance(&mut self, blocking: bool) -> Result<bool, HaloError> {
-        let h = self.h;
-        let comm = h.cart.comm();
-        loop {
-            if self.stage == PendingStage::Done {
-                return Ok(true);
-            }
-            if !blocking && !self.stage_ready(comm) {
-                // A dead neighbor can never make the stage ready: surface
-                // the typed error instead of letting the caller's drain
-                // loop spin on `Ok(false)` forever.
-                if let Some((src, tag)) = self.stage_dead_peer(comm) {
-                    return Err(HaloError::PeerDead { src, tag });
-                }
-                return Ok(false);
-            }
-            match self.stage {
-                PendingStage::EwPosted => {
-                    let (nf, strip) = (self.fields.len(), self.plan.strip);
-                    let fields = &self.fields;
-                    h.recv_strip(
-                        comm,
-                        self.plan.east,
-                        self.tag_base + T_WEST,
-                        self.seq,
-                        nf * strip,
-                        |buf| {
-                            for (n, (f, _)) in fields.iter().enumerate() {
-                                h.unpack_cols_from(f, H + h.nx, &buf[n * strip..(n + 1) * strip]);
-                            }
-                        },
-                    )?;
-                    h.recv_strip(
-                        comm,
-                        self.plan.west,
-                        self.tag_base + T_EAST,
-                        self.seq,
-                        nf * strip,
-                        |buf| {
-                            for (n, (f, _)) in fields.iter().enumerate() {
-                                h.unpack_cols_from(f, 0, &buf[n * strip..(n + 1) * strip]);
-                            }
-                        },
-                    )?;
-                    self.post_ns();
-                }
-                PendingStage::NsPosted => {
-                    let (nf, rows) = (self.fields.len(), self.plan.rows);
-                    let fields = &self.fields;
-                    match self.plan.north {
-                        NorthPath::Interior(nb) => {
-                            h.recv_strip(
-                                comm,
-                                nb,
-                                self.tag_base + T_SOUTH,
-                                self.seq,
-                                nf * rows,
-                                |buf| {
-                                    for (n, (f, _)) in fields.iter().enumerate() {
-                                        h.unpack_rows_from(
-                                            f,
-                                            H + h.ny,
-                                            &buf[n * rows..(n + 1) * rows],
-                                        );
-                                    }
-                                },
-                            )?;
-                        }
-                        NorthPath::FoldOther(p) => {
-                            h.recv_strip(
-                                comm,
-                                p,
-                                self.tag_base + T_FOLD,
-                                self.seq,
-                                nf * rows,
-                                |buf| {
-                                    for (n, (f, kind)) in fields.iter().enumerate() {
-                                        h.unpack_fold(
-                                            f,
-                                            &buf[n * rows..(n + 1) * rows],
-                                            *kind,
-                                            h.fold_partner_x0(),
-                                        );
-                                    }
-                                },
-                            )?;
-                        }
-                        NorthPath::FoldSelf | NorthPath::Closed => {}
-                    }
-                    if let Some(s) = self.plan.south {
-                        h.recv_strip(
-                            comm,
-                            s,
-                            self.tag_base + T_NORTH,
-                            self.seq,
-                            nf * rows,
-                            |buf| {
-                                for (n, (f, _)) in fields.iter().enumerate() {
-                                    h.unpack_rows_from(f, 0, &buf[n * rows..(n + 1) * rows]);
-                                }
-                            },
-                        )?;
-                    }
-                    self.stage = PendingStage::Done;
-                    h.add_inflight(self.t0.elapsed().as_nanos() as u64);
-                }
-                PendingStage::Done => {}
-            }
-        }
-    }
-
-    /// Non-blocking progress: consume whatever strips have arrived and
-    /// advance the protocol. Returns `Ok(true)` once the exchange is
-    /// complete. Never waits — if the next strip has not arrived, it
-    /// returns `Ok(false)` immediately.
-    pub fn poll(&mut self) -> Result<bool, HaloError> {
-        self.advance(false)
-    }
-
-    /// Block until the exchange completes.
-    pub fn finish(mut self) -> Result<(), HaloError> {
-        self.advance(true).map(|_| ())
-    }
-
-    /// True once every ghost cell is filled.
-    pub fn is_done(&self) -> bool {
-        self.stage == PendingStage::Done
+        let fields = [(field, kind)];
+        pending::exchange_many_alloc(self, 1, Strategy3D::HorizontalMajor, &fields, tag_base);
     }
 }
 
@@ -1277,6 +571,29 @@ mod tests {
     }
 
     #[test]
+    fn geometries_the_friendly_cases_avoid() {
+        // (px, py, nxg, nyg): prime rank counts in either direction, a fold
+        // that crosses ranks under py > 1, blocks exactly HALO wide and
+        // tall (every owned cell is real halo), and both at once.
+        for (px, py, nxg, nyg) in [
+            (3, 1, 9, 5),
+            (5, 1, 20, 4),
+            (7, 1, 14, 3),
+            (1, 3, 6, 9),
+            (1, 5, 4, 11),
+            (3, 2, 12, 7),
+            (2, 3, 8, 7),
+            (2, 1, 2 * H, H),
+            (3, 3, 3 * H, 3 * H),
+            (1, 1, H, H),
+        ] {
+            for kind in [FoldKind::Scalar, FoldKind::Vector] {
+                run_case(px * py, px, py, nxg, nyg, kind);
+            }
+        }
+    }
+
+    #[test]
     fn cpe_dispatched_strips_match_serial_bitwise() {
         // Force every strip through the execution-space path (threshold 0)
         // and require bitwise identity with the serial helpers, fold and
@@ -1357,7 +674,9 @@ mod tests {
     }
 
     #[test]
-    fn overlap_matches_blocking() {
+    fn carried_exchange_fills_ghosts_like_the_reference() {
+        // Begin, compute on the interior, finish: the ghosts must match the
+        // analytic oracle and the allocating reference bit for bit.
         World::run(4, |comm| {
             let cart = CartComm::new(comm.clone(), 2, 2, true);
             let h = Halo2D::new(&cart, 12, 10);
@@ -1368,18 +687,21 @@ mod tests {
             b.fill(0.0);
             fill_owned(&h, &a);
             fill_owned(&h, &b);
-            h.exchange(&a, FoldKind::Scalar, 200);
-            let mut interior_ran = false;
-            h.exchange_overlap(&b, FoldKind::Scalar, 300, || {
-                interior_ran = true;
-            });
-            assert!(interior_ran);
-            assert_eq!(a.to_vec(), b.to_vec(), "overlap must be bitwise equal");
+            h.exchange_alloc(&a, FoldKind::Scalar, 200);
+            let p = h
+                .begin_exchange_many(&[(&b, FoldKind::Scalar)], 300)
+                .unwrap();
+            // An interior cell no strip covers: written while in flight.
+            let (jc, ic) = (H + h.ny / 2, H + 2);
+            b.set_at(jc, ic, b.at(jc, ic));
+            p.finish().unwrap();
+            check_all(&h, &b, FoldKind::Scalar);
+            assert_eq!(a.to_vec(), b.to_vec(), "carried vs reference");
         });
     }
 
     #[test]
-    fn split_phase_batched_matches_blocking_per_field() {
+    fn split_phase_batch_matches_oracle_and_per_field_reference() {
         for kind in [FoldKind::Scalar, FoldKind::Vector] {
             World::run(4, |comm| {
                 let cart = CartComm::new(comm.clone(), 2, 2, true);
@@ -1396,10 +718,12 @@ mod tests {
                     }
                     f
                 };
-                let (a1, a2) = (mk("a1", 0.5), mk("a2", 7.0));
-                let (b1, b2) = (mk("b1", 0.5), mk("b2", 7.0));
-                h.exchange(&a1, kind, 0);
-                h.exchange(&a2, kind, 10);
+                // Field 1 is the unsalted oracle field; field 2 proves the
+                // batch keeps its segments apart.
+                let (a1, a2) = (mk("a1", 0.0), mk("a2", 7.0));
+                let (b1, b2) = (mk("b1", 0.0), mk("b2", 7.0));
+                h.exchange_alloc(&a1, kind, 0);
+                h.exchange_alloc(&a2, kind, 10);
                 let mut p = h
                     .begin_exchange_many(&[(&b1, kind), (&b2, kind)], 40)
                     .unwrap();
@@ -1408,6 +732,7 @@ mod tests {
                     let _ = p.poll().unwrap();
                 }
                 p.finish().unwrap();
+                check_all(&h, &b1, kind);
                 assert_eq!(a1.to_vec(), b1.to_vec(), "{kind:?} field 1");
                 assert_eq!(a2.to_vec(), b2.to_vec(), "{kind:?} field 2");
             });

@@ -1,5 +1,6 @@
 //! 3-D halo update — "extending 2D halo updates point-wise in the
-//! vertical direction" (§V-D), in two interchangeable implementations:
+//! vertical direction" (§V-D): the engine of [`crate::Pending`] run over
+//! `nz` levels, in two interchangeable buffer orders:
 //!
 //! * [`Strategy3D::HorizontalMajor`] — the pre-optimization baseline: halo
 //!   strips are gathered level-by-level straight out of the
@@ -17,35 +18,16 @@
 //! [`Halo3D::exchange_many`] batches several fields into one message per
 //! direction total (the "redundant packing/unpacking" elimination).
 //!
-//! ## Steady-state zero allocation
-//!
-//! The default [`Halo3D::exchange`] path is **allocation-free after
-//! spin-up**: message payloads round-trip through the per-rank buffer
-//! pools of `mpi-sim` ([`mpi_sim::Comm::send_into`] /
-//! [`mpi_sim::Comm::recv_into`] pack and unpack directly in pooled
-//! storage), self-sends and self-folds go through persistent scratch
-//! owned by the `Halo3D`, and pack/unpack run as contiguous-run memcpy
-//! kernels dispatched over a kokkos execution space ([`crate::strip`]).
-//! The original freshly-allocating serial implementation is kept as
-//! [`Halo3D::exchange_alloc`] — the bitwise-identity reference used by the
-//! property tests and the pooled-vs-allocating benches.
-
-use std::cell::{RefCell, RefMut};
+//! [`Halo3D`] itself is only a level count and a strategy over its
+//! [`Halo2D`] context, which owns the space, the scratch and the frame
+//! sequence.
 
 use kokkos_rs::{Space, View3};
-use mpi_sim::{Dir, Neighbor};
 
-use crate::halo2d::{FoldKind, Halo2D, NorthPath, PendingStage, StripPlan};
-use crate::integrity::{FrameSeq, HaloError, IntegrityConfig};
+use crate::halo2d::{FoldKind, Halo2D};
+use crate::integrity::{HaloError, IntegrityConfig};
+use crate::pending::{self, Pending};
 use crate::strip;
-use crate::HALO as H;
-use std::time::Instant;
-
-const T_WEST: u64 = 10;
-const T_EAST: u64 = 11;
-const T_SOUTH: u64 = 12;
-const T_NORTH: u64 = 13;
-const T_FOLD: u64 = 14;
 
 /// Buffer ordering strategy for the 3-D exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,69 +45,32 @@ pub struct Halo3D {
     pub h2: Halo2D,
     pub nz: usize,
     pub strategy: Strategy3D,
-    /// Execution space for the pack/unpack kernels.
-    space: Space,
-    /// Persistent scratch for paths that never touch the network
-    /// (self-sends on a single zonal block, self-folds). Two cells because
-    /// the east/west self-exchange needs both strips live at once. Sized on
-    /// first use, reused forever after — `RefCell` keeps `Halo3D: Clone`.
-    scratch_a: RefCell<Vec<f64>>,
-    scratch_b: RefCell<Vec<f64>>,
 }
 
 impl Halo3D {
     pub fn new(h2: Halo2D, nz: usize, strategy: Strategy3D) -> Self {
         assert!(nz >= 1);
-        // Idempotent; makes the pack/unpack kernel launchable on SwAthread.
+        // Idempotent; makes the strip kernel launchable on SwAthread.
         strip::register_strip_copy();
-        Self {
-            h2,
-            nz,
-            strategy,
-            space: Space::serial(),
-            scratch_a: RefCell::new(Vec::new()),
-            scratch_b: RefCell::new(Vec::new()),
-        }
+        Self { h2, nz, strategy }
     }
 
     /// Dispatch pack/unpack kernels on `space` (default: serial).
     pub fn with_space(mut self, space: Space) -> Self {
-        self.space = space;
+        self.h2 = self.h2.with_space(space);
         self
     }
 
     /// Enable CRC32 frame integrity + bounded retry on every networked
-    /// strip (see [`crate::integrity`]). Shared with the inner [`Halo2D`]:
-    /// both use one epoch/ordinal stream, so mixing 2-D and 3-D exchanges
-    /// through the same context keeps frame sequencing collective.
+    /// strip (see [`crate::integrity`]).
     pub fn with_integrity(mut self, cfg: IntegrityConfig) -> Self {
-        self.h2 = self.h2.clone().with_integrity(cfg);
+        self.h2 = self.h2.with_integrity(cfg);
         self
-    }
-
-    /// The active integrity configuration, if any.
-    pub fn integrity(&self) -> Option<&IntegrityConfig> {
-        self.h2.integrity()
     }
 
     /// Start a new epoch (model step); see [`Halo2D::begin_step`].
     pub fn begin_step(&self, epoch: u64) {
         self.h2.begin_step(epoch);
-    }
-
-    /// Cumulative halo receive-wait nanoseconds; see [`Halo2D::halo_wait_ns`].
-    pub fn halo_wait_ns(&self) -> u64 {
-        self.h2.halo_wait_ns()
-    }
-
-    /// Cumulative exchange-span nanoseconds; see [`Halo2D::halo_inflight_ns`].
-    pub fn halo_inflight_ns(&self) -> u64 {
-        self.h2.halo_inflight_ns()
-    }
-
-    /// The execution space pack/unpack kernels run on.
-    pub fn space(&self) -> &Space {
-        &self.space
     }
 
     /// Required field shape `(nz, ny_pad, nx_pad)`.
@@ -134,281 +79,24 @@ impl Halo3D {
         [self.nz, pj, pi]
     }
 
-    fn check(&self, f: &View3<f64>) {
-        assert_eq!(f.dims(), self.shape(), "3D field shape mismatch");
-    }
-
-    /// Borrow persistent scratch of at least `len` elements (grow-once).
-    fn scratch(cell: &RefCell<Vec<f64>>, len: usize) -> RefMut<'_, Vec<f64>> {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < len {
-            buf.resize(len, 0.0);
-        }
-        buf
-    }
-
-    /// East/west strip payload length (per field).
-    fn ew_len(&self) -> usize {
-        self.nz * self.h2.ny * H
-    }
-
-    /// North/south/fold payload length (per field).
-    fn ns_len(&self) -> usize {
-        let (_, pi) = self.h2.padded();
-        self.nz * H * pi
-    }
-
-    // ---- strip pack/unpack with strategy-dependent ordering ---------------
-    //
-    // A strip is a set of `nj` rows × `ni` columns over all `nz` levels.
-    // HorizontalMajor order: (k, j, i). Transpose order: (j, i, k).
-    //
-    // `pack_strip`/`unpack_strip` are the original allocating element-wise
-    // implementations, kept as the bitwise reference; the `_into`/`_from`
-    // variants copy contiguous runs through the execution space.
-
-    fn pack_strip_into(
-        &self,
-        f: &View3<f64>,
-        j0: usize,
-        nj: usize,
-        i0: usize,
-        ni: usize,
-        out: &mut [f64],
-    ) {
-        strip::pack_strip_on(&self.space, self.strategy, f, j0, nj, i0, ni, out);
-    }
-
-    fn unpack_strip_from(
-        &self,
-        f: &View3<f64>,
-        j0: usize,
-        nj: usize,
-        i0: usize,
-        ni: usize,
-        buf: &[f64],
-    ) {
-        strip::unpack_strip_on(&self.space, self.strategy, f, j0, nj, i0, ni, buf);
-    }
-
-    fn pack_strip(&self, f: &View3<f64>, j0: usize, nj: usize, i0: usize, ni: usize) -> Vec<f64> {
-        let mut buf = Vec::with_capacity(self.nz * nj * ni);
-        match self.strategy {
-            Strategy3D::HorizontalMajor => {
-                for k in 0..self.nz {
-                    for j in j0..j0 + nj {
-                        for i in i0..i0 + ni {
-                            buf.push(f.at(k, j, i));
-                        }
-                    }
-                }
-            }
-            Strategy3D::Transpose => {
-                for j in j0..j0 + nj {
-                    for i in i0..i0 + ni {
-                        for k in 0..self.nz {
-                            buf.push(f.at(k, j, i));
-                        }
-                    }
-                }
-            }
-        }
-        buf
-    }
-
-    fn unpack_strip(
-        &self,
-        f: &View3<f64>,
-        j0: usize,
-        nj: usize,
-        i0: usize,
-        ni: usize,
-        buf: &[f64],
-    ) {
-        assert_eq!(buf.len(), self.nz * nj * ni);
-        match self.strategy {
-            Strategy3D::HorizontalMajor => {
-                let mut it = buf.iter();
-                for k in 0..self.nz {
-                    for j in j0..j0 + nj {
-                        for i in i0..i0 + ni {
-                            f.set_at(k, j, i, *it.next().unwrap());
-                        }
-                    }
-                }
-            }
-            Strategy3D::Transpose => {
-                let mut it = buf.iter();
-                for j in j0..j0 + nj {
-                    for i in i0..i0 + ni {
-                        for k in 0..self.nz {
-                            f.set_at(k, j, i, *it.next().unwrap());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fold pack: rows global `nyg-1-d`, full padded width, all levels.
-    /// Order is strategy-dependent with `d` taking the row role.
-    fn pack_fold_into(&self, f: &View3<f64>, out: &mut [f64]) {
-        let jl0 = H + self.h2.ny - 1; // row d is jl0 - d
-        let (_, pi) = self.h2.padded();
-        assert_eq!(out.len(), self.nz * H * pi);
-        match self.strategy {
-            Strategy3D::HorizontalMajor => {
-                // Row (k, jl0-d) is `pi` consecutive elements on both sides.
-                let fs = f.as_slice();
-                for k in 0..self.nz {
-                    for d in 0..H {
-                        let foff = f.offset([k, jl0 - d, 0]);
-                        out[(k * H + d) * pi..][..pi].copy_from_slice(&fs[foff..foff + pi]);
-                    }
-                }
-            }
-            Strategy3D::Transpose => {
-                let mut pos = 0;
-                for d in 0..H {
-                    for i in 0..pi {
-                        for k in 0..self.nz {
-                            out[pos] = f.at(k, jl0 - d, i);
-                            pos += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn pack_fold(&self, f: &View3<f64>) -> Vec<f64> {
-        let mut buf = vec![0.0; self.ns_len()];
-        self.pack_fold_into(f, &mut buf);
-        buf
-    }
-
-    fn unpack_fold(&self, f: &View3<f64>, buf: &[f64], kind: FoldKind) {
-        let (_, pi) = self.h2.padded();
-        assert_eq!(buf.len(), self.nz * H * pi);
-        let sign = match kind {
-            FoldKind::Scalar => 1.0,
-            FoldKind::Vector => -1.0,
-        };
-        let partner_x0 = self.h2.fold_partner_x0_pub() as i64;
-        let col = |il: usize| -> usize {
-            let ig = self.h2.x0 as i64 + il as i64 - H as i64;
-            let src = self.h2.nxg as i64 - 1 - ig;
-            (src - (partner_x0 - H as i64)) as usize
-        };
-        for d in 0..H {
-            for il in 0..pi {
-                let bc = col(il);
-                for k in 0..self.nz {
-                    let v = match self.strategy {
-                        Strategy3D::HorizontalMajor => buf[(k * H + d) * pi + bc],
-                        Strategy3D::Transpose => buf[(d * pi + bc) * self.nz + k],
-                    };
-                    f.set_at(k, H + self.h2.ny + d, il, sign * v);
-                }
-            }
-        }
-    }
-
-    // ---- pooled exchanges (the default path) ------------------------------
-
     /// Blocking 3-D halo update of one field. Allocation-free in steady
     /// state; bitwise identical to [`Halo3D::exchange_alloc`].
     ///
     /// # Panics
-    /// If integrity is enabled and a strip is unrecoverable; use
-    /// [`Halo3D::try_exchange`] to handle that as a value.
+    /// If a strip is unrecoverable; use [`Halo3D::try_exchange`] to handle
+    /// that as a value.
     pub fn exchange(&self, field: &View3<f64>, kind: FoldKind, tag_base: u64) {
-        self.try_exchange(field, kind, tag_base)
-            .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
+        self.exchange_many(&[(field, kind)], tag_base);
     }
 
-    /// Fallible exchange: surfaces an unrecoverable strip as a typed
-    /// [`HaloError`] after the integrity layer's bounded retries. Without
-    /// integrity enabled it cannot fail.
+    /// Fallible exchange; see [`Halo2D::try_exchange`].
     pub fn try_exchange(
         &self,
         field: &View3<f64>,
         kind: FoldKind,
         tag_base: u64,
     ) -> Result<(), HaloError> {
-        let _r = kokkos_rs::profiling::region("halo:exchange3d");
-        let t0 = Instant::now();
-        self.check(field);
-        let seq = self.h2.next_seq();
-        self.exchange_ew(field, tag_base, seq)?;
-        let out = self.exchange_ns(field, kind, tag_base, seq);
-        self.h2.add_inflight(t0.elapsed().as_nanos() as u64);
-        out
-    }
-
-    /// Overlapped variant: east/west messages fly while `interior` runs.
-    pub fn exchange_overlap(
-        &self,
-        field: &View3<f64>,
-        kind: FoldKind,
-        tag_base: u64,
-        interior: impl FnOnce(),
-    ) {
-        self.try_exchange_overlap(field, kind, tag_base, interior)
-            .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
-    }
-
-    /// Fallible overlapped exchange; see [`Halo3D::try_exchange`].
-    pub fn try_exchange_overlap(
-        &self,
-        field: &View3<f64>,
-        kind: FoldKind,
-        tag_base: u64,
-        interior: impl FnOnce(),
-    ) -> Result<(), HaloError> {
-        let t0 = Instant::now();
-        self.check(field);
-        let seq = self.h2.next_seq();
-        let comm = self.h2.cart().comm();
-        let (Neighbor::Interior(w), Neighbor::Interior(e)) = (
-            self.h2.cart().neighbor(Dir::West),
-            self.h2.cart().neighbor(Dir::East),
-        ) else {
-            unreachable!()
-        };
-        let (ny, nx) = (self.h2.ny, self.h2.nx);
-        if w == comm.rank() {
-            self.exchange_ew(field, tag_base, seq)?;
-            {
-                let _c = kokkos_rs::profiling::region("halo:overlap-compute");
-                interior();
-            }
-        } else {
-            let strip = self.ew_len();
-            self.h2
-                .send_strip(comm, w, tag_base + T_WEST, seq, strip, |buf| {
-                    self.pack_strip_into(field, H, ny, H, H, buf);
-                });
-            self.h2
-                .send_strip(comm, e, tag_base + T_EAST, seq, strip, |buf| {
-                    self.pack_strip_into(field, H, ny, nx, H, buf);
-                });
-            {
-                let _c = kokkos_rs::profiling::region("halo:overlap-compute");
-                interior();
-            }
-            self.h2
-                .recv_strip(comm, e, tag_base + T_WEST, seq, strip, |buf| {
-                    self.unpack_strip_from(field, H, ny, H + nx, H, buf);
-                })?;
-            self.h2
-                .recv_strip(comm, w, tag_base + T_EAST, seq, strip, |buf| {
-                    self.unpack_strip_from(field, H, ny, 0, H, buf);
-                })?;
-        }
-        let out = self.exchange_ns(field, kind, tag_base, seq);
-        self.h2.add_inflight(t0.elapsed().as_nanos() as u64);
-        out
+        self.try_exchange_many(&[(field, kind)], tag_base)
     }
 
     /// Batched update: all `fields` share one message per direction
@@ -418,696 +106,56 @@ impl Halo3D {
     /// to updating each field separately.
     ///
     /// # Panics
-    /// If integrity is enabled and a strip is unrecoverable; use
-    /// [`Halo3D::try_exchange_many`] to handle that as a value.
+    /// If a strip is unrecoverable; use [`Halo3D::try_exchange_many`] to
+    /// handle that as a value.
     pub fn exchange_many(&self, fields: &[(&View3<f64>, FoldKind)], tag_base: u64) {
         self.try_exchange_many(fields, tag_base)
             .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
     }
 
-    /// Fallible batched exchange; see [`Halo3D::try_exchange`]. Implemented
-    /// as begin + finish of the split-phase path, so the blocking and
-    /// overlapped batched exchanges share one protocol by construction.
+    /// Fallible batched exchange: begin + finish of the split-phase path.
     pub fn try_exchange_many(
         &self,
         fields: &[(&View3<f64>, FoldKind)],
         tag_base: u64,
     ) -> Result<(), HaloError> {
-        let _r = kokkos_rs::profiling::region("halo:exchange3d");
-        self.begin_exchange_many(fields, tag_base)?.finish()
+        pending::exchange_many(&self.h2, self.nz, self.strategy, fields, tag_base)
     }
 
-    /// Split-phase batched update: posts the east/west messages and
-    /// returns a [`Pending3`] that the caller drives with
-    /// [`Pending3::poll`] between compute launches and [`Pending3::finish`]
-    /// once the ghosts are needed. Field contents on completion are
-    /// bitwise identical to [`Halo3D::try_exchange_many`].
-    ///
-    /// At most one pending exchange may be outstanding per `tag_base`; the
-    /// caller must finish it within the same epoch it was begun.
+    /// Split-phase batched update; see [`Halo2D::begin_exchange_many`].
     pub fn begin_exchange_many(
         &self,
         fields: &[(&View3<f64>, FoldKind)],
         tag_base: u64,
-    ) -> Result<Pending3<'_>, HaloError> {
-        for (f, _) in fields {
-            self.check(f);
-        }
-        // An empty batch claims no frame ordinal, matching a zero-length
-        // run of per-field exchanges.
-        let seq = if fields.is_empty() {
-            None
-        } else {
-            self.h2.next_seq()
-        };
-        let mut p = Pending3 {
-            h: self,
-            fields: fields.iter().map(|(f, k)| ((*f).clone(), *k)).collect(),
+    ) -> Result<Pending<'_, View3<f64>>, HaloError> {
+        Ok(Pending::begin(
+            &self.h2,
+            self.nz,
+            self.strategy,
+            fields,
             tag_base,
-            seq,
-            plan: self.h2.plan(),
-            stage: PendingStage::EwPosted,
-            t0: Instant::now(),
-        };
-        p.post_ew()?;
-        Ok(p)
+        ))
     }
-
-    /// Split-phase single-field update (one-element batch).
-    pub fn begin_exchange(
-        &self,
-        field: &View3<f64>,
-        kind: FoldKind,
-        tag_base: u64,
-    ) -> Result<Pending3<'_>, HaloError> {
-        self.begin_exchange_many(&[(field, kind)], tag_base)
-    }
-
-    fn exchange_ew(
-        &self,
-        field: &View3<f64>,
-        tag_base: u64,
-        seq: Option<FrameSeq>,
-    ) -> Result<(), HaloError> {
-        let comm = self.h2.cart().comm();
-        let (ny, nx) = (self.h2.ny, self.h2.nx);
-        let (Neighbor::Interior(w), Neighbor::Interior(e)) = (
-            self.h2.cart().neighbor(Dir::West),
-            self.h2.cart().neighbor(Dir::East),
-        ) else {
-            unreachable!()
-        };
-        let strip = self.ew_len();
-        if w == comm.rank() {
-            // px == 1: periodic wrap within the block, through scratch.
-            let mut wb = Self::scratch(&self.scratch_a, strip);
-            let mut eb = Self::scratch(&self.scratch_b, strip);
-            self.pack_strip_into(field, H, ny, H, H, &mut wb[..strip]);
-            self.pack_strip_into(field, H, ny, nx, H, &mut eb[..strip]);
-            self.unpack_strip_from(field, H, ny, H + nx, H, &wb[..strip]);
-            self.unpack_strip_from(field, H, ny, 0, H, &eb[..strip]);
-            return Ok(());
-        }
-        self.h2
-            .send_strip(comm, w, tag_base + T_WEST, seq, strip, |buf| {
-                self.pack_strip_into(field, H, ny, H, H, buf);
-            });
-        self.h2
-            .send_strip(comm, e, tag_base + T_EAST, seq, strip, |buf| {
-                self.pack_strip_into(field, H, ny, nx, H, buf);
-            });
-        self.h2
-            .recv_strip(comm, e, tag_base + T_WEST, seq, strip, |buf| {
-                self.unpack_strip_from(field, H, ny, H + nx, H, buf);
-            })?;
-        self.h2
-            .recv_strip(comm, w, tag_base + T_EAST, seq, strip, |buf| {
-                self.unpack_strip_from(field, H, ny, 0, H, buf);
-            })
-    }
-
-    fn exchange_ns(
-        &self,
-        field: &View3<f64>,
-        kind: FoldKind,
-        tag_base: u64,
-        seq: Option<FrameSeq>,
-    ) -> Result<(), HaloError> {
-        let comm = self.h2.cart().comm();
-        let (_, pi) = self.h2.padded();
-        let ny = self.h2.ny;
-        let rows = self.ns_len();
-        if let Neighbor::Interior(s) = self.h2.cart().neighbor(Dir::South) {
-            self.h2
-                .send_strip(comm, s, tag_base + T_SOUTH, seq, rows, |buf| {
-                    self.pack_strip_into(field, H, H, 0, pi, buf);
-                });
-        }
-        match self.h2.cart().neighbor(Dir::North) {
-            Neighbor::Interior(n) => {
-                self.h2
-                    .send_strip(comm, n, tag_base + T_NORTH, seq, rows, |buf| {
-                        self.pack_strip_into(field, ny, H, 0, pi, buf);
-                    });
-            }
-            Neighbor::Fold(p) if p != comm.rank() => {
-                self.h2
-                    .send_strip(comm, p, tag_base + T_FOLD, seq, rows, |buf| {
-                        self.pack_fold_into(field, buf);
-                    });
-            }
-            _ => {}
-        }
-        match self.h2.cart().neighbor(Dir::North) {
-            Neighbor::Interior(n) => {
-                self.h2
-                    .recv_strip(comm, n, tag_base + T_SOUTH, seq, rows, |buf| {
-                        self.unpack_strip_from(field, H + ny, H, 0, pi, buf);
-                    })?;
-            }
-            Neighbor::Fold(p) => {
-                if p == comm.rank() {
-                    let mut fb = Self::scratch(&self.scratch_a, rows);
-                    self.pack_fold_into(field, &mut fb[..rows]);
-                    self.unpack_fold(field, &fb[..rows], kind);
-                } else {
-                    self.h2
-                        .recv_strip(comm, p, tag_base + T_FOLD, seq, rows, |buf| {
-                            self.unpack_fold(field, buf, kind);
-                        })?;
-                }
-            }
-            Neighbor::Closed => {}
-        }
-        if let Neighbor::Interior(s) = self.h2.cart().neighbor(Dir::South) {
-            self.h2
-                .recv_strip(comm, s, tag_base + T_NORTH, seq, rows, |buf| {
-                    self.unpack_strip_from(field, 0, H, 0, pi, buf);
-                })?;
-        }
-        Ok(())
-    }
-
-    // ---- allocating reference implementation ------------------------------
 
     /// The original implementation: serial element-wise pack/unpack into
     /// freshly allocated message vectors. Kept as the bitwise-identity
-    /// reference for the pooled path (property tests) and as the baseline
-    /// in the pooled-vs-allocating benches.
+    /// reference for the engine (property tests) and as the baseline in
+    /// the pooled-vs-allocating benches.
     pub fn exchange_alloc(&self, field: &View3<f64>, kind: FoldKind, tag_base: u64) {
-        self.check(field);
-        self.exchange_ew_alloc(field, tag_base);
-        self.exchange_ns_alloc(field, kind, tag_base);
+        self.exchange_many_alloc(&[(field, kind)], tag_base);
     }
 
     /// Allocating batched update (reference for [`Halo3D::exchange_many`]):
     /// per-field vectors concatenated into one message per direction.
     pub fn exchange_many_alloc(&self, fields: &[(&View3<f64>, FoldKind)], tag_base: u64) {
-        for (f, _) in fields {
-            self.check(f);
-        }
-        let comm = self.h2.cart().comm();
-        let (ny, nx) = (self.h2.ny, self.h2.nx);
-        let (Neighbor::Interior(w), Neighbor::Interior(e)) = (
-            self.h2.cart().neighbor(Dir::West),
-            self.h2.cart().neighbor(Dir::East),
-        ) else {
-            unreachable!()
-        };
-        let strip = self.ew_len();
-        let cat = |packs: Vec<Vec<f64>>| -> Vec<f64> { packs.concat() };
-        let west: Vec<Vec<f64>> = fields
-            .iter()
-            .map(|(f, _)| self.pack_strip(f, H, ny, H, H))
-            .collect();
-        let east: Vec<Vec<f64>> = fields
-            .iter()
-            .map(|(f, _)| self.pack_strip(f, H, ny, nx, H))
-            .collect();
-        if w == comm.rank() {
-            for ((f, _), buf) in fields.iter().zip(&west) {
-                self.unpack_strip(f, H, ny, H + nx, H, buf);
-            }
-            for ((f, _), buf) in fields.iter().zip(&east) {
-                self.unpack_strip(f, H, ny, 0, H, buf);
-            }
-        } else {
-            comm.isend(w, tag_base + T_WEST, cat(west));
-            comm.isend(e, tag_base + T_EAST, cat(east));
-            let from_e = comm.recv::<f64>(e, tag_base + T_WEST);
-            for (n, (f, _)) in fields.iter().enumerate() {
-                self.unpack_strip(f, H, ny, H + nx, H, &from_e[n * strip..(n + 1) * strip]);
-            }
-            let from_w = comm.recv::<f64>(w, tag_base + T_EAST);
-            for (n, (f, _)) in fields.iter().enumerate() {
-                self.unpack_strip(f, H, ny, 0, H, &from_w[n * strip..(n + 1) * strip]);
-            }
-        }
-        // N/S + fold batched.
-        let (_, pi) = self.h2.padded();
-        let rows = self.ns_len();
-        if let Neighbor::Interior(s) = self.h2.cart().neighbor(Dir::South) {
-            let bufs: Vec<Vec<f64>> = fields
-                .iter()
-                .map(|(f, _)| self.pack_strip(f, H, H, 0, pi))
-                .collect();
-            comm.isend(s, tag_base + T_SOUTH, cat(bufs));
-        }
-        match self.h2.cart().neighbor(Dir::North) {
-            Neighbor::Interior(n) => {
-                let bufs: Vec<Vec<f64>> = fields
-                    .iter()
-                    .map(|(f, _)| self.pack_strip(f, ny, H, 0, pi))
-                    .collect();
-                comm.isend(n, tag_base + T_NORTH, cat(bufs));
-            }
-            Neighbor::Fold(p) if p != comm.rank() => {
-                let bufs: Vec<Vec<f64>> = fields.iter().map(|(f, _)| self.pack_fold(f)).collect();
-                comm.isend(p, tag_base + T_FOLD, cat(bufs));
-            }
-            _ => {}
-        }
-        match self.h2.cart().neighbor(Dir::North) {
-            Neighbor::Interior(nb) => {
-                let buf = comm.recv::<f64>(nb, tag_base + T_SOUTH);
-                for (n, (f, _)) in fields.iter().enumerate() {
-                    self.unpack_strip(f, H + ny, H, 0, pi, &buf[n * rows..(n + 1) * rows]);
-                }
-            }
-            Neighbor::Fold(p) => {
-                let buf = if p == comm.rank() {
-                    cat(fields.iter().map(|(f, _)| self.pack_fold(f)).collect())
-                } else {
-                    comm.recv::<f64>(p, tag_base + T_FOLD)
-                };
-                for (n, (f, kind)) in fields.iter().enumerate() {
-                    self.unpack_fold(f, &buf[n * rows..(n + 1) * rows], *kind);
-                }
-            }
-            Neighbor::Closed => {}
-        }
-        if let Neighbor::Interior(s) = self.h2.cart().neighbor(Dir::South) {
-            let buf = comm.recv::<f64>(s, tag_base + T_NORTH);
-            for (n, (f, _)) in fields.iter().enumerate() {
-                self.unpack_strip(f, 0, H, 0, pi, &buf[n * rows..(n + 1) * rows]);
-            }
-        }
-    }
-
-    fn exchange_ew_alloc(&self, field: &View3<f64>, tag_base: u64) {
-        let comm = self.h2.cart().comm();
-        let (ny, nx) = (self.h2.ny, self.h2.nx);
-        let (Neighbor::Interior(w), Neighbor::Interior(e)) = (
-            self.h2.cart().neighbor(Dir::West),
-            self.h2.cart().neighbor(Dir::East),
-        ) else {
-            unreachable!()
-        };
-        if w == comm.rank() {
-            let west_real = self.pack_strip(field, H, ny, H, H);
-            let east_real = self.pack_strip(field, H, ny, nx, H);
-            self.unpack_strip(field, H, ny, H + nx, H, &west_real);
-            self.unpack_strip(field, H, ny, 0, H, &east_real);
-            return;
-        }
-        comm.isend(w, tag_base + T_WEST, self.pack_strip(field, H, ny, H, H));
-        comm.isend(e, tag_base + T_EAST, self.pack_strip(field, H, ny, nx, H));
-        let from_e = comm.recv::<f64>(e, tag_base + T_WEST);
-        self.unpack_strip(field, H, ny, H + nx, H, &from_e);
-        let from_w = comm.recv::<f64>(w, tag_base + T_EAST);
-        self.unpack_strip(field, H, ny, 0, H, &from_w);
-    }
-
-    fn exchange_ns_alloc(&self, field: &View3<f64>, kind: FoldKind, tag_base: u64) {
-        let comm = self.h2.cart().comm();
-        let (_, pi) = self.h2.padded();
-        let ny = self.h2.ny;
-        if let Neighbor::Interior(s) = self.h2.cart().neighbor(Dir::South) {
-            comm.isend(s, tag_base + T_SOUTH, self.pack_strip(field, H, H, 0, pi));
-        }
-        match self.h2.cart().neighbor(Dir::North) {
-            Neighbor::Interior(n) => {
-                comm.isend(n, tag_base + T_NORTH, self.pack_strip(field, ny, H, 0, pi));
-            }
-            Neighbor::Fold(p) if p != comm.rank() => {
-                comm.isend(p, tag_base + T_FOLD, self.pack_fold(field));
-            }
-            _ => {}
-        }
-        match self.h2.cart().neighbor(Dir::North) {
-            Neighbor::Interior(n) => {
-                let buf = comm.recv::<f64>(n, tag_base + T_SOUTH);
-                self.unpack_strip(field, H + ny, H, 0, pi, &buf);
-            }
-            Neighbor::Fold(p) => {
-                let buf = if p == comm.rank() {
-                    self.pack_fold(field)
-                } else {
-                    comm.recv::<f64>(p, tag_base + T_FOLD)
-                };
-                self.unpack_fold(field, &buf, kind);
-            }
-            Neighbor::Closed => {}
-        }
-        if let Neighbor::Interior(s) = self.h2.cart().neighbor(Dir::South) {
-            let buf = comm.recv::<f64>(s, tag_base + T_NORTH);
-            self.unpack_strip(field, 0, H, 0, pi, &buf);
-        }
-    }
-}
-
-/// A batched 3-D halo exchange in flight (see
-/// [`Halo3D::begin_exchange_many`]). Holds clones of the field views —
-/// `View` is a shared handle — and borrows the context so frame
-/// sequencing stays collective. Drive with [`Pending3::poll`] between
-/// compute launches; [`Pending3::finish`] blocks for the remainder.
-pub struct Pending3<'a> {
-    h: &'a Halo3D,
-    fields: Vec<(View3<f64>, FoldKind)>,
-    tag_base: u64,
-    seq: Option<FrameSeq>,
-    plan: StripPlan,
-    stage: PendingStage,
-    t0: Instant,
-}
-
-impl Pending3<'_> {
-    /// Post the east/west leg (or run it locally when px == 1, in which
-    /// case the north/south leg is posted immediately too).
-    fn post_ew(&mut self) -> Result<(), HaloError> {
-        if self.fields.is_empty() {
-            self.stage = PendingStage::Done;
-            return Ok(());
-        }
-        let h = self.h;
-        let comm = h.h2.cart().comm();
-        let (ny, nx) = (h.h2.ny, h.h2.nx);
-        let (nf, strip) = (self.fields.len(), h.ew_len());
-        if self.plan.ew_self {
-            let mut wb = Halo3D::scratch(&h.scratch_a, nf * strip);
-            let mut eb = Halo3D::scratch(&h.scratch_b, nf * strip);
-            for (n, (f, _)) in self.fields.iter().enumerate() {
-                h.pack_strip_into(f, H, ny, H, H, &mut wb[n * strip..(n + 1) * strip]);
-                h.pack_strip_into(f, H, ny, nx, H, &mut eb[n * strip..(n + 1) * strip]);
-            }
-            for (n, (f, _)) in self.fields.iter().enumerate() {
-                h.unpack_strip_from(f, H, ny, H + nx, H, &wb[n * strip..(n + 1) * strip]);
-            }
-            for (n, (f, _)) in self.fields.iter().enumerate() {
-                h.unpack_strip_from(f, H, ny, 0, H, &eb[n * strip..(n + 1) * strip]);
-            }
-            drop((wb, eb));
-            self.post_ns();
-            return Ok(());
-        }
-        let fields = &self.fields;
-        h.h2.send_strip(
-            comm,
-            self.plan.west,
-            self.tag_base + T_WEST,
-            self.seq,
-            nf * strip,
-            |buf| {
-                for (n, (f, _)) in fields.iter().enumerate() {
-                    h.pack_strip_into(f, H, ny, H, H, &mut buf[n * strip..(n + 1) * strip]);
-                }
-            },
-        );
-        h.h2.send_strip(
-            comm,
-            self.plan.east,
-            self.tag_base + T_EAST,
-            self.seq,
-            nf * strip,
-            |buf| {
-                for (n, (f, _)) in fields.iter().enumerate() {
-                    h.pack_strip_into(f, H, ny, nx, H, &mut buf[n * strip..(n + 1) * strip]);
-                }
-            },
-        );
-        self.stage = PendingStage::EwPosted;
-        Ok(())
-    }
-
-    /// Post the north/south leg. Runs after the zonal ghosts are fresh —
-    /// the row strips span the full padded width, which is how corners
-    /// propagate without diagonal messages. Self-folds complete here.
-    fn post_ns(&mut self) {
-        let h = self.h;
-        let comm = h.h2.cart().comm();
-        let (_, pi) = h.h2.padded();
-        let ny = h.h2.ny;
-        let (nf, rows) = (self.fields.len(), h.ns_len());
-        let fields = &self.fields;
-        if let Some(s) = self.plan.south {
-            h.h2.send_strip(
-                comm,
-                s,
-                self.tag_base + T_SOUTH,
-                self.seq,
-                nf * rows,
-                |buf| {
-                    for (n, (f, _)) in fields.iter().enumerate() {
-                        h.pack_strip_into(f, H, H, 0, pi, &mut buf[n * rows..(n + 1) * rows]);
-                    }
-                },
-            );
-        }
-        match self.plan.north {
-            NorthPath::Interior(nb) => {
-                h.h2.send_strip(
-                    comm,
-                    nb,
-                    self.tag_base + T_NORTH,
-                    self.seq,
-                    nf * rows,
-                    |buf| {
-                        for (n, (f, _)) in fields.iter().enumerate() {
-                            h.pack_strip_into(f, ny, H, 0, pi, &mut buf[n * rows..(n + 1) * rows]);
-                        }
-                    },
-                );
-            }
-            NorthPath::FoldOther(p) => {
-                h.h2.send_strip(
-                    comm,
-                    p,
-                    self.tag_base + T_FOLD,
-                    self.seq,
-                    nf * rows,
-                    |buf| {
-                        for (n, (f, _)) in fields.iter().enumerate() {
-                            h.pack_fold_into(f, &mut buf[n * rows..(n + 1) * rows]);
-                        }
-                    },
-                );
-            }
-            NorthPath::FoldSelf => {
-                let mut fb = Halo3D::scratch(&h.scratch_a, nf * rows);
-                for (n, (f, _)) in fields.iter().enumerate() {
-                    h.pack_fold_into(f, &mut fb[n * rows..(n + 1) * rows]);
-                }
-                for (n, (f, kind)) in fields.iter().enumerate() {
-                    h.unpack_fold(f, &fb[n * rows..(n + 1) * rows], *kind);
-                }
-            }
-            NorthPath::Closed => {}
-        }
-        // With no meridional receives outstanding the exchange is already
-        // complete (single-rank column with a self-fold or closed wall).
-        self.stage = if self.plan.south.is_none()
-            && matches!(self.plan.north, NorthPath::FoldSelf | NorthPath::Closed)
-        {
-            h.h2.add_inflight(self.t0.elapsed().as_nanos() as u64);
-            PendingStage::Done
-        } else {
-            PendingStage::NsPosted
-        };
-    }
-
-    /// Have all receives the current stage is waiting on arrived? Probes
-    /// without consuming, so `poll` only commits to receives it can
-    /// satisfy immediately. Allocation-free (polls run in hot loops).
-    fn stage_ready(&self, comm: &mpi_sim::Comm) -> bool {
-        match self.stage {
-            PendingStage::EwPosted => {
-                comm.has_message(self.plan.east, self.tag_base + T_WEST)
-                    && comm.has_message(self.plan.west, self.tag_base + T_EAST)
-            }
-            PendingStage::NsPosted => {
-                let north_ok = match self.plan.north {
-                    NorthPath::Interior(nb) => comm.has_message(nb, self.tag_base + T_SOUTH),
-                    NorthPath::FoldOther(p) => comm.has_message(p, self.tag_base + T_FOLD),
-                    NorthPath::FoldSelf | NorthPath::Closed => true,
-                };
-                let south_ok = self
-                    .plan
-                    .south
-                    .is_none_or(|s| comm.has_message(s, self.tag_base + T_NORTH));
-                north_ok && south_ok
-            }
-            PendingStage::Done => true,
-        }
-    }
-
-    /// Is any strip the current stage waits on owed by a dead rank with
-    /// nothing queued? Mirrors `PendingExchange2::stage_dead_peer` —
-    /// queued pre-death strips still drain, only an unfillable wait
-    /// reports death.
-    fn stage_dead_peer(&self, comm: &mpi_sim::Comm) -> Option<(usize, u64)> {
-        let mut owed: [Option<(usize, u64)>; 2] = [None, None];
-        match self.stage {
-            PendingStage::EwPosted => {
-                owed[0] = Some((self.plan.east, self.tag_base + T_WEST));
-                owed[1] = Some((self.plan.west, self.tag_base + T_EAST));
-            }
-            PendingStage::NsPosted => {
-                owed[0] = match self.plan.north {
-                    NorthPath::Interior(nb) => Some((nb, self.tag_base + T_SOUTH)),
-                    NorthPath::FoldOther(p) => Some((p, self.tag_base + T_FOLD)),
-                    NorthPath::FoldSelf | NorthPath::Closed => None,
-                };
-                owed[1] = self.plan.south.map(|s| (s, self.tag_base + T_NORTH));
-            }
-            PendingStage::Done => {}
-        }
-        owed.into_iter()
-            .flatten()
-            .find(|&(src, tag)| !comm.is_alive(src) && !comm.has_message(src, tag))
-    }
-
-    fn advance(&mut self, blocking: bool) -> Result<bool, HaloError> {
-        let h = self.h;
-        let comm = h.h2.cart().comm();
-        let (_, pi) = h.h2.padded();
-        let (ny, nx) = (h.h2.ny, h.h2.nx);
-        loop {
-            if self.stage == PendingStage::Done {
-                return Ok(true);
-            }
-            if !blocking && !self.stage_ready(comm) {
-                // A dead neighbor can never make the stage ready: surface
-                // the typed error instead of spinning on `Ok(false)`.
-                if let Some((src, tag)) = self.stage_dead_peer(comm) {
-                    return Err(HaloError::PeerDead { src, tag });
-                }
-                return Ok(false);
-            }
-            match self.stage {
-                PendingStage::EwPosted => {
-                    let (nf, strip) = (self.fields.len(), h.ew_len());
-                    let fields = &self.fields;
-                    h.h2.recv_strip(
-                        comm,
-                        self.plan.east,
-                        self.tag_base + T_WEST,
-                        self.seq,
-                        nf * strip,
-                        |buf| {
-                            for (n, (f, _)) in fields.iter().enumerate() {
-                                h.unpack_strip_from(
-                                    f,
-                                    H,
-                                    ny,
-                                    H + nx,
-                                    H,
-                                    &buf[n * strip..(n + 1) * strip],
-                                );
-                            }
-                        },
-                    )?;
-                    h.h2.recv_strip(
-                        comm,
-                        self.plan.west,
-                        self.tag_base + T_EAST,
-                        self.seq,
-                        nf * strip,
-                        |buf| {
-                            for (n, (f, _)) in fields.iter().enumerate() {
-                                h.unpack_strip_from(
-                                    f,
-                                    H,
-                                    ny,
-                                    0,
-                                    H,
-                                    &buf[n * strip..(n + 1) * strip],
-                                );
-                            }
-                        },
-                    )?;
-                    self.post_ns();
-                }
-                PendingStage::NsPosted => {
-                    let (nf, rows) = (self.fields.len(), h.ns_len());
-                    let fields = &self.fields;
-                    match self.plan.north {
-                        NorthPath::Interior(nb) => {
-                            h.h2.recv_strip(
-                                comm,
-                                nb,
-                                self.tag_base + T_SOUTH,
-                                self.seq,
-                                nf * rows,
-                                |buf| {
-                                    for (n, (f, _)) in fields.iter().enumerate() {
-                                        h.unpack_strip_from(
-                                            f,
-                                            H + ny,
-                                            H,
-                                            0,
-                                            pi,
-                                            &buf[n * rows..(n + 1) * rows],
-                                        );
-                                    }
-                                },
-                            )?;
-                        }
-                        NorthPath::FoldOther(p) => {
-                            h.h2.recv_strip(
-                                comm,
-                                p,
-                                self.tag_base + T_FOLD,
-                                self.seq,
-                                nf * rows,
-                                |buf| {
-                                    for (n, (f, kind)) in fields.iter().enumerate() {
-                                        h.unpack_fold(f, &buf[n * rows..(n + 1) * rows], *kind);
-                                    }
-                                },
-                            )?;
-                        }
-                        NorthPath::FoldSelf | NorthPath::Closed => {}
-                    }
-                    if let Some(s) = self.plan.south {
-                        h.h2.recv_strip(
-                            comm,
-                            s,
-                            self.tag_base + T_NORTH,
-                            self.seq,
-                            nf * rows,
-                            |buf| {
-                                for (n, (f, _)) in fields.iter().enumerate() {
-                                    h.unpack_strip_from(
-                                        f,
-                                        0,
-                                        H,
-                                        0,
-                                        pi,
-                                        &buf[n * rows..(n + 1) * rows],
-                                    );
-                                }
-                            },
-                        )?;
-                    }
-                    self.stage = PendingStage::Done;
-                    h.h2.add_inflight(self.t0.elapsed().as_nanos() as u64);
-                }
-                PendingStage::Done => {}
-            }
-        }
-    }
-
-    /// Non-blocking progress: consume whatever strips have arrived and
-    /// advance the protocol. Returns `Ok(true)` once the exchange is
-    /// complete; never waits.
-    pub fn poll(&mut self) -> Result<bool, HaloError> {
-        self.advance(false)
-    }
-
-    /// Block until the exchange completes.
-    pub fn finish(mut self) -> Result<(), HaloError> {
-        self.advance(true).map(|_| ())
-    }
-
-    /// True once every ghost cell is filled.
-    pub fn is_done(&self) -> bool {
-        self.stage == PendingStage::Done
+        pending::exchange_many_alloc(&self.h2, self.nz, self.strategy, fields, tag_base);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HALO as H;
     use kokkos_rs::{View, View3};
     use mpi_sim::{CartComm, World};
 
@@ -1129,10 +177,7 @@ mod tests {
         let nxg = h.h2.nxg as i64;
         let nyg = h.h2.nyg as i64;
         let (pj, pi) = h.h2.padded();
-        let sign = match kind {
-            FoldKind::Scalar => 1.0,
-            FoldKind::Vector => -1.0,
-        };
+        let sign = kind.sign();
         for k in 0..h.nz {
             for jl in 0..pj {
                 for il in 0..pi {
@@ -1222,6 +267,25 @@ mod tests {
     }
 
     #[test]
+    fn geometries_the_friendly_cases_avoid() {
+        // (px, py, nxg, nyg, nz): prime rank counts, a cross-rank fold
+        // under py > 1, blocks exactly HALO wide and tall, and nz = 1.
+        for (px, py, nxg, nyg, nz) in [
+            (3, 1, 9, 5, 4),
+            (5, 1, 10, 4, 2),
+            (1, 3, 6, 9, 3),
+            (7, 1, 14, 3, 1),
+            (3, 2, 12, 7, 1),
+            (2, 2, 2 * H, 2 * H, 3),
+            (1, 1, H, H, 1),
+        ] {
+            for strategy in [Strategy3D::HorizontalMajor, Strategy3D::Transpose] {
+                run_case(px * py, px, py, nxg, nyg, nz, strategy, FoldKind::Vector);
+            }
+        }
+    }
+
+    #[test]
     fn strategies_are_bitwise_identical() {
         let run = |strategy| {
             World::run(4, |comm| {
@@ -1290,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn overlap_matches_blocking_3d() {
+    fn carried_exchange_fills_ghosts_like_the_reference() {
         World::run(4, |comm| {
             let cart = CartComm::new(comm.clone(), 2, 2, true);
             let h = Halo3D::new(Halo2D::new(&cart, 12, 10), 4, Strategy3D::Transpose);
@@ -1300,8 +364,15 @@ mod tests {
             b.fill(0.0);
             fill_owned(&h, &a);
             fill_owned(&h, &b);
-            h.exchange(&a, FoldKind::Scalar, 0);
-            h.exchange_overlap(&b, FoldKind::Scalar, 50, || {});
+            h.exchange_alloc(&a, FoldKind::Scalar, 0);
+            let p = h
+                .begin_exchange_many(&[(&b, FoldKind::Scalar)], 50)
+                .unwrap();
+            // An interior cell no strip covers: written while in flight.
+            let (jc, ic) = (H + h.h2.ny / 2, H + 2);
+            b.set_at(1, jc, ic, b.at(1, jc, ic));
+            p.finish().unwrap();
+            check_all(&h, &b, FoldKind::Scalar);
             assert_eq!(a.to_vec(), b.to_vec());
         });
     }
@@ -1350,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn split_phase_batched_matches_blocking_3d() {
+    fn split_phase_batch_matches_oracle_and_batched_reference() {
         for strategy in [Strategy3D::HorizontalMajor, Strategy3D::Transpose] {
             World::run(4, |comm| {
                 let cart = CartComm::new(comm.clone(), 2, 2, true);
@@ -1368,9 +439,11 @@ mod tests {
                     }
                     f
                 };
+                // `u` is the unsalted oracle field; `v` proves the batch
+                // keeps its segments (and fold kinds) apart.
                 let (au, av) = (mk("au", 0.0), mk("av", 3.5));
                 let (bu, bv) = (mk("bu", 0.0), mk("bv", 3.5));
-                h.exchange_many(&[(&au, FoldKind::Vector), (&av, FoldKind::Scalar)], 0);
+                h.exchange_many_alloc(&[(&au, FoldKind::Vector), (&av, FoldKind::Scalar)], 0);
                 let mut p = h
                     .begin_exchange_many(&[(&bu, FoldKind::Vector), (&bv, FoldKind::Scalar)], 60)
                     .unwrap();
@@ -1378,6 +451,7 @@ mod tests {
                     let _ = p.poll().unwrap();
                 }
                 p.finish().unwrap();
+                check_all(&h, &bu, FoldKind::Vector);
                 assert_eq!(au.to_vec(), bu.to_vec(), "{strategy:?} u");
                 assert_eq!(av.to_vec(), bv.to_vec(), "{strategy:?} v");
             });

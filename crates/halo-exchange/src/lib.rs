@@ -4,39 +4,52 @@
 //! according to Amdahl's law" — so the paper rewrites it in C++/Kokkos,
 //! eliminates redundant pack/unpack work, overlaps communication with
 //! computation, and adds transpose-based 3-D exchanges. This crate is that
-//! engine, written against `mpi-sim` + `kokkos-rs` views:
+//! engine, written against `mpi-sim` + `kokkos-rs` views — one engine,
+//! in four layers:
 //!
-//! * [`halo2d`] — the 2-layer 2-D halo update on the tripolar topology:
-//!   zonal periodicity, closed southern wall, **north-fold** exchange with
-//!   zonal mirroring (and sign flip for vector fields), correct corner
-//!   fill via the E/W-then-N/S two-phase scheme, and an overlapped variant
-//!   that runs interior computation while messages are in flight;
-//! * [`halo3d`] — point-wise vertical extension of the 2-D update, with
-//!   two interchangeable strategies: the naive **horizontal-major** pack
-//!   (strided reads, the pre-optimization baseline) and the paper's
+//! * [`halo2d`] — the per-rank **context** on the tripolar topology:
+//!   block geometry and peers (zonal periodicity, closed southern wall,
+//!   **north fold** with zonal mirroring and a sign flip for vector
+//!   fields), the strips that move, scratch for the self paths, frame
+//!   sequencing, and the send/receive chokepoints. [`halo3d`] adds a level
+//!   count and a buffer order on top: the naive **horizontal-major** pack
+//!   (strided reads, the pre-optimization baseline) or the paper's
 //!   **transpose** pipeline (Fig. 5: real halo → vertical-major → exchange
-//!   → ghost halo → horizontal-major), plus batched multi-field messages
-//!   (the "redundant packing" elimination);
-//! * [`transpose`] — the high-performance halo transpose operators;
-//! * [`stepgraph`] — a small per-step dependency DAG of compute and comm
-//!   tasks whose runner interleaves interior kernels with non-blocking
-//!   polls of split-phase exchanges ([`halo2d::PendingExchange2`],
-//!   [`halo3d::Pending3`]), so posting halos, computing interiors, and
-//!   finishing boundary passes overlap by construction.
+//!   → ghost halo → horizontal-major);
+//! * [`HaloField`] — the sealed **field trait** that makes a 2-D field the
+//!   `nz = 1` case of a 3-D one: extents, element access, tag offset,
+//!   profiling region, and which strips are worth a kernel launch;
+//! * [`Pending`] — the **protocol**, once: E/W over owned rows, then N/S or
+//!   fold over the full padded width (corners fill without diagonal
+//!   messages), batched over any number of fields (the "redundant packing"
+//!   elimination), as a split-phase state machine. A blocking exchange is a
+//!   `Pending` finished on the spot; an overlapped one is polled between
+//!   kernel launches. The allocating element-wise reference the tests hold
+//!   it against lives beside it;
+//! * `strip` — the one contiguous-run copy functor under every pack and
+//!   unpack, launched on an execution space or run on the MPE.
 //!
-//! All variants are *bitwise equivalent*; they differ only in access
-//! pattern and message count, which the benches measure.
+//! [`integrity`] frames strips with a CRC and retries them; [`stepgraph`]
+//! is a small per-step dependency DAG of compute and comm tasks whose
+//! runner interleaves interior kernels with non-blocking polls of a
+//! [`Pending`].
+//!
+//! Every path is *bitwise equivalent*; they differ only in access pattern
+//! and message count, which the benches measure.
 
+mod field;
 pub mod halo2d;
 pub mod halo3d;
 pub mod integrity;
+mod pending;
 pub mod stepgraph;
-pub(crate) mod strip;
-pub mod transpose;
+mod strip;
 
-pub use halo2d::{FoldKind, Halo2D, PendingExchange2};
-pub use halo3d::{Halo3D, Pending3, Strategy3D};
+pub use field::HaloField;
+pub use halo2d::{FoldKind, Halo2D};
+pub use halo3d::{Halo3D, Strategy3D};
 pub use integrity::{FrameFault, FrameSeq, HaloError, IntegrityConfig};
+pub use pending::Pending;
 pub use stepgraph::{StepGraph, Task};
 
 /// Halo width (2 ghost + 2 real layers, fixed by LICOM's stencils).

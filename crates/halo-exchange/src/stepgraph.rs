@@ -6,7 +6,7 @@
 //! of that idea for one model step: nodes are either **compute** closures
 //! (run once when their dependencies are met) or **comm** closures (a
 //! split-phase exchange driven by repeated non-blocking polls, e.g.
-//! [`crate::halo2d::PendingExchange2::poll`] under the hood). The runner
+//! [`crate::Pending::poll`] under the hood). The runner
 //! loop is deterministic:
 //!
 //! 1. poll every ready comm task non-blockingly (drives message progress);

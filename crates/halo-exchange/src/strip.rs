@@ -1,27 +1,30 @@
-//! Parallel memcpy pack/unpack of halo strips (paper §V-D).
+//! Memcpy pack/unpack of halo strips (paper §V-D).
 //!
-//! The original `pack_strip`/`unpack_strip` walked one element at a time
-//! through `View::at`. A halo strip is a set of contiguous runs, though:
+//! A halo strip is a set of contiguous runs, not a set of elements:
 //!
 //! * **HorizontalMajor** — every `(k, j)` row of the strip is `ni`
 //!   consecutive elements in both the field and the message buffer, so
-//!   pack/unpack is a straight `copy_from_slice` per row.
+//!   pack/unpack is a straight `copy_from_slice` per row. A 2-D field is
+//!   the `nz = 1` case of this order.
 //! * **Transpose** — every `(j, i)` column is `nz` consecutive elements on
-//!   the buffer side (that is the point of the vertical-major ordering);
-//!   the field side strides by one horizontal plane per level.
+//!   the buffer side (that is the point of the vertical-major ordering,
+//!   Fig. 5); the field side strides by one horizontal plane per level.
 //!
-//! [`StripCopy`] expresses one run per iteration as a [`Functor1D`] so the
-//! copy dispatches over any kokkos execution space — serial, the rayon
-//! pool, or simulated CPEs (it is registered for the SwAthread backend
-//! like every other kernel). Runs are disjoint by construction, which is
-//! exactly the Kokkos concurrent-write contract.
+//! [`StripCopy`] expresses one run per iteration as a [`Functor1D`], so the
+//! same copy either dispatches over a kokkos execution space — serial, the
+//! rayon pool, or simulated CPEs (it is registered for the SwAthread
+//! backend like every other kernel) — or stays on the calling thread, the
+//! MPE path of strips too small to be worth a launch. Runs are disjoint by
+//! construction, which is exactly the Kokkos concurrent-write contract.
 
 use kokkos_rs::functor::{Functor1D, IterCost};
 use kokkos_rs::parallel::parallel_for_1d;
 use kokkos_rs::policy::RangePolicy;
-use kokkos_rs::{Space, View2, View3};
+use kokkos_rs::Space;
 
+use crate::field::HaloField;
 use crate::halo3d::Strategy3D;
+use crate::HALO as H;
 
 /// Which way a [`StripCopy`] moves data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,11 +35,39 @@ enum CopyDir {
     Unpack,
 }
 
-/// One halo-strip copy: `nj` rows × `ni` columns over `nz` levels of a
-/// `(nz, pj, pi)` horizontal-major field, against a buffer in the order
-/// given by `order`. Each iteration copies one contiguous run. The side
-/// being read is only ever dereferenced through `*const` — the `Unpack`
-/// buffer pointer originates from a shared slice and is never written.
+/// A strip of a padded block: `nj` rows × `ni` columns, over every level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Rect {
+    pub j0: usize,
+    pub nj: usize,
+    pub i0: usize,
+    pub ni: usize,
+    /// Rows descend from `j0` (`j0`, `j0 - 1`, …) instead of ascending —
+    /// the order in which the tripolar fold packs its rows.
+    pub rev: bool,
+}
+
+impl Rect {
+    /// Cells per level.
+    pub fn cells(&self) -> usize {
+        self.nj * self.ni
+    }
+
+    /// Field row of the strip's `jj`-th row.
+    pub fn row(&self, jj: usize) -> usize {
+        if self.rev {
+            self.j0 - jj
+        } else {
+            self.j0 + jj
+        }
+    }
+}
+
+/// One halo-strip copy: `rect` over the `nz` levels of a `(nz, pj, pi)`
+/// horizontal-major field, against a buffer in the order given by `order`.
+/// Each iteration copies one contiguous run. The side being read is only
+/// ever dereferenced through `*const` — the `Unpack` buffer pointer
+/// originates from a shared slice and is never written.
 struct StripCopy {
     field: *mut f64,
     buf: *mut f64,
@@ -44,10 +75,7 @@ struct StripCopy {
     plane: usize,
     /// Elements per field row (`pi`).
     row: usize,
-    j0: usize,
-    i0: usize,
-    nj: usize,
-    ni: usize,
+    rect: Rect,
     nz: usize,
     dir: CopyDir,
     order: Strategy3D,
@@ -60,54 +88,50 @@ unsafe impl Send for StripCopy {}
 unsafe impl Sync for StripCopy {}
 
 impl StripCopy {
-    /// Iterations needed: one per contiguous run.
-    fn runs(&self) -> usize {
+    /// The contiguous runs come in `outer` groups of `inner`: levels ×
+    /// strip rows (HorizontalMajor) or strip rows × columns (Transpose).
+    fn shape(&self) -> (usize, usize) {
         match self.order {
-            Strategy3D::HorizontalMajor => self.nz * self.nj,
-            Strategy3D::Transpose => self.nj * self.ni,
+            Strategy3D::HorizontalMajor => (self.nz, self.rect.nj),
+            Strategy3D::Transpose => (self.rect.nj, self.rect.ni),
         }
     }
-}
 
-impl Functor1D for StripCopy {
-    fn operator(&self, r: usize) {
+    /// Copy run `(o, i)` of [`StripCopy::shape`].
+    #[inline(always)]
+    fn run(&self, o: usize, i: usize) {
+        let Rect { i0, nj, ni, .. } = self.rect;
         match self.order {
             Strategy3D::HorizontalMajor => {
-                // Run r is field row (k = r / nj, j = j0 + r % nj): `ni`
-                // consecutive elements on both sides.
-                let k = r / self.nj;
-                let jj = r % self.nj;
-                let foff = k * self.plane + (self.j0 + jj) * self.row + self.i0;
-                let boff = r * self.ni;
+                // Field row (k = o, strip row i): `ni` consecutive elements
+                // on both sides.
+                let foff = o * self.plane + self.rect.row(i) * self.row + i0;
+                let boff = (o * nj + i) * ni;
+                // SAFETY: `copy` checked the rect against the field extents
+                // and the buffer length, so both `ni`-element runs are in
+                // bounds; different runs are disjoint.
                 unsafe {
-                    match self.dir {
-                        CopyDir::Pack => {
-                            let src = std::slice::from_raw_parts(
-                                self.field.add(foff) as *const f64,
-                                self.ni,
-                            );
-                            std::slice::from_raw_parts_mut(self.buf.add(boff), self.ni)
-                                .copy_from_slice(src);
-                        }
-                        CopyDir::Unpack => {
-                            let src = std::slice::from_raw_parts(
-                                self.buf.add(boff) as *const f64,
-                                self.ni,
-                            );
-                            std::slice::from_raw_parts_mut(self.field.add(foff), self.ni)
-                                .copy_from_slice(src);
-                        }
+                    let (src, dst) = match self.dir {
+                        CopyDir::Pack => (self.field.add(foff) as *const f64, self.buf.add(boff)),
+                        CopyDir::Unpack => (self.buf.add(boff) as *const f64, self.field.add(foff)),
+                    };
+                    if ni == H {
+                        // An east/west strip's run: two moves, not a call.
+                        dst.cast::<[f64; H]>()
+                            .write_unaligned(src.cast::<[f64; H]>().read_unaligned());
+                    } else {
+                        std::ptr::copy_nonoverlapping(src, dst, ni);
                     }
                 }
             }
             Strategy3D::Transpose => {
-                // Run r is column (j = j0 + r / ni, i = i0 + r % ni): `nz`
-                // consecutive elements on the buffer side, one plane apart
-                // on the field side.
-                let jj = r / self.ni;
-                let ii = r % self.ni;
-                let fbase = (self.j0 + jj) * self.row + self.i0 + ii;
-                let boff = r * self.nz;
+                // Column (strip row o, i = i0 + i): `nz` consecutive
+                // elements on the buffer side, one plane apart on the
+                // field side.
+                let fbase = self.rect.row(o) * self.row + i0 + i;
+                let boff = (o * ni + i) * self.nz;
+                // SAFETY: as above — `fbase + k * plane` stays inside the
+                // `nz` planes and `boff + k` inside the buffer.
                 unsafe {
                     match self.dir {
                         CopyDir::Pack => {
@@ -125,11 +149,90 @@ impl Functor1D for StripCopy {
             }
         }
     }
+}
+
+/// Copy `rect` between `f` and `buf[..buf_len]`: as one kernel launch on
+/// `on`, or run by run on the calling thread (the MPE path) when `on` is
+/// `None`. Every bound the copy loops rely on is checked here.
+fn copy<F: HaloField>(
+    on: Option<&Space>,
+    dir: CopyDir,
+    order: Strategy3D,
+    f: &F,
+    rect: Rect,
+    buf: *mut f64,
+    buf_len: usize,
+) {
+    let [nz, pj, pi] = f.block_dims();
+    assert_eq!(buf_len, nz * rect.cells(), "strip buffer length mismatch");
+    if rect.rev {
+        assert!(
+            rect.nj <= rect.j0 + 1 && rect.j0 < pj,
+            "strip out of bounds"
+        );
+    } else {
+        assert!(rect.j0 + rect.nj <= pj, "strip out of bounds");
+    }
+    assert!(rect.i0 + rect.ni <= pi, "strip out of bounds");
+    let func = StripCopy {
+        field: f.root_ptr(),
+        buf,
+        plane: pj * pi,
+        row: pi,
+        rect,
+        nz,
+        dir,
+        order,
+    };
+    let (outer, inner) = func.shape();
+    match on {
+        Some(space) => {
+            // One tile per ~1/64th of the runs keeps every backend busy even
+            // for the short-row strips (the default 256-run tile would
+            // serialize them).
+            let n = outer * inner;
+            let tile = (n / 64).clamp(1, 256);
+            parallel_for_1d(space, RangePolicy::new(n).with_tile(tile), &func);
+        }
+        None => (0..outer).for_each(|o| (0..inner).for_each(|i| func.run(o, i))),
+    }
+}
+
+/// Pack `rect` (all levels) of `f` into `out`, in `order`.
+pub(crate) fn pack<F: HaloField>(
+    on: Option<&Space>,
+    order: Strategy3D,
+    f: &F,
+    rect: Rect,
+    out: &mut [f64],
+) {
+    let (ptr, len) = (out.as_mut_ptr(), out.len());
+    copy(on, CopyDir::Pack, order, f, rect, ptr, len);
+}
+
+/// Unpack `buf` into `rect` of `f`, inverse of [`pack`]. `buf` is only
+/// read (the pointer cast is an artifact of the shared functor).
+pub(crate) fn unpack<F: HaloField>(
+    on: Option<&Space>,
+    order: Strategy3D,
+    f: &F,
+    rect: Rect,
+    buf: &[f64],
+) {
+    let (ptr, len) = (buf.as_ptr() as *mut f64, buf.len());
+    copy(on, CopyDir::Unpack, order, f, rect, ptr, len);
+}
+
+impl Functor1D for StripCopy {
+    fn operator(&self, r: usize) {
+        let (_, inner) = self.shape();
+        self.run(r / inner, r % inner);
+    }
 
     fn cost(&self) -> IterCost {
         // Pure data movement: one read + one write per element of the run.
         let run = match self.order {
-            Strategy3D::HorizontalMajor => self.ni,
+            Strategy3D::HorizontalMajor => self.rect.ni,
             Strategy3D::Transpose => self.nz,
         };
         IterCost {
@@ -141,254 +244,10 @@ impl Functor1D for StripCopy {
 
 kokkos_rs::register_for_1d!(register_strip_copy, StripCopy);
 
-/// One 2-D halo-strip copy for [`crate::halo2d::Halo2D`]: `nruns` rows of
-/// `ni` consecutive elements each, against a row-major buffer. Run `r`
-/// maps to field row `j0 + r`, or `j0 - r` when `rev` is set (the
-/// tripolar fold packs rows in descending order). Same disjoint-run
-/// contract as [`StripCopy`].
-struct StripCopy2D {
-    field: *mut f64,
-    buf: *mut f64,
-    /// Elements per field row (`pi`).
-    row: usize,
-    j0: usize,
-    i0: usize,
-    ni: usize,
-    /// Field rows descend from `j0` (fold pack order).
-    rev: bool,
-    dir: CopyDir,
-}
-
-// SAFETY: as for `StripCopy` — live field and buffer for the synchronous
-// launch, disjoint runs per iteration.
-unsafe impl Send for StripCopy2D {}
-unsafe impl Sync for StripCopy2D {}
-
-impl Functor1D for StripCopy2D {
-    fn operator(&self, r: usize) {
-        let j = if self.rev { self.j0 - r } else { self.j0 + r };
-        let foff = j * self.row + self.i0;
-        let boff = r * self.ni;
-        unsafe {
-            match self.dir {
-                CopyDir::Pack => {
-                    let src =
-                        std::slice::from_raw_parts(self.field.add(foff) as *const f64, self.ni);
-                    std::slice::from_raw_parts_mut(self.buf.add(boff), self.ni)
-                        .copy_from_slice(src);
-                }
-                CopyDir::Unpack => {
-                    let src = std::slice::from_raw_parts(self.buf.add(boff) as *const f64, self.ni);
-                    std::slice::from_raw_parts_mut(self.field.add(foff), self.ni)
-                        .copy_from_slice(src);
-                }
-            }
-        }
-    }
-
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 0,
-            bytes: 16 * self.ni as u64,
-        }
-    }
-}
-
-kokkos_rs::register_for_1d!(register_strip_copy_2d, StripCopy2D);
-
-#[allow(clippy::too_many_arguments)]
-fn launch2(
-    space: &Space,
-    dir: CopyDir,
-    f: &View2<f64>,
-    j0: usize,
-    rev: bool,
-    nruns: usize,
-    i0: usize,
-    ni: usize,
-    buf: *mut f64,
-    buf_len: usize,
-) {
-    let [pj, pi] = f.dims();
-    assert_eq!(buf_len, nruns * ni, "strip buffer length mismatch");
-    if rev {
-        assert!(nruns <= j0 + 1 && j0 < pj, "strip rows out of bounds");
-    } else {
-        assert!(j0 + nruns <= pj, "strip rows out of bounds");
-    }
-    assert!(i0 + ni <= pi, "strip columns out of bounds");
-    assert!(
-        f.is_root_view() && f.layout() == kokkos_rs::Layout::Right,
-        "strip copy requires a root row-major field"
-    );
-    let func = StripCopy2D {
-        field: f.data_ptr(),
-        buf,
-        row: pi,
-        j0,
-        i0,
-        ni,
-        rev,
-        dir,
-    };
-    let tile = (nruns / 64).clamp(1, 256);
-    parallel_for_1d(space, RangePolicy::new(nruns).with_tile(tile), &func);
-}
-
-/// Pack `nruns` rows × `ni` columns of the 2-D field `f` into `out`
-/// (row-major), dispatched over `space`. `rev` walks field rows downward
-/// from `j0` — the fold pack order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_rect2_on(
-    space: &Space,
-    f: &View2<f64>,
-    j0: usize,
-    rev: bool,
-    nruns: usize,
-    i0: usize,
-    ni: usize,
-    out: &mut [f64],
-) {
-    launch2(
-        space,
-        CopyDir::Pack,
-        f,
-        j0,
-        rev,
-        nruns,
-        i0,
-        ni,
-        out.as_mut_ptr(),
-        out.len(),
-    );
-}
-
-/// Unpack `buf` into `nruns` rows × `ni` columns of `f`, inverse of
-/// [`pack_rect2_on`]. `buf` is only read.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn unpack_rect2_on(
-    space: &Space,
-    f: &View2<f64>,
-    j0: usize,
-    rev: bool,
-    nruns: usize,
-    i0: usize,
-    ni: usize,
-    buf: &[f64],
-) {
-    launch2(
-        space,
-        CopyDir::Unpack,
-        f,
-        j0,
-        rev,
-        nruns,
-        i0,
-        ni,
-        buf.as_ptr() as *mut f64,
-        buf.len(),
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn launch(
-    space: &Space,
-    order: Strategy3D,
-    dir: CopyDir,
-    f: &View3<f64>,
-    j0: usize,
-    nj: usize,
-    i0: usize,
-    ni: usize,
-    buf: *mut f64,
-    buf_len: usize,
-) {
-    let [nz, pj, pi] = f.dims();
-    assert_eq!(buf_len, nz * nj * ni, "strip buffer length mismatch");
-    assert!(j0 + nj <= pj && i0 + ni <= pi, "strip out of bounds");
-    assert!(
-        f.is_root_view() && f.layout() == kokkos_rs::Layout::Right,
-        "strip copy requires a root horizontal-major field"
-    );
-    let func = StripCopy {
-        field: f.data_ptr(),
-        buf,
-        plane: pj * pi,
-        row: pi,
-        j0,
-        i0,
-        nj,
-        ni,
-        nz,
-        dir,
-        order,
-    };
-    let n = func.runs();
-    // One tile per ~1/64th of the runs keeps every backend busy even for
-    // the short-row strips (the default 256-run tile would serialize them).
-    let tile = (n / 64).clamp(1, 256);
-    parallel_for_1d(space, RangePolicy::new(n).with_tile(tile), &func);
-}
-
-/// Pack the strip `nj × ni` (rows × cols, all `nz` levels) of `f` into
-/// `out`, in `order`, dispatched over `space`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_strip_on(
-    space: &Space,
-    order: Strategy3D,
-    f: &View3<f64>,
-    j0: usize,
-    nj: usize,
-    i0: usize,
-    ni: usize,
-    out: &mut [f64],
-) {
-    launch(
-        space,
-        order,
-        CopyDir::Pack,
-        f,
-        j0,
-        nj,
-        i0,
-        ni,
-        out.as_mut_ptr(),
-        out.len(),
-    );
-}
-
-/// Unpack `buf` into the strip `nj × ni` of `f`, inverse of
-/// [`pack_strip_on`]. `buf` is only read (the pointer cast is an artifact
-/// of the shared functor).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn unpack_strip_on(
-    space: &Space,
-    order: Strategy3D,
-    f: &View3<f64>,
-    j0: usize,
-    nj: usize,
-    i0: usize,
-    ni: usize,
-    buf: &[f64],
-) {
-    launch(
-        space,
-        order,
-        CopyDir::Unpack,
-        f,
-        j0,
-        nj,
-        i0,
-        ni,
-        buf.as_ptr() as *mut f64,
-        buf.len(),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kokkos_rs::View;
+    use kokkos_rs::{View, View2, View3};
 
     fn field(nz: usize, pj: usize, pi: usize) -> View3<f64> {
         View::from_fn("f", [nz, pj, pi], |[k, j, i]| {
@@ -396,32 +255,35 @@ mod tests {
         })
     }
 
+    fn rect(j0: usize, nj: usize, i0: usize, ni: usize, rev: bool) -> Rect {
+        Rect {
+            j0,
+            nj,
+            i0,
+            ni,
+            rev,
+        }
+    }
+
     /// Reference element-wise pack, mirroring the original implementation.
-    fn pack_ref(
-        f: &View3<f64>,
-        order: Strategy3D,
-        j0: usize,
-        nj: usize,
-        i0: usize,
-        ni: usize,
-    ) -> Vec<f64> {
-        let nz = f.extent(0);
+    fn pack_ref<F: HaloField>(f: &F, order: Strategy3D, r: Rect) -> Vec<f64> {
+        let [nz, _, _] = f.block_dims();
         let mut buf = Vec::new();
         match order {
             Strategy3D::HorizontalMajor => {
                 for k in 0..nz {
-                    for j in j0..j0 + nj {
-                        for i in i0..i0 + ni {
-                            buf.push(f.at(k, j, i));
+                    for jj in 0..r.nj {
+                        for i in r.i0..r.i0 + r.ni {
+                            buf.push(f.cell(k, r.row(jj), i));
                         }
                     }
                 }
             }
             Strategy3D::Transpose => {
-                for j in j0..j0 + nj {
-                    for i in i0..i0 + ni {
+                for jj in 0..r.nj {
+                    for i in r.i0..r.i0 + r.ni {
                         for k in 0..nz {
-                            buf.push(f.at(k, j, i));
+                            buf.push(f.cell(k, r.row(jj), i));
                         }
                     }
                 }
@@ -430,16 +292,28 @@ mod tests {
         buf
     }
 
+    fn spaces() -> [Option<Space>; 4] {
+        register_strip_copy();
+        [
+            None,
+            Some(Space::serial()),
+            Some(Space::threads()),
+            Some(Space::sw_athread_with(sunway_sim::CgConfig::test_small())),
+        ]
+    }
+
     #[test]
-    fn pack_matches_reference_on_all_host_spaces() {
+    fn pack_matches_reference_launched_and_on_the_mpe() {
+        let f = field(5, 11, 13);
         for order in [Strategy3D::HorizontalMajor, Strategy3D::Transpose] {
-            for space in [Space::serial(), Space::threads()] {
-                let f = field(5, 11, 13);
-                let (j0, nj, i0, ni) = (2, 7, 3, 2);
-                let want = pack_ref(&f, order, j0, nj, i0, ni);
-                let mut got = vec![0.0; want.len()];
-                pack_strip_on(&space, order, &f, j0, nj, i0, ni, &mut got);
-                assert_eq!(got, want, "{order:?} on {}", space.name());
+            for on in spaces() {
+                // Ascending rows, and the fold's descending ones.
+                for r in [rect(2, 7, 3, 2, false), rect(8, 2, 0, 13, true)] {
+                    let want = pack_ref(&f, order, r);
+                    let mut got = vec![0.0; want.len()];
+                    pack(on.as_ref(), order, &f, r, &mut got);
+                    assert_eq!(got, want, "{order:?} {r:?} on {on:?}");
+                }
             }
         }
     }
@@ -448,18 +322,20 @@ mod tests {
     fn unpack_inverts_pack() {
         for order in [Strategy3D::HorizontalMajor, Strategy3D::Transpose] {
             let src = field(4, 9, 10);
-            let (j0, nj, i0, ni) = (1, 3, 2, 5);
-            let mut buf = vec![0.0; 4 * nj * ni];
-            pack_strip_on(&Space::threads(), order, &src, j0, nj, i0, ni, &mut buf);
-            let dst: View3<f64> = View::host("dst", [4, 9, 10]);
-            dst.fill(-1.0);
-            unpack_strip_on(&Space::serial(), order, &dst, j0, nj, i0, ni, &buf);
-            for k in 0..4 {
-                for j in 0..9 {
-                    for i in 0..10 {
-                        let inside = (j0..j0 + nj).contains(&j) && (i0..i0 + ni).contains(&i);
-                        let want = if inside { src.at(k, j, i) } else { -1.0 };
-                        assert_eq!(dst.at(k, j, i), want, "{order:?} k={k} j={j} i={i}");
+            let r = rect(1, 3, 2, 5, false);
+            let mut buf = vec![0.0; 4 * r.cells()];
+            pack(Some(&Space::threads()), order, &src, r, &mut buf);
+            for on in spaces() {
+                let dst: View3<f64> = View::host("dst", [4, 9, 10]);
+                dst.fill(-1.0);
+                unpack(on.as_ref(), order, &dst, r, &buf);
+                for k in 0..4 {
+                    for j in 0..9 {
+                        for i in 0..10 {
+                            let inside = (1..4).contains(&j) && (2..7).contains(&i);
+                            let want = if inside { src.at(k, j, i) } else { -1.0 };
+                            assert_eq!(dst.at(k, j, i), want, "{order:?} k={k} j={j} i={i}");
+                        }
                     }
                 }
             }
@@ -467,39 +343,26 @@ mod tests {
     }
 
     #[test]
-    fn rect2_pack_unpack_on_all_spaces() {
+    fn a_2d_field_is_the_one_level_case() {
         let f2: View2<f64> = View::from_fn("f2", [9, 12], |[j, i]| (j * 100 + i) as f64 + 0.25);
-        // Reference: ascending and descending row-major packs.
-        let pack2_ref = |j0: usize, rev: bool, nruns: usize, i0: usize, ni: usize| {
-            let mut buf = Vec::new();
-            for r in 0..nruns {
-                let j = if rev { j0 - r } else { j0 + r };
-                for i in i0..i0 + ni {
-                    buf.push(f2.at(j, i));
-                }
-            }
-            buf
-        };
-        register_strip_copy_2d();
-        let spaces = [
-            Space::serial(),
-            Space::threads(),
-            Space::sw_athread_with(sunway_sim::CgConfig::test_small()),
-        ];
-        for space in &spaces {
-            for (j0, rev, nruns, i0, ni) in [(2, false, 5, 3, 2), (8, true, 2, 0, 12)] {
-                let want = pack2_ref(j0, rev, nruns, i0, ni);
+        let f3: View3<f64> = View::from_fn("f3", [1, 9, 12], |[_, j, i]| f2.at(j, i));
+        let order = Strategy3D::HorizontalMajor;
+        for on in spaces() {
+            for r in [rect(2, 5, 3, 2, false), rect(8, 2, 0, 12, true)] {
+                let want = pack_ref(&f2, order, r);
                 let mut got = vec![0.0; want.len()];
-                pack_rect2_on(space, &f2, j0, rev, nruns, i0, ni, &mut got);
-                assert_eq!(got, want, "pack rev={rev} on {}", space.name());
+                pack(on.as_ref(), order, &f2, r, &mut got);
+                assert_eq!(got, want, "pack {r:?} on {on:?}");
+                let mut got3 = vec![0.0; want.len()];
+                pack(on.as_ref(), order, &f3, r, &mut got3);
+                assert_eq!(got3, want, "one-level 3-D pack {r:?} on {on:?}");
 
                 let dst: View2<f64> = View::host("dst2", [9, 12]);
                 dst.fill(-1.0);
-                unpack_rect2_on(space, &dst, j0, rev, nruns, i0, ni, &want);
-                for r in 0..nruns {
-                    let j = if rev { j0 - r } else { j0 + r };
-                    for i in i0..i0 + ni {
-                        assert_eq!(dst.at(j, i), f2.at(j, i), "unpack j={j} i={i}");
+                unpack(on.as_ref(), order, &dst, r, &want);
+                for jj in 0..r.nj {
+                    for i in r.i0..r.i0 + r.ni {
+                        assert_eq!(dst.at(r.row(jj), i), f2.at(r.row(jj), i), "unpack {r:?}");
                     }
                 }
             }
@@ -507,13 +370,10 @@ mod tests {
     }
 
     #[test]
-    fn runs_on_simulated_sunway_cpes() {
-        register_strip_copy();
-        let space = Space::sw_athread_with(sunway_sim::CgConfig::test_small());
-        let f = field(3, 8, 8);
-        let want = pack_ref(&f, Strategy3D::Transpose, 2, 4, 2, 4);
-        let mut got = vec![0.0; want.len()];
-        pack_strip_on(&space, Strategy3D::Transpose, &f, 2, 4, 2, 4, &mut got);
-        assert_eq!(got, want);
+    #[should_panic(expected = "strip out of bounds")]
+    fn a_descending_strip_cannot_run_below_row_zero() {
+        let f = field(2, 6, 6);
+        let r = rect(1, 3, 0, 6, true);
+        pack(None, Strategy3D::HorizontalMajor, &f, r, &mut vec![0.0; 36]);
     }
 }

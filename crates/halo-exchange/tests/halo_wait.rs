@@ -1,12 +1,13 @@
-//! Receive-wait attribution across the overlap and blocking exchange
-//! variants.
+//! Receive-wait and in-flight attribution of an exchange finished on the
+//! spot versus one carried across compute.
 //!
-//! The `halo_wait_ns` counter accrues at the recv chokepoint, so it sees
-//! the overlap path (`try_exchange_overlap`) even though that variant
-//! deliberately carries no whole-call profiling region. With a slow
+//! The `halo_wait_ns` counter accrues at the recv chokepoint, so it sees a
+//! carried exchange (`begin_exchange_many` … `finish`) even though that
+//! path deliberately carries no whole-call profiling region. With a slow
 //! neighbor, the blocking exchange eats the neighbor's delay inside its
-//! receives while the overlap exchange hides it under interior compute —
-//! so overlap wait must come out at or below blocking wait.
+//! receives while the carried one hides it under interior compute — so its
+//! wait must come out at or below blocking wait, and its in-flight span
+//! must cover the compute it rode across.
 
 use std::time::Duration;
 
@@ -48,19 +49,23 @@ fn overlap_wait_le_blocking_wait() {
         h.exchange(&f, FoldKind::Scalar, 100);
         let blocking_wait = h.halo_wait_ns() - w0;
 
-        // Overlap: rank 0 has a full lag's worth of interior compute, so
+        // Carried: rank 0 has a full lag's worth of interior compute, so
         // the late messages are already there when it finally receives.
         comm.barrier();
         if lagger {
             std::thread::sleep(LAG);
         }
-        let w1 = h.halo_wait_ns();
-        h.exchange_overlap(&f, FoldKind::Scalar, 200, || {
-            if !lagger {
-                std::thread::sleep(LAG + Duration::from_millis(10));
-            }
-        });
+        let compute = LAG + Duration::from_millis(10);
+        let (w1, i1) = (h.halo_wait_ns(), h.halo_inflight_ns());
+        let pending = h
+            .begin_exchange_many(&[(&f, FoldKind::Scalar)], 200)
+            .unwrap();
+        if !lagger {
+            std::thread::sleep(compute);
+        }
+        pending.finish().unwrap();
         let overlap_wait = h.halo_wait_ns() - w1;
+        let overlap_inflight = h.halo_inflight_ns() - i1;
 
         if !lagger {
             assert!(
@@ -70,6 +75,10 @@ fn overlap_wait_le_blocking_wait() {
             assert!(
                 overlap_wait <= blocking_wait,
                 "overlap wait {overlap_wait} ns exceeds blocking wait {blocking_wait} ns"
+            );
+            assert!(
+                overlap_inflight >= compute.as_nanos() as u64,
+                "in-flight span {overlap_inflight} ns must cover the compute it was carried across"
             );
         }
     });

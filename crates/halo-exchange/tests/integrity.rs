@@ -180,3 +180,32 @@ fn integrity_framing_is_transparent_when_no_faults_fire() {
     };
     assert_eq!(unframed, run_2d(None));
 }
+
+#[test]
+fn dead_neighbour_is_a_typed_error_with_integrity_off() {
+    // Raw strips have no retry loop to notice a fail-stop rank, and the
+    // plain blocking receive under them panics on one. The survivor must
+    // get `PeerDead` as a value all the same — from the blocking exchange
+    // and from `finish()`, 2-D and 3-D — naming the first strip it waits
+    // on: the neighbour's westward one.
+    let cfg = mpi_sim::WorldConfig::new(2).faults(FaultPlan::new(0xDEAD).kill(1, 1));
+    World::run_cfg(cfg, |comm| {
+        let cart = CartComm::new(comm.clone(), 2, 1, true);
+        let h2 = Halo2D::new(&cart, 8, 6);
+        let h3 = Halo3D::new(h2.clone(), 3, Strategy3D::Transpose);
+        assert!(h2.integrity().is_none());
+        comm.set_epoch(1); // rank 1 dies here, before it sends anything
+        if comm.self_failed() {
+            return;
+        }
+        let f2: View2<f64> = View::host("f2", [h2.padded().0, h2.padded().1]);
+        let f3: View3<f64> = View::host("f3", h3.shape());
+        let dead = |tag| Err(HaloError::PeerDead { src: 1, tag });
+        assert_eq!(h2.try_exchange(&f2, FoldKind::Scalar, 100), dead(100));
+        let p = h2.begin_exchange_many(&[(&f2, FoldKind::Vector)], 200);
+        assert_eq!(p.unwrap().finish(), dead(200));
+        assert_eq!(h3.try_exchange(&f3, FoldKind::Scalar, 300), dead(310));
+        let p = h3.begin_exchange_many(&[(&f3, FoldKind::Vector)], 400);
+        assert_eq!(p.unwrap().finish(), dead(410));
+    });
+}

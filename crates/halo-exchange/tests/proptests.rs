@@ -36,10 +36,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// 2-D exchange is correct for any block geometry and rank layout
-    /// (fold constraint respected by construction).
+    /// (fold constraint respected by construction): prime rank counts in
+    /// either direction, odd widths, blocks down to exactly HALO × HALO.
     #[test]
-    fn prop_halo2d_any_geometry(px in 1usize..4, py in 1usize..3, bx in 2usize..7, by in 2usize..6) {
-        let nxg = px * bx * 2; // even multiple → fold-mirrorable
+    fn prop_halo2d_any_geometry(px in 1usize..8, py in 1usize..4, bx in 2usize..8, by in 2usize..6) {
+        let nxg = px * bx; // equal widths → fold-mirrorable
         let nyg = py * by;
         World::run(px * py, move |comm| {
             let cart = CartComm::new(comm.clone(), px, py, true);
@@ -65,8 +66,8 @@ proptest! {
 
     /// 3-D exchange strategies agree bitwise for any geometry and nz.
     #[test]
-    fn prop_halo3d_strategies_agree(px in 1usize..3, bx in 2usize..6, by in 3usize..6, nz in 1usize..7) {
-        let nxg = px * bx * 2;
+    fn prop_halo3d_strategies_agree(px in 1usize..4, bx in 2usize..8, by in 2usize..6, nz in 1usize..7) {
+        let nxg = px * bx;
         let nyg = by * 2;
         let run = move |strategy| {
             World::run(px * 2, move |comm| {
@@ -92,14 +93,14 @@ proptest! {
     /// freshly-allocating reference for any geometry, strategy, and fold kind.
     #[test]
     fn prop_pooled_matches_allocating(
-        px in 1usize..3,
-        bx in 2usize..6,
-        by in 3usize..6,
+        px in 1usize..4,
+        bx in 2usize..8,
+        by in 2usize..6,
         nz in 1usize..6,
         transpose in 0usize..2,
         vector in 0usize..2,
     ) {
-        let nxg = px * bx * 2;
+        let nxg = px * bx;
         let nyg = by * 2;
         let strategy = if transpose == 1 { Strategy3D::Transpose } else { Strategy3D::HorizontalMajor };
         let fold = if vector == 1 { FoldKind::Vector } else { FoldKind::Scalar };
@@ -137,6 +138,53 @@ proptest! {
             assert_eq!(p0.to_vec(), q0.to_vec(), "exchange_many field 0");
             assert_eq!(p1.to_vec(), q1.to_vec(), "exchange_many field 1");
         });
+    }
+
+    /// A 2-D field is the `nz = 1` case: a one-level `Halo3D`, in either
+    /// buffer order, fills every ghost bit for bit as `Halo2D` does on the
+    /// same data, in as many messages of as many bytes.
+    #[test]
+    fn prop_one_level_3d_is_the_2d_exchange(
+        px in 1usize..4,
+        py in 1usize..3,
+        bx in 2usize..7,
+        by in 2usize..6,
+        vector in 0usize..2,
+    ) {
+        let (nxg, nyg) = (px * bx, py * by);
+        let fold = if vector == 1 { FoldKind::Vector } else { FoldKind::Scalar };
+        let run = move |strategy: Option<Strategy3D>| {
+            World::run_traced(px * py, move |comm| {
+                let cart = CartComm::new(comm.clone(), px, py, true);
+                let h2 = Halo2D::new(&cart, nxg, nyg);
+                let (pj, pi) = h2.padded();
+                let f2: View2<f64> = View::host("f2", [pj, pi]);
+                f2.fill(-7.0);
+                for j in 0..h2.ny {
+                    for i in 0..h2.nx {
+                        f2.set_at(H + j, H + i, g2(h2.y0 + j, h2.x0 + i));
+                    }
+                }
+                match strategy {
+                    None => h2.exchange(&f2, fold, 0),
+                    Some(strategy) => {
+                        let h3 = Halo3D::new(h2, 1, strategy);
+                        let f3: View3<f64> = View::host("f3", h3.shape());
+                        f3.copy_from_slice(&f2.to_vec());
+                        h3.exchange(&f3, fold, 0);
+                        f2.copy_from_slice(&f3.to_vec());
+                    }
+                }
+                f2.to_vec()
+            })
+        };
+        let (flat, t2) = run(None);
+        for strategy in [Strategy3D::HorizontalMajor, Strategy3D::Transpose] {
+            let (one_level, t3) = run(Some(strategy));
+            prop_assert_eq!(&flat, &one_level, "{:?}", strategy);
+            prop_assert_eq!(t2.p2p_messages, t3.p2p_messages);
+            prop_assert_eq!(t2.p2p_bytes, t3.p2p_bytes);
+        }
     }
 
     /// Exchange twice = exchange once (fixpoint) for any scalar field.

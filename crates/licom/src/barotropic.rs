@@ -20,7 +20,7 @@ use kokkos_rs::{
 };
 use ocean_grid::GRAVITY;
 
-use halo_exchange::{FoldKind, Halo2D, HaloError, PendingExchange2, HALO as H};
+use halo_exchange::{FoldKind, Halo2D, HaloError, Pending, HALO as H};
 
 use crate::constants::ASSELIN;
 use crate::lanes::{self, F64x, Isa, RowKernel};
@@ -541,7 +541,7 @@ pub fn integrate(
     // Pipeline state (overlap mode): the previous substep's `[n]`-level
     // exchange still in flight, and the accumulator ghost rectangles owed
     // the previous `[n]` values.
-    let mut pend: Option<PendingExchange2<'_>> = None;
+    let mut pend: Option<Pending<'_, View2<f64>>> = None;
     let mut debt: Option<[View2<f64>; 3]> = None;
 
     for step in 0..substeps {

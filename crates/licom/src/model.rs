@@ -31,7 +31,7 @@ use mpi_sim::{CartComm, Comm, ReduceOp, RetryPolicy};
 use ocean_grid::{Bathymetry, GlobalGrid, ModelConfig, GRAVITY};
 
 use halo_exchange::{
-    FoldKind, Halo2D, Halo3D, HaloError, IntegrityConfig, Pending3, Strategy3D, HALO as H,
+    FoldKind, Halo2D, Halo3D, HaloError, IntegrityConfig, Pending, Strategy3D, HALO as H,
 };
 
 use crate::advect::{self, FunctorDiagnoseW, FunctorDiagnoseWList};
@@ -378,6 +378,30 @@ pub fn choose_dims(nranks: usize, nxg: usize) -> (usize, usize) {
         py -= 1;
     }
     panic!("no decomposition of {nranks} ranks divides nx={nxg}");
+}
+
+/// One 3-D halo refresh under the model's exchange options: begun and
+/// handed back (`Some`) for the caller to poll and finish when `overlap`,
+/// else finished here — as one batch when `batched`, otherwise field by
+/// field on tag bases `tag_base + 10·i`.
+fn exchange3<'h>(
+    halo3: &'h Halo3D,
+    overlap: bool,
+    fields: &[(&View3<f64>, FoldKind)],
+    tag_base: u64,
+    batched: bool,
+) -> Result<Option<Pending<'h, View3<f64>>>, HaloError> {
+    if overlap {
+        return halo3.begin_exchange_many(fields, tag_base).map(Some);
+    }
+    if batched {
+        halo3.try_exchange_many(fields, tag_base)?;
+    } else {
+        for (i, field) in fields.iter().enumerate() {
+            halo3.try_exchange_many(std::slice::from_ref(field), tag_base + 10 * i as u64)?;
+        }
+    }
+    Ok(None)
 }
 
 impl Model {
@@ -835,71 +859,50 @@ impl Model {
             pi: g.pi,
         };
         let wet_t_cols = &self.wet.cols;
+        let diagnose_w = || {
+            if active {
+                parallel_for_list(&space, wet_t_cols, &w_list);
+            } else {
+                parallel_for_2d(&space, p2, &w_functor);
+            }
+        };
         // Split-phase exchanges carried across the rest of the step
         // (overlap mode). Nothing downstream reads the covered ghosts:
         // u[n]/v[n] ghosts are first read next step, as are t[n]/s[n] and
         // the Asselin-filtered u[c]/v[c]. The u/v exchange lands before
         // the tracer one is posted (`halo_ts`); the other two are drained
         // in `halo_drain` before the step commits.
-        let mut pend_uv: Option<Pending3<'_>> = None;
-        let mut pend_ts: Option<Pending3<'_>> = None;
-        let uv_res = if self.opts.overlap {
+        let (halo3, overlap, batched) = (&self.halo3, self.opts.overlap, self.opts.batched_halo);
+        let uv = [
+            (&self.state.u[n], FoldKind::Vector),
+            (&self.state.v[n], FoldKind::Vector),
+        ];
+        let uv_res = if overlap {
             // Post the batched u/v exchange, diagnose w while it flies.
-            self.halo3
-                .begin_exchange_many(
-                    &[
-                        (&self.state.u[n], FoldKind::Vector),
-                        (&self.state.v[n], FoldKind::Vector),
-                    ],
-                    800,
-                )
-                .map(|p| {
-                    let _c = kokkos_rs::profiling::region("halo:overlap-compute");
-                    if active {
-                        parallel_for_list(&space, wet_t_cols, &w_list);
-                    } else {
-                        parallel_for_2d(&space, p2, &w_functor);
-                    }
-                    pend_uv = Some(p);
-                })
+            exchange3(halo3, overlap, &uv, 800, batched).inspect(|_| {
+                let _c = kokkos_rs::profiling::region("halo:overlap-compute");
+                diagnose_w();
+            })
         } else {
-            if active {
-                parallel_for_list(&space, wet_t_cols, &w_list);
-            } else {
-                parallel_for_2d(&space, p2, &w_functor);
-            }
-            if self.opts.batched_halo {
-                self.halo3.try_exchange_many(
-                    &[
-                        (&self.state.u[n], FoldKind::Vector),
-                        (&self.state.v[n], FoldKind::Vector),
-                    ],
-                    800,
-                )
-            } else {
-                self.halo3
-                    .try_exchange(&self.state.u[n], FoldKind::Vector, 800)
-                    .and_then(|()| {
-                        self.halo3
-                            .try_exchange(&self.state.v[n], FoldKind::Vector, 810)
-                    })
-            }
+            diagnose_w();
+            exchange3(halo3, overlap, &uv, 800, batched)
         };
         self.timers.stop("halo_uv");
-        uv_res?;
+        let mut pend_uv = uv_res?;
 
         // 7. Tracers: two-step shape-preserving advection (+ halo for the
         // intermediate field between the x and y passes), diffusion,
         // implicit vertical mixing, surface restoring.
         self.timers.start("advection_tracer");
         let exchange_tmp_blocking = |tmp: [&View3<f64>; 2]| {
-            if self.opts.batched_halo {
-                self.halo3
-                    .try_exchange_many(&tmp.map(|t| (t, FoldKind::Scalar)), 820)
-            } else {
-                tmp.iter()
-                    .try_for_each(|t| self.halo3.try_exchange(t, FoldKind::Scalar, 820))
-            }
+            exchange3(
+                halo3,
+                false,
+                &tmp.map(|t| (t, FoldKind::Scalar)),
+                820,
+                batched,
+            )
+            .map(|_| ())
         };
         let [tmp_t, tmp_s] = &self.state.work.adv_tmp;
         let adv_res = advect::advect_tracer(
@@ -914,9 +917,9 @@ impl Model {
             dt,
             self.opts.limiter,
             if active { Some(wet_t_cols) } else { None },
-            if self.opts.overlap {
+            if overlap {
                 advect::TmpExchange::Overlap {
-                    halo: &self.halo3,
+                    halo: halo3,
                     tag_base: 820,
                 }
             } else {
@@ -995,47 +998,25 @@ impl Model {
 
         // 8. Tracer halo update + Asselin on the leapfrogged fields.
         self.timers.start("halo_ts");
-        let ts_res = if self.opts.overlap {
-            // Land the carried u/v exchange first. Its polls above cannot
-            // promise that (the fold partner posts its north strip only
-            // when it polls), and beginning the next exchange while this
-            // one may or may not have returned its buffers would leave the
-            // message pool's high-water mark to timing.
-            pend_uv
-                .take()
-                .map_or(Ok(()), |p| p.finish())
-                // t[n]/s[n] ghosts are first read next step — carry the
-                // exchange through the Asselin section and drain at the end.
-                .and_then(|()| {
-                    self.halo3.begin_exchange_many(
-                        &[
-                            (&self.state.t[n], FoldKind::Scalar),
-                            (&self.state.s[n], FoldKind::Scalar),
-                        ],
-                        830,
-                    )
-                })
-                .map(|p| {
-                    pend_ts = Some(p);
-                })
-        } else if self.opts.batched_halo {
-            self.halo3.try_exchange_many(
-                &[
+        // Land the carried u/v exchange first. Its polls above cannot
+        // promise that (the fold partner posts its north strip only when
+        // it polls), and beginning the next exchange while this one may or
+        // may not have returned its buffers would leave the message pool's
+        // high-water mark to timing. t[n]/s[n] ghosts are first read next
+        // step — when carried, the exchange rides through the Asselin
+        // section and drains at the end.
+        let ts_res = pend_uv
+            .take()
+            .map_or(Ok(()), |p| p.finish())
+            .and_then(|()| {
+                let ts = [
                     (&self.state.t[n], FoldKind::Scalar),
                     (&self.state.s[n], FoldKind::Scalar),
-                ],
-                830,
-            )
-        } else {
-            self.halo3
-                .try_exchange(&self.state.t[n], FoldKind::Scalar, 830)
-                .and_then(|()| {
-                    self.halo3
-                        .try_exchange(&self.state.s[n], FoldKind::Scalar, 840)
-                })
-        };
+                ];
+                exchange3(halo3, overlap, &ts, 830, batched)
+            });
         self.timers.stop("halo_ts");
-        ts_res?;
+        let mut pend_ts = ts_res?;
         self.timers.start("asselin");
         for (old, cur, new) in [
             (&self.state.u[o], &self.state.u[c], &self.state.u[n]),
@@ -1052,29 +1033,14 @@ impl Model {
             );
         }
         // The filtered cur level needs fresh halos for the next step.
-        let mut pend_asselin: Option<Pending3<'_>> = None;
-        let as_res = if self.opts.overlap {
-            self.halo3
-                .begin_exchange_many(
-                    &[
-                        (&self.state.u[c], FoldKind::Vector),
-                        (&self.state.v[c], FoldKind::Vector),
-                    ],
-                    850,
-                )
-                .map(|p| {
-                    pend_asselin = Some(p);
-                })
-        } else {
-            self.halo3
-                .try_exchange(&self.state.u[c], FoldKind::Vector, 850)
-                .and_then(|()| {
-                    self.halo3
-                        .try_exchange(&self.state.v[c], FoldKind::Vector, 860)
-                })
-        };
+        // Per field unless carried, whatever `batched_halo` says.
+        let uv_cur = [
+            (&self.state.u[c], FoldKind::Vector),
+            (&self.state.v[c], FoldKind::Vector),
+        ];
+        let as_res = exchange3(halo3, overlap, &uv_cur, 850, false);
         self.timers.stop("asselin");
-        as_res?;
+        let mut pend_asselin = as_res?;
 
         // Drain every split-phase exchange still in flight: ghosts of
         // t[n]/s[n] and the filtered u[c]/v[c] become valid here, before

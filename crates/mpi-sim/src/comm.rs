@@ -532,20 +532,28 @@ impl Comm {
     /// Payloads sent with the plain [`Comm::send::<f64>`] are adopted into
     /// the pool the same way. Bounded by the world's `recv_timeout` (see
     /// [`Comm::recv`]).
+    ///
+    /// # Panics
+    /// On expiry or a dead sender; [`Comm::try_recv_into`] returns those.
     pub fn recv_into<R>(&self, src: usize, tag: u64, consume: impl FnOnce(&[f64]) -> R) -> R {
-        let msg = match self.take_message_for(self.wr(src), self.wt(tag), self.shared.recv_timeout)
-        {
-            Ok(m) => m,
-            Err(e) => panic!(
-                "rank {}: blocking receive aborted (would deadlock): {}",
-                self.rank,
-                self.localize(e, src, tag)
-            ),
-        };
-        let buf = self.decode_f64(src, tag, msg.payload);
-        let out = consume(&buf);
-        self.shared.pools[self.world_rank].release(buf);
-        out
+        self.try_recv_into(src, tag, consume).unwrap_or_else(|e| {
+            panic!(
+                "rank {}: blocking receive aborted (would deadlock): {e}",
+                self.rank
+            )
+        })
+    }
+
+    /// Fallible pooled receive: [`Comm::recv_into_deadline`] on the world's
+    /// own `recv_timeout` — what a library path that must not panic calls
+    /// where [`Comm::recv_into`] would.
+    pub fn try_recv_into<R>(
+        &self,
+        src: usize,
+        tag: u64,
+        consume: impl FnOnce(&[f64]) -> R,
+    ) -> Result<R, CommError> {
+        self.recv_into_deadline(src, tag, self.shared.recv_timeout, consume)
     }
 
     /// Bounded pooled receive: like [`Comm::recv_into`] but returns a typed
@@ -670,36 +678,6 @@ impl Comm {
         let mb = &self.shared.mailboxes[self.world_rank];
         let q = mb.queue.lock();
         q.iter().any(|m| m.src == src && m.tag == tag)
-    }
-
-    /// Non-blocking pooled receive: if the `(src, tag)` message is already
-    /// queued, consume it exactly like [`Comm::recv_into`] and return
-    /// `Some`; otherwise return `None` immediately without waiting. This is
-    /// the polling primitive the split-phase halo exchanges use to drive
-    /// progress while interior compute runs.
-    pub fn try_recv_into<R>(
-        &self,
-        src: usize,
-        tag: u64,
-        consume: impl FnOnce(&[f64]) -> R,
-    ) -> Option<R> {
-        let (src, tag) = (self.wr(src), self.wt(tag));
-        let mb = &self.shared.mailboxes[self.world_rank];
-        let msg = {
-            let mut q = mb.queue.lock();
-            let pos = q.iter().position(|m| m.src == src && m.tag == tag)?;
-            q.remove(pos)
-        };
-        let bytes = match &msg.payload {
-            Payload::PooledF64(b) => (b.len() * std::mem::size_of::<f64>()) as u64,
-            Payload::Boxed { .. } => 0,
-        };
-        self.tap_event(CommEventKind::Recv, src, tag, bytes);
-        self.observe_recv(&msg, bytes / 8);
-        let buf = self.decode_f64(src, tag, msg.payload);
-        let out = consume(&buf);
-        self.shared.pools[self.world_rank].release(buf);
-        Some(out)
     }
 
     /// Merge an incoming message's Lamport stamp into this rank's clock
