@@ -1,6 +1,6 @@
 //! Hotspot kernel benchmarks: one Criterion group per paper table/figure
 //! hotspot — `advection_tracer` (the §V-C2 bottleneck), the canuto
-//! column kernel (rect vs packed list), the momentum stencil, and one
+//! column kernel (packed list vs cross-rank), the momentum stencil, and one
 //! barotropic substep — each on Serial vs Threads.
 #![allow(clippy::field_reassign_with_default)]
 
@@ -41,7 +41,7 @@ fn bench_canuto_modes(c: &mut Criterion) {
     g.sample_size(10);
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(3));
-    for mode in [CanutoMode::Rect, CanutoMode::List] {
+    for mode in [CanutoMode::List, CanutoMode::CrossRank] {
         let mut opts = ModelOptions::default();
         opts.canuto_mode = mode;
         g.bench_function(format!("{mode:?}"), |b| {

@@ -5,9 +5,8 @@
 //! Measured locally (wall-clock of the real mini-model / simulated-Sunway
 //! cycle counts):
 //!
-//! 1. **canuto load balancing** (Fig. 4): rectangle launch vs packed
-//!    wet-column list — CPE busy-cycle balance from the simulated CG
-//!    counters, plus wall time;
+//! 1. **canuto load balancing** (Fig. 4): the wet-column imbalance across
+//!    ranks that the cross-rank balancer sees and removes;
 //! 2. **3-D halo transposes** (Fig. 5): horizontal-major vs transpose
 //!    strategy, identical results, message volume unchanged;
 //! 3. **batched pack/unpack**: message count reduction;
@@ -68,8 +67,8 @@ fn main() {
                 z_t: m.grid.z_t.clone(),
                 nz: m.grid.nz,
             };
-            let wet: Vec<i32> = m.grid.wet_columns.to_vec();
-            licom::canuto::balanced_cross_rank(comm, &fields, &wet, m.grid.pi)
+            let wet = &m.grid.wet.cols_own.indices;
+            licom::canuto::balanced_cross_rank(comm, &fields, wet, m.grid.pi)
         });
         println!(
             "{:>6} {:>14} {:>10} {:>10}",
@@ -86,17 +85,6 @@ fn main() {
             reports[0].imbalance_before, reports[0].imbalance_after
         );
     }
-    // Wall time of the two launch shapes on the host (land columns cost
-    // real work in the rectangle launch).
-    for mode in [CanutoMode::Rect, CanutoMode::List] {
-        let opts = ModelOptions {
-            canuto_mode: mode,
-            ..ModelOptions::default()
-        };
-        let (wall, checksum, _) = timed(&cfg, 1, opts, steps);
-        println!("{mode:?} launch: {wall:.3} s / {steps} steps (checksum {checksum:x})");
-    }
-    println!("(identical checksums across all canuto modes)");
 
     banner("Ablation 2 (Fig. 5): 3-D halo strategy");
     for strategy in [Strategy3D::HorizontalMajor, Strategy3D::Transpose] {

@@ -42,7 +42,7 @@ fn eos_census_matches_functor_cost() {
         s: v3(4),
         rho: v3(4),
     };
-    use kokkos_rs::Functor3D;
+    use kokkos_rs::FunctorList;
     let c = f.cost();
     let (flops, bytes) = census("eos");
     assert_eq!((c.flops as f64, c.bytes as f64), (flops, bytes));
@@ -65,7 +65,7 @@ fn momentum_census_matches_functor_cost() {
         dz: v1(4),
         visc: 1.0e3,
     };
-    use kokkos_rs::Functor3D;
+    use kokkos_rs::FunctorList;
     let c = f.cost();
     let (flops, bytes) = census("momentum_tend");
     assert_eq!((c.flops as f64, c.bytes as f64), (flops, bytes));
@@ -104,7 +104,7 @@ fn advection_census_matches_summed_pass_costs() {
         nz,
         limited: true,
     };
-    use kokkos_rs::Functor2D;
+    use kokkos_rs::FunctorList;
     let horizontal =
         |x: IterCost, y: IterCost| ((x.flops + y.flops) as f64, (x.bytes + y.bytes) as f64);
     let (h_flops, h_bytes) = horizontal(ax.cost(), ay.cost());
@@ -123,9 +123,10 @@ fn advection_census_matches_summed_pass_costs() {
 
 #[test]
 fn canuto_census_matches_column_share() {
-    use kokkos_rs::Functor2D;
+    use kokkos_rs::FunctorList;
     let nz = 4;
-    let f = licom::canuto::FunctorCanutoRect {
+    let f = licom::canuto::FunctorCanutoCols {
+        pi: 8,
         f: licom::canuto::CanutoFields {
             rho: v3(nz),
             u: v3(nz),
@@ -145,7 +146,7 @@ fn canuto_census_matches_column_share() {
 }
 
 fn vmix_cost<const N: usize>(nz: usize) -> IterCost {
-    use kokkos_rs::Functor2D;
+    use kokkos_rs::FunctorList;
     licom::vmix::FunctorVmixImplicit {
         q: [(); N].map(|()| v3(nz)),
         kcoef: v3(nz + 1),
@@ -174,7 +175,7 @@ fn vmix_census_is_two_single_field_solves() {
 
 #[test]
 fn hdiff_census_is_the_paired_cost_plus_the_shared_part() {
-    use kokkos_rs::Functor3D;
+    use kokkos_rs::FunctorList;
     let f = licom::model::FunctorTracerHDiff {
         q_cur: [v3(4), v3(4)],
         q_new: [v3(4), v3(4)],

@@ -24,8 +24,8 @@
 //! the Sunway cycle model.
 
 use kokkos_rs::{
-    parallel_for_2d, parallel_for_3d, parallel_for_list, Functor2D, Functor3D, FunctorList,
-    IterCost, ListPolicy, MDRangePolicy2, MDRangePolicy3, Space, View1, View2, View3,
+    parallel_for_3d, parallel_for_list, Functor3D, FunctorList, IterCost, ListPolicy,
+    MDRangePolicy3, Space, View1, View2, View3,
 };
 
 use halo_exchange::{FoldKind, Halo3D, HaloError, StepGraph, HALO as H};
@@ -347,12 +347,11 @@ impl ColumnKernel for FunctorDiagnoseW {
         4 * self.nz
     }
 
-    /// Diagnose the columns `(jl, il..il + W)` at **padded** indices — the
-    /// one body of the dense and active-set launches. Land columns only
-    /// re-zero `w`, which nothing else writes, so the active-set launch can
-    /// skip them bitwise-safely. A lane shallower than the block's deepest
-    /// column sees only dry faces below its bottom, so its `w` stays zero
-    /// there.
+    /// Diagnose the columns `(jl, il..il + W)` at **padded** indices. A
+    /// land column would only re-zero `w`, which nothing else writes, so the
+    /// wet list loses nothing by skipping it. A lane shallower than the
+    /// block's deepest column sees only dry faces below its bottom, so its
+    /// `w` stays zero there.
     #[inline(always)]
     fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
         let (kmt, kmax) = lanes::depths::<W>(&self.kmt, jl, il);
@@ -403,9 +402,15 @@ impl ColumnKernel for FunctorDiagnoseW {
     }
 }
 
-impl Functor2D for FunctorDiagnoseW {
-    fn operator(&self, j: usize, i: usize) {
-        lanes::run_column(self, j + H, i + H);
+/// Entry `idx` is a packed owned wet T column `jl·pi + il` (`pi` is `kmt`'s
+/// row pitch).
+impl FunctorList for FunctorDiagnoseW {
+    fn operator(&self, _n: usize, idx: u32) {
+        lanes::run_column(self, self.kmt.extent(1), idx);
+    }
+
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        lanes::run_span(Isa::detect(), self, self.kmt.extent(1), entries);
     }
 
     fn cost(&self) -> IterCost {
@@ -416,30 +421,7 @@ impl Functor2D for FunctorDiagnoseW {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_diagnose_w, FunctorDiagnoseW);
-
-/// Active-set continuity diagnosis: entry `idx` is a packed wet T column.
-pub struct FunctorDiagnoseWList {
-    pub f: FunctorDiagnoseW,
-    pub pi: usize,
-}
-
-impl FunctorList for FunctorDiagnoseWList {
-    fn operator(&self, _n: usize, idx: u32) {
-        let packed = idx as usize;
-        lanes::run_column(&self.f, packed / self.pi, packed % self.pi);
-    }
-
-    fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(Isa::detect(), &self.f, self.pi, entries);
-    }
-
-    fn cost(&self) -> IterCost {
-        self.f.cost()
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_diagnose_w_list, FunctorDiagnoseWList);
+kokkos_rs::register_for_list!(kernel_diagnose_w, FunctorDiagnoseW);
 
 /// Vertical pass of both tracers: limited upstream fluxes through
 /// interfaces and the divergence update, column-wise (the column loop *is*
@@ -463,11 +445,11 @@ impl ColumnKernel for FunctorAdvectZ {
         5 * self.nz + 2
     }
 
-    /// The columns `(jl, il..il + W)` at **padded** indices — the one body
-    /// of the dense and active-set launches. As used by [`advect_tracer`]
-    /// the pass is in place (`q` and `q1` alias), so the land/below-`kmt`
-    /// copy-through is the identity — the active-set launch skips it for
-    /// land columns.
+    /// The columns `(jl, il..il + W)` at **padded** indices. Below each
+    /// lane's `kmt` the pass copies `q` through; land columns are not in
+    /// the wet list, which is right only because [`advect_tracer`] runs the
+    /// pass in place (`q` and `q1` alias, so their copy-through is the
+    /// identity).
     #[inline(always)]
     fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
         let (kmt, kmax) = lanes::depths::<W>(&self.kmt, jl, il);
@@ -553,9 +535,15 @@ impl ColumnKernel for FunctorAdvectZ {
     }
 }
 
-impl Functor2D for FunctorAdvectZ {
-    fn operator(&self, j: usize, i: usize) {
-        lanes::run_column(self, j + H, i + H);
+/// Entry `idx` is a packed owned wet T column `jl·pi + il` (`pi` is `kmt`'s
+/// row pitch).
+impl FunctorList for FunctorAdvectZ {
+    fn operator(&self, _n: usize, idx: u32) {
+        lanes::run_column(self, self.kmt.extent(1), idx);
+    }
+
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        lanes::run_span(Isa::detect(), self, self.kmt.extent(1), entries);
     }
 
     /// Per column, both tracers: the limiter and update per tracer (26
@@ -569,41 +557,14 @@ impl Functor2D for FunctorAdvectZ {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_advect_z, FunctorAdvectZ);
-
-/// Active-set vertical pass: entry `idx` is a packed wet T column. Only
-/// valid when the pass is in place (`q` aliases `q1`), as in
-/// [`advect_tracer`] — see the [`ColumnKernel`] body of [`FunctorAdvectZ`].
-pub struct FunctorAdvectZList {
-    pub f: FunctorAdvectZ,
-    pub pi: usize,
-}
-
-impl FunctorList for FunctorAdvectZList {
-    fn operator(&self, _n: usize, idx: u32) {
-        let packed = idx as usize;
-        lanes::run_column(&self.f, packed / self.pi, packed % self.pi);
-    }
-
-    fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(Isa::detect(), &self.f, self.pi, entries);
-    }
-
-    fn cost(&self) -> IterCost {
-        self.f.cost()
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_advect_z_list, FunctorAdvectZList);
+kokkos_rs::register_for_list!(kernel_advect_z, FunctorAdvectZ);
 
 /// Register this module's functors.
 pub fn register() {
     kernel_advect_x();
     kernel_advect_y();
     kernel_diagnose_w();
-    kernel_diagnose_w_list();
     kernel_advect_z();
-    kernel_advect_z_list();
 }
 
 /// Full dimension-split advection of both tracers `q` over `dt`, writing
@@ -614,10 +575,9 @@ pub fn register() {
 /// in the halo rows); with [`TmpExchange::Overlap`] that refresh overlaps
 /// the y pass of the interior rows, which read no `tmp` ghost row.
 ///
-/// `wet_cols` (packed owned wet T columns) routes the column-local z pass
-/// through the active-set launch; the x/y passes stay dense because they
-/// copy `q → q1` on land — a real write into the scratch field that
-/// skipping would lose.
+/// The column-local z pass runs over `wet_cols` (the packed owned wet T
+/// columns); the x/y passes stay dense because they copy `q → q1` on land —
+/// a real write into the scratch field that skipping would lose.
 #[allow(clippy::too_many_arguments)]
 pub fn advect_tracer(
     space: &Space,
@@ -630,7 +590,7 @@ pub fn advect_tracer(
     w: &View3<f64>,
     dt: f64,
     limited: bool,
-    wet_cols: Option<&ListPolicy>,
+    wet_cols: &ListPolicy,
     exchange: TmpExchange<'_>,
 ) -> Result<(), HaloError> {
     let (nx, ny, nz) = (g.nx, g.ny, g.nz);
@@ -726,10 +686,7 @@ pub fn advect_tracer(
         nz,
         limited,
     };
-    match wet_cols {
-        Some(cols) => parallel_for_list(space, cols, &FunctorAdvectZList { f: az, pi: g.pi }),
-        None => parallel_for_2d(space, MDRangePolicy2::new([ny, nx]), &az),
-    }
+    parallel_for_list(space, wet_cols, &az);
     Ok(())
 }
 

@@ -22,13 +22,13 @@
 //! neighbours' wet masks are worked out once for the four fields that use
 //! them ([`lanes::wet_around`], [`lanes::free_slip`]), bottom drag is
 //! evaluated only for a block that holds a bottom cell and merged by select.
-//! The per-point `operator` and the list tail are `W = 1`; list spans and
-//! dense tiles walk their runs in `LANES`-wide blocks. Measured, not
+//! The per-entry `operator` and the list tail are `W = 1`; list spans walk
+//! their runs in `LANES`-wide blocks. Measured, not
 //! modelled: 9.5 → 5.9 ms warm on 180×115×30, most of it from selects that
 //! blend instead of branch (EXPERIMENTS.md "Divide once"); how much of the
 //! scalar body's time was the divider itself was not isolated.
 
-use kokkos_rs::{Functor2D, Functor3D, FunctorList, IterCost, View1, View2, View3};
+use kokkos_rs::{Functor3D, FunctorList, IterCost, View1, View2, View3};
 use ocean_grid::RHO0;
 
 use halo_exchange::HALO as H;
@@ -57,9 +57,8 @@ pub struct FunctorMomentumTend {
 
 impl RowKernel for FunctorMomentumTend {
     /// Tendency at the `W` points `(k, jl, il..il + W)`, **padded** indices
-    /// (shared launch shapes) — the one body: the per-point `operator` and
-    /// the list tail are `W = 1`. Dry lanes store the zeros the dense launch
-    /// writes there.
+    /// — the one body: the per-entry `operator` and the list tail are
+    /// `W = 1`. Dry lanes of a block store zeros.
     #[inline(always)]
     fn block<const W: usize>(&self, k: usize, jl: usize, il: usize) {
         let zero = F64x::<W>::splat(0.0);
@@ -120,13 +119,19 @@ impl RowKernel for FunctorMomentumTend {
     }
 }
 
-impl Functor3D for FunctorMomentumTend {
-    fn operator(&self, k: usize, j: usize, i: usize) {
-        self.block::<1>(k, j + H, i + H);
+/// Entry `idx` is a packed owned wet velocity cell `(k·pj + jl)·pi + il`
+/// (`k < kmu`; `[pj, pi]` are `kmu`'s extents). Dry cells keep the tendency
+/// views' initial zeros, and `ut`/`vt` are consumed only where `kmu > k`.
+impl FunctorList for FunctorMomentumTend {
+    fn operator(&self, _n: usize, idx: u32) {
+        let [pj, pi] = self.kmu.dims();
+        let (row, il) = (idx as usize / pi, idx as usize % pi);
+        self.block::<1>(row / pj, row % pj, il);
     }
 
-    fn operator_tile(&self, [k, (j0, j1), (i0, i1)]: [(usize, usize); 3]) {
-        lanes::run_tile(Isa::detect(), self, [k, (j0 + H, j1 + H), (i0 + H, i1 + H)]);
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        let [pj, pi] = self.kmu.dims();
+        lanes::run_cells(Isa::detect(), self, pj, pi, entries);
     }
 
     fn cost(&self) -> IterCost {
@@ -138,37 +143,7 @@ impl Functor3D for FunctorMomentumTend {
     }
 }
 
-kokkos_rs::register_for_3d!(kernel_momentum_tend, FunctorMomentumTend);
-
-/// Active-set momentum tendency: entry `idx` is a packed wet velocity
-/// cell `(k·pj + jl)·pi + il` (`k < kmu`). Dry cells keep the tendency
-/// views' initial zeros — exactly what the dense launch writes, and
-/// `ut`/`vt` are consumed only where `kmu > k` — so the skip is bitwise
-/// neutral.
-pub struct FunctorMomentumTendList {
-    pub f: FunctorMomentumTend,
-    pub pj: usize,
-    pub pi: usize,
-}
-
-impl FunctorList for FunctorMomentumTendList {
-    fn operator(&self, _n: usize, idx: u32) {
-        let idx = idx as usize;
-        let il = idx % self.pi;
-        let rest = idx / self.pi;
-        self.f.block::<1>(rest / self.pj, rest % self.pj, il);
-    }
-
-    fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_cells(Isa::detect(), &self.f, self.pj, self.pi, entries);
-    }
-
-    fn cost(&self) -> IterCost {
-        self.f.cost()
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_momentum_tend_list, FunctorMomentumTendList);
+kokkos_rs::register_for_list!(kernel_momentum_tend, FunctorMomentumTend);
 
 /// Leapfrog update `new = old + dt2 · tend`, masked.
 pub struct FunctorLeapfrog3D {
@@ -261,7 +236,7 @@ pub struct FunctorBtCorrect {
 }
 
 impl FunctorBtCorrect {
-    /// One corner at **padded** indices (shared launch shapes).
+    /// One corner at **padded** indices.
     fn column(&self, jl: usize, il: usize) {
         let kb = self.kmu.at(jl, il) as usize;
         if kb == 0 {
@@ -285,9 +260,12 @@ impl FunctorBtCorrect {
     }
 }
 
-impl Functor2D for FunctorBtCorrect {
-    fn operator(&self, j: usize, i: usize) {
-        self.column(j + H, i + H);
+/// Entry `idx` is a packed owned wet velocity corner `jl·pi + il` (`pi` is
+/// `kmu`'s row pitch).
+impl FunctorList for FunctorBtCorrect {
+    fn operator(&self, _n: usize, idx: u32) {
+        let pi = self.kmu.extent(1);
+        self.column(idx as usize / pi, idx as usize % pi);
     }
 
     fn cost(&self) -> IterCost {
@@ -298,37 +276,14 @@ impl Functor2D for FunctorBtCorrect {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_bt_correct, FunctorBtCorrect);
-
-/// Active-set mode correction: entry `idx` is a packed wet velocity
-/// corner; the dense launch's dry-corner early-return is the exact
-/// complement of the set.
-pub struct FunctorBtCorrectList {
-    pub f: FunctorBtCorrect,
-    pub pi: usize,
-}
-
-impl FunctorList for FunctorBtCorrectList {
-    fn operator(&self, _n: usize, idx: u32) {
-        let packed = idx as usize;
-        self.f.column(packed / self.pi, packed % self.pi);
-    }
-
-    fn cost(&self) -> IterCost {
-        self.f.cost()
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_bt_correct_list, FunctorBtCorrectList);
+kokkos_rs::register_for_list!(kernel_bt_correct, FunctorBtCorrect);
 
 /// Register this module's functors.
 pub fn register() {
     kernel_momentum_tend();
-    kernel_momentum_tend_list();
     kernel_leapfrog_3d();
     kernel_asselin_3d();
     kernel_bt_correct();
-    kernel_bt_correct_list();
 }
 
 #[cfg(test)]
@@ -372,6 +327,12 @@ mod tests {
         }
     }
 
+    /// The tendency at the owned point `(k, j, i)`, through its list entry.
+    fn tend_at(f: &FunctorMomentumTend, k: usize, j: usize, i: usize) {
+        let [pj, pi] = f.kmu.dims();
+        f.operator(0, ((k * pj + j + H) * pi + i + H) as u32);
+    }
+
     #[test]
     fn geostrophic_balance_tendency() {
         // A zonal pressure gradient must produce f·v response only: with
@@ -386,7 +347,7 @@ mod tests {
         let fc = f.fcor.at(H);
         let v_geo = 0.01 / (RHO0 * fc);
         f.v_cur.fill(v_geo);
-        f.operator(0, 1, 1);
+        tend_at(&f, 0, 1, 1);
         let du = f.ut.at(0, H + 1, H + 1);
         assert!(du.abs() < 1e-10, "geostrophic residual du/dt = {du}");
     }
@@ -395,7 +356,7 @@ mod tests {
     fn coriolis_turns_flow_clockwise_north() {
         let f = tend_functor(1, 4);
         f.u_cur.fill(1.0);
-        f.operator(0, 1, 1);
+        tend_at(&f, 0, 1, 1);
         // Northern hemisphere: eastward flow gets southward acceleration.
         assert!(f.vt.at(0, H + 1, H + 1) < 0.0);
         assert!(
@@ -410,9 +371,9 @@ mod tests {
         f.u_old.set_at(0, H + 2, H + 2, 1.0);
         // u_cur zero → no advection/coriolis; spike must get negative
         // tendency at its center, positive at neighbors.
-        f.operator(0, 2, 2);
+        tend_at(&f, 0, 2, 2);
         assert!(f.ut.at(0, H + 2, H + 2) < 0.0);
-        f.operator(0, 2, 1);
+        tend_at(&f, 0, 2, 1);
         assert!(f.ut.at(0, H + 2, H + 1) > 0.0);
     }
 
@@ -421,7 +382,7 @@ mod tests {
         let f = tend_functor(2, 4);
         f.kmu.set_at(H + 1, H + 1, 0);
         f.u_cur.fill(5.0);
-        f.operator(0, 1, 1);
+        tend_at(&f, 0, 1, 1);
         assert_eq!(f.ut.at(0, H + 1, H + 1), 0.0);
         assert_eq!(f.vt.at(0, H + 1, H + 1), 0.0);
     }
@@ -430,9 +391,9 @@ mod tests {
     fn bottom_drag_opposes_old_velocity() {
         let f = tend_functor(2, 4);
         f.u_old.fill(1.0);
-        f.operator(1, 1, 1); // bottom layer (kmu-1 == 1)
+        tend_at(&f, 1, 1, 1); // bottom layer (kmu-1 == 1)
         let du_bottom = f.ut.at(1, H + 1, H + 1);
-        f.operator(0, 1, 1);
+        tend_at(&f, 0, 1, 1);
         let du_top = f.ut.at(0, H + 1, H + 1);
         assert!(
             du_bottom < du_top,
@@ -495,7 +456,7 @@ mod tests {
             kmu,
             dz,
         };
-        f.operator(0, 0);
+        f.operator(0, (H * (1 + 2 * H) + H) as u32);
         let mean: f64 = (0..nz).map(|k| u.at(k, H, H)).sum::<f64>() / nz as f64;
         assert!((mean - 2.0).abs() < 1e-12, "depth mean now {mean}");
         // Shear preserved: u(k) − u(0) unchanged.

@@ -56,7 +56,7 @@ pub struct FunctorDepthMean {
 }
 
 impl FunctorDepthMean {
-    /// One corner at **padded** indices (shared by both launch shapes).
+    /// One corner at **padded** indices.
     fn column(&self, jl: usize, il: usize) {
         let kb = self.kmu.at(jl, il) as usize;
         let (mut sum, mut h) = ([0.0; 2], 0.0);
@@ -73,9 +73,16 @@ impl FunctorDepthMean {
     }
 }
 
-impl Functor2D for FunctorDepthMean {
-    fn operator(&self, j: usize, i: usize) {
-        self.column(j + H, i + H);
+/// Entry `idx` is a packed owned wet velocity corner `jl·pi + il`
+/// (`kmu > 0`; `pi` is `kmu`'s row pitch). Dry corners keep the output's
+/// initial zero, and nothing else writes `out`. (The substep kernels
+/// [`FunctorBtEta`]/[`FunctorBtVel`] deliberately stay dense: the zonal
+/// polar filter and the Asselin filter write land cells unmasked, so their
+/// land zeros are real state the next substep's stencils read.)
+impl FunctorList for FunctorDepthMean {
+    fn operator(&self, _n: usize, idx: u32) {
+        let pi = self.kmu.extent(1);
+        self.column(idx as usize / pi, idx as usize % pi);
     }
 
     /// Per corner, both components: a multiply-add per level and component
@@ -89,32 +96,7 @@ impl Functor2D for FunctorDepthMean {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_depth_mean, FunctorDepthMean);
-
-/// Active-set depth mean: entry `idx` is a packed wet velocity corner
-/// (`kmu > 0`). Dry corners keep the output's initial zero — exactly what
-/// the dense launch writes, and nothing else writes `out` — so the skip
-/// is bitwise neutral. (The substep kernels [`FunctorBtEta`]/
-/// [`FunctorBtVel`] deliberately stay dense: the zonal polar filter and
-/// the Asselin filter write land cells unmasked, so their land zeros are
-/// real state the next substep's stencils read.)
-pub struct FunctorDepthMeanList {
-    pub f: FunctorDepthMean,
-    pub pi: usize,
-}
-
-impl FunctorList for FunctorDepthMeanList {
-    fn operator(&self, _n: usize, idx: u32) {
-        let packed = idx as usize;
-        self.f.column(packed / self.pi, packed % self.pi);
-    }
-
-    fn cost(&self) -> IterCost {
-        self.f.cost()
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_depth_mean_list, FunctorDepthMeanList);
+kokkos_rs::register_for_list!(kernel_depth_mean, FunctorDepthMean);
 
 /// One leapfrog continuity substep:
 /// `η_new = η_old − dt2 · ∇·(H u_bt) / area` on T cells.
@@ -428,7 +410,6 @@ fn accum3(accs: &[View2<f64>; 3], xs: [&View2<f64>; 3]) -> FunctorAccum3 {
 /// Register this module's functors.
 pub fn register() {
     kernel_depth_mean();
-    kernel_depth_mean_list();
     kernel_bt_eta();
     kernel_bt_vel();
     kernel_asselin_2d();
@@ -929,7 +910,7 @@ mod tests {
         tend.set_at(0, H, H, 1.0);
         tend.set_at(1, H, H, 2.0);
         tend.set_at(2, H, H, 3.0);
-        f.operator(0, 0);
+        f.operator(0, (H * pi + H) as u32);
         let want = (10.0 + 40.0 + 210.0) / 100.0;
         assert!((f.out[0].at(H, H) - want).abs() < 1e-12);
         assert_eq!(f.out[1].at(H, H), 0.0);

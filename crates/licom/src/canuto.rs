@@ -14,34 +14,30 @@
 //! computationally expensive kernel. This kernel is oriented vertically
 //! in the downward direction when the Earth's surface is oceanic" — so on
 //! a rectangular launch, ranks and CPEs assigned land do nothing while
-//! ocean lanes grind: load imbalance. Three launch modes reproduce the
-//! paper's progression:
+//! ocean lanes grind: load imbalance. The two launch modes are the paper's
+//! two remedies:
 //!
-//! 1. [`FunctorCanutoRect`] — rectangle launch, land iterations idle
-//!    (the "before" of Fig. 4);
-//! 2. [`FunctorCanutoCols`] — the rank's wet columns packed densely as a
+//! 1. [`FunctorCanutoCols`] — the rank's wet columns packed densely as a
 //!    [`kokkos_rs::ListPolicy`] with per-column depth costs (within-rank
-//!    balancing, now in the generic dispatch layer);
-//! 3. [`balanced_cross_rank`] — ranks even out their wet-column counts by
+//!    balancing, in the generic dispatch layer);
+//! 2. [`balanced_cross_rank`] — ranks even out their wet-column counts by
 //!    shipping column inputs to under-loaded ranks and collecting the
 //!    results (the full Fig. 4 scheme).
 //!
-//! All three produce **bitwise identical** coefficients: there is one
+//! Both produce **bitwise identical** coefficients: there is one
 //! closure body, [`CanutoFields::block`], generic over the number `W` of
 //! adjacent columns it evaluates together (see [`crate::lanes`]). The
 //! fixed-point iteration of the stability functions is a chain of eight
 //! dependent divides per interface; a [`LANES`](crate::lanes::LANES)-wide
 //! block runs eight such chains side by side, with the regime early-outs
 //! (`Ri < 0`, non-finite) and the per-column depth as lane selects. The
-//! packed-list launch walks runs of wet columns in such blocks; the
-//! rectangle launch, list tails, the cross-rank donor/receiver paths and
-//! the scalar [`stability_functions`] are the `W = 1` instantiation.
+//! packed-list launch walks runs of wet columns in such blocks; list
+//! tails, the cross-rank donor/receiver paths and the scalar
+//! [`stability_functions`] are the `W = 1` instantiation.
 
-use kokkos_rs::{Functor2D, FunctorList, IterCost, View1, View2, View3};
+use kokkos_rs::{FunctorList, IterCost, View1, View2, View3};
 use mpi_sim::Comm;
 use ocean_grid::{GRAVITY, RHO0};
-
-use halo_exchange::HALO as H;
 
 use crate::constants::{KH_BACKGROUND, KM_BACKGROUND, K_MAX};
 use crate::lanes::{self, above, ColumnKernel, F64x, Isa};
@@ -198,14 +194,22 @@ impl ColumnKernel for CanutoFields {
     }
 }
 
-/// Rectangle launch: every `(j, i)` iterated, land does (almost) nothing.
-pub struct FunctorCanutoRect {
+/// Packed wet-column launch through the generic [`kokkos_rs::ListPolicy`]:
+/// entry `idx` is a packed `jl * pi + il` wet column. The policy carries
+/// the per-column wet depth as its cost, so every backend splits the
+/// closure work by cumulative wet levels rather than column count.
+pub struct FunctorCanutoCols {
     pub f: CanutoFields,
+    pub pi: usize,
 }
 
-impl Functor2D for FunctorCanutoRect {
-    fn operator(&self, j: usize, i: usize) {
-        lanes::run_column(&self.f, j + H, i + H);
+impl FunctorList for FunctorCanutoCols {
+    fn operator(&self, _n: usize, idx: u32) {
+        lanes::run_column(&self.f, self.pi, idx);
+    }
+
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        lanes::run_span(Isa::detect(), &self.f, self.pi, entries);
     }
 
     fn cost(&self) -> IterCost {
@@ -217,42 +221,10 @@ impl Functor2D for FunctorCanutoRect {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_canuto_rect, FunctorCanutoRect);
-
-/// Packed wet-column launch through the generic [`kokkos_rs::ListPolicy`]:
-/// entry `idx` is a packed `jl * pi + il` wet column. The policy carries
-/// the per-column wet depth as its cost, so every backend splits the
-/// closure work by cumulative wet levels rather than column count.
-/// (Successor of the bespoke `FunctorCanutoList`, which carried its own
-/// index view.)
-pub struct FunctorCanutoCols {
-    pub f: CanutoFields,
-    pub pi: usize,
-}
-
-impl FunctorList for FunctorCanutoCols {
-    fn operator(&self, _n: usize, idx: u32) {
-        let packed = idx as usize;
-        lanes::run_column(&self.f, packed / self.pi, packed % self.pi);
-    }
-
-    fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(Isa::detect(), &self.f, self.pi, entries);
-    }
-
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 90 * self.f.nz as u64,
-            bytes: 100 * self.f.nz as u64,
-        }
-    }
-}
-
 kokkos_rs::register_for_list!(kernel_canuto_cols, FunctorCanutoCols);
 
 /// Register this module's functors.
 pub fn register() {
-    kernel_canuto_rect();
     kernel_canuto_cols();
 }
 
@@ -293,7 +265,7 @@ pub struct BalanceReport {
 pub fn balanced_cross_rank(
     comm: &Comm,
     fields: &CanutoFields,
-    wet_cols: &[i32],
+    wet_cols: &[u32],
     pi: usize,
 ) -> BalanceReport {
     let _r = kokkos_rs::profiling::region("canuto:balance");
@@ -357,8 +329,7 @@ pub fn balanced_cross_rank(
     let total_out: usize = my_out.iter().map(|(_, _, n)| n).sum();
     let keep = wet_cols.len() - total_out;
     for &col in &wet_cols[..keep] {
-        let p = col as usize;
-        lanes::run_column(fields, p / pi, p % pi);
+        lanes::run_column(fields, pi, col);
     }
     // Fixed record size: nz-1 interface pairs per column (dry interfaces
     // padded with a s2<0 sentinel). Messages go through the pooled

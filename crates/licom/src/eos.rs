@@ -7,17 +7,17 @@
 //! Pressure is the hydrostatic integral of density plus the free-surface
 //! contribution `g ρ0 η`.
 
-use kokkos_rs::{
-    parallel_for_2d, parallel_for_3d, parallel_for_list, Functor2D, Functor3D, FunctorList,
-    IterCost, ListPolicy, MDRangePolicy2, MDRangePolicy3, Space, View1, View2, View3,
-};
+use kokkos_rs::{parallel_for_list, FunctorList, IterCost, ListPolicy, Space, View1, View2, View3};
 
 use ocean_grid::{GRAVITY, RHO0};
 
 use crate::constants::{ALPHA_T, BETA_S, S_REF, T_REF};
 use crate::lanes::{self, above, ColumnKernel, F64x, Isa};
 
-/// Pointwise density from the linearised EOS.
+/// Pointwise density from the linearised EOS. Density below `kmt` (and on
+/// land) is never consumed — `rho` feeds only the pressure integral and the
+/// canuto `N²`, both of which stop at the column bottom — so only wet cells
+/// are computed.
 pub struct FunctorEos {
     pub t: View3<f64>,
     pub s: View3<f64>,
@@ -37,12 +37,13 @@ impl FunctorEos {
     }
 }
 
-impl Functor3D for FunctorEos {
-    /// Operates on raw padded indices: the model launches it over the
-    /// full padded block so halo cells (whose T/S are exchanged) get
-    /// valid density/pressure without an extra halo update.
-    fn operator(&self, k: usize, jl: usize, il: usize) {
-        self.at_offset(self.t.offset([k, jl, il]));
+impl FunctorList for FunctorEos {
+    /// Entry `idx` is a packed wet cell `(k·pj + jl)·pi + il` of the
+    /// **padded** block (halo cells, whose T/S are exchanged, get valid
+    /// density without an extra halo update). The packed index doubles as
+    /// the views' storage-order offset, so the hot path is division-free.
+    fn operator(&self, _n: usize, idx: u32) {
+        self.at_offset(idx as usize);
     }
 
     fn cost(&self) -> IterCost {
@@ -53,30 +54,7 @@ impl Functor3D for FunctorEos {
     }
 }
 
-kokkos_rs::register_for_3d!(kernel_eos, FunctorEos);
-
-/// Active-set EOS: entry `idx` is a packed wet cell `(k·pj + jl)·pi + il`.
-/// Density below `kmt` (and on land) is never consumed — `rho` feeds only
-/// the pressure integral and the canuto `N²`, both of which stop at the
-/// column bottom — so skipping those cells is bitwise neutral.
-///
-/// The packed index doubles as the storage-order offset of the root
-/// `[nz, pj, pi]` state views, so the hot path is division-free.
-pub struct FunctorEosList {
-    pub f: FunctorEos,
-}
-
-impl FunctorList for FunctorEosList {
-    fn operator(&self, _n: usize, idx: u32) {
-        self.f.at_offset(idx as usize);
-    }
-
-    fn cost(&self) -> IterCost {
-        self.f.cost()
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_eos_list, FunctorEosList);
+kokkos_rs::register_for_list!(kernel_eos, FunctorEos);
 
 /// Column-wise hydrostatic pressure integral (includes `g ρ0 η`).
 pub struct FunctorPressure {
@@ -105,10 +83,18 @@ impl ColumnKernel for FunctorPressure {
     }
 }
 
-impl Functor2D for FunctorPressure {
-    /// Raw padded indices; see [`FunctorEos::operator`].
-    fn operator(&self, jl: usize, il: usize) {
-        lanes::run_column(self, jl, il);
+/// Entry `idx` is a packed wet column `jl·pi + il` (`pi` is `kmt`'s row
+/// pitch). The set must span the **padded** block — the momentum stencil
+/// reads pressure in the halo columns. Dry columns are not visited: their
+/// pressure stays the zero it was allocated with, which is the integral over
+/// no water under the model's `η ≡ 0`.
+impl FunctorList for FunctorPressure {
+    fn operator(&self, _n: usize, idx: u32) {
+        lanes::run_column(self, self.kmt.extent(1), idx);
+    }
+
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        lanes::run_span(Isa::detect(), self, self.kmt.extent(1), entries);
     }
 
     fn cost(&self) -> IterCost {
@@ -119,68 +105,26 @@ impl Functor2D for FunctorPressure {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_pressure, FunctorPressure);
-
-/// Active-set pressure: entry `idx` is a packed wet column `jl·pi + il`.
-/// Dry columns keep their initial zero pressure, which is exactly what
-/// the dense launch writes there (η ≡ 0 in the baroclinic integral), so
-/// the skip is bitwise neutral. The set must span the **padded** block —
-/// the momentum stencil reads pressure in the halo columns.
-pub struct FunctorPressureList {
-    pub f: FunctorPressure,
-    pub pi: usize,
-}
-
-impl FunctorList for FunctorPressureList {
-    fn operator(&self, _n: usize, idx: u32) {
-        let idx = idx as usize;
-        lanes::run_column(&self.f, idx / self.pi, idx % self.pi);
-    }
-
-    fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(Isa::detect(), &self.f, self.pi, entries);
-    }
-
-    fn cost(&self) -> IterCost {
-        self.f.cost()
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_pressure_list, FunctorPressureList);
+kokkos_rs::register_for_list!(kernel_pressure, FunctorPressure);
 
 /// Register this module's functors.
 pub fn register() {
     kernel_eos();
     kernel_pressure();
-    kernel_eos_list();
-    kernel_pressure_list();
 }
 
-/// Launch density + pressure over the **full padded block** (`pi × pj`),
-/// so pressure halos are valid wherever T/S halos are.
+/// Launch density over the packed wet `cells` and pressure over the packed
+/// wet `cols`, both of the **full padded block**, so pressure halos are
+/// valid wherever T/S halos are.
 pub fn compute_density_pressure(
-    space: &Space,
-    pi: usize,
-    pj: usize,
-    nz: usize,
-    f_eos: &FunctorEos,
-    f_p: &FunctorPressure,
-) {
-    parallel_for_3d(space, MDRangePolicy3::new([nz, pj, pi]), f_eos);
-    parallel_for_2d(space, MDRangePolicy2::new([pj, pi]), f_p);
-}
-
-/// Active-set variant of [`compute_density_pressure`]: density over the
-/// packed wet cells, pressure over the packed wet columns (both padded).
-pub fn compute_density_pressure_active(
     space: &Space,
     cells: &ListPolicy,
     cols: &ListPolicy,
-    f_eos: FunctorEosList,
-    f_p: FunctorPressureList,
+    f_eos: &FunctorEos,
+    f_p: &FunctorPressure,
 ) {
-    parallel_for_list(space, cells, &f_eos);
-    parallel_for_list(space, cols, &f_p);
+    parallel_for_list(space, cells, f_eos);
+    parallel_for_list(space, cols, f_p);
 }
 
 #[cfg(test)]
@@ -188,6 +132,7 @@ mod tests {
     use super::*;
     use halo_exchange::HALO as H;
     use kokkos_rs::View;
+    use ocean_grid::{ActiveSet, ActiveSet3};
 
     fn setup(nz: usize, ny: usize, nx: usize) -> (FunctorEos, FunctorPressure) {
         let d3 = [nz, ny + 2 * H, nx + 2 * H];
@@ -220,10 +165,26 @@ mod tests {
         )
     }
 
+    /// Density and pressure over the wet lists of `p.kmt`, as the model
+    /// packs them.
+    fn run(eos: &FunctorEos, p: &FunctorPressure) {
+        let [nz, pj, pi] = eos.rho.dims();
+        let kmt = |j, i| p.kmt.at(j, i) as u32;
+        let cells = ActiveSet3::build_cells(nz, pj, pi, 0..pj, 0..pi, kmt);
+        let cols = ActiveSet::build_columns(pi, 0..pj, 0..pi, kmt);
+        compute_density_pressure(
+            &Space::serial(),
+            &ListPolicy::new(cells.indices),
+            &ListPolicy::new(cols.indices),
+            eos,
+            p,
+        );
+    }
+
     #[test]
     fn reference_state_has_reference_density() {
         let (eos, p) = setup(4, 3, 3);
-        compute_density_pressure(&Space::serial(), 3 + 2 * H, 3 + 2 * H, 4, &eos, &p);
+        run(&eos, &p);
         assert_eq!(eos.rho.at(0, H, H), RHO0);
     }
 
@@ -232,7 +193,7 @@ mod tests {
         let (eos, p) = setup(2, 2, 2);
         eos.t.set_at(0, H, H, T_REF + 5.0);
         eos.s.set_at(1, H, H, S_REF + 1.0);
-        compute_density_pressure(&Space::serial(), 2 + 2 * H, 2 + 2 * H, 2, &eos, &p);
+        run(&eos, &p);
         assert!(eos.rho.at(0, H, H) < RHO0);
         assert!(eos.rho.at(1, H, H) > RHO0);
     }
@@ -240,7 +201,7 @@ mod tests {
     #[test]
     fn pressure_increases_downward_hydrostatically() {
         let (eos, p) = setup(6, 2, 2);
-        compute_density_pressure(&Space::serial(), 2 + 2 * H, 2 + 2 * H, 6, &eos, &p);
+        run(&eos, &p);
         let mut prev = 0.0;
         for k in 0..6 {
             let pk = p.pressure.at(k, H, H);
@@ -255,10 +216,10 @@ mod tests {
     #[test]
     fn free_surface_raises_pressure_everywhere() {
         let (eos, p) = setup(3, 2, 2);
-        compute_density_pressure(&Space::serial(), 2 + 2 * H, 2 + 2 * H, 3, &eos, &p);
+        run(&eos, &p);
         let base = p.pressure.at(2, H, H);
         p.eta.set_at(H, H, 1.0); // 1 m of extra surface height
-        compute_density_pressure(&Space::serial(), 2 + 2 * H, 2 + 2 * H, 3, &eos, &p);
+        run(&eos, &p);
         let lifted = p.pressure.at(2, H, H);
         assert!((lifted - base - GRAVITY * RHO0).abs() < 1e-6);
     }
@@ -267,7 +228,7 @@ mod tests {
     fn land_columns_get_flat_extension() {
         let (eos, p) = setup(4, 2, 2);
         p.kmt.set_at(H, H, 2);
-        compute_density_pressure(&Space::serial(), 2 + 2 * H, 2 + 2 * H, 4, &eos, &p);
+        run(&eos, &p);
         // Below kmt the pressure is held constant.
         assert_eq!(p.pressure.at(2, H, H), p.pressure.at(1, H, H));
         assert_eq!(p.pressure.at(3, H, H), p.pressure.at(1, H, H));

@@ -9,9 +9,8 @@
 //! boundary currents and fronts, which is what the submesoscale
 //! diagnostics (Fig. 6) feed on.
 
-use kokkos_rs::{Functor2D, FunctorList, IterCost, View1, View2, View3};
+use kokkos_rs::{FunctorList, IterCost, View1, View2, View3};
 
-use halo_exchange::HALO as H;
 use ocean_grid::RHO0;
 
 /// Zonal wind stress (N/m²) as a function of latitude: trades/westerlies
@@ -51,7 +50,7 @@ pub struct FunctorWindStress {
 }
 
 impl FunctorWindStress {
-    /// One corner at **padded** indices (shared launch shapes).
+    /// One corner at **padded** indices.
     fn column(&self, jl: usize, il: usize) {
         if self.kmu.at(jl, il) == 0 {
             return;
@@ -66,9 +65,12 @@ impl FunctorWindStress {
     }
 }
 
-impl Functor2D for FunctorWindStress {
-    fn operator(&self, j: usize, i: usize) {
-        self.column(j + H, i + H);
+/// Entry `idx` is a packed owned wet velocity corner `jl·pi + il` (`pi` is
+/// `kmu`'s row pitch).
+impl FunctorList for FunctorWindStress {
+    fn operator(&self, _n: usize, idx: u32) {
+        let pi = self.kmu.extent(1);
+        self.column(idx as usize / pi, idx as usize % pi);
     }
 
     fn cost(&self) -> IterCost {
@@ -79,27 +81,7 @@ impl Functor2D for FunctorWindStress {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_wind_stress, FunctorWindStress);
-
-/// Active-set wind stress: entry `idx` is a packed wet velocity corner;
-/// the dense launch's dry-corner early-return is the set's complement.
-pub struct FunctorWindStressList {
-    pub f: FunctorWindStress,
-    pub pi: usize,
-}
-
-impl FunctorList for FunctorWindStressList {
-    fn operator(&self, _n: usize, idx: u32) {
-        let packed = idx as usize;
-        self.f.column(packed / self.pi, packed % self.pi);
-    }
-
-    fn cost(&self) -> IterCost {
-        self.f.cost()
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_wind_stress_list, FunctorWindStressList);
+kokkos_rs::register_for_list!(kernel_wind_stress, FunctorWindStress);
 
 /// Restore the new-level surface tracers toward the climatological target
 /// with timescale [`RESTORE_SECONDS`].
@@ -112,7 +94,7 @@ pub struct FunctorSurfaceRestore {
 }
 
 impl FunctorSurfaceRestore {
-    /// One column at **padded** indices (shared launch shapes).
+    /// One column at **padded** indices.
     fn column(&self, jl: usize, il: usize) {
         if self.kmt.at(jl, il) == 0 {
             return;
@@ -128,9 +110,12 @@ impl FunctorSurfaceRestore {
     }
 }
 
-impl Functor2D for FunctorSurfaceRestore {
-    fn operator(&self, j: usize, i: usize) {
-        self.column(j + H, i + H);
+/// Entry `idx` is a packed owned wet T column `jl·pi + il` (`pi` is `kmt`'s
+/// row pitch).
+impl FunctorList for FunctorSurfaceRestore {
+    fn operator(&self, _n: usize, idx: u32) {
+        let pi = self.kmt.extent(1);
+        self.column(idx as usize / pi, idx as usize % pi);
     }
 
     fn cost(&self) -> IterCost {
@@ -141,33 +126,12 @@ impl Functor2D for FunctorSurfaceRestore {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_surface_restore, FunctorSurfaceRestore);
-
-/// Active-set surface restoring: entry `idx` is a packed wet T column.
-pub struct FunctorSurfaceRestoreList {
-    pub f: FunctorSurfaceRestore,
-    pub pi: usize,
-}
-
-impl FunctorList for FunctorSurfaceRestoreList {
-    fn operator(&self, _n: usize, idx: u32) {
-        let packed = idx as usize;
-        self.f.column(packed / self.pi, packed % self.pi);
-    }
-
-    fn cost(&self) -> IterCost {
-        self.f.cost()
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_surface_restore_list, FunctorSurfaceRestoreList);
+kokkos_rs::register_for_list!(kernel_surface_restore, FunctorSurfaceRestore);
 
 /// Register this module's functors.
 pub fn register() {
     kernel_wind_stress();
-    kernel_wind_stress_list();
     kernel_surface_restore();
-    kernel_surface_restore_list();
 }
 
 #[cfg(test)]
@@ -203,6 +167,7 @@ mod tests {
 
     #[test]
     fn restore_moves_toward_target() {
+        use halo_exchange::HALO as H;
         use kokkos_rs::View;
         let d3 = [2, 2 + 2 * H, 2 + 2 * H];
         let d2 = [2 + 2 * H, 2 + 2 * H];
@@ -221,7 +186,7 @@ mod tests {
             kmt,
             dt: RESTORE_SECONDS, // gamma = 1: full restoration
         };
-        f.operator(0, 0);
+        f.operator(0, (H * (2 + 2 * H) + H) as u32);
         assert!((t.at(0, H, H) - sst_target(0.0)).abs() < 1e-12);
         assert!((s.at(0, H, H) - sss_target(0.0)).abs() < 1e-12);
         // Deeper levels untouched.

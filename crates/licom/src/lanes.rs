@@ -18,7 +18,7 @@
 //! instantiation as tail, each block announced one ahead to
 //! [`ColumnKernel::prefetch`] (the levels of a column block sit on a page
 //! each, which no hardware prefetcher follows for long). [`run_column`] is
-//! the dense / per-entry path.
+//! the per-entry path.
 //!
 //! The dense horizontal kernels (the advection x/y passes, the barotropic
 //! substep, the leapfrog and Asselin streams) are the same idea turned
@@ -27,10 +27,10 @@
 //! (`lane_blocks!` is the walk itself, for bodies that stage through
 //! scratch between two sweeps of a row), and the
 //! per-point `operator` is the `W = 1` instantiation. The two stencils that
-//! also run over packed wet cells (momentum tendency, tracer diffusion) are
-//! [`RowKernel`]s at padded indices — their dense tile hands [`run_tile`]
-//! padded bounds, their wet-list span ([`run_cells`]) walks its runs with it —
-//! and take their free-slip neighbours from [`wet_around`] / [`free_slip`].
+//! run over packed wet cells (momentum tendency, tracer diffusion) are
+//! [`RowKernel`]s at padded indices — their wet-list span ([`run_cells`])
+//! walks its runs in the same blocks — and take their free-slip neighbours
+//! from [`wet_around`] / [`free_slip`].
 //! `LANES` is a constant, not an option; how many of those lanes a register
 //! holds is the host's business ([`Isa`]).
 
@@ -506,12 +506,13 @@ pub fn run_span<K: ColumnKernel>(isa: Isa, kernel: &K, pi: usize, entries: &[u32
     );
 }
 
-/// Run `kernel` on the single column `(jl, il)` — the dense launch and the
-/// per-entry list path.
+/// Run `kernel` on the single packed column `jl · pi + il` — the per-entry
+/// list path.
 #[inline]
-pub fn run_column<K: ColumnKernel>(kernel: &K, jl: usize, il: usize) {
+pub fn run_column<K: ColumnKernel>(kernel: &K, pi: usize, packed: u32) {
+    let packed = packed as usize;
     with_scratch(kernel.scratch_words(), |scratch| {
-        kernel.block::<1>(jl, il, scratch);
+        kernel.block::<1>(packed / pi, packed % pi, scratch);
     });
 }
 
@@ -537,13 +538,11 @@ macro_rules! lane_blocks {
 }
 pub(crate) use lane_blocks;
 
-/// A dense horizontal kernel written once: `block::<W>` updates the `W`
-/// points `(k, j, i..i + W)` of an MDRange launch (a 2-D kernel ignores
-/// `k`), in whichever coordinates its caller hands to [`run_tile`] — policy
-/// ones for most kernels, padded ones for those that share their body with
-/// a wet-list launch. Points of a row are independent, so a block reads
-/// whatever neighbours the per-point body reads and writes only its own
-/// `W` outputs.
+/// A horizontal kernel written once: `block::<W>` updates the `W` points
+/// `(k, j, i..i + W)` (a 2-D kernel ignores `k`), in whichever coordinates
+/// its walker hands it — policy ones from [`run_tile`], padded ones from
+/// [`run_cells`]. Points of a row are independent, so a block reads whatever
+/// neighbours the per-point body reads and writes only its own `W` outputs.
 pub trait RowKernel {
     fn block<const W: usize>(&self, k: usize, j: usize, i: usize);
 }

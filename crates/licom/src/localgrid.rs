@@ -20,7 +20,7 @@ pub struct WetSets {
     /// Wet tracer columns over the full padded block (`kmt > 0`),
     /// packed `jl * pi + il`; cost = wet levels.
     pub cols_pad: ActiveSet,
-    /// Owned-interior wet tracer columns (same packing as `wet_columns`).
+    /// Owned-interior wet tracer columns (`kmt > 0`); cost = wet levels.
     pub cols_own: ActiveSet,
     /// Owned-interior wet velocity columns (`kmu > 0`); cost = wet levels.
     pub ucols_own: ActiveSet,
@@ -39,6 +39,33 @@ pub struct WetSets {
     /// `ucells3_own` split the same way.
     pub ucells3_own_interior: ActiveSet3,
     pub ucells3_own_rim: ActiveSet3,
+}
+
+impl WetSets {
+    /// Pack the wet sets of one padded `[ny + 2H, nx + 2H]` block of `nz`
+    /// levels from its masks.
+    fn build(nz: usize, kmt: &View2<i32>, kmu: &View2<i32>) -> Self {
+        let [pj, pi] = kmt.dims();
+        let (rows, cols) = (H..pj - H, H..pi - H);
+        let kmt_at = |jl: usize, il: usize| kmt.at(jl, il).max(0) as u32;
+        let kmu_at = |jl: usize, il: usize| kmu.at(jl, il).max(0) as u32;
+        let (cells3_own_interior, cells3_own_rim) =
+            ActiveSet3::build_cells_split(nz, pj, pi, rows.clone(), cols.clone(), 1, kmt_at);
+        let (ucells3_own_interior, ucells3_own_rim) =
+            ActiveSet3::build_cells_split(nz, pj, pi, rows.clone(), cols.clone(), 1, kmu_at);
+        Self {
+            cols_pad: ActiveSet::build_columns(pi, 0..pj, 0..pi, kmt_at),
+            cols_own: ActiveSet::build_columns(pi, rows.clone(), cols.clone(), kmt_at),
+            ucols_own: ActiveSet::build_columns(pi, rows.clone(), cols.clone(), kmu_at),
+            cells3_pad: ActiveSet3::build_cells(nz, pj, pi, 0..pj, 0..pi, kmt_at),
+            cells3_own: ActiveSet3::build_cells(nz, pj, pi, rows.clone(), cols.clone(), kmt_at),
+            ucells3_own: ActiveSet3::build_cells(nz, pj, pi, rows.clone(), cols.clone(), kmu_at),
+            cells3_own_interior,
+            cells3_own_rim,
+            ucells3_own_interior,
+            ucells3_own_rim,
+        }
+    }
 }
 
 /// Grid slice owned by one rank, with 2-cell padding, as device-agnostic
@@ -78,8 +105,6 @@ pub struct LocalGrid {
     pub z_t: View1<f64>,
     /// Total water depth (m) per padded cell (0 on land).
     pub depth: View2<f64>,
-    /// Packed owned wet-column indices `jl * pi + il` (canuto work list).
-    pub wet_columns: View1<i32>,
     /// Active-set index lists for wet-point iteration.
     pub wet: WetSets,
 }
@@ -161,35 +186,7 @@ impl LocalGrid {
             z_t.set_at(k, global.vert.z_t[k]);
         }
 
-        let mut wet = Vec::new();
-        for jl in H..H + ny {
-            for il in H..H + nx {
-                if kmt.at(jl, il) > 0 {
-                    wet.push((jl * pi + il) as i32);
-                }
-            }
-        }
-        let wet_columns: View1<i32> = View::host("wet_columns", [wet.len()]);
-        wet_columns.copy_from_slice(&wet);
-
-        let kmt_at = |jl: usize, il: usize| kmt.at(jl, il).max(0) as u32;
-        let kmu_at = |jl: usize, il: usize| kmu.at(jl, il).max(0) as u32;
-        let (cells3_own_interior, cells3_own_rim) =
-            ActiveSet3::build_cells_split(nz, pj, pi, H..H + ny, H..H + nx, 1, kmt_at);
-        let (ucells3_own_interior, ucells3_own_rim) =
-            ActiveSet3::build_cells_split(nz, pj, pi, H..H + ny, H..H + nx, 1, kmu_at);
-        let wet_sets = WetSets {
-            cols_pad: ActiveSet::build_columns(pi, 0..pj, 0..pi, kmt_at),
-            cols_own: ActiveSet::build_columns(pi, H..H + ny, H..H + nx, kmt_at),
-            ucols_own: ActiveSet::build_columns(pi, H..H + ny, H..H + nx, kmu_at),
-            cells3_pad: ActiveSet3::build_cells(nz, pj, pi, 0..pj, 0..pi, kmt_at),
-            cells3_own: ActiveSet3::build_cells(nz, pj, pi, H..H + ny, H..H + nx, kmt_at),
-            ucells3_own: ActiveSet3::build_cells(nz, pj, pi, H..H + ny, H..H + nx, kmu_at),
-            cells3_own_interior,
-            cells3_own_rim,
-            ucells3_own_interior,
-            ucells3_own_rim,
-        };
+        let wet = WetSets::build(nz, &kmt, &kmu);
 
         Self {
             nx,
@@ -211,14 +208,13 @@ impl LocalGrid {
             dz,
             z_t,
             depth,
-            wet_columns,
-            wet: wet_sets,
+            wet,
         }
     }
 
     /// Owned wet columns.
     pub fn wet_count(&self) -> usize {
-        self.wet_columns.len()
+        self.wet.cols_own.len()
     }
 
     /// Smallest zonal spacing among owned rows (CFL/polar-filter input).
@@ -234,6 +230,8 @@ mod tests {
     use super::*;
     use mpi_sim::{CartComm, World};
     use ocean_grid::Bathymetry;
+    use proptest::prelude::*;
+    use std::ops::Range;
 
     #[test]
     fn halo_kmt_matches_global_semantics() {
@@ -287,39 +285,133 @@ mod tests {
         });
     }
 
-    #[test]
-    fn wet_sets_agree_with_wet_columns_and_masks() {
-        let global = GlobalGrid::build(24, 12, 6, &Bathymetry::earth_like(), false);
-        World::run(1, |comm| {
-            let cart = CartComm::new(comm.clone(), 1, 1, true);
-            let halo = Halo2D::new(&cart, 24, 12);
-            let lg = LocalGrid::build(&global, &halo);
-            // Owned wet tracer columns match the canuto list exactly.
-            let legacy: Vec<u32> = lg.wet_columns.to_vec().iter().map(|&p| p as u32).collect();
-            assert_eq!(legacy, **lg.wet.cols_own.indices);
-            // Column costs sum to the wet-cell total.
-            let wet_cells: u64 = (0..lg.pj)
-                .flat_map(|j| (0..lg.pi).map(move |i| (j, i)))
-                .map(|(j, i)| lg.kmt.at(j, i).max(0) as u64)
-                .sum();
-            assert_eq!(lg.wet.cols_pad.total_cost(), wet_cells);
-            assert_eq!(lg.wet.cells3_pad.len() as u64, wet_cells);
-            // Per-level CSR: level k holds the padded cells with kmt > k.
-            for k in 0..lg.nz {
-                let (lo, hi) = lg.wet.cells3_pad.level_range(k);
-                let want = (0..lg.pj)
-                    .flat_map(|j| (0..lg.pi).map(move |i| (j, i)))
-                    .filter(|&(j, i)| lg.kmt.at(j, i) > k as i32)
-                    .count();
-                assert_eq!(hi - lo, want, "level {k}");
+    type Block = (Range<usize>, Range<usize>);
+
+    /// The packed columns of `block` with `mask > 0`, in row-major scan
+    /// order, and the running wet depth.
+    fn support2(mask: &View2<i32>, (rows, cols): Block) -> (Vec<u32>, Vec<u64>) {
+        let pi = mask.extent(1);
+        let (mut idx, mut prefix) = (Vec::new(), vec![0u64]);
+        for jl in rows {
+            for il in cols.clone().filter(|&il| mask.at(jl, il) > 0) {
+                idx.push((jl * pi + il) as u32);
+                prefix.push(prefix[idx.len() - 1] + mask.at(jl, il) as u64);
             }
-            // Velocity sets follow kmu.
-            let wet_u: usize = (H..H + lg.ny)
-                .flat_map(|j| (H..H + lg.nx).map(move |i| (j, i)))
-                .filter(|&(j, i)| lg.kmu.at(j, i) > 0)
-                .count();
-            assert_eq!(lg.wet.ucols_own.len(), wet_u);
-        });
+        }
+        (idx, prefix)
+    }
+
+    /// The packed cells `k < mask` of `block` where `keep(jl, il)`,
+    /// level-major, and the offset at which each level starts.
+    fn support3(
+        nz: usize,
+        mask: &View2<i32>,
+        (rows, cols): Block,
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> (Vec<u32>, Vec<usize>) {
+        let [pj, pi] = mask.dims();
+        let (mut idx, mut offsets) = (Vec::new(), vec![0]);
+        for k in 0..nz {
+            for jl in rows.clone() {
+                for il in cols.clone() {
+                    if (k as i32) < mask.at(jl, il) && keep(jl, il) {
+                        idx.push(((k * pj + jl) * pi + il) as u32);
+                    }
+                }
+            }
+            offsets.push(idx.len());
+        }
+        (idx, offsets)
+    }
+
+    /// Every [`WetSets`] member against the mask it is documented to pack.
+    fn check_wet_sets(nz: usize, kmt: &View2<i32>, kmu: &View2<i32>) -> Result<(), TestCaseError> {
+        let [pj, pi] = kmt.dims();
+        let (padded, owned): (Block, Block) = ((0..pj, 0..pi), (H..pj - H, H..pi - H));
+        let w = WetSets::build(nz, kmt, kmu);
+        for (name, set, mask, block) in [
+            ("cols_pad", &w.cols_pad, kmt, &padded),
+            ("cols_own", &w.cols_own, kmt, &owned),
+            ("ucols_own", &w.ucols_own, kmu, &owned),
+        ] {
+            let (idx, prefix) = support2(mask, block.clone());
+            prop_assert!(**set.indices == idx, "{name}");
+            prop_assert!(**set.cost_prefix == prefix, "{name}: cost_prefix");
+            // Row-major scan order is packed order: sorted, no repeats.
+            prop_assert!(set.indices.windows(2).all(|p| p[0] < p[1]), "{name}: order");
+        }
+        let inside = |jl: usize, il: usize| {
+            (H + 1..pj - H - 1).contains(&jl) && (H + 1..pi - H - 1).contains(&il)
+        };
+        type Keep<'a> = &'a dyn Fn(usize, usize) -> bool;
+        let (all, inner, rim): (Keep, Keep, Keep) =
+            (&|_, _| true, &inside, &|jl, il| !inside(jl, il));
+        let (t_in, t_rim) = (&w.cells3_own_interior, &w.cells3_own_rim);
+        let (u_in, u_rim) = (&w.ucells3_own_interior, &w.ucells3_own_rim);
+        for (name, set, mask, block, keep) in [
+            ("cells3_pad", &w.cells3_pad, kmt, &padded, all),
+            ("cells3_own", &w.cells3_own, kmt, &owned, all),
+            ("ucells3_own", &w.ucells3_own, kmu, &owned, all),
+            ("cells3_own_interior", t_in, kmt, &owned, inner),
+            ("cells3_own_rim", t_rim, kmt, &owned, rim),
+            ("ucells3_own_interior", u_in, kmu, &owned, inner),
+            ("ucells3_own_rim", u_rim, kmu, &owned, rim),
+        ] {
+            let (idx, offsets) = support3(nz, mask, block.clone(), keep);
+            prop_assert!(**set.indices == idx, "{name}");
+            prop_assert!(set.level_offsets == offsets, "{name}: level_offsets");
+            prop_assert!(set.indices.windows(2).all(|p| p[0] < p[1]), "{name}: order");
+        }
+        for (whole, interior, rim) in [(&w.cells3_own, t_in, t_rim), (&w.ucells3_own, u_in, u_rim)]
+        {
+            let mut merged = [&**interior.indices, &**rim.indices].concat();
+            merged.sort_unstable();
+            // Equal to a duplicate-free list: a union, and a disjoint one.
+            prop_assert!(merged == **whole.indices, "interior ∪ rim is not the whole");
+        }
+        Ok(())
+    }
+
+    /// splitmix64.
+    fn mix(seed: u64, n: u64) -> u64 {
+        let mut z = seed.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random masks, depths and block sizes, halo cells included — `kmt`
+        /// and `kmu` drawn independently, so no set can pass by reading the
+        /// other's mask. Every draw also runs at `nz = 1`, all land (empty
+        /// lists) and all land but one owned column.
+        #[test]
+        fn wet_sets_are_the_supports_of_their_masks(
+            seed in 0u64..u64::MAX,
+            nz in 2usize..8,
+            ny in 1usize..8,
+            nx in 1usize..12,
+        ) {
+            let (pj, pi) = (ny + 2 * H, nx + 2 * H);
+            let only = (H + mix(seed, 0) as usize % ny, H + mix(seed, 1) as usize % nx);
+            for nz in [1, nz] {
+                // Land share in thirds; 3 is all land, 4 all but `only`.
+                for land in 0..5 {
+                    let mask = |salt: u64| -> View2<i32> {
+                        View::from_fn("mask", [pj, pi], |[jl, il]| {
+                            let r = mix(seed ^ salt, (jl * pi + il) as u64);
+                            let dry = if land == 4 { (jl, il) != only } else { r % 3 < land };
+                            if dry { 0 } else { 1 + ((r >> 8) % nz as u64) as i32 }
+                        })
+                    };
+                    if let Err(TestCaseError::Fail(msg)) = check_wet_sets(nz, &mask(1), &mask(2)) {
+                        prop_assert!(false, "{msg} (nz {nz}, land {land})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

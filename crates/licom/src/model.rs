@@ -4,8 +4,8 @@
 //! The per-step sequence mirrors LICOM:
 //!
 //! 1. density + baroclinic hydrostatic pressure (`eos`);
-//! 2. *canuto* mixing coefficients (`canuto`) — rectangle, packed-list,
-//!    or cross-rank-balanced launch per [`CanutoMode`];
+//! 2. *canuto* mixing coefficients (`canuto`) — packed-list or
+//!    cross-rank-balanced launch per [`CanutoMode`];
 //! 3. 3-D momentum tendency + wind stress (`momentum`);
 //! 4. split-explicit barotropic window with per-substep 2-D halo updates
 //!    and polar filtering (`barotropic`);
@@ -20,12 +20,17 @@
 //!    message per direction) and the Asselin filter (`halo_ts`,
 //!    `asselin`).
 //!
+//! Every masked kernel iterates a packed wet list ([`WetPolicies`]). The
+//! kernels that stay dense do so because their land writes are semantic:
+//! the leapfrog and Asselin streams, the advection x/y passes, the
+//! barotropic substep kernels and the polar filter.
+//!
 //! SYPD is measured as the paper measures it: wall-clock of the daily
 //! loop, initialization and I/O excluded (§VI-C).
 
 use kokkos_rs::{
-    parallel_for_2d, parallel_for_3d, parallel_for_list, Functor3D, FunctorList, IterCost,
-    ListPolicy, MDRangePolicy2, MDRangePolicy3, Space, View, View1, View2, View3,
+    parallel_for_3d, parallel_for_list, FunctorList, IterCost, ListPolicy, MDRangePolicy3, Space,
+    View, View1, View2, View3,
 };
 use mpi_sim::{CartComm, Comm, ReduceOp, RetryPolicy};
 use ocean_grid::{Bathymetry, GlobalGrid, ModelConfig, GRAVITY};
@@ -34,31 +39,26 @@ use halo_exchange::{
     FoldKind, Halo2D, Halo3D, HaloError, IntegrityConfig, Pending, Strategy3D, HALO as H,
 };
 
-use crate::advect::{self, FunctorDiagnoseW, FunctorDiagnoseWList};
+use crate::advect::{self, FunctorDiagnoseW};
 use crate::baroclinic::{
-    FunctorAsselin3D, FunctorBtCorrect, FunctorBtCorrectList, FunctorLeapfrog3D,
-    FunctorMomentumTend, FunctorMomentumTendList,
+    FunctorAsselin3D, FunctorBtCorrect, FunctorLeapfrog3D, FunctorMomentumTend,
 };
-use crate::barotropic::{self, FunctorDepthMean, FunctorDepthMeanList};
-use crate::canuto::{self, CanutoFields, FunctorCanutoCols, FunctorCanutoRect};
+use crate::barotropic::{self, FunctorDepthMean};
+use crate::canuto::{self, CanutoFields, FunctorCanutoCols};
 use crate::diag::{self, Diagnostics};
-use crate::eos::{FunctorEos, FunctorEosList, FunctorPressure, FunctorPressureList};
-use crate::forcing::{
-    FunctorSurfaceRestore, FunctorSurfaceRestoreList, FunctorWindStress, FunctorWindStressList,
-};
+use crate::eos::{FunctorEos, FunctorPressure};
+use crate::forcing::{FunctorSurfaceRestore, FunctorWindStress};
 use crate::guard::{self, GuardViolation};
 use crate::lanes::{self, F64x, Isa, RowKernel};
 use crate::localgrid::LocalGrid;
 use crate::state::State;
 use crate::telemetry::{DriftTrip, StepMonitor, StepSample, TelemetryConfig};
 use crate::timers::Timers;
-use crate::vmix::{FunctorVmixImplicit, FunctorVmixList, FunctorVmixTeam};
+use crate::vmix::{FunctorVmixImplicit, FunctorVmixTeam};
 
 /// How the canuto kernel is launched (§V-C1 progression).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CanutoMode {
-    /// Rectangle launch: land iterations idle (pre-optimization).
-    Rect,
     /// Packed wet-column list (within-rank balancing).
     List,
     /// Full Fig. 4 cross-rank redistribution.
@@ -74,21 +74,18 @@ pub struct ModelOptions {
     pub limiter: bool,
     /// 3-D halo buffer strategy (Fig. 5 transpose vs naive).
     pub halo_strategy: Strategy3D,
-    /// Overlap the velocity halo exchange with the `w` diagnosis.
+    /// Run the split-phase schedule: every 3-D exchange is posted and
+    /// carried across the following kernels, the stencil kernels launch
+    /// interior then rim, and the barotropic substeps pipeline their 2-D
+    /// exchanges. `false` is the blocking schedule (bitwise identical).
     pub overlap: bool,
     /// Batch tracer fields into one message per direction.
     pub batched_halo: bool,
-    /// Zonal polar filter on barotropic fields near the cap.
-    pub polar_filter: bool,
     /// Run the implicit vertical solves as a TeamPolicy launch whose
     /// tridiagonal work arrays live in team scratch (LDM on the Sunway
     /// backend — the §V-C2 "local arrays within the functor" strategy).
     /// Bitwise identical to the flat launch.
     pub vmix_team: bool,
-    /// Launch hot masked kernels over packed wet-point index lists
-    /// (`ListPolicy`) instead of dense rectangles, skipping land work.
-    /// Bitwise identical to the dense masked launches on every backend.
-    pub active_set: bool,
     /// Frame every halo strip with a CRC-protected header and recover
     /// corrupted/dropped strips through bounded retry (§ robustness).
     /// Bitwise identical on a clean network; adds 4 words per message.
@@ -128,9 +125,7 @@ impl Default for ModelOptions {
             halo_strategy: Strategy3D::Transpose,
             overlap: true,
             batched_halo: true,
-            polar_filter: true,
             vmix_team: false,
-            active_set: true,
             integrity: true,
             retry: RetryPolicy::default(),
             guard: Some(crate::guard::GuardConfig::default()),
@@ -198,7 +193,7 @@ pub struct FunctorTracerHDiff {
 
 impl RowKernel for FunctorTracerHDiff {
     /// The `W` cells `(k, jl, il..il + W)`, **padded** indices — the one
-    /// body; the per-point `operator` and the list tail are `W = 1`. Dry
+    /// body; the per-entry `operator` and the list tail are `W = 1`. Dry
     /// lanes keep their `q_new`.
     #[inline(always)]
     fn block<const W: usize>(&self, k: usize, jl: usize, il: usize) {
@@ -219,13 +214,18 @@ impl RowKernel for FunctorTracerHDiff {
     }
 }
 
-impl Functor3D for FunctorTracerHDiff {
-    fn operator(&self, k: usize, j: usize, i: usize) {
-        self.block::<1>(k, j + H, i + H);
+/// Entry `idx` is a packed **owned** wet cell `(k·pj + jl)·pi + il`
+/// (`k < kmt`; `[pj, pi]` are `kmt`'s extents).
+impl FunctorList for FunctorTracerHDiff {
+    fn operator(&self, _n: usize, idx: u32) {
+        let [pj, pi] = self.kmt.dims();
+        let (row, il) = (idx as usize / pi, idx as usize % pi);
+        self.block::<1>(row / pj, row % pj, il);
     }
 
-    fn operator_tile(&self, [k, (j0, j1), (i0, i1)]: [(usize, usize); 3]) {
-        lanes::run_tile(Isa::detect(), self, [k, (j0 + H, j1 + H), (i0 + H, i1 + H)]);
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        let [pj, pi] = self.kmt.dims();
+        lanes::run_cells(Isa::detect(), self, pj, pi, entries);
     }
 
     /// Per cell, both tracers: two 14-flop Laplacians less the second one's
@@ -240,40 +240,11 @@ impl Functor3D for FunctorTracerHDiff {
     }
 }
 
-kokkos_rs::register_for_3d!(kernel_tracer_hdiff, FunctorTracerHDiff);
-
-/// Active-set tracer diffusion: entry `idx` is a packed **owned** wet
-/// cell `(k·pj + jl)·pi + il` (`k < kmt`); the dense launch's dry-cell
-/// early-return is the exact complement of the set.
-pub struct FunctorTracerHDiffList {
-    pub f: FunctorTracerHDiff,
-    pub pj: usize,
-    pub pi: usize,
-}
-
-impl FunctorList for FunctorTracerHDiffList {
-    fn operator(&self, _n: usize, idx: u32) {
-        let idx = idx as usize;
-        let il = idx % self.pi;
-        let rest = idx / self.pi;
-        self.f.block::<1>(rest / self.pj, rest % self.pj, il);
-    }
-
-    fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_cells(Isa::detect(), &self.f, self.pj, self.pi, entries);
-    }
-
-    fn cost(&self) -> IterCost {
-        self.f.cost()
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_tracer_hdiff_list, FunctorTracerHDiffList);
+kokkos_rs::register_for_list!(kernel_tracer_hdiff, FunctorTracerHDiff);
 
 /// Register driver-level functors.
 pub fn register() {
     kernel_tracer_hdiff();
-    kernel_tracer_hdiff_list();
 }
 
 /// Prebuilt [`ListPolicy`] instances over the grid's wet sets, constructed
@@ -296,7 +267,7 @@ struct WetPolicies {
     ucells: ListPolicy,
     /// Interior/rim split of `cells` (1-cell horizontal rim): overlap
     /// mode launches the interior, drives pending exchanges, then sweeps
-    /// the rim. Disjoint union of the dense set — bitwise identical.
+    /// the rim. Disjoint union of `cells` — bitwise identical.
     cells_interior: ListPolicy,
     cells_rim: ListPolicy,
     /// Interior/rim split of `ucells`.
@@ -444,7 +415,7 @@ impl Model {
         let filter_rows: View1<i32> = View::host("filter_rows", [grid.pj]);
         let mut any = false;
         for jl in 0..grid.pj {
-            let flag = opts.polar_filter && grid.dxt.at(jl) < 1.5 * dx_need;
+            let flag = grid.dxt.at(jl) < 1.5 * dx_need;
             filter_rows.set_at(jl, i32::from(flag));
             any |= flag;
         }
@@ -618,13 +589,12 @@ impl Model {
         let dt = self.cfg.dt_baroclinic;
         let dt2 = if self.step_count == 0 { dt } else { 2.0 * dt };
         let p3 = MDRangePolicy3::new([g.nz, g.ny, g.nx]);
-        let p2 = MDRangePolicy2::new([g.ny, g.nx]);
         let space = self.space.clone();
 
-        // 1. Density and baroclinic pressure over the full padded block
-        // (T/S halos are valid, so pressure halos come out valid too —
-        // the momentum stencil reads them at the block edge).
-        let active = self.opts.active_set;
+        // 1. Density and baroclinic pressure over the wet cells / columns
+        // of the full padded block (T/S halos are valid, so pressure halos
+        // come out valid too — the momentum stencil reads them at the
+        // block edge). Land keeps its initial zeros.
         self.timers.start("eos");
         let f_eos = FunctorEos {
             t: self.state.t[c].clone(),
@@ -639,20 +609,13 @@ impl Model {
             kmt: g.kmt.clone(),
             nz: g.nz,
         };
-        if active {
-            // Wet cells/columns over the padded block: halo densities and
-            // pressures stay valid, land keeps its initial zeros (which is
-            // what the dense launch writes there).
-            crate::eos::compute_density_pressure_active(
-                &space,
-                &self.wet.cells_pad,
-                &self.wet.cols_pad,
-                FunctorEosList { f: f_eos },
-                FunctorPressureList { f: f_p, pi: g.pi },
-            );
-        } else {
-            crate::eos::compute_density_pressure(&space, g.pi, g.pj, g.nz, &f_eos, &f_p);
-        }
+        crate::eos::compute_density_pressure(
+            &space,
+            &self.wet.cells_pad,
+            &self.wet.cols_pad,
+            &f_eos,
+            &f_p,
+        );
         self.timers.stop("eos");
 
         // 2. canuto mixing coefficients.
@@ -668,9 +631,6 @@ impl Model {
             nz: g.nz,
         };
         match self.opts.canuto_mode {
-            CanutoMode::Rect => {
-                parallel_for_2d(&space, p2, &FunctorCanutoRect { f: cf });
-            }
             CanutoMode::List => {
                 // Generic packed-list launch: the policy carries per-column
                 // wet depth, so tiles are distributed by cumulative cost.
@@ -681,17 +641,17 @@ impl Model {
                 );
             }
             CanutoMode::CrossRank => {
-                canuto::balanced_cross_rank(&self.comm, &cf, &self.state.work.canuto_cols, g.pi);
+                canuto::balanced_cross_rank(&self.comm, &cf, &g.wet.cols_own.indices, g.pi);
             }
         }
         self.timers.stop("canuto");
 
         // 3. Momentum tendency + wind stress. (The pressure kernel above
-        // stays dense/unsplit on purpose: its halo inputs — T/S and thus
-        // rho — are already valid at step entry, so there is no exchange
-        // to hide behind an interior pass.)
+        // is not split into interior and rim: its halo inputs — T/S and
+        // thus rho — are already valid at step entry, so there is no
+        // exchange to hide behind an interior pass.)
         self.timers.start("momentum");
-        let mk_tend = || FunctorMomentumTend {
+        let f_tend = FunctorMomentumTend {
             u_cur: self.state.u[c].clone(),
             v_cur: self.state.v[c].clone(),
             u_old: self.state.u[o].clone(),
@@ -713,44 +673,16 @@ impl Model {
             kmu: g.kmu.clone(),
             dz0: g.dz.at(0),
         };
-        if active {
-            if self.opts.overlap {
-                // Interior/rim split: per-cell independent writes over a
-                // disjoint union of the dense set — bitwise identical.
-                for wet in [&self.wet.ucells_interior, &self.wet.ucells_rim] {
-                    parallel_for_list(
-                        &space,
-                        wet,
-                        &FunctorMomentumTendList {
-                            f: mk_tend(),
-                            pj: g.pj,
-                            pi: g.pi,
-                        },
-                    );
-                }
-            } else {
-                parallel_for_list(
-                    &space,
-                    &self.wet.ucells,
-                    &FunctorMomentumTendList {
-                        f: mk_tend(),
-                        pj: g.pj,
-                        pi: g.pi,
-                    },
-                );
+        if self.opts.overlap {
+            // Interior/rim split: per-cell independent writes over a
+            // disjoint union of the whole list — bitwise identical.
+            for wet in [&self.wet.ucells_interior, &self.wet.ucells_rim] {
+                parallel_for_list(&space, wet, &f_tend);
             }
-            parallel_for_list(
-                &space,
-                &self.wet.ucols,
-                &FunctorWindStressList {
-                    f: f_wind,
-                    pi: g.pi,
-                },
-            );
         } else {
-            parallel_for_3d(&space, p3, &mk_tend());
-            parallel_for_2d(&space, p2, &f_wind);
+            parallel_for_list(&space, &self.wet.ucells, &f_tend);
         }
+        parallel_for_list(&space, &self.wet.ucols, &f_wind);
         self.timers.stop("momentum");
 
         // 4. Barotropic window.
@@ -761,15 +693,7 @@ impl Model {
             kmu: g.kmu.clone(),
             dz: g.dz.clone(),
         };
-        if active {
-            parallel_for_list(
-                &space,
-                &self.wet.ucols,
-                &FunctorDepthMeanList { f: f_dm, pi: g.pi },
-            );
-        } else {
-            parallel_for_2d(&space, p2, &f_dm);
-        }
+        parallel_for_list(&space, &self.wet.ucols, &f_dm);
         let substeps = ((dt2 / self.cfg.dt_barotropic).round() as usize).max(1);
         let (gu, gv) = (self.gu.clone(), self.gv.clone());
         let filter_rows = self.filter_rows.clone();
@@ -820,7 +744,7 @@ impl Model {
             &self.state.km,
             &g.kmu,
             dt2,
-            active.then_some(&self.wet.ucols),
+            &self.wet.ucols,
         );
         let f_btc = FunctorBtCorrect {
             u: self.state.u[n].clone(),
@@ -830,20 +754,12 @@ impl Model {
             kmu: g.kmu.clone(),
             dz: g.dz.clone(),
         };
-        if active {
-            parallel_for_list(
-                &space,
-                &self.wet.ucols,
-                &FunctorBtCorrectList { f: f_btc, pi: g.pi },
-            );
-        } else {
-            parallel_for_2d(&space, p2, &f_btc);
-        }
+        parallel_for_list(&space, &self.wet.ucols, &f_btc);
         self.timers.stop("vmix_momentum");
 
         // 6. Velocity halo update, overlapped with the w diagnosis.
         self.timers.start("halo_uv");
-        let mk_w = || FunctorDiagnoseW {
+        let f_w = FunctorDiagnoseW {
             u: self.state.u[c].clone(),
             v: self.state.v[c].clone(),
             w: self.state.w.clone(),
@@ -853,19 +769,8 @@ impl Model {
             dz: g.dz.clone(),
             nz: g.nz,
         };
-        let w_functor = mk_w();
-        let w_list = FunctorDiagnoseWList {
-            f: mk_w(),
-            pi: g.pi,
-        };
         let wet_t_cols = &self.wet.cols;
-        let diagnose_w = || {
-            if active {
-                parallel_for_list(&space, wet_t_cols, &w_list);
-            } else {
-                parallel_for_2d(&space, p2, &w_functor);
-            }
-        };
+        let diagnose_w = || parallel_for_list(&space, wet_t_cols, &f_w);
         // Split-phase exchanges carried across the rest of the step
         // (overlap mode). Nothing downstream reads the covered ghosts:
         // u[n]/v[n] ghosts are first read next step, as are t[n]/s[n] and
@@ -916,7 +821,7 @@ impl Model {
             &self.state.w,
             dt,
             self.opts.limiter,
-            if active { Some(wet_t_cols) } else { None },
+            wet_t_cols,
             if overlap {
                 advect::TmpExchange::Overlap {
                     halo: halo3,
@@ -934,33 +839,27 @@ impl Model {
         self.timers.stop("advection_tracer");
         adv_res?;
         self.timers.start("hdiff");
-        let mk_hd = || FunctorTracerHDiffList {
-            f: FunctorTracerHDiff {
-                q_cur: [self.state.t[c].clone(), self.state.s[c].clone()],
-                q_new: [self.state.t[n].clone(), self.state.s[n].clone()],
-                kmt: g.kmt.clone(),
-                dxt: g.dxt.clone(),
-                dyt: g.dyt,
-                kappa: self.kappa,
-                dt,
-            },
-            pj: g.pj,
-            pi: g.pi,
+        let f_hd = FunctorTracerHDiff {
+            q_cur: [self.state.t[c].clone(), self.state.s[c].clone()],
+            q_new: [self.state.t[n].clone(), self.state.s[n].clone()],
+            kmt: g.kmt.clone(),
+            dxt: g.dxt.clone(),
+            dyt: g.dyt,
+            kappa: self.kappa,
+            dt,
         };
         let mut hd_res: Result<(), HaloError> = Ok(());
-        if !active {
-            parallel_for_3d(&space, p3, &mk_hd().f);
-        } else if self.opts.overlap {
+        if self.opts.overlap {
             // Interior/rim split (disjoint, per-cell independent — bitwise
-            // identical to the dense list), with a poll of the carried u/v
+            // identical to the whole list), with a poll of the carried u/v
             // exchange between the halves.
-            parallel_for_list(&space, &self.wet.cells_interior, &mk_hd());
+            parallel_for_list(&space, &self.wet.cells_interior, &f_hd);
             if let Some(p) = pend_uv.as_mut() {
                 hd_res = p.poll().map(|_| ());
             }
-            parallel_for_list(&space, &self.wet.cells_rim, &mk_hd());
+            parallel_for_list(&space, &self.wet.cells_rim, &f_hd);
         } else {
-            parallel_for_list(&space, &self.wet.cells, &mk_hd());
+            parallel_for_list(&space, &self.wet.cells, &f_hd);
         }
         self.timers.stop("hdiff");
         hd_res?;
@@ -971,7 +870,7 @@ impl Model {
             &self.state.kh,
             &g.kmt,
             dt,
-            active.then_some(&self.wet.cols),
+            &self.wet.cols,
         );
         self.timers.stop("vmix_tracer");
         self.timers.start("forcing");
@@ -982,18 +881,7 @@ impl Model {
             kmt: g.kmt.clone(),
             dt,
         };
-        if active {
-            parallel_for_list(
-                &space,
-                &self.wet.cols,
-                &FunctorSurfaceRestoreList {
-                    f: f_restore,
-                    pi: g.pi,
-                },
-            );
-        } else {
-            parallel_for_2d(&space, p2, &f_restore);
-        }
+        parallel_for_list(&space, &self.wet.cols, &f_restore);
         self.timers.stop("forcing");
 
         // 8. Tracer halo update + Asselin on the leapfrogged fields.
@@ -1148,12 +1036,6 @@ impl Model {
                 }
             }
         }
-        // Active-set accounting (wet cells iterated, land skipped) is no
-        // longer tallied here: every List-policy launch reports its
-        // work-item count through the profiling hook chokepoint, so an
-        // attached profiler derives the same numbers from the event
-        // stream (see `Profiler::kernels` work_items per List dispatch).
-
         self.flight_note(mpi_sim::flight::FlightEventKind::StepEnd, epoch, 0, 0);
         self.step_count += 1;
         self.state.rotate();
@@ -1191,11 +1073,10 @@ impl Model {
 
     /// Launch the implicit vertical solve of two fields that share their
     /// coefficients — `(u, v)` on `km`/`kmu`, `(T, S)` on `kh`/`kmt` —
-    /// through the configured shape: one paired launch over the active-set
-    /// list `wet` (the packed owned columns with `mask > 0`, which the
-    /// caller knows: `ucols` for `kmu`, `cols` for `kmt`) or over the flat
-    /// rectangle when `None`; or, field by field, a TeamPolicy launch with
-    /// LDM scratch.
+    /// through the configured shape: one paired launch over the wet list
+    /// `wet` (the packed owned columns with `mask > 0`, which the caller
+    /// knows: `ucols` for `kmu`, `cols` for `kmt`); or, field by field, a
+    /// TeamPolicy launch with LDM scratch.
     fn launch_vmix(
         &self,
         space: &Space,
@@ -1203,7 +1084,7 @@ impl Model {
         kcoef: &View3<f64>,
         mask: &View2<i32>,
         dt: f64,
-        wet: Option<&ListPolicy>,
+        wet: &ListPolicy,
     ) {
         let g = &self.grid;
         let _r = kokkos_rs::profiling::region("vmix:solve");
@@ -1234,10 +1115,7 @@ impl Model {
                 dt,
                 nz: g.nz,
             };
-            match wet {
-                Some(wet) => parallel_for_list(space, wet, &FunctorVmixList { f, pi: g.pi }),
-                None => parallel_for_2d(space, MDRangePolicy2::new([g.ny, g.nx]), &f),
-            }
+            parallel_for_list(space, wet, &f);
         }
     }
 

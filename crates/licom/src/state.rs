@@ -30,9 +30,6 @@ pub struct Workspace {
     pub acc_eta: View2<f64>,
     pub acc_u: View2<f64>,
     pub acc_v: View2<f64>,
-    /// Canuto packed wet-column list (`jl * pi + il`), host copy of
-    /// `LocalGrid::wet_columns` for the list/cross-rank launch modes.
-    pub canuto_cols: Vec<i32>,
 }
 
 impl Workspace {
@@ -45,7 +42,6 @@ impl Workspace {
             acc_eta: View::host("acc_eta", d2),
             acc_u: View::host("acc_u", d2),
             acc_v: View::host("acc_v", d2),
-            canuto_cols: g.wet_columns.to_vec(),
         }
     }
 }

@@ -14,15 +14,15 @@
 //! so the two coefficient divides per level and the elimination divide are
 //! worked out once per block and each field carries only its right-hand
 //! side and its back-substitution divide (10 divides per column-level over
-//! the four fields where four separate solves spend 16). The active-set
+//! the four fields where four separate solves spend 16). The wet-list
 //! launch walks each run of wet columns in
-//! [`LANES`](crate::lanes::LANES)-wide blocks; the dense launch, the list
-//! tail and the team variant are `W = 1`, the team variant and the unit
-//! tests `N = 1`. Work arrays are `(3 + N) · nz` rows of `W` words, of
+//! [`LANES`](crate::lanes::LANES)-wide blocks; the list tail and the team
+//! variant are `W = 1`, the team variant and the unit tests `N = 1`. Work
+//! arrays are `(3 + N) · nz` rows of `W` words, of
 //! which a block touches only the rows down to its deepest column; ragged
 //! depths inside a block are lane masks.
 
-use kokkos_rs::{Functor2D, FunctorList, IterCost, View1, View2, View3};
+use kokkos_rs::{FunctorList, IterCost, View1, View2, View3};
 
 use halo_exchange::HALO as H;
 
@@ -95,9 +95,15 @@ impl<const N: usize> ColumnKernel for FunctorVmixImplicit<N> {
     }
 }
 
-impl<const N: usize> Functor2D for FunctorVmixImplicit<N> {
-    fn operator(&self, j: usize, i: usize) {
-        lanes::run_column(self, j + H, i + H);
+/// Entry `idx` is a packed owned wet column `jl·pi + il` against the same
+/// `mask` the solver uses (`pi` is its row pitch).
+impl<const N: usize> FunctorList for FunctorVmixImplicit<N> {
+    fn operator(&self, _n: usize, idx: u32) {
+        lanes::run_column(self, self.mask.extent(1), idx);
+    }
+
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        lanes::run_span(Isa::detect(), self, self.mask.extent(1), entries);
     }
 
     fn cost(&self) -> IterCost {
@@ -107,37 +113,11 @@ impl<const N: usize> Functor2D for FunctorVmixImplicit<N> {
 
 // The model launches pairs only; a test that runs `N = 1` on a registry
 // space registers that instantiation itself.
-kokkos_rs::register_for_2d!(kernel_vmix_implicit_pair, FunctorVmixImplicit<2>);
-
-/// Active-set implicit solve: entry `idx` is a packed wet column
-/// `jl·pi + il` (against the same mask the solver uses, so the dense
-/// launch's land early-return is exactly the set's complement).
-pub struct FunctorVmixList<const N: usize> {
-    pub f: FunctorVmixImplicit<N>,
-    pub pi: usize,
-}
-
-impl<const N: usize> FunctorList for FunctorVmixList<N> {
-    fn operator(&self, _n: usize, idx: u32) {
-        let packed = idx as usize;
-        lanes::run_column(&self.f, packed / self.pi, packed % self.pi);
-    }
-
-    fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(Isa::detect(), &self.f, self.pi, entries);
-    }
-
-    fn cost(&self) -> IterCost {
-        self.f.cost()
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_vmix_list_pair, FunctorVmixList<2>);
+kokkos_rs::register_for_list!(kernel_vmix_implicit_pair, FunctorVmixImplicit<2>);
 
 /// Register this module's functors.
 pub fn register() {
     kernel_vmix_implicit_pair();
-    kernel_vmix_list_pair();
     kernel_vmix_team();
 }
 
@@ -145,6 +125,9 @@ pub fn register() {
 mod tests {
     use super::*;
     use kokkos_rs::View;
+
+    /// Packed index of the block's one owned column.
+    const COL: u32 = (H * (1 + 2 * H) + H) as u32;
 
     fn setup(nz: usize, k: f64) -> FunctorVmixImplicit<1> {
         let (pj, pi) = (1 + 2 * H, 1 + 2 * H);
@@ -174,7 +157,7 @@ mod tests {
     fn uniform_profile_is_fixed_point() {
         let f = setup(10, 1e-2);
         f.q[0].fill(3.5);
-        f.operator(0, 0);
+        f.operator(0, COL);
         for k in 0..10 {
             assert!((f.q[0].at(k, H, H) - 3.5).abs() < 1e-12, "k={k}");
         }
@@ -187,7 +170,7 @@ mod tests {
             f.q[0].set_at(k, H, H, if k < 6 { 10.0 } else { 0.0 });
         }
         let before: f64 = (0..12).map(|k| f.q[0].at(k, H, H)).sum();
-        f.operator(0, 0);
+        f.operator(0, COL);
         let after: f64 = (0..12).map(|k| f.q[0].at(k, H, H)).sum();
         assert!(
             (before - after).abs() < 1e-9 * before.abs(),
@@ -202,7 +185,7 @@ mod tests {
             f.q[0].set_at(k, H, H, if k == 3 { 100.0 } else { 0.0 });
         }
         for _ in 0..200 {
-            f.operator(0, 0);
+            f.operator(0, COL);
         }
         let mean = 100.0 / 8.0;
         for k in 0..8 {
@@ -219,7 +202,7 @@ mod tests {
         for k in 0..20 {
             f.q[0].set_at(k, H, H, (k as f64 * 1.7).sin() * 50.0);
         }
-        f.operator(0, 0);
+        f.operator(0, COL);
         for k in 0..20 {
             assert!(f.q[0].at(k, H, H).abs() <= 50.0 + 1e-9);
         }
@@ -230,7 +213,7 @@ mod tests {
         let f = setup(5, 1e-2);
         f.q[0].fill(7.0);
         f.mask.set_at(H, H, 0);
-        f.operator(0, 0);
+        f.operator(0, COL);
         assert_eq!(f.q[0].at(0, H, H), 7.0);
     }
 
@@ -241,7 +224,7 @@ mod tests {
         for k in 0..10 {
             f.q[0].set_at(k, H, H, if k < 4 { k as f64 } else { -99.0 });
         }
-        f.operator(0, 0);
+        f.operator(0, COL);
         // Below kmt untouched; above: mixed but conservative over 0..4.
         for k in 4..10 {
             assert_eq!(f.q[0].at(k, H, H), -99.0);
@@ -253,8 +236,8 @@ mod tests {
 
 /// The tridiagonal solve of the `W` columns `(jl, il..il + W)`, in place
 /// on each of the `N` fields `q` — the one arithmetic body behind every
-/// launch shape, so dense, active-set and team launches, paired or not, are
-/// bitwise identical.
+/// launch shape, so wet-list and team launches, paired or not, are bitwise
+/// identical.
 ///
 /// `scratch` supplies the work arrays (`a`, `b`, `c` and `N` right-hand
 /// sides `d`, each `≥ kmax` rows of `W`). The matrix — the coefficient
@@ -385,7 +368,7 @@ kokkos_rs::register_team!(kernel_vmix_team, FunctorVmixTeam);
 #[allow(clippy::type_complexity)]
 mod team_tests {
     use super::*;
-    use kokkos_rs::{parallel_for_2d, parallel_for_team, MDRangePolicy2, Space, TeamPolicy, View};
+    use kokkos_rs::{parallel_for_list, parallel_for_team, ListPolicy, Space, TeamPolicy, View};
 
     fn fields(nz: usize, n: usize) -> (View3<f64>, View3<f64>, View2<i32>, View1<f64>, View1<f64>) {
         let (pj, pi) = (n + 2 * H, n + 2 * H);
@@ -410,10 +393,14 @@ mod team_tests {
         let (q1, kc, mask, dz, z_t) = fields(nz, n);
         let q2: View3<f64> = View::host("q2", q1.dims());
         q2.copy_from_slice(q1.as_slice());
-        // Flat launch.
-        parallel_for_2d(
+        // Flat launch over the owned wet columns.
+        let pi = n + 2 * H;
+        let wet = ocean_grid::ActiveSet::build_columns(pi, H..H + n, H..H + n, |j, i| {
+            mask.at(j, i) as u32
+        });
+        parallel_for_list(
             &Space::serial(),
-            MDRangePolicy2::new([n, n]),
+            &ListPolicy::new(wet.indices),
             &FunctorVmixImplicit {
                 q: [q1.clone()],
                 kcoef: kc.clone(),

@@ -103,11 +103,8 @@ fn revolve(limited: bool) -> (Vec<f64>, f64, f64, Vec<f64>) {
             dz: g.dz.clone(),
             nz: 2,
         };
-        kokkos_rs::parallel_for_2d(
-            &Space::serial(),
-            kokkos_rs::MDRangePolicy2::new([g.ny, g.nx]),
-            &wf,
-        );
+        let wet_cols = kokkos_rs::ListPolicy::new(g.wet.cols_own.indices.clone());
+        kokkos_rs::parallel_for_list(&Space::serial(), &wet_cols, &wf);
         // In the rigid core the discrete divergence vanishes exactly; the
         // edge taper leaves a small residual w there. This test isolates
         // the *horizontal* rotation, so zero w (the z-pass and the
@@ -144,7 +141,7 @@ fn revolve(limited: bool) -> (Vec<f64>, f64, f64, Vec<f64>) {
                 &w,
                 dt,
                 limited,
-                None,
+                &wet_cols,
                 licom::advect::TmpExchange::Blocking(&|t| {
                     s.halo.exchange_many(&t.map(|t| (t, FoldKind::Scalar)), 10);
                     Ok(())

@@ -24,12 +24,12 @@
 
 use halo_exchange::HALO as H;
 use kokkos_rs::{parallel_for_list, FunctorList, ListPolicy, Space, View, View1, View2, View3};
-use licom::advect::{FunctorAdvectZ, FunctorAdvectZList, FunctorDiagnoseW, FunctorDiagnoseWList};
-use licom::barotropic::{FunctorDepthMean, FunctorDepthMeanList};
+use licom::advect::{FunctorAdvectZ, FunctorDiagnoseW};
+use licom::barotropic::FunctorDepthMean;
 use licom::canuto::{CanutoFields, FunctorCanutoCols};
-use licom::eos::{FunctorPressure, FunctorPressureList};
+use licom::eos::FunctorPressure;
 use licom::lanes::{self, Isa, LANES};
-use licom::vmix::{FunctorVmixImplicit, FunctorVmixList};
+use licom::vmix::FunctorVmixImplicit;
 use ocean_grid::ActiveSet;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -37,30 +37,36 @@ use sunway_sim::CgConfig;
 
 // The model launches the solver in pairs only, so `N = 1` is registered
 // here, for the registry spaces this file runs it on.
-kokkos_rs::register_for_list!(kernel_vmix_list_single, FunctorVmixList<1>);
+kokkos_rs::register_for_list!(kernel_vmix_list_single, FunctorVmixImplicit<1>);
 
-/// A list functor's span walk with the ISA an argument instead of detected.
+/// A list functor's span walk with the ISA an argument instead of detected;
+/// `pi` is the row pitch of its packed columns.
 trait Pinned {
-    fn span(&self, isa: Isa, entries: &[u32]);
+    fn span(&self, isa: Isa, pi: usize, entries: &[u32]);
 }
 
 macro_rules! pinned {
     ($($F:ty),*) => {$(
         impl Pinned for $F {
-            fn span(&self, isa: Isa, entries: &[u32]) {
-                lanes::run_span(isa, &self.f, self.pi, entries);
+            fn span(&self, isa: Isa, pi: usize, entries: &[u32]) {
+                lanes::run_span(isa, self, pi, entries);
             }
         }
     )*};
 }
 pinned!(
-    FunctorVmixList<1>,
-    FunctorVmixList<2>,
-    FunctorCanutoCols,
-    FunctorDiagnoseWList,
-    FunctorAdvectZList,
-    FunctorPressureList
+    FunctorVmixImplicit<1>,
+    FunctorVmixImplicit<2>,
+    FunctorDiagnoseW,
+    FunctorAdvectZ,
+    FunctorPressure
 );
+
+impl Pinned for FunctorCanutoCols {
+    fn span(&self, isa: Isa, pi: usize, entries: &[u32]) {
+        lanes::run_span(isa, &self.f, pi, entries);
+    }
+}
 
 /// splitmix64: the fields are a pure function of `(seed, position)`.
 fn mix(seed: u64, n: u64) -> u64 {
@@ -189,8 +195,12 @@ impl Case {
     }
 
     /// The implicit solve of the `N` fields `q` against `kcoef`, in place.
-    fn vmix<const N: usize>(&self, kcoef: &View3<f64>, q: [View3<f64>; N]) -> FunctorVmixList<N> {
-        let f = FunctorVmixImplicit {
+    fn vmix<const N: usize>(
+        &self,
+        kcoef: &View3<f64>,
+        q: [View3<f64>; N],
+    ) -> FunctorVmixImplicit<N> {
+        FunctorVmixImplicit {
             q,
             kcoef: kcoef.clone(),
             mask: self.kmt.clone(),
@@ -198,10 +208,6 @@ impl Case {
             z_t: self.z_t(),
             dt: 1800.0,
             nz: self.nz,
-        };
-        FunctorVmixList {
-            f,
-            pi: self.nx + 2 * H,
         }
     }
 }
@@ -253,7 +259,7 @@ fn check<F: FunctorList + Pinned + 'static>(
     }
     let (f, out) = make();
     for t in 0..policy.total_tiles() {
-        f.span(Isa::BASELINE, policy.tile_entries(t).1);
+        f.span(Isa::BASELINE, case.nx + 2 * H, policy.tile_entries(t).1);
     }
     prop_assert!(
         bits(&out) == want,
@@ -328,7 +334,7 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
             dz: dz.clone(),
             nz,
         };
-        (FunctorDiagnoseWList { f, pi }, vec![w_out])
+        (f, vec![w_out])
     })?;
     for limited in [true, false] {
         // In place, as `advect_tracer` launches it. A tracer's result must
@@ -346,7 +352,7 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
                     nz,
                     limited,
                 };
-                (FunctorAdvectZList { f, pi }, q.to_vec())
+                (f, q.to_vec())
             })
         };
         let (ts, st, tt) = (pass(&q0, &s0)?, pass(&s0, &q0)?, pass(&q0, &q0)?);
@@ -367,7 +373,7 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
             kmt: kmt.clone(),
             nz,
         };
-        (FunctorPressureList { f, pi }, vec![p])
+        (f, vec![p])
     })?;
     check_depth_mean(case, [&u, &v])
 }
@@ -387,7 +393,7 @@ fn check_depth_mean(case: &Case, tend: [&View3<f64>; 2]) -> Result<(), TestCaseE
             kmu: case.kmt.clone(),
             dz: dz.clone(),
         };
-        (FunctorDepthMeanList { f, pi }, out)
+        (f, out)
     };
     let mut want = [vec![-9.0f64; pj * pi], vec![-9.0f64; pj * pi]];
     for &packed in case.policy.indices().iter() {

@@ -15,10 +15,10 @@
 //! those bits too — on an AVX2 host that holds the clone to the baseline and
 //! to `W = 1`, elsewhere it walks the fallback twice.
 //!
-//! The two stencils that also run over packed wet lists (momentum tendency,
-//! tracer diffusion) are held to more: a list span (`operator_span`, runs
-//! walked in blocks) against its entries one by one, the dense launch
-//! against the wet list, and the interior + rim lists against the whole one.
+//! The two stencils that run over packed wet lists (momentum tendency, tracer
+//! diffusion) are held to the same: a list span (`operator_span`, runs
+//! walked in blocks) against its entries one by one, and the interior + rim
+//! lists against the whole one.
 
 use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D, HALO as H};
 use kokkos_rs::{
@@ -26,16 +26,14 @@ use kokkos_rs::{
     FunctorPair2D, ListPolicy, MDRangePolicy2, MDRangePolicy3, Space, View, View1, View2, View3,
 };
 use licom::advect::{advect_tracer, AdvectFields, FunctorAdvectX, FunctorAdvectY, TmpExchange};
-use licom::baroclinic::{
-    FunctorAsselin3D, FunctorLeapfrog3D, FunctorMomentumTend, FunctorMomentumTendList,
-};
+use licom::baroclinic::{FunctorAsselin3D, FunctorLeapfrog3D, FunctorMomentumTend};
 use licom::barotropic::{
     FunctorAccum2D, FunctorAsselin2D, FunctorBtEta, FunctorBtVel, FunctorCopy2D,
     FunctorScaleAssign2D, FunctorZonalFilter,
 };
 use licom::lanes::{self, Isa, LANES};
 use licom::localgrid::LocalGrid;
-use licom::model::{FunctorTracerHDiff, FunctorTracerHDiffList};
+use licom::model::FunctorTracerHDiff;
 use mpi_sim::{CartComm, World};
 use ocean_grid::{ActiveSet3, Bathymetry, GlobalGrid};
 use proptest::prelude::*;
@@ -69,16 +67,12 @@ macro_rules! pinned {
             }
         }
     )*};
-    // The stencils that share their body with a wet list: padded blocks.
-    (padded: $($F:ty, $L:ty);*) => {$(
-        impl PinnedTile<3> for $F {
-            fn tile(&self, isa: Isa, [k, (j0, j1), (i0, i1)]: [(usize, usize); 3]) {
-                lanes::run_tile(isa, self, [k, (j0 + H, j1 + H), (i0 + H, i1 + H)]);
-            }
-        }
-        impl PinnedSpan for $L {
+    // The wet-list stencils: packed cells of the mask's padded block.
+    (cells: $($F:ty => $mask:ident),*) => {$(
+        impl PinnedSpan for $F {
             fn span(&self, isa: Isa, entries: &[u32]) {
-                lanes::run_cells(isa, &self.f, self.pj, self.pi, entries);
+                let [pj, pi] = self.$mask.dims();
+                lanes::run_cells(isa, self, pj, pi, entries);
             }
         }
     )*};
@@ -94,8 +88,7 @@ macro_rules! pinned {
 pinned!(2: FunctorBtEta, FunctorBtVel, FunctorAsselin2D, FunctorZonalFilter, FunctorCopy2D,
     FunctorAccum2D, FunctorScaleAssign2D);
 pinned!(3: FunctorLeapfrog3D, FunctorAsselin3D);
-pinned!(padded: FunctorMomentumTend, FunctorMomentumTendList;
-    FunctorTracerHDiff, FunctorTracerHDiffList);
+pinned!(cells: FunctorMomentumTend => kmu, FunctorTracerHDiff => kmt);
 pinned!(swept: FunctorAdvectX, FunctorAdvectY);
 
 /// The fused substep forwards a tile to its members in turn.
@@ -188,6 +181,11 @@ impl Case {
 
     fn pi(&self) -> usize {
         self.nx + 2 * H
+    }
+
+    /// The packed list entry of the owned cell `(k, j, i)`.
+    fn cell(&self, k: usize, j: usize, i: usize) -> u32 {
+        (((k * self.pj() + j + H) * self.pi()) + i + H) as u32
     }
 
     /// A `levels`-deep field of values in `lo..hi`, halo included.
@@ -494,22 +492,6 @@ fn check_3d(case: &Case, policy: MDRangePolicy3) -> Result<(), TestCaseError> {
             new: tend.clone(),
         };
         (f, vec![Out::from(&cur)])
-    })?;
-    // Poisoned tendencies: the dense launch writes every cell, dry ones zero.
-    check3("momentum_tend", policy, || {
-        let (ut, vt) = (
-            case.field3(9, nz, -9.0, -8.0),
-            case.field3(9, nz, -9.0, -8.0),
-        );
-        (
-            case.momentum(&ut, &vt),
-            vec![Out::from(&ut), Out::from(&vt)],
-        )
-    })?;
-    check3("tracer_hdiff", policy, || {
-        let q_new = [copy3(&t0), copy3(&s0)];
-        let out = q_new.iter().map(Out::from).collect();
-        (case.hdiff(&q_new), out)
     })
 }
 
@@ -553,21 +535,16 @@ fn check_list<F: FunctorList + PinnedSpan + 'static>(
 }
 
 /// The two list-launched stencils over this case's wet sets, list tiles of
-/// `tile` entries: span vs per-entry, interior + rim vs the whole list, and
-/// the dense launch vs the list (outputs start as the model's do: zero
-/// tendencies, `q_new` holding the advected tracers).
+/// `tile` entries: span vs per-entry and interior + rim vs the whole list
+/// (outputs start as the model's do: zero tendencies, `q_new` holding the
+/// advected tracers).
 fn check_lists(case: &Case, tile: usize) -> Result<(), TestCaseError> {
     let (nz, pj, pi) = (case.nz, case.pj(), case.pi());
     let policy = |set: &ActiveSet3| ListPolicy::new(set.indices.clone()).with_tile(tile);
-    let dense = MDRangePolicy3::new([nz, case.ny, case.nx]).with_tile([2, 3, LANES + 3]);
     let zeros = || -> View3<f64> { View::host("tend", [nz, pj, pi]) };
 
     let [whole, interior, rim] = case.wet_cells(&case.kmu).map(|s| policy(&s));
-    let tend = |ut: &View3<f64>, vt: &View3<f64>| FunctorMomentumTendList {
-        f: case.momentum(ut, vt),
-        pj,
-        pi,
-    };
+    let tend = |ut: &View3<f64>, vt: &View3<f64>| case.momentum(ut, vt);
     let want = check_list("momentum_tend", &whole, || {
         let (ut, vt) = (zeros(), zeros());
         (tend(&ut, &vt), vec![Out::from(&ut), Out::from(&vt)])
@@ -580,12 +557,6 @@ fn check_lists(case: &Case, tile: usize) -> Result<(), TestCaseError> {
         bits(&[Out::from(&ut), Out::from(&vt)]) == want,
         "momentum_tend: interior + rim differs from the whole list"
     );
-    let (ut, vt) = (zeros(), zeros());
-    parallel_for_3d(&Space::serial(), dense, &case.momentum(&ut, &vt));
-    prop_assert!(
-        bits(&[Out::from(&ut), Out::from(&vt)]) == want,
-        "momentum_tend: the dense launch differs from the wet list"
-    );
 
     let [whole, interior, rim] = case.wet_cells(&case.kmt).map(|s| policy(&s));
     let advected = || {
@@ -595,11 +566,7 @@ fn check_lists(case: &Case, tile: usize) -> Result<(), TestCaseError> {
         ]
     };
     let outs = |q: &[View3<f64>; 2]| q.iter().map(Out::from).collect::<Vec<_>>();
-    let diff = |q_new: &[View3<f64>; 2]| FunctorTracerHDiffList {
-        f: case.hdiff(q_new),
-        pj,
-        pi,
-    };
+    let diff = |q_new: &[View3<f64>; 2]| case.hdiff(q_new);
     let want = check_list("tracer_hdiff", &whole, || {
         let q_new = advected();
         (diff(&q_new), outs(&q_new))
@@ -611,12 +578,6 @@ fn check_lists(case: &Case, tile: usize) -> Result<(), TestCaseError> {
     prop_assert!(
         bits(&outs(&q_new)) == want,
         "tracer_hdiff: interior + rim differs from the whole list"
-    );
-    let q_new = advected();
-    parallel_for_3d(&Space::serial(), dense, &case.hdiff(&q_new));
-    prop_assert!(
-        bits(&outs(&q_new)) == want,
-        "tracer_hdiff: the dense launch differs from the wet list"
     );
     Ok(())
 }
@@ -811,17 +772,16 @@ fn a_bottom_layer_inside_at_the_edge_of_or_absent_from_a_block() {
         }
     }
     check_lists(&case, 256).unwrap();
-    check_3d(&case, MDRangePolicy3::new([nz, shallow.len(), nx])).unwrap();
     // Guard the test itself: the drag is in the result.
     let (ut, vt) = (
         case.field3(9, nz, -9.0, -8.0),
         case.field3(9, nz, -9.0, -8.0),
     );
     let f = case.momentum(&ut, &vt);
-    f.operator(1, 0, LANES / 2);
+    f.operator(0, case.cell(1, 0, LANES / 2));
     let dragged = ut.at(1, H, H + LANES / 2);
     case.kmu.set_at(H, H + LANES / 2, nz as i32);
-    f.operator(1, 0, LANES / 2);
+    f.operator(0, case.cell(1, 0, LANES / 2));
     assert_ne!(dragged.to_bits(), ut.at(1, H, H + LANES / 2).to_bits());
 }
 
@@ -853,7 +813,7 @@ fn a_zero_pressure_gradient_keeps_its_sign() {
     }
     let minus_zero = (-0.0f64).to_bits();
     for i in probes {
-        f.operator(0, 1, i);
+        f.operator(0, case.cell(0, 1, i));
         assert_eq!(
             ut.at(0, 1 + H, i + H).to_bits(),
             minus_zero,
@@ -861,7 +821,8 @@ fn a_zero_pressure_gradient_keeps_its_sign() {
         );
     }
     ut.fill(9.0);
-    parallel_for_3d(&Space::serial(), MDRangePolicy3::new([1, ny, nx]), &f);
+    let [wet, _, _] = case.wet_cells(&case.kmu);
+    parallel_for_list(&Space::serial(), &ListPolicy::new(wet.indices), &f);
     for i in probes {
         assert_eq!(
             ut.at(0, 1 + H, i + H).to_bits(),
@@ -910,7 +871,7 @@ fn overlap_schedule_equals_blocking_for_every_block_height() {
                     &w,
                     600.0,
                     true,
-                    None,
+                    &ListPolicy::new(g.wet.cols_own.indices.clone()),
                     if overlap {
                         TmpExchange::Overlap {
                             halo: &halo,

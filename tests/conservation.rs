@@ -87,11 +87,8 @@ fn advection_conserves_and_preserves_bounds_in_closed_basin() {
             dz: g.dz.clone(),
             nz: g.nz,
         };
-        licomkpp::kokkos::parallel_for_2d(
-            &m.space,
-            licomkpp::kokkos::MDRangePolicy2::new([g.ny, g.nx]),
-            &w,
-        );
+        let wet_cols = licomkpp::kokkos::ListPolicy::new(g.wet.cols_own.indices.clone());
+        licomkpp::kokkos::parallel_for_list(&m.space, &wet_cols, &w);
         // The pass advects a pair of tracers with one face velocity and
         // one wet mask; the blob's mirror image rides as the second. Every
         // operation of the scheme is odd in q, so it must stay the mirror.
@@ -116,7 +113,7 @@ fn advection_conserves_and_preserves_bounds_in_closed_basin() {
                 &m.state.w,
                 cfg.dt_tracer,
                 true,
-                None,
+                &wet_cols,
                 licomkpp::model::advect::TmpExchange::Blocking(&|tmp| {
                     m.halo3()
                         .exchange_many(&tmp.map(|t| (t, FoldKind::Scalar)), 910);
