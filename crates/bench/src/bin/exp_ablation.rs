@@ -7,15 +7,21 @@
 //!
 //! 1. **canuto load balancing** (Fig. 4): the wet-column imbalance across
 //!    ranks that the cross-rank balancer sees and removes;
-//! 2. **3-D halo transposes** (Fig. 5): horizontal-major vs transpose
-//!    strategy, identical results, message volume unchanged;
-//! 3. **batched pack/unpack**: message count reduction;
-//! 4. **communication overlap**: wall time with/without.
+//! 2. **3-D halo transposes** (Fig. 5): one 30-level exchange on the halo
+//!    engine under the horizontal-major and the transpose buffer order,
+//!    identical ghosts, message volume unchanged;
+//! 3. **batched pack/unpack**: one exchange of `[T, S]` against two
+//!    one-field exchanges, message count and bytes;
+//! 4. **communication overlap**: the model's step with every posted
+//!    exchange carried under the kernels that follow vs finished where it
+//!    is posted — the same kernels and the same messages, only the waits
+//!    move.
 
 use bench::banner;
-use halo_exchange::Strategy3D;
+use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D};
+use kokkos_rs::{View, View3};
 use licom::model::{CanutoMode, Model, ModelOptions};
-use mpi_sim::World;
+use mpi_sim::{CartComm, World};
 use ocean_grid::Resolution;
 use perf_model::{project, Machine, ProblemSpec, SunwayVariant};
 
@@ -36,6 +42,50 @@ fn timed(
     let (results, traffic) = out;
     let wall = results.iter().map(|r| r.0).fold(0.0f64, f64::max);
     (wall, results[0].1, traffic.p2p_messages)
+}
+
+/// Exchange `fields` 30-level tracers on a 4-rank 2 × 2 engine, `reps`
+/// times, batched into one message per direction or field by field:
+/// slowest rank's wall, world messages and bytes, rank 0's ghost checksum.
+fn exchanged(
+    strategy: Strategy3D,
+    fields: usize,
+    batched: bool,
+    reps: usize,
+) -> (f64, u64, u64, u64) {
+    let (results, traffic) = World::run_traced(4, move |comm| {
+        let cart = CartComm::new(comm.clone(), 2, 2, true);
+        let halo = Halo3D::new(Halo2D::new(&cart, 48, 32), 30, strategy);
+        let views: Vec<View3<f64>> = (0..fields)
+            .map(|f| {
+                let v: View3<f64> = View::host("q", halo.shape());
+                let owned: Vec<f64> = (0..v.len())
+                    .map(|i| (1 + f + comm.rank()) as f64 + 1e-3 * i as f64)
+                    .collect();
+                v.copy_from_slice(&owned);
+                v
+            })
+            .collect();
+        let batch: Vec<_> = views.iter().map(|v| (v, FoldKind::Scalar)).collect();
+        let t0 = std::time::Instant::now();
+        for _ in 0..reps {
+            if batched {
+                halo.exchange_many(&batch, 0);
+            } else {
+                for (i, one) in batch.iter().enumerate() {
+                    halo.exchange_many(std::slice::from_ref(one), 20 * i as u64);
+                }
+            }
+        }
+        let wall = t0.elapsed().as_secs_f64();
+        let sum = views
+            .iter()
+            .flat_map(|v| v.to_vec())
+            .fold(0u64, |h, x| h.rotate_left(5) ^ x.to_bits());
+        (wall, sum)
+    });
+    let wall = results.iter().map(|r| r.0).fold(0.0f64, f64::max);
+    (wall, traffic.p2p_messages, traffic.p2p_bytes, results[0].1)
 }
 
 fn main() {
@@ -87,30 +137,22 @@ fn main() {
     }
 
     banner("Ablation 2 (Fig. 5): 3-D halo strategy");
+    let reps = 50;
     for strategy in [Strategy3D::HorizontalMajor, Strategy3D::Transpose] {
-        let opts = ModelOptions {
-            halo_strategy: strategy,
-            ..ModelOptions::default()
-        };
-        let (wall, checksum, msgs) = timed(&cfg, 4, opts, steps);
+        let (wall, msgs, _, checksum) = exchanged(strategy, 1, true, reps);
         println!(
-            "{strategy:?}: {:.3} s / {steps} steps, {msgs} messages, checksum {checksum:x}",
+            "{strategy:?}: {:.3} s / {reps} exchanges of 30 levels, {msgs} messages, ghost checksum {checksum:x}",
             wall
         );
     }
-    println!("(bitwise-identical results; the transpose pays off on strided-DMA");
+    println!("(bitwise-identical ghosts; the transpose pays off on strided-DMA");
     println!(" hardware — see the Criterion bench `halo` and the projection below)");
 
     banner("Ablation 3: batched multi-field halo messages");
     for batched in [false, true] {
-        let opts = ModelOptions {
-            batched_halo: batched,
-            overlap: false,
-            ..ModelOptions::default()
-        };
-        let (wall, checksum, msgs) = timed(&cfg, 4, opts, steps);
+        let (wall, msgs, bytes, checksum) = exchanged(Strategy3D::Transpose, 2, batched, 1);
         println!(
-            "batched={batched}: {msgs} messages, {:.3} s, checksum {checksum:x}",
+            "[T, S] batched={batched}: {msgs} messages, {bytes} bytes, {:.6} s, ghost checksum {checksum:x}",
             wall
         );
     }
@@ -121,8 +163,11 @@ fn main() {
             overlap,
             ..ModelOptions::default()
         };
-        let (wall, checksum, _) = timed(&cfg, 4, opts, steps);
-        println!("overlap={overlap}: {:.3} s, checksum {checksum:x}", wall);
+        let (wall, checksum, msgs) = timed(&cfg, 4, opts, steps);
+        println!(
+            "overlap={overlap}: {:.3} s, {msgs} messages, checksum {checksum:x}",
+            wall
+        );
     }
 
     banner("Ablation 5 (SS V-C2): LDM-scratch team launch for the implicit solves");

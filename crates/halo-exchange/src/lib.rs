@@ -29,10 +29,7 @@
 //! * `strip` — the one contiguous-run copy functor under every pack and
 //!   unpack, launched on an execution space or run on the MPE.
 //!
-//! [`integrity`] frames strips with a CRC and retries them; [`stepgraph`]
-//! is a small per-step dependency DAG of compute and comm tasks whose
-//! runner interleaves interior kernels with non-blocking polls of a
-//! [`Pending`].
+//! [`integrity`] frames strips with a CRC and retries them.
 //!
 //! Every path is *bitwise equivalent*; they differ only in access pattern
 //! and message count, which the benches measure.
@@ -42,7 +39,6 @@ pub mod halo2d;
 pub mod halo3d;
 pub mod integrity;
 mod pending;
-pub mod stepgraph;
 mod strip;
 
 pub use field::HaloField;
@@ -50,7 +46,6 @@ pub use halo2d::{FoldKind, Halo2D};
 pub use halo3d::{Halo3D, Strategy3D};
 pub use integrity::{FrameFault, FrameSeq, HaloError, IntegrityConfig};
 pub use pending::Pending;
-pub use stepgraph::{StepGraph, Task};
 
 /// Halo width (2 ghost + 2 real layers, fixed by LICOM's stencils).
 pub const HALO: usize = ocean_grid::decomp::HALO;

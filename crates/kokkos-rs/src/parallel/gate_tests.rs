@@ -151,6 +151,8 @@ fn dims_of(n: usize) -> [usize; 3] {
 
 #[test]
 fn either_side_of_the_gate_gives_serial_bits_and_counts_one_launch() {
+    // Registered instance hooks flip the registry's one `enabled` flag.
+    let _serial = profiling::test_registry_lock();
     let key = profiling::next_instance_key();
     let count = Arc::new(Count::default());
     profiling::register_instance_hooks(key, count.clone());

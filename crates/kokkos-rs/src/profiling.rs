@@ -513,6 +513,7 @@ mod tests {
 
     #[test]
     fn disabled_registry_is_inert() {
+        let _serial = test_registry_lock();
         clear_hooks();
         assert!(!enabled());
         let span = begin_kernel(

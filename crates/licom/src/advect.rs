@@ -28,27 +28,11 @@ use kokkos_rs::{
     MDRangePolicy3, Space, View1, View2, View3,
 };
 
-use halo_exchange::{FoldKind, Halo3D, HaloError, StepGraph, HALO as H};
+use halo_exchange::{FoldKind, Halo3D, HaloError, HALO as H};
 
 use crate::lanes::{self, above, ColumnKernel, F64x, Isa, Mask};
 use crate::localgrid::LocalGrid;
-
-/// A blocking halo refresh of the two intermediate fields.
-pub type ExchangeTmp<'a> = &'a dyn Fn([&View3<f64>; 2]) -> Result<(), HaloError>;
-
-/// How [`advect_tracer`] refreshes the two intermediate fields' halos
-/// between the x and y passes.
-pub enum TmpExchange<'a> {
-    /// Blocking refresh — the dense reference schedule.
-    Blocking(ExchangeTmp<'a>),
-    /// Split-phase refresh: post one batched exchange of both fields after
-    /// the x pass, run the y pass on the interior rows while messages are
-    /// in flight (driven by a [`StepGraph`]), then finish and sweep the
-    /// boundary rim rows. Bitwise identical to [`TmpExchange::Blocking`]:
-    /// the rim and interior partitions are disjoint and each cell's inputs
-    /// are the same in either schedule.
-    Overlap { halo: &'a Halo3D, tag_base: u64 },
-}
+use crate::model::Poster;
 
 /// Van Leer limiter φ(r); φ(r)·dq is evaluated safely for tiny dq.
 #[inline(always)]
@@ -559,6 +543,9 @@ impl FunctorList for FunctorAdvectZ {
 
 kokkos_rs::register_for_list!(kernel_advect_z, FunctorAdvectZ);
 
+/// Tag base of the intermediate fields' refresh inside [`advect_tracer`].
+const TMP_TAG_BASE: u64 = 820;
+
 /// Register this module's functors.
 pub fn register() {
     kernel_advect_x();
@@ -570,10 +557,11 @@ pub fn register() {
 /// Full dimension-split advection of both tracers `q` over `dt`, writing
 /// `q_out`. `w` must already be diagnosed ([`FunctorDiagnoseW`]).
 /// Requires valid halos on `q`, `u`, `v`. Uses `tmp` as the intermediate
-/// fields. `exchange` refreshes their halos between the x and y passes
-/// (the y-stencil reads `tmp` at `j±2`, which the x-pass does not compute
-/// in the halo rows); with [`TmpExchange::Overlap`] that refresh overlaps
-/// the y pass of the interior rows, which read no `tmp` ghost row.
+/// fields, whose halos one batched exchange on `halo` refreshes between
+/// the x and y passes (the y-stencil reads `tmp` at `j±2`, which the
+/// x-pass does not compute in the halo rows). The interior rows' y pass,
+/// reading no `tmp` ghost row, runs between that exchange's post and its
+/// finish; `poster` says whether it is in flight meanwhile.
 ///
 /// The column-local z pass runs over `wet_cols` (the packed owned wet T
 /// columns); the x/y passes stay dense because they copy `q → q1` on land —
@@ -591,7 +579,8 @@ pub fn advect_tracer(
     dt: f64,
     limited: bool,
     wet_cols: &ListPolicy,
-    exchange: TmpExchange<'_>,
+    halo: &Halo3D,
+    poster: Poster,
 ) -> Result<(), HaloError> {
     let (nx, ny, nz) = (g.nx, g.ny, g.nz);
     let fields = |q: [&View3<f64>; 2], q1: [&View3<f64>; 2], vel: &View3<f64>| AdvectFields {
@@ -613,66 +602,40 @@ pub fn advect_tracer(
     // Refresh the intermediate fields' halos, then the y pass: tmp ->
     // q_out. A cell's two faces read `tmp` rows `jl-2..=jl+2` and no
     // east/west ghost column, so cell rows `j ∈ [2, ny-3]` touch owned
-    // rows only — they are the interior partition that overlaps the
+    // rows only — they are the interior partition that runs under the
     // exchange; rows `{0, 1, ny-2, ny-1}` are the rim swept after it
-    // finishes. Either schedule computes every cell from identical inputs,
-    // so the split is bitwise equal to the dense pass.
+    // finishes. Every cell is computed from the same inputs wherever the
+    // finish sits. A block too short to carve an interior finishes at the
+    // post and sweeps all rows at once.
     let fy = FunctorAdvectY(fields(tmp, q_out, v));
     let batch = tmp.map(|t| (t, FoldKind::Scalar));
-    match exchange {
-        TmpExchange::Overlap { halo, tag_base } if ny >= 5 => {
-            let _r = kokkos_rs::profiling::region("adv:ypass-overlap");
-            let mut pend = Some(halo.begin_exchange_many(&batch, tag_base)?);
-            let mut graph = StepGraph::new();
-            let comm = graph.comm(
-                |blocking| {
-                    if blocking {
-                        match pend.take() {
-                            Some(p) => p.finish().map(|()| true),
-                            None => Ok(true),
-                        }
-                    } else {
-                        pend.as_mut().map_or(Ok(true), |p| p.poll())
-                    }
-                },
-                &[],
-            );
-            let interior = graph.compute(
-                || {
-                    parallel_for_3d(
-                        space,
-                        MDRangePolicy3::new([nz, ny - 4, nx]).with_offset([0, 2, 0]),
-                        &fy,
-                    );
-                    Ok(())
-                },
-                &[],
-            );
-            graph.compute(
-                || {
-                    let rim = MDRangePolicy3::new([nz, 2, nx]);
-                    parallel_for_3d(space, rim, &fy);
-                    parallel_for_3d(space, rim.with_offset([0, ny - 2, 0]), &fy);
-                    Ok(())
-                },
-                &[comm, interior],
-            );
-            graph.run()?;
-        }
-        blocking_or_narrow => {
-            {
-                let _r = kokkos_rs::profiling::region("adv:halo");
-                match blocking_or_narrow {
-                    TmpExchange::Blocking(exchange_tmp) => exchange_tmp(tmp)?,
-                    // Too narrow to carve an interior: finish, then dense.
-                    TmpExchange::Overlap { halo, tag_base } => {
-                        halo.begin_exchange_many(&batch, tag_base)?.finish()?
-                    }
-                }
+    let split = ny >= 5;
+    {
+        let region = if split {
+            "adv:ypass-overlap"
+        } else {
+            "adv:halo"
+        };
+        let _r = kokkos_rs::profiling::region(region);
+        let carried = poster.carried && split;
+        let mut pend = Poster { carried }.post(halo.begin_exchange_many(&batch, TMP_TAG_BASE)?)?;
+        if split {
+            if let Some(p) = pend.as_mut() {
+                p.poll()?;
             }
-            let _r = kokkos_rs::profiling::region("adv:ypass");
-            parallel_for_3d(space, cells, &fy);
+            let interior = MDRangePolicy3::new([nz, ny - 4, nx]).with_offset([0, 2, 0]);
+            parallel_for_3d(space, interior, &fy);
+            if let Some(p) = pend {
+                p.finish()?;
+            }
+            let rim = MDRangePolicy3::new([nz, 2, nx]);
+            parallel_for_3d(space, rim, &fy);
+            parallel_for_3d(space, rim.with_offset([0, ny - 2, 0]), &fy);
         }
+    }
+    if !split {
+        let _r = kokkos_rs::profiling::region("adv:ypass");
+        parallel_for_3d(space, cells, &fy);
     }
     // Z pass in place on q_out (column-local, no halo needed).
     let _r = kokkos_rs::profiling::region("adv:zpass");

@@ -25,6 +25,7 @@ use halo_exchange::{FoldKind, Halo2D, HaloError, Pending, HALO as H};
 use crate::constants::ASSELIN;
 use crate::lanes::{self, F64x, Isa, RowKernel};
 use crate::localgrid::LocalGrid;
+use crate::model::Poster;
 use crate::state::State;
 
 /// The [`Functor2D`] entry points of a [`RowKernel`]: the per-point
@@ -424,12 +425,10 @@ pub fn register() {
 }
 
 /// Add the previous substep's `[n]` values into the accumulators over the
-/// four **ghost rectangles** of the padded block. The dense schedule
-/// accumulates the full padded block right after its blocking exchange;
-/// the overlap pipeline accumulates owned cells immediately and settles
-/// this ghost "debt" once the deferred exchange finishes. Each acc cell
-/// still receives exactly one addition per substep, in substep order, so
-/// the result is bitwise identical.
+/// four **ghost rectangles** of the padded block. A substep accumulates
+/// its owned cells at once and settles this ghost "debt" when the
+/// exchange of `[n]` has finished. Each acc cell receives exactly one
+/// addition per substep, in substep order.
 fn flush_ghost_debt(
     space: &Space,
     g: &LocalGrid,
@@ -457,19 +456,19 @@ fn flush_ghost_debt(
 /// integrity layer's retries; the barotropic work arrays are then in an
 /// undefined state and the caller must roll back.
 ///
-/// With `overlap = false` every substep ends with blocking per-field halo
-/// updates — the dense reference schedule. With `overlap = true` the
-/// substeps form a software pipeline: the `[n]`-level exchange is posted
-/// as one batched split-phase message set and carried into the *next*
-/// substep, whose interior cells (reading no ghost) run while it is in
-/// flight; the boundary rim runs after `finish()`. The window
-/// accumulation follows with an owned-now/ghost-later split (see
-/// [`flush_ghost_debt`]). Both schedules are bitwise identical.
+/// The substeps form a software pipeline: the `[n]`-level exchange is
+/// posted as one batched split-phase message set, the *next* substep's
+/// interior cells (reading no ghost) run, the exchange is finished and the
+/// boundary rim follows. `poster` says whether the exchange is in flight
+/// under the interior or was finished where it was posted; a block with no
+/// interior (`ny` or `nx` below 3) always finishes at the post. The window
+/// accumulation has an owned-now/ghost-later split (see
+/// [`flush_ghost_debt`]).
 #[allow(clippy::too_many_arguments)]
 pub fn integrate(
     space: &Space,
     g: &LocalGrid,
-    state: &mut State,
+    state: &State,
     halo: &Halo2D,
     gu: &View2<f64>,
     gv: &View2<f64>,
@@ -477,10 +476,10 @@ pub fn integrate(
     substeps: usize,
     filter_rows: &View1<i32>,
     filter_passes: usize,
-    overlap: bool,
+    poster: Poster,
 ) -> Result<(), HaloError> {
-    // The pipeline needs an interior to hide the exchange behind.
-    let overlap = overlap && g.ny >= 3 && g.nx >= 3;
+    let split = g.ny >= 3 && g.nx >= 3;
+    let carried = poster.carried && split;
     let policy = MDRangePolicy2::new([g.ny, g.nx]);
     let full = MDRangePolicy2::new([g.pj, g.pi]);
     // Working triple: indices into state.bt_* (old, cur, new roles).
@@ -517,11 +516,12 @@ pub fn integrate(
     acc_eta.fill(0.0);
     acc_u.fill(0.0);
     acc_v.fill(0.0);
+    let accs = [acc_eta.clone(), acc_u.clone(), acc_v.clone()];
     drop(init_region);
 
-    // Pipeline state (overlap mode): the previous substep's `[n]`-level
-    // exchange still in flight, and the accumulator ghost rectangles owed
-    // the previous `[n]` values.
+    // Pipeline state: the previous substep's `[n]`-level exchange when it
+    // is still in flight, and the accumulator ghost rectangles owed the
+    // previous `[n]` values.
     let mut pend: Option<Pending<'_, View2<f64>>> = None;
     let mut debt: Option<[View2<f64>; 3]> = None;
 
@@ -558,37 +558,29 @@ pub fn integrate(
         };
         // Fused η+velocity substep (see `FunctorBtStep`).
         let f_step = FunctorPair2D { a: f_eta, b: f_vel };
-        match pend.take() {
-            Some(p) => {
-                // The exchange posted last substep covers this substep's
-                // `[c]` ghosts. Both stencils have radius 1, so cells at
-                // least one row/column inside the owned block read no
-                // ghost — run them while the messages are in flight.
-                let interior = MDRangePolicy2::new([g.ny - 2, g.nx - 2]).with_offset([1, 1]);
-                parallel_for_2d(space, interior, &f_step);
-                {
-                    let _r = kokkos_rs::profiling::region("bt:halo");
-                    p.finish()?;
-                }
-                flush_ghost_debt(
-                    space,
-                    g,
-                    &[acc_eta.clone(), acc_u.clone(), acc_v.clone()],
-                    &mut debt,
-                );
-                // Boundary rim: the one-cell band around the owned block.
-                for rp in [
-                    MDRangePolicy2::new([1, g.nx]),
-                    MDRangePolicy2::new([1, g.nx]).with_offset([g.ny - 1, 0]),
-                    MDRangePolicy2::new([g.ny - 2, 1]).with_offset([1, 0]),
-                    MDRangePolicy2::new([g.ny - 2, 1]).with_offset([1, g.nx - 1]),
-                ] {
-                    parallel_for_2d(space, rp, &f_step);
-                }
+        if step > 0 && split {
+            // The exchange posted last substep covers this substep's
+            // `[c]` ghosts. Both stencils have radius 1, so cells at
+            // least one row/column inside the owned block read no
+            // ghost — they run before it is finished.
+            let interior = MDRangePolicy2::new([g.ny - 2, g.nx - 2]).with_offset([1, 1]);
+            parallel_for_2d(space, interior, &f_step);
+            if let Some(p) = pend.take() {
+                let _r = kokkos_rs::profiling::region("bt:halo");
+                p.finish()?;
             }
-            None => {
-                parallel_for_2d(space, policy, &f_step);
+            flush_ghost_debt(space, g, &accs, &mut debt);
+            // Boundary rim: the one-cell band around the owned block.
+            for rp in [
+                MDRangePolicy2::new([1, g.nx]),
+                MDRangePolicy2::new([1, g.nx]).with_offset([g.ny - 1, 0]),
+                MDRangePolicy2::new([g.ny - 2, 1]).with_offset([1, 0]),
+                MDRangePolicy2::new([g.ny - 2, 1]).with_offset([1, g.nx - 1]),
+            ] {
+                parallel_for_2d(space, rp, &f_step);
             }
+        } else {
+            parallel_for_2d(space, policy, &f_step);
         }
         // Asselin on the middle level, all three fields fused.
         parallel_for_2d(
@@ -612,112 +604,46 @@ pub fn integrate(
                 },
             },
         );
-        // Halo updates of the new level, then polar filter, then window
-        // accumulation. Overlap mode defers whichever exchange comes last
-        // (the bare `[n]` update, or the final filter pass's) into `pend`,
-        // and accumulates owned cells now / ghost rectangles at `finish`.
-        if overlap {
-            let batch = [
-                (&state.bt_eta[n], FoldKind::Scalar),
-                (&state.bt_u[n], FoldKind::Vector),
-                (&state.bt_v[n], FoldKind::Vector),
-            ];
-            if filter_passes == 0 {
-                let _r = kokkos_rs::profiling::region("bt:halo");
-                pend = Some(halo.begin_exchange_many(&batch, 500)?);
+        // Halo update of the new level, then per polar-filter pass the
+        // filter and another update, then window accumulation. Whichever
+        // exchange comes last goes through the poster; owned cells
+        // accumulate now, ghost rectangles once it finished.
+        let fields = [&state.bt_eta[n], &state.bt_u[n], &state.bt_v[n]];
+        let batch = [
+            (fields[0], FoldKind::Scalar),
+            (fields[1], FoldKind::Vector),
+            (fields[2], FoldKind::Vector),
+        ];
+        for pass in 0..=filter_passes {
+            let (region, tag_base) = [("bt:halo", 500), ("bt:filter", 530)][pass.min(1)];
+            let _r = kokkos_rs::profiling::region(region);
+            if pass > 0 {
+                for field in fields {
+                    let filter2 = &state.work.filter2;
+                    let smooth = FunctorZonalFilter {
+                        src: field.clone(),
+                        dst: filter2.clone(),
+                        rows: filter_rows.clone(),
+                    };
+                    let back = FunctorCopy2D {
+                        src: filter2.clone(),
+                        dst: field.clone(),
+                    };
+                    parallel_for_2d(space, policy, &smooth);
+                    parallel_for_2d(space, policy, &back);
+                }
+            }
+            if pass == filter_passes {
+                pend = Poster { carried }.post(halo.begin_exchange_many(&batch, tag_base)?)?;
             } else {
-                {
-                    let _r = kokkos_rs::profiling::region("bt:halo");
-                    halo.try_exchange_many(&batch, 500)?;
-                }
-                let filter_region = kokkos_rs::profiling::region("bt:filter");
-                for pass in 0..filter_passes {
-                    for field in [&state.bt_eta[n], &state.bt_u[n], &state.bt_v[n]] {
-                        parallel_for_2d(
-                            space,
-                            policy,
-                            &FunctorZonalFilter {
-                                src: field.clone(),
-                                dst: state.work.filter2.clone(),
-                                rows: filter_rows.clone(),
-                            },
-                        );
-                        parallel_for_2d(
-                            space,
-                            policy,
-                            &FunctorCopy2D {
-                                src: state.work.filter2.clone(),
-                                dst: field.clone(),
-                            },
-                        );
-                    }
-                    if pass + 1 == filter_passes {
-                        pend = Some(halo.begin_exchange_many(&batch, 530)?);
-                    } else {
-                        halo.try_exchange_many(&batch, 530)?;
-                    }
-                }
-                drop(filter_region);
+                halo.try_exchange_many(&batch, tag_base)?;
             }
-            let own = MDRangePolicy2::new([g.ny, g.nx]).with_offset([H, H]);
-            parallel_for_2d(
-                space,
-                own,
-                &accum3(
-                    &[acc_eta.clone(), acc_u.clone(), acc_v.clone()],
-                    [&state.bt_eta[n], &state.bt_u[n], &state.bt_v[n]],
-                ),
-            );
-            debt = Some([
-                state.bt_eta[n].clone(),
-                state.bt_u[n].clone(),
-                state.bt_v[n].clone(),
-            ]);
-        } else {
-            {
-                let _r = kokkos_rs::profiling::region("bt:halo");
-                halo.try_exchange(&state.bt_eta[n], FoldKind::Scalar, 500)?;
-                halo.try_exchange(&state.bt_u[n], FoldKind::Vector, 510)?;
-                halo.try_exchange(&state.bt_v[n], FoldKind::Vector, 520)?;
-            }
-            // Polar filter on the new level.
-            let filter_region = kokkos_rs::profiling::region("bt:filter");
-            for _ in 0..filter_passes {
-                for (field, kind, base) in [
-                    (&state.bt_eta[n], FoldKind::Scalar, 530u64),
-                    (&state.bt_u[n], FoldKind::Vector, 540),
-                    (&state.bt_v[n], FoldKind::Vector, 550),
-                ] {
-                    parallel_for_2d(
-                        space,
-                        policy,
-                        &FunctorZonalFilter {
-                            src: field.clone(),
-                            dst: state.work.filter2.clone(),
-                            rows: filter_rows.clone(),
-                        },
-                    );
-                    parallel_for_2d(
-                        space,
-                        policy,
-                        &FunctorCopy2D {
-                            src: state.work.filter2.clone(),
-                            dst: field.clone(),
-                        },
-                    );
-                    halo.try_exchange(field, kind, base)?;
-                }
-            }
-            drop(filter_region);
-            // Accumulate window averages (full padded block: halos valid).
-            parallel_for_2d(
-                space,
-                full,
-                &accum3(
-                    &[acc_eta.clone(), acc_u.clone(), acc_v.clone()],
-                    [&state.bt_eta[n], &state.bt_u[n], &state.bt_v[n]],
-                ),
-            );
+        }
+        let own = MDRangePolicy2::new([g.ny, g.nx]).with_offset([H, H]);
+        parallel_for_2d(space, own, &accum3(&accs, fields));
+        debt = Some(fields.map(View2::clone));
+        if pend.is_none() {
+            flush_ghost_debt(space, g, &accs, &mut debt);
         }
         // Rotate (old ← cur ← new ← old).
         let t = o;
@@ -731,12 +657,7 @@ pub fn integrate(
         let _r = kokkos_rs::profiling::region("bt:halo");
         p.finish()?;
     }
-    flush_ghost_debt(
-        space,
-        g,
-        &[acc_eta.clone(), acc_u.clone(), acc_v.clone()],
-        &mut debt,
-    );
+    flush_ghost_debt(space, g, &accs, &mut debt);
     let _average = kokkos_rs::profiling::region("bt:average");
     let scale = 1.0 / substeps as f64;
     let nl = state.new_lev();

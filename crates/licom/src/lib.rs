@@ -48,7 +48,7 @@ pub use checkpoint::{
 };
 pub use elastic::{run_elastic, ElasticConfig, ElasticError, ElasticOutcome, ElasticStats};
 pub use guard::{GuardConfig, GuardViolation};
-pub use model::{Model, ModelOptions, StepError, StepStats};
+pub use model::{Carry, Model, ModelOptions, Phase, Poster, StepError, StepStats, PHASES};
 pub use state::State;
 pub use telemetry::{DriftTrip, StepMonitor, StepObservation, StepSample, TelemetryConfig};
 pub use timers::Timers;

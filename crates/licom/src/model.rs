@@ -1,7 +1,8 @@
 //! The LICOMK++ model driver: one object per rank, stepping the full
 //! split-explicit system on a runtime-selected execution space.
 //!
-//! The per-step sequence mirrors LICOM:
+//! The per-step sequence — [`PHASES`], the sixteen rows [`Model::try_step`]
+//! walks — mirrors LICOM:
 //!
 //! 1. density + baroclinic hydrostatic pressure (`eos`);
 //! 2. *canuto* mixing coefficients (`canuto`) — packed-list or
@@ -10,15 +11,15 @@
 //! 4. split-explicit barotropic window with per-substep 2-D halo updates
 //!    and polar filtering (`barotropic`);
 //! 5. leapfrog momentum update, implicit vertical friction, barotropic
-//!    mode correction (`update_uv`, `vmix`);
-//! 6. 3-D halo update of the new velocities — optionally overlapped with
-//!    the continuity diagnosis of `w` (`halo_uv`);
+//!    mode correction (`update_uv`, `vmix_momentum`);
+//! 6. 3-D halo update of the new velocities, posted before the
+//!    continuity diagnosis of `w` (`halo_uv`);
 //! 7. two-step shape-preserving tracer advection with a mid-pass halo
 //!    update, horizontal diffusion, implicit vertical mixing, surface
-//!    restoring (`advection_tracer`, `vmix_tracer`, `forcing`);
-//! 8. 3-D halo update of the new tracers (optionally batched into one
-//!    message per direction) and the Asselin filter (`halo_ts`,
-//!    `asselin`).
+//!    restoring (`advection_tracer`, `hdiff`, `vmix_tracer`, `forcing`);
+//! 8. 3-D halo update of the new tracers and the Asselin filter
+//!    (`halo_ts`, `asselin`, `halo_drain`), then the physics guard and the
+//!    step's accounting (`guard`, `telemetry`).
 //!
 //! Every masked kernel iterates a packed wet list ([`WetPolicies`]). The
 //! kernels that stay dense do so because their land writes are semantic:
@@ -29,32 +30,24 @@
 //! loop, initialization and I/O excluded (§VI-C).
 
 use kokkos_rs::{
-    parallel_for_3d, parallel_for_list, FunctorList, IterCost, ListPolicy, MDRangePolicy3, Space,
-    View, View1, View2, View3,
+    parallel_for_list, FunctorList, IterCost, ListPolicy, Space, View, View1, View2, View3,
 };
 use mpi_sim::{CartComm, Comm, ReduceOp, RetryPolicy};
 use ocean_grid::{Bathymetry, GlobalGrid, ModelConfig, GRAVITY};
 
-use halo_exchange::{
-    FoldKind, Halo2D, Halo3D, HaloError, IntegrityConfig, Pending, Strategy3D, HALO as H,
-};
+use halo_exchange::{FoldKind, Halo2D, Halo3D, HaloError, IntegrityConfig, Strategy3D, HALO as H};
 
-use crate::advect::{self, FunctorDiagnoseW};
-use crate::baroclinic::{
-    FunctorAsselin3D, FunctorBtCorrect, FunctorLeapfrog3D, FunctorMomentumTend,
-};
-use crate::barotropic::{self, FunctorDepthMean};
-use crate::canuto::{self, CanutoFields, FunctorCanutoCols};
 use crate::diag::{self, Diagnostics};
-use crate::eos::{FunctorEos, FunctorPressure};
-use crate::forcing::{FunctorSurfaceRestore, FunctorWindStress};
-use crate::guard::{self, GuardViolation};
+use crate::guard::GuardViolation;
 use crate::lanes::{self, F64x, Isa, RowKernel};
 use crate::localgrid::LocalGrid;
 use crate::state::State;
-use crate::telemetry::{DriftTrip, StepMonitor, StepSample, TelemetryConfig};
+use crate::telemetry::{DriftTrip, StepMonitor, TelemetryConfig};
 use crate::timers::Timers;
 use crate::vmix::{FunctorVmixImplicit, FunctorVmixTeam};
+
+mod step;
+pub use step::{Carry, Phase, Poster, PHASES};
 
 /// How the canuto kernel is launched (§V-C1 progression).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,15 +65,14 @@ pub struct ModelOptions {
     pub canuto_mode: CanutoMode,
     /// Two-step shape-preserving advection (false = diffusive upstream).
     pub limiter: bool,
-    /// 3-D halo buffer strategy (Fig. 5 transpose vs naive).
-    pub halo_strategy: Strategy3D,
-    /// Run the split-phase schedule: every 3-D exchange is posted and
-    /// carried across the following kernels, the stencil kernels launch
-    /// interior then rim, and the barotropic substeps pipeline their 2-D
-    /// exchanges. `false` is the blocking schedule (bitwise identical).
+    /// Where a posted halo exchange is finished. The step has one
+    /// schedule ([`PHASES`]): every exchange is one batched split-phase
+    /// message set, and the stencil kernels launch interior then rim around
+    /// it. `true` keeps the exchange in flight under the kernels between
+    /// its post and the first read of its ghosts; `false` finishes it
+    /// where it is posted — same kernels, same messages, same bits, only
+    /// the waits move.
     pub overlap: bool,
-    /// Batch tracer fields into one message per direction.
-    pub batched_halo: bool,
     /// Run the implicit vertical solves as a TeamPolicy launch whose
     /// tridiagonal work arrays live in team scratch (LDM on the Sunway
     /// backend — the §V-C2 "local arrays within the functor" strategy).
@@ -109,8 +101,6 @@ pub struct ModelOptions {
     /// nanoseconds per event; disabling reduces the hot path to a single
     /// atomic load.
     pub flight: bool,
-    /// Events retained per rank before the ring wraps (oldest evicted).
-    pub flight_capacity: usize,
     /// Where post-mortem bundles land; `None` uses
     /// `std::env::temp_dir()/licom_flight`.
     pub flight_dir: Option<std::path::PathBuf>,
@@ -122,16 +112,13 @@ impl Default for ModelOptions {
             bathymetry: Bathymetry::earth_like(),
             canuto_mode: CanutoMode::List,
             limiter: true,
-            halo_strategy: Strategy3D::Transpose,
             overlap: true,
-            batched_halo: true,
             vmix_team: false,
             integrity: true,
             retry: RetryPolicy::default(),
             guard: Some(crate::guard::GuardConfig::default()),
             telemetry: Some(TelemetryConfig::default()),
             flight: true,
-            flight_capacity: mpi_sim::flight::DEFAULT_CAPACITY,
             flight_dir: None,
         }
     }
@@ -261,16 +248,16 @@ struct WetPolicies {
     /// Owned wet velocity corners (`kmu > 0`) — depth mean, momentum
     /// vmix, mode correction, wind stress.
     ucols: ListPolicy,
-    /// Owned wet T cells — tracer diffusion.
+    /// Owned wet T cells — guard scan.
     cells: ListPolicy,
-    /// Owned wet velocity cells (`k < kmu`) — momentum tendency.
+    /// Owned wet velocity cells (`k < kmu`) — guard scan.
     ucells: ListPolicy,
-    /// Interior/rim split of `cells` (1-cell horizontal rim): overlap
-    /// mode launches the interior, drives pending exchanges, then sweeps
-    /// the rim. Disjoint union of `cells` — bitwise identical.
+    /// Interior/rim split of `cells` (1-cell horizontal rim, a disjoint
+    /// union of `cells`): diffusion launches the interior, drives the
+    /// carried exchange, then sweeps the rim.
     cells_interior: ListPolicy,
     cells_rim: ListPolicy,
-    /// Interior/rim split of `ucells`.
+    /// Interior/rim split of `ucells` — momentum tendency.
     ucells_interior: ListPolicy,
     ucells_rim: ListPolicy,
 }
@@ -351,30 +338,6 @@ pub fn choose_dims(nranks: usize, nxg: usize) -> (usize, usize) {
     panic!("no decomposition of {nranks} ranks divides nx={nxg}");
 }
 
-/// One 3-D halo refresh under the model's exchange options: begun and
-/// handed back (`Some`) for the caller to poll and finish when `overlap`,
-/// else finished here — as one batch when `batched`, otherwise field by
-/// field on tag bases `tag_base + 10·i`.
-fn exchange3<'h>(
-    halo3: &'h Halo3D,
-    overlap: bool,
-    fields: &[(&View3<f64>, FoldKind)],
-    tag_base: u64,
-    batched: bool,
-) -> Result<Option<Pending<'h, View3<f64>>>, HaloError> {
-    if overlap {
-        return halo3.begin_exchange_many(fields, tag_base).map(Some);
-    }
-    if batched {
-        halo3.try_exchange_many(fields, tag_base)?;
-    } else {
-        for (i, field) in fields.iter().enumerate() {
-            halo3.try_exchange_many(std::slice::from_ref(field), tag_base + 10 * i as u64)?;
-        }
-    }
-    Ok(None)
-}
-
 impl Model {
     /// Build a model on this rank. Collective: every rank of `comm` must
     /// call it with identical arguments.
@@ -396,7 +359,7 @@ impl Model {
         // Pack/unpack kernels of the 3-D exchange dispatch on the model's
         // execution space (serial rows would throttle wide strips).
         let halo3 =
-            Halo3D::new(halo2.clone(), cfg.nz, opts.halo_strategy).with_space(space.clone());
+            Halo3D::new(halo2.clone(), cfg.nz, Strategy3D::Transpose).with_space(space.clone());
         let mut state = State::new(&grid);
         state.init_stratified(&grid);
 
@@ -433,7 +396,7 @@ impl Model {
         let monitor = opts.telemetry.map(StepMonitor::new);
         let flight = opts.flight.then(|| {
             kokkos_profiling::flight::init_bridge();
-            comm.flight_ctx(opts.flight_capacity)
+            comm.flight_ctx(mpi_sim::flight::DEFAULT_CAPACITY)
         });
         let flight_dir = opts
             .flight_dir
@@ -578,464 +541,14 @@ impl Model {
         self.comm.set_epoch(epoch);
         self.halo2.begin_step(epoch);
         self.halo3.begin_step(epoch);
-        let tr0 = self.comm.traffic();
-        let step_t0 = std::time::Instant::now();
-        // halo2 and halo3 share one wait counter (halo3 wraps a clone),
-        // and likewise one in-flight (overlap) counter.
-        let hw0 = self.halo2.halo_wait_ns();
-        let hi0 = self.halo2.halo_inflight_ns();
-        let g = &self.grid;
-        let (o, c, n) = (self.state.old(), self.state.cur(), self.state.new_lev());
-        let dt = self.cfg.dt_baroclinic;
-        let dt2 = if self.step_count == 0 { dt } else { 2.0 * dt };
-        let p3 = MDRangePolicy3::new([g.nz, g.ny, g.nx]);
-        let space = self.space.clone();
-
-        // 1. Density and baroclinic pressure over the wet cells / columns
-        // of the full padded block (T/S halos are valid, so pressure halos
-        // come out valid too — the momentum stencil reads them at the
-        // block edge). Land keeps its initial zeros.
-        self.timers.start("eos");
-        let f_eos = FunctorEos {
-            t: self.state.t[c].clone(),
-            s: self.state.s[c].clone(),
-            rho: self.state.rho.clone(),
-        };
-        let f_p = FunctorPressure {
-            rho: self.state.rho.clone(),
-            eta: self.zero2.clone(),
-            pressure: self.state.pressure.clone(),
-            dz: g.dz.clone(),
-            kmt: g.kmt.clone(),
-            nz: g.nz,
-        };
-        crate::eos::compute_density_pressure(
-            &space,
-            &self.wet.cells_pad,
-            &self.wet.cols_pad,
-            &f_eos,
-            &f_p,
-        );
-        self.timers.stop("eos");
-
-        // 2. canuto mixing coefficients.
-        self.timers.start("canuto");
-        let cf = CanutoFields {
-            rho: self.state.rho.clone(),
-            u: self.state.u[c].clone(),
-            v: self.state.v[c].clone(),
-            km: self.state.km.clone(),
-            kh: self.state.kh.clone(),
-            kmt: g.kmt.clone(),
-            z_t: g.z_t.clone(),
-            nz: g.nz,
-        };
-        match self.opts.canuto_mode {
-            CanutoMode::List => {
-                // Generic packed-list launch: the policy carries per-column
-                // wet depth, so tiles are distributed by cumulative cost.
-                parallel_for_list(
-                    &space,
-                    &self.wet.cols,
-                    &FunctorCanutoCols { f: cf, pi: g.pi },
-                );
-            }
-            CanutoMode::CrossRank => {
-                canuto::balanced_cross_rank(&self.comm, &cf, &g.wet.cols_own.indices, g.pi);
-            }
-        }
-        self.timers.stop("canuto");
-
-        // 3. Momentum tendency + wind stress. (The pressure kernel above
-        // is not split into interior and rim: its halo inputs — T/S and
-        // thus rho — are already valid at step entry, so there is no
-        // exchange to hide behind an interior pass.)
-        self.timers.start("momentum");
-        let f_tend = FunctorMomentumTend {
-            u_cur: self.state.u[c].clone(),
-            v_cur: self.state.v[c].clone(),
-            u_old: self.state.u[o].clone(),
-            v_old: self.state.v[o].clone(),
-            pressure: self.state.pressure.clone(),
-            ut: self.state.ut.clone(),
-            vt: self.state.vt.clone(),
-            kmu: g.kmu.clone(),
-            fcor: g.fcor.clone(),
-            dxt: g.dxt.clone(),
-            dyt: g.dyt,
-            dz: g.dz.clone(),
-            visc: self.visc,
-        };
-        let f_wind = FunctorWindStress {
-            ut: self.state.ut.clone(),
-            vt: self.state.vt.clone(),
-            lat: g.lat.clone(),
-            kmu: g.kmu.clone(),
-            dz0: g.dz.at(0),
-        };
-        if self.opts.overlap {
-            // Interior/rim split: per-cell independent writes over a
-            // disjoint union of the whole list — bitwise identical.
-            for wet in [&self.wet.ucells_interior, &self.wet.ucells_rim] {
-                parallel_for_list(&space, wet, &f_tend);
-            }
-        } else {
-            parallel_for_list(&space, &self.wet.ucells, &f_tend);
-        }
-        parallel_for_list(&space, &self.wet.ucols, &f_wind);
-        self.timers.stop("momentum");
-
-        // 4. Barotropic window.
-        self.timers.start("barotropic");
-        let f_dm = FunctorDepthMean {
-            tend: [self.state.ut.clone(), self.state.vt.clone()],
-            out: [self.gu.clone(), self.gv.clone()],
-            kmu: g.kmu.clone(),
-            dz: g.dz.clone(),
-        };
-        parallel_for_list(&space, &self.wet.ucols, &f_dm);
-        let substeps = ((dt2 / self.cfg.dt_barotropic).round() as usize).max(1);
-        let (gu, gv) = (self.gu.clone(), self.gv.clone());
-        let filter_rows = self.filter_rows.clone();
-        let (dtb, passes) = (self.cfg.dt_barotropic, self.filter_passes);
-        let bt_res = {
-            let grid = &self.grid;
-            barotropic::integrate(
-                &space,
-                grid,
-                &mut self.state,
-                &self.halo2,
-                &gu,
-                &gv,
-                dtb,
-                substeps,
-                &filter_rows,
-                passes,
-                self.opts.overlap,
-            )
-        };
-        self.timers.stop("barotropic");
-        bt_res?;
-        let g = &self.grid;
-
-        // 5. Leapfrog momentum update + implicit friction + mode fix.
-        self.timers.start("update_uv");
-        for (old, new, tend) in [
-            (&self.state.u[o], &self.state.u[n], &self.state.ut),
-            (&self.state.v[o], &self.state.v[n], &self.state.vt),
-        ] {
-            parallel_for_3d(
-                &space,
-                p3,
-                &FunctorLeapfrog3D {
-                    old: old.clone(),
-                    new: new.clone(),
-                    tend: tend.clone(),
-                    mask: g.kmu.clone(),
-                    dt2,
-                },
-            );
-        }
-        self.timers.stop("update_uv");
-        self.timers.start("vmix_momentum");
-        self.launch_vmix(
-            &space,
-            [&self.state.u[n], &self.state.v[n]],
-            &self.state.km,
-            &g.kmu,
-            dt2,
-            &self.wet.ucols,
-        );
-        let f_btc = FunctorBtCorrect {
-            u: self.state.u[n].clone(),
-            v: self.state.v[n].clone(),
-            ubt: self.state.ubt.clone(),
-            vbt: self.state.vbt.clone(),
-            kmu: g.kmu.clone(),
-            dz: g.dz.clone(),
-        };
-        parallel_for_list(&space, &self.wet.ucols, &f_btc);
-        self.timers.stop("vmix_momentum");
-
-        // 6. Velocity halo update, overlapped with the w diagnosis.
-        self.timers.start("halo_uv");
-        let f_w = FunctorDiagnoseW {
-            u: self.state.u[c].clone(),
-            v: self.state.v[c].clone(),
-            w: self.state.w.clone(),
-            kmt: g.kmt.clone(),
-            dxt: g.dxt.clone(),
-            dyt: g.dyt,
-            dz: g.dz.clone(),
-            nz: g.nz,
-        };
-        let wet_t_cols = &self.wet.cols;
-        let diagnose_w = || parallel_for_list(&space, wet_t_cols, &f_w);
-        // Split-phase exchanges carried across the rest of the step
-        // (overlap mode). Nothing downstream reads the covered ghosts:
-        // u[n]/v[n] ghosts are first read next step, as are t[n]/s[n] and
-        // the Asselin-filtered u[c]/v[c]. The u/v exchange lands before
-        // the tracer one is posted (`halo_ts`); the other two are drained
-        // in `halo_drain` before the step commits.
-        let (halo3, overlap, batched) = (&self.halo3, self.opts.overlap, self.opts.batched_halo);
-        let uv = [
-            (&self.state.u[n], FoldKind::Vector),
-            (&self.state.v[n], FoldKind::Vector),
-        ];
-        let uv_res = if overlap {
-            // Post the batched u/v exchange, diagnose w while it flies.
-            exchange3(halo3, overlap, &uv, 800, batched).inspect(|_| {
-                let _c = kokkos_rs::profiling::region("halo:overlap-compute");
-                diagnose_w();
-            })
-        } else {
-            diagnose_w();
-            exchange3(halo3, overlap, &uv, 800, batched)
-        };
-        self.timers.stop("halo_uv");
-        let mut pend_uv = uv_res?;
-
-        // 7. Tracers: two-step shape-preserving advection (+ halo for the
-        // intermediate field between the x and y passes), diffusion,
-        // implicit vertical mixing, surface restoring.
-        self.timers.start("advection_tracer");
-        let exchange_tmp_blocking = |tmp: [&View3<f64>; 2]| {
-            exchange3(
-                halo3,
-                false,
-                &tmp.map(|t| (t, FoldKind::Scalar)),
-                820,
-                batched,
-            )
-            .map(|_| ())
-        };
-        let [tmp_t, tmp_s] = &self.state.work.adv_tmp;
-        let adv_res = advect::advect_tracer(
-            &space,
-            g,
-            [&self.state.t[c], &self.state.s[c]],
-            [&self.state.t[n], &self.state.s[n]],
-            [tmp_t, tmp_s],
-            &self.state.u[c],
-            &self.state.v[c],
-            &self.state.w,
-            dt,
-            self.opts.limiter,
-            wet_t_cols,
-            if overlap {
-                advect::TmpExchange::Overlap {
-                    halo: halo3,
-                    tag_base: 820,
-                }
-            } else {
-                advect::TmpExchange::Blocking(&exchange_tmp_blocking)
-            },
-        )
-        // Drive the carried u/v exchange.
-        .and_then(|()| match pend_uv.as_mut() {
-            Some(p) => p.poll().map(|_| ()),
-            None => Ok(()),
-        });
-        self.timers.stop("advection_tracer");
-        adv_res?;
-        self.timers.start("hdiff");
-        let f_hd = FunctorTracerHDiff {
-            q_cur: [self.state.t[c].clone(), self.state.s[c].clone()],
-            q_new: [self.state.t[n].clone(), self.state.s[n].clone()],
-            kmt: g.kmt.clone(),
-            dxt: g.dxt.clone(),
-            dyt: g.dyt,
-            kappa: self.kappa,
-            dt,
-        };
-        let mut hd_res: Result<(), HaloError> = Ok(());
-        if self.opts.overlap {
-            // Interior/rim split (disjoint, per-cell independent — bitwise
-            // identical to the whole list), with a poll of the carried u/v
-            // exchange between the halves.
-            parallel_for_list(&space, &self.wet.cells_interior, &f_hd);
-            if let Some(p) = pend_uv.as_mut() {
-                hd_res = p.poll().map(|_| ());
-            }
-            parallel_for_list(&space, &self.wet.cells_rim, &f_hd);
-        } else {
-            parallel_for_list(&space, &self.wet.cells, &f_hd);
-        }
-        self.timers.stop("hdiff");
-        hd_res?;
-        self.timers.start("vmix_tracer");
-        self.launch_vmix(
-            &space,
-            [&self.state.t[n], &self.state.s[n]],
-            &self.state.kh,
-            &g.kmt,
-            dt,
-            &self.wet.cols,
-        );
-        self.timers.stop("vmix_tracer");
-        self.timers.start("forcing");
-        let f_restore = FunctorSurfaceRestore {
-            t_new: self.state.t[n].clone(),
-            s_new: self.state.s[n].clone(),
-            lat: g.lat.clone(),
-            kmt: g.kmt.clone(),
-            dt,
-        };
-        parallel_for_list(&space, &self.wet.cols, &f_restore);
-        self.timers.stop("forcing");
-
-        // 8. Tracer halo update + Asselin on the leapfrogged fields.
-        self.timers.start("halo_ts");
-        // Land the carried u/v exchange first. Its polls above cannot
-        // promise that (the fold partner posts its north strip only when
-        // it polls), and beginning the next exchange while this one may or
-        // may not have returned its buffers would leave the message pool's
-        // high-water mark to timing. t[n]/s[n] ghosts are first read next
-        // step — when carried, the exchange rides through the Asselin
-        // section and drains at the end.
-        let ts_res = pend_uv
-            .take()
-            .map_or(Ok(()), |p| p.finish())
-            .and_then(|()| {
-                let ts = [
-                    (&self.state.t[n], FoldKind::Scalar),
-                    (&self.state.s[n], FoldKind::Scalar),
-                ];
-                exchange3(halo3, overlap, &ts, 830, batched)
-            });
-        self.timers.stop("halo_ts");
-        let mut pend_ts = ts_res?;
-        self.timers.start("asselin");
-        for (old, cur, new) in [
-            (&self.state.u[o], &self.state.u[c], &self.state.u[n]),
-            (&self.state.v[o], &self.state.v[c], &self.state.v[n]),
-        ] {
-            parallel_for_3d(
-                &space,
-                p3,
-                &FunctorAsselin3D {
-                    old: old.clone(),
-                    cur: cur.clone(),
-                    new: new.clone(),
-                },
-            );
-        }
-        // The filtered cur level needs fresh halos for the next step.
-        // Per field unless carried, whatever `batched_halo` says.
-        let uv_cur = [
-            (&self.state.u[c], FoldKind::Vector),
-            (&self.state.v[c], FoldKind::Vector),
-        ];
-        let as_res = exchange3(halo3, overlap, &uv_cur, 850, false);
-        self.timers.stop("asselin");
-        let mut pend_asselin = as_res?;
-
-        // Drain every split-phase exchange still in flight: ghosts of
-        // t[n]/s[n] and the filtered u[c]/v[c] become valid here, before
-        // the step commits. The blocking tail of each pending is counted
-        // as halo wait; the time since its begin is counted as in-flight
-        // overlap.
-        self.timers.start("halo_drain");
-        let drain_res = (|| -> Result<(), HaloError> {
-            if let Some(p) = pend_ts.take() {
-                p.finish()?;
-            }
-            if let Some(p) = pend_asselin.take() {
-                p.finish()?;
-            }
-            Ok(())
-        })();
-        self.timers.stop("halo_drain");
-        drain_res?;
-
-        // Physics guard: scan the freshly computed level for non-finite
-        // values, runaway velocities, and out-of-bound tracers before the
-        // step is committed (rotated in). Local only — agreement on
-        // success/failure is the caller's status vote.
-        if let Some(gcfg) = self.opts.guard {
-            self.timers.start("guard");
-            let report = guard::scan(
-                &space,
-                &self.state,
-                n,
-                &self.wet.ucells,
-                &self.wet.cells,
-                &gcfg,
-            );
-            let verdict = report.violation(&gcfg, self.guard_limit);
-            self.timers.stop("guard");
-            if let Some(v) = verdict {
-                // A guard trip is a local failure edge: snapshot the
-                // black box now, before the caller unwinds into the
-                // rollback vote.
-                self.flight_note(mpi_sim::flight::FlightEventKind::GuardTrip, epoch, 0, 0);
-                self.dump_flight("guard-trip");
-                return Err(StepError::Guard(v));
-            }
-        }
-
-        // Communication/allocation accounting for this step (world-level
-        // counters: exact on one rank, aggregate otherwise). In steady
-        // state `pool_allocs` must stay flat — every message buffer is a
-        // pool reuse.
-        let tr1 = self.comm.traffic();
-        self.timers.add_count(
-            "halo_msgs",
-            tr1.p2p_messages.saturating_sub(tr0.p2p_messages),
-        );
-        self.timers
-            .add_count("halo_bytes", tr1.p2p_bytes.saturating_sub(tr0.p2p_bytes));
-        self.timers.add_count(
-            "pool_allocs",
-            tr1.pool_allocations.saturating_sub(tr0.pool_allocations),
-        );
-        self.timers.add_count(
-            "pool_reuses",
-            tr1.pool_reuses.saturating_sub(tr0.pool_reuses),
-        );
-        self.timers.add_count(
-            "pooled_bytes",
-            tr1.pooled_bytes.saturating_sub(tr0.pooled_bytes),
-        );
-        let halo_wait_delta = self.halo2.halo_wait_ns().saturating_sub(hw0);
-        self.timers.add_count("halo_wait_ns", halo_wait_delta);
-        self.timers.add_count(
-            "halo_inflight_ns",
-            self.halo2.halo_inflight_ns().saturating_sub(hi0),
-        );
-
-        // Streaming telemetry: fold this step's sample into the monitor,
-        // under its own phase timer so the step stays fully attributed.
-        // Physics drift escalates (when configured) before the step is
-        // committed, mirroring the guard.
-        if let Some(mut monitor) = self.monitor.take() {
-            self.timers.start("telemetry");
-            let (surface_mean_t, surface_ke) = self.surface_scalars(n);
-            let obs = monitor.observe(StepSample {
-                step: self.step_count,
-                wall_seconds: step_t0.elapsed().as_secs_f64(),
-                halo_wait_seconds: halo_wait_delta as f64 * 1e-9,
-                p2p_messages: tr1.p2p_messages.saturating_sub(tr0.p2p_messages),
-                p2p_bytes: tr1.p2p_bytes.saturating_sub(tr0.p2p_bytes),
-                pool_allocations: tr1.pool_allocations.saturating_sub(tr0.pool_allocations),
-                wet_cells: self.grid.wet.cells3_own.indices.len() as u64,
-                surface_mean_t,
-                surface_ke,
-            });
-            self.timers.add_count("drift_perf_trips", obs.perf_trips);
-            self.timers
-                .add_count("drift_physics_trips", obs.physics_trips);
-            let escalate = monitor.config().escalate;
-            self.monitor = Some(monitor);
-            self.timers.stop("telemetry");
-            if escalate {
-                if let Some(trip) = obs.physics_trip {
-                    self.flight_note(mpi_sim::flight::FlightEventKind::Drift, epoch, 0, 0);
-                    self.dump_flight("drift");
-                    return Err(StepError::Drift(trip));
-                }
-            }
-        }
+        // The step borrows the model shared for as long as an exchange it
+        // carries is in flight; the two things it mutates ride in it and
+        // come back on `Ok` and on `Err` alike.
+        let (timers, monitor) = (std::mem::take(&mut self.timers), self.monitor.take());
+        let mut step = step::Step::begin(self, timers, monitor);
+        let res = PHASES.iter().try_for_each(|phase| step.run(phase));
+        (self.timers, self.monitor) = (step.timers, step.monitor);
+        res?;
         self.flight_note(mpi_sim::flight::FlightEventKind::StepEnd, epoch, 0, 0);
         self.step_count += 1;
         self.state.rotate();
@@ -1079,14 +592,13 @@ impl Model {
     /// TeamPolicy launch with LDM scratch.
     fn launch_vmix(
         &self,
-        space: &Space,
         fields: [&View3<f64>; 2],
         kcoef: &View3<f64>,
         mask: &View2<i32>,
         dt: f64,
         wet: &ListPolicy,
     ) {
-        let g = &self.grid;
+        let (g, space) = (&self.grid, &self.space);
         let _r = kokkos_rs::profiling::region("vmix:solve");
         if self.opts.vmix_team {
             for field in fields {

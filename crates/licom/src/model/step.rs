@@ -1,0 +1,521 @@
+//! The baroclinic step, written once: [`PHASES`] lists its sixteen phases
+//! in execution order, and [`Step::run`] is the only code that walks them.
+//!
+//! A row names the phase (its `Timers` entry and depth-0 profiling
+//! region), the body that launches its kernels, the carried exchange it
+//! posts and those that must have landed before it runs. The carried
+//! exchanges are the 3-D halo refreshes whose ghosts nothing reads before
+//! the next step: `u[n]/v[n]`, `t[n]/s[n]` and the Asselin-filtered
+//! `u[c]/v[c]` ([`Carry`]). Whether a posted exchange flies under the rows
+//! that follow or is finished where it was posted is the [`Poster`]'s
+//! decision alone: every row launches the same kernels over the same
+//! partitions and sends the same messages either way.
+
+use std::time::Instant;
+
+use halo_exchange::{FoldKind, HaloError, HaloField, Pending};
+use kokkos_rs::{parallel_for_3d, parallel_for_list, MDRangePolicy3, View3};
+use mpi_sim::flight::FlightEventKind;
+use mpi_sim::TrafficSnapshot;
+
+use super::{CanutoMode, FunctorTracerHDiff, Model, StepError};
+use crate::advect::{self, FunctorDiagnoseW};
+use crate::baroclinic::{
+    FunctorAsselin3D, FunctorBtCorrect, FunctorLeapfrog3D, FunctorMomentumTend,
+};
+use crate::barotropic::{self, FunctorDepthMean};
+use crate::canuto::{self, CanutoFields, FunctorCanutoCols};
+use crate::eos::{FunctorEos, FunctorPressure};
+use crate::forcing::{FunctorSurfaceRestore, FunctorWindStress};
+use crate::guard;
+use crate::localgrid::LocalGrid;
+use crate::state::State;
+use crate::telemetry::{StepMonitor, StepSample};
+use crate::timers::Timers;
+
+/// Where a posted exchange is finished: handed on, to fly under the
+/// kernels that follow (`carried`), or where it was posted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Poster {
+    pub carried: bool,
+}
+
+impl Poster {
+    /// `Some` is the caller's to poll and finish.
+    pub fn post<F: HaloField>(
+        self,
+        posted: Pending<'_, F>,
+    ) -> Result<Option<Pending<'_, F>>, HaloError> {
+        if self.carried {
+            Ok(Some(posted))
+        } else {
+            posted.finish().map(|()| None)
+        }
+    }
+}
+
+/// A 3-D exchange posted in one row of [`PHASES`] and landed in a later one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Carry {
+    Uv,
+    Ts,
+    Asselin,
+}
+
+impl Carry {
+    pub const fn tag_base(self) -> u64 {
+        [800, 830, 850][self as usize]
+    }
+}
+
+/// One row of [`PHASES`].
+pub struct Phase {
+    pub name: &'static str,
+    run: fn(&mut Step<'_>) -> Result<(), StepError>,
+    /// The carried exchange this row posts; posting any other panics.
+    pub posts: Option<Carry>,
+    /// Finished, under this row's timer, before its body runs.
+    pub lands: &'static [Carry],
+}
+
+/// The step. `halo_ts` lands `Uv` before it posts `Ts`: the polls under
+/// advection and diffusion cannot promise the u/v exchange is done (the
+/// fold partner posts its north strip only when it polls), and beginning
+/// the next exchange while this one may or may not have returned its
+/// buffers would leave the message pool's high-water mark to timing.
+/// `halo_drain` launches nothing: it is where `Ts` and `Asselin` land,
+/// before the guard reads the new level and the step commits.
+#[rustfmt::skip]
+pub const PHASES: [Phase; 16] = [
+    Phase { name: "eos",              run: eos,              posts: None,                 lands: &[] },
+    Phase { name: "canuto",           run: canuto,           posts: None,                 lands: &[] },
+    Phase { name: "momentum",         run: momentum,         posts: None,                 lands: &[] },
+    Phase { name: "barotropic",       run: barotropic,       posts: None,                 lands: &[] },
+    Phase { name: "update_uv",        run: update_uv,        posts: None,                 lands: &[] },
+    Phase { name: "vmix_momentum",    run: vmix_momentum,    posts: None,                 lands: &[] },
+    Phase { name: "halo_uv",          run: halo_uv,          posts: Some(Carry::Uv),      lands: &[] },
+    Phase { name: "advection_tracer", run: advection_tracer, posts: None,                 lands: &[] },
+    Phase { name: "hdiff",            run: hdiff,            posts: None,                 lands: &[] },
+    Phase { name: "vmix_tracer",      run: vmix_tracer,      posts: None,                 lands: &[] },
+    Phase { name: "forcing",          run: forcing,          posts: None,                 lands: &[] },
+    Phase { name: "halo_ts",          run: halo_ts,          posts: Some(Carry::Ts),      lands: &[Carry::Uv] },
+    Phase { name: "asselin",          run: asselin,          posts: Some(Carry::Asselin), lands: &[] },
+    Phase { name: "halo_drain",       run: |_| Ok(()),       posts: None,                 lands: &[Carry::Ts, Carry::Asselin] },
+    Phase { name: "guard",            run: guard,            posts: None,                 lands: &[] },
+    Phase { name: "telemetry",        run: telemetry,        posts: None,                 lands: &[] },
+];
+
+/// One step in progress. A carried [`Pending`] borrows the model's halo
+/// engine for as long as it flies, so the model is borrowed shared and the
+/// two things a step mutates — the timers and the telemetry monitor —
+/// travel here, to be handed back whether the step ends in `Ok` or `Err`.
+pub(super) struct Step<'m> {
+    m: &'m Model,
+    pub(super) timers: Timers,
+    pub(super) monitor: Option<StepMonitor>,
+    poster: Poster,
+    /// What the row being run may post.
+    posts: Option<Carry>,
+    /// In flight, indexed by `Carry as usize`.
+    flights: [Option<Pending<'m, View3<f64>>>; 3],
+    lev: (usize, usize, usize),
+    dt: f64,
+    /// The leapfrog interval: `dt` on the first (forward) step, else `2 dt`.
+    dt2: f64,
+    /// Readings at step entry, for telemetry's per-step deltas. halo2 and
+    /// halo3 share one wait and one in-flight counter (halo3 wraps a clone).
+    t0: Instant,
+    traffic0: TrafficSnapshot,
+    wait0: u64,
+    inflight0: u64,
+}
+
+impl<'m> Step<'m> {
+    pub(super) fn begin(m: &'m Model, timers: Timers, monitor: Option<StepMonitor>) -> Self {
+        let (dt, carried) = (m.cfg.dt_baroclinic, m.opts.overlap);
+        Self {
+            m,
+            timers,
+            monitor,
+            poster: Poster { carried },
+            posts: None,
+            flights: [None, None, None],
+            lev: (m.state.old(), m.state.cur(), m.state.new_lev()),
+            dt,
+            dt2: if m.step_count == 0 { dt } else { 2.0 * dt },
+            t0: Instant::now(),
+            traffic0: m.comm.traffic(),
+            wait0: m.halo2.halo_wait_ns(),
+            inflight0: m.halo2.halo_inflight_ns(),
+        }
+    }
+
+    /// Run one row: the only place a phase timer starts and stops. The
+    /// blocking tail of what the row lands counts as its time.
+    pub(super) fn run(&mut self, phase: &Phase) -> Result<(), StepError> {
+        self.timers.start(phase.name);
+        self.posts = phase.posts;
+        let landed = phase.lands.iter().try_for_each(|&c| self.land(c));
+        let res = landed.and_then(|()| (phase.run)(self));
+        self.timers.stop(phase.name);
+        res
+    }
+
+    /// The model, its state and grid, the leapfrog levels `(old, cur, new)`.
+    fn parts(&self) -> (&'m Model, &'m State, &'m LocalGrid, (usize, usize, usize)) {
+        (self.m, &self.m.state, &self.m.grid, self.lev)
+    }
+
+    fn post(
+        &mut self,
+        carry: Carry,
+        fields: [(&View3<f64>, FoldKind); 2],
+    ) -> Result<(), StepError> {
+        assert_eq!(self.posts, Some(carry), "not this row's exchange to post");
+        let halo3 = &self.m.halo3;
+        let posted = halo3.begin_exchange_many(&fields, carry.tag_base())?;
+        self.flights[carry as usize] = self.poster.post(posted)?;
+        Ok(())
+    }
+
+    /// Drive `carry` without waiting, if it is in flight.
+    fn poll(&mut self, carry: Carry) -> Result<(), StepError> {
+        if let Some(p) = self.flights[carry as usize].as_mut() {
+            p.poll()?;
+        }
+        Ok(())
+    }
+
+    fn land(&mut self, carry: Carry) -> Result<(), StepError> {
+        let pending = self.flights[carry as usize].take();
+        Ok(pending.map_or(Ok(()), Pending::finish)?)
+    }
+}
+
+/// Density and baroclinic pressure over the wet cells / columns of the
+/// full padded block (T/S halos are valid, so pressure halos come out
+/// valid too — the momentum stencil reads them at the block edge). Land
+/// keeps its initial zeros.
+fn eos(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, st, g, (_, c, _)) = s.parts();
+    let f_eos = FunctorEos {
+        t: st.t[c].clone(),
+        s: st.s[c].clone(),
+        rho: st.rho.clone(),
+    };
+    let f_p = FunctorPressure {
+        rho: st.rho.clone(),
+        eta: m.zero2.clone(),
+        pressure: st.pressure.clone(),
+        dz: g.dz.clone(),
+        kmt: g.kmt.clone(),
+        nz: g.nz,
+    };
+    crate::eos::compute_density_pressure(&m.space, &m.wet.cells_pad, &m.wet.cols_pad, &f_eos, &f_p);
+    Ok(())
+}
+
+fn canuto(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, st, g, (_, c, _)) = s.parts();
+    let cf = CanutoFields {
+        rho: st.rho.clone(),
+        u: st.u[c].clone(),
+        v: st.v[c].clone(),
+        km: st.km.clone(),
+        kh: st.kh.clone(),
+        kmt: g.kmt.clone(),
+        z_t: g.z_t.clone(),
+        nz: g.nz,
+    };
+    match m.opts.canuto_mode {
+        // Generic packed-list launch: the policy carries per-column wet
+        // depth, so tiles are distributed by cumulative cost.
+        CanutoMode::List => {
+            parallel_for_list(
+                &m.space,
+                &m.wet.cols,
+                &FunctorCanutoCols { f: cf, pi: g.pi },
+            );
+        }
+        CanutoMode::CrossRank => {
+            canuto::balanced_cross_rank(&m.comm, &cf, &g.wet.cols_own.indices, g.pi);
+        }
+    }
+    Ok(())
+}
+
+/// Momentum tendency + wind stress.
+fn momentum(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, st, g, (o, c, _)) = s.parts();
+    let f_tend = FunctorMomentumTend {
+        u_cur: st.u[c].clone(),
+        v_cur: st.v[c].clone(),
+        u_old: st.u[o].clone(),
+        v_old: st.v[o].clone(),
+        pressure: st.pressure.clone(),
+        ut: st.ut.clone(),
+        vt: st.vt.clone(),
+        kmu: g.kmu.clone(),
+        fcor: g.fcor.clone(),
+        dxt: g.dxt.clone(),
+        dyt: g.dyt,
+        dz: g.dz.clone(),
+        visc: m.visc,
+    };
+    let f_wind = FunctorWindStress {
+        ut: st.ut.clone(),
+        vt: st.vt.clone(),
+        lat: g.lat.clone(),
+        kmu: g.kmu.clone(),
+        dz0: g.dz.at(0),
+    };
+    for wet in [&m.wet.ucells_interior, &m.wet.ucells_rim] {
+        parallel_for_list(&m.space, wet, &f_tend);
+    }
+    parallel_for_list(&m.space, &m.wet.ucols, &f_wind);
+    Ok(())
+}
+
+/// The barotropic window.
+fn barotropic(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, st, g, _) = s.parts();
+    let f_dm = FunctorDepthMean {
+        tend: [st.ut.clone(), st.vt.clone()],
+        out: [m.gu.clone(), m.gv.clone()],
+        kmu: g.kmu.clone(),
+        dz: g.dz.clone(),
+    };
+    parallel_for_list(&m.space, &m.wet.ucols, &f_dm);
+    let dtb = m.cfg.dt_barotropic;
+    barotropic::integrate(
+        &m.space,
+        g,
+        st,
+        &m.halo2,
+        &m.gu,
+        &m.gv,
+        dtb,
+        ((s.dt2 / dtb).round() as usize).max(1),
+        &m.filter_rows,
+        m.filter_passes,
+        s.poster,
+    )?;
+    Ok(())
+}
+
+/// Leapfrog momentum update.
+fn update_uv(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, st, g, (o, _, n)) = s.parts();
+    for (old, new, tend) in [(&st.u[o], &st.u[n], &st.ut), (&st.v[o], &st.v[n], &st.vt)] {
+        parallel_for_3d(
+            &m.space,
+            MDRangePolicy3::new([g.nz, g.ny, g.nx]),
+            &FunctorLeapfrog3D {
+                old: old.clone(),
+                new: new.clone(),
+                tend: tend.clone(),
+                mask: g.kmu.clone(),
+                dt2: s.dt2,
+            },
+        );
+    }
+    Ok(())
+}
+
+/// Implicit vertical friction + barotropic mode fix.
+fn vmix_momentum(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, st, g, (_, _, n)) = s.parts();
+    m.launch_vmix([&st.u[n], &st.v[n]], &st.km, &g.kmu, s.dt2, &m.wet.ucols);
+    let f_btc = FunctorBtCorrect {
+        u: st.u[n].clone(),
+        v: st.v[n].clone(),
+        ubt: st.ubt.clone(),
+        vbt: st.vbt.clone(),
+        kmu: g.kmu.clone(),
+        dz: g.dz.clone(),
+    };
+    parallel_for_list(&m.space, &m.wet.ucols, &f_btc);
+    Ok(())
+}
+
+/// Velocity halo update, with the continuity diagnosis of `w` under it.
+fn halo_uv(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, st, g, (_, c, n)) = s.parts();
+    let f_w = FunctorDiagnoseW {
+        u: st.u[c].clone(),
+        v: st.v[c].clone(),
+        w: st.w.clone(),
+        kmt: g.kmt.clone(),
+        dxt: g.dxt.clone(),
+        dyt: g.dyt,
+        dz: g.dz.clone(),
+        nz: g.nz,
+    };
+    s.post(
+        Carry::Uv,
+        [(&st.u[n], FoldKind::Vector), (&st.v[n], FoldKind::Vector)],
+    )?;
+    let _c = kokkos_rs::profiling::region("halo:overlap-compute");
+    parallel_for_list(&m.space, &m.wet.cols, &f_w);
+    Ok(())
+}
+
+/// Two-step shape-preserving advection of both tracers.
+fn advection_tracer(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, st, g, (_, c, n)) = s.parts();
+    let [tmp_t, tmp_s] = &st.work.adv_tmp;
+    advect::advect_tracer(
+        &m.space,
+        g,
+        [&st.t[c], &st.s[c]],
+        [&st.t[n], &st.s[n]],
+        [tmp_t, tmp_s],
+        &st.u[c],
+        &st.v[c],
+        &st.w,
+        s.dt,
+        m.opts.limiter,
+        &m.wet.cols,
+        &m.halo3,
+        s.poster,
+    )?;
+    s.poll(Carry::Uv)
+}
+
+fn hdiff(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, st, g, (_, c, n)) = s.parts();
+    let f_hd = FunctorTracerHDiff {
+        q_cur: [st.t[c].clone(), st.s[c].clone()],
+        q_new: [st.t[n].clone(), st.s[n].clone()],
+        kmt: g.kmt.clone(),
+        dxt: g.dxt.clone(),
+        dyt: g.dyt,
+        kappa: m.kappa,
+        dt: s.dt,
+    };
+    parallel_for_list(&m.space, &m.wet.cells_interior, &f_hd);
+    s.poll(Carry::Uv)?;
+    parallel_for_list(&m.space, &m.wet.cells_rim, &f_hd);
+    Ok(())
+}
+
+fn vmix_tracer(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, st, g, (_, _, n)) = s.parts();
+    m.launch_vmix([&st.t[n], &st.s[n]], &st.kh, &g.kmt, s.dt, &m.wet.cols);
+    Ok(())
+}
+
+/// Surface restoring.
+fn forcing(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, st, g, (_, _, n)) = s.parts();
+    let f_restore = FunctorSurfaceRestore {
+        t_new: st.t[n].clone(),
+        s_new: st.s[n].clone(),
+        lat: g.lat.clone(),
+        kmt: g.kmt.clone(),
+        dt: s.dt,
+    };
+    parallel_for_list(&m.space, &m.wet.cols, &f_restore);
+    Ok(())
+}
+
+fn halo_ts(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (_, st, _, (_, _, n)) = s.parts();
+    s.post(
+        Carry::Ts,
+        [(&st.t[n], FoldKind::Scalar), (&st.s[n], FoldKind::Scalar)],
+    )
+}
+
+/// Asselin filter on the leapfrogged velocities; the filtered cur level
+/// needs fresh halos for the next step.
+fn asselin(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, st, g, (o, c, n)) = s.parts();
+    for (old, cur, new) in [
+        (&st.u[o], &st.u[c], &st.u[n]),
+        (&st.v[o], &st.v[c], &st.v[n]),
+    ] {
+        parallel_for_3d(
+            &m.space,
+            MDRangePolicy3::new([g.nz, g.ny, g.nx]),
+            &FunctorAsselin3D {
+                old: old.clone(),
+                cur: cur.clone(),
+                new: new.clone(),
+            },
+        );
+    }
+    s.post(
+        Carry::Asselin,
+        [(&st.u[c], FoldKind::Vector), (&st.v[c], FoldKind::Vector)],
+    )
+}
+
+/// Physics guard: scan the freshly computed level for non-finite values,
+/// runaway velocities, and out-of-bound tracers before the step is
+/// committed (rotated in). Local only — agreement on success/failure is
+/// the caller's status vote.
+fn guard(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, st, _, (_, _, n)) = s.parts();
+    let Some(gcfg) = m.opts.guard else {
+        return Ok(());
+    };
+    let report = guard::scan(&m.space, st, n, &m.wet.ucells, &m.wet.cells, &gcfg);
+    match report.violation(&gcfg, m.guard_limit) {
+        None => Ok(()),
+        Some(v) => {
+            // A guard trip is a local failure edge: snapshot the black
+            // box now, before the caller unwinds into the rollback vote.
+            m.flight_note(FlightEventKind::GuardTrip, m.step_count, 0, 0);
+            m.dump_flight("guard-trip");
+            Err(StepError::Guard(v))
+        }
+    }
+}
+
+/// Communication/allocation accounting for this step (world-level
+/// counters: exact on one rank, aggregate otherwise; in steady state
+/// `pool_allocs` must stay flat — every message buffer is a pool reuse),
+/// then the streaming monitor's sample. Physics drift escalates (when
+/// configured) before the step is committed, mirroring the guard.
+fn telemetry(s: &mut Step<'_>) -> Result<(), StepError> {
+    let (m, sent) = (s.m, s.m.comm.traffic().delta(&s.traffic0));
+    let halo_wait = m.halo2.halo_wait_ns().saturating_sub(s.wait0);
+    let halo_inflight = m.halo2.halo_inflight_ns().saturating_sub(s.inflight0);
+    for (name, delta) in [
+        ("halo_msgs", sent.p2p_messages),
+        ("halo_bytes", sent.p2p_bytes),
+        ("pool_allocs", sent.pool_allocations),
+        ("pool_reuses", sent.pool_reuses),
+        ("pooled_bytes", sent.pooled_bytes),
+        ("halo_wait_ns", halo_wait),
+        ("halo_inflight_ns", halo_inflight),
+    ] {
+        s.timers.add_count(name, delta);
+    }
+    let Some(monitor) = s.monitor.as_mut() else {
+        return Ok(());
+    };
+    let (surface_mean_t, surface_ke) = m.surface_scalars(s.lev.2);
+    let obs = monitor.observe(StepSample {
+        step: m.step_count,
+        wall_seconds: s.t0.elapsed().as_secs_f64(),
+        halo_wait_seconds: halo_wait as f64 * 1e-9,
+        p2p_messages: sent.p2p_messages,
+        p2p_bytes: sent.p2p_bytes,
+        pool_allocations: sent.pool_allocations,
+        wet_cells: m.grid.wet.cells3_own.indices.len() as u64,
+        surface_mean_t,
+        surface_ke,
+    });
+    s.timers.add_count("drift_perf_trips", obs.perf_trips);
+    s.timers.add_count("drift_physics_trips", obs.physics_trips);
+    match obs.physics_trip {
+        Some(trip) if monitor.config().escalate => {
+            m.flight_note(FlightEventKind::Drift, m.step_count, 0, 0);
+            m.dump_flight("drift");
+            Err(StepError::Drift(trip))
+        }
+        _ => Ok(()),
+    }
+}

@@ -142,10 +142,8 @@ fn revolve(limited: bool) -> (Vec<f64>, f64, f64, Vec<f64>) {
                 dt,
                 limited,
                 &wet_cols,
-                licom::advect::TmpExchange::Blocking(&|t| {
-                    s.halo.exchange_many(&t.map(|t| (t, FoldKind::Scalar)), 10);
-                    Ok(())
-                }),
+                &s.halo,
+                licom::Poster { carried: true },
             )
             .unwrap();
             q.copy_from_slice(out0.as_slice());

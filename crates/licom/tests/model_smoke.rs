@@ -127,45 +127,105 @@ fn canuto_modes_agree() {
     assert_eq!(list, cross, "List vs CrossRank canuto diverged");
 }
 
+/// One 2-rank step under a recording tool: depth 0 is exactly `PHASES`, in
+/// order, once each, and every carried exchange is on the wire first in the
+/// row that posts it and last no later than the row that lands it.
 #[test]
-fn halo_strategies_agree() {
-    let cfg = small_config();
-    let checksum = |strategy| {
-        World::run(1, |comm| {
-            let mut opts = ModelOptions::default();
-            opts.halo_strategy = strategy;
-            let mut m = Model::new(comm, cfg.clone(), kokkos_rs::Space::serial(), opts);
-            m.run_steps(2);
-            m.checksum()
-        })
-        .pop()
-        .unwrap()
-    };
-    assert_eq!(
-        checksum(halo_exchange::Strategy3D::HorizontalMajor),
-        checksum(halo_exchange::Strategy3D::Transpose)
-    );
-}
+fn the_step_is_its_table() {
+    use halo_exchange::HaloField;
+    use kokkos_rs::profiling as hooks;
+    use licom::{Carry, PHASES};
+    use mpi_sim::{CommEvent, CommEventKind};
+    use std::sync::{Arc, Mutex};
+    use std::thread::{self, ThreadId};
 
-#[test]
-fn overlap_and_batching_do_not_change_results() {
-    let cfg = small_config();
-    let checksum = |overlap: bool, batched: bool| {
-        World::run(3, |comm| {
-            let mut opts = ModelOptions::default();
-            opts.overlap = overlap;
-            opts.batched_halo = batched;
-            let mut m = Model::new(comm, cfg.clone(), kokkos_rs::Space::serial(), opts);
-            m.run_steps(2);
-            m.checksum()
-        })
-        .pop()
-        .unwrap()
-    };
-    let base = checksum(false, false);
-    assert_eq!(base, checksum(true, false));
-    assert_eq!(base, checksum(false, true));
-    assert_eq!(base, checksum(true, true));
+    /// A region pushed (`Some`) or popped, or a strip's tag sent or received.
+    enum Ev {
+        Region(Option<&'static str>),
+        Wire(u64),
+    }
+    #[derive(Default)]
+    struct Rec(Mutex<Vec<(ThreadId, Ev)>>);
+    impl Rec {
+        fn log(&self, ev: Ev) -> usize {
+            let mut log = self.0.lock().unwrap();
+            log.push((thread::current().id(), ev));
+            log.len()
+        }
+    }
+    impl hooks::ProfilingHooks for Rec {
+        fn push_region(&self, name: &'static str) {
+            self.log(Ev::Region(Some(name)));
+        }
+        fn pop_region(&self, _: &'static str) {
+            self.log(Ev::Region(None));
+        }
+    }
+    impl mpi_sim::CommTap for Rec {
+        fn on_event(&self, ev: &CommEvent) {
+            if matches!(ev.kind, CommEventKind::Send | CommEventKind::Recv) {
+                self.log(Ev::Wire(ev.tag));
+            }
+        }
+    }
+
+    let _serial = hooks::test_registry_lock();
+    let rec = Arc::new(Rec::default());
+    // Instance hooks see this test's rank threads only; the tap is
+    // process-wide, so its events are sorted out by thread below.
+    let key = hooks::next_instance_key();
+    hooks::register_instance_hooks(key, rec.clone());
+    mpi_sim::set_tap(rec.clone());
+    let cfg = Resolution::Eddy10km.config().scaled_down(60, 6);
+    let spans = World::run(2, |comm| {
+        let space = kokkos_rs::Space::serial();
+        let mut m = Model::new(comm, cfg.clone(), space, ModelOptions::default());
+        m.run_steps(1);
+        let _scope = hooks::enter_instance(key);
+        let from = rec.log(Ev::Region(None));
+        m.step();
+        (thread::current().id(), from..rec.log(Ev::Region(None)) - 1)
+    });
+    mpi_sim::clear_tap();
+    hooks::unregister_instance_hooks(key);
+
+    let log = rec.0.lock().unwrap();
+    let carries = [Carry::Uv, Carry::Ts, Carry::Asselin];
+    for (rank, (tid, span)) in spans.into_iter().enumerate() {
+        let (mut depth, mut rows) = (0, Vec::new());
+        // Per carry: the rows of its first and its last strip on the wire.
+        let mut wire = [None::<(usize, usize)>; 3];
+        for (_, ev) in log[span].iter().filter(|(t, _)| *t == tid) {
+            match *ev {
+                Ev::Region(Some(name)) => {
+                    rows.extend((depth == 0).then_some(name));
+                    depth += 1;
+                }
+                Ev::Region(None) => depth -= 1,
+                Ev::Wire(tag) => {
+                    assert!(depth > 0, "rank {rank}: tag {tag} outside every phase");
+                    // Five direction tags above the 3-D field offset.
+                    let dir =
+                        |c: &Carry| tag.wrapping_sub(c.tag_base() + kokkos_rs::View3::<f64>::TAG);
+                    if let Some(c) = carries.iter().find(|c| dir(c) < 5) {
+                        let row = rows.len() - 1;
+                        wire[*c as usize] = Some((wire[*c as usize].map_or(row, |w| w.0), row));
+                    }
+                }
+            }
+        }
+        assert_eq!(rows, PHASES.each_ref().map(|p| p.name), "rank {rank}");
+        for carry in carries {
+            let (first, last) = wire[carry as usize].expect("never on the wire");
+            let posts = PHASES.iter().position(|p| p.posts == Some(carry));
+            let lands = PHASES.iter().position(|p| p.lands.contains(&carry));
+            assert_eq!(Some(first), posts, "rank {rank}: {carry:?} begun elsewhere");
+            assert!(
+                Some(last) <= lands,
+                "rank {rank}: {carry:?} lands in row {last}"
+            );
+        }
+    }
 }
 
 #[test]

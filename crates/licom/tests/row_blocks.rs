@@ -25,7 +25,7 @@ use kokkos_rs::{
     parallel_for_2d, parallel_for_3d, parallel_for_list, Functor2D, Functor3D, FunctorList,
     FunctorPair2D, ListPolicy, MDRangePolicy2, MDRangePolicy3, Space, View, View1, View2, View3,
 };
-use licom::advect::{advect_tracer, AdvectFields, FunctorAdvectX, FunctorAdvectY, TmpExchange};
+use licom::advect::{advect_tracer, AdvectFields, FunctorAdvectX, FunctorAdvectY, FunctorAdvectZ};
 use licom::baroclinic::{FunctorAsselin3D, FunctorLeapfrog3D, FunctorMomentumTend};
 use licom::barotropic::{
     FunctorAccum2D, FunctorAsselin2D, FunctorBtEta, FunctorBtVel, FunctorCopy2D,
@@ -835,10 +835,11 @@ fn a_zero_pressure_gradient_keeps_its_sign() {
     assert_eq!(ut.at(0, 1 + H, 2 + H).to_bits(), 0.0f64.to_bits());
 }
 
-/// `advect_tracer` under both refresh schedules on one rank: the split
-/// y pass (interior rows under the exchange, rims after) and the dense
-/// fallback for blocks too short to carve an interior must leave the bits
-/// of the blocking schedule.
+/// `advect_tracer` on one rank, with the refresh carried and finished at
+/// its post, for blocks that carve an interior and blocks too short to:
+/// the split y pass must leave the bits of the pass composed here from the
+/// public functors — x pass, finished exchange, **one** dense y launch,
+/// z pass.
 #[test]
 fn overlap_schedule_equals_blocking_for_every_block_height() {
     licom::register_all_kernels();
@@ -854,37 +855,73 @@ fn overlap_schedule_equals_blocking_for_every_block_height() {
             let (u, v) = (case.field3(1, nz, -1.5, 1.5), case.field3(2, nz, -1.5, 1.5));
             let w = case.field3(3, nz + 1, -2.0e-3, 2.0e-3);
             let q = [case.tracer(4), case.tracer(5)];
-            let run = |overlap: bool| {
+            let (space, wet_cols) = (
+                Space::serial(),
+                ListPolicy::new(g.wet.cols_own.indices.clone()),
+            );
+            let (dt, limited) = (600.0, true);
+            let run = |poster: Option<licom::Poster>| {
                 let [out0, out1, tmp0, tmp1] = [(); 4].map(|()| case.field3(6, nz, -9.0, -8.0));
-                halo.begin_step(u64::from(overlap));
-                let blocking = |tmp: [&View3<f64>; 2]| {
-                    halo.try_exchange_many(&tmp.map(|t| (t, FoldKind::Scalar)), 820)
-                };
-                advect_tracer(
-                    &Space::serial(),
-                    &g,
-                    [&q[0], &q[1]],
-                    [&out0, &out1],
-                    [&tmp0, &tmp1],
-                    &u,
-                    &v,
-                    &w,
-                    600.0,
-                    true,
-                    &ListPolicy::new(g.wet.cols_own.indices.clone()),
-                    if overlap {
-                        TmpExchange::Overlap {
-                            halo: &halo,
-                            tag_base: 820,
-                        }
-                    } else {
-                        TmpExchange::Blocking(&blocking)
-                    },
-                )
-                .unwrap();
+                let (out, tmp) = ([&out0, &out1], [&tmp0, &tmp1]);
+                halo.begin_step(poster.map_or(0, |p| 1 + u64::from(p.carried)));
+                match poster {
+                    Some(poster) => advect_tracer(
+                        &space,
+                        &g,
+                        [&q[0], &q[1]],
+                        out,
+                        tmp,
+                        &u,
+                        &v,
+                        &w,
+                        dt,
+                        limited,
+                        &wet_cols,
+                        &halo,
+                        poster,
+                    )
+                    .unwrap(),
+                    None => {
+                        let pass = |q: [&View3<f64>; 2], q1: [&View3<f64>; 2], vel: &View3<f64>| {
+                            AdvectFields {
+                                q: q.map(View3::clone),
+                                q1: q1.map(View3::clone),
+                                vel: vel.clone(),
+                                kmt: g.kmt.clone(),
+                                dxt: g.dxt.clone(),
+                                dyt: g.dyt,
+                                dt,
+                                limited,
+                            }
+                        };
+                        let cells = MDRangePolicy3::new([nz, ny, nx]);
+                        parallel_for_3d(
+                            &space,
+                            cells,
+                            &FunctorAdvectX(pass([&q[0], &q[1]], tmp, &u)),
+                        );
+                        halo.exchange_many(&tmp.map(|t| (t, FoldKind::Scalar)), 820);
+                        parallel_for_3d(&space, cells, &FunctorAdvectY(pass(tmp, out, &v)));
+                        let az = FunctorAdvectZ {
+                            q: out.map(View3::clone),
+                            q1: out.map(View3::clone),
+                            w: w.clone(),
+                            kmt: g.kmt.clone(),
+                            dz: g.dz.clone(),
+                            dt,
+                            nz,
+                            limited,
+                        };
+                        parallel_for_list(&space, &wet_cols, &az);
+                    }
+                }
                 bits(&[Out::from(&out0), Out::from(&out1)])
             };
-            assert!(run(false) == run(true), "ny = {ny}");
+            let dense = run(None);
+            for carried in [true, false] {
+                let split = run(Some(licom::Poster { carried }));
+                assert!(dense == split, "ny = {ny}, carried = {carried}");
+            }
         });
     }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# One iteration shape per masked kernel.
+# One iteration shape per masked kernel, one schedule per step.
 #
 # The packed wet list is how the model iterates: a masked kernel is one
 # struct that implements `FunctorList`, and the option, the twin functor and
@@ -12,6 +12,15 @@
 #   2. a type in crates/licom/src carries both a `FunctorList` impl and a
 #      `Functor2D` / `Functor3D` impl.
 #
+# The step is written once (`licom::PHASES`) and `ModelOptions::overlap`
+# only says where a posted exchange is finished. This script also fails if
+# the fork grows back:
+#
+#   3. `overlap` is read more than once in crates/licom/src (the poster);
+#   4. a phase timer starts or stops outside the runner: more than four
+#      `timers.start(` / `timers.stop(` call sites under
+#      crates/licom/src/model* (the runner's pair and `daily_loop`'s).
+#
 #   scripts/check_one_shape.sh      (from the repository root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -19,7 +28,7 @@ cd "$(dirname "$0")/.."
 failed=0
 
 # Whole identifiers: `kernel_canuto_cols` registers the surviving list functor.
-gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols)\b'
+gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph)\b'
 if hits=$(git grep -nE "$gone" -- crates src tests examples ':!crates/perf-model'); then
     echo "check_one_shape: deleted names are back:"
     echo "$hits"
@@ -35,6 +44,26 @@ twins=$(comm -12 \
 if [ -n "$twins" ]; then
     echo "check_one_shape: both a list and a dense launch shape:"
     echo "$twins"
+    failed=1
+fi
+
+# Code lines naming `overlap`, string literals (region names) and comments
+# aside, less the option's declaration and its default.
+reads=$(grep -rnE '\boverlap\b' crates/licom/src --include='*.rs' |
+    sed -E 's/"[^"]*"//g' |
+    grep -vE '^[^:]+:[0-9]+:\s*//' |
+    grep -E '\boverlap\b' |
+    grep -vE 'pub overlap: bool,|overlap: true,' || true)
+if [ "$(grep -c . <<<"$reads")" -gt 1 ]; then
+    echo "check_one_shape: \`overlap\` is read in more than one place:"
+    echo "$reads"
+    failed=1
+fi
+
+sites=$(grep -nE 'timers\.(start|stop)\(' crates/licom/src/model.rs crates/licom/src/model/*.rs || true)
+if [ "$(grep -c . <<<"$sites")" -gt 4 ]; then
+    echo "check_one_shape: a phase timer outside the runner:"
+    echo "$sites"
     failed=1
 fi
 

@@ -114,11 +114,8 @@ fn advection_conserves_and_preserves_bounds_in_closed_basin() {
                 cfg.dt_tracer,
                 true,
                 &wet_cols,
-                licomkpp::model::advect::TmpExchange::Blocking(&|tmp| {
-                    m.halo3()
-                        .exchange_many(&tmp.map(|t| (t, FoldKind::Scalar)), 910);
-                    Ok(())
-                }),
+                m.halo3(),
+                licomkpp::model::Poster { carried: true },
             )
             .unwrap();
             // Copy back.

@@ -7,41 +7,42 @@
 
 use licomkpp::grid::Resolution;
 use licomkpp::kokkos::Space;
-use licomkpp::model::{Model, ModelOptions};
-use licomkpp::mpi::World;
+use licomkpp::model::checkpoint::CheckpointManager;
+use licomkpp::model::{Model, ModelOptions, RecoveryPolicy, PHASES};
+use licomkpp::mpi::{FaultKind, FaultPlan, FaultRule, MatchSpec, RetryPolicy, World};
 use licomkpp::perf::workload::{HALO2D_PER_SUBSTEP, HALO3D_PER_STEP};
 use licomkpp::perf::ProblemSpec;
 
+/// 45x27x6: nx divisible by 3 ranks.
+fn cfg() -> licomkpp::grid::ModelConfig {
+    Resolution::Coarse100km.config().scaled_down(8, 6)
+}
+
+/// World messages, world bytes and rank 0's checksum after `steps` steps of
+/// 3 Serial ranks.
+fn run(overlap: bool, steps: usize) -> (u64, u64, u64) {
+    let (sums, t) = World::run_traced(3, move |comm| {
+        let mut opts = ModelOptions::default();
+        opts.overlap = overlap;
+        let mut m = Model::new(comm, cfg(), Space::serial(), opts);
+        m.run_steps(steps);
+        m.checksum()
+    });
+    (t.p2p_messages, t.p2p_bytes, sums[0])
+}
+
+/// Per-step traffic of the whole world over steps 2-5 (init exchanges and
+/// the first step subtracted), and the checksum after step 5.
+fn per_step(overlap: bool) -> (u64, u64, u64) {
+    let ((m1, b1, _), (m5, b5, sum)) = (run(overlap, 1), run(overlap, 5));
+    ((m5 - m1) / 4, (b5 - b1) / 4, sum)
+}
+
 #[test]
 fn measured_halo_traffic_matches_workload_census() {
-    // 3 ranks on the 45x27x6 config (nx divisible by 3).
-    let cfg = Resolution::Coarse100km.config().scaled_down(8, 6);
-    let ranks = 3usize;
-    let steps = 4usize;
-
-    let (_, t_warm) = World::run_traced(ranks, {
-        let cfg = cfg.clone();
-        move |comm| {
-            let mut opts = ModelOptions::default();
-            opts.overlap = false;
-            opts.batched_halo = false;
-            let mut m = Model::new(comm, cfg.clone(), Space::serial(), opts);
-            m.run_steps(1); // includes init exchanges
-        }
-    });
-    let (_, t_full) = World::run_traced(ranks, {
-        let cfg = cfg.clone();
-        move |comm| {
-            let mut opts = ModelOptions::default();
-            opts.overlap = false;
-            opts.batched_halo = false;
-            let mut m = Model::new(comm, cfg.clone(), Space::serial(), opts);
-            m.run_steps(1 + steps);
-        }
-    });
-    // Per-step traffic of the whole world (init + first step subtracted).
-    let bytes_per_step = (t_full.p2p_bytes - t_warm.p2p_bytes) as f64 / steps as f64;
-    let msgs_per_step = (t_full.p2p_messages - t_warm.p2p_messages) as f64 / steps as f64;
+    let (cfg, ranks) = (cfg(), 3usize);
+    let (msgs_per_step, bytes_per_step, _) = per_step(true);
+    let (msgs_per_step, bytes_per_step) = (msgs_per_step as f64, bytes_per_step as f64);
 
     // Analytic census for the same decomposition (workload counts one
     // rank; multiply by ranks; canuto cross-rank shipping excluded since
@@ -57,10 +58,13 @@ fn measured_halo_traffic_matches_workload_census() {
         (0.4..2.5).contains(&ratio),
         "measured {bytes_per_step:.0} B/step vs analytic {analytic_bytes:.0} B/step (ratio {ratio:.2})"
     );
-    // Message count: 4 directions per exchange... minus the closed south
-    // and intra-rank copies; just require the right order of magnitude.
-    let analytic_msgs =
-        ranks as f64 * 4.0 * (HALO3D_PER_STEP + spec.substeps as f64 * HALO2D_PER_SUBSTEP);
+    // Message count: 4 directions per *exchange* (a batch of fields is one
+    // message a direction), read off the step's table — the rows that post
+    // a carried exchange, the advection refresh, one per substep — minus
+    // the closed south and intra-rank copies; just require the right order
+    // of magnitude.
+    let exchanges = PHASES.iter().filter(|p| p.posts.is_some()).count() + 1 + spec.substeps;
+    let analytic_msgs = (ranks * 4 * exchanges) as f64;
     let mratio = msgs_per_step / analytic_msgs;
     assert!(
         (0.3..2.0).contains(&mratio),
@@ -68,25 +72,44 @@ fn measured_halo_traffic_matches_workload_census() {
     );
 }
 
+/// `overlap` moves the waits and nothing else: per step, the same
+/// messages, bytes and bits whether a posted exchange is carried or
+/// finished at its post. And a phase that fails leaves no timer running:
+/// after a seeded unrecoverable drop the aborted step is rolled back and
+/// stepped again, through `Timers::start`'s "started twice" assert.
 #[test]
-fn batching_reduces_tracer_messages_but_not_bytes() {
-    let cfg = Resolution::Coarse100km.config().scaled_down(8, 6);
-    let run = |batched: bool| {
-        let cfg = cfg.clone();
-        let (_, t) = World::run_traced(3, move |comm| {
+fn both_settings_send_the_same_traffic() {
+    let carried = per_step(true);
+    assert_eq!(per_step(false), carried);
+    assert_eq!((carried.0, carried.1), (224, 391_168));
+
+    let plan = FaultPlan::new(21).rule(
+        FaultRule::new(
+            FaultKind::Drop { recoverable: false },
+            MatchSpec::any().src(0).tags(800, 870).epochs(2, 3),
+        )
+        .max_hits(1),
+    );
+    let dir = std::env::temp_dir().join("licom_one_schedule_drop");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (rollbacks, _) = World::run_faulted(3, plan, {
+        let dir = dir.clone();
+        move |comm| {
             let mut opts = ModelOptions::default();
-            opts.overlap = false;
-            opts.batched_halo = batched;
-            // This test censuses *payload* volume; integrity framing adds
-            // a fixed header per message, which batching would reduce.
-            opts.integrity = false;
-            let mut m = Model::new(comm, cfg.clone(), Space::serial(), opts);
-            m.run_steps(3);
-        });
-        (t.p2p_messages, t.p2p_bytes)
-    };
-    let (m0, b0) = run(false);
-    let (m1, b1) = run(true);
-    assert!(m1 < m0, "batching must cut messages: {m1} vs {m0}");
-    assert_eq!(b1, b0, "batching must not change payload bytes");
+            opts.retry = RetryPolicy::test_small();
+            let mut m = Model::new(comm, cfg(), Space::serial(), opts);
+            m.run_steps_resilient(
+                4,
+                &mut CheckpointManager::new(&dir, 2),
+                &RecoveryPolicy::default(),
+            )
+            .expect("the dropped step is replayed")
+            .rollbacks
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        rollbacks.iter().all(|&r| r >= 1),
+        "no step failed: {rollbacks:?}"
+    );
 }
