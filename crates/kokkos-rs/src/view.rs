@@ -299,21 +299,29 @@ impl<T: Copy, const R: usize> View<T, R> {
         unsafe { self.lanes_ptr::<W>(idx).write_unaligned(v) }
     }
 
-    /// Fill every element with `v` (single-threaded).
+    /// Fill every element with `v` (single-threaded, one `slice::fill`).
+    /// Root views only, and — as for [`View::as_slice`] — no kernel may be
+    /// touching the view meanwhile.
     pub fn fill(&self, v: T) {
-        let p = self.ptr();
-        for i in 0..self.len() {
-            unsafe { *p.add(i) = v }
-        }
+        assert!(self.is_root_view(), "fill on subview '{}'", self.label);
+        // SAFETY: a root view's `len()` elements are its whole allocation,
+        // contiguous from `ptr()`; the caller holds off concurrent access.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr(), self.len()) }.fill(v)
     }
 
-    /// Overwrite the allocation from a storage-order slice.
+    /// Overwrite the allocation from a storage-order slice (one `memmove`,
+    /// so `src` may be another handle's slice of this same storage).
+    /// Root views only.
     pub fn copy_from_slice(&self, src: &[T]) {
         assert_eq!(src.len(), self.len(), "copy_from_slice length mismatch");
-        let p = self.ptr();
-        for (i, &v) in src.iter().enumerate() {
-            unsafe { *p.add(i) = v }
-        }
+        assert!(
+            self.is_root_view(),
+            "copy_from_slice on subview '{}'",
+            self.label
+        );
+        // SAFETY: as in `fill`, and `src` holds exactly `len()` readable
+        // elements (asserted above); `ptr::copy` tolerates overlap.
+        unsafe { std::ptr::copy(src.as_ptr(), self.ptr(), self.len()) }
     }
 
     /// Snapshot the allocation into a `Vec` in storage order.
@@ -684,6 +692,34 @@ mod subview_tests {
         let l: View2<f64> = View::new("l", [3, 4], Layout::Left, MemSpace::Host);
         deep_copy(&l, &v);
         assert_eq!(l.at(2, 3), 23.0);
+    }
+
+    #[test]
+    fn fill_and_copy_cover_the_whole_allocation() {
+        let a: View3<f64> =
+            View::from_fn("a", [2, 3, 5], |[k, j, i]| (k * 100 + j * 10 + i) as f64);
+        let b: View3<f64> = View::host("b", [2, 3, 5]);
+        b.fill(f64::NAN);
+        assert!(b.as_slice().iter().all(|x| x.is_nan()));
+        b.copy_from_slice(a.as_slice());
+        assert_eq!(b.as_slice(), a.as_slice());
+        // A second handle's slice of the same storage is a legal source.
+        b.clone().copy_from_slice(b.as_slice());
+        assert_eq!(b.at(1, 2, 4), 124.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "fill on subview")]
+    fn fill_rejects_a_subview() {
+        let v: View3<f64> = View::host("v", [3, 4, 5]);
+        v.level(1).fill(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn copy_from_slice_rejects_a_wrong_length() {
+        let v: View1<f64> = View::host("v", [4]);
+        v.copy_from_slice(&[1.0; 5]);
     }
 
     #[test]

@@ -83,21 +83,31 @@ pub struct CheckpointData {
 /// geometry, step, field count, then per field
 /// `[name_len][name][len][crc32][data…]`.
 pub fn encode(ck: &CheckpointData) -> Vec<u8> {
-    let payload: usize = ck
-        .fields
+    encode_fields(ck.geometry, ck.step, &ck.fields)
+}
+
+/// [`encode`] over owned or borrowed fields: a save streams the model's
+/// own arrays into the image, so it never holds a second copy of the state.
+fn encode_fields<N: AsRef<str>, D: AsRef<[f64]>>(
+    geometry: [u64; 5],
+    step: u64,
+    fields: &[(N, D)],
+) -> Vec<u8> {
+    let payload: usize = fields
         .iter()
-        .map(|(n, d)| 8 + n.len() + 16 + 8 * d.len())
+        .map(|(n, d)| 8 + n.as_ref().len() + 16 + 8 * d.as_ref().len())
         .sum();
     let mut out = Vec::with_capacity(8 + 8 * 8 + payload);
     out.extend_from_slice(MAGIC);
     for v in [VERSION]
         .iter()
-        .chain(ck.geometry.iter())
-        .chain([ck.step, ck.fields.len() as u64].iter())
+        .chain(geometry.iter())
+        .chain([step, fields.len() as u64].iter())
     {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    for (name, data) in &ck.fields {
+    for (name, data) in fields {
+        let (name, data) = (name.as_ref(), data.as_ref());
         out.extend_from_slice(&(name.len() as u64).to_le_bytes());
         out.extend_from_slice(name.as_bytes());
         out.extend_from_slice(&(data.len() as u64).to_le_bytes());
@@ -203,63 +213,56 @@ pub fn decode(buf: &[u8]) -> Result<CheckpointData, CheckpointError> {
     })
 }
 
-/// The prognostic snapshot a checkpoint carries: the same field set as the
-/// restart files (leapfrog roles of u/v/t/s/eta plus barotropic ubt/vbt).
-fn capture(m: &Model) -> CheckpointData {
-    let mut fields = Vec::with_capacity(17);
-    for (role, lev) in [
-        ("old", m.state.old()),
-        ("cur", m.state.cur()),
-        ("new", m.state.new_lev()),
-    ] {
-        fields.push((format!("u_{role}"), m.state.u[lev].to_vec()));
-        fields.push((format!("v_{role}"), m.state.v[lev].to_vec()));
-        fields.push((format!("t_{role}"), m.state.t[lev].to_vec()));
-        fields.push((format!("s_{role}"), m.state.s[lev].to_vec()));
-        fields.push((format!("eta_{role}"), m.state.eta[lev].to_vec()));
-    }
-    fields.push(("ubt".into(), m.state.ubt.to_vec()));
-    fields.push(("vbt".into(), m.state.vbt.to_vec()));
-    CheckpointData {
-        geometry: [
-            m.cfg.nx as u64,
-            m.cfg.ny as u64,
-            m.cfg.nz as u64,
-            m.comm().rank() as u64,
-            m.comm().size() as u64,
-        ],
-        step: m.steps_taken(),
-        fields,
-    }
-}
-
-/// Load a verified image back into the model's prognostic state. The
-/// caller is responsible for [`Model::reset_transients`] afterwards.
-fn apply(m: &mut Model, ck: &CheckpointData) -> Result<(), CheckpointError> {
-    let want = [
+/// `[nx, ny, nz, rank, size]` of the model a checkpoint belongs to.
+fn geometry(m: &Model) -> [u64; 5] {
+    [
         m.cfg.nx as u64,
         m.cfg.ny as u64,
         m.cfg.nz as u64,
         m.comm().rank() as u64,
         m.comm().size() as u64,
-    ];
+    ]
+}
+
+/// The prognostic fields a checkpoint carries, in file order — the same set
+/// as the restart files (leapfrog roles of u/v/t/s/eta plus barotropic
+/// ubt/vbt) — as slices of the model's own arrays.
+fn fields(m: &Model) -> Vec<(String, &[f64])> {
+    let st = &m.state;
+    let mut fields = Vec::with_capacity(17);
+    for (role, lev) in [("old", st.old()), ("cur", st.cur()), ("new", st.new_lev())] {
+        fields.push((format!("u_{role}"), st.u[lev].as_slice()));
+        fields.push((format!("v_{role}"), st.v[lev].as_slice()));
+        fields.push((format!("t_{role}"), st.t[lev].as_slice()));
+        fields.push((format!("s_{role}"), st.s[lev].as_slice()));
+        fields.push((format!("eta_{role}"), st.eta[lev].as_slice()));
+    }
+    fields.push(("ubt".into(), st.ubt.as_slice()));
+    fields.push(("vbt".into(), st.vbt.as_slice()));
+    fields
+}
+
+/// Load a verified image back into the model's prognostic state. The
+/// caller is responsible for [`Model::reset_transients`] afterwards.
+fn apply(m: &mut Model, ck: &CheckpointData) -> Result<(), CheckpointError> {
+    let want = geometry(m);
     if ck.geometry != want {
         return Err(CheckpointError::Mismatch(format!(
             "checkpoint geometry {:?} vs model {:?}",
             ck.geometry, want
         )));
     }
-    let expect = capture(m);
-    if ck.fields.len() != expect.fields.len() {
+    let expect = fields(m);
+    if ck.fields.len() != expect.len() {
         return Err(CheckpointError::Mismatch(format!(
             "{} fields, model expects {}",
             ck.fields.len(),
-            expect.fields.len()
+            expect.len()
         )));
     }
     // Validate all names/lengths first so a mismatch cannot leave the
     // state half-restored.
-    for ((name, data), (want_name, want_data)) in ck.fields.iter().zip(expect.fields.iter()) {
+    for ((name, data), (want_name, want_data)) in ck.fields.iter().zip(expect.iter()) {
         if name != want_name || data.len() != want_data.len() {
             return Err(CheckpointError::Mismatch(format!(
                 "field '{name}' ({} values) where '{want_name}' ({}) expected",
@@ -319,7 +322,7 @@ impl CheckpointManager {
     /// slot or the new one — never a torn file.
     pub fn save(&mut self, m: &Model) -> Result<(), CheckpointError> {
         std::fs::create_dir_all(&self.dir)?;
-        let bytes = encode(&capture(m));
+        let bytes = encode_fields(geometry(m), m.steps_taken(), &fields(m));
         let path = self.slot_path(self.next_slot, m.comm().rank());
         let tmp = path.with_extension("tmp");
         {

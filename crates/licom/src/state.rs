@@ -160,33 +160,46 @@ impl State {
     /// decaying exponentially with depth, uniform salinity with a small
     /// deterministic perturbation (seeds baroclinic eddies), zero flow.
     /// Land cells hold reference values (masked out of the dynamics).
+    ///
+    /// Every transcendental factor depends on one index, so it is computed
+    /// once per level, row or column; each cell then combines the factors
+    /// in the closed form's own association (the tests hold the result to
+    /// that form bit for bit). Level 0 is written once, the other two are
+    /// copies of it.
     pub fn init_stratified(&mut self, g: &LocalGrid) {
-        for lev in 0..LEVELS {
-            for k in 0..g.nz {
-                let z = g.z_t.at(k);
-                for jl in 0..g.pj {
-                    let lat = g.lat.at(jl);
-                    // Surface temperature: warm tropics, cold poles.
-                    let sst = 28.0 * (lat.to_radians().cos()).powi(2) - 1.0;
-                    for il in 0..g.pi {
-                        let lon = g.lon.at(il);
-                        let tz = 2.0 + (sst - 2.0) * (-z / 800.0).exp();
-                        // Deterministic mesoscale-seed perturbation.
-                        let pert = 0.05
-                            * ((lon.to_radians() * 6.0).sin() * (lat.to_radians() * 7.0).cos());
-                        self.t[lev].set_at(k, jl, il, tz + pert);
-                        self.s[lev].set_at(
-                            k,
-                            jl,
-                            il,
-                            constants::S_REF + 0.5 * (-z / 1000.0).exp()
-                                - 0.02 * (lat / 30.0).tanh(),
-                        );
-                        self.u[lev].set_at(k, jl, il, 0.0);
-                        self.v[lev].set_at(k, jl, il, 0.0);
-                    }
+        let per_level: Vec<[f64; 2]> = (g.z_t.as_slice().iter())
+            .map(|&z| [(-z / 800.0).exp(), (-z / 1000.0).exp()])
+            .collect();
+        let per_row: Vec<[f64; 3]> = (g.lat.as_slice().iter())
+            .map(|&lat| {
+                // Surface temperature: warm tropics, cold poles.
+                let sst = 28.0 * (lat.to_radians().cos()).powi(2) - 1.0;
+                let c7 = (lat.to_radians() * 7.0).cos();
+                [sst, c7, 0.02 * (lat / 30.0).tanh()]
+            })
+            .collect();
+        let per_col: Vec<f64> = (g.lon.as_slice().iter())
+            .map(|&lon| (lon.to_radians() * 6.0).sin())
+            .collect();
+        for (k, &[e800, e1000]) in per_level.iter().enumerate() {
+            for (jl, &[sst, c7, tl]) in per_row.iter().enumerate() {
+                let tz = 2.0 + (sst - 2.0) * e800;
+                let salt = constants::S_REF + 0.5 * e1000 - tl;
+                for (il, &s6) in per_col.iter().enumerate() {
+                    // Deterministic mesoscale-seed perturbation.
+                    let pert = 0.05 * (s6 * c7);
+                    self.t[0].set_at(k, jl, il, tz + pert);
+                    self.s[0].set_at(k, jl, il, salt);
                 }
             }
+        }
+        for lev in 1..LEVELS {
+            self.t[lev].copy_from_slice(self.t[0].as_slice());
+            self.s[lev].copy_from_slice(self.s[0].as_slice());
+        }
+        for lev in 0..LEVELS {
+            self.u[lev].fill(0.0);
+            self.v[lev].fill(0.0);
             self.eta[lev].fill(0.0);
         }
         self.ubt.fill(0.0);
@@ -235,17 +248,109 @@ mod tests {
     use super::*;
     use halo_exchange::Halo2D;
     use mpi_sim::{CartComm, World};
-    use ocean_grid::{Bathymetry, GlobalGrid};
+    use ocean_grid::{Bathymetry, GlobalGrid, ModelConfig, Resolution};
+
+    /// Every rank's padded block of `global`, decomposed as `Model::new`
+    /// decomposes it.
+    fn locals(global: &GlobalGrid, ranks: usize) -> Vec<LocalGrid> {
+        let (px, py) = crate::model::choose_dims(ranks, global.nx());
+        World::run(ranks, |comm| {
+            let cart = CartComm::new(comm.clone(), px, py, true);
+            let halo = Halo2D::new(&cart, global.nx(), global.ny());
+            LocalGrid::build(global, &halo)
+        })
+    }
 
     fn local() -> LocalGrid {
         let global = GlobalGrid::build(16, 10, 5, &Bathymetry::Flat(4000.0), false);
-        World::run(1, |comm| {
-            let cart = CartComm::new(comm.clone(), 1, 1, true);
-            let halo = Halo2D::new(&cart, 16, 10);
-            LocalGrid::build(&global, &halo)
-        })
-        .pop()
-        .unwrap()
+        locals(&global, 1).pop().unwrap()
+    }
+
+    impl State {
+        /// The per-cell closed form — six libm calls a cell, every level
+        /// written on its own — that `init_stratified` is held to.
+        fn init_stratified_reference(&mut self, g: &LocalGrid) {
+            for lev in 0..LEVELS {
+                for k in 0..g.nz {
+                    let z = g.z_t.at(k);
+                    for jl in 0..g.pj {
+                        let lat = g.lat.at(jl);
+                        let sst = 28.0 * (lat.to_radians().cos()).powi(2) - 1.0;
+                        for il in 0..g.pi {
+                            let lon = g.lon.at(il);
+                            let tz = 2.0 + (sst - 2.0) * (-z / 800.0).exp();
+                            let pert = 0.05
+                                * ((lon.to_radians() * 6.0).sin() * (lat.to_radians() * 7.0).cos());
+                            self.t[lev].set_at(k, jl, il, tz + pert);
+                            self.s[lev].set_at(
+                                k,
+                                jl,
+                                il,
+                                constants::S_REF + 0.5 * (-z / 1000.0).exp()
+                                    - 0.02 * (lat / 30.0).tanh(),
+                            );
+                            self.u[lev].set_at(k, jl, il, 0.0);
+                            self.v[lev].set_at(k, jl, il, 0.0);
+                        }
+                    }
+                }
+                self.eta[lev].fill(0.0);
+            }
+            self.ubt.fill(0.0);
+            self.vbt.fill(0.0);
+            self.km.fill(constants::KM_BACKGROUND);
+            self.kh.fill(constants::KH_BACKGROUND);
+        }
+
+        /// The fields an init owns, in a fixed order.
+        fn initialised(&self) -> Vec<&[f64]> {
+            let mut f = vec![
+                self.ubt.as_slice(),
+                self.vbt.as_slice(),
+                self.km.as_slice(),
+                self.kh.as_slice(),
+            ];
+            for l in 0..LEVELS {
+                f.extend([&self.u[l], &self.v[l], &self.t[l], &self.s[l]].map(|v| v.as_slice()));
+                f.push(self.eta[l].as_slice());
+            }
+            f
+        }
+
+        /// NaN in every field, diagnostics and scratch included.
+        fn scribble(&self) {
+            let w = &self.work;
+            let single3 = [
+                &self.w,
+                &self.rho,
+                &self.pressure,
+                &self.km,
+                &self.kh,
+                &self.ut,
+                &self.vt,
+            ];
+            let level3 = [&self.u, &self.v, &self.t, &self.s].into_iter().flatten();
+            for v in single3.into_iter().chain(&w.adv_tmp).chain(level3) {
+                v.fill(f64::NAN);
+            }
+            let single2 = [
+                &self.ubt, &self.vbt, &w.filter2, &w.acc_eta, &w.acc_u, &w.acc_v,
+            ];
+            let level2 = [&self.eta, &self.bt_eta, &self.bt_u, &self.bt_v]
+                .into_iter()
+                .flatten();
+            for v in single2.into_iter().chain(level2) {
+                v.fill(f64::NAN);
+            }
+        }
+    }
+
+    fn assert_same_bits(got: &State, want: &State, what: &str) {
+        for (n, (a, b)) in got.initialised().iter().zip(want.initialised()).enumerate() {
+            let same =
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "{what}: initialised field #{n} differs");
+        }
     }
 
     #[test]
@@ -277,6 +382,57 @@ mod tests {
         }
         // Ocean at rest.
         assert!(s.u[c].as_slice().iter().all(|&x| x == 0.0));
+    }
+
+    /// The table-driven init against the closed form, bit for bit, on the
+    /// two serving grids and a basin — on one rank and on three, whose
+    /// padded `lat`/`lon` run across the periodic seam and the north fold.
+    #[test]
+    fn init_matches_the_closed_form_bit_for_bit() {
+        let basin = Bathymetry::Basin {
+            lon0: 60.0,
+            lon1: 300.0,
+            lat0: -50.0,
+            lat1: 50.0,
+            depth: 4000.0,
+        };
+        let eddy = |div, nz| Resolution::Eddy10km.config().scaled_down(div, nz);
+        let cases: [(ModelConfig, Bathymetry); 3] = [
+            (eddy(120, 4), Bathymetry::earth_like()),
+            (eddy(60, 6), Bathymetry::earth_like()),
+            (eddy(120, 4), basin),
+        ];
+        for (cfg, bathy) in &cases {
+            let global = GlobalGrid::build(cfg.nx, cfg.ny, cfg.nz, bathy, cfg.full_depth);
+            for ranks in [1, 3] {
+                for (rank, g) in locals(&global, ranks).iter().enumerate() {
+                    let (mut got, mut want) = (State::new(g), State::new(g));
+                    got.init_stratified(g);
+                    want.init_stratified_reference(g);
+                    let what = format!("{} {bathy:?}, rank {rank} of {ranks}", cfg.name);
+                    assert_same_bits(&got, &want, &what);
+                    assert_eq!(got.checksum(), want.checksum(), "{what}");
+                }
+            }
+        }
+    }
+
+    /// `init_stratified` is public and is called on states that have been
+    /// stepped: it must write everything it owns, not lean on the zeroes
+    /// of a fresh allocation.
+    #[test]
+    fn init_overwrites_a_scribbled_state() {
+        let g = local();
+        let (mut fresh, mut used) = (State::new(&g), State::new(&g));
+        fresh.init_stratified(&g);
+        used.scribble();
+        assert!(used
+            .initialised()
+            .iter()
+            .all(|f| f.iter().all(|x| x.is_nan())));
+        used.init_stratified(&g);
+        assert_same_bits(&used, &fresh, "scribbled");
+        assert!(!used.has_nan());
     }
 
     #[test]

@@ -141,6 +141,46 @@ fn checkpoint_resume_is_bitwise_on_all_spaces() {
     }
 }
 
+/// A save streams the model's arrays into the file without an owned
+/// `CheckpointData` in between; the file must be byte for byte what
+/// `encode` writes for the image `decode` reads back, on every rank, and
+/// carry the stepped state (not a stale or partial copy of it).
+#[test]
+fn saved_file_is_the_canonical_encoding_of_its_image() {
+    let dir = std::env::temp_dir().join("licom_ckpt_streamed");
+    let _ = std::fs::remove_dir_all(&dir);
+    World::run(3, {
+        let dir = dir.clone();
+        move |comm| {
+            let mut mgr = CheckpointManager::new(&dir, 2);
+            let mut m = Model::new(
+                comm,
+                cfg(),
+                kokkos_rs::Space::serial(),
+                ModelOptions::default(),
+            );
+            m.run_steps(2);
+            mgr.save(&m).unwrap();
+            let file = dir.join(licom::checkpoint::slot_file_name(0, comm.rank()));
+            let bytes = std::fs::read(file).unwrap();
+            let ck = decode(&bytes).unwrap();
+            assert_eq!(encode(&ck), bytes, "rank {}", comm.rank());
+            assert_eq!(ck.step, 2);
+            assert_eq!(ck.geometry[3..], [comm.rank() as u64, 3]);
+            let names: Vec<&str> = ck.fields.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names.len(), 17);
+            assert_eq!(names[..5], ["u_old", "v_old", "t_old", "s_old", "eta_old"]);
+            assert_eq!(names[15..], ["ubt", "vbt"]);
+            let field = |name: &str| &ck.fields.iter().find(|(n, _)| n == name).unwrap().1;
+            let st = &m.state;
+            assert_eq!(field("t_cur"), st.t[st.cur()].as_slice());
+            assert_eq!(field("eta_new"), st.eta[st.new_lev()].as_slice());
+            assert_eq!(field("vbt"), st.vbt.as_slice());
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Regression (counter windowing): two successive `run_steps_resilient`
 /// calls sharing one manager and one model must each publish only their
 /// *own* window of checkpoints and traffic into the timers. Before the
