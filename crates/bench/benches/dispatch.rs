@@ -1,24 +1,24 @@
 //! Functor dispatch and registry-matching microbenchmarks.
 //!
-//! Measures (a) the per-launch overhead of each execution space (the
-//! paper's `athread_spawn` + preset-function matching path vs direct
-//! host dispatch), and (b) the linked-list registry lookup vs the
-//! SIMD-accelerated key scan (paper §V-B: "we leveraged Sunway
-//! architecture features such as LDM ... and SIMD vectorization, for
-//! accelerated kernel matching"), as the registry grows, and (c) the
-//! **crossover** that places `kokkos-rs`'s pool gate: launch time against
-//! iterations for the serial tile loop, the pool driven directly over the
-//! same tiles (the gate is not in the way: this goes past `kokkos-rs`) and
-//! `parallel_for_2d` on `Threads`, for three body weights, alone and beside
-//! a second submitter doing the same (EXPERIMENTS.md, "Work-first dispatch").
+//! Measures (a) the linked-list registry lookup vs the SIMD-accelerated
+//! key scan (paper §V-B: "we leveraged Sunway architecture features such
+//! as LDM ... and SIMD vectorization, for accelerated kernel matching"),
+//! as the registry grows, and (b) the **crossover** that places
+//! `kokkos-rs`'s pool gate: launch time against iterations for the serial
+//! tile loop, the pool driven directly over the same tiles (the gate is not
+//! in the way: this goes past `kokkos-rs`) and `parallel_for_2d` on
+//! `Threads`, for three body weights, alone and beside a second submitter
+//! doing the same (EXPERIMENTS.md, "Work-first dispatch").
+//! The per-launch overhead of each execution space is `licom_bench`'s
+//! `kokkos-rs.launch_ns.*`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kokkos_rs::{
-    parallel_for_1d, parallel_for_2d, registry, Functor1D, Functor2D, FunctorPair2D,
-    MDRangePolicy2, RangePolicy, Space, View, View1, View2,
+    parallel_for_2d, registry, Functor1D, Functor2D, FunctorPair2D, MDRangePolicy2, Space, View,
+    View1, View2,
 };
 use rayon::prelude::*;
 
@@ -54,30 +54,6 @@ pad_functor!(
     P38, P39, P40, P41, P42, P43, P44, P45, P46, P47, P48, P49, P50, P51, P52, P53, P54, P55, P56,
     P57, P58, P59, P60, P61, P62, P63
 );
-
-fn bench_launch_overhead(c: &mut Criterion) {
-    bench_axpy();
-    let mut g = c.benchmark_group("launch_axpy_4096");
-    let n = 4096;
-    for (label, space) in [
-        ("Serial", Space::serial()),
-        ("Threads", Space::threads()),
-        ("DeviceSim", Space::device_sim()),
-        (
-            "SwAthread",
-            Space::sw_athread_with(sunway_sim::CgConfig::test_small()),
-        ),
-    ] {
-        let x: View1<f64> = View::host("x", [n]);
-        let y: View1<f64> = View::host("y", [n]);
-        x.fill(1.0);
-        let f = Axpy { a: 1.000001, x, y };
-        g.bench_function(label, |b| {
-            b.iter(|| parallel_for_1d(&space, RangePolicy::new(n), &f))
-        });
-    }
-    g.finish();
-}
 
 fn bench_registry_matching(c: &mut Criterion) {
     bench_axpy();
@@ -199,10 +175,5 @@ fn bench_crossover(c: &mut Criterion) {
     crossover(c, "stencil_pair", stencil_pair);
 }
 
-criterion_group!(
-    benches,
-    bench_launch_overhead,
-    bench_registry_matching,
-    bench_crossover
-);
+criterion_group!(benches, bench_registry_matching, bench_crossover);
 criterion_main!(benches);

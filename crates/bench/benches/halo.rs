@@ -1,70 +1,13 @@
-//! Halo engine microbenchmarks: full 3-D exchanges per buffer order (the
-//! Fig. 5 transpose is `Strategy3D::Transpose`'s pack), batched vs
-//! separate multi-field updates, pooled vs allocating, integrity
-//! overhead, and pack/unpack per execution space.
+//! Halo engine microbenchmarks: pooled vs allocating exchanges and
+//! pack/unpack per execution space. The cost of one exchange (`nz` 6 / 30,
+//! four fields batched) and of CRC framing is `licom_bench`'s
+//! `halo-exchange.halo3d_*_us` / `integrity_overhead_frac`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D};
 use kokkos_rs::{View, View3};
 use mpi_sim::{CartComm, World};
 use std::time::Duration;
-
-fn bench_exchange_strategies(c: &mut Criterion) {
-    let mut g = c.benchmark_group("halo3d_exchange_1rank");
-    g.sample_size(20);
-    g.warm_up_time(Duration::from_millis(500));
-    g.measurement_time(Duration::from_secs(3));
-    for (label, strategy) in [
-        ("horizontal_major", Strategy3D::HorizontalMajor),
-        ("transpose", Strategy3D::Transpose),
-    ] {
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                World::run(1, |comm| {
-                    let cart = CartComm::new(comm.clone(), 1, 1, true);
-                    let h = Halo3D::new(Halo2D::new(&cart, 64, 32), 20, strategy);
-                    let f: View3<f64> = View::host("f", h.shape());
-                    f.fill(1.0);
-                    for tag in 0..4 {
-                        h.exchange(&f, FoldKind::Scalar, tag * 100);
-                    }
-                })
-            })
-        });
-    }
-    g.finish();
-}
-
-fn bench_batched(c: &mut Criterion) {
-    let mut g = c.benchmark_group("halo3d_two_fields_2ranks");
-    g.sample_size(20);
-    g.warm_up_time(Duration::from_millis(500));
-    g.measurement_time(Duration::from_secs(3));
-    g.bench_function("separate", |b| {
-        b.iter(|| {
-            World::run(2, |comm| {
-                let cart = CartComm::new(comm.clone(), 2, 1, true);
-                let h = Halo3D::new(Halo2D::new(&cart, 64, 32), 20, Strategy3D::Transpose);
-                let u: View3<f64> = View::host("u", h.shape());
-                let v: View3<f64> = View::host("v", h.shape());
-                h.exchange(&u, FoldKind::Vector, 0);
-                h.exchange(&v, FoldKind::Scalar, 50);
-            })
-        })
-    });
-    g.bench_function("batched", |b| {
-        b.iter(|| {
-            World::run(2, |comm| {
-                let cart = CartComm::new(comm.clone(), 2, 1, true);
-                let h = Halo3D::new(Halo2D::new(&cart, 64, 32), 20, Strategy3D::Transpose);
-                let u: View3<f64> = View::host("u", h.shape());
-                let v: View3<f64> = View::host("v", h.shape());
-                h.exchange_many(&[(&u, FoldKind::Vector), (&v, FoldKind::Scalar)], 0);
-            })
-        })
-    });
-    g.finish();
-}
 
 /// Pooled (default) vs freshly-allocating exchange paths on a large tile.
 /// The halo is built once per iteration and then exchanged repeatedly, so
@@ -106,46 +49,6 @@ fn bench_pooled_vs_allocating(c: &mut Criterion) {
     g.finish();
 }
 
-/// Plain vs CRC-framed exchange: the integrity layer adds a 4-word header
-/// and a CRC32 over the payload per message. The acceptance bar is ≤ 3%
-/// overhead on a production-sized tile with no faults in flight.
-fn bench_integrity_overhead(c: &mut Criterion) {
-    const STEPS: u64 = 32;
-    let mut g = c.benchmark_group("halo3d_integrity_512x512x60_2ranks_32x");
-    g.sample_size(10);
-    g.warm_up_time(Duration::from_millis(500));
-    g.measurement_time(Duration::from_secs(3));
-    g.bench_function("plain", |b| {
-        b.iter(|| {
-            World::run(2, |comm| {
-                let cart = CartComm::new(comm.clone(), 2, 1, true);
-                let h = Halo3D::new(Halo2D::new(&cart, 512, 512), 60, Strategy3D::Transpose);
-                let f: View3<f64> = View::host("f", h.shape());
-                f.fill(1.0);
-                for step in 0..STEPS {
-                    h.exchange(&f, FoldKind::Scalar, step * 100);
-                }
-            })
-        })
-    });
-    g.bench_function("framed_crc", |b| {
-        b.iter(|| {
-            World::run(2, |comm| {
-                let cart = CartComm::new(comm.clone(), 2, 1, true);
-                let h = Halo3D::new(Halo2D::new(&cart, 512, 512), 60, Strategy3D::Transpose)
-                    .with_integrity(halo_exchange::IntegrityConfig::default());
-                let f: View3<f64> = View::host("f", h.shape());
-                f.fill(1.0);
-                for step in 0..STEPS {
-                    h.begin_step(step);
-                    h.try_exchange(&f, FoldKind::Scalar, step * 100).unwrap();
-                }
-            })
-        })
-    });
-    g.finish();
-}
-
 /// Serial vs parallel strip pack/unpack: the same single-rank exchange
 /// (pack and unpack dominate — no real network) dispatched over the Serial
 /// and Threads execution spaces via `Halo3D::with_space`.
@@ -177,12 +80,5 @@ fn bench_pack_spaces(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_exchange_strategies,
-    bench_batched,
-    bench_pooled_vs_allocating,
-    bench_integrity_overhead,
-    bench_pack_spaces
-);
+criterion_group!(benches, bench_pooled_vs_allocating, bench_pack_spaces);
 criterion_main!(benches);

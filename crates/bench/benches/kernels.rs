@@ -1,7 +1,7 @@
-//! Hotspot kernel benchmarks: one Criterion group per paper table/figure
-//! hotspot — `advection_tracer` (the §V-C2 bottleneck), the canuto
-//! column kernel (packed list vs cross-rank), the momentum stencil, and one
-//! barotropic substep — each on Serial vs Threads.
+//! Hotspot option benchmarks, whole steps on Serial: the canuto column
+//! kernel (packed list vs cross-rank) and tracer advection with and without
+//! the two-step shape-preserving limiter (the §V-C2 bottleneck). The plain
+//! step is `licom_bench`'s `sypd`.
 #![allow(clippy::field_reassign_with_default)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -11,29 +11,14 @@ use mpi_sim::World;
 use ocean_grid::Resolution;
 use std::time::Duration;
 
-/// Build a single-rank model once and time `steps` of the full step loop
-/// under the given options/space (the model's own GPTL timers then give
-/// the per-kernel split; here we let Criterion time whole steps).
+/// Build a single-rank model and run `steps` of the full step loop under
+/// the given options/space.
 fn run_steps(space: Space, opts: ModelOptions, steps: usize) {
     let cfg = Resolution::Coarse100km.config().scaled_down(6, 10);
     World::run(1, move |comm| {
         let mut m = Model::new(comm, cfg.clone(), space.clone(), opts.clone());
         m.run_steps(steps);
     });
-}
-
-fn bench_full_step(c: &mut Criterion) {
-    let mut g = c.benchmark_group("model_step_60x36x10");
-    g.sample_size(10);
-    g.warm_up_time(Duration::from_millis(500));
-    g.measurement_time(Duration::from_secs(3));
-    for (label, space) in [("Serial", Space::serial()), ("Threads", Space::threads())] {
-        let space2 = space.clone();
-        g.bench_function(label, |b| {
-            b.iter(|| run_steps(space2.clone(), ModelOptions::default(), 2))
-        });
-    }
-    g.finish();
 }
 
 fn bench_canuto_modes(c: &mut Criterion) {
@@ -73,10 +58,5 @@ fn bench_advection_limiters(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_full_step,
-    bench_canuto_modes,
-    bench_advection_limiters
-);
+criterion_group!(benches, bench_canuto_modes, bench_advection_limiters);
 criterion_main!(benches);

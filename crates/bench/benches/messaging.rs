@@ -1,52 +1,17 @@
-//! Message-passing substrate benchmarks: point-to-point ping-pong,
-//! deterministic allreduce, and barrier cost — the alpha-beta inputs of
-//! the performance model's network term.
+//! Message-passing substrate benchmark: barrier cost. Point-to-point
+//! latency, the 64 k-word message and the allreduce — the alpha-beta inputs
+//! of the performance model's network term — are `licom_bench`'s
+//! `mpi-sim.pingpong_ns` / `msg_64k_ns` / `allreduce_ns`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mpi_sim::{ReduceOp, World};
+use mpi_sim::World;
 use std::time::Duration;
-
-fn bench_ping_pong(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ping_pong");
-    g.sample_size(20);
-    g.warm_up_time(Duration::from_millis(500));
-    g.measurement_time(Duration::from_secs(3));
-    for size in [64usize, 4096, 65536] {
-        g.bench_function(format!("{size}_f64"), |b| {
-            b.iter(|| {
-                World::run(2, |comm| {
-                    if comm.rank() == 0 {
-                        for it in 0..8u64 {
-                            comm.send(1, it, vec![1.0f64; size]);
-                            let _ = comm.recv::<f64>(1, it);
-                        }
-                    } else {
-                        for it in 0..8u64 {
-                            let v = comm.recv::<f64>(0, it);
-                            comm.send(0, it, v);
-                        }
-                    }
-                })
-            })
-        });
-    }
-    g.finish();
-}
 
 fn bench_collectives(c: &mut Criterion) {
     let mut g = c.benchmark_group("collectives_4ranks");
     g.sample_size(20);
     g.warm_up_time(Duration::from_millis(500));
     g.measurement_time(Duration::from_secs(3));
-    g.bench_function("allreduce_scalar_x16", |b| {
-        b.iter(|| {
-            World::run(4, |comm| {
-                for i in 0..16 {
-                    let _ = comm.allreduce_f64(i as f64 + comm.rank() as f64, ReduceOp::Sum);
-                }
-            })
-        })
-    });
     g.bench_function("barrier_x16", |b| {
         b.iter(|| {
             World::run(4, |comm| {
@@ -59,5 +24,5 @@ fn bench_collectives(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_ping_pong, bench_collectives);
+criterion_group!(benches, bench_collectives);
 criterion_main!(benches);

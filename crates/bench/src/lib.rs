@@ -17,11 +17,12 @@
 //! | `exp_fig9_weak` | Fig. 9 — weak scaling |
 //! | `exp_ablation` | §VII-C text — optimized vs original speedups, per-optimization ablation |
 //!
-//! Criterion microbenchmarks live in `benches/` (functor dispatch +
-//! registry matching, views, halo pack/transpose, hotspot kernels,
-//! message passing).
-
-pub mod gate;
+//! `licom_bench` (`src/bin/licom_bench/`, its own package) is the one
+//! program that times a step, end to end and layer by layer. Criterion
+//! microbenchmarks in `benches/` keep the questions it has no probe for:
+//! the pool-gate crossover and registry matching, views, pooled vs
+//! allocating and serial vs threaded halo packing, the canuto and limiter
+//! options, barrier cost.
 
 /// Render one formatted table row (fixed-width columns).
 pub fn row(cells: &[String], widths: &[usize]) -> String {

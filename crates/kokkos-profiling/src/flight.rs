@@ -550,6 +550,24 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The armed path end to end: 300 events recorded into a 512-slot ring
+    /// through the thread-local scope, dumped by the failure path, read
+    /// back — none lost, none invented, and the dump is claimed once.
+    #[test]
+    fn armed_ring_dumps_every_recorded_event() {
+        let dir = std::env::temp_dir().join(format!("kp-flight-dump-{}", std::process::id()));
+        mpi_sim::World::run(1, |comm| {
+            let _scope = arm(comm, 512);
+            for i in 0..300 {
+                mpi_sim::flight::record(FlightEventKind::StepBegin, i, 0, 0);
+            }
+            let path = dump_on_failure(&dir, "armed dump", comm).expect("first dump claims");
+            assert_eq!(read_bundle(&path).unwrap().events.len(), 300);
+            assert!(dump_on_failure(&dir, "armed dump", comm).is_none());
+        });
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn validate_rejects_wrong_schema_and_unknown_kind() {
         let doc = json::parse(r#"{"schema":"nope","reason":"r","ranks":[],"events":[]}"#).unwrap();

@@ -189,7 +189,7 @@ pub fn render(v: &Json) -> String {
 }
 
 /// Serialize with 2-space indentation — the diff-friendly form used for
-/// committed artifacts like `BENCH_baseline.json`.
+/// committed artifacts like `licom_bench`'s `golden.json`.
 pub fn render_pretty(v: &Json) -> String {
     let mut out = String::new();
     render_into(v, Some(2), 0, &mut out);
@@ -473,7 +473,7 @@ pub fn validate_chrome_trace_value(doc: &Json) -> Result<TraceSummary, String> {
     Ok(summary)
 }
 
-/// Parse + validate in one call (what the CI job and `exp_profile` use).
+/// Parse + validate in one call (what `tests/profiled_run.rs` uses).
 pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     validate_chrome_trace_value(&parse(text)?)
 }

@@ -7,17 +7,17 @@
 //! | Kokkos Tools piece          | Here                                  |
 //! |-----------------------------|---------------------------------------|
 //! | `kokkosp_*` callbacks       | [`kokkos_rs::ProfilingHooks`]         |
-//! | simple-kernel-timer         | [`Profiler`] tables + `render_report` |
+//! | simple-kernel-timer         | [`Profiler`] kernel / region tables   |
 //! | kernel-logger / Caliper     | chrome-trace export ([`trace`])       |
 //! | space-time-stack regions    | [`kokkos_rs::profiling::region`]      |
-//! | paper SYPD / hotspot shares | [`SypdReporter`] ([`sypd`])           |
+//! | paper SYPD / hotspot shares | [`sypd()`], [`hotspot_shares`]        |
 //!
 //! A single [`Profiler`] aggregates every rank of an `mpi-sim` job
 //! (ranks are threads; see [`set_thread_rank`]), interleaves kernel spans
-//! with halo-traffic instants and Sunway CPE/DMA counter samples on
-//! per-rank tracks, and writes a Perfetto-loadable JSON atomically at run
-//! end. With no tool attached, the hook layer costs one atomic load per
-//! dispatch — the model's zero-allocation steady state is untouched.
+//! with halo-traffic instants on per-rank tracks, and writes a
+//! Perfetto-loadable JSON atomically at run end. With no tool attached, the
+//! hook layer costs one atomic load per dispatch — the model's
+//! zero-allocation steady state is untouched.
 
 pub mod clock;
 pub mod flight;
@@ -43,14 +43,14 @@ pub use profiler::{
 };
 pub use prometheus::{
     render_gauge, render_named_counters, render_named_counters_labeled, render_named_gauges,
-    render_named_gauges_labeled, render_phase_seconds, render_phase_seconds_labeled,
-    render_prometheus, render_prometheus_labeled, render_traffic, render_traffic_labeled,
+    render_named_gauges_labeled, render_phase_seconds_labeled, render_prometheus_labeled,
+    render_traffic_labeled,
 };
 pub use stats::{CounterTable, Stat, StatsTable};
-pub use sypd::{bucket_of, hotspot_shares, is_enclosing, sypd, HotspotRow, SypdReporter, BUCKETS};
+pub use sypd::{bucket_of, hotspot_shares, is_enclosing, sypd, HotspotRow, BUCKETS};
 pub use telemetry::{
-    gather_phases, try_gather_phases, CriticalPath, DriftBank, DriftDetector, DriftEvent,
-    ImbalanceReport, PartialPhases, PhaseImbalance, PhaseProfile, RingBuffer, WaitComputeSplit,
+    gather_phases, DriftBank, DriftDetector, DriftEvent, ImbalanceReport, PhaseImbalance,
+    PhaseProfile, RingBuffer,
 };
 pub use trace::{ArgValue, TraceEvent, COMM_TRACK, COUNTER_TRACK};
 

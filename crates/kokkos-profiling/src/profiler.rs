@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 
 use crate::clock;
 use crate::stats::{Stat, StatsTable};
-use crate::trace::{ArgValue, TraceEvent, COMM_TRACK, COUNTER_TRACK};
+use crate::trace::{ArgValue, TraceEvent, COMM_TRACK};
 
 const OPEN_SHARDS: usize = 16;
 
@@ -197,7 +197,7 @@ impl Profiler {
         });
     }
 
-    // ---- communication + accelerator counter bridges ------------------
+    // ---- communication bridge -----------------------------------------
 
     /// Record one `mpi-sim` traffic event as an instant on the rank's
     /// comm track. Called by the tap adapter in `lib.rs`.
@@ -216,33 +216,6 @@ impl Profiler {
                 ("tag", ArgValue::I64(tag)),
             ],
         });
-    }
-
-    /// Emit one counter sample (`ph: "C"`) on the rank's counter track.
-    pub fn counter_sample(&self, rank: i64, name: &str, value: u64) {
-        self.record_event(TraceEvent {
-            name: name.to_string(),
-            cat: "counter",
-            ph: 'C',
-            ts_ns: clock::now_ns(),
-            dur_ns: 0,
-            pid: rank,
-            tid: COUNTER_TRACK,
-            args: vec![("value", ArgValue::U64(value))],
-        });
-    }
-
-    /// Snapshot a Sunway core group's counters onto the rank's counter
-    /// track — the CPE/DMA bridge of the paper's "job-level performance
-    /// monitoring" toolchain (§VI-C).
-    pub fn sample_sunway(&self, rank: i64, cg: &sunway_sim::CgCounters) {
-        self.counter_sample(rank, "sw.kernels_launched", cg.kernels_launched);
-        self.counter_sample(rank, "sw.kernel_cycles", cg.kernel_cycles);
-        self.counter_sample(rank, "sw.flops", cg.totals.flops);
-        self.counter_sample(rank, "sw.dma_get_bytes", cg.totals.dma_get_bytes);
-        self.counter_sample(rank, "sw.dma_put_bytes", cg.totals.dma_put_bytes);
-        self.counter_sample(rank, "sw.dma_transactions", cg.totals.dma_transactions);
-        self.counter_sample(rank, "sw.ldm_bytes", cg.totals.ldm_bytes);
     }
 
     // ---- results -------------------------------------------------------
@@ -281,60 +254,6 @@ impl Profiler {
         let mut rows = self.regions.snapshot();
         rows.sort_by(|a, b| b.1.total_ns.cmp(&a.1.total_ns).then(a.0.cmp(b.0)));
         rows
-    }
-
-    /// Human-readable summary of every table, Kokkos "simple kernel
-    /// timer" style.
-    pub fn render_report(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<28} {:<10} {:>8} {:>12} {:>12} {:>12}",
-            "kernel", "space", "calls", "total ms", "mean us", "max us"
-        );
-        for (k, s) in self.kernel_table() {
-            let _ = writeln!(
-                out,
-                "{:<28} {:<10} {:>8} {:>12.3} {:>12.3} {:>12.3}",
-                k.name,
-                k.space,
-                s.count,
-                s.total_ns as f64 / 1e6,
-                s.mean_ns() as f64 / 1e3,
-                s.max_ns as f64 / 1e3
-            );
-        }
-        if !self.regions.is_empty() {
-            let _ = writeln!(out, "\n{:<28} {:>8} {:>12}", "region", "calls", "total ms");
-            for (name, s) in self.region_table() {
-                let _ = writeln!(
-                    out,
-                    "{:<28} {:>8} {:>12.3}",
-                    name,
-                    s.count,
-                    s.total_ns as f64 / 1e6
-                );
-            }
-        }
-        if !self.copies.is_empty() {
-            let _ = writeln!(
-                out,
-                "\n{:<28} {:>8} {:>12} {:>12}",
-                "deep_copy", "calls", "bytes", "total ms"
-            );
-            for ((src, dst), s) in self.copies.snapshot() {
-                let _ = writeln!(
-                    out,
-                    "{:<28} {:>8} {:>12} {:>12.3}",
-                    format!("{src}->{dst}"),
-                    s.count,
-                    s.bytes,
-                    s.total_ns as f64 / 1e6
-                );
-            }
-        }
-        out
     }
 
     /// Drop all aggregates and buffered events.

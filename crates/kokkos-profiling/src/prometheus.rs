@@ -61,12 +61,6 @@ pub fn render_traffic_labeled(t: &TrafficSnapshot, base: &[(&str, &str)]) -> Str
     out
 }
 
-/// Render an `mpi-sim` [`TrafficSnapshot`] as one counter family per
-/// field: `mpi_traffic_<field>_total <value>`.
-pub fn render_traffic(t: &TrafficSnapshot) -> String {
-    render_traffic_labeled(t, &[])
-}
-
 /// Render a named counter table (e.g. `Timers::counters`) as one family
 /// with `base` labels plus a `name` label. Entries are sorted by name
 /// for stable output.
@@ -155,12 +149,6 @@ pub fn render_phase_seconds_labeled(
     out
 }
 
-/// Render a phase/kernel seconds table as a gauge family with a `name`
-/// label.
-pub fn render_phase_seconds(family: &str, help: &str, entries: &[(&str, f64)]) -> String {
-    render_phase_seconds_labeled(family, help, &[], entries)
-}
-
 /// One-call exposition of a run's counter surfaces — traffic, named
 /// event counters, and phase seconds — with every sample tagged by
 /// `base` labels (e.g. `[("instance", "m17"), ("tenant", "a")]`). The
@@ -186,16 +174,6 @@ pub fn render_prometheus_labeled(
         phases,
     ));
     out
-}
-
-/// One-call exposition of a run's counter surfaces: traffic, named event
-/// counters, and phase seconds.
-pub fn render_prometheus(
-    traffic: &TrafficSnapshot,
-    counters: &[(&str, u64)],
-    phases: &[(&str, f64)],
-) -> String {
-    render_prometheus_labeled(traffic, counters, phases, &[])
 }
 
 #[cfg(test)]
@@ -225,7 +203,7 @@ mod tests {
             p2p_messages: 7,
             ..Default::default()
         };
-        let text = render_traffic(&t);
+        let text = render_traffic_labeled(&t, &[]);
         assert!(text.contains("mpi_traffic_p2p_messages_total 7"));
         assert!(text.contains("mpi_traffic_recv_timeouts_total 0"));
         assert_eq!(
@@ -236,7 +214,7 @@ mod tests {
 
     #[test]
     fn phase_seconds_fixed_notation() {
-        let text = render_phase_seconds("p_seconds", "h", &[("eos", 0.5)]);
+        let text = render_phase_seconds_labeled("p_seconds", "h", &[], &[("eos", 0.5)]);
         assert!(text.contains("p_seconds{name=\"eos\"} 0.500000000"));
     }
 

@@ -3,10 +3,10 @@
 //! The paper reports throughput as **SYPD** (simulated years per
 //! wall-clock day) and breaks step cost into the shares of the baroclinic
 //! solver, barotropic solver, tracer advection, canuto vertical mixing
-//! and halo communication (Fig. 12 / §VI). [`SypdReporter`] converts a
-//! stepped run (model days + wall seconds) into that figure and maps the
-//! model's phase timers onto the same buckets so measured shares can sit
-//! next to the paper's.
+//! and halo communication (Fig. 12 / §VI). [`sypd`] converts a stepped run
+//! (model days + wall seconds) into that figure and [`hotspot_shares`] maps
+//! the model's phase timers onto the same buckets so measured shares can
+//! sit next to the paper's.
 
 /// Hotspot buckets, in report order.
 pub const BUCKETS: [&str; 6] = [
@@ -83,74 +83,6 @@ pub fn hotspot_shares(phases: &[(&str, f64)]) -> Vec<HotspotRow> {
         .collect()
 }
 
-/// Converts a stepped run into the paper's throughput and hotspot view.
-#[derive(Debug, Clone, Copy)]
-pub struct SypdReporter {
-    pub model_days: f64,
-    pub wall_seconds: f64,
-}
-
-impl SypdReporter {
-    pub fn new(model_days: f64, wall_seconds: f64) -> Self {
-        Self {
-            model_days,
-            wall_seconds,
-        }
-    }
-
-    pub fn sypd(&self) -> f64 {
-        sypd(self.model_days, self.wall_seconds)
-    }
-
-    /// Render the SYPD figure plus the hotspot-share table for the given
-    /// phase timers.
-    pub fn render(&self, phases: &[(&str, f64)]) -> String {
-        use std::fmt::Write;
-        let rows = hotspot_shares(phases);
-        let phase_total: f64 = rows.iter().map(|r| r.seconds).sum();
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "SYPD {:.4}  ({} model days in {:.3} s wall)",
-            self.sypd(),
-            self.model_days,
-            self.wall_seconds
-        );
-        let _ = writeln!(out, "{:<12} {:>10} {:>8}", "hotspot", "seconds", "share");
-        for r in rows {
-            let _ = writeln!(
-                out,
-                "{:<12} {:>10.4} {:>7.1}%",
-                r.bucket,
-                r.seconds,
-                r.share * 100.0
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{:<12} {:>10.4} ({:.1}% of wall)",
-            "phase total",
-            phase_total,
-            if self.wall_seconds > 0.0 {
-                phase_total / self.wall_seconds * 100.0
-            } else {
-                0.0
-            }
-        );
-        out
-    }
-
-    /// `|sum(phases) − wall| / wall` — the coverage error the acceptance
-    /// criterion bounds at 2%.
-    pub fn coverage_error(&self, phases: &[(&str, f64)]) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            return 1.0;
-        }
-        let phase_total: f64 = hotspot_shares(phases).iter().map(|r| r.seconds).sum();
-        (phase_total - self.wall_seconds).abs() / self.wall_seconds
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,12 +130,5 @@ mod tests {
         assert!((total - 1.0).abs() < 1e-12);
         let bt = rows.iter().find(|r| r.bucket == "barotropic").unwrap();
         assert!((bt.share - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn coverage_error_is_relative() {
-        let rep = SypdReporter::new(1.0, 10.0);
-        let err = rep.coverage_error(&[("barotropic", 9.9)]);
-        assert!((err - 0.01).abs() < 1e-12);
     }
 }

@@ -1,27 +1,22 @@
-//! Cross-rank telemetry: load-imbalance attribution, halo-wait critical
-//! path, and streaming drift detection.
+//! Cross-rank telemetry: load-imbalance attribution and streaming drift
+//! detection.
 //!
 //! The profiler (PR 4) sees one rank at a time; the paper's scaling story
 //! is about what happens *between* ranks — canuto land/sea imbalance,
-//! halo volume at the tripolar cap, comm/compute overlap. This module
-//! closes that gap in three pieces:
+//! halo volume at the tripolar cap. This module closes that gap in two
+//! pieces:
 //!
 //! * [`gather_phases`] + [`ImbalanceReport`] — every rank contributes its
 //!   `(phase, seconds)` profile through a deterministic `mpi-sim`
 //!   allgather; the report computes max/mean and max/min ratios per
 //!   phase, ranks the most imbalanced phases, and renders an ASCII
 //!   per-rank heat map.
-//! * [`CriticalPath`] — the barrier-synchronized step estimate
-//!   Σ_phases max_ranks(t) against the measured wall time; their ratio is
-//!   the overlap efficiency (> 1 when comm/compute overlap and phase
-//!   skew let the real run beat the serialized estimate).
 //! * [`RingBuffer`] + [`DriftDetector`] — a bounded per-step sample
 //!   stream with an EWMA + z-score anomaly detector, generic over what
 //!   the metric means (step wall, halo wait, physics scalars).
 
 use mpi_sim::Comm;
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// One rank's `(phase name, seconds)` profile, e.g.
 /// `licom::Timers::phase_seconds`.
@@ -32,75 +27,6 @@ pub type PhaseProfile = Vec<(String, f64)>;
 /// result is indexed by rank.
 pub fn gather_phases(comm: &Comm, local: PhaseProfile) -> Vec<PhaseProfile> {
     comm.allgather(local)
-}
-
-/// A phase gather that tolerated absent ranks: whatever arrived within
-/// the deadline, plus the list of ranks that did not report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialPhases {
-    /// Indexed by rank; `None` where a rank never reported.
-    pub profiles: Vec<Option<PhaseProfile>>,
-    /// Ranks that were dead or failed to report within the deadline.
-    pub missing: Vec<usize>,
-}
-
-impl PartialPhases {
-    pub fn is_complete(&self) -> bool {
-        self.missing.is_empty()
-    }
-
-    /// Rank-indexed profiles with empty placeholders for missing ranks,
-    /// so [`ImbalanceReport::from_profiles`] keeps its rank indexing.
-    /// Missing ranks show as zero-second rows; consult [`Self::missing`]
-    /// before reading anything into those zeros.
-    pub fn profiles_or_empty(&self) -> Vec<PhaseProfile> {
-        self.profiles
-            .iter()
-            .map(|p| p.clone().unwrap_or_default())
-            .collect()
-    }
-}
-
-/// Tag namespace for [`try_gather_phases`]; the caller's `salt` (e.g.
-/// the step number) separates successive gathers so a profile a slow
-/// rank delivered after an earlier gather's deadline can never be
-/// mistaken for a fresh report.
-const PHASE_GATHER_TAG: u64 = 0x7E1E_0000_0000_0000;
-
-/// [`gather_phases`] hardened against dead or stalled ranks: exchanges
-/// profiles over point-to-point messages and bounds every receive by
-/// `per_rank_deadline`. A dead peer is detected immediately through the
-/// failure registry ([`mpi_sim::CommError::PeerDead`]) without consuming
-/// the deadline; a stalled-but-alive rank costs at most the deadline and
-/// is then reported missing. Telemetry must never take the model down
-/// with it — a partial report tagged with who is absent beats a hang.
-pub fn try_gather_phases(
-    comm: &Comm,
-    local: PhaseProfile,
-    salt: u64,
-    per_rank_deadline: Duration,
-) -> PartialPhases {
-    let n = comm.size();
-    let me = comm.rank();
-    let tag = PHASE_GATHER_TAG ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    for r in 0..n {
-        if r != me {
-            comm.send(r, tag, local.clone());
-        }
-    }
-    let mut profiles: Vec<Option<PhaseProfile>> = vec![None; n];
-    profiles[me] = Some(local);
-    let mut missing = Vec::new();
-    for (r, slot) in profiles.iter_mut().enumerate() {
-        if r == me {
-            continue;
-        }
-        match comm.recv_deadline::<(String, f64)>(r, tag, per_rank_deadline) {
-            Ok(p) => *slot = Some(p),
-            Err(_) => missing.push(r),
-        }
-    }
-    PartialPhases { profiles, missing }
 }
 
 /// Per-phase cross-rank imbalance statistics.
@@ -233,106 +159,6 @@ impl ImbalanceReport {
         out.push_str("\nper-rank load (all phases)\n");
         out.push_str(&self.heat_map());
         out
-    }
-}
-
-/// Critical-path estimate for one step (or run window).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CriticalPath {
-    /// Σ over phases of the slowest rank's seconds — what the window
-    /// would cost if every phase were a barrier-to-barrier section.
-    pub serialized_seconds: f64,
-    /// Measured wall seconds of the same window (slowest rank).
-    pub measured_seconds: f64,
-}
-
-impl CriticalPath {
-    pub fn from_report(report: &ImbalanceReport, measured_seconds: f64) -> Self {
-        Self {
-            serialized_seconds: report.phases.iter().map(|p| p.max).sum(),
-            measured_seconds,
-        }
-    }
-
-    /// `serialized / measured`: ≈ 1 when phases are effectively globally
-    /// synchronized, > 1 when overlap and phase skew hide straggler time,
-    /// < 1 when unattributed time (barriers, gaps between phases)
-    /// inflates the measured wall.
-    pub fn overlap_efficiency(&self) -> f64 {
-        if self.measured_seconds > 0.0 {
-            self.serialized_seconds / self.measured_seconds
-        } else {
-            1.0
-        }
-    }
-
-    pub fn render(&self) -> String {
-        format!(
-            "critical path: serialized {:.4}s vs measured {:.4}s → overlap efficiency {:.3}\n",
-            self.serialized_seconds,
-            self.measured_seconds,
-            self.overlap_efficiency()
-        )
-    }
-}
-
-/// Halo-wait vs compute decomposition of a measured window.
-///
-/// `compute` is phase-attributed time minus the receive-wait carved out
-/// by `halo-exchange`'s `halo_wait_ns` counter, so
-/// `halo_wait + compute = Σ phase timers`, which the model's timer
-/// structure covers to within the SYPD reporter's 2% bound of the
-/// enclosing wall time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WaitComputeSplit {
-    pub halo_wait_seconds: f64,
-    pub compute_seconds: f64,
-    /// The enclosing measured wall seconds the split should account for.
-    pub wall_seconds: f64,
-}
-
-impl WaitComputeSplit {
-    /// `phase_seconds` is the sum of all phase timers in the window;
-    /// `halo_wait_seconds` must already be contained in it.
-    pub fn new(phase_seconds: f64, halo_wait_seconds: f64, wall_seconds: f64) -> Self {
-        let halo_wait = halo_wait_seconds.min(phase_seconds);
-        Self {
-            halo_wait_seconds: halo_wait,
-            compute_seconds: phase_seconds - halo_wait,
-            wall_seconds,
-        }
-    }
-
-    /// |split sum − wall| / wall. The acceptance bound is 2%, matching
-    /// the SYPD coverage contract.
-    pub fn coverage_error(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            return 0.0;
-        }
-        ((self.halo_wait_seconds + self.compute_seconds) - self.wall_seconds).abs()
-            / self.wall_seconds
-    }
-
-    /// Fraction of accounted time spent waiting on halos.
-    pub fn halo_fraction(&self) -> f64 {
-        let total = self.halo_wait_seconds + self.compute_seconds;
-        if total > 0.0 {
-            self.halo_wait_seconds / total
-        } else {
-            0.0
-        }
-    }
-
-    pub fn render(&self) -> String {
-        format!(
-            "halo wait {:.4}s + compute {:.4}s = {:.4}s vs wall {:.4}s (coverage error {:.2}%, halo fraction {:.1}%)\n",
-            self.halo_wait_seconds,
-            self.compute_seconds,
-            self.halo_wait_seconds + self.compute_seconds,
-            self.wall_seconds,
-            100.0 * self.coverage_error(),
-            100.0 * self.halo_fraction()
-        )
     }
 }
 
@@ -610,28 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_overlap_efficiency() {
-        let r = ImbalanceReport::from_profiles(&profiles());
-        // serialized = 4 (canuto) + 2 (halo) = 6
-        let cp = CriticalPath::from_report(&r, 5.0);
-        assert!((cp.serialized_seconds - 6.0).abs() < 1e-12);
-        assert!((cp.overlap_efficiency() - 1.2).abs() < 1e-12);
-        assert!(cp.render().contains("overlap efficiency"));
-    }
-
-    #[test]
-    fn wait_compute_split_sums_and_caps() {
-        let s = WaitComputeSplit::new(10.0, 2.5, 10.2);
-        assert!((s.halo_wait_seconds + s.compute_seconds - 10.0).abs() < 1e-12);
-        assert!(s.coverage_error() < 0.02);
-        assert!((s.halo_fraction() - 0.25).abs() < 1e-12);
-        // Wait can never exceed the phase-attributed total.
-        let capped = WaitComputeSplit::new(1.0, 5.0, 1.0);
-        assert_eq!(capped.compute_seconds, 0.0);
-        assert_eq!(capped.halo_wait_seconds, 1.0);
-    }
-
-    #[test]
     fn gather_phases_is_rank_indexed() {
         World::run(3, |comm| {
             let local = vec![(format!("phase{}", comm.rank()), comm.rank() as f64)];
@@ -641,43 +445,6 @@ mod tests {
                 assert_eq!(profile[0].0, format!("phase{r}"));
                 assert_eq!(profile[0].1, r as f64);
             }
-        });
-    }
-
-    #[test]
-    fn try_gather_phases_is_complete_on_a_healthy_world() {
-        World::run(3, |comm| {
-            let local = vec![(format!("phase{}", comm.rank()), comm.rank() as f64)];
-            let p = try_gather_phases(comm, local.clone(), 1, Duration::from_secs(5));
-            assert!(p.is_complete());
-            assert_eq!(p.profiles_or_empty(), gather_phases(comm, local));
-        });
-    }
-
-    #[test]
-    fn try_gather_phases_tags_a_dead_rank_as_missing() {
-        use mpi_sim::{FaultPlan, WorldConfig};
-        // Rank 1 dies before reporting; survivors must get a partial
-        // gather promptly (registry detection, not a burned deadline).
-        let plan = FaultPlan::new(0xFA11).kill(1, 1);
-        let cfg = WorldConfig::new(3).faults(plan);
-        World::run_cfg(cfg, |comm| {
-            comm.set_epoch(1);
-            if comm.self_failed() {
-                return;
-            }
-            let t0 = std::time::Instant::now();
-            let local = vec![("step".to_string(), 1.0 + comm.rank() as f64)];
-            let p = try_gather_phases(comm, local, 2, Duration::from_secs(30));
-            assert_eq!(p.missing, vec![1]);
-            assert!(p.profiles[0].is_some() || comm.rank() == 0);
-            assert!(p.profiles[2].is_some() || comm.rank() == 2);
-            assert!(p.profiles[1].is_none());
-            // Dead-rank detection must not consume the 30 s deadline.
-            assert!(t0.elapsed() < Duration::from_secs(10));
-            // The report still works, rank-indexed, with a zero row.
-            let report = ImbalanceReport::from_profiles(&p.profiles_or_empty());
-            assert_eq!(report.ranks, 3);
         });
     }
 

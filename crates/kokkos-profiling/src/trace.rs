@@ -7,7 +7,7 @@
 //!
 //! * `"X"` complete spans — kernels, deep copies, regions;
 //! * `"i"` instant events — fences, halo traffic, fault injections;
-//! * `"C"` counter events — CPE/DMA counter samples;
+//! * `"C"` counter events — counter samples;
 //! * `"M"` metadata — process (rank) and thread track names.
 //!
 //! `pid` is the simulated MPI rank and `tid` the emitting thread's track,

@@ -5,9 +5,7 @@
 //! regenerate after an intentional format change:
 //! `BLESS=1 cargo test -p kokkos-profiling --test prometheus_golden`.
 
-use kokkos_profiling::{
-    render_gauge, render_named_gauges, render_prometheus, render_prometheus_labeled,
-};
+use kokkos_profiling::{render_gauge, render_named_gauges, render_prometheus_labeled};
 use mpi_sim::TrafficSnapshot;
 
 fn synthetic_traffic() -> TrafficSnapshot {
@@ -45,7 +43,7 @@ fn exposition_matches_golden_file() {
         ("drift_trips", 0),
     ];
     let phases: &[(&str, f64)] = &[("barotropic", 0.5), ("eos", 0.00125), ("halo_ts", 0.0625)];
-    let rendered = render_prometheus(&synthetic_traffic(), counters, phases);
+    let rendered = render_prometheus_labeled(&synthetic_traffic(), counters, phases, &[]);
 
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/prometheus.txt");
     if std::env::var("BLESS").is_ok() {

@@ -21,12 +21,12 @@
 //!
 //! ## Zero overhead when disabled
 //!
-//! The disabled fast path is one `AtomicBool` load (plus, for the
+//! The disabled fast path is one atomic load (plus, for the
 //! `DeviceSim` space, the launch count the space always keeps). No
 //! allocation, no lock, no `Instant::now()` — the steady-state
 //! zero-allocation property of the model step is preserved with hooks
-//! disabled, and `bench`'s `profiling` group asserts the dispatch cost
-//! stays within noise of the uninstrumented baseline.
+//! disabled; `licom_bench` reports the cost as
+//! `kokkos-profiling.disabled_hook_ns`.
 //!
 //! ## Launch accounting unification
 //!
@@ -172,7 +172,16 @@ fn current_flight_sink() -> Option<&'static Arc<dyn FlightSink>> {
     FLIGHT_SINK.get()
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Every installed consumer, in one word: bit 0 is the process-global
+/// tool, the rest counts registered instance hooks (in units of
+/// [`ONE_INSTANCE`]). Each half is only written under the lock of the
+/// registry it mirrors, so the word is always what the two registries
+/// hold, and [`enabled`] is derived from it — there is no separate flag
+/// to recompute and store late.
+static CONSUMERS: AtomicU64 = AtomicU64::new(0);
+const GLOBAL_TOOL: u64 = 1;
+const ONE_INSTANCE: u64 = 2;
+
 static NEXT_KERNEL_ID: AtomicU64 = AtomicU64::new(0);
 static HOOKS: Mutex<Option<Arc<dyn ProfilingHooks>>> = Mutex::new(None);
 
@@ -184,9 +193,6 @@ static NEXT_INSTANCE_KEY: AtomicU64 = AtomicU64::new(1);
 static INSTANCE_HOOKS: Mutex<
     Option<std::collections::HashMap<InstanceKey, Arc<dyn ProfilingHooks>>>,
 > = Mutex::new(None);
-/// Registered instance-hook count, mirrored outside the map's lock so
-/// enable/disable transitions can maintain the single `ENABLED` flag.
-static INSTANCE_COUNT: AtomicU64 = AtomicU64::new(0);
 
 std::thread_local! {
     /// The instance whose hooks receive events dispatched from this
@@ -197,26 +203,23 @@ std::thread_local! {
     static CURRENT_INSTANCE: std::cell::Cell<InstanceKey> = const { std::cell::Cell::new(0) };
 }
 
-fn refresh_enabled() {
-    let any = INSTANCE_COUNT.load(Ordering::Relaxed) > 0 || HOOKS.lock().is_some();
-    ENABLED.store(any, Ordering::Release);
-}
-
 /// Install a process-global profiling tool. Replaces any previous tool.
 /// Dispatches from threads inside an [`enter_instance`] scope with
 /// registered instance hooks do NOT reach the global tool — per-instance
 /// consumers shadow it, which is the isolation multi-instance serving
 /// needs.
 pub fn set_hooks(hooks: Arc<dyn ProfilingHooks>) {
-    *HOOKS.lock() = Some(hooks);
-    ENABLED.store(true, Ordering::Release);
+    let mut slot = HOOKS.lock();
+    *slot = Some(hooks);
+    CONSUMERS.fetch_or(GLOBAL_TOOL, Ordering::Release);
 }
 
 /// Remove the installed tool; dispatch returns to the zero-overhead path
 /// (unless per-instance hooks remain registered).
 pub fn clear_hooks() {
-    *HOOKS.lock() = None;
-    refresh_enabled();
+    let mut slot = HOOKS.lock();
+    *slot = None;
+    CONSUMERS.fetch_and(!GLOBAL_TOOL, Ordering::Release);
 }
 
 /// Allocate a fresh, process-unique instance key (never 0).
@@ -234,9 +237,8 @@ pub fn register_instance_hooks(key: InstanceKey, hooks: Arc<dyn ProfilingHooks>)
     let mut map = INSTANCE_HOOKS.lock();
     let map = map.get_or_insert_with(Default::default);
     if map.insert(key, hooks).is_none() {
-        INSTANCE_COUNT.fetch_add(1, Ordering::Relaxed);
+        CONSUMERS.fetch_add(ONE_INSTANCE, Ordering::Release);
     }
-    ENABLED.store(true, Ordering::Release);
 }
 
 /// Remove the consumer registered under `key` (no-op if absent).
@@ -244,11 +246,9 @@ pub fn unregister_instance_hooks(key: InstanceKey) {
     let mut guard = INSTANCE_HOOKS.lock();
     if let Some(map) = guard.as_mut() {
         if map.remove(&key).is_some() {
-            INSTANCE_COUNT.fetch_sub(1, Ordering::Relaxed);
+            CONSUMERS.fetch_sub(ONE_INSTANCE, Ordering::Release);
         }
     }
-    drop(guard);
-    refresh_enabled();
 }
 
 /// RAII scope marking this thread's dispatches as belonging to one
@@ -277,10 +277,10 @@ pub fn current_instance() -> InstanceKey {
     CURRENT_INSTANCE.with(|c| c.get())
 }
 
-/// Whether a tool is currently attached.
+/// Whether a tool — global or per-instance — is currently attached.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Acquire)
+    CONSUMERS.load(Ordering::Acquire) != 0
 }
 
 /// Kernel-launch ids assigned so far (monotone; next launch gets this id).
@@ -289,11 +289,12 @@ pub fn kernel_ids_assigned() -> u64 {
 }
 
 fn current_hooks() -> Option<Arc<dyn ProfilingHooks>> {
-    if !enabled() {
+    let consumers = CONSUMERS.load(Ordering::Acquire);
+    if consumers == 0 {
         return None;
     }
     let key = CURRENT_INSTANCE.with(|c| c.get());
-    if key != 0 && INSTANCE_COUNT.load(Ordering::Relaxed) > 0 {
+    if key != 0 && consumers >= ONE_INSTANCE {
         if let Some(h) = INSTANCE_HOOKS
             .lock()
             .as_ref()
@@ -637,6 +638,92 @@ mod tests {
         }
         unregister_instance_hooks(key);
         assert!(rec.log.lock().iter().any(|l| l.contains("OnlyInstance")));
+    }
+
+    /// A consumer that is registered must be reachable: `enabled()` may
+    /// not read false while an instance hook is installed. Before the
+    /// flag was derived from the one `CONSUMERS` word it was recomputed
+    /// and stored late, and this interleaving lost a registration:
+    ///
+    /// ```text
+    /// racer: unregister(A) / clear_hooks()      main: register(B)
+    ///   remove, count 1 -> 0, unlock
+    ///   refresh: reads count 0, no tool
+    ///                                             insert, count 0 -> 1
+    ///                                             ENABLED = true
+    ///   ENABLED = false          <- B is registered and unreachable
+    /// ```
+    ///
+    /// Each round lines the two calls up on a spin barrier and sweeps
+    /// main's start over a few hundred nanoseconds so the window is
+    /// crossed from both sides; the check runs once both have returned.
+    /// With the recomputed flag it fails on 2 vCPUs, usually within a few
+    /// hundred rounds.
+    #[test]
+    fn enabled_holds_while_an_instance_hook_is_registered() {
+        use std::sync::atomic::AtomicUsize;
+        let _serial = test_registry_lock();
+        clear_hooks();
+        let hooks: Arc<dyn ProfilingHooks> = Arc::new(Recorder::default());
+        let (ka, kb) = (next_instance_key(), next_instance_key());
+        const ROUNDS: usize = 20_000;
+        let (round, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        // Spin, to stay lined up with the other thread; yield once that has
+        // taken too long for it to be running on another core.
+        let wait = |ready: &dyn Fn() -> bool| {
+            let mut spins = 0u32;
+            while !ready() {
+                spins += 1;
+                if spins < 10_000 {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        };
+        let mut lost = None;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for r in 1..=ROUNDS {
+                    wait(&|| round.load(Ordering::Acquire) >= r);
+                    if round.load(Ordering::Acquire) == usize::MAX {
+                        return;
+                    }
+                    // Even rounds take the last instance hook away, odd
+                    // rounds the global tool.
+                    if r % 2 == 0 {
+                        unregister_instance_hooks(ka);
+                    } else {
+                        clear_hooks();
+                    }
+                    done.store(r, Ordering::Release);
+                }
+            });
+            for r in 1..=ROUNDS {
+                if r % 2 == 0 {
+                    register_instance_hooks(ka, hooks.clone());
+                } else {
+                    set_hooks(hooks.clone());
+                }
+                round.store(r, Ordering::Release);
+                for _ in 0..(r / 2) % 64 {
+                    std::hint::spin_loop();
+                }
+                register_instance_hooks(kb, hooks.clone());
+                wait(&|| done.load(Ordering::Acquire) == r);
+                let reachable = enabled();
+                unregister_instance_hooks(kb);
+                if !reachable || enabled() {
+                    lost = Some((r, reachable));
+                    break;
+                }
+            }
+            round.store(usize::MAX, Ordering::Release);
+        });
+        assert_eq!(
+            lost, None,
+            "(round, enabled() with one instance hook registered); the flag must also be off after"
+        );
     }
 
     #[test]

@@ -301,3 +301,31 @@ fn traffic_gen_smoke_64_instances_threads() {
     assert!(snap.steps_total > 0);
     assert!(snap.p99_step_ns >= snap.p50_step_ns);
 }
+
+/// The seeded 48-job plan is 214 steps, and the server delivers every one
+/// of them: a plan that changes under its seed, a step served twice or a
+/// job dropped moves a literal here.
+#[test]
+fn seeded_plan_is_served_to_the_step() {
+    let plan = generate(&TrafficConfig {
+        jobs: 48,
+        steps: (3, 6),
+        ..TrafficConfig::default()
+    });
+    let planned: u64 = plan.iter().map(|a| a.spec.steps).sum();
+    assert_eq!((plan.len(), planned), (48, 214));
+
+    let server = Server::start(ServerConfig {
+        workers: 4,
+        ckpt_base: ckpt_base("plan48"),
+        ..ServerConfig::default()
+    });
+    for a in plan {
+        server.submit(a.spec).expect("admission within bounds");
+    }
+    let snap = server.join();
+    assert_eq!(
+        (snap.jobs_completed, snap.steps_total, snap.jobs_failed),
+        (48, 214, 0)
+    );
+}

@@ -15,10 +15,9 @@
 //!
 //! The second half of this module closes the loop with the profiler:
 //! [`predicted_shares`] renders the census as per-kernel *shares* of a
-//! step's compute time, and [`compare_kernels`] lines those up against a
-//! measured per-kernel profile (e.g. `kokkos-profiling`'s kernel table)
-//! so census drift shows up as a ratio ≠ 1 per kernel instead of a single
-//! opaque multiplier.
+//! step's compute time, which `licom_bench` lines up against its traced
+//! per-phase shares (`perf-model.census_share_l1_err`) so census drift
+//! shows up per kernel instead of as a single opaque multiplier.
 
 use crate::machine::Machine;
 use crate::workload::{ProblemSpec, PASSES_2D_SUBSTEP, PASSES_3D};
@@ -118,83 +117,6 @@ pub fn predicted_imbalance(wet_points_per_rank: &[u64]) -> f64 {
     }
 }
 
-/// One kernel's measured-vs-census comparison.
-#[derive(Debug, Clone)]
-pub struct KernelComparison {
-    pub name: String,
-    /// Share of the measured compute total.
-    pub measured_share: f64,
-    /// Share of the census-predicted compute total.
-    pub predicted_share: f64,
-    /// `measured_share / predicted_share` (infinite when the census
-    /// predicts 0 for a kernel that was measured).
-    pub ratio: f64,
-}
-
-/// Line a measured per-kernel profile up against the census prediction.
-///
-/// `measured` is `(kernel name, seconds)` — e.g. the profiler's kernel
-/// table mapped to census names. Both sides are renormalised over the
-/// *intersection* of names so instrumentation gaps on either side don't
-/// skew the shares; unmatched entries are dropped. Result is sorted by
-/// descending measured share.
-pub fn compare_kernels(
-    measured: &[(String, f64)],
-    predicted: &[(&'static str, f64)],
-) -> Vec<KernelComparison> {
-    let matched: Vec<(&str, f64, f64)> = measured
-        .iter()
-        .filter_map(|(name, secs)| {
-            predicted
-                .iter()
-                .find(|(p, _)| p == name)
-                .map(|(_, pt)| (name.as_str(), *secs, *pt))
-        })
-        .collect();
-    let m_total: f64 = matched.iter().map(|(_, m, _)| m).sum();
-    let p_total: f64 = matched.iter().map(|(_, _, p)| p).sum();
-    if m_total <= 0.0 || p_total <= 0.0 {
-        return Vec::new();
-    }
-    let mut out: Vec<KernelComparison> = matched
-        .into_iter()
-        .map(|(name, m, p)| {
-            let measured_share = m / m_total;
-            let predicted_share = p / p_total;
-            KernelComparison {
-                name: name.to_string(),
-                measured_share,
-                predicted_share,
-                ratio: if predicted_share > 0.0 {
-                    measured_share / predicted_share
-                } else {
-                    f64::INFINITY
-                },
-            }
-        })
-        .collect();
-    out.sort_by(|a, b| b.measured_share.total_cmp(&a.measured_share));
-    out
-}
-
-/// Render a [`compare_kernels`] result as an aligned table.
-pub fn render_comparison(rows: &[KernelComparison]) -> String {
-    let mut out = format!(
-        "{:<20} {:>12} {:>12} {:>8}\n",
-        "kernel", "measured %", "census %", "ratio"
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<20} {:>12.2} {:>12.2} {:>8.2}\n",
-            r.name,
-            100.0 * r.measured_share,
-            100.0 * r.predicted_share,
-            r.ratio
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,33 +152,5 @@ mod tests {
         let top = shares.iter().max_by(|a, b| a.1.total_cmp(&b.1)).unwrap().0;
         // The census's heaviest 3-D pass by bytes is tracer advection.
         assert_eq!(top, "advection_tracer");
-    }
-
-    #[test]
-    fn compare_kernels_matches_by_name_and_renormalises() {
-        let predicted: Vec<(&'static str, f64)> =
-            vec![("eos", 1.0), ("canuto", 3.0), ("advection_tracer", 6.0)];
-        let measured = vec![
-            ("eos".to_string(), 0.1),
-            ("advection_tracer".to_string(), 0.6),
-            ("not_in_census".to_string(), 99.0),
-        ];
-        let rows = compare_kernels(&measured, &predicted);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].name, "advection_tracer");
-        // Intersection is {eos, advection_tracer}: measured 0.1/0.6,
-        // predicted 1/6 — identical shares, ratio 1.
-        for r in &rows {
-            assert!((r.ratio - 1.0).abs() < 1e-12, "{}: {}", r.name, r.ratio);
-        }
-        let rendered = render_comparison(&rows);
-        assert!(rendered.contains("advection_tracer"));
-        assert!(rendered.contains("ratio"));
-    }
-
-    #[test]
-    fn compare_kernels_empty_on_no_overlap() {
-        let rows = compare_kernels(&[("x".to_string(), 1.0)], &[("y", 1.0)]);
-        assert!(rows.is_empty());
     }
 }

@@ -32,8 +32,7 @@ pub mod project;
 pub mod workload;
 
 pub use calibration::{
-    compare_kernels, cost_multiplier, predicted_imbalance, predicted_kernel_times,
-    predicted_shares, render_comparison, KernelComparison,
+    cost_multiplier, predicted_imbalance, predicted_kernel_times, predicted_shares,
 };
 pub use ldm::CpeParams;
 pub use machine::Machine;

@@ -9,10 +9,11 @@
 # `std::thread::local::LocalKey`; per instantiation it prints who enters it
 # and how many packed divides are 256-bit (`ymm`) against 128-bit (`xmm`).
 #
-#   scripts/check_isa_clone.sh [BINARY]     (default: target/release/exp_profile)
+#   scripts/check_isa_clone.sh BINARY     (any release binary that steps a model,
+#                                          e.g. target/release/licomkpp)
 set -euo pipefail
 
-bin=${1:-target/release/exp_profile}
+bin=${1:?usage: scripts/check_isa_clone.sh BINARY}
 if ! command -v objdump >/dev/null; then
     echo "check_isa_clone: skipped, objdump not found"
     exit 0

@@ -27,12 +27,12 @@
 //!   paper's full-scale results (Figs. 7–9, Table V);
 //! * [`profiling`] (`kokkos-profiling`) — Kokkos-Tools-style observability:
 //!   kernel/region aggregation over the `kokkos` hook registry,
-//!   Perfetto-loadable chrome-trace export with comm and CPE/DMA counter
-//!   tracks, SYPD + paper-hotspot reporting, plus cross-rank telemetry:
-//!   per-phase load-imbalance attribution, halo-wait vs compute
-//!   decomposition with a critical-path estimate, streaming drift
-//!   detection (`model::telemetry`), Prometheus exposition, and the
-//!   `exp_bench_gate` CI perf-regression gate over `BENCH_baseline.json`.
+//!   Perfetto-loadable chrome-trace export with a comm track per rank,
+//!   SYPD + paper-hotspot shares, plus cross-rank telemetry: per-phase
+//!   load-imbalance attribution, streaming drift detection
+//!   (`model::telemetry`) and Prometheus exposition. It reports; what a
+//!   change costs is timed by `licom_bench` alone, and exact counts are
+//!   literals in the tests of the subsystem that produces them.
 //!
 //! ## Quickstart
 //!

@@ -1,0 +1,91 @@
+//! What a `Profiler` attached to a run sees, and what that run sent: a
+//! 4-rank model on each execution space for a few steps yields a chrome
+//! trace the validator accepts, carrying kernel spans, phase regions and
+//! `mpi-sim` comm instants on every rank — and the four spaces send the
+//! same, literal, traffic. Nothing here reads a clock: how much of a step
+//! its phases cover is `licom_bench`'s `licom.unattributed_frac`.
+
+use std::sync::Arc;
+
+use licomkpp::grid::Resolution;
+use licomkpp::kokkos::Space;
+use licomkpp::model::{Model, ModelOptions, PHASES};
+use licomkpp::mpi::World;
+use licomkpp::profiling::{
+    attach, detach, test_registry_lock, validate_chrome_trace, Profiler, COMM_TRACK,
+};
+use licomkpp::sunway::CgConfig;
+
+const RANKS: usize = 4;
+const STEPS: usize = 8;
+
+#[test]
+fn four_spaces_trace_validly_and_send_the_same_literal_traffic() {
+    let _serial = test_registry_lock();
+    // 60x36x6: nx divides over four ranks.
+    let cfg = Resolution::Coarse100km.config().scaled_down(6, 6);
+    let dir = std::env::temp_dir().join(format!("licomkpp_profiled_run_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    for name in ["Serial", "Threads", "DeviceSim", "SwAthread"] {
+        let prof = Arc::new(Profiler::default());
+        attach(prof.clone());
+        let run_cfg = cfg.clone();
+        let (ranks, traffic) = World::run_traced(RANKS, move |comm| {
+            let space = match name {
+                "SwAthread" => Space::sw_athread_with(CgConfig::bench()),
+                _ => Space::from_name(name).unwrap(),
+            };
+            let mut m = Model::new(comm, run_cfg.clone(), space, ModelOptions::default());
+            m.run_steps(STEPS);
+            let trips = m.timers.count("drift_perf_trips") + m.timers.count("drift_physics_trips");
+            (m.grid.wet.cells3_own.indices.len(), trips)
+        });
+        detach();
+
+        // The messages 8 steps of the one schedule send; a row of `PHASES`
+        // that posts one exchange more, or one strip more, moves these.
+        let (wet_cells, drift_trips) = (ranks[0].0, ranks.iter().map(|r| r.1).sum::<u64>());
+        assert_eq!(
+            (
+                traffic.p2p_messages,
+                traffic.p2p_bytes,
+                wet_cells,
+                drift_trips
+            ),
+            (3_178, 5_664_128, 2_522, 0),
+            "{name}: (p2p messages, p2p bytes, rank 0's wet cells, drift trips)"
+        );
+
+        // Written, read back, validated: the file is what a user opens.
+        let path = dir.join(format!("trace_{}.json", name.to_lowercase()));
+        prof.write_trace(&path).unwrap();
+        let summary = validate_chrome_trace(&std::fs::read_to_string(&path).unwrap())
+            .unwrap_or_else(|e| panic!("{name}: trace does not validate: {e}"));
+        assert_eq!(prof.dropped_events(), 0, "{name}");
+        let events = prof.events_snapshot();
+        assert_eq!(
+            summary.spans + summary.instants + summary.counters,
+            events.len(),
+            "{name}"
+        );
+        for rank in 0..RANKS as i64 {
+            let on_rank =
+                |cat: &'static str| events.iter().filter(move |e| e.pid == rank && e.cat == cat);
+            assert!(on_rank("kernel").any(|e| e.ph == 'X'), "{name} rank {rank}");
+            assert!(
+                on_rank("comm").any(|e| e.ph == 'i' && e.tid == COMM_TRACK),
+                "{name} rank {rank}"
+            );
+            for phase in &PHASES {
+                assert_eq!(
+                    on_rank("region").filter(|e| e.name == phase.name).count(),
+                    STEPS,
+                    "{name} rank {rank}: one `{}` region a step",
+                    phase.name
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
