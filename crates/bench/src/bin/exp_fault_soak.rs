@@ -96,8 +96,8 @@ fn run_cell(space_name: &str, plan: Option<FaultPlan>, tag: &str) -> CellResult 
         wall,
         checksums: finished.iter().map(|(_, sum, _)| *sum).collect(),
         deaths_recovered: finished[0].2.rank_deaths_recovered,
-        replay_steps: finished[0].2.recovery_replay_steps,
-        rollbacks: finished[0].2.rollbacks,
+        replay_steps: finished[0].2.run.steps_replayed,
+        rollbacks: finished[0].2.run.rollbacks,
         rank_deaths: traffic.rank_deaths,
         peer_dead_errors: traffic.peer_dead_errors,
         crc_failures: traffic.crc_failures,

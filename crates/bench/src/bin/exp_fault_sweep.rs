@@ -62,7 +62,6 @@ fn run(plan: Option<FaultPlan>) -> Outcome {
         steps_replayed: results.iter().map(|r| r.1.steps_replayed).sum(),
         halo_errors: results.iter().map(|r| r.1.halo_errors).sum(),
         guard_trips: results.iter().map(|r| r.1.guard_trips).sum(),
-        drift_trips: results.iter().map(|r| r.1.drift_trips).sum(),
         checkpoints_written: results.iter().map(|r| r.1.checkpoints_written).sum(),
     };
     Outcome {

@@ -94,10 +94,8 @@ fn run_once(shape: &Shape, ckpt_every: u64, ring: usize, kill: bool, tag: &str) 
     // Detection/recovery are per-rank walls; the slowest rank bounds the
     // group, so report the max.
     let stats = ElasticStats {
-        steps_completed: finished.iter().map(|s| s.steps_completed).max().unwrap(),
+        run: finished[0].run,
         rank_deaths_recovered: finished[0].rank_deaths_recovered,
-        recovery_replay_steps: finished[0].recovery_replay_steps,
-        rollbacks: finished[0].rollbacks,
         detection_ns: finished.iter().map(|s| s.detection_ns).max().unwrap(),
         recovery_wall_ns: finished.iter().map(|s| s.recovery_wall_ns).max().unwrap(),
     };
@@ -136,7 +134,7 @@ fn main() {
                     ring,
                     dead.stats.detection_ns as f64 * 1e-6,
                     dead.stats.recovery_wall_ns as f64 * 1e-6,
-                    dead.stats.recovery_replay_steps,
+                    dead.stats.run.steps_replayed,
                     dead.stats.rank_deaths_recovered,
                     dead.wall,
                     100.0 * (dead.wall / clean.wall - 1.0),

@@ -1,26 +1,35 @@
-//! CRC-protected checkpoint ring and rollback-and-replay recovery.
+//! Recovery: one state image on disk, one step-vote-commit loop.
 //!
-//! The restart files in [`crate::io`] assume a clean shutdown. This module
-//! is the *in-campaign* safety net: a ring of K per-rank checkpoints, each
-//! field protected by a CRC32, written atomically (tmp + fsync + rename)
-//! so a crash mid-write can never destroy the previous good slot. When a
-//! step fails — a halo strip unrecoverable after retries, a physics guard
-//! trip — [`crate::Model::run_steps_resilient`] agrees collectively on the
-//! newest checkpoint *every* rank can verify, restores it, and replays.
-//! Replay is deterministic (same seeds, same reduction order on every
-//! backend), so a recovered run is bitwise identical to a fault-free one.
+//! **One image.** A rank's prognostic state is serialized one way
+//! ([`encode`] / [`decode`]): a versioned header, then every field by
+//! leapfrog role, each under its own CRC32. It is always written the same
+//! way — tmp file, fsync, atomic rename — so a crash mid-write can never
+//! destroy the previous good file, and always read the same way: decoded
+//! and CRC-checked in full, then every name and length held against the
+//! model, before the first byte of state changes. A restart file
+//! ([`Model::save_restart`]) is that image under a stable name; the
+//! in-campaign ring ([`CheckpointManager`]) is K of them. `decode` returns
+//! a typed [`CheckpointError`] on any input and never panics or reserves
+//! more than a small multiple of what it was handed.
 //!
-//! The serialized image is a plain byte buffer (see [`encode`]/[`decode`])
-//! so corruption handling can be tested without a model: `decode` returns
-//! a typed [`CheckpointError`] on any malformed input and never panics.
+//! **One loop.** [`drive`] is the only place besides [`Model::step`] that
+//! steps the model: try the step, vote, and either *every* rank commits it
+//! or *every* rank rolls back to the newest checkpoint all of them can
+//! verify and replays. Replay is deterministic (same seeds, same reduction
+//! order on every backend), so a recovered run is bitwise identical to a
+//! fault-free one. Both votes — the step's and the restore's — are the one
+//! deadline-bounded [`vote`], so a dead or silent rank is a typed error
+//! and never a hang. [`Model::run_steps_resilient`] and
+//! [`crate::elastic::run_elastic`] are its two callers.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
-use mpi_sim::{crc32_f64, ReduceOp};
+use mpi_sim::flight::FlightEventKind;
+use mpi_sim::{crc32_f64, Comm, CommError, RetryPolicy};
 
 use crate::model::{Model, StepError};
-use crate::timers::Timers;
 
 const MAGIC: &[u8; 8] = b"LICOMCKP";
 const VERSION: u64 = 1;
@@ -42,11 +51,20 @@ pub enum CheckpointError {
     Mismatch(String),
     /// No slot that every rank can verify exists.
     NoUsableCheckpoint,
+    /// The restore vote could not finish: a peer died, or stayed silent
+    /// past the deadline.
+    Vote(CommError),
 }
 
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
         CheckpointError::Io(e)
+    }
+}
+
+impl From<CommError> for CheckpointError {
+    fn from(e: CommError) -> Self {
+        CheckpointError::Vote(e)
     }
 }
 
@@ -62,6 +80,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::NoUsableCheckpoint => {
                 write!(f, "no checkpoint verifiable on every rank")
             }
+            CheckpointError::Vote(e) => write!(f, "checkpoint restore vote failed: {e}"),
         }
     }
 }
@@ -224,9 +243,9 @@ fn geometry(m: &Model) -> [u64; 5] {
     ]
 }
 
-/// The prognostic fields a checkpoint carries, in file order — the same set
-/// as the restart files (leapfrog roles of u/v/t/s/eta plus barotropic
-/// ubt/vbt) — as slices of the model's own arrays.
+/// The prognostic fields an image carries, in file order — leapfrog roles
+/// of u/v/t/s/eta, then barotropic ubt/vbt — as slices of the model's own
+/// arrays.
 fn fields(m: &Model) -> Vec<(String, &[f64])> {
     let st = &m.state;
     let mut fields = Vec::with_capacity(17);
@@ -242,8 +261,29 @@ fn fields(m: &Model) -> Vec<(String, &[f64])> {
     fields
 }
 
-/// Load a verified image back into the model's prognostic state. The
-/// caller is responsible for [`Model::reset_transients`] afterwards.
+/// Write `m`'s image to `path` — tmp file, fsync, atomic rename: a crash at
+/// any point leaves either the old file or the new one, never a torn one.
+/// Returns the image's size in bytes.
+fn write_image(m: &Model, path: &Path) -> Result<u64, CheckpointError> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    let bytes = encode_fields(geometry(m), m.steps_taken(), &fields(m));
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(&bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    Ok(bytes.len() as u64)
+}
+
+/// Load a verified image into the model: geometry, field count and every
+/// name and length are held against the model **before** the first byte of
+/// state changes, so an image that does not fit leaves the model as it was.
+/// Work arrays are reset ([`Model::reset_transients`]) and the step counter
+/// set, so the model is indistinguishable from a fresh one given this state.
 fn apply(m: &mut Model, ck: &CheckpointData) -> Result<(), CheckpointError> {
     let want = geometry(m);
     if ck.geometry != want {
@@ -260,8 +300,6 @@ fn apply(m: &mut Model, ck: &CheckpointData) -> Result<(), CheckpointError> {
             expect.len()
         )));
     }
-    // Validate all names/lengths first so a mismatch cannot leave the
-    // state half-restored.
     for ((name, data), (want_name, want_data)) in ck.fields.iter().zip(expect.iter()) {
         if name != want_name || data.len() != want_data.len() {
             return Err(CheckpointError::Mismatch(format!(
@@ -271,22 +309,69 @@ fn apply(m: &mut Model, ck: &CheckpointData) -> Result<(), CheckpointError> {
             )));
         }
     }
-    let mut it = ck.fields.iter();
-    for (role, lev) in [
-        ("old", m.state.old()),
-        ("cur", m.state.cur()),
-        ("new", m.state.new_lev()),
-    ] {
-        let _ = role;
-        m.state.u[lev].copy_from_slice(&it.next().unwrap().1);
-        m.state.v[lev].copy_from_slice(&it.next().unwrap().1);
-        m.state.t[lev].copy_from_slice(&it.next().unwrap().1);
-        m.state.s[lev].copy_from_slice(&it.next().unwrap().1);
-        m.state.eta[lev].copy_from_slice(&it.next().unwrap().1);
+    let st = &m.state;
+    let mut it = ck.fields.iter().map(|(_, data)| data.as_slice());
+    let mut next = || it.next().expect("field count checked above");
+    for lev in [st.old(), st.cur(), st.new_lev()] {
+        st.u[lev].copy_from_slice(next());
+        st.v[lev].copy_from_slice(next());
+        st.t[lev].copy_from_slice(next());
+        st.s[lev].copy_from_slice(next());
+        st.eta[lev].copy_from_slice(next());
     }
-    m.state.ubt.copy_from_slice(&it.next().unwrap().1);
-    m.state.vbt.copy_from_slice(&it.next().unwrap().1);
+    st.ubt.copy_from_slice(next());
+    st.vbt.copy_from_slice(next());
+    m.reset_transients();
+    m.set_steps_taken(ck.step);
     Ok(())
+}
+
+impl Model {
+    /// Path of this rank's restart file under `dir`.
+    pub fn restart_path(&self, dir: &Path) -> PathBuf {
+        dir.join(format!("restart_{:05}.bin", self.comm().rank()))
+    }
+
+    /// Write this rank's restart file: the checkpoint image under a stable
+    /// name — a ring of one slot. Each rank writes its own file; no
+    /// communication.
+    pub fn save_restart(&self, dir: &Path) -> Result<(), CheckpointError> {
+        write_image(self, &self.restart_path(dir)).map(|_| ())
+    }
+
+    /// Resume from a file written by [`Model::save_restart`] with the same
+    /// configuration and rank count; the continued run is bitwise identical
+    /// to an uninterrupted one. The file is verified in full — format, CRC
+    /// of every field, geometry, names, lengths — before any state changes:
+    /// on `Err` the model is exactly as it was.
+    pub fn load_restart(&mut self, dir: &Path) -> Result<(), CheckpointError> {
+        let ck = decode(&std::fs::read(self.restart_path(dir))?)?;
+        apply(self, &ck)
+    }
+}
+
+/// Tag salts of the two votes, far above the model's tag space.
+const STEP_VOTE: u64 = 0x7C56_0000_0000_0000;
+const RESTORE_VOTE: u64 = 0x7C55_0000_0000_0000;
+
+/// The one bounded vote: every rank's ballot in rank order, or a typed
+/// error as soon as a participant is known dead or once `4 ×
+/// retry.budget()` has passed — a full retry budget on top of whatever the
+/// slowest rank's halo retries may already have consumed. Ballots are `u8`s
+/// (control plane: exempt from `f64` fault injection); `salt` namespaces
+/// the wire tag so a failed vote's stragglers cannot match a later one.
+fn vote(
+    comm: &Comm,
+    salt: u64,
+    ballot: Vec<u8>,
+    retry: &RetryPolicy,
+) -> Result<Vec<Vec<u8>>, CommError> {
+    comm.try_allgather(salt, ballot, retry.budget() * 4)
+}
+
+/// Slot file naming, exposed for tests and tooling.
+pub fn slot_file_name(slot: usize, rank: usize) -> String {
+    format!("ckpt_slot{slot}_rank{rank:05}.bin")
 }
 
 /// A bounded ring of atomic per-rank checkpoints.
@@ -313,88 +398,59 @@ impl CheckpointManager {
         self.written
     }
 
-    fn slot_path(&self, slot: usize, rank: usize) -> PathBuf {
-        self.dir.join(format!("ckpt_slot{slot}_rank{rank:05}.bin"))
-    }
-
-    /// Write this rank's checkpoint into the next ring slot: tmp file,
-    /// fsync, atomic rename. A crash at any point leaves either the old
-    /// slot or the new one — never a torn file.
+    /// Write this rank's image into the next ring slot.
     pub fn save(&mut self, m: &Model) -> Result<(), CheckpointError> {
-        std::fs::create_dir_all(&self.dir)?;
-        let bytes = encode_fields(geometry(m), m.steps_taken(), &fields(m));
-        let path = self.slot_path(self.next_slot, m.comm().rank());
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
+        let path = self
+            .dir
+            .join(slot_file_name(self.next_slot, m.comm().rank()));
+        let bytes = write_image(m, &path)?;
         m.flight_note(
-            mpi_sim::flight::FlightEventKind::CheckpointSave,
+            FlightEventKind::CheckpointSave,
             m.steps_taken(),
             self.next_slot as u64,
-            bytes.len() as u64,
+            bytes,
         );
         self.next_slot = (self.next_slot + 1) % self.ring;
         self.written += 1;
         Ok(())
     }
 
-    /// Newest step this rank can fully verify (decode + CRC + geometry),
-    /// with the slot image. Unreadable or corrupt slots are skipped, not
-    /// errors — that is the failure mode the ring exists for.
-    fn latest_good(&self, m: &Model) -> Option<CheckpointData> {
-        let mut best: Option<CheckpointData> = None;
-        for slot in 0..self.ring {
-            let path = self.slot_path(slot, m.comm().rank());
-            let Ok(bytes) = std::fs::read(&path) else {
-                continue;
-            };
-            let Ok(ck) = decode(&bytes) else { continue };
-            if best.as_ref().is_none_or(|b| ck.step > b.step) {
-                best = Some(ck);
-            }
-        }
-        best
-    }
-
-    /// Collectively restore the newest checkpoint step that **every**
-    /// rank can verify, returning that step. Uses a min-allreduce so all
-    /// ranks agree even when some have newer (or corrupted) slots.
+    /// Collectively restore the newest checkpoint step that **every** rank
+    /// can verify, returning that step. Each slot is read and decoded once;
+    /// unreadable or corrupt slots are skipped, not errors — that is the
+    /// failure mode the ring exists for. The ranks agree on the minimum of
+    /// their newest verified steps through the bounded [`vote`] (salted by
+    /// the saves so far, which every rank of a run has made alike): a peer
+    /// that died, or never entered, is a [`CheckpointError::Vote`] within
+    /// the deadline, not a blocked collective.
     pub fn restore_latest_collective(&self, m: &mut Model) -> Result<u64, CheckpointError> {
-        let local = self.latest_good(m);
-        let local_step = local.as_ref().map_or(-1.0, |ck| ck.step as f64);
-        let agreed = m.comm().allreduce_f64(local_step, ReduceOp::Min);
-        if agreed < 0.0 {
-            return Err(CheckpointError::NoUsableCheckpoint);
-        }
-        let step = agreed as u64;
-        // The agreed step may be older than this rank's newest slot; find
-        // the matching one.
-        let ck = if local.as_ref().map(|ck| ck.step) == Some(step) {
-            local.unwrap()
-        } else {
-            (0..self.ring)
-                .filter_map(|slot| {
-                    std::fs::read(self.slot_path(slot, m.comm().rank()))
-                        .ok()
-                        .and_then(|b| decode(&b).ok())
-                })
-                .find(|ck| ck.step == step)
-                .ok_or(CheckpointError::NoUsableCheckpoint)?
-        };
-        apply(m, &ck)?;
-        m.reset_transients();
-        m.set_steps_taken(step);
-        m.flight_note(
-            mpi_sim::flight::FlightEventKind::CheckpointRestore,
-            step,
-            0,
-            0,
-        );
-        Ok(step)
+        let rank = m.comm().rank();
+        let good: Vec<CheckpointData> = (0..self.ring)
+            .filter_map(|slot| std::fs::read(self.dir.join(slot_file_name(slot, rank))).ok())
+            .filter_map(|bytes| decode(&bytes).ok())
+            .collect();
+        // Ballot: this rank's newest verified step, or nothing; `None`
+        // sorts below every step, so one rank without a slot decides.
+        let newest = good.iter().map(|ck| ck.step).max();
+        let ballots = vote(
+            m.comm(),
+            RESTORE_VOTE ^ self.written,
+            newest.map_or(Vec::new(), |step| step.to_le_bytes().to_vec()),
+            &m.opts.retry,
+        )?;
+        let agreed = ballots
+            .iter()
+            .map(|b| b.as_slice().try_into().ok().map(u64::from_le_bytes))
+            .min()
+            .flatten();
+        // The agreed step may be older than this rank's newest slot.
+        let ck = good
+            .iter()
+            .find(|ck| Some(ck.step) == agreed)
+            .ok_or(CheckpointError::NoUsableCheckpoint)?;
+        apply(m, ck)?;
+        m.flight_note(FlightEventKind::CheckpointRestore, ck.step, 0, 0);
+        Ok(ck.step)
     }
 }
 
@@ -416,21 +472,23 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// What a resilient run did.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// What the commit loop did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
+    /// Steps committed, replays included.
     pub steps_completed: u64,
+    /// Steps voted down and rolled back (message faults, guard trips).
     pub rollbacks: u32,
+    /// Committed steps that had been committed once before — what
+    /// rollbacks and rank deaths cost (bounded by the checkpoint interval
+    /// per incident).
     pub steps_replayed: u64,
     pub halo_errors: u64,
     pub guard_trips: u64,
-    /// Physics drift trips escalated by the telemetry monitor
-    /// ([`crate::telemetry::TelemetryConfig::escalate`]).
-    pub drift_trips: u64,
     pub checkpoints_written: u64,
 }
 
-/// A resilient run that could not reach its target.
+/// Why the commit loop stopped short of its target.
 #[derive(Debug)]
 pub enum RecoveryError {
     /// `max_rollbacks` exceeded; the last step error is attached.
@@ -438,8 +496,21 @@ pub enum RecoveryError {
         stats: RecoveryStats,
         last: Option<StepError>,
     },
-    /// Rollback itself failed (no usable checkpoint, I/O error, …).
+    /// Saving or restoring a checkpoint failed (no usable slot, I/O
+    /// error, a restore vote that could not finish, …).
     Checkpoint(CheckpointError),
+    /// Rank `peer` of the model's communicator died while step
+    /// `attempted` was being tried or voted on — this rank itself when
+    /// `peer` is its own rank. `detect` is the wall-clock from entering the
+    /// step to the typed observation.
+    PeerDead {
+        peer: usize,
+        attempted: u64,
+        detect: Duration,
+    },
+    /// The step vote failed for another reason (a stalled-but-alive rank
+    /// outlasting the vote deadline).
+    Vote(CommError),
 }
 
 impl From<CheckpointError> for RecoveryError {
@@ -458,32 +529,167 @@ impl std::fmt::Display for RecoveryError {
                 last.as_ref().map_or("none".into(), |e| e.to_string())
             ),
             RecoveryError::Checkpoint(e) => write!(f, "recovery failed: {e}"),
+            RecoveryError::PeerDead {
+                peer, attempted, ..
+            } => write!(f, "rank {peer} died at step {attempted}"),
+            RecoveryError::Vote(e) => write!(f, "step vote failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for RecoveryError {}
 
-fn publish(timers: &mut Timers, stats: &RecoveryStats) {
-    timers.add_count("rollbacks", stats.rollbacks as u64);
-    timers.add_count("steps_replayed", stats.steps_replayed);
-    timers.add_count("halo_errors", stats.halo_errors);
-    timers.add_count("guard_trips", stats.guard_trips);
-    timers.add_count("escalated_drift_trips", stats.drift_trips);
-    timers.add_count("checkpoints_written", stats.checkpoints_written);
+/// Step `model` to `target` total steps. A baseline checkpoint is written
+/// before the first step, so rollback is always possible, and one every
+/// `policy.checkpoint_every` commits after it. Every step ends with a
+/// one-byte status [`vote`] salted by the step number: either *all* ranks
+/// commit the step or *all* roll back to the newest checkpoint every one of
+/// them can verify, so a failure on one rank can never fork the ensemble.
+///
+/// `stats` is added to, and `replaying_to` is the highest step committed
+/// before the caller's last incident (commits at or below it count as
+/// replays): [`crate::elastic::run_elastic`] carries both across its
+/// recovery rounds. Whatever the exit, `stats` and the transport's
+/// fault/recovery counters since entry are published to the model's
+/// timers; the callers pair a fresh `stats` with a resumed model
+/// ([`Model::run_steps_resilient`]) or a carried `stats` with a rebuilt
+/// one (`run_elastic`), so neither double-counts an earlier window.
+pub(crate) fn drive(
+    model: &mut Model,
+    mgr: &mut CheckpointManager,
+    target: u64,
+    policy: &RecoveryPolicy,
+    replaying_to: u64,
+    stats: &mut RecoveryStats,
+) -> Result<(), RecoveryError> {
+    let t0 = model.comm().traffic();
+    let res = commit_steps(model, mgr, target, policy, replaying_to, stats);
+    // One report shows the whole story: what the loop did, and what the
+    // transport survived since entry.
+    let w = model.comm().traffic().delta(&t0);
+    for (name, count) in [
+        ("rollbacks", u64::from(stats.rollbacks)),
+        ("steps_replayed", stats.steps_replayed),
+        ("halo_errors", stats.halo_errors),
+        ("guard_trips", stats.guard_trips),
+        ("checkpoints_written", stats.checkpoints_written),
+        ("faults_injected", w.faults_injected()),
+        ("crc_failures", w.crc_failures),
+        ("halo_retries", w.halo_retries),
+        ("resends_served", w.resends_served),
+        ("recv_timeouts", w.recv_timeouts),
+        ("rank_stalls", w.rank_stalls),
+    ] {
+        model.timers.add_count(name, count);
+    }
+    res
+}
+
+fn commit_steps(
+    model: &mut Model,
+    mgr: &mut CheckpointManager,
+    target: u64,
+    policy: &RecoveryPolicy,
+    mut replaying_to: u64,
+    stats: &mut RecoveryStats,
+) -> Result<(), RecoveryError> {
+    let mut last: Option<StepError> = None;
+    if model.steps_taken() < target {
+        mgr.save(model)?;
+        stats.checkpoints_written += 1;
+    }
+    let mut since_ckpt: u64 = 0;
+    while model.steps_taken() < target {
+        // Pin the step number being attempted *before* stepping: a rank
+        // whose own try_step succeeds (its carried exchanges completed
+        // before a peer aborted) has already advanced steps_taken when the
+        // vote fails.
+        let attempted = model.steps_taken() + 1;
+        let t_step = Instant::now();
+        let ok = match model.try_step() {
+            Ok(()) => true,
+            Err(e) => {
+                match e {
+                    StepError::Halo(_) => stats.halo_errors += 1,
+                    StepError::Guard(_) => stats.guard_trips += 1,
+                }
+                last = Some(e);
+                false
+            }
+        };
+        let dead = |peer: usize| RecoveryError::PeerDead {
+            peer,
+            attempted,
+            detect: t_step.elapsed(),
+        };
+        if model.comm().self_failed() {
+            return Err(dead(model.comm().rank()));
+        }
+        let ballots = match vote(
+            model.comm(),
+            STEP_VOTE ^ attempted,
+            vec![u8::from(ok)],
+            &model.opts.retry,
+        ) {
+            Ok(ballots) => ballots,
+            Err(CommError::PeerDead { peer, .. }) => {
+                // Every survivor's vote fails the same way, so every
+                // survivor's ring carries its own PeerDead observation —
+                // what the post-mortem acceptance check looks for.
+                model.flight_note(FlightEventKind::PeerDead, peer as u64, attempted, 0);
+                return Err(dead(peer));
+            }
+            Err(e) => return Err(RecoveryError::Vote(e)),
+        };
+        if ballots.iter().all(|b| b == &[1]) {
+            stats.steps_completed += 1;
+            if attempted <= replaying_to {
+                stats.steps_replayed += 1;
+            }
+            since_ckpt += 1;
+            if since_ckpt >= policy.checkpoint_every && attempted < target {
+                mgr.save(model)?;
+                stats.checkpoints_written += 1;
+                since_ckpt = 0;
+            }
+        } else {
+            // Every rank is alive and some rank's step failed: roll back
+            // and replay. The flight recorder black-boxes both exits —
+            // budget exhaustion is a terminal failure edge, and even a
+            // recoverable rollback is worth a bundle (claim-once per world
+            // means only the first incident writes).
+            stats.rollbacks += 1;
+            model.flight_note(
+                FlightEventKind::Rollback,
+                attempted,
+                u64::from(stats.rollbacks),
+                0,
+            );
+            if stats.rollbacks > policy.max_rollbacks {
+                model.dump_flight("rollback-budget-exhausted");
+                return Err(RecoveryError::RollbackBudgetExhausted {
+                    stats: *stats,
+                    last,
+                });
+            }
+            model.dump_flight("rollback");
+            replaying_to = replaying_to.max(attempted - 1);
+            mgr.restore_latest_collective(model)?;
+            since_ckpt = 0;
+        }
+    }
+    Ok(())
 }
 
 impl Model {
-    /// Advance to `target` total steps, surviving step failures by
-    /// rolling back to the newest collectively-verified checkpoint and
-    /// replaying. A baseline checkpoint is written before the first step
-    /// so rollback is always possible.
-    ///
-    /// Every step ends with a one-value status vote (min-allreduce over
-    /// ok/fail): either *all* ranks commit the step or *all* roll back,
-    /// so a failure on one rank can never fork the ensemble. Requires
-    /// integrity framing ([`crate::model::ModelOptions::integrity`]) so a
-    /// mid-step abort on one rank times out — not deadlocks — its peers.
+    /// Advance to `target` total steps through [`drive`], surviving step
+    /// failures — an unrecoverable halo strip, a guard trip — by rollback
+    /// and replay. A rank death, this rank's own included, or a vote that
+    /// outlasts its deadline comes back as a typed [`RecoveryError`]; with
+    /// spare ranks to adopt the dead role, [`crate::elastic::run_elastic`]
+    /// recovers from it. Requires integrity framing
+    /// ([`crate::model::ModelOptions::integrity`]) so a mid-step abort on
+    /// one rank times out — not deadlocks — its peers.
     pub fn run_steps_resilient(
         &mut self,
         target: u64,
@@ -495,108 +701,8 @@ impl Model {
             "run_steps_resilient requires ModelOptions::integrity"
         );
         let mut stats = RecoveryStats::default();
-        let mut last_err: Option<StepError> = None;
-        // Window every monotone counter against its value at entry: the
-        // manager and the transport both outlive this call, so a resumed
-        // run re-publishing their lifetime totals would double-count
-        // earlier windows in the timers report.
-        let t0 = self.comm().traffic();
-        let ckpt0 = mgr.checkpoints_written();
-        if self.steps_taken() < target {
-            mgr.save(self)?;
-        }
-        let mut since_ckpt: u64 = 0;
-        let mut replaying_to: u64 = 0;
-        while self.steps_taken() < target {
-            // Pin the step number being attempted *before* stepping: a
-            // rank whose own try_step succeeds (its carried exchanges
-            // completed before a peer aborted) has already advanced
-            // steps_taken when the vote fails, and using the advanced
-            // value would overcount its replay window by one.
-            let attempted = self.steps_taken() + 1;
-            let res = self.try_step();
-            let ok = match &res {
-                Ok(()) => true,
-                Err(e) => {
-                    match e {
-                        StepError::Halo(_) => stats.halo_errors += 1,
-                        StepError::Guard(_) => stats.guard_trips += 1,
-                        StepError::Drift(_) => stats.drift_trips += 1,
-                    }
-                    last_err = Some(res.unwrap_err());
-                    false
-                }
-            };
-            // Status vote: the step is committed only if every rank
-            // finished it cleanly. Min over {0,1} = logical AND.
-            let all_ok = self
-                .comm()
-                .allreduce_f64(if ok { 1.0 } else { 0.0 }, ReduceOp::Min)
-                > 0.5;
-            if all_ok {
-                stats.steps_completed += 1;
-                if self.steps_taken() < replaying_to {
-                    stats.steps_replayed += 1;
-                }
-                since_ckpt += 1;
-                if since_ckpt >= policy.checkpoint_every && self.steps_taken() < target {
-                    mgr.save(self)?;
-                    since_ckpt = 0;
-                }
-            } else {
-                stats.rollbacks += 1;
-                // The flight recorder black-boxes both rollback exits:
-                // budget exhaustion is a terminal failure edge, and even
-                // a recoverable rollback is worth a bundle (claim-once
-                // per world means only the first incident writes).
-                self.flight_note(
-                    mpi_sim::flight::FlightEventKind::Rollback,
-                    attempted,
-                    u64::from(stats.rollbacks),
-                    0,
-                );
-                if stats.rollbacks > policy.max_rollbacks {
-                    self.dump_flight("rollback-budget-exhausted");
-                    stats.checkpoints_written = mgr.checkpoints_written() - ckpt0;
-                    publish(&mut self.timers, &stats);
-                    self.fold_traffic_window(&t0);
-                    return Err(RecoveryError::RollbackBudgetExhausted {
-                        stats,
-                        last: last_err,
-                    });
-                }
-                self.dump_flight("rollback");
-                replaying_to = replaying_to.max(attempted);
-                mgr.restore_latest_collective(self)?;
-                since_ckpt = 0;
-            }
-        }
-        stats.checkpoints_written = mgr.checkpoints_written() - ckpt0;
-        publish(&mut self.timers, &stats);
-        self.fold_traffic_window(&t0);
-        Ok(stats)
+        drive(self, mgr, target, policy, 0, &mut stats).map(|()| stats)
     }
-
-    /// Fold the transport's fault/recovery counters accumulated since the
-    /// `t0` snapshot into the timers so one report shows the whole story.
-    /// Runs on both the success and the budget-exhausted exit of
-    /// [`Model::run_steps_resilient`] — skipping it on the error path
-    /// would silently lose the failed window's retries from the report.
-    fn fold_traffic_window(&mut self, t0: &mpi_sim::TrafficSnapshot) {
-        let w = self.comm().traffic().delta(t0);
-        self.timers
-            .add_count("faults_injected", w.faults_injected());
-        self.timers.add_count("crc_failures", w.crc_failures);
-        self.timers.add_count("halo_retries", w.halo_retries);
-        self.timers.add_count("resends_served", w.resends_served);
-        self.timers.add_count("recv_timeouts", w.recv_timeouts);
-        self.timers.add_count("rank_stalls", w.rank_stalls);
-    }
-}
-
-/// Convenience: `slot_path` naming, exposed for tests and tooling.
-pub fn slot_file_name(slot: usize, rank: usize) -> String {
-    format!("ckpt_slot{slot}_rank{rank:05}.bin")
 }
 
 #[cfg(test)]

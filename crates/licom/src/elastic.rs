@@ -1,17 +1,18 @@
 //! Elastic rank-death recovery: survivor consensus, spare adoption, and
 //! restore from the checkpoint ring.
 //!
-//! [`crate::Model::run_steps_resilient`] survives *message* faults by
-//! rollback-and-replay, but its status vote is a blocking collective: a
-//! fail-stop rank would strand every survivor. This module is the
-//! ULFM-style driver above it. A world is launched with spare ranks
-//! ([`mpi_sim::WorldConfig::spares`]); the first `size - spares` world
-//! ranks take compute **roles** and spares idle in a wake-poll loop.
-//! Every wait is deadline-bounded by the one [`RetryPolicy`] threaded
-//! through [`ModelOptions`], so no blocking path can hang on a corpse.
+//! The commit loop ([`crate::checkpoint`]'s `drive`) survives *message*
+//! faults by rollback-and-replay and reports a fail-stop rank as a typed
+//! `PeerDead`; [`crate::Model::run_steps_resilient`] hands that to its
+//! caller. This module is the ULFM-style driver that recovers from it. A
+//! world is launched with spare ranks ([`mpi_sim::WorldConfig::spares`]);
+//! the first `size - spares` world ranks take compute **roles** and spares
+//! idle in a wake-poll loop. Every wait is deadline-bounded by the one
+//! [`mpi_sim::RetryPolicy`] threaded through [`ModelOptions`], so no
+//! blocking path can hang on a corpse.
 //!
-//! On a detected death (a step vote or halo wait returns a typed
-//! `PeerDead`), every live rank runs the same recovery round:
+//! On a detected death (the loop returns `PeerDead`), every live rank runs
+//! the same recovery round:
 //!
 //! 1. survivors WAKE every idle spare (control-plane `u8` messages,
 //!    exempt from `f64` fault injection);
@@ -27,8 +28,8 @@
 //!    spare's group rank *equals the dead rank's role*, so checkpoint
 //!    geometry and per-role file names match unchanged;
 //! 5. everyone rebuilds the model, restores the newest commonly-held
-//!    image from the PR-3 checkpoint ring (collective min-vote), and
-//!    replays. Replay is deterministic — group collectives fold in role
+//!    image from the checkpoint ring (bounded min-vote), and re-enters the
+//!    loop to replay. Replay is deterministic — group collectives fold in role
 //!    order exactly like the original world's — so the completed run is
 //!    bitwise identical to a failure-free one.
 
@@ -37,10 +38,10 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use kokkos_rs::Space;
-use mpi_sim::{Comm, CommError, RetryPolicy};
+use mpi_sim::Comm;
 use ocean_grid::ModelConfig;
 
-use crate::checkpoint::{CheckpointError, CheckpointManager, RecoveryPolicy};
+use crate::checkpoint::{drive, CheckpointManager, RecoveryError, RecoveryPolicy, RecoveryStats};
 use crate::model::{Model, ModelOptions};
 
 /// Control-plane tags on the *world* communicator, far above the model's
@@ -61,17 +62,16 @@ pub struct ElasticConfig {
     pub recovery: RecoveryPolicy,
 }
 
-/// What an elastic run did, identical on every surviving role holder.
+/// What an elastic run did. The gate counters (`rank_deaths_recovered`,
+/// `run.steps_replayed`) come out identical on every role holder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElasticStats {
-    pub steps_completed: u64,
+    /// What the commit loop did on this rank, summed over its rounds: own
+    /// commits, message-fault rollbacks, and the steps re-executed because
+    /// a death or a rollback forced a restore.
+    pub run: RecoveryStats,
     /// Fail-stop deaths detected and recovered from.
     pub rank_deaths_recovered: u64,
-    /// Steps re-executed because a death forced a rollback (bounded by
-    /// the checkpoint interval per death).
-    pub recovery_replay_steps: u64,
-    /// Message-fault rollbacks (the PR-3 path, still active underneath).
-    pub rollbacks: u32,
     /// Wall-clock from entering the fatal step to the typed PeerDead
     /// observation, summed over deaths (detection latency).
     pub detection_ns: u64,
@@ -98,18 +98,14 @@ pub enum ElasticOutcome {
 pub enum ElasticError {
     /// More deaths than available spares.
     SparesExhausted { role: usize },
-    /// The step vote failed for a reason other than a peer death (e.g. a
-    /// stalled-but-alive rank outlasting the vote deadline).
-    Vote(CommError),
-    /// Message-fault rollback budget exhausted.
-    RollbackBudgetExhausted,
-    /// Checkpoint restore failed.
-    Checkpoint(CheckpointError),
+    /// The commit loop, or the restore that opens a recovery round, gave
+    /// up for a reason a spare cannot mend.
+    Recovery(RecoveryError),
 }
 
-impl From<CheckpointError> for ElasticError {
-    fn from(e: CheckpointError) -> Self {
-        ElasticError::Checkpoint(e)
+impl From<RecoveryError> for ElasticError {
+    fn from(e: RecoveryError) -> Self {
+        ElasticError::Recovery(e)
     }
 }
 
@@ -119,9 +115,7 @@ impl std::fmt::Display for ElasticError {
             ElasticError::SparesExhausted { role } => {
                 write!(f, "no spare left to adopt dead role {role}")
             }
-            ElasticError::Vote(e) => write!(f, "step vote failed: {e}"),
-            ElasticError::RollbackBudgetExhausted => write!(f, "rollback budget exhausted"),
-            ElasticError::Checkpoint(e) => write!(f, "elastic recovery failed: {e}"),
+            ElasticError::Recovery(e) => write!(f, "elastic recovery failed: {e}"),
         }
     }
 }
@@ -168,115 +162,13 @@ fn idle_spares(world: &Comm, roles: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-enum Drive {
-    /// Reached the target; model is current.
-    Done,
-    /// A group member died mid-run; `attempted` is the step being voted.
-    PeerDead {
-        attempted: u64,
-        detect_ns: u64,
-    },
-    /// This rank is the seeded fatality.
-    SelfDead,
-    Fail(ElasticError),
-}
-
-/// Step the group to the target with a failure-aware vote after every
-/// step. Votes travel as `u8` allgathers (control plane: exempt from
-/// `f64` fault injection) with the step number as tag salt, and commit
-/// only if every role finished cleanly — the same all-or-nothing rule as
-/// [`Model::run_steps_resilient`], minus the ability to hang.
-fn drive(
-    model: &mut Model,
-    mgr: &mut CheckpointManager,
-    ecfg: &ElasticConfig,
-    retry: &RetryPolicy,
-    stats: &mut ElasticStats,
-    mut replaying_to: u64,
-) -> Drive {
-    // Generous vote deadline: a full retry budget on top of whatever the
-    // slowest rank's halo retries may already have consumed.
-    let vote_timeout = retry.budget() * 4;
-    const VOTE_SALT: u64 = 0x7C56_0000_0000_0000;
-    if model.steps_taken() < ecfg.target_steps {
-        if let Err(e) = mgr.save(model) {
-            return Drive::Fail(e.into());
-        }
-    }
-    let mut since_ckpt: u64 = 0;
-    while model.steps_taken() < ecfg.target_steps {
-        let attempted = model.steps_taken() + 1;
-        let t_step = Instant::now();
-        let ok = model.try_step().is_ok();
-        if model.comm().self_failed() {
-            return Drive::SelfDead;
-        }
-        let vote =
-            model
-                .comm()
-                .try_allgather(VOTE_SALT ^ attempted, vec![u8::from(ok)], vote_timeout);
-        match vote {
-            Ok(votes) => {
-                if votes.iter().all(|v| v[0] == 1) {
-                    if model.steps_taken() <= replaying_to {
-                        stats.recovery_replay_steps += 1;
-                    }
-                    stats.steps_completed += 1;
-                    since_ckpt += 1;
-                    if since_ckpt >= ecfg.recovery.checkpoint_every
-                        && model.steps_taken() < ecfg.target_steps
-                    {
-                        if let Err(e) = mgr.save(model) {
-                            return Drive::Fail(e.into());
-                        }
-                        since_ckpt = 0;
-                    }
-                } else {
-                    // Message-fault path: all roles alive, some step
-                    // failed — rollback and replay within the group.
-                    stats.rollbacks += 1;
-                    if stats.rollbacks > ecfg.recovery.max_rollbacks {
-                        return Drive::Fail(ElasticError::RollbackBudgetExhausted);
-                    }
-                    replaying_to = replaying_to.max(attempted - 1);
-                    if let Err(e) = mgr.restore_latest_collective(model) {
-                        return Drive::Fail(e.into());
-                    }
-                    since_ckpt = 0;
-                }
-            }
-            Err(CommError::PeerDead { peer, .. }) if peer == model.comm().rank() => {
-                return Drive::SelfDead;
-            }
-            Err(CommError::PeerDead { peer, .. }) => {
-                // Every survivor's vote fails the same way, so every
-                // survivor's ring carries its own PeerDead observation —
-                // what the post-mortem acceptance check looks for.
-                model.flight_note(
-                    mpi_sim::flight::FlightEventKind::PeerDead,
-                    peer as u64,
-                    attempted,
-                    0,
-                );
-                return Drive::PeerDead {
-                    attempted,
-                    detect_ns: t_step.elapsed().as_nanos() as u64,
-                };
-            }
-            Err(e) => return Drive::Fail(ElasticError::Vote(e)),
-        }
-    }
-    Drive::Done
-}
-
 /// Run the model elastically on a world with spare ranks. **Every** world
 /// rank calls this — compute ranks and spares alike; the function sorts
 /// out who does what. Returns this rank's [`ElasticOutcome`]; the gate
-/// counters (`rank_deaths_recovered`, `recovery_replay_steps`) come out
-/// identical on every rank holding a role at the end — a late-elected
-/// spare learns the replay mark from the WAKE payload — and are also
-/// published to the final model's timers for the bench gate.
-/// `steps_completed` counts this rank's own committed steps.
+/// counters come out identical on every rank holding a role at the end —
+/// a late-elected spare learns the replay mark from the WAKE payload —
+/// and are in the final model's timers too (`rank_deaths_recovered`, with
+/// the loop's `steps_replayed` and `rollbacks`).
 pub fn run_elastic(
     world: &Comm,
     cfg: ModelConfig,
@@ -335,11 +227,19 @@ pub fn run_elastic(
         let mut mgr = CheckpointManager::new(&ecfg.ckpt_dir, ecfg.ring);
         let t_recover = Instant::now();
         if round > 0 {
-            mgr.restore_latest_collective(&mut model)?;
+            mgr.restore_latest_collective(&mut model)
+                .map_err(RecoveryError::from)?;
             stats.recovery_wall_ns += t_recover.elapsed().as_nanos() as u64;
         }
-        match drive(&mut model, &mut mgr, ecfg, &retry, &mut stats, replaying_to) {
-            Drive::Done => {
+        match drive(
+            &mut model,
+            &mut mgr,
+            ecfg.target_steps,
+            &ecfg.recovery,
+            replaying_to,
+            &mut stats.run,
+        ) {
+            Ok(()) => {
                 // Retire the unused spares. Every role holder sends DONE
                 // (duplicates are harmless; a lone sender could die).
                 for s in idle_spares(world, &roles) {
@@ -348,27 +248,22 @@ pub fn run_elastic(
                 model
                     .timers
                     .add_count("rank_deaths_recovered", stats.rank_deaths_recovered);
-                model
-                    .timers
-                    .add_count("recovery_replay_steps", stats.recovery_replay_steps);
-                model
-                    .timers
-                    .add_count("elastic_rollbacks", u64::from(stats.rollbacks));
                 return Ok(ElasticOutcome::Completed {
                     model: Box::new(model),
                     stats,
                 });
             }
-            Drive::SelfDead => return Ok(ElasticOutcome::Died),
-            Drive::Fail(e) => return Err(e),
-            Drive::PeerDead {
-                attempted,
-                detect_ns,
-            } => {
+            // This rank is the seeded fatality.
+            Err(RecoveryError::PeerDead { peer, .. }) if peer == group.rank() => {
+                return Ok(ElasticOutcome::Died)
+            }
+            Err(RecoveryError::PeerDead {
+                attempted, detect, ..
+            }) => {
                 let t_recover = Instant::now();
                 round += 1;
                 stats.rank_deaths_recovered += 1;
-                stats.detection_ns += detect_ns;
+                stats.detection_ns += detect.as_nanos() as u64;
                 replaying_to = attempted - 1;
                 // 1. Wake every idle spare so it joins the consensus.
                 for s in idle_spares(world, &roles) {
@@ -397,6 +292,7 @@ pub fn run_elastic(
                 // 4–5. happen at the top of the loop: re-form, restore,
                 // replay. A survivor always keeps its role.
             }
+            Err(e) => return Err(e.into()),
         }
     }
 }

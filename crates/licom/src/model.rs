@@ -42,7 +42,7 @@ use crate::guard::GuardViolation;
 use crate::lanes::{self, F64x, Isa, RowKernel};
 use crate::localgrid::LocalGrid;
 use crate::state::State;
-use crate::telemetry::{DriftTrip, StepMonitor, TelemetryConfig};
+use crate::telemetry::{StepMonitor, TelemetryConfig};
 use crate::timers::Timers;
 use crate::vmix::{FunctorVmixImplicit, FunctorVmixTeam};
 
@@ -92,8 +92,7 @@ pub struct ModelOptions {
     /// owned wet sets). `None` disables the scan.
     pub guard: Option<crate::guard::GuardConfig>,
     /// Streaming per-step telemetry (sample ring + EWMA drift detection);
-    /// `None` disables it. Escalation of physics drift to the rollback
-    /// path is a separate switch inside the config.
+    /// `None` disables it.
     pub telemetry: Option<TelemetryConfig>,
     /// Always-on flight recorder: per-rank lock-free event rings with a
     /// Lamport clock piggybacked on every message, snapshotted into a
@@ -135,9 +134,6 @@ pub enum StepError {
     Halo(HaloError),
     /// The physics guard found non-finite or out-of-bound state.
     Guard(GuardViolation),
-    /// The telemetry monitor flagged physics drift and
-    /// [`TelemetryConfig::escalate`] is set.
-    Drift(DriftTrip),
 }
 
 impl From<HaloError> for StepError {
@@ -157,7 +153,6 @@ impl std::fmt::Display for StepError {
         match self {
             StepError::Halo(e) => write!(f, "{e}"),
             StepError::Guard(e) => write!(f, "{e}"),
-            StepError::Drift(e) => write!(f, "{e}"),
         }
     }
 }

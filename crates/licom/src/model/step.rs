@@ -476,8 +476,7 @@ fn guard(s: &mut Step<'_>) -> Result<(), StepError> {
 /// Communication/allocation accounting for this step (world-level
 /// counters: exact on one rank, aggregate otherwise; in steady state
 /// `pool_allocs` must stay flat — every message buffer is a pool reuse),
-/// then the streaming monitor's sample. Physics drift escalates (when
-/// configured) before the step is committed, mirroring the guard.
+/// then the streaming monitor's sample.
 fn telemetry(s: &mut Step<'_>) -> Result<(), StepError> {
     let (m, sent) = (s.m, s.m.comm.traffic().delta(&s.traffic0));
     let halo_wait = m.halo2.halo_wait_ns().saturating_sub(s.wait0);
@@ -510,12 +509,5 @@ fn telemetry(s: &mut Step<'_>) -> Result<(), StepError> {
     });
     s.timers.add_count("drift_perf_trips", obs.perf_trips);
     s.timers.add_count("drift_physics_trips", obs.physics_trips);
-    match obs.physics_trip {
-        Some(trip) if monitor.config().escalate => {
-            m.flight_note(FlightEventKind::Drift, m.step_count, 0, 0);
-            m.dump_flight("drift");
-            Err(StepError::Drift(trip))
-        }
-        _ => Ok(()),
-    }
+    Ok(())
 }

@@ -13,13 +13,10 @@
 //!   and message-volume anomalies — trips are published as the
 //!   `drift_perf_trips` counter;
 //! * the **physics** bank (SST, surface KE) flags state drift — trips
-//!   are published as `drift_physics_trips` and, when
-//!   [`TelemetryConfig::escalate`] is set, surface as
-//!   [`crate::model::StepError::Drift`] so the PR-3 resilient driver
-//!   votes the step down and rolls back.
+//!   are published as `drift_physics_trips`.
 //!
-//! Detection is rank-local; agreement is the resilient driver's status
-//! vote, exactly as for guard trips.
+//! Detection is rank-local and only reported: a step fails on the guard's
+//! bounds ([`crate::guard`]), never on a z-score.
 
 use kokkos_profiling::{DriftBank, DriftDetector, DriftEvent, RingBuffer};
 
@@ -40,10 +37,6 @@ pub struct TelemetryConfig {
     pub physics_z: f64,
     /// Steps absorbed before any detector arms.
     pub warmup: u64,
-    /// Escalate physics drift trips to [`crate::model::StepError::Drift`]
-    /// so the resilient driver treats them like guard trips (rollback).
-    /// Perf trips never escalate — a slow step is not a bad state.
-    pub escalate: bool,
 }
 
 impl Default for TelemetryConfig {
@@ -54,7 +47,6 @@ impl Default for TelemetryConfig {
             perf_z: 12.0,
             physics_z: 6.0,
             warmup: 8,
-            escalate: false,
         }
     }
 }
@@ -80,8 +72,7 @@ pub struct StepSample {
     pub surface_ke: f64,
 }
 
-/// A drift detector tripping on one metric — the payload of
-/// [`crate::model::StepError::Drift`].
+/// A drift detector tripping on one metric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftTrip {
     pub metric: &'static str,
@@ -105,14 +96,13 @@ impl std::error::Error for DriftTrip {}
 pub struct StepObservation {
     pub perf_trips: u64,
     pub physics_trips: u64,
-    /// First physics trip, for escalation.
+    /// First physics trip of the step.
     pub physics_trip: Option<DriftTrip>,
 }
 
 /// The model's streaming telemetry monitor.
 #[derive(Debug, Clone)]
 pub struct StepMonitor {
-    cfg: TelemetryConfig,
     ring: RingBuffer<StepSample>,
     perf: DriftBank,
     physics: DriftBank,
@@ -123,7 +113,6 @@ pub struct StepMonitor {
 impl StepMonitor {
     pub fn new(cfg: TelemetryConfig) -> Self {
         Self {
-            cfg,
             ring: RingBuffer::new(cfg.ring_capacity),
             perf: DriftBank::new(
                 DriftDetector::new(cfg.ewma_alpha, cfg.perf_z, cfg.warmup)
@@ -137,10 +126,6 @@ impl StepMonitor {
             perf_trips: 0,
             physics_trips: 0,
         }
-    }
-
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.cfg
     }
 
     /// Fold one step's sample into the ring and both drift banks.

@@ -81,6 +81,9 @@ pub enum FlightEventKind {
     EscrowResend = 10,
     CrcFailure = 11,
     GuardTrip = 12,
+    /// No recorder emits it any more (drift trips are counted, not
+    /// escalated); the code stays for `licomkpp-flight-v1` bundles already
+    /// written.
     Drift = 13,
     CheckpointSave = 14,
     CheckpointRestore = 15,

@@ -21,6 +21,16 @@
 #      `timers.start(` / `timers.stop(` call sites under
 #      crates/licom/src/model* (the runner's pair and `daily_loop`'s).
 #
+# Recovery is one state image and one step-vote-commit loop
+# (`licom::checkpoint`). This script also fails if a copy grows back:
+#
+#   5. more than two non-comment `try_step()` call sites under
+#      crates/licom/src (`Model::step` and the commit loop), other than
+#      exactly one `const MAGIC` there (one on-disk format), or a blocking
+#      collective (`allreduce_f64(`, `.allgather(`, `.barrier(`) in
+#      checkpoint.rs or elastic.rs — every wait of the recovery path is the
+#      deadline-bounded vote.
+#
 #   scripts/check_one_shape.sh      (from the repository root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -64,6 +74,31 @@ sites=$(grep -nE 'timers\.(start|stop)\(' crates/licom/src/model.rs crates/licom
 if [ "$(grep -c . <<<"$sites")" -gt 4 ]; then
     echo "check_one_shape: a phase timer outside the runner:"
     echo "$sites"
+    failed=1
+fi
+
+# Code lines only: a `//` comment (doc comments included) may name anything.
+code() { grep -rnE "$1" "${@:2}" --include='*.rs' | grep -vE '^[^:]+:[0-9]+:\s*//' || true; }
+
+steps=$(code 'try_step\(\)' crates/licom/src)
+if [ "$(grep -c . <<<"$steps")" -gt 2 ]; then
+    echo "check_one_shape: a second step-vote-commit loop:"
+    echo "$steps"
+    failed=1
+fi
+
+magics=$(code '\bconst MAGIC\b' crates/licom/src)
+if [ "$(grep -c . <<<"$magics")" -ne 1 ]; then
+    echo "check_one_shape: exactly one on-disk image format, found:"
+    echo "$magics"
+    failed=1
+fi
+
+blocking=$(code 'allreduce_f64\(|\.allgather\(|\.barrier\(' \
+    crates/licom/src/checkpoint.rs crates/licom/src/elastic.rs)
+if [ -n "$blocking" ]; then
+    echo "check_one_shape: a blocking collective on the recovery path:"
+    echo "$blocking"
     failed=1
 fi
 

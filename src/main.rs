@@ -16,7 +16,7 @@ use std::path::PathBuf;
 
 use licomkpp::grid::{Bathymetry, Resolution};
 use licomkpp::kokkos::Space;
-use licomkpp::model::{Model, ModelOptions};
+use licomkpp::model::{CheckpointError, Model, ModelOptions};
 use licomkpp::mpi::World;
 use licomkpp::perf::{calibration, project, Machine, ProblemSpec, SunwayVariant};
 
@@ -89,10 +89,16 @@ fn cmd_run(flags: HashMap<String, String>) {
                         println!("resumed from {dir:?} at step {}", m.steps_taken());
                     }
                 }
-                Err(e) => {
+                // Only a missing file is a fresh start; one that is there
+                // and does not verify is an error, not a run on top of it.
+                Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
                     if comm.rank() == 0 {
-                        println!("no restart loaded ({e}); starting fresh");
+                        println!("no restart file in {dir:?}; starting fresh");
                     }
+                }
+                Err(e) => {
+                    eprintln!("{:?}: {e}", m.restart_path(dir));
+                    std::process::exit(1);
                 }
             }
         }

@@ -4,15 +4,20 @@
 //! a burned retry budget), *replaced* by a spare rank that adopts the
 //! dead rank's subdomain, *restored* collectively from the checkpoint
 //! ring, and the completed run must be **bitwise identical** to a
-//! failure-free run of the same world.
+//! failure-free run of the same world. Without a spare nothing can adopt
+//! the role, and the same death under `run_steps_resilient` — the same
+//! commit loop — must come back as a typed error on every rank, inside the
+//! vote's deadline.
 #![allow(clippy::field_reassign_with_default, clippy::type_complexity)]
 
 use licomkpp::grid::Resolution;
 use licomkpp::kokkos::Space;
 use licomkpp::model::{
-    run_elastic, ElasticConfig, ElasticOutcome, ElasticStats, ModelOptions, RecoveryPolicy,
+    run_elastic, CheckpointManager, ElasticConfig, ElasticOutcome, ElasticStats, Model,
+    ModelOptions, RecoveryError, RecoveryPolicy,
 };
 use licomkpp::mpi::{FaultPlan, RetryPolicy, World, WorldConfig};
+use std::time::{Duration, Instant};
 
 /// 3 compute ranks + 1 spare.
 const COMPUTE: usize = 3;
@@ -104,7 +109,7 @@ fn rank_death_recovers_bitwise_on_all_spaces() {
         // Clean runs never touch the recovery machinery.
         for (_, _, stats) in clean.iter().flatten() {
             assert_eq!(stats.rank_deaths_recovered, 0, "{name}");
-            assert_eq!(stats.recovery_replay_steps, 0, "{name}");
+            assert_eq!(stats.run.steps_replayed, 0, "{name}");
         }
         // The idle spare must have been retired (Spared → None) and the
         // compute ranks must map 1:1 onto roles.
@@ -136,7 +141,7 @@ fn rank_death_recovers_bitwise_on_all_spaces() {
         assert_eq!(finished.len(), COMPUTE, "{name}");
         for (_, _, stats) in &finished {
             assert_eq!(stats.rank_deaths_recovered, 1, "{name}");
-            assert_eq!(stats.recovery_replay_steps, 1, "{name}");
+            assert_eq!(stats.run.steps_replayed, 1, "{name}");
             assert!(
                 stats.detection_ns > 0 || stats.recovery_wall_ns > 0,
                 "{name}"
@@ -212,4 +217,57 @@ fn two_deaths_consume_two_spares() {
     );
     let _ = std::fs::remove_dir_all(&dir2);
     assert_eq!(by_role(&clean), by_role(&out));
+}
+
+/// No spares: the victim's death ends the run, and it ends it with a typed
+/// `PeerDead` on every rank — the survivors inside `4 × budget` (the vote's
+/// deadline) plus one step — where the blocking status vote this loop
+/// replaced panicked one survivor and hung the world.
+#[test]
+fn rank_death_under_the_resilient_driver_is_a_typed_error_on_every_rank() {
+    let dir = std::env::temp_dir().join("licom_rank_death_resilient");
+    let _ = std::fs::remove_dir_all(&dir);
+    let plan = FaultPlan::new(0xDEAD_0003).kill(VICTIM, DEATH_EPOCH);
+    let (out, t) = World::run_cfg(WorldConfig::new(COMPUTE).faults(plan), {
+        let dir = dir.clone();
+        move |comm| {
+            let mut m = Model::new(comm, cfg(), Space::serial(), opts());
+            let mut mgr = CheckpointManager::new(&dir, 3);
+            let policy = RecoveryPolicy {
+                checkpoint_every: 2,
+                max_rollbacks: 8,
+            };
+            // Epochs 0..3 are clean, and say what a step costs here.
+            let t0 = Instant::now();
+            m.run_steps_resilient(DEATH_EPOCH, &mut mgr, &policy)
+                .expect("steps before the death are clean");
+            let one_step = t0.elapsed() / DEATH_EPOCH as u32;
+            let t0 = Instant::now();
+            let err = m
+                .run_steps_resilient(STEPS, &mut mgr, &policy)
+                .expect_err("nothing can adopt the dead role");
+            (err, t0.elapsed(), one_step)
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(t.rank_deaths, 1);
+    let deadline = RetryPolicy::test_small().budget() * 4;
+    for (rank, (err, waited, one_step)) in out.iter().enumerate() {
+        assert!(
+            matches!(
+                err,
+                RecoveryError::PeerDead {
+                    peer: VICTIM,
+                    attempted: 4,
+                    ..
+                }
+            ),
+            "rank {rank}: {err}"
+        );
+        assert!(
+            *waited <= deadline + *one_step + Duration::from_millis(250),
+            "rank {rank}: {waited:?} against {deadline:?} + a step of {one_step:?}"
+        );
+    }
 }
