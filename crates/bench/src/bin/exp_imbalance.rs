@@ -6,15 +6,16 @@
 //! land) and a mid-latitude basin (≈68% land) — and prints the
 //! per-phase imbalance attribution plus the census-predicted wet-point
 //! floor for each. More land → more rank-to-rank variation in wet
-//! points → larger max/mean ratios, exactly what the telemetry's
-//! imbalance report is built to attribute.
+//! points → larger max/mean ratios, exactly what the imbalance report
+//! is built to attribute.
 
 use bench::banner;
 
 /// Per-rank gathered phase profiles plus the rank's wet-cell count.
-type RankProfiles = (Vec<Vec<(String, f64)>>, u64);
-use kokkos_profiling::{gather_phases, is_enclosing, ImbalanceReport};
+type RankProfiles = (Vec<PhaseProfile>, u64);
+use kokkos_profiling::{ImbalanceReport, PhaseProfile};
 use licom::model::{Model, ModelOptions};
+use licom::PHASES;
 use mpi_sim::World;
 use ocean_grid::{Bathymetry, Resolution};
 use perf_model::predicted_imbalance;
@@ -59,15 +60,16 @@ fn main() {
                 opts.clone(),
             );
             m.run_days(days);
-            let phases: Vec<(String, f64)> = m
+            // The step's phases only: `daily_loop` encloses them all.
+            let phases: PhaseProfile = m
                 .timers
                 .phase_seconds()
                 .into_iter()
-                .filter(|(n, _)| !is_enclosing(n))
+                .filter(|(n, _)| PHASES.iter().any(|p| p.name == *n))
                 .map(|(n, s)| (n.to_string(), s))
                 .collect();
             (
-                gather_phases(m.comm(), phases),
+                m.comm().allgather(phases),
                 m.grid.wet.cells3_own.indices.len() as u64,
             )
         });

@@ -5,9 +5,11 @@
 //! [`crate::trace`] emits, used by the golden-schema tests and the CI
 //! profiling job to prove the exported file is Perfetto-loadable. The
 //! [`render`]/[`render_pretty`] serializers close the loop for documents
-//! we *write* (the telemetry layer's `BENCH_run.json`): build a [`Json`]
+//! we *write* (`licom_bench`'s report, flight bundles): build a [`Json`]
 //! tree, render it, and re-parse to schema-validate what actually landed
-//! on disk.
+//! on disk. Any input at all — a file read from disk is one — parses to
+//! `Ok` or `Err`: nesting is bounded by `MAX_DEPTH`, so the recursion
+//! cannot overflow the stack.
 
 use std::collections::BTreeMap;
 
@@ -197,9 +199,16 @@ pub fn render_pretty(v: &Json) -> String {
     out
 }
 
+/// Deepest array / object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a run of `[` overflows the stack and
+/// aborts the process; what this crate writes nests at most 5 levels.
+const MAX_DEPTH: usize = 32;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -233,8 +242,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -242,6 +251,17 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parse an array or object one level down, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -386,6 +406,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -481,6 +502,146 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// The system allocator, noting the largest single request each thread
+    /// has made: what parsing reserves is measured, not argued.
+    struct LargestRequest;
+
+    thread_local! {
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    // SAFETY: every request is handed to `System` unchanged, so its contract
+    // is this one's; the note taken on the way touches a `const`-initialized
+    // thread-local `Cell<usize>` (no allocation, no destructor, skipped once
+    // the thread is tearing down). `realloc` is the trait's default, which
+    // goes through `alloc` and so is noted too.
+    unsafe impl GlobalAlloc for LargestRequest {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = LARGEST.try_with(|l| l.set(l.get().max(layout.size())));
+            // SAFETY: the caller's `layout`, passed through.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System.alloc(layout)` above.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: LargestRequest = LargestRequest;
+
+    /// `f()` and the largest single allocation it made on this thread.
+    fn watched<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        LARGEST.with(|l| l.set(0));
+        let out = f();
+        (out, LARGEST.with(Cell::get))
+    }
+
+    /// The most one allocation may take while reading `len` input bytes:
+    /// one `Json` (32 B) per byte covers an array's item vector (at most
+    /// one item per two bytes, doubled by growth) and any string or error
+    /// message built from the input; the 1 KiB floor is one B-tree node.
+    fn allowance(len: usize) -> usize {
+        std::mem::size_of::<Json>() * len + 1024
+    }
+
+    /// Bytes weighted towards JSON's own syntax, so arbitrary inputs reach
+    /// past the first byte: brackets, quotes, escapes, literals, numbers.
+    const ALPHABET: &[u8] = b"[]{}[]{}\"\":,,0123456789.-+eEtrufalsn\\u \n\x01\xff";
+
+    /// A flight bundle `read_bundle` accepts.
+    const BUNDLE: &str = r#"{"schema":"licomkpp-flight-v1","reason":"guard-trip","ranks":[0,1],
+        "events":[{"t_ns":1,"lamport":1,"rank":0,"kind":"StepBegin","a":3,"b":0,"c":0},
+                  {"t_ns":2,"lamport":2,"rank":1,"kind":"GuardTrip","a":3,"b":2,"c":0}],
+        "kernel_names":{"17":"FunctorEos"}}"#;
+
+    /// `parse` on the text and `read_bundle` on the raw bytes: each must
+    /// come back (`Ok` or `Err`) inside the allowance.
+    fn check_both(bytes: &[u8], file: &std::path::Path) -> Result<(), TestCaseError> {
+        let text = String::from_utf8_lossy(bytes);
+        let (_, parse_peak) = watched(|| {
+            let _ = parse(&text);
+            let _ = validate_chrome_trace(&text);
+        });
+        prop_assert!(
+            parse_peak <= allowance(text.len()),
+            "parse of {} bytes made a {parse_peak} B allocation",
+            text.len()
+        );
+        std::fs::write(file, bytes).unwrap();
+        let (_, read_peak) = watched(|| {
+            let _ = crate::flight::read_bundle(file);
+        });
+        std::fs::remove_file(file).ok();
+        prop_assert!(
+            read_peak <= allowance(bytes.len()),
+            "read_bundle of {} bytes made a {read_peak} B allocation",
+            bytes.len()
+        );
+        Ok(())
+    }
+
+    fn scratch_file(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("kp-json-{}-{name}", std::process::id()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, from the whole byte range or from JSON's syntax.
+        #[test]
+        fn arbitrary_bytes_are_ok_or_err(
+            raw in proptest::collection::vec(0u8..=u8::MAX, 0..4096),
+            picks in proptest::collection::vec(0usize..ALPHABET.len(), 0..4096),
+        ) {
+            let file = scratch_file("arbitrary.json");
+            check_both(&raw, &file)?;
+            let syntax: Vec<u8> = picks.iter().map(|&i| ALPHABET[i]).collect();
+            check_both(&syntax, &file)?;
+        }
+
+        /// A valid bundle cut anywhere and followed by arbitrary bytes.
+        #[test]
+        fn valid_bundle_with_arbitrary_tail_is_ok_or_err(
+            cut in 0usize..BUNDLE.len() + 1,
+            tail in proptest::collection::vec(0u8..=u8::MAX, 0..512),
+        ) {
+            let mut bytes = BUNDLE.as_bytes()[..cut].to_vec();
+            bytes.extend_from_slice(&tail);
+            check_both(&bytes, &scratch_file("tail.json"))?;
+        }
+    }
+
+    #[test]
+    fn the_bundle_under_test_reads() {
+        let file = scratch_file("bundle.json");
+        std::fs::write(&file, BUNDLE).unwrap();
+        let bundle = crate::flight::read_bundle(&file);
+        std::fs::remove_file(&file).ok();
+        assert_eq!(bundle.unwrap().events.len(), 2);
+    }
+
+    /// A run of `[` used to recurse once per byte and abort the process.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(r#"{"a":"#, "}", MAX_DEPTH)).is_ok());
+        for text in [
+            nest("[", "]", MAX_DEPTH + 1),
+            "[".repeat(200_000),
+            r#"{"a":"#.repeat(200_000),
+            "[{\"a\":".repeat(100_000),
+        ] {
+            let err = parse(&text).unwrap_err();
+            assert!(err.contains("nested deeper"), "{err}");
+        }
+    }
 
     #[test]
     fn parses_nested_document() {

@@ -10,7 +10,8 @@
 //! | simple-kernel-timer         | [`Profiler`] kernel / region tables   |
 //! | kernel-logger / Caliper     | chrome-trace export ([`trace`])       |
 //! | space-time-stack regions    | [`kokkos_rs::profiling::region`]      |
-//! | paper SYPD / hotspot shares | [`sypd()`], [`hotspot_shares`]        |
+//! | job-level monitoring        | [`ImbalanceReport`], [`prometheus`]   |
+//! | post-mortem black box       | [`flight`] bundles                    |
 //!
 //! A single [`Profiler`] aggregates every rank of an `mpi-sim` job
 //! (ranks are threads; see [`set_thread_rank`]), interleaves kernel spans
@@ -25,7 +26,6 @@ pub mod json;
 pub mod profiler;
 pub mod prometheus;
 pub mod stats;
-pub mod sypd;
 pub mod telemetry;
 pub mod trace;
 
@@ -47,11 +47,7 @@ pub use prometheus::{
     render_traffic_labeled,
 };
 pub use stats::{CounterTable, Stat, StatsTable};
-pub use sypd::{bucket_of, hotspot_shares, is_enclosing, sypd, HotspotRow, BUCKETS};
-pub use telemetry::{
-    gather_phases, DriftBank, DriftDetector, DriftEvent, ImbalanceReport, PhaseImbalance,
-    PhaseProfile, RingBuffer,
-};
+pub use telemetry::{ImbalanceReport, PhaseImbalance, PhaseProfile};
 pub use trace::{ArgValue, TraceEvent, COMM_TRACK, COUNTER_TRACK};
 
 /// Re-export of the hook side so consumers need only this crate.

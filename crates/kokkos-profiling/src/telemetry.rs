@@ -1,33 +1,17 @@
-//! Cross-rank telemetry: load-imbalance attribution and streaming drift
-//! detection.
+//! Cross-rank load-imbalance attribution.
 //!
-//! The profiler (PR 4) sees one rank at a time; the paper's scaling story
-//! is about what happens *between* ranks — canuto land/sea imbalance,
-//! halo volume at the tripolar cap. This module closes that gap in two
-//! pieces:
-//!
-//! * [`gather_phases`] + [`ImbalanceReport`] — every rank contributes its
-//!   `(phase, seconds)` profile through a deterministic `mpi-sim`
-//!   allgather; the report computes max/mean and max/min ratios per
-//!   phase, ranks the most imbalanced phases, and renders an ASCII
-//!   per-rank heat map.
-//! * [`RingBuffer`] + [`DriftDetector`] — a bounded per-step sample
-//!   stream with an EWMA + z-score anomaly detector, generic over what
-//!   the metric means (step wall, halo wait, physics scalars).
+//! The profiler sees one rank at a time; the paper's scaling story is
+//! about what happens *between* ranks — canuto land/sea imbalance, halo
+//! volume at the tripolar cap. [`ImbalanceReport`] takes every rank's
+//! `(phase, seconds)` profile (gathered with `mpi_sim::Comm::allgather`,
+//! indexed by rank), computes max/mean and max/min ratios per phase, ranks
+//! the most imbalanced phases, and renders an ASCII per-rank heat map.
 
-use mpi_sim::Comm;
 use std::collections::BTreeMap;
 
 /// One rank's `(phase name, seconds)` profile, e.g.
 /// `licom::Timers::phase_seconds`.
 pub type PhaseProfile = Vec<(String, f64)>;
-
-/// Gather every rank's phase profile onto all ranks. Deterministic and
-/// collective: every rank must call it in the same program order. The
-/// result is indexed by rank.
-pub fn gather_phases(comm: &Comm, local: PhaseProfile) -> Vec<PhaseProfile> {
-    comm.allgather(local)
-}
 
 /// Per-phase cross-rank imbalance statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +42,7 @@ pub struct ImbalanceReport {
 }
 
 impl ImbalanceReport {
-    /// Build from per-rank profiles (as returned by [`gather_phases`]).
+    /// Build from per-rank profiles, indexed by rank.
     /// Phases absent on a rank count as zero seconds there.
     pub fn from_profiles(profiles: &[PhaseProfile]) -> Self {
         let ranks = profiles.len();
@@ -162,230 +146,9 @@ impl ImbalanceReport {
     }
 }
 
-/// Fixed-capacity ring buffer of per-step samples. Pushing past capacity
-/// overwrites the oldest sample; iteration runs oldest → newest.
-#[derive(Debug, Clone)]
-pub struct RingBuffer<T> {
-    buf: Vec<T>,
-    capacity: usize,
-    /// Index of the oldest element once the ring has wrapped.
-    head: usize,
-    total_pushed: u64,
-}
-
-impl<T> RingBuffer<T> {
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring buffer capacity must be positive");
-        Self {
-            buf: Vec::with_capacity(capacity),
-            capacity,
-            head: 0,
-            total_pushed: 0,
-        }
-    }
-
-    pub fn push(&mut self, item: T) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(item);
-        } else {
-            self.buf[self.head] = item;
-            self.head = (self.head + 1) % self.capacity;
-        }
-        self.total_pushed += 1;
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Samples ever pushed (≥ `len()` once the ring wraps).
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
-
-    pub fn latest(&self) -> Option<&T> {
-        if self.buf.is_empty() {
-            None
-        } else if self.buf.len() < self.capacity {
-            self.buf.last()
-        } else {
-            let idx = (self.head + self.capacity - 1) % self.capacity;
-            self.buf.get(idx)
-        }
-    }
-
-    /// Iterate oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        let (wrapped, fresh) = self.buf.split_at(self.head);
-        fresh.iter().chain(wrapped.iter())
-    }
-}
-
-/// Why a drift detector tripped.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftEvent {
-    /// The observed value.
-    pub value: f64,
-    /// EWMA mean at observation time (before folding the value in).
-    pub mean: f64,
-    /// EWMA standard deviation at observation time.
-    pub std: f64,
-    /// `(value − mean) / std`.
-    pub z: f64,
-}
-
-/// Streaming EWMA + z-score anomaly detector for one scalar metric.
-///
-/// Keeps an exponentially weighted mean and variance; once `warmup`
-/// samples have been folded in, a sample more than `z_threshold`
-/// standard deviations from the mean trips. The tripping sample is
-/// still folded into the moments (a level shift re-baselines after a
-/// few steps rather than tripping forever).
-#[derive(Debug, Clone, Copy)]
-pub struct DriftDetector {
-    /// EWMA smoothing factor in (0, 1]; higher forgets faster.
-    pub alpha: f64,
-    /// Trip threshold in standard deviations.
-    pub z_threshold: f64,
-    /// Samples to absorb before arming.
-    pub warmup: u64,
-    /// Relative noise floor: |value − mean| below `floor · |mean|` never
-    /// trips, so micro-jitter around a near-constant metric stays quiet.
-    pub rel_floor: f64,
-    seen: u64,
-    mean: f64,
-    var: f64,
-}
-
-impl DriftDetector {
-    pub fn new(alpha: f64, z_threshold: f64, warmup: u64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        assert!(z_threshold > 0.0);
-        Self {
-            alpha,
-            z_threshold,
-            warmup,
-            rel_floor: 1e-9,
-            seen: 0,
-            mean: 0.0,
-            var: 0.0,
-        }
-    }
-
-    pub fn with_rel_floor(mut self, floor: f64) -> Self {
-        self.rel_floor = floor;
-        self
-    }
-
-    /// Samples observed so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Current EWMA mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Fold one sample in; `Some` when it trips.
-    pub fn observe(&mut self, value: f64) -> Option<DriftEvent> {
-        if !value.is_finite() {
-            // A NaN metric is always an anomaly.
-            let ev = DriftEvent {
-                value,
-                mean: self.mean,
-                std: self.var.sqrt(),
-                z: f64::INFINITY,
-            };
-            self.seen += 1;
-            return Some(ev);
-        }
-        let trip = if self.seen >= self.warmup {
-            let std = self.var.sqrt();
-            let dev = value - self.mean;
-            if dev.abs() <= self.rel_floor * self.mean.abs() {
-                None
-            } else {
-                let z = if std > 0.0 {
-                    dev / std
-                } else if dev == 0.0 {
-                    0.0
-                } else {
-                    f64::INFINITY * dev.signum()
-                };
-                (z.abs() > self.z_threshold).then_some(DriftEvent {
-                    value,
-                    mean: self.mean,
-                    std,
-                    z,
-                })
-            }
-        } else {
-            None
-        };
-        if self.seen == 0 {
-            self.mean = value;
-            self.var = 0.0;
-        } else {
-            // Standard EWMA moment update (Welford-style cross term).
-            let dev = value - self.mean;
-            let incr = self.alpha * dev;
-            self.mean += incr;
-            self.var = (1.0 - self.alpha) * (self.var + dev * incr);
-        }
-        self.seen += 1;
-        trip
-    }
-}
-
-/// A bank of named drift detectors sharing one configuration — the shape
-/// the per-step monitor uses (one detector per telemetry metric).
-#[derive(Debug, Clone, Default)]
-pub struct DriftBank {
-    detectors: BTreeMap<&'static str, DriftDetector>,
-    template: Option<DriftDetector>,
-    trips: u64,
-}
-
-impl DriftBank {
-    pub fn new(template: DriftDetector) -> Self {
-        Self {
-            detectors: BTreeMap::new(),
-            template: Some(template),
-            trips: 0,
-        }
-    }
-
-    /// Observe metric `name`; detectors are created lazily from the
-    /// template on first sight.
-    pub fn observe(&mut self, name: &'static str, value: f64) -> Option<DriftEvent> {
-        let template = self.template.expect("DriftBank::new not used");
-        let det = self.detectors.entry(name).or_insert(template);
-        let ev = det.observe(value);
-        if ev.is_some() {
-            self.trips += 1;
-        }
-        ev
-    }
-
-    /// Total trips across all metrics.
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
-    pub fn detector(&self, name: &str) -> Option<&DriftDetector> {
-        self.detectors.get(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpi_sim::World;
 
     fn profiles() -> Vec<PhaseProfile> {
         vec![
@@ -433,79 +196,5 @@ mod tests {
         assert!(text.contains("canuto"));
         assert!(text.contains("rank   0"));
         assert!(text.contains('#'));
-    }
-
-    #[test]
-    fn gather_phases_is_rank_indexed() {
-        World::run(3, |comm| {
-            let local = vec![(format!("phase{}", comm.rank()), comm.rank() as f64)];
-            let all = gather_phases(comm, local);
-            assert_eq!(all.len(), 3);
-            for (r, profile) in all.iter().enumerate() {
-                assert_eq!(profile[0].0, format!("phase{r}"));
-                assert_eq!(profile[0].1, r as f64);
-            }
-        });
-    }
-
-    #[test]
-    fn ring_buffer_wraps_and_iterates_in_order() {
-        let mut ring: RingBuffer<u64> = RingBuffer::new(3);
-        assert!(ring.is_empty());
-        for i in 0..5 {
-            ring.push(i);
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.total_pushed(), 5);
-        assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![2, 3, 4]);
-        assert_eq!(ring.latest(), Some(&4));
-    }
-
-    #[test]
-    fn drift_detector_stays_quiet_on_steady_signal() {
-        let mut d = DriftDetector::new(0.2, 4.0, 5);
-        for i in 0..200 {
-            let wobble = 1.0 + 0.01 * ((i % 7) as f64 - 3.0);
-            assert!(d.observe(wobble).is_none(), "tripped at sample {i}");
-        }
-    }
-
-    #[test]
-    fn drift_detector_trips_on_level_shift_and_nan() {
-        let mut d = DriftDetector::new(0.2, 4.0, 5);
-        for i in 0..50 {
-            let wobble = 1.0 + 0.01 * ((i % 7) as f64 - 3.0);
-            d.observe(wobble);
-        }
-        let ev = d.observe(10.0).expect("10x level shift must trip");
-        assert!(ev.z.abs() > 4.0);
-        let mut d2 = DriftDetector::new(0.2, 4.0, 0);
-        d2.observe(1.0);
-        assert!(d2.observe(f64::NAN).is_some(), "NaN always trips");
-    }
-
-    #[test]
-    fn drift_detector_warmup_suppresses_trips() {
-        let mut d = DriftDetector::new(0.5, 1.0, 10);
-        for i in 0..10 {
-            assert!(
-                d.observe(if i % 2 == 0 { 0.0 } else { 100.0 }).is_none(),
-                "warmup sample {i} must not trip"
-            );
-        }
-    }
-
-    #[test]
-    fn drift_bank_counts_trips_per_metric() {
-        let mut bank = DriftBank::new(DriftDetector::new(0.2, 4.0, 3));
-        for _ in 0..20 {
-            assert!(bank.observe("wall", 1.0).is_none());
-            assert!(bank.observe("bytes", 512.0).is_none());
-        }
-        assert!(bank.observe("wall", 50.0).is_some());
-        assert!(bank.observe("bytes", 512.0).is_none());
-        assert_eq!(bank.trips(), 1);
-        assert!(bank.detector("wall").is_some());
-        assert!(bank.detector("absent").is_none());
     }
 }

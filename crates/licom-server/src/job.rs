@@ -74,12 +74,10 @@ impl JobSpec {
     }
 
     /// Model options used for every served instance: full physics, but
-    /// fast-failing retries and no telemetry ring (hundreds of instances
-    /// would otherwise hold hundreds of sample rings).
+    /// fast-failing retries.
     pub fn model_options(&self) -> ModelOptions {
         ModelOptions {
             retry: RetryPolicy::test_small(),
-            telemetry: None,
             ..ModelOptions::default()
         }
     }

@@ -687,19 +687,15 @@ impl Model {
     /// and replay. A rank death, this rank's own included, or a vote that
     /// outlasts its deadline comes back as a typed [`RecoveryError`]; with
     /// spare ranks to adopt the dead role, [`crate::elastic::run_elastic`]
-    /// recovers from it. Requires integrity framing
-    /// ([`crate::model::ModelOptions::integrity`]) so a mid-step abort on
-    /// one rank times out — not deadlocks — its peers.
+    /// recovers from it. Every halo strip is CRC-framed with bounded retry,
+    /// so a mid-step abort on one rank times out — not deadlocks — its
+    /// peers.
     pub fn run_steps_resilient(
         &mut self,
         target: u64,
         mgr: &mut CheckpointManager,
         policy: &RecoveryPolicy,
     ) -> Result<RecoveryStats, RecoveryError> {
-        assert!(
-            self.opts.integrity,
-            "run_steps_resilient requires ModelOptions::integrity"
-        );
         let mut stats = RecoveryStats::default();
         drive(self, mgr, target, policy, 0, &mut stats).map(|()| stats)
     }

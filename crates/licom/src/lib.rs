@@ -38,7 +38,6 @@ pub mod localgrid;
 pub mod model;
 pub mod spectra;
 pub mod state;
-pub mod telemetry;
 pub mod timers;
 pub mod vmix;
 
@@ -49,7 +48,6 @@ pub use elastic::{run_elastic, ElasticConfig, ElasticError, ElasticOutcome, Elas
 pub use guard::{GuardConfig, GuardViolation};
 pub use model::{Carry, Model, ModelOptions, Phase, Poster, StepError, StepStats, PHASES};
 pub use state::State;
-pub use telemetry::{DriftTrip, StepMonitor, StepObservation, StepSample, TelemetryConfig};
 pub use timers::Timers;
 
 /// Physical constants (SI) shared by the dynamics.

@@ -35,14 +35,13 @@ use kokkos_rs::{
 use mpi_sim::{CartComm, Comm, ReduceOp, RetryPolicy};
 use ocean_grid::{Bathymetry, GlobalGrid, ModelConfig, GRAVITY};
 
-use halo_exchange::{FoldKind, Halo2D, Halo3D, HaloError, IntegrityConfig, Strategy3D, HALO as H};
+use halo_exchange::{FoldKind, Halo2D, Halo3D, HaloError, IntegrityConfig, Strategy3D};
 
 use crate::diag::{self, Diagnostics};
-use crate::guard::GuardViolation;
+use crate::guard::{GuardConfig, GuardViolation};
 use crate::lanes::{self, F64x, Isa, RowKernel};
 use crate::localgrid::LocalGrid;
 use crate::state::State;
-use crate::telemetry::{StepMonitor, TelemetryConfig};
 use crate::timers::Timers;
 use crate::vmix::{FunctorVmixImplicit, FunctorVmixTeam};
 
@@ -58,7 +57,11 @@ pub enum CanutoMode {
     CrossRank,
 }
 
-/// Model configuration knobs corresponding to the paper's optimizations.
+/// Model configuration: the planet, the knobs of the paper's optimizations
+/// (`canuto_mode`, `limiter`, `overlap`, `vmix_team`), the wait schedule
+/// and the flight recorder. The physics guard ([`crate::guard`], default
+/// [`crate::GuardConfig`] bounds) and the CRC framing of every halo strip
+/// are always on.
 #[derive(Clone)]
 pub struct ModelOptions {
     pub bathymetry: Bathymetry,
@@ -78,22 +81,13 @@ pub struct ModelOptions {
     /// backend — the §V-C2 "local arrays within the functor" strategy).
     /// Bitwise identical to the flat launch.
     pub vmix_team: bool,
-    /// Frame every halo strip with a CRC-protected header and recover
-    /// corrupted/dropped strips through bounded retry (§ robustness).
-    /// Bitwise identical on a clean network; adds 4 words per message.
-    pub integrity: bool,
     /// The one timeout/backoff/jitter schedule for every deadline-bounded
-    /// wait in the model: halo escrow retries, step-status votes, and the
-    /// elastic-recovery consensus all derive their deadlines from it.
+    /// wait in the model: the escrow retries of the CRC-framed halo strips,
+    /// step-status votes, and the elastic-recovery consensus all derive
+    /// their deadlines from it.
     /// Tests shrink it ([`RetryPolicy::test_small`]) so unrecoverable
     /// paths fail fast.
     pub retry: RetryPolicy,
-    /// Per-step physics guard (NaN/velocity/tracer-bound scan over the
-    /// owned wet sets). `None` disables the scan.
-    pub guard: Option<crate::guard::GuardConfig>,
-    /// Streaming per-step telemetry (sample ring + EWMA drift detection);
-    /// `None` disables it.
-    pub telemetry: Option<TelemetryConfig>,
     /// Always-on flight recorder: per-rank lock-free event rings with a
     /// Lamport clock piggybacked on every message, snapshotted into a
     /// post-mortem bundle on any failure edge. Recording costs tens of
@@ -113,10 +107,7 @@ impl Default for ModelOptions {
             limiter: true,
             overlap: true,
             vmix_team: false,
-            integrity: true,
             retry: RetryPolicy::default(),
-            guard: Some(crate::guard::GuardConfig::default()),
-            telemetry: Some(TelemetryConfig::default()),
             flight: true,
             flight_dir: None,
         }
@@ -312,7 +303,6 @@ pub struct Model {
     /// same limit.
     guard_limit: f64,
     step_count: u64,
-    monitor: Option<StepMonitor>,
     flight: Option<mpi_sim::flight::FlightCtx>,
     flight_dir: std::path::PathBuf,
 }
@@ -345,10 +335,9 @@ impl Model {
         let cart = CartComm::new(comm.clone(), px, py, true);
         // Both halo contexts stage strips on the model's execution space
         // (wide strips pack on CPEs instead of round-tripping the MPE).
-        let mut halo2 = Halo2D::new(&cart, cfg.nx, cfg.ny).with_space(space.clone());
-        if opts.integrity {
-            halo2 = halo2.with_integrity(IntegrityConfig::with_retry(opts.retry));
-        }
+        let halo2 = Halo2D::new(&cart, cfg.nx, cfg.ny)
+            .with_space(space.clone())
+            .with_integrity(IntegrityConfig::with_retry(opts.retry));
         let global = GlobalGrid::build(cfg.nx, cfg.ny, cfg.nz, &opts.bathymetry, cfg.full_depth);
         let grid = LocalGrid::build(&global, &halo2);
         // Pack/unpack kernels of the 3-D exchange dispatch on the model's
@@ -363,9 +352,7 @@ impl Model {
         let dt = cfg.dt_baroclinic;
         let visc = (0.02 * dx_min * dx_min / dt).min(dx_min * dx_min / (16.0 * dt));
         let kappa = 0.25 * visc;
-        let guard_limit = opts
-            .guard
-            .map_or(f64::INFINITY, |gc| gc.speed_limit(dx_min, dt));
+        let guard_limit = GuardConfig::default().speed_limit(dx_min, dt);
 
         // Polar filter rows: where the barotropic leapfrog CFL is tight.
         let c_wave = (GRAVITY * global.vert.max_depth()).sqrt();
@@ -388,7 +375,6 @@ impl Model {
         let zero2: View2<f64> = View::host("zero2", [grid.pj, grid.pi]);
         let wet = WetPolicies::build(&grid);
 
-        let monitor = opts.telemetry.map(StepMonitor::new);
         let flight = opts.flight.then(|| {
             kokkos_profiling::flight::init_bridge();
             comm.flight_ctx(mpi_sim::flight::DEFAULT_CAPACITY)
@@ -417,7 +403,6 @@ impl Model {
             kappa,
             guard_limit,
             step_count: 0,
-            monitor,
             flight,
             flight_dir,
         };
@@ -520,8 +505,8 @@ impl Model {
     /// On `Err` the prognostic state is whatever the aborted step left
     /// behind — not a usable model state. Recovery is rollback: restore a
     /// checkpoint and replay. The step body contains **no collectives**,
-    /// so one rank aborting cannot strand its peers in a rendezvous; with
-    /// integrity framing on, peers time out on the missing strips and
+    /// so one rank aborting cannot strand its peers in a rendezvous; every
+    /// strip is CRC-framed, so peers time out on the missing strips and
     /// abort too. Every exchange of the step is sequenced by
     /// `(epoch = step, ordinal)` so leftover frames from an aborted step
     /// are either bit-identical to the replay's (deterministic traffic)
@@ -537,12 +522,12 @@ impl Model {
         self.halo2.begin_step(epoch);
         self.halo3.begin_step(epoch);
         // The step borrows the model shared for as long as an exchange it
-        // carries is in flight; the two things it mutates ride in it and
-        // come back on `Ok` and on `Err` alike.
-        let (timers, monitor) = (std::mem::take(&mut self.timers), self.monitor.take());
-        let mut step = step::Step::begin(self, timers, monitor);
+        // carries is in flight; the one thing it mutates, the timers, rides
+        // in it and comes back on `Ok` and on `Err` alike.
+        let timers = std::mem::take(&mut self.timers);
+        let mut step = step::Step::begin(self, timers);
         let res = PHASES.iter().try_for_each(|phase| step.run(phase));
-        (self.timers, self.monitor) = (step.timers, step.monitor);
+        self.timers = step.timers;
         res?;
         self.flight_note(mpi_sim::flight::FlightEventKind::StepEnd, epoch, 0, 0);
         self.step_count += 1;
@@ -624,40 +609,6 @@ impl Model {
             };
             parallel_for_list(space, wet, &f);
         }
-    }
-
-    /// Cheap per-step physics scalars over the owned surface at level
-    /// `lev`: mean SST over wet T cells and total surface kinetic energy
-    /// over wet U cells. Serial on purpose — no kernel launches and no
-    /// collectives, so the step's event stream and traffic are unchanged
-    /// by telemetry being on.
-    fn surface_scalars(&self, lev: usize) -> (f64, f64) {
-        let g = &self.grid;
-        let t = &self.state.t[lev];
-        let u = &self.state.u[lev];
-        let v = &self.state.v[lev];
-        let mut t_sum = 0.0;
-        let mut wet = 0u64;
-        let mut ke = 0.0;
-        for j in 0..g.ny {
-            for i in 0..g.nx {
-                let (jl, il) = (j + H, i + H);
-                if g.kmt.at(jl, il) > 0 {
-                    t_sum += t.at(0, jl, il);
-                    wet += 1;
-                }
-                if g.kmu.at(jl, il) > 0 {
-                    let (uu, vv) = (u.at(0, jl, il), v.at(0, jl, il));
-                    ke += 0.5 * (uu * uu + vv * vv);
-                }
-            }
-        }
-        (if wet > 0 { t_sum / wet as f64 } else { 0.0 }, ke)
-    }
-
-    /// The streaming telemetry monitor, when enabled.
-    pub fn telemetry(&self) -> Option<&StepMonitor> {
-        self.monitor.as_ref()
     }
 
     /// Cumulative halo receive-wait nanoseconds on this rank (shared by

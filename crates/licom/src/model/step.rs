@@ -11,8 +11,6 @@
 //! decision alone: every row launches the same kernels over the same
 //! partitions and sends the same messages either way.
 
-use std::time::Instant;
-
 use halo_exchange::{FoldKind, HaloError, HaloField, Pending};
 use kokkos_rs::{parallel_for_3d, parallel_for_list, MDRangePolicy3, View3};
 use mpi_sim::flight::FlightEventKind;
@@ -27,10 +25,9 @@ use crate::barotropic::{self, FunctorDepthMean};
 use crate::canuto::{self, CanutoFields, FunctorCanutoCols};
 use crate::eos::{FunctorEos, FunctorPressure};
 use crate::forcing::{FunctorSurfaceRestore, FunctorWindStress};
-use crate::guard;
+use crate::guard::{self, GuardConfig};
 use crate::localgrid::LocalGrid;
 use crate::state::State;
-use crate::telemetry::{StepMonitor, StepSample};
 use crate::timers::Timers;
 
 /// Where a posted exchange is finished: handed on, to fly under the
@@ -107,12 +104,11 @@ pub const PHASES: [Phase; 16] = [
 
 /// One step in progress. A carried [`Pending`] borrows the model's halo
 /// engine for as long as it flies, so the model is borrowed shared and the
-/// two things a step mutates — the timers and the telemetry monitor —
-/// travel here, to be handed back whether the step ends in `Ok` or `Err`.
+/// one thing a step mutates — the timers — travels here, to be handed back
+/// whether the step ends in `Ok` or `Err`.
 pub(super) struct Step<'m> {
     m: &'m Model,
     pub(super) timers: Timers,
-    pub(super) monitor: Option<StepMonitor>,
     poster: Poster,
     /// What the row being run may post.
     posts: Option<Carry>,
@@ -124,26 +120,23 @@ pub(super) struct Step<'m> {
     dt2: f64,
     /// Readings at step entry, for telemetry's per-step deltas. halo2 and
     /// halo3 share one wait and one in-flight counter (halo3 wraps a clone).
-    t0: Instant,
     traffic0: TrafficSnapshot,
     wait0: u64,
     inflight0: u64,
 }
 
 impl<'m> Step<'m> {
-    pub(super) fn begin(m: &'m Model, timers: Timers, monitor: Option<StepMonitor>) -> Self {
+    pub(super) fn begin(m: &'m Model, timers: Timers) -> Self {
         let (dt, carried) = (m.cfg.dt_baroclinic, m.opts.overlap);
         Self {
             m,
             timers,
-            monitor,
             poster: Poster { carried },
             posts: None,
             flights: [None, None, None],
             lev: (m.state.old(), m.state.cur(), m.state.new_lev()),
             dt,
             dt2: if m.step_count == 0 { dt } else { 2.0 * dt },
-            t0: Instant::now(),
             traffic0: m.comm.traffic(),
             wait0: m.halo2.halo_wait_ns(),
             inflight0: m.halo2.halo_inflight_ns(),
@@ -457,9 +450,7 @@ fn asselin(s: &mut Step<'_>) -> Result<(), StepError> {
 /// the caller's status vote.
 fn guard(s: &mut Step<'_>) -> Result<(), StepError> {
     let (m, st, _, (_, _, n)) = s.parts();
-    let Some(gcfg) = m.opts.guard else {
-        return Ok(());
-    };
+    let gcfg = GuardConfig::default();
     let report = guard::scan(&m.space, st, n, &m.wet.ucells, &m.wet.cells, &gcfg);
     match report.violation(&gcfg, m.guard_limit) {
         None => Ok(()),
@@ -475,8 +466,7 @@ fn guard(s: &mut Step<'_>) -> Result<(), StepError> {
 
 /// Communication/allocation accounting for this step (world-level
 /// counters: exact on one rank, aggregate otherwise; in steady state
-/// `pool_allocs` must stay flat — every message buffer is a pool reuse),
-/// then the streaming monitor's sample.
+/// `pool_allocs` must stay flat — every message buffer is a pool reuse).
 fn telemetry(s: &mut Step<'_>) -> Result<(), StepError> {
     let (m, sent) = (s.m, s.m.comm.traffic().delta(&s.traffic0));
     let halo_wait = m.halo2.halo_wait_ns().saturating_sub(s.wait0);
@@ -492,22 +482,5 @@ fn telemetry(s: &mut Step<'_>) -> Result<(), StepError> {
     ] {
         s.timers.add_count(name, delta);
     }
-    let Some(monitor) = s.monitor.as_mut() else {
-        return Ok(());
-    };
-    let (surface_mean_t, surface_ke) = m.surface_scalars(s.lev.2);
-    let obs = monitor.observe(StepSample {
-        step: m.step_count,
-        wall_seconds: s.t0.elapsed().as_secs_f64(),
-        halo_wait_seconds: halo_wait as f64 * 1e-9,
-        p2p_messages: sent.p2p_messages,
-        p2p_bytes: sent.p2p_bytes,
-        pool_allocations: sent.pool_allocations,
-        wet_cells: m.grid.wet.cells3_own.indices.len() as u64,
-        surface_mean_t,
-        surface_ke,
-    });
-    s.timers.add_count("drift_perf_trips", obs.perf_trips);
-    s.timers.add_count("drift_physics_trips", obs.physics_trips);
     Ok(())
 }

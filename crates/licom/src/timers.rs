@@ -155,8 +155,9 @@ impl Timers {
         v
     }
 
-    /// `(name, seconds)` pairs for every timer — the input shape
-    /// [`kokkos_profiling::hotspot_shares`] consumes.
+    /// `(name, seconds)` pairs for every timer, heaviest first: the rows of
+    /// a [`kokkos_profiling::PhaseProfile`], `daily_loop` (which encloses
+    /// the phases) included.
     pub fn phase_seconds(&self) -> Vec<(&'static str, f64)> {
         self.sorted()
             .into_iter()

@@ -31,6 +31,14 @@
 #      checkpoint.rs or elastic.rs — every wait of the recovery path is the
 #      deadline-bounded vote.
 #
+# `ModelOptions` keeps only knobs someone turns, and the docs name only what
+# exists. This script also fails if:
+#
+#   6. the drift detector or the reporting nothing called comes back (its
+#      names are in rule 1's list);
+#   7. a `- `module`:` bullet under a `### crates/<name>` heading of
+#      DESIGN.md names no crates/<name>/src/<module>.rs or <module>/.
+#
 #   scripts/check_one_shape.sh      (from the repository root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,7 +46,7 @@ cd "$(dirname "$0")/.."
 failed=0
 
 # Whole identifiers: `kernel_canuto_cols` registers the surviving list functor.
-gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph)\b'
+gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph|StepMonitor|TelemetryConfig|DriftDetector|DriftBank|RingBuffer|surface_scalars|hotspot_shares|gather_phases)\b'
 if hits=$(git grep -nE "$gone" -- crates src tests examples ':!crates/perf-model'); then
     echo "check_one_shape: deleted names are back:"
     echo "$hits"
@@ -99,6 +107,24 @@ blocking=$(code 'allreduce_f64\(|\.allgather\(|\.barrier\(' \
 if [ -n "$blocking" ]; then
     echo "check_one_shape: a blocking collective on the recovery path:"
     echo "$blocking"
+    failed=1
+fi
+
+# "crate module" for each name in a bullet's leading `a`/`b`: run.
+missing=$(awk '
+    /^#/ { crate = "" }
+    match($0, /^### crates\/[a-z-]+/) { crate = substr($0, 12, RLENGTH - 11) }
+    crate != "" && match($0, /^- (`[a-z0-9_]+`\/?)+:/) {
+        n = split(substr($0, 3, RLENGTH - 3), names, "/")
+        for (i = 1; i <= n; i++) { gsub(/`/, "", names[i]); print crate, names[i] }
+    }' DESIGN.md |
+    while read -r crate module; do
+        [ -e "crates/$crate/src/$module.rs" ] || [ -d "crates/$crate/src/$module" ] ||
+            echo "crates/$crate: \`$module\`"
+    done)
+if [ -n "$missing" ]; then
+    echo "check_one_shape: DESIGN.md names modules that do not exist:"
+    echo "$missing"
     failed=1
 fi
 

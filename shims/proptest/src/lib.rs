@@ -5,8 +5,8 @@
 //!
 //! * the [`proptest!`] macro (with optional `#![proptest_config(...)]`),
 //! * `prop_assert!`, `prop_assert_eq!`, `prop_assume!`,
-//! * range strategies (`lo..hi` for `f64`/integers), `collection::vec`,
-//!   and `bool::ANY`.
+//! * range strategies (`lo..hi` for `f64`/integers, `lo..=hi` for unsigned
+//!   integers up to the full width), `collection::vec`, and `bool::ANY`.
 //!
 //! Values are drawn from a splitmix64 generator seeded from the test's module
 //! path and name, so every run of a given test explores the same cases —
@@ -122,8 +122,11 @@ pub mod strategy {
                 type Value = $t;
                 fn generate(&self, rng: &mut TestRng) -> $t {
                     assert!(self.start() <= self.end(), "empty strategy range");
-                    let span = (*self.end() - *self.start()) as u64 + 1;
-                    *self.start() + rng.below(span) as $t
+                    // `None`: the range is all 2^64 values of a 64-bit type.
+                    match ((*self.end() - *self.start()) as u64).checked_add(1) {
+                        Some(span) => *self.start() + rng.below(span) as $t,
+                        None => rng.next_u64() as $t,
+                    }
                 }
             }
         )*};
@@ -388,6 +391,22 @@ mod tests {
             assert!((2..9).contains(&v.len()));
             assert!(v.iter().all(|x| (0.0..1.0).contains(x)));
         }
+    }
+
+    #[test]
+    fn full_width_inclusive_ranges_generate() {
+        let mut rng = TestRng::deterministic("full width");
+        let mut seen = [false; 256];
+        let (mut high, mut low) = (false, false);
+        for _ in 0..4096 {
+            seen[(u8::MIN..=u8::MAX).generate(&mut rng) as usize] = true;
+            let x = (0..=u64::MAX).generate(&mut rng);
+            high |= x > u64::MAX / 2;
+            low |= x <= u64::MAX / 2;
+            assert_eq!((7u64..=7).generate(&mut rng), 7);
+        }
+        assert!(seen.iter().all(|&s| s), "every u8 value is drawn");
+        assert!(high && low, "both halves of u64 are drawn");
     }
 
     proptest! {

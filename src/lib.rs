@@ -28,9 +28,8 @@
 //! * [`profiling`] (`kokkos-profiling`) — Kokkos-Tools-style observability:
 //!   kernel/region aggregation over the `kokkos` hook registry,
 //!   Perfetto-loadable chrome-trace export with a comm track per rank,
-//!   SYPD + paper-hotspot shares, plus cross-rank telemetry: per-phase
-//!   load-imbalance attribution, streaming drift detection
-//!   (`model::telemetry`) and Prometheus exposition. It reports; what a
+//!   per-phase cross-rank load-imbalance attribution, flight-recorder
+//!   bundles and Prometheus exposition. It reports; what a
 //!   change costs is timed by `licom_bench` alone, and exact counts are
 //!   literals in the tests of the subsystem that produces them.
 //!

@@ -133,6 +133,8 @@ fn cmd_run(flags: HashMap<String, String>) {
                 "\n{:.3} SYPD ({} steps in {:.2} s wall)",
                 stats.sypd, stats.steps, stats.wall_seconds
             );
+            // A wall clock reads differently under either lane ISA.
+            println!("isa = {}", licomkpp::model::lanes::Isa::detect().name());
             println!(
                 "mean SST {:.2} C, max |u| {:.3} m/s, KE {:.3e}",
                 d.mean_sst, d.max_speed, d.kinetic_energy

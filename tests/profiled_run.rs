@@ -31,30 +31,23 @@ fn four_spaces_trace_validly_and_send_the_same_literal_traffic() {
         let prof = Arc::new(Profiler::default());
         attach(prof.clone());
         let run_cfg = cfg.clone();
-        let (ranks, traffic) = World::run_traced(RANKS, move |comm| {
+        let (wet_cells, traffic) = World::run_traced(RANKS, move |comm| {
             let space = match name {
                 "SwAthread" => Space::sw_athread_with(CgConfig::bench()),
                 _ => Space::from_name(name).unwrap(),
             };
             let mut m = Model::new(comm, run_cfg.clone(), space, ModelOptions::default());
             m.run_steps(STEPS);
-            let trips = m.timers.count("drift_perf_trips") + m.timers.count("drift_physics_trips");
-            (m.grid.wet.cells3_own.indices.len(), trips)
+            m.grid.wet.cells3_own.indices.len()
         });
         detach();
 
         // The messages 8 steps of the one schedule send; a row of `PHASES`
         // that posts one exchange more, or one strip more, moves these.
-        let (wet_cells, drift_trips) = (ranks[0].0, ranks.iter().map(|r| r.1).sum::<u64>());
         assert_eq!(
-            (
-                traffic.p2p_messages,
-                traffic.p2p_bytes,
-                wet_cells,
-                drift_trips
-            ),
-            (3_178, 5_664_128, 2_522, 0),
-            "{name}: (p2p messages, p2p bytes, rank 0's wet cells, drift trips)"
+            (traffic.p2p_messages, traffic.p2p_bytes, wet_cells[0]),
+            (3_178, 5_664_128, 2_522),
+            "{name}: (p2p messages, p2p bytes, rank 0's wet cells)"
         );
 
         // Written, read back, validated: the file is what a user opens.
