@@ -45,7 +45,7 @@ fn timed(
 }
 
 /// Exchange `fields` 30-level tracers on a 4-rank 2 × 2 engine, `reps`
-/// times, batched into one message per direction or field by field:
+/// times, batched into one message per peer or field by field:
 /// slowest rank's wall, world messages and bytes, rank 0's ghost checksum.
 fn exchanged(
     strategy: Strategy3D,

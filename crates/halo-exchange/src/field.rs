@@ -15,7 +15,6 @@ use kokkos_rs::{Layout, View, View2, View3};
 use crate::halo2d::{FoldKind, Halo2D};
 use crate::halo3d::Strategy3D;
 use crate::strip::{self, Rect};
-use crate::HALO as H;
 
 mod sealed {
     pub trait Sealed {}
@@ -27,7 +26,7 @@ mod sealed {
 /// or [`View3<f64>`] (`nz` levels, horizontal-major). Sealed.
 pub trait HaloField: sealed::Sealed + Clone {
     /// Added to the caller's tag base, so a 2-D and a 3-D exchange begun on
-    /// the same base never match each other's strips.
+    /// the same base never match each other's messages.
     #[doc(hidden)]
     const TAG: u64;
     /// Profiling region around a blocking exchange of this rank.
@@ -96,9 +95,9 @@ impl HaloField for View3<f64> {
     fn root_ptr(&self) -> *mut f64 {
         root_ptr(self)
     }
-    /// Every east/west/north/south strip is a kernel on the context's
-    /// space (§V-D: staging runs on the CPEs); the fold pack stays on the
-    /// MPE with the fold unpack it feeds.
+    /// Every rectangle is a kernel on the context's space (§V-D: staging
+    /// runs on the CPEs) but a fold image, whose pack stays on the MPE
+    /// with the mirrored unpack it feeds.
     fn launches(_h: &Halo2D, _elems: usize, fold: bool) -> bool {
         !fold
     }
@@ -133,34 +132,28 @@ pub(crate) fn unpack<F: HaloField>(h: &Halo2D, order: Strategy3D, f: &F, rect: R
     strip::unpack(on, order, f, rect, buf);
 }
 
-/// Fold unpack: `buf` holds the partner's [`Halo2D::fold_rows`]; fill the
-/// north ghost rows `H+ny+d` with zonal mirroring (and the sign flip of
-/// vector fields). Stays on the MPE: the mirror reverses element order, so
-/// there are no contiguous runs to hand a strip kernel, and only `H` ghost
-/// rows ever take this path.
+/// Fold unpack: `buf` holds an image packed as the owner's rows
+/// descending from its top owned row; fill the ghost rectangle `ghost`
+/// with its columns mirrored (and the sign flip of vector fields). Stays
+/// on the MPE: the mirror reverses element order, so there are no
+/// contiguous runs to hand a strip kernel, and only `H` ghost rows ever
+/// take this path.
 pub(crate) fn unpack_fold<F: HaloField>(
-    h: &Halo2D,
     order: Strategy3D,
     f: &F,
+    ghost: Rect,
     buf: &[f64],
     kind: FoldKind,
 ) {
-    let [nz, _, pi] = f.block_dims();
-    let rect = h.fold_rows();
-    assert_eq!(buf.len(), nz * rect.cells());
+    let [nz, _, _] = f.block_dims();
+    debug_assert_eq!(buf.len(), nz * ghost.cells());
     let sign = kind.sign();
-    let partner_x0 = h.fold_partner_x0() as i64;
-    for d in 0..H {
-        for il in 0..pi {
-            // Global (unwrapped) column of this ghost cell, mirrored across
-            // the seam, as a column of the partner's padded buffer.
-            let ig = h.x0 as i64 + il as i64 - H as i64;
-            let src = h.nxg as i64 - 1 - ig;
-            let bc = src - (partner_x0 - H as i64);
-            debug_assert!((0..pi as i64).contains(&bc), "fold column out of range");
+    for jj in 0..ghost.nj {
+        for ii in 0..ghost.ni {
+            let il = ghost.i0 + ghost.ni - 1 - ii;
             for k in 0..nz {
-                let v = buf[buf_index(order, nz, &rect, k, d, bc as usize)];
-                f.set_cell(k, H + h.ny + d, il, sign * v);
+                let v = buf[buf_index(order, nz, &ghost, k, jj, ii)];
+                f.set_cell(k, ghost.row(jj), il, sign * v);
             }
         }
     }

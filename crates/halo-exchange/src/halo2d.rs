@@ -9,29 +9,30 @@
 //!                           are the *real halo* sent to neighbors
 //! rows    [H+ny, H+ny+2H?)  north ghost (neighbor or fold data)
 //! ```
-//! and likewise in `i`. The update is two-phase — east/west over owned
-//! rows first, then north/south over the **full padded width** — which
-//! fills the four corner blocks without diagonal messages (the standard
-//! trick; LICOM does the same).
+//! and likewise in `i`. Every ghost rectangle — west, east, south, north
+//! over the owned extent, and the four `H × H` corners — is a copy of
+//! cells one rank owns, so an update is one round: each rank sends every
+//! peer one message holding all the rectangles that peer's ghosts are
+//! images of ([`crate::route`]).
 //!
 //! The **north fold**: the tripolar seam maps the ghost row above global
 //! row `nyg-1-…` onto row `nyg-1-d` *mirrored in longitude*; vector
-//! fields additionally flip sign. The fold partner of the block at column
-//! `cx` is the block at `px-1-cx` (possibly itself). A clean mirror
-//! requires equal block widths, so fold exchanges assert `nxg % px == 0`.
+//! fields additionally flip sign. The north ghost of the block at column
+//! `cx` is an image of the block at `px-1-cx` (possibly itself), its
+//! corners of that block's zonal neighbors. A clean mirror requires equal
+//! block widths, so fold exchanges assert `nxg % px == 0`.
 //!
-//! [`Halo2D`] owns what one rank needs to run that protocol — geometry and
-//! peers (`plan`), the strips it moves, persistent scratch for
-//! the self paths, frame sequencing for the integrity layer, and the
-//! send/receive chokepoints every strip goes through — and
-//! [`crate::Pending`] runs it. A 2-D exchange is the one-level case:
-//! [`Halo2D::try_exchange`] is a one-field [`Halo2D::begin_exchange_many`]
-//! finished on the spot. Exchanges are allocation-free in steady state:
-//! messages round-trip through the per-rank buffer pools of `mpi-sim`
-//! ([`mpi_sim::Comm::send_into`] / [`mpi_sim::Comm::try_recv_into`]) and
-//! pack/unpack copy contiguous runs (`strip`). The freshly
-//! allocating element-wise reference survives as
-//! [`Halo2D::exchange_alloc`] — the bitwise-identity oracle.
+//! [`Halo2D`] owns what one rank needs to run that protocol — geometry,
+//! the route table, persistent scratch for the self routes, frame
+//! sequencing for the integrity layer, and the send/receive chokepoints
+//! every message goes through — and [`crate::Pending`] runs it. A 2-D
+//! exchange is the one-level case: [`Halo2D::try_exchange`] is a one-field
+//! [`Halo2D::begin_exchange_many`] finished on the spot. Exchanges are
+//! allocation-free in steady state: messages round-trip through the
+//! per-rank buffer pools of `mpi-sim` ([`mpi_sim::Comm::send_into`] /
+//! [`mpi_sim::Comm::try_recv_into`]) and pack/unpack copy contiguous runs
+//! (`strip`). The freshly allocating, two-round element-wise reference
+//! survives as [`Halo2D::exchange_alloc`] — the bitwise-identity oracle.
 
 use std::cell::{Cell, RefCell, RefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,12 +40,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use kokkos_rs::{Space, View2};
-use mpi_sim::{CartComm, Comm, CommError, Dir, Neighbor};
+use mpi_sim::{CartComm, CommError, Dir, Neighbor};
 
 use crate::halo3d::Strategy3D;
 use crate::integrity::{self, FrameFault, FrameSeq, HaloError, IntegrityConfig};
 use crate::pending::{self, Pending};
-use crate::strip::{self, Rect};
+use crate::route::{self, Peer};
+use crate::strip;
 use crate::HALO as H;
 
 /// Below this many elements a 2-D strip copy stays on the MPE: a kernel
@@ -73,29 +75,13 @@ impl FoldKind {
     }
 }
 
-/// Where the northward leg of an exchange goes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NorthPath {
-    /// Ordinary interior neighbor.
-    Interior(usize),
-    /// Tripolar fold partner on another rank.
-    FoldOther(usize),
-    /// This rank is its own fold partner (self-copy through scratch).
-    FoldSelf,
-    /// Closed wall (no transfer).
-    Closed,
-}
-
-/// The peers of one exchange: who to talk to and which north path
-/// applies. See [`Halo2D::plan`].
+/// How one exchange's messages are framed: its sequence and the retry
+/// policy that verifies it, together — a sequence never exists without
+/// the configuration it implies.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct StripPlan {
-    pub west: usize,
-    pub east: usize,
-    /// px == 1: the east/west wrap is a local copy, not a message.
-    pub ew_self: bool,
-    pub south: Option<usize>,
-    pub north: NorthPath,
+pub(crate) struct Framing {
+    pub seq: FrameSeq,
+    pub cfg: IntegrityConfig,
 }
 
 /// Per-rank halo exchange context for one decomposition.
@@ -110,16 +96,20 @@ pub struct Halo2D {
     pub y0: usize,
     pub nx: usize,
     pub ny: usize,
+    /// Who this rank trades ghost rectangles with, and which, and the
+    /// rectangles that are its own cells (built once; see
+    /// [`crate::route`]).
+    peers: Vec<Peer>,
+    local: Option<Peer>,
     /// Execution space strip pack/unpack dispatches on (serial by
     /// default; the model passes its own so staging runs on CPEs).
     space: Space,
     /// Minimum 2-D strip elements before pack/unpack leaves the MPE
     /// ([`STRIP_DISPATCH_MIN`]; tests shrink it to force dispatch).
     strip_dispatch_min: usize,
-    /// Persistent scratch for self-sends / self-folds (two cells: the
-    /// east/west self path needs both strips live at once). Grow-once.
-    scratch: [RefCell<Vec<f64>>; 2],
-    /// End-to-end integrity framing + retry (None = raw strips, the
+    /// Persistent scratch the self routes pass through. Grow-once.
+    scratch: RefCell<Vec<f64>>,
+    /// End-to-end integrity framing + retry (None = raw messages, the
     /// default — existing byte-count expectations stay exact).
     integrity: Option<IntegrityConfig>,
     /// Current epoch (model step) and per-step exchange ordinal for frame
@@ -128,13 +118,13 @@ pub struct Halo2D {
     epoch: Cell<u64>,
     ordinal: Cell<u64>,
     /// Nanoseconds this rank spent inside receive calls — the wait/unpack
-    /// side of every networked strip, whether the exchange was finished on
-    /// the spot or carried across compute. Shared across clones
+    /// side of every networked message, whether the exchange was finished
+    /// on the spot or carried across compute. Shared across clones
     /// (`Halo3D` wraps a clone of the model's 2-D context) so one counter
     /// sees both 2-D and 3-D traffic.
     wait_ns: Arc<AtomicU64>,
     /// Nanoseconds of exchange *span* — begin-to-done, which for a carried
-    /// exchange covers whatever compute ran while the strips were in
+    /// exchange covers whatever compute ran while the messages were in
     /// flight. Concurrent pending spans sum additively, so this counts
     /// comm·seconds in flight; dividing a step's delta by wall time
     /// measures how much communication the step kept airborne per wall
@@ -143,13 +133,19 @@ pub struct Halo2D {
 }
 
 impl Halo2D {
-    /// Build the context from the topology. Panics if any block is too
-    /// small to carry a 2-wide real halo, or if a fold is present with
-    /// unequal block widths.
+    /// Build the context and its route table from the topology. Panics if
+    /// any block is too small to carry a 2-wide real halo, or if a fold is
+    /// present with unequal block widths.
     pub fn new(cart: &CartComm, nxg: usize, nyg: usize) -> Self {
         let (x0, nx) = cart.local_x(nxg);
         let (y0, ny) = cart.local_y(nyg);
-        assert!(nx >= H && ny >= H, "block {nx}x{ny} smaller than halo {H}");
+        let (px, py) = (cart.px(), cart.py());
+        // The smallest block of the split, not only this rank's: the route
+        // table is built from every block.
+        assert!(
+            nxg / px >= H && nyg / py >= H,
+            "a block of {nxg}x{nyg} over {px}x{py} ranks is smaller than halo {H}"
+        );
         if matches!(cart.neighbor(Dir::North), Neighbor::Fold(_)) {
             assert_eq!(
                 nxg % cart.px(),
@@ -157,6 +153,7 @@ impl Halo2D {
                 "north-fold exchange requires equal block widths (nxg % px == 0)"
             );
         }
+        let (peers, local) = route::peers(cart, nxg, nyg);
         Self {
             cart: cart.clone(),
             nxg,
@@ -165,6 +162,8 @@ impl Halo2D {
             y0,
             nx,
             ny,
+            peers,
+            local,
             space: Space::serial(),
             strip_dispatch_min: STRIP_DISPATCH_MIN,
             scratch: Default::default(),
@@ -218,7 +217,7 @@ impl Halo2D {
     }
 
     /// Enable CRC32 frame integrity + bounded retry on every networked
-    /// strip (see [`crate::integrity`]).
+    /// message (see [`crate::integrity`]).
     pub fn with_integrity(mut self, cfg: IntegrityConfig) -> Self {
         self.integrity = Some(cfg);
         self
@@ -239,68 +238,71 @@ impl Halo2D {
 
     /// Claim the next frame sequence for one collective exchange call
     /// (None when integrity is off).
-    pub(crate) fn next_seq(&self) -> Option<FrameSeq> {
-        self.integrity.as_ref()?;
+    pub(crate) fn next_framing(&self) -> Option<Framing> {
+        let cfg = self.integrity?;
         let ordinal = self.ordinal.get();
         self.ordinal.set(ordinal + 1);
-        Some(FrameSeq {
-            epoch: self.epoch.get(),
-            ordinal,
+        Some(Framing {
+            seq: FrameSeq {
+                epoch: self.epoch.get(),
+                ordinal,
+            },
+            cfg,
         })
     }
 
-    /// Send one strip, framed when integrity is on.
-    pub(crate) fn send_strip(
+    /// Send one message, framed when integrity is on.
+    pub(crate) fn send_msg(
         &self,
-        comm: &Comm,
         dst: usize,
         tag: u64,
-        seq: Option<FrameSeq>,
+        framing: Option<Framing>,
         len: usize,
         fill: impl FnOnce(&mut [f64]),
     ) {
         let _r = kokkos_rs::profiling::region("halo:pack");
-        match seq {
-            Some(seq) => integrity::send_framed(comm, dst, tag, seq, len, fill),
+        let comm = self.cart.comm();
+        match framing {
+            Some(f) => integrity::send_framed(comm, dst, tag, f.seq, len, fill),
             None => comm.send_into(dst, tag, len, fill),
         }
     }
 
-    /// Receive one strip, verifying + retrying when integrity is on. A
-    /// strip that can never arrive is a typed error either way: raw strips
-    /// wait out the world's own receive bound, once.
-    pub(crate) fn recv_strip(
+    /// Receive one message of `len` words, verifying + retrying when
+    /// integrity is on. A message that can never arrive, or a raw one of
+    /// the wrong length, is a typed error: raw messages wait out the
+    /// world's own receive bound, once.
+    pub(crate) fn recv_msg(
         &self,
-        comm: &Comm,
         src: usize,
         tag: u64,
-        seq: Option<FrameSeq>,
+        framing: Option<Framing>,
         len: usize,
         unpack: impl Fn(&[f64]),
     ) -> Result<(), HaloError> {
         let _r = kokkos_rs::profiling::region("halo:unpack");
         let t0 = Instant::now();
-        let out = match seq {
-            Some(seq) => integrity::recv_framed(
-                comm,
-                self.integrity.as_ref().expect("seq implies integrity"),
-                src,
-                tag,
-                seq,
-                len,
-                unpack,
-            ),
-            None => comm
-                .try_recv_into(src, tag, |buf| unpack(buf))
-                .map_err(|e| match e {
-                    CommError::PeerDead { .. } => HaloError::PeerDead { src, tag },
-                    CommError::Timeout { .. } => HaloError::RetriesExhausted {
-                        src,
-                        tag,
-                        attempts: 1,
-                        last: FrameFault::Timeout,
-                    },
-                }),
+        let comm = self.cart.comm();
+        let raw = |last| HaloError::RetriesExhausted {
+            src,
+            tag,
+            attempts: 1,
+            last,
+        };
+        let out = match framing {
+            Some(f) => integrity::recv_framed(comm, &f.cfg, src, tag, f.seq, len, unpack),
+            None => match comm.try_recv_into(src, tag, |buf| {
+                let whole = buf.len() == len;
+                if whole {
+                    unpack(buf);
+                }
+                whole
+            }) {
+                Ok(true) => Ok(()),
+                Ok(false) => Err(raw(FrameFault::Truncated)),
+                Err(CommError::PeerDead { .. }) => Err(HaloError::PeerDead { src, tag }),
+                Err(CommError::Timeout { .. }) => Err(raw(FrameFault::Timeout)),
+            },
         };
         self.wait_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -317,81 +319,25 @@ impl Halo2D {
         &self.cart
     }
 
-    /// Zonal offset of the fold partner's block (equal widths guaranteed
-    /// by the constructor assert).
-    pub(crate) fn fold_partner_x0(&self) -> usize {
-        self.nxg - self.x0 - self.nx
+    /// This rank's remote peers and what it trades with each, in rank
+    /// order.
+    pub(crate) fn peers(&self) -> &[Peer] {
+        &self.peers
     }
 
-    /// Borrow persistent scratch cell `which` with at least `len`
-    /// elements (grow-once).
-    pub(crate) fn scratch(&self, which: usize, len: usize) -> RefMut<'_, Vec<f64>> {
-        let mut buf = self.scratch[which].borrow_mut();
+    /// The ghost rectangles that are images of this rank's own cells.
+    pub(crate) fn local_routes(&self) -> Option<&Peer> {
+        self.local.as_ref()
+    }
+
+    /// Borrow the persistent scratch with at least `len` elements
+    /// (grow-once).
+    pub(crate) fn scratch(&self, len: usize) -> RefMut<'_, Vec<f64>> {
+        let mut buf = self.scratch.borrow_mut();
         if buf.len() < len {
             buf.resize(len, 0.0);
         }
         buf
-    }
-
-    // -- the strips ---------------------------------------------------------
-
-    /// Columns `[i0, i0+H)` over the owned rows: an east/west strip.
-    pub(crate) fn cols(&self, i0: usize) -> Rect {
-        Rect {
-            j0: H,
-            nj: self.ny,
-            i0,
-            ni: H,
-            rev: false,
-        }
-    }
-
-    /// Rows `[j0, j0+H)` over the full padded width: a north/south strip.
-    pub(crate) fn rows(&self, j0: usize) -> Rect {
-        Rect {
-            j0,
-            nj: H,
-            i0: 0,
-            ni: self.nx + 2 * H,
-            rev: false,
-        }
-    }
-
-    /// What crosses the fold: the rows of global `nyg-1-d` (`d = 0..H`,
-    /// descending from the northernmost owned row), full padded width.
-    pub(crate) fn fold_rows(&self) -> Rect {
-        Rect {
-            j0: H + self.ny - 1,
-            rev: true,
-            ..self.rows(0)
-        }
-    }
-
-    /// The peers of one exchange. Computed in one place so the engine and
-    /// the allocating reference cannot drift apart — they differ only in
-    /// transport, never in protocol.
-    pub(crate) fn plan(&self) -> StripPlan {
-        let comm = self.cart.comm();
-        let (Neighbor::Interior(west), Neighbor::Interior(east)) =
-            (self.cart.neighbor(Dir::West), self.cart.neighbor(Dir::East))
-        else {
-            unreachable!("zonal neighbors always exist")
-        };
-        StripPlan {
-            west,
-            east,
-            ew_self: west == comm.rank(),
-            south: match self.cart.neighbor(Dir::South) {
-                Neighbor::Interior(s) => Some(s),
-                _ => None,
-            },
-            north: match self.cart.neighbor(Dir::North) {
-                Neighbor::Interior(n) => NorthPath::Interior(n),
-                Neighbor::Fold(p) if p == comm.rank() => NorthPath::FoldSelf,
-                Neighbor::Fold(p) => NorthPath::FoldOther(p),
-                Neighbor::Closed => NorthPath::Closed,
-            },
-        }
     }
 
     // -- the update ---------------------------------------------------------
@@ -403,14 +349,14 @@ impl Halo2D {
     /// back to back; callers use distinct bases per field per step.
     ///
     /// # Panics
-    /// If a strip is unrecoverable; use [`Halo2D::try_exchange`] to handle
-    /// that as a value.
+    /// If a message is unrecoverable; use [`Halo2D::try_exchange`] to
+    /// handle that as a value.
     pub fn exchange(&self, field: &View2<f64>, kind: FoldKind, tag_base: u64) {
         self.try_exchange(field, kind, tag_base)
             .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
     }
 
-    /// Fallible exchange: a strip that cannot arrive — its sender is dead,
+    /// Fallible exchange: a message that cannot arrive — its sender is dead,
     /// or the integrity layer's bounded retries ran out — surfaces as a
     /// typed [`HaloError`].
     pub fn try_exchange(
@@ -422,8 +368,8 @@ impl Halo2D {
         self.try_exchange_many(&[(field, kind)], tag_base)
     }
 
-    /// Blocking batched update: all `fields` share one message per
-    /// direction (buffers concatenated in field order), cutting the
+    /// Blocking batched update: all `fields` share one message per peer
+    /// (each ghost rectangle's segments in field order), cutting the
     /// message count by the batch factor. Bitwise identical to updating
     /// each field separately with [`Halo2D::try_exchange`].
     pub fn try_exchange_many(
@@ -434,7 +380,7 @@ impl Halo2D {
         pending::exchange_many(self, 1, Strategy3D::HorizontalMajor, fields, tag_base)
     }
 
-    /// Split-phase batched update: posts the east/west messages and
+    /// Split-phase batched update: posts every message of the exchange and
     /// returns a [`Pending`] that the caller drives with [`Pending::poll`]
     /// between compute launches and [`Pending::finish`] once the ghosts
     /// are needed. The field contents on completion are bitwise identical
@@ -457,9 +403,11 @@ impl Halo2D {
         ))
     }
 
-    /// The original implementation: element-wise pack/unpack into freshly
-    /// allocated message vectors. Kept as the bitwise-identity reference
-    /// for the engine and as the baseline in the benches.
+    /// The original implementation: two rounds (east/west, then
+    /// north/south over the full padded width, which carries the corners)
+    /// of element-wise packs into freshly allocated message vectors. Kept
+    /// as the bitwise-identity reference for the engine and as the
+    /// baseline in the benches.
     pub fn exchange_alloc(&self, field: &View2<f64>, kind: FoldKind, tag_base: u64) {
         let fields = [(field, kind)];
         pending::exchange_many_alloc(self, 1, Strategy3D::HorizontalMajor, &fields, tag_base);

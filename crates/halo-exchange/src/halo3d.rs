@@ -14,9 +14,9 @@
 //!
 //! Both strategies produce **bitwise identical** fields; the benches and
 //! the simulated-Sunway DMA counters quantify the difference. All levels
-//! travel in one message per direction per field, and
+//! travel in one message per peer per field, and
 //! [`Halo3D::exchange_many`] batches several fields into one message per
-//! direction total (the "redundant packing/unpacking" elimination).
+//! peer total (the "redundant packing/unpacking" elimination).
 //!
 //! [`Halo3D`] itself is only a level count and a strategy over its
 //! [`Halo2D`] context, which owns the space, the scratch and the frame
@@ -62,7 +62,7 @@ impl Halo3D {
     }
 
     /// Enable CRC32 frame integrity + bounded retry on every networked
-    /// strip (see [`crate::integrity`]).
+    /// message (see [`crate::integrity`]).
     pub fn with_integrity(mut self, cfg: IntegrityConfig) -> Self {
         self.h2 = self.h2.with_integrity(cfg);
         self
@@ -83,8 +83,8 @@ impl Halo3D {
     /// state; bitwise identical to [`Halo3D::exchange_alloc`].
     ///
     /// # Panics
-    /// If a strip is unrecoverable; use [`Halo3D::try_exchange`] to handle
-    /// that as a value.
+    /// If a message is unrecoverable; use [`Halo3D::try_exchange`] to
+    /// handle that as a value.
     pub fn exchange(&self, field: &View3<f64>, kind: FoldKind, tag_base: u64) {
         self.exchange_many(&[(field, kind)], tag_base);
     }
@@ -99,14 +99,14 @@ impl Halo3D {
         self.try_exchange_many(&[(field, kind)], tag_base)
     }
 
-    /// Batched update: all `fields` share one message per direction
-    /// (buffers concatenated in field order) — the pack/unpack redundancy
+    /// Batched update: all `fields` share one message per peer (each
+    /// ghost rectangle's segments in field order) — the pack/unpack redundancy
     /// elimination. Each field packs straight into its segment of the
     /// pooled message, so batching adds no gather copy. Bitwise identical
     /// to updating each field separately.
     ///
     /// # Panics
-    /// If a strip is unrecoverable; use [`Halo3D::try_exchange_many`] to
+    /// If a message is unrecoverable; use [`Halo3D::try_exchange_many`] to
     /// handle that as a value.
     pub fn exchange_many(&self, fields: &[(&View3<f64>, FoldKind)], tag_base: u64) {
         self.try_exchange_many(fields, tag_base)
@@ -146,7 +146,8 @@ impl Halo3D {
     }
 
     /// Allocating batched update (reference for [`Halo3D::exchange_many`]):
-    /// per-field vectors concatenated into one message per direction.
+    /// per-field vectors concatenated into one message per direction and
+    /// round of the two-round protocol.
     pub fn exchange_many_alloc(&self, fields: &[(&View3<f64>, FoldKind)], tag_base: u64) {
         pending::exchange_many_alloc(&self.h2, self.nz, self.strategy, fields, tag_base);
     }

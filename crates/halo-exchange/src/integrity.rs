@@ -1,9 +1,9 @@
-//! End-to-end message integrity for halo strips.
+//! End-to-end message integrity for halo messages.
 //!
 //! At the paper's machine scale a halo payload can arrive corrupted,
 //! truncated, duplicated, stale — or not at all. When integrity is
 //! enabled on a [`crate::Halo2D`]/[`crate::Halo3D`] (it is opt-in so the
-//! bare exchange keeps its exact byte counts), every strip travels as a
+//! bare exchange keeps its exact byte counts), every message travels as a
 //! *frame*:
 //!
 //! ```text
@@ -17,7 +17,7 @@
 //! Header words are `u64` values carried as `f64` bit patterns, so a
 //! frame is still one pooled `f64` message and the steady-state path
 //! stays allocation-free. The CRC is folded in right after the pack
-//! fills the buffer, while the strip is cache-hot.
+//! fills the buffer, while the payload is cache-hot.
 //!
 //! The receiver verifies the frame before unpacking. A mismatched
 //! `(epoch, ordinal)` marks a *stale* frame (leftover from an aborted,
@@ -110,11 +110,11 @@ impl std::fmt::Display for HaloError {
                 last,
             } => write!(
                 f,
-                "halo strip from rank {src} tag {tag} unrecoverable after {attempts} attempts (last: {last:?})"
+                "halo message from rank {src} tag {tag} unrecoverable after {attempts} attempts (last: {last:?})"
             ),
             HaloError::PeerDead { src, tag } => write!(
                 f,
-                "halo strip from rank {src} tag {tag} can never arrive: peer is dead"
+                "halo message from rank {src} tag {tag} can never arrive: peer is dead"
             ),
         }
     }
@@ -126,7 +126,7 @@ impl std::error::Error for HaloError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameFault {
     /// Shorter than the header, or payload length disagrees with the
-    /// length word / the expected strip size.
+    /// length word / the expected message size.
     Truncated,
     /// Word 0 does not carry the expected magic/tag.
     BadMagic,

@@ -8,28 +8,31 @@
 //! in four layers:
 //!
 //! * [`halo2d`] — the per-rank **context** on the tripolar topology:
-//!   block geometry and peers (zonal periodicity, closed southern wall,
-//!   **north fold** with zonal mirroring and a sign flip for vector
-//!   fields), the strips that move, scratch for the self paths, frame
-//!   sequencing, and the send/receive chokepoints. [`halo3d`] adds a level
-//!   count and a buffer order on top: the naive **horizontal-major** pack
-//!   (strided reads, the pre-optimization baseline) or the paper's
-//!   **transpose** pipeline (Fig. 5: real halo → vertical-major → exchange
-//!   → ghost halo → horizontal-major);
+//!   block geometry (zonal periodicity, closed southern wall, **north
+//!   fold** with zonal mirroring and a sign flip for vector fields),
+//!   scratch for the self routes, frame sequencing, and the send/receive
+//!   chokepoints. [`halo3d`] adds a level count and a buffer order on
+//!   top: the naive **horizontal-major** pack (strided reads, the
+//!   pre-optimization baseline) or the paper's **transpose** pipeline
+//!   (Fig. 5: real halo → vertical-major → exchange → ghost halo →
+//!   horizontal-major);
+//! * `route` — the **route table**, built once per context: for each of
+//!   the eight ghost rectangles (four edges, four `H × H` corners), the
+//!   rank owning its image and where that image sits, gathered per peer;
 //! * [`HaloField`] — the sealed **field trait** that makes a 2-D field the
 //!   `nz = 1` case of a 3-D one: extents, element access, tag offset,
 //!   profiling region, and which strips are worth a kernel launch;
-//! * [`Pending`] — the **protocol**, once: E/W over owned rows, then N/S or
-//!   fold over the full padded width (corners fill without diagonal
-//!   messages), batched over any number of fields (the "redundant packing"
-//!   elimination), as a split-phase state machine. A blocking exchange is a
-//!   `Pending` finished on the spot; an overlapped one is polled between
-//!   kernel launches. The allocating element-wise reference the tests hold
-//!   it against lives beside it;
+//! * [`Pending`] — the **protocol**, once: one round, one message per
+//!   peer carrying every rectangle that peer owes, corners included,
+//!   batched over any number of fields (the "redundant packing"
+//!   elimination), as a split-phase state machine. A blocking exchange is
+//!   a `Pending` finished on the spot; an overlapped one is polled between
+//!   kernel launches. The two-round allocating element-wise reference the
+//!   tests hold it against lives beside it;
 //! * `strip` — the one contiguous-run copy functor under every pack and
 //!   unpack, launched on an execution space or run on the MPE.
 //!
-//! [`integrity`] frames strips with a CRC and retries them.
+//! [`integrity`] frames messages with a CRC and retries them.
 //!
 //! Every path is *bitwise equivalent*; they differ only in access pattern
 //! and message count, which the benches measure.
@@ -39,6 +42,7 @@ pub mod halo2d;
 pub mod halo3d;
 pub mod integrity;
 mod pending;
+mod route;
 mod strip;
 
 pub use field::HaloField;

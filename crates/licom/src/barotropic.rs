@@ -313,8 +313,8 @@ impl Functor2D for FunctorCopy2D {
 
 kokkos_rs::register_for_2d!(kernel_copy_2d, FunctorCopy2D);
 
-/// `acc += x` over the full padded block (halos included, so the
-/// window-averaged fields inherit valid halos).
+/// `acc += x` over a block's owned cells (the window sums' ghosts arrive
+/// by exchange).
 pub struct FunctorAccum2D {
     pub acc: View2<f64>,
     pub x: View2<f64>,
@@ -408,6 +408,16 @@ fn accum3(accs: &[View2<f64>; 3], xs: [&View2<f64>; 3]) -> FunctorAccum3 {
     }
 }
 
+/// An `(η, u, v)` triple as one exchange batch: η is a scalar, `(u, v)` a
+/// vector across the fold.
+fn batch(f: [&View2<f64>; 3]) -> [(&View2<f64>, FoldKind); 3] {
+    [
+        (f[0], FoldKind::Scalar),
+        (f[1], FoldKind::Vector),
+        (f[2], FoldKind::Vector),
+    ]
+}
+
 /// Register this module's functors.
 pub fn register() {
     kernel_depth_mean();
@@ -424,30 +434,6 @@ pub fn register() {
     kernel_scale_assign_3();
 }
 
-/// Add the previous substep's `[n]` values into the accumulators over the
-/// four **ghost rectangles** of the padded block. A substep accumulates
-/// its owned cells at once and settles this ghost "debt" when the
-/// exchange of `[n]` has finished. Each acc cell receives exactly one
-/// addition per substep, in substep order.
-fn flush_ghost_debt(
-    space: &Space,
-    g: &LocalGrid,
-    accs: &[View2<f64>; 3],
-    debt: &mut Option<[View2<f64>; 3]>,
-) {
-    let Some(fields) = debt.take() else { return };
-    let rects = [
-        MDRangePolicy2::new([H, g.pi]),
-        MDRangePolicy2::new([H, g.pi]).with_offset([H + g.ny, 0]),
-        MDRangePolicy2::new([g.ny, H]).with_offset([H, 0]),
-        MDRangePolicy2::new([g.ny, H]).with_offset([H, H + g.nx]),
-    ];
-    let f = accum3(accs, [&fields[0], &fields[1], &fields[2]]);
-    for r in rects {
-        parallel_for_2d(space, r, &f);
-    }
-}
-
 /// Integrate the barotropic system over one leapfrog window (`2 dt_c`),
 /// starting from `state.eta[cur]`, `state.ubt`, `state.vbt`, forced by
 /// the depth-mean tendencies `gu`, `gv`. On return `state.eta[new]`,
@@ -462,8 +448,8 @@ fn flush_ghost_debt(
 /// boundary rim follows. `poster` says whether the exchange is in flight
 /// under the interior or was finished where it was posted; a block with no
 /// interior (`ny` or `nx` below 3) always finishes at the post. The window
-/// accumulation has an owned-now/ghost-later split (see
-/// [`flush_ghost_debt`]).
+/// sums accumulate owned cells only; the last substep posts them in place
+/// of its `[n]` level, so their ghosts arrive the way a level's do.
 #[allow(clippy::too_many_arguments)]
 pub fn integrate(
     space: &Space,
@@ -519,11 +505,10 @@ pub fn integrate(
     let accs = [acc_eta.clone(), acc_u.clone(), acc_v.clone()];
     drop(init_region);
 
-    // Pipeline state: the previous substep's `[n]`-level exchange when it
-    // is still in flight, and the accumulator ghost rectangles owed the
-    // previous `[n]` values.
+    // Pipeline state: the previous substep's exchange when it is still in
+    // flight.
     let mut pend: Option<Pending<'_, View2<f64>>> = None;
-    let mut debt: Option<[View2<f64>; 3]> = None;
+    let own = MDRangePolicy2::new([g.ny, g.nx]).with_offset([H, H]);
 
     for step in 0..substeps {
         let _substep = kokkos_rs::profiling::region("bt:substep");
@@ -569,7 +554,6 @@ pub fn integrate(
                 let _r = kokkos_rs::profiling::region("bt:halo");
                 p.finish()?;
             }
-            flush_ghost_debt(space, g, &accs, &mut debt);
             // Boundary rim: the one-cell band around the owned block.
             for rp in [
                 MDRangePolicy2::new([1, g.nx]),
@@ -605,15 +589,17 @@ pub fn integrate(
             },
         );
         // Halo update of the new level, then per polar-filter pass the
-        // filter and another update, then window accumulation. Whichever
-        // exchange comes last goes through the poster; owned cells
-        // accumulate now, ghost rectangles once it finished.
+        // filter and another update. Before the last one the owned cells
+        // join the window sums, and the last goes through the poster. The
+        // window's last substep posts the sums instead of its `[n]` level:
+        // nothing reads that level's ghosts (the next window re-initialises
+        // every level over the full block), and a ghost is an exact copy —
+        // negated across the fold, which commutes with rounded addition —
+        // so a summed ghost equals its owner's sum. (Bar the sign of a zero
+        // `u`/`v` sum across the fold: those land in north ghost rows of
+        // `ubt`/`vbt`, which only the next window's level copies read, and
+        // no stencil reads a velocity level's north ghosts.)
         let fields = [&state.bt_eta[n], &state.bt_u[n], &state.bt_v[n]];
-        let batch = [
-            (fields[0], FoldKind::Scalar),
-            (fields[1], FoldKind::Vector),
-            (fields[2], FoldKind::Vector),
-        ];
         for pass in 0..=filter_passes {
             let (region, tag_base) = [("bt:halo", 500), ("bt:filter", 530)][pass.min(1)];
             let _r = kokkos_rs::profiling::region(region);
@@ -633,17 +619,17 @@ pub fn integrate(
                     parallel_for_2d(space, policy, &back);
                 }
             }
-            if pass == filter_passes {
-                pend = Poster { carried }.post(halo.begin_exchange_many(&batch, tag_base)?)?;
-            } else {
-                halo.try_exchange_many(&batch, tag_base)?;
+            if pass < filter_passes {
+                halo.try_exchange_many(&batch(fields), tag_base)?;
+                continue;
             }
-        }
-        let own = MDRangePolicy2::new([g.ny, g.nx]).with_offset([H, H]);
-        parallel_for_2d(space, own, &accum3(&accs, fields));
-        debt = Some(fields.map(View2::clone));
-        if pend.is_none() {
-            flush_ghost_debt(space, g, &accs, &mut debt);
+            parallel_for_2d(space, own, &accum3(&accs, fields));
+            let posted = if step + 1 == substeps {
+                accs.each_ref()
+            } else {
+                fields
+            };
+            pend = Poster { carried }.post(halo.begin_exchange_many(&batch(posted), tag_base)?)?;
         }
         // Rotate (old ← cur ← new ← old).
         let t = o;
@@ -651,13 +637,11 @@ pub fn integrate(
         c = n;
         n = t;
     }
-    // Drain the pipeline: the final substep's exchange and its
-    // accumulator ghost debt.
+    // Drain the pipeline: the window sums' exchange.
     if let Some(p) = pend.take() {
         let _r = kokkos_rs::profiling::region("bt:halo");
         p.finish()?;
     }
-    flush_ghost_debt(space, g, &accs, &mut debt);
     let _average = kokkos_rs::profiling::region("bt:average");
     let scale = 1.0 / substeps as f64;
     let nl = state.new_lev();

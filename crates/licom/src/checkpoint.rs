@@ -683,11 +683,11 @@ fn commit_steps(
 
 impl Model {
     /// Advance to `target` total steps through [`drive`], surviving step
-    /// failures — an unrecoverable halo strip, a guard trip — by rollback
+    /// failures — an unrecoverable halo message, a guard trip — by rollback
     /// and replay. A rank death, this rank's own included, or a vote that
     /// outlasts its deadline comes back as a typed [`RecoveryError`]; with
     /// spare ranks to adopt the dead role, [`crate::elastic::run_elastic`]
-    /// recovers from it. Every halo strip is CRC-framed with bounded retry,
+    /// recovers from it. Every halo message is CRC-framed with bounded retry,
     /// so a mid-step abort on one rank times out — not deadlocks — its
     /// peers.
     pub fn run_steps_resilient(

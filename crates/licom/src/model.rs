@@ -60,8 +60,8 @@ pub enum CanutoMode {
 /// Model configuration: the planet, the knobs of the paper's optimizations
 /// (`canuto_mode`, `limiter`, `overlap`, `vmix_team`), the wait schedule
 /// and the flight recorder. The physics guard ([`crate::guard`], default
-/// [`crate::GuardConfig`] bounds) and the CRC framing of every halo strip
-/// are always on.
+/// [`crate::GuardConfig`] bounds) and the CRC framing of every halo
+/// message are always on.
 #[derive(Clone)]
 pub struct ModelOptions {
     pub bathymetry: Bathymetry,
@@ -82,7 +82,7 @@ pub struct ModelOptions {
     /// Bitwise identical to the flat launch.
     pub vmix_team: bool,
     /// The one timeout/backoff/jitter schedule for every deadline-bounded
-    /// wait in the model: the escrow retries of the CRC-framed halo strips,
+    /// wait in the model: the escrow retries of the CRC-framed halo messages,
     /// step-status votes, and the elastic-recovery consensus all derive
     /// their deadlines from it.
     /// Tests shrink it ([`RetryPolicy::test_small`]) so unrecoverable
@@ -120,7 +120,7 @@ impl Default for ModelOptions {
 /// in place.
 #[derive(Debug)]
 pub enum StepError {
-    /// A halo strip stayed unrecoverable after the integrity layer's
+    /// A halo message stayed unrecoverable after the integrity layer's
     /// bounded retry.
     Halo(HaloError),
     /// The physics guard found non-finite or out-of-bound state.
@@ -506,8 +506,8 @@ impl Model {
     /// behind — not a usable model state. Recovery is rollback: restore a
     /// checkpoint and replay. The step body contains **no collectives**,
     /// so one rank aborting cannot strand its peers in a rendezvous; every
-    /// strip is CRC-framed, so peers time out on the missing strips and
-    /// abort too. Every exchange of the step is sequenced by
+    /// message is CRC-framed, so peers time out on the missing messages
+    /// and abort too. Every exchange of the step is sequenced by
     /// `(epoch = step, ordinal)` so leftover frames from an aborted step
     /// are either bit-identical to the replay's (deterministic traffic)
     /// or discarded as stale.

@@ -76,10 +76,10 @@ pub struct Phase {
 }
 
 /// The step. `halo_ts` lands `Uv` before it posts `Ts`: the polls under
-/// advection and diffusion cannot promise the u/v exchange is done (the
-/// fold partner posts its north strip only when it polls), and beginning
-/// the next exchange while this one may or may not have returned its
-/// buffers would leave the message pool's high-water mark to timing.
+/// advection and diffusion cannot promise the u/v exchange is done (a poll
+/// receives only once every peer's message is queued), and beginning the
+/// next exchange while this one may or may not have returned its buffers
+/// would leave the message pool's high-water mark to timing.
 /// `halo_drain` launches nothing: it is where `Ts` and `Asselin` land,
 /// before the guard reads the new level and the step commits.
 #[rustfmt::skip]

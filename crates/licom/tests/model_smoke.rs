@@ -139,7 +139,7 @@ fn the_step_is_its_table() {
     use std::sync::{Arc, Mutex};
     use std::thread::{self, ThreadId};
 
-    /// A region pushed (`Some`) or popped, or a strip's tag sent or received.
+    /// A region pushed (`Some`) or popped, or a message's tag sent or received.
     enum Ev {
         Region(Option<&'static str>),
         Wire(u64),
@@ -193,7 +193,7 @@ fn the_step_is_its_table() {
     let carries = [Carry::Uv, Carry::Ts, Carry::Asselin];
     for (rank, (tid, span)) in spans.into_iter().enumerate() {
         let (mut depth, mut rows) = (0, Vec::new());
-        // Per carry: the rows of its first and its last strip on the wire.
+        // Per carry: the rows of its first and its last message on the wire.
         let mut wire = [None::<(usize, usize)>; 3];
         for (_, ev) in log[span].iter().filter(|(t, _)| *t == tid) {
             match *ev {
@@ -204,10 +204,9 @@ fn the_step_is_its_table() {
                 Ev::Region(None) => depth -= 1,
                 Ev::Wire(tag) => {
                     assert!(depth > 0, "rank {rank}: tag {tag} outside every phase");
-                    // Five direction tags above the 3-D field offset.
-                    let dir =
-                        |c: &Carry| tag.wrapping_sub(c.tag_base() + kokkos_rs::View3::<f64>::TAG);
-                    if let Some(c) = carries.iter().find(|c| dir(c) < 5) {
+                    // One tag an exchange: the 3-D field offset.
+                    let ours = |c: &&Carry| tag == c.tag_base() + kokkos_rs::View3::<f64>::TAG;
+                    if let Some(c) = carries.iter().find(ours) {
                         let row = rows.len() - 1;
                         wire[*c as usize] = Some((wire[*c as usize].map_or(row, |w| w.0), row));
                     }
@@ -278,6 +277,37 @@ fn steady_state_step_is_pool_allocation_free() {
         assert!(m.timers.count("pool_reuses") > 0);
         assert!(m.timers.count("halo_msgs") > 0);
     });
+}
+
+/// The barotropic work levels are dead once a window ends: the next window
+/// re-initialises every `bt_eta` / `bt_u` / `bt_v` level over the full
+/// block before reading it, and no ghost a window leaves behind is read —
+/// its last substep ships the window sums, not its `[n]` level. NaN in
+/// every level, ghosts included, between steps must not move the checksum
+/// 3 steps later, on 1 rank (self routes) or 2 (messages).
+#[test]
+fn barotropic_levels_are_dead_after_the_window() {
+    // 60x36x6: nx divides over two ranks.
+    let cfg = Resolution::Coarse100km.config().scaled_down(6, 6);
+    for ranks in [1, 2] {
+        let run = |scribble: bool| {
+            World::run(ranks, |comm| {
+                let space = kokkos_rs::Space::serial();
+                let mut m = Model::new(comm, cfg.clone(), space, ModelOptions::default());
+                for _ in 0..4 {
+                    m.run_steps(1);
+                    let s = &m.state;
+                    for level in s.bt_eta.iter().chain(&s.bt_u).chain(&s.bt_v) {
+                        if scribble {
+                            level.fill(f64::NAN);
+                        }
+                    }
+                }
+                m.checksum()
+            })
+        };
+        assert_eq!(run(true), run(false), "{ranks} rank(s)");
+    }
 }
 
 #[test]

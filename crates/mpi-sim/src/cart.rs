@@ -88,6 +88,11 @@ impl CartComm {
         self.py
     }
 
+    /// Whether the northern boundary is the tripolar fold (else closed).
+    pub fn north_fold(&self) -> bool {
+        self.north_fold
+    }
+
     /// This rank's `(cx, cy)` coordinates.
     pub fn coords(&self) -> (usize, usize) {
         let r = self.comm.rank();

@@ -21,11 +21,18 @@ pub(crate) struct BufferPool {
 
 impl BufferPool {
     /// Borrow a buffer of exactly `len` elements (contents unspecified).
-    /// Reuses the first free buffer whose capacity suffices; only a miss
-    /// touches the heap.
+    /// Reuses the smallest free buffer whose capacity suffices; only a miss
+    /// touches the heap. Best fit, not first: a rank that sends messages
+    /// of several sizes would otherwise spend a large buffer on a small
+    /// message, ship it to a peer, and allocate again for its own large
+    /// one — capacity drifting between ranks step after step.
     pub(crate) fn acquire(&self, len: usize, traffic: &Traffic) -> Vec<f64> {
         let mut free = self.free.lock();
-        if let Some(pos) = free.iter().position(|b| b.capacity() >= len) {
+        let fit = (free.iter().enumerate())
+            .filter(|(_, b)| b.capacity() >= len)
+            .min_by_key(|(_, b)| b.capacity())
+            .map(|(pos, _)| pos);
+        if let Some(pos) = fit {
             let mut buf = free.swap_remove(pos);
             traffic.record_pool_reuse();
             buf.clear();

@@ -81,7 +81,10 @@ fn measured_halo_traffic_matches_workload_census() {
 fn both_settings_send_the_same_traffic() {
     let carried = per_step(true);
     assert_eq!(per_step(false), carried);
-    assert_eq!((carried.0, carried.1), (224, 391_168));
+    // 28 exchanges a step at px = 3: one message per peer where each had
+    // three strips (8 → 6 a exchange: 224 → 168), the same cells, and two
+    // fewer 4-word CRC frame headers an exchange (391 168 − 28·64 B).
+    assert_eq!((carried.0, carried.1), (168, 389_376));
 
     let plan = FaultPlan::new(21).rule(
         FaultRule::new(

@@ -43,10 +43,16 @@ fn four_spaces_trace_validly_and_send_the_same_literal_traffic() {
         detach();
 
         // The messages 8 steps of the one schedule send; a row of `PHASES`
-        // that posts one exchange more, or one strip more, moves these.
+        // that posts one exchange more, or one route more, moves these.
+        // 227 exchanges on 2 × 2 ranks (15 at start-up, 4 a step, 180
+        // substeps), 12 messages each where the two-round protocol sent
+        // 14: 3 178 → 2 724. Bytes: two 32 B frame headers fewer an
+        // exchange, and the top row's 4 fold corners (16 cells a field
+        // level, 999 field levels in all) are its own cells now:
+        // 5 664 128 − 227·64 − 999·16·8.
         assert_eq!(
             (traffic.p2p_messages, traffic.p2p_bytes, wet_cells[0]),
-            (3_178, 5_664_128, 2_522),
+            (2_724, 5_521_728, 2_522),
             "{name}: (p2p messages, p2p bytes, rank 0's wet cells)"
         );
 
