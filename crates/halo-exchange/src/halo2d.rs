@@ -319,6 +319,13 @@ impl Halo2D {
         &self.cart
     }
 
+    /// Whether an exchange waits on a message: some remote peer's cells are
+    /// the image of a ghost of this rank's. Fixed by the route table; when
+    /// false (self routes only) every exchange lands where it is posted.
+    pub fn awaits_messages(&self) -> bool {
+        self.peers.iter().any(|p| !p.recvs.is_empty())
+    }
+
     /// This rank's remote peers and what it trades with each, in rank
     /// order.
     pub(crate) fn peers(&self) -> &[Peer] {

@@ -6,17 +6,18 @@
 //! baroclinic tendency. The window-averaged surface height and transport
 //! feed back into the 3-D solution (mode splitting). Each substep
 //! performs a 2-D halo update of η and the barotropic velocities — this
-//! is why the *halo update is the model's serial bottleneck* (§V-D): at
-//! km scale there are 10 substeps per baroclinic step, each with its own
-//! exchange.
+//! is why the *halo update is the model's serial bottleneck* (§V-D): a
+//! window spans the leapfrog interval `2 dt_c`, so the 10 km grids run
+//! 2 · 180 s / 9 s = 40 substeps a baroclinic step (20 on the first,
+//! forward step), each with its own exchange.
 //!
 //! Near the tripolar cap the zonal spacing tightens and the explicit
 //! substep would violate the gravity-wave CFL; like LICOM (and POP), a
 //! zonal **polar filter** smooths the fast fields on the offending rows.
 
 use kokkos_rs::{
-    parallel_for_2d, Functor2D, FunctorList, FunctorPair2D, FunctorTriple2D, IterCost,
-    MDRangePolicy2, Space, View1, View2, View3,
+    parallel_for_2d, Functor2D, FunctorList, FunctorTriple2D, IterCost, MDRangePolicy2, Space,
+    View1, View2, View3,
 };
 use ocean_grid::GRAVITY;
 
@@ -76,10 +77,10 @@ impl FunctorDepthMean {
 
 /// Entry `idx` is a packed owned wet velocity corner `jl·pi + il`
 /// (`kmu > 0`; `pi` is `kmu`'s row pitch). Dry corners keep the output's
-/// initial zero, and nothing else writes `out`. (The substep kernels
-/// [`FunctorBtEta`]/[`FunctorBtVel`] deliberately stay dense: the zonal
-/// polar filter and the Asselin filter write land cells unmasked, so their
-/// land zeros are real state the next substep's stencils read.)
+/// initial zero, and nothing else writes `out`. (The substep kernel
+/// [`FunctorBtSubstep`] deliberately stays dense: the zonal polar filter
+/// and the Asselin filter write land cells unmasked, so their land zeros
+/// are real state the next substep's stencils read.)
 impl FunctorList for FunctorDepthMean {
     fn operator(&self, _n: usize, idx: u32) {
         let pi = self.kmu.extent(1);
@@ -149,19 +150,6 @@ impl RowKernel for FunctorBtEta {
     }
 }
 
-impl Functor2D for FunctorBtEta {
-    row_kernel_2d!();
-
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 30,
-            bytes: 180,
-        }
-    }
-}
-
-kokkos_rs::register_for_2d!(kernel_bt_eta, FunctorBtEta);
-
 /// One leapfrog momentum substep at B-grid corners:
 /// `u_new = u_old + dt2 (−g ∂η/∂x + f v + Gu)` (and the v analogue).
 pub struct FunctorBtVel {
@@ -204,52 +192,61 @@ impl RowKernel for FunctorBtVel {
     }
 }
 
-impl Functor2D for FunctorBtVel {
-    row_kernel_2d!();
-
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 28,
-            bytes: 150,
-        }
-    }
+/// One whole substep per lane block: the η and (u, v) leapfrog updates
+/// (`vel` reads the `[c]` η level, never the `[n]` level `eta` writes),
+/// then per field the Asselin filter `c + γ (o − 2c + n)` of the middle
+/// level, stored into the **old** slot — read at its own cell only, so no
+/// neighbour's stencil sees the filtered value early — and, with `sums`,
+/// the unfiltered middle level added to the window sums. After the launch
+/// the roles rotate `(o, c, n) → (o, n, c)`.
+pub struct FunctorBtSubstep {
+    pub eta: FunctorBtEta,
+    pub vel: FunctorBtVel,
+    /// The window sums `(η, u, v)`; `None` on the first substep, whose
+    /// middle level is the window's initial state, not a substep's.
+    pub sums: Option<[View2<f64>; 3]>,
 }
 
-kokkos_rs::register_for_2d!(kernel_bt_vel, FunctorBtVel);
-
-/// Asselin time filter on a 2-D leapfrog triple:
-/// `cur += γ (old − 2 cur + new)`.
-pub struct FunctorAsselin2D {
-    pub old: View2<f64>,
-    pub cur: View2<f64>,
-    pub new: View2<f64>,
-}
-
-impl RowKernel for FunctorAsselin2D {
+impl RowKernel for FunctorBtSubstep {
     #[inline(always)]
-    fn block<const W: usize>(&self, _k: usize, j: usize, i: usize) {
+    fn block<const W: usize>(&self, k: usize, j: usize, i: usize) {
+        self.eta.block::<W>(k, j, i);
+        self.vel.block::<W>(k, j, i);
         let (jl, il) = (j + H, i + H);
-        let c = F64x::<W>::load2(&self.cur, jl, il);
-        let (old, new) = (
-            F64x::load2(&self.old, jl, il),
-            F64x::load2(&self.new, jl, il),
-        );
-        (c + ASSELIN * (old - 2.0 * c + new)).store2(&self.cur, jl, il);
-    }
-}
-
-impl Functor2D for FunctorAsselin2D {
-    row_kernel_2d!();
-
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 5,
-            bytes: 32,
+        let (e, v) = (&self.eta, &self.vel);
+        let levels = [
+            (&e.eta_old, &v.eta_cur, &e.eta_new),
+            (&v.u_old, &v.u_cur, &v.u_new),
+            (&v.v_old, &v.v_cur, &v.v_new),
+        ];
+        for (f, (old, cur, new)) in levels.into_iter().enumerate() {
+            let c = F64x::<W>::load2(cur, jl, il);
+            let (o, n) = (F64x::load2(old, jl, il), F64x::load2(new, jl, il));
+            (c + ASSELIN * (o - 2.0 * c + n)).store2(old, jl, il);
+            if let Some(sums) = &self.sums {
+                (F64x::load2(&sums[f], jl, il) + c).store2(&sums[f], jl, il);
+            }
         }
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_asselin_2d, FunctorAsselin2D);
+impl Functor2D for FunctorBtSubstep {
+    row_kernel_2d!();
+
+    /// The union of what the body touches, each field once: the η and
+    /// velocity updates (58 flops, 330 B), the Asselin filter (15 flops)
+    /// and its three old-slot stores, and when it sums a load + store and
+    /// an add on each window sum.
+    fn cost(&self) -> IterCost {
+        let sums = u64::from(self.sums.is_some());
+        IterCost {
+            flops: 73 + 3 * sums,
+            bytes: 354 + 48 * sums,
+        }
+    }
+}
+
+kokkos_rs::register_for_2d!(kernel_bt_substep, FunctorBtSubstep);
 
 /// Zonal 1-2-1 filter on flagged rows (`rows[jl] != 0`), writing `dst`;
 /// identity elsewhere.
@@ -367,28 +364,21 @@ impl Functor2D for FunctorScaleAssign2D {
 
 kokkos_rs::register_for_2d!(kernel_scale_assign_2d, FunctorScaleAssign2D);
 
-// Fused per-substep launches (kernel fusion): the substep loop issues many
-// small 2-D kernels over the same policy, and on the Sunway backend each
-// launch pays registry dispatch plus CPE spin-up. Fusing same-shaped
-// updates with disjoint write sets into one body keeps results bitwise
-// identical (per-cell arithmetic and per-array update order are unchanged)
-// while cutting the launch count of the barotropic loop by ~2.5x.
+// Fused launches (kernel fusion): each launch pays dispatch — registry
+// lookup and CPE spin-up on the Sunway backend — and streams its fields
+// through LDM again, so same-shaped updates of the three fields share one
+// body. Per-cell arithmetic and per-array update order are unchanged, so
+// the results are bitwise those of one launch per field. A substep is one
+// launch (`FunctorBtSubstep`); these triples are the window's set-up, its
+// last sum and its average.
 
-/// η + (u,v) leapfrog updates of one substep in a single launch. Safe to
-/// fuse: `FunctorBtVel` reads the `[c]` η level, never the `[n]` level
-/// `FunctorBtEta` writes.
-type FunctorBtStep = FunctorPair2D<FunctorBtEta, FunctorBtVel>;
 /// The three window accumulators (η, u, v) in one launch.
 type FunctorAccum3 = FunctorTriple2D<FunctorAccum2D, FunctorAccum2D, FunctorAccum2D>;
-/// Asselin filter on all three fields in one launch.
-type FunctorAsselin3 = FunctorTriple2D<FunctorAsselin2D, FunctorAsselin2D, FunctorAsselin2D>;
 /// Three scaled copies (level init / window averaging) in one launch.
 type FunctorScaleAssign3 =
     FunctorTriple2D<FunctorScaleAssign2D, FunctorScaleAssign2D, FunctorScaleAssign2D>;
 
-kokkos_rs::register_for_2d!(kernel_bt_step, FunctorBtStep);
 kokkos_rs::register_for_2d!(kernel_accum_3, FunctorAccum3);
-kokkos_rs::register_for_2d!(kernel_asselin_3, FunctorAsselin3);
 kokkos_rs::register_for_2d!(kernel_scale_assign_3, FunctorScaleAssign3);
 
 fn accum3(accs: &[View2<f64>; 3], xs: [&View2<f64>; 3]) -> FunctorAccum3 {
@@ -421,16 +411,12 @@ fn batch(f: [&View2<f64>; 3]) -> [(&View2<f64>, FoldKind); 3] {
 /// Register this module's functors.
 pub fn register() {
     kernel_depth_mean();
-    kernel_bt_eta();
-    kernel_bt_vel();
-    kernel_asselin_2d();
+    kernel_bt_substep();
     kernel_zonal_filter();
     kernel_copy_2d();
     kernel_accum_2d();
     kernel_scale_assign_2d();
-    kernel_bt_step();
     kernel_accum_3();
-    kernel_asselin_3();
     kernel_scale_assign_3();
 }
 
@@ -442,12 +428,15 @@ pub fn register() {
 /// integrity layer's retries; the barotropic work arrays are then in an
 /// undefined state and the caller must roll back.
 ///
-/// The substeps form a software pipeline: the `[n]`-level exchange is
-/// posted as one batched split-phase message set, the *next* substep's
-/// interior cells (reading no ghost) run, the exchange is finished and the
-/// boundary rim follows. `poster` says whether the exchange is in flight
-/// under the interior or was finished where it was posted; a block with no
-/// interior (`ny` or `nx` below 3) always finishes at the post. The window
+/// A substep is one [`FunctorBtSubstep`] launch over the owned block. When
+/// the halo waits on messages the substeps form a software pipeline: the
+/// `[n]`-level exchange is posted as one batched split-phase message set,
+/// the *next* substep's interior cells (reading no ghost) run, the exchange
+/// is finished and the boundary rim follows. `poster` says whether the
+/// exchange is in flight under the interior or was finished where it was
+/// posted. With self routes only (one rank) an exchange lands at its post,
+/// and a block with no interior (`ny` or `nx` below 3) has nothing to
+/// overlap: both run the substep whole, under either setting. The window
 /// sums accumulate owned cells only; the last substep posts them in place
 /// of its `[n]` level, so their ghosts arrive the way a level's do.
 #[allow(clippy::too_many_arguments)]
@@ -464,12 +453,13 @@ pub fn integrate(
     filter_passes: usize,
     poster: Poster,
 ) -> Result<(), HaloError> {
-    let split = g.ny >= 3 && g.nx >= 3;
+    let split = g.ny >= 3 && g.nx >= 3 && halo.awaits_messages();
     let carried = poster.carried && split;
     let policy = MDRangePolicy2::new([g.ny, g.nx]);
     let full = MDRangePolicy2::new([g.pj, g.pi]);
-    // Working triple: indices into state.bt_* (old, cur, new roles).
-    let (mut o, mut c, mut n) = (0usize, 1usize, 2usize);
+    // Working triple: indices into state.bt_* (old, cur, new roles). The
+    // old role keeps its slot: each substep writes the filtered level there.
+    let (o, mut c, mut n) = (0usize, 1usize, 2usize);
     let init_region = kokkos_rs::profiling::region("bt:init");
     for lev in 0..3 {
         parallel_for_2d(
@@ -514,35 +504,38 @@ pub fn integrate(
         let _substep = kokkos_rs::profiling::region("bt:substep");
         // First substep is forward Euler (old == cur at entry).
         let dt2 = if step == 0 { dtb } else { 2.0 * dtb };
-        let f_eta = FunctorBtEta {
-            eta_old: state.bt_eta[o].clone(),
-            eta_new: state.bt_eta[n].clone(),
-            ub: state.bt_u[c].clone(),
-            vb: state.bt_v[c].clone(),
-            depth: g.depth.clone(),
-            kmt: g.kmt.clone(),
-            dxt: g.dxt.clone(),
-            dyt: g.dyt,
-            dt2,
+        let f_step = FunctorBtSubstep {
+            eta: FunctorBtEta {
+                eta_old: state.bt_eta[o].clone(),
+                eta_new: state.bt_eta[n].clone(),
+                ub: state.bt_u[c].clone(),
+                vb: state.bt_v[c].clone(),
+                depth: g.depth.clone(),
+                kmt: g.kmt.clone(),
+                dxt: g.dxt.clone(),
+                dyt: g.dyt,
+                dt2,
+            },
+            vel: FunctorBtVel {
+                u_old: state.bt_u[o].clone(),
+                v_old: state.bt_v[o].clone(),
+                u_cur: state.bt_u[c].clone(),
+                v_cur: state.bt_v[c].clone(),
+                eta_cur: state.bt_eta[c].clone(),
+                u_new: state.bt_u[n].clone(),
+                v_new: state.bt_v[n].clone(),
+                gu: gu.clone(),
+                gv: gv.clone(),
+                fcor: g.fcor.clone(),
+                kmu: g.kmu.clone(),
+                dxt: g.dxt.clone(),
+                dyt: g.dyt,
+                dt2,
+            },
+            // From the second substep on, `[c]` is the previous substep's
+            // `[n]` level, polar-filtered when the filter is armed.
+            sums: (step > 0).then(|| accs.clone()),
         };
-        let f_vel = FunctorBtVel {
-            u_old: state.bt_u[o].clone(),
-            v_old: state.bt_v[o].clone(),
-            u_cur: state.bt_u[c].clone(),
-            v_cur: state.bt_v[c].clone(),
-            eta_cur: state.bt_eta[c].clone(),
-            u_new: state.bt_u[n].clone(),
-            v_new: state.bt_v[n].clone(),
-            gu: gu.clone(),
-            gv: gv.clone(),
-            fcor: g.fcor.clone(),
-            kmu: g.kmu.clone(),
-            dxt: g.dxt.clone(),
-            dyt: g.dyt,
-            dt2,
-        };
-        // Fused η+velocity substep (see `FunctorBtStep`).
-        let f_step = FunctorPair2D { a: f_eta, b: f_vel };
         if step > 0 && split {
             // The exchange posted last substep covers this substep's
             // `[c]` ghosts. Both stencils have radius 1, so cells at
@@ -566,32 +559,10 @@ pub fn integrate(
         } else {
             parallel_for_2d(space, policy, &f_step);
         }
-        // Asselin on the middle level, all three fields fused.
-        parallel_for_2d(
-            space,
-            policy,
-            &FunctorTriple2D {
-                a: FunctorAsselin2D {
-                    old: state.bt_eta[o].clone(),
-                    cur: state.bt_eta[c].clone(),
-                    new: state.bt_eta[n].clone(),
-                },
-                b: FunctorAsselin2D {
-                    old: state.bt_u[o].clone(),
-                    cur: state.bt_u[c].clone(),
-                    new: state.bt_u[n].clone(),
-                },
-                c: FunctorAsselin2D {
-                    old: state.bt_v[o].clone(),
-                    cur: state.bt_v[c].clone(),
-                    new: state.bt_v[n].clone(),
-                },
-            },
-        );
         // Halo update of the new level, then per polar-filter pass the
-        // filter and another update. Before the last one the owned cells
-        // join the window sums, and the last goes through the poster. The
-        // window's last substep posts the sums instead of its `[n]` level:
+        // filter and another update; the last goes through the poster. The
+        // window's last level joins the sums here, not in a next substep,
+        // and that substep posts the sums instead of its `[n]` level:
         // nothing reads that level's ghosts (the next window re-initialises
         // every level over the full block), and a ghost is an exact copy —
         // negated across the fold, which commutes with rounded addition —
@@ -623,19 +594,17 @@ pub fn integrate(
                 halo.try_exchange_many(&batch(fields), tag_base)?;
                 continue;
             }
-            parallel_for_2d(space, own, &accum3(&accs, fields));
             let posted = if step + 1 == substeps {
+                parallel_for_2d(space, own, &accum3(&accs, fields));
                 accs.each_ref()
             } else {
                 fields
             };
             pend = Poster { carried }.post(halo.begin_exchange_many(&batch(posted), tag_base)?)?;
         }
-        // Rotate (old ← cur ← new ← old).
-        let t = o;
-        o = c;
-        c = n;
-        n = t;
+        // The filtered middle level is the old slot's; the unfiltered one's
+        // slot takes the next level.
+        std::mem::swap(&mut c, &mut n);
     }
     // Drain the pipeline: the window sums' exchange.
     if let Some(p) = pend.take() {
@@ -697,7 +666,7 @@ mod tests {
         f.dxt.fill(1.0e5);
         f.eta_old.fill(0.3);
         // No flow → continuity keeps eta.
-        f.operator(1, 1);
+        f.block::<1>(0, 1, 1);
         assert_eq!(f.eta_new.at(H + 1, H + 1), 0.3);
     }
 
@@ -725,7 +694,7 @@ mod tests {
                 f.ub.set_at(jl, il, if il >= H + 2 { 0.1 } else { -0.1 });
             }
         }
-        f.operator(2, 2); // cell (H+2, H+2): east face +, west face −
+        f.block::<1>(0, 2, 2); // cell (H+2, H+2): east face +, west face −
         assert!(
             f.eta_new.at(H + 2, H + 2) < 0.0,
             "divergence must lower eta: {}",
@@ -760,7 +729,7 @@ mod tests {
                 f.eta_cur.set_at(jl, il, 0.01 * il as f64);
             }
         }
-        f.operator(1, 1);
+        f.block::<1>(0, 1, 1);
         let du = f.u_new.at(H + 1, H + 1);
         let expect = -GRAVITY * (0.01 / 1.0e5) * 50.0;
         assert!((du - expect).abs() < 1e-12, "du {du} vs analytic {expect}");
@@ -829,7 +798,6 @@ mod tests {
             .iter()
             .map(|(n, _)| *n)
             .collect();
-        assert!(names.contains(&"kernel_bt_eta"));
-        assert!(names.contains(&"kernel_bt_vel"));
+        assert!(names.contains(&"kernel_bt_substep"));
     }
 }

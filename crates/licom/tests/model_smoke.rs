@@ -227,6 +227,39 @@ fn the_step_is_its_table() {
     }
 }
 
+/// Launches in a step on the halo grid (60×38×6) after the first, forward
+/// one — literals, so a launch that is added or lost shows. Of them, the
+/// 40 barotropic substeps take one `FunctorBtSubstep` launch each on one
+/// rank, where every route is a self route, and five (interior and four
+/// rim strips) on two, where the exchange is in flight. Both `overlap`
+/// settings launch the same. A fall is a one-literal change that says why.
+#[test]
+fn a_step_launches_its_literal_count() {
+    let cfg = Resolution::Eddy10km.config().scaled_down(60, 6);
+    for (ranks, want) in [(1, 102), (2, 258)] {
+        for overlap in [true, false] {
+            let launches = World::run(ranks, |comm| {
+                let space = kokkos_rs::Space::device_sim();
+                let kokkos_rs::Space::DeviceSim(device) = &space else {
+                    unreachable!("a DeviceSim space")
+                };
+                let mut opts = ModelOptions::default();
+                opts.overlap = overlap;
+                let mut m = Model::new(comm, cfg.clone(), space.clone(), opts);
+                m.run_steps(1);
+                let before = device.launches();
+                m.step();
+                device.launches() - before
+            });
+            assert_eq!(
+                launches,
+                vec![want; ranks],
+                "{ranks} rank(s), overlap {overlap}"
+            );
+        }
+    }
+}
+
 #[test]
 fn steady_state_step_is_pool_allocation_free() {
     let cfg = small_config();
@@ -399,6 +432,31 @@ fn polar_filter_engages_when_cap_is_cfl_tight() {
             "filter should stay off at /8 scale"
         );
     });
+}
+
+/// No benchmark grid arms the polar filter, so nothing else pins the path
+/// where a substep's `[n]` level is filtered before it joins the window
+/// sums — one substep later, inside the next substep's kernel. The /2-scale
+/// grid arms it; each rank's checksum after 3 steps is a literal, on 1 rank
+/// (self routes: the substep runs whole) and on 2 (messages: the interior /
+/// rim split).
+#[test]
+fn polar_filtered_window_is_pinned() {
+    let cfg = Resolution::Coarse100km.config().scaled_down(2, 5);
+    let (one, two) = (
+        [0xc68a_bbc0_1116_3fd7u64],
+        [0x9ff6_f70c_a13a_9238, 0xe555_c58c_b36f_4152],
+    );
+    for (ranks, want) in [(1, &one[..]), (2, &two[..])] {
+        let sums = World::run(ranks, |comm| {
+            let space = kokkos_rs::Space::serial();
+            let mut m = Model::new(comm, cfg.clone(), space, ModelOptions::default());
+            assert!(m.polar_filter_passes() > 0, "the filter must arm at /2");
+            m.run_steps(3);
+            m.checksum()
+        });
+        assert_eq!(sums, want, "{ranks} rank(s)");
+    }
 }
 
 #[test]

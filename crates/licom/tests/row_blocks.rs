@@ -23,12 +23,12 @@
 use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D, HALO as H};
 use kokkos_rs::{
     parallel_for_2d, parallel_for_3d, parallel_for_list, Functor2D, Functor3D, FunctorList,
-    FunctorPair2D, ListPolicy, MDRangePolicy2, MDRangePolicy3, Space, View, View1, View2, View3,
+    ListPolicy, MDRangePolicy2, MDRangePolicy3, Space, View, View1, View2, View3,
 };
 use licom::advect::{advect_tracer, AdvectFields, FunctorAdvectX, FunctorAdvectY, FunctorAdvectZ};
 use licom::baroclinic::{FunctorAsselin3D, FunctorLeapfrog3D, FunctorMomentumTend};
 use licom::barotropic::{
-    FunctorAccum2D, FunctorAsselin2D, FunctorBtEta, FunctorBtVel, FunctorCopy2D,
+    FunctorAccum2D, FunctorBtEta, FunctorBtSubstep, FunctorBtVel, FunctorCopy2D,
     FunctorScaleAssign2D, FunctorZonalFilter,
 };
 use licom::lanes::{self, Isa, LANES};
@@ -85,19 +85,11 @@ macro_rules! pinned {
         }
     )*};
 }
-pinned!(2: FunctorBtEta, FunctorBtVel, FunctorAsselin2D, FunctorZonalFilter, FunctorCopy2D,
-    FunctorAccum2D, FunctorScaleAssign2D);
+pinned!(2: FunctorBtSubstep, FunctorZonalFilter, FunctorCopy2D, FunctorAccum2D,
+    FunctorScaleAssign2D);
 pinned!(3: FunctorLeapfrog3D, FunctorAsselin3D);
 pinned!(cells: FunctorMomentumTend => kmu, FunctorTracerHDiff => kmt);
 pinned!(swept: FunctorAdvectX, FunctorAdvectY);
-
-/// The fused substep forwards a tile to its members in turn.
-impl PinnedTile<2> for FunctorPair2D<FunctorBtEta, FunctorBtVel> {
-    fn tile(&self, isa: Isa, bounds: [(usize, usize); 2]) {
-        self.a.tile(isa, bounds);
-        self.b.tile(isa, bounds);
-    }
-}
 
 /// splitmix64: the fields are a pure function of `(seed, position)`.
 fn mix(seed: u64, n: u64) -> u64 {
@@ -597,64 +589,50 @@ fn check_2d(case: &Case, policy: MDRangePolicy2) -> Result<(), TestCaseError> {
         case.field2(9, -1.0e-5, 1.0e-5),
     );
     let poison = |salt| case.field2(salt, -9.0, -8.0);
-    let eta = |eta_new: &View2<f64>| FunctorBtEta {
-        eta_old: e0.clone(),
-        eta_new: eta_new.clone(),
-        ub: u1.clone(),
-        vb: v1.clone(),
-        depth: depth.clone(),
-        kmt: case.kmt.clone(),
-        dxt: dxt.clone(),
-        dyt: 1.1e4,
-        dt2: 4.0,
-    };
-    let vel = |u_new: &View2<f64>, v_new: &View2<f64>| FunctorBtVel {
-        u_old: u0.clone(),
-        v_old: v0.clone(),
-        u_cur: u1.clone(),
-        v_cur: v1.clone(),
-        eta_cur: e1.clone(),
-        u_new: u_new.clone(),
-        v_new: v_new.clone(),
-        gu: gu.clone(),
-        gv: gv.clone(),
-        fcor: fcor.clone(),
-        kmu: case.kmu.clone(),
-        dxt: dxt.clone(),
-        dyt: 1.1e4,
-        dt2: 4.0,
-    };
-    check2("bt_eta", policy, || {
-        let eta_new = poison(10);
-        (eta(&eta_new), vec![Out::from(&eta_new)])
-    })?;
-    check2("bt_vel", policy, || {
-        let (u_new, v_new) = (poison(11), poison(12));
-        (
-            vel(&u_new, &v_new),
-            vec![Out::from(&u_new), Out::from(&v_new)],
-        )
-    })?;
-    // The fused substep as the model launches it: the pair forwards whole
-    // tiles to its members.
-    check2("bt_step", policy, || {
-        let (eta_new, u_new, v_new) = (poison(10), poison(11), poison(12));
-        let f = FunctorPair2D {
-            a: eta(&eta_new),
-            b: vel(&u_new, &v_new),
-        };
-        let out = [&eta_new, &u_new, &v_new].map(Out::from);
-        (f, out.into())
-    })?;
-    check2("asselin_2d", policy, || {
-        let cur = copy2(&e1);
-        let f = FunctorAsselin2D {
-            old: e0.clone(),
-            cur: cur.clone(),
-            new: u0.clone(),
-        };
-        (f, vec![Out::from(&cur)])
-    })?;
+    // The whole substep as the model launches it: the η and (u, v)
+    // updates, the filtered middle level into the old slots and, but on a
+    // window's first substep, the middle level into the sums.
+    for (name, summing) in [("bt_substep", true), ("bt_substep_first", false)] {
+        check2(name, policy, || {
+            let [eta_new, u_new, v_new] = [10, 11, 12].map(poison);
+            let [eta_old, u_old, v_old] = [&e0, &u0, &v0].map(copy2);
+            let sums = [&gu, &u1, &gv].map(copy2);
+            let out = [&eta_new, &u_new, &v_new, &eta_old, &u_old, &v_old]
+                .into_iter()
+                .chain(&sums)
+                .map(Out::from)
+                .collect();
+            let eta = FunctorBtEta {
+                eta_old,
+                eta_new,
+                ub: u1.clone(),
+                vb: v1.clone(),
+                depth: depth.clone(),
+                kmt: case.kmt.clone(),
+                dxt: dxt.clone(),
+                dyt: 1.1e4,
+                dt2: 4.0,
+            };
+            let vel = FunctorBtVel {
+                u_old,
+                v_old,
+                u_cur: u1.clone(),
+                v_cur: v1.clone(),
+                eta_cur: e1.clone(),
+                u_new,
+                v_new,
+                gu: gu.clone(),
+                gv: gv.clone(),
+                fcor: fcor.clone(),
+                kmu: case.kmu.clone(),
+                dxt: dxt.clone(),
+                dyt: 1.1e4,
+                dt2: 4.0,
+            };
+            let sums = summing.then_some(sums);
+            (FunctorBtSubstep { eta, vel, sums }, out)
+        })?;
+    }
     // Every other row filtered, the rest copied through.
     let rows: View1<i32> = View::from_fn("rows", [case.pj()], |[j]| (j % 2) as i32);
     check2("zonal_filter", policy, || {

@@ -35,8 +35,9 @@
 # exists. This script also fails if:
 #
 #   6. the drift detector or the reporting nothing called comes back (its
-#      names are in rule 1's list), or so does a second exchange round or
-#      the barotropic window's ghost debt (likewise);
+#      names are in rule 1's list), or so does a second exchange round, the
+#      barotropic window's ghost debt, or a per-substep Asselin or pair
+#      launch beside the one substep kernel (likewise);
 #   7. a `- `module`:` bullet under a `### crates/<name>` heading of
 #      DESIGN.md names no crates/<name>/src/<module>.rs or <module>/.
 #
@@ -47,7 +48,7 @@ cd "$(dirname "$0")/.."
 failed=0
 
 # Whole identifiers: `kernel_canuto_cols` registers the surviving list functor.
-gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph|StepMonitor|TelemetryConfig|DriftDetector|DriftBank|RingBuffer|surface_scalars|hotspot_shares|gather_phases|flush_ghost_debt|EwPosted|NsPosted|post_ns)\b'
+gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph|StepMonitor|TelemetryConfig|DriftDetector|DriftBank|RingBuffer|surface_scalars|hotspot_shares|gather_phases|flush_ghost_debt|EwPosted|NsPosted|post_ns|FunctorAsselin2D|FunctorAsselin3|FunctorBtStep|kernel_asselin_2d|kernel_asselin_3|kernel_bt_step)\b'
 if hits=$(git grep -nE "$gone" -- crates src tests examples ':!crates/perf-model'); then
     echo "check_one_shape: deleted names are back:"
     echo "$hits"
