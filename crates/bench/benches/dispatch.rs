@@ -17,8 +17,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kokkos_rs::{
-    parallel_for_2d, registry, Functor1D, Functor2D, FunctorPair2D, MDRangePolicy2, Space, View,
-    View1, View2,
+    parallel_for_2d, registry, Functor1D, Functor2D, MDRangePolicy2, Policy, Space, View, View1,
+    View2,
 };
 use rayon::prelude::*;
 
@@ -44,7 +44,9 @@ macro_rules! pad_functor {
             }
         )*
         fn register_pad() {
-            $(registry::register_1d::<$name>(stringify!($name));)*
+            $(registry::register::<$name, kokkos_rs::RangePolicy, kokkos_rs::functor::For>(
+                stringify!($name),
+            );)*
         }
     };
 }
@@ -86,19 +88,21 @@ impl Functor2D for Triad {
     }
 }
 
-/// Five-point stencil with clamped edges: with a second one in a
-/// [`FunctorPair2D`], the weight of the model's fused barotropic launches.
-struct Stencil {
+/// Two five-point stencils with clamped edges over one source: the weight
+/// of a barotropic substep's launches.
+struct StencilPair {
     src: View2<f64>,
-    dst: View2<f64>,
+    dst: [View2<f64>; 2],
 }
-impl Functor2D for Stencil {
+impl Functor2D for StencilPair {
     fn operator(&self, j: usize, i: usize) {
         let [ny, nx] = self.src.dims();
         let at = |j: usize, i: usize| self.src.at(j.min(ny - 1), i.min(nx - 1));
-        let ns = at(j + 1, i) + at(j.saturating_sub(1), i);
-        let ew = at(j, i + 1) + at(j, i.saturating_sub(1));
-        self.dst.set_at(j, i, 0.2 * (at(j, i) + ns + ew));
+        for dst in &self.dst {
+            let ns = at(j + 1, i) + at(j.saturating_sub(1), i);
+            let ew = at(j, i + 1) + at(j, i.saturating_sub(1));
+            dst.set_at(j, i, 0.2 * (at(j, i) + ns + ew));
+        }
     }
 }
 
@@ -107,15 +111,9 @@ fn triad(dims: [usize; 2]) -> Triad {
     Triad { a, b, c }
 }
 
-fn stencil_pair(dims: [usize; 2]) -> FunctorPair2D<Stencil, Stencil> {
-    let [p, q, r] = ["p", "q", "r"].map(|l| View::from_fn(l, dims, |[j, i]| (j * i) as f64));
-    FunctorPair2D {
-        a: Stencil {
-            src: p.clone(),
-            dst: q,
-        },
-        b: Stencil { src: p, dst: r },
-    }
+fn stencil_pair(dims: [usize; 2]) -> StencilPair {
+    let [src, q, r] = ["p", "q", "r"].map(|l| View::from_fn(l, dims, |[j, i]| (j * i) as f64));
+    StencilPair { src, dst: [q, r] }
 }
 
 /// The three ways to run one launch's tiles.

@@ -12,6 +12,9 @@
 //! results**, only on simulated timing; the default is a nominal
 //! stencil-ish cost.
 
+use crate::policy::{ListPolicy, MDRangePolicy2, MDRangePolicy3, RangePolicy};
+use crate::profiling::PatternKind;
+
 /// Per-iteration cost estimate for simulated timing and roofline analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterCost {
@@ -69,39 +72,12 @@ pub trait Functor2D: Sync {
     }
 }
 
-/// Two 2-D bodies fused into one launch (kernel fusion). The members run
+/// Three 2-D bodies fused into one launch (kernel fusion). The members run
 /// one after the other over each tile (per cell under the per-point
-/// `operator`); with disjoint write sets and no read of the other's
-/// output, results are bitwise identical to two separate launches while
-/// paying one dispatch. On the Sunway backend this matters: the
-/// barotropic substep loop is launch-bound, and each fused launch also
-/// streams its tiles through LDM once instead of twice.
-pub struct FunctorPair2D<A, B> {
-    pub a: A,
-    pub b: B,
-}
-
-impl<A: Functor2D, B: Functor2D> Functor2D for FunctorPair2D<A, B> {
-    fn operator(&self, j: usize, i: usize) {
-        self.a.operator(j, i);
-        self.b.operator(j, i);
-    }
-
-    fn operator_tile(&self, bounds: [(usize, usize); 2]) {
-        self.a.operator_tile(bounds);
-        self.b.operator_tile(bounds);
-    }
-
-    fn cost(&self) -> IterCost {
-        let (a, b) = (self.a.cost(), self.b.cost());
-        IterCost {
-            flops: a.flops + b.flops,
-            bytes: a.bytes + b.bytes,
-        }
-    }
-}
-
-/// Three 2-D bodies fused into one launch; see [`FunctorPair2D`].
+/// `operator`); with disjoint write sets and no read of another's output,
+/// results are bitwise identical to three separate launches while paying
+/// one dispatch. The cost is the members' sum, which is right only while
+/// they share no field.
 pub struct FunctorTriple2D<A, B, C> {
     pub a: A,
     pub b: B,
@@ -229,6 +205,134 @@ pub trait ReduceFunctor3D: Sync {
     }
 }
 
+/// Launch pattern marker: a parallel for ([`TileBody`]'s `M`).
+pub enum For {}
+/// Launch pattern marker: a parallel reduce ([`TileBody`]'s `M`).
+pub enum Reduce {}
+
+/// A launch pattern: [`For`] or [`Reduce`].
+pub trait Pattern {
+    /// The profiling tag of a launch of this pattern.
+    const KIND: PatternKind;
+}
+impl Pattern for For {
+    const KIND: PatternKind = PatternKind::ParallelFor;
+}
+impl Pattern for Reduce {
+    const KIND: PatternKind = PatternKind::ParallelReduce;
+}
+
+/// One whole tile of policy `P` under pattern `M`: the seam through which
+/// the one launch path and the one CPE trampoline reach a kernel. Kernels
+/// implement the traits above; the eight impls below map each of them onto
+/// its policy. A for-body runs the tile and leaves `acc` alone; a reduction
+/// folds the tile into `acc`, the tile's partial.
+pub trait TileBody<P, M>: Sync {
+    fn tile(&self, policy: &P, t: usize, acc: &mut f64);
+    /// The kernel's declared [`IterCost`].
+    fn tile_cost(&self) -> IterCost;
+}
+
+impl<F: Functor1D> TileBody<RangePolicy, For> for F {
+    #[inline]
+    fn tile(&self, policy: &RangePolicy, t: usize, _: &mut f64) {
+        let (lo, hi) = policy.tile_range(t);
+        for i in lo..hi {
+            self.operator(i);
+        }
+    }
+    fn tile_cost(&self) -> IterCost {
+        self.cost()
+    }
+}
+
+impl<F: Functor2D> TileBody<MDRangePolicy2, For> for F {
+    #[inline]
+    fn tile(&self, policy: &MDRangePolicy2, t: usize, _: &mut f64) {
+        self.operator_tile(policy.tile_bounds(t));
+    }
+    fn tile_cost(&self) -> IterCost {
+        self.cost()
+    }
+}
+
+impl<F: Functor3D> TileBody<MDRangePolicy3, For> for F {
+    #[inline]
+    fn tile(&self, policy: &MDRangePolicy3, t: usize, _: &mut f64) {
+        self.operator_tile(policy.tile_bounds(t));
+    }
+    fn tile_cost(&self) -> IterCost {
+        self.cost()
+    }
+}
+
+impl<F: FunctorList> TileBody<ListPolicy, For> for F {
+    #[inline]
+    fn tile(&self, policy: &ListPolicy, t: usize, _: &mut f64) {
+        let (n0, entries) = policy.tile_entries(t);
+        self.operator_span(n0, entries);
+    }
+    fn tile_cost(&self) -> IterCost {
+        self.cost()
+    }
+}
+
+impl<F: ReduceFunctor1D> TileBody<RangePolicy, Reduce> for F {
+    #[inline]
+    fn tile(&self, policy: &RangePolicy, t: usize, acc: &mut f64) {
+        let (lo, hi) = policy.tile_range(t);
+        for i in lo..hi {
+            self.contribute(i, acc);
+        }
+    }
+    fn tile_cost(&self) -> IterCost {
+        self.cost()
+    }
+}
+
+impl<F: ReduceFunctor2D> TileBody<MDRangePolicy2, Reduce> for F {
+    #[inline]
+    fn tile(&self, policy: &MDRangePolicy2, t: usize, acc: &mut f64) {
+        let [(j0, j1), (i0, i1)] = policy.tile_bounds(t);
+        for j in j0..j1 {
+            for i in i0..i1 {
+                self.contribute(j, i, acc);
+            }
+        }
+    }
+    fn tile_cost(&self) -> IterCost {
+        self.cost()
+    }
+}
+
+impl<F: ReduceFunctor3D> TileBody<MDRangePolicy3, Reduce> for F {
+    #[inline]
+    fn tile(&self, policy: &MDRangePolicy3, t: usize, acc: &mut f64) {
+        let [(k0, k1), (j0, j1), (i0, i1)] = policy.tile_bounds(t);
+        for k in k0..k1 {
+            for j in j0..j1 {
+                for i in i0..i1 {
+                    self.contribute(k, j, i, acc);
+                }
+            }
+        }
+    }
+    fn tile_cost(&self) -> IterCost {
+        self.cost()
+    }
+}
+
+impl<F: ReduceFunctorList> TileBody<ListPolicy, Reduce> for F {
+    #[inline]
+    fn tile(&self, policy: &ListPolicy, t: usize, acc: &mut f64) {
+        let (n0, entries) = policy.tile_entries(t);
+        self.contribute_span(n0, entries, acc);
+    }
+    fn tile_cost(&self) -> IterCost {
+        self.cost()
+    }
+}
+
 /// Reduction combiner (Kokkos `Sum`, `Min`, `Max` reducers).
 ///
 /// Partials are produced per policy tile and joined **in tile order** on
@@ -282,15 +386,9 @@ mod tests {
     }
 
     #[test]
-    fn pair_and_triple_forward_whole_tiles_member_by_member() {
+    fn triple_forwards_whole_tiles_member_by_member() {
         let log = std::sync::Mutex::new(Vec::new());
         let bounds = [(2, 4), (5, 9)];
-        let pair = FunctorPair2D {
-            a: Member("a", &log),
-            b: Member("b", &log),
-        };
-        pair.operator_tile(bounds);
-        pair.operator(1, 2);
         let triple = FunctorTriple2D {
             a: Member("a", &log),
             b: Member("b", &log),
@@ -302,10 +400,6 @@ mod tests {
         assert_eq!(
             *log.lock().unwrap(),
             vec![
-                tile("a"),
-                tile("b"),
-                "a(1,2)".to_string(),
-                "b(1,2)".to_string(),
                 tile("a"),
                 tile("b"),
                 tile("c"),

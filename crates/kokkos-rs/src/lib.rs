@@ -47,8 +47,8 @@ pub mod team;
 pub mod view;
 
 pub use functor::{
-    Functor1D, Functor2D, Functor3D, FunctorList, FunctorPair2D, FunctorTriple2D, IterCost,
-    ReduceFunctor1D, ReduceFunctor2D, ReduceFunctor3D, ReduceFunctorList, Reducer,
+    Functor1D, Functor2D, Functor3D, FunctorList, FunctorTriple2D, IterCost, ReduceFunctor1D,
+    ReduceFunctor2D, ReduceFunctor3D, ReduceFunctorList, Reducer,
 };
 pub use memspace::MemSpace;
 pub use parallel::fence;
@@ -56,7 +56,7 @@ pub use parallel::{
     parallel_for_1d, parallel_for_2d, parallel_for_3d, parallel_for_list, parallel_reduce_1d,
     parallel_reduce_2d, parallel_reduce_3d, parallel_reduce_list,
 };
-pub use policy::{ListPolicy, MDRangePolicy2, MDRangePolicy3, RangePolicy};
+pub use policy::{ListPolicy, MDRangePolicy2, MDRangePolicy3, Policy, RangePolicy};
 pub use profiling::{
     DeepCopyInfo, InstanceKey, KernelId, KernelInfo, PatternKind, PolicyKind, ProfilingHooks,
 };

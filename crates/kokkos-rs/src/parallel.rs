@@ -1,7 +1,9 @@
 //! `parallel_for` / `parallel_reduce` dispatch.
 //!
-//! One generic entry point per (pattern, rank); the [`Space`] decides how
-//! tiles are executed:
+//! Eight entry points (pattern × rank) and one launch: each entry point
+//! names its policy and pattern, and `launch` runs every tile of the
+//! policy through [`TileBody::tile`]. The [`Space`] decides how tiles are
+//! executed:
 //!
 //! * `Serial` — tiles in order, one thread;
 //! * `Threads` — tiles on the host pool, or in order on the launching
@@ -18,38 +20,38 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rayon::prelude::*;
 
-use crate::functor::IterCost;
 use crate::functor::{
-    Functor1D, Functor2D, Functor3D, FunctorList, ReduceFunctor1D, ReduceFunctor2D,
-    ReduceFunctor3D, ReduceFunctorList, Reducer,
+    For, Functor1D, Functor2D, Functor3D, FunctorList, Pattern, Reduce, ReduceFunctor1D,
+    ReduceFunctor2D, ReduceFunctor3D, ReduceFunctorList, Reducer, TileBody,
 };
-use crate::policy::{ListPolicy, MDRangePolicy2, MDRangePolicy3, RangePolicy};
-use crate::profiling::{self, PatternKind, PolicyKind};
+use crate::policy::{ListPolicy, MDRangePolicy2, MDRangePolicy3, Policy, RangePolicy};
+use crate::profiling::{self, PatternKind};
 use crate::registry::{self, KernelKind};
-use crate::space::{Space, SwSpace};
+use crate::space::Space;
 use sunway_sim::pipeline::choose_tile_elems;
 
-fn not_registered<F>(kind: &str) -> ! {
+/// The launch-time failure of an unregistered functor on SwAthread, naming
+/// the macro that registers it (the C++ version fails to link instead).
+pub(crate) fn not_registered<F>(kind: KernelKind) -> ! {
     panic!(
         "functor `{}` is not registered for the SwAthread backend; \
          add `{}!(<name>, {});` and call `<name>()` during initialization \
          (the KOKKOS_REGISTER mechanism of paper §V-B)",
         std::any::type_name::<F>(),
-        kind,
+        kind.macro_name(),
         std::any::type_name::<F>(),
     )
 }
 
 // ---------------------------------------------------------------------------
-// Shared host-side tile drivers
+// Host-side tile driver
 // ---------------------------------------------------------------------------
 //
-// Every non-Sunway backend executes tiles through one of the two drivers
-// below, so scheduling changes land in exactly one place. Launch accounting
+// Every non-Sunway backend executes tiles through [`drive_tiles`], so
+// scheduling changes land in exactly one place. Launch accounting
 // (profiling spans, DeviceSim launch counts, flight events) happens before
-// them, at the dispatch chokepoint [`profiling::begin_kernel`]. The SwAthread
-// backend never reaches them — its dispatch goes through the registry
-// trampolines in each entry point.
+// it, at the dispatch chokepoint [`profiling::begin_kernel`]. The SwAthread
+// backend never reaches it — its tiles run in the registry trampoline.
 
 /// A `Threads` / `DeviceSim` launch of fewer iterations than this runs its
 /// tiles in order on the launching thread, exactly as `Serial` does: waking
@@ -68,81 +70,109 @@ fn forks(space: &Space, iterations: usize) -> bool {
     }
 }
 
-/// Run `run_tile` over `0..total` tiles, `iterations` in all, on a host
-/// backend (count split).
-fn drive_tiles(space: &Space, iterations: usize, total: usize, run_tile: impl Fn(usize) + Sync) {
-    if forks(space, iterations) {
-        (0..total).into_par_iter().for_each(run_tile)
-    } else {
+/// Run `run_tile` over every tile of `policy` on a host backend. On the
+/// pool, a cost-weighted policy gives each worker the contiguous tile range
+/// holding its share of the cumulative tile cost; any other hands out tiles
+/// in chunks. Tile contents never depend on the split, so results stay
+/// bitwise identical to the serial sweep.
+fn drive_tiles<P: Policy>(space: &Space, policy: &P, run_tile: impl Fn(usize) + Sync) {
+    let total = policy.total_tiles();
+    if !forks(space, policy.iterations()) {
         (0..total).for_each(run_tile)
-    }
-}
-
-/// Run `run_tile` over a [`ListPolicy`]'s tiles on a host backend with
-/// **cost-weighted scheduling**: each pool worker takes the contiguous tile
-/// range holding its share of the cumulative tile cost, not a fixed tile
-/// count. Tile contents never depend on the split, so results stay bitwise
-/// identical to the serial sweep.
-fn drive_list_tiles(space: &Space, policy: &ListPolicy, run_tile: impl Fn(usize) + Sync) {
-    if forks(space, policy.len()) {
+    } else if P::COST_WEIGHTED {
         let workers = rayon::current_num_threads();
         (0..workers).into_par_iter().for_each(|w| {
             let (lo, hi) = policy.worker_tile_range(w, workers);
             (lo..hi).for_each(&run_tile);
         });
     } else {
-        (0..policy.total_tiles()).for_each(run_tile)
+        (0..total).into_par_iter().for_each(run_tile)
     }
 }
 
-/// One partial per tile, in tile order, on a host backend: `drive` is handed
-/// the tile body and runs it through one of the two drivers above.
-fn host_partials(
-    tiles: usize,
-    op: Reducer,
-    tile_partial: impl Fn(usize) -> f64 + Sync,
-    drive: impl FnOnce(&(dyn Fn(usize) + Sync)),
-) -> Vec<f64> {
-    let identity = op.identity().to_bits();
-    let partials: Vec<AtomicU64> = (0..tiles).map(|_| AtomicU64::new(identity)).collect();
-    // Relaxed: slot `t` is written by the one thread that runs tile `t`, and
-    // read only after `drive` has returned, which the pool's join orders.
-    drive(&|t| partials[t].store(tile_partial(t).to_bits(), Ordering::Relaxed));
-    let partials = partials.into_iter();
-    partials.map(|p| f64::from_bits(p.into_inner())).collect()
-}
-
 // ---------------------------------------------------------------------------
-// Cost-model-driven tile sizing (SwAthread dense for-launches only)
+// The launch
 // ---------------------------------------------------------------------------
-//
-// On the Sunway backend the tile is the DMA staging unit, so the dispatch
-// layer re-tiles dense *for* launches from the functor's `IterCost` and the
-// core group's LDM/bandwidth/latency parameters
-// ([`sunway_sim::pipeline::choose_tile_elems`]). For-loops write disjoint
-// elements, so retiling cannot change results. Reductions and list
-// launches keep the caller's tiles untouched: tile geometry is part of
-// the deterministic reduction contract (one partial per tile, joined in
-// tile order) and of the cost-prefix schedule respectively.
 
-fn sw_retile_1d(sw: &SwSpace, p: RangePolicy, cost: IterCost) -> RangePolicy {
-    let t = choose_tile_elems(sw.config(), cost.bytes, p.len());
-    p.with_tile(t.max(1))
+/// Run every tile of `policy` through `f` on `space`. A reduction returns
+/// one partial per tile, in tile order, each folded from `identity`; a
+/// for-launch returns none (and allocates nothing for them).
+///
+/// On the Sunway backend the tile is the DMA staging unit, so a dense
+/// *for* launch is re-tiled from the functor's `IterCost` and the core
+/// group's LDM/bandwidth/latency parameters
+/// ([`sunway_sim::pipeline::choose_tile_elems`]); for-loops write disjoint
+/// elements, so retiling cannot change results. Reductions and list
+/// launches keep the caller's tiles: tile geometry is part of the
+/// deterministic reduction contract (one partial per tile, joined in tile
+/// order) and of the cost-prefix schedule respectively.
+fn launch<F, P, M>(space: &Space, policy: &P, f: &F, identity: f64) -> Vec<f64>
+where
+    F: TileBody<P, M> + 'static,
+    P: Policy,
+    M: Pattern,
+{
+    let _span = profiling::begin_kernel(
+        space,
+        M::KIND,
+        std::any::type_name::<F>(),
+        P::KIND,
+        policy.iterations() as u64,
+    );
+    let reduces = M::KIND == PatternKind::ParallelReduce;
+    let tiles = if reduces { policy.total_tiles() } else { 0 };
+    match space {
+        Space::SwAthread(sw) => {
+            let kind = registry::kind_of::<P, M>();
+            let Some(tramp) = registry::lookup_simd(registry::key_of::<F>(), kind) else {
+                not_registered::<F>(kind);
+            };
+            let cost = f.tile_cost();
+            let retiled = if reduces {
+                None
+            } else {
+                let elems = choose_tile_elems(sw.config(), cost.bytes, policy.iterations());
+                policy.retiled(elems)
+            };
+            let mut partials = vec![identity; tiles];
+            let payload = registry::Launch {
+                functor: f,
+                policy: retiled.as_ref().unwrap_or(policy),
+                cost,
+                partials: partials.as_mut_slice(),
+                identity,
+            };
+            sw.cg.lock().run(tramp, &payload as *const _ as usize);
+            partials
+        }
+        host => {
+            let partials: Vec<AtomicU64> = (0..tiles)
+                .map(|_| AtomicU64::new(identity.to_bits()))
+                .collect();
+            drive_tiles(host, policy, |t| {
+                let mut acc = identity;
+                f.tile(policy, t, &mut acc);
+                // Relaxed: slot `t` is written by the one thread that runs
+                // tile `t`, and read only after the drive has returned,
+                // which the pool's join orders.
+                if let Some(slot) = partials.get(t) {
+                    slot.store(acc.to_bits(), Ordering::Relaxed);
+                }
+            });
+            let partials = partials.into_iter();
+            partials.map(|p| f64::from_bits(p.into_inner())).collect()
+        }
+    }
 }
 
-fn sw_retile_2d(sw: &SwSpace, p: MDRangePolicy2, cost: IterCost) -> MDRangePolicy2 {
-    let t = choose_tile_elems(sw.config(), cost.bytes, p.extent[0] * p.extent[1]);
-    // Keep the caller's row blocking; widen/narrow the streaming (inner)
-    // dimension so the tile holds ~the chosen iteration count.
-    let w = (t / p.tile[0].max(1)).clamp(1, p.extent[1].max(1));
-    p.with_tile([p.tile[0], w])
-}
-
-fn sw_retile_3d(sw: &SwSpace, p: MDRangePolicy3, cost: IterCost) -> MDRangePolicy3 {
-    let total = p.extent[0] * p.extent[1] * p.extent[2];
-    let t = choose_tile_elems(sw.config(), cost.bytes, total);
-    let w = (t / (p.tile[0] * p.tile[1]).max(1)).clamp(1, p.extent[2].max(1));
-    p.with_tile([p.tile[0], p.tile[1], w])
+/// A reduction's launch, its partials joined in tile order.
+fn reduce<F, P>(space: &Space, policy: &P, f: &F, op: Reducer) -> f64
+where
+    F: TileBody<P, Reduce> + 'static,
+    P: Policy,
+{
+    let partials = launch::<F, P, Reduce>(space, policy, f, op.identity());
+    partials.iter().fold(op.identity(), |a, &b| op.join(a, b))
 }
 
 // ---------------------------------------------------------------------------
@@ -151,137 +181,62 @@ fn sw_retile_3d(sw: &SwSpace, p: MDRangePolicy3, cost: IterCost) -> MDRangePolic
 
 /// 1-D parallel for over `policy` on `space`.
 pub fn parallel_for_1d<F: Functor1D + 'static>(space: &Space, policy: RangePolicy, f: &F) {
-    let _span = profiling::begin_kernel(
-        space,
-        PatternKind::ParallelFor,
-        std::any::type_name::<F>(),
-        PolicyKind::Range,
-        policy.len() as u64,
-    );
-    let run_tile = |t: usize| {
-        let (lo, hi) = policy.tile_range(t);
-        for i in lo..hi {
-            f.operator(i);
-        }
-    };
-    match space {
-        Space::SwAthread(sw) => {
-            let Some(tramp) = registry::lookup_simd(registry::key_of::<F>(), KernelKind::For1D)
-            else {
-                not_registered::<F>("register_for_1d");
-            };
-            let cost = f.cost();
-            let payload = registry::Payload1D {
-                functor: f as *const F as *const (),
-                policy: sw_retile_1d(sw, policy, cost),
-                cost,
-            };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::Payload1D as usize);
-        }
-        host => drive_tiles(host, policy.len(), policy.total_tiles(), run_tile),
-    }
+    launch::<F, _, For>(space, &policy, f, 0.0);
 }
 
 /// 2-D parallel for; index order `(j, i)`. Every backend hands the functor
 /// one policy tile at a time through [`Functor2D::operator_tile`].
 pub fn parallel_for_2d<F: Functor2D + 'static>(space: &Space, policy: MDRangePolicy2, f: &F) {
-    let _span = profiling::begin_kernel(
-        space,
-        PatternKind::ParallelFor,
-        std::any::type_name::<F>(),
-        PolicyKind::MDRange2,
-        policy.iterations() as u64,
-    );
-    let run_tile = |t: usize| f.operator_tile(policy.tile_bounds(t));
-    match space {
-        Space::SwAthread(sw) => {
-            let Some(tramp) = registry::lookup_simd(registry::key_of::<F>(), KernelKind::For2D)
-            else {
-                not_registered::<F>("register_for_2d");
-            };
-            let cost = f.cost();
-            let payload = registry::Payload2D {
-                functor: f as *const F as *const (),
-                policy: sw_retile_2d(sw, policy, cost),
-                cost,
-            };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::Payload2D as usize);
-        }
-        host => drive_tiles(host, policy.iterations(), policy.total_tiles(), run_tile),
-    }
+    launch::<F, _, For>(space, &policy, f, 0.0);
 }
 
 /// 3-D parallel for; index order `(k, j, i)`, dispatched tile by tile
 /// through [`Functor3D::operator_tile`].
 pub fn parallel_for_3d<F: Functor3D + 'static>(space: &Space, policy: MDRangePolicy3, f: &F) {
-    let _span = profiling::begin_kernel(
-        space,
-        PatternKind::ParallelFor,
-        std::any::type_name::<F>(),
-        PolicyKind::MDRange3,
-        policy.iterations() as u64,
-    );
-    let run_tile = |t: usize| f.operator_tile(policy.tile_bounds(t));
-    match space {
-        Space::SwAthread(sw) => {
-            let Some(tramp) = registry::lookup_simd(registry::key_of::<F>(), KernelKind::For3D)
-            else {
-                not_registered::<F>("register_for_3d");
-            };
-            let cost = f.cost();
-            let payload = registry::Payload3D {
-                functor: f as *const F as *const (),
-                policy: sw_retile_3d(sw, policy, cost),
-                cost,
-            };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::Payload3D as usize);
-        }
-        host => drive_tiles(host, policy.iterations(), policy.total_tiles(), run_tile),
-    }
+    launch::<F, _, For>(space, &policy, f, 0.0);
 }
 
 /// Index-list parallel for (active-set iteration): run `f.operator(n,
 /// policy.entry(n))` for every list position `n` in the policy's range,
 /// handed to the functor one tile at a time through
-/// [`FunctorList::operator_span`]. Host backends use the cost-weighted tile
-/// drivers; SwAthread goes through the registry to
-/// [`registry::tramp_for_list`], whose per-CPE tile ranges are cost-weighted
-/// the same way.
+/// [`FunctorList::operator_span`]. Host backends and the SwAthread CPEs
+/// both split the tiles by cost.
 pub fn parallel_for_list<F: FunctorList + 'static>(space: &Space, policy: &ListPolicy, f: &F) {
-    let _span = profiling::begin_kernel(
-        space,
-        PatternKind::ParallelFor,
-        std::any::type_name::<F>(),
-        PolicyKind::List,
-        policy.len() as u64,
-    );
-    let run_tile = |t: usize| {
-        let (n0, entries) = policy.tile_entries(t);
-        f.operator_span(n0, entries);
-    };
-    match space {
-        Space::SwAthread(sw) => {
-            let Some(tramp) = registry::lookup_simd(registry::key_of::<F>(), KernelKind::ForList)
-            else {
-                not_registered::<F>("register_for_list");
-            };
-            let payload = registry::PayloadList {
-                functor: f as *const F as *const (),
-                policy: policy as *const ListPolicy,
-                cost: f.cost(),
-            };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::PayloadList as usize);
-        }
-        host => drive_list_tiles(host, policy, run_tile),
-    }
+    launch::<F, _, For>(space, policy, f, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// parallel_reduce
+// ---------------------------------------------------------------------------
+
+/// 1-D reduction over `policy`. Bitwise identical on every backend.
+pub fn parallel_reduce_1d<F: ReduceFunctor1D + 'static>(
+    space: &Space,
+    policy: RangePolicy,
+    f: &F,
+    op: Reducer,
+) -> f64 {
+    reduce(space, &policy, f, op)
+}
+
+/// 2-D reduction.
+pub fn parallel_reduce_2d<F: ReduceFunctor2D + 'static>(
+    space: &Space,
+    policy: MDRangePolicy2,
+    f: &F,
+    op: Reducer,
+) -> f64 {
+    reduce(space, &policy, f, op)
+}
+
+/// 3-D reduction.
+pub fn parallel_reduce_3d<F: ReduceFunctor3D + 'static>(
+    space: &Space,
+    policy: MDRangePolicy3,
+    f: &F,
+    op: Reducer,
+) -> f64 {
+    reduce(space, &policy, f, op)
 }
 
 /// Index-list reduction. One partial per tile (folded by
@@ -293,206 +248,7 @@ pub fn parallel_reduce_list<F: ReduceFunctorList + 'static>(
     f: &F,
     op: Reducer,
 ) -> f64 {
-    let _span = profiling::begin_kernel(
-        space,
-        PatternKind::ParallelReduce,
-        std::any::type_name::<F>(),
-        PolicyKind::List,
-        policy.len() as u64,
-    );
-    let tile_partial = |t: usize| {
-        let (n0, entries) = policy.tile_entries(t);
-        let mut acc = op.identity();
-        f.contribute_span(n0, entries, &mut acc);
-        acc
-    };
-    let partials: Vec<f64> = match space {
-        Space::SwAthread(sw) => {
-            let Some(tramp) =
-                registry::lookup_simd(registry::key_of::<F>(), KernelKind::ReduceList)
-            else {
-                not_registered::<F>("register_reduce_list");
-            };
-            let mut partials = vec![op.identity(); policy.total_tiles()];
-            let payload = registry::PayloadReduceList {
-                functor: f as *const F as *const (),
-                policy: policy as *const ListPolicy,
-                cost: f.cost(),
-                partials: partials.as_mut_ptr(),
-                identity: op.identity(),
-            };
-            sw.cg.lock().run(
-                tramp,
-                &payload as *const registry::PayloadReduceList as usize,
-            );
-            partials
-        }
-        host => host_partials(policy.total_tiles(), op, tile_partial, |run| {
-            drive_list_tiles(host, policy, run)
-        }),
-    };
-    join_partials(&partials, op)
-}
-
-// ---------------------------------------------------------------------------
-// parallel_reduce
-// ---------------------------------------------------------------------------
-
-fn join_partials(partials: &[f64], op: Reducer) -> f64 {
-    partials.iter().fold(op.identity(), |a, &b| op.join(a, b))
-}
-
-/// 1-D reduction over `policy`. Bitwise identical on every backend.
-pub fn parallel_reduce_1d<F: ReduceFunctor1D + 'static>(
-    space: &Space,
-    policy: RangePolicy,
-    f: &F,
-    op: Reducer,
-) -> f64 {
-    let _span = profiling::begin_kernel(
-        space,
-        PatternKind::ParallelReduce,
-        std::any::type_name::<F>(),
-        PolicyKind::Range,
-        policy.len() as u64,
-    );
-    let total = policy.total_tiles();
-    let tile_partial = |t: usize| {
-        let (lo, hi) = policy.tile_range(t);
-        let mut acc = op.identity();
-        for i in lo..hi {
-            f.contribute(i, &mut acc);
-        }
-        acc
-    };
-    let partials: Vec<f64> = match space {
-        Space::SwAthread(sw) => {
-            let Some(tramp) = registry::lookup_simd(registry::key_of::<F>(), KernelKind::Reduce1D)
-            else {
-                not_registered::<F>("register_reduce_1d");
-            };
-            let mut partials = vec![op.identity(); total];
-            let payload = registry::PayloadReduce1D {
-                functor: f as *const F as *const (),
-                policy,
-                cost: f.cost(),
-                partials: partials.as_mut_ptr(),
-                identity: op.identity(),
-            };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::PayloadReduce1D as usize);
-            partials
-        }
-        host => host_partials(total, op, tile_partial, |run| {
-            drive_tiles(host, policy.len(), total, run)
-        }),
-    };
-    join_partials(&partials, op)
-}
-
-/// 2-D reduction.
-pub fn parallel_reduce_2d<F: ReduceFunctor2D + 'static>(
-    space: &Space,
-    policy: MDRangePolicy2,
-    f: &F,
-    op: Reducer,
-) -> f64 {
-    let _span = profiling::begin_kernel(
-        space,
-        PatternKind::ParallelReduce,
-        std::any::type_name::<F>(),
-        PolicyKind::MDRange2,
-        policy.iterations() as u64,
-    );
-    let total = policy.total_tiles();
-    let tile_partial = |t: usize| {
-        let [(j0, j1), (i0, i1)] = policy.tile_bounds(t);
-        let mut acc = op.identity();
-        for j in j0..j1 {
-            for i in i0..i1 {
-                f.contribute(j, i, &mut acc);
-            }
-        }
-        acc
-    };
-    let partials: Vec<f64> = match space {
-        Space::SwAthread(sw) => {
-            let Some(tramp) = registry::lookup_simd(registry::key_of::<F>(), KernelKind::Reduce2D)
-            else {
-                not_registered::<F>("register_reduce_2d");
-            };
-            let mut partials = vec![op.identity(); total];
-            let payload = registry::PayloadReduce2D {
-                functor: f as *const F as *const (),
-                policy,
-                cost: f.cost(),
-                partials: partials.as_mut_ptr(),
-                identity: op.identity(),
-            };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::PayloadReduce2D as usize);
-            partials
-        }
-        host => host_partials(total, op, tile_partial, |run| {
-            drive_tiles(host, policy.iterations(), total, run)
-        }),
-    };
-    join_partials(&partials, op)
-}
-
-/// 3-D reduction.
-pub fn parallel_reduce_3d<F: ReduceFunctor3D + 'static>(
-    space: &Space,
-    policy: MDRangePolicy3,
-    f: &F,
-    op: Reducer,
-) -> f64 {
-    let _span = profiling::begin_kernel(
-        space,
-        PatternKind::ParallelReduce,
-        std::any::type_name::<F>(),
-        PolicyKind::MDRange3,
-        policy.iterations() as u64,
-    );
-    let total = policy.total_tiles();
-    let tile_partial = |t: usize| {
-        let [(k0, k1), (j0, j1), (i0, i1)] = policy.tile_bounds(t);
-        let mut acc = op.identity();
-        for k in k0..k1 {
-            for j in j0..j1 {
-                for i in i0..i1 {
-                    f.contribute(k, j, i, &mut acc);
-                }
-            }
-        }
-        acc
-    };
-    let partials: Vec<f64> = match space {
-        Space::SwAthread(sw) => {
-            let Some(tramp) = registry::lookup_simd(registry::key_of::<F>(), KernelKind::Reduce3D)
-            else {
-                not_registered::<F>("register_reduce_3d");
-            };
-            let mut partials = vec![op.identity(); total];
-            let payload = registry::PayloadReduce3D {
-                functor: f as *const F as *const (),
-                policy,
-                cost: f.cost(),
-                partials: partials.as_mut_ptr(),
-                identity: op.identity(),
-            };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const registry::PayloadReduce3D as usize);
-            partials
-        }
-        host => host_partials(total, op, tile_partial, |run| {
-            drive_tiles(host, policy.iterations(), total, run)
-        }),
-    };
-    join_partials(&partials, op)
+    reduce(space, policy, f, op)
 }
 
 /// Block until all outstanding work on `space` completes (Kokkos `fence`).

@@ -17,10 +17,12 @@
 //! active set — e.g. the wet points of an ocean grid, where roughly a third
 //! of a global tripolar domain is land). Tiles may additionally carry a
 //! **cost weight** (e.g. wet levels per column); workers/CPEs then split
-//! tiles by cumulative cost instead of count ([`ListPolicy::worker_tile_range`]),
+//! tiles by cumulative cost instead of count ([`Policy::worker_tile_range`]),
 //! generalizing the canuto column balancer into the dispatch layer.
 
 use std::sync::Arc;
+
+use crate::profiling::PolicyKind;
 
 /// 1-D iteration policy `[start, end)` with a tile (chunk) length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,11 +69,6 @@ impl RangePolicy {
         self.start == self.end
     }
 
-    /// Paper Eq. (1) for one dimension.
-    pub fn total_tiles(&self) -> usize {
-        self.len().div_ceil(self.tile)
-    }
-
     /// Index range of tile `t`.
     pub fn tile_range(&self, t: usize) -> (usize, usize) {
         let lo = self.start + t * self.tile;
@@ -112,18 +109,6 @@ impl MDRangePolicy2 {
     pub fn with_offset(mut self, offset: [usize; 2]) -> Self {
         self.offset = offset;
         self
-    }
-
-    /// Number of iterations (extent product).
-    pub fn iterations(&self) -> usize {
-        self.extent.iter().product()
-    }
-
-    /// Paper Eq. (1): product of per-dimension tile counts.
-    pub fn total_tiles(&self) -> usize {
-        (0..2)
-            .map(|d| self.extent[d].div_ceil(self.tile[d]))
-            .product()
     }
 
     /// Tile counts per dimension.
@@ -186,18 +171,6 @@ impl MDRangePolicy3 {
         self
     }
 
-    /// Number of iterations (extent product).
-    pub fn iterations(&self) -> usize {
-        self.extent.iter().product()
-    }
-
-    /// Paper Eq. (1).
-    pub fn total_tiles(&self) -> usize {
-        (0..3)
-            .map(|d| self.extent[d].div_ceil(self.tile[d]))
-            .product()
-    }
-
     pub fn tiles_per_dim(&self) -> [usize; 3] {
         [
             self.extent[0].div_ceil(self.tile[0]),
@@ -236,6 +209,147 @@ impl MDRangePolicy3 {
 /// Paper Eq. (2): tiles each CPE sweeps to cover `total_tiles`.
 pub fn tiles_per_cpe(total_tiles: usize, num_cpe: usize) -> usize {
     total_tiles.div_ceil(num_cpe.max(1))
+}
+
+/// What the one launch path ([`crate::parallel`]) and the one CPE
+/// trampoline ([`crate::registry`]) need of a policy: its size, its tiles,
+/// and how the tiles split over workers. The functor side of a tile is
+/// [`crate::functor::TileBody`].
+pub trait Policy: Sync {
+    /// The profiling tag of a launch over this policy.
+    const KIND: PolicyKind;
+    /// Whether host pool workers take contiguous cost-weighted tile ranges
+    /// ([`Policy::worker_tile_range`]) instead of claiming tiles in chunks.
+    const COST_WEIGHTED: bool = false;
+
+    /// Iterations in all.
+    fn iterations(&self) -> usize;
+    /// Paper Eq. (1).
+    fn total_tiles(&self) -> usize;
+    /// Iterations in tile `t` (an edge tile may be short).
+    fn tile_iterations(&self, t: usize) -> usize;
+    /// Iterations in a whole tile: a SwAthread launch's LDM staging unit.
+    fn tile_elems(&self) -> usize;
+
+    /// The contiguous tiles `[lo, hi)` that worker (CPE) `w` of `workers`
+    /// runs: paper Eq. (2), `⌈total / workers⌉` tiles each.
+    fn worker_tile_range(&self, w: usize, workers: usize) -> (usize, usize) {
+        let total = self.total_tiles();
+        let per = tiles_per_cpe(total, workers);
+        let lo = (w * per).min(total);
+        (lo, (lo + per).min(total))
+    }
+
+    /// This policy re-tiled to about `elems` iterations a tile, as a dense
+    /// SwAthread for-launch streams it through LDM; `None` keeps the
+    /// caller's tiles.
+    fn retiled(&self, _elems: usize) -> Option<Self>
+    where
+        Self: Sized,
+    {
+        None
+    }
+}
+
+impl Policy for RangePolicy {
+    const KIND: PolicyKind = PolicyKind::Range;
+
+    fn iterations(&self) -> usize {
+        self.len()
+    }
+    fn total_tiles(&self) -> usize {
+        self.len().div_ceil(self.tile)
+    }
+    fn tile_iterations(&self, t: usize) -> usize {
+        let (lo, hi) = self.tile_range(t);
+        hi - lo
+    }
+    fn tile_elems(&self) -> usize {
+        self.tile
+    }
+    fn retiled(&self, elems: usize) -> Option<Self> {
+        Some(self.with_tile(elems.max(1)))
+    }
+}
+
+impl Policy for MDRangePolicy2 {
+    const KIND: PolicyKind = PolicyKind::MDRange2;
+
+    fn iterations(&self) -> usize {
+        self.extent.iter().product()
+    }
+    fn total_tiles(&self) -> usize {
+        self.tiles_per_dim().iter().product()
+    }
+    fn tile_iterations(&self, t: usize) -> usize {
+        let [(j0, j1), (i0, i1)] = self.tile_bounds(t);
+        (j1 - j0) * (i1 - i0)
+    }
+    fn tile_elems(&self) -> usize {
+        self.tile.iter().product()
+    }
+    /// Keeps the caller's row blocking and widens or narrows the streaming
+    /// (inner) dimension.
+    fn retiled(&self, elems: usize) -> Option<Self> {
+        let w = (elems / self.tile[0].max(1)).clamp(1, self.extent[1].max(1));
+        Some(self.with_tile([self.tile[0], w]))
+    }
+}
+
+impl Policy for MDRangePolicy3 {
+    const KIND: PolicyKind = PolicyKind::MDRange3;
+
+    fn iterations(&self) -> usize {
+        self.extent.iter().product()
+    }
+    fn total_tiles(&self) -> usize {
+        self.tiles_per_dim().iter().product()
+    }
+    fn tile_iterations(&self, t: usize) -> usize {
+        let [(k0, k1), (j0, j1), (i0, i1)] = self.tile_bounds(t);
+        (k1 - k0) * (j1 - j0) * (i1 - i0)
+    }
+    fn tile_elems(&self) -> usize {
+        self.tile.iter().product()
+    }
+    /// As for [`MDRangePolicy2`]: only the innermost dimension moves.
+    fn retiled(&self, elems: usize) -> Option<Self> {
+        let w = (elems / (self.tile[0] * self.tile[1]).max(1)).clamp(1, self.extent[2].max(1));
+        Some(self.with_tile([self.tile[0], self.tile[1], w]))
+    }
+}
+
+/// A list keeps the caller's tiles everywhere: they are the unit of its
+/// cost-prefix schedule.
+impl Policy for ListPolicy {
+    const KIND: PolicyKind = PolicyKind::List;
+    const COST_WEIGHTED: bool = true;
+
+    fn iterations(&self) -> usize {
+        self.len()
+    }
+    fn total_tiles(&self) -> usize {
+        self.len().div_ceil(self.tile)
+    }
+    fn tile_iterations(&self, t: usize) -> usize {
+        let (lo, hi) = self.tile_range(t);
+        hi - lo
+    }
+    fn tile_elems(&self) -> usize {
+        self.tile
+    }
+    /// Cost-weighted scheduling. Deterministic for a given `workers`: the
+    /// ranges are disjoint, ordered and cover `0..total_tiles()` — so which
+    /// worker runs a tile may change with `workers`, but tile contents and
+    /// (for reductions) the tile-ordered join never do.
+    fn worker_tile_range(&self, w: usize, workers: usize) -> (usize, usize) {
+        let workers = workers.max(1);
+        let total = self.total_tiles();
+        (
+            self.cost_boundary(w, workers, total),
+            self.cost_boundary(w + 1, workers, total),
+        )
+    }
 }
 
 /// Compact index-list policy: iterate positions `start..end` of a shared
@@ -290,7 +404,7 @@ impl ListPolicy {
         self
     }
 
-    /// Attach a per-entry cost prefix (see [`Self::cost_prefix`] docs);
+    /// Attach a per-entry cost prefix (see the `cost_prefix` field);
     /// enables cost-weighted tile scheduling on every backend.
     pub fn with_cost_prefix(mut self, prefix: Arc<Vec<u64>>) -> Self {
         assert_eq!(
@@ -320,11 +434,6 @@ impl ListPolicy {
     #[inline]
     pub fn entry(&self, n: usize) -> u32 {
         self.indices[n]
-    }
-
-    /// Paper Eq. (1) over the list length.
-    pub fn total_tiles(&self) -> usize {
-        self.len().div_ceil(self.tile)
     }
 
     /// List-position range of tile `t`.
@@ -392,20 +501,6 @@ impl ListPolicy {
             }
         }
         lo
-    }
-
-    /// Contiguous tile range `[lo, hi)` worker `w` of `workers` executes
-    /// under cost-weighted scheduling. Deterministic for a given `workers`:
-    /// the ranges are disjoint, ordered and cover `0..total_tiles()` — so
-    /// which worker runs a tile may change with `workers`, but tile
-    /// contents and (for reductions) the tile-ordered join never do.
-    pub fn worker_tile_range(&self, w: usize, workers: usize) -> (usize, usize) {
-        let workers = workers.max(1);
-        let total = self.total_tiles();
-        (
-            self.cost_boundary(w, workers, total),
-            self.cost_boundary(w + 1, workers, total),
-        )
     }
 }
 
@@ -621,5 +716,60 @@ mod tests {
     #[should_panic(expected = "indices.len() + 1")]
     fn list_bad_prefix_rejected() {
         let _ = ListPolicy::new(Arc::new(vec![1, 2, 3])).with_cost_prefix(Arc::new(vec![0, 1]));
+    }
+
+    /// What the launch path reads of any policy: the tiles' iterations sum
+    /// to the policy's, and the worker ranges are contiguous, in order and
+    /// cover every tile once — for more workers than tiles too.
+    fn check_policy<P: Policy>(p: &P) {
+        let per_tile: usize = (0..p.total_tiles()).map(|t| p.tile_iterations(t)).sum();
+        assert_eq!(per_tile, p.iterations());
+        assert!((0..p.total_tiles()).all(|t| p.tile_iterations(t) <= p.tile_elems()));
+        for workers in [1, 3, 8, 64, 1000] {
+            let mut next = 0;
+            for w in 0..workers {
+                let (lo, hi) = p.worker_tile_range(w, workers);
+                assert_eq!(lo, next, "worker {w} of {workers}");
+                assert!(hi >= lo);
+                next = hi;
+            }
+            assert_eq!(next, p.total_tiles(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn every_policy_tiles_and_splits_consistently() {
+        check_policy(&RangePolicy::range(5, 103).with_tile(16));
+        check_policy(
+            &MDRangePolicy2::new([7, 13])
+                .with_tile([3, 5])
+                .with_offset([2, 4]),
+        );
+        check_policy(&MDRangePolicy3::new([4, 7, 9]).with_tile([2, 3, 4]));
+        check_policy(&list(103, 16).slice(5, 99));
+        check_policy(&RangePolicy::new(0));
+    }
+
+    #[test]
+    fn dense_workers_split_by_eq2_and_a_list_by_cost() {
+        let p = RangePolicy::new(1000).with_tile(64); // 16 tiles
+        assert_eq!(p.worker_tile_range(0, 5), (0, 4)); // ⌈16 / 5⌉ = 4 each
+        assert_eq!(p.worker_tile_range(3, 5), (12, 16));
+        assert_eq!(p.worker_tile_range(4, 5), (16, 16));
+        // Entry 0 costs 8 of the 15: it alone is worker 0's half.
+        let l = list(8, 1).with_cost_prefix(Arc::new(vec![0, 8, 9, 10, 11, 12, 13, 14, 15]));
+        assert_eq!(l.worker_tile_range(0, 2), (0, 1));
+        assert_eq!(l.worker_tile_range(1, 2), (1, 8));
+    }
+
+    #[test]
+    fn only_dense_policies_retile_and_only_their_streaming_dimension() {
+        let p2 = MDRangePolicy2::new([40, 300]).with_tile([8, 64]);
+        assert_eq!(p2.retiled(1000).unwrap().tile, [8, 125]);
+        assert_eq!(p2.retiled(1 << 20).unwrap().tile, [8, 300]);
+        let p3 = MDRangePolicy3::new([5, 40, 300]).with_tile([1, 8, 64]);
+        assert_eq!(p3.retiled(1000).unwrap().tile, [1, 8, 125]);
+        assert_eq!(RangePolicy::new(10).retiled(0).unwrap().tile, 1);
+        assert!(list(10, 4).retiled(1000).is_none());
     }
 }

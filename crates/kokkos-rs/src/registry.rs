@@ -5,9 +5,10 @@
 //! `fn` pointer plus one `usize`. A generic `parallel_for<F>` therefore
 //! cannot hand `F` to the CPEs directly. Following the paper:
 //!
-//! 1. **Preset functions** — for each concrete functor type, a monomorphic
-//!    trampoline (`tramp_for_1d::<F>` etc.) "executes kernel statements by
-//!    explicitly invoking the overloaded `operator()` method".
+//! 1. **Preset functions** — for each concrete functor type, pattern and
+//!    policy, a monomorphic copy of the one generic trampoline (`tramp`)
+//!    "executes kernel statements by explicitly invoking the overloaded
+//!    `operator()` method", one policy tile at a time.
 //! 2. **Registration** — `register_for_1d!` (the analogue of
 //!    `KOKKOS_REGISTER_FOR_1D(Arg1, Arg2)`) defines an init function that
 //!    inserts `(type key → trampoline)` into a global registry. Model code
@@ -31,11 +32,9 @@ use std::sync::Mutex;
 
 use sunway_sim::{CpeCtx, CpeKernel};
 
-use crate::functor::{
-    Functor1D, Functor2D, Functor3D, FunctorList, IterCost, ReduceFunctor1D, ReduceFunctor2D,
-    ReduceFunctor3D, ReduceFunctorList,
-};
-use crate::policy::{tiles_per_cpe, ListPolicy, MDRangePolicy2, MDRangePolicy3, RangePolicy};
+use crate::functor::{IterCost, Pattern, TileBody};
+use crate::policy::Policy;
+use crate::profiling::{PatternKind, PolicyKind};
 
 /// What flavour of launch a registered trampoline implements. `FOR` vs
 /// `REDUCE` and the rank are part of the macro name in the paper
@@ -53,6 +52,23 @@ pub enum KernelKind {
     ReduceList,
     /// Hierarchical team launch with LDM scratch (see [`crate::team`]).
     Team,
+}
+
+impl KernelKind {
+    /// The macro that registers a functor for this kind.
+    pub(crate) fn macro_name(self) -> &'static str {
+        match self {
+            KernelKind::For1D => "register_for_1d",
+            KernelKind::For2D => "register_for_2d",
+            KernelKind::For3D => "register_for_3d",
+            KernelKind::Reduce1D => "register_reduce_1d",
+            KernelKind::Reduce2D => "register_reduce_2d",
+            KernelKind::Reduce3D => "register_reduce_3d",
+            KernelKind::ForList => "register_for_list",
+            KernelKind::ReduceList => "register_reduce_list",
+            KernelKind::Team => "register_team",
+        }
+    }
 }
 
 struct Node {
@@ -91,7 +107,7 @@ pub fn key_of<F: 'static>() -> u64 {
     h.finish()
 }
 
-fn insert(key: u64, name: &'static str, kind: KernelKind, tramp: CpeKernel) {
+pub(crate) fn insert(key: u64, name: &'static str, kind: KernelKind, tramp: CpeKernel) {
     let mut reg = REGISTRY.lock().unwrap();
     // Idempotent: re-registering the same functor type is a no-op.
     let mut cur = reg.head.as_deref();
@@ -179,75 +195,21 @@ pub fn registered_kernels() -> Vec<(&'static str, KernelKind)> {
 }
 
 // ---------------------------------------------------------------------------
-// Launch payloads: the single `usize` argument smuggled across the C-like
+// The launch payload: the single `usize` argument smuggled across the C-like
 // boundary points at one of these, living on the launching thread's stack
 // for the (blocking) duration of the kernel.
 // ---------------------------------------------------------------------------
 
-#[doc(hidden)]
-pub struct Payload1D {
-    pub functor: *const (),
-    pub policy: RangePolicy,
+/// One launch of functor `F` over policy `P`, as `tramp` reads it.
+pub(crate) struct Launch<'a, F, P> {
+    pub functor: &'a F,
+    /// The tiling the CPEs run (a dense for-launch's is re-tiled).
+    pub policy: &'a P,
     pub cost: IterCost,
-}
-
-#[doc(hidden)]
-pub struct Payload2D {
-    pub functor: *const (),
-    pub policy: MDRangePolicy2,
-    pub cost: IterCost,
-}
-
-#[doc(hidden)]
-pub struct Payload3D {
-    pub functor: *const (),
-    pub policy: MDRangePolicy3,
-    pub cost: IterCost,
-}
-
-#[doc(hidden)]
-pub struct PayloadList {
-    pub functor: *const (),
-    /// Borrowed from the launching frame (`ListPolicy` is not `Copy`);
-    /// valid for the blocking duration of the kernel, like `functor`.
-    pub policy: *const ListPolicy,
-    pub cost: IterCost,
-}
-
-#[doc(hidden)]
-pub struct PayloadReduceList {
-    pub functor: *const (),
-    pub policy: *const ListPolicy,
-    pub cost: IterCost,
-    pub partials: *mut f64,
-    pub identity: f64,
-}
-
-#[doc(hidden)]
-pub struct PayloadReduce1D {
-    pub functor: *const (),
-    pub policy: RangePolicy,
-    pub cost: IterCost,
-    /// Per-tile partials, length `policy.total_tiles()`; disjoint writes.
-    pub partials: *mut f64,
-    pub identity: f64,
-}
-
-#[doc(hidden)]
-pub struct PayloadReduce2D {
-    pub functor: *const (),
-    pub policy: MDRangePolicy2,
-    pub cost: IterCost,
-    pub partials: *mut f64,
-    pub identity: f64,
-}
-
-#[doc(hidden)]
-pub struct PayloadReduce3D {
-    pub functor: *const (),
-    pub policy: MDRangePolicy3,
-    pub cost: IterCost,
-    pub partials: *mut f64,
+    /// A reduction's partials, slot `t` for tile `t`; empty for any other
+    /// launch.
+    pub partials: *mut [f64],
+    /// What a tile's partial starts from.
     pub identity: f64,
 }
 
@@ -264,15 +226,14 @@ fn tile_bytes(cost: IterCost, iters: u64) -> (u64, u64) {
 
 /// Drive one CPE's contiguous tile range through the §V-C2 double-buffered
 /// DMA pipeline: `iters_of(t)` gives tile `t`'s iteration count (for the
-/// prefetch of `t+1`'s bytes), `body(ctx, t)` executes it. FLOP accounting
-/// happens here so every trampoline charges identically.
+/// prefetch of `t+1`'s bytes), `body(t)` executes it. FLOP accounting
+/// happens here too.
 #[inline]
 fn drive_pipelined(
     ctx: &mut CpeCtx,
     cost: IterCost,
     tile_elems: usize,
-    t0: usize,
-    t1: usize,
+    (t0, t1): (usize, usize),
     iters_of: impl Fn(usize) -> u64,
     mut body: impl FnMut(usize),
 ) {
@@ -307,243 +268,67 @@ fn drive_pipelined(
     pipe.finish(ctx);
 }
 
-// ---------------------------------------------------------------------------
-// Preset trampolines ("preset functions that execute kernel statements by
-// explicitly invoking the overloaded operator() method").
-// ---------------------------------------------------------------------------
-
-#[doc(hidden)]
-pub fn tramp_for_1d<F: Functor1D>(ctx: &mut CpeCtx, arg: usize) {
-    let p = unsafe { &*(arg as *const Payload1D) };
-    let f = unsafe { &*(p.functor as *const F) };
-    let total = p.policy.total_tiles();
-    let per = tiles_per_cpe(total, ctx.num_cpes());
-    let first = ctx.cpe_id() * per;
-    let last = (first + per).min(total);
-    let iters = |t: usize| {
-        let (lo, hi) = p.policy.tile_range(t);
-        (hi - lo) as u64
-    };
-    drive_pipelined(ctx, p.cost, p.policy.tile, first, last, iters, |t| {
-        let (lo, hi) = p.policy.tile_range(t);
-        for i in lo..hi {
-            f.operator(i);
+/// The preset trampoline ("preset functions that execute kernel statements
+/// by explicitly invoking the overloaded operator() method"), one
+/// monomorphic copy per registered `(F, P, M)`: this CPE's share of the
+/// policy's tiles, each run through [`TileBody::tile`] inside the DMA
+/// pipeline.
+fn tramp<F: TileBody<P, M>, P: Policy, M>(ctx: &mut CpeCtx, arg: usize) {
+    // SAFETY: `arg` must be the address of a `Launch<F, P>` alive for the
+    // whole run. `parallel::launch` runs this trampoline only after looking
+    // it up under `F`'s key and `(P, M)`'s kind, and passes its own payload,
+    // which outlives the blocking `CoreGroup::run`; a trampoline taken from
+    // the public `lookup` and run by hand owes the same.
+    let l = unsafe { &*(arg as *const Launch<F, P>) };
+    let tiles = l.policy.worker_tile_range(ctx.cpe_id(), ctx.num_cpes());
+    let iters = |t: usize| l.policy.tile_iterations(t) as u64;
+    drive_pipelined(ctx, l.cost, l.policy.tile_elems(), tiles, iters, |t| {
+        let mut acc = l.identity;
+        l.functor.tile(l.policy, t, &mut acc);
+        if t < l.partials.len() {
+            // SAFETY: slot `t` is in bounds, the launching frame keeps the
+            // slots alive, and worker tile ranges are disjoint, so slot `t`
+            // has this one writer.
+            unsafe { *l.partials.cast::<f64>().add(t) = acc };
         }
     });
 }
 
-#[doc(hidden)]
-pub fn tramp_for_2d<F: Functor2D>(ctx: &mut CpeCtx, arg: usize) {
-    let p = unsafe { &*(arg as *const Payload2D) };
-    let f = unsafe { &*(p.functor as *const F) };
-    let total = p.policy.total_tiles();
-    let per = tiles_per_cpe(total, ctx.num_cpes());
-    let first = ctx.cpe_id() * per;
-    let last = (first + per).min(total);
-    let iters = |t: usize| {
-        let [(j0, j1), (i0, i1)] = p.policy.tile_bounds(t);
-        ((j1 - j0) * (i1 - i0)) as u64
-    };
-    let tile_elems = p.policy.tile[0] * p.policy.tile[1];
-    drive_pipelined(ctx, p.cost, tile_elems, first, last, iters, |t| {
-        f.operator_tile(p.policy.tile_bounds(t));
-    });
+/// The registry kind of a launch: pattern × policy.
+pub(crate) fn kind_of<P: Policy, M: Pattern>() -> KernelKind {
+    use PolicyKind::*;
+    match (M::KIND, P::KIND) {
+        (PatternKind::ParallelReduce, Range) => KernelKind::Reduce1D,
+        (PatternKind::ParallelReduce, MDRange2) => KernelKind::Reduce2D,
+        (PatternKind::ParallelReduce, MDRange3) => KernelKind::Reduce3D,
+        (PatternKind::ParallelReduce, List) => KernelKind::ReduceList,
+        (_, Range) => KernelKind::For1D,
+        (_, MDRange2) => KernelKind::For2D,
+        (_, MDRange3) => KernelKind::For3D,
+        (_, List) => KernelKind::ForList,
+        (_, Team) => KernelKind::Team,
+    }
 }
 
-#[doc(hidden)]
-pub fn tramp_for_3d<F: Functor3D>(ctx: &mut CpeCtx, arg: usize) {
-    let p = unsafe { &*(arg as *const Payload3D) };
-    let f = unsafe { &*(p.functor as *const F) };
-    let total = p.policy.total_tiles();
-    let per = tiles_per_cpe(total, ctx.num_cpes());
-    let first = ctx.cpe_id() * per;
-    let last = (first + per).min(total);
-    let iters = |t: usize| {
-        let [(k0, k1), (j0, j1), (i0, i1)] = p.policy.tile_bounds(t);
-        ((k1 - k0) * (j1 - j0) * (i1 - i0)) as u64
-    };
-    let tile_elems = p.policy.tile[0] * p.policy.tile[1] * p.policy.tile[2];
-    drive_pipelined(ctx, p.cost, tile_elems, first, last, iters, |t| {
-        f.operator_tile(p.policy.tile_bounds(t));
-    });
+/// Register `F`'s trampoline for launches of pattern `M` over policy `P`;
+/// the `register_*!` macros call this.
+pub fn register<F: TileBody<P, M> + 'static, P: Policy, M: Pattern>(name: &'static str) {
+    insert(key_of::<F>(), name, kind_of::<P, M>(), tramp::<F, P, M>);
 }
 
+/// The body of every `register_*!` macro: an init function `$name` that
+/// registers `$f` for launches of pattern `$m` over policy `$p`.
 #[doc(hidden)]
-pub fn tramp_for_list<F: FunctorList>(ctx: &mut CpeCtx, arg: usize) {
-    let p = unsafe { &*(arg as *const PayloadList) };
-    let f = unsafe { &*(p.functor as *const F) };
-    let policy = unsafe { &*p.policy };
-    // Cost-weighted Eq. (2): each CPE takes the contiguous tile range whose
-    // cumulative cost share is its own, not a fixed tile count.
-    let (t0, t1) = policy.worker_tile_range(ctx.cpe_id(), ctx.num_cpes());
-    let iters = |t: usize| {
-        let (lo, hi) = policy.tile_range(t);
-        (hi - lo) as u64
-    };
-    drive_pipelined(ctx, p.cost, policy.tile, t0, t1, iters, |t| {
-        let (n0, entries) = policy.tile_entries(t);
-        f.operator_span(n0, entries);
-    });
-}
-
-#[doc(hidden)]
-pub fn tramp_reduce_list<F: ReduceFunctorList>(ctx: &mut CpeCtx, arg: usize) {
-    let p = unsafe { &*(arg as *const PayloadReduceList) };
-    let f = unsafe { &*(p.functor as *const F) };
-    let policy = unsafe { &*p.policy };
-    let (t0, t1) = policy.worker_tile_range(ctx.cpe_id(), ctx.num_cpes());
-    let iters = |t: usize| {
-        let (lo, hi) = policy.tile_range(t);
-        (hi - lo) as u64
-    };
-    drive_pipelined(ctx, p.cost, policy.tile, t0, t1, iters, |t| {
-        let (n0, entries) = policy.tile_entries(t);
-        let mut acc = p.identity;
-        f.contribute_span(n0, entries, &mut acc);
-        // SAFETY: worker tile ranges are disjoint; tile t has one owner.
-        unsafe { *p.partials.add(t) = acc };
-    });
-}
-
-#[doc(hidden)]
-pub fn tramp_reduce_1d<F: ReduceFunctor1D>(ctx: &mut CpeCtx, arg: usize) {
-    let p = unsafe { &*(arg as *const PayloadReduce1D) };
-    let f = unsafe { &*(p.functor as *const F) };
-    let total = p.policy.total_tiles();
-    let per = tiles_per_cpe(total, ctx.num_cpes());
-    let first = ctx.cpe_id() * per;
-    let last = (first + per).min(total);
-    let iters = |t: usize| {
-        let (lo, hi) = p.policy.tile_range(t);
-        (hi - lo) as u64
-    };
-    drive_pipelined(ctx, p.cost, p.policy.tile, first, last, iters, |t| {
-        let (lo, hi) = p.policy.tile_range(t);
-        let mut acc = p.identity;
-        for i in lo..hi {
-            f.contribute(i, &mut acc);
+#[macro_export]
+macro_rules! __register {
+    ($name:ident, $f:ty, $p:ident, $m:ident) => {
+        #[allow(non_snake_case)]
+        pub fn $name() {
+            $crate::registry::register::<$f, $crate::policy::$p, $crate::functor::$m>(stringify!(
+                $name
+            ));
         }
-        // SAFETY: each tile index t is owned by exactly one CPE.
-        unsafe { *p.partials.add(t) = acc };
-    });
-}
-
-#[doc(hidden)]
-pub fn tramp_reduce_2d<F: ReduceFunctor2D>(ctx: &mut CpeCtx, arg: usize) {
-    let p = unsafe { &*(arg as *const PayloadReduce2D) };
-    let f = unsafe { &*(p.functor as *const F) };
-    let total = p.policy.total_tiles();
-    let per = tiles_per_cpe(total, ctx.num_cpes());
-    let first = ctx.cpe_id() * per;
-    let last = (first + per).min(total);
-    let iters = |t: usize| {
-        let [(j0, j1), (i0, i1)] = p.policy.tile_bounds(t);
-        ((j1 - j0) * (i1 - i0)) as u64
     };
-    let tile_elems = p.policy.tile[0] * p.policy.tile[1];
-    drive_pipelined(ctx, p.cost, tile_elems, first, last, iters, |t| {
-        let [(j0, j1), (i0, i1)] = p.policy.tile_bounds(t);
-        let mut acc = p.identity;
-        for j in j0..j1 {
-            for i in i0..i1 {
-                f.contribute(j, i, &mut acc);
-            }
-        }
-        unsafe { *p.partials.add(t) = acc };
-    });
-}
-
-#[doc(hidden)]
-pub fn tramp_reduce_3d<F: ReduceFunctor3D>(ctx: &mut CpeCtx, arg: usize) {
-    let p = unsafe { &*(arg as *const PayloadReduce3D) };
-    let f = unsafe { &*(p.functor as *const F) };
-    let total = p.policy.total_tiles();
-    let per = tiles_per_cpe(total, ctx.num_cpes());
-    let first = ctx.cpe_id() * per;
-    let last = (first + per).min(total);
-    let iters = |t: usize| {
-        let [(k0, k1), (j0, j1), (i0, i1)] = p.policy.tile_bounds(t);
-        ((k1 - k0) * (j1 - j0) * (i1 - i0)) as u64
-    };
-    let tile_elems = p.policy.tile[0] * p.policy.tile[1] * p.policy.tile[2];
-    drive_pipelined(ctx, p.cost, tile_elems, first, last, iters, |t| {
-        let [(k0, k1), (j0, j1), (i0, i1)] = p.policy.tile_bounds(t);
-        let mut acc = p.identity;
-        for k in k0..k1 {
-            for j in j0..j1 {
-                for i in i0..i1 {
-                    f.contribute(k, j, i, &mut acc);
-                }
-            }
-        }
-        unsafe { *p.partials.add(t) = acc };
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Registration entry points used by the macros.
-// ---------------------------------------------------------------------------
-
-pub fn register_1d<F: Functor1D + 'static>(name: &'static str) {
-    insert(key_of::<F>(), name, KernelKind::For1D, tramp_for_1d::<F>);
-}
-
-pub fn register_2d<F: Functor2D + 'static>(name: &'static str) {
-    insert(key_of::<F>(), name, KernelKind::For2D, tramp_for_2d::<F>);
-}
-
-pub fn register_3d<F: Functor3D + 'static>(name: &'static str) {
-    insert(key_of::<F>(), name, KernelKind::For3D, tramp_for_3d::<F>);
-}
-
-pub fn register_list<F: FunctorList + 'static>(name: &'static str) {
-    insert(
-        key_of::<F>(),
-        name,
-        KernelKind::ForList,
-        tramp_for_list::<F>,
-    );
-}
-
-pub fn register_reduce_list<F: ReduceFunctorList + 'static>(name: &'static str) {
-    insert(
-        key_of::<F>(),
-        name,
-        KernelKind::ReduceList,
-        tramp_reduce_list::<F>,
-    );
-}
-
-pub fn register_reduce_1d<F: ReduceFunctor1D + 'static>(name: &'static str) {
-    insert(
-        key_of::<F>(),
-        name,
-        KernelKind::Reduce1D,
-        tramp_reduce_1d::<F>,
-    );
-}
-
-pub fn register_reduce_2d<F: ReduceFunctor2D + 'static>(name: &'static str) {
-    insert(
-        key_of::<F>(),
-        name,
-        KernelKind::Reduce2D,
-        tramp_reduce_2d::<F>,
-    );
-}
-
-pub fn register_reduce_3d<F: ReduceFunctor3D + 'static>(name: &'static str) {
-    insert(
-        key_of::<F>(),
-        name,
-        KernelKind::Reduce3D,
-        tramp_reduce_3d::<F>,
-    );
-}
-
-/// Registration hook for team trampolines (used by `crate::team`).
-pub fn insert_team(key: u64, name: &'static str, tramp: CpeKernel) {
-    insert(key, name, KernelKind::Team, tramp);
 }
 
 /// `KOKKOS_REGISTER_FOR_1D(Arg1, Arg2)`: defines an init function `Arg1`
@@ -552,10 +337,7 @@ pub fn insert_team(key: u64, name: &'static str, tramp: CpeKernel) {
 #[macro_export]
 macro_rules! register_for_1d {
     ($name:ident, $f:ty) => {
-        #[allow(non_snake_case)]
-        pub fn $name() {
-            $crate::registry::register_1d::<$f>(stringify!($name));
-        }
+        $crate::__register!($name, $f, RangePolicy, For);
     };
 }
 
@@ -563,10 +345,7 @@ macro_rules! register_for_1d {
 #[macro_export]
 macro_rules! register_for_2d {
     ($name:ident, $f:ty) => {
-        #[allow(non_snake_case)]
-        pub fn $name() {
-            $crate::registry::register_2d::<$f>(stringify!($name));
-        }
+        $crate::__register!($name, $f, MDRangePolicy2, For);
     };
 }
 
@@ -574,10 +353,7 @@ macro_rules! register_for_2d {
 #[macro_export]
 macro_rules! register_for_3d {
     ($name:ident, $f:ty) => {
-        #[allow(non_snake_case)]
-        pub fn $name() {
-            $crate::registry::register_3d::<$f>(stringify!($name));
-        }
+        $crate::__register!($name, $f, MDRangePolicy3, For);
     };
 }
 
@@ -586,21 +362,7 @@ macro_rules! register_for_3d {
 #[macro_export]
 macro_rules! register_for_list {
     ($name:ident, $f:ty) => {
-        #[allow(non_snake_case)]
-        pub fn $name() {
-            $crate::registry::register_list::<$f>(stringify!($name));
-        }
-    };
-}
-
-/// `KOKKOS_REGISTER_REDUCE_LIST` analogue; see `register_for_1d!`.
-#[macro_export]
-macro_rules! register_reduce_list {
-    ($name:ident, $f:ty) => {
-        #[allow(non_snake_case)]
-        pub fn $name() {
-            $crate::registry::register_reduce_list::<$f>(stringify!($name));
-        }
+        $crate::__register!($name, $f, ListPolicy, For);
     };
 }
 
@@ -608,10 +370,7 @@ macro_rules! register_reduce_list {
 #[macro_export]
 macro_rules! register_reduce_1d {
     ($name:ident, $f:ty) => {
-        #[allow(non_snake_case)]
-        pub fn $name() {
-            $crate::registry::register_reduce_1d::<$f>(stringify!($name));
-        }
+        $crate::__register!($name, $f, RangePolicy, Reduce);
     };
 }
 
@@ -619,10 +378,7 @@ macro_rules! register_reduce_1d {
 #[macro_export]
 macro_rules! register_reduce_2d {
     ($name:ident, $f:ty) => {
-        #[allow(non_snake_case)]
-        pub fn $name() {
-            $crate::registry::register_reduce_2d::<$f>(stringify!($name));
-        }
+        $crate::__register!($name, $f, MDRangePolicy2, Reduce);
     };
 }
 
@@ -630,17 +386,28 @@ macro_rules! register_reduce_2d {
 #[macro_export]
 macro_rules! register_reduce_3d {
     ($name:ident, $f:ty) => {
-        #[allow(non_snake_case)]
-        pub fn $name() {
-            $crate::registry::register_reduce_3d::<$f>(stringify!($name));
-        }
+        $crate::__register!($name, $f, MDRangePolicy3, Reduce);
+    };
+}
+
+/// `KOKKOS_REGISTER_REDUCE_LIST` analogue; see `register_for_1d!`.
+#[macro_export]
+macro_rules! register_reduce_list {
+    ($name:ident, $f:ty) => {
+        $crate::__register!($name, $f, ListPolicy, Reduce);
     };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::functor::{For, Functor1D};
+    use crate::policy::RangePolicy;
     use crate::view::{View, View1};
+
+    fn register_range<F: Functor1D + 'static>(name: &'static str) {
+        register::<F, RangePolicy, For>(name);
+    }
 
     struct Scale {
         x: View1<f64>,
@@ -659,8 +426,8 @@ mod tests {
 
     #[test]
     fn register_and_lookup() {
-        register_1d::<Scale>("scale");
-        register_1d::<Scale>("scale"); // idempotent
+        register_range::<Scale>("scale");
+        register_range::<Scale>("scale"); // idempotent
         let t = lookup(key_of::<Scale>(), KernelKind::For1D);
         assert!(t.is_some());
         let t2 = lookup_simd(key_of::<Scale>(), KernelKind::For1D);
@@ -679,14 +446,14 @@ mod tests {
 
     #[test]
     fn kind_is_part_of_the_match() {
-        register_1d::<Other>("other_for");
+        register_range::<Other>("other_for");
         // Registered as FOR, looked up as REDUCE → miss.
         assert!(lookup(key_of::<Other>(), KernelKind::Reduce1D).is_none());
     }
 
     #[test]
     fn trampoline_executes_functor_on_simulated_cpes() {
-        register_1d::<Scale>("scale2");
+        register_range::<Scale>("scale2");
         let x: View1<f64> = View::host("x", [100]);
         for i in 0..100 {
             x.set_at(i, i as f64);
@@ -695,14 +462,19 @@ mod tests {
             x: x.clone(),
             a: 3.0,
         };
-        let payload = Payload1D {
-            functor: &f as *const Scale as *const (),
-            policy: RangePolicy::new(100).with_tile(7),
+        let payload = Launch {
+            functor: &f,
+            policy: &RangePolicy::new(100).with_tile(7),
             cost: f.cost(),
+            partials: &mut [],
+            identity: 0.0,
         };
         let tramp = lookup(key_of::<Scale>(), KernelKind::For1D).unwrap();
         let mut cg = sunway_sim::CoreGroup::new(sunway_sim::CgConfig::test_small());
-        cg.run(tramp, &payload as *const Payload1D as usize);
+        cg.run(
+            tramp,
+            &payload as *const Launch<Scale, RangePolicy> as usize,
+        );
         for i in 0..100 {
             assert_eq!(x.at(i), 3.0 * i as f64);
         }
@@ -711,7 +483,7 @@ mod tests {
 
     #[test]
     fn stats_count_registrations_and_walks() {
-        register_1d::<Scale>("scale3");
+        register_range::<Scale>("scale3");
         let (len0, lk0, _) = stats();
         assert!(len0 >= 1);
         let _ = lookup(key_of::<Scale>(), KernelKind::For1D);
@@ -721,7 +493,7 @@ mod tests {
 
     #[test]
     fn registered_kernels_lists_names() {
-        register_1d::<Scale>("scale4");
+        register_range::<Scale>("scale4");
         let names: Vec<&str> = registered_kernels().iter().map(|(n, _)| *n).collect();
         // The first registration for Scale wins the name slot.
         assert!(names.iter().any(|n| n.starts_with("scale")));

@@ -17,7 +17,7 @@ use sunway_sim::CpeCtx;
 
 use crate::functor::IterCost;
 use crate::policy::tiles_per_cpe;
-use crate::registry::{self, KernelKind};
+use crate::registry::{self, KernelKind, Launch};
 use crate::space::Space;
 
 /// League execution policy: `league_size` teams, each with
@@ -46,35 +46,38 @@ pub trait FunctorTeam: Sync {
     }
 }
 
-#[doc(hidden)]
-pub struct PayloadTeam {
-    pub functor: *const (),
-    pub policy: TeamPolicy,
-    pub cost: IterCost,
-}
-
-#[doc(hidden)]
-pub fn tramp_team<F: FunctorTeam>(ctx: &mut CpeCtx, arg: usize) {
-    let p = unsafe { &*(arg as *const PayloadTeam) };
-    let f = unsafe { &*(p.functor as *const F) };
-    let per = tiles_per_cpe(p.policy.league_size, ctx.num_cpes());
+/// The team trampoline: this CPE's Eq. (2) share of the league, each team
+/// with its scratch in LDM. Its payload is the one
+/// [`registry::Launch`]; a team launch has no partials.
+fn tramp_team<F: FunctorTeam>(ctx: &mut CpeCtx, arg: usize) {
+    // SAFETY: as for `registry::tramp`: `parallel_for_team` runs this
+    // trampoline only after looking it up under `F`'s key and the team
+    // kind, and passes its own `Launch<F, TeamPolicy>`, which outlives the
+    // blocking run.
+    let l = unsafe { &*(arg as *const Launch<F, TeamPolicy>) };
+    let per = tiles_per_cpe(l.policy.league_size, ctx.num_cpes());
     let first = ctx.cpe_id() * per;
     let ldm = ctx.ldm();
-    for league in first..(first + per).min(p.policy.league_size) {
+    for league in first..(first + per).min(l.policy.league_size) {
         // Team scratch lives in LDM — overflow panics like hardware.
         let mut scratch = ldm
-            .alloc::<f64>(p.policy.scratch_len)
+            .alloc::<f64>(l.policy.scratch_len)
             .unwrap_or_else(|e| panic!("team scratch does not fit in LDM: {e}"));
-        f.operator(league, &mut scratch);
-        ctx.account_flops_simd(p.cost.flops);
-        ctx.account_dma_traffic(p.cost.bytes as usize);
+        l.functor.operator(league, &mut scratch);
+        ctx.account_flops_simd(l.cost.flops);
+        ctx.account_dma_traffic(l.cost.bytes as usize);
     }
 }
 
 /// Register a team functor for the `SwAthread` backend
 /// (`KOKKOS_REGISTER_TEAM` analogue).
 pub fn register_team<F: FunctorTeam + 'static>(name: &'static str) {
-    registry::insert_team(registry::key_of::<F>(), name, tramp_team::<F>);
+    registry::insert(
+        registry::key_of::<F>(),
+        name,
+        KernelKind::Team,
+        tramp_team::<F>,
+    );
 }
 
 /// Macro sugar mirroring [`crate::register_for_1d!`].
@@ -115,21 +118,16 @@ pub fn parallel_for_team<F: FunctorTeam + 'static>(space: &Space, policy: TeamPo
         Space::SwAthread(sw) => {
             let Some(tramp) = registry::lookup_simd(registry::key_of::<F>(), KernelKind::Team)
             else {
-                panic!(
-                    "team functor `{}` not registered for SwAthread; add \
-                     `register_team!(<name>, {});` and call `<name>()` at init",
-                    std::any::type_name::<F>(),
-                    std::any::type_name::<F>()
-                );
+                crate::parallel::not_registered::<F>(KernelKind::Team);
             };
-            let payload = PayloadTeam {
-                functor: f as *const F as *const (),
-                policy,
+            let payload = Launch {
+                functor: f,
+                policy: &policy,
                 cost: f.cost(),
+                partials: &mut [],
+                identity: 0.0,
             };
-            sw.cg
-                .lock()
-                .run(tramp, &payload as *const PayloadTeam as usize);
+            sw.cg.lock().run(tramp, &payload as *const _ as usize);
         }
     }
 }
@@ -238,6 +236,17 @@ mod tests {
         let space = Space::sw_athread_with(CgConfig::test_small()); // 16 kB LDM
                                                                     // 4096 f64 = 32 kB > 16 kB test LDM.
         parallel_for_team(&space, TeamPolicy::new(4, 4096), &Greedy);
+    }
+
+    #[test]
+    #[should_panic(expected = "add `register_team!(<name>,")]
+    fn unregistered_team_functor_names_its_macro() {
+        struct Unregistered;
+        impl FunctorTeam for Unregistered {
+            fn operator(&self, _league: usize, _scratch: &mut [f64]) {}
+        }
+        let space = Space::sw_athread_with(CgConfig::test_small());
+        parallel_for_team(&space, TeamPolicy::new(2, 1), &Unregistered);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! must instead not care which partner a field is paired with.
 
 use halo_exchange::HALO as H;
-use kokkos_rs::{parallel_for_list, FunctorList, ListPolicy, Space, View, View1, View2, View3};
+use kokkos_rs::{
+    parallel_for_list, FunctorList, ListPolicy, Policy, Space, View, View1, View2, View3,
+};
 use licom::advect::{FunctorAdvectZ, FunctorDiagnoseW};
 use licom::barotropic::FunctorDepthMean;
 use licom::canuto::{CanutoFields, FunctorCanutoCols};

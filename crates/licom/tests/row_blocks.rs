@@ -23,7 +23,7 @@
 use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D, HALO as H};
 use kokkos_rs::{
     parallel_for_2d, parallel_for_3d, parallel_for_list, Functor2D, Functor3D, FunctorList,
-    ListPolicy, MDRangePolicy2, MDRangePolicy3, Space, View, View1, View2, View3,
+    ListPolicy, MDRangePolicy2, MDRangePolicy3, Policy, Space, View, View1, View2, View3,
 };
 use licom::advect::{advect_tracer, AdvectFields, FunctorAdvectX, FunctorAdvectY, FunctorAdvectZ};
 use licom::baroclinic::{FunctorAsselin3D, FunctorLeapfrog3D, FunctorMomentumTend};

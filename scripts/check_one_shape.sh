@@ -37,7 +37,9 @@
 #   6. the drift detector or the reporting nothing called comes back (its
 #      names are in rule 1's list), or so does a second exchange round, the
 #      barotropic window's ghost debt, or a per-substep Asselin or pair
-#      launch beside the one substep kernel (likewise);
+#      launch beside the one substep kernel, or a per-pattern launch
+#      payload, CPE trampoline, retiler or registration function beside
+#      kokkos-rs's one generic launch and trampoline (likewise);
 #   7. a `- `module`:` bullet under a `### crates/<name>` heading of
 #      DESIGN.md names no crates/<name>/src/<module>.rs or <module>/.
 #
@@ -48,7 +50,7 @@ cd "$(dirname "$0")/.."
 failed=0
 
 # Whole identifiers: `kernel_canuto_cols` registers the surviving list functor.
-gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph|StepMonitor|TelemetryConfig|DriftDetector|DriftBank|RingBuffer|surface_scalars|hotspot_shares|gather_phases|flush_ghost_debt|EwPosted|NsPosted|post_ns|FunctorAsselin2D|FunctorAsselin3|FunctorBtStep|kernel_asselin_2d|kernel_asselin_3|kernel_bt_step)\b'
+gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph|StepMonitor|TelemetryConfig|DriftDetector|DriftBank|RingBuffer|surface_scalars|hotspot_shares|gather_phases|flush_ghost_debt|EwPosted|NsPosted|post_ns|FunctorAsselin2D|FunctorAsselin3|FunctorBtStep|kernel_asselin_2d|kernel_asselin_3|kernel_bt_step|Payload1D|Payload2D|Payload3D|PayloadList|PayloadReduce1D|PayloadReduce2D|PayloadReduce3D|PayloadReduceList|PayloadTeam|tramp_for_1d|tramp_for_2d|tramp_for_3d|tramp_for_list|tramp_reduce_1d|tramp_reduce_2d|tramp_reduce_3d|tramp_reduce_list|sw_retile_1d|sw_retile_2d|sw_retile_3d|drive_list_tiles|host_partials|register_1d|register_2d|register_3d|register_list|insert_team|FunctorPair2D)\b'
 if hits=$(git grep -nE "$gone" -- crates src tests examples ':!crates/perf-model'); then
     echo "check_one_shape: deleted names are back:"
     echo "$hits"
