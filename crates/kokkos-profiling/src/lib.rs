@@ -22,11 +22,11 @@
 
 pub mod clock;
 pub mod flight;
+pub mod imbalance;
 pub mod json;
 pub mod profiler;
 pub mod prometheus;
 pub mod stats;
-pub mod telemetry;
 pub mod trace;
 
 pub use clock::now_ns;
@@ -34,6 +34,7 @@ pub use flight::{
     dump_on_failure, read_bundle, render_last_events, validate_bundle, Bundle, BundleSummary,
     FlightCtx, FlightEvent, FlightEventKind, FlightRing, FLIGHT_SCHEMA,
 };
+pub use imbalance::{ImbalanceReport, PhaseImbalance, PhaseProfile};
 pub use json::{
     parse as parse_json, render as render_json, render_pretty as render_json_pretty,
     validate_chrome_trace, Json, TraceSummary,
@@ -42,12 +43,9 @@ pub use profiler::{
     attach, attach_instance, detach, detach_instance, set_thread_rank, KernelKey, Profiler,
 };
 pub use prometheus::{
-    render_gauge, render_named_counters, render_named_counters_labeled, render_named_gauges,
-    render_named_gauges_labeled, render_phase_seconds_labeled, render_prometheus_labeled,
-    render_traffic_labeled,
+    render_gauge, render_named_counters, render_named_gauges, render_prometheus_labeled,
 };
-pub use stats::{CounterTable, Stat, StatsTable};
-pub use telemetry::{ImbalanceReport, PhaseImbalance, PhaseProfile};
+pub use stats::{Stat, StatsTable};
 pub use trace::{ArgValue, TraceEvent, COMM_TRACK, COUNTER_TRACK};
 
 /// Re-export of the hook side so consumers need only this crate.

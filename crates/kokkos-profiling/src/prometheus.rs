@@ -42,136 +42,110 @@ fn label_suffix(base: &[(&str, &str)], extra: Option<(&str, &str)>) -> String {
     }
 }
 
-/// Render an `mpi-sim` [`TrafficSnapshot`] as one counter family per
-/// field, every sample carrying `base` labels:
-/// `mpi_traffic_<field>_total{instance="m17",tenant="a"} <value>`.
-/// Per-instance serving uses this so each instance's private world
-/// traffic stays distinguishable in one scrape.
-pub fn render_traffic_labeled(t: &TrafficSnapshot, base: &[(&str, &str)]) -> String {
-    let suffix = label_suffix(base, None);
-    let mut out = String::new();
-    for (name, value) in t.fields() {
-        out.push_str(&format!(
-            "# HELP mpi_traffic_{name}_total Cumulative mpi-sim {} counter.\n\
-             # TYPE mpi_traffic_{name}_total counter\n\
-             mpi_traffic_{name}_total{suffix} {value}\n",
-            name.replace('_', " ")
-        ));
+/// One family: `# HELP` / `# TYPE` headers, then one sample per entry in
+/// label order, each carrying `base` labels plus `label_key="<entry>"`
+/// (no per-entry label when `label_key` is `None`) and its value as
+/// `value` formats it.
+fn render_family<V: Copy>(
+    kind: &str,
+    name: &str,
+    help: &str,
+    base: &[(&str, &str)],
+    label_key: Option<&str>,
+    entries: &[(&str, V)],
+    value: fn(V) -> String,
+) -> String {
+    let mut sorted: Vec<&(&str, V)> = entries.iter().collect();
+    sorted.sort_by_key(|(label, _)| *label);
+    let mut out = format!("# HELP {name} {help}\n# TYPE {name} {kind}\n");
+    for &(label, v) in sorted {
+        let suffix = label_suffix(base, label_key.map(|k| (k, label)));
+        out.push_str(&format!("{name}{suffix} {}\n", value(v)));
     }
     out
 }
 
-/// Render a named counter table (e.g. `Timers::counters`) as one family
-/// with `base` labels plus a `name` label. Entries are sorted by name
-/// for stable output.
-pub fn render_named_counters_labeled(
-    family: &str,
-    help: &str,
-    base: &[(&str, &str)],
-    entries: &[(&str, u64)],
-) -> String {
-    let mut sorted: Vec<&(&str, u64)> = entries.iter().collect();
-    sorted.sort_by_key(|(n, _)| *n);
-    let mut out = format!("# HELP {family} {help}\n# TYPE {family} counter\n");
-    for (name, value) in sorted {
-        out.push_str(&format!(
-            "{family}{} {value}\n",
-            label_suffix(base, Some(("name", name)))
-        ));
-    }
-    out
+fn integer(v: u64) -> String {
+    v.to_string()
 }
 
 /// Render a named counter table (e.g. `Timers::counters`) as one family
 /// with a `name` label. Entries are sorted by name for stable output.
 pub fn render_named_counters(family: &str, help: &str, entries: &[(&str, u64)]) -> String {
-    render_named_counters_labeled(family, help, &[], entries)
+    render_family("counter", family, help, &[], Some("name"), entries, integer)
 }
 
-/// Render an integer gauge table as one family with `base` labels plus
-/// one per-entry label whose key is `label_key` (e.g. `tenant`):
-/// `family{base...,tenant="a"} 3`. Entries are sorted by label value
-/// for stable output. Gauges, unlike the counter families above, may
-/// legitimately go down between scrapes (queue depths, occupancy).
-pub fn render_named_gauges_labeled(
-    family: &str,
-    help: &str,
-    base: &[(&str, &str)],
-    label_key: &str,
-    entries: &[(&str, u64)],
-) -> String {
-    let mut sorted: Vec<&(&str, u64)> = entries.iter().collect();
-    sorted.sort_by_key(|(n, _)| *n);
-    let mut out = format!("# HELP {family} {help}\n# TYPE {family} gauge\n");
-    for (name, value) in sorted {
-        out.push_str(&format!(
-            "{family}{} {value}\n",
-            label_suffix(base, Some((label_key, name)))
-        ));
-    }
-    out
-}
-
-/// Render an integer gauge table keyed by one label (see
-/// [`render_named_gauges_labeled`]).
+/// Render an integer gauge table as one family with one per-entry label
+/// whose key is `label_key` (e.g. `tenant`): `family{tenant="a"} 3`.
+/// Entries are sorted by label value for stable output. Gauges, unlike
+/// counters, may legitimately go down between scrapes (queue depths,
+/// occupancy).
 pub fn render_named_gauges(
     family: &str,
     help: &str,
     label_key: &str,
     entries: &[(&str, u64)],
 ) -> String {
-    render_named_gauges_labeled(family, help, &[], label_key, entries)
+    render_family(
+        "gauge",
+        family,
+        help,
+        &[],
+        Some(label_key),
+        entries,
+        integer,
+    )
 }
 
 /// Render a single unlabeled integer gauge sample.
 pub fn render_gauge(family: &str, help: &str, value: u64) -> String {
-    format!("# HELP {family} {help}\n# TYPE {family} gauge\n{family} {value}\n")
+    render_family("gauge", family, help, &[], None, &[("", value)], integer)
 }
 
-/// Render a phase/kernel seconds table as a gauge family with `base`
-/// labels plus a `name` label, in fixed 9-decimal notation so output
-/// never depends on float shortest-representation quirks.
-pub fn render_phase_seconds_labeled(
-    family: &str,
-    help: &str,
-    base: &[(&str, &str)],
-    entries: &[(&str, f64)],
-) -> String {
-    let mut sorted: Vec<&(&str, f64)> = entries.iter().collect();
-    sorted.sort_by_key(|(n, _)| *n);
-    let mut out = format!("# HELP {family} {help}\n# TYPE {family} gauge\n");
-    for (name, secs) in sorted {
-        out.push_str(&format!(
-            "{family}{} {secs:.9}\n",
-            label_suffix(base, Some(("name", name)))
-        ));
-    }
-    out
-}
-
-/// One-call exposition of a run's counter surfaces — traffic, named
-/// event counters, and phase seconds — with every sample tagged by
-/// `base` labels (e.g. `[("instance", "m17"), ("tenant", "a")]`). The
-/// ensemble server scrapes one of these per instance and concatenates;
-/// label disjointness keeps the families merge-safe.
+/// One-call exposition of a run's counter surfaces, every sample tagged
+/// by `base` labels (e.g. `[("instance", "m17"), ("tenant", "a")]`):
+/// one `mpi_traffic_<field>_total` counter family per `mpi-sim` traffic
+/// field, the named event counters as `model_counter_total{name=..}`, and
+/// the phase seconds as the `model_phase_seconds{name=..}` gauge in fixed
+/// 9-decimal notation (so output never depends on float
+/// shortest-representation quirks). The ensemble server scrapes one of
+/// these per instance and concatenates; label disjointness keeps the
+/// families merge-safe.
 pub fn render_prometheus_labeled(
     traffic: &TrafficSnapshot,
     counters: &[(&str, u64)],
     phases: &[(&str, f64)],
     base: &[(&str, &str)],
 ) -> String {
-    let mut out = render_traffic_labeled(traffic, base);
-    out.push_str(&render_named_counters_labeled(
+    let mut out = String::new();
+    for (field, value) in traffic.fields() {
+        out.push_str(&render_family(
+            "counter",
+            &format!("mpi_traffic_{field}_total"),
+            &format!("Cumulative mpi-sim {} counter.", field.replace('_', " ")),
+            base,
+            None,
+            &[("", value)],
+            integer,
+        ));
+    }
+    out.push_str(&render_family(
+        "counter",
         "model_counter_total",
         "Named model event counters (licom::Timers).",
         base,
+        Some("name"),
         counters,
+        integer,
     ));
-    out.push_str(&render_phase_seconds_labeled(
+    out.push_str(&render_family(
+        "gauge",
         "model_phase_seconds",
         "Accumulated wall seconds per model phase timer.",
         base,
+        Some("name"),
         phases,
+        |secs| format!("{secs:.9}"),
     ));
     out
 }
@@ -203,9 +177,10 @@ mod tests {
             p2p_messages: 7,
             ..Default::default()
         };
-        let text = render_traffic_labeled(&t, &[]);
+        let text = render_prometheus_labeled(&t, &[], &[], &[]);
         assert!(text.contains("mpi_traffic_p2p_messages_total 7"));
         assert!(text.contains("mpi_traffic_recv_timeouts_total 0"));
+        // Empty counter and phase tables leave only their headers.
         assert_eq!(
             text.lines().filter(|l| !l.starts_with('#')).count(),
             t.fields().len()
@@ -214,8 +189,8 @@ mod tests {
 
     #[test]
     fn phase_seconds_fixed_notation() {
-        let text = render_phase_seconds_labeled("p_seconds", "h", &[], &[("eos", 0.5)]);
-        assert!(text.contains("p_seconds{name=\"eos\"} 0.500000000"));
+        let text = render_prometheus_labeled(&Default::default(), &[], &[("eos", 0.5)], &[]);
+        assert!(text.contains("model_phase_seconds{name=\"eos\"} 0.500000000"));
     }
 
     #[test]

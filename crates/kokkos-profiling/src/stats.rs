@@ -1,12 +1,13 @@
-//! Lock-sharded aggregation tables.
+//! Lock-sharded aggregation table.
 //!
 //! Hook callbacks arrive concurrently from every rank thread and from
 //! rayon workers, so a single `Mutex<HashMap>` would serialize all of
 //! them. [`StatsTable`] shards the map 16 ways by key hash: two threads
 //! recording different kernels almost never touch the same lock. The
 //! table is generic over the key so the same machinery backs the
-//! profiler's `(kernel, space)` table, the region table, and
-//! `licom::Timers` (keyed by `&'static str`).
+//! profiler's `(kernel, space)`, space, region and deep-copy tables.
+//! [`Stat`] is also the per-name aggregate of `licom::Timers`, which one
+//! model owns and keeps in a plain map.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -35,7 +36,8 @@ impl Stat {
         self.total_ns as f64 * 1e-9
     }
 
-    fn fold(&mut self, dur_ns: u64, bytes: u64, work_items: u64) {
+    /// Fold one sample in.
+    pub fn fold(&mut self, dur_ns: u64, bytes: u64, work_items: u64) {
         self.count += 1;
         self.total_ns += dur_ns;
         self.max_ns = self.max_ns.max(dur_ns);
@@ -45,8 +47,9 @@ impl Stat {
 }
 
 fn shard_of<K: Hash>(key: &K) -> usize {
-    // FNV-1a over the key's std hash: cheap and stable enough to spread
-    // a handful of static strings across 16 shards.
+    // std's `DefaultHasher` (SipHash), high half folded into the low: cheap
+    // and stable enough to spread a handful of static strings across 16
+    // shards.
     let mut h = std::collections::hash_map::DefaultHasher::new();
     key.hash(&mut h);
     let x = h.finish();
@@ -97,70 +100,6 @@ impl<K: Eq + Hash + Clone> StatsTable<K> {
         out
     }
 
-    /// Sum of `total_ns` across all keys.
-    pub fn grand_total_ns(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().values().map(|v| v.total_ns).sum::<u64>())
-            .sum()
-    }
-
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-    }
-}
-
-/// Concurrent key → `u64` counter map with the same sharding scheme;
-/// backs `licom::Timers::add_count`.
-pub struct CounterTable<K: Eq + Hash + Clone> {
-    shards: [Mutex<HashMap<K, u64>>; SHARDS],
-}
-
-impl<K: Eq + Hash + Clone> Default for CounterTable<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Eq + Hash + Clone> CounterTable<K> {
-    pub fn new() -> Self {
-        Self {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
-
-    pub fn add(&self, key: K, n: u64) {
-        *self.shards[shard_of(&key)].lock().entry(key).or_insert(0) += n;
-    }
-
-    pub fn get(&self, key: &K) -> u64 {
-        self.shards[shard_of(key)]
-            .lock()
-            .get(key)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    pub fn snapshot(&self) -> Vec<(K, u64)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for (k, v) in shard.lock().iter() {
-                out.push((k.clone(), *v));
-            }
-        }
-        out
-    }
-
     pub fn clear(&self) {
         for shard in &self.shards {
             shard.lock().clear();
@@ -187,15 +126,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_grand_total_cover_all_shards() {
+    fn snapshot_and_clear_cover_all_shards() {
         let t: StatsTable<u64> = StatsTable::new();
         for k in 0..100u64 {
             t.record(k, k, 0, 0);
         }
-        assert_eq!(t.len(), 100);
-        assert_eq!(t.grand_total_ns(), (0..100).sum::<u64>());
         let snap = t.snapshot();
         assert_eq!(snap.len(), 100);
+        let total: u64 = snap.iter().map(|(_, s)| s.total_ns).sum();
+        assert_eq!(total, (0..100).sum::<u64>());
+        t.clear();
+        assert!(t.snapshot().is_empty());
+        assert_eq!(t.get(&7), None);
     }
 
     #[test]
@@ -215,15 +157,5 @@ mod tests {
         }
         let total: u64 = t.snapshot().iter().map(|(_, s)| s.count).sum();
         assert_eq!(total, 8000);
-    }
-
-    #[test]
-    fn counters_accumulate_and_clear() {
-        let c: CounterTable<&'static str> = CounterTable::new();
-        c.add("wet_cells", 5);
-        c.add("wet_cells", 7);
-        assert_eq!(c.get(&"wet_cells"), 12);
-        c.clear();
-        assert_eq!(c.get(&"wet_cells"), 0);
     }
 }

@@ -9,57 +9,31 @@
 //! buffer-pool allocations vs reuses, so a run can show its steady-state
 //! allocation profile next to its time profile.
 //!
-//! Internally the aggregation lives in `kokkos-profiling`'s lock-sharded
-//! [`StatsTable`]/[`CounterTable`] — the same machinery behind the
-//! profiler's kernel tables — and every `start`/`stop` additionally
-//! pushes/pops a Kokkos profiling **region** of the same name, so when a
-//! profiler is attached the model's phase structure appears in the
-//! chrome trace with kernels nested inside their phases. With no
-//! profiler attached the region calls are a single atomic load.
+//! One `Model` owns its `Timers` and changes them only through `&mut self`,
+//! so they are plain ordered maps: a lookup is one `get`, and counters come
+//! out sorted by name. Every `start`/`stop` also pushes/pops a Kokkos
+//! profiling **region** of the same name, so when a profiler is attached
+//! the model's phase structure appears in the chrome trace with kernels
+//! nested inside their phases. With no profiler attached the region calls
+//! are a single atomic load.
 
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::collections::BTreeMap;
+use std::time::Instant;
 
-use kokkos_profiling::{CounterTable, StatsTable};
+use kokkos_profiling::Stat;
 use kokkos_rs::profiling as hooks;
 
-/// One timer's accumulated statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TimerStat {
-    pub calls: u64,
-    pub total: Duration,
-    pub max: Duration,
-}
-
 /// A set of named accumulating timers and counters.
+#[derive(Debug, Default)]
 pub struct Timers {
-    stats: StatsTable<&'static str>,
-    counters: CounterTable<&'static str>,
-    running: HashMap<&'static str, Instant>,
-}
-
-impl Default for Timers {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for Timers {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Timers")
-            .field("timers", &self.stats.len())
-            .field("running", &self.running.keys().collect::<Vec<_>>())
-            .finish()
-    }
+    stats: BTreeMap<&'static str, Stat>,
+    counters: BTreeMap<&'static str, u64>,
+    running: BTreeMap<&'static str, Instant>,
 }
 
 impl Timers {
     pub fn new() -> Self {
-        Self {
-            stats: StatsTable::new(),
-            counters: CounterTable::new(),
-            running: HashMap::new(),
-        }
+        Self::default()
     }
 
     /// Start timer `name` (GPTL `GPTLstart`). Also opens a profiling
@@ -77,7 +51,10 @@ impl Timers {
             .remove(name)
             .unwrap_or_else(|| panic!("timer '{name}' stopped without start"));
         let dt = t0.elapsed();
-        self.stats.record(name, dt.as_nanos() as u64, 0, 0);
+        self.stats
+            .entry(name)
+            .or_default()
+            .fold(dt.as_nanos() as u64, 0, 0);
         hooks::pop_region(name);
     }
 
@@ -91,67 +68,33 @@ impl Timers {
 
     /// Accumulated seconds of `name` (0 if never stopped).
     pub fn seconds(&self, name: &str) -> f64 {
-        // Keys are &'static str but lookups may arrive as &str; the
-        // snapshot path below keeps the borrowed-key lookup working
-        // without a HashMap borrow trick through the sharded table.
-        self.stats
-            .snapshot()
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, s)| s.total_ns as f64 * 1e-9)
-            .unwrap_or(0.0)
+        self.stats.get(name).map_or(0.0, Stat::total_seconds)
     }
 
     /// Call count of `name`.
     pub fn calls(&self, name: &str) -> u64 {
-        self.stats
-            .snapshot()
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, s)| s.count)
-            .unwrap_or(0)
+        self.stats.get(name).map_or(0, |s| s.count)
     }
 
     /// Accumulate `delta` into counter `name`.
     pub fn add_count(&mut self, name: &'static str, delta: u64) {
-        self.counters.add(name, delta);
+        *self.counters.entry(name).or_insert(0) += delta;
     }
 
     /// Current value of counter `name` (0 if never touched).
     pub fn count(&self, name: &str) -> u64 {
-        self.counters
-            .snapshot()
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, c)| *c)
-            .unwrap_or(0)
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// All counters, sorted by name.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut v = self.counters.snapshot();
-        v.sort_by_key(|e| e.0);
-        v
+        self.counters.iter().map(|(k, v)| (*k, *v)).collect()
     }
 
-    /// All stats, sorted by descending total time.
-    pub fn sorted(&self) -> Vec<(&'static str, TimerStat)> {
-        let mut v: Vec<(&'static str, TimerStat)> = self
-            .stats
-            .snapshot()
-            .into_iter()
-            .map(|(k, s)| {
-                (
-                    k,
-                    TimerStat {
-                        calls: s.count,
-                        total: Duration::from_nanos(s.total_ns),
-                        max: Duration::from_nanos(s.max_ns),
-                    },
-                )
-            })
-            .collect();
-        v.sort_by_key(|e| std::cmp::Reverse(e.1.total));
+    /// Every timer, heaviest first (ties by name).
+    fn heaviest_first(&self) -> Vec<(&'static str, &Stat)> {
+        let mut v: Vec<_> = self.stats.iter().map(|(k, s)| (*k, s)).collect();
+        v.sort_by_key(|(_, s)| std::cmp::Reverse(s.total_ns));
         v
     }
 
@@ -159,9 +102,9 @@ impl Timers {
     /// a [`kokkos_profiling::PhaseProfile`], `daily_loop` (which encloses
     /// the phases) included.
     pub fn phase_seconds(&self) -> Vec<(&'static str, f64)> {
-        self.sorted()
+        self.heaviest_first()
             .into_iter()
-            .map(|(name, s)| (name, s.total.as_secs_f64()))
+            .map(|(name, s)| (name, s.total_seconds()))
             .collect()
     }
 
@@ -171,19 +114,18 @@ impl Timers {
             "{:<24} {:>10} {:>12} {:>12}\n",
             "timer", "calls", "total (s)", "max (ms)"
         );
-        for (name, s) in self.sorted() {
+        for (name, s) in self.heaviest_first() {
             out.push_str(&format!(
                 "{:<24} {:>10} {:>12.4} {:>12.3}\n",
                 name,
-                s.calls,
-                s.total.as_secs_f64(),
-                s.max.as_secs_f64() * 1e3
+                s.count,
+                s.total_seconds(),
+                s.max_ns as f64 * 1e-6
             ));
         }
-        let counters = self.counters();
-        if !counters.is_empty() {
+        if !self.counters.is_empty() {
             out.push_str(&format!("{:<24} {:>16}\n", "counter", "value"));
-            for (name, c) in counters {
+            for (name, c) in &self.counters {
                 out.push_str(&format!("{name:<24} {c:>16}\n"));
             }
         }
@@ -205,6 +147,7 @@ impl Timers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn accumulates_calls_and_time() {
@@ -216,15 +159,6 @@ mod tests {
         assert!(t.seconds("work") >= 0.005);
         assert_eq!(t.calls("absent"), 0);
         assert_eq!(t.seconds("absent"), 0.0);
-    }
-
-    #[test]
-    fn sorted_by_total() {
-        let mut t = Timers::new();
-        t.time("fast", || {});
-        t.time("slow", || std::thread::sleep(Duration::from_millis(5)));
-        let order: Vec<&str> = t.sorted().iter().map(|(n, _)| *n).collect();
-        assert_eq!(order[0], "slow");
     }
 
     #[test]
@@ -276,15 +210,18 @@ mod tests {
     }
 
     #[test]
-    fn phase_seconds_mirror_sorted() {
+    fn phase_seconds_heaviest_first() {
         let mut t = Timers::new();
+        t.time("fast", || {});
         t.time("barotropic", || {
-            std::thread::sleep(Duration::from_millis(1))
+            std::thread::sleep(Duration::from_millis(5))
         });
         let phases = t.phase_seconds();
-        assert_eq!(phases.len(), 1);
+        assert_eq!(phases.len(), 2);
         assert_eq!(phases[0].0, "barotropic");
-        assert!(phases[0].1 > 0.0);
+        assert_eq!(phases[0].1, t.seconds("barotropic"));
+        assert!(phases[0].1 >= 0.005);
+        assert_eq!(phases[1].0, "fast");
     }
 
     #[test]

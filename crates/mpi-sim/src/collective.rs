@@ -208,7 +208,7 @@ impl Comm {
     pub fn barrier(&self) {
         let sh = self.shared();
         if self.rank() == 0 {
-            sh.traffic.record_barrier();
+            sh.traffic.add(|t| &t.barriers, 1);
         }
         if self.has_view() {
             let _ = self.view_allgather(vec![0u8]);
@@ -229,10 +229,12 @@ impl Comm {
     /// failure-aware callers use [`Comm::try_allgather`].
     pub fn allgather<T: Clone + Send + 'static>(&self, value: Vec<T>) -> Vec<Vec<T>> {
         let sh = self.shared();
-        sh.traffic
-            .record_collective_entry(value.len() * std::mem::size_of::<T>());
+        sh.traffic.add(
+            |t| &t.collective_bytes,
+            value.len() * std::mem::size_of::<T>(),
+        );
         if self.rank() == 0 {
-            sh.traffic.record_collective_op();
+            sh.traffic.add(|t| &t.collectives, 1);
         }
         if self.has_view() {
             return self.view_allgather(value);

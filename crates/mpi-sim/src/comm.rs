@@ -147,7 +147,7 @@ impl WorldShared {
             .compare_exchange(u64::MAX, epoch, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
         {
-            self.traffic.record_rank_death();
+            self.traffic.add(|t| &t.rank_deaths, 1);
             // Black-box the death itself. Registry-direct: this runs on
             // whichever thread noticed the fault firing, with no
             // thread-local scope guaranteed.
@@ -302,7 +302,7 @@ impl Comm {
         let dst = self.wr(dst);
         let tag = self.wt(tag);
         if self.shared.is_dead(self.world_rank) || self.shared.is_dead(dst) {
-            self.shared.traffic.record_send_suppressed();
+            self.shared.traffic.add(|t| &t.sends_suppressed, 1);
             return;
         }
         let bytes = data.len() * std::mem::size_of::<T>();
@@ -330,14 +330,14 @@ impl Comm {
         let dst = self.wr(dst);
         let tag = self.wt(tag);
         if self.shared.is_dead(self.world_rank) || self.shared.is_dead(dst) {
-            self.shared.traffic.record_send_suppressed();
+            self.shared.traffic.add(|t| &t.sends_suppressed, 1);
             return;
         }
         let mut buf = self.shared.pools[self.world_rank].acquire(len, &self.shared.traffic);
         fill(&mut buf);
         let bytes = len * std::mem::size_of::<f64>();
         self.shared.traffic.record_p2p(bytes);
-        self.shared.traffic.record_pooled_bytes(bytes);
+        self.shared.traffic.add(|t| &t.pooled_bytes, bytes);
         self.tap_event(CommEventKind::Send, dst, tag, bytes as u64);
         self.deliver(dst, tag, Payload::PooledF64(buf));
     }
@@ -368,20 +368,20 @@ impl Comm {
         match fs.decide(self.world_rank, dst, tag, epoch) {
             None => self.push_message(dst, tag, Payload::PooledF64(data)),
             Some(Action::Drop { recoverable }) => {
-                t.record_fault_dropped();
+                t.add(|t| &t.faults_dropped, 1);
                 self.tap_event(CommEventKind::FaultDropped, dst, tag, 0);
                 if recoverable {
                     fs.park(self.world_rank, dst, tag, data);
                 }
             }
             Some(Action::Duplicate) => {
-                t.record_fault_duplicated();
+                t.add(|t| &t.faults_duplicated, 1);
                 self.tap_event(CommEventKind::FaultDuplicated, dst, tag, 0);
                 self.push_message(dst, tag, Payload::PooledF64(data.clone()));
                 self.push_message(dst, tag, Payload::PooledF64(data));
             }
             Some(Action::Delay { sends }) => {
-                t.record_fault_delayed();
+                t.add(|t| &t.faults_delayed, 1);
                 self.tap_event(CommEventKind::FaultDelayed, dst, tag, 0);
                 // Escrow a pristine copy too: if the receiver gives up
                 // before the delayed frame lands, it can still resync.
@@ -391,7 +391,7 @@ impl Comm {
             Some(Action::BitFlip { word_hash, bit }) => {
                 let mut data = data;
                 if !data.is_empty() {
-                    t.record_fault_bitflipped();
+                    t.add(|t| &t.faults_bitflipped, 1);
                     self.tap_event(CommEventKind::FaultBitflipped, dst, tag, 0);
                     fs.park(self.world_rank, dst, tag, data.clone());
                     let w = (word_hash % data.len() as u64) as usize;
@@ -400,7 +400,7 @@ impl Comm {
                 self.push_message(dst, tag, Payload::PooledF64(data));
             }
             Some(Action::Truncate { drop_words }) => {
-                t.record_fault_truncated();
+                t.add(|t| &t.faults_truncated, 1);
                 self.tap_event(CommEventKind::FaultTruncated, dst, tag, 0);
                 fs.park(self.world_rank, dst, tag, data.clone());
                 let mut data = data;
@@ -636,7 +636,7 @@ impl Comm {
                 return Ok(msg);
             }
             if self.shared.is_dead(src) {
-                self.shared.traffic.record_peer_dead_error();
+                self.shared.traffic.add(|t| &t.peer_dead_errors, 1);
                 flight::record(FlightEventKind::PeerDead, src as u64, tag, 0);
                 return Err(CommError::PeerDead { peer: src, tag });
             }
@@ -651,7 +651,7 @@ impl Comm {
             }
             let now = Instant::now();
             if now >= deadline {
-                self.shared.traffic.record_recv_timeout();
+                self.shared.traffic.add(|t| &t.recv_timeouts, 1);
                 self.tap_event(CommEventKind::RecvTimeout, src, tag, 0);
                 return Err(CommError::Timeout {
                     src,
@@ -712,7 +712,7 @@ impl Comm {
                 return; // the dead don't stall
             }
             if let Some(millis) = fs.stall_for(self.world_rank, epoch) {
-                self.shared.traffic.record_rank_stall();
+                self.shared.traffic.add(|t| &t.rank_stalls, 1);
                 std::thread::sleep(Duration::from_millis(millis));
             }
         }
@@ -768,12 +768,12 @@ impl Comm {
 
     /// Record that a receiver rejected a frame (bad CRC/header/length).
     pub fn note_crc_failure(&self) {
-        self.shared.traffic.record_crc_failure();
+        self.shared.traffic.add(|t| &t.crc_failures, 1);
     }
 
     /// Record that a receiver retried a strip (corrupt frame or timeout).
     pub fn note_halo_retry(&self) {
-        self.shared.traffic.record_halo_retry();
+        self.shared.traffic.add(|t| &t.halo_retries, 1);
     }
 
     /// Non-blocking send. With an in-process buffered transport this is the

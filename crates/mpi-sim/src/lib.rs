@@ -15,8 +15,8 @@
 //! * [`cart::CartComm`] — the 2-D block decomposition used by LICOM,
 //!   including zonal periodicity and the tripolar **north-fold** neighbor
 //!   mapping;
-//! * [`stats::Traffic`] — byte/message counters feeding the `perf-model`
-//!   crate's alpha-beta network model.
+//! * [`stats::Traffic`] — one world's message, byte, pool and fault
+//!   counters, shared by every rank.
 //!
 //! The halo-exchange and model code is written against this API exactly as
 //! the paper's code is written against MPI; only the transport differs.

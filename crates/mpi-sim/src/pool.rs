@@ -34,13 +34,13 @@ impl BufferPool {
             .map(|(pos, _)| pos);
         if let Some(pos) = fit {
             let mut buf = free.swap_remove(pos);
-            traffic.record_pool_reuse();
+            traffic.add(|t| &t.pool_reuses, 1);
             buf.clear();
             buf.resize(len, 0.0);
             return buf;
         }
         drop(free);
-        traffic.record_pool_allocation();
+        traffic.add(|t| &t.pool_allocations, 1);
         vec![0.0; len]
     }
 

@@ -1,127 +1,117 @@
 //! Communication traffic accounting.
 //!
-//! The performance model needs message counts and byte volumes per rank to
-//! feed its alpha-beta network model (latency per message + bytes over
-//! bandwidth), and the paper's scalability analysis (§VII-D reason 3:
-//! "communication overhead ... substantially increases") is quantified from
-//! exactly these numbers.
+//! The performance model needs message counts and byte volumes to feed its
+//! alpha-beta network model (latency per message + bytes over bandwidth),
+//! and the paper's scalability analysis (§VII-D reason 3: "communication
+//! overhead ... substantially increases") is quantified from exactly these
+//! numbers.
+//!
+//! The counter list is written once, in the `counters!` invocation below:
+//! it declares [`Traffic`], [`TrafficSnapshot`], [`Traffic::snapshot`],
+//! [`TrafficSnapshot::fields`] and [`TrafficSnapshot::delta`] together, so
+//! a new counter cannot be left out of one of them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shared, lock-free traffic counters for one world. All ranks update the
-/// same instance; snapshot after the run with [`Traffic::snapshot`].
-#[derive(Debug, Default)]
-pub struct Traffic {
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Shared, lock-free traffic counters for one world. All ranks update
+        /// the same instance through [`Traffic::add`]; snapshot after the run
+        /// with [`Traffic::snapshot`].
+        #[derive(Debug, Default)]
+        pub struct Traffic {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// Plain-data snapshot of [`Traffic`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct TrafficSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        const COUNTERS: usize = [$(stringify!($name)),*].len();
+
+        impl Traffic {
+            /// Copy the counters out.
+            pub fn snapshot(&self) -> TrafficSnapshot {
+                TrafficSnapshot { $($name: self.$name.load(Ordering::Relaxed),)* }
+            }
+        }
+
+        impl TrafficSnapshot {
+            /// Every counter as a `(name, value)` pair in declaration order —
+            /// the enumeration the Prometheus exposition walks, so a new
+            /// counter flows through without touching it.
+            pub fn fields(&self) -> [(&'static str, u64); COUNTERS] {
+                [$((stringify!($name), self.$name),)*]
+            }
+
+            /// Field-wise `self − earlier`, saturating at zero. The counters
+            /// are monotone over a world's lifetime, so windowed accounting
+            /// (e.g. per-resilient-run deltas in `licom::checkpoint`) must
+            /// subtract a baseline snapshot rather than re-publish lifetime
+            /// totals.
+            pub fn delta(&self, earlier: &TrafficSnapshot) -> TrafficSnapshot {
+                TrafficSnapshot { $($name: self.$name.saturating_sub(earlier.$name),)* }
+            }
+        }
+    };
+}
+
+counters! {
     /// Point-to-point messages sent.
-    pub p2p_messages: AtomicU64,
+    p2p_messages,
     /// Point-to-point payload bytes sent.
-    pub p2p_bytes: AtomicU64,
+    p2p_bytes,
     /// Collective operations entered (counted once per op, not per rank).
-    pub collectives: AtomicU64,
+    collectives,
     /// Payload bytes contributed to collectives, summed over ranks.
-    pub collective_bytes: AtomicU64,
+    collective_bytes,
     /// Barriers crossed (counted once per barrier).
-    pub barriers: AtomicU64,
+    barriers,
     /// Message buffers the pool had to heap-allocate (pool misses). A
     /// steady-state time step should leave this unchanged — that is the
     /// zero-allocation claim, and tests assert it via snapshot deltas.
-    pub pool_allocations: AtomicU64,
+    pool_allocations,
     /// Message buffers served from the pool's free list (pool hits).
-    pub pool_reuses: AtomicU64,
+    pool_reuses,
     /// Payload bytes that traveled through pooled buffers.
-    pub pooled_bytes: AtomicU64,
+    pooled_bytes,
     // -- fault injection (what the plan did to the wire) -------------------
     /// Messages discarded by a drop rule.
-    pub faults_dropped: AtomicU64,
+    faults_dropped,
     /// Messages delivered twice by a duplicate rule.
-    pub faults_duplicated: AtomicU64,
+    faults_duplicated,
     /// Messages held back (reordered) by a delay rule.
-    pub faults_delayed: AtomicU64,
+    faults_delayed,
     /// Messages with one payload bit flipped.
-    pub faults_bitflipped: AtomicU64,
+    faults_bitflipped,
     /// Messages with trailing payload words chopped off.
-    pub faults_truncated: AtomicU64,
+    faults_truncated,
     /// Simulated rank stalls entered.
-    pub rank_stalls: AtomicU64,
+    rank_stalls,
     // -- detection and recovery (what the receivers did about it) ----------
     /// Integrity-framed messages rejected on receive (bad CRC, bad header,
     /// wrong length).
-    pub crc_failures: AtomicU64,
+    crc_failures,
     /// Receive attempts that had to be retried (corrupt frame or timeout).
-    pub halo_retries: AtomicU64,
+    halo_retries,
     /// Pristine payloads served from the retransmission escrow.
-    pub resends_served: AtomicU64,
+    resends_served,
     /// Bytes served from the retransmission escrow.
-    pub resend_bytes: AtomicU64,
+    resend_bytes,
     /// Bounded receives that expired without a matching message.
-    pub recv_timeouts: AtomicU64,
+    recv_timeouts,
     // -- rank failure (fail-stop deaths and their fallout) ------------------
     /// Ranks that halted permanently (fail-stop, counted once per death).
-    pub rank_deaths: AtomicU64,
+    rank_deaths,
     /// Receives that returned `PeerDead` instead of blocking forever.
-    pub peer_dead_errors: AtomicU64,
+    peer_dead_errors,
     /// Sends silently suppressed because an endpoint was dead.
-    pub sends_suppressed: AtomicU64,
-}
-
-/// Plain-data snapshot of [`Traffic`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrafficSnapshot {
-    pub p2p_messages: u64,
-    pub p2p_bytes: u64,
-    pub collectives: u64,
-    pub collective_bytes: u64,
-    pub barriers: u64,
-    pub pool_allocations: u64,
-    pub pool_reuses: u64,
-    pub pooled_bytes: u64,
-    pub faults_dropped: u64,
-    pub faults_duplicated: u64,
-    pub faults_delayed: u64,
-    pub faults_bitflipped: u64,
-    pub faults_truncated: u64,
-    pub rank_stalls: u64,
-    pub crc_failures: u64,
-    pub halo_retries: u64,
-    pub resends_served: u64,
-    pub resend_bytes: u64,
-    pub recv_timeouts: u64,
-    pub rank_deaths: u64,
-    pub peer_dead_errors: u64,
-    pub sends_suppressed: u64,
+    sends_suppressed,
 }
 
 impl TrafficSnapshot {
-    /// Every counter as a `(name, value)` pair in declaration order — the
-    /// stable enumeration the exporters (Prometheus text exposition,
-    /// bench-gate JSON) walk so new counters flow through automatically.
-    pub fn fields(&self) -> [(&'static str, u64); 22] {
-        [
-            ("p2p_messages", self.p2p_messages),
-            ("p2p_bytes", self.p2p_bytes),
-            ("collectives", self.collectives),
-            ("collective_bytes", self.collective_bytes),
-            ("barriers", self.barriers),
-            ("pool_allocations", self.pool_allocations),
-            ("pool_reuses", self.pool_reuses),
-            ("pooled_bytes", self.pooled_bytes),
-            ("faults_dropped", self.faults_dropped),
-            ("faults_duplicated", self.faults_duplicated),
-            ("faults_delayed", self.faults_delayed),
-            ("faults_bitflipped", self.faults_bitflipped),
-            ("faults_truncated", self.faults_truncated),
-            ("rank_stalls", self.rank_stalls),
-            ("crc_failures", self.crc_failures),
-            ("halo_retries", self.halo_retries),
-            ("resends_served", self.resends_served),
-            ("resend_bytes", self.resend_bytes),
-            ("recv_timeouts", self.recv_timeouts),
-            ("rank_deaths", self.rank_deaths),
-            ("peer_dead_errors", self.peer_dead_errors),
-            ("sends_suppressed", self.sends_suppressed),
-        ]
-    }
-
     /// Total faults the plan injected into the message stream.
     pub fn faults_injected(&self) -> u64 {
         self.faults_dropped
@@ -130,163 +120,24 @@ impl TrafficSnapshot {
             + self.faults_bitflipped
             + self.faults_truncated
     }
-
-    /// Field-wise `self − earlier`, saturating at zero. The counters are
-    /// monotone over a world's lifetime, so windowed accounting (e.g.
-    /// per-resilient-run deltas in `licom::checkpoint`) must subtract a
-    /// baseline snapshot rather than re-publish lifetime totals.
-    pub fn delta(&self, earlier: &TrafficSnapshot) -> TrafficSnapshot {
-        TrafficSnapshot {
-            p2p_messages: self.p2p_messages.saturating_sub(earlier.p2p_messages),
-            p2p_bytes: self.p2p_bytes.saturating_sub(earlier.p2p_bytes),
-            collectives: self.collectives.saturating_sub(earlier.collectives),
-            collective_bytes: self
-                .collective_bytes
-                .saturating_sub(earlier.collective_bytes),
-            barriers: self.barriers.saturating_sub(earlier.barriers),
-            pool_allocations: self
-                .pool_allocations
-                .saturating_sub(earlier.pool_allocations),
-            pool_reuses: self.pool_reuses.saturating_sub(earlier.pool_reuses),
-            pooled_bytes: self.pooled_bytes.saturating_sub(earlier.pooled_bytes),
-            faults_dropped: self.faults_dropped.saturating_sub(earlier.faults_dropped),
-            faults_duplicated: self
-                .faults_duplicated
-                .saturating_sub(earlier.faults_duplicated),
-            faults_delayed: self.faults_delayed.saturating_sub(earlier.faults_delayed),
-            faults_bitflipped: self
-                .faults_bitflipped
-                .saturating_sub(earlier.faults_bitflipped),
-            faults_truncated: self
-                .faults_truncated
-                .saturating_sub(earlier.faults_truncated),
-            rank_stalls: self.rank_stalls.saturating_sub(earlier.rank_stalls),
-            crc_failures: self.crc_failures.saturating_sub(earlier.crc_failures),
-            halo_retries: self.halo_retries.saturating_sub(earlier.halo_retries),
-            resends_served: self.resends_served.saturating_sub(earlier.resends_served),
-            resend_bytes: self.resend_bytes.saturating_sub(earlier.resend_bytes),
-            recv_timeouts: self.recv_timeouts.saturating_sub(earlier.recv_timeouts),
-            rank_deaths: self.rank_deaths.saturating_sub(earlier.rank_deaths),
-            peer_dead_errors: self
-                .peer_dead_errors
-                .saturating_sub(earlier.peer_dead_errors),
-            sends_suppressed: self
-                .sends_suppressed
-                .saturating_sub(earlier.sends_suppressed),
-        }
-    }
 }
 
 impl Traffic {
+    /// Add `n` to one counter: `traffic.add(|t| &t.barriers, 1)`.
+    pub fn add(&self, counter: fn(&Self) -> &AtomicU64, n: usize) {
+        counter(self).fetch_add(n as u64, Ordering::Relaxed);
+    }
+
+    /// One point-to-point message of `bytes` payload.
     pub fn record_p2p(&self, bytes: usize) {
-        self.p2p_messages.fetch_add(1, Ordering::Relaxed);
-        self.p2p_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.add(|t| &t.p2p_messages, 1);
+        self.add(|t| &t.p2p_bytes, bytes);
     }
 
-    pub fn record_collective_entry(&self, bytes: usize) {
-        self.collective_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    pub fn record_collective_op(&self) {
-        self.collectives.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_barrier(&self) {
-        self.barriers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_pool_allocation(&self) {
-        self.pool_allocations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_pool_reuse(&self) {
-        self.pool_reuses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_pooled_bytes(&self, bytes: usize) {
-        self.pooled_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    pub fn record_fault_dropped(&self) {
-        self.faults_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_fault_duplicated(&self) {
-        self.faults_duplicated.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_fault_delayed(&self) {
-        self.faults_delayed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_fault_bitflipped(&self) {
-        self.faults_bitflipped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_fault_truncated(&self) {
-        self.faults_truncated.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_rank_stall(&self) {
-        self.rank_stalls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_crc_failure(&self) {
-        self.crc_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_halo_retry(&self) {
-        self.halo_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
+    /// One payload of `bytes` served from the retransmission escrow.
     pub fn record_resend_served(&self, bytes: usize) {
-        self.resends_served.fetch_add(1, Ordering::Relaxed);
-        self.resend_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    pub fn record_recv_timeout(&self) {
-        self.recv_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_rank_death(&self) {
-        self.rank_deaths.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_peer_dead_error(&self) {
-        self.peer_dead_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_send_suppressed(&self) {
-        self.sends_suppressed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copy the counters out.
-    pub fn snapshot(&self) -> TrafficSnapshot {
-        TrafficSnapshot {
-            p2p_messages: self.p2p_messages.load(Ordering::Relaxed),
-            p2p_bytes: self.p2p_bytes.load(Ordering::Relaxed),
-            collectives: self.collectives.load(Ordering::Relaxed),
-            collective_bytes: self.collective_bytes.load(Ordering::Relaxed),
-            barriers: self.barriers.load(Ordering::Relaxed),
-            pool_allocations: self.pool_allocations.load(Ordering::Relaxed),
-            pool_reuses: self.pool_reuses.load(Ordering::Relaxed),
-            pooled_bytes: self.pooled_bytes.load(Ordering::Relaxed),
-            faults_dropped: self.faults_dropped.load(Ordering::Relaxed),
-            faults_duplicated: self.faults_duplicated.load(Ordering::Relaxed),
-            faults_delayed: self.faults_delayed.load(Ordering::Relaxed),
-            faults_bitflipped: self.faults_bitflipped.load(Ordering::Relaxed),
-            faults_truncated: self.faults_truncated.load(Ordering::Relaxed),
-            rank_stalls: self.rank_stalls.load(Ordering::Relaxed),
-            crc_failures: self.crc_failures.load(Ordering::Relaxed),
-            halo_retries: self.halo_retries.load(Ordering::Relaxed),
-            resends_served: self.resends_served.load(Ordering::Relaxed),
-            resend_bytes: self.resend_bytes.load(Ordering::Relaxed),
-            recv_timeouts: self.recv_timeouts.load(Ordering::Relaxed),
-            rank_deaths: self.rank_deaths.load(Ordering::Relaxed),
-            peer_dead_errors: self.peer_dead_errors.load(Ordering::Relaxed),
-            sends_suppressed: self.sends_suppressed.load(Ordering::Relaxed),
-        }
+        self.add(|t| &t.resends_served, 1);
+        self.add(|t| &t.resend_bytes, bytes);
     }
 }
 
@@ -294,75 +145,104 @@ impl Traffic {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counters_accumulate() {
+    type Counter = fn(&Traffic) -> &AtomicU64;
+
+    /// Every counter, in declaration order, with the accessor the recording
+    /// path takes. Written out by hand so a counter the declaration drops
+    /// from one generated piece fails the test below.
+    const ALL: [(&str, Counter); 22] = [
+        ("p2p_messages", |t| &t.p2p_messages),
+        ("p2p_bytes", |t| &t.p2p_bytes),
+        ("collectives", |t| &t.collectives),
+        ("collective_bytes", |t| &t.collective_bytes),
+        ("barriers", |t| &t.barriers),
+        ("pool_allocations", |t| &t.pool_allocations),
+        ("pool_reuses", |t| &t.pool_reuses),
+        ("pooled_bytes", |t| &t.pooled_bytes),
+        ("faults_dropped", |t| &t.faults_dropped),
+        ("faults_duplicated", |t| &t.faults_duplicated),
+        ("faults_delayed", |t| &t.faults_delayed),
+        ("faults_bitflipped", |t| &t.faults_bitflipped),
+        ("faults_truncated", |t| &t.faults_truncated),
+        ("rank_stalls", |t| &t.rank_stalls),
+        ("crc_failures", |t| &t.crc_failures),
+        ("halo_retries", |t| &t.halo_retries),
+        ("resends_served", |t| &t.resends_served),
+        ("resend_bytes", |t| &t.resend_bytes),
+        ("recv_timeouts", |t| &t.recv_timeouts),
+        ("rank_deaths", |t| &t.rank_deaths),
+        ("peer_dead_errors", |t| &t.peer_dead_errors),
+        ("sends_suppressed", |t| &t.sends_suppressed),
+    ];
+
+    /// Counter `i` (declaration order) recorded to `scale * (i + 1)`.
+    fn distinct(scale: usize) -> Traffic {
         let t = Traffic::default();
-        t.record_p2p(100);
-        t.record_p2p(50);
-        t.record_barrier();
-        t.record_collective_op();
-        t.record_collective_entry(8);
-        t.record_collective_entry(8);
-        t.record_pool_allocation();
-        t.record_pool_reuse();
-        t.record_pool_reuse();
-        t.record_pooled_bytes(64);
-        let s = t.snapshot();
-        assert_eq!(s.p2p_messages, 2);
-        assert_eq!(s.p2p_bytes, 150);
-        assert_eq!(s.barriers, 1);
-        assert_eq!(s.collectives, 1);
-        assert_eq!(s.collective_bytes, 16);
-        assert_eq!(s.pool_allocations, 1);
-        assert_eq!(s.pool_reuses, 2);
-        assert_eq!(s.pooled_bytes, 64);
+        for (i, (_, counter)) in ALL.iter().enumerate() {
+            t.add(*counter, scale * (i + 1));
+        }
+        t
     }
 
     #[test]
-    fn fields_enumerate_every_counter() {
-        let t = Traffic::default();
-        t.record_p2p(100);
-        t.record_recv_timeout();
-        let s = t.snapshot();
+    fn every_counter_flows_through_snapshot_fields_and_delta() {
+        let s = distinct(1).snapshot();
+        assert_eq!(
+            s,
+            TrafficSnapshot {
+                p2p_messages: 1,
+                p2p_bytes: 2,
+                collectives: 3,
+                collective_bytes: 4,
+                barriers: 5,
+                pool_allocations: 6,
+                pool_reuses: 7,
+                pooled_bytes: 8,
+                faults_dropped: 9,
+                faults_duplicated: 10,
+                faults_delayed: 11,
+                faults_bitflipped: 12,
+                faults_truncated: 13,
+                rank_stalls: 14,
+                crc_failures: 15,
+                halo_retries: 16,
+                resends_served: 17,
+                resend_bytes: 18,
+                recv_timeouts: 19,
+                rank_deaths: 20,
+                peer_dead_errors: 21,
+                sends_suppressed: 22,
+            }
+        );
+        assert_eq!(s.faults_injected(), 9 + 10 + 11 + 12 + 13);
+
+        // Names unique (an exporter keys on them), in declaration order.
         let fields = s.fields();
-        assert_eq!(fields.len(), 22);
-        assert_eq!(fields[0], ("p2p_messages", 1));
-        assert_eq!(fields[1], ("p2p_bytes", 100));
-        assert_eq!(fields[18], ("recv_timeouts", 1));
-        assert_eq!(fields[21], ("sends_suppressed", 0));
-        // Names are unique — an exporter can key on them.
         let mut names: Vec<&str> = fields.iter().map(|(n, _)| *n).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 22);
+        assert_eq!(names.len(), ALL.len());
+        for (i, ((name, value), (want, _))) in fields.iter().zip(ALL).enumerate() {
+            assert_eq!((*name, *value), (want, i as u64 + 1));
+        }
+
+        // Field by field, saturating at zero.
+        let later = distinct(101).snapshot();
+        for (i, (_, value)) in later.delta(&s).fields().iter().enumerate() {
+            assert_eq!(*value, 100 * (i as u64 + 1));
+        }
+        assert_eq!(s.delta(&s), TrafficSnapshot::default());
+        assert_eq!(s.delta(&later), TrafficSnapshot::default());
     }
 
     #[test]
-    fn fault_counters_accumulate() {
+    fn pair_helpers_bump_count_and_bytes() {
         let t = Traffic::default();
-        t.record_fault_dropped();
-        t.record_fault_duplicated();
-        t.record_fault_delayed();
-        t.record_fault_bitflipped();
-        t.record_fault_bitflipped();
-        t.record_fault_truncated();
-        t.record_rank_stall();
-        t.record_crc_failure();
-        t.record_halo_retry();
+        t.record_p2p(100);
+        t.record_p2p(50);
         t.record_resend_served(128);
-        t.record_recv_timeout();
         let s = t.snapshot();
-        assert_eq!(s.faults_dropped, 1);
-        assert_eq!(s.faults_duplicated, 1);
-        assert_eq!(s.faults_delayed, 1);
-        assert_eq!(s.faults_bitflipped, 2);
-        assert_eq!(s.faults_truncated, 1);
-        assert_eq!(s.faults_injected(), 6);
-        assert_eq!(s.rank_stalls, 1);
-        assert_eq!(s.crc_failures, 1);
-        assert_eq!(s.halo_retries, 1);
-        assert_eq!(s.resends_served, 1);
-        assert_eq!(s.resend_bytes, 128);
-        assert_eq!(s.recv_timeouts, 1);
+        assert_eq!((s.p2p_messages, s.p2p_bytes), (2, 150));
+        assert_eq!((s.resends_served, s.resend_bytes), (1, 128));
     }
 }
