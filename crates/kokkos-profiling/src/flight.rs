@@ -14,7 +14,7 @@
 //!   one cross-rank stream ordered by `(lamport, rank, t_ns)`: a receive
 //!   always sorts after its send, whatever the wall clocks measured.
 //! * [`dump_postmortem`] / [`dump_on_failure`] — snapshot all reachable
-//!   rings into an atomic (tmp + fsync + rename) JSON bundle tagged
+//!   rings into an atomic ([`crate::durable::replace`]) JSON bundle tagged
 //!   [`FLIGHT_SCHEMA`]. Failure edges call [`dump_on_failure`], which
 //!   also enforces the one-bundle-per-incident claim.
 //! * [`read_bundle`] / [`validate_bundle`] — parse + schema-check a
@@ -24,7 +24,6 @@
 //!   opens in Perfetto next to an ordinary profiler trace.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once};
@@ -181,24 +180,15 @@ pub fn bundle_json(reason: &str, rings: &[Arc<FlightRing>]) -> Json {
     doc
 }
 
-/// Write a post-mortem bundle atomically: render to `<path>.tmp`, fsync,
-/// rename — a crash mid-dump never leaves a truncated bundle behind.
+/// Write a post-mortem bundle atomically ([`crate::durable::replace`]) — a
+/// crash mid-dump never leaves a truncated bundle behind.
 pub fn dump_postmortem(
     path: &Path,
     reason: &str,
     rings: &[Arc<FlightRing>],
 ) -> std::io::Result<()> {
     let doc = json::render(&bundle_json(reason, rings));
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(doc.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    crate::durable::replace(path, "json.tmp", doc.as_bytes())
 }
 
 /// A collision-free bundle path under `dir`: pid + process-wide sequence

@@ -21,6 +21,7 @@
 //! zero-allocation steady state is untouched.
 
 pub mod clock;
+pub mod durable;
 pub mod flight;
 pub mod imbalance;
 pub mod json;

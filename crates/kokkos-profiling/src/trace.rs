@@ -12,12 +12,12 @@
 //!
 //! `pid` is the simulated MPI rank and `tid` the emitting thread's track,
 //! so each rank renders as its own process row. The file is written
-//! atomically (tmp + rename) so a crash mid-run never leaves a truncated
-//! JSON behind, and events are sorted by `(pid, tid, ts)` before render —
-//! the validator in [`crate::json`] checks that invariant.
+//! atomically ([`crate::durable::replace`]) so a crash mid-run never
+//! leaves a truncated JSON behind, and events are sorted by
+//! `(pid, tid, ts)` before render — the validator in [`crate::json`]
+//! checks that invariant.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::Path;
 
 /// Track id used for a rank's communication events (kept distinct from
@@ -186,16 +186,9 @@ pub fn render(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Write the trace atomically: render to `<path>.tmp`, fsync, rename.
+/// Write the trace atomically ([`crate::durable::replace`]).
 pub fn write_atomic(path: &Path, events: &[TraceEvent]) -> std::io::Result<()> {
-    let doc = render(events);
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(doc.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    crate::durable::replace(path, "json.tmp", render(events).as_bytes())
 }
 
 #[cfg(test)]

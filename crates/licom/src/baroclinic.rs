@@ -22,8 +22,8 @@
 //! neighbours' wet masks are worked out once for the four fields that use
 //! them ([`lanes::wet_around`], [`lanes::free_slip`]), bottom drag is
 //! evaluated only for a block that holds a bottom cell and merged by select.
-//! The per-entry `operator` and the list tail are `W = 1`; list spans walk
-//! their runs in `LANES`-wide blocks. Measured, not
+//! The per-entry `operator` is `W = 1`; list spans walk their runs down
+//! the `LANES`, 4, 2, 1 ladder of [`crate::lanes`]. Measured, not
 //! modelled: 9.5 → 5.9 ms warm on 180×115×30, most of it from selects that
 //! blend instead of branch (EXPERIMENTS.md "Divide once"); how much of the
 //! scalar body's time was the divider itself was not isolated.
@@ -57,8 +57,8 @@ pub struct FunctorMomentumTend {
 
 impl RowKernel for FunctorMomentumTend {
     /// Tendency at the `W` points `(k, jl, il..il + W)`, **padded** indices
-    /// — the one body: the per-entry `operator` and the list tail are
-    /// `W = 1`. Dry lanes of a block store zeros.
+    /// — the one body: the per-entry `operator` is `W = 1`. Dry lanes of a
+    /// block store zeros.
     #[inline(always)]
     fn block<const W: usize>(&self, k: usize, jl: usize, il: usize) {
         let zero = F64x::<W>::splat(0.0);

@@ -420,6 +420,23 @@ pub fn register() {
     kernel_scale_assign_3();
 }
 
+/// The launches of a split substep over an `ny × nx` owned block (both at
+/// least 3): the interior, then the four rim strips. Both stencils have
+/// radius 1, so a cell at least one row and one column inside the block
+/// reads no ghost. The rim is the one-cell band around it: the first and
+/// last rows whole and, between them, the first and last columns. Every
+/// owned cell is in exactly one of the five.
+pub fn split_substep(ny: usize, nx: usize) -> (MDRangePolicy2, [MDRangePolicy2; 4]) {
+    let interior = MDRangePolicy2::new([ny - 2, nx - 2]).with_offset([1, 1]);
+    let rim = [
+        MDRangePolicy2::new([1, nx]),
+        MDRangePolicy2::new([1, nx]).with_offset([ny - 1, 0]),
+        MDRangePolicy2::new([ny - 2, 1]).with_offset([1, 0]),
+        MDRangePolicy2::new([ny - 2, 1]).with_offset([1, nx - 1]),
+    ];
+    (interior, rim)
+}
+
 /// Integrate the barotropic system over one leapfrog window (`2 dt_c`),
 /// starting from `state.eta[cur]`, `state.ubt`, `state.vbt`, forced by
 /// the depth-mean tendencies `gu`, `gv`. On return `state.eta[new]`,
@@ -432,7 +449,8 @@ pub fn register() {
 /// the halo waits on messages the substeps form a software pipeline: the
 /// `[n]`-level exchange is posted as one batched split-phase message set,
 /// the *next* substep's interior cells (reading no ghost) run, the exchange
-/// is finished and the boundary rim follows. `poster` says whether the
+/// is finished and the boundary rim follows ([`split_substep`]). `poster`
+/// says whether the
 /// exchange is in flight under the interior or was finished where it was
 /// posted. With self routes only (one rank) an exchange lands at its post,
 /// and a block with no interior (`ny` or `nx` below 3) has nothing to
@@ -538,22 +556,15 @@ pub fn integrate(
         };
         if step > 0 && split {
             // The exchange posted last substep covers this substep's
-            // `[c]` ghosts. Both stencils have radius 1, so cells at
-            // least one row/column inside the owned block read no
-            // ghost — they run before it is finished.
-            let interior = MDRangePolicy2::new([g.ny - 2, g.nx - 2]).with_offset([1, 1]);
+            // `[c]` ghosts; the interior reads none of them and runs
+            // before it is finished, the rim after.
+            let (interior, rim) = split_substep(g.ny, g.nx);
             parallel_for_2d(space, interior, &f_step);
             if let Some(p) = pend.take() {
                 let _r = kokkos_rs::profiling::region("bt:halo");
                 p.finish()?;
             }
-            // Boundary rim: the one-cell band around the owned block.
-            for rp in [
-                MDRangePolicy2::new([1, g.nx]),
-                MDRangePolicy2::new([1, g.nx]).with_offset([g.ny - 1, 0]),
-                MDRangePolicy2::new([g.ny - 2, 1]).with_offset([1, 0]),
-                MDRangePolicy2::new([g.ny - 2, 1]).with_offset([1, g.nx - 1]),
-            ] {
+            for rp in rim {
                 parallel_for_2d(space, rp, &f_step);
             }
         } else {

@@ -31,9 +31,9 @@
 //! dependent divides per interface; a [`LANES`](crate::lanes::LANES)-wide
 //! block runs eight such chains side by side, with the regime early-outs
 //! (`Ri < 0`, non-finite) and the per-column depth as lane selects. The
-//! packed-list launch walks runs of wet columns in such blocks; list
-//! tails, the cross-rank donor/receiver paths and the scalar
-//! [`stability_functions`] are the `W = 1` instantiation.
+//! packed-list launch walks runs of wet columns in such blocks, a run's
+//! remainder in blocks of 4, 2 and 1; the cross-rank donor/receiver paths
+//! and the scalar [`stability_functions`] are the `W = 1` instantiation.
 
 use kokkos_rs::{FunctorList, IterCost, View1, View2, View3};
 use mpi_sim::Comm;

@@ -22,7 +22,6 @@
 //! and never a hang. [`Model::run_steps_resilient`] and
 //! [`crate::elastic::run_elastic`] are its two callers.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -261,21 +260,13 @@ fn fields(m: &Model) -> Vec<(String, &[f64])> {
     fields
 }
 
-/// Write `m`'s image to `path` — tmp file, fsync, atomic rename: a crash at
-/// any point leaves either the old file or the new one, never a torn one.
-/// Returns the image's size in bytes.
+/// Write `m`'s image to `path` — tmp file, fsync, atomic rename, directory
+/// fsync ([`kokkos_profiling::durable::replace`]): a crash at any point
+/// leaves either the old file or the new one, never a torn one. Returns the
+/// image's size in bytes.
 fn write_image(m: &Model, path: &Path) -> Result<u64, CheckpointError> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
     let bytes = encode_fields(geometry(m), m.steps_taken(), &fields(m));
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
+    kokkos_profiling::durable::replace(path, "tmp", &bytes)?;
     Ok(bytes.len() as u64)
 }
 

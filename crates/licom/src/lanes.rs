@@ -13,9 +13,16 @@
 //! of `W = 1`), and ragged depths are handled by [`Mask`] selects and
 //! masked stores instead of branches.
 //!
+//! Every walker cuts a run the same way, a **ladder**: [`LANES`]-wide
+//! blocks while a whole one fits, then at most one block each of 4, 2 and 1
+//! lanes — the remainder's binary digits, widest first. A run of 15 is
+//! `8 + 4 + 2 + 1`: four blocks, where a scalar tail would be eight. On the
+//! small per-rank blocks of a strong-scaled run a third of the wet cells sit
+//! in such remainders (EXPERIMENTS.md "The ladder"). Each width is the same
+//! generic body, so every block leaves the bits of `W = 1`.
+//!
 //! [`run_span`] feeds such a body from a `ListPolicy` tile: maximal runs of
-//! consecutive packed indices in [`LANES`]-wide blocks, the `W = 1`
-//! instantiation as tail, each block announced one ahead to
+//! consecutive packed indices, each block announced one ahead to
 //! [`ColumnKernel::prefetch`] (the levels of a column block sit on a page
 //! each, which no hardware prefetcher follows for long). [`run_column`] is
 //! the per-entry path.
@@ -24,7 +31,7 @@
 //! substep, the leapfrog and Asselin streams) are the same idea turned
 //! sideways: a [`RowKernel`] body updates `W` points adjacent in `i` of one
 //! row, [`run_tile`] walks an MDRange policy tile with it
-//! (`lane_blocks!` is the walk itself, for bodies that stage through
+//! (`lane_blocks!` is the ladder itself, for bodies that stage through
 //! scratch between two sweeps of a row), and the
 //! per-point `operator` is the `W = 1` instantiation. The two stencils that
 //! run over packed wet cells (momentum tendency, tracer diffusion) are
@@ -439,6 +446,43 @@ fn with_scratch<R>(words: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     })
 }
 
+/// The ladder's rungs below [`LANES`] are `LANES / 2`, `/ 4` and `/ 8`; the
+/// last must be one lane, so every remainder is a sum of distinct rungs.
+const _: () = assert!(LANES.is_power_of_two() && LANES / 8 == 1);
+
+/// Walk `0..$n` in blocks: [`LANES`]-wide while a whole one fits, then at
+/// most one block each of `LANES / 2`, `/ 4` and `/ 8` (= 1) lanes — the
+/// binary digits of the remainder, widest first. `$body` runs with `$d` the
+/// block's offset and the constant `$W` its width, so it can name
+/// `kernel::<$W>` — once per width at compile time, which is what a
+/// `const`-generic closure would be.
+macro_rules! lane_blocks {
+    ($d:ident, $W:ident in $n:expr => $body:expr) => {{
+        let n: usize = $n;
+        let mut $d = 0;
+        while $d + $crate::lanes::LANES <= n {
+            const $W: usize = $crate::lanes::LANES;
+            $body;
+            $d += $W;
+        }
+        if $d + $crate::lanes::LANES / 2 <= n {
+            const $W: usize = $crate::lanes::LANES / 2;
+            $body;
+            $d += $W;
+        }
+        if $d + $crate::lanes::LANES / 4 <= n {
+            const $W: usize = $crate::lanes::LANES / 4;
+            $body;
+            $d += $W;
+        }
+        if $d < n {
+            const $W: usize = $crate::lanes::LANES / 8;
+            $body;
+        }
+    }};
+}
+pub(crate) use lane_blocks;
+
 /// The maximal runs `(row, il, len)` of consecutive packed indices
 /// `row · pi + il ..` in `entries` that stay inside one row, in list order.
 /// One div/mod per run instead of per entry.
@@ -468,11 +512,10 @@ impl Iterator for Runs<'_> {
     }
 }
 
-/// Run `kernel` over one list tile of packed columns `jl · pi + il`:
-/// [`LANES`]-wide blocks down each run, single columns for the tail. What
-/// follows a full block, and the run after the current one, is announced
-/// to [`ColumnKernel::prefetch`] one block ahead (the columns of a tail
-/// share their cache lines, so only the first of them is).
+/// Run `kernel` over one list tile of packed columns `jl · pi + il`, each
+/// run in the blocks of [`lane_blocks!`]. Whatever block comes next — in
+/// this run, or the first of the next run — is announced to
+/// [`ColumnKernel::prefetch`] before the current one is computed.
 #[inline]
 pub fn run_span<K: ColumnKernel>(isa: Isa, kernel: &K, pi: usize, entries: &[u32]) {
     isa.run_with_scratch(
@@ -483,24 +526,14 @@ pub fn run_span<K: ColumnKernel>(isa: Isa, kernel: &K, pi: usize, entries: &[u32
             let mut done = 0;
             for (jl, il, len) in runs(entries, pi) {
                 done += len;
-                let mut d = 0;
-                while d < len {
-                    let full = d + LANES <= len;
-                    let next = d + if full { LANES } else { 1 };
-                    if next == len {
-                        if let Some(&first) = entries.get(done) {
-                            kernel.prefetch(first as usize / pi, first as usize % pi);
-                        }
-                    } else if full {
-                        kernel.prefetch(jl, il + next);
+                lane_blocks!(d, W in len => {
+                    if d + W < len {
+                        kernel.prefetch(jl, il + d + W);
+                    } else if let Some(&first) = entries.get(done) {
+                        kernel.prefetch(first as usize / pi, first as usize % pi);
                     }
-                    if full {
-                        kernel.block::<LANES>(jl, il + d, scratch);
-                    } else {
-                        kernel.block::<1>(jl, il + d, scratch);
-                    }
-                    d = next;
-                }
+                    kernel.block::<W>(jl, il + d, scratch);
+                });
             }
         },
     );
@@ -515,28 +548,6 @@ pub fn run_column<K: ColumnKernel>(kernel: &K, pi: usize, packed: u32) {
         kernel.block::<1>(packed / pi, packed % pi, scratch);
     });
 }
-
-/// Walk `0..$n` in [`LANES`]-wide blocks and a single-lane tail: `$body`
-/// runs with `$d` the block's offset and the constant `$W` its width, so it
-/// can name `kernel::<$W>` — once per width at compile time, which is what
-/// a `const`-generic closure would be.
-macro_rules! lane_blocks {
-    ($d:ident, $W:ident in $n:expr => $body:expr) => {{
-        let n: usize = $n;
-        let mut $d = 0;
-        while $d + $crate::lanes::LANES <= n {
-            const $W: usize = $crate::lanes::LANES;
-            $body;
-            $d += $W;
-        }
-        while $d < n {
-            const $W: usize = 1;
-            $body;
-            $d += 1;
-        }
-    }};
-}
-pub(crate) use lane_blocks;
 
 /// A horizontal kernel written once: `block::<W>` updates the `W` points
 /// `(k, j, i..i + W)` (a 2-D kernel ignores `k`), in whichever coordinates
@@ -585,21 +596,125 @@ pub fn run_cells<K: RowKernel>(isa: Isa, kernel: &K, pj: usize, pi: usize, entri
 mod tests {
     use super::*;
 
-    #[test]
-    fn tiles_walk_rows_in_blocks_with_a_scalar_tail() {
-        struct Log(RefCell<Vec<(usize, usize, usize, usize)>>);
-        impl RowKernel for Log {
-            fn block<const W: usize>(&self, k: usize, j: usize, i: usize) {
-                self.0.borrow_mut().push((W, k, j, i));
-            }
+    /// Logs `(W, k, j, i)` per block.
+    struct Log(RefCell<Vec<(usize, usize, usize, usize)>>);
+    impl RowKernel for Log {
+        fn block<const W: usize>(&self, k: usize, j: usize, i: usize) {
+            self.0.borrow_mut().push((W, k, j, i));
         }
+    }
+
+    #[test]
+    fn tiles_walk_rows_down_the_ladder() {
         let log = Log(RefCell::new(Vec::new()));
-        run_tile(Isa::detect(), &log, [(3, 4), (5, 7), (2, 2 + LANES + 2)]);
-        let row = |j| [(LANES, 3, j, 2), (1, 3, j, 2 + LANES), (1, 3, j, 3 + LANES)];
+        run_tile(Isa::detect(), &log, [(3, 4), (5, 7), (2, 2 + LANES + 7)]);
+        let row = |j| {
+            [
+                (LANES, 3, j, 2),
+                (4, 3, j, 2 + LANES),
+                (2, 3, j, 6 + LANES),
+                (1, 3, j, 8 + LANES),
+            ]
+        };
         assert_eq!(*log.0.borrow(), [row(5), row(6)].concat());
         log.0.borrow_mut().clear();
         run_tile(Isa::detect(), &log, [(0, 1), (0, 1), (4, 4)]);
         assert!(log.0.borrow().is_empty(), "an empty row has no blocks");
+    }
+
+    /// `blocks` (`(W, first index)`, in walk order) cover `start..start +
+    /// len` once each, left to right, in non-increasing power-of-two widths
+    /// with at most one block of each width below `LANES`.
+    fn assert_ladder(blocks: &[(usize, usize)], start: usize, len: usize) {
+        let mut at = start;
+        for (n, &(w, i)) in blocks.iter().enumerate() {
+            assert_eq!(
+                i, at,
+                "run {start}+{len}: block {n} starts off the last one's end"
+            );
+            assert!(
+                w.is_power_of_two() && w <= LANES,
+                "run {start}+{len}: width {w}"
+            );
+            if let Some(&(next, _)) = blocks.get(n + 1) {
+                assert!(
+                    next < w || (next, w) == (LANES, LANES),
+                    "run {start}+{len}: {w} then {next}"
+                );
+            }
+            at += w;
+        }
+        assert_eq!(
+            at,
+            start + len,
+            "run {start}+{len}: not every index visited"
+        );
+    }
+
+    #[test]
+    fn every_run_length_at_every_offset_walks_the_ladder() {
+        for len in 0..=3 * LANES + 1 {
+            for start in 0..2 * LANES {
+                let log = Log(RefCell::new(Vec::new()));
+                run_tile(Isa::detect(), &log, [(0, 1), (0, 1), (start, start + len)]);
+                let tile: Vec<_> = log.0.borrow().iter().map(|&(w, _, _, i)| (w, i)).collect();
+                assert_ladder(&tile, start, len);
+                // The same run as a wet list, of cells and of columns.
+                let pi = 2 * LANES + len + 1;
+                let entries: Vec<u32> = (start..start + len).map(|i| (pi + i) as u32).collect();
+                log.0.borrow_mut().clear();
+                run_cells(Isa::detect(), &log, 3, pi, &entries);
+                let cells: Vec<_> = log.0.borrow().iter().map(|&(w, _, _, i)| (w, i)).collect();
+                assert_eq!(cells, tile, "run_cells walks the run as run_tile does");
+                let spans = RefCell::new(Vec::new());
+                run_span(Isa::detect(), &Count(&spans), pi, &entries);
+                let span: Vec<_> = (spans.borrow().iter())
+                    .filter(|&&(w, _, _)| w > 0)
+                    .map(|&(w, _, i)| (w, i))
+                    .collect();
+                assert_eq!(span, tile, "run_span walks the run as run_tile does");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// A list of rows, each a run of any length from any offset and a
+        /// lone entry past a gap: every run is its own ladder, and
+        /// `run_span` announces each block but the last one block ahead.
+        #[test]
+        fn a_list_of_runs_walks_each_down_the_ladder(
+            lens in proptest::collection::vec(0usize..=3 * LANES + 1, 0..6),
+            gaps in proptest::collection::vec(1usize..LANES, 6usize),
+        ) {
+            let rows: Vec<(usize, usize)> = lens.into_iter().zip(gaps).collect();
+            let pi = 5 * LANES;
+            let entries: Vec<u32> = (rows.iter().enumerate())
+                .flat_map(|(j, &(len, gap))| {
+                    (gap..gap + len).chain([2 * gap + len]).map(move |i| (j * pi + i) as u32)
+                })
+                .collect();
+            let log = Log(RefCell::new(Vec::new()));
+            run_cells(Isa::detect(), &log, usize::MAX, pi, &entries);
+            let cells = log.0.into_inner();
+            for (j, &(len, gap)) in rows.iter().enumerate() {
+                let row: Vec<_> = (cells.iter())
+                    .filter(|b| b.2 == j)
+                    .map(|&(w, _, _, i)| (w, i))
+                    .collect();
+                let (run, lone) = row.split_at(row.len() - 1);
+                assert_ladder(run, gap, len);
+                proptest::prop_assert_eq!(lone, &[(1, 2 * gap + len)]);
+            }
+            let spans = RefCell::new(Vec::new());
+            run_span(Isa::detect(), &Count(&spans), pi, &entries);
+            let blocks: Vec<_> = cells.iter().map(|&(w, _, j, i)| (w, j, i)).collect();
+            let mut want = Vec::new();
+            for (n, &block) in blocks.iter().enumerate() {
+                want.extend(blocks.get(n + 1).map(|&(_, j, i)| (0, j, i)));
+                want.push(block);
+            }
+            proptest::prop_assert_eq!(spans.into_inner(), want);
+        }
     }
 
     #[test]
@@ -743,24 +858,25 @@ mod tests {
     }
 
     #[test]
-    fn span_walks_runs_in_blocks_with_a_scalar_tail() {
+    fn span_walks_runs_down_the_ladder() {
         let log = RefCell::new(Vec::new());
-        // A run of LANES + 2 in row 2, then an isolated column in row 3.
+        // A run of LANES + 3 in row 2, then an isolated column in row 3.
         let pi = 40;
-        let mut entries: Vec<u32> = (0..LANES as u32 + 2).map(|d| 2 * 40 + 5 + d).collect();
+        let mut entries: Vec<u32> = (0..LANES as u32 + 3).map(|d| 2 * 40 + 5 + d).collect();
         entries.push(3 * 40 + 1);
         run_span(Isa::detect(), &Count(&log), pi, &entries);
         let blocks = [
             (LANES, 2, 5),
-            (1, 2, 5 + LANES),
-            (1, 2, 6 + LANES),
+            (2, 2, 5 + LANES),
+            (1, 2, 7 + LANES),
             (1, 3, 1),
         ];
-        // A hint ahead of whatever follows a full block, and ahead of the
-        // next run; none from one tail column to the next.
+        // A hint ahead of every block but the first: inside the run, and
+        // from its last block to the next run.
         let want = vec![
             (0, 2, 5 + LANES),
             blocks[0],
+            (0, 2, 7 + LANES),
             blocks[1],
             (0, 3, 1),
             blocks[2],

@@ -166,8 +166,8 @@ pub struct FunctorTracerHDiff {
 
 impl RowKernel for FunctorTracerHDiff {
     /// The `W` cells `(k, jl, il..il + W)`, **padded** indices — the one
-    /// body; the per-entry `operator` and the list tail are `W = 1`. Dry
-    /// lanes keep their `q_new`.
+    /// body; the per-entry `operator` is `W = 1`. Dry lanes keep their
+    /// `q_new`.
     #[inline(always)]
     fn block<const W: usize>(&self, k: usize, jl: usize, il: usize) {
         let wet = lanes::wet::<W>(&self.kmt, k, jl, il);

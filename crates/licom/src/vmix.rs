@@ -16,8 +16,9 @@
 //! side and its back-substitution divide (10 divides per column-level over
 //! the four fields where four separate solves spend 16). The wet-list
 //! launch walks each run of wet columns in
-//! [`LANES`](crate::lanes::LANES)-wide blocks; the list tail and the team
-//! variant are `W = 1`, the team variant and the unit tests `N = 1`. Work
+//! [`LANES`](crate::lanes::LANES)-wide blocks, its remainder in blocks of
+//! 4, 2 and 1; the team variant is `W = 1`, the team variant and the unit
+//! tests `N = 1`. Work
 //! arrays are `(3 + N) · nz` rows of `W` words, of
 //! which a block touches only the rows down to its deepest column; ragged
 //! depths inside a block are lane masks.

@@ -4,8 +4,9 @@
 //! Each of vmix, canuto, diagnose-w, advect-z and the pressure integral has
 //! one body, generic over the number `W` of adjacent columns it runs
 //! together. A list launch hands
-//! it whole tiles (`FunctorList::operator_span`), which it walks in
-//! `LANES`-wide blocks with single columns as tail; calling
+//! it whole tiles (`FunctorList::operator_span`), which it walks down the
+//! ladder — `LANES`-wide blocks, then at most one block each of 4, 2 and 1
+//! columns; calling
 //! `FunctorList::operator` entry by entry runs the same body one column at a
 //! time. The two must agree **bitwise** on every execution space, whatever
 //! the wet mask looks like: isolated wet columns, runs shorter than, equal
@@ -445,20 +446,32 @@ fn named_mask_shapes_are_bitwise_equal() {
     let land_between = [Row::Land, Row::Full, Row::Land, Row::Land, Row::Runs(w)];
     shape("all-land rows between wet ones", 4, w + 2, &land_between, Ragged, 5);
     shape("nothing wet at all", 3, w, &[Row::Land; 2], Flat, 4);
+    let every_remainder: Vec<Row> = (1..w).map(|r| Row::Runs(w + r)).collect();
+    shape("runs with every remainder", 5, 4 * w, &every_remainder, Ragged, 256);
 }
 
 #[test]
 fn a_full_row_really_is_walked_in_blocks() {
-    // Guard the test itself: the span path must reach the W = LANES body,
-    // or the comparisons above compare W = 1 with W = 1.
-    let case = Case::new(4, 2 * LANES + 3, &[Row::Full], Depth::Flat, 256, 1);
-    let entries = case.policy.indices();
-    let runs = lanes::runs(entries, case.nx + 2 * H);
+    // Guard the test itself: the span path must reach every width of the
+    // ladder, or the comparisons above compare W = 1 with W = 1.
+    struct Widths(std::cell::RefCell<Vec<usize>>);
+    impl lanes::ColumnKernel for Widths {
+        fn block<const W: usize>(&self, _jl: usize, _il: usize, _scratch: &mut [f64]) {
+            self.0.borrow_mut().push(W);
+        }
+    }
+    let case = Case::new(4, 2 * LANES + 7, &[Row::Full], Depth::Flat, 256, 1);
+    let (entries, pi) = (case.policy.indices(), case.nx + 2 * H);
     assert_eq!(
-        runs.map(|(_, _, len)| len).collect::<Vec<_>>(),
-        vec![2 * LANES + 3],
-        "one run: two blocks and a tail of 3"
+        lanes::runs(entries, pi)
+            .map(|(_, _, len)| len)
+            .collect::<Vec<_>>(),
+        vec![2 * LANES + 7],
+        "one run"
     );
+    let log = Widths(Default::default());
+    lanes::run_span(Isa::detect(), &log, pi, entries);
+    assert_eq!(*log.0.borrow(), [LANES, LANES, 4, 2, 1]);
 }
 
 proptest! {

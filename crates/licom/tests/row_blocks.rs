@@ -5,7 +5,8 @@
 //! diffusion each have one body, generic over the number
 //! `W` of points adjacent in `i` it updates together. An MDRange launch
 //! hands the functor whole policy tiles (`operator_tile`), which it walks
-//! in `LANES`-wide blocks with single points as tail; calling `operator`
+//! down the ladder — `LANES`-wide blocks, then at most one block each of 4,
+//! 2 and 1 points; calling `operator`
 //! point by point runs the same body one point at a time. The two must
 //! agree **bitwise** on every execution space, whatever the wet mask, the
 //! tile shape and the launch origin look like — in particular the y pass,
@@ -28,7 +29,7 @@ use kokkos_rs::{
 use licom::advect::{advect_tracer, AdvectFields, FunctorAdvectX, FunctorAdvectY, FunctorAdvectZ};
 use licom::baroclinic::{FunctorAsselin3D, FunctorLeapfrog3D, FunctorMomentumTend};
 use licom::barotropic::{
-    FunctorAccum2D, FunctorBtEta, FunctorBtSubstep, FunctorBtVel, FunctorCopy2D,
+    split_substep, FunctorAccum2D, FunctorBtEta, FunctorBtSubstep, FunctorBtVel, FunctorCopy2D,
     FunctorScaleAssign2D, FunctorZonalFilter,
 };
 use licom::lanes::{self, Isa, LANES};
@@ -114,6 +115,10 @@ enum Wet {
     Single(usize, usize),
     /// Land in the first and last column of every `w`-wide tile.
     LandAtTileEdges(usize),
+    /// Row `j` is full-depth runs of `LANES + 1 + j % (LANES - 1)` wet
+    /// cells, one land cell between them: over `LANES - 1` rows, a run with
+    /// every remainder `1..LANES`.
+    Runs,
 }
 
 struct Case {
@@ -147,11 +152,15 @@ impl Case {
                     Wet::LandRow(row) => j == row,
                     Wet::Single(wj, wi) => (j, i) != (wj, wi),
                     Wet::LandAtTileEdges(w) => i % w == 0 || i % w == w - 1,
+                    Wet::Runs => {
+                        let run = LANES + 1 + j % (LANES - 1);
+                        i % (run + 1) == run
+                    }
                 };
                 if land {
                     kmt.set_at(j + H, i + H, 0);
                     kmu.set_at(j + H, i + H, 0);
-                } else if let Wet::Single(..) = wet {
+                } else if let Wet::Single(..) | Wet::Runs = wet {
                     kmt.set_at(j + H, i + H, nz as i32);
                     kmu.set_at(j + H, i + H, nz as i32);
                 }
@@ -267,8 +276,8 @@ impl Case {
     }
 
     /// The launch shapes a kernel must not care about: the dense default,
-    /// the four one-cell-wide rims of the barotropic pipeline, and a ragged
-    /// tiling from a shifted origin.
+    /// the interior and the four rim strips of the barotropic pipeline, and
+    /// a ragged tiling from a shifted origin.
     fn policies2(&self) -> Vec<MDRangePolicy2> {
         let (ny, nx) = (self.ny, self.nx);
         let mut out = vec![
@@ -278,8 +287,9 @@ impl Case {
             MDRangePolicy2::new([1, nx]).with_offset([ny - 1, 0]),
         ];
         if ny > 2 && nx > 2 {
-            out.push(MDRangePolicy2::new([ny - 2, 1]).with_offset([1, 0]));
-            out.push(MDRangePolicy2::new([ny - 2, 1]).with_offset([1, nx - 1]));
+            // Its first two rim strips are the two rows above.
+            let (interior, [_, _, west, east]) = split_substep(ny, nx);
+            out.extend([interior, west, east]);
             out.push(
                 MDRangePolicy2::new([ny - 2, nx - 2])
                     .with_tile([2, 5])
@@ -707,12 +717,16 @@ fn named_shapes_are_bitwise_equal() {
     shape("nx one past two blocks", 2, 6, 2 * w + 1, Wet::Ragged);
     shape("ny too short for a y-pass interior", 3, 4, w + 2, Wet::Ragged);
     shape("a single row, a single level", 1, 1, 2 * w + 3, Wet::Ragged);
+    shape("wet runs with every remainder", 2, w - 1, 4 * w, Wet::Runs);
+    for r in 1..w {
+        shape(&format!("rows of a block and {r}"), 2, 3, w + r, Wet::Ragged);
+    }
 }
 
 #[test]
 fn a_full_row_really_is_walked_in_blocks() {
-    // Guard the test itself: the tile path must reach the W = LANES body,
-    // or the comparisons above compare W = 1 with W = 1.
+    // Guard the test itself: the tile path must reach every width of the
+    // ladder, or the comparisons above compare W = 1 with W = 1.
     struct Widths(std::cell::RefCell<Vec<usize>>);
     impl licom::lanes::RowKernel for Widths {
         fn block<const W: usize>(&self, _k: usize, _j: usize, _i: usize) {
@@ -720,10 +734,10 @@ fn a_full_row_really_is_walked_in_blocks() {
         }
     }
     let log = Widths(Default::default());
-    let policy = MDRangePolicy2::new([1, 2 * LANES + 3]);
+    let policy = MDRangePolicy2::new([1, 2 * LANES + 7]);
     let [rows, cols] = policy.tile_bounds(0);
     lanes::run_tile(Isa::detect(), &log, [(0, 1), rows, cols]);
-    assert_eq!(*log.0.borrow(), [LANES, LANES, 1, 1, 1]);
+    assert_eq!(*log.0.borrow(), [LANES, LANES, 4, 2, 1]);
 }
 
 /// Bottom drag applies to the lanes whose cell is the deepest wet one. One
@@ -783,7 +797,7 @@ fn a_zero_pressure_gradient_keeps_its_sign() {
     f.u_cur.fill(0.0);
     f.v_cur.fill(-0.0);
     f.v_old.fill(0.0);
-    // One probe per block position: lane 0, an inner lane, the scalar tail.
+    // One probe per block position: lane 0, an inner lane, the last block.
     let probes = [0, LANES / 2, 2 * LANES];
     f.u_old.fill(-0.0);
     for i in probes {
