@@ -11,11 +11,12 @@
 //! shared part a second time — for the solve, exactly twice its `N = 1` cost.
 
 use kokkos_rs::{IterCost, View, View1, View2, View3};
-use perf_model::workload::PASSES_3D;
+use perf_model::workload::{PASSES_2D_SUBSTEP, PASSES_3D};
 
 fn census(name: &str) -> (f64, f64) {
     let k = PASSES_3D
         .iter()
+        .chain(PASSES_2D_SUBSTEP)
         .find(|k| k.name == name)
         .unwrap_or_else(|| panic!("census entry '{name}' missing"));
     (k.flops_per_pt, k.bytes_per_pt)
@@ -23,6 +24,10 @@ fn census(name: &str) -> (f64, f64) {
 
 fn v3(nz: usize) -> View3<f64> {
     View::host("v", [nz, 8, 8])
+}
+
+fn v2() -> View2<f64> {
+    View::host("f", [8, 8])
 }
 
 fn v2i(v: i32) -> View2<i32> {
@@ -33,6 +38,10 @@ fn v2i(v: i32) -> View2<i32> {
 
 fn v1(n: usize) -> View1<f64> {
     View::host("d", [n])
+}
+
+fn v1i() -> View1<i32> {
+    View::host("r", [8])
 }
 
 #[test]
@@ -194,5 +203,72 @@ fn hdiff_census_is_the_paired_cost_plus_the_shared_part() {
     assert_eq!(
         (c.flops as f64 + SHARED.0, c.bytes as f64 + SHARED.1),
         (flops, bytes)
+    );
+}
+
+#[test]
+fn barotropic_census_is_the_substep_kernel_split_back_into_passes() {
+    use kokkos_rs::Functor2D;
+    // The Asselin filter inside `FunctorBtSubstep`: 5 flops on each of η,
+    // u and v, and the three old-slot stores.
+    const ASSELIN: (f64, f64) = (15.0, 24.0);
+    // What the census' separate `bt_asselin+filter` pass counts beyond that
+    // part and `FunctorZonalFilter`: a launch of its own loads the three
+    // levels of each field again, which the substep kernel takes from its
+    // η / velocity updates.
+    const SEPARATE_PASS: (f64, f64) = (1.0, 136.0);
+    let eta = licom::barotropic::FunctorBtEta {
+        eta_old: v2(),
+        eta_new: v2(),
+        ub: v2(),
+        vb: v2(),
+        depth: v2(),
+        kmt: v2i(1),
+        dxt: v1(8),
+        dyt: 1.0e5,
+        dt2: 40.0,
+    };
+    let vel = licom::barotropic::FunctorBtVel {
+        u_old: v2(),
+        v_old: v2(),
+        u_cur: v2(),
+        v_cur: v2(),
+        eta_cur: v2(),
+        u_new: v2(),
+        v_new: v2(),
+        gu: v2(),
+        gv: v2(),
+        fcor: v1(8),
+        kmu: v2i(1),
+        dxt: v1(8),
+        dyt: 1.0e5,
+        dt2: 40.0,
+    };
+    let substep = licom::barotropic::FunctorBtSubstep {
+        eta,
+        vel,
+        sums: None,
+    }
+    .cost();
+    let ((eta_flops, eta_bytes), (vel_flops, vel_bytes)) = (census("bt_eta"), census("bt_vel"));
+    assert_eq!(
+        (eta_flops + vel_flops, eta_bytes + vel_bytes),
+        (
+            substep.flops as f64 - ASSELIN.0,
+            substep.bytes as f64 - ASSELIN.1
+        )
+    );
+    let filter = licom::barotropic::FunctorZonalFilter {
+        src: v2(),
+        dst: v2(),
+        rows: v1i(),
+    }
+    .cost();
+    assert_eq!(
+        census("bt_asselin+filter"),
+        (
+            ASSELIN.0 + filter.flops as f64 + SEPARATE_PASS.0,
+            ASSELIN.1 + filter.bytes as f64 + SEPARATE_PASS.1
+        )
     );
 }

@@ -14,7 +14,7 @@
 //! [`exchange_many_alloc`] spells the original two-round protocol on
 //! purpose: east/west over the owned rows, then north/south or the fold
 //! over the full padded width (which carries the corners), as element-wise
-//! packs into freshly allocated vectors over the plain `isend` / `recv` —
+//! packs into freshly allocated vectors over the plain `send` / `recv` —
 //! the bitwise reference the tests and the benches hold the engine
 //! against.
 
@@ -219,7 +219,7 @@ pub(crate) fn exchange_many<F: HaloField>(
 }
 
 /// The allocating reference: the original two-round protocol with
-/// element-wise packs into fresh vectors and the plain `isend` / `recv` —
+/// element-wise packs into fresh vectors and the plain `send` / `recv` —
 /// no route table, no pool, no strip kernel, no framing. The second round
 /// sends full padded-width rows whose ends the first round filled, which
 /// is how its corners arrive. Bitwise identical to the engine by contract.
@@ -287,8 +287,8 @@ pub(crate) fn exchange_many_alloc<F: HaloField>(
     let (from_east, from_west) = if west == comm.rank() {
         (to_west, to_east)
     } else {
-        comm.isend(west, t_west, to_west);
-        comm.isend(east, t_east, to_east);
+        comm.send(west, t_west, to_west);
+        comm.send(east, t_east, to_east);
         (
             comm.recv::<f64>(east, t_west),
             comm.recv::<f64>(west, t_east),
@@ -301,17 +301,17 @@ pub(crate) fn exchange_many_alloc<F: HaloField>(
         _ => None,
     };
     if let Some(s) = south {
-        comm.isend(s, t_south, pack(rows(H)));
+        comm.send(s, t_south, pack(rows(H)));
     }
     let north = rows(H + h.ny);
     match cart.neighbor(Dir::North) {
         Neighbor::Interior(nb) => {
-            comm.isend(nb, t_north, pack(rows(h.ny)));
+            comm.send(nb, t_north, pack(rows(h.ny)));
             unpack(north, false, comm.recv(nb, t_south));
         }
         Neighbor::Fold(p) if p == comm.rank() => unpack(north, true, pack(fold_rows)),
         Neighbor::Fold(p) => {
-            comm.isend(p, t_fold, pack(fold_rows));
+            comm.send(p, t_fold, pack(fold_rows));
             unpack(north, true, comm.recv(p, t_fold));
         }
         Neighbor::Closed => {}

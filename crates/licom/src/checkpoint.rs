@@ -349,8 +349,9 @@ const RESTORE_VOTE: u64 = 0x7C55_0000_0000_0000;
 /// error as soon as a participant is known dead or once `4 ×
 /// retry.budget()` has passed — a full retry budget on top of whatever the
 /// slowest rank's halo retries may already have consumed. Ballots are `u8`s
-/// (control plane: exempt from `f64` fault injection); `salt` namespaces
-/// the wire tag so a failed vote's stragglers cannot match a later one.
+/// in collective messages, which the fault plan never touches; `salt`
+/// namespaces the wire tag so a failed vote's stragglers cannot match a
+/// later one.
 fn vote(
     comm: &Comm,
     salt: u64,

@@ -1,22 +1,37 @@
-//! Deterministic collectives: barrier, allgather, allreduce, broadcast.
+//! Deterministic collectives: barrier, allgather, allreduce.
 //!
 //! MPI leaves reduction order unspecified; reproducibility-minded climate
 //! codes (LICOM included) insist on order-stable global sums so restarts
-//! and different schedulings agree bitwise. Here every rank applies the
-//! reduction locally **in rank order** over a fully gathered slot table, so
-//! `allreduce` is exactly as reproducible as a serial loop.
+//! and different schedulings agree bitwise. Here every collective is one
+//! rank-ordered allgather over the mailbox ([`Comm::gather`]): each rank
+//! sends its contribution to every other rank and receives theirs in rank
+//! order, so every rank folds the same table in the same order and
+//! `allreduce` is exactly as reproducible as a serial loop. A one-rank
+//! communicator sends nothing.
 //!
-//! All collectives share one slot table per world and therefore must be
-//! entered by all ranks in the same program order — the usual MPI contract.
+//! Collective messages take the one send funnel as control traffic: they
+//! tick the Lamport clocks and appear on the tap like any other message,
+//! are charged to `collectives` / `collective_bytes` / `barriers` and never
+//! to the point-to-point or pool counters, and the fault plan never touches
+//! them.
+//!
+//! Every wait is bounded. The blocking collectives share one wire tag, so
+//! all ranks must enter them in the same program order — the usual MPI
+//! contract; non-overtaking delivery then matches each rank's k-th
+//! collective with every peer's k-th. They give up after the world's
+//! `recv_timeout` with a panic naming the rank that died or never arrived;
+//! [`Comm::try_allgather`] returns the same failure as a typed error.
 
-use std::any::Any;
-use std::time::Duration;
+use std::sync::atomic::AtomicU64;
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use crate::comm::{Comm, CommError};
+use crate::stats::Traffic;
 
-use crate::comm::Comm;
+/// Wire tag of the blocking collectives, far above the model's tag space.
+const COLLECTIVE_TAG: u64 = 0x7A5E_0000_0000_0000;
 
-/// Reduction operator for [`Comm::allreduce_f64`] and friends.
+/// Reduction operator for [`Comm::allreduce_f64`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     Sum,
@@ -44,273 +59,91 @@ impl ReduceOp {
     }
 }
 
-struct CollInner {
-    /// Completed-collective generation; bumped once per finished op.
-    generation: u64,
-    arrived: usize,
-    departed: usize,
-    ready: bool,
-    slots: Vec<Option<Box<dyn Any + Send>>>,
-}
-
-/// Shared rendezvous state for collectives over one world.
-pub(crate) struct CollectiveState {
-    n: usize,
-    inner: Mutex<CollInner>,
-    cv: Condvar,
-}
-
-impl CollectiveState {
-    pub(crate) fn new(n: usize) -> Self {
-        Self {
-            n,
-            inner: Mutex::new(CollInner {
-                generation: 0,
-                arrived: 0,
-                departed: 0,
-                ready: false,
-                slots: (0..n).map(|_| None).collect(),
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Wake every rank parked in the rendezvous so it re-checks liveness.
-    /// Called by the death registry when a rank is marked dead.
-    pub(crate) fn notify_all(&self) {
-        let _guard = self.inner.lock();
-        self.cv.notify_all();
-    }
-
-    /// Core exchange: deposit this rank's contribution, wait for all ranks,
-    /// map the full slot table through `read`, then synchronize departure
-    /// so the table can be reused. Doubles as a barrier.
-    ///
-    /// `dead` inspects the slot table and returns a rank that can never
-    /// arrive (dead without a deposited contribution). When it fires, the
-    /// waiter withdraws its own contribution — leaving the table clean for
-    /// the other survivors to bail the same way — and returns the dead
-    /// rank as the error. A rank that already deposited before dying does
-    /// not wedge the exchange, so this only triggers on truly lost
-    /// participants.
-    fn exchange<T, R>(
-        &self,
-        rank: usize,
-        value: T,
-        read: impl FnOnce(&[Option<Box<dyn Any + Send>>]) -> R,
-        dead: impl Fn(&[Option<Box<dyn Any + Send>>]) -> Option<usize>,
-    ) -> Result<R, usize>
-    where
-        T: Send + 'static,
-    {
-        let mut inner = self.inner.lock();
-        let gen = inner.generation;
-        // If the previous collective is still draining, wait for it. Every
-        // rank that deposited in it will depart (departure never blocks on
-        // a third party), so this wait always clears.
-        while inner.generation == gen && inner.departed != 0 {
-            self.cv.wait(&mut inner);
-        }
-        assert_eq!(
-            inner.generation, gen,
-            "collective ordering violated between ranks"
-        );
-        inner.slots[rank] = Some(Box::new(value));
-        inner.arrived += 1;
-        if inner.arrived == self.n {
-            inner.ready = true;
-            self.cv.notify_all();
-        } else {
-            loop {
-                if inner.ready && inner.generation == gen {
-                    break;
-                }
-                if let Some(d) = dead(&inner.slots) {
-                    // Withdraw and bail: the exchange can never complete.
-                    inner.slots[rank] = None;
-                    inner.arrived -= 1;
-                    self.cv.notify_all();
-                    return Err(d);
-                }
-                // Timed wait as a backstop: the death notification wakes
-                // us promptly, but a tick bounds the window regardless.
-                self.cv.wait_for(&mut inner, Duration::from_millis(50));
-            }
-        }
-        let result = read(&inner.slots);
-        inner.departed += 1;
-        if inner.departed == self.n {
-            for s in inner.slots.iter_mut() {
-                *s = None;
-            }
-            inner.arrived = 0;
-            inner.departed = 0;
-            inner.ready = false;
-            inner.generation += 1;
-            self.cv.notify_all();
-        } else {
-            // Wait until cleanup so no rank re-enters a stale table. All n
-            // ranks arrived to get here, so all n will depart.
-            while inner.generation == gen {
-                self.cv.wait(&mut inner);
-            }
-        }
-        Ok(result)
-    }
-}
-
 impl Comm {
-    /// Slot-table death check: a world rank that died without depositing
-    /// its contribution can never arrive, so the exchange is wedged.
-    fn coll_dead(&self, slots: &[Option<Box<dyn Any + Send>>]) -> Option<usize> {
-        let sh = self.shared();
-        (0..slots.len()).find(|&r| sh.is_dead(r) && slots[r].is_none())
+    /// The one collective engine: send `value` to every other rank on
+    /// `tag`, then receive theirs in rank order, all within `timeout`.
+    /// Charges `value`'s bytes to `collective_bytes` on every rank and one
+    /// `op` on rank 0.
+    pub(crate) fn gather<T: Clone + Send + 'static>(
+        &self,
+        tag: u64,
+        value: Vec<T>,
+        timeout: Duration,
+        op: fn(&Traffic) -> &AtomicU64,
+    ) -> Result<Vec<Vec<T>>, CommError> {
+        let (n, me) = (self.size(), self.rank());
+        let traffic = &self.shared().traffic;
+        traffic.add(
+            |t| &t.collective_bytes,
+            value.len() * std::mem::size_of::<T>(),
+        );
+        if me == 0 {
+            traffic.add(op, 1);
+        }
+        for r in (0..n).filter(|&r| r != me) {
+            self.post(r, tag, value.clone(), true);
+        }
+        let deadline = Instant::now() + timeout;
+        let mut own = Some(value);
+        (0..n)
+            .map(|r| {
+                if r == me {
+                    Ok(own.take().expect("one slot per rank"))
+                } else {
+                    self.recv_deadline(r, tag, deadline.saturating_duration_since(Instant::now()))
+                }
+            })
+            .collect()
     }
 
-    /// Root-staged gather + broadcast over point-to-point messages; the
-    /// collective path of derived communicators ([`Comm::with_members`]),
-    /// whose member set is a subset of the world and therefore cannot use
-    /// the world-sized slot table. Deterministic: contributions are
-    /// gathered and folded in member order, exactly like the slot table,
-    /// so reductions stay bitwise identical across both paths.
-    fn view_allgather<T: Clone + Send + 'static>(&self, value: Vec<T>) -> Vec<Vec<T>> {
-        const GATHER: u64 = 0x5F47_0000_0000_1000;
-        const BCAST: u64 = 0x5F42_0000_0000_1000;
-        let n = self.size();
-        if n == 1 {
-            return vec![value];
-        }
-        if self.rank() == 0 {
-            let mut all = vec![value];
-            for r in 1..n {
-                all.push(self.recv::<T>(r, GATHER + r as u64));
-            }
-            for r in 1..n {
-                for (i, part) in all.iter().enumerate() {
-                    self.send(r, BCAST + (i as u64) * 0x10000 + r as u64, part.clone());
-                }
-            }
-            all
-        } else {
-            self.send(0, GATHER + self.rank() as u64, value);
-            (0..n)
-                .map(|i| self.recv::<T>(0, BCAST + (i as u64) * 0x10000 + self.rank() as u64))
-                .collect()
-        }
+    /// [`Comm::gather`] on the blocking collectives' tag and the world's
+    /// `recv_timeout`, panicking with `what` on failure.
+    fn blocking<T: Clone + Send + 'static>(
+        &self,
+        what: &str,
+        value: Vec<T>,
+        op: fn(&Traffic) -> &AtomicU64,
+    ) -> Vec<Vec<T>> {
+        let timeout = self.shared().recv_timeout;
+        self.gather(COLLECTIVE_TAG, value, timeout, op)
+            .unwrap_or_else(|e| {
+                let why = match e {
+                    CommError::PeerDead { peer, .. } => format!("rank {peer} died"),
+                    CommError::Timeout { src, waited, .. } => {
+                        format!("rank {src} did not arrive within {waited:?}")
+                    }
+                };
+                panic!("{what} aborted: {why} (use try_allgather to handle failure)")
+            })
     }
 
     /// Block until every rank has entered the barrier.
     ///
     /// # Panics
-    /// Fail-fast if a participant died: blocking collectives abort with a
+    /// Fail-fast if a participant died or did not arrive within the
+    /// world's `recv_timeout`: blocking collectives abort with a
     /// diagnostic instead of hanging. Failure-aware callers use
-    /// [`Comm::try_barrier`].
+    /// [`Comm::try_allgather`].
     pub fn barrier(&self) {
-        let sh = self.shared();
-        if self.rank() == 0 {
-            sh.traffic.add(|t| &t.barriers, 1);
-        }
-        if self.has_view() {
-            let _ = self.view_allgather(vec![0u8]);
-            return;
-        }
-        sh.coll
-            .exchange(self.rank(), (), |_| (), |slots| self.coll_dead(slots))
-            .unwrap_or_else(|d| {
-                panic!("barrier aborted: rank {d} died (use try_barrier to handle failure)")
-            });
+        self.blocking("barrier", Vec::<u8>::new(), |t| &t.barriers);
     }
 
     /// Gather one `Vec<T>` from each rank; every rank receives all
     /// contributions indexed by rank.
     ///
     /// # Panics
-    /// Fail-fast if a participant died (see [`Comm::barrier`]);
-    /// failure-aware callers use [`Comm::try_allgather`].
+    /// As [`Comm::barrier`].
     pub fn allgather<T: Clone + Send + 'static>(&self, value: Vec<T>) -> Vec<Vec<T>> {
-        let sh = self.shared();
-        sh.traffic.add(
-            |t| &t.collective_bytes,
-            value.len() * std::mem::size_of::<T>(),
-        );
-        if self.rank() == 0 {
-            sh.traffic.add(|t| &t.collectives, 1);
-        }
-        if self.has_view() {
-            return self.view_allgather(value);
-        }
-        sh.coll
-            .exchange(
-                self.rank(),
-                value,
-                |slots| {
-                    slots
-                        .iter()
-                        .map(|s| {
-                            s.as_ref()
-                                .expect("slot missing in allgather")
-                                .downcast_ref::<Vec<T>>()
-                                .expect("allgather type mismatch between ranks")
-                                .clone()
-                        })
-                        .collect()
-                },
-                |slots| self.coll_dead(slots),
-            )
-            .unwrap_or_else(|d| {
-                panic!("allgather aborted: rank {d} died (use try_allgather to handle failure)")
-            })
+        self.blocking("allgather", value, |t| &t.collectives)
     }
 
     /// Deterministic scalar allreduce: identical result on every rank,
     /// computed in rank order.
     pub fn allreduce_f64(&self, value: f64, op: ReduceOp) -> f64 {
-        let gathered = self.allgather(vec![value]);
-        gathered
+        self.allgather(vec![value])
             .iter()
             .map(|v| v[0])
             .fold(op.identity(), |a, b| op.apply(a, b))
-    }
-
-    /// Deterministic element-wise vector allreduce.
-    pub fn allreduce_vec_f64(&self, value: Vec<f64>, op: ReduceOp) -> Vec<f64> {
-        let len = value.len();
-        let gathered = self.allgather(value);
-        let mut out = vec![op.identity(); len];
-        for contrib in &gathered {
-            assert_eq!(
-                contrib.len(),
-                len,
-                "allreduce length mismatch between ranks"
-            );
-            for (o, &c) in out.iter_mut().zip(contrib) {
-                *o = op.apply(*o, c);
-            }
-        }
-        out
-    }
-
-    /// Deterministic integer sum allreduce (used for ocean-point counts in
-    /// the canuto load balancer).
-    pub fn allreduce_usize_sum(&self, value: usize) -> usize {
-        let gathered = self.allgather(vec![value]);
-        gathered.iter().map(|v| v[0]).sum()
-    }
-
-    /// Broadcast `value` from `root` to every rank.
-    pub fn broadcast<T: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        value: Option<Vec<T>>,
-    ) -> Vec<T> {
-        assert!(root < self.size());
-        let contribution = if self.rank() == root {
-            value.expect("root must provide a value to broadcast")
-        } else {
-            Vec::new()
-        };
-        let gathered = self.allgather(contribution);
-        gathered[root].clone()
     }
 }
 
@@ -372,32 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn vector_allreduce_elementwise() {
-        let results = World::run(3, |comm| {
-            let v = vec![comm.rank() as f64, 1.0, -(comm.rank() as f64)];
-            comm.allreduce_vec_f64(v, ReduceOp::Sum)
-        });
-        for r in results {
-            assert_eq!(r, vec![3.0, 3.0, -3.0]);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_nonzero_root() {
-        let results = World::run(4, |comm| {
-            let payload = if comm.rank() == 2 {
-                Some(vec![42i64, 43])
-            } else {
-                None
-            };
-            comm.broadcast(2, payload)
-        });
-        for r in results {
-            assert_eq!(r, vec![42, 43]);
-        }
-    }
-
-    #[test]
     fn repeated_collectives_reuse_state() {
         World::run(4, |comm| {
             for i in 0..50 {
@@ -406,13 +213,5 @@ mod tests {
                 comm.barrier();
             }
         });
-    }
-
-    #[test]
-    fn usize_sum() {
-        let results = World::run(6, |comm| comm.allreduce_usize_sum(comm.rank()));
-        for r in results {
-            assert_eq!(r, 15);
-        }
     }
 }

@@ -31,7 +31,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::collective::CollectiveState;
 use crate::fault::{Action, FaultPlan, FaultState};
 use crate::flight::{self, FlightCtx, FlightEventKind, FlightRing, FlightScope, FlightWorld};
 use crate::pool::BufferPool;
@@ -104,7 +103,6 @@ pub(crate) struct WorldShared {
     pub(crate) n: usize,
     mailboxes: Vec<Mailbox>,
     pub(crate) traffic: Traffic,
-    pub(crate) coll: CollectiveState,
     /// One buffer pool per rank. A send borrows from the *sender's* pool
     /// and the matching receive releases into the *receiver's* pool, so
     /// each rank's acquire/release sequence follows its program order —
@@ -114,8 +112,6 @@ pub(crate) struct WorldShared {
     /// Installed fault plan, if any (see [`WorldConfig::faults`]).
     faults: Option<FaultState>,
     /// Per-rank epoch (model step) used by fault rules' step windows.
-    /// Doubles as the liveness heartbeat: a rank that stops advancing
-    /// its epoch is stalled, one whose death slot is set is gone.
     epochs: Vec<AtomicU64>,
     /// Per-rank death epoch; `u64::MAX` = alive. Set once (fail-stop)
     /// by [`Comm::set_epoch`] when a seeded [`crate::fault::RankFailure`]
@@ -124,9 +120,9 @@ pub(crate) struct WorldShared {
     /// Trailing ranks reserved as recovery spares (metadata for the
     /// elastic layer; the transport treats them like any other rank).
     spares: usize,
-    /// Upper bound a plain blocking receive waits before aborting with a
-    /// deadlock diagnostic.
-    recv_timeout: Duration,
+    /// Upper bound a plain blocking receive or collective waits before
+    /// aborting with a deadlock diagnostic.
+    pub(crate) recv_timeout: Duration,
     /// Flight-recorder state: one Lamport clock per rank (always ticking
     /// through the message path) plus the ring registry post-mortem
     /// dumps snapshot.
@@ -139,9 +135,9 @@ impl WorldShared {
     }
 
     /// Fail-stop transition: record the death, then wake every parked
-    /// waiter in the world (mailbox condvars and the collective
-    /// rendezvous) so blocked receives re-check liveness and return
-    /// [`CommError::PeerDead`] instead of sleeping out their deadline.
+    /// receiver in the world so blocked receives (collectives included)
+    /// re-check for a dead peer and return [`CommError::PeerDead`] instead of
+    /// sleeping out their deadline.
     pub(crate) fn mark_dead(&self, world_rank: usize, epoch: u64) {
         if self.deaths[world_rank]
             .compare_exchange(u64::MAX, epoch, Ordering::SeqCst, Ordering::SeqCst)
@@ -161,7 +157,6 @@ impl WorldShared {
             for mb in &self.mailboxes {
                 mb.cv.notify_all();
             }
-            self.coll.notify_all();
         }
     }
 }
@@ -185,14 +180,6 @@ pub struct Comm {
     world_rank: usize,
     shared: Arc<WorldShared>,
     view: Option<CommView>,
-}
-
-/// Handle for a posted non-blocking receive; resolve with [`RecvReq::wait`].
-#[derive(Debug, Clone, Copy)]
-#[must_use = "an irecv does nothing until waited on"]
-pub struct RecvReq {
-    src: usize,
-    tag: u64,
 }
 
 impl Comm {
@@ -298,6 +285,19 @@ impl Comm {
     /// not delivered): a halted rank goes silent, and traffic addressed
     /// to it stops accumulating.
     pub fn send<T: Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
+        self.post(dst, tag, data, false);
+    }
+
+    /// [`Comm::send`] and the collectives' sends. A `control` message is
+    /// a collective's: its caller charges it to the collective counters,
+    /// so it is not counted as point-to-point, and it skips the fault plan.
+    pub(crate) fn post<T: Send + 'static>(
+        &self,
+        dst: usize,
+        tag: u64,
+        data: Vec<T>,
+        control: bool,
+    ) {
         assert!(dst < self.size(), "send to invalid rank {dst}");
         let dst = self.wr(dst);
         let tag = self.wt(tag);
@@ -306,16 +306,17 @@ impl Comm {
             return;
         }
         let bytes = data.len() * std::mem::size_of::<T>();
-        self.shared.traffic.record_p2p(bytes);
         self.tap_event(CommEventKind::Send, dst, tag, bytes as u64);
-        self.deliver(
-            dst,
-            tag,
-            Payload::Boxed {
-                data: Box::new(data),
-                type_name: std::any::type_name::<T>(),
-            },
-        );
+        let payload = Payload::Boxed {
+            data: Box::new(data),
+            type_name: std::any::type_name::<T>(),
+        };
+        if control {
+            self.push_message(dst, tag, payload);
+        } else {
+            self.shared.traffic.record_p2p(bytes);
+            self.deliver(dst, tag, payload);
+        }
     }
 
     /// Pooled send: borrow a message buffer of `len` f64 from this rank's
@@ -343,7 +344,8 @@ impl Comm {
     }
 
     /// Single delivery funnel for `send` and `send_into`; fault injection
-    /// happens here so pooled and allocating sends are both exercised.
+    /// happens here so pooled and allocating sends are both exercised
+    /// (collective messages bypass it: the fault plan never touches them).
     /// Operates in world coordinates (callers translate first).
     fn deliver(&self, dst: usize, tag: u64, payload: Payload) {
         let Some(fs) = self.shared.faults.as_ref() else {
@@ -723,12 +725,6 @@ impl Comm {
         self.shared.epochs[self.world_rank].load(Ordering::Relaxed)
     }
 
-    /// Last epoch `rank` (in this communicator's numbering) published via
-    /// [`Comm::set_epoch`] — the heartbeat read liveness tracking uses.
-    pub fn peer_epoch(&self, rank: usize) -> u64 {
-        self.shared.epochs[self.wr(rank)].load(Ordering::Relaxed)
-    }
-
     /// Is `rank` (in this communicator's numbering) still alive?
     pub fn is_alive(&self, rank: usize) -> bool {
         !self.shared.is_dead(self.wr(rank))
@@ -774,32 +770,6 @@ impl Comm {
     /// Record that a receiver retried a strip (corrupt frame or timeout).
     pub fn note_halo_retry(&self) {
         self.shared.traffic.add(|t| &t.halo_retries, 1);
-    }
-
-    /// Non-blocking send. With an in-process buffered transport this is the
-    /// same as [`Comm::send`]; it exists so model code reads like the MPI
-    /// original (`MPI_Isend` + `MPI_Waitall`).
-    pub fn isend<T: Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
-        self.send(dst, tag, data);
-    }
-
-    /// Post a non-blocking receive; the message is pulled at
-    /// [`RecvReq::wait`] time.
-    pub fn irecv(&self, src: usize, tag: u64) -> RecvReq {
-        RecvReq { src, tag }
-    }
-
-    /// Combined blocking exchange with a partner (deadlock-free because
-    /// sends are buffered).
-    pub fn sendrecv<T: Send + 'static>(
-        &self,
-        partner: usize,
-        send_tag: u64,
-        data: Vec<T>,
-        recv_tag: u64,
-    ) -> Vec<T> {
-        self.send(partner, send_tag, data);
-        self.recv(partner, recv_tag)
     }
 
     /// Snapshot of the world's traffic counters so far.
@@ -852,16 +822,9 @@ impl Comm {
     }
 
     /// Is this a derived (member-subset) communicator rather than the
-    /// world? Collectives route over point-to-point messages when so.
+    /// world?
     pub fn has_view(&self) -> bool {
         self.view.is_some()
-    }
-}
-
-impl RecvReq {
-    /// Complete the receive (blocking).
-    pub fn wait<T: Send + 'static>(self, comm: &Comm) -> Vec<T> {
-        comm.recv(self.src, self.tag)
     }
 }
 
@@ -892,7 +855,8 @@ impl WorldConfig {
         self
     }
 
-    /// Upper bound a plain blocking receive waits before aborting.
+    /// Upper bound a plain blocking receive or collective waits before
+    /// aborting.
     pub fn recv_timeout(mut self, d: Duration) -> Self {
         self.recv_timeout = d;
         self
@@ -948,8 +912,8 @@ impl World {
     /// scope: the caller owns it and may move it across threads freely.
     /// This is what the ensemble-serving layer hands each model instance
     /// — every instance gets its own private world (mailboxes, buffer
-    /// pool, collective state), so instances can never observe each
-    /// other's traffic. Collectives over one rank complete immediately;
+    /// pool), so instances can never observe each other's traffic.
+    /// Collectives over one rank complete immediately without a message;
     /// self-sends round-trip through the instance's own mailbox.
     pub fn solo() -> Comm {
         Self::solo_cfg(WorldConfig::new(1))
@@ -974,7 +938,6 @@ impl World {
             n,
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
             traffic: Traffic::default(),
-            coll: CollectiveState::new(n),
             pools: (0..n).map(|_| BufferPool::default()).collect(),
             faults: cfg.faults.map(|p| FaultState::new(p, n)),
             epochs: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -1105,19 +1068,6 @@ mod tests {
         for (rank, &got) in results.iter().enumerate() {
             assert_eq!(got, (rank + n - 1) % n);
         }
-    }
-
-    #[test]
-    fn irecv_wait_roundtrip() {
-        World::run(2, |comm| {
-            if comm.rank() == 0 {
-                let req = comm.irecv(1, 3);
-                let v = req.wait::<u8>(comm);
-                assert_eq!(v, vec![9, 9]);
-            } else {
-                comm.isend(0, 3, vec![9u8, 9]);
-            }
-        });
     }
 
     #[test]

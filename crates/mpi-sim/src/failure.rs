@@ -1,33 +1,28 @@
 //! Failure-aware collectives and survivor consensus (the ULFM layer).
 //!
-//! The blocking collectives in [`crate::collective`] assume every rank
-//! shows up; when a seeded [`crate::fault::RankFailure`] halts a rank,
-//! they fail fast with a panic. This module provides the typed
-//! alternative a recovery layer builds on:
+//! The blocking collectives in [`crate::collective`] abort with a panic
+//! when a participant died or never arrived. This module provides the
+//! typed alternative a recovery layer builds on:
 //!
-//! * [`Comm::try_allgather`] / [`Comm::try_allreduce_f64`] /
-//!   [`Comm::try_barrier`] — deadline-bounded, symmetric all-to-all
-//!   collectives over point-to-point messages that return
-//!   [`CommError::PeerDead`] the moment a participant is known dead
-//!   (and [`CommError::Timeout`] for a silent one), instead of hanging;
+//! * [`Comm::try_allgather`] — the same rank-ordered allgather on a
+//!   caller-salted tag and the caller's deadline, returning
+//!   [`CommError::PeerDead`] the moment a participant is known dead (and
+//!   [`CommError::Timeout`] for a silent one) instead of hanging;
 //! * [`Comm::agree_on_survivors`] — the `MPI_Comm_agree` analogue:
-//!   every live rank exchanges liveness bitmaps until all hold the
+//!   every live rank exchanges survivor bitmaps until all hold the
 //!   identical survivor set, off which elastic recovery deterministically
-//!   elects spares and re-forms the compute group;
-//! * [`Comm::liveness`] — a heartbeat snapshot (per-rank epochs plus the
-//!   death registry) for stall suspicion and telemetry tagging.
+//!   elects spares and re-forms the compute group.
 //!
-//! **Tag hygiene.** Every `try_*` call takes a caller-supplied `salt`
-//! that namespaces its wire tags. A failed collective leaves stragglers
-//! in mailboxes (survivors' contributions that arrived after the bail);
-//! fresh salts — step numbers, recovery rounds — keep those from
-//! cross-matching with later collectives. Salts follow the same
+//! **Tag hygiene.** Every `try_allgather` call takes a caller-supplied
+//! `salt` that namespaces its wire tag. A failed collective leaves
+//! stragglers in mailboxes (survivors' contributions that arrived after
+//! the bail); fresh salts — step numbers, recovery rounds — keep those
+//! from cross-matching with later collectives. Salts follow the same
 //! program-order discipline as ordinary collectives: all participants
 //! pass the same value in the same order.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::collective::ReduceOp;
 use crate::comm::{Comm, CommError};
 use crate::retry::{splitmix64, RetryPolicy};
 
@@ -40,111 +35,29 @@ fn salted(base: u64, salt: u64) -> u64 {
     base ^ (splitmix64(salt) >> 8)
 }
 
-/// Snapshot of the world's heartbeat state: who is dead, and the last
-/// epoch every rank published. Epochs double as heartbeats — a rank
-/// whose epoch stops advancing while its peers move on is stalled even
-/// if not (yet) declared dead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LivenessView {
-    /// Last epoch each rank stored via [`Comm::set_epoch`].
-    pub epochs: Vec<u64>,
-    /// Death epoch per rank; `None` = alive.
-    pub deaths: Vec<Option<u64>>,
-}
-
-impl LivenessView {
-    pub fn alive(&self, rank: usize) -> bool {
-        self.deaths[rank].is_none()
-    }
-
-    /// Ranks still alive, ascending.
-    pub fn survivors(&self) -> Vec<usize> {
-        (0..self.deaths.len()).filter(|&r| self.alive(r)).collect()
-    }
-
-    /// Is `rank` alive but trailing the most-advanced live rank by more
-    /// than `max_lag` epochs? The stall-suspicion heuristic telemetry
-    /// uses to tag a gather as partial before the rank is declared dead.
-    pub fn stalled(&self, rank: usize, max_lag: u64) -> bool {
-        if !self.alive(rank) {
-            return false;
-        }
-        let front = (0..self.deaths.len())
-            .filter(|&r| self.alive(r))
-            .map(|r| self.epochs[r])
-            .max()
-            .unwrap_or(0);
-        self.epochs[rank] + max_lag < front
-    }
-}
-
 impl Comm {
-    /// Heartbeat snapshot in this communicator's rank numbering.
-    pub fn liveness(&self) -> LivenessView {
-        let n = self.size();
-        LivenessView {
-            epochs: (0..n).map(|r| self.peer_epoch(r)).collect(),
-            deaths: (0..n).map(|r| self.death_epoch(r)).collect(),
-        }
-    }
-
     /// Failure-aware allgather: every rank contributes `value` and
     /// receives all contributions in rank order, or a typed error if a
     /// participant died ([`CommError::PeerDead`]) or stayed silent past
     /// `timeout` ([`CommError::Timeout`]). The wait is deadline-bounded
     /// end to end: `timeout` caps the *total* wall-clock across all
-    /// peers, so the collective can never hang.
-    ///
-    /// Symmetric all-to-all over point-to-point messages (no root to
-    /// die). `f64` payloads pass the fault-injection funnel like any
-    /// other message; control-plane callers that need exemption send
-    /// non-`f64` elements.
+    /// peers, so the collective can never hang. Charged and delivered
+    /// like [`Comm::allgather`] (no root to die; the fault plan never
+    /// touches it).
     pub fn try_allgather<T: Clone + Send + 'static>(
         &self,
         salt: u64,
         value: Vec<T>,
         timeout: Duration,
     ) -> Result<Vec<Vec<T>>, CommError> {
-        let n = self.size();
-        let me = self.rank();
         let tag = salted(TRY_COLL_BASE, salt);
         if self.self_failed() {
-            return Err(CommError::PeerDead { peer: me, tag });
+            return Err(CommError::PeerDead {
+                peer: self.rank(),
+                tag,
+            });
         }
-        for r in (0..n).filter(|&r| r != me) {
-            self.send(r, tag, value.clone());
-        }
-        let deadline = Instant::now() + timeout;
-        let mut out: Vec<Option<Vec<T>>> = (0..n).map(|_| None).collect();
-        out[me] = Some(value);
-        for r in (0..n).filter(|&r| r != me) {
-            let left = deadline.saturating_duration_since(Instant::now());
-            out[r] = Some(self.recv_deadline::<T>(r, tag, left)?);
-        }
-        Ok(out.into_iter().map(|v| v.expect("filled above")).collect())
-    }
-
-    /// Failure-aware deterministic scalar allreduce (rank-ordered fold
-    /// over [`Comm::try_allgather`] — bitwise identical to the blocking
-    /// [`Comm::allreduce_f64`] for the same contributions).
-    pub fn try_allreduce_f64(
-        &self,
-        salt: u64,
-        value: f64,
-        op: ReduceOp,
-        timeout: Duration,
-    ) -> Result<f64, CommError> {
-        let gathered = self.try_allgather(salt, vec![value], timeout)?;
-        Ok(gathered
-            .iter()
-            .map(|v| v[0])
-            .fold(op.identity(), |a, b| op.apply(a, b)))
-    }
-
-    /// Failure-aware barrier: returns once every rank has entered, or a
-    /// typed error if one died or stayed silent past `timeout`.
-    pub fn try_barrier(&self, salt: u64, timeout: Duration) -> Result<(), CommError> {
-        self.try_allgather(salt, vec![0u8], timeout).map(|_| ())
+        self.gather(tag, value, timeout, |t| &t.collectives)
     }
 
     /// Deterministic survivor consensus — the `MPI_Comm_agree` analogue.
@@ -224,18 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn try_allreduce_is_bitwise_identical_to_blocking() {
-        World::run(4, |comm| {
-            let x = 0.1 * (comm.rank() as f64 + 1.0) * 1e10 + 1e-7;
-            let blocking = comm.allreduce_f64(x, ReduceOp::Sum);
-            let fallible = comm
-                .try_allreduce_f64(2, x, ReduceOp::Sum, Duration::from_secs(5))
-                .unwrap();
-            assert_eq!(blocking.to_bits(), fallible.to_bits());
-        });
-    }
-
-    #[test]
     fn try_allgather_reports_dead_peer() {
         let cfg = WorldConfig::new(3).faults(FaultPlan::new(0).kill(2, 1));
         World::run_cfg(cfg, |comm| {
@@ -274,33 +175,5 @@ mod tests {
         for v in &live {
             assert_eq!(v, &vec![0, 2, 3], "every survivor holds the same view");
         }
-    }
-
-    #[test]
-    fn liveness_tracks_epochs_and_deaths() {
-        let cfg = WorldConfig::new(3).faults(FaultPlan::new(0).kill(1, 2));
-        World::run_cfg(cfg, |comm| {
-            comm.set_epoch(if comm.rank() == 1 { 2 } else { 5 });
-            if comm.self_failed() {
-                return;
-            }
-            comm.try_barrier(9, Duration::from_secs(5)).ok();
-            let lv = comm.liveness();
-            assert!(!lv.alive(1));
-            assert_eq!(lv.deaths[1], Some(2));
-            assert_eq!(lv.survivors(), vec![0, 2]);
-            assert!(!lv.stalled(1, 0), "dead is not stalled");
-        });
-    }
-
-    #[test]
-    fn stall_suspicion_flags_lagging_rank() {
-        let lv = LivenessView {
-            epochs: vec![10, 3, 10],
-            deaths: vec![None, None, None],
-        };
-        assert!(lv.stalled(1, 2));
-        assert!(!lv.stalled(1, 7));
-        assert!(!lv.stalled(0, 0));
     }
 }

@@ -6,12 +6,14 @@
 //! ranks are OS threads inside one process:
 //!
 //! * [`comm::World::run`] launches `n` ranks and gives each a [`comm::Comm`];
-//! * blocking, tag-matched [`comm::Comm::send`]/[`comm::Comm::recv`] plus
-//!   buffered non-blocking `isend`/`irecv` with `wait`;
-//! * deterministic collectives ([`collective`]): barrier, allreduce,
-//!   allgather, broadcast — reductions are applied in rank order on every
-//!   rank, so results are bitwise reproducible run-to-run and independent of
-//!   scheduling;
+//! * buffered, tag-matched [`comm::Comm::send`] and bounded
+//!   [`comm::Comm::recv`], plus the pooled `send_into` / `recv_into` the
+//!   halo engine uses;
+//! * deterministic collectives ([`collective`]): barrier, allgather and
+//!   allreduce, each one rank-ordered allgather over the mailbox, so
+//!   reductions are bitwise reproducible run-to-run and independent of
+//!   scheduling; [`failure`] adds the deadline-bounded `try_allgather` and
+//!   survivor consensus;
 //! * [`cart::CartComm`] — the 2-D block decomposition used by LICOM,
 //!   including zonal periodicity and the tripolar **north-fold** neighbor
 //!   mapping;
@@ -31,19 +33,16 @@ pub mod flight;
 pub(crate) mod pool;
 pub mod retry;
 pub mod stats;
-pub mod subcomm;
 pub mod tap;
 
 pub use cart::{CartComm, Dir, Neighbor};
 pub use collective::ReduceOp;
-pub use comm::{Comm, CommError, RecvReq, World, WorldConfig};
+pub use comm::{Comm, CommError, World, WorldConfig};
 pub use crc::{crc32, crc32_f64, crc32c, crc32c_f64, Crc32};
-pub use failure::LivenessView;
 pub use fault::{FaultKind, FaultPlan, FaultRule, MatchSpec, RankFailure};
 pub use flight::{
     FlightCtx, FlightEvent, FlightEventKind, FlightRing, FlightScope, LamportClock, FLIGHT_SCHEMA,
 };
 pub use retry::RetryPolicy;
 pub use stats::{Traffic, TrafficSnapshot};
-pub use subcomm::SubComm;
 pub use tap::{clear_tap, set_tap, CommEvent, CommEventKind, CommTap};

@@ -5,7 +5,7 @@
 //! an observer installed with [`set_tap`] receives one [`CommEvent`] per
 //! send, matched receive, fault injection, served retransmission and
 //! receive timeout, emitted from the same funnels that update the
-//! counters (`Comm::deliver`, `take_message_for`, `fetch_resend`). The
+//! counters (`Comm::post`, `send_into`, `take_message_for`, `fetch_resend`). The
 //! `kokkos-profiling` crate bridges these onto per-rank chrome-trace
 //! comm tracks, interleaved with kernel spans.
 //!
@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 /// What happened on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommEventKind {
-    /// A point-to-point payload was enqueued (both `send` and `send_into`).
+    /// A payload was enqueued (`send`, `send_into` and collective messages).
     Send,
     /// A blocking/bounded receive matched a message.
     Recv,

@@ -52,6 +52,17 @@
 # the single-counter `Traffic::record_*` methods: a second hand-written copy
 # of a declaration must not grow back beside the one.
 #
+# Every `mpi-sim` collective is one deadline-bounded, rank-ordered allgather
+# over the mailbox (`Comm::gather`). Rule 1's list also holds the world slot
+# table whose arrival and departure waits had no deadline (`CollectiveState`,
+# `CollInner`, `coll_dead`), the views' root gather + broadcast
+# (`view_allgather`), the `SubComm` / `subcomm` third copy, and the public
+# surface nothing outside its own tests called (`broadcast`,
+# `allreduce_vec_f64`, `allreduce_usize_sum`, `try_allreduce_f64`,
+# `try_barrier`, `LivenessView`, `liveness`, `peer_epoch`, `sendrecv`,
+# `irecv`, `RecvReq`, `isend`): a second collective engine, or an unbounded
+# wait, must not grow back beside the one.
+#
 #   scripts/check_one_shape.sh      (from the repository root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -59,7 +70,7 @@ cd "$(dirname "$0")/.."
 failed=0
 
 # Whole identifiers: `kernel_canuto_cols` registers the surviving list functor.
-gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph|StepMonitor|TelemetryConfig|DriftDetector|DriftBank|RingBuffer|surface_scalars|hotspot_shares|gather_phases|flush_ghost_debt|EwPosted|NsPosted|post_ns|FunctorAsselin2D|FunctorAsselin3|FunctorBtStep|kernel_asselin_2d|kernel_asselin_3|kernel_bt_step|Payload1D|Payload2D|Payload3D|PayloadList|PayloadReduce1D|PayloadReduce2D|PayloadReduce3D|PayloadReduceList|PayloadTeam|tramp_for_1d|tramp_for_2d|tramp_for_3d|tramp_for_list|tramp_reduce_1d|tramp_reduce_2d|tramp_reduce_3d|tramp_reduce_list|sw_retile_1d|sw_retile_2d|sw_retile_3d|drive_list_tiles|host_partials|register_1d|register_2d|register_3d|register_list|insert_team|FunctorPair2D|CounterTable|TimerStat|render_named_counters_labeled|render_named_gauges_labeled|render_phase_seconds_labeled|render_traffic_labeled|record_collective_entry|record_collective_op|record_barrier|record_pool_allocation|record_pool_reuse|record_pooled_bytes|record_fault_dropped|record_fault_duplicated|record_fault_delayed|record_fault_bitflipped|record_fault_truncated|record_rank_stall|record_crc_failure|record_halo_retry|record_recv_timeout|record_rank_death|record_peer_dead_error|record_send_suppressed)\b'
+gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph|StepMonitor|TelemetryConfig|DriftDetector|DriftBank|RingBuffer|surface_scalars|hotspot_shares|gather_phases|flush_ghost_debt|EwPosted|NsPosted|post_ns|FunctorAsselin2D|FunctorAsselin3|FunctorBtStep|kernel_asselin_2d|kernel_asselin_3|kernel_bt_step|Payload1D|Payload2D|Payload3D|PayloadList|PayloadReduce1D|PayloadReduce2D|PayloadReduce3D|PayloadReduceList|PayloadTeam|tramp_for_1d|tramp_for_2d|tramp_for_3d|tramp_for_list|tramp_reduce_1d|tramp_reduce_2d|tramp_reduce_3d|tramp_reduce_list|sw_retile_1d|sw_retile_2d|sw_retile_3d|drive_list_tiles|host_partials|register_1d|register_2d|register_3d|register_list|insert_team|FunctorPair2D|CounterTable|TimerStat|render_named_counters_labeled|render_named_gauges_labeled|render_phase_seconds_labeled|render_traffic_labeled|record_collective_entry|record_collective_op|record_barrier|record_pool_allocation|record_pool_reuse|record_pooled_bytes|record_fault_dropped|record_fault_duplicated|record_fault_delayed|record_fault_bitflipped|record_fault_truncated|record_rank_stall|record_crc_failure|record_halo_retry|record_recv_timeout|record_rank_death|record_peer_dead_error|record_send_suppressed|CollectiveState|CollInner|coll_dead|view_allgather|SubComm|subcomm|broadcast|allreduce_vec_f64|allreduce_usize_sum|try_allreduce_f64|try_barrier|LivenessView|liveness|peer_epoch|sendrecv|irecv|RecvReq|isend)\b'
 if hits=$(git grep -nE "$gone" -- crates src tests examples ':!crates/perf-model'); then
     echo "check_one_shape: deleted names are back:"
     echo "$hits"
