@@ -4,13 +4,16 @@
 //! different model than the one we run.
 //!
 //! The census describes the paper's code, which runs the implicit solve,
-//! the tracer diffusion and the vertical advection pass once **per field**.
-//! This repository's functors run each once over a pair of fields and count
-//! what the pair shares (coefficients, masks, `w`) once. The checks below
-//! relate the two explicitly: a census row is the paired cost plus the
-//! shared part a second time — for the solve, exactly twice its `N = 1` cost.
+//! the tracer diffusion and the vertical advection pass once **per field**,
+//! and every step of the new level's chains as a launch of its own. This
+//! repository runs each over a pair of fields and counts what the pair
+//! shares (coefficients, masks, `w`) once, and finishes the new level in two
+//! column passes that count a field two members touch once. The checks
+//! below relate the two explicitly: a census row is the paired cost plus
+//! the shared part a second time, and a column pass is the sum of the rows
+//! it runs less what a launch of their own pays again.
 
-use kokkos_rs::{IterCost, View, View1, View2, View3};
+use kokkos_rs::{View, View1, View2, View3};
 use perf_model::workload::{PASSES_2D_SUBSTEP, PASSES_3D};
 
 fn census(name: &str) -> (f64, f64) {
@@ -80,15 +83,9 @@ fn momentum_census_matches_functor_cost() {
     assert_eq!((c.flops as f64, c.bytes as f64), (flops, bytes));
 }
 
-#[test]
-fn advection_census_matches_summed_pass_costs() {
+/// The advection x and y passes per cell, both tracers.
+fn horizontal_advection() -> (f64, f64) {
     use kokkos_rs::Functor3D;
-    // Census entry "advection_tracer" = the fused x pass + the fused y
-    // pass (each per cell for both tracers) + 2 tracers x a per-field z
-    // pass. The z functor is paired: per level it counts the interface CFL
-    // (4 flops) and `w` + the metrics (16 bytes) once, a per-field pass
-    // counts them for each tracer.
-    const Z_SHARED: (f64, f64) = (4.0, 16.0);
     let nz = 4;
     let fields = || licom::advect::AdvectFields {
         q: [v3(nz), v3(nz)],
@@ -100,35 +97,27 @@ fn advection_census_matches_summed_pass_costs() {
         dt: 20.0,
         limited: true,
     };
-    let ax = licom::advect::FunctorAdvectX(fields());
-    let ay = licom::advect::FunctorAdvectY(fields());
-    // z-pass is a column functor: per-point share = cost / nz.
-    let az = licom::advect::FunctorAdvectZ {
-        q: [v3(nz), v3(nz)],
-        q1: [v3(nz), v3(nz)],
-        w: v3(nz + 1),
-        kmt: v2i(nz as i32),
-        dz: v1(nz),
-        dt: 20.0,
-        nz,
-        limited: true,
-    };
-    use kokkos_rs::FunctorList;
-    let horizontal =
-        |x: IterCost, y: IterCost| ((x.flops + y.flops) as f64, (x.bytes + y.bytes) as f64);
-    let (h_flops, h_bytes) = horizontal(ax.cost(), ay.cost());
-    let (flops, bytes) = census("advection_tracer");
+    let x = licom::advect::FunctorAdvectX(fields()).cost();
+    let y = licom::advect::FunctorAdvectY(fields()).cost();
+    ((x.flops + y.flops) as f64, (x.bytes + y.bytes) as f64)
+}
+
+#[test]
+fn advection_census_is_the_horizontal_passes_and_a_vertical_pass_per_field() {
+    // Census entry "advection_tracer" = the fused x pass + the fused y pass
+    // (each per cell for both tracers) + 2 tracers x a per-field z pass,
+    // which runs as the first member of the tracer column pass.
+    let (h_flops, h_bytes) = horizontal_advection();
     assert_eq!(
-        flops,
-        h_flops + az.cost().flops as f64 / nz as f64 + Z_SHARED.0,
-        "flops census drifted"
-    );
-    assert_eq!(
-        bytes,
-        h_bytes + az.cost().bytes as f64 / nz as f64 + Z_SHARED.1,
-        "bytes census drifted"
+        census("advection_tracer"),
+        (h_flops + Z_PER_FIELD.0, h_bytes + Z_PER_FIELD.1)
     );
 }
+
+/// Two single-field vertical advection passes, per level: the limiter and
+/// update per tracer, the interface CFL each (30 flops); `q` in, `q1` out,
+/// the staged rows, `w` and the metrics each (80 bytes).
+const Z_PER_FIELD: (f64, f64) = (60.0, 160.0);
 
 #[test]
 fn canuto_census_matches_column_share() {
@@ -154,24 +143,11 @@ fn canuto_census_matches_column_share() {
     assert_eq!(c.bytes as f64, bytes * nz as f64);
 }
 
-fn vmix_cost<const N: usize>(nz: usize) -> IterCost {
-    use kokkos_rs::FunctorList;
-    licom::vmix::FunctorVmixImplicit {
-        q: [(); N].map(|()| v3(nz)),
-        kcoef: v3(nz + 1),
-        mask: v2i(nz as i32),
-        dz: v1(nz),
-        z_t: v1(nz),
-        dt: 20.0,
-        nz,
-    }
-    .cost()
-}
-
 #[test]
 fn vmix_census_is_two_single_field_solves() {
     let nz = 4;
-    let (pair, single) = (vmix_cost::<2>(nz), vmix_cost::<1>(nz));
+    let cost = |n| licom::vmix::solve_cost(n, nz);
+    let (pair, single) = (cost(2), cost(1));
     // Per mask the census solves twice — (u, v) and (T, S) field by field.
     for name in ["vmix_momentum", "vmix_tracer"] {
         let (flops, bytes) = census(name);
@@ -182,27 +158,130 @@ fn vmix_census_is_two_single_field_solves() {
     assert!(pair.flops < 2 * single.flops && pair.bytes < 2 * single.bytes);
 }
 
-#[test]
-fn hdiff_census_is_the_paired_cost_plus_the_shared_part() {
-    use kokkos_rs::FunctorList;
-    let f = licom::model::FunctorTracerHDiff {
-        q_cur: [v3(4), v3(4)],
-        q_new: [v3(4), v3(4)],
-        kmt: v2i(4),
-        dxt: v1(8),
-        dyt: 1.0e5,
-        kappa: 1.0e2,
+fn solve(nz: usize) -> licom::vmix::VerticalSolve {
+    licom::vmix::VerticalSolve {
+        kcoef: v3(nz + 1),
+        mask: v2i(nz as i32),
+        dz: v1(nz),
+        z_t: v1(nz),
         dt: 20.0,
+        nz,
+    }
+}
+
+/// The component-wise sum of `(flops, bytes)` pairs.
+fn sum(parts: &[(f64, f64)]) -> (f64, f64) {
+    parts
+        .iter()
+        .fold((0.0, 0.0), |(f, b), p| (f + p.0, b + p.1))
+}
+
+#[test]
+fn column_passes_are_their_census_rows_less_what_they_count_once() {
+    use kokkos_rs::FunctorList;
+    let nz = 4;
+    let velocity = licom::columns::FunctorVelocityColumns {
+        old: [v3(nz), v3(nz)],
+        tend: [v3(nz), v3(nz)],
+        new: [v3(nz), v3(nz)],
+        solve: solve(nz),
+        bt: [v2(), v2()],
+        speed: v2(),
+    }
+    .cost();
+    let tracer = licom::columns::FunctorTracerColumns {
+        q: [v3(nz), v3(nz)],
+        advect: licom::advect::AdvectZ {
+            w: v3(nz + 1),
+            kmt: v2i(nz as i32),
+            dz: v1(nz),
+            dt: 20.0,
+            nz,
+            limited: true,
+        },
+        hdiff: licom::columns::TracerHDiff {
+            q_cur: [v3(nz), v3(nz)],
+            kmt: v2i(nz as i32),
+            dxt: v1(8),
+            dyt: 1.0e5,
+            kappa: 1.0e2,
+            dt: 20.0,
+        },
+        solve: solve(nz),
+        restore: licom::forcing::SurfaceRestore {
+            lat: v1(8),
+            dt: 20.0,
+        },
+        bounds: [(-5.0, 45.0), (18.0, 50.0)],
+        excess: v2(),
+    }
+    .cost();
+    // What the guard's scans cost per cell as launches of their own:
+    // |u|, |v| and the T, S bounds.
+    const GUARD_SPEED: (f64, f64) = (4.0, 16.0);
+    const GUARD_BOUNDS: (f64, f64) = (8.0, 16.0);
+    // Per level, counted once by the velocity pass: the matrix the two
+    // solves share; the new level's store, which the leapfrog made and the
+    // solve re-read and re-wrote; the leapfrog's two mask reads; the mode
+    // correction's passes over u and v; the guard's two reads.
+    let uv_once = sum(&[
+        (9.0, 32.0),
+        (0.0, 32.0),
+        (0.0, 8.0),
+        (0.0, 48.0),
+        (0.0, 16.0),
+    ]);
+    // Per level, counted once by the tracer pass: the CFL and `w` the two
+    // vertical passes share, the metrics and masks the two diffusions
+    // share, the matrix the two solves share, the new level between the
+    // members (the advection's store, the diffusion's load and store, the
+    // solve's load), the guard's two reads.
+    let ts_once = sum(&[
+        (4.0, 16.0),
+        (3.0, 24.0),
+        (9.0, 32.0),
+        (0.0, 64.0),
+        (0.0, 16.0),
+    ]);
+    // Per column: the velocity pass reads the window averages and stores
+    // its maximum (32 B) and divides and subtracts twice; the tracer pass
+    // restores the surface (16 flops, 48 B, less its load and store of the
+    // surface row: 32 B) and stores its maximum (16 B).
+    const UV_COLUMN: (f64, f64) = (4.0, 32.0);
+    const TS_COLUMN: (f64, f64) = (16.0, 32.0);
+    let column = |level: (f64, f64), column: (f64, f64)| {
+        (
+            nz as f64 * level.0 + column.0,
+            nz as f64 * level.1 + column.1,
+        )
     };
-    // Census entry "tracer_hdiff" = 2 tracers x a per-field pass; the
-    // paired functor works out the metric products (3 flops) and reads the
-    // five `kmt` and the row metric (24 bytes) once for both.
-    const SHARED: (f64, f64) = (3.0, 24.0);
-    let c = f.cost();
-    let (flops, bytes) = census("tracer_hdiff");
+    let rows = |names: &[&str]| sum(&names.iter().map(|n| census(n)).collect::<Vec<_>>());
+    let less = |a: (f64, f64), b: (f64, f64)| (a.0 - b.0, a.1 - b.1);
     assert_eq!(
-        (c.flops as f64 + SHARED.0, c.bytes as f64 + SHARED.1),
-        (flops, bytes)
+        [velocity, tracer].map(|c| (c.flops as f64, c.bytes as f64)),
+        [
+            column(
+                less(
+                    sum(&[
+                        rows(&["leapfrog_uv", "vmix_momentum", "bt_correct"]),
+                        GUARD_SPEED
+                    ]),
+                    uv_once
+                ),
+                UV_COLUMN
+            ),
+            column(
+                less(
+                    sum(&[
+                        Z_PER_FIELD,
+                        rows(&["tracer_hdiff", "vmix_tracer"]),
+                        GUARD_BOUNDS
+                    ]),
+                    ts_once
+                ),
+                TS_COLUMN
+            ),
+        ]
     );
 }
 

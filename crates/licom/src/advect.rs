@@ -24,8 +24,7 @@
 //! the Sunway cycle model.
 
 use kokkos_rs::{
-    parallel_for_3d, parallel_for_list, Functor3D, FunctorList, IterCost, ListPolicy,
-    MDRangePolicy3, Space, View1, View2, View3,
+    parallel_for_3d, Functor3D, FunctorList, IterCost, MDRangePolicy3, Space, View1, View2, View3,
 };
 
 use halo_exchange::{FoldKind, Halo3D, HaloError, HALO as H};
@@ -407,13 +406,14 @@ impl FunctorList for FunctorDiagnoseW {
 
 kokkos_rs::register_for_list!(kernel_diagnose_w, FunctorDiagnoseW);
 
-/// Vertical pass of both tracers: limited upstream fluxes through
+/// The vertical pass of both tracers: limited upstream fluxes through
 /// interfaces and the divergence update, column-wise (the column loop *is*
-/// the stencil, so one functor does both steps). `w` is staged once and
-/// the interface CFL `c = |w| dt / dz` — a divide — serves `T` and `S`.
-pub struct FunctorAdvectZ {
-    pub q: [View3<f64>; 2],
-    pub q1: [View3<f64>; 2],
+/// the stencil, so one body does both steps). `w` is staged once and the
+/// interface CFL `c = |w| dt / dz` — a divide — serves `T` and `S`. Not a
+/// launch of its own: the first member of the tracer column pass
+/// ([`crate::columns::FunctorTracerColumns`]), which takes its result
+/// straight into diffusion and the implicit solve.
+pub struct AdvectZ {
     pub w: View3<f64>,
     pub kmt: View2<i32>,
     pub dz: View1<f64>,
@@ -422,31 +422,29 @@ pub struct FunctorAdvectZ {
     pub limited: bool,
 }
 
-impl ColumnKernel for FunctorAdvectZ {
-    /// The staged `w`, and per tracer the staged `q` and the interface
-    /// fluxes `f[k]`, `k = 0..=nz`.
-    fn scratch_words(&self) -> usize {
-        5 * self.nz + 2
+impl AdvectZ {
+    /// Work words per lane: the staged `w`, and per tracer the staged `q`
+    /// and the interface fluxes `f[k]`, `k = 0..=nz`.
+    pub const fn scratch_words(nz: usize) -> usize {
+        5 * nz + 2
     }
 
-    /// The columns `(jl, il..il + W)` at **padded** indices. Below each
-    /// lane's `kmt` the pass copies `q` through; land columns are not in
-    /// the wet list, which is right only because [`advect_tracer`] runs the
-    /// pass in place (`q` and `q1` alias, so their copy-through is the
-    /// identity).
+    /// The pass over the columns `(jl, il..il + W)` at **padded** indices,
+    /// of depths `kmt` (the deepest `kmax > 0`): reads both tracers `q` and
+    /// leaves tracer `t`'s updated level `k` in row `2k + t` of `out`, for
+    /// `k < kmax`. A lane's rows at and below its own depth hold its `q`
+    /// unchanged (no flux crosses its bottom), and mean nothing to a caller
+    /// that stores only wet rows.
     #[inline(always)]
-    fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
-        let (kmt, kmax) = lanes::depths::<W>(&self.kmt, jl, il);
-        let kmin = kmt.iter().copied().min().unwrap_or(0).max(0) as usize;
-        for k in kmin..self.nz {
-            let dry = Mask::<W>::from_fn(|l| k as i32 >= kmt[l]);
-            for (q, q1) in self.q.iter().zip(&self.q1) {
-                F64x::load(q, k, jl, il).store_where(dry, q1, k, jl, il);
-            }
-        }
-        if kmax == 0 {
-            return;
-        }
+    pub fn column<const W: usize>(
+        &self,
+        q: [&View3<f64>; 2],
+        jl: usize,
+        il: usize,
+        (kmt, kmax): ([i32; W], usize),
+        scratch: &mut [f64],
+        out: &mut [[f64; W]],
+    ) {
         // Interface fluxes f[k], k = 0..=kmt; f[kmt] (bottom) is zero.
         // w > 0 is upward: donor is the layer below the interface
         // (layer k). The surface interface carries the free-surface
@@ -472,7 +470,7 @@ impl ColumnKernel for FunctorAdvectZ {
         // on its own line and page.
         for k in 0..kmax {
             ws[k] = F64x::<W>::load(&self.w, k, jl, il).0;
-            for (t, q) in self.q.iter().enumerate() {
+            for (t, q) in q.iter().enumerate() {
                 qs[2 * k + t] = F64x::<W>::load(q, k, jl, il).0;
             }
         }
@@ -509,39 +507,14 @@ impl ColumnKernel for FunctorAdvectZ {
             }
         }
         for k in 0..kmax {
-            let wet = above(k, &kmt);
-            for (t, q1) in self.q1.iter().enumerate() {
+            for t in 0..2 {
                 // d(q)/dt = -(f[k] - f[k+1]) / dz  (f positive upward).
                 let dq = -self.dt * (F64x(f[2 * k + t]) - F64x(f[2 * k + 2 + t])) / self.dz.at(k);
-                (F64x(qs[2 * k + t]) + dq).store_where(wet, q1, k, jl, il);
+                out[2 * k + t] = (F64x(qs[2 * k + t]) + dq).0;
             }
         }
     }
 }
-
-/// Entry `idx` is a packed owned wet T column `jl·pi + il` (`pi` is `kmt`'s
-/// row pitch).
-impl FunctorList for FunctorAdvectZ {
-    fn operator(&self, _n: usize, idx: u32) {
-        lanes::run_column(self, self.kmt.extent(1), idx);
-    }
-
-    fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(Isa::detect(), self, self.kmt.extent(1), entries);
-    }
-
-    /// Per column, both tracers: the limiter and update per tracer (26
-    /// flops a level), the CFL once (4); per tracer `q` in, `q1` out and the
-    /// staged rows (64 bytes a level), `w` and the metrics once (16).
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 56 * self.nz as u64,
-            bytes: 144 * self.nz as u64,
-        }
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_advect_z, FunctorAdvectZ);
 
 /// Tag base of the intermediate fields' refresh inside [`advect_tracer`].
 const TMP_TAG_BASE: u64 = 820;
@@ -551,21 +524,20 @@ pub fn register() {
     kernel_advect_x();
     kernel_advect_y();
     kernel_diagnose_w();
-    kernel_advect_z();
 }
 
-/// Full dimension-split advection of both tracers `q` over `dt`, writing
-/// `q_out`. `w` must already be diagnosed ([`FunctorDiagnoseW`]).
-/// Requires valid halos on `q`, `u`, `v`. Uses `tmp` as the intermediate
-/// fields, whose halos one batched exchange on `halo` refreshes between
-/// the x and y passes (the y-stencil reads `tmp` at `j±2`, which the
-/// x-pass does not compute in the halo rows). The interior rows' y pass,
-/// reading no `tmp` ghost row, runs between that exchange's post and its
-/// finish; `poster` says whether it is in flight meanwhile.
+/// The horizontal half of the dimension-split advection of both tracers
+/// `q` over `dt`, writing `q_out`; the vertical half is the first member of
+/// the tracer column pass ([`crate::columns::FunctorTracerColumns`]), which
+/// runs on `q_out` next. Requires valid halos on `q`, `u`, `v`. Uses `tmp`
+/// as the intermediate fields, whose halos one batched exchange on `halo`
+/// refreshes between the x and y passes (the y-stencil reads `tmp` at
+/// `j±2`, which the x-pass does not compute in the halo rows). The interior
+/// rows' y pass, reading no `tmp` ghost row, runs between that exchange's
+/// post and its finish; `poster` says whether it is in flight meanwhile.
 ///
-/// The column-local z pass runs over `wet_cols` (the packed owned wet T
-/// columns); the x/y passes stay dense because they copy `q → q1` on land —
-/// a real write into the scratch field that skipping would lose.
+/// The x/y passes stay dense because they copy `q → q1` on land — a real
+/// write into the scratch field that skipping would lose.
 #[allow(clippy::too_many_arguments)]
 pub fn advect_tracer(
     space: &Space,
@@ -575,10 +547,8 @@ pub fn advect_tracer(
     tmp: [&View3<f64>; 2],
     u: &View3<f64>,
     v: &View3<f64>,
-    w: &View3<f64>,
     dt: f64,
     limited: bool,
-    wet_cols: &ListPolicy,
     halo: &Halo3D,
     poster: Poster,
 ) -> Result<(), HaloError> {
@@ -637,19 +607,6 @@ pub fn advect_tracer(
         let _r = kokkos_rs::profiling::region("adv:ypass");
         parallel_for_3d(space, cells, &fy);
     }
-    // Z pass in place on q_out (column-local, no halo needed).
-    let _r = kokkos_rs::profiling::region("adv:zpass");
-    let az = FunctorAdvectZ {
-        q: q_out.map(View3::clone),
-        q1: q_out.map(View3::clone),
-        w: w.clone(),
-        kmt: g.kmt.clone(),
-        dz: g.dz.clone(),
-        dt,
-        nz,
-        limited,
-    };
-    parallel_for_list(space, wet_cols, &az);
     Ok(())
 }
 

@@ -1,5 +1,6 @@
-//! Baroclinic momentum: the B-grid 3-D momentum tendency and the
-//! leapfrog/Asselin machinery.
+//! Baroclinic momentum: the B-grid 3-D momentum tendency and the Asselin
+//! filter. The leapfrog step itself is the first member of the velocity
+//! column pass ([`crate::columns::FunctorVelocityColumns`]).
 //!
 //! Tendency terms at velocity corners (all masked by `kmu`):
 //! baroclinic pressure gradient, Coriolis, centered horizontal advection
@@ -7,7 +8,7 @@
 //! level, as leapfrog stability requires), and quadratic bottom drag.
 //! Wind stress is added separately ([`crate::forcing`]); the surface
 //! (barotropic) pressure gradient lives in the split-explicit solver and
-//! its window average re-enters through [`FunctorBtCorrect`], which
+//! its window average re-enters through the velocity column pass, which
 //! replaces the depth-mean of the updated 3-D velocity with the
 //! barotropic transport (mode consistency).
 //!
@@ -145,46 +146,6 @@ impl FunctorList for FunctorMomentumTend {
 
 kokkos_rs::register_for_list!(kernel_momentum_tend, FunctorMomentumTend);
 
-/// Leapfrog update `new = old + dt2 · tend`, masked.
-pub struct FunctorLeapfrog3D {
-    pub old: View3<f64>,
-    pub new: View3<f64>,
-    pub tend: View3<f64>,
-    pub mask: View2<i32>,
-    pub dt2: f64,
-}
-
-impl RowKernel for FunctorLeapfrog3D {
-    #[inline(always)]
-    fn block<const W: usize>(&self, k: usize, j: usize, i: usize) {
-        let (jl, il) = (j + H, i + H);
-        let new =
-            F64x::<W>::load(&self.old, k, jl, il) + self.dt2 * F64x::load(&self.tend, k, jl, il);
-        lanes::wet::<W>(&self.mask, k, jl, il)
-            .select(new, F64x::splat(0.0))
-            .store(&self.new, k, jl, il);
-    }
-}
-
-impl Functor3D for FunctorLeapfrog3D {
-    fn operator(&self, k: usize, j: usize, i: usize) {
-        self.block::<1>(k, j, i);
-    }
-
-    fn operator_tile(&self, bounds: [(usize, usize); 3]) {
-        lanes::run_tile(Isa::detect(), self, bounds);
-    }
-
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 2,
-            bytes: 36,
-        }
-    }
-}
-
-kokkos_rs::register_for_3d!(kernel_leapfrog_3d, FunctorLeapfrog3D);
-
 /// Asselin filter on a 3-D leapfrog triple.
 pub struct FunctorAsselin3D {
     pub old: View3<f64>,
@@ -224,66 +185,10 @@ impl Functor3D for FunctorAsselin3D {
 
 kokkos_rs::register_for_3d!(kernel_asselin_3d, FunctorAsselin3D);
 
-/// Mode-consistency correction: replace the depth-mean of the updated
-/// 3-D velocity with the barotropic window average.
-pub struct FunctorBtCorrect {
-    pub u: View3<f64>,
-    pub v: View3<f64>,
-    pub ubt: View2<f64>,
-    pub vbt: View2<f64>,
-    pub kmu: View2<i32>,
-    pub dz: View1<f64>,
-}
-
-impl FunctorBtCorrect {
-    /// One corner at **padded** indices.
-    fn column(&self, jl: usize, il: usize) {
-        let kb = self.kmu.at(jl, il) as usize;
-        if kb == 0 {
-            return;
-        }
-        let mut su = 0.0;
-        let mut sv = 0.0;
-        let mut h = 0.0;
-        for k in 0..kb {
-            let dz = self.dz.at(k);
-            su += self.u.at(k, jl, il) * dz;
-            sv += self.v.at(k, jl, il) * dz;
-            h += dz;
-        }
-        let du = self.ubt.at(jl, il) - su / h;
-        let dv = self.vbt.at(jl, il) - sv / h;
-        for k in 0..kb {
-            self.u.set_at(k, jl, il, self.u.at(k, jl, il) + du);
-            self.v.set_at(k, jl, il, self.v.at(k, jl, il) + dv);
-        }
-    }
-}
-
-/// Entry `idx` is a packed owned wet velocity corner `jl·pi + il` (`pi` is
-/// `kmu`'s row pitch).
-impl FunctorList for FunctorBtCorrect {
-    fn operator(&self, _n: usize, idx: u32) {
-        let pi = self.kmu.extent(1);
-        self.column(idx as usize / pi, idx as usize % pi);
-    }
-
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 300,
-            bytes: 2000,
-        }
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_bt_correct, FunctorBtCorrect);
-
 /// Register this module's functors.
 pub fn register() {
     kernel_momentum_tend();
-    kernel_leapfrog_3d();
     kernel_asselin_3d();
-    kernel_bt_correct();
 }
 
 #[cfg(test)]
@@ -402,25 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn leapfrog_and_asselin() {
+    fn asselin_filters_the_middle_level() {
         let d3 = [1, 1 + 2 * H, 1 + 2 * H];
         let old: View3<f64> = View::host("o", d3);
         let cur: View3<f64> = View::host("c", d3);
         let new: View3<f64> = View::host("n", d3);
-        let tend: View3<f64> = View::host("t", d3);
-        let mask: View2<i32> = View::host("m", [1 + 2 * H, 1 + 2 * H]);
-        mask.fill(1);
         old.fill(1.0);
-        tend.fill(0.5);
-        let lf = FunctorLeapfrog3D {
-            old: old.clone(),
-            new: new.clone(),
-            tend,
-            mask,
-            dt2: 2.0,
-        };
-        lf.operator(0, 0, 0);
-        assert_eq!(new.at(0, H, H), 2.0);
+        new.fill(2.0);
         cur.fill(1.2);
         let asl = FunctorAsselin3D {
             old,
@@ -430,36 +323,5 @@ mod tests {
         asl.operator(0, 0, 0);
         // 1.2 + 0.1*(1 - 2.4 + 2) = 1.26
         assert!((cur.at(0, H, H) - 1.26).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bt_correct_sets_depth_mean() {
-        let nz = 4;
-        let d3 = [nz, 1 + 2 * H, 1 + 2 * H];
-        let u: View3<f64> = View::host("u", d3);
-        let v: View3<f64> = View::host("v", d3);
-        for k in 0..nz {
-            u.set_at(k, H, H, k as f64); // mean 1.5
-        }
-        let ubt: View2<f64> = View::host("ubt", [1 + 2 * H, 1 + 2 * H]);
-        let vbt: View2<f64> = View::host("vbt", [1 + 2 * H, 1 + 2 * H]);
-        ubt.fill(2.0);
-        let kmu: View2<i32> = View::host("kmu", [1 + 2 * H, 1 + 2 * H]);
-        kmu.fill(nz as i32);
-        let dz: View1<f64> = View::host("dz", [nz]);
-        dz.fill(25.0);
-        let f = FunctorBtCorrect {
-            u: u.clone(),
-            v,
-            ubt,
-            vbt,
-            kmu,
-            dz,
-        };
-        f.operator(0, (H * (1 + 2 * H) + H) as u32);
-        let mean: f64 = (0..nz).map(|k| u.at(k, H, H)).sum::<f64>() / nz as f64;
-        assert!((mean - 2.0).abs() < 1e-12, "depth mean now {mean}");
-        // Shear preserved: u(k) − u(0) unchanged.
-        assert!((u.at(3, H, H) - u.at(0, H, H) - 3.0).abs() < 1e-12);
     }
 }

@@ -13,6 +13,8 @@ use kokkos_rs::{FunctorList, IterCost, View1, View2, View3};
 
 use ocean_grid::RHO0;
 
+use crate::lanes::{F64x, Mask};
+
 /// Zonal wind stress (N/m²) as a function of latitude: trades/westerlies
 /// pattern peaking at ±0.1 N/m².
 pub fn wind_stress_x(lat_deg: f64) -> f64 {
@@ -83,55 +85,34 @@ impl FunctorList for FunctorWindStress {
 
 kokkos_rs::register_for_list!(kernel_wind_stress, FunctorWindStress);
 
-/// Restore the new-level surface tracers toward the climatological target
-/// with timescale [`RESTORE_SECONDS`].
-pub struct FunctorSurfaceRestore {
-    pub t_new: View3<f64>,
-    pub s_new: View3<f64>,
+/// Restoring of the new-level surface tracers toward the climatological
+/// target with timescale [`RESTORE_SECONDS`]. Not a launch of its own: the
+/// last member of the tracer column pass
+/// ([`crate::columns::FunctorTracerColumns`]), applied to the surface row
+/// the implicit solve leaves behind.
+pub struct SurfaceRestore {
     pub lat: View1<f64>,
-    pub kmt: View2<i32>,
     pub dt: f64,
 }
 
-impl FunctorSurfaceRestore {
-    /// One column at **padded** indices.
-    fn column(&self, jl: usize, il: usize) {
-        if self.kmt.at(jl, il) == 0 {
-            return;
-        }
+impl SurfaceRestore {
+    /// `[T, S]` at level 0 of the `W` columns of row `jl` (one latitude),
+    /// restored where `wet`; dry lanes keep their value.
+    #[inline(always)]
+    pub fn apply<const W: usize>(&self, jl: usize, wet: Mask<W>, ts: [F64x<W>; 2]) -> [F64x<W>; 2] {
         let lat = self.lat.at(jl);
         let gamma = self.dt / RESTORE_SECONDS;
-        let t = self.t_new.at(0, jl, il);
-        let s = self.s_new.at(0, jl, il);
-        self.t_new
-            .set_at(0, jl, il, t + gamma * (sst_target(lat) - t));
-        self.s_new
-            .set_at(0, jl, il, s + gamma * (sss_target(lat) - s));
+        let [t, s] = ts;
+        [
+            wet.select(t + gamma * (sst_target(lat) - t), t),
+            wet.select(s + gamma * (sss_target(lat) - s), s),
+        ]
     }
 }
-
-/// Entry `idx` is a packed owned wet T column `jl·pi + il` (`pi` is `kmt`'s
-/// row pitch).
-impl FunctorList for FunctorSurfaceRestore {
-    fn operator(&self, _n: usize, idx: u32) {
-        let pi = self.kmt.extent(1);
-        self.column(idx as usize / pi, idx as usize % pi);
-    }
-
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 16,
-            bytes: 48,
-        }
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_surface_restore, FunctorSurfaceRestore);
 
 /// Register this module's functors.
 pub fn register() {
     kernel_wind_stress();
-    kernel_surface_restore();
 }
 
 #[cfg(test)]
@@ -167,29 +148,18 @@ mod tests {
 
     #[test]
     fn restore_moves_toward_target() {
-        use halo_exchange::HALO as H;
         use kokkos_rs::View;
-        let d3 = [2, 2 + 2 * H, 2 + 2 * H];
-        let d2 = [2 + 2 * H, 2 + 2 * H];
-        let t: View3<f64> = View::host("t", d3);
-        let s: View3<f64> = View::host("s", d3);
-        let lat: View1<f64> = View::host("lat", [2 + 2 * H]);
-        let kmt: View2<i32> = View::host("kmt", d2);
-        t.fill(0.0);
-        s.fill(34.0);
+        let lat: View1<f64> = View::host("lat", [2]);
         lat.fill(0.0); // equator: target ~27, salinity ~36.2
-        kmt.fill(2);
-        let f = FunctorSurfaceRestore {
-            t_new: t.clone(),
-            s_new: s.clone(),
+        let f = SurfaceRestore {
             lat,
-            kmt,
             dt: RESTORE_SECONDS, // gamma = 1: full restoration
         };
-        f.operator(0, (H * (2 + 2 * H) + H) as u32);
-        assert!((t.at(0, H, H) - sst_target(0.0)).abs() < 1e-12);
-        assert!((s.at(0, H, H) - sss_target(0.0)).abs() < 1e-12);
-        // Deeper levels untouched.
-        assert_eq!(t.at(1, H, H), 0.0);
+        let wet = Mask::from_fn(|l| l == 0);
+        let [t, s] = f.apply::<2>(1, wet, [F64x([0.0, 0.0]), F64x([34.0, 34.0])]);
+        assert!((t.0[0] - sst_target(0.0)).abs() < 1e-12);
+        assert!((s.0[0] - sss_target(0.0)).abs() < 1e-12);
+        // A dry lane keeps its values.
+        assert_eq!((t.0[1], s.0[1]), (0.0, 34.0));
     }
 }

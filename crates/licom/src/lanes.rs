@@ -1,8 +1,8 @@
 //! Lane blocks: the in-tree `f64xN` the column and row kernels are written
 //! over.
 //!
-//! A per-column kernel (tridiagonal solve, canuto closure, continuity,
-//! vertical advection) is a chain of dependent divides walked down one
+//! A per-column kernel (the column passes' advection and tridiagonal
+//! solves, canuto closure, continuity) is a chain of dependent divides walked down one
 //! `(jl, il)` at a time; the host cannot overlap anything inside it. The
 //! same arithmetic over `W` columns adjacent in `i` is `W` independent
 //! chains on contiguous memory, which the compiler keeps in flight
@@ -28,31 +28,34 @@
 //! the per-entry path.
 //!
 //! The dense horizontal kernels (the advection x/y passes, the barotropic
-//! substep, the leapfrog and Asselin streams) are the same idea turned
+//! substep, the Asselin stream) are the same idea turned
 //! sideways: a [`RowKernel`] body updates `W` points adjacent in `i` of one
 //! row, [`run_tile`] walks an MDRange policy tile with it
 //! (`lane_blocks!` is the ladder itself, for bodies that stage through
 //! scratch between two sweeps of a row), and the
-//! per-point `operator` is the `W = 1` instantiation. The two stencils that
-//! run over packed wet cells (momentum tendency, tracer diffusion) are
-//! [`RowKernel`]s at padded indices — their wet-list span ([`run_cells`])
-//! walks its runs in the same blocks — and take their free-slip neighbours
-//! from [`wet_around`] / [`free_slip`].
+//! per-point `operator` is the `W = 1` instantiation. The stencil that runs
+//! over packed wet cells (momentum tendency) is a [`RowKernel`] at padded
+//! indices — its wet-list span ([`run_cells`]) walks its runs in the same
+//! blocks — and takes its free-slip neighbours from
+//! [`wet_around`] / [`free_slip`], as the tracer pass's diffusion does per
+//! level of a column block.
 //! `LANES` is a constant, not an option; how many of those lanes a register
 //! holds is the host's business ([`Isa`]).
 
 use std::cell::RefCell;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
+use halo_exchange::HALO as H;
 use kokkos_rs::{View2, View3};
 
 /// Columns per block on the span path (a 64-byte row of `f64`).
 pub const LANES: usize = 8;
 
-/// Deepest supported column. A `LANES`-wide block of the implicit solver
-/// keeps `4 · nz · LANES` work words, which at this depth is 64 kB — the
-/// ¼-LDM stream budget of a CPE; the 244-level full-depth configuration
-/// fits. Checked once where the grid is built
+/// Deepest supported column. A team launch of a column pass keeps one
+/// column's work rows in LDM, at most `(7 · nz + 2)` words (the tracer
+/// pass), which at this depth is 14 kB — inside the ¼-LDM stream budget of
+/// a CPE; the 244-level full-depth configuration fits. Checked once where
+/// the grid is built
 /// ([`crate::localgrid::LocalGrid::build`]).
 pub const MAX_NZ: usize = 256;
 
@@ -547,6 +550,15 @@ pub fn run_column<K: ColumnKernel>(kernel: &K, pi: usize, packed: u32) {
     with_scratch(kernel.scratch_words(), |scratch| {
         kernel.block::<1>(packed / pi, packed % pi, scratch);
     });
+}
+
+/// Run `kernel` on the owned column of league rank `league` of a team
+/// launch over every owned column of a padded block of row pitch `pi`:
+/// `(league / nx, league % nx)` with `nx = pi − 2H` — the team path.
+#[inline]
+pub fn run_team_column<K: ColumnKernel>(kernel: &K, pi: usize, league: usize, scratch: &mut [f64]) {
+    let nx = pi - 2 * H;
+    kernel.block::<1>(league / nx + H, league % nx + H, scratch);
 }
 
 /// A horizontal kernel written once: `block::<W>` updates the `W` points

@@ -27,6 +27,7 @@ pub mod baroclinic;
 pub mod barotropic;
 pub mod canuto;
 pub mod checkpoint;
+pub mod columns;
 pub mod diag;
 pub mod elastic;
 pub mod eos;
@@ -82,9 +83,8 @@ pub fn register_all_kernels() {
     barotropic::register();
     advect::register();
     canuto::register();
-    vmix::register();
+    columns::register();
     forcing::register();
     diag::register();
     guard::register();
-    model::register();
 }

@@ -28,15 +28,11 @@ pub struct WetSets {
     pub cells3_pad: ActiveSet3,
     /// Owned-interior 3-D wet tracer cells.
     pub cells3_own: ActiveSet3,
-    /// Owned-interior 3-D wet velocity cells (`k < kmu`).
-    pub ucells3_own: ActiveSet3,
-    /// `cells3_own` split into (interior, rim) with a 1-cell horizontal
-    /// rim: the interior depends only on locally-valid halo data, so
-    /// kernels can run it while an exchange is still in flight and sweep
-    /// the rim after. Interior ∪ rim = `cells3_own` exactly.
-    pub cells3_own_interior: ActiveSet3,
-    pub cells3_own_rim: ActiveSet3,
-    /// `ucells3_own` split the same way.
+    /// Owned-interior 3-D wet velocity cells (`k < kmu`), split into
+    /// (interior, rim) with a 1-cell horizontal rim: the interior depends
+    /// only on locally-valid halo data, so a kernel can run it while an
+    /// exchange is still in flight and sweep the rim after. Interior ∪ rim
+    /// is every owned wet velocity cell exactly.
     pub ucells3_own_interior: ActiveSet3,
     pub ucells3_own_rim: ActiveSet3,
 }
@@ -49,8 +45,6 @@ impl WetSets {
         let (rows, cols) = (H..pj - H, H..pi - H);
         let kmt_at = |jl: usize, il: usize| kmt.at(jl, il).max(0) as u32;
         let kmu_at = |jl: usize, il: usize| kmu.at(jl, il).max(0) as u32;
-        let (cells3_own_interior, cells3_own_rim) =
-            ActiveSet3::build_cells_split(nz, pj, pi, rows.clone(), cols.clone(), 1, kmt_at);
         let (ucells3_own_interior, ucells3_own_rim) =
             ActiveSet3::build_cells_split(nz, pj, pi, rows.clone(), cols.clone(), 1, kmu_at);
         Self {
@@ -59,9 +53,6 @@ impl WetSets {
             ucols_own: ActiveSet::build_columns(pi, rows.clone(), cols.clone(), kmu_at),
             cells3_pad: ActiveSet3::build_cells(nz, pj, pi, 0..pj, 0..pi, kmt_at),
             cells3_own: ActiveSet3::build_cells(nz, pj, pi, rows.clone(), cols.clone(), kmt_at),
-            ucells3_own: ActiveSet3::build_cells(nz, pj, pi, rows.clone(), cols.clone(), kmu_at),
-            cells3_own_interior,
-            cells3_own_rim,
             ucells3_own_interior,
             ucells3_own_rim,
         }
@@ -346,14 +337,10 @@ mod tests {
         type Keep<'a> = &'a dyn Fn(usize, usize) -> bool;
         let (all, inner, rim): (Keep, Keep, Keep) =
             (&|_, _| true, &inside, &|jl, il| !inside(jl, il));
-        let (t_in, t_rim) = (&w.cells3_own_interior, &w.cells3_own_rim);
         let (u_in, u_rim) = (&w.ucells3_own_interior, &w.ucells3_own_rim);
         for (name, set, mask, block, keep) in [
             ("cells3_pad", &w.cells3_pad, kmt, &padded, all),
             ("cells3_own", &w.cells3_own, kmt, &owned, all),
-            ("ucells3_own", &w.ucells3_own, kmu, &owned, all),
-            ("cells3_own_interior", t_in, kmt, &owned, inner),
-            ("cells3_own_rim", t_rim, kmt, &owned, rim),
             ("ucells3_own_interior", u_in, kmu, &owned, inner),
             ("ucells3_own_rim", u_rim, kmu, &owned, rim),
         ] {
@@ -362,13 +349,11 @@ mod tests {
             prop_assert!(set.level_offsets == offsets, "{name}: level_offsets");
             prop_assert!(set.indices.windows(2).all(|p| p[0] < p[1]), "{name}: order");
         }
-        for (whole, interior, rim) in [(&w.cells3_own, t_in, t_rim), (&w.ucells3_own, u_in, u_rim)]
-        {
-            let mut merged = [&**interior.indices, &**rim.indices].concat();
-            merged.sort_unstable();
-            // Equal to a duplicate-free list: a union, and a disjoint one.
-            prop_assert!(merged == **whole.indices, "interior ∪ rim is not the whole");
-        }
+        let mut merged = [&**u_in.indices, &**u_rim.indices].concat();
+        merged.sort_unstable();
+        // Equal to a duplicate-free list: a union, and a disjoint one.
+        let (whole, _) = support3(nz, kmu, owned, all);
+        prop_assert!(merged == whole, "interior ∪ rim is not the whole");
         Ok(())
     }
 
@@ -412,40 +397,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn split_sets_partition_owned_sets() {
-        let global = GlobalGrid::build(24, 12, 6, &Bathymetry::earth_like(), false);
-        World::run(4, |comm| {
-            let cart = CartComm::new(comm.clone(), 2, 2, true);
-            let halo = Halo2D::new(&cart, 24, 12);
-            let lg = LocalGrid::build(&global, &halo);
-            for (dense, int, rim) in [
-                (
-                    &lg.wet.cells3_own,
-                    &lg.wet.cells3_own_interior,
-                    &lg.wet.cells3_own_rim,
-                ),
-                (
-                    &lg.wet.ucells3_own,
-                    &lg.wet.ucells3_own_interior,
-                    &lg.wet.ucells3_own_rim,
-                ),
-            ] {
-                assert_eq!(int.len() + rim.len(), dense.len());
-                let mut merged: Vec<u32> = int
-                    .indices
-                    .iter()
-                    .chain(rim.indices.iter())
-                    .copied()
-                    .collect();
-                merged.sort_unstable();
-                let mut want: Vec<u32> = dense.indices.to_vec();
-                want.sort_unstable();
-                assert_eq!(merged, want);
-            }
-        });
     }
 
     #[test]

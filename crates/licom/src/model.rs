@@ -1,7 +1,7 @@
 //! The LICOMK++ model driver: one object per rank, stepping the full
 //! split-explicit system on a runtime-selected execution space.
 //!
-//! The per-step sequence — [`PHASES`], the sixteen rows [`Model::try_step`]
+//! The per-step sequence — [`PHASES`], the thirteen rows [`Model::try_step`]
 //! walks — mirrors LICOM:
 //!
 //! 1. density + baroclinic hydrostatic pressure (`eos`);
@@ -10,27 +10,31 @@
 //! 3. 3-D momentum tendency + wind stress (`momentum`);
 //! 4. split-explicit barotropic window with per-substep 2-D halo updates
 //!    and polar filtering (`barotropic`);
-//! 5. leapfrog momentum update, implicit vertical friction, barotropic
-//!    mode correction (`update_uv`, `vmix_momentum`);
+//! 5. the velocity column pass: leapfrog momentum update, implicit
+//!    vertical friction, barotropic mode correction (`vmix_momentum`);
 //! 6. 3-D halo update of the new velocities, posted before the
 //!    continuity diagnosis of `w` (`halo_uv`);
-//! 7. two-step shape-preserving tracer advection with a mid-pass halo
-//!    update, horizontal diffusion, implicit vertical mixing, surface
-//!    restoring (`advection_tracer`, `hdiff`, `vmix_tracer`, `forcing`);
+//! 7. the horizontal passes of the two-step shape-preserving tracer
+//!    advection with a mid-pass halo update (`advection_tracer`), then the
+//!    tracer column pass: vertical advection, horizontal diffusion,
+//!    implicit vertical mixing, surface restoring (`vmix_tracer`);
 //! 8. 3-D halo update of the new tracers and the Asselin filter
 //!    (`halo_ts`, `asselin`, `halo_drain`), then the physics guard and the
 //!    step's accounting (`guard`, `telemetry`).
 //!
-//! Every masked kernel iterates a packed wet list ([`WetPolicies`]). The
+//! Every masked kernel iterates a packed wet list ([`WetPolicies`]); the
+//! two column passes ([`crate::columns`]) each finish their new level in
+//! one launch and leave the physics guard its per-column maxima. The
 //! kernels that stay dense do so because their land writes are semantic:
-//! the leapfrog and Asselin streams, the advection x/y passes, the
-//! barotropic substep kernels and the polar filter.
+//! the Asselin stream, the advection x/y passes, the barotropic substep
+//! kernels and the polar filter.
 //!
 //! SYPD is measured as the paper measures it: wall-clock of the daily
 //! loop, initialization and I/O excluded (§VI-C).
 
 use kokkos_rs::{
-    parallel_for_list, FunctorList, IterCost, ListPolicy, Space, View, View1, View2, View3,
+    parallel_for_list, parallel_for_team, FunctorList, FunctorTeam, ListPolicy, Space, TeamPolicy,
+    View, View1, View2,
 };
 use mpi_sim::{CartComm, Comm, ReduceOp, RetryPolicy};
 use ocean_grid::{Bathymetry, GlobalGrid, ModelConfig, GRAVITY};
@@ -38,12 +42,11 @@ use ocean_grid::{Bathymetry, GlobalGrid, ModelConfig, GRAVITY};
 use halo_exchange::{FoldKind, Halo2D, Halo3D, HaloError, IntegrityConfig, Strategy3D};
 
 use crate::diag::{self, Diagnostics};
-use crate::guard::{GuardConfig, GuardViolation};
-use crate::lanes::{self, F64x, Isa, RowKernel};
+use crate::guard::{ColumnMaxima, GuardConfig, GuardViolation};
+use crate::lanes::ColumnKernel;
 use crate::localgrid::LocalGrid;
 use crate::state::State;
 use crate::timers::Timers;
-use crate::vmix::{FunctorVmixImplicit, FunctorVmixTeam};
 
 mod step;
 pub use step::{Carry, Phase, Poster, PHASES};
@@ -76,10 +79,11 @@ pub struct ModelOptions {
     /// where it is posted — same kernels, same messages, same bits, only
     /// the waits move.
     pub overlap: bool,
-    /// Run the implicit vertical solves as a TeamPolicy launch whose
-    /// tridiagonal work arrays live in team scratch (LDM on the Sunway
-    /// backend — the §V-C2 "local arrays within the functor" strategy).
-    /// Bitwise identical to the flat launch.
+    /// Launch the two column passes ([`crate::columns`]), whose implicit
+    /// vertical solves are their middle members, as TeamPolicy launches
+    /// whose work rows live in team scratch (LDM on the Sunway backend —
+    /// the §V-C2 "local arrays within the functor" strategy). The same
+    /// bodies as the wet-list launch, bitwise.
     pub vmix_team: bool,
     /// The one timeout/backoff/jitter schedule for every deadline-bounded
     /// wait in the model: the escrow retries of the CRC-framed halo messages,
@@ -150,76 +154,6 @@ impl std::fmt::Display for StepError {
 
 impl std::error::Error for StepError {}
 
-/// Explicit horizontal diffusion of both tracers:
-/// `q_new += dt · κ ∇² q_cur`, no-flux across land. `T` and `S` share the
-/// wet mask, the four neighbours' wetness and the metrics, which are
-/// worked out once per block.
-pub struct FunctorTracerHDiff {
-    pub q_cur: [View3<f64>; 2],
-    pub q_new: [View3<f64>; 2],
-    pub kmt: View2<i32>,
-    pub dxt: View1<f64>,
-    pub dyt: f64,
-    pub kappa: f64,
-    pub dt: f64,
-}
-
-impl RowKernel for FunctorTracerHDiff {
-    /// The `W` cells `(k, jl, il..il + W)`, **padded** indices — the one
-    /// body; the per-entry `operator` is `W = 1`. Dry lanes keep their
-    /// `q_new`.
-    #[inline(always)]
-    fn block<const W: usize>(&self, k: usize, jl: usize, il: usize) {
-        let wet = lanes::wet::<W>(&self.kmt, k, jl, il);
-        if !wet.any() {
-            return;
-        }
-        let wet_nb = lanes::wet_around::<W>(&self.kmt, k, jl, il);
-        let dx = self.dxt.at(jl);
-        for (q_cur, q_new) in self.q_cur.iter().zip(&self.q_new) {
-            let q = F64x::<W>::load(q_cur, k, jl, il);
-            let [e, w, n, s] = lanes::free_slip(q_cur, &wet_nb, q, k, jl, il);
-            let lap = (e - 2.0 * q + w) / (dx * dx) + (n - 2.0 * q + s) / (self.dyt * self.dyt);
-            let old = F64x::load(q_new, k, jl, il);
-            wet.select(old + self.dt * self.kappa * lap, old)
-                .store(q_new, k, jl, il);
-        }
-    }
-}
-
-/// Entry `idx` is a packed **owned** wet cell `(k·pj + jl)·pi + il`
-/// (`k < kmt`; `[pj, pi]` are `kmt`'s extents).
-impl FunctorList for FunctorTracerHDiff {
-    fn operator(&self, _n: usize, idx: u32) {
-        let [pj, pi] = self.kmt.dims();
-        let (row, il) = (idx as usize / pi, idx as usize % pi);
-        self.block::<1>(row / pj, row % pj, il);
-    }
-
-    fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        let [pj, pi] = self.kmt.dims();
-        lanes::run_cells(Isa::detect(), self, pj, pi, entries);
-    }
-
-    /// Per cell, both tracers: two 14-flop Laplacians less the second one's
-    /// metric products (3); two 7-word stencils (5 reads of `q_cur`, `q_new`
-    /// in and out) plus, once, the cell's and its neighbours' `kmt` and the
-    /// row metric (24 bytes) that two separate launches each paid.
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 25,
-            bytes: 136,
-        }
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_tracer_hdiff, FunctorTracerHDiff);
-
-/// Register driver-level functors.
-pub fn register() {
-    kernel_tracer_hdiff();
-}
-
 /// Prebuilt [`ListPolicy`] instances over the grid's wet sets, constructed
 /// once so the steady-state step stays allocation-free. Column policies
 /// carry per-column wet depth as the scheduling cost.
@@ -228,22 +162,16 @@ struct WetPolicies {
     cells_pad: ListPolicy,
     /// Wet T columns, **padded** block — pressure (halo columns needed).
     cols_pad: ListPolicy,
-    /// Owned wet T columns — canuto, w diagnosis, z advection, tracer
-    /// vmix, surface restoring.
+    /// Owned wet T columns — canuto, w diagnosis, the tracer column pass,
+    /// the guard's fold.
     cols: ListPolicy,
-    /// Owned wet velocity corners (`kmu > 0`) — depth mean, momentum
-    /// vmix, mode correction, wind stress.
+    /// Owned wet velocity corners (`kmu > 0`) — depth mean, wind stress,
+    /// the velocity column pass, the guard's fold.
     ucols: ListPolicy,
-    /// Owned wet T cells — guard scan.
+    /// Owned wet T cells — the guard's re-scan on a trip.
     cells: ListPolicy,
-    /// Owned wet velocity cells (`k < kmu`) — guard scan.
-    ucells: ListPolicy,
-    /// Interior/rim split of `cells` (1-cell horizontal rim, a disjoint
-    /// union of `cells`): diffusion launches the interior, drives the
-    /// carried exchange, then sweeps the rim.
-    cells_interior: ListPolicy,
-    cells_rim: ListPolicy,
-    /// Interior/rim split of `ucells` — momentum tendency.
+    /// Interior/rim split of the owned wet velocity cells (`k < kmu`; a
+    /// 1-cell horizontal rim) — momentum tendency.
     ucells_interior: ListPolicy,
     ucells_rim: ListPolicy,
 }
@@ -260,9 +188,6 @@ impl WetPolicies {
             ucols: ListPolicy::new(w.ucols_own.indices.clone())
                 .with_cost_prefix(w.ucols_own.cost_prefix.clone()),
             cells: ListPolicy::new(w.cells3_own.indices.clone()),
-            ucells: ListPolicy::new(w.ucells3_own.indices.clone()),
-            cells_interior: ListPolicy::new(w.cells3_own_interior.indices.clone()),
-            cells_rim: ListPolicy::new(w.cells3_own_rim.indices.clone()),
             ucells_interior: ListPolicy::new(w.ucells3_own_interior.indices.clone()),
             ucells_rim: ListPolicy::new(w.ucells3_own_rim.indices.clone()),
         }
@@ -294,6 +219,8 @@ pub struct Model {
     gv: View2<f64>,
     zero2: View2<f64>,
     wet: WetPolicies,
+    /// What the column passes leave the guard.
+    maxima: ColumnMaxima,
     filter_rows: View1<i32>,
     filter_passes: usize,
     visc: f64,
@@ -374,6 +301,7 @@ impl Model {
         let gv: View2<f64> = View::host("gv", [grid.pj, grid.pi]);
         let zero2: View2<f64> = View::host("zero2", [grid.pj, grid.pi]);
         let wet = WetPolicies::build(&grid);
+        let maxima = ColumnMaxima::new(grid.pj, grid.pi);
 
         let flight = opts.flight.then(|| {
             kokkos_profiling::flight::init_bridge();
@@ -397,6 +325,7 @@ impl Model {
             gv,
             zero2,
             wet,
+            maxima,
             filter_rows,
             filter_passes,
             visc,
@@ -562,52 +491,28 @@ impl Model {
         s.kh.fill(KH_BACKGROUND);
         self.gu.fill(0.0);
         self.gv.fill(0.0);
+        self.maxima.speed.fill(0.0);
+        self.maxima.excess.fill(0.0);
     }
 
-    /// Launch the implicit vertical solve of two fields that share their
-    /// coefficients — `(u, v)` on `km`/`kmu`, `(T, S)` on `kh`/`kmt` —
-    /// through the configured shape: one paired launch over the wet list
-    /// `wet` (the packed owned columns with `mask > 0`, which the caller
-    /// knows: `ucols` for `kmu`, `cols` for `kmt`); or, field by field, a
-    /// TeamPolicy launch with LDM scratch.
-    fn launch_vmix(
-        &self,
-        fields: [&View3<f64>; 2],
-        kcoef: &View3<f64>,
-        mask: &View2<i32>,
-        dt: f64,
-        wet: &ListPolicy,
-    ) {
-        let (g, space) = (&self.grid, &self.space);
-        let _r = kokkos_rs::profiling::region("vmix:solve");
+    /// Launch a column pass ([`crate::columns`]) over the wet list `wet`
+    /// (the packed owned columns it finishes: `ucols` for the velocity
+    /// pass, `cols` for the tracer pass); or, with `vmix_team`, as a
+    /// TeamPolicy launch over every owned column with its work rows in team
+    /// scratch.
+    fn launch_columns<K>(&self, kernel: &K, wet: &ListPolicy)
+    where
+        K: ColumnKernel + FunctorList + FunctorTeam + 'static,
+    {
         if self.opts.vmix_team {
-            for field in fields {
-                kokkos_rs::parallel_for_team(
-                    space,
-                    kokkos_rs::TeamPolicy::new(g.ny * g.nx, FunctorVmixTeam::scratch_len(g.nz)),
-                    &FunctorVmixTeam {
-                        q: field.clone(),
-                        kcoef: kcoef.clone(),
-                        mask: mask.clone(),
-                        dz: g.dz.clone(),
-                        z_t: g.z_t.clone(),
-                        dt,
-                        nz: g.nz,
-                        nx: g.nx,
-                    },
-                );
-            }
+            let league = self.grid.ny * self.grid.nx;
+            parallel_for_team(
+                &self.space,
+                TeamPolicy::new(league, kernel.scratch_words()),
+                kernel,
+            );
         } else {
-            let f = FunctorVmixImplicit {
-                q: fields.map(View3::clone),
-                kcoef: kcoef.clone(),
-                mask: mask.clone(),
-                dz: g.dz.clone(),
-                z_t: g.z_t.clone(),
-                dt,
-                nz: g.nz,
-            };
-            parallel_for_list(space, wet, &f);
+            parallel_for_list(&self.space, wet, kernel);
         }
     }
 

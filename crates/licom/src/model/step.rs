@@ -1,4 +1,4 @@
-//! The baroclinic step, written once: [`PHASES`] lists its sixteen phases
+//! The baroclinic step, written once: [`PHASES`] lists its thirteen phases
 //! in execution order, and [`Step::run`] is the only code that walks them.
 //!
 //! A row names the phase (its `Timers` entry and depth-0 profiling
@@ -16,19 +16,19 @@ use kokkos_rs::{parallel_for_3d, parallel_for_list, MDRangePolicy3, View3};
 use mpi_sim::flight::FlightEventKind;
 use mpi_sim::TrafficSnapshot;
 
-use super::{CanutoMode, FunctorTracerHDiff, Model, StepError};
-use crate::advect::{self, FunctorDiagnoseW};
-use crate::baroclinic::{
-    FunctorAsselin3D, FunctorBtCorrect, FunctorLeapfrog3D, FunctorMomentumTend,
-};
+use super::{CanutoMode, Model, StepError};
+use crate::advect::{self, AdvectZ, FunctorDiagnoseW};
+use crate::baroclinic::{FunctorAsselin3D, FunctorMomentumTend};
 use crate::barotropic::{self, FunctorDepthMean};
 use crate::canuto::{self, CanutoFields, FunctorCanutoCols};
+use crate::columns::{FunctorTracerColumns, FunctorVelocityColumns, TracerHDiff};
 use crate::eos::{FunctorEos, FunctorPressure};
-use crate::forcing::{FunctorSurfaceRestore, FunctorWindStress};
+use crate::forcing::{FunctorWindStress, SurfaceRestore};
 use crate::guard::{self, GuardConfig};
 use crate::localgrid::LocalGrid;
 use crate::state::State;
 use crate::timers::Timers;
+use crate::vmix::VerticalSolve;
 
 /// Where a posted exchange is finished: handed on, to fly under the
 /// kernels that follow (`carried`), or where it was posted.
@@ -76,25 +76,22 @@ pub struct Phase {
 }
 
 /// The step. `halo_ts` lands `Uv` before it posts `Ts`: the polls under
-/// advection and diffusion cannot promise the u/v exchange is done (a poll
+/// advection and the tracer pass cannot promise the u/v exchange is done (a poll
 /// receives only once every peer's message is queued), and beginning the
 /// next exchange while this one may or may not have returned its buffers
 /// would leave the message pool's high-water mark to timing.
 /// `halo_drain` launches nothing: it is where `Ts` and `Asselin` land,
 /// before the guard reads the new level and the step commits.
 #[rustfmt::skip]
-pub const PHASES: [Phase; 16] = [
+pub const PHASES: [Phase; 13] = [
     Phase { name: "eos",              run: eos,              posts: None,                 lands: &[] },
     Phase { name: "canuto",           run: canuto,           posts: None,                 lands: &[] },
     Phase { name: "momentum",         run: momentum,         posts: None,                 lands: &[] },
     Phase { name: "barotropic",       run: barotropic,       posts: None,                 lands: &[] },
-    Phase { name: "update_uv",        run: update_uv,        posts: None,                 lands: &[] },
     Phase { name: "vmix_momentum",    run: vmix_momentum,    posts: None,                 lands: &[] },
     Phase { name: "halo_uv",          run: halo_uv,          posts: Some(Carry::Uv),      lands: &[] },
     Phase { name: "advection_tracer", run: advection_tracer, posts: None,                 lands: &[] },
-    Phase { name: "hdiff",            run: hdiff,            posts: None,                 lands: &[] },
     Phase { name: "vmix_tracer",      run: vmix_tracer,      posts: None,                 lands: &[] },
-    Phase { name: "forcing",          run: forcing,          posts: None,                 lands: &[] },
     Phase { name: "halo_ts",          run: halo_ts,          posts: Some(Carry::Ts),      lands: &[Carry::Uv] },
     Phase { name: "asselin",          run: asselin,          posts: Some(Carry::Asselin), lands: &[] },
     Phase { name: "halo_drain",       run: |_| Ok(()),       posts: None,                 lands: &[Carry::Ts, Carry::Asselin] },
@@ -296,38 +293,26 @@ fn barotropic(s: &mut Step<'_>) -> Result<(), StepError> {
     Ok(())
 }
 
-/// Leapfrog momentum update.
-fn update_uv(s: &mut Step<'_>) -> Result<(), StepError> {
-    let (m, st, g, (o, _, n)) = s.parts();
-    for (old, new, tend) in [(&st.u[o], &st.u[n], &st.ut), (&st.v[o], &st.v[n], &st.vt)] {
-        parallel_for_3d(
-            &m.space,
-            MDRangePolicy3::new([g.nz, g.ny, g.nx]),
-            &FunctorLeapfrog3D {
-                old: old.clone(),
-                new: new.clone(),
-                tend: tend.clone(),
-                mask: g.kmu.clone(),
-                dt2: s.dt2,
-            },
-        );
-    }
-    Ok(())
-}
-
-/// Implicit vertical friction + barotropic mode fix.
+/// The velocity column pass: leapfrog, implicit vertical friction,
+/// barotropic mode correction, the guard's per-column speeds.
 fn vmix_momentum(s: &mut Step<'_>) -> Result<(), StepError> {
-    let (m, st, g, (_, _, n)) = s.parts();
-    m.launch_vmix([&st.u[n], &st.v[n]], &st.km, &g.kmu, s.dt2, &m.wet.ucols);
-    let f_btc = FunctorBtCorrect {
-        u: st.u[n].clone(),
-        v: st.v[n].clone(),
-        ubt: st.ubt.clone(),
-        vbt: st.vbt.clone(),
-        kmu: g.kmu.clone(),
-        dz: g.dz.clone(),
+    let (m, st, g, (o, _, n)) = s.parts();
+    let pass = FunctorVelocityColumns {
+        old: [st.u[o].clone(), st.v[o].clone()],
+        tend: [st.ut.clone(), st.vt.clone()],
+        new: [st.u[n].clone(), st.v[n].clone()],
+        solve: VerticalSolve {
+            kcoef: st.km.clone(),
+            mask: g.kmu.clone(),
+            dz: g.dz.clone(),
+            z_t: g.z_t.clone(),
+            dt: s.dt2,
+            nz: g.nz,
+        },
+        bt: [st.ubt.clone(), st.vbt.clone()],
+        speed: m.maxima.speed.clone(),
     };
-    parallel_for_list(&m.space, &m.wet.ucols, &f_btc);
+    m.launch_columns(&pass, &m.wet.ucols);
     Ok(())
 }
 
@@ -353,7 +338,8 @@ fn halo_uv(s: &mut Step<'_>) -> Result<(), StepError> {
     Ok(())
 }
 
-/// Two-step shape-preserving advection of both tracers.
+/// The horizontal passes of the two-step shape-preserving advection of
+/// both tracers, into the new level.
 fn advection_tracer(s: &mut Step<'_>) -> Result<(), StepError> {
     let (m, st, g, (_, c, n)) = s.parts();
     let [tmp_t, tmp_s] = &st.work.adv_tmp;
@@ -365,51 +351,55 @@ fn advection_tracer(s: &mut Step<'_>) -> Result<(), StepError> {
         [tmp_t, tmp_s],
         &st.u[c],
         &st.v[c],
-        &st.w,
         s.dt,
         m.opts.limiter,
-        &m.wet.cols,
         &m.halo3,
         s.poster,
     )?;
     s.poll(Carry::Uv)
 }
 
-fn hdiff(s: &mut Step<'_>) -> Result<(), StepError> {
-    let (m, st, g, (_, c, n)) = s.parts();
-    let f_hd = FunctorTracerHDiff {
-        q_cur: [st.t[c].clone(), st.s[c].clone()],
-        q_new: [st.t[n].clone(), st.s[n].clone()],
-        kmt: g.kmt.clone(),
-        dxt: g.dxt.clone(),
-        dyt: g.dyt,
-        kappa: m.kappa,
-        dt: s.dt,
-    };
-    parallel_for_list(&m.space, &m.wet.cells_interior, &f_hd);
-    s.poll(Carry::Uv)?;
-    parallel_for_list(&m.space, &m.wet.cells_rim, &f_hd);
-    Ok(())
-}
-
+/// The tracer column pass: vertical advection, horizontal diffusion,
+/// implicit vertical mixing, surface restoring, the guard's per-column
+/// excesses.
 fn vmix_tracer(s: &mut Step<'_>) -> Result<(), StepError> {
-    let (m, st, g, (_, _, n)) = s.parts();
-    m.launch_vmix([&st.t[n], &st.s[n]], &st.kh, &g.kmt, s.dt, &m.wet.cols);
-    Ok(())
-}
-
-/// Surface restoring.
-fn forcing(s: &mut Step<'_>) -> Result<(), StepError> {
-    let (m, st, g, (_, _, n)) = s.parts();
-    let f_restore = FunctorSurfaceRestore {
-        t_new: st.t[n].clone(),
-        s_new: st.s[n].clone(),
-        lat: g.lat.clone(),
-        kmt: g.kmt.clone(),
-        dt: s.dt,
+    let (m, st, g, (_, c, n)) = s.parts();
+    let gcfg = GuardConfig::default();
+    let pass = FunctorTracerColumns {
+        q: [st.t[n].clone(), st.s[n].clone()],
+        advect: AdvectZ {
+            w: st.w.clone(),
+            kmt: g.kmt.clone(),
+            dz: g.dz.clone(),
+            dt: s.dt,
+            nz: g.nz,
+            limited: m.opts.limiter,
+        },
+        hdiff: TracerHDiff {
+            q_cur: [st.t[c].clone(), st.s[c].clone()],
+            kmt: g.kmt.clone(),
+            dxt: g.dxt.clone(),
+            dyt: g.dyt,
+            kappa: m.kappa,
+            dt: s.dt,
+        },
+        solve: VerticalSolve {
+            kcoef: st.kh.clone(),
+            mask: g.kmt.clone(),
+            dz: g.dz.clone(),
+            z_t: g.z_t.clone(),
+            dt: s.dt,
+            nz: g.nz,
+        },
+        restore: SurfaceRestore {
+            lat: g.lat.clone(),
+            dt: s.dt,
+        },
+        bounds: [gcfg.t_bounds, gcfg.s_bounds],
+        excess: m.maxima.excess.clone(),
     };
-    parallel_for_list(&m.space, &m.wet.cols, &f_restore);
-    Ok(())
+    m.launch_columns(&pass, &m.wet.cols);
+    s.poll(Carry::Uv)
 }
 
 fn halo_ts(s: &mut Step<'_>) -> Result<(), StepError> {
@@ -444,14 +434,15 @@ fn asselin(s: &mut Step<'_>) -> Result<(), StepError> {
     )
 }
 
-/// Physics guard: scan the freshly computed level for non-finite values,
-/// runaway velocities, and out-of-bound tracers before the step is
-/// committed (rotated in). Local only — agreement on success/failure is
-/// the caller's status vote.
+/// Physics guard: fold the column passes' maxima of the freshly computed
+/// level — non-finite values, runaway velocities, out-of-bound tracers —
+/// before the step is committed (rotated in). Local only — agreement on
+/// success/failure is the caller's status vote.
 fn guard(s: &mut Step<'_>) -> Result<(), StepError> {
     let (m, st, _, (_, _, n)) = s.parts();
     let gcfg = GuardConfig::default();
-    let report = guard::scan(&m.space, st, n, &m.wet.ucells, &m.wet.cells, &gcfg);
+    let lists = (&m.wet.ucols, &m.wet.cols, &m.wet.cells);
+    let report = guard::scan(&m.space, st, n, &m.maxima, lists, &gcfg);
     match report.violation(&gcfg, m.guard_limit) {
         None => Ok(()),
         Some(v) => {

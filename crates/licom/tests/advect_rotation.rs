@@ -6,7 +6,7 @@
 
 use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D, HALO as H};
 use kokkos_rs::{Space, View, View3};
-use licom::advect::{advect_tracer, FunctorDiagnoseW};
+use licom::advect::advect_tracer;
 use licom::localgrid::LocalGrid;
 use mpi_sim::{CartComm, World};
 use ocean_grid::{Bathymetry, GlobalGrid};
@@ -30,9 +30,7 @@ fn setup(comm: &mpi_sim::Comm) -> Setup {
     }
     let mut grid = grid;
     grid.dyt = DX;
-    // Uniform 2000 m layers: the default stretched levels give a 5 m
-    // surface layer whose vertical CFL would be violated by even the
-    // tiny spurious w of the taper band.
+    // Uniform 2000 m layers, so the two layers weigh alike in the mass.
     grid.dz.set_at(0, 2000.0);
     grid.dz.set_at(1, 2000.0);
     grid.z_t.set_at(0, 1000.0);
@@ -60,7 +58,6 @@ fn revolve(limited: bool) -> (Vec<f64>, f64, f64, Vec<f64>) {
         let [q, mirror, tmp0, tmp1, out0, out1] = [(); 6].map(|()| View3::<f64>::host("q", d3));
         let u: View3<f64> = View::host("u", d3);
         let v: View3<f64> = View::host("v", d3);
-        let w: View3<f64> = View::host("w", [3, g.pj, g.pi]);
 
         // Rotation center at the domain center; blob off-center.
         let (c, blob) = (
@@ -92,26 +89,10 @@ fn revolve(limited: bool) -> (Vec<f64>, f64, f64, Vec<f64>) {
             }
         }
         let initial = q.to_vec();
-        // Diagnose w (solid body is divergence-free → w ≈ 0).
-        let wf = FunctorDiagnoseW {
-            u: u.clone(),
-            v: v.clone(),
-            w: w.clone(),
-            kmt: g.kmt.clone(),
-            dxt: g.dxt.clone(),
-            dyt: g.dyt,
-            dz: g.dz.clone(),
-            nz: 2,
-        };
-        let wet_cols = kokkos_rs::ListPolicy::new(g.wet.cols_own.indices.clone());
-        kokkos_rs::parallel_for_list(&Space::serial(), &wet_cols, &wf);
-        // In the rigid core the discrete divergence vanishes exactly; the
-        // edge taper leaves a small residual w there. This test isolates
-        // the *horizontal* rotation, so zero w (the z-pass and the
-        // surface dilution flux are covered by the conservation tests).
-        w.fill(0.0);
-        // dz-weighted mass over BOTH layers: vertical advection moves
-        // tracer between them, only the column total is conserved.
+        // `advect_tracer` is the horizontal half of the scheme; its
+        // vertical pass (a member of the tracer column pass) and the surface
+        // dilution flux are covered by the conservation tests.
+        // dz-weighted mass over both layers.
         let mass = |f: &View3<f64>| -> f64 {
             let mut m = 0.0;
             for jl in H..H + g.ny {
@@ -138,10 +119,8 @@ fn revolve(limited: bool) -> (Vec<f64>, f64, f64, Vec<f64>) {
                 [&tmp0, &tmp1],
                 &u,
                 &v,
-                &w,
                 dt,
                 limited,
-                &wet_cols,
                 &s.halo,
                 licom::Poster { carried: true },
             )

@@ -1,8 +1,8 @@
 //! The lane-blocked row kernels against their own `W = 1` instantiation.
 //!
 //! The advection x and y passes, the barotropic substep kernels, the 3-D
-//! leapfrog / Asselin streams, the momentum tendency and the paired tracer
-//! diffusion each have one body, generic over the number
+//! Asselin stream and the momentum tendency each have one body, generic
+//! over the number
 //! `W` of points adjacent in `i` it updates together. An MDRange launch
 //! hands the functor whole policy tiles (`operator_tile`), which it walks
 //! down the ladder — `LANES`-wide blocks, then at most one block each of 4,
@@ -16,25 +16,25 @@
 //! those bits too — on an AVX2 host that holds the clone to the baseline and
 //! to `W = 1`, elsewhere it walks the fallback twice.
 //!
-//! The two stencils that run over packed wet lists (momentum tendency, tracer
-//! diffusion) are held to the same: a list span (`operator_span`, runs
-//! walked in blocks) against its entries one by one, and the interior + rim
-//! lists against the whole one.
+//! The stencil that runs over packed wet cells (momentum tendency) is held
+//! to the same: a list span (`operator_span`, runs walked in blocks) against
+//! its entries one by one, and the interior + rim lists against the whole
+//! one. (The tracer diffusion is a member of the tracer column pass, held
+//! to `W = 1` in `column_blocks.rs`.)
 
 use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D, HALO as H};
 use kokkos_rs::{
     parallel_for_2d, parallel_for_3d, parallel_for_list, Functor2D, Functor3D, FunctorList,
     ListPolicy, MDRangePolicy2, MDRangePolicy3, Policy, Space, View, View1, View2, View3,
 };
-use licom::advect::{advect_tracer, AdvectFields, FunctorAdvectX, FunctorAdvectY, FunctorAdvectZ};
-use licom::baroclinic::{FunctorAsselin3D, FunctorLeapfrog3D, FunctorMomentumTend};
+use licom::advect::{advect_tracer, AdvectFields, FunctorAdvectX, FunctorAdvectY};
+use licom::baroclinic::{FunctorAsselin3D, FunctorMomentumTend};
 use licom::barotropic::{
     split_substep, FunctorAccum2D, FunctorBtEta, FunctorBtSubstep, FunctorBtVel, FunctorCopy2D,
     FunctorScaleAssign2D, FunctorZonalFilter,
 };
 use licom::lanes::{self, Isa, LANES};
 use licom::localgrid::LocalGrid;
-use licom::model::FunctorTracerHDiff;
 use mpi_sim::{CartComm, World};
 use ocean_grid::{ActiveSet3, Bathymetry, GlobalGrid};
 use proptest::prelude::*;
@@ -88,8 +88,8 @@ macro_rules! pinned {
 }
 pinned!(2: FunctorBtSubstep, FunctorZonalFilter, FunctorCopy2D, FunctorAccum2D,
     FunctorScaleAssign2D);
-pinned!(3: FunctorLeapfrog3D, FunctorAsselin3D);
-pinned!(cells: FunctorMomentumTend => kmu, FunctorTracerHDiff => kmt);
+pinned!(3: FunctorAsselin3D);
+pinned!(cells: FunctorMomentumTend => kmu);
 pinned!(swept: FunctorAdvectX, FunctorAdvectY);
 
 /// splitmix64: the fields are a pure function of `(seed, position)`.
@@ -248,19 +248,6 @@ impl Case {
             dyt: 1.1e4,
             dz: View::from_fn("dz", [nz], |[k]| 5.0 + 3.0 * k as f64),
             visc: 1.0e3,
-        }
-    }
-
-    /// The paired tracer diffusion of this case's tracers into `q_new`.
-    fn hdiff(&self, q_new: &[View3<f64>; 2]) -> FunctorTracerHDiff {
-        FunctorTracerHDiff {
-            q_cur: [self.tracer(25), self.tracer(26)],
-            q_new: q_new.clone(),
-            kmt: self.kmt.clone(),
-            dxt: self.dxt(),
-            dyt: 1.1e4,
-            kappa: 2.5e2,
-            dt: 600.0,
         }
     }
 
@@ -470,28 +457,17 @@ fn check_3d(case: &Case, policy: MDRangePolicy3) -> Result<(), TestCaseError> {
             (FunctorAdvectY(f), out)
         })?;
     }
-    let (old, tend, cur0) = (
+    let (old, new, cur0) = (
         case.field3(6, nz, -1.0, 1.0),
-        case.field3(7, nz, -1.0e-4, 1.0e-4),
+        case.field3(7, nz, -1.0, 1.0),
         case.field3(8, nz, -1.0, 1.0),
     );
-    check3("leapfrog_3d", policy, || {
-        let new = case.field3(9, nz, -9.0, -8.0);
-        let f = FunctorLeapfrog3D {
-            old: old.clone(),
-            new: new.clone(),
-            tend: tend.clone(),
-            mask: case.kmu.clone(),
-            dt2: 40.0,
-        };
-        (f, vec![Out::from(&new)])
-    })?;
     check3("asselin_3d", policy, || {
         let cur = copy3(&cur0);
         let f = FunctorAsselin3D {
             old: old.clone(),
             cur: cur.clone(),
-            new: tend.clone(),
+            new: new.clone(),
         };
         (f, vec![Out::from(&cur)])
     })
@@ -536,10 +512,9 @@ fn check_list<F: FunctorList + PinnedSpan + 'static>(
     Ok(want)
 }
 
-/// The two list-launched stencils over this case's wet sets, list tiles of
+/// The list-launched stencil over this case's wet cells, list tiles of
 /// `tile` entries: span vs per-entry and interior + rim vs the whole list
-/// (outputs start as the model's do: zero tendencies, `q_new` holding the
-/// advected tracers).
+/// (outputs start as the model's do: zero tendencies).
 fn check_lists(case: &Case, tile: usize) -> Result<(), TestCaseError> {
     let (nz, pj, pi) = (case.nz, case.pj(), case.pi());
     let policy = |set: &ActiveSet3| ListPolicy::new(set.indices.clone()).with_tile(tile);
@@ -560,27 +535,6 @@ fn check_lists(case: &Case, tile: usize) -> Result<(), TestCaseError> {
         "momentum_tend: interior + rim differs from the whole list"
     );
 
-    let [whole, interior, rim] = case.wet_cells(&case.kmt).map(|s| policy(&s));
-    let advected = || {
-        [
-            case.field3(27, nz, -2.0, 30.0),
-            case.field3(28, nz, 30.0, 38.0),
-        ]
-    };
-    let outs = |q: &[View3<f64>; 2]| q.iter().map(Out::from).collect::<Vec<_>>();
-    let diff = |q_new: &[View3<f64>; 2]| case.hdiff(q_new);
-    let want = check_list("tracer_hdiff", &whole, || {
-        let q_new = advected();
-        (diff(&q_new), outs(&q_new))
-    })?;
-    let q_new = advected();
-    for part in [&interior, &rim] {
-        parallel_for_list(&Space::serial(), part, &diff(&q_new));
-    }
-    prop_assert!(
-        bits(&outs(&q_new)) == want,
-        "tracer_hdiff: interior + rim differs from the whole list"
-    );
     Ok(())
 }
 
@@ -830,8 +784,7 @@ fn a_zero_pressure_gradient_keeps_its_sign() {
 /// `advect_tracer` on one rank, with the refresh carried and finished at
 /// its post, for blocks that carve an interior and blocks too short to:
 /// the split y pass must leave the bits of the pass composed here from the
-/// public functors — x pass, finished exchange, **one** dense y launch,
-/// z pass.
+/// public functors — x pass, finished exchange, **one** dense y launch.
 #[test]
 fn overlap_schedule_equals_blocking_for_every_block_height() {
     licom::register_all_kernels();
@@ -845,12 +798,8 @@ fn overlap_schedule_equals_blocking_for_every_block_height() {
             let halo = Halo3D::new(h2, nz, Strategy3D::Transpose);
             let case = Case::new(nz, ny, nx, Wet::Ragged, 0xAD7 + ny as u64);
             let (u, v) = (case.field3(1, nz, -1.5, 1.5), case.field3(2, nz, -1.5, 1.5));
-            let w = case.field3(3, nz + 1, -2.0e-3, 2.0e-3);
             let q = [case.tracer(4), case.tracer(5)];
-            let (space, wet_cols) = (
-                Space::serial(),
-                ListPolicy::new(g.wet.cols_own.indices.clone()),
-            );
+            let space = Space::serial();
             let (dt, limited) = (600.0, true);
             let run = |poster: Option<licom::Poster>| {
                 let [out0, out1, tmp0, tmp1] = [(); 4].map(|()| case.field3(6, nz, -9.0, -8.0));
@@ -865,10 +814,8 @@ fn overlap_schedule_equals_blocking_for_every_block_height() {
                         tmp,
                         &u,
                         &v,
-                        &w,
                         dt,
                         limited,
-                        &wet_cols,
                         &halo,
                         poster,
                     )
@@ -894,17 +841,6 @@ fn overlap_schedule_equals_blocking_for_every_block_height() {
                         );
                         halo.exchange_many(&tmp.map(|t| (t, FoldKind::Scalar)), 820);
                         parallel_for_3d(&space, cells, &FunctorAdvectY(pass(tmp, out, &v)));
-                        let az = FunctorAdvectZ {
-                            q: out.map(View3::clone),
-                            q1: out.map(View3::clone),
-                            w: w.clone(),
-                            kmt: g.kmt.clone(),
-                            dz: g.dz.clone(),
-                            dt,
-                            nz,
-                            limited,
-                        };
-                        parallel_for_list(&space, &wet_cols, &az);
                     }
                 }
                 bits(&[Out::from(&out0), Out::from(&out1)])

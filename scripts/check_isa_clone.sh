@@ -9,6 +9,13 @@
 # `std::thread::local::LocalKey`; per instantiation it prints who enters it
 # and how many packed divides are 256-bit (`ymm`) against 128-bit (`xmm`).
 #
+# It also fails unless the two column passes that finish the new level run
+# inside a clone: each pass's list span (`operator_span` of
+# `licom::columns::FunctorVelocityColumns` / `FunctorTracerColumns`, kept
+# out of line so it has a symbol) must reach an instantiation of the clone
+# within three calls — through the per-thread scratch (`LocalKey::with`)
+# it enters the clone from.
+#
 #   scripts/check_isa_clone.sh BINARY     (any release binary that steps a model,
 #                                          e.g. target/release/licomkpp)
 set -euo pipefail
@@ -27,11 +34,12 @@ if [ ! -x "$bin" ]; then
     exit 2
 fi
 
-objdump -d -C --no-show-raw-insn "$bin" | awk '
+objdump -d -C --no-show-raw-insn "$bin" | awk -v passes="FunctorVelocityColumns FunctorTracerColumns" '
     # "0000000000134e20 <name>:" opens a function.
     /^[0-9a-f]+ <.*>:$/ {
         addr = $1; sub(/^0+/, "", addr)
         fn = $0; sub(/^[0-9a-f]+ </, "", fn); sub(/>:$/, "", fn)
+        name[addr] = fn
         in_clone = (fn == "licom::lanes::avx2_clone")
         if (in_clone) { clones[++n] = addr; ymm[addr] = 0; xmm[addr] = 0 }
         next
@@ -39,8 +47,9 @@ objdump -d -C --no-show-raw-insn "$bin" | awk '
     # A call, or a tail call: a jump to the start of another function.
     /\t(call|jmp) +[0-9a-f]+ <[^+]*>$/ {
         target = $0; sub(/^.*\t(call|jmp) +/, "", target)
-        taddr = target; sub(/ .*/, "", taddr)
+        taddr = target; sub(/ .*/, "", taddr); sub(/^0+/, "", taddr)
         sym = target; sub(/^[0-9a-f]+ </, "", sym); sub(/>$/, "", sym)
+        if (index(" " edges[addr] " ", " " taddr " ") == 0) edges[addr] = edges[addr] " " taddr
         if (sym == "licom::lanes::avx2_clone") {
             # Who enters the clone (the scratch walkers do from inside
             # their `LocalKey::with`, which is all the symbol says).
@@ -61,6 +70,35 @@ objdump -d -C --no-show-raw-insn "$bin" | awk '
         for (c = 1; c <= n; c++) {
             a = clones[c]
             printf "  avx2_clone @%s  divpd ymm %d / xmm %d%s%s\n", a, ymm[a], xmm[a], callers[a], bad[a]
+        }
+        # Each column pass: its span, and the clone it reaches.
+        np = split(passes, pass, " ")
+        for (p = 1; p <= np; p++) {
+            want = "<licom::columns::" pass[p] " as kokkos_rs::functor::FunctorList>::operator_span"
+            found = ""
+            for (a in name) {
+                if (name[a] != want) continue
+                # Breadth first, three calls deep.
+                frontier = a
+                for (depth = 0; depth < 3 && found == "" && frontier != ""; depth++) {
+                    next_frontier = ""
+                    nf = split(frontier, fs, " ")
+                    for (f = 1; f <= nf; f++) {
+                        ne = split(edges[fs[f]], es, " ")
+                        for (e = 1; e <= ne; e++) {
+                            if (name[es[e]] == "licom::lanes::avx2_clone") found = es[e]
+                            else next_frontier = next_frontier " " es[e]
+                        }
+                    }
+                    frontier = next_frontier
+                }
+            }
+            if (found == "") {
+                printf "  %s: FAILED, its span reaches no avx2_clone\n", pass[p]
+                failed = 1
+            } else {
+                printf "  %s: in avx2_clone @%s\n", pass[p], found
+            }
         }
         printf "check_isa_clone: %d instantiations, %s\n", n, failed ? "FAILED" : "ok"
         exit failed

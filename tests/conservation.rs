@@ -6,7 +6,8 @@
 use licomkpp::grid::{Bathymetry, ModelConfig};
 use licomkpp::halo::FoldKind;
 use licomkpp::kokkos::Space;
-use licomkpp::model::advect::{advect_tracer, FunctorDiagnoseW};
+use licomkpp::kokkos::View3;
+use licomkpp::model::advect::{advect_tracer, AdvectZ, FunctorDiagnoseW};
 use licomkpp::model::{Model, ModelOptions};
 use licomkpp::mpi::World;
 
@@ -30,6 +31,24 @@ fn basin_cfg(nx: usize, ny: usize, nz: usize) -> (ModelConfig, ModelOptions) {
         depth: 3000.0,
     };
     (cfg, opts)
+}
+
+/// The vertical advection pass of both tracers `q`, in place, over the
+/// packed wet columns `cols` of row pitch `pi`: the first member of the
+/// model's tracer column pass, one column at a time, its wet rows stored.
+fn vertical_pass(az: &AdvectZ, q: [&View3<f64>; 2], cols: &[u32], pi: usize) {
+    let mut scratch = vec![0.0; AdvectZ::scratch_words(az.nz)];
+    let mut rows = vec![[0.0f64; 1]; 2 * az.nz];
+    for &col in cols {
+        let (jl, il) = (col as usize / pi, col as usize % pi);
+        let kmt = az.kmt.at(jl, il);
+        az.column::<1>(q, jl, il, ([kmt], kmt as usize), &mut scratch, &mut rows);
+        for k in 0..kmt as usize {
+            for (t, q) in q.iter().enumerate() {
+                q.set_at(k, jl, il, rows[2 * k + t][0]);
+            }
+        }
+    }
 }
 
 /// Advect a tracer blob with the model's own machinery in a closed basin
@@ -110,14 +129,21 @@ fn advection_conserves_and_preserves_bounds_in_closed_basin() {
                 [tmp0, tmp1],
                 &m.state.u[c],
                 &m.state.v[c],
-                &m.state.w,
                 cfg.dt_tracer,
                 true,
-                &wet_cols,
                 m.halo3(),
                 licomkpp::model::Poster { carried: true },
             )
             .unwrap();
+            let az = AdvectZ {
+                w: m.state.w.clone(),
+                kmt: g.kmt.clone(),
+                dz: g.dz.clone(),
+                dt: cfg.dt_tracer,
+                nz: g.nz,
+                limited: true,
+            };
+            vertical_pass(&az, [&out[0], &out[1]], wet_cols.indices(), g.pi);
             // Copy back.
             q.copy_from_slice(out[0].as_slice());
             mirror.copy_from_slice(out[1].as_slice());
