@@ -1,12 +1,11 @@
-//! Hotspot option benchmarks, whole steps on Serial: the canuto column
-//! kernel (packed list vs cross-rank) and tracer advection with and without
-//! the two-step shape-preserving limiter (the §V-C2 bottleneck). The plain
-//! step is `licom_bench`'s `sypd`.
+//! Hotspot option benchmarks, whole steps on Serial: tracer advection with
+//! and without the two-step shape-preserving limiter (the §V-C2
+//! bottleneck). The plain step is `licom_bench`'s `sypd`.
 #![allow(clippy::field_reassign_with_default)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kokkos_rs::Space;
-use licom::model::{CanutoMode, Model, ModelOptions};
+use licom::model::{Model, ModelOptions};
 use mpi_sim::World;
 use ocean_grid::Resolution;
 use std::time::Duration;
@@ -19,22 +18,6 @@ fn run_steps(space: Space, opts: ModelOptions, steps: usize) {
         let mut m = Model::new(comm, cfg.clone(), space.clone(), opts.clone());
         m.run_steps(steps);
     });
-}
-
-fn bench_canuto_modes(c: &mut Criterion) {
-    let mut g = c.benchmark_group("canuto_mode_60x36x10");
-    g.sample_size(10);
-    g.warm_up_time(Duration::from_millis(500));
-    g.measurement_time(Duration::from_secs(3));
-    for mode in [CanutoMode::List, CanutoMode::CrossRank] {
-        let mut opts = ModelOptions::default();
-        opts.canuto_mode = mode;
-        g.bench_function(format!("{mode:?}"), |b| {
-            let opts = opts.clone();
-            b.iter(|| run_steps(Space::serial(), opts.clone(), 2))
-        });
-    }
-    g.finish();
 }
 
 fn bench_advection_limiters(c: &mut Criterion) {
@@ -58,5 +41,5 @@ fn bench_advection_limiters(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_canuto_modes, bench_advection_limiters);
+criterion_group!(benches, bench_advection_limiters);
 criterion_main!(benches);

@@ -20,7 +20,8 @@
 use bench::banner;
 use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D};
 use kokkos_rs::{View, View3};
-use licom::model::{CanutoMode, Model, ModelOptions};
+use licom::lanes::F64x;
+use licom::model::{Model, ModelOptions};
 use mpi_sim::{CartComm, World};
 use ocean_grid::Resolution;
 use perf_model::{project, Machine, ProblemSpec, SunwayVariant};
@@ -101,14 +102,16 @@ fn main() {
     {
         let cfg = cfg.clone();
         let reports = World::run(6, move |comm| {
-            let opts = ModelOptions {
-                canuto_mode: CanutoMode::List,
-                ..ModelOptions::default()
-            };
+            let opts = ModelOptions::default();
             let m = Model::new(comm, cfg.clone(), kokkos_rs::Space::serial(), opts);
             let c = m.state.cur();
+            // Density is no model field: the old level's column pass keeps
+            // it in work rows. The balancer reads it from a view.
+            let (t, s) = (&m.state.t[c], &m.state.s[c]);
+            let rho: View3<f64> = View::from_fn("rho", t.dims(), |[k, j, i]| {
+                licom::eos::density(F64x([t.at(k, j, i)]), F64x([s.at(k, j, i)])).0[0]
+            });
             let fields = licom::canuto::CanutoFields {
-                rho: m.state.rho.clone(),
                 u: m.state.u[c].clone(),
                 v: m.state.v[c].clone(),
                 km: m.state.km.clone(),
@@ -118,7 +121,7 @@ fn main() {
                 nz: m.grid.nz,
             };
             let wet = &m.grid.wet.cols_own.indices;
-            licom::canuto::balanced_cross_rank(comm, &fields, wet, m.grid.pi)
+            licom::canuto::balanced_cross_rank(comm, &fields, &rho, wet, m.grid.pi)
         });
         println!(
             "{:>6} {:>14} {:>10} {:>10}",

@@ -283,11 +283,6 @@ pub fn enabled() -> bool {
     CONSUMERS.load(Ordering::Acquire) != 0
 }
 
-/// Kernel-launch ids assigned so far (monotone; next launch gets this id).
-pub fn kernel_ids_assigned() -> u64 {
-    NEXT_KERNEL_ID.load(Ordering::Relaxed)
-}
-
 fn current_hooks() -> Option<Arc<dyn ProfilingHooks>> {
     let consumers = CONSUMERS.load(Ordering::Acquire);
     if consumers == 0 {
@@ -308,7 +303,7 @@ fn current_hooks() -> Option<Arc<dyn ProfilingHooks>> {
 }
 
 /// Strip path and generic parameters from a type name:
-/// `licom::eos::FunctorEos` → `FunctorEos`.
+/// `licom::columns::FunctorDensityColumns` → `FunctorDensityColumns`.
 pub fn short_type_name(full: &'static str) -> &'static str {
     let no_generics = match full.find('<') {
         Some(p) => &full[..p],
@@ -504,7 +499,10 @@ mod tests {
 
     #[test]
     fn short_names_strip_paths_and_generics() {
-        assert_eq!(short_type_name("licom::eos::FunctorEos"), "FunctorEos");
+        assert_eq!(
+            short_type_name("licom::columns::FunctorDensityColumns"),
+            "FunctorDensityColumns"
+        );
         assert_eq!(short_type_name("FunctorAxpy"), "FunctorAxpy");
         assert_eq!(
             short_type_name("a::b::Wrap<c::d::Inner>"),

@@ -43,7 +43,9 @@ pub struct FunctorMomentumTend {
     pub v_cur: View3<f64>,
     pub u_old: View3<f64>,
     pub v_old: View3<f64>,
-    /// Baroclinic hydrostatic pressure at T cells.
+    /// Baroclinic hydrostatic pressure at T cells, read at a corner's four
+    /// `(jl..=jl + 1, il..=il + 1)`: owned cells, the row north of the
+    /// block and the column east of it (`LocalGrid::wet.cols_halo`).
     pub pressure: View3<f64>,
     pub ut: View3<f64>,
     pub vt: View3<f64>,

@@ -14,33 +14,33 @@
 //! computationally expensive kernel. This kernel is oriented vertically
 //! in the downward direction when the Earth's surface is oceanic" — so on
 //! a rectangular launch, ranks and CPEs assigned land do nothing while
-//! ocean lanes grind: load imbalance. The two launch modes are the paper's
-//! two remedies:
+//! ocean lanes grind: load imbalance. The paper's two remedies:
 //!
-//! 1. [`FunctorCanutoCols`] — the rank's wet columns packed densely as a
-//!    [`kokkos_rs::ListPolicy`] with per-column depth costs (within-rank
-//!    balancing, in the generic dispatch layer);
+//! 1. within a rank, the closure runs over the wet columns packed densely
+//!    as a [`kokkos_rs::ListPolicy`] whose tiles are cut by cumulative wet
+//!    depth — the last member of the old level's column pass
+//!    ([`crate::columns::FunctorDensityColumns`]), which hands it the
+//!    density rows it has just computed;
 //! 2. [`balanced_cross_rank`] — ranks even out their wet-column counts by
 //!    shipping column inputs to under-loaded ranks and collecting the
-//!    results (the full Fig. 4 scheme).
+//!    results (the full Fig. 4 scheme, the ablation's library function).
 //!
 //! Both produce **bitwise identical** coefficients: there is one
-//! closure body, [`CanutoFields::block`], generic over the number `W` of
+//! closure body, [`CanutoFields::closure`], generic over the number `W` of
 //! adjacent columns it evaluates together (see [`crate::lanes`]). The
 //! fixed-point iteration of the stability functions is a chain of eight
 //! dependent divides per interface; a [`LANES`](crate::lanes::LANES)-wide
 //! block runs eight such chains side by side, with the regime early-outs
 //! (`Ri < 0`, non-finite) and the per-column depth as lane selects. The
-//! packed-list launch walks runs of wet columns in such blocks, a run's
-//! remainder in blocks of 4, 2 and 1; the cross-rank donor/receiver paths
-//! and the scalar [`stability_functions`] are the `W = 1` instantiation.
+//! cross-rank donor/receiver paths and the scalar [`stability_functions`]
+//! are the `W = 1` instantiation.
 
-use kokkos_rs::{FunctorList, IterCost, View1, View2, View3};
+use kokkos_rs::{View1, View2, View3};
 use mpi_sim::Comm;
 use ocean_grid::{GRAVITY, RHO0};
 
 use crate::constants::{KH_BACKGROUND, KM_BACKGROUND, K_MAX};
-use crate::lanes::{self, above, ColumnKernel, F64x, Isa};
+use crate::lanes::{self, above, F64x};
 
 /// Stability functions `(s_m, s_h)` of `W` gradient Richardson numbers.
 ///
@@ -88,10 +88,9 @@ pub fn mixing_coefficients(ri: f64) -> (f64, f64) {
     (km.0[0], kh.0[0])
 }
 
-/// The field set the column computation reads/writes.
+/// What the closure reads and writes besides the density of its columns.
 #[derive(Clone)]
 pub struct CanutoFields {
-    pub rho: View3<f64>,
     pub u: View3<f64>,
     pub v: View3<f64>,
     /// Output: viscosity at interfaces (`nz+1` levels).
@@ -132,10 +131,10 @@ impl CanutoFields {
         (n2, du * du + dv * dv)
     }
 
-    /// `(N², S²)` at interface `k` of the single column `(jl, il)` — the
-    /// record the cross-rank scheme ships.
-    fn n2_s2(&self, k: usize, jl: usize, il: usize) -> (f64, f64) {
-        let rho = |kk| F64x::<1>::load(&self.rho, kk, jl, il);
+    /// `(N², S²)` at interface `k` of the single column `(jl, il)` of
+    /// density `rho` — the record the cross-rank scheme ships.
+    fn n2_s2(&self, rho: &View3<f64>, k: usize, jl: usize, il: usize) -> (f64, f64) {
+        let rho = |kk| F64x::<1>::load(rho, kk, jl, il);
         let at = |f, kk| Self::at_t::<1>(f, kk, jl, il);
         let (n2, s2) = self.n2_s2_lanes(
             k,
@@ -145,35 +144,39 @@ impl CanutoFields {
         );
         (n2.0[0], s2.0[0])
     }
-}
 
-impl ColumnKernel for CanutoFields {
-    /// The staged density and T-column velocities of a block.
-    fn scratch_words(&self) -> usize {
-        3 * self.nz
+    /// Work words per lane of [`Self::closure`]: the staged T-column
+    /// velocities.
+    pub fn scratch_words(&self) -> usize {
+        2 * self.nz
     }
 
-    /// The columns `(jl, il..il + W)`: interfaces `1..kmt` of each get
-    /// closure values, the rest background. Down to the block's deepest
-    /// column every lane evaluates the closure and lanes already below
-    /// their own bottom select background.
+    /// The closure of the columns `(jl, il..il + W)` of wet depths `depths`
+    /// (from [`lanes::depths`]) on their density rows `rho` (levels
+    /// `0..kmax`): interfaces `1..kmt` of each get closure values, the rest
+    /// background. Down to the block's deepest column every lane evaluates
+    /// the closure and lanes already below their own bottom select
+    /// background, so what `rho` holds there is never read into a result.
     #[inline(always)]
-    fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
-        let (kmt, kmax) = lanes::depths::<W>(&self.kmt, jl, il);
+    pub fn closure<const W: usize>(
+        &self,
+        jl: usize,
+        il: usize,
+        (kmt, kmax): ([i32; W], usize),
+        rho: &[[f64; W]],
+        scratch: &mut [f64],
+    ) {
         let (km_bg, kh_bg) = (F64x::<W>::splat(KM_BACKGROUND), F64x::splat(KH_BACKGROUND));
         km_bg.store(&self.km, 0, jl, il);
         kh_bg.store(&self.kh, 0, jl, il);
         if kmax > 1 {
-            // Stage the block's inputs first: this loop is loads and three
-            // adds, so a cache miss per level stays in flight; the closure
-            // loop below (a dozen divides per level) would expose them one
-            // at a time.
-            let (rho, rest) = scratch.split_at_mut(self.nz * W);
-            let (uc, vc) = rest.split_at_mut(self.nz * W);
-            let rho = lanes::rows::<W>(rho, kmax);
+            // Stage the block's velocities first: this loop is loads and
+            // three adds, so a cache miss per level stays in flight; the
+            // closure loop below (a dozen divides per level) would expose
+            // them one at a time.
+            let (uc, vc) = scratch.split_at_mut(self.nz * W);
             let (uc, vc) = (lanes::rows::<W>(uc, kmax), lanes::rows::<W>(vc, kmax));
             for k in 0..kmax {
-                rho[k] = F64x::<W>::load(&self.rho, k, jl, il).0;
                 uc[k] = Self::at_t::<W>(&self.u, k, jl, il).0;
                 vc[k] = Self::at_t::<W>(&self.v, k, jl, il).0;
             }
@@ -192,40 +195,6 @@ impl ColumnKernel for CanutoFields {
             kh_bg.store(&self.kh, k, jl, il);
         }
     }
-}
-
-/// Packed wet-column launch through the generic [`kokkos_rs::ListPolicy`]:
-/// entry `idx` is a packed `jl * pi + il` wet column. The policy carries
-/// the per-column wet depth as its cost, so every backend splits the
-/// closure work by cumulative wet levels rather than column count.
-pub struct FunctorCanutoCols {
-    pub f: CanutoFields,
-    pub pi: usize,
-}
-
-impl FunctorList for FunctorCanutoCols {
-    fn operator(&self, _n: usize, idx: u32) {
-        lanes::run_column(&self.f, self.pi, idx);
-    }
-
-    fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(Isa::detect(), &self.f, self.pi, entries);
-    }
-
-    fn cost(&self) -> IterCost {
-        // ~90 flops per wet interface (fixed-point iterations included).
-        IterCost {
-            flops: 90 * self.f.nz as u64,
-            bytes: 100 * self.f.nz as u64,
-        }
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_canuto_cols, FunctorCanutoCols);
-
-/// Register this module's functors.
-pub fn register() {
-    kernel_canuto_cols();
 }
 
 /// Evaluate the expensive closure for a buffer of `(n², s²)` interface
@@ -260,11 +229,13 @@ pub struct BalanceReport {
 /// ranks, evaluate everywhere, and return the coefficients to the owner.
 /// Bitwise identical to evaluating locally.
 ///
-/// `wet_cols` are this rank's packed wet columns (as in
-/// [`FunctorCanutoCols`]). Columns are shipped from the tail of the list.
+/// `rho` is the density of this rank's padded block and `wet_cols` its
+/// packed owned wet columns `jl · pi + il` (the model's `cols` list).
+/// Columns are shipped from the tail of the list.
 pub fn balanced_cross_rank(
     comm: &Comm,
     fields: &CanutoFields,
+    rho: &View3<f64>,
     wet_cols: &[u32],
     pi: usize,
 ) -> BalanceReport {
@@ -328,8 +299,16 @@ pub fn balanced_cross_rank(
         .collect();
     let total_out: usize = my_out.iter().map(|(_, _, n)| n).sum();
     let keep = wet_cols.len() - total_out;
+    let mut scratch = vec![0.0; nz + fields.scratch_words()];
     for &col in &wet_cols[..keep] {
-        lanes::run_column(fields, pi, col);
+        let (jl, il) = (col as usize / pi, col as usize % pi);
+        let depths = lanes::depths::<1>(&fields.kmt, jl, il);
+        let (rows, work) = scratch.split_at_mut(nz);
+        let rows = lanes::rows::<1>(rows, depths.1);
+        for (k, row) in rows.iter_mut().enumerate() {
+            *row = [rho.at(k, jl, il)];
+        }
+        fields.closure::<1>(jl, il, depths, rows, work);
     }
     // Fixed record size: nz-1 interface pairs per column (dry interfaces
     // padded with a s2<0 sentinel). Messages go through the pooled
@@ -348,7 +327,7 @@ pub fn balanced_cross_rank(
                 let kmt = fields.kmt.at(jl, il) as usize;
                 for k in 1..=nz.saturating_sub(1) {
                     if k < kmt {
-                        let (n2, s2) = fields.n2_s2(k, jl, il);
+                        let (n2, s2) = fields.n2_s2(rho, k, jl, il);
                         buf[pos] = n2;
                         buf[pos + 1] = s2;
                     } else {

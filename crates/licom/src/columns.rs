@@ -1,4 +1,14 @@
-//! The new level, finished in two column passes.
+//! The column passes: the old level read once, the new level finished once.
+//!
+//! What a step needs of the old level before the momentum tendency is
+//! column-local: density from `T` / `S`, the hydrostatic pressure integral
+//! of it, and the canuto closure on its `N²` and the velocity shear. That
+//! chain is one kernel whose density lives only in the block's work rows:
+//!
+//! * [`FunctorDensityColumns`] over `cols` (`kmt > 0`, owned), and the same
+//!   body with the closure member off over `cols_halo` (the wet halo
+//!   columns whose pressure the momentum stencil reads: the row north of
+//!   the block and the column east of it; their `km` / `kh` nobody reads).
 //!
 //! Once the momentum tendency and the barotropic window are done, what is
 //! left of the new velocity level is column-local: the leapfrog step, the
@@ -26,21 +36,117 @@
 //! `+0` is `+0`, and a checkpoint holds what it saved
 //! (`tests/dry_velocity.rs`).
 //!
-//! Both bodies are [`ColumnKernel`]s, generic over the number `W` of
+//! All three bodies are [`ColumnKernel`]s, generic over the number `W` of
 //! adjacent columns they run together: the wet-list launch walks each run
-//! of wet columns down the ladder of [`crate::lanes`], the per-entry
-//! `operator` is `W = 1`, and `ModelOptions::vmix_team` launches the same
-//! body at `W = 1` as a `TeamPolicy` over the owned columns whose work rows
-//! are team scratch (LDM on the Sunway backend — the §V-C2 "local arrays
-//! within the functor" strategy).
+//! of wet columns down the ladder of [`crate::lanes`] and the per-entry
+//! `operator` is `W = 1`. `ModelOptions::vmix_team` launches the two
+//! new-level bodies at `W = 1` as a `TeamPolicy` over the owned columns
+//! whose work rows are team scratch (LDM on the Sunway backend — the §V-C2
+//! "local arrays within the functor" strategy).
 
 use kokkos_rs::{FunctorList, FunctorTeam, IterCost, View1, View2, View3};
+use ocean_grid::GRAVITY;
 
 use crate::advect::AdvectZ;
+use crate::canuto::CanutoFields;
+use crate::eos;
 use crate::forcing::SurfaceRestore;
 use crate::guard;
 use crate::lanes::{self, above, ColumnKernel, F64x, Isa};
 use crate::vmix::{work_words, VerticalSolve};
+
+/// The old-level chain: density from `T` / `S` into work rows, the
+/// hydrostatic pressure integral of them (stored), then the canuto closure
+/// on the same rows (`km` / `kh` stored).
+pub struct FunctorDensityColumns {
+    /// `T` and `S` at the current level.
+    pub t: View3<f64>,
+    pub s: View3<f64>,
+    /// Written: every level of each column, held constant below its bottom.
+    pub pressure: View3<f64>,
+    pub dz: View1<f64>,
+    pub kmt: View2<i32>,
+    pub nz: usize,
+    /// The closure member; `None` on the halo columns, which need pressure
+    /// only.
+    pub closure: Option<CanutoFields>,
+}
+
+impl FunctorDensityColumns {
+    /// The census rows of its members per level — the EOS (6 flops, 24 B),
+    /// the pressure integral (5, 24) and, with the closure, canuto (90,
+    /// 100) — less what launches of their own pay again: the store of
+    /// density and each later member's reload of it (8 B each).
+    fn footprint(&self) -> IterCost {
+        let nz = self.nz as u64;
+        let (flops, bytes) = match self.closure {
+            Some(_) => (6 + 5 + 90, 24 + 24 + 100 - 3 * 8),
+            None => (6 + 5, 24 + 24 - 2 * 8),
+        };
+        IterCost {
+            flops: flops * nz,
+            bytes: bytes * nz,
+        }
+    }
+}
+
+impl ColumnKernel for FunctorDensityColumns {
+    /// The density rows, then the closure's staged velocities.
+    fn scratch_words(&self) -> usize {
+        self.nz + self.closure.as_ref().map_or(0, CanutoFields::scratch_words)
+    }
+
+    /// The columns `(jl, il..il + W)` at **padded** indices: pressure is
+    /// integrated down to each lane's bottom and held constant below it.
+    #[inline(always)]
+    fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
+        let depths = lanes::depths::<W>(&self.kmt, jl, il);
+        let (kb, kmax) = depths;
+        let (rho, work) = scratch.split_at_mut(self.nz * W);
+        let rho = lanes::rows::<W>(rho, kmax);
+        let mut p = F64x::<W>::splat(0.0);
+        let mut prev_rho_dz = F64x::<W>::splat(0.0);
+        for (k, row) in rho.iter_mut().enumerate() {
+            let r = eos::density(
+                F64x::load(&self.t, k, jl, il),
+                F64x::load(&self.s, k, jl, il),
+            );
+            *row = r.0;
+            let rdz = r * self.dz.at(k);
+            p = above(k, &kb).select(p + GRAVITY * 0.5 * (prev_rho_dz + rdz), p);
+            p.store(&self.pressure, k, jl, il);
+            prev_rho_dz = rdz;
+        }
+        for k in kmax..self.nz {
+            p.store(&self.pressure, k, jl, il);
+        }
+        if let Some(closure) = &self.closure {
+            closure.closure::<W>(jl, il, depths, rho, work);
+        }
+    }
+}
+
+/// Entry `idx` is a packed wet column `jl · pi + il` (`pi` is `kmt`'s row
+/// pitch). Dry columns are not visited: their pressure stays the zero it
+/// was allocated with, the integral over no water.
+impl FunctorList for FunctorDensityColumns {
+    fn operator(&self, _n: usize, idx: u32) {
+        lanes::run_column(self, self.kmt.extent(1), idx);
+    }
+
+    /// Out of line, once a tile, so `scripts/check_isa_clone.sh` can follow
+    /// the pass into its AVX2 clone.
+    #[inline(never)]
+    fn operator_span(&self, _n0: usize, entries: &[u32]) {
+        lanes::run_span(Isa::detect(), self, self.kmt.extent(1), entries);
+    }
+
+    fn cost(&self) -> IterCost {
+        self.footprint()
+    }
+}
+
+kokkos_rs::register_for_list!(kernel_density_columns, FunctorDensityColumns);
 
 /// The velocity chain: `new = old + dt2 · tend`, implicit friction on
 /// `km` / `kmu` over `dt2`, then each wet column's thickness-weighted mean
@@ -335,6 +441,7 @@ column_pass!(
 
 /// Register this module's functors.
 pub fn register() {
+    kernel_density_columns();
     kernel_velocity_columns();
     kernel_velocity_columns_team();
     kernel_tracer_columns();
@@ -445,14 +552,92 @@ mod tests {
         assert_eq!(f.excess.at(H, H), f64::INFINITY, "a wet NaN is +∞");
     }
 
+    /// The old-level pass over one column of reference water (`T_REF`,
+    /// `S_REF`) 10 m a level, with `kmt` wet levels and the closure member
+    /// on or off; its pressure and `km`.
+    fn old_level(nz: usize, kmt: i32, closure: bool) -> (View3<f64>, View3<f64>) {
+        use crate::constants::{S_REF, T_REF};
+        let (d3, mask, _) = block(nz);
+        mask.set_at(H, H, kmt);
+        let d3w = [nz + 1, d3[1], d3[2]];
+        let km: View3<f64> = View::from_fn("km", d3w, |_| -1.0);
+        let f = FunctorDensityColumns {
+            t: View::from_fn("t", d3, |_| T_REF),
+            s: View::from_fn("s", d3, |_| S_REF),
+            pressure: View::host("p", d3),
+            dz: View::from_fn("dz", [nz], |_| 10.0),
+            kmt: mask.clone(),
+            nz,
+            closure: closure.then(|| CanutoFields {
+                u: View::host("u", d3),
+                v: View::host("v", d3),
+                km: km.clone(),
+                kh: View::host("kh", d3w),
+                kmt: mask,
+                z_t: View::from_fn("z_t", [nz], |[k]| 5.0 + 10.0 * k as f64),
+                nz,
+            }),
+        };
+        FunctorList::operator(&f, 0, (H * d3[2] + H) as u32);
+        (f.pressure, km)
+    }
+
+    /// Pressure grows down the wet levels from `g ρ0 dz / 2` and is held
+    /// below the bottom; the closure member writes every interface, and
+    /// the halo columns' pass (closure off) leaves the same pressure.
+    #[test]
+    fn the_old_level_pass_integrates_pressure_and_closes_the_column() {
+        use crate::constants::KM_BACKGROUND;
+        use ocean_grid::RHO0;
+        let (nz, kmt) = (6, 4);
+        let (p, km) = old_level(nz, kmt, true);
+        let want = GRAVITY * RHO0 * 5.0;
+        assert!((p.at(0, H, H) - want).abs() / want < 1e-12);
+        for k in 1..kmt as usize {
+            assert!(p.at(k, H, H) > p.at(k - 1, H, H), "level {k}");
+        }
+        for k in kmt as usize..nz {
+            assert_eq!(p.at(k, H, H), p.at(kmt as usize - 1, H, H), "level {k}");
+        }
+        // Still, unstratified water: no shear, no N², neutral closure above
+        // the bottom and background on and below it.
+        assert!(km.at(1, H, H) > KM_BACKGROUND);
+        for k in [0, kmt as usize, nz] {
+            assert_eq!(km.at(k, H, H), KM_BACKGROUND, "interface {k}");
+        }
+        let (halo, untouched) = old_level(nz, kmt, false);
+        assert_eq!(halo.as_slice(), p.as_slice(), "the halo pass's pressure");
+        assert!(untouched.as_slice().iter().all(|&k| k == -1.0));
+    }
+
     /// The team launches run one column with its work rows in team scratch
     /// (LDM on the Sunway backend): at the deepest supported column both
-    /// passes fit the ¼-LDM stream budget of a CPE.
+    /// new-level passes fit the ¼-LDM stream budget of a CPE, and so does
+    /// the old-level pass's block at `W = 1` (it has no team launch).
     #[test]
     fn a_full_depth_column_fits_a_quarter_of_ldm() {
         let nz = lanes::MAX_NZ;
         let tracer = 2 * nz + AdvectZ::scratch_words(nz).max(3 * nz);
-        for words in [work_words(2, nz), tracer] {
+        let (d3, kmt, dz) = block(nz);
+        let old_level = FunctorDensityColumns {
+            t: View::host("t", d3),
+            s: View::host("s", d3),
+            pressure: View::host("p", d3),
+            dz: dz.clone(),
+            kmt: kmt.clone(),
+            nz,
+            closure: Some(CanutoFields {
+                u: View::host("u", d3),
+                v: View::host("v", d3),
+                km: View::host("km", [1, 1, 1]),
+                kh: View::host("kh", [1, 1, 1]),
+                kmt,
+                z_t: dz,
+                nz,
+            }),
+        };
+        assert_eq!(old_level.scratch_words(), 3 * nz);
+        for words in [work_words(2, nz), tracer, old_level.scratch_words()] {
             assert!(words * 8 <= 256 * 1024 / 4, "{words} words");
         }
     }

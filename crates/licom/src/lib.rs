@@ -78,11 +78,9 @@ pub mod constants {
 /// functions "during the initialization of Kokkos"; we do the same in
 /// [`Model::new`], and expose it for tests.
 pub fn register_all_kernels() {
-    eos::register();
     baroclinic::register();
     barotropic::register();
     advect::register();
-    canuto::register();
     columns::register();
     forcing::register();
     diag::register();

@@ -13,19 +13,20 @@ use halo_exchange::{Halo2D, HALO as H};
 
 /// Packed wet-point index sets, built once per rank from `kmt`/`kmu` and
 /// shared (via `Arc`) with every `ListPolicy` launch. The split between
-/// padded and owned sets follows what each kernel needs: pressure must
-/// cover halo columns (the momentum gradient reads them), while advection
-/// columns and horizontal diffusion only touch owned cells.
+/// owned and halo sets follows what each kernel needs: pressure must cover
+/// halo columns (the momentum gradient reads them), while everything else
+/// touches owned cells only.
 pub struct WetSets {
-    /// Wet tracer columns over the full padded block (`kmt > 0`),
-    /// packed `jl * pi + il`; cost = wet levels.
-    pub cols_pad: ActiveSet,
-    /// Owned-interior wet tracer columns (`kmt > 0`); cost = wet levels.
+    /// Owned-interior wet tracer columns (`kmt > 0`), packed
+    /// `jl * pi + il`; cost = wet levels.
     pub cols_own: ActiveSet,
+    /// The wet tracer columns of the halo that the momentum stencil reads
+    /// pressure at: a velocity corner `(jl, il)` takes it from the T cells
+    /// `(jl..=jl + 1, il..=il + 1)`, so the row north of the block and the
+    /// column east of it (their corner included); cost = wet levels.
+    pub cols_halo: ActiveSet,
     /// Owned-interior wet velocity columns (`kmu > 0`); cost = wet levels.
     pub ucols_own: ActiveSet,
-    /// Padded 3-D wet tracer cells (`k < kmt`), per-level CSR.
-    pub cells3_pad: ActiveSet3,
     /// Owned-interior 3-D wet tracer cells.
     pub cells3_own: ActiveSet3,
     /// Owned-interior 3-D wet velocity cells (`k < kmu`), split into
@@ -47,11 +48,12 @@ impl WetSets {
         let kmu_at = |jl: usize, il: usize| kmu.at(jl, il).max(0) as u32;
         let (ucells3_own_interior, ucells3_own_rim) =
             ActiveSet3::build_cells_split(nz, pj, pi, rows.clone(), cols.clone(), 1, kmu_at);
+        let owned = |jl: usize, il: usize| rows.contains(&jl) && cols.contains(&il);
+        let halo_at = |jl, il| if owned(jl, il) { 0 } else { kmt_at(jl, il) };
         Self {
-            cols_pad: ActiveSet::build_columns(pi, 0..pj, 0..pi, kmt_at),
             cols_own: ActiveSet::build_columns(pi, rows.clone(), cols.clone(), kmt_at),
+            cols_halo: ActiveSet::build_columns(pi, H..pj - H + 1, H..pi - H + 1, halo_at),
             ucols_own: ActiveSet::build_columns(pi, rows.clone(), cols.clone(), kmu_at),
-            cells3_pad: ActiveSet3::build_cells(nz, pj, pi, 0..pj, 0..pi, kmt_at),
             cells3_own: ActiveSet3::build_cells(nz, pj, pi, rows.clone(), cols.clone(), kmt_at),
             ucells3_own_interior,
             ucells3_own_rim,
@@ -278,13 +280,20 @@ mod tests {
 
     type Block = (Range<usize>, Range<usize>);
 
-    /// The packed columns of `block` with `mask > 0`, in row-major scan
-    /// order, and the running wet depth.
-    fn support2(mask: &View2<i32>, (rows, cols): Block) -> (Vec<u32>, Vec<u64>) {
+    /// The packed columns of `block` with `mask > 0` where `keep(jl, il)`,
+    /// in row-major scan order, and the running wet depth.
+    fn support2(
+        mask: &View2<i32>,
+        (rows, cols): Block,
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> (Vec<u32>, Vec<u64>) {
         let pi = mask.extent(1);
         let (mut idx, mut prefix) = (Vec::new(), vec![0u64]);
         for jl in rows {
-            for il in cols.clone().filter(|&il| mask.at(jl, il) > 0) {
+            for il in cols
+                .clone()
+                .filter(|&il| mask.at(jl, il) > 0 && keep(jl, il))
+            {
                 idx.push((jl * pi + il) as u32);
                 prefix.push(prefix[idx.len() - 1] + mask.at(jl, il) as u64);
             }
@@ -318,28 +327,34 @@ mod tests {
     /// Every [`WetSets`] member against the mask it is documented to pack.
     fn check_wet_sets(nz: usize, kmt: &View2<i32>, kmu: &View2<i32>) -> Result<(), TestCaseError> {
         let [pj, pi] = kmt.dims();
-        let (padded, owned): (Block, Block) = ((0..pj, 0..pi), (H..pj - H, H..pi - H));
+        let owned: Block = (H..pj - H, H..pi - H);
         let w = WetSets::build(nz, kmt, kmu);
-        for (name, set, mask, block) in [
-            ("cols_pad", &w.cols_pad, kmt, &padded),
-            ("cols_own", &w.cols_own, kmt, &owned),
-            ("ucols_own", &w.ucols_own, kmu, &owned),
+        let inside = |jl: usize, il: usize| {
+            (H + 1..pj - H - 1).contains(&jl) && (H + 1..pi - H - 1).contains(&il)
+        };
+        let owned_at = |jl: usize, il: usize| owned.0.contains(&jl) && owned.1.contains(&il);
+        // The owned block grown by one row north and one column east.
+        let north_east: Block = (H..pj - H + 1, H..pi - H + 1);
+        type Keep<'a> = &'a dyn Fn(usize, usize) -> bool;
+        let (all, inner, rim, halo): (Keep, Keep, Keep, Keep) = (
+            &|_, _| true,
+            &inside,
+            &|jl, il| !inside(jl, il),
+            &|jl, il| !owned_at(jl, il),
+        );
+        for (name, set, mask, block, keep) in [
+            ("cols_own", &w.cols_own, kmt, &owned, all),
+            ("cols_halo", &w.cols_halo, kmt, &north_east, halo),
+            ("ucols_own", &w.ucols_own, kmu, &owned, all),
         ] {
-            let (idx, prefix) = support2(mask, block.clone());
+            let (idx, prefix) = support2(mask, block.clone(), keep);
             prop_assert!(**set.indices == idx, "{name}");
             prop_assert!(**set.cost_prefix == prefix, "{name}: cost_prefix");
             // Row-major scan order is packed order: sorted, no repeats.
             prop_assert!(set.indices.windows(2).all(|p| p[0] < p[1]), "{name}: order");
         }
-        let inside = |jl: usize, il: usize| {
-            (H + 1..pj - H - 1).contains(&jl) && (H + 1..pi - H - 1).contains(&il)
-        };
-        type Keep<'a> = &'a dyn Fn(usize, usize) -> bool;
-        let (all, inner, rim): (Keep, Keep, Keep) =
-            (&|_, _| true, &inside, &|jl, il| !inside(jl, il));
         let (u_in, u_rim) = (&w.ucells3_own_interior, &w.ucells3_own_rim);
         for (name, set, mask, block, keep) in [
-            ("cells3_pad", &w.cells3_pad, kmt, &padded, all),
             ("cells3_own", &w.cells3_own, kmt, &owned, all),
             ("ucells3_own_interior", u_in, kmu, &owned, inner),
             ("ucells3_own_rim", u_rim, kmu, &owned, rim),

@@ -1,30 +1,32 @@
 //! The LICOMK++ model driver: one object per rank, stepping the full
 //! split-explicit system on a runtime-selected execution space.
 //!
-//! The per-step sequence — [`PHASES`], the thirteen rows [`Model::try_step`]
+//! The per-step sequence — [`PHASES`], the twelve rows [`Model::try_step`]
 //! walks — mirrors LICOM:
 //!
-//! 1. density + baroclinic hydrostatic pressure (`eos`);
-//! 2. *canuto* mixing coefficients (`canuto`) — packed-list or
-//!    cross-rank-balanced launch per [`CanutoMode`];
-//! 3. 3-D momentum tendency + wind stress (`momentum`);
-//! 4. split-explicit barotropic window with per-substep 2-D halo updates
+//! 1. the old level's column pass (`canuto`): density, the baroclinic
+//!    hydrostatic pressure and the *canuto* mixing coefficients from one
+//!    read of each owned wet column, then density and pressure over the
+//!    halo columns whose pressure the momentum stencil reads;
+//! 2. 3-D momentum tendency + wind stress (`momentum`);
+//! 3. split-explicit barotropic window with per-substep 2-D halo updates
 //!    and polar filtering (`barotropic`);
-//! 5. the velocity column pass: leapfrog momentum update, implicit
+//! 4. the velocity column pass: leapfrog momentum update, implicit
 //!    vertical friction, barotropic mode correction (`vmix_momentum`);
-//! 6. 3-D halo update of the new velocities, posted before the
+//! 5. 3-D halo update of the new velocities, posted before the
 //!    continuity diagnosis of `w` (`halo_uv`);
-//! 7. the horizontal passes of the two-step shape-preserving tracer
+//! 6. the horizontal passes of the two-step shape-preserving tracer
 //!    advection with a mid-pass halo update (`advection_tracer`), then the
 //!    tracer column pass: vertical advection, horizontal diffusion,
 //!    implicit vertical mixing, surface restoring (`vmix_tracer`);
-//! 8. 3-D halo update of the new tracers and the Asselin filter
+//! 7. 3-D halo update of the new tracers and the Asselin filter
 //!    (`halo_ts`, `asselin`, `halo_drain`), then the physics guard and the
 //!    step's accounting (`guard`, `telemetry`).
 //!
 //! Every masked kernel iterates a packed wet list ([`WetPolicies`]); the
-//! two column passes ([`crate::columns`]) each finish their new level in
-//! one launch and leave the physics guard its per-column maxima. The
+//! column passes ([`crate::columns`]) read the old level once and finish
+//! each new level in one launch, leaving the physics guard its per-column
+//! maxima. The
 //! kernels that stay dense do so because their land writes are semantic:
 //! the Asselin stream, the advection x/y passes, the barotropic substep
 //! kernels and the polar filter.
@@ -51,24 +53,14 @@ use crate::timers::Timers;
 mod step;
 pub use step::{Carry, Phase, Poster, PHASES};
 
-/// How the canuto kernel is launched (§V-C1 progression).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CanutoMode {
-    /// Packed wet-column list (within-rank balancing).
-    List,
-    /// Full Fig. 4 cross-rank redistribution.
-    CrossRank,
-}
-
 /// Model configuration: the planet, the knobs of the paper's optimizations
-/// (`canuto_mode`, `limiter`, `overlap`, `vmix_team`), the wait schedule
+/// (`limiter`, `overlap`, `vmix_team`), the wait schedule
 /// and the flight recorder. The physics guard ([`crate::guard`], default
 /// [`crate::GuardConfig`] bounds) and the CRC framing of every halo
 /// message are always on.
 #[derive(Clone)]
 pub struct ModelOptions {
     pub bathymetry: Bathymetry,
-    pub canuto_mode: CanutoMode,
     /// Two-step shape-preserving advection (false = diffusive upstream).
     pub limiter: bool,
     /// Where a posted halo exchange is finished. The step has one
@@ -107,7 +99,6 @@ impl Default for ModelOptions {
     fn default() -> Self {
         Self {
             bathymetry: Bathymetry::earth_like(),
-            canuto_mode: CanutoMode::List,
             limiter: true,
             overlap: true,
             vmix_team: false,
@@ -158,13 +149,13 @@ impl std::error::Error for StepError {}
 /// once so the steady-state step stays allocation-free. Column policies
 /// carry per-column wet depth as the scheduling cost.
 struct WetPolicies {
-    /// Wet T cells (`k < kmt`), **padded** block — density.
-    cells_pad: ListPolicy,
-    /// Wet T columns, **padded** block — pressure (halo columns needed).
-    cols_pad: ListPolicy,
-    /// Owned wet T columns — canuto, w diagnosis, the tracer column pass,
-    /// the guard's fold.
+    /// Owned wet T columns — the old level's pass, w diagnosis, the tracer
+    /// column pass, the guard's fold.
     cols: ListPolicy,
+    /// The wet T columns of the halo that the momentum stencil reads
+    /// pressure at (the row north of the block and the column east of it)
+    /// — density and pressure alone.
+    cols_halo: ListPolicy,
     /// Owned wet velocity corners (`kmu > 0`) — depth mean, wind stress,
     /// the velocity column pass, the guard's fold.
     ucols: ListPolicy,
@@ -180,11 +171,10 @@ impl WetPolicies {
     fn build(g: &LocalGrid) -> Self {
         let w = &g.wet;
         Self {
-            cells_pad: ListPolicy::new(w.cells3_pad.indices.clone()),
-            cols_pad: ListPolicy::new(w.cols_pad.indices.clone())
-                .with_cost_prefix(w.cols_pad.cost_prefix.clone()),
             cols: ListPolicy::new(w.cols_own.indices.clone())
                 .with_cost_prefix(w.cols_own.cost_prefix.clone()),
+            cols_halo: ListPolicy::new(w.cols_halo.indices.clone())
+                .with_cost_prefix(w.cols_halo.cost_prefix.clone()),
             ucols: ListPolicy::new(w.ucols_own.indices.clone())
                 .with_cost_prefix(w.ucols_own.cost_prefix.clone()),
             cells: ListPolicy::new(w.cells3_own.indices.clone()),
@@ -217,7 +207,6 @@ pub struct Model {
     halo3: Halo3D,
     gu: View2<f64>,
     gv: View2<f64>,
-    zero2: View2<f64>,
     wet: WetPolicies,
     /// What the column passes leave the guard.
     maxima: ColumnMaxima,
@@ -299,7 +288,6 @@ impl Model {
 
         let gu: View2<f64> = View::host("gu", [grid.pj, grid.pi]);
         let gv: View2<f64> = View::host("gv", [grid.pj, grid.pi]);
-        let zero2: View2<f64> = View::host("zero2", [grid.pj, grid.pi]);
         let wet = WetPolicies::build(&grid);
         let maxima = ColumnMaxima::new(grid.pj, grid.pi);
 
@@ -323,7 +311,6 @@ impl Model {
             halo3,
             gu,
             gv,
-            zero2,
             wet,
             maxima,
             filter_rows,
@@ -472,7 +459,7 @@ impl Model {
     pub fn reset_transients(&mut self) {
         use crate::constants::{KH_BACKGROUND, KM_BACKGROUND};
         let s = &mut self.state;
-        for v in [&s.w, &s.rho, &s.pressure, &s.ut, &s.vt] {
+        for v in [&s.w, &s.pressure, &s.ut, &s.vt] {
             v.fill(0.0);
         }
         for v in &s.work.adv_tmp {

@@ -1,4 +1,4 @@
-//! The baroclinic step, written once: [`PHASES`] lists its thirteen phases
+//! The baroclinic step, written once: [`PHASES`] lists its twelve phases
 //! in execution order, and [`Step::run`] is the only code that walks them.
 //!
 //! A row names the phase (its `Timers` entry and depth-0 profiling
@@ -16,13 +16,14 @@ use kokkos_rs::{parallel_for_3d, parallel_for_list, MDRangePolicy3, View3};
 use mpi_sim::flight::FlightEventKind;
 use mpi_sim::TrafficSnapshot;
 
-use super::{CanutoMode, Model, StepError};
+use super::{Model, StepError};
 use crate::advect::{self, AdvectZ, FunctorDiagnoseW};
 use crate::baroclinic::{FunctorAsselin3D, FunctorMomentumTend};
 use crate::barotropic::{self, FunctorDepthMean};
-use crate::canuto::{self, CanutoFields, FunctorCanutoCols};
-use crate::columns::{FunctorTracerColumns, FunctorVelocityColumns, TracerHDiff};
-use crate::eos::{FunctorEos, FunctorPressure};
+use crate::canuto::CanutoFields;
+use crate::columns::{
+    FunctorDensityColumns, FunctorTracerColumns, FunctorVelocityColumns, TracerHDiff,
+};
 use crate::forcing::{FunctorWindStress, SurfaceRestore};
 use crate::guard::{self, GuardConfig};
 use crate::localgrid::LocalGrid;
@@ -83,8 +84,7 @@ pub struct Phase {
 /// `halo_drain` launches nothing: it is where `Ts` and `Asselin` land,
 /// before the guard reads the new level and the step commits.
 #[rustfmt::skip]
-pub const PHASES: [Phase; 13] = [
-    Phase { name: "eos",              run: eos,              posts: None,                 lands: &[] },
+pub const PHASES: [Phase; 12] = [
     Phase { name: "canuto",           run: canuto,           posts: None,                 lands: &[] },
     Phase { name: "momentum",         run: momentum,         posts: None,                 lands: &[] },
     Phase { name: "barotropic",       run: barotropic,       posts: None,                 lands: &[] },
@@ -182,55 +182,32 @@ impl<'m> Step<'m> {
     }
 }
 
-/// Density and baroclinic pressure over the wet cells / columns of the
-/// full padded block (T/S halos are valid, so pressure halos come out
-/// valid too — the momentum stencil reads them at the block edge). Land
-/// keeps its initial zeros.
-fn eos(s: &mut Step<'_>) -> Result<(), StepError> {
+/// The old level's column pass: density, the hydrostatic pressure and the
+/// canuto closure over the owned wet columns, then density and pressure
+/// alone over the halo columns whose pressure the momentum stencil reads
+/// (north and east of the block). Land keeps its initial zeros.
+fn canuto(s: &mut Step<'_>) -> Result<(), StepError> {
     let (m, st, g, (_, c, _)) = s.parts();
-    let f_eos = FunctorEos {
+    let mut pass = FunctorDensityColumns {
         t: st.t[c].clone(),
         s: st.s[c].clone(),
-        rho: st.rho.clone(),
-    };
-    let f_p = FunctorPressure {
-        rho: st.rho.clone(),
-        eta: m.zero2.clone(),
         pressure: st.pressure.clone(),
         dz: g.dz.clone(),
         kmt: g.kmt.clone(),
         nz: g.nz,
+        closure: Some(CanutoFields {
+            u: st.u[c].clone(),
+            v: st.v[c].clone(),
+            km: st.km.clone(),
+            kh: st.kh.clone(),
+            kmt: g.kmt.clone(),
+            z_t: g.z_t.clone(),
+            nz: g.nz,
+        }),
     };
-    crate::eos::compute_density_pressure(&m.space, &m.wet.cells_pad, &m.wet.cols_pad, &f_eos, &f_p);
-    Ok(())
-}
-
-fn canuto(s: &mut Step<'_>) -> Result<(), StepError> {
-    let (m, st, g, (_, c, _)) = s.parts();
-    let cf = CanutoFields {
-        rho: st.rho.clone(),
-        u: st.u[c].clone(),
-        v: st.v[c].clone(),
-        km: st.km.clone(),
-        kh: st.kh.clone(),
-        kmt: g.kmt.clone(),
-        z_t: g.z_t.clone(),
-        nz: g.nz,
-    };
-    match m.opts.canuto_mode {
-        // Generic packed-list launch: the policy carries per-column wet
-        // depth, so tiles are distributed by cumulative cost.
-        CanutoMode::List => {
-            parallel_for_list(
-                &m.space,
-                &m.wet.cols,
-                &FunctorCanutoCols { f: cf, pi: g.pi },
-            );
-        }
-        CanutoMode::CrossRank => {
-            canuto::balanced_cross_rank(&m.comm, &cf, &g.wet.cols_own.indices, g.pi);
-        }
-    }
+    parallel_for_list(&m.space, &m.wet.cols, &pass);
+    pass.closure = None;
+    parallel_for_list(&m.space, &m.wet.cols_halo, &pass);
     Ok(())
 }
 

@@ -2,9 +2,10 @@
 //!
 //! Leapfrog needs three time levels (`old`, `cur`, `new`) of every
 //! prognostic field; [`State::rotate`] cycles the roles without copying
-//! (Views are shallow handles). Diagnostic fields (density, pressure,
-//! vertical velocity, mixing coefficients, tendencies) have a single
-//! level. All step-transient scratch lives in [`Workspace`], allocated
+//! (Views are shallow handles). Diagnostic fields (pressure, vertical
+//! velocity, mixing coefficients, tendencies) have a single level; density
+//! is no field (the old level's column pass keeps it in work rows). All
+//! step-transient scratch lives in [`Workspace`], allocated
 //! once at construction so [`crate::Model::step`] never touches the heap
 //! in steady state.
 
@@ -60,7 +61,6 @@ pub struct State {
     // Diagnostics.
     /// Vertical velocity at layer interfaces (`nz+1` levels).
     pub w: View3<f64>,
-    pub rho: View3<f64>,
     pub pressure: View3<f64>,
     /// Vertical viscosity at interfaces.
     pub km: View3<f64>,
@@ -108,7 +108,6 @@ impl State {
             ubt: View::host("ubt", d2),
             vbt: View::host("vbt", d2),
             w: View::host("w", d3w),
-            rho: View::host("rho", d3),
             pressure: View::host("pressure", d3),
             km: View::host("km", d3w),
             kh: View::host("kh", d3w),
@@ -322,7 +321,6 @@ mod tests {
             let w = &self.work;
             let single3 = [
                 &self.w,
-                &self.rho,
                 &self.pressure,
                 &self.km,
                 &self.kh,

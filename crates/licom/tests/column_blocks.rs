@@ -1,12 +1,13 @@
 //! The lane-blocked column kernels against their own `W = 1` instantiation,
 //! and the paired depth mean against its fields taken one at a time.
 //!
-//! Each of the two column passes that finish the new level (velocity:
-//! leapfrog, friction solve, mode correction; tracers: vertical advection,
-//! diffusion, mixing solve, surface restore — each with the guard's
-//! per-column maximum), canuto, diagnose-w and the pressure integral has
-//! one body, generic over the number `W` of adjacent columns it runs
-//! together. A list launch hands
+//! Each of the column passes — the old level's (density, pressure, canuto
+//! closure; over the owned columns, and with the closure off over the halo
+//! ring) and the two that finish the new level (velocity: leapfrog,
+//! friction solve, mode correction; tracers: vertical advection, diffusion,
+//! mixing solve, surface restore — each with the guard's per-column
+//! maximum) — and diagnose-w has one body, generic over the number `W` of
+//! adjacent columns it runs together. A list launch hands
 //! it whole tiles (`FunctorList::operator_span`), which it walks down the
 //! ladder — `LANES`-wide blocks, then at most one block each of 4, 2 and 1
 //! columns; calling
@@ -34,9 +35,10 @@ use kokkos_rs::{
 };
 use licom::advect::{AdvectZ, FunctorDiagnoseW};
 use licom::barotropic::FunctorDepthMean;
-use licom::canuto::{CanutoFields, FunctorCanutoCols};
-use licom::columns::{FunctorTracerColumns, FunctorVelocityColumns, TracerHDiff};
-use licom::eos::FunctorPressure;
+use licom::canuto::CanutoFields;
+use licom::columns::{
+    FunctorDensityColumns, FunctorTracerColumns, FunctorVelocityColumns, TracerHDiff,
+};
 use licom::forcing::SurfaceRestore;
 use licom::lanes::{self, Isa, LANES};
 use licom::vmix::VerticalSolve;
@@ -61,17 +63,11 @@ macro_rules! pinned {
     )*};
 }
 pinned!(
+    FunctorDensityColumns,
     FunctorVelocityColumns,
     FunctorTracerColumns,
-    FunctorDiagnoseW,
-    FunctorPressure
+    FunctorDiagnoseW
 );
-
-impl Pinned for FunctorCanutoCols {
-    fn span(&self, isa: Isa, pi: usize, entries: &[u32]) {
-        lanes::run_span(isa, &self.f, pi, entries);
-    }
-}
 
 /// splitmix64: the fields are a pure function of `(seed, position)`.
 fn mix(seed: u64, n: u64) -> u64 {
@@ -115,7 +111,13 @@ struct Case {
     tile: usize,
     seed: u64,
     kmt: View2<i32>,
+    /// The owned wet columns.
     policy: ListPolicy,
+    /// The wet columns of the whole halo ring (wider than the model's
+    /// `cols_halo`, so the pressure-only body meets every halo shape): the
+    /// rows above and below the owned block (a northern rank's fold rows)
+    /// and the columns beside it.
+    ring: ListPolicy,
 }
 
 impl Case {
@@ -146,10 +148,13 @@ impl Case {
                 kmt.set_at(j + H, i + H, levels as i32);
             }
         }
-        let set = ActiveSet::build_columns(pi, H..H + ny, H..H + nx, |j, i| kmt.at(j, i) as u32);
-        let policy = ListPolicy::new(set.indices.clone())
-            .with_cost_prefix(set.cost_prefix.clone())
-            .with_tile(tile);
+        let (own, ring) =
+            ActiveSet::build_columns_split(pi, 0..pj, 0..pi, H, |j, i| kmt.at(j, i) as u32);
+        let list = |set: ActiveSet| {
+            ListPolicy::new(set.indices.clone())
+                .with_cost_prefix(set.cost_prefix.clone())
+                .with_tile(tile)
+        };
         Self {
             nz,
             ny,
@@ -157,7 +162,8 @@ impl Case {
             tile,
             seed,
             kmt,
-            policy,
+            policy: list(own),
+            ring: list(ring),
         }
     }
 
@@ -258,16 +264,17 @@ fn bits(outs: &[Out]) -> Vec<Vec<u64>> {
 }
 
 /// `make` builds the functor on fresh copies of whatever it writes and
-/// returns those views. The reference runs it entry by entry (`W = 1`); every
+/// returns those views. The reference runs it over `policy` entry by entry
+/// (`W = 1`); every
 /// space must reproduce its bits through the span path, and so must the span
 /// walk pinned to `Isa::BASELINE`, tile by tile (the spaces differ in who
 /// runs a tile, not in how it is walked).
 fn check<F: FunctorList + Pinned + 'static>(
     kernel: &str,
     case: &Case,
+    policy: &ListPolicy,
     make: impl Fn() -> (F, Vec<Out>),
 ) -> Result<Vec<Vec<u64>>, TestCaseError> {
-    let policy = &case.policy;
     let (f, out) = make();
     for n in policy.start..policy.end {
         f.operator(n, policy.entry(n));
@@ -307,17 +314,15 @@ fn copy_of(v: &View3<f64>) -> View3<f64> {
 
 fn check_all(case: &Case) -> Result<(), TestCaseError> {
     licom::register_all_kernels();
-    let pi = case.nx + 2 * H;
     let (nz, kmt) = (case.nz, &case.kmt);
     let (dz, z_t, dxt) = (case.dz(), case.z_t(), case.dxt());
     let u = case.field(1, nz, -1.5, 1.5);
     let v = case.field(2, nz, -1.5, 1.5);
     let w = case.field(3, nz + 1, -2.0e-3, 2.0e-3);
-    let rho = case.field(4, nz, 1020.0, 1030.0);
     let kcoef = case.field(5, nz + 1, 1.0e-5, 5.0e-2);
     let (q0, s0) = (case.tracer(6), case.tracer(10));
 
-    check("velocity columns", case, || {
+    check("velocity columns", case, &case.policy, || {
         // Poisoned outputs: every wet cell of a column and its maximum must
         // be written, and nothing else.
         let new = [
@@ -339,7 +344,7 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
         (f, vec![(&new[0]).into(), (&new[1]).into(), (&speed).into()])
     })?;
     for limited in [true, false] {
-        check("tracer columns", case, || {
+        check("tracer columns", case, &case.policy, || {
             // In place on the y pass's output, as the step launches it.
             let q = [copy_of(&q0), copy_of(&s0)];
             let excess = case.field2(20, -9.0, -8.0);
@@ -384,26 +389,38 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
         };
         check_advect_partners(case, &az, [&q0, &s0])?;
     }
-    check("canuto", case, || {
-        // Poisoned outputs: every interface of a wet column must be written.
-        let km = case.field(7, nz + 1, -9.0, -8.0);
-        let kh = case.field(8, nz + 1, -9.0, -8.0);
-        let f = CanutoFields {
-            rho: rho.clone(),
-            u: u.clone(),
-            v: v.clone(),
-            km: km.clone(),
-            kh: kh.clone(),
-            kmt: kmt.clone(),
-            z_t: z_t.clone(),
-            nz,
-        };
-        (
-            FunctorCanutoCols { f, pi },
-            vec![(&km).into(), (&kh).into()],
-        )
-    })?;
-    check("diagnose_w", case, || {
+    let (t, s) = (
+        case.field(4, nz, -2.0, 30.0),
+        case.field(12, nz, 30.0, 38.0),
+    );
+    for (list, policy, closure) in [("owned", &case.policy, true), ("ring", &case.ring, false)] {
+        check(&format!("old level, {list} columns"), case, policy, || {
+            // Poisoned outputs: every level of a wet column's pressure and
+            // every interface of its coefficients must be written.
+            let p = case.field(11, nz, -9.0, -8.0);
+            let km = case.field(7, nz + 1, -9.0, -8.0);
+            let kh = case.field(8, nz + 1, -9.0, -8.0);
+            let f = FunctorDensityColumns {
+                t: t.clone(),
+                s: s.clone(),
+                pressure: p.clone(),
+                dz: dz.clone(),
+                kmt: kmt.clone(),
+                nz,
+                closure: closure.then(|| CanutoFields {
+                    u: u.clone(),
+                    v: v.clone(),
+                    km: km.clone(),
+                    kh: kh.clone(),
+                    kmt: kmt.clone(),
+                    z_t: z_t.clone(),
+                    nz,
+                }),
+            };
+            (f, vec![(&p).into(), (&km).into(), (&kh).into()])
+        })?;
+    }
+    check("diagnose_w", case, &case.policy, || {
         let w_out = case.field(9, nz + 1, -9.0, -8.0);
         let f = FunctorDiagnoseW {
             u: u.clone(),
@@ -416,20 +433,6 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
             nz,
         };
         (f, vec![(&w_out).into()])
-    })?;
-    check("pressure", case, || {
-        let p = case.field(11, nz, -9.0, -8.0);
-        let f = FunctorPressure {
-            rho: rho.clone(),
-            eta: View::from_fn("eta", [case.ny + 2 * H, pi], |[j, i]| {
-                unit(case.seed ^ 12, (j * pi + i) as u64) - 0.5
-            }),
-            pressure: p.clone(),
-            dz: dz.clone(),
-            kmt: kmt.clone(),
-            nz,
-        };
-        (f, vec![(&p).into()])
     })?;
     check_depth_mean(case, [&u, &v])
 }

@@ -2,7 +2,7 @@
 //! stably, identically across execution spaces, and reproducibly.
 #![allow(clippy::field_reassign_with_default)]
 
-use licom::model::{choose_dims, CanutoMode, Model, ModelOptions};
+use licom::model::{choose_dims, Model, ModelOptions};
 // re-export check
 use mpi_sim::World;
 use ocean_grid::{Bathymetry, Resolution};
@@ -108,23 +108,73 @@ fn multi_rank_matches_single_rank() {
     assert!(rel < 1e-12, "heat content differs: {} vs {multi}", single.0);
 }
 
+/// The Fig. 4 balancer is the ablation's library function, not a way to
+/// step: on 2×2 ranks whose wet-column counts differ, one step's old-level
+/// pass leaves `km` / `kh`, and `balanced_cross_rank` — shipping columns
+/// between ranks — on the state that pass read leaves the same bits on
+/// every owned wet column.
 #[test]
-fn canuto_modes_agree() {
-    let cfg = small_config();
-    let checksum = |mode: CanutoMode| {
-        World::run(1, |comm| {
-            let mut opts = ModelOptions::default();
-            opts.canuto_mode = mode;
-            let mut m = Model::new(comm, cfg.clone(), kokkos_rs::Space::serial(), opts);
-            m.run_steps(2);
-            m.checksum()
-        })
-        .pop()
-        .unwrap()
-    };
-    let list = checksum(CanutoMode::List);
-    let cross = checksum(CanutoMode::CrossRank);
-    assert_eq!(list, cross, "List vs CrossRank canuto diverged");
+fn cross_rank_balancing_reproduces_the_steps_closure() {
+    use kokkos_rs::{View, View3};
+    use licom::lanes::F64x;
+    // 90×57×6: nx divides over two columns of ranks.
+    let cfg = Resolution::Coarse100km.config().scaled_down(4, 6);
+    let sent = World::run(4, |comm| {
+        let space = kokkos_rs::Space::serial();
+        let mut m = Model::new(comm, cfg.clone(), space, ModelOptions::default());
+        m.run_steps(2);
+        // The step filters u[c] / v[c] in place: keep what its pass read.
+        let copy = |v: &View3<f64>| -> View3<f64> {
+            let c: View3<f64> = View::host("copy", v.dims());
+            c.copy_from_slice(v.as_slice());
+            c
+        };
+        let c = m.state.cur();
+        let st = &m.state;
+        let (t, s, u, v) = (
+            copy(&st.t[c]),
+            copy(&st.s[c]),
+            copy(&st.u[c]),
+            copy(&st.v[c]),
+        );
+        m.step();
+        let rho: View3<f64> = View::from_fn("rho", t.dims(), |[k, j, i]| {
+            licom::eos::density(F64x([t.at(k, j, i)]), F64x([s.at(k, j, i)])).0[0]
+        });
+        let g = &m.grid;
+        let fields = licom::canuto::CanutoFields {
+            u,
+            v,
+            km: View::host("km", m.state.km.dims()),
+            kh: View::host("kh", m.state.kh.dims()),
+            kmt: g.kmt.clone(),
+            z_t: g.z_t.clone(),
+            nz: g.nz,
+        };
+        let wet = &g.wet.cols_own.indices;
+        let report = licom::canuto::balanced_cross_rank(comm, &fields, &rho, wet, g.pi);
+        for &col in wet.iter() {
+            let (jl, il) = (col as usize / g.pi, col as usize % g.pi);
+            for k in 0..=g.nz {
+                for (name, pass, balanced) in [
+                    ("km", &m.state.km, &fields.km),
+                    ("kh", &m.state.kh, &fields.kh),
+                ] {
+                    assert_eq!(
+                        pass.at(k, jl, il).to_bits(),
+                        balanced.at(k, jl, il).to_bits(),
+                        "rank {}: {name} at ({k}, {jl}, {il})",
+                        comm.rank()
+                    );
+                }
+            }
+        }
+        report.columns_sent
+    });
+    assert!(
+        sent.iter().sum::<usize>() > 0,
+        "no rank shipped a column: {sent:?}"
+    );
 }
 
 /// One 2-rank step under a recording tool: depth 0 is exactly `PHASES`, in
@@ -236,13 +286,15 @@ fn the_step_is_its_table() {
 /// folds their per-column maxima without a launch (102 → 93 and 258 → 249
 /// when nine launches — two leapfrogs, the friction solve, the mode
 /// correction, the z pass, two diffusion launches, the mixing solve, the
-/// restore and the guard's two scans, less the two passes — went). Both
-/// `overlap` settings launch the same. A fall is a one-literal change that
-/// says why.
+/// restore and the guard's two scans, less the two passes — went). The old
+/// level is read by one column pass over the owned columns and its ring
+/// twin over the halo columns (93 → 92 and 249 → 248 when the EOS, the
+/// pressure integral and the canuto launch went). Both `overlap` settings
+/// launch the same. A fall is a one-literal change that says why.
 #[test]
 fn a_step_launches_its_literal_count() {
     let cfg = Resolution::Eddy10km.config().scaled_down(60, 6);
-    for (ranks, want) in [(1, 93), (2, 249)] {
+    for (ranks, want) in [(1, 92), (2, 248)] {
         for overlap in [true, false] {
             let launches = World::run(ranks, |comm| {
                 let space = kokkos_rs::Space::device_sim();

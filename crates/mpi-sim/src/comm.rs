@@ -798,11 +798,6 @@ impl Comm {
         flight::enter(self.flight_ctx(capacity))
     }
 
-    /// This rank's ring, if one has been created.
-    pub fn flight_ring(&self) -> Option<Arc<FlightRing>> {
-        self.shared.flight.ring(self.world_rank)
-    }
-
     /// Every flight ring registered in this world — "all reachable
     /// rings" for a post-mortem snapshot.
     pub fn flight_rings(&self) -> Vec<Arc<FlightRing>> {
@@ -813,12 +808,6 @@ impl Comm {
     /// wins; later edges of the same incident get `false`).
     pub fn flight_claim_dump(&self) -> bool {
         self.shared.flight.claim_dump()
-    }
-
-    /// The world-level flight registry (clock + ring access by world
-    /// rank, for emission sites that run outside any thread scope).
-    pub fn flight_world(&self) -> &FlightWorld {
-        &self.shared.flight
     }
 
     /// Is this a derived (member-subset) communicator rather than the

@@ -83,15 +83,32 @@
 # chain, or a separate launch of one of its members, must not grow back
 # beside the pass.
 #
+# The old level is read once, by one column pass (`licom::columns::
+# FunctorDensityColumns`): density into work rows, the pressure integral,
+# the canuto closure, over the owned wet columns, and the same body with
+# the closure off over the halo ring. Rule 1's list also holds the three
+# launches it replaced — the EOS and its stored density (`FunctorEos`,
+# `kernel_eos`), the pressure integral (`FunctorPressure`,
+# `kernel_pressure`), the closure's own launch (`FunctorCanutoCols`,
+# `kernel_canuto_cols`) and their launcher (`compute_density_pressure`) —
+# and the option that ran the closure a second, panicking way inside the
+# step (`CanutoMode`, `canuto_mode`; the Fig. 4 balancer stays a library
+# function the ablation calls). It also holds public names nothing called
+# (`flight_ring`, `flight_world`, `kernel_ids_assigned`). The frozen
+# referee's `tracer.rs` names `FunctorEos` once, as a sample kernel name
+# in a test of its layer table; that one line is let through.
+#
 #   scripts/check_one_shape.sh      (from the repository root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 failed=0
 
-# Whole identifiers: `kernel_canuto_cols` registers the surviving list functor.
-gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph|StepMonitor|TelemetryConfig|DriftDetector|DriftBank|RingBuffer|surface_scalars|hotspot_shares|gather_phases|flush_ghost_debt|EwPosted|NsPosted|post_ns|FunctorAsselin2D|FunctorAsselin3|FunctorBtStep|kernel_asselin_2d|kernel_asselin_3|kernel_bt_step|Payload1D|Payload2D|Payload3D|PayloadList|PayloadReduce1D|PayloadReduce2D|PayloadReduce3D|PayloadReduceList|PayloadTeam|tramp_for_1d|tramp_for_2d|tramp_for_3d|tramp_for_list|tramp_reduce_1d|tramp_reduce_2d|tramp_reduce_3d|tramp_reduce_list|sw_retile_1d|sw_retile_2d|sw_retile_3d|drive_list_tiles|host_partials|register_1d|register_2d|register_3d|register_list|insert_team|FunctorPair2D|CounterTable|TimerStat|render_named_counters_labeled|render_named_gauges_labeled|render_phase_seconds_labeled|render_traffic_labeled|record_collective_entry|record_collective_op|record_barrier|record_pool_allocation|record_pool_reuse|record_pooled_bytes|record_fault_dropped|record_fault_duplicated|record_fault_delayed|record_fault_bitflipped|record_fault_truncated|record_rank_stall|record_crc_failure|record_halo_retry|record_recv_timeout|record_rank_death|record_peer_dead_error|record_send_suppressed|CollectiveState|CollInner|coll_dead|view_allgather|SubComm|subcomm|broadcast|allreduce_vec_f64|allreduce_usize_sum|try_allreduce_f64|try_barrier|LivenessView|liveness|peer_epoch|sendrecv|irecv|RecvReq|isend|FunctorLeapfrog3D|kernel_leapfrog_3d|FunctorBtCorrect|kernel_bt_correct|FunctorSurfaceRestore|kernel_surface_restore|FunctorVmixImplicit|FunctorVmixTeam|kernel_vmix_implicit_pair|kernel_vmix_team|launch_vmix|solve_block|FunctorAdvectZ|kernel_advect_z|FunctorTracerHDiff|kernel_tracer_hdiff|cells3_own_interior|cells3_own_rim|FunctorGuardMaxAbs|kernel_guard_max_abs|ucells3_own)\b'
-if hits=$(git grep -nE "$gone" -- crates src tests examples ':!crates/perf-model'); then
+# Whole identifiers.
+gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph|StepMonitor|TelemetryConfig|DriftDetector|DriftBank|RingBuffer|surface_scalars|hotspot_shares|gather_phases|flush_ghost_debt|EwPosted|NsPosted|post_ns|FunctorAsselin2D|FunctorAsselin3|FunctorBtStep|kernel_asselin_2d|kernel_asselin_3|kernel_bt_step|Payload1D|Payload2D|Payload3D|PayloadList|PayloadReduce1D|PayloadReduce2D|PayloadReduce3D|PayloadReduceList|PayloadTeam|tramp_for_1d|tramp_for_2d|tramp_for_3d|tramp_for_list|tramp_reduce_1d|tramp_reduce_2d|tramp_reduce_3d|tramp_reduce_list|sw_retile_1d|sw_retile_2d|sw_retile_3d|drive_list_tiles|host_partials|register_1d|register_2d|register_3d|register_list|insert_team|FunctorPair2D|CounterTable|TimerStat|render_named_counters_labeled|render_named_gauges_labeled|render_phase_seconds_labeled|render_traffic_labeled|record_collective_entry|record_collective_op|record_barrier|record_pool_allocation|record_pool_reuse|record_pooled_bytes|record_fault_dropped|record_fault_duplicated|record_fault_delayed|record_fault_bitflipped|record_fault_truncated|record_rank_stall|record_crc_failure|record_halo_retry|record_recv_timeout|record_rank_death|record_peer_dead_error|record_send_suppressed|CollectiveState|CollInner|coll_dead|view_allgather|SubComm|subcomm|broadcast|allreduce_vec_f64|allreduce_usize_sum|try_allreduce_f64|try_barrier|LivenessView|liveness|peer_epoch|sendrecv|irecv|RecvReq|isend|FunctorLeapfrog3D|kernel_leapfrog_3d|FunctorBtCorrect|kernel_bt_correct|FunctorSurfaceRestore|kernel_surface_restore|FunctorVmixImplicit|FunctorVmixTeam|kernel_vmix_implicit_pair|kernel_vmix_team|launch_vmix|solve_block|FunctorAdvectZ|kernel_advect_z|FunctorTracerHDiff|kernel_tracer_hdiff|cells3_own_interior|cells3_own_rim|FunctorGuardMaxAbs|kernel_guard_max_abs|ucells3_own|CanutoMode|canuto_mode|FunctorEos|FunctorPressure|FunctorCanutoCols|compute_density_pressure|kernel_eos|kernel_pressure|kernel_canuto_cols|flight_ring|flight_world|kernel_ids_assigned)\b'
+frozen_sample='^crates/bench/src/bin/licom_bench/tracer\.rs:[0-9]+: +assert_eq!\(layer_of_kernel\("FunctorEos"\), Layer::Licom\);$'
+if hits=$(git grep -nE "$gone" -- crates src tests examples ':!crates/perf-model' |
+    grep -vE "$frozen_sample"); then
     echo "check_one_shape: deleted names are back:"
     echo "$hits"
     failed=1

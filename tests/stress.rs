@@ -91,7 +91,7 @@ fn sunway_backend_counters_are_coherent() {
     assert!(secs.is_finite() && secs > 0.0);
 
     let dma_bytes = c.totals.dma_get_bytes + c.totals.dma_put_bytes;
-    assert_eq!(dma_bytes, 9_133_456 * STEPS, "DMA bytes, 8 steps");
+    assert_eq!(dma_bytes, 9_047_656 * STEPS, "DMA bytes, 8 steps");
     assert_eq!(c.totals.ldm_high_water, 4_096, "LDM high-water bytes");
     // Stalled over busy CPE cycles (the mean CPE's, times 8 CPEs) is the
     // DMA-stall fraction, 0.976324: kept as the integers it is made of.
@@ -113,10 +113,17 @@ fn sunway_backend_counters_are_coherent() {
     // over the tracer columns), each declaring the union of its members'
     // traffic, and the guard's scans became a fold of their per-column
     // maxima: 10 329 072 → 9 133 456 B a step, (466 084 080, 59 642 632) →
-    // (454 306 736, 58 135 464) cycles.
+    // (454 306 736, 58 135 464) cycles. Then the old level was read in one
+    // column pass (density in work rows, pressure, the canuto closure) over
+    // the owned columns and the same body without the closure over the halo
+    // columns the momentum stencil reads pressure at (north and east of the
+    // block), where the EOS over every padded wet cell, the pressure
+    // integral over every padded wet column and the canuto launch each
+    // streamed the stored density: 9 133 456 → 9 047 656 B a step,
+    // (453 671 160, 58 054 040) cycles.
     assert_eq!(
         (c.totals.dma_stall_cycles, c.kernel_cycles_mean),
-        (454_306_736, 58_135_464),
+        (453_671_160, 58_054_040),
         "(dma_stall_cycles, kernel_cycles_mean)"
     );
 }
