@@ -6,8 +6,8 @@
 //! as the registry grows, and (b) the **crossover** that places
 //! `kokkos-rs`'s pool gate: launch time against iterations for the serial
 //! tile loop, the pool driven directly over the same tiles (the gate is not
-//! in the way: this goes past `kokkos-rs`) and `parallel_for_2d` on
-//! `Threads`, for three body weights, alone and beside a second submitter
+//! in the way: this goes past `kokkos-rs`) and `parallel_for_3d` over one
+//! level on `Threads`, for three body weights, alone and beside a second submitter
 //! doing the same (EXPERIMENTS.md, "Work-first dispatch").
 //! The per-launch overhead of each execution space is `licom_bench`'s
 //! `kokkos-rs.launch_ns.*`.
@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kokkos_rs::{
-    parallel_for_2d, registry, Functor1D, Functor2D, MDRangePolicy2, Policy, Space, View, View1,
+    parallel_for_3d, registry, Functor1D, Functor3D, MDRangePolicy3, Policy, Space, View, View1,
     View2,
 };
 use rayon::prelude::*;
@@ -73,8 +73,8 @@ fn bench_registry_matching(c: &mut Criterion) {
 }
 
 struct Empty;
-impl Functor2D for Empty {
-    fn operator(&self, _j: usize, _i: usize) {}
+impl Functor3D for Empty {
+    fn operator(&self, _k: usize, _j: usize, _i: usize) {}
 }
 
 struct Triad {
@@ -82,8 +82,8 @@ struct Triad {
     b: View2<f64>,
     c: View2<f64>,
 }
-impl Functor2D for Triad {
-    fn operator(&self, j: usize, i: usize) {
+impl Functor3D for Triad {
+    fn operator(&self, _k: usize, j: usize, i: usize) {
         self.a.set_at(j, i, self.b.at(j, i) + 0.5 * self.c.at(j, i));
     }
 }
@@ -94,8 +94,8 @@ struct StencilPair {
     src: View2<f64>,
     dst: [View2<f64>; 2],
 }
-impl Functor2D for StencilPair {
-    fn operator(&self, j: usize, i: usize) {
+impl Functor3D for StencilPair {
+    fn operator(&self, _k: usize, j: usize, i: usize) {
         let [ny, nx] = self.src.dims();
         let at = |j: usize, i: usize| self.src.at(j.min(ny - 1), i.min(nx - 1));
         for dst in &self.dst {
@@ -119,20 +119,20 @@ fn stencil_pair(dims: [usize; 2]) -> StencilPair {
 /// The three ways to run one launch's tiles.
 const DRIVERS: [&str; 3] = ["serial_tiles", "pool_direct", "threads"];
 
-fn drive<F: Functor2D + 'static>(driver: &str, policy: MDRangePolicy2, f: &F) {
+fn drive<F: Functor3D + 'static>(driver: &str, policy: MDRangePolicy3, f: &F) {
     match driver {
-        "serial_tiles" => parallel_for_2d(&Space::serial(), policy, f),
+        "serial_tiles" => parallel_for_3d(&Space::serial(), policy, f),
         "pool_direct" => (0..policy.total_tiles())
             .into_par_iter()
             .for_each(|t| f.operator_tile(policy.tile_bounds(t))),
-        _ => parallel_for_2d(&Space::threads(), policy, f),
+        _ => parallel_for_3d(&Space::threads(), policy, f),
     }
 }
 
-/// 2^6 … 2^18 iterations as `[2^(p/2), 2^(p - p/2)]` grids on the default
-/// `[8, 64]` tiles. With `submitters == 2` a second thread launches the same
+/// 2^6 … 2^18 iterations as one-level `[1, 2^(p/2), 2^(p - p/2)]` grids on
+/// the default `[1, 8, 64]` tiles. With `submitters == 2` a second thread launches the same
 /// thing on its own views for as long as the measurement runs.
-fn crossover<F: Functor2D + 'static>(
+fn crossover<F: Functor3D + 'static>(
     c: &mut Criterion,
     body: &str,
     make: impl Fn([usize; 2]) -> F + Sync,
@@ -143,7 +143,7 @@ fn crossover<F: Functor2D + 'static>(
             .measurement_time(Duration::from_millis(400));
         for p in 6..=18 {
             let dims = [1 << (p / 2), 1 << (p - p / 2)];
-            let policy = MDRangePolicy2::new(dims);
+            let policy = MDRangePolicy3::new([1, dims[0], dims[1]]);
             let f = make(dims);
             for driver in DRIVERS {
                 let stop = AtomicBool::new(false);

@@ -299,7 +299,7 @@ fn column_passes_are_their_census_rows_less_what_they_count_once() {
 
 #[test]
 fn barotropic_census_is_the_substep_kernel_split_back_into_passes() {
-    use kokkos_rs::Functor2D;
+    use kokkos_rs::Functor3D;
     // The Asselin filter inside `FunctorBtSubstep`: 5 flops on each of η,
     // u and v, and the three old-slot stores.
     const ASSELIN: (f64, f64) = (15.0, 24.0);

@@ -14,8 +14,8 @@ use kokkos_profiling::{
 };
 use kokkos_rs::profiling::{clear_hooks, mark_fence, set_hooks};
 use kokkos_rs::{
-    deep_copy, parallel_for_1d, parallel_reduce_1d, Functor1D, RangePolicy, ReduceFunctor1D,
-    Reducer, Space, View, View1,
+    deep_copy, parallel_for_1d, parallel_reduce_3d, Functor1D, MDRangePolicy3, RangePolicy,
+    ReduceFunctor3D, Reducer, Space, View, View1,
 };
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -96,15 +96,16 @@ impl Functor1D for Fill {
 }
 kokkos_rs::register_for_1d!(kp_hooks_fill, Fill);
 
+/// Sums a row: reduced over `MDRangePolicy3::new([1, 1, n])`.
 struct Sum {
     x: View1<f64>,
 }
-impl ReduceFunctor1D for Sum {
-    fn contribute(&self, i: usize, acc: &mut f64) {
+impl ReduceFunctor3D for Sum {
+    fn contribute(&self, _k: usize, _j: usize, i: usize, acc: &mut f64) {
         *acc += self.x.at(i);
     }
 }
-kokkos_rs::register_reduce_1d!(kp_hooks_sum, Sum);
+kokkos_rs::register_reduce_3d!(kp_hooks_sum, Sum);
 
 /// Panics midway through the iteration space.
 struct Panicky;
@@ -151,9 +152,9 @@ fn hook_ordering_is_strict_on_every_space() {
         {
             let _r = kokkos_rs::profiling::region("space_probe");
             parallel_for_1d(&space, RangePolicy::new(n), &Fill { x: x.clone() });
-            let total = parallel_reduce_1d(
+            let total = parallel_reduce_3d(
                 &space,
-                RangePolicy::new(n),
+                MDRangePolicy3::new([1, 1, n]),
                 &Sum { x: x.clone() },
                 Reducer::Sum,
             );
@@ -249,7 +250,8 @@ proptest! {
             parallel_for_1d(&space, RangePolicy::new(n), &Fill { x: x.clone() });
             for _ in 0..nested {
                 let _inner = kokkos_rs::profiling::region("prop_inner");
-                parallel_reduce_1d(&space, RangePolicy::new(n), &Sum { x: x.clone() }, Reducer::Sum);
+                let row = MDRangePolicy3::new([1, 1, n]);
+                parallel_reduce_3d(&space, row, &Sum { x: x.clone() }, Reducer::Sum);
             }
         }
         detach();

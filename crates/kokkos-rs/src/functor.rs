@@ -12,7 +12,7 @@
 //! results**, only on simulated timing; the default is a nominal
 //! stencil-ish cost.
 
-use crate::policy::{ListPolicy, MDRangePolicy2, MDRangePolicy3, RangePolicy};
+use crate::policy::{ListPolicy, MDRangePolicy3, RangePolicy};
 use crate::profiling::PatternKind;
 
 /// Per-iteration cost estimate for simulated timing and roofline analysis.
@@ -47,71 +47,18 @@ pub trait Functor1D: Sync {
     }
 }
 
-/// 2-D parallel-for body; index order `(j, i)`, `i` innermost.
-pub trait Functor2D: Sync {
-    fn operator(&self, j: usize, i: usize);
-
-    /// Run the points `j0..j1 × i0..i1` of `bounds = [(j0, j1), (i0, i1)]`
-    /// — always one whole policy tile ([`crate::MDRangePolicy2::tile_bounds`]),
-    /// never more, so tile contents, scheduling and cost charging do not
-    /// depend on it. The default is the per-point loop; a kernel overrides
-    /// it to walk each row in blocks of adjacent `i` and must then produce
-    /// exactly what the per-point loop produces.
-    #[inline]
-    fn operator_tile(&self, bounds: [(usize, usize); 2]) {
-        let [(j0, j1), (i0, i1)] = bounds;
-        for j in j0..j1 {
-            for i in i0..i1 {
-                self.operator(j, i);
-            }
-        }
-    }
-
-    fn cost(&self) -> IterCost {
-        IterCost::default()
-    }
-}
-
-/// Three 2-D bodies fused into one launch (kernel fusion). The members run
-/// one after the other over each tile (per cell under the per-point
-/// `operator`); with disjoint write sets and no read of another's output,
-/// results are bitwise identical to three separate launches while paying
-/// one dispatch. The cost is the members' sum, which is right only while
-/// they share no field.
-pub struct FunctorTriple2D<A, B, C> {
-    pub a: A,
-    pub b: B,
-    pub c: C,
-}
-
-impl<A: Functor2D, B: Functor2D, C: Functor2D> Functor2D for FunctorTriple2D<A, B, C> {
-    fn operator(&self, j: usize, i: usize) {
-        self.a.operator(j, i);
-        self.b.operator(j, i);
-        self.c.operator(j, i);
-    }
-
-    fn operator_tile(&self, bounds: [(usize, usize); 2]) {
-        self.a.operator_tile(bounds);
-        self.b.operator_tile(bounds);
-        self.c.operator_tile(bounds);
-    }
-
-    fn cost(&self) -> IterCost {
-        let (a, b, c) = (self.a.cost(), self.b.cost(), self.c.cost());
-        IterCost {
-            flops: a.flops + b.flops + c.flops,
-            bytes: a.bytes + b.bytes + c.bytes,
-        }
-    }
-}
-
-/// 3-D parallel-for body; index order `(k, j, i)`, `i` innermost.
+/// 3-D parallel-for body; index order `(k, j, i)`, `i` innermost. A 2-D
+/// kernel is its one-level case: it ignores `k` and launches over
+/// `MDRangePolicy3::new([1, ny, nx])`.
 pub trait Functor3D: Sync {
     fn operator(&self, k: usize, j: usize, i: usize);
 
-    /// Run the points of `bounds = [(k0, k1), (j0, j1), (i0, i1)]`, one
-    /// whole policy tile; see [`Functor2D::operator_tile`].
+    /// Run the points of `bounds = [(k0, k1), (j0, j1), (i0, i1)]` — always
+    /// one whole policy tile ([`crate::MDRangePolicy3::tile_bounds`]), never
+    /// more, so tile contents, scheduling and cost charging do not depend
+    /// on it. The default is the per-point loop; a kernel overrides it to
+    /// walk each row in blocks of adjacent `i` and must then produce
+    /// exactly what the per-point loop produces.
     #[inline]
     fn operator_tile(&self, bounds: [(usize, usize); 3]) {
         let [(k0, k1), (j0, j1), (i0, i1)] = bounds;
@@ -126,6 +73,40 @@ pub trait Functor3D: Sync {
 
     fn cost(&self) -> IterCost {
         IterCost::default()
+    }
+}
+
+/// Three bodies fused into one launch (kernel fusion). The members run
+/// one after the other over each tile (per cell under the per-point
+/// `operator`); with disjoint write sets and no read of another's output,
+/// results are bitwise identical to three separate launches while paying
+/// one dispatch. The cost is the members' sum, which is right only while
+/// they share no field.
+pub struct FunctorTriple<A, B, C> {
+    pub a: A,
+    pub b: B,
+    pub c: C,
+}
+
+impl<A: Functor3D, B: Functor3D, C: Functor3D> Functor3D for FunctorTriple<A, B, C> {
+    fn operator(&self, k: usize, j: usize, i: usize) {
+        self.a.operator(k, j, i);
+        self.b.operator(k, j, i);
+        self.c.operator(k, j, i);
+    }
+
+    fn operator_tile(&self, bounds: [(usize, usize); 3]) {
+        self.a.operator_tile(bounds);
+        self.b.operator_tile(bounds);
+        self.c.operator_tile(bounds);
+    }
+
+    fn cost(&self) -> IterCost {
+        let (a, b, c) = (self.a.cost(), self.b.cost(), self.c.cost());
+        IterCost {
+            flops: a.flops + b.flops + c.flops,
+            bytes: a.bytes + b.bytes + c.bytes,
+        }
     }
 }
 
@@ -178,24 +159,6 @@ pub trait ReduceFunctorList: Sync {
     }
 }
 
-/// 1-D reduction body: fold iteration `i` into `acc`.
-pub trait ReduceFunctor1D: Sync {
-    fn contribute(&self, i: usize, acc: &mut f64);
-
-    fn cost(&self) -> IterCost {
-        IterCost::default()
-    }
-}
-
-/// 2-D reduction body.
-pub trait ReduceFunctor2D: Sync {
-    fn contribute(&self, j: usize, i: usize, acc: &mut f64);
-
-    fn cost(&self) -> IterCost {
-        IterCost::default()
-    }
-}
-
 /// 3-D reduction body.
 pub trait ReduceFunctor3D: Sync {
     fn contribute(&self, k: usize, j: usize, i: usize, acc: &mut f64);
@@ -224,7 +187,7 @@ impl Pattern for Reduce {
 
 /// One whole tile of policy `P` under pattern `M`: the seam through which
 /// the one launch path and the one CPE trampoline reach a kernel. Kernels
-/// implement the traits above; the eight impls below map each of them onto
+/// implement the traits above; the five impls below map each of them onto
 /// its policy. A for-body runs the tile and leaves `acc` alone; a reduction
 /// folds the tile into `acc`, the tile's partial.
 pub trait TileBody<P, M>: Sync {
@@ -246,16 +209,6 @@ impl<F: Functor1D> TileBody<RangePolicy, For> for F {
     }
 }
 
-impl<F: Functor2D> TileBody<MDRangePolicy2, For> for F {
-    #[inline]
-    fn tile(&self, policy: &MDRangePolicy2, t: usize, _: &mut f64) {
-        self.operator_tile(policy.tile_bounds(t));
-    }
-    fn tile_cost(&self) -> IterCost {
-        self.cost()
-    }
-}
-
 impl<F: Functor3D> TileBody<MDRangePolicy3, For> for F {
     #[inline]
     fn tile(&self, policy: &MDRangePolicy3, t: usize, _: &mut f64) {
@@ -271,34 +224,6 @@ impl<F: FunctorList> TileBody<ListPolicy, For> for F {
     fn tile(&self, policy: &ListPolicy, t: usize, _: &mut f64) {
         let (n0, entries) = policy.tile_entries(t);
         self.operator_span(n0, entries);
-    }
-    fn tile_cost(&self) -> IterCost {
-        self.cost()
-    }
-}
-
-impl<F: ReduceFunctor1D> TileBody<RangePolicy, Reduce> for F {
-    #[inline]
-    fn tile(&self, policy: &RangePolicy, t: usize, acc: &mut f64) {
-        let (lo, hi) = policy.tile_range(t);
-        for i in lo..hi {
-            self.contribute(i, acc);
-        }
-    }
-    fn tile_cost(&self) -> IterCost {
-        self.cost()
-    }
-}
-
-impl<F: ReduceFunctor2D> TileBody<MDRangePolicy2, Reduce> for F {
-    #[inline]
-    fn tile(&self, policy: &MDRangePolicy2, t: usize, acc: &mut f64) {
-        let [(j0, j1), (i0, i1)] = policy.tile_bounds(t);
-        for j in j0..j1 {
-            for i in i0..i1 {
-                self.contribute(j, i, acc);
-            }
-        }
     }
     fn tile_cost(&self) -> IterCost {
         self.cost()
@@ -376,11 +301,14 @@ mod tests {
 
     // Logs which member ran, through which entry point, over what.
     struct Member<'a>(&'static str, &'a std::sync::Mutex<Vec<String>>);
-    impl Functor2D for Member<'_> {
-        fn operator(&self, j: usize, i: usize) {
-            self.1.lock().unwrap().push(format!("{}({j},{i})", self.0));
+    impl Functor3D for Member<'_> {
+        fn operator(&self, k: usize, j: usize, i: usize) {
+            self.1
+                .lock()
+                .unwrap()
+                .push(format!("{}({k},{j},{i})", self.0));
         }
-        fn operator_tile(&self, bounds: [(usize, usize); 2]) {
+        fn operator_tile(&self, bounds: [(usize, usize); 3]) {
             self.1.lock().unwrap().push(format!("{}{bounds:?}", self.0));
         }
     }
@@ -388,14 +316,14 @@ mod tests {
     #[test]
     fn triple_forwards_whole_tiles_member_by_member() {
         let log = std::sync::Mutex::new(Vec::new());
-        let bounds = [(2, 4), (5, 9)];
-        let triple = FunctorTriple2D {
+        let bounds = [(0, 1), (2, 4), (5, 9)];
+        let triple = FunctorTriple {
             a: Member("a", &log),
             b: Member("b", &log),
             c: Member("c", &log),
         };
         triple.operator_tile(bounds);
-        triple.operator(3, 4);
+        triple.operator(0, 3, 4);
         let tile = |m: &str| format!("{m}{bounds:?}");
         assert_eq!(
             *log.lock().unwrap(),
@@ -403,9 +331,9 @@ mod tests {
                 tile("a"),
                 tile("b"),
                 tile("c"),
-                "a(3,4)".to_string(),
-                "b(3,4)".to_string(),
-                "c(3,4)".to_string(),
+                "a(0,3,4)".to_string(),
+                "b(0,3,4)".to_string(),
+                "c(0,3,4)".to_string(),
             ]
         );
     }

@@ -1,9 +1,10 @@
 //! `parallel_for` / `parallel_reduce` dispatch.
 //!
-//! Eight entry points (pattern × rank) and one launch: each entry point
-//! names its policy and pattern, and `launch` runs every tile of the
-//! policy through [`TileBody::tile`]. The [`Space`] decides how tiles are
-//! executed:
+//! Five entry points and one launch: `parallel_for_{1d,3d,list}` and
+//! `parallel_reduce_{3d,list}`. Each names its policy and pattern, and
+//! `launch` runs every tile of the policy through [`TileBody::tile`]. A
+//! 2-D kernel is a 3-D one over a single level (`MDRangePolicy3::new([1,
+//! ny, nx])`). The [`Space`] decides how tiles are executed:
 //!
 //! * `Serial` — tiles in order, one thread;
 //! * `Threads` — tiles on the host pool, or in order on the launching
@@ -21,10 +22,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rayon::prelude::*;
 
 use crate::functor::{
-    For, Functor1D, Functor2D, Functor3D, FunctorList, Pattern, Reduce, ReduceFunctor1D,
-    ReduceFunctor2D, ReduceFunctor3D, ReduceFunctorList, Reducer, TileBody,
+    For, Functor1D, Functor3D, FunctorList, Pattern, Reduce, ReduceFunctor3D, ReduceFunctorList,
+    Reducer, TileBody,
 };
-use crate::policy::{ListPolicy, MDRangePolicy2, MDRangePolicy3, Policy, RangePolicy};
+use crate::policy::{ListPolicy, MDRangePolicy3, Policy, RangePolicy};
 use crate::profiling::{self, PatternKind};
 use crate::registry::{self, KernelKind};
 use crate::space::Space;
@@ -184,14 +185,8 @@ pub fn parallel_for_1d<F: Functor1D + 'static>(space: &Space, policy: RangePolic
     launch::<F, _, For>(space, &policy, f, 0.0);
 }
 
-/// 2-D parallel for; index order `(j, i)`. Every backend hands the functor
-/// one policy tile at a time through [`Functor2D::operator_tile`].
-pub fn parallel_for_2d<F: Functor2D + 'static>(space: &Space, policy: MDRangePolicy2, f: &F) {
-    launch::<F, _, For>(space, &policy, f, 0.0);
-}
-
-/// 3-D parallel for; index order `(k, j, i)`, dispatched tile by tile
-/// through [`Functor3D::operator_tile`].
+/// 3-D parallel for; index order `(k, j, i)`. Every backend hands the
+/// functor one policy tile at a time through [`Functor3D::operator_tile`].
 pub fn parallel_for_3d<F: Functor3D + 'static>(space: &Space, policy: MDRangePolicy3, f: &F) {
     launch::<F, _, For>(space, &policy, f, 0.0);
 }
@@ -209,27 +204,7 @@ pub fn parallel_for_list<F: FunctorList + 'static>(space: &Space, policy: &ListP
 // parallel_reduce
 // ---------------------------------------------------------------------------
 
-/// 1-D reduction over `policy`. Bitwise identical on every backend.
-pub fn parallel_reduce_1d<F: ReduceFunctor1D + 'static>(
-    space: &Space,
-    policy: RangePolicy,
-    f: &F,
-    op: Reducer,
-) -> f64 {
-    reduce(space, &policy, f, op)
-}
-
-/// 2-D reduction.
-pub fn parallel_reduce_2d<F: ReduceFunctor2D + 'static>(
-    space: &Space,
-    policy: MDRangePolicy2,
-    f: &F,
-    op: Reducer,
-) -> f64 {
-    reduce(space, &policy, f, op)
-}
-
-/// 3-D reduction.
+/// 3-D reduction. Bitwise identical on every backend.
 pub fn parallel_reduce_3d<F: ReduceFunctor3D + 'static>(
     space: &Space,
     policy: MDRangePolicy3,
@@ -281,12 +256,13 @@ mod tests {
     }
     crate::register_for_1d!(my_axpy, FunctorAxpy);
 
+    // A 2-D kernel: one level, `k` ignored.
     struct Stencil2 {
         src: View2<f64>,
         dst: View2<f64>,
     }
-    impl Functor2D for Stencil2 {
-        fn operator(&self, j: usize, i: usize) {
+    impl Functor3D for Stencil2 {
+        fn operator(&self, _k: usize, j: usize, i: usize) {
             let [ny, nx] = self.src.dims();
             let c = self.src.at(j, i);
             let n = if j + 1 < ny { self.src.at(j + 1, i) } else { c };
@@ -296,7 +272,7 @@ mod tests {
             self.dst.set_at(j, i, 0.2 * (c + n + s + e + w));
         }
     }
-    crate::register_for_2d!(stencil2, Stencil2);
+    crate::register_for_3d!(stencil2, Stencil2);
 
     struct Fill3 {
         v: View3<f64>,
@@ -309,14 +285,14 @@ mod tests {
     crate::register_for_3d!(fill3, Fill3);
 
     struct SumSq {
-        x: View1<f64>,
+        x: View3<f64>,
     }
-    impl ReduceFunctor1D for SumSq {
-        fn contribute(&self, i: usize, acc: &mut f64) {
-            *acc += self.x.at(i) * self.x.at(i);
+    impl ReduceFunctor3D for SumSq {
+        fn contribute(&self, k: usize, j: usize, i: usize, acc: &mut f64) {
+            *acc += self.x.at(k, j, i) * self.x.at(k, j, i);
         }
     }
-    crate::register_reduce_1d!(sum_sq, SumSq);
+    crate::register_reduce_3d!(sum_sq, SumSq);
 
     // Active-set iteration: dst slot n gets a value gathered via the
     // packed index — exercises both halves of the (n, idx) pair.
@@ -409,7 +385,8 @@ mod tests {
                 src,
                 dst: dst.clone(),
             };
-            parallel_for_2d(&space, MDRangePolicy2::new([ny, nx]).with_tile([5, 9]), &f);
+            let policy = MDRangePolicy3::new([1, ny, nx]).with_tile([1, 5, 9]);
+            parallel_for_3d(&space, policy, &f);
             let bits: Vec<u64> = dst.to_vec().iter().map(|v| v.to_bits()).collect();
             match &reference {
                 None => reference = Some(bits),
@@ -446,19 +423,19 @@ mod tests {
     }
 
     #[test]
-    fn reduce_1d_bitwise_identical_on_all_backends() {
+    fn reduce_3d_bitwise_identical_on_all_backends() {
         sum_sq();
-        let n = 4097;
-        let x: View1<f64> = View::host("x", [n]);
-        for i in 0..n {
-            // awkward magnitudes to expose ordering differences
-            x.set_at(i, ((i % 97) as f64 + 0.1) * 10f64.powi((i % 7) as i32 - 3));
-        }
+        let dims = [3, 17, 83];
+        // awkward magnitudes to expose ordering differences
+        let x = View::from_fn("x", dims, |[k, j, i]| {
+            let n = (k * 17 + j) * 83 + i;
+            ((n % 97) as f64 + 0.1) * 10f64.powi((n % 7) as i32 - 3)
+        });
         let f = SumSq { x };
-        let policy = RangePolicy::new(n).with_tile(128);
+        let policy = MDRangePolicy3::new(dims).with_tile([2, 5, 16]);
         let mut bits = Vec::new();
         for space in all_spaces() {
-            let s = parallel_reduce_1d(&space, policy, &f, Reducer::Sum);
+            let s = parallel_reduce_3d(&space, policy, &f, Reducer::Sum);
             bits.push(s.to_bits());
         }
         assert!(
@@ -607,18 +584,20 @@ mod tests {
         }
     }
 
-    // Records, per point, the tile it was delivered in and how often.
+    // Records, per point of one level, the tile it was delivered in and how
+    // often.
     struct TileProbe2 {
         j0: View2<u64>,
         i0: View2<u64>,
         points: View2<u64>,
         hits: View2<u64>,
     }
-    impl Functor2D for TileProbe2 {
-        fn operator(&self, _j: usize, _i: usize) {
+    impl Functor3D for TileProbe2 {
+        fn operator(&self, _k: usize, _j: usize, _i: usize) {
             unreachable!("the drivers dispatch whole tiles through operator_tile")
         }
-        fn operator_tile(&self, [(j0, j1), (i0, i1)]: [(usize, usize); 2]) {
+        fn operator_tile(&self, [k, (j0, j1), (i0, i1)]: [(usize, usize); 3]) {
+            assert_eq!(k, (0, 1), "a one-level launch");
             for j in j0..j1 {
                 for i in i0..i1 {
                     self.j0.set_at(j, i, j0 as u64);
@@ -629,7 +608,7 @@ mod tests {
             }
         }
     }
-    crate::register_for_2d!(tile_probe2, TileProbe2);
+    crate::register_for_3d!(tile_probe2, TileProbe2);
 
     struct TileProbe3 {
         first: View3<u64>,
@@ -654,7 +633,7 @@ mod tests {
     crate::register_for_3d!(tile_probe3, TileProbe3);
 
     #[test]
-    fn tiles_and_offsets_partition_the_2d_range_exactly_once_on_all_backends() {
+    fn tiles_and_offsets_partition_a_one_level_range_exactly_once_on_all_backends() {
         tile_probe2();
         let (pj, pi) = (23, 41);
         for (extent, tile, offset) in [
@@ -663,9 +642,9 @@ mod tests {
             ([19, 1], [8, 64], [2, 40]),
             ([0, 5], [3, 3], [1, 1]),
         ] {
-            let policy = MDRangePolicy2::new(extent)
-                .with_tile(tile)
-                .with_offset(offset);
+            let policy = MDRangePolicy3::new([1, extent[0], extent[1]])
+                .with_tile([1, tile[0], tile[1]])
+                .with_offset([0, offset[0], offset[1]]);
             for space in all_spaces() {
                 let f = TileProbe2 {
                     j0: View::host("j0", [pj, pi]),
@@ -673,7 +652,7 @@ mod tests {
                     points: View::host("points", [pj, pi]),
                     hits: View::host("hits", [pj, pi]),
                 };
-                parallel_for_2d(&space, policy, &f);
+                parallel_for_3d(&space, policy, &f);
                 for j in 0..pj {
                     for i in 0..pi {
                         let inside = (offset[0]..offset[0] + extent[0]).contains(&j)
@@ -688,7 +667,7 @@ mod tests {
                     continue;
                 }
                 for t in 0..policy.total_tiles() {
-                    let [(j0, j1), (i0, i1)] = policy.tile_bounds(t);
+                    let [_, (j0, j1), (i0, i1)] = policy.tile_bounds(t);
                     for j in j0..j1 {
                         for i in i0..i1 {
                             let at = format!("backend {} tile {t} ({j},{i})", space.name());
@@ -745,11 +724,6 @@ mod tests {
 
     // Logs the order points are visited in.
     struct OrderLog(std::sync::Mutex<Vec<[usize; 3]>>);
-    impl Functor2D for OrderLog {
-        fn operator(&self, j: usize, i: usize) {
-            self.0.lock().unwrap().push([0, j, i]);
-        }
-    }
     impl Functor3D for OrderLog {
         fn operator(&self, k: usize, j: usize, i: usize) {
             self.0.lock().unwrap().push([k, j, i]);
@@ -759,14 +733,7 @@ mod tests {
     #[test]
     fn default_tile_is_the_per_point_loop_in_row_major_order() {
         let log = OrderLog(Default::default());
-        Functor2D::operator_tile(&log, [(2, 5), (7, 10)]);
-        let want: Vec<[usize; 3]> = (2..5)
-            .flat_map(|j| (7..10).map(move |i| [0, j, i]))
-            .collect();
-        assert_eq!(*log.0.lock().unwrap(), want);
-
-        let log = OrderLog(Default::default());
-        Functor3D::operator_tile(&log, [(1, 3), (4, 6), (0, 3)]);
+        log.operator_tile([(1, 3), (4, 6), (0, 3)]);
         let want: Vec<[usize; 3]> = (1..3)
             .flat_map(|k| (4..6).flat_map(move |j| (0..3).map(move |i| [k, j, i])))
             .collect();

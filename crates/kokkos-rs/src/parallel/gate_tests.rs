@@ -46,11 +46,6 @@ impl Functor1D for Probe {
         self.visit(i);
     }
 }
-impl Functor2D for Probe {
-    fn operator(&self, j: usize, i: usize) {
-        self.visit(self.linear(0, j, i));
-    }
-}
 impl Functor3D for Probe {
     fn operator(&self, k: usize, j: usize, i: usize) {
         self.visit(self.linear(k, j, i));
@@ -59,16 +54,6 @@ impl Functor3D for Probe {
 impl FunctorList for Probe {
     fn operator(&self, _n: usize, idx: u32) {
         self.visit(idx as usize);
-    }
-}
-impl ReduceFunctor1D for Probe {
-    fn contribute(&self, i: usize, acc: &mut f64) {
-        self.fold(i, acc);
-    }
-}
-impl ReduceFunctor2D for Probe {
-    fn contribute(&self, j: usize, i: usize, acc: &mut f64) {
-        self.fold(self.linear(0, j, i), acc);
     }
 }
 impl ReduceFunctor3D for Probe {
@@ -103,16 +88,17 @@ impl ProfilingHooks for Count {
     }
 }
 
-/// Launches per [`run_all`] call: four for-loops, four reductions × Sum, Max.
-const LAUNCHES: usize = 12;
+/// Launches per [`run_all`] call: four for-loops, three reductions × Sum, Max.
+const LAUNCHES: usize = 10;
 
-/// Every pattern and rank once over `dims` (1-D and list over the product),
-/// with tiles that divide nothing; the bits of everything they produced.
+/// Every pattern and rank once over `dims` (1-D and list over the product,
+/// one level over `[nk * nj, ni]`), with tiles that divide nothing; the bits
+/// of everything they produced.
 fn run_all(space: &Space, dims: [usize; 3], tile: [usize; 3]) -> Vec<u64> {
     let [nk, nj, ni] = dims;
     let n = nk * nj * ni;
     let p1 = RangePolicy::new(n).with_tile(tile[1] * tile[2]);
-    let p2 = MDRangePolicy2::new([nk * nj, ni]).with_tile([tile[1], tile[2]]);
+    let p2 = MDRangePolicy3::new([1, nk * nj, ni]).with_tile([1, tile[1], tile[2]]);
     let p3 = MDRangePolicy3::new(dims).with_tile(tile);
     // Every index once (the for-body adds to its element), not in index order.
     let list = (0..n as u32).rev();
@@ -121,14 +107,13 @@ fn run_all(space: &Space, dims: [usize; 3], tile: [usize; 3]) -> Vec<u64> {
     let mut bits = Vec::new();
     let f = Probe::new(Reducer::Sum, dims);
     parallel_for_1d(space, p1, &f);
-    parallel_for_2d(space, p2, &f);
+    parallel_for_3d(space, p2, &f);
     parallel_for_3d(space, p3, &f);
     parallel_for_list(space, &pl, &f);
     bits.extend(f.out.to_vec().iter().map(|v| v.to_bits()));
     for op in [Reducer::Sum, Reducer::Max] {
         let f = Probe::new(op, dims);
-        bits.push(parallel_reduce_1d(space, p1, &f, op).to_bits());
-        bits.push(parallel_reduce_2d(space, p2, &f, op).to_bits());
+        bits.push(parallel_reduce_3d(space, p2, &f, op).to_bits());
         bits.push(parallel_reduce_3d(space, p3, &f, op).to_bits());
         bits.push(parallel_reduce_list(space, &pl, &f, op).to_bits());
     }

@@ -77,76 +77,18 @@ impl RangePolicy {
     }
 }
 
-/// 2-D multidimensional range policy (Kokkos `MDRangePolicy<Rank<2>>`).
-/// Index order is `(j, i)` with `i` innermost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MDRangePolicy2 {
-    pub extent: [usize; 2],
-    pub tile: [usize; 2],
-    /// Origin the iteration indices start from (Kokkos' lower-bound
-    /// `MDRangePolicy({b0,b1},{e0,e1})`): the functor sees indices
-    /// `offset[d] .. offset[d] + extent[d]`. Lets interior/rim sub-ranges
-    /// of one kernel reuse the registered dense launch path.
-    pub offset: [usize; 2],
-}
-
-impl MDRangePolicy2 {
-    pub fn new(extent: [usize; 2]) -> Self {
-        Self {
-            extent,
-            tile: [8, 64],
-            offset: [0, 0],
-        }
-    }
-
-    pub fn with_tile(mut self, tile: [usize; 2]) -> Self {
-        assert!(tile.iter().all(|&t| t > 0));
-        self.tile = tile;
-        self
-    }
-
-    /// Shift the iteration origin; `extent` stays the iteration count.
-    pub fn with_offset(mut self, offset: [usize; 2]) -> Self {
-        self.offset = offset;
-        self
-    }
-
-    /// Tile counts per dimension.
-    pub fn tiles_per_dim(&self) -> [usize; 2] {
-        [
-            self.extent[0].div_ceil(self.tile[0]),
-            self.extent[1].div_ceil(self.tile[1]),
-        ]
-    }
-
-    /// Decode tile `t` into per-dim index ranges `[(lo,hi); 2]` (shifted
-    /// by `offset`, so every backend honors the origin for free).
-    pub fn tile_bounds(&self, t: usize) -> [(usize, usize); 2] {
-        let td = self.tiles_per_dim();
-        let tj = t / td[1];
-        let ti = t % td[1];
-        let j0 = tj * self.tile[0];
-        let i0 = ti * self.tile[1];
-        [
-            (
-                self.offset[0] + j0,
-                self.offset[0] + (j0 + self.tile[0]).min(self.extent[0]),
-            ),
-            (
-                self.offset[1] + i0,
-                self.offset[1] + (i0 + self.tile[1]).min(self.extent[1]),
-            ),
-        ]
-    }
-}
-
-/// 3-D multidimensional range policy. Index order is `(k, j, i)`, `i`
-/// innermost — LICOM's storage convention.
+/// 3-D multidimensional range policy (Kokkos `MDRangePolicy<Rank<3>>`).
+/// Index order is `(k, j, i)`, `i` innermost — LICOM's storage convention.
+/// A 2-D launch is its one-level case, `extent = [1, ny, nx]`, whose
+/// default tile `[1, 8, 64]` cuts each level into 8-row, 64-column blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MDRangePolicy3 {
     pub extent: [usize; 3],
     pub tile: [usize; 3],
-    /// Iteration origin per dimension; see [`MDRangePolicy2::offset`].
+    /// Origin the iteration indices start from (Kokkos' lower-bound
+    /// `MDRangePolicy({b0,b1,b2},{e0,e1,e2})`): the functor sees indices
+    /// `offset[d] .. offset[d] + extent[d]`. Lets interior/rim sub-ranges
+    /// of one kernel reuse the registered dense launch path.
     pub offset: [usize; 3],
 }
 
@@ -272,30 +214,6 @@ impl Policy for RangePolicy {
     }
 }
 
-impl Policy for MDRangePolicy2 {
-    const KIND: PolicyKind = PolicyKind::MDRange2;
-
-    fn iterations(&self) -> usize {
-        self.extent.iter().product()
-    }
-    fn total_tiles(&self) -> usize {
-        self.tiles_per_dim().iter().product()
-    }
-    fn tile_iterations(&self, t: usize) -> usize {
-        let [(j0, j1), (i0, i1)] = self.tile_bounds(t);
-        (j1 - j0) * (i1 - i0)
-    }
-    fn tile_elems(&self) -> usize {
-        self.tile.iter().product()
-    }
-    /// Keeps the caller's row blocking and widens or narrows the streaming
-    /// (inner) dimension.
-    fn retiled(&self, elems: usize) -> Option<Self> {
-        let w = (elems / self.tile[0].max(1)).clamp(1, self.extent[1].max(1));
-        Some(self.with_tile([self.tile[0], w]))
-    }
-}
-
 impl Policy for MDRangePolicy3 {
     const KIND: PolicyKind = PolicyKind::MDRange3;
 
@@ -312,7 +230,8 @@ impl Policy for MDRangePolicy3 {
     fn tile_elems(&self) -> usize {
         self.tile.iter().product()
     }
-    /// As for [`MDRangePolicy2`]: only the innermost dimension moves.
+    /// Keeps the caller's level and row blocking and widens or narrows the
+    /// streaming (innermost) dimension.
     fn retiled(&self, elems: usize) -> Option<Self> {
         let w = (elems / (self.tile[0] * self.tile[1]).max(1)).clamp(1, self.extent[2].max(1));
         Some(self.with_tile([self.tile[0], self.tile[1], w]))
@@ -543,22 +462,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn tile_bounds_cover_2d_exactly() {
-        let p = MDRangePolicy2::new([7, 13]).with_tile([3, 5]);
-        let mut hit = vec![vec![0u32; 13]; 7];
-        for t in 0..p.total_tiles() {
-            let [(j0, j1), (i0, i1)] = p.tile_bounds(t);
-            for j in j0..j1 {
-                for i in i0..i1 {
-                    hit[j][i] += 1;
-                }
-            }
-        }
-        assert!(hit.iter().flatten().all(|&c| c == 1), "each index once");
-    }
-
-    #[test]
     fn tile_bounds_cover_3d_exactly() {
         let p = MDRangePolicy3::new([4, 7, 9]).with_tile([2, 3, 4]);
         let mut hit = vec![0u32; 4 * 7 * 9];
@@ -573,30 +476,6 @@ mod tests {
             }
         }
         assert!(hit.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn offset_tile_bounds_cover_shifted_range_2d() {
-        let p = MDRangePolicy2::new([7, 13])
-            .with_tile([3, 5])
-            .with_offset([2, 4]);
-        let mut hit = vec![vec![0u32; 4 + 13]; 2 + 7];
-        for t in 0..p.total_tiles() {
-            let [(j0, j1), (i0, i1)] = p.tile_bounds(t);
-            assert!(j0 >= 2 && j1 <= 2 + 7 && i0 >= 4 && i1 <= 4 + 13);
-            for j in j0..j1 {
-                for i in i0..i1 {
-                    hit[j][i] += 1;
-                }
-            }
-        }
-        for (j, row) in hit.iter().enumerate() {
-            for (i, &c) in row.iter().enumerate() {
-                let inside = (2..2 + 7).contains(&j) && (4..4 + 13).contains(&i);
-                assert_eq!(c, u32::from(inside), "({j},{i})");
-            }
-        }
     }
 
     #[test]
@@ -741,9 +620,9 @@ mod tests {
     fn every_policy_tiles_and_splits_consistently() {
         check_policy(&RangePolicy::range(5, 103).with_tile(16));
         check_policy(
-            &MDRangePolicy2::new([7, 13])
-                .with_tile([3, 5])
-                .with_offset([2, 4]),
+            &MDRangePolicy3::new([1, 7, 13])
+                .with_tile([1, 3, 5])
+                .with_offset([0, 2, 4]),
         );
         check_policy(&MDRangePolicy3::new([4, 7, 9]).with_tile([2, 3, 4]));
         check_policy(&list(103, 16).slice(5, 99));
@@ -764,9 +643,9 @@ mod tests {
 
     #[test]
     fn only_dense_policies_retile_and_only_their_streaming_dimension() {
-        let p2 = MDRangePolicy2::new([40, 300]).with_tile([8, 64]);
-        assert_eq!(p2.retiled(1000).unwrap().tile, [8, 125]);
-        assert_eq!(p2.retiled(1 << 20).unwrap().tile, [8, 300]);
+        let p2 = MDRangePolicy3::new([1, 40, 300]);
+        assert_eq!(p2.retiled(1000).unwrap().tile, [1, 8, 125]);
+        assert_eq!(p2.retiled(1 << 20).unwrap().tile, [1, 8, 300]);
         let p3 = MDRangePolicy3::new([5, 40, 300]).with_tile([1, 8, 64]);
         assert_eq!(p3.retiled(1000).unwrap().tile, [1, 8, 125]);
         assert_eq!(RangePolicy::new(10).retiled(0).unwrap().tile, 1);

@@ -69,7 +69,6 @@ impl PatternKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     Range,
-    MDRange2,
     MDRange3,
     List,
     Team,
@@ -79,7 +78,6 @@ impl PolicyKind {
     pub fn name(self) -> &'static str {
         match self {
             PolicyKind::Range => "Range",
-            PolicyKind::MDRange2 => "MDRange2",
             PolicyKind::MDRange3 => "MDRange3",
             PolicyKind::List => "List",
             PolicyKind::Team => "Team",

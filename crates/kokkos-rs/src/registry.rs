@@ -20,7 +20,7 @@
 //! The registry is a **singly linked list**, the data structure the paper
 //! selected ("a trade-off between the temporal and spatial complexities
 //! while maintaining robustness", O(n) lookup). A SIMD-accelerated lookup
-//! over a mirrored key array ([`lookup_simd_hit_index`]) reproduces the
+//! over a mirrored key array ([`lookup_simd`]) reproduces the
 //! paper's LDM + SIMD matching optimization; the microbenchmarks compare
 //! the two.
 
@@ -38,14 +38,13 @@ use crate::profiling::{PatternKind, PolicyKind};
 
 /// What flavour of launch a registered trampoline implements. `FOR` vs
 /// `REDUCE` and the rank are part of the macro name in the paper
-/// (`KOKKOS_REGISTER_FOR_1D`, `..._REDUCE_2D`, ...); we check it at lookup.
+/// (`KOKKOS_REGISTER_FOR_1D`, `..._REDUCE_3D`, ...); we check it at lookup.
+/// A 2-D kernel registers as `For3D` / `Reduce3D`: it launches over a
+/// one-level 3-D policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
     For1D,
-    For2D,
     For3D,
-    Reduce1D,
-    Reduce2D,
     Reduce3D,
     /// Compact index-list launch ([`crate::policy::ListPolicy`]).
     ForList,
@@ -59,10 +58,7 @@ impl KernelKind {
     pub(crate) fn macro_name(self) -> &'static str {
         match self {
             KernelKind::For1D => "register_for_1d",
-            KernelKind::For2D => "register_for_2d",
             KernelKind::For3D => "register_for_3d",
-            KernelKind::Reduce1D => "register_reduce_1d",
-            KernelKind::Reduce2D => "register_reduce_2d",
             KernelKind::Reduce3D => "register_reduce_3d",
             KernelKind::ForList => "register_for_list",
             KernelKind::ReduceList => "register_reduce_list",
@@ -163,12 +159,6 @@ pub fn lookup_simd(key: u64, kind: KernelKind) -> Option<CpeKernel> {
         from = idx + 1;
     }
     None
-}
-
-/// Index the SIMD matcher would hit for `key` — exposed for tests/benches.
-pub fn lookup_simd_hit_index(key: u64) -> Option<usize> {
-    let reg = REGISTRY.lock().unwrap();
-    sunway_sim::simd::find_u64(&reg.keys, key)
 }
 
 /// Registered-functor count and lookup statistics:
@@ -298,12 +288,9 @@ fn tramp<F: TileBody<P, M>, P: Policy, M>(ctx: &mut CpeCtx, arg: usize) {
 pub(crate) fn kind_of<P: Policy, M: Pattern>() -> KernelKind {
     use PolicyKind::*;
     match (M::KIND, P::KIND) {
-        (PatternKind::ParallelReduce, Range) => KernelKind::Reduce1D,
-        (PatternKind::ParallelReduce, MDRange2) => KernelKind::Reduce2D,
         (PatternKind::ParallelReduce, MDRange3) => KernelKind::Reduce3D,
         (PatternKind::ParallelReduce, List) => KernelKind::ReduceList,
         (_, Range) => KernelKind::For1D,
-        (_, MDRange2) => KernelKind::For2D,
         (_, MDRange3) => KernelKind::For3D,
         (_, List) => KernelKind::ForList,
         (_, Team) => KernelKind::Team,
@@ -341,15 +328,8 @@ macro_rules! register_for_1d {
     };
 }
 
-/// `KOKKOS_REGISTER_FOR_2D` analogue; see `register_for_1d!`.
-#[macro_export]
-macro_rules! register_for_2d {
-    ($name:ident, $f:ty) => {
-        $crate::__register!($name, $f, MDRangePolicy2, For);
-    };
-}
-
-/// `KOKKOS_REGISTER_FOR_3D` analogue; see `register_for_1d!`.
+/// `KOKKOS_REGISTER_FOR_3D` analogue, for a 2-D kernel too (it launches
+/// over a one-level 3-D policy); see `register_for_1d!`.
 #[macro_export]
 macro_rules! register_for_3d {
     ($name:ident, $f:ty) => {
@@ -363,22 +343,6 @@ macro_rules! register_for_3d {
 macro_rules! register_for_list {
     ($name:ident, $f:ty) => {
         $crate::__register!($name, $f, ListPolicy, For);
-    };
-}
-
-/// `KOKKOS_REGISTER_REDUCE_1D` analogue; see `register_for_1d!`.
-#[macro_export]
-macro_rules! register_reduce_1d {
-    ($name:ident, $f:ty) => {
-        $crate::__register!($name, $f, RangePolicy, Reduce);
-    };
-}
-
-/// `KOKKOS_REGISTER_REDUCE_2D` analogue; see `register_for_1d!`.
-#[macro_export]
-macro_rules! register_reduce_2d {
-    ($name:ident, $f:ty) => {
-        $crate::__register!($name, $f, MDRangePolicy2, Reduce);
     };
 }
 
@@ -447,8 +411,8 @@ mod tests {
     #[test]
     fn kind_is_part_of_the_match() {
         register_range::<Other>("other_for");
-        // Registered as FOR, looked up as REDUCE → miss.
-        assert!(lookup(key_of::<Other>(), KernelKind::Reduce1D).is_none());
+        // Registered as FOR over a range, looked up as another kind → miss.
+        assert!(lookup(key_of::<Other>(), KernelKind::For3D).is_none());
     }
 
     #[test]

@@ -42,17 +42,20 @@ unsafe impl<T: Send + Sync> Send for ViewBuf<T> {}
 pub struct View<T, const R: usize> {
     /// Keeps the allocation alive; element access goes through `base`.
     buf: Arc<ViewBuf<T>>,
-    /// `allocation + base_offset`, cached so `at`/`set_at` are one add and
-    /// one load/store: re-deriving it through `Arc → UnsafeCell → Box` after
-    /// every store kept LLVM from hoisting bases out of inlined kernel loops.
+    /// The address of element 0 (inside the allocation for a subview),
+    /// cached so `at`/`set_at` are one add and one load/store: re-deriving
+    /// it through `Arc → UnsafeCell → Box` after every store kept LLVM from
+    /// hoisting bases out of inlined kernel loops.
     base: *mut T,
     dims: [usize; R],
     strides: [usize; R],
     layout: Layout,
     space: MemSpace,
     label: Arc<str>,
-    /// Linear offset into the allocation (nonzero for subviews).
-    base_offset: usize,
+    /// Whether this view is its allocation, from the start with the
+    /// canonical strides of its layout — false for every subview, whatever
+    /// its offset.
+    root: bool,
 }
 
 // SAFETY: `base` points into the boxed slice owned by `buf`, which this
@@ -63,7 +66,7 @@ pub struct View<T, const R: usize> {
 // `&T`/`T` on other threads, hence the `T: Send + Sync` bounds — and
 // concurrent mutation follows the Kokkos aliasing contract stated on
 // `ViewBuf`. The remaining fields (`dims`, `strides`, `layout`, `space`,
-// `base_offset`, `label: Arc<str>`) are plain `Send + Sync` data.
+// `root`, `label: Arc<str>`) are plain `Send + Sync` data.
 unsafe impl<T: Send + Sync, const R: usize> Send for View<T, R> {}
 unsafe impl<T: Send + Sync, const R: usize> Sync for View<T, R> {}
 
@@ -71,7 +74,6 @@ unsafe impl<T: Send + Sync, const R: usize> Sync for View<T, R> {}
 pub type View1<T> = View<T, 1>;
 pub type View2<T> = View<T, 2>;
 pub type View3<T> = View<T, 3>;
-pub type View4<T> = View<T, 4>;
 
 impl<T, const R: usize> Clone for View<T, R> {
     /// Shallow copy: aliases the same allocation, as in Kokkos.
@@ -84,7 +86,7 @@ impl<T, const R: usize> Clone for View<T, R> {
             layout: self.layout,
             space: self.space,
             label: Arc::clone(&self.label),
-            base_offset: self.base_offset,
+            root: self.root,
         }
     }
 }
@@ -133,7 +135,7 @@ impl<T: Clone + Default + Send + Sync, const R: usize> View<T, R> {
             layout,
             space,
             label: Arc::from(label),
-            base_offset: 0,
+            root: true,
         }
     }
 
@@ -208,9 +210,10 @@ impl<T, const R: usize> View<T, R> {
     }
 
     /// True when this view addresses its allocation from the start with
-    /// the canonical strides of its layout (i.e. is not a subview).
+    /// the canonical strides of its layout, i.e. is not a subview — a level
+    /// slice is not root even at level 0, where it starts at the allocation.
     pub fn is_root_view(&self) -> bool {
-        self.base_offset == 0
+        self.root
     }
 
     /// Read the whole allocation as a slice **in storage order**.
@@ -364,22 +367,12 @@ impl<T: Copy> View<T, 3> {
     }
 }
 
-impl<T: Copy> View<T, 4> {
-    #[inline(always)]
-    pub fn at(&self, a: usize, k: usize, j: usize, i: usize) -> T {
-        self.get([a, k, j, i])
-    }
-    #[inline(always)]
-    pub fn set_at(&self, a: usize, k: usize, j: usize, i: usize, v: T) {
-        self.set([a, k, j, i], v)
-    }
-}
-
 /// Logical deep copy `src → dst` (Kokkos `deep_copy`).
 ///
-/// Shapes must match; layouts may differ (the copy is index-wise, with a
-/// `memcpy` fast path when layouts agree). Crossing memory spaces records
-/// PCIe traffic in [`crate::memspace`].
+/// Shapes must match; layouts may differ. The copy is index-wise, with a
+/// `memcpy` fast path when both views are root views of one layout (a
+/// subview's storage order is not its logical order). Crossing memory
+/// spaces records PCIe traffic in [`crate::memspace`].
 pub fn deep_copy<T: Copy + Send + Sync, const R: usize>(dst: &View<T, R>, src: &View<T, R>) {
     assert_eq!(dst.dims(), src.dims(), "deep_copy shape mismatch");
     let bytes = std::mem::size_of::<T>() * src.len();
@@ -395,11 +388,11 @@ pub fn deep_copy<T: Copy + Send + Sync, const R: usize>(dst: &View<T, R>, src: &
         (MemSpace::Device, MemSpace::Host) => memspace::record_d2h(bytes),
         _ => {}
     }
-    if dst.layout() == src.layout() {
+    if dst.layout() == src.layout() && dst.is_root_view() && src.is_root_view() {
         dst.copy_from_slice(src.as_slice());
         return;
     }
-    // Layout conversion: iterate logical indices.
+    // Layout conversion or subview: iterate logical indices.
     let dims = src.dims();
     let len = src.len();
     let mut idx = [0usize; R];
@@ -553,14 +546,12 @@ impl<T: Copy + Send + Sync> View<T, 3> {
     /// The rank-2 slice at level `k` (shares storage with `self`).
     pub fn level(&self, k: usize) -> View<T, 2> {
         assert!(k < self.dims[0], "level {k} out of {}", self.dims[0]);
-        // Only contiguous level slices are expressible as a rank-2 view
-        // with plain strides; both layouts qualify because k is the
-        // slowest (Right) or fastest (Left) index.
+        // A level is a rank-2 view with the parent's (j, i) strides in
+        // either layout: contiguous under Right, where k is the slowest
+        // index, strided under Left, where it is the fastest.
         let dims = [self.dims[1], self.dims[2]];
-        let (strides, offset) = match self.layout {
-            Layout::Right => ([self.strides[1], self.strides[2]], k * self.strides[0]),
-            Layout::Left => ([self.strides[1], self.strides[2]], k * self.strides[0]),
-        };
+        let strides = [self.strides[1], self.strides[2]];
+        let offset = k * self.strides[0];
         View {
             buf: Arc::clone(&self.buf),
             // SAFETY: `k < dims[0]` (asserted above), so the level's first
@@ -571,7 +562,7 @@ impl<T: Copy + Send + Sync> View<T, 3> {
             layout: self.layout,
             space: self.space,
             label: Arc::from(format!("{}[k={k}]", self.label)),
-            base_offset: self.base_offset + offset,
+            root: false,
         }
     }
 }
@@ -713,6 +704,37 @@ mod subview_tests {
     fn fill_rejects_a_subview() {
         let v: View3<f64> = View::host("v", [3, 4, 5]);
         v.level(1).fill(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "fill on subview")]
+    fn fill_rejects_level_zero_of_a_left_view() {
+        // Under Left layout level 0 starts at the allocation but is strided:
+        // a whole-allocation fill would write the other levels' cells.
+        let v: View3<f64> = View::new("v", [3, 4, 5], Layout::Left, MemSpace::Host);
+        v.level(0).fill(1.0);
+    }
+
+    #[test]
+    fn deep_copy_of_a_level_copies_that_level() {
+        for layout in [Layout::Left, Layout::Right] {
+            let v: View3<f64> = View::new("v", [3, 4, 5], layout, MemSpace::Host);
+            for k in 0..3 {
+                for j in 0..4 {
+                    for i in 0..5 {
+                        v.set_at(k, j, i, (k * 100 + j * 10 + i) as f64);
+                    }
+                }
+            }
+            let dst: View2<f64> = View::new("dst", [4, 5], layout, MemSpace::Host);
+            deep_copy(&dst, &v.level(0));
+            for j in 0..4 {
+                for i in 0..5 {
+                    assert_eq!(dst.at(j, i), v.at(0, j, i), "{layout:?} ({j},{i})");
+                }
+            }
+            assert!(!v.level(0).is_root_view(), "{layout:?}");
+        }
     }
 
     #[test]

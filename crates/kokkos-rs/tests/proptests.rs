@@ -3,9 +3,9 @@
 use std::sync::Arc;
 
 use kokkos_rs::{
-    deep_copy, parallel_for_1d, parallel_for_list, parallel_reduce_1d, parallel_reduce_list,
-    Functor1D, FunctorList, Layout, ListPolicy, MemSpace, RangePolicy, ReduceFunctor1D,
-    ReduceFunctorList, Reducer, Space, View, View1, View2,
+    deep_copy, parallel_for_1d, parallel_for_list, parallel_reduce_3d, parallel_reduce_list,
+    Functor1D, FunctorList, Layout, ListPolicy, MDRangePolicy3, MemSpace, RangePolicy,
+    ReduceFunctor3D, ReduceFunctorList, Reducer, Space, View, View1, View2,
 };
 use proptest::prelude::*;
 
@@ -20,15 +20,16 @@ impl Functor1D for Scale {
 }
 kokkos_rs::register_for_1d!(prop_scale, Scale);
 
+/// A sum along one row: reduced over `MDRangePolicy3::new([1, 1, n])`.
 struct Sum {
     x: View1<f64>,
 }
-impl ReduceFunctor1D for Sum {
-    fn contribute(&self, i: usize, acc: &mut f64) {
+impl ReduceFunctor3D for Sum {
+    fn contribute(&self, _k: usize, _j: usize, i: usize, acc: &mut f64) {
         *acc += self.x.at(i);
     }
 }
-kokkos_rs::register_reduce_1d!(prop_sum, Sum);
+kokkos_rs::register_reduce_3d!(prop_sum, Sum);
 
 /// Gather through an index list: `dst[idx] = a * src[idx]`. Duplicate
 /// indices write the same value, so the result is deterministic for any
@@ -103,7 +104,7 @@ proptest! {
             (((i as u64 + 1).wrapping_mul(seed * 2654435761 + 1) % 1000) as f64 - 500.0) * 1.0e-3
         });
         let f = Sum { x };
-        let policy = RangePolicy::new(n).with_tile(tile);
+        let policy = MDRangePolicy3::new([1, 1, n]).with_tile([1, 1, tile]);
         let spaces = [
             Space::serial(),
             Space::threads(),
@@ -112,7 +113,7 @@ proptest! {
         ];
         let bits: Vec<u64> = spaces
             .iter()
-            .map(|s| parallel_reduce_1d(s, policy, &f, Reducer::Sum).to_bits())
+            .map(|s| parallel_reduce_3d(s, policy, &f, Reducer::Sum).to_bits())
             .collect();
         prop_assert!(bits.iter().all(|&b| b == bits[0]), "bits {:?}", bits);
     }
@@ -214,13 +215,16 @@ proptest! {
     #[test]
     fn prop_min_max_reducers(vals in proptest::collection::vec(-1e6f64..1e6, 1..500)) {
         struct MinF { x: View1<f64> }
-        impl ReduceFunctor1D for MinF {
-            fn contribute(&self, i: usize, acc: &mut f64) { *acc = acc.min(self.x.at(i)); }
+        impl ReduceFunctor3D for MinF {
+            fn contribute(&self, _k: usize, _j: usize, i: usize, acc: &mut f64) {
+                *acc = acc.min(self.x.at(i));
+            }
         }
         let x: View1<f64> = View::host("x", [vals.len()]);
         x.copy_from_slice(&vals);
         let f = MinF { x };
-        let got = parallel_reduce_1d(&Space::threads(), RangePolicy::new(vals.len()), &f, Reducer::Min);
+        let policy = MDRangePolicy3::new([1, 1, vals.len()]);
+        let got = parallel_reduce_3d(&Space::threads(), policy, &f, Reducer::Min);
         let want = vals.iter().cloned().fold(f64::INFINITY, f64::min);
         prop_assert_eq!(got, want);
     }

@@ -9,11 +9,9 @@
 use std::sync::Arc;
 
 use kokkos_rs::{
-    parallel_for_1d, parallel_for_2d, parallel_for_3d, parallel_for_list, parallel_reduce_1d,
-    parallel_reduce_2d, parallel_reduce_3d, parallel_reduce_list, Functor1D, Functor2D, Functor3D,
-    FunctorList, IterCost, ListPolicy, MDRangePolicy2, MDRangePolicy3, RangePolicy,
-    ReduceFunctor1D, ReduceFunctor2D, ReduceFunctor3D, ReduceFunctorList, Reducer, Space, View,
-    View1,
+    parallel_for_1d, parallel_for_3d, parallel_for_list, parallel_reduce_3d, parallel_reduce_list,
+    Functor1D, Functor3D, FunctorList, IterCost, ListPolicy, MDRangePolicy3, RangePolicy,
+    ReduceFunctor3D, ReduceFunctorList, Reducer, Space, View, View1,
 };
 use sunway_sim::CgConfig;
 
@@ -48,14 +46,6 @@ impl Functor1D for Probe {
         COST
     }
 }
-impl Functor2D for Probe {
-    fn operator(&self, j: usize, i: usize) {
-        self.scale(j * 71 + i);
-    }
-    fn cost(&self) -> IterCost {
-        COST
-    }
-}
 impl Functor3D for Probe {
     fn operator(&self, k: usize, j: usize, i: usize) {
         self.scale((k * 23 + j) * 71 + i);
@@ -67,22 +57,6 @@ impl Functor3D for Probe {
 impl FunctorList for Probe {
     fn operator(&self, _n: usize, idx: u32) {
         self.scale(idx as usize);
-    }
-    fn cost(&self) -> IterCost {
-        COST
-    }
-}
-impl ReduceFunctor1D for Probe {
-    fn contribute(&self, i: usize, acc: &mut f64) {
-        *acc += self.at(i);
-    }
-    fn cost(&self) -> IterCost {
-        COST
-    }
-}
-impl ReduceFunctor2D for Probe {
-    fn contribute(&self, j: usize, i: usize, acc: &mut f64) {
-        *acc += self.at(j * 71 + i);
     }
     fn cost(&self) -> IterCost {
         COST
@@ -106,11 +80,8 @@ impl ReduceFunctorList for Probe {
 }
 
 kokkos_rs::register_for_1d!(sim_counts_for_1d, Probe);
-kokkos_rs::register_for_2d!(sim_counts_for_2d, Probe);
 kokkos_rs::register_for_3d!(sim_counts_for_3d, Probe);
 kokkos_rs::register_for_list!(sim_counts_for_list, Probe);
-kokkos_rs::register_reduce_1d!(sim_counts_reduce_1d, Probe);
-kokkos_rs::register_reduce_2d!(sim_counts_reduce_2d, Probe);
 kokkos_rs::register_reduce_3d!(sim_counts_reduce_3d, Probe);
 kokkos_rs::register_reduce_list!(sim_counts_reduce_list, Probe);
 
@@ -159,28 +130,25 @@ fn counts(cfg: &CgConfig, launch: impl FnOnce(&Space, &Probe)) -> [u64; 11] {
 
 type Launch = fn(&Space, &Probe);
 
-/// Every pattern once; the dense policies are offset and their tiles
+/// Every pattern once, the 3-D ones also over a single level (the shape a
+/// 2-D kernel launches as); the dense policies are offset and their tiles
 /// divide nothing.
-const LAUNCHES: [(&str, Launch); 8] = [
+const LAUNCHES: [(&str, Launch); 7] = [
     ("for_1d", |s, f| {
         parallel_for_1d(s, RangePolicy::range(3, N).with_tile(50), f)
     }),
-    ("for_2d", |s, f| {
-        let p = MDRangePolicy2::new([6 * 23 - 1, 69]).with_tile([5, 9]);
-        parallel_for_2d(s, p.with_offset([1, 2]), f)
+    ("for_one_level", |s, f| {
+        let p = MDRangePolicy3::new([1, 6 * 23 - 1, 69]).with_tile([1, 5, 9]);
+        parallel_for_3d(s, p.with_offset([0, 1, 2]), f)
     }),
     ("for_3d", |s, f| {
         let p = MDRangePolicy3::new([5, 21, 70]).with_tile([2, 3, 11]);
         parallel_for_3d(s, p.with_offset([1, 2, 1]), f)
     }),
     ("for_list", |s, f| parallel_for_list(s, &list(), f)),
-    ("reduce_1d", |s, f| {
-        let p = RangePolicy::range(3, N).with_tile(50);
-        parallel_reduce_1d(s, p, f, Reducer::Sum);
-    }),
-    ("reduce_2d", |s, f| {
-        let p = MDRangePolicy2::new([6 * 23 - 1, 69]).with_tile([5, 9]);
-        parallel_reduce_2d(s, p.with_offset([1, 2]), f, Reducer::Sum);
+    ("reduce_one_level", |s, f| {
+        let p = MDRangePolicy3::new([1, 6 * 23 - 1, 69]).with_tile([1, 5, 9]);
+        parallel_reduce_3d(s, p.with_offset([0, 1, 2]), f, Reducer::Sum);
     }),
     ("reduce_3d", |s, f| {
         let p = MDRangePolicy3::new([5, 21, 70]).with_tile([2, 3, 11]);
@@ -193,18 +161,15 @@ const LAUNCHES: [(&str, Launch); 8] = [
 
 fn register_all() {
     sim_counts_for_1d();
-    sim_counts_for_2d();
     sim_counts_for_3d();
     sim_counts_for_list();
-    sim_counts_reduce_1d();
-    sim_counts_reduce_2d();
     sim_counts_reduce_3d();
     sim_counts_reduce_list();
 }
 
 /// Compare every row, then print the whole table as found, so a deliberate
 /// change is a paste.
-fn check(cfg: &CgConfig, want: &[(&str, [u64; 11]); 8]) {
+fn check(cfg: &CgConfig, want: &[(&str, [u64; 11]); 7]) {
     register_all();
     let got: Vec<(&str, [u64; 11])> = LAUNCHES
         .iter()
@@ -230,7 +195,7 @@ fn every_pattern_charges_its_literal_counts_on_the_test_core_group() {
                 ],
             ),
             (
-                "for_2d",
+                "for_one_level",
                 [
                     1, 70821, 69218, 85077, 252108, 126012, 578, 524569, 0, 1600, 112,
                 ],
@@ -248,13 +213,7 @@ fn every_pattern_charges_its_literal_counts_on_the_test_core_group() {
                 ],
             ),
             (
-                "reduce_1d",
-                [
-                    1, 120161, 117663, 88155, 261330, 130470, 1175, 892545, 0, 800, 196,
-                ],
-            ),
-            (
-                "reduce_2d",
+                "reduce_one_level",
                 [
                     1, 128548, 125930, 85077, 252080, 126040, 1292, 955378, 0, 720, 224,
                 ],
@@ -287,7 +246,7 @@ fn every_pattern_charges_its_literal_counts_on_the_bench_core_group() {
                 ],
             ),
             (
-                "for_2d",
+                "for_one_level",
                 [
                     1, 30311, 26449, 85077, 252080, 126040, 165, 195657, 0, 5520, 28,
                 ],
@@ -305,13 +264,7 @@ fn every_pattern_charges_its_literal_counts_on_the_bench_core_group() {
                 ],
             ),
             (
-                "reduce_1d",
-                [
-                    1, 120161, 117663, 88155, 261330, 130470, 1175, 892545, 0, 800, 196,
-                ],
-            ),
-            (
-                "reduce_2d",
+                "reduce_one_level",
                 [
                     1, 128548, 125930, 85077, 252080, 126040, 1292, 955378, 0, 720, 224,
                 ],

@@ -16,32 +16,18 @@
 //! zonal **polar filter** smooths the fast fields on the offending rows.
 
 use kokkos_rs::{
-    parallel_for_2d, Functor2D, FunctorList, FunctorTriple2D, IterCost, MDRangePolicy2, Space,
-    View1, View2, View3,
+    parallel_for_3d, Functor3D, FunctorList, FunctorTriple, IterCost, MDRangePolicy3, Space, View1,
+    View2, View3,
 };
 use ocean_grid::GRAVITY;
 
 use halo_exchange::{FoldKind, Halo2D, HaloError, Pending, HALO as H};
 
 use crate::constants::ASSELIN;
-use crate::lanes::{self, F64x, Isa, RowKernel};
+use crate::lanes::{self, row_functor, F64x, RowKernel};
 use crate::localgrid::LocalGrid;
 use crate::model::Poster;
 use crate::state::State;
-
-/// The [`Functor2D`] entry points of a [`RowKernel`]: the per-point
-/// `operator` is its `W = 1` block, a policy tile its rows in lane blocks.
-macro_rules! row_kernel_2d {
-    () => {
-        fn operator(&self, j: usize, i: usize) {
-            self.block::<1>(0, j, i);
-        }
-
-        fn operator_tile(&self, bounds: [(usize, usize); 2]) {
-            lanes::run_tile(Isa::detect(), self, [(0, 1), bounds[0], bounds[1]]);
-        }
-    };
-}
 
 /// Depth-means of the two 3-D momentum tendencies at B-grid corners,
 /// weighted by layer thickness over the corner's active column:
@@ -230,8 +216,8 @@ impl RowKernel for FunctorBtSubstep {
     }
 }
 
-impl Functor2D for FunctorBtSubstep {
-    row_kernel_2d!();
+impl Functor3D for FunctorBtSubstep {
+    row_functor!();
 
     /// The union of what the body touches, each field once: the η and
     /// velocity updates (58 flops, 330 B), the Asselin filter (15 flops)
@@ -246,7 +232,7 @@ impl Functor2D for FunctorBtSubstep {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_bt_substep, FunctorBtSubstep);
+kokkos_rs::register_for_3d!(kernel_bt_substep, FunctorBtSubstep);
 
 /// Zonal 1-2-1 filter on flagged rows (`rows[jl] != 0`), writing `dst`;
 /// identity elsewhere.
@@ -270,8 +256,8 @@ impl RowKernel for FunctorZonalFilter {
     }
 }
 
-impl Functor2D for FunctorZonalFilter {
-    row_kernel_2d!();
+impl Functor3D for FunctorZonalFilter {
+    row_functor!();
 
     fn cost(&self) -> IterCost {
         IterCost {
@@ -281,7 +267,7 @@ impl Functor2D for FunctorZonalFilter {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_zonal_filter, FunctorZonalFilter);
+kokkos_rs::register_for_3d!(kernel_zonal_filter, FunctorZonalFilter);
 
 /// Copy owned cells of a 2-D view.
 pub struct FunctorCopy2D {
@@ -297,8 +283,8 @@ impl RowKernel for FunctorCopy2D {
     }
 }
 
-impl Functor2D for FunctorCopy2D {
-    row_kernel_2d!();
+impl Functor3D for FunctorCopy2D {
+    row_functor!();
 
     fn cost(&self) -> IterCost {
         IterCost {
@@ -308,7 +294,7 @@ impl Functor2D for FunctorCopy2D {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_copy_2d, FunctorCopy2D);
+kokkos_rs::register_for_3d!(kernel_copy_2d, FunctorCopy2D);
 
 /// `acc += x` over a block's owned cells (the window sums' ghosts arrive
 /// by exchange).
@@ -324,8 +310,8 @@ impl RowKernel for FunctorAccum2D {
     }
 }
 
-impl Functor2D for FunctorAccum2D {
-    row_kernel_2d!();
+impl Functor3D for FunctorAccum2D {
+    row_functor!();
 
     fn cost(&self) -> IterCost {
         IterCost {
@@ -335,7 +321,7 @@ impl Functor2D for FunctorAccum2D {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_accum_2d, FunctorAccum2D);
+kokkos_rs::register_for_3d!(kernel_accum_2d, FunctorAccum2D);
 
 /// `dst = src * scale` over the full padded block.
 pub struct FunctorScaleAssign2D {
@@ -351,8 +337,8 @@ impl RowKernel for FunctorScaleAssign2D {
     }
 }
 
-impl Functor2D for FunctorScaleAssign2D {
-    row_kernel_2d!();
+impl Functor3D for FunctorScaleAssign2D {
+    row_functor!();
 
     fn cost(&self) -> IterCost {
         IterCost {
@@ -362,7 +348,7 @@ impl Functor2D for FunctorScaleAssign2D {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_scale_assign_2d, FunctorScaleAssign2D);
+kokkos_rs::register_for_3d!(kernel_scale_assign_2d, FunctorScaleAssign2D);
 
 // Fused launches (kernel fusion): each launch pays dispatch — registry
 // lookup and CPE spin-up on the Sunway backend — and streams its fields
@@ -373,16 +359,16 @@ kokkos_rs::register_for_2d!(kernel_scale_assign_2d, FunctorScaleAssign2D);
 // last sum and its average.
 
 /// The three window accumulators (η, u, v) in one launch.
-type FunctorAccum3 = FunctorTriple2D<FunctorAccum2D, FunctorAccum2D, FunctorAccum2D>;
+type FunctorAccum3 = FunctorTriple<FunctorAccum2D, FunctorAccum2D, FunctorAccum2D>;
 /// Three scaled copies (level init / window averaging) in one launch.
 type FunctorScaleAssign3 =
-    FunctorTriple2D<FunctorScaleAssign2D, FunctorScaleAssign2D, FunctorScaleAssign2D>;
+    FunctorTriple<FunctorScaleAssign2D, FunctorScaleAssign2D, FunctorScaleAssign2D>;
 
-kokkos_rs::register_for_2d!(kernel_accum_3, FunctorAccum3);
-kokkos_rs::register_for_2d!(kernel_scale_assign_3, FunctorScaleAssign3);
+kokkos_rs::register_for_3d!(kernel_accum_3, FunctorAccum3);
+kokkos_rs::register_for_3d!(kernel_scale_assign_3, FunctorScaleAssign3);
 
 fn accum3(accs: &[View2<f64>; 3], xs: [&View2<f64>; 3]) -> FunctorAccum3 {
-    FunctorTriple2D {
+    FunctorTriple {
         a: FunctorAccum2D {
             acc: accs[0].clone(),
             x: xs[0].clone(),
@@ -426,13 +412,13 @@ pub fn register() {
 /// reads no ghost. The rim is the one-cell band around it: the first and
 /// last rows whole and, between them, the first and last columns. Every
 /// owned cell is in exactly one of the five.
-pub fn split_substep(ny: usize, nx: usize) -> (MDRangePolicy2, [MDRangePolicy2; 4]) {
-    let interior = MDRangePolicy2::new([ny - 2, nx - 2]).with_offset([1, 1]);
+pub fn split_substep(ny: usize, nx: usize) -> (MDRangePolicy3, [MDRangePolicy3; 4]) {
+    let interior = MDRangePolicy3::new([1, ny - 2, nx - 2]).with_offset([0, 1, 1]);
     let rim = [
-        MDRangePolicy2::new([1, nx]),
-        MDRangePolicy2::new([1, nx]).with_offset([ny - 1, 0]),
-        MDRangePolicy2::new([ny - 2, 1]).with_offset([1, 0]),
-        MDRangePolicy2::new([ny - 2, 1]).with_offset([1, nx - 1]),
+        MDRangePolicy3::new([1, 1, nx]),
+        MDRangePolicy3::new([1, 1, nx]).with_offset([0, ny - 1, 0]),
+        MDRangePolicy3::new([1, ny - 2, 1]).with_offset([0, 1, 0]),
+        MDRangePolicy3::new([1, ny - 2, 1]).with_offset([0, 1, nx - 1]),
     ];
     (interior, rim)
 }
@@ -473,17 +459,17 @@ pub fn integrate(
 ) -> Result<(), HaloError> {
     let split = g.ny >= 3 && g.nx >= 3 && halo.awaits_messages();
     let carried = poster.carried && split;
-    let policy = MDRangePolicy2::new([g.ny, g.nx]);
-    let full = MDRangePolicy2::new([g.pj, g.pi]);
+    let policy = MDRangePolicy3::new([1, g.ny, g.nx]);
+    let full = MDRangePolicy3::new([1, g.pj, g.pi]);
     // Working triple: indices into state.bt_* (old, cur, new roles). The
     // old role keeps its slot: each substep writes the filtered level there.
     let (o, mut c, mut n) = (0usize, 1usize, 2usize);
     let init_region = kokkos_rs::profiling::region("bt:init");
     for lev in 0..3 {
-        parallel_for_2d(
+        parallel_for_3d(
             space,
             full,
-            &FunctorTriple2D {
+            &FunctorTriple {
                 a: FunctorScaleAssign2D {
                     src: state.eta[state.cur()].clone(),
                     dst: state.bt_eta[lev].clone(),
@@ -516,7 +502,7 @@ pub fn integrate(
     // Pipeline state: the previous substep's exchange when it is still in
     // flight.
     let mut pend: Option<Pending<'_, View2<f64>>> = None;
-    let own = MDRangePolicy2::new([g.ny, g.nx]).with_offset([H, H]);
+    let own = MDRangePolicy3::new([1, g.ny, g.nx]).with_offset([0, H, H]);
 
     for step in 0..substeps {
         let _substep = kokkos_rs::profiling::region("bt:substep");
@@ -559,16 +545,16 @@ pub fn integrate(
             // `[c]` ghosts; the interior reads none of them and runs
             // before it is finished, the rim after.
             let (interior, rim) = split_substep(g.ny, g.nx);
-            parallel_for_2d(space, interior, &f_step);
+            parallel_for_3d(space, interior, &f_step);
             if let Some(p) = pend.take() {
                 let _r = kokkos_rs::profiling::region("bt:halo");
                 p.finish()?;
             }
             for rp in rim {
-                parallel_for_2d(space, rp, &f_step);
+                parallel_for_3d(space, rp, &f_step);
             }
         } else {
-            parallel_for_2d(space, policy, &f_step);
+            parallel_for_3d(space, policy, &f_step);
         }
         // Halo update of the new level, then per polar-filter pass the
         // filter and another update; the last goes through the poster. The
@@ -597,8 +583,8 @@ pub fn integrate(
                         src: filter2.clone(),
                         dst: field.clone(),
                     };
-                    parallel_for_2d(space, policy, &smooth);
-                    parallel_for_2d(space, policy, &back);
+                    parallel_for_3d(space, policy, &smooth);
+                    parallel_for_3d(space, policy, &back);
                 }
             }
             if pass < filter_passes {
@@ -606,7 +592,7 @@ pub fn integrate(
                 continue;
             }
             let posted = if step + 1 == substeps {
-                parallel_for_2d(space, own, &accum3(&accs, fields));
+                parallel_for_3d(space, own, &accum3(&accs, fields));
                 accs.each_ref()
             } else {
                 fields
@@ -625,10 +611,10 @@ pub fn integrate(
     let _average = kokkos_rs::profiling::region("bt:average");
     let scale = 1.0 / substeps as f64;
     let nl = state.new_lev();
-    parallel_for_2d(
+    parallel_for_3d(
         space,
         full,
-        &FunctorTriple2D {
+        &FunctorTriple {
             a: FunctorScaleAssign2D {
                 src: acc_eta,
                 dst: state.eta[nl].clone(),
@@ -766,7 +752,7 @@ mod tests {
         };
         for j in 0..8 {
             for i in 0..8 {
-                f.operator(j, i);
+                f.operator(0, j, i);
             }
         }
         // 1-2-1 annihilates the 2Δx wave...

@@ -2,8 +2,8 @@
 //! used for the paper's submesoscale analysis (Fig. 6).
 
 use kokkos_rs::{
-    parallel_for_2d, parallel_reduce_2d, parallel_reduce_3d, Functor2D, IterCost, MDRangePolicy2,
-    MDRangePolicy3, ReduceFunctor2D, ReduceFunctor3D, Reducer, Space, View1, View2, View3,
+    parallel_for_3d, parallel_reduce_3d, Functor3D, IterCost, MDRangePolicy3, ReduceFunctor3D,
+    Reducer, Space, View1, View2, View3,
 };
 
 use halo_exchange::HALO as H;
@@ -105,8 +105,8 @@ pub struct ReduceSstArea {
     pub weighted: bool,
 }
 
-impl ReduceFunctor2D for ReduceSstArea {
-    fn contribute(&self, j: usize, i: usize, acc: &mut f64) {
+impl ReduceFunctor3D for ReduceSstArea {
+    fn contribute(&self, _k: usize, j: usize, i: usize, acc: &mut f64) {
         let (jl, il) = (j + H, i + H);
         if self.kmt.at(jl, il) == 0 {
             return;
@@ -127,7 +127,7 @@ impl ReduceFunctor2D for ReduceSstArea {
     }
 }
 
-kokkos_rs::register_reduce_2d!(kernel_reduce_sst, ReduceSstArea);
+kokkos_rs::register_reduce_3d!(kernel_reduce_sst, ReduceSstArea);
 
 /// Surface Rossby number `Ro = ζ/f` at T cells: the submesoscale
 /// activity metric of Fig. 6 (`|Ro| ~ O(1)` marks active submesoscales).
@@ -141,8 +141,8 @@ pub struct FunctorRossby {
     pub dyt: f64,
 }
 
-impl Functor2D for FunctorRossby {
-    fn operator(&self, j: usize, i: usize) {
+impl Functor3D for FunctorRossby {
+    fn operator(&self, _k: usize, j: usize, i: usize) {
         let (jl, il) = (j + H, i + H);
         if self.kmt.at(jl, il) == 0 {
             self.out.set_at(jl, il, 0.0);
@@ -167,7 +167,7 @@ impl Functor2D for FunctorRossby {
     }
 }
 
-kokkos_rs::register_for_2d!(kernel_rossby, FunctorRossby);
+kokkos_rs::register_for_3d!(kernel_rossby, FunctorRossby);
 
 /// Register this module's functors.
 pub fn register() {
@@ -199,7 +199,7 @@ pub fn local_diagnostics(
     s: &View3<f64>,
 ) -> Diagnostics {
     let p3 = MDRangePolicy3::new([g.nz, g.ny, g.nx]);
-    let p2 = MDRangePolicy2::new([g.ny, g.nx]);
+    let surface = MDRangePolicy3::new([1, g.ny, g.nx]);
     let ke = parallel_reduce_3d(
         space,
         p3,
@@ -255,9 +255,9 @@ pub fn local_diagnostics(
         },
         Reducer::Max,
     );
-    let sst_sum = parallel_reduce_2d(
+    let sst_sum = parallel_reduce_3d(
         space,
-        p2,
+        surface,
         &ReduceSstArea {
             t: t.clone(),
             kmt: g.kmt.clone(),
@@ -267,9 +267,9 @@ pub fn local_diagnostics(
         },
         Reducer::Sum,
     );
-    let area = parallel_reduce_2d(
+    let area = parallel_reduce_3d(
         space,
-        p2,
+        surface,
         &ReduceSstArea {
             t: t.clone(),
             kmt: g.kmt.clone(),
@@ -305,9 +305,9 @@ pub fn rossby_quantiles(
     v: &View3<f64>,
     out: &View2<f64>,
 ) -> (f64, f64, f64, f64) {
-    parallel_for_2d(
+    parallel_for_3d(
         space,
-        MDRangePolicy2::new([g.ny, g.nx]),
+        MDRangePolicy3::new([1, g.ny, g.nx]),
         &FunctorRossby {
             u: u.clone(),
             v: v.clone(),
@@ -371,7 +371,7 @@ mod tests {
         };
         for j in 0..n {
             for i in 0..n {
-                f.operator(j, i);
+                f.operator(0, j, i);
             }
         }
         // Ro = 2Ω / f = 2e-5 / 1e-4 = 0.2.

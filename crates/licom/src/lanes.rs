@@ -570,8 +570,24 @@ pub trait RowKernel {
     fn block<const W: usize>(&self, k: usize, j: usize, i: usize);
 }
 
+/// The `Functor3D` entry points of a [`RowKernel`] — the one impl every row
+/// kernel's launch uses, a 2-D one's over a single level: the per-point
+/// `operator` is its `W = 1` block, a policy tile its rows in lane blocks.
+macro_rules! row_functor {
+    () => {
+        fn operator(&self, k: usize, j: usize, i: usize) {
+            self.block::<1>(k, j, i);
+        }
+
+        fn operator_tile(&self, bounds: [(usize, usize); 3]) {
+            $crate::lanes::run_tile($crate::lanes::Isa::detect(), self, bounds);
+        }
+    };
+}
+pub(crate) use row_functor;
+
 /// Run `kernel` over one policy tile `[(k0, k1), (j0, j1), (i0, i1)]` (a
-/// 2-D launch passes `(0, 1)` for `k`): each row in blocks along `i`.
+/// 2-D launch's is one level, `(0, 1)`): each row in blocks along `i`.
 #[inline]
 pub fn run_tile<K: RowKernel>(isa: Isa, kernel: &K, bounds: [(usize, usize); 3]) {
     let [(k0, k1), (j0, j1), (i0, i1)] = bounds;

@@ -50,8 +50,7 @@ fn the_five_launches_cover_every_owned_cell_once() {
             let (interior, rim) = split_substep(ny, nx);
             for p in std::iter::once(interior).chain(rim) {
                 for t in 0..p.total_tiles() {
-                    let [rows, cols] = p.tile_bounds(t);
-                    lanes::run_tile(Isa::detect(), &visits, [(0, 1), rows, cols]);
+                    lanes::run_tile(Isa::detect(), &visits, p.tile_bounds(t));
                 }
             }
             let count = visits.count.into_inner();

@@ -24,8 +24,8 @@
 
 use halo_exchange::{FoldKind, Halo2D, Halo3D, Strategy3D, HALO as H};
 use kokkos_rs::{
-    parallel_for_2d, parallel_for_3d, parallel_for_list, Functor2D, Functor3D, FunctorList,
-    ListPolicy, MDRangePolicy2, MDRangePolicy3, Policy, Space, View, View1, View2, View3,
+    parallel_for_3d, parallel_for_list, Functor3D, FunctorList, ListPolicy, MDRangePolicy3, Policy,
+    Space, View, View1, View2, View3,
 };
 use licom::advect::{advect_tracer, AdvectFields, FunctorAdvectX, FunctorAdvectY};
 use licom::baroclinic::{FunctorAsselin3D, FunctorMomentumTend};
@@ -40,11 +40,11 @@ use ocean_grid::{ActiveSet3, Bathymetry, GlobalGrid};
 use proptest::prelude::*;
 use sunway_sim::CgConfig;
 
-/// A functor's walk of one policy tile (`R` bounds) or list span with the ISA
-/// an argument instead of detected — what its `operator_tile` /
+/// A functor's walk of one policy tile or list span with the ISA an
+/// argument instead of detected — what its `operator_tile` /
 /// `operator_span` does under `Isa::detect()`.
-trait PinnedTile<const R: usize> {
-    fn tile(&self, isa: Isa, bounds: [(usize, usize); R]);
+trait PinnedTile {
+    fn tile(&self, isa: Isa, bounds: [(usize, usize); 3]);
 }
 
 trait PinnedSpan {
@@ -52,17 +52,10 @@ trait PinnedSpan {
 }
 
 macro_rules! pinned {
-    // Row kernels launched in 2-D, owned-cell coordinates.
-    (2: $($F:ty),*) => {$(
-        impl PinnedTile<2> for $F {
-            fn tile(&self, isa: Isa, [rows, cols]: [(usize, usize); 2]) {
-                lanes::run_tile(isa, self, [(0, 1), rows, cols]);
-            }
-        }
-    )*};
-    // Row kernels launched in 3-D whose blocks add the halo themselves.
-    (3: $($F:ty),*) => {$(
-        impl PinnedTile<3> for $F {
+    // Row kernels, the 2-D ones launched over one level; their blocks add
+    // the halo themselves.
+    (rows: $($F:ty),*) => {$(
+        impl PinnedTile for $F {
             fn tile(&self, isa: Isa, bounds: [(usize, usize); 3]) {
                 lanes::run_tile(isa, self, bounds);
             }
@@ -79,16 +72,15 @@ macro_rules! pinned {
     )*};
     // The advection passes sweep their tiles by hand.
     (swept: $($F:ty),*) => {$(
-        impl PinnedTile<3> for $F {
+        impl PinnedTile for $F {
             fn tile(&self, isa: Isa, bounds: [(usize, usize); 3]) {
                 <$F>::tile(self, isa, bounds);
             }
         }
     )*};
 }
-pinned!(2: FunctorBtSubstep, FunctorZonalFilter, FunctorCopy2D, FunctorAccum2D,
-    FunctorScaleAssign2D);
-pinned!(3: FunctorAsselin3D);
+pinned!(rows: FunctorBtSubstep, FunctorZonalFilter, FunctorCopy2D, FunctorAccum2D,
+    FunctorScaleAssign2D, FunctorAsselin3D);
 pinned!(cells: FunctorMomentumTend => kmu);
 pinned!(swept: FunctorAdvectX, FunctorAdvectY);
 
@@ -262,25 +254,25 @@ impl Case {
         [whole, interior, rim]
     }
 
-    /// The launch shapes a kernel must not care about: the dense default,
-    /// the interior and the four rim strips of the barotropic pipeline, and
-    /// a ragged tiling from a shifted origin.
-    fn policies2(&self) -> Vec<MDRangePolicy2> {
+    /// The one-level launch shapes a kernel must not care about: the dense
+    /// default, the interior and the four rim strips of the barotropic
+    /// pipeline, and a ragged tiling from a shifted origin.
+    fn policies2(&self) -> Vec<MDRangePolicy3> {
         let (ny, nx) = (self.ny, self.nx);
         let mut out = vec![
-            MDRangePolicy2::new([ny, nx]),
-            MDRangePolicy2::new([ny, nx]).with_tile([3, LANES + 3]),
-            MDRangePolicy2::new([1, nx]),
-            MDRangePolicy2::new([1, nx]).with_offset([ny - 1, 0]),
+            MDRangePolicy3::new([1, ny, nx]),
+            MDRangePolicy3::new([1, ny, nx]).with_tile([1, 3, LANES + 3]),
+            MDRangePolicy3::new([1, 1, nx]),
+            MDRangePolicy3::new([1, 1, nx]).with_offset([0, ny - 1, 0]),
         ];
         if ny > 2 && nx > 2 {
             // Its first two rim strips are the two rows above.
             let (interior, [_, _, west, east]) = split_substep(ny, nx);
             out.extend([interior, west, east]);
             out.push(
-                MDRangePolicy2::new([ny - 2, nx - 2])
-                    .with_tile([2, 5])
-                    .with_offset([1, 1]),
+                MDRangePolicy3::new([1, ny - 2, nx - 2])
+                    .with_tile([1, 2, 5])
+                    .with_offset([0, 1, 1]),
             );
         }
         out
@@ -289,9 +281,9 @@ impl Case {
     fn policies3(&self) -> Vec<MDRangePolicy3> {
         (self.policies2().into_iter())
             .map(|p| {
-                MDRangePolicy3::new([self.nz, p.extent[0], p.extent[1]])
-                    .with_tile([1 + self.nz / 2, p.tile[0], p.tile[1]])
-                    .with_offset([0, p.offset[0], p.offset[1]])
+                MDRangePolicy3::new([self.nz, p.extent[1], p.extent[2]])
+                    .with_tile([1 + self.nz / 2, p.tile[1], p.tile[2]])
+                    .with_offset([0, p.offset[1], p.offset[2]])
             })
             .collect()
     }
@@ -336,10 +328,10 @@ fn bits(outs: &[Out]) -> Vec<Vec<u64>> {
 
 /// The tile walk of `f` pinned to `Isa::BASELINE`, tile by tile (the spaces
 /// differ in who runs a tile, not in how it is walked), against `want`.
-fn check_pinned<const R: usize, F: PinnedTile<R>>(
+fn check_pinned<F: PinnedTile>(
     kernel: &str,
     (f, out): (F, Vec<Out>),
-    tiles: impl Iterator<Item = [(usize, usize); R]>,
+    tiles: impl Iterator<Item = [(usize, usize); 3]>,
     want: &[Vec<u64>],
 ) -> Result<(), TestCaseError> {
     tiles.for_each(|bounds| f.tile(Isa::BASELINE, bounds));
@@ -356,32 +348,7 @@ fn check_pinned<const R: usize, F: PinnedTile<R>>(
 /// returns those views. The reference runs it point by point (`W = 1`)
 /// over the policy's range; every space must reproduce its bits through
 /// the tile path, and so must the tile walk pinned to `Isa::BASELINE`.
-fn check2<F: Functor2D + PinnedTile<2> + 'static>(
-    kernel: &str,
-    policy: MDRangePolicy2,
-    make: impl Fn() -> (F, Vec<Out>),
-) -> Result<(), TestCaseError> {
-    let (f, out) = make();
-    for j in policy.offset[0]..policy.offset[0] + policy.extent[0] {
-        for i in policy.offset[1]..policy.offset[1] + policy.extent[1] {
-            f.operator(j, i);
-        }
-    }
-    let want = bits(&out);
-    for space in spaces() {
-        let (f, out) = make();
-        parallel_for_2d(&space, policy, &f);
-        prop_assert!(
-            bits(&out) == want,
-            "{kernel}: tile execution on {} differs from per-point execution ({policy:?})",
-            space.name()
-        );
-    }
-    let tiles = (0..policy.total_tiles()).map(|t| policy.tile_bounds(t));
-    check_pinned(kernel, make(), tiles, &want)
-}
-
-fn check3<F: Functor3D + PinnedTile<3> + 'static>(
+fn check3<F: Functor3D + PinnedTile + 'static>(
     kernel: &str,
     policy: MDRangePolicy3,
     make: impl Fn() -> (F, Vec<Out>),
@@ -538,10 +505,11 @@ fn check_lists(case: &Case, tile: usize) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Every row-bodied 2-D kernel over `policy`. The owned-cell kernels add the
-/// halo width themselves; accumulate / scale-assign index the padded block
-/// directly, so the same policy reaches other cells of theirs.
-fn check_2d(case: &Case, policy: MDRangePolicy2) -> Result<(), TestCaseError> {
+/// Every row-bodied 2-D kernel over the one-level `policy`. The owned-cell
+/// kernels add the halo width themselves; accumulate / scale-assign index
+/// the padded block directly, so the same policy reaches other cells of
+/// theirs.
+fn check_2d(case: &Case, policy: MDRangePolicy3) -> Result<(), TestCaseError> {
     let dxt = case.dxt();
     let fcor: View1<f64> = View::from_fn("fcor", [case.pj()], |[j]| 1.0e-4 - 3.0e-6 * j as f64);
     let depth = case.field2(1, 50.0, 5000.0);
@@ -557,7 +525,7 @@ fn check_2d(case: &Case, policy: MDRangePolicy2) -> Result<(), TestCaseError> {
     // updates, the filtered middle level into the old slots and, but on a
     // window's first substep, the middle level into the sums.
     for (name, summing) in [("bt_substep", true), ("bt_substep_first", false)] {
-        check2(name, policy, || {
+        check3(name, policy, || {
             let [eta_new, u_new, v_new] = [10, 11, 12].map(poison);
             let [eta_old, u_old, v_old] = [&e0, &u0, &v0].map(copy2);
             let sums = [&gu, &u1, &gv].map(copy2);
@@ -599,7 +567,7 @@ fn check_2d(case: &Case, policy: MDRangePolicy2) -> Result<(), TestCaseError> {
     }
     // Every other row filtered, the rest copied through.
     let rows: View1<i32> = View::from_fn("rows", [case.pj()], |[j]| (j % 2) as i32);
-    check2("zonal_filter", policy, || {
+    check3("zonal_filter", policy, || {
         let dst = poison(13);
         let f = FunctorZonalFilter {
             src: e0.clone(),
@@ -608,7 +576,7 @@ fn check_2d(case: &Case, policy: MDRangePolicy2) -> Result<(), TestCaseError> {
         };
         (f, vec![Out::from(&dst)])
     })?;
-    check2("copy_2d", policy, || {
+    check3("copy_2d", policy, || {
         let dst = poison(14);
         let f = FunctorCopy2D {
             src: e0.clone(),
@@ -616,7 +584,7 @@ fn check_2d(case: &Case, policy: MDRangePolicy2) -> Result<(), TestCaseError> {
         };
         (f, vec![Out::from(&dst)])
     })?;
-    check2("accum_2d", policy, || {
+    check3("accum_2d", policy, || {
         let acc = copy2(&u0);
         let f = FunctorAccum2D {
             acc: acc.clone(),
@@ -624,7 +592,7 @@ fn check_2d(case: &Case, policy: MDRangePolicy2) -> Result<(), TestCaseError> {
         };
         (f, vec![Out::from(&acc)])
     })?;
-    check2("scale_assign_2d", policy, || {
+    check3("scale_assign_2d", policy, || {
         let dst = poison(15);
         let f = FunctorScaleAssign2D {
             src: e0.clone(),
@@ -688,9 +656,8 @@ fn a_full_row_really_is_walked_in_blocks() {
         }
     }
     let log = Widths(Default::default());
-    let policy = MDRangePolicy2::new([1, 2 * LANES + 7]);
-    let [rows, cols] = policy.tile_bounds(0);
-    lanes::run_tile(Isa::detect(), &log, [(0, 1), rows, cols]);
+    let policy = MDRangePolicy3::new([1, 1, 2 * LANES + 7]);
+    lanes::run_tile(Isa::detect(), &log, policy.tile_bounds(0));
     assert_eq!(*log.0.borrow(), [LANES, LANES, 4, 2, 1]);
 }
 
@@ -876,7 +843,9 @@ proptest! {
         let tile = [1 + tile[0] % 3, 1 + tile[1] % 5, tile[2]];
         check_2d(
             &case,
-            MDRangePolicy2::new([ej, ei]).with_tile([tile[1], tile[2]]).with_offset([oj, oi]),
+            MDRangePolicy3::new([1, ej, ei])
+                .with_tile([1, tile[1], tile[2]])
+                .with_offset([0, oj, oi]),
         )?;
         check_3d(
             &case,

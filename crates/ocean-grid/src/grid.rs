@@ -104,16 +104,6 @@ impl GlobalGrid {
         }
     }
 
-    /// Velocity (corner) mask at level `k`.
-    #[inline]
-    pub fn umask(&self, k: usize, j: usize, i: usize) -> f64 {
-        if k < self.kmu[self.idx(j, i)] {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
     /// Total wet tracer cells (surface).
     pub fn ocean_cells(&self) -> usize {
         self.kmt.iter().filter(|&&k| k > 0).count()

@@ -2,21 +2,21 @@
 //!
 //! The simulated Sunway backend (`sunway-sim`) sizes CPE tiles at
 //! dispatch time from the double-buffer crossover: a tile is big enough
-//! when its compute hides the DMA transfer behind it. This module states
-//! the same model analytically, from machine parameters instead of a live
-//! core group, so projections and calibration can predict
+//! when its compute hides the DMA transfer behind it. This module asks the
+//! same rule (`sunway_sim::pipeline`) from machine parameters instead of a
+//! live core group, so projections and calibration can predict
 //!
 //! * the crossover tile (iterations) past which DMA is hidden,
 //! * the tile the dispatcher will actually pick for a launch, and
-//! * the residual DMA stall fraction at that tile,
+//! * the residual DMA stall fraction at that tile (measured: the
+//!   simulator's `dma_stall_cycles` share).
 //!
-//! and the test suite can hold the two implementations to identical
-//! arithmetic. The measured counterpart of `predicted_stall_fraction`
-//! is the `cg_dma_stall_fraction` metric the bench gate records.
+//! The first two are the dispatcher's own functions.
 
-/// CPE-side machine parameters the tiling model needs — the analytic
-/// mirror of `sunway_sim::CgConfig` (same field meanings, same defaults
-/// for the SW26010 Pro).
+use sunway_sim::{pipeline, CgConfig};
+
+/// CPE-side machine parameters the tiling model needs: `sunway_sim::CgConfig`
+/// less its host worker count (same meanings, same SW26010 Pro defaults).
 #[derive(Debug, Clone)]
 pub struct CpeParams {
     /// CPEs per core group sharing the memory interface.
@@ -47,10 +47,23 @@ impl CpeParams {
         }
     }
 
-    /// LDM bytes one double-buffered stream may claim — a quarter of the
-    /// LDM, leaving room for the peer buffer, stack and spill space.
+    /// The simulator's configuration with these parameters; one host
+    /// worker, as only its arithmetic is read (no probe of the host).
+    fn config(&self) -> CgConfig {
+        CgConfig {
+            num_cpes: self.num_cpes,
+            ldm_bytes: self.ldm_bytes,
+            clock_hz: self.clock_hz,
+            mem_bandwidth_bps: self.mem_bw_bps,
+            dma_latency_cycles: self.dma_latency_cycles,
+            simd_f64_lanes: self.simd_f64_lanes,
+            host_workers: 1,
+        }
+    }
+
+    /// LDM bytes one double-buffered stream may claim (a quarter of LDM).
     pub fn ldm_stream_budget(&self) -> usize {
-        (self.ldm_bytes / 4).max(256)
+        pipeline::ldm_stream_budget(&self.config())
     }
 
     /// Compute cycles per iteration, SIMD-folded.
@@ -67,31 +80,17 @@ impl CpeParams {
 
     /// Paper Eq. 1/2 crossover: smallest tile (iterations) at which the
     /// double-buffered pipeline hides DMA behind compute — `T ≥ L/(c−b)`
-    /// when compute-bound, else the latency-amortization point `T ≥ 8L/b`.
-    /// Arithmetic kept identical to `sunway_sim::pipeline::
-    /// dma_crossover_iters`, enforced by test.
+    /// when compute-bound, else the latency-amortization point `T ≥ 8L/b`
+    /// (`pipeline::dma_crossover_iters`).
     pub fn dma_crossover_iters(&self, flops_per_iter: u64, bytes_per_iter: u64) -> u64 {
-        let c = self.compute_cycles(flops_per_iter);
-        let b = self.transfer_cycles(bytes_per_iter);
-        let l = self.dma_latency_cycles as f64;
-        let t = if c > b {
-            l / (c - b)
-        } else {
-            8.0 * l / b.max(1e-9)
-        };
-        (t.ceil() as u64).max(1)
+        pipeline::dma_crossover_iters(&self.config(), flops_per_iter, bytes_per_iter)
     }
 
     /// The tile the dispatcher picks for a dense launch: largest tile
     /// within the LDM stream budget, capped so every CPE gets at least
-    /// one tile. Mirrors `sunway_sim::pipeline::choose_tile_elems`.
+    /// one tile (`pipeline::choose_tile_elems`).
     pub fn choose_tile_elems(&self, bytes_per_iter: u64, total_iters: usize) -> usize {
-        if total_iters == 0 {
-            return 1;
-        }
-        let ldm_cap = (self.ldm_stream_budget() / bytes_per_iter.max(1) as usize).max(1);
-        let balance_cap = total_iters.div_ceil(self.num_cpes.max(1)).max(1);
-        ldm_cap.min(balance_cap)
+        pipeline::choose_tile_elems(&self.config(), bytes_per_iter, total_iters)
     }
 
     /// Steady-state DMA stall fraction of the pipeline at tile size
@@ -120,50 +119,6 @@ impl CpeParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sunway_sim::CgConfig;
-
-    fn params_of(cfg: &CgConfig) -> CpeParams {
-        CpeParams {
-            num_cpes: cfg.num_cpes,
-            ldm_bytes: cfg.ldm_bytes,
-            clock_hz: cfg.clock_hz,
-            mem_bw_bps: cfg.mem_bandwidth_bps,
-            dma_latency_cycles: cfg.dma_latency_cycles,
-            simd_f64_lanes: cfg.simd_f64_lanes,
-        }
-    }
-
-    /// The analytic model and the simulator's dispatcher must agree
-    /// exactly — same crossover, same chosen tile — across configs and
-    /// kernel intensities, or predictions drift from what actually runs.
-    #[test]
-    fn mirrors_sunway_sim_dispatcher_exactly() {
-        let configs = [
-            CgConfig::default(),
-            CgConfig::bench(),
-            CgConfig::test_small(),
-        ];
-        let costs: [(u64, u64); 5] = [(20, 48), (2, 128), (400, 16), (0, 8), (64, 64)];
-        for cfg in &configs {
-            let p = params_of(cfg);
-            for &(flops, bytes) in &costs {
-                assert_eq!(
-                    p.dma_crossover_iters(flops, bytes),
-                    sunway_sim::pipeline::dma_crossover_iters(cfg, flops, bytes),
-                    "crossover mismatch: {flops} flops, {bytes} B on {} CPEs",
-                    cfg.num_cpes
-                );
-                for total in [1usize, 63, 64, 4096, 1_000_000] {
-                    assert_eq!(
-                        p.choose_tile_elems(bytes, total),
-                        sunway_sim::pipeline::choose_tile_elems(cfg, bytes, total),
-                        "tile mismatch: {bytes} B x {total} iters on {} CPEs",
-                        cfg.num_cpes
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn sw26010_defaults_match_simulator_defaults() {
