@@ -710,7 +710,6 @@ mod tests {
             let p = h
                 .begin_exchange_many(&[(&b, FoldKind::Vector)], 50)
                 .unwrap();
-            assert!(p.is_done(), "self paths complete at begin");
             p.finish().unwrap();
             assert_eq!(a.to_vec(), b.to_vec());
         });

@@ -198,11 +198,6 @@ impl<'a, F: HaloField> Pending<'a, F> {
     pub fn finish(mut self) -> Result<(), HaloError> {
         self.advance(true).map(|_| ())
     }
-
-    /// True once every ghost cell is filled.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
 }
 
 /// Blocking exchange: begin, then finish on the spot, inside the profiling

@@ -6,10 +6,11 @@
 //! message path carries the clock. This module is everything that
 //! happens *around* the rings:
 //!
-//! * [`init_bridge`] / [`arm`] — connect `kokkos-rs`'s dispatch
-//!   chokepoint to the rings (every kernel launch records a
-//!   `KernelBegin`/`KernelEnd` pair while armed) and mirror the armed
-//!   flag so the disabled dispatch path stays one atomic load.
+//! * [`init_bridge`] — connect `kokkos-rs`'s dispatch chokepoint to the
+//!   rings (every kernel launch records a `KernelBegin`/`KernelEnd` pair
+//!   while armed) and mirror the armed flag so the disabled dispatch path
+//!   stays one atomic load. Every `licom::Model` installs it and owns its
+//!   rank's ring.
 //! * [`merge_causal`] / [`snapshot_all`] — merge per-rank snapshots into
 //!   one cross-rank stream ordered by `(lamport, rank, t_ns)`: a receive
 //!   always sorts after its send, whatever the wall clocks measured.
@@ -18,7 +19,8 @@
 //!   [`FLIGHT_SCHEMA`]. Failure edges call [`dump_on_failure`], which
 //!   also enforces the one-bundle-per-incident claim.
 //! * [`read_bundle`] / [`validate_bundle`] — parse + schema-check a
-//!   bundle (used by `licom-trace`, the CI smoke job, and the tests).
+//!   bundle in one walk of its events (used by `licom-trace`, the CI
+//!   smoke job, and the tests).
 //! * [`bundle_to_trace_events`] — re-express a bundle as chrome-trace
 //!   events for the existing [`crate::trace`] exporter, so a post-mortem
 //!   opens in Perfetto next to an ordinary profiler trace.
@@ -106,22 +108,13 @@ impl FlightSink for RingSink {
 }
 
 /// Install the kernel-event bridge and the armed-flag mirror (idempotent;
-/// every arming entry point calls it).
+/// `licom::Model::new` calls it).
 pub fn init_bridge() {
     static INIT: Once = Once::new();
     INIT.call_once(|| {
         kokkos_rs::profiling::install_flight_sink(Arc::new(RingSink));
         mpi_sim::flight::set_arm_observer(kokkos_rs::profiling::set_flight_armed);
     });
-}
-
-/// Arm flight recording for `comm`'s rank on the current thread (bridge
-/// included): until the returned guard drops, kernel launches, message
-/// traffic and explicit [`mpi_sim::flight::record`] calls from this
-/// thread land in the rank's ring.
-pub fn arm(comm: &Comm, capacity: usize) -> FlightScope {
-    init_bridge();
-    comm.arm_flight(capacity)
 }
 
 /// Sort events into the single cross-rank causal order: primary key is
@@ -244,6 +237,12 @@ pub struct BundleSummary {
 /// known kinds, and the causal-order invariant (Lamport stamps
 /// non-decreasing down the merged stream).
 pub fn validate_bundle(doc: &Json) -> Result<BundleSummary, String> {
+    parse_bundle(doc).map(|(summary, _)| summary)
+}
+
+/// The one walk [`validate_bundle`] and [`read_bundle`] share: check the
+/// bundle and decode each event as it is checked.
+fn parse_bundle(doc: &Json) -> Result<(BundleSummary, Vec<FlightEvent>), String> {
     let schema = doc
         .get("schema")
         .and_then(Json::as_str)
@@ -271,6 +270,7 @@ pub fn validate_bundle(doc: &Json) -> Result<BundleSummary, String> {
         ranks,
         ..BundleSummary::default()
     };
+    let mut decoded = Vec::with_capacity(events.len());
     let mut last_lamport = 0u64;
     for (i, ev) in events.iter().enumerate() {
         let field = |name: &str| {
@@ -278,16 +278,16 @@ pub fn validate_bundle(doc: &Json) -> Result<BundleSummary, String> {
                 .and_then(Json::as_num)
                 .ok_or(format!("event {i}: bad or missing `{name}`"))
         };
-        for name in ["t_ns", "rank", "a", "b", "c"] {
-            field(name)?;
+        let mut w = [0.0; 5];
+        for (word, name) in w.iter_mut().zip(["t_ns", "rank", "a", "b", "c"]) {
+            *word = field(name)?;
         }
-        let kind = ev
+        let name = ev
             .get("kind")
             .and_then(Json::as_str)
             .ok_or(format!("event {i}: missing kind"))?;
-        if FlightEventKind::from_name(kind).is_none() {
-            return Err(format!("event {i}: unknown kind {kind:?}"));
-        }
+        let kind = FlightEventKind::from_name(name)
+            .ok_or_else(|| format!("event {i}: unknown kind {name:?}"))?;
         let lamport = field("lamport")? as u64;
         if lamport < last_lamport {
             return Err(format!(
@@ -295,31 +295,18 @@ pub fn validate_bundle(doc: &Json) -> Result<BundleSummary, String> {
             ));
         }
         last_lamport = lamport;
-        *summary.by_kind.entry(kind.to_string()).or_insert(0) += 1;
+        *summary.by_kind.entry(name.to_string()).or_insert(0) += 1;
+        decoded.push(FlightEvent {
+            t_ns: w[0] as u64,
+            lamport,
+            rank: w[1] as i64,
+            kind,
+            a: w[2] as u64,
+            b: w[3] as u64,
+            c: w[4] as u64,
+        });
     }
-    Ok(summary)
-}
-
-fn event_from_json(ev: &Json, i: usize) -> Result<FlightEvent, String> {
-    let num = |name: &str| {
-        ev.get(name)
-            .and_then(Json::as_num)
-            .ok_or(format!("event {i}: bad or missing `{name}`"))
-    };
-    let kind = ev
-        .get("kind")
-        .and_then(Json::as_str)
-        .and_then(FlightEventKind::from_name)
-        .ok_or(format!("event {i}: bad kind"))?;
-    Ok(FlightEvent {
-        t_ns: num("t_ns")? as u64,
-        lamport: num("lamport")? as u64,
-        rank: num("rank")? as i64,
-        kind,
-        a: num("a")? as u64,
-        b: num("b")? as u64,
-        c: num("c")? as u64,
-    })
+    Ok((summary, decoded))
 }
 
 /// A parsed, validated bundle.
@@ -335,15 +322,7 @@ pub struct Bundle {
 pub fn read_bundle(path: &Path) -> Result<Bundle, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let doc = json::parse(&text)?;
-    validate_bundle(&doc)?;
-    let events = doc
-        .get("events")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[])
-        .iter()
-        .enumerate()
-        .map(|(i, ev)| event_from_json(ev, i))
-        .collect::<Result<Vec<_>, _>>()?;
+    let (summary, events) = parse_bundle(&doc)?;
     let kernel_names = match doc.get("kernel_names") {
         Some(Json::Obj(map)) => map
             .iter()
@@ -351,13 +330,8 @@ pub fn read_bundle(path: &Path) -> Result<Bundle, String> {
             .collect(),
         _ => BTreeMap::new(),
     };
-    let reason = doc
-        .get("reason")
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_string();
     Ok(Bundle {
-        reason,
+        reason: summary.reason,
         events,
         kernel_names,
     })
@@ -547,7 +521,7 @@ mod tests {
     fn armed_ring_dumps_every_recorded_event() {
         let dir = std::env::temp_dir().join(format!("kp-flight-dump-{}", std::process::id()));
         mpi_sim::World::run(1, |comm| {
-            let _scope = arm(comm, 512);
+            let _scope = comm.arm_flight(512);
             for i in 0..300 {
                 mpi_sim::flight::record(FlightEventKind::StepBegin, i, 0, 0);
             }

@@ -94,20 +94,6 @@ impl ImbalanceReport {
         }
     }
 
-    /// The `k` most imbalanced phases by `max_over_mean`, skipping phases
-    /// whose max is below `min_seconds` (noise floor: a 2 µs phase with
-    /// ratio 8 is not a finding).
-    pub fn top_imbalanced(&self, k: usize, min_seconds: f64) -> Vec<&PhaseImbalance> {
-        let mut v: Vec<&PhaseImbalance> = self
-            .phases
-            .iter()
-            .filter(|p| p.max >= min_seconds)
-            .collect();
-        v.sort_by(|a, b| b.max_over_mean.total_cmp(&a.max_over_mean));
-        v.truncate(k);
-        v
-    }
-
     /// ASCII heat map of per-rank total load, normalized to the busiest
     /// rank. One row per rank, one glyph per 2.5% of the maximum.
     pub fn heat_map(&self) -> String {
@@ -174,18 +160,6 @@ mod tests {
         // Heaviest phase sorts first.
         assert_eq!(r.phases[0].name, "canuto");
         assert_eq!(r.rank_totals, vec![5.0, 2.0, 3.0, 2.0]);
-    }
-
-    #[test]
-    fn top_imbalanced_applies_noise_floor() {
-        let mut profs = profiles();
-        // A microscopic but wildly imbalanced phase must not outrank
-        // canuto.
-        profs[0].push(("noise".into(), 1e-7));
-        profs[1].push(("noise".into(), 1e-9));
-        let r = ImbalanceReport::from_profiles(&profs);
-        let top = r.top_imbalanced(1, 1e-3);
-        assert_eq!(top[0].name, "canuto");
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //! A single [`Profiler`] aggregates every rank of an `mpi-sim` job
 //! (ranks are threads; see [`set_thread_rank`]), interleaves kernel spans
 //! with halo-traffic instants on per-rank tracks, and writes a
-//! Perfetto-loadable JSON atomically at run end. With no tool attached, the
-//! hook layer costs one atomic load per dispatch — the model's
-//! zero-allocation steady state is untouched.
+//! Perfetto-loadable JSON atomically at run end. [`attach`] puts it in
+//! `kokkos-rs`'s one consumer slot (the process-global tool) and makes it
+//! the `mpi-sim` traffic tap. With no tool attached, the hook layer costs
+//! one atomic load per dispatch — the model's zero-allocation steady state
+//! is untouched. The [`flight`] recorder has no off switch: every
+//! `licom::Model` owns its rank's ring.
 
 pub mod clock;
 pub mod durable;
@@ -40,9 +43,7 @@ pub use json::{
     parse as parse_json, render as render_json, render_pretty as render_json_pretty,
     validate_chrome_trace, Json, TraceSummary,
 };
-pub use profiler::{
-    attach, attach_instance, detach, detach_instance, set_thread_rank, KernelKey, Profiler,
-};
+pub use profiler::{attach, detach, set_thread_rank, KernelKey, Profiler};
 pub use prometheus::{
     render_gauge, render_named_counters, render_named_gauges, render_prometheus_labeled,
 };
@@ -51,7 +52,6 @@ pub use trace::{ArgValue, TraceEvent, COMM_TRACK, COUNTER_TRACK};
 
 /// Re-export of the hook side so consumers need only this crate.
 pub use kokkos_rs::profiling::{
-    current_instance, enabled, enter_instance, next_instance_key, region, test_registry_lock,
-    DeepCopyInfo, InstanceKey, InstanceScope, KernelId, KernelInfo, PatternKind, PolicyKind,
-    ProfilingHooks,
+    enabled, region, test_registry_lock, DeepCopyInfo, KernelId, KernelInfo, PatternKind,
+    PolicyKind, ProfilingHooks,
 };

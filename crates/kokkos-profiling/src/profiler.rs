@@ -405,18 +405,3 @@ pub fn detach() {
     profiling::clear_hooks();
     mpi_sim::clear_tap();
 }
-
-/// Register `profiler` as the consumer for one instance key: every
-/// kernel span and region dispatched from a thread inside
-/// [`kokkos_rs::profiling::enter_instance`]`(key)` lands in this
-/// profiler — and only this one — so concurrently-served model
-/// instances each get a private event stream. The `mpi-sim` tap is
-/// *not* touched (it is a transport-level, per-world concern).
-pub fn attach_instance(key: kokkos_rs::InstanceKey, profiler: Arc<Profiler>) {
-    profiling::register_instance_hooks(key, profiler);
-}
-
-/// Remove the per-instance consumer registered under `key`.
-pub fn detach_instance(key: kokkos_rs::InstanceKey) {
-    profiling::unregister_instance_hooks(key);
-}

@@ -57,9 +57,7 @@ pub use parallel::{
     parallel_for_1d, parallel_for_3d, parallel_for_list, parallel_reduce_3d, parallel_reduce_list,
 };
 pub use policy::{ListPolicy, MDRangePolicy3, Policy, RangePolicy};
-pub use profiling::{
-    DeepCopyInfo, InstanceKey, KernelId, KernelInfo, PatternKind, PolicyKind, ProfilingHooks,
-};
+pub use profiling::{DeepCopyInfo, KernelId, KernelInfo, PatternKind, PolicyKind, ProfilingHooks};
 pub use space::Space;
 pub use team::{parallel_for_team, FunctorTeam, TeamPolicy};
 pub use view::{deep_copy, Layout, View, View1, View2, View3};

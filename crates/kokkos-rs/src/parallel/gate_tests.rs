@@ -8,6 +8,7 @@ use crate::view::{View, View1};
 use proptest::prelude::*;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
+use std::thread::{self, ThreadId};
 
 const N: usize = MIN_POOL_ITERATIONS;
 
@@ -67,24 +68,40 @@ impl ReduceFunctorList for Probe {
     }
 }
 
-/// Counts `begin_*` / `end_*` callbacks of the launching thread's instance.
-#[derive(Default)]
+/// Counts `begin_*` / `end_*` callbacks fired on one thread. The tool is
+/// process-global, so launches of tests running beside this one are left
+/// out by the thread that fired them.
 struct Count {
+    owner: ThreadId,
     begun: AtomicUsize,
     ended: AtomicUsize,
 }
+impl Count {
+    fn on_this_thread() -> Self {
+        Self {
+            owner: thread::current().id(),
+            begun: AtomicUsize::new(0),
+            ended: AtomicUsize::new(0),
+        }
+    }
+    fn bump(&self, n: &AtomicUsize) {
+        if thread::current().id() == self.owner {
+            n.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
 impl ProfilingHooks for Count {
     fn begin_parallel_for(&self, _: KernelId, _: &KernelInfo) {
-        self.begun.fetch_add(1, Ordering::SeqCst);
+        self.bump(&self.begun);
     }
     fn end_parallel_for(&self, _: KernelId) {
-        self.ended.fetch_add(1, Ordering::SeqCst);
+        self.bump(&self.ended);
     }
     fn begin_parallel_reduce(&self, _: KernelId, _: &KernelInfo) {
-        self.begun.fetch_add(1, Ordering::SeqCst);
+        self.bump(&self.begun);
     }
     fn end_parallel_reduce(&self, _: KernelId) {
-        self.ended.fetch_add(1, Ordering::SeqCst);
+        self.bump(&self.ended);
     }
 }
 
@@ -136,12 +153,10 @@ fn dims_of(n: usize) -> [usize; 3] {
 
 #[test]
 fn either_side_of_the_gate_gives_serial_bits_and_counts_one_launch() {
-    // Registered instance hooks flip the registry's one `enabled` flag.
+    // An attached tool flips the registry's one `enabled` flag.
     let _serial = profiling::test_registry_lock();
-    let key = profiling::next_instance_key();
-    let count = Arc::new(Count::default());
-    profiling::register_instance_hooks(key, count.clone());
-    let _scope = profiling::enter_instance(key);
+    let count = Arc::new(Count::on_this_thread());
+    profiling::set_hooks(count.clone());
 
     for n in [0, 1, N - 1, N, N + 1] {
         let dims = dims_of(n);
@@ -162,8 +177,7 @@ fn either_side_of_the_gate_gives_serial_bits_and_counts_one_launch() {
             }
         }
     }
-    drop(_scope);
-    profiling::unregister_instance_hooks(key);
+    profiling::clear_hooks();
 }
 
 #[test]

@@ -1,6 +1,5 @@
 //! One served model instance: a full [`licom::Model`] on a private
-//! single-rank world, with an isolated checkpoint ring and a profiling
-//! identity of its own.
+//! single-rank world, with an isolated checkpoint ring of its own.
 //!
 //! Instances are deliberately *not* tied to the thread that created them
 //! — `Model` is a plain owned value over `Send + Sync` views, so a
@@ -13,7 +12,6 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use kokkos_rs::profiling::{enter_instance, next_instance_key, InstanceKey};
 use licom::{CheckpointManager, Model};
 use mpi_sim::World;
 
@@ -34,10 +32,6 @@ pub struct Instance {
     /// `instance` label value.
     pub name: String,
     pub tenant: String,
-    /// Profiling identity: kernels dispatched while stepping this
-    /// instance are attributed to this key (never to the global tool or
-    /// a sibling instance).
-    pub key: InstanceKey,
     model: Model,
     ckpt: Option<CheckpointManager>,
     ckpt_every: u64,
@@ -74,7 +68,6 @@ impl Instance {
         Instance {
             name,
             tenant: spec.tenant.clone(),
-            key: next_instance_key(),
             model,
             ckpt,
             ckpt_every,
@@ -120,12 +113,10 @@ impl Instance {
     }
 
     /// Advance one step (or roll back, if the spec injected a rollback
-    /// at the current step count). Kernel dispatches inside are
-    /// attributed to this instance's profiling key. Errors are stringly
+    /// at the current step count). Errors are stringly
     /// typed — the server marks the job `Failed` and moves on; one bad
     /// instance must never poison the pool.
     pub fn step_once(&mut self, cancel: &AtomicBool) -> Result<StepOutcome, String> {
-        let _scope = enter_instance(self.key);
         let mut out = StepOutcome::default();
 
         if let Some(at) = self.rollback_at {

@@ -10,7 +10,7 @@
 //!
 //! | Piece | Where |
 //! |---|---|
-//! | Instance table: model + checkpoint ring + profiling identity | [`instance`] |
+//! | Instance table: model + checkpoint ring | [`instance`] |
 //! | Stride scheduler: per-tenant virtual time, priority weights, quotas | [`scheduler`] |
 //! | Job API: `submit` / `status` / `cancel` / streamed [`JobEvent`]s | [`server`] |
 //! | Step-latency histogram + Prometheus exposition | [`metrics`] |

@@ -18,9 +18,9 @@
 //! ## Isolation
 //!
 //! Every instance owns a private solo world (mailboxes, pools, traffic),
-//! its own checkpoint-ring directory, its own `Timers`, and a profiling
-//! [`InstanceKey`](kokkos_rs::profiling::InstanceKey) — the only shared
-//! mutable state is the scheduler and the (atomic) metrics. The
+//! its own checkpoint-ring directory, its own `Timers` and its own flight
+//! ring — the only shared mutable state is the scheduler and the (atomic)
+//! metrics. The
 //! isolation tests assert the strong version of this: N instances
 //! interleaved on a shared pool finish bitwise identical to the same
 //! specs run sequentially.

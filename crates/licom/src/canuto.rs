@@ -197,21 +197,6 @@ impl CanutoFields {
     }
 }
 
-/// Evaluate the expensive closure for a buffer of `(n², s²)` interface
-/// pairs (the unit of work shipped between ranks). Layout: for each
-/// column, `nlev` pairs; output `(km, kh)` pairs in the same order.
-pub fn evaluate_buffer(n2s2: &[f64]) -> Vec<f64> {
-    assert_eq!(n2s2.len() % 2, 0);
-    let mut out = Vec::with_capacity(n2s2.len());
-    for pair in n2s2.chunks_exact(2) {
-        let ri = pair[0] / pair[1].max(1e-12);
-        let (km, kh) = mixing_coefficients(ri);
-        out.push(km);
-        out.push(kh);
-    }
-    out
-}
-
 /// Report of one balanced cross-rank canuto evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BalanceReport {
@@ -444,16 +429,6 @@ mod tests {
             let (km, kh) = mixing_coefficients(ri);
             assert!((KM_BACKGROUND..=K_MAX + KM_BACKGROUND).contains(&km));
             assert!((KH_BACKGROUND..=K_MAX + KH_BACKGROUND).contains(&kh));
-        }
-    }
-
-    #[test]
-    fn evaluate_buffer_matches_pointwise() {
-        let inputs = vec![1e-5, 1e-6, -1e-5, 1e-6, 0.0, 1e-4];
-        let out = evaluate_buffer(&inputs);
-        for (pair, got) in inputs.chunks_exact(2).zip(out.chunks_exact(2)) {
-            let want = mixing_coefficients(pair[0] / pair[1].max(1e-12));
-            assert_eq!((got[0], got[1]), want);
         }
     }
 }

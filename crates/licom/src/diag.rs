@@ -417,28 +417,6 @@ pub fn overturning_streamfunction(g: &LocalGrid, v: &View3<f64>) -> Vec<Vec<f64>
     psi
 }
 
-/// Barotropic (vertically integrated) transport streamfunction ψ_b(j)
-/// profile: cumulative zonal integral of depth-integrated v along the
-/// row, in Sverdrups. Returns per-row maxima — the gyre-strength scalar.
-pub fn gyre_strength_sv(g: &LocalGrid, v: &View3<f64>) -> f64 {
-    let mut max_abs: f64 = 0.0;
-    for j in 0..g.ny {
-        let jl = j + H;
-        let mut psi = 0.0f64;
-        for i in 0..g.nx {
-            let il = i + H;
-            let mut column = 0.0;
-            for k in 0..g.kmt.at(jl, il).max(0) as usize {
-                let vf = 0.5 * (v.at(k, jl, il) + v.at(k, jl, il - 1));
-                column += vf * g.dz.at(k);
-            }
-            psi += column * g.dxt.at(jl);
-            max_abs = max_abs.max(psi.abs() / 1.0e6);
-        }
-    }
-    max_abs
-}
-
 #[cfg(test)]
 mod moc_tests {
     use super::*;
@@ -464,7 +442,6 @@ mod moc_tests {
         let v: View3<f64> = View::host("v", [g.nz, g.pj, g.pi]);
         let psi = overturning_streamfunction(&g, &v);
         assert!(psi.iter().flatten().all(|&x| x == 0.0));
-        assert_eq!(gyre_strength_sv(&g, &v), 0.0);
     }
 
     #[test]

@@ -55,9 +55,9 @@ pub use step::{Carry, Phase, Poster, PHASES};
 
 /// Model configuration: the planet, the knobs of the paper's optimizations
 /// (`limiter`, `overlap`, `vmix_team`), the wait schedule
-/// and the flight recorder. The physics guard ([`crate::guard`], default
-/// [`crate::GuardConfig`] bounds) and the CRC framing of every halo
-/// message are always on.
+/// and where post-mortem bundles land. The physics guard ([`crate::guard`],
+/// default [`crate::GuardConfig`] bounds), the CRC framing of every halo
+/// message and the flight recorder are always on.
 #[derive(Clone)]
 pub struct ModelOptions {
     pub bathymetry: Bathymetry,
@@ -84,14 +84,10 @@ pub struct ModelOptions {
     /// Tests shrink it ([`RetryPolicy::test_small`]) so unrecoverable
     /// paths fail fast.
     pub retry: RetryPolicy,
-    /// Always-on flight recorder: per-rank lock-free event rings with a
-    /// Lamport clock piggybacked on every message, snapshotted into a
-    /// post-mortem bundle on any failure edge. Recording costs tens of
-    /// nanoseconds per event; disabling reduces the hot path to a single
-    /// atomic load.
-    pub flight: bool,
-    /// Where post-mortem bundles land; `None` uses
-    /// `std::env::temp_dir()/licom_flight`.
+    /// Where the always-on flight recorder's post-mortem bundles land;
+    /// `None` uses `std::env::temp_dir()/licom_flight`. Every model owns
+    /// its rank's lock-free event ring (a Lamport clock piggybacks on every
+    /// message), snapshotted into one bundle on any failure edge.
     pub flight_dir: Option<std::path::PathBuf>,
 }
 
@@ -103,7 +99,6 @@ impl Default for ModelOptions {
             overlap: true,
             vmix_team: false,
             retry: RetryPolicy::default(),
-            flight: true,
             flight_dir: None,
         }
     }
@@ -219,7 +214,7 @@ pub struct Model {
     /// same limit.
     guard_limit: f64,
     step_count: u64,
-    flight: Option<mpi_sim::flight::FlightCtx>,
+    flight: mpi_sim::flight::FlightCtx,
     flight_dir: std::path::PathBuf,
 }
 
@@ -291,10 +286,8 @@ impl Model {
         let wet = WetPolicies::build(&grid);
         let maxima = ColumnMaxima::new(grid.pj, grid.pi);
 
-        let flight = opts.flight.then(|| {
-            kokkos_profiling::flight::init_bridge();
-            comm.flight_ctx(mpi_sim::flight::DEFAULT_CAPACITY)
-        });
+        kokkos_profiling::flight::init_bridge();
+        let flight = comm.flight_ctx(mpi_sim::flight::DEFAULT_CAPACITY);
         let flight_dir = opts
             .flight_dir
             .clone()
@@ -328,25 +321,21 @@ impl Model {
 
     /// Arm the flight recorder on this thread: comm-layer events (message
     /// sends/recvs, halo frames, retries) and kernel spans record into
-    /// this rank's ring for the lifetime of the returned scope. No-op
-    /// guard when the recorder is disabled.
-    pub fn flight_scope(&self) -> Option<mpi_sim::flight::FlightScope> {
-        self.flight.clone().map(mpi_sim::flight::enter)
+    /// this rank's ring for the lifetime of the returned scope.
+    pub fn flight_scope(&self) -> mpi_sim::flight::FlightScope {
+        mpi_sim::flight::enter(self.flight.clone())
     }
 
     /// Record one event into this rank's flight ring, bypassing the
     /// thread-local scope (safe from any thread that holds the model).
     pub fn flight_note(&self, kind: mpi_sim::flight::FlightEventKind, a: u64, b: u64, c: u64) {
-        if let Some(ctx) = &self.flight {
-            ctx.ring.record(&ctx.clock, kind, a, b, c);
-        }
+        self.flight.ring.record(&self.flight.clock, kind, a, b, c);
     }
 
     /// Snapshot every reachable rank ring into an atomic post-mortem
     /// bundle. At most one bundle is written per world per incident; the
     /// path of the written bundle is returned to the claiming rank.
     pub fn dump_flight(&self, reason: &str) -> Option<std::path::PathBuf> {
-        self.flight.as_ref()?;
         kokkos_profiling::flight::dump_on_failure(&self.flight_dir, reason, &self.comm)
     }
 

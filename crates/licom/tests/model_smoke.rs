@@ -221,23 +221,21 @@ fn the_step_is_its_table() {
 
     let _serial = hooks::test_registry_lock();
     let rec = Arc::new(Rec::default());
-    // Instance hooks see this test's rank threads only; the tap is
-    // process-wide, so its events are sorted out by thread below.
-    let key = hooks::next_instance_key();
-    hooks::register_instance_hooks(key, rec.clone());
+    // The tool and the tap are process-wide, so events of tests running
+    // beside this one are sorted out by thread below.
+    hooks::set_hooks(rec.clone());
     mpi_sim::set_tap(rec.clone());
     let cfg = Resolution::Eddy10km.config().scaled_down(60, 6);
     let spans = World::run(2, |comm| {
         let space = kokkos_rs::Space::serial();
         let mut m = Model::new(comm, cfg.clone(), space, ModelOptions::default());
         m.run_steps(1);
-        let _scope = hooks::enter_instance(key);
         let from = rec.log(Ev::Region(None));
         m.step();
         (thread::current().id(), from..rec.log(Ev::Region(None)) - 1)
     });
     mpi_sim::clear_tap();
-    hooks::unregister_instance_hooks(key);
+    hooks::clear_hooks();
 
     let log = rec.0.lock().unwrap();
     let carries = [Carry::Uv, Carry::Ts, Carry::Asselin];

@@ -202,11 +202,6 @@ impl Comm {
         self.world_rank
     }
 
-    /// Total rank count of the root world, spares included.
-    pub fn world_size(&self) -> usize {
-        self.shared.n
-    }
-
     /// Trailing world ranks reserved as recovery spares (see
     /// [`WorldConfig::spares`]).
     pub fn spares(&self) -> usize {
@@ -734,12 +729,6 @@ impl Comm {
     /// check this after a failed step to halt the dead rank's thread.
     pub fn self_failed(&self) -> bool {
         self.shared.is_dead(self.world_rank)
-    }
-
-    /// Epoch at which `rank` (communicator numbering) died, if it has.
-    pub fn death_epoch(&self, rank: usize) -> Option<u64> {
-        let e = self.shared.deaths[self.wr(rank)].load(Ordering::Relaxed);
-        (e != u64::MAX).then_some(e)
     }
 
     /// Ask the fault layer's escrow for the pristine payload of an injected
@@ -1377,7 +1366,6 @@ mod tests {
             while comm.is_alive(1) {
                 std::thread::yield_now();
             }
-            assert_eq!(comm.death_epoch(1), Some(3));
         });
         assert_eq!(t.rank_deaths, 1);
     }
@@ -1449,7 +1437,6 @@ mod tests {
             }
             let sub = comm.with_members(&[0, 2], 99);
             assert_eq!(sub.size(), 2);
-            assert_eq!(sub.world_size(), 3);
             if comm.rank() == 0 {
                 assert_eq!(sub.rank(), 0);
                 assert_eq!(sub.world_rank(), 0);

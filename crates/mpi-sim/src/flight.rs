@@ -44,120 +44,101 @@ pub const FLIGHT_SCHEMA: &str = "licomkpp-flight-v1";
 /// Default per-rank ring capacity (events retained).
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// What happened. The `a`/`b`/`c` payload words are kind-specific:
-///
-/// | kind               | a                  | b                | c          |
-/// |--------------------|--------------------|------------------|------------|
-/// | `StepBegin`/`End`  | epoch (step)       | —                | —          |
-/// | `KernelBegin`      | kernel id          | name hash        | work items |
-/// | `KernelEnd`        | kernel id          | —                | —          |
-/// | `MsgSend`/`Recv`   | peer world rank    | wire tag         | f64 words  |
-/// | `HaloSend`/`Recv`  | packed (epoch,ord) | peer rank        | words      |
-/// | `IntegrityRetry`   | packed (epoch,ord) | peer rank        | attempt    |
-/// | `EscrowResend`     | peer rank          | wire tag         | words      |
-/// | `CrcFailure`       | packed (epoch,ord) | peer rank        | —          |
-/// | `GuardTrip`        | step               | field ordinal    | —          |
-/// | `Drift`            | step               | kind ordinal     | —          |
-/// | `CheckpointSave`   | step               | —                | —          |
-/// | `CheckpointRestore`| step               | —                | —          |
-/// | `Rollback`         | from step          | to step          | —          |
-/// | `ConsensusRound`   | round              | survivors        | —          |
-/// | `PeerDead`         | peer world rank    | wire tag         | —          |
-/// | `RankDeath`        | world rank         | death epoch      | —          |
-/// | `SchedDecision`    | job id             | steps done       | —          |
-/// | `JobFail`          | job id             | steps done       | —          |
-#[repr(u8)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FlightEventKind {
-    StepBegin = 1,
-    StepEnd = 2,
-    KernelBegin = 3,
-    KernelEnd = 4,
-    MsgSend = 5,
-    MsgRecv = 6,
-    HaloSend = 7,
-    HaloRecv = 8,
-    IntegrityRetry = 9,
-    EscrowResend = 10,
-    CrcFailure = 11,
-    GuardTrip = 12,
-    /// No recorder emits it any more (drift trips are counted, not
-    /// escalated); the code stays for `licomkpp-flight-v1` bundles already
-    /// written.
-    Drift = 13,
-    CheckpointSave = 14,
-    CheckpointRestore = 15,
-    Rollback = 16,
-    ConsensusRound = 17,
-    PeerDead = 18,
-    RankDeath = 19,
-    SchedDecision = 20,
-    JobFail = 21,
+/// Declares [`FlightEventKind`] once: the enum, [`FlightEventKind::ALL`],
+/// and the code and name each kind carries on the wire, both ways.
+macro_rules! event_kinds {
+    ($(#[$doc:meta])* pub enum FlightEventKind {
+        $($(#[$kdoc:meta])* $kind:ident = $code:literal,)*
+    }) => {
+        $(#[$doc])*
+        #[repr(u8)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum FlightEventKind {
+            $($(#[$kdoc])* $kind = $code,)*
+        }
+
+        const KINDS: usize = [$(stringify!($kind)),*].len();
+
+        impl FlightEventKind {
+            /// Every kind, in code order (for validators and exhaustive tests).
+            pub const ALL: [FlightEventKind; KINDS] = [$(FlightEventKind::$kind),*];
+
+            pub fn code(self) -> u8 {
+                self as u8
+            }
+
+            pub fn from_code(code: u64) -> Option<FlightEventKind> {
+                match code {
+                    $($code => Some(FlightEventKind::$kind),)*
+                    _ => None,
+                }
+            }
+
+            /// Stable name used in serialized bundles and reports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(FlightEventKind::$kind => stringify!($kind),)*
+                }
+            }
+
+            pub fn from_name(name: &str) -> Option<FlightEventKind> {
+                match name {
+                    $(stringify!($kind) => Some(FlightEventKind::$kind),)*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-impl FlightEventKind {
-    /// Every kind, in code order (for validators and exhaustive tests).
-    pub const ALL: [FlightEventKind; 21] = [
-        FlightEventKind::StepBegin,
-        FlightEventKind::StepEnd,
-        FlightEventKind::KernelBegin,
-        FlightEventKind::KernelEnd,
-        FlightEventKind::MsgSend,
-        FlightEventKind::MsgRecv,
-        FlightEventKind::HaloSend,
-        FlightEventKind::HaloRecv,
-        FlightEventKind::IntegrityRetry,
-        FlightEventKind::EscrowResend,
-        FlightEventKind::CrcFailure,
-        FlightEventKind::GuardTrip,
-        FlightEventKind::Drift,
-        FlightEventKind::CheckpointSave,
-        FlightEventKind::CheckpointRestore,
-        FlightEventKind::Rollback,
-        FlightEventKind::ConsensusRound,
-        FlightEventKind::PeerDead,
-        FlightEventKind::RankDeath,
-        FlightEventKind::SchedDecision,
-        FlightEventKind::JobFail,
-    ];
-
-    pub fn code(self) -> u8 {
-        self as u8
-    }
-
-    pub fn from_code(code: u64) -> Option<FlightEventKind> {
-        Self::ALL.iter().copied().find(|k| k.code() as u64 == code)
-    }
-
-    /// Stable name used in serialized bundles and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlightEventKind::StepBegin => "StepBegin",
-            FlightEventKind::StepEnd => "StepEnd",
-            FlightEventKind::KernelBegin => "KernelBegin",
-            FlightEventKind::KernelEnd => "KernelEnd",
-            FlightEventKind::MsgSend => "MsgSend",
-            FlightEventKind::MsgRecv => "MsgRecv",
-            FlightEventKind::HaloSend => "HaloSend",
-            FlightEventKind::HaloRecv => "HaloRecv",
-            FlightEventKind::IntegrityRetry => "IntegrityRetry",
-            FlightEventKind::EscrowResend => "EscrowResend",
-            FlightEventKind::CrcFailure => "CrcFailure",
-            FlightEventKind::GuardTrip => "GuardTrip",
-            FlightEventKind::Drift => "Drift",
-            FlightEventKind::CheckpointSave => "CheckpointSave",
-            FlightEventKind::CheckpointRestore => "CheckpointRestore",
-            FlightEventKind::Rollback => "Rollback",
-            FlightEventKind::ConsensusRound => "ConsensusRound",
-            FlightEventKind::PeerDead => "PeerDead",
-            FlightEventKind::RankDeath => "RankDeath",
-            FlightEventKind::SchedDecision => "SchedDecision",
-            FlightEventKind::JobFail => "JobFail",
-        }
-    }
-
-    pub fn from_name(name: &str) -> Option<FlightEventKind> {
-        Self::ALL.iter().copied().find(|k| k.name() == name)
+event_kinds! {
+    /// What happened. The `a`/`b`/`c` payload words are kind-specific:
+    ///
+    /// | kind               | a                  | b                | c          |
+    /// |--------------------|--------------------|------------------|------------|
+    /// | `StepBegin`/`End`  | epoch (step)       | —                | —          |
+    /// | `KernelBegin`      | kernel id          | name hash        | work items |
+    /// | `KernelEnd`        | kernel id          | —                | —          |
+    /// | `MsgSend`/`Recv`   | peer world rank    | wire tag         | f64 words  |
+    /// | `HaloSend`/`Recv`  | packed (epoch,ord) | peer rank        | words      |
+    /// | `IntegrityRetry`   | packed (epoch,ord) | peer rank        | attempt    |
+    /// | `EscrowResend`     | peer rank          | wire tag         | words      |
+    /// | `CrcFailure`       | packed (epoch,ord) | peer rank        | —          |
+    /// | `GuardTrip`        | step               | field ordinal    | —          |
+    /// | `Drift`            | step               | kind ordinal     | —          |
+    /// | `CheckpointSave`   | step               | —                | —          |
+    /// | `CheckpointRestore`| step               | —                | —          |
+    /// | `Rollback`         | from step          | to step          | —          |
+    /// | `ConsensusRound`   | round              | survivors        | —          |
+    /// | `PeerDead`         | peer world rank    | wire tag         | —          |
+    /// | `RankDeath`        | world rank         | death epoch      | —          |
+    /// | `SchedDecision`    | job id             | steps done       | —          |
+    /// | `JobFail`          | job id             | steps done       | —          |
+    pub enum FlightEventKind {
+        StepBegin = 1,
+        StepEnd = 2,
+        KernelBegin = 3,
+        KernelEnd = 4,
+        MsgSend = 5,
+        MsgRecv = 6,
+        HaloSend = 7,
+        HaloRecv = 8,
+        IntegrityRetry = 9,
+        EscrowResend = 10,
+        CrcFailure = 11,
+        GuardTrip = 12,
+        /// No recorder emits it any more (drift trips are counted, not
+        /// escalated); the code stays for `licomkpp-flight-v1` bundles
+        /// already written.
+        Drift = 13,
+        CheckpointSave = 14,
+        CheckpointRestore = 15,
+        Rollback = 16,
+        ConsensusRound = 17,
+        PeerDead = 18,
+        RankDeath = 19,
+        SchedDecision = 20,
+        JobFail = 21,
     }
 }
 
@@ -594,6 +575,45 @@ mod tests {
         }
         assert_eq!(FlightEventKind::from_code(0), None);
         assert_eq!(FlightEventKind::from_code(255), None);
+    }
+
+    /// The codes and names `licomkpp-flight-v1` bundles already hold: a
+    /// kind may be added after the last code, never renumbered or renamed.
+    #[test]
+    fn wire_table_is_pinned() {
+        const WIRE: [(u8, &str); 21] = [
+            (1, "StepBegin"),
+            (2, "StepEnd"),
+            (3, "KernelBegin"),
+            (4, "KernelEnd"),
+            (5, "MsgSend"),
+            (6, "MsgRecv"),
+            (7, "HaloSend"),
+            (8, "HaloRecv"),
+            (9, "IntegrityRetry"),
+            (10, "EscrowResend"),
+            (11, "CrcFailure"),
+            (12, "GuardTrip"),
+            (13, "Drift"),
+            (14, "CheckpointSave"),
+            (15, "CheckpointRestore"),
+            (16, "Rollback"),
+            (17, "ConsensusRound"),
+            (18, "PeerDead"),
+            (19, "RankDeath"),
+            (20, "SchedDecision"),
+            (21, "JobFail"),
+        ];
+        let table: Vec<(u8, &str)> = FlightEventKind::ALL
+            .iter()
+            .map(|k| (k.code(), k.name()))
+            .collect();
+        assert_eq!(table, WIRE);
+        for (code, name) in WIRE {
+            let kind = FlightEventKind::from_code(code as u64);
+            assert_eq!(kind.map(FlightEventKind::name), Some(name));
+            assert_eq!(FlightEventKind::from_name(name), kind);
+        }
     }
 
     #[test]

@@ -132,23 +132,6 @@ impl BlockDecomp {
         let max = *active.iter().max().unwrap() as f64;
         max / mean
     }
-
-    /// Ranks owning no ocean at all (candidates for land-block
-    /// elimination).
-    pub fn land_ranks(&self, grid: &GlobalGrid) -> usize {
-        self.ocean_cells_per_rank(grid)
-            .iter()
-            .filter(|&&n| n == 0)
-            .count()
-    }
-
-    /// Halo cells exchanged per baroclinic step by rank `r`, per field,
-    /// counting both x and y edges at width [`HALO`] (used by the network
-    /// model).
-    pub fn halo_cells(&self, rank: usize) -> usize {
-        let b = self.block_of_rank(rank);
-        2 * HALO * (b.nx + b.ny)
-    }
 }
 
 #[cfg(test)]
@@ -213,22 +196,6 @@ mod tests {
         let d = BlockDecomp::new(96, 48, 4, 4);
         let per = d.wet_points_per_rank(&g);
         assert_eq!(per.iter().sum::<usize>(), g.wet_points_3d());
-    }
-
-    #[test]
-    fn some_ranks_are_pure_land_at_scale() {
-        let g = grid();
-        let d = BlockDecomp::new(96, 48, 16, 8);
-        // With 128 small blocks on an Earth-like planet, some fall wholly
-        // on land (Eurasia/Antarctica).
-        assert!(d.land_ranks(&g) > 0);
-    }
-
-    #[test]
-    fn halo_cells_formula() {
-        let d = BlockDecomp::new(96, 48, 6, 4);
-        let b = d.block_of_rank(0);
-        assert_eq!(d.halo_cells(0), 2 * HALO * (b.nx + b.ny));
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl TripolarGrid {
         2.0 * OMEGA * lat_corner.to_radians().sin()
     }
 
-    /// Cell area in m² at tracer point `(j, i)`.
-    pub fn area_t(&self, j: usize) -> f64 {
-        self.dx_t[j] * self.dy_t
-    }
-
     /// Nominal resolution in kilometers (equatorial zonal spacing).
     pub fn nominal_res_km(&self) -> f64 {
         let jeq = self
@@ -209,13 +204,5 @@ mod tests {
         let g = TripolarGrid::new(360, 218);
         assert!((g.lon_t(0) - 0.5).abs() < 1e-12);
         assert!((g.lon_t(359) - 359.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn area_positive_everywhere() {
-        let g = TripolarGrid::new(90, 55);
-        for j in 0..55 {
-            assert!(g.area_t(j) > 0.0);
-        }
     }
 }

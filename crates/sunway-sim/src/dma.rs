@@ -7,11 +7,14 @@
 //! tile's compute (§V-C2), and the 3D-halo transpose kernels are written to
 //! turn strided accesses into contiguous DMA streams (§V-D).
 //!
-//! Functionally a transfer is a `memcpy`; temporally it costs
-//! `latency + bytes / (bandwidth / active_cpes)` cycles. Asynchronous
-//! transfers return a [`DmaHandle`] whose `ready_at` cycle stamp is resolved
-//! by `CpeCtx::dma_wait`, so overlapped kernels genuinely hide transfer time
-//! in the simulated clock.
+//! No data moves (kernels read host memory directly in the shared-space
+//! simulation); a transfer is charged, and costs `latency + bytes /
+//! (bandwidth / active_cpes)` cycles. Asynchronous transfers
+//! (`CpeCtx::dma_get_async_model` / `dma_put_async_model`) return a
+//! [`DmaHandle`] whose `ready_at` cycle stamp is resolved by
+//! `CpeCtx::dma_wait`, so overlapped kernels genuinely hide transfer time in
+//! the simulated clock; `CpeCtx::account_dma_traffic` charges a blocking
+//! round-trip.
 
 /// Cycles charged for issuing an asynchronous DMA descriptor (the CPE keeps
 /// running afterwards).
@@ -23,11 +26,10 @@ pub const LDM_BYTES_PER_CYCLE: u64 = 32;
 
 /// Handle to an in-flight asynchronous DMA transfer.
 ///
-/// The data itself is already delivered (the simulator copies eagerly so
-/// results are deterministic); the handle only carries *time*. Waiting on it
-/// advances the CPE clock to `ready_at` if the transfer has not yet
-/// "completed" — i.e. compute that ran between issue and wait is overlapped
-/// for free, exactly like hardware double-buffering.
+/// No data moves (the kernel reads host memory directly); the handle only
+/// carries *time*. Waiting on it advances the CPE clock to `ready_at` if the
+/// transfer has not yet "completed" — i.e. compute that ran between issue
+/// and wait is overlapped for free, exactly like hardware double-buffering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[must_use = "an unawaited DMA transfer hides no latency; call CpeCtx::dma_wait"]
 pub struct DmaHandle {

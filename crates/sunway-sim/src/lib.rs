@@ -17,9 +17,9 @@
 //!   `KOKKOS_REGISTER_FOR_*` macros) and dispatch through a lookup table.
 //! * [`ldm`] is an explicitly managed scratchpad: 256 kB per CPE, bump
 //!   allocated, with hard failure on exhaustion.
-//! * [`dma`] transfers are explicit, with synchronous and asynchronous
-//!   (double-bufferable) variants; simulated cost follows the CG's
-//!   51.2 GB/s memory bandwidth shared by all active CPEs.
+//! * [`dma`] transfers are charged explicitly, blocking or asynchronous
+//!   (double-buffered through [`pipeline::DmaPipe`]); simulated cost follows
+//!   the CG's 51.2 GB/s memory bandwidth shared by all active CPEs.
 //!
 //! Execution is *real* (CPE kernels actually run, on a persistent worker
 //! pool, so portability tests compare bitwise results across backends) and

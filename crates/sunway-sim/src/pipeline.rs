@@ -4,13 +4,16 @@
 //! technique that leverages the asynchronous mechanism of the Sunway
 //! architecture between the CPE workload execution and DMA transfers."
 //!
-//! [`stream_tiles`] is that pattern as a reusable primitive: it walks a
-//! large main-memory array tile by tile, keeping two LDM buffers in
-//! flight — while tile `n` is being computed, tile `n+1` is already
-//! streaming in, and tile `n-1`'s results are streaming out. In the
+//! [`DmaPipe`] is that schedule as the SwAthread backend charges it: while
+//! tile `n` is being computed, tile `n+1` is already streaming in and tile
+//! `n-1`'s results are streaming out, through two LDM buffers. A CPE whose
+//! share is one tile takes [`stream_single_tile`] instead. Both are
+//! accounting only (the functor reads host memory directly), and in the
 //! simulated clock the transfer time genuinely disappears behind compute
 //! (see the tests); on real hardware this is the difference between a
-//! memory-latency-bound and a bandwidth-bound kernel.
+//! memory-latency-bound and a bandwidth-bound kernel. The module also
+//! holds the Eq. 1/2 tile choice ([`choose_tile_elems`]) and the
+//! DMA-vs-compute crossover ([`dma_crossover_iters`]).
 
 use crate::athread::CpeCtx;
 use crate::config::CgConfig;
@@ -199,161 +202,11 @@ pub fn stream_single_tile(
     ctx.account_tiles(1);
 }
 
-/// Stream `data` through LDM in `tile_len`-element tiles assigned to this
-/// CPE (tile index `t` belongs to CPE `t % num_cpes`), applying `compute`
-/// in place and writing results back. `compute` receives the tile slice
-/// and the tile's starting element index; it should account its own
-/// arithmetic via `ctx`.
-///
-/// Functionally identical to a serial in-place map; temporally the DMA-in
-/// of the next tile and DMA-out of the previous tile overlap compute.
-pub fn stream_tiles(
-    ctx: &mut CpeCtx,
-    data: &mut [f64],
-    tile_len: usize,
-    mut compute: impl FnMut(&mut CpeCtx, &mut [f64], usize),
-) {
-    assert!(tile_len > 0);
-    let ntiles = data.len().div_ceil(tile_len);
-    let ldm = ctx.ldm();
-    let mut cur = ldm.alloc::<f64>(tile_len).expect("LDM tile A");
-    let mut next = ldm.alloc::<f64>(tile_len).expect("LDM tile B");
-
-    // Tiles owned by this CPE, in order.
-    let my_tiles: Vec<usize> = (0..ntiles)
-        .filter(|t| t % ctx.num_cpes() == ctx.cpe_id())
-        .collect();
-    if my_tiles.is_empty() {
-        return;
-    }
-    let data_len = data.len();
-    let range = move |t: usize| {
-        let lo = t * tile_len;
-        (lo, (lo + tile_len).min(data_len))
-    };
-
-    // Prefetch the first tile (blocking — nothing to overlap yet).
-    let (lo0, hi0) = range(my_tiles[0]);
-    ctx.dma_get(&data[lo0..hi0], &mut cur[..hi0 - lo0]);
-
-    for w in 0..my_tiles.len() {
-        let (lo, hi) = range(my_tiles[w]);
-        // Start streaming the next tile while we compute this one.
-        let next_handle = if w + 1 < my_tiles.len() {
-            let (nlo, nhi) = range(my_tiles[w + 1]);
-            Some(ctx.dma_get_async(&data[nlo..nhi], &mut next[..nhi - nlo]))
-        } else {
-            None
-        };
-        compute(ctx, &mut cur[..hi - lo], lo);
-        // Write results back asynchronously; the copy happens eagerly in
-        // the simulator so `data` is immediately consistent.
-        let tile_out: Vec<f64> = cur[..hi - lo].to_vec();
-        let out_handle = ctx.dma_put_async(&tile_out, &mut data[lo..hi]);
-        if let Some(h) = next_handle {
-            ctx.dma_wait(h);
-        }
-        ctx.dma_wait(out_handle);
-        std::mem::swap(&mut cur, &mut next);
-    }
-}
-
-/// The same traversal with fully blocking DMA — the unoptimized baseline
-/// the §V-C2 technique replaces. Identical results, more simulated cycles.
-pub fn stream_tiles_blocking(
-    ctx: &mut CpeCtx,
-    data: &mut [f64],
-    tile_len: usize,
-    mut compute: impl FnMut(&mut CpeCtx, &mut [f64], usize),
-) {
-    assert!(tile_len > 0);
-    let ntiles = data.len().div_ceil(tile_len);
-    let ldm = ctx.ldm();
-    let mut tile = ldm.alloc::<f64>(tile_len).expect("LDM tile");
-    for t in 0..ntiles {
-        if t % ctx.num_cpes() != ctx.cpe_id() {
-            continue;
-        }
-        let lo = t * tile_len;
-        let hi = (lo + tile_len).min(data.len());
-        ctx.dma_get(&data[lo..hi], &mut tile[..hi - lo]);
-        compute(ctx, &mut tile[..hi - lo], lo);
-        let out: Vec<f64> = tile[..hi - lo].to_vec();
-        ctx.dma_put(&out, &mut data[lo..hi]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::athread::{CoreGroup, CpeCtx};
     use crate::config::CgConfig;
-
-    struct Shared {
-        data: Vec<f64>,
-        double_buffered: bool,
-    }
-
-    fn kernel(ctx: &mut CpeCtx, arg: usize) {
-        let shared = unsafe { &mut *(arg as *mut Shared) };
-        // SAFETY: tiles are assigned disjointly by CPE id, so concurrent
-        // CPEs touch disjoint ranges of `data`.
-        let data: &mut [f64] =
-            unsafe { std::slice::from_raw_parts_mut(shared.data.as_mut_ptr(), shared.data.len()) };
-        let work = |ctx: &mut CpeCtx, tile: &mut [f64], base: usize| {
-            for (n, x) in tile.iter_mut().enumerate() {
-                *x = 3.0 * (base + n) as f64 + 1.0;
-            }
-            // Nontrivial compute so there is something to hide DMA under.
-            ctx.account_flops_simd(tile.len() as u64 * 40);
-        };
-        if shared.double_buffered {
-            stream_tiles(ctx, data, 256, work);
-        } else {
-            stream_tiles_blocking(ctx, data, 256, work);
-        }
-    }
-
-    fn run(double_buffered: bool, n: usize) -> (Vec<f64>, u64) {
-        let mut cg = CoreGroup::new(CgConfig::test_small());
-        let mut shared = Shared {
-            data: vec![0.0; n],
-            double_buffered,
-        };
-        cg.run(kernel, &mut shared as *mut Shared as usize);
-        (shared.data, cg.counters().kernel_cycles)
-    }
-
-    #[test]
-    fn results_identical_and_correct() {
-        let (a, _) = run(true, 10_000);
-        let (b, _) = run(false, 10_000);
-        assert_eq!(a, b);
-        for (i, &x) in a.iter().enumerate() {
-            assert_eq!(x, 3.0 * i as f64 + 1.0);
-        }
-    }
-
-    #[test]
-    fn double_buffering_hides_dma_time() {
-        let (_, cycles_db) = run(true, 100_000);
-        let (_, cycles_blocking) = run(false, 100_000);
-        assert!(
-            cycles_db < cycles_blocking,
-            "double buffering must be faster: {cycles_db} vs {cycles_blocking}"
-        );
-        // With 40 SIMD flops/element the compute should hide most of the
-        // streaming: expect a solid improvement, not a rounding error.
-        let gain = cycles_blocking as f64 / cycles_db as f64;
-        assert!(gain > 1.15, "gain only {gain:.3}");
-    }
-
-    #[test]
-    fn ragged_tail_tile_handled() {
-        let (a, _) = run(true, 1000 + 37);
-        assert_eq!(a.len(), 1037);
-        assert_eq!(*a.last().unwrap(), 3.0 * 1036.0 + 1.0);
-    }
 
     // ---- DmaPipe ----------------------------------------------------------
 

@@ -6,47 +6,11 @@
 //! (§V-B: "single-instruction, multiple-data (SIMD) vectorization, for
 //! accelerated kernel matching").
 //!
-//! We expose portable, auto-vectorisable building blocks written over exact
-//! `f64` chunks so the compiler can emit real vector code on the host, plus
-//! cycle-accounting wrappers so simulated timings reflect the 8-lane width.
+//! [`find_u64`] is that matching scan, written over exact 8-wide chunks so
+//! the compiler can emit real vector compares on the host.
 
 /// Vector width in `f64` lanes on SW26010 Pro.
 pub const F64_LANES: usize = 8;
-
-/// `y[i] += a * x[i]` over full slices, written chunk-wise so LLVM
-/// vectorises it. Returns the number of FLOPs performed (2 per element).
-pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) -> u64 {
-    assert_eq!(x.len(), y.len());
-    let mut xc = x.chunks_exact(F64_LANES);
-    let mut yc = y.chunks_exact_mut(F64_LANES);
-    for (xs, ys) in (&mut xc).zip(&mut yc) {
-        for l in 0..F64_LANES {
-            ys[l] += a * xs[l];
-        }
-    }
-    for (xs, ys) in xc.remainder().iter().zip(yc.into_remainder()) {
-        *ys += a * xs;
-    }
-    2 * x.len() as u64
-}
-
-/// Vectorised dot product. Returns `(sum, flops)`.
-pub fn dot(x: &[f64], y: &[f64]) -> (f64, u64) {
-    assert_eq!(x.len(), y.len());
-    let mut acc = [0.0f64; F64_LANES];
-    let mut xc = x.chunks_exact(F64_LANES);
-    let mut yc = y.chunks_exact(F64_LANES);
-    for (xs, ys) in (&mut xc).zip(&mut yc) {
-        for l in 0..F64_LANES {
-            acc[l] += xs[l] * ys[l];
-        }
-    }
-    let mut tail = 0.0;
-    for (xs, ys) in xc.remainder().iter().zip(yc.remainder()) {
-        tail += xs * ys;
-    }
-    (acc.iter().sum::<f64>() + tail, 2 * x.len() as u64)
-}
 
 /// SIMD-style linear scan for `needle` in `haystack`, comparing 8 ids per
 /// step — the paper's trick for accelerating registry lookup on CPEs.
@@ -79,27 +43,6 @@ pub fn find_u64(haystack: &[u64], needle: u64) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn axpy_matches_scalar_reference() {
-        let x: Vec<f64> = (0..37).map(|i| i as f64).collect();
-        let mut y: Vec<f64> = (0..37).map(|i| (i * 2) as f64).collect();
-        let flops = axpy(1.5, &x, &mut y);
-        assert_eq!(flops, 74);
-        for i in 0..37 {
-            assert_eq!(y[i], 1.5 * i as f64 + 2.0 * i as f64);
-        }
-    }
-
-    #[test]
-    fn dot_matches_scalar_reference() {
-        let x: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let y = vec![2.0; 100];
-        let (s, flops) = dot(&x, &y);
-        assert_eq!(s, 2.0 * (100.0 * 101.0 / 2.0));
-        assert_eq!(flops, 200);
-    }
 
     #[test]
     fn find_u64_locates_first_occurrence() {

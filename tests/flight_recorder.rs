@@ -2,8 +2,7 @@
 //! seeded rank death — on every execution space, under the overlap
 //! engine — into exactly one schema-valid post-mortem bundle whose
 //! causally-merged stream contains the dying rank's final attempted
-//! step and a `PeerDead` observation from every survivor, while a
-//! disabled recorder records nothing and still recovers.
+//! step and a `PeerDead` observation from every survivor.
 #![allow(clippy::field_reassign_with_default)]
 
 use licomkpp::grid::Resolution;
@@ -46,7 +45,7 @@ fn spaces() -> Vec<(&'static str, SpaceCtor)> {
     ]
 }
 
-fn run_seeded_death(space: fn() -> Space, tag: &str, flight: bool) -> (PathBuf, usize) {
+fn run_seeded_death(space: fn() -> Space, tag: &str) -> (PathBuf, usize) {
     let base = std::env::temp_dir().join(format!("licom_flight_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let flight_dir = base.join("flight");
@@ -64,8 +63,7 @@ fn run_seeded_death(space: fn() -> Space, tag: &str, flight: bool) -> (PathBuf, 
         .faults(FaultPlan::new(0xDEAD_0001).kill(VICTIM as usize, DEATH_EPOCH));
     let fdir = flight_dir.clone();
     let (out, _) = World::run_cfg(wc, move |comm| {
-        let mut o = opts(fdir.clone());
-        o.flight = flight;
+        let o = opts(fdir.clone());
         match run_elastic(comm, cfg(), space(), o, &ecfg).expect("elastic run must recover") {
             ElasticOutcome::Completed { .. } => 1usize,
             ElasticOutcome::Spared | ElasticOutcome::Died => 0,
@@ -96,7 +94,7 @@ fn run_seeded_death(space: fn() -> Space, tag: &str, flight: bool) -> (PathBuf, 
 #[test]
 fn rank_death_black_boxes_on_all_spaces() {
     for (name, space) in spaces() {
-        let (bundle_path, n_bundles) = run_seeded_death(space, &format!("death_{name}"), true);
+        let (bundle_path, n_bundles) = run_seeded_death(space, &format!("death_{name}"));
         // Claim-once: one incident, one bundle — even with three
         // survivors racing to dump after the same consensus.
         assert_eq!(n_bundles, 1, "{name}: exactly one post-mortem bundle");
@@ -165,10 +163,4 @@ fn rank_death_black_boxes_on_all_spaces() {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
-}
-
-#[test]
-fn disabled_recorder_records_nothing_and_still_recovers() {
-    let (_, n_bundles) = run_seeded_death(Space::serial, "disabled", false);
-    assert_eq!(n_bundles, 0, "disabled recorder must not write bundles");
 }
