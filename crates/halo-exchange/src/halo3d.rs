@@ -24,6 +24,7 @@
 
 use kokkos_rs::{Space, View3};
 
+use crate::field::HaloField;
 use crate::halo2d::{FoldKind, Halo2D};
 use crate::integrity::{HaloError, IntegrityConfig};
 use crate::pending::{self, Pending};
@@ -103,31 +104,32 @@ impl Halo3D {
     /// ghost rectangle's segments in field order) — the pack/unpack redundancy
     /// elimination. Each field packs straight into its segment of the
     /// pooled message, so batching adds no gather copy. Bitwise identical
-    /// to updating each field separately.
+    /// to updating each field separately. The fields are [`View3`]s or
+    /// [`crate::RowBand`]s of `nz` levels.
     ///
     /// # Panics
     /// If a message is unrecoverable; use [`Halo3D::try_exchange_many`] to
     /// handle that as a value.
-    pub fn exchange_many(&self, fields: &[(&View3<f64>, FoldKind)], tag_base: u64) {
+    pub fn exchange_many<F: HaloField>(&self, fields: &[(&F, FoldKind)], tag_base: u64) {
         self.try_exchange_many(fields, tag_base)
             .unwrap_or_else(|e| panic!("halo exchange failed: {e}"));
     }
 
     /// Fallible batched exchange: begin + finish of the split-phase path.
-    pub fn try_exchange_many(
+    pub fn try_exchange_many<F: HaloField>(
         &self,
-        fields: &[(&View3<f64>, FoldKind)],
+        fields: &[(&F, FoldKind)],
         tag_base: u64,
     ) -> Result<(), HaloError> {
         pending::exchange_many(&self.h2, self.nz, self.strategy, fields, tag_base)
     }
 
     /// Split-phase batched update; see [`Halo2D::begin_exchange_many`].
-    pub fn begin_exchange_many(
+    pub fn begin_exchange_many<F: HaloField>(
         &self,
-        fields: &[(&View3<f64>, FoldKind)],
+        fields: &[(&F, FoldKind)],
         tag_base: u64,
-    ) -> Result<Pending<'_, View3<f64>>, HaloError> {
+    ) -> Result<Pending<'_, F>, HaloError> {
         Ok(Pending::begin(
             &self.h2,
             self.nz,

@@ -20,8 +20,10 @@
 //!   the eight ghost rectangles (four edges, four `H × H` corners), the
 //!   rank owning its image and where that image sits, gathered per peer;
 //! * [`HaloField`] — the sealed **field trait** that makes a 2-D field the
-//!   `nz = 1` case of a 3-D one: extents, element access, tag offset,
-//!   profiling region, and which strips are worth a kernel launch;
+//!   `nz = 1` case of a 3-D one and a [`RowBand`] (a 3-D field kept only on
+//!   its rows near the south and north edges) one that holds fewer routes:
+//!   extents, stored rows, element access, tag offset, profiling region,
+//!   and which strips are worth a kernel launch;
 //! * [`Pending`] — the **protocol**, once: one round, one message per
 //!   peer carrying every rectangle that peer owes, corners included,
 //!   batched over any number of fields (the "redundant packing"
@@ -45,7 +47,7 @@ mod pending;
 mod route;
 mod strip;
 
-pub use field::HaloField;
+pub use field::{HaloField, RowBand};
 pub use halo2d::{FoldKind, Halo2D};
 pub use halo3d::{Halo3D, Strategy3D};
 pub use integrity::{FrameFault, FrameSeq, HaloError, IntegrityConfig};

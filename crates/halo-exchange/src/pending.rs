@@ -10,6 +10,10 @@
 //! ghost, so there is no second leg: `poll` and `finish` receive one
 //! message per peer, in any order. All fields of a batch share each
 //! message, each packing straight into its segment of the pooled buffer.
+//! A rectangle some field of the batch does not hold
+//! ([`HaloField::holds`]: a [`crate::RowBand`]'s east/west strips) is left
+//! out of it on both sides, and a peer left with none is sent nothing and
+//! waited on for nothing.
 //!
 //! [`exchange_many_alloc`] spells the original two-round protocol on
 //! purpose: east/west over the owned rows, then north/south or the fold
@@ -82,11 +86,13 @@ impl<'a, F: HaloField> Pending<'a, F> {
         };
         if !p.done {
             p.framing = h.next_framing();
-            for peer in h.peers().iter().filter(|q| !q.sends.is_empty()) {
+            for peer in h.peers() {
                 let len = p.len(&peer.sends);
-                h.send_msg(peer.rank, p.tag, p.framing, len, |buf| {
-                    p.pack_all(&peer.sends, buf)
-                });
+                if len > 0 {
+                    h.send_msg(peer.rank, p.tag, p.framing, len, |buf| {
+                        p.pack_all(&peer.sends, buf)
+                    });
+                }
             }
             if let Some(me) = h.local_routes() {
                 p.copy_local(me);
@@ -98,23 +104,30 @@ impl<'a, F: HaloField> Pending<'a, F> {
         p
     }
 
+    /// Does every field of the batch hold `rect`?
+    fn holds(&self, rect: &Rect) -> bool {
+        let (lo, hi) = rect.rows();
+        self.fields.iter().all(|(f, _)| f.holds(lo, hi))
+    }
+
     /// The peers whose messages this exchange waits on, in rank order.
-    fn owed(&self) -> impl Iterator<Item = &'a Peer> {
+    fn owed(&self) -> impl Iterator<Item = &'a Peer> + '_ {
         let h: &'a Halo2D = self.h;
-        h.peers().iter().filter(|q| !q.recvs.is_empty())
+        let owes = |q: &&Peer| q.recvs.iter().any(|(ghost, _)| self.holds(ghost));
+        h.peers().iter().filter(owes)
     }
 
-    /// Elements of `rects` over the whole batch.
+    /// Elements of the held rectangles of `rects` over the whole batch.
     fn len<'r>(&self, rects: impl IntoIterator<Item = &'r Rect>) -> usize {
-        let cells: usize = rects.into_iter().map(Rect::cells).sum();
-        self.fields.len() * self.nz * cells
+        let held = rects.into_iter().filter(|r| self.holds(r));
+        self.fields.len() * self.nz * held.map(Rect::cells).sum::<usize>()
     }
 
-    /// Every rectangle of `rects`, every field's segment of it in turn,
-    /// packed into `out`.
+    /// Every held rectangle of `rects`, every field's segment of it in
+    /// turn, packed into `out`.
     fn pack_all(&self, rects: &[Rect], out: &mut [f64]) {
         let mut at = 0;
-        for &rect in rects {
+        for &rect in rects.iter().filter(|r| self.holds(r)) {
             let seg = self.nz * rect.cells();
             for (f, _) in &self.fields {
                 field::pack(self.h, self.order, f, rect, &mut out[at..at + seg]);
@@ -127,7 +140,7 @@ impl<'a, F: HaloField> Pending<'a, F> {
     /// an image across the fold lands mirrored, sign-flipped per field.
     fn unpack_all(&self, recvs: &[(Rect, bool)], buf: &[f64]) {
         let mut at = 0;
-        for &(ghost, fold) in recvs {
+        for &(ghost, fold) in recvs.iter().filter(|(ghost, _)| self.holds(ghost)) {
             let seg = self.nz * ghost.cells();
             for (f, kind) in &self.fields {
                 let part = &buf[at..at + seg];

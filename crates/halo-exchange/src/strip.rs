@@ -53,6 +53,15 @@ impl Rect {
         self.nj * self.ni
     }
 
+    /// The padded rows `[lo, hi)` the strip covers.
+    pub fn rows(&self) -> (usize, usize) {
+        if self.rev {
+            ((self.j0 + 1).saturating_sub(self.nj), self.j0 + 1)
+        } else {
+            (self.j0, self.j0 + self.nj)
+        }
+    }
+
     /// Field row of the strip's `jj`-th row.
     pub fn row(&self, jj: usize) -> usize {
         if self.rev {
@@ -63,15 +72,16 @@ impl Rect {
     }
 }
 
-/// One halo-strip copy: `rect` over the `nz` levels of a `(nz, pj, pi)`
-/// horizontal-major field, against a buffer in the order given by `order`.
+/// One halo-strip copy: `rect` over the `nz` levels of a `(nz, rows, pi)`
+/// horizontal-major storage, against a buffer in the order given by
+/// `order`.
 /// Each iteration copies one contiguous run. The side being read is only
 /// ever dereferenced through `*const` — the `Unpack` buffer pointer
 /// originates from a shared slice and is never written.
 struct StripCopy {
     field: *mut f64,
     buf: *mut f64,
-    /// Elements per horizontal plane (`pj * pi`).
+    /// Elements per stored horizontal plane (`rows * pi`).
     plane: usize,
     /// Elements per field row (`pi`).
     row: usize,
@@ -153,7 +163,9 @@ impl StripCopy {
 
 /// Copy `rect` between `f` and `buf[..buf_len]`: as one kernel launch on
 /// `on`, or run by run on the calling thread (the MPE path) when `on` is
-/// `None`. Every bound the copy loops rely on is checked here.
+/// `None`. `rect` is in padded rows; a rectangle the field holds is
+/// contiguous in its stored rows, so the copy moves its first row there.
+/// Every bound the copy loops rely on is checked here.
 fn copy<F: HaloField>(
     on: Option<&Space>,
     dir: CopyDir,
@@ -163,8 +175,18 @@ fn copy<F: HaloField>(
     buf: *mut f64,
     buf_len: usize,
 ) {
-    let [nz, pj, pi] = f.block_dims();
+    let [nz, pj, pi] = f.storage_dims();
     assert_eq!(buf_len, nz * rect.cells(), "strip buffer length mismatch");
+    let (lo, hi) = rect.rows();
+    assert!(f.holds(lo, hi), "strip out of bounds");
+    debug_assert!(
+        hi <= lo || f.storage_row(hi - 1) - f.storage_row(lo) == hi - 1 - lo,
+        "a held strip spans a gap in the stored rows"
+    );
+    let rect = Rect {
+        j0: f.storage_row(rect.j0),
+        ..rect
+    };
     if rect.rev {
         assert!(
             rect.nj <= rect.j0 + 1 && rect.j0 < pj,

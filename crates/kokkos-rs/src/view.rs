@@ -223,6 +223,10 @@ impl<T, const R: usize> View<T, R> {
     /// subviews with gaps would expose unrelated storage.
     pub fn as_slice(&self) -> &[T] {
         assert!(self.is_root_view(), "as_slice on subview '{}'", self.label);
+        // SAFETY: a root view's `len()` elements are its whole allocation,
+        // which the shared buffer keeps alive as long as `self`. The caller
+        // owes the precondition above: no kernel writes the view while the
+        // slice lives, so nothing mutates what the slice reads.
         unsafe { std::slice::from_raw_parts(self.ptr(), self.len()) }
     }
 
@@ -241,6 +245,10 @@ impl<T: Copy, const R: usize> View<T, R> {
     #[inline(always)]
     pub fn get(&self, idx: [usize; R]) -> T {
         let off = self.offset(idx);
+        // SAFETY: the caller keeps `idx` inside `dims` — `offset` only
+        // checks it in debug builds — so `off` lies in the allocation the
+        // buffer keeps alive; a concurrent writer of the same element would
+        // break the Kokkos contract, not this read.
         unsafe { *self.ptr().add(off) }
     }
 
@@ -249,6 +257,9 @@ impl<T: Copy, const R: usize> View<T, R> {
     #[inline(always)]
     pub fn set(&self, idx: [usize; R], v: T) {
         let off = self.offset(idx);
+        // SAFETY: as in `get`, `idx` is in bounds by the caller's contract;
+        // concurrent writers target disjoint elements (the Kokkos model),
+        // so no other access races this store.
         unsafe { *self.ptr().add(off) = v }
     }
 
@@ -256,6 +267,9 @@ impl<T: Copy, const R: usize> View<T, R> {
     #[inline(always)]
     pub fn get_linear(&self, off: usize) -> T {
         debug_assert!(off < self.len());
+        // SAFETY: the caller keeps `off` inside the view's storage — for a
+        // root view `off < len()`, checked in debug builds only — which the
+        // buffer keeps alive as long as `self`.
         unsafe { *self.ptr().add(off) }
     }
 
@@ -263,6 +277,8 @@ impl<T: Copy, const R: usize> View<T, R> {
     #[inline(always)]
     pub fn set_linear(&self, off: usize, v: T) {
         debug_assert!(off < self.len());
+        // SAFETY: as in `get_linear` for the bound; concurrent writers
+        // target disjoint offsets (the Kokkos model).
         unsafe { *self.ptr().add(off) = v }
     }
 
@@ -624,6 +640,15 @@ mod subview_tests {
     fn level_out_of_range_panics() {
         let v: View3<f64> = View::host("v", [2, 2, 2]);
         let _ = v.level(2);
+    }
+
+    /// `get_linear`'s bound is the caller's; debug builds check it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "off < self.len()")]
+    fn an_out_of_range_linear_read_panics_in_debug_builds() {
+        let v: View3<f64> = View::host("v", [2, 2, 2]);
+        let _ = v.get_linear(8);
     }
 
     #[test]

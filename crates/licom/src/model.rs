@@ -451,8 +451,8 @@ impl Model {
         for v in [&s.w, &s.pressure, &s.ut, &s.vt] {
             v.fill(0.0);
         }
-        for v in &s.work.adv_tmp {
-            v.fill(0.0);
+        for b in &s.work.adv_band {
+            b.data().fill(0.0);
         }
         s.work.filter2.fill(0.0);
         s.work.acc_eta.fill(0.0);

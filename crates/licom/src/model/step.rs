@@ -319,13 +319,13 @@ fn halo_uv(s: &mut Step<'_>) -> Result<(), StepError> {
 /// both tracers, into the new level.
 fn advection_tracer(s: &mut Step<'_>) -> Result<(), StepError> {
     let (m, st, g, (_, c, n)) = s.parts();
-    let [tmp_t, tmp_s] = &st.work.adv_tmp;
+    let [band_t, band_s] = &st.work.adv_band;
     advect::advect_tracer(
         &m.space,
         g,
         [&st.t[c], &st.s[c]],
         [&st.t[n], &st.s[n]],
-        [tmp_t, tmp_s],
+        [band_t, band_s],
         &st.u[c],
         &st.v[c],
         s.dt,

@@ -448,6 +448,9 @@ mod tests {
 
     fn count_kernel(ctx: &mut CpeCtx, arg: usize) {
         // arg is a *const AtomicU64 in disguise — the C-like boundary.
+        // SAFETY: every caller passes the address of an `AtomicU64` that
+        // outlives its blocking `CoreGroup::run`; the CPEs share it only
+        // through atomic operations.
         let counter = unsafe { &*(arg as *const AtomicU64) };
         counter.fetch_add(1 + ctx.cpe_id() as u64, Ordering::Relaxed);
         ctx.account_flops_scalar(10);

@@ -224,6 +224,9 @@ mod tests {
         if ctx.cpe_id() != 0 {
             return;
         }
+        // SAFETY: `arg` is the address of the `PipeProbe` its caller keeps
+        // alive across the blocking `CoreGroup::run`, and only CPE 0 gets
+        // past the check above, so this is the probe's one reference.
         let probe = unsafe { &mut *(arg as *mut PipeProbe) };
         let mut pipe = DmaPipe::begin(ctx, 256);
         for (i, &(inb, outb)) in probe.tiles.iter().enumerate() {
@@ -265,6 +268,7 @@ mod tests {
             if ctx.cpe_id() != 0 {
                 return;
             }
+            // SAFETY: as in `pipe_kernel`: a live probe, CPE 0 its one user.
             let probe = unsafe { &mut *(arg as *mut PipeProbe) };
             for &(inb, outb) in probe.tiles.iter() {
                 ctx.account_dma_traffic((inb + outb) as usize);

@@ -116,7 +116,7 @@ fn advection_conserves_and_preserves_bounds_in_closed_basin() {
         mirror.copy_from_slice(&q.as_slice().iter().map(|x| -x).collect::<Vec<_>>());
         let out = [(); 2]
             .map(|()| licomkpp::kokkos::View::<f64, 3>::host("blob_out", [g.nz, g.pj, g.pi]));
-        let [tmp0, tmp1] = &m.state.work.adv_tmp;
+        let [band0, band1] = &m.state.work.adv_band;
         for _ in 0..5 {
             // Exchange blob halos with the model's halo engine.
             m.halo3().exchange(&q, FoldKind::Scalar, 900);
@@ -126,7 +126,7 @@ fn advection_conserves_and_preserves_bounds_in_closed_basin() {
                 &m.grid,
                 [&q, &mirror],
                 [&out[0], &out[1]],
-                [tmp0, tmp1],
+                [band0, band1],
                 &m.state.u[c],
                 &m.state.v[c],
                 cfg.dt_tracer,

@@ -83,8 +83,12 @@ fn both_settings_send_the_same_traffic() {
     assert_eq!(per_step(false), carried);
     // 28 exchanges a step at px = 3: one message per peer where each had
     // three strips (8 → 6 a exchange: 224 → 168), the same cells, and two
-    // fewer 4-word CRC frame headers an exchange (391 168 − 28·64 B).
-    assert_eq!((carried.0, carried.1), (168, 389_376));
+    // fewer 4-word CRC frame headers an exchange (391 168 − 28·64 B). The
+    // advection intermediate is a band whose exchange moves no east/west
+    // strip: 3 ranks × 2 strips × 27 rows × H × 6 levels × 2 fields × 8 B
+    // fewer (389 376 − 31 104); every peer still trades fold rows or
+    // corners, so no message goes.
+    assert_eq!((carried.0, carried.1), (168, 358_272));
 
     let plan = FaultPlan::new(21).rule(
         FaultRule::new(

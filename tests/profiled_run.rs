@@ -49,10 +49,15 @@ fn four_spaces_trace_validly_and_send_the_same_literal_traffic() {
         // 14: 3 178 → 2 724. Bytes: two 32 B frame headers fewer an
         // exchange, and the top row's 4 fold corners (16 cells a field
         // level, 999 field levels in all) are its own cells now:
-        // 5 664 128 − 227·64 − 999·16·8.
+        // 5 664 128 − 227·64 − 999·16·8. The advection intermediate is
+        // a band whose exchange moves no east/west strip (4 ranks × 2
+        // strips × 18 rows × H × 6 levels × 2 fields × 8 B a step), and a
+        // bottom rank's message from its zonal neighbour held nothing else
+        // (2 messages and their 32 B frame headers a step): 2 724 − 8·2
+        // messages, 5 521 728 − 8·(27 648 + 64) B.
         assert_eq!(
             (traffic.p2p_messages, traffic.p2p_bytes, wet_cells[0]),
-            (2_724, 5_521_728, 2_522),
+            (2_708, 5_300_032, 2_522),
             "{name}: (p2p messages, p2p bytes, rank 0's wet cells)"
         );
 
