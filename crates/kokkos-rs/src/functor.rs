@@ -74,6 +74,14 @@ pub trait Functor3D: Sync {
     fn cost(&self) -> IterCost {
         IterCost::default()
     }
+
+    /// Rows of a tile the body holds at once when it walks the tile's rows
+    /// as a wavefront (a ring of rows) instead of keeping the whole tile;
+    /// `None`: the whole tile. A SwAthread launch sizes its LDM tiles from
+    /// it.
+    fn resident_rows(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Three bodies fused into one launch (kernel fusion). The members run
@@ -194,6 +202,11 @@ pub trait TileBody<P, M>: Sync {
     fn tile(&self, policy: &P, t: usize, acc: &mut f64);
     /// The kernel's declared [`IterCost`].
     fn tile_cost(&self) -> IterCost;
+    /// [`Functor3D::resident_rows`] of a 3-D for-body; `None` for any
+    /// other.
+    fn resident_rows(&self) -> Option<usize> {
+        None
+    }
 }
 
 impl<F: Functor1D> TileBody<RangePolicy, For> for F {
@@ -216,6 +229,9 @@ impl<F: Functor3D> TileBody<MDRangePolicy3, For> for F {
     }
     fn tile_cost(&self) -> IterCost {
         self.cost()
+    }
+    fn resident_rows(&self) -> Option<usize> {
+        Functor3D::resident_rows(self)
     }
 }
 

@@ -100,7 +100,8 @@ fn drive_tiles<P: Policy>(space: &Space, policy: &P, run_tile: impl Fn(usize) + 
 /// for-launch returns none (and allocates nothing for them).
 ///
 /// On the Sunway backend the tile is the DMA staging unit, so a dense
-/// *for* launch is re-tiled from the functor's `IterCost` and the core
+/// *for* launch is re-tiled from the functor's `IterCost`, the rows of a
+/// tile it holds at once ([`Functor3D::resident_rows`]) and the core
 /// group's LDM/bandwidth/latency parameters
 /// ([`sunway_sim::pipeline::choose_tile_elems`]); for-loops write disjoint
 /// elements, so retiling cannot change results. Reductions and list
@@ -132,7 +133,12 @@ where
             let retiled = if reduces {
                 None
             } else {
-                let elems = choose_tile_elems(sw.config(), cost.bytes, policy.iterations());
+                // A body that holds `r` of a tile's rows at once occupies
+                // LDM with that share of its declared bytes an iteration;
+                // the retile keeps the share.
+                let resident = policy.resident_elems(f.resident_rows()) as u64;
+                let bytes = (cost.bytes * resident).div_ceil(policy.tile_elems().max(1) as u64);
+                let elems = choose_tile_elems(sw.config(), bytes, policy.iterations());
                 policy.retiled(elems)
             };
             let mut partials = vec![identity; tiles];

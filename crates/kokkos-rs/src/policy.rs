@@ -170,8 +170,14 @@ pub trait Policy: Sync {
     fn total_tiles(&self) -> usize;
     /// Iterations in tile `t` (an edge tile may be short).
     fn tile_iterations(&self, t: usize) -> usize;
-    /// Iterations in a whole tile: a SwAthread launch's LDM staging unit.
+    /// Iterations in a whole tile.
     fn tile_elems(&self) -> usize;
+    /// Iterations of a whole tile in LDM at once — a SwAthread launch's
+    /// staging unit — when its body holds `rows` of the tile's rows at a
+    /// time ([`crate::Functor3D::resident_rows`]); `None`: the whole tile.
+    fn resident_elems(&self, _rows: Option<usize>) -> usize {
+        self.tile_elems()
+    }
 
     /// The contiguous tiles `[lo, hi)` that worker (CPE) `w` of `workers`
     /// runs: paper Eq. (2), `⌈total / workers⌉` tiles each.
@@ -229,6 +235,10 @@ impl Policy for MDRangePolicy3 {
     }
     fn tile_elems(&self) -> usize {
         self.tile.iter().product()
+    }
+    fn resident_elems(&self, rows: Option<usize>) -> usize {
+        let [kt, jt, it] = self.tile;
+        kt * rows.map_or(jt, |r| r.min(jt)) * it
     }
     /// Keeps the caller's level and row blocking and widens or narrows the
     /// streaming (innermost) dimension.
@@ -650,5 +660,14 @@ mod tests {
         assert_eq!(p3.retiled(1000).unwrap().tile, [1, 8, 125]);
         assert_eq!(RangePolicy::new(10).retiled(0).unwrap().tile, 1);
         assert!(list(10, 4).retiled(1000).is_none());
+    }
+
+    #[test]
+    fn a_tile_stages_the_rows_its_body_holds() {
+        let p = MDRangePolicy3::new([5, 40, 300]).with_tile([2, 8, 64]);
+        assert_eq!(p.resident_elems(None), p.tile_elems());
+        assert_eq!(p.resident_elems(Some(3)), 2 * 3 * 64);
+        assert_eq!(p.resident_elems(Some(20)), p.tile_elems());
+        assert_eq!(list(10, 4).resident_elems(Some(3)), 4);
     }
 }

@@ -215,14 +215,14 @@ fn tile_bytes(cost: IterCost, iters: u64) -> (u64, u64) {
 }
 
 /// Drive one CPE's contiguous tile range through the §V-C2 double-buffered
-/// DMA pipeline: `iters_of(t)` gives tile `t`'s iteration count (for the
-/// prefetch of `t+1`'s bytes), `body(t)` executes it. FLOP accounting
-/// happens here too.
+/// DMA pipeline, staging `resident_elems` iterations of a tile at a time:
+/// `iters_of(t)` gives tile `t`'s iteration count (for the prefetch of
+/// `t+1`'s bytes), `body(t)` executes it. FLOP accounting happens here too.
 #[inline]
 fn drive_pipelined(
     ctx: &mut CpeCtx,
     cost: IterCost,
-    tile_elems: usize,
+    resident_elems: usize,
     (t0, t1): (usize, usize),
     iters_of: impl Fn(usize) -> u64,
     mut body: impl FnMut(usize),
@@ -235,13 +235,13 @@ fn drive_pipelined(
         // single-staged path (same cycle accounting, no pipe bookkeeping).
         let iters = iters_of(t0);
         let (in_b, out_b) = tile_bytes(cost, iters);
-        sunway_sim::pipeline::stream_single_tile(ctx, tile_elems, in_b, out_b, |ctx| {
+        sunway_sim::pipeline::stream_single_tile(ctx, resident_elems, in_b, out_b, |ctx| {
             body(t0);
             ctx.account_flops_simd(cost.flops * iters);
         });
         return;
     }
-    let mut pipe = sunway_sim::DmaPipe::begin(ctx, tile_elems);
+    let mut pipe = sunway_sim::DmaPipe::begin(ctx, resident_elems);
     for t in t0..t1 {
         let iters = iters_of(t);
         let (in_b, out_b) = tile_bytes(cost, iters);
@@ -272,7 +272,8 @@ fn tramp<F: TileBody<P, M>, P: Policy, M>(ctx: &mut CpeCtx, arg: usize) {
     let l = unsafe { &*(arg as *const Launch<F, P>) };
     let tiles = l.policy.worker_tile_range(ctx.cpe_id(), ctx.num_cpes());
     let iters = |t: usize| l.policy.tile_iterations(t) as u64;
-    drive_pipelined(ctx, l.cost, l.policy.tile_elems(), tiles, iters, |t| {
+    let resident = l.policy.resident_elems(l.functor.resident_rows());
+    drive_pipelined(ctx, l.cost, resident, tiles, iters, |t| {
         let mut acc = l.identity;
         l.functor.tile(l.policy, t, &mut acc);
         if t < l.partials.len() {

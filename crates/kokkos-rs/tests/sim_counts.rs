@@ -79,8 +79,25 @@ impl ReduceFunctorList for Probe {
     }
 }
 
+/// The probe walking each tile's rows as a wavefront that holds two of them
+/// at once: a SwAthread launch stages two rows of a tile, not all of it.
+struct Ringed(Probe);
+
+impl Functor3D for Ringed {
+    fn operator(&self, k: usize, j: usize, i: usize) {
+        Functor3D::operator(&self.0, k, j, i);
+    }
+    fn cost(&self) -> IterCost {
+        COST
+    }
+    fn resident_rows(&self) -> Option<usize> {
+        Some(2)
+    }
+}
+
 kokkos_rs::register_for_1d!(sim_counts_for_1d, Probe);
 kokkos_rs::register_for_3d!(sim_counts_for_3d, Probe);
+kokkos_rs::register_for_3d!(sim_counts_for_3d_ring, Ringed);
 kokkos_rs::register_for_list!(sim_counts_for_list, Probe);
 kokkos_rs::register_reduce_3d!(sim_counts_reduce_3d, Probe);
 kokkos_rs::register_reduce_list!(sim_counts_reduce_list, Probe);
@@ -131,9 +148,10 @@ fn counts(cfg: &CgConfig, launch: impl FnOnce(&Space, &Probe)) -> [u64; 11] {
 type Launch = fn(&Space, &Probe);
 
 /// Every pattern once, the 3-D ones also over a single level (the shape a
-/// 2-D kernel launches as); the dense policies are offset and their tiles
-/// divide nothing.
-const LAUNCHES: [(&str, Launch); 7] = [
+/// 2-D kernel launches as), and the 3-D for-launch of a body that holds
+/// two rows of its tiles at once; the dense policies are offset and their
+/// tiles divide nothing.
+const LAUNCHES: [(&str, Launch); 8] = [
     ("for_1d", |s, f| {
         parallel_for_1d(s, RangePolicy::range(3, N).with_tile(50), f)
     }),
@@ -144,6 +162,11 @@ const LAUNCHES: [(&str, Launch); 7] = [
     ("for_3d", |s, f| {
         let p = MDRangePolicy3::new([5, 21, 70]).with_tile([2, 3, 11]);
         parallel_for_3d(s, p.with_offset([1, 2, 1]), f)
+    }),
+    ("for_3d_ring", |s, f| {
+        let p = MDRangePolicy3::new([5, 21, 70]).with_tile([2, 21, 11]);
+        let ring = Ringed(Probe { x: f.x.clone() });
+        parallel_for_3d(s, p.with_offset([1, 2, 1]), &ring)
     }),
     ("for_list", |s, f| parallel_for_list(s, &list(), f)),
     ("reduce_one_level", |s, f| {
@@ -162,6 +185,7 @@ const LAUNCHES: [(&str, Launch); 7] = [
 fn register_all() {
     sim_counts_for_1d();
     sim_counts_for_3d();
+    sim_counts_for_3d_ring();
     sim_counts_for_list();
     sim_counts_reduce_3d();
     sim_counts_reduce_list();
@@ -169,7 +193,7 @@ fn register_all() {
 
 /// Compare every row, then print the whole table as found, so a deliberate
 /// change is a paste.
-fn check(cfg: &CgConfig, want: &[(&str, [u64; 11]); 7]) {
+fn check(cfg: &CgConfig, want: &[(&str, [u64; 11]); 8]) {
     register_all();
     let got: Vec<(&str, [u64; 11])> = LAUNCHES
         .iter()
@@ -204,6 +228,12 @@ fn every_pattern_charges_its_literal_counts_on_the_test_core_group() {
                 "for_3d",
                 [
                     1, 66225, 51909, 66150, 196000, 98000, 462, 392184, 0, 1632, 105,
+                ],
+            ),
+            (
+                "for_3d_ring",
+                [
+                    1, 125206, 78023, 66150, 196000, 98000, 444, 601706, 0, 1344, 12,
                 ],
             ),
             (
@@ -255,6 +285,12 @@ fn every_pattern_charges_its_literal_counts_on_the_bench_core_group() {
                 "for_3d",
                 [
                     1, 31655, 22563, 66150, 196000, 98000, 105, 168863, 0, 6720, 21,
+                ],
+            ),
+            (
+                "for_3d_ring",
+                [
+                    1, 125206, 78023, 66150, 196000, 98000, 444, 601706, 0, 1344, 12,
                 ],
             ),
             (
