@@ -107,7 +107,7 @@ fn main() {
             let c = m.state.cur();
             // Density is no model field: the old level's column pass keeps
             // it in work rows. The balancer reads it from a view.
-            let (t, s) = (&m.state.t[c], &m.state.s[c]);
+            let (t, s) = (m.state.t.cur(), m.state.s.cur());
             let rho: View3<f64> = View::from_fn("rho", t.dims(), |[k, j, i]| {
                 licom::eos::density(F64x([t.at(k, j, i)]), F64x([s.at(k, j, i)])).0[0]
             });

@@ -29,9 +29,8 @@ fn main() {
             );
             m.run_days(1.0);
             assert!(!m.state.has_nan());
-            let c = m.state.cur();
             let g = &m.grid;
-            let t = &m.state.t[c];
+            let t = m.state.t.cur();
             // Global stats + NW Pacific box (120E-180E, 20N-45N).
             let mut all = Vec::new();
             let mut nwp = Vec::new();
@@ -122,8 +121,7 @@ fn main() {
                     ModelOptions::default(),
                 );
                 m.run_days(1.0);
-                let c = m.state.cur();
-                let sst = m.state.t[c].level(0);
+                let sst = m.state.t.cur().level(0);
                 let (_, power) =
                     licom::spectra::zonal_spectrum(&sst, &m.grid.kmt, m.grid.ny, m.grid.nx, 2);
                 licom::spectra::fine_scale_fraction(&power, 8)

@@ -220,7 +220,6 @@ fn column_passes_are_their_census_rows_less_what_they_count_once() {
     let nz = 4;
     let velocity = licom::columns::FunctorVelocityColumns {
         old: [v3(nz), v3(nz)],
-        tend: [v3(nz), v3(nz)],
         new: [v3(nz), v3(nz)],
         solve: solve(nz),
         bt: [v2(), v2()],

@@ -47,6 +47,9 @@ pub struct FunctorMomentumTend {
     /// `(jl..=jl + 1, il..=il + 1)`: owned cells, the row north of the
     /// block and the column east of it (`LocalGrid::wet.cols_halo`).
     pub pressure: View3<f64>,
+    /// Written: the tendency of `u` and `v`. The step hands it the new
+    /// velocity level, which the velocity column pass reads it from
+    /// ([`crate::columns::FunctorVelocityColumns`]).
     pub ut: View3<f64>,
     pub vt: View3<f64>,
     pub kmu: View2<i32>,
@@ -123,8 +126,9 @@ impl RowKernel for FunctorMomentumTend {
 }
 
 /// Entry `idx` is a packed owned wet velocity cell `(k·pj + jl)·pi + il`
-/// (`k < kmu`; `[pj, pi]` are `kmu`'s extents). Dry cells keep the tendency
-/// views' initial zeros, and `ut`/`vt` are consumed only where `kmu > k`.
+/// (`k < kmu`; `[pj, pi]` are `kmu`'s extents). Dry cells are not visited:
+/// they keep the `+0` every level of the new velocity holds there, which is
+/// the tendency the velocity column pass reads for a dry lane.
 impl FunctorList for FunctorMomentumTend {
     fn operator(&self, _n: usize, idx: u32) {
         let [pj, pi] = self.kmu.dims();

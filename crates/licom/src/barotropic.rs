@@ -31,7 +31,8 @@ use crate::state::State;
 
 /// Depth-means of the two 3-D momentum tendencies at B-grid corners,
 /// weighted by layer thickness over the corner's active column:
-/// `(ut, vt) → (gu, gv)`. The column thickness `h` is summed once and
+/// `(ut, vt) → (gu, gv)`, the tendencies read from the new velocity level
+/// the momentum kernel wrote them into. The column thickness `h` is summed once and
 /// serves both. Paired for the launch count and the simulated CG, not for
 /// host time: in the traced step it is ≈ 0.4 ms slower than two
 /// single-field launches (60 page streams instead of 30; EXPERIMENTS.md

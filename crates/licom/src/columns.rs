@@ -12,7 +12,10 @@
 //!
 //! Once the momentum tendency and the barotropic window are done, what is
 //! left of the new velocity level is column-local: the leapfrog step, the
-//! implicit vertical friction and the barotropic-mode correction. Once the
+//! implicit vertical friction and the barotropic-mode correction. The
+//! tendency is stored in the new level itself, which is dead until this
+//! pass: a block loads every tendency level of its columns into its work
+//! rows before it stores the first new velocity. Once the
 //! horizontal advection passes are done, so is what is left of the new
 //! tracer level: the vertical advection pass, horizontal diffusion (a
 //! stencil on the *current* level, so a column of the new one needs no
@@ -154,9 +157,8 @@ kokkos_rs::register_for_list!(kernel_density_columns, FunctorDensityColumns);
 pub struct FunctorVelocityColumns {
     /// `[u, v]` at the old level.
     pub old: [View3<f64>; 2],
-    /// Their tendencies `[ut, vt]`.
-    pub tend: [View3<f64>; 2],
-    /// `[u, v]` at the new level; written on wet cells only.
+    /// `[u, v]` at the new level: their tendencies on entry (`+0` on dry
+    /// cells), the new velocities on exit, written on wet cells only.
     pub new: [View3<f64>; 2],
     /// The friction solve. Its `dt` is the leapfrog interval `dt2`, which
     /// the leapfrog steps over too.
@@ -209,7 +211,7 @@ impl ColumnKernel for FunctorVelocityColumns {
         for k in 0..kmax {
             for f in 0..2 {
                 let old = F64x::<W>::load(&self.old[f], k, jl, il);
-                d[2 * k + f] = (old + s.dt * F64x::load(&self.tend[f], k, jl, il)).0;
+                d[2 * k + f] = (old + s.dt * F64x::load(&self.new[f], k, jl, il)).0;
             }
         }
         s.solve::<W, 2>(jl, il, depths, abc, d);
@@ -242,7 +244,7 @@ impl ColumnKernel for FunctorVelocityColumns {
     fn prefetch(&self, jl: usize, il: usize) {
         for k in 0..self.solve.mask.at(jl, il) as usize {
             lanes::prefetch3(&self.solve.kcoef, k, jl, il);
-            for q in self.old.iter().chain(&self.tend) {
+            for q in self.old.iter().chain(&self.new) {
                 lanes::prefetch3(q, k, jl, il);
             }
         }
@@ -477,7 +479,6 @@ mod tests {
         let new: [View3<f64>; 2] = [View::host("un", d3), View::host("vn", d3)];
         let f = FunctorVelocityColumns {
             old: [u, View::host("v", d3)],
-            tend: [View::host("ut", d3), View::host("vt", d3)],
             new: new.clone(),
             solve: VerticalSolve {
                 kcoef: View::host("km", [nz + 1, d3[1], d3[2]]),

@@ -42,7 +42,8 @@ pub fn sss_target(lat_deg: f64) -> f64 {
 pub const RESTORE_SECONDS: f64 = 30.0 * 86_400.0;
 
 /// Add wind-stress acceleration to the top-layer momentum tendency at
-/// B-grid corners: `du/dt += τx / (ρ0 dz0)`.
+/// B-grid corners: `du/dt += τx / (ρ0 dz0)`. `ut` / `vt` are the tendency
+/// the momentum kernel left in the new velocity level.
 pub struct FunctorWindStress {
     pub ut: View3<f64>,
     pub vt: View3<f64>,

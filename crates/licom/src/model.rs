@@ -145,7 +145,7 @@ impl std::error::Error for StepError {}
 /// carry per-column wet depth as the scheduling cost.
 struct WetPolicies {
     /// Owned wet T columns — the old level's pass, w diagnosis, the tracer
-    /// column pass, the guard's fold.
+    /// column pass, the guard's fold and its re-scan on a trip.
     cols: ListPolicy,
     /// The wet T columns of the halo that the momentum stencil reads
     /// pressure at (the row north of the block and the column east of it)
@@ -154,8 +154,6 @@ struct WetPolicies {
     /// Owned wet velocity corners (`kmu > 0`) — depth mean, wind stress,
     /// the velocity column pass, the guard's fold.
     ucols: ListPolicy,
-    /// Owned wet T cells — the guard's re-scan on a trip.
-    cells: ListPolicy,
     /// Interior/rim split of the owned wet velocity cells (`k < kmu`; a
     /// 1-cell horizontal rim) — momentum tendency.
     ucells_interior: ListPolicy,
@@ -172,7 +170,6 @@ impl WetPolicies {
                 .with_cost_prefix(w.cols_halo.cost_prefix.clone()),
             ucols: ListPolicy::new(w.ucols_own.indices.clone())
                 .with_cost_prefix(w.ucols_own.cost_prefix.clone()),
-            cells: ListPolicy::new(w.cells3_own.indices.clone()),
             ucells_interior: ListPolicy::new(w.ucells3_own_interior.indices.clone()),
             ucells_rim: ListPolicy::new(w.ucells3_own_rim.indices.clone()),
         }
@@ -344,18 +341,18 @@ impl Model {
         &self.flight_dir
     }
 
+    /// Every level of every prognostic field: the three leapfrog levels of
+    /// u, v and η, the two tracer levels of T and S (13 exchanges).
     fn exchange_all_initial(&mut self) {
+        let st = &self.state;
         for lev in 0..crate::state::LEVELS {
-            self.halo3
-                .exchange(&self.state.u[lev], FoldKind::Vector, 700);
-            self.halo3
-                .exchange(&self.state.v[lev], FoldKind::Vector, 710);
-            self.halo3
-                .exchange(&self.state.t[lev], FoldKind::Scalar, 720);
-            self.halo3
-                .exchange(&self.state.s[lev], FoldKind::Scalar, 730);
-            self.halo2
-                .exchange(&self.state.eta[lev], FoldKind::Scalar, 740);
+            self.halo3.exchange(&st.u[lev], FoldKind::Vector, 700);
+            self.halo3.exchange(&st.v[lev], FoldKind::Vector, 710);
+            self.halo2.exchange(&st.eta[lev], FoldKind::Scalar, 740);
+        }
+        for (t, s) in st.t.levels().into_iter().zip(st.s.levels()) {
+            self.halo3.exchange(t, FoldKind::Scalar, 720);
+            self.halo3.exchange(s, FoldKind::Scalar, 730);
         }
     }
 
@@ -448,7 +445,7 @@ impl Model {
     pub fn reset_transients(&mut self) {
         use crate::constants::{KH_BACKGROUND, KM_BACKGROUND};
         let s = &mut self.state;
-        for v in [&s.w, &s.pressure, &s.ut, &s.vt] {
+        for v in [&s.w, &s.pressure] {
             v.fill(0.0);
         }
         for b in &s.work.adv_band {
@@ -548,8 +545,8 @@ impl Model {
             &self.grid,
             &self.state.u[c],
             &self.state.v[c],
-            &self.state.t[c],
-            &self.state.s[c],
+            self.state.t.cur(),
+            self.state.s.cur(),
         )
     }
 

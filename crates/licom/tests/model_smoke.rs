@@ -132,8 +132,8 @@ fn cross_rank_balancing_reproduces_the_steps_closure() {
         let c = m.state.cur();
         let st = &m.state;
         let (t, s, u, v) = (
-            copy(&st.t[c]),
-            copy(&st.s[c]),
+            copy(st.t.cur()),
+            copy(st.s.cur()),
             copy(&st.u[c]),
             copy(&st.v[c]),
         );

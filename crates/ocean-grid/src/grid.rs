@@ -26,17 +26,10 @@ impl GlobalGrid {
     pub fn build(nx: usize, ny: usize, nz: usize, bathy: &Bathymetry, full_depth: bool) -> Self {
         let horiz = TripolarGrid::new(nx, ny);
         let vert = VerticalLevels::standard(nz, full_depth);
-        let mut kmt = vec![0usize; nx * ny];
-        let mut depth = vec![0.0f64; nx * ny];
-        for j in 0..ny {
-            let lat = horiz.lat_t(j);
-            for i in 0..nx {
-                let lon = horiz.lon_t(i);
-                let d = bathy.depth(lon, lat);
-                depth[j * nx + i] = d;
-                kmt[j * nx + i] = vert.kmt(d);
-            }
-        }
+        let lons: Vec<f64> = (0..nx).map(|i| horiz.lon_t(i)).collect();
+        let lats: Vec<f64> = (0..ny).map(|j| horiz.lat_t(j)).collect();
+        let depth = bathy.table(&lons, &lats);
+        let kmt: Vec<usize> = depth.iter().map(|&d| vert.kmt(d)).collect();
         let mut kmu = vec![0usize; nx * ny];
         for j in 0..ny {
             for i in 0..nx {
@@ -169,6 +162,49 @@ mod tests {
         // 4x horizontal cells → roughly 4x wet points.
         let ratio = hi.wet_points_3d() as f64 / lo.wet_points_3d() as f64;
         assert!((2.5..6.0).contains(&ratio), "ratio {ratio}");
+    }
+
+    /// The grid's depths, sampled as one table, against the per-point body
+    /// at each cell centre, bit for bit: the benchmark's five grids, odd
+    /// sizes, and the flat and basin planets.
+    #[test]
+    fn the_depth_table_is_the_per_point_body() {
+        use crate::bathymetry::tests::reference_depth;
+        let basin = Bathymetry::Basin {
+            lon0: 60.0,
+            lon1: 300.0,
+            lat0: -50.0,
+            lat1: 50.0,
+            depth: 4000.0,
+        };
+        let earth = Bathymetry::earth_like();
+        let cases = [
+            (180, 115, &earth),
+            (120, 76, &earth),
+            (60, 38, &earth),
+            (40, 25, &earth),
+            (30, 19, &earth),
+            (4, 4, &earth),
+            (7, 5, &earth),
+            (97, 61, &earth),
+            (361, 181, &earth),
+            (45, 27, &Bathymetry::Flat(4000.0)),
+            (45, 27, &basin),
+            (61, 37, &basin),
+        ];
+        for (nx, ny, bathy) in cases {
+            let g = GlobalGrid::build(nx, ny, 6, bathy, false);
+            for j in 0..ny {
+                for i in 0..nx {
+                    let (lon, lat) = (g.horiz.lon_t(i), g.horiz.lat_t(j));
+                    assert_eq!(
+                        g.depth[g.idx(j, i)].to_bits(),
+                        reference_depth(bathy, lon, lat).to_bits(),
+                        "{nx}×{ny} {bathy:?}: cell ({j}, {i})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

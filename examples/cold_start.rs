@@ -9,8 +9,10 @@
 //! second runs the constructor's stages on their own — so both start on a
 //! fresh rank thread, and from the second line on the allocator hands back
 //! pages the process has used before. Times are the slowest rank's, in
-//! milliseconds; `init/new` is `init_stratified` over `Model::new`. This
-//! prints the stage table of EXPERIMENTS.md "Cold start".
+//! milliseconds; `init/new` is `init_stratified` over `Model::new`, and
+//! `State MiB` is what one rank's `State` keeps resident
+//! (`State::resident_bytes`). This prints the stage table of EXPERIMENTS.md
+//! "Cold start".
 
 use std::time::Instant;
 
@@ -26,8 +28,9 @@ use licomkpp::mpi::{CartComm, World};
 const REPEATS: usize = 3;
 
 /// `[Model::new, GlobalGrid::build, LocalGrid::build, State::new,
-/// init_stratified]`, each the slowest rank's, in milliseconds.
-type Stages = [f64; 5];
+/// init_stratified]`, each the slowest rank's, in milliseconds, then the
+/// largest rank's `State` in MiB.
+type Stages = [f64; 6];
 
 fn ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t = Instant::now();
@@ -50,7 +53,7 @@ fn stages(cfg: &ModelConfig, ranks: usize) -> Stages {
     let [new_ms] = slowest(World::run(ranks, |comm| {
         [ms(|| Model::new(comm, cfg.clone(), Space::serial(), opts.clone())).1]
     }));
-    let [global_ms, local_ms, state_ms, init_ms] = slowest(World::run(ranks, |comm| {
+    let [global_ms, local_ms, state_ms, init_ms, state_mib] = slowest(World::run(ranks, |comm| {
         let (global, global_ms) =
             ms(|| GlobalGrid::build(cfg.nx, cfg.ny, cfg.nz, &opts.bathymetry, cfg.full_depth));
         let (px, py) = choose_dims(comm.size(), cfg.nx);
@@ -59,9 +62,10 @@ fn stages(cfg: &ModelConfig, ranks: usize) -> Stages {
         let (mut state, state_ms) = ms(|| State::new(&grid));
         let ((), init_ms) = ms(|| state.init_stratified(&grid));
         assert!(!state.has_nan());
-        [global_ms, local_ms, state_ms, init_ms]
+        let state_mib = state.resident_bytes() as f64 / (1 << 20) as f64;
+        [global_ms, local_ms, state_ms, init_ms, state_mib]
     }));
-    [new_ms, global_ms, local_ms, state_ms, init_ms]
+    [new_ms, global_ms, local_ms, state_ms, init_ms, state_mib]
 }
 
 fn main() {
@@ -73,7 +77,7 @@ fn main() {
         ("ensemble_serve (pilot)", eddy(60, 6), 1),
     ];
     println!(
-        "{:<24} {:>11} {:>5} | {:>10} {:>11} {:>10} {:>10} {:>10} {:>9}",
+        "{:<24} {:>11} {:>5} | {:>10} {:>11} {:>10} {:>10} {:>10} {:>9} | {:>9}",
         "workload",
         "grid",
         "ranks",
@@ -82,14 +86,15 @@ fn main() {
         "LocalGrid",
         "State::new",
         "init_strat",
-        "init/new"
+        "init/new",
+        "State MiB"
     );
     for (name, cfg, ranks) in &rows {
         let grid = format!("{}x{}x{}", cfg.nx, cfg.ny, cfg.nz);
         for _ in 0..REPEATS {
-            let [new, global, local, state, init] = stages(cfg, *ranks);
+            let [new, global, local, state, init, mib] = stages(cfg, *ranks);
             println!(
-                "{name:<24} {grid:>11} {ranks:>5} | {new:>10.2} {global:>11.2} {local:>10.2} {state:>10.2} {init:>10.2} {:>9.2}",
+                "{name:<24} {grid:>11} {ranks:>5} | {new:>10.2} {global:>11.2} {local:>10.2} {state:>10.2} {init:>10.2} {:>9.2} | {mib:>9.2}",
                 init / new
             );
         }

@@ -77,9 +77,8 @@ fn main() {
             g.depth.at(jl, il),
             kmt
         );
-        let c = m.state.cur();
         (0..kmt as usize)
-            .map(|k| (g.z_t.at(k), m.state.t[c].at(k, jl, il)))
+            .map(|k| (g.z_t.at(k), m.state.t.cur().at(k, jl, il)))
             .collect::<Vec<_>>()
     })
     .pop()

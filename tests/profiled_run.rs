@@ -54,10 +54,13 @@ fn four_spaces_trace_validly_and_send_the_same_literal_traffic() {
         // strips × 18 rows × H × 6 levels × 2 fields × 8 B a step), and a
         // bottom rank's message from its zonal neighbour held nothing else
         // (2 messages and their 32 B frame headers a step): 2 724 − 8·2
-        // messages, 5 521 728 − 8·(27 648 + 64) B.
+        // messages, 5 521 728 − 8·(27 648 + 64) B. The tracers keep two
+        // levels, not three, so start-up exchanges 13 fields, not 15: two
+        // single-field exchanges of 12 messages and 33 024 B fewer,
+        // 2 708 − 2·12 messages, 5 300 032 − 2·33 024 B.
         assert_eq!(
             (traffic.p2p_messages, traffic.p2p_bytes, wet_cells[0]),
-            (2_708, 5_300_032, 2_522),
+            (2_684, 5_233_984, 2_522),
             "{name}: (p2p messages, p2p bytes, rank 0's wet cells)"
         );
 
