@@ -229,8 +229,11 @@ fn column_passes_are_their_census_rows_less_what_they_count_once() {
     let tracer = licom::columns::FunctorTracerColumns {
         q: [v3(nz), v3(nz)],
         advect: licom::advect::AdvectZ {
-            w: v3(nz + 1),
+            u: v3(nz),
+            v: v3(nz),
             kmt: v2i(nz as i32),
+            dxt: v1(8),
+            dyt: 1.0e5,
             dz: v1(nz),
             dt: 20.0,
             nz,
@@ -268,12 +271,14 @@ fn column_passes_are_their_census_rows_less_what_they_count_once() {
         (0.0, 48.0),
         (0.0, 16.0),
     ]);
-    // Per level, counted once by the tracer pass: the CFL and `w` the two
-    // vertical passes share, the metrics and masks the two diffusions
-    // share, the matrix the two solves share, the new level between the
-    // members (the advection's store, the diffusion's load and store, the
-    // solve's load), the guard's two reads.
+    // Per level, counted once by the tracer pass: `w` between the continuity
+    // diagnosis and the vertical passes (its store and its load), the CFL
+    // and `w` the two vertical passes share, the metrics and masks the two
+    // diffusions share, the matrix the two solves share, the new level
+    // between the members (the advection's store, the diffusion's load and
+    // store, the solve's load), the guard's two reads.
     let ts_once = sum(&[
+        (0.0, 16.0),
         (4.0, 16.0),
         (3.0, 24.0),
         (9.0, 32.0),
@@ -311,7 +316,7 @@ fn column_passes_are_their_census_rows_less_what_they_count_once() {
                 less(
                     sum(&[
                         Z_PER_FIELD,
-                        rows(&["tracer_hdiff", "vmix_tracer"]),
+                        rows(&["diagnose_w", "tracer_hdiff", "vmix_tracer"]),
                         GUARD_BOUNDS
                     ]),
                     ts_once

@@ -13,7 +13,7 @@
 //! order"). The Fig. 5 transpose kernels in `halo-exchange` convert halo
 //! strips between the two.
 
-use std::cell::UnsafeCell;
+use std::alloc::Layout as AllocLayout;
 use std::sync::Arc;
 
 use crate::memspace::{self, MemSpace};
@@ -27,14 +27,72 @@ pub enum Layout {
     Left,
 }
 
+/// Every view's storage starts on a 64-byte line, as Kokkos allocates it:
+/// a lane block, a DMA tile or a halo strip never straddles a line
+/// boundary because of where the heap happened to put the field.
+pub const ALIGN: usize = 64;
+
+/// One allocation of `len` elements on an [`ALIGN`]-byte line, owned by
+/// the views that share it. The bytes come from `std::alloc` with a layout
+/// of that alignment and go back with the same layout, and every element
+/// is written with `T::default()` before any view can see it — one pass
+/// the same whatever the heap held there before (a fresh mapping, a reused
+/// chunk or trimmed pages), where `calloc` skipped it on fresh pages and
+/// paid it on reused ones.
 struct ViewBuf<T> {
-    data: UnsafeCell<Box<[T]>>,
+    ptr: *mut T,
+    len: usize,
+    layout: AllocLayout,
+}
+
+impl<T: Clone + Default> ViewBuf<T> {
+    fn new(len: usize) -> Self {
+        let layout = AllocLayout::array::<T>(len)
+            .and_then(|l| l.align_to(ALIGN))
+            .unwrap_or_else(|_| panic!("a view of {len} elements overflows the address space"));
+        let ptr = if layout.size() == 0 {
+            // Nothing to allocate: any non-null address of the layout's
+            // alignment is a valid base for zero-sized accesses.
+            std::ptr::without_provenance_mut(layout.align())
+        } else {
+            // SAFETY: the layout's size is non-zero (checked above).
+            let p = unsafe { std::alloc::alloc(layout) }.cast::<T>();
+            if p.is_null() {
+                std::alloc::handle_alloc_error(layout);
+            }
+            p
+        };
+        let fill = T::default();
+        for i in 0..len {
+            // SAFETY: `i < len`, so the slot lies inside the allocation
+            // (or is a zero-sized slot at an aligned address); it is
+            // uninitialised, so `write` drops nothing.
+            unsafe { ptr.add(i).write(fill.clone()) }
+        }
+        Self { ptr, len, layout }
+    }
+}
+
+impl<T> Drop for ViewBuf<T> {
+    fn drop(&mut self) {
+        // SAFETY: the last handle is gone, so nothing reads the `len`
+        // elements `new` initialised; they are dropped once, then the
+        // block goes back to the allocator with the layout it came with.
+        unsafe {
+            std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(self.ptr, self.len));
+            if self.layout.size() != 0 {
+                std::alloc::dealloc(self.ptr.cast(), self.layout);
+            }
+        }
+    }
 }
 
 // SAFETY: Views follow the Kokkos aliasing model — concurrent mutation is
 // only performed by parallel kernels over provably disjoint index sets
 // (each linear index written by at most one iteration). All bulk accessors
 // that could observe torn state are documented with that precondition.
+// The block itself is owned by the `Arc` around the buffer and freed on
+// whichever thread drops the last handle, which `T: Send` allows.
 unsafe impl<T: Send + Sync> Sync for ViewBuf<T> {}
 unsafe impl<T: Send + Sync> Send for ViewBuf<T> {}
 
@@ -44,7 +102,7 @@ pub struct View<T, const R: usize> {
     buf: Arc<ViewBuf<T>>,
     /// The address of element 0 (inside the allocation for a subview),
     /// cached so `at`/`set_at` are one add and one load/store: re-deriving
-    /// it through `Arc → UnsafeCell → Box` after every store kept LLVM from
+    /// it through the `Arc` after every store kept LLVM from
     /// hoisting bases out of inlined kernel loops.
     base: *mut T,
     dims: [usize; R],
@@ -58,10 +116,10 @@ pub struct View<T, const R: usize> {
     root: bool,
 }
 
-// SAFETY: `base` points into the boxed slice owned by `buf`, which this
-// handle keeps alive and which never moves or reallocates (the box is
-// created once in `new` and only ever read through `ViewBuf::data`), so the
-// pointer is valid on any thread for the handle's lifetime. Sharing or
+// SAFETY: `base` points into the block owned by `buf`, which this handle
+// keeps alive and which never moves or reallocates (it is allocated once in
+// `ViewBuf::new` and freed only when the last handle drops), so the pointer
+// is valid on any thread for the handle's lifetime. Sharing or
 // sending a handle exposes exactly what `Arc<ViewBuf<T>>` already exposes —
 // `&T`/`T` on other threads, hence the `T: Send + Sync` bounds — and
 // concurrent mutation follows the Kokkos aliasing contract stated on
@@ -114,19 +172,14 @@ fn strides_for(dims: &[usize], layout: Layout) -> Vec<usize> {
 }
 
 impl<T: Clone + Default + Send + Sync, const R: usize> View<T, R> {
-    /// Allocate a zero-initialised (`T::default()`) view.
+    /// Allocate a zero-initialised (`T::default()`) view whose element 0
+    /// starts on an [`ALIGN`]-byte line.
     pub fn new(label: &str, dims: [usize; R], layout: Layout, space: MemSpace) -> Self {
         let len: usize = dims.iter().product();
-        let data: Box<[T]> = vec![T::default(); len].into_boxed_slice();
         let mut strides = [0usize; R];
         strides.copy_from_slice(&strides_for(&dims, layout));
-        let buf = Arc::new(ViewBuf {
-            data: UnsafeCell::new(data),
-        });
-        // SAFETY: no other handle exists yet, so the exclusive borrow of
-        // the cell's contents is unique; the heap block it points at stays
-        // put for as long as any clone of `buf` lives.
-        let base = unsafe { (*buf.data.get()).as_mut_ptr() };
+        let buf = Arc::new(ViewBuf::new(len));
+        let base = buf.ptr;
         Self {
             buf,
             base,
@@ -767,6 +820,31 @@ mod subview_tests {
     fn copy_from_slice_rejects_a_wrong_length() {
         let v: View1<f64> = View::host("v", [4]);
         v.copy_from_slice(&[1.0; 5]);
+    }
+
+    /// Every root view starts on a line, whatever its element type and
+    /// length (none included), and reads as defaults; a level of it starts
+    /// wherever its offset puts it.
+    #[test]
+    fn root_views_start_on_a_line_and_read_defaults() {
+        fn check<T: Copy + Default + PartialEq + std::fmt::Debug + Send + Sync>(len: usize) {
+            let v: View1<T> = View::host("a", [len]);
+            assert_eq!(
+                v.data_ptr() as usize % ALIGN,
+                0,
+                "{len} x {}",
+                std::any::type_name::<T>()
+            );
+            assert!(v.as_slice().iter().all(|x| *x == T::default()));
+        }
+        for len in [0, 1, 3, 7, 8, 9, 100, 4097] {
+            check::<f64>(len);
+            check::<f32>(len);
+            check::<i32>(len);
+            check::<u64>(len);
+        }
+        let v: View3<f64> = View::host("v", [2, 3, 5]);
+        assert_eq!(v.level(1).data_ptr() as usize % ALIGN, 15 * 8 % ALIGN);
     }
 
     #[test]

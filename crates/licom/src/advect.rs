@@ -28,13 +28,11 @@
 //! [`RowBand`]. The `cost()` hooks carry that traffic into the Sunway
 //! cycle model.
 
-use kokkos_rs::{
-    parallel_for_3d, Functor3D, FunctorList, IterCost, MDRangePolicy3, Space, View1, View2, View3,
-};
+use kokkos_rs::{parallel_for_3d, Functor3D, IterCost, MDRangePolicy3, Space, View1, View2, View3};
 
 use halo_exchange::{FoldKind, Halo3D, HaloError, RowBand, HALO as H};
 
-use crate::lanes::{self, above, ColumnKernel, F64x, Isa, Mask};
+use crate::lanes::{self, above, F64x, Isa, Mask};
 use crate::localgrid::LocalGrid;
 use crate::model::Poster;
 
@@ -580,20 +578,36 @@ impl Functor3D for FunctorAdvectWave {
 
 kokkos_rs::register_for_3d!(kernel_advect_wave, FunctorAdvectWave);
 
-/// Diagnose the interface vertical velocity from continuity, bottom-up:
-/// `w(k) = w(k+1) − dz_k · div_h(k)`, `w(nz) = 0`. Column-wise.
-pub struct FunctorDiagnoseW {
+/// The vertical pass of both tracers: the interface vertical velocity
+/// diagnosed from continuity, then limited upstream fluxes through the
+/// interfaces and the divergence update, column-wise (the column loop *is*
+/// the stencil, so one body does every step). `w` lives only in the
+/// block's work rows, and the interface CFL `c = |w| dt / dz` — a divide —
+/// serves `T` and `S`. Not a launch of its own: the first member of the
+/// tracer column pass ([`crate::columns::FunctorTracerColumns`]), which
+/// takes its result straight into diffusion and the implicit solve.
+pub struct AdvectZ {
+    /// The current velocity level (its ghosts the previous step's
+    /// filtered ones), from which `w` is diagnosed.
     pub u: View3<f64>,
     pub v: View3<f64>,
-    pub w: View3<f64>,
     pub kmt: View2<i32>,
     pub dxt: View1<f64>,
     pub dyt: f64,
     pub dz: View1<f64>,
+    pub dt: f64,
     pub nz: usize,
+    pub limited: bool,
 }
 
-impl FunctorDiagnoseW {
+impl AdvectZ {
+    /// Work words per lane: the diagnosed `w`, and per tracer the staged
+    /// `q` and the interface fluxes `f[k]`, `k = 0..=nz` — whose rows the
+    /// continuity's four staged face sums use first.
+    pub const fn scratch_words(nz: usize) -> usize {
+        5 * nz + 2
+    }
+
     /// Face-normal velocity at `W` faces adjacent in `i` from the sum of
     /// each face's two B-grid corners: their mean, zero where the
     /// shallower of the face's two T cells (`kface` levels) is dry at `k`.
@@ -601,34 +615,27 @@ impl FunctorDiagnoseW {
     fn face<const W: usize>(k: usize, kface: &[i32; W], corners: [f64; W]) -> F64x<W> {
         above(k, kface).select(0.5 * F64x(corners), F64x::splat(0.0))
     }
-}
 
-impl ColumnKernel for FunctorDiagnoseW {
-    /// The staged corner sums of a block's four faces.
-    fn scratch_words(&self) -> usize {
-        4 * self.nz
-    }
-
-    /// Diagnose the columns `(jl, il..il + W)` at **padded** indices. A
-    /// land column would only re-zero `w`, which nothing else writes, so the
-    /// wet list loses nothing by skipping it. A lane shallower than the
-    /// block's deepest column sees only dry faces below its bottom, so its
-    /// `w` stays zero there.
+    /// The interface vertical velocity of the columns `(jl, il..il + W)`
+    /// from continuity, bottom-up: `w(k) = w(k+1) − dz_k · div_h(k)`,
+    /// `w(kmt) = 0`, into `ws[k]` for `k < kmax`; `stage` holds the four
+    /// faces' corner sums (`4 nz` rows). A lane shallower than the block's
+    /// deepest column sees only dry faces below its bottom, so its `w`
+    /// stays zero there.
     #[inline(always)]
-    fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
-        let (kmt, kmax) = lanes::depths::<W>(&self.kmt, jl, il);
-        let zero = F64x::<W>::splat(0.0);
-        for k in kmax..=self.nz {
-            zero.store(&self.w, k, jl, il);
-        }
-        if kmax == 0 {
-            return;
-        }
+    fn continuity<const W: usize>(
+        &self,
+        jl: usize,
+        il: usize,
+        (kmt, kmax): ([i32; W], usize),
+        stage: &mut [f64],
+        ws: &mut [[f64; W]],
+    ) {
         // Stage the corner sums of the east/west/north/south faces first:
         // loads and one add each, so a cache miss per level stays in
         // flight. East/west faces of (jl, il) lie between corners (jl, ·)
         // and (jl-1, ·); north/south faces between (·, il) and (·, il-1).
-        let (e, rest) = scratch.split_at_mut(self.nz * W);
+        let (e, rest) = stage.split_at_mut(self.nz * W);
         let (w_, rest) = rest.split_at_mut(self.nz * W);
         let (n, s) = rest.split_at_mut(self.nz * W);
         let rows = |r| lanes::rows::<W>(r, kmax);
@@ -651,7 +658,7 @@ impl ColumnKernel for FunctorDiagnoseW {
         let area = self.dxt.at(jl) * self.dyt;
         let dxn = 0.5 * (self.dxt.at(jl) + self.dxt.at(jl + 1));
         let dxs = 0.5 * (self.dxt.at(jl) + self.dxt.at(jl - 1));
-        let mut w = zero; // bottom interface of each lane's deepest wet layer
+        let mut w = F64x::<W>::splat(0.0); // bottom interface of each lane's deepest wet layer
         for k in (0..kmax).rev() {
             let fe = Self::face(k, &ke, e[k]) * self.dyt;
             let fw = Self::face(k, &kw, w_[k]) * self.dyt;
@@ -659,53 +666,8 @@ impl ColumnKernel for FunctorDiagnoseW {
             let fs = Self::face(k, &ks, s[k]) * dxs;
             let div = (fe - fw + fn_ - fs) / area;
             w = above(k, &kmt).select(w - self.dz.at(k) * div, w);
-            w.store(&self.w, k, jl, il);
+            ws[k] = w.0;
         }
-    }
-}
-
-/// Entry `idx` is a packed owned wet T column `jl·pi + il` (`pi` is `kmt`'s
-/// row pitch).
-impl FunctorList for FunctorDiagnoseW {
-    fn operator(&self, _n: usize, idx: u32) {
-        lanes::run_column(self, self.kmt.extent(1), idx);
-    }
-
-    fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(Isa::detect(), self, self.kmt.extent(1), entries);
-    }
-
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 20 * self.nz as u64,
-            bytes: 120 * self.nz as u64,
-        }
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_diagnose_w, FunctorDiagnoseW);
-
-/// The vertical pass of both tracers: limited upstream fluxes through
-/// interfaces and the divergence update, column-wise (the column loop *is*
-/// the stencil, so one body does both steps). `w` is staged once and the
-/// interface CFL `c = |w| dt / dz` — a divide — serves `T` and `S`. Not a
-/// launch of its own: the first member of the tracer column pass
-/// ([`crate::columns::FunctorTracerColumns`]), which takes its result
-/// straight into diffusion and the implicit solve.
-pub struct AdvectZ {
-    pub w: View3<f64>,
-    pub kmt: View2<i32>,
-    pub dz: View1<f64>,
-    pub dt: f64,
-    pub nz: usize,
-    pub limited: bool,
-}
-
-impl AdvectZ {
-    /// Work words per lane: the staged `w`, and per tracer the staged `q`
-    /// and the interface fluxes `f[k]`, `k = 0..=nz`.
-    pub const fn scratch_words(nz: usize) -> usize {
-        5 * nz + 2
     }
 
     /// The pass over the columns `(jl, il..il + W)` at **padded** indices,
@@ -736,19 +698,19 @@ impl AdvectZ {
         let zero = F64x::<W>::splat(0.0);
         let nz = self.nz;
         let (ws, rest) = scratch.split_at_mut(nz * W);
-        let (qs, f) = rest.split_at_mut(2 * nz * W);
         let ws = lanes::rows::<W>(ws, kmax);
+        self.continuity::<W>(jl, il, (kmt, kmax), rest, ws);
+        let (qs, f) = rest.split_at_mut(2 * nz * W);
         // Row `2k + t` is tracer `t` at level / interface `k`.
         let (qs, f) = (
             lanes::rows::<W>(qs, 2 * kmax),
             lanes::rows::<W>(f, 2 * kmax + 2),
         );
-        // Stage the block's inputs first: a bare copy loop keeps a cache
+        // Stage the block's tracers first: a bare copy loop keeps a cache
         // miss per level in flight, which the flux loop (two divides per
         // level and tracer) cannot — the vertical stride puts every level
         // on its own line and page.
         for k in 0..kmax {
-            ws[k] = F64x::<W>::load(&self.w, k, jl, il).0;
             for (t, q) in q.iter().enumerate() {
                 qs[2 * k + t] = F64x::<W>::load(q, k, jl, il).0;
             }
@@ -803,7 +765,6 @@ pub fn register() {
     kernel_advect_x_band();
     kernel_advect_y_band();
     kernel_advect_wave();
-    kernel_diagnose_w();
 }
 
 /// The horizontal half of the dimension-split advection of both tracers

@@ -425,8 +425,8 @@ pub fn split_substep(ny: usize, nx: usize) -> (MDRangePolicy3, [MDRangePolicy3; 
 }
 
 /// Integrate the barotropic system over one leapfrog window (`2 dt_c`),
-/// starting from `state.eta[cur]`, `state.ubt`, `state.vbt`, forced by
-/// the depth-mean tendencies `gu`, `gv`. On return `state.eta[new]`,
+/// starting from `state.eta.cur()`, `state.ubt`, `state.vbt`, forced by
+/// the depth-mean tendencies `gu`, `gv`. On return `state.eta.next()`,
 /// `state.ubt`, `state.vbt` hold the window averages (with valid halos).
 /// `Err` means a per-substep halo update stayed unrecoverable after the
 /// integrity layer's retries; the barotropic work arrays are then in an
@@ -472,7 +472,7 @@ pub fn integrate(
             full,
             &FunctorTriple {
                 a: FunctorScaleAssign2D {
-                    src: state.eta[state.cur()].clone(),
+                    src: state.eta.cur().clone(),
                     dst: state.bt_eta[lev].clone(),
                     scale: 1.0,
                 },
@@ -611,14 +611,13 @@ pub fn integrate(
     }
     let _average = kokkos_rs::profiling::region("bt:average");
     let scale = 1.0 / substeps as f64;
-    let nl = state.new_lev();
     parallel_for_3d(
         space,
         full,
         &FunctorTriple {
             a: FunctorScaleAssign2D {
                 src: acc_eta,
-                dst: state.eta[nl].clone(),
+                dst: state.eta.next().clone(),
                 scale,
             },
             b: FunctorScaleAssign2D {

@@ -25,7 +25,7 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use kokkos_rs::View3;
+use kokkos_rs::{View2, View3};
 use mpi_sim::flight::FlightEventKind;
 use mpi_sim::{crc32_f64, Comm, CommError, RetryPolicy};
 
@@ -33,8 +33,10 @@ use crate::model::{Model, StepError};
 use crate::state::State;
 
 const MAGIC: &[u8; 8] = b"LICOMCKP";
-/// 2: the tracers carry two roles (`old`, `cur`), not three — 15 fields.
-const VERSION: u64 = 2;
+/// 3: two roles (`old`, `cur`) and no `new` — 12 fields. Version 2 also
+/// carried `u_new`, `v_new` and `eta_new` (15 fields), version 1 the
+/// tracers' `new` as well (17).
+const VERSION: u64 = 3;
 /// Sanity cap on field-name length; real names are < 16 bytes.
 const MAX_NAME: usize = 256;
 
@@ -245,34 +247,36 @@ fn geometry(m: &Model) -> [u64; 5] {
     ]
 }
 
-/// A role's name, its leapfrog level and the tracers' buffers it has.
-type Role<'s> = (&'static str, usize, Option<[&'s View3<f64>; 2]>);
+/// A role's name, its leapfrog level of `u` and `v`, and its buffers of
+/// the two-level fields: `[t, s]` and `eta`.
+type Role<'s> = (&'static str, usize, [&'s View3<f64>; 2], &'s View2<f64>);
 
-/// The image's layout by role: the leapfrog level of `u`, `v` and `eta`
-/// and, in the `old` and `cur` roles only, the tracers' buffers. The
-/// tracers' `old` is the buffer their next step writes, which holds the
-/// previous current level between steps ([`crate::state::TwoLevel`]).
-fn roles(st: &State) -> [Role<'_>; 3] {
+/// The image's layout by role: the leapfrog level of `u` and `v` and the
+/// buffers of `t`, `s` and `eta` in the `old` and `cur` roles. A two-level
+/// field's `old` is the buffer its next step writes, which holds the
+/// previous current level between steps ([`crate::state::TwoLevel`]). The
+/// new velocity level is no role: a step writes it before it reads it,
+/// and a restore zeroes it ([`Model::reset_transients`]).
+fn roles(st: &State) -> [Role<'_>; 2] {
     [
-        ("old", st.old(), Some([st.t.old(), st.s.old()])),
-        ("cur", st.cur(), Some([st.t.cur(), st.s.cur()])),
-        ("new", st.new_lev(), None),
+        ("old", st.old(), [st.t.old(), st.s.old()], st.eta.old()),
+        ("cur", st.cur(), [st.t.cur(), st.s.cur()], st.eta.cur()),
     ]
 }
 
 /// The prognostic fields an image carries, in file order — by role, u/v,
-/// t/s where the role has them, eta; then barotropic ubt/vbt: 15 fields —
-/// as slices of the model's own arrays.
+/// t/s, eta; then barotropic ubt/vbt: 12 fields — as slices of the model's
+/// own arrays.
 fn fields(m: &Model) -> Vec<(String, &[f64])> {
     let st = &m.state;
-    let mut fields = Vec::with_capacity(15);
-    for (role, lev, tracers) in roles(st) {
+    let mut fields = Vec::with_capacity(12);
+    for (role, lev, tracers, eta) in roles(st) {
         fields.push((format!("u_{role}"), st.u[lev].as_slice()));
         fields.push((format!("v_{role}"), st.v[lev].as_slice()));
-        for (name, q) in ["t", "s"].into_iter().zip(tracers.into_iter().flatten()) {
+        for (name, q) in ["t", "s"].into_iter().zip(tracers) {
             fields.push((format!("{name}_{role}"), q.as_slice()));
         }
-        fields.push((format!("eta_{role}"), st.eta[lev].as_slice()));
+        fields.push((format!("eta_{role}"), eta.as_slice()));
     }
     fields.push(("ubt".into(), st.ubt.as_slice()));
     fields.push(("vbt".into(), st.vbt.as_slice()));
@@ -322,13 +326,13 @@ fn apply(m: &mut Model, ck: &CheckpointData) -> Result<(), CheckpointError> {
     let st = &m.state;
     let mut it = ck.fields.iter().map(|(_, data)| data.as_slice());
     let mut next = || it.next().expect("field count checked above");
-    for (_, lev, tracers) in roles(st) {
+    for (_, lev, tracers, eta) in roles(st) {
         st.u[lev].copy_from_slice(next());
         st.v[lev].copy_from_slice(next());
-        for q in tracers.into_iter().flatten() {
+        for q in tracers {
             q.copy_from_slice(next());
         }
-        st.eta[lev].copy_from_slice(next());
+        eta.copy_from_slice(next());
     }
     st.ubt.copy_from_slice(next());
     st.vbt.copy_from_slice(next());

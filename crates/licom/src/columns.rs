@@ -17,7 +17,8 @@
 //! pass: a block loads every tendency level of its columns into its work
 //! rows before it stores the first new velocity. Once the
 //! horizontal advection passes are done, so is what is left of the new
-//! tracer level: the vertical advection pass, horizontal diffusion (a
+//! tracer level: the vertical advection pass (on a `w` it diagnoses from
+//! the current velocity level into work rows), horizontal diffusion (a
 //! stencil on the *current* level, so a column of the new one needs no
 //! neighbour of it), the implicit vertical mixing and the surface restore.
 //! Each chain is one kernel over its owned wet columns, which keeps a
@@ -252,7 +253,8 @@ impl ColumnKernel for FunctorVelocityColumns {
 }
 
 /// The tracer chain on the horizontal passes' output `q`: the vertical
-/// advection pass, `+ dt · κ ∇²` of the current level, implicit mixing on
+/// advection pass (its `w` diagnosed from the current velocity level into
+/// work rows), `+ dt · κ ∇²` of the current level, implicit mixing on
 /// `kh` / `kmt` over `dt`, the surface restore.
 pub struct FunctorTracerColumns {
     /// `[T, S]` at the new level: the y pass's output on entry, finished in
@@ -272,22 +274,23 @@ pub struct FunctorTracerColumns {
 impl FunctorTracerColumns {
     /// The union of the members' costs, each field once
     /// (`crates/bench/tests/census.rs` holds the sum against the census
-    /// rows). Per level: two single-field vertical advection passes
-    /// (60 flops, 160 B), two single-field diffusions (28, 160), two
-    /// single-field mixing solves (28, 128) and the guard's bounds scan
-    /// (8, 16), less what launches of their own pay again — the CFL and
-    /// `w` the advection shares (4, 16), the metrics and masks the
-    /// diffusion shares (3, 24), the matrix the solves share (9, 32), the
-    /// new level between the members (the advection's store, the
-    /// diffusion's load and store, the solve's load: 64 B) and the guard's
-    /// two reads (16 B). Per column: the restore (16 flops, 48 B) less its
-    /// load and store of the surface row (32 B), and the maximum stored
-    /// (16 B).
+    /// rows). Per level: the continuity diagnosis of `w` (20 flops, 120 B),
+    /// two single-field vertical advection passes (60, 160), two
+    /// single-field diffusions (28, 160), two single-field mixing solves
+    /// (28, 128) and the guard's bounds scan (8, 16), less what launches of
+    /// their own pay again — `w` between the members (the diagnosis's
+    /// store, the advection's load: 16 B), the CFL and `w` the advection
+    /// shares (4, 16), the metrics and masks the diffusion shares (3, 24),
+    /// the matrix the solves share (9, 32), the new level between the
+    /// members (the advection's store, the diffusion's load and store, the
+    /// solve's load: 64 B) and the guard's two reads (16 B). Per column:
+    /// the restore (16 flops, 48 B) less its load and store of the surface
+    /// row (32 B), and the maximum stored (16 B).
     fn footprint(&self) -> IterCost {
         let nz = self.solve.nz as u64;
         IterCost {
-            flops: 108 * nz + 16,
-            bytes: 312 * nz + 32,
+            flops: 128 * nz + 16,
+            bytes: 416 * nz + 32,
         }
     }
 }
@@ -336,13 +339,15 @@ impl ColumnKernel for FunctorTracerColumns {
     }
 
     /// The lines the advection, the diffusion and the solve read, down to
-    /// the first column's depth: at the columns themselves, and the
+    /// the first column's depth: at the columns themselves (the velocity
+    /// corners a row south, the previous row of blocks has touched), and the
     /// diffusion's northern neighbours, which no earlier row of blocks has
     /// touched (the southern ones it has).
     #[inline(always)]
     fn prefetch(&self, jl: usize, il: usize) {
         for k in 0..self.solve.mask.at(jl, il) as usize {
-            lanes::prefetch3(&self.advect.w, k, jl, il);
+            lanes::prefetch3(&self.advect.u, k, jl, il);
+            lanes::prefetch3(&self.advect.v, k, jl, il);
             lanes::prefetch3(&self.solve.kcoef, k, jl, il);
             for q in &self.q {
                 lanes::prefetch3(q, k, jl, il);
@@ -515,8 +520,11 @@ mod tests {
         let f = FunctorTracerColumns {
             q: [t.clone(), s],
             advect: AdvectZ {
-                w: View::host("w", [nz + 1, d3[1], d3[2]]),
+                u: View::host("u", d3),
+                v: View::host("v", d3),
                 kmt: mask.clone(),
+                dxt: View::from_fn("dxt", [d3[1]], |_| 1.0e4),
+                dyt: 1.0e4,
                 dz: dz.clone(),
                 dt: 20.0,
                 nz,

@@ -342,13 +342,15 @@ impl Model {
     }
 
     /// Every level of every prognostic field: the three leapfrog levels of
-    /// u, v and η, the two tracer levels of T and S (13 exchanges).
+    /// u and v, the two levels of η, T and S (12 exchanges).
     fn exchange_all_initial(&mut self) {
         let st = &self.state;
         for lev in 0..crate::state::LEVELS {
             self.halo3.exchange(&st.u[lev], FoldKind::Vector, 700);
             self.halo3.exchange(&st.v[lev], FoldKind::Vector, 710);
-            self.halo2.exchange(&st.eta[lev], FoldKind::Scalar, 740);
+        }
+        for eta in st.eta.levels() {
+            self.halo2.exchange(eta, FoldKind::Scalar, 740);
         }
         for (t, s) in st.t.levels().into_iter().zip(st.s.levels()) {
             self.halo3.exchange(t, FoldKind::Scalar, 720);
@@ -437,15 +439,17 @@ impl Model {
         Ok(())
     }
 
-    /// Zero every non-prognostic work array and reset the mixing
-    /// coefficients to their background values, so a model restored from
-    /// a checkpoint is indistinguishable from a freshly constructed one
-    /// that loaded the same state. Asserted bitwise by the checkpoint
-    /// round-trip tests.
+    /// Zero every non-prognostic work array — the new velocity level
+    /// included, which nothing reads before the step writes it and the
+    /// checkpoint image does not carry — and reset the mixing coefficients
+    /// to their background values, so a model restored from a checkpoint
+    /// is indistinguishable from a freshly constructed one that loaded the
+    /// same state. Asserted bitwise by the checkpoint round-trip tests.
     pub fn reset_transients(&mut self) {
         use crate::constants::{KH_BACKGROUND, KM_BACKGROUND};
         let s = &mut self.state;
-        for v in [&s.w, &s.pressure] {
+        let n = s.new_lev();
+        for v in [&s.u[n], &s.v[n], &s.pressure] {
             v.fill(0.0);
         }
         for b in &s.work.adv_band {

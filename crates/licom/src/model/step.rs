@@ -17,7 +17,7 @@ use mpi_sim::flight::FlightEventKind;
 use mpi_sim::TrafficSnapshot;
 
 use super::{Model, StepError};
-use crate::advect::{self, AdvectZ, FunctorDiagnoseW};
+use crate::advect::{self, AdvectZ};
 use crate::baroclinic::{FunctorAsselin3D, FunctorMomentumTend};
 use crate::barotropic::{self, FunctorDepthMean};
 use crate::canuto::CanutoFields;
@@ -295,26 +295,14 @@ fn vmix_momentum(s: &mut Step<'_>) -> Result<(), StepError> {
     Ok(())
 }
 
-/// Velocity halo update, with the continuity diagnosis of `w` under it.
+/// Velocity halo update, carried under the tracer passes (which read the
+/// current level, not this one) and landed in `halo_ts`.
 fn halo_uv(s: &mut Step<'_>) -> Result<(), StepError> {
-    let (m, st, g, (_, c, n)) = s.parts();
-    let f_w = FunctorDiagnoseW {
-        u: st.u[c].clone(),
-        v: st.v[c].clone(),
-        w: st.w.clone(),
-        kmt: g.kmt.clone(),
-        dxt: g.dxt.clone(),
-        dyt: g.dyt,
-        dz: g.dz.clone(),
-        nz: g.nz,
-    };
+    let (_, st, _, (_, _, n)) = s.parts();
     s.post(
         Carry::Uv,
         [(&st.u[n], FoldKind::Vector), (&st.v[n], FoldKind::Vector)],
-    )?;
-    let _c = kokkos_rs::profiling::region("halo:overlap-compute");
-    parallel_for_list(&m.space, &m.wet.cols, &f_w);
-    Ok(())
+    )
 }
 
 /// The horizontal passes of the two-step shape-preserving advection of
@@ -338,17 +326,20 @@ fn advection_tracer(s: &mut Step<'_>) -> Result<(), StepError> {
     s.poll(Carry::Uv)
 }
 
-/// The tracer column pass: vertical advection, horizontal diffusion,
-/// implicit vertical mixing, surface restoring, the guard's per-column
-/// excesses.
+/// The tracer column pass: vertical advection (`w` diagnosed from the
+/// current velocity level), horizontal diffusion, implicit vertical
+/// mixing, surface restoring, the guard's per-column excesses.
 fn vmix_tracer(s: &mut Step<'_>) -> Result<(), StepError> {
-    let (m, st, g, _) = s.parts();
+    let (m, st, g, (_, c, _)) = s.parts();
     let gcfg = GuardConfig::default();
     let pass = FunctorTracerColumns {
         q: [st.t.next().clone(), st.s.next().clone()],
         advect: AdvectZ {
-            w: st.w.clone(),
+            u: st.u[c].clone(),
+            v: st.v[c].clone(),
             kmt: g.kmt.clone(),
+            dxt: g.dxt.clone(),
+            dyt: g.dyt,
             dz: g.dz.clone(),
             dt: s.dt,
             nz: g.nz,

@@ -94,7 +94,7 @@ fn window(
         };
         let state = State::new(&g);
         let start = [
-            (&state.eta[state.cur()], field(1, 0.5), FoldKind::Scalar),
+            (state.eta.cur(), field(1, 0.5), FoldKind::Scalar),
             (&state.ubt, field(2, 1.0), FoldKind::Vector),
             (&state.vbt, field(3, 1.0), FoldKind::Vector),
         ];
@@ -115,7 +115,7 @@ fn window(
         let mut owned = Vec::new();
         for jl in H..H + g.ny {
             for il in H..H + g.nx {
-                let out = [&state.eta[state.new_lev()], &state.ubt, &state.vbt];
+                let out = [state.eta.next(), &state.ubt, &state.vbt];
                 owned.push((
                     [g.y0 + jl - H, g.x0 + il - H],
                     out.map(|v| v.at(jl, il).to_bits()),

@@ -274,7 +274,7 @@ fn restart_roundtrip_is_bitwise_exact() {
             m.run_steps(3);
             m.save_restart(&dir).unwrap();
             let image = decode(&std::fs::read(m.restart_path(&dir)).unwrap()).unwrap();
-            assert_eq!((image.step, image.fields.len()), (3, 15));
+            assert_eq!((image.step, image.fields.len()), (3, 12));
             let mut m2 = model(comm);
             m2.load_restart(&dir).unwrap();
             assert_eq!(m2.steps_taken(), 3);
@@ -286,13 +286,31 @@ fn restart_roundtrip_is_bitwise_exact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A version-1 image — T and S in all three leapfrog roles, 17 fields — is
-/// refused with a typed error, not a panic, and the model asked to load it
-/// is left as it was; the same 17 fields under today's version are a
-/// mismatch, refused before any state changes too.
-#[test]
-fn a_version_1_image_is_refused_typed() {
-    let dir = std::env::temp_dir().join("licom_restart_v1");
+/// A model's image as an older version laid it out: today's 12 fields
+/// plus the `new` role after `cur` — `u_new`, `v_new`, `eta_new` (version
+/// 2, 15 fields), and with `t_new`, `s_new` between them (version 1, 17).
+/// Each added field has its `cur` counterpart's length and data.
+fn with_a_new_role(mut ck: CheckpointData, tracers: bool) -> CheckpointData {
+    let names: &[&str] = if tracers {
+        &["u", "v", "t", "s", "eta"]
+    } else {
+        &["u", "v", "eta"]
+    };
+    let at = ck.fields.iter().position(|(n, _)| n == "eta_cur").unwrap() + 1;
+    for (k, q) in names.iter().enumerate() {
+        let cur = ck.fields.iter().find(|(n, _)| *n == format!("{q}_cur"));
+        let data = cur.unwrap().1.clone();
+        ck.fields.insert(at + k, (format!("{q}_new"), data));
+    }
+    ck
+}
+
+/// An image of an older version is refused with a typed error, not a
+/// panic, and the model asked to load it is left as it was; the same
+/// fields under today's version are a mismatch, refused before any state
+/// changes too.
+fn an_old_image_is_refused_typed(version: u64, tracers: bool, fields: usize) {
+    let dir = std::env::temp_dir().join(format!("licom_restart_v{version}"));
     let _ = std::fs::remove_dir_all(&dir);
     World::run(1, {
         let dir = dir.clone();
@@ -301,33 +319,42 @@ fn a_version_1_image_is_refused_typed() {
             m.run_steps(2);
             m.save_restart(&dir).unwrap();
             let path = m.restart_path(&dir);
-            let mut ck = decode(&std::fs::read(&path).unwrap()).unwrap();
-            let at = ck.fields.iter().position(|(n, _)| n == "v_new").unwrap() + 1;
-            for (k, q) in ["t", "s"].into_iter().enumerate() {
-                let old = ck.fields.iter().find(|(n, _)| *n == format!("{q}_old"));
-                let data = old.unwrap().1.clone();
-                ck.fields.insert(at + k, (format!("{q}_new"), data));
-            }
-            assert_eq!(ck.fields.len(), 17);
+            let ck = decode(&std::fs::read(&path).unwrap()).unwrap();
+            let ck = with_a_new_role(ck, tracers);
+            assert_eq!(ck.fields.len(), fields);
             let (before, steps) = (m.checksum(), m.steps_taken());
             let mut image = encode(&ck);
-            for (version, refused) in [(1u64, "unsupported version 1"), (2, "17 fields")] {
-                image[8..16].copy_from_slice(&version.to_le_bytes());
+            let unsupported = format!("unsupported version {version}");
+            let mismatch = format!("{fields} fields");
+            for (v, refused) in [(version, unsupported), (3, mismatch)] {
+                image[8..16].copy_from_slice(&v.to_le_bytes());
                 std::fs::write(&path, &image).unwrap();
                 let err = m.load_restart(&dir).unwrap_err();
                 assert!(
                     matches!(
-                        (&err, version),
-                        (CheckpointError::Format(_), 1) | (CheckpointError::Mismatch(_), 2)
+                        (&err, v),
+                        (CheckpointError::Format(_), 1 | 2) | (CheckpointError::Mismatch(_), 3)
                     ),
-                    "version {version}: {err:?}"
+                    "version {v}: {err:?}"
                 );
-                assert!(err.to_string().contains(refused), "{err}");
+                assert!(err.to_string().contains(&refused), "{err}");
                 assert_eq!((m.checksum(), m.steps_taken()), (before, steps));
             }
         }
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Version 1: T and S in all three leapfrog roles, 17 fields.
+#[test]
+fn a_version_1_image_is_refused_typed() {
+    an_old_image_is_refused_typed(1, true, 17);
+}
+
+/// Version 2: u, v and η in the `new` role as well, 15 fields.
+#[test]
+fn a_version_2_image_is_refused_typed() {
+    an_old_image_is_refused_typed(2, false, 15);
 }
 
 #[test]
@@ -512,14 +539,17 @@ fn saved_file_is_the_canonical_encoding_of_its_image() {
             assert_eq!(ck.step, 2);
             assert_eq!(ck.geometry[3..], [comm.rank() as u64, 3]);
             let names: Vec<&str> = ck.fields.iter().map(|(n, _)| n.as_str()).collect();
-            assert_eq!(names.len(), 15);
+            assert_eq!(names.len(), 12);
             assert_eq!(names[..5], ["u_old", "v_old", "t_old", "s_old", "eta_old"]);
-            assert_eq!(names[10..], ["u_new", "v_new", "eta_new", "ubt", "vbt"]);
+            assert_eq!(
+                names[5..],
+                ["u_cur", "v_cur", "t_cur", "s_cur", "eta_cur", "ubt", "vbt"]
+            );
             let field = |name: &str| &ck.fields.iter().find(|(n, _)| n == name).unwrap().1;
             let st = &m.state;
             assert_eq!(field("t_cur"), st.t.cur().as_slice());
             assert_eq!(field("s_old"), st.s.old().as_slice());
-            assert_eq!(field("eta_new"), st.eta[st.new_lev()].as_slice());
+            assert_eq!(field("eta_old"), st.eta.old().as_slice());
             assert_eq!(field("vbt"), st.vbt.as_slice());
         }
     });

@@ -6,8 +6,8 @@
 //! ring) and the two that finish the new level (velocity: leapfrog,
 //! friction solve, mode correction; tracers: vertical advection, diffusion,
 //! mixing solve, surface restore — each with the guard's per-column
-//! maximum) — and diagnose-w has one body, generic over the number `W` of
-//! adjacent columns it runs together. A list launch hands
+//! maximum) — has one body, generic over the number `W` of adjacent
+//! columns it runs together. A list launch hands
 //! it whole tiles (`FunctorList::operator_span`), which it walks down the
 //! ladder — `LANES`-wide blocks, then at most one block each of 4, 2 and 1
 //! columns; calling
@@ -23,7 +23,7 @@
 //!
 //! The paired depth mean must leave in each field that field's own
 //! thickness-weighted sum. The tracer pass's vertical advection, which
-//! stages `w` and the CFL once for both tracers, has no single-field form to
+//! diagnoses `w` and the CFL once for both tracers, has no single-field form to
 //! compare with; it must instead not care which partner a tracer is paired
 //! with, or which slot it rides in. (That the paired implicit solve leaves
 //! each field the bits of its own single-field solve is a unit test of
@@ -33,7 +33,7 @@ use halo_exchange::HALO as H;
 use kokkos_rs::{
     parallel_for_list, FunctorList, ListPolicy, Policy, Space, View, View1, View2, View3,
 };
-use licom::advect::{AdvectZ, FunctorDiagnoseW};
+use licom::advect::AdvectZ;
 use licom::barotropic::FunctorDepthMean;
 use licom::canuto::CanutoFields;
 use licom::columns::{
@@ -65,8 +65,7 @@ macro_rules! pinned {
 pinned!(
     FunctorDensityColumns,
     FunctorVelocityColumns,
-    FunctorTracerColumns,
-    FunctorDiagnoseW
+    FunctorTracerColumns
 );
 
 /// splitmix64: the fields are a pure function of `(seed, position)`.
@@ -318,7 +317,6 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
     let (dz, z_t, dxt) = (case.dz(), case.z_t(), case.dxt());
     let u = case.field(1, nz, -1.5, 1.5);
     let v = case.field(2, nz, -1.5, 1.5);
-    let w = case.field(3, nz + 1, -2.0e-3, 2.0e-3);
     let kcoef = case.field(5, nz + 1, 1.0e-5, 5.0e-2);
     let (q0, s0) = (case.tracer(6), case.tracer(10));
 
@@ -349,8 +347,11 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
             let f = FunctorTracerColumns {
                 q: q.clone(),
                 advect: AdvectZ {
-                    w: w.clone(),
+                    u: u.clone(),
+                    v: v.clone(),
                     kmt: kmt.clone(),
+                    dxt: dxt.clone(),
+                    dyt: 1.1e4,
                     dz: dz.clone(),
                     dt: 600.0,
                     nz,
@@ -378,8 +379,11 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
     }
     for limited in [true, false] {
         let az = AdvectZ {
-            w: w.clone(),
+            u: u.clone(),
+            v: v.clone(),
             kmt: kmt.clone(),
+            dxt: dxt.clone(),
+            dyt: 1.1e4,
             dz: dz.clone(),
             dt: 600.0,
             nz,
@@ -418,20 +422,6 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
             (f, vec![(&p).into(), (&km).into(), (&kh).into()])
         })?;
     }
-    check("diagnose_w", case, &case.policy, || {
-        let w_out = case.field(9, nz + 1, -9.0, -8.0);
-        let f = FunctorDiagnoseW {
-            u: u.clone(),
-            v: v.clone(),
-            w: w_out.clone(),
-            kmt: kmt.clone(),
-            dxt: dxt.clone(),
-            dyt: 1.1e4,
-            dz: dz.clone(),
-            nz,
-        };
-        (f, vec![(&w_out).into()])
-    })?;
     check_depth_mean(case, [&u, &v])
 }
 

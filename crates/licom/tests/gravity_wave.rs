@@ -37,12 +37,12 @@ fn barotropic_gravity_wave_speed_matches_theory() {
             }
         }
         let il0 = 2 + g.nx / 4;
-        for lev in 0..licom::state::LEVELS {
+        for eta in m.state.eta.levels() {
             for jl in 0..g.pj {
                 for il in 0..g.pi {
                     let dj = jl as f64 - j_eq as f64;
                     let di = il as f64 - il0 as f64;
-                    m.state.eta[lev].set_at(jl, il, 0.5 * (-(dj * dj + di * di) / 4.0).exp());
+                    eta.set_at(jl, il, 0.5 * (-(dj * dj + di * di) / 4.0).exp());
                 }
             }
         }
@@ -57,7 +57,7 @@ fn barotropic_gravity_wave_speed_matches_theory() {
         for _ in 0..120 {
             m.run_steps(1);
             t += cfg.dt_baroclinic;
-            let eta = &m.state.eta[m.state.cur()];
+            let eta = &m.state.eta.cur();
             let mut best_d = 0usize;
             let mut best_v = f64::MIN;
             for d in 1..22 {
@@ -110,19 +110,19 @@ fn deeper_ocean_carries_faster_waves() {
             let g = &m.grid;
             let j_eq = 2 + g.ny / 2;
             let il0 = 2 + g.nx / 4;
-            for lev in 0..licom::state::LEVELS {
+            for eta in m.state.eta.levels() {
                 for jl in 0..g.pj {
                     for il in 0..g.pi {
                         let dj = jl as f64 - j_eq as f64;
                         let di = il as f64 - il0 as f64;
-                        m.state.eta[lev].set_at(jl, il, 0.5 * (-(dj * dj + di * di) / 4.0).exp());
+                        eta.set_at(jl, il, 0.5 * (-(dj * dj + di * di) / 4.0).exp());
                     }
                 }
             }
             let nx = g.nx;
             // Fixed horizon; measure how far the front travelled.
             m.run_steps(30);
-            let eta = &m.state.eta[m.state.cur()];
+            let eta = &m.state.eta.cur();
             let mut reach = 0usize;
             for d in 1..(nx / 2) {
                 if eta.at(j_eq, il0 + d).abs() > 0.04 {

@@ -182,6 +182,21 @@ pub struct Comm {
     view: Option<CommView>,
 }
 
+/// How long a receive spins on its mailbox before it parks, on a host
+/// with `threads` hardware threads. Halo strips at step granularity arrive
+/// within microseconds of the first miss; a condvar sleep/wakeup costs far
+/// more than that, so a receive spins briefly before parking — but only
+/// when a spare core exists. On a single hardware thread the spin *starves
+/// the sender* (it can only post the message once the scheduler preempts
+/// the receiver), so there the receive parks at once.
+fn spin_window(threads: usize) -> Duration {
+    if threads > 1 {
+        Duration::from_micros(50)
+    } else {
+        Duration::ZERO
+    }
+}
+
 impl Comm {
     /// This rank's id in `0..size()`.
     pub fn rank(&self) -> usize {
@@ -596,28 +611,14 @@ impl Comm {
         tag: u64,
         timeout: Duration,
     ) -> Result<Message, CommError> {
-        fn spare_cores() -> bool {
-            static SPARE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-            *SPARE.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get() > 1)
-                    .unwrap_or(false)
-            })
-        }
+        static SPIN: std::sync::OnceLock<Duration> = std::sync::OnceLock::new();
+        let spin = *SPIN.get_or_init(|| {
+            spin_window(std::thread::available_parallelism().map_or(1, |p| p.get()))
+        });
         let mb = &self.shared.mailboxes[self.world_rank];
         let start = Instant::now();
         let deadline = start + timeout;
-        // Halo strips at step granularity arrive within microseconds of the
-        // first miss; a condvar sleep/wakeup costs far more than that, so
-        // spin briefly before parking — but only when spare cores exist.
-        // On a single hardware thread the spin *starves the sender* (it
-        // can only post the message once the scheduler preempts us), so
-        // there the condvar park is strictly better.
-        let spin_until = if spare_cores() {
-            start + Duration::from_micros(50)
-        } else {
-            start
-        };
+        let spin_until = start + spin;
         let mut q = mb.queue.lock();
         loop {
             if let Some(pos) = q.iter().position(|m| m.src == src && m.tag == tag) {
@@ -984,6 +985,18 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(moved, 1.0);
+    }
+
+    /// One hardware thread parks at once; more than one spin, for at most
+    /// 50 µs.
+    #[test]
+    fn a_receive_spins_only_with_a_spare_core() {
+        assert_eq!(spin_window(1), Duration::ZERO);
+        assert_eq!(spin_window(0), Duration::ZERO);
+        for threads in [2, 3, 64] {
+            let spin = spin_window(threads);
+            assert!(spin > Duration::ZERO && spin <= Duration::from_micros(50));
+        }
     }
 
     #[test]

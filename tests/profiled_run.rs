@@ -57,10 +57,13 @@ fn four_spaces_trace_validly_and_send_the_same_literal_traffic() {
         // messages, 5 521 728 − 8·(27 648 + 64) B. The tracers keep two
         // levels, not three, so start-up exchanges 13 fields, not 15: two
         // single-field exchanges of 12 messages and 33 024 B fewer,
-        // 2 708 − 2·12 messages, 5 300 032 − 2·33 024 B.
+        // 2 708 − 2·12 messages, 5 300 032 − 2·33 024 B. η keeps two
+        // levels, not three, so start-up exchanges 12 fields: one 2-D
+        // exchange of 12 messages and 5 824 B fewer, 2 684 − 12 messages,
+        // 5 233 984 − 5 824 B.
         assert_eq!(
             (traffic.p2p_messages, traffic.p2p_bytes, wet_cells[0]),
-            (2_684, 5_233_984, 2_522),
+            (2_672, 5_228_160, 2_522),
             "{name}: (p2p messages, p2p bytes, rank 0's wet cells)"
         );
 
