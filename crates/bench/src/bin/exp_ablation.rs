@@ -176,10 +176,11 @@ fn main() {
     banner("Ablation 5 (SS V-C2): LDM-scratch team launch for the implicit solves");
     // Run the vertical solves through TeamPolicy on the simulated CG: the
     // tridiagonal work arrays live in LDM. Identical results; the
-    // simulated counters show the LDM residency.
+    // simulated counters show the LDM residency, cycles and DMA
+    // transactions.
     for team in [false, true] {
         let cfg = cfg.clone();
-        let (checksum, ldm_high_water) = World::run(1, move |comm| {
+        let (checksum, counters) = World::run(1, move |comm| {
             let opts = ModelOptions {
                 vmix_team: team,
                 ..ModelOptions::default()
@@ -191,15 +192,14 @@ fn main() {
             });
             let mut m = Model::new(comm, cfg.clone(), space.clone(), opts);
             m.run_steps(2);
-            let hw = m
-                .sunway_counters()
-                .map(|c| c.totals.ldm_high_water)
-                .unwrap_or(0);
-            (m.checksum(), hw)
+            (m.checksum(), m.sunway_counters().unwrap_or_default())
         })
         .pop()
         .unwrap();
-        println!("vmix_team={team}: checksum {checksum:x}, peak LDM residency {ldm_high_water} B");
+        println!(
+            "vmix_team={team}: checksum {checksum:x}, peak LDM residency {} B, {} cycles, {} DMA transactions",
+            counters.totals.ldm_high_water, counters.kernel_cycles, counters.totals.dma_transactions
+        );
     }
     println!("(identical checksums; the team launch stages its work arrays in LDM)");
 

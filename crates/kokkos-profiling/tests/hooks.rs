@@ -14,8 +14,8 @@ use kokkos_profiling::{
 };
 use kokkos_rs::profiling::{clear_hooks, mark_fence, set_hooks};
 use kokkos_rs::{
-    deep_copy, parallel_for_1d, parallel_reduce_3d, Functor1D, MDRangePolicy3, RangePolicy,
-    ReduceFunctor3D, Reducer, Space, View, View1,
+    deep_copy, parallel_for_1d, parallel_reduce_list, Functor1D, ListPolicy, RangePolicy,
+    ReduceFunctorList, Reducer, Space, View, View1,
 };
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -96,16 +96,20 @@ impl Functor1D for Fill {
 }
 kokkos_rs::register_for_1d!(kp_hooks_fill, Fill);
 
-/// Sums a row: reduced over `MDRangePolicy3::new([1, 1, n])`.
+/// Sums a row: reduced over the list `0..n` ([`iota`]).
 struct Sum {
     x: View1<f64>,
 }
-impl ReduceFunctor3D for Sum {
-    fn contribute(&self, _k: usize, _j: usize, i: usize, acc: &mut f64) {
-        *acc += self.x.at(i);
+impl ReduceFunctorList for Sum {
+    fn contribute(&self, _n: usize, idx: u32, acc: &mut f64) {
+        *acc += self.x.at(idx as usize);
     }
 }
-kokkos_rs::register_reduce_3d!(kp_hooks_sum, Sum);
+kokkos_rs::register_reduce_list!(kp_hooks_sum, Sum);
+
+fn iota(n: usize) -> ListPolicy {
+    ListPolicy::new(Arc::new((0..n as u32).collect()))
+}
 
 /// Panics midway through the iteration space.
 struct Panicky;
@@ -152,12 +156,7 @@ fn hook_ordering_is_strict_on_every_space() {
         {
             let _r = kokkos_rs::profiling::region("space_probe");
             parallel_for_1d(&space, RangePolicy::new(n), &Fill { x: x.clone() });
-            let total = parallel_reduce_3d(
-                &space,
-                MDRangePolicy3::new([1, 1, n]),
-                &Sum { x: x.clone() },
-                Reducer::Sum,
-            );
+            let total = parallel_reduce_list(&space, &iota(n), &Sum { x: x.clone() }, Reducer::Sum);
             assert_eq!(total, (0..n).sum::<usize>() as f64, "{name}");
             deep_copy(&y, &x);
             mark_fence("probe_fence", space.name());
@@ -250,8 +249,7 @@ proptest! {
             parallel_for_1d(&space, RangePolicy::new(n), &Fill { x: x.clone() });
             for _ in 0..nested {
                 let _inner = kokkos_rs::profiling::region("prop_inner");
-                let row = MDRangePolicy3::new([1, 1, n]);
-                parallel_reduce_3d(&space, row, &Sum { x: x.clone() }, Reducer::Sum);
+                parallel_reduce_list(&space, &iota(n), &Sum { x: x.clone() }, Reducer::Sum);
             }
         }
         detach();

@@ -1,10 +1,11 @@
 //! `parallel_for` / `parallel_reduce` dispatch.
 //!
-//! Five entry points and one launch: `parallel_for_{1d,3d,list}` and
-//! `parallel_reduce_{3d,list}`. Each names its policy and pattern, and
-//! `launch` runs every tile of the policy through [`TileBody::tile`]. A
-//! 2-D kernel is a 3-D one over a single level (`MDRangePolicy3::new([1,
-//! ny, nx])`). The [`Space`] decides how tiles are executed:
+//! Five entry points and one launch: `parallel_for_{1d,3d,list}`,
+//! `parallel_reduce_list` and the team's [`crate::parallel_for_team`]. Each
+//! names its policy and pattern, and `launch` runs every tile of the policy
+//! through [`TileBody::tile`]. A 2-D kernel is a 3-D one over a single
+//! level (`MDRangePolicy3::new([1, ny, nx])`). The [`Space`] decides how
+//! tiles are executed:
 //!
 //! * `Serial` — tiles in order, one thread;
 //! * `Threads` — tiles on the host pool, or in order on the launching
@@ -22,8 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rayon::prelude::*;
 
 use crate::functor::{
-    For, Functor1D, Functor3D, FunctorList, Pattern, Reduce, ReduceFunctor3D, ReduceFunctorList,
-    Reducer, TileBody,
+    For, Functor1D, Functor3D, FunctorList, Pattern, Reduce, ReduceFunctorList, Reducer, TileBody,
 };
 use crate::policy::{ListPolicy, MDRangePolicy3, Policy, RangePolicy};
 use crate::profiling::{self, PatternKind};
@@ -33,7 +33,7 @@ use sunway_sim::pipeline::choose_tile_elems;
 
 /// The launch-time failure of an unregistered functor on SwAthread, naming
 /// the macro that registers it (the C++ version fails to link instead).
-pub(crate) fn not_registered<F>(kind: KernelKind) -> ! {
+fn not_registered<F>(kind: KernelKind) -> ! {
     panic!(
         "functor `{}` is not registered for the SwAthread backend; \
          add `{}!(<name>, {});` and call `<name>()` during initialization \
@@ -71,23 +71,29 @@ fn forks(space: &Space, iterations: usize) -> bool {
     }
 }
 
-/// Run `run_tile` over every tile of `policy` on a host backend. On the
-/// pool, a cost-weighted policy gives each worker the contiguous tile range
-/// holding its share of the cumulative tile cost; any other hands out tiles
-/// in chunks. Tile contents never depend on the split, so results stay
-/// bitwise identical to the serial sweep.
-fn drive_tiles<P: Policy>(space: &Space, policy: &P, run_tile: impl Fn(usize) + Sync) {
+/// Run `run_tile` over every tile of `policy` on a host backend, each with
+/// its worker's scratch. On the pool, a policy with worker ranges gives each
+/// worker its contiguous tile range ([`Policy::worker_tile_range`]) and one
+/// scratch buffer; any other hands out tiles in chunks. Tile contents never
+/// depend on the split, so results stay bitwise identical to the serial
+/// sweep.
+fn drive_tiles<P: Policy>(space: &Space, policy: &P, run_tile: impl Fn(usize, &mut [f64]) + Sync) {
+    let scratch = || vec![0.0; policy.scratch_len()];
     let total = policy.total_tiles();
     if !forks(space, policy.iterations()) {
-        (0..total).for_each(run_tile)
-    } else if P::COST_WEIGHTED {
+        let mut s = scratch();
+        (0..total).for_each(|t| run_tile(t, &mut s))
+    } else if P::WORKER_RANGES {
         let workers = rayon::current_num_threads();
         (0..workers).into_par_iter().for_each(|w| {
             let (lo, hi) = policy.worker_tile_range(w, workers);
-            (lo..hi).for_each(&run_tile);
+            let mut s = scratch();
+            (lo..hi).for_each(|t| run_tile(t, &mut s));
         });
     } else {
-        (0..total).into_par_iter().for_each(run_tile)
+        (0..total)
+            .into_par_iter()
+            .for_each(|t| run_tile(t, &mut scratch()))
     }
 }
 
@@ -95,20 +101,20 @@ fn drive_tiles<P: Policy>(space: &Space, policy: &P, run_tile: impl Fn(usize) + 
 // The launch
 // ---------------------------------------------------------------------------
 
-/// Run every tile of `policy` through `f` on `space`. A reduction returns
-/// one partial per tile, in tile order, each folded from `identity`; a
-/// for-launch returns none (and allocates nothing for them).
+/// Run every tile of `policy` through `f` on `space`. A reduction folds one
+/// partial per tile from `op`'s identity and returns their join in tile
+/// order; a for-launch has no partials (and allocates none) and returns the
+/// identity.
 ///
 /// On the Sunway backend the tile is the DMA staging unit, so a dense
-/// *for* launch is re-tiled from the functor's `IterCost`, the rows of a
-/// tile it holds at once ([`Functor3D::resident_rows`]) and the core
-/// group's LDM/bandwidth/latency parameters
+/// launch is re-tiled from the functor's `IterCost`, the rows of a tile it
+/// holds at once ([`Functor3D::resident_rows`]) and the core group's
+/// LDM/bandwidth/latency parameters
 /// ([`sunway_sim::pipeline::choose_tile_elems`]); for-loops write disjoint
-/// elements, so retiling cannot change results. Reductions and list
-/// launches keep the caller's tiles: tile geometry is part of the
-/// deterministic reduction contract (one partial per tile, joined in tile
-/// order) and of the cost-prefix schedule respectively.
-fn launch<F, P, M>(space: &Space, policy: &P, f: &F, identity: f64) -> Vec<f64>
+/// elements, so retiling cannot change results. List and team launches keep
+/// the caller's tiles ([`Policy::retiled`] is `None`): a list's tiles are
+/// its cost-prefix schedule and its reduction's partials.
+pub(crate) fn launch<F, P, M>(space: &Space, policy: &P, f: &F, op: Reducer) -> f64
 where
     F: TileBody<P, M> + 'static,
     P: Policy,
@@ -121,26 +127,23 @@ where
         P::KIND,
         policy.iterations() as u64,
     );
+    let identity = op.identity();
     let reduces = M::KIND == PatternKind::ParallelReduce;
     let tiles = if reduces { policy.total_tiles() } else { 0 };
-    match space {
+    let partials = match space {
         Space::SwAthread(sw) => {
             let kind = registry::kind_of::<P, M>();
             let Some(tramp) = registry::lookup_simd(registry::key_of::<F>(), kind) else {
                 not_registered::<F>(kind);
             };
             let cost = f.tile_cost();
-            let retiled = if reduces {
-                None
-            } else {
-                // A body that holds `r` of a tile's rows at once occupies
-                // LDM with that share of its declared bytes an iteration;
-                // the retile keeps the share.
-                let resident = policy.resident_elems(f.resident_rows()) as u64;
-                let bytes = (cost.bytes * resident).div_ceil(policy.tile_elems().max(1) as u64);
-                let elems = choose_tile_elems(sw.config(), bytes, policy.iterations());
-                policy.retiled(elems)
-            };
+            // A body that holds `r` of a tile's rows at once occupies LDM
+            // with that share of its declared bytes an iteration; the
+            // retile keeps the share.
+            let resident = policy.resident_elems(f.resident_rows()) as u64;
+            let bytes = (cost.bytes * resident).div_ceil(policy.tile_elems().max(1) as u64);
+            let retiled =
+                policy.retiled(choose_tile_elems(sw.config(), bytes, policy.iterations()));
             let mut partials = vec![identity; tiles];
             let payload = registry::Launch {
                 functor: f,
@@ -156,9 +159,9 @@ where
             let partials: Vec<AtomicU64> = (0..tiles)
                 .map(|_| AtomicU64::new(identity.to_bits()))
                 .collect();
-            drive_tiles(host, policy, |t| {
+            drive_tiles(host, policy, |t, scratch| {
                 let mut acc = identity;
-                f.tile(policy, t, &mut acc);
+                f.tile(policy, t, &mut acc, scratch);
                 // Relaxed: slot `t` is written by the one thread that runs
                 // tile `t`, and read only after the drive has returned,
                 // which the pool's join orders.
@@ -169,17 +172,8 @@ where
             let partials = partials.into_iter();
             partials.map(|p| f64::from_bits(p.into_inner())).collect()
         }
-    }
-}
-
-/// A reduction's launch, its partials joined in tile order.
-fn reduce<F, P>(space: &Space, policy: &P, f: &F, op: Reducer) -> f64
-where
-    F: TileBody<P, Reduce> + 'static,
-    P: Policy,
-{
-    let partials = launch::<F, P, Reduce>(space, policy, f, op.identity());
-    partials.iter().fold(op.identity(), |a, &b| op.join(a, b))
+    };
+    partials.into_iter().fold(identity, |a, b| op.join(a, b))
 }
 
 // ---------------------------------------------------------------------------
@@ -188,13 +182,13 @@ where
 
 /// 1-D parallel for over `policy` on `space`.
 pub fn parallel_for_1d<F: Functor1D + 'static>(space: &Space, policy: RangePolicy, f: &F) {
-    launch::<F, _, For>(space, &policy, f, 0.0);
+    launch::<F, _, For>(space, &policy, f, Reducer::Sum);
 }
 
 /// 3-D parallel for; index order `(k, j, i)`. Every backend hands the
 /// functor one policy tile at a time through [`Functor3D::operator_tile`].
 pub fn parallel_for_3d<F: Functor3D + 'static>(space: &Space, policy: MDRangePolicy3, f: &F) {
-    launch::<F, _, For>(space, &policy, f, 0.0);
+    launch::<F, _, For>(space, &policy, f, Reducer::Sum);
 }
 
 /// Index-list parallel for (active-set iteration): run `f.operator(n,
@@ -203,22 +197,12 @@ pub fn parallel_for_3d<F: Functor3D + 'static>(space: &Space, policy: MDRangePol
 /// [`FunctorList::operator_span`]. Host backends and the SwAthread CPEs
 /// both split the tiles by cost.
 pub fn parallel_for_list<F: FunctorList + 'static>(space: &Space, policy: &ListPolicy, f: &F) {
-    launch::<F, _, For>(space, policy, f, 0.0);
+    launch::<F, _, For>(space, policy, f, Reducer::Sum);
 }
 
 // ---------------------------------------------------------------------------
 // parallel_reduce
 // ---------------------------------------------------------------------------
-
-/// 3-D reduction. Bitwise identical on every backend.
-pub fn parallel_reduce_3d<F: ReduceFunctor3D + 'static>(
-    space: &Space,
-    policy: MDRangePolicy3,
-    f: &F,
-    op: Reducer,
-) -> f64 {
-    reduce(space, &policy, f, op)
-}
 
 /// Index-list reduction. One partial per tile (folded by
 /// [`ReduceFunctorList::contribute_span`]), joined in tile order — bitwise
@@ -229,7 +213,7 @@ pub fn parallel_reduce_list<F: ReduceFunctorList + 'static>(
     f: &F,
     op: Reducer,
 ) -> f64 {
-    reduce(space, policy, f, op)
+    launch::<F, _, Reduce>(space, policy, f, op)
 }
 
 /// Block until all outstanding work on `space` completes (Kokkos `fence`).
@@ -290,16 +274,6 @@ mod tests {
     }
     crate::register_for_3d!(fill3, Fill3);
 
-    struct SumSq {
-        x: View3<f64>,
-    }
-    impl ReduceFunctor3D for SumSq {
-        fn contribute(&self, k: usize, j: usize, i: usize, acc: &mut f64) {
-            *acc += self.x.at(k, j, i) * self.x.at(k, j, i);
-        }
-    }
-    crate::register_reduce_3d!(sum_sq, SumSq);
-
     // Active-set iteration: dst slot n gets a value gathered via the
     // packed index — exercises both halves of the (n, idx) pair.
     struct ListScatter {
@@ -324,15 +298,15 @@ mod tests {
     }
     crate::register_reduce_list!(list_sum, ListSum);
 
-    struct Max3 {
-        v: View3<f64>,
+    struct ListMax {
+        v: View1<f64>,
     }
-    impl ReduceFunctor3D for Max3 {
-        fn contribute(&self, k: usize, j: usize, i: usize, acc: &mut f64) {
-            *acc = acc.max(self.v.at(k, j, i));
+    impl ReduceFunctorList for ListMax {
+        fn contribute(&self, _n: usize, idx: u32, acc: &mut f64) {
+            *acc = acc.max(self.v.at(idx as usize));
         }
     }
-    crate::register_reduce_3d!(max3, Max3);
+    crate::register_reduce_list!(list_max, ListMax);
 
     fn all_spaces() -> Vec<Space> {
         vec![
@@ -429,42 +403,14 @@ mod tests {
     }
 
     #[test]
-    fn reduce_3d_bitwise_identical_on_all_backends() {
-        sum_sq();
-        let dims = [3, 17, 83];
-        // awkward magnitudes to expose ordering differences
-        let x = View::from_fn("x", dims, |[k, j, i]| {
-            let n = (k * 17 + j) * 83 + i;
-            ((n % 97) as f64 + 0.1) * 10f64.powi((n % 7) as i32 - 3)
-        });
-        let f = SumSq { x };
-        let policy = MDRangePolicy3::new(dims).with_tile([2, 5, 16]);
-        let mut bits = Vec::new();
+    fn list_reduce_max() {
+        list_max();
+        let v: View1<f64> = View::from_fn("v", [4 * 6 * 8], |[n]| -(n as f64));
+        v.set_at(2 * 48 + 3 * 8 + 5, 99.5);
+        let f = ListMax { v };
+        let policy = ListPolicy::new(Arc::new((0..4 * 6 * 8).collect()));
         for space in all_spaces() {
-            let s = parallel_reduce_3d(&space, policy, &f, Reducer::Sum);
-            bits.push(s.to_bits());
-        }
-        assert!(
-            bits.iter().all(|&b| b == bits[0]),
-            "reduction differed across backends: {bits:?}"
-        );
-    }
-
-    #[test]
-    fn reduce_3d_max() {
-        max3();
-        let v: View3<f64> = View::host("v", [4, 6, 8]);
-        for k in 0..4 {
-            for j in 0..6 {
-                for i in 0..8 {
-                    v.set_at(k, j, i, -((k + j + i) as f64));
-                }
-            }
-        }
-        v.set_at(2, 3, 5, 99.5);
-        let f = Max3 { v };
-        for space in all_spaces() {
-            let m = parallel_reduce_3d(&space, MDRangePolicy3::new([4, 6, 8]), &f, Reducer::Max);
+            let m = parallel_reduce_list(&space, &policy, &f, Reducer::Max);
             assert_eq!(m, 99.5, "space {}", space.name());
         }
     }

@@ -4,7 +4,9 @@
 
 use super::*;
 use crate::profiling::{KernelId, KernelInfo, ProfilingHooks};
+use crate::team::{parallel_for_team, FunctorTeam};
 use crate::view::{View, View1};
+use crate::TeamPolicy;
 use proptest::prelude::*;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
@@ -17,9 +19,10 @@ fn val(n: usize) -> f64 {
     ((n % 97) as f64 + 0.1) * 10f64.powi((n % 7) as i32 - 3)
 }
 
-/// One functor for every pattern and rank. As a for-body it adds to the
-/// element it was called for (twice called ≠ once called); as a reduction it
-/// folds `val` of the linear index with `op`.
+/// One functor for every pattern and shape. As a for-body it adds to the
+/// element it was called for (twice called ≠ once called; a team member
+/// through its scratch, which must arrive zeroed); as a reduction it folds
+/// `val` of the list entry with `op`.
 struct Probe {
     op: Reducer,
     dims: [usize; 3],
@@ -57,9 +60,10 @@ impl FunctorList for Probe {
         self.visit(idx as usize);
     }
 }
-impl ReduceFunctor3D for Probe {
-    fn contribute(&self, k: usize, j: usize, i: usize, acc: &mut f64) {
-        self.fold(self.linear(k, j, i), acc);
+impl FunctorTeam for Probe {
+    fn operator(&self, league: usize, scratch: &mut [f64]) {
+        scratch[0] += 1.0 + val(league);
+        self.out.set_at(league, self.out.at(league) + scratch[0]);
     }
 }
 impl ReduceFunctorList for Probe {
@@ -105,12 +109,12 @@ impl ProfilingHooks for Count {
     }
 }
 
-/// Launches per [`run_all`] call: four for-loops, three reductions × Sum, Max.
-const LAUNCHES: usize = 10;
+/// Launches per [`run_all`] call: five for-loops, a reduction × Sum, Max.
+const LAUNCHES: usize = 7;
 
-/// Every pattern and rank once over `dims` (1-D and list over the product,
-/// one level over `[nk * nj, ni]`), with tiles that divide nothing; the bits
-/// of everything they produced.
+/// Every pattern and shape once over `dims` (1-D, list and team over the
+/// product, one level over `[nk * nj, ni]`), with tiles that divide nothing;
+/// the bits of everything they produced.
 fn run_all(space: &Space, dims: [usize; 3], tile: [usize; 3]) -> Vec<u64> {
     let [nk, nj, ni] = dims;
     let n = nk * nj * ni;
@@ -127,11 +131,10 @@ fn run_all(space: &Space, dims: [usize; 3], tile: [usize; 3]) -> Vec<u64> {
     parallel_for_3d(space, p2, &f);
     parallel_for_3d(space, p3, &f);
     parallel_for_list(space, &pl, &f);
+    parallel_for_team(space, TeamPolicy::new(n, tile[0]), &f);
     bits.extend(f.out.to_vec().iter().map(|v| v.to_bits()));
     for op in [Reducer::Sum, Reducer::Max] {
         let f = Probe::new(op, dims);
-        bits.push(parallel_reduce_3d(space, p2, &f, op).to_bits());
-        bits.push(parallel_reduce_3d(space, p3, &f, op).to_bits());
         bits.push(parallel_reduce_list(space, &pl, &f, op).to_bits());
     }
     bits

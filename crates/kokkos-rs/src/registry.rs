@@ -39,13 +39,12 @@ use crate::profiling::{PatternKind, PolicyKind};
 /// What flavour of launch a registered trampoline implements. `FOR` vs
 /// `REDUCE` and the rank are part of the macro name in the paper
 /// (`KOKKOS_REGISTER_FOR_1D`, `..._REDUCE_3D`, ...); we check it at lookup.
-/// A 2-D kernel registers as `For3D` / `Reduce3D`: it launches over a
-/// one-level 3-D policy.
+/// A 2-D kernel registers as `For3D`: it launches over a one-level 3-D
+/// policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
     For1D,
     For3D,
-    Reduce3D,
     /// Compact index-list launch ([`crate::policy::ListPolicy`]).
     ForList,
     ReduceList,
@@ -59,7 +58,6 @@ impl KernelKind {
         match self {
             KernelKind::For1D => "register_for_1d",
             KernelKind::For3D => "register_for_3d",
-            KernelKind::Reduce3D => "register_reduce_3d",
             KernelKind::ForList => "register_for_list",
             KernelKind::ReduceList => "register_reduce_list",
             KernelKind::Team => "register_team",
@@ -103,7 +101,7 @@ pub fn key_of<F: 'static>() -> u64 {
     h.finish()
 }
 
-pub(crate) fn insert(key: u64, name: &'static str, kind: KernelKind, tramp: CpeKernel) {
+fn insert(key: u64, name: &'static str, kind: KernelKind, tramp: CpeKernel) {
     let mut reg = REGISTRY.lock().unwrap();
     // Idempotent: re-registering the same functor type is a no-op.
     let mut cur = reg.head.as_deref();
@@ -262,7 +260,7 @@ fn drive_pipelined(
 /// by explicitly invoking the overloaded operator() method"), one
 /// monomorphic copy per registered `(F, P, M)`: this CPE's share of the
 /// policy's tiles, each run through [`TileBody::tile`] inside the DMA
-/// pipeline.
+/// pipeline, with the policy's scratch in this CPE's LDM.
 fn tramp<F: TileBody<P, M>, P: Policy, M>(ctx: &mut CpeCtx, arg: usize) {
     // SAFETY: `arg` must be the address of a `Launch<F, P>` alive for the
     // whole run. `parallel::launch` runs this trampoline only after looking
@@ -270,12 +268,15 @@ fn tramp<F: TileBody<P, M>, P: Policy, M>(ctx: &mut CpeCtx, arg: usize) {
     // which outlives the blocking `CoreGroup::run`; a trampoline taken from
     // the public `lookup` and run by hand owes the same.
     let l = unsafe { &*(arg as *const Launch<F, P>) };
+    // Team scratch lives in LDM — overflow panics like hardware.
+    let mut scratch = (ctx.ldm().alloc::<f64>(l.policy.scratch_len()))
+        .unwrap_or_else(|e| panic!("team scratch does not fit in LDM: {e}"));
     let tiles = l.policy.worker_tile_range(ctx.cpe_id(), ctx.num_cpes());
     let iters = |t: usize| l.policy.tile_iterations(t) as u64;
     let resident = l.policy.resident_elems(l.functor.resident_rows());
     drive_pipelined(ctx, l.cost, resident, tiles, iters, |t| {
         let mut acc = l.identity;
-        l.functor.tile(l.policy, t, &mut acc);
+        l.functor.tile(l.policy, t, &mut acc, &mut scratch);
         if t < l.partials.len() {
             // SAFETY: slot `t` is in bounds, the launching frame keeps the
             // slots alive, and worker tile ranges are disjoint, so slot `t`
@@ -285,12 +286,12 @@ fn tramp<F: TileBody<P, M>, P: Policy, M>(ctx: &mut CpeCtx, arg: usize) {
     });
 }
 
-/// The registry kind of a launch: pattern × policy.
+/// The registry kind of a launch: pattern × policy. A list is the one
+/// reduction shape.
 pub(crate) fn kind_of<P: Policy, M: Pattern>() -> KernelKind {
     use PolicyKind::*;
     match (M::KIND, P::KIND) {
-        (PatternKind::ParallelReduce, MDRange3) => KernelKind::Reduce3D,
-        (PatternKind::ParallelReduce, List) => KernelKind::ReduceList,
+        (PatternKind::ParallelReduce, _) => KernelKind::ReduceList,
         (_, Range) => KernelKind::For1D,
         (_, MDRange3) => KernelKind::For3D,
         (_, List) => KernelKind::ForList,
@@ -344,14 +345,6 @@ macro_rules! register_for_3d {
 macro_rules! register_for_list {
     ($name:ident, $f:ty) => {
         $crate::__register!($name, $f, ListPolicy, For);
-    };
-}
-
-/// `KOKKOS_REGISTER_REDUCE_3D` analogue; see `register_for_1d!`.
-#[macro_export]
-macro_rules! register_reduce_3d {
-    ($name:ident, $f:ty) => {
-        $crate::__register!($name, $f, MDRangePolicy3, Reduce);
     };
 }
 

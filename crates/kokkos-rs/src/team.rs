@@ -7,35 +7,17 @@
 //! using local arrays within the functor".
 //!
 //! Our simplified model: a league of `league_size` teams, each invoked
-//! once with a zeroed `f64` scratch slice of the requested length. On
-//! `Serial`/`Threads`/`DeviceSim` the scratch is heap temporary; on
-//! `SwAthread` it is **allocated from the executing CPE's 256 kB LDM**,
-//! so a kernel whose scratch demand exceeds LDM fails exactly as it
-//! would on hardware (see the `ldm_overflow` test).
+//! once with a zeroed `f64` scratch slice of the requested length. A team
+//! launch is one more policy ([`TeamPolicy`], one member a tile) of the one
+//! launch path: on `Serial`/`Threads`/`DeviceSim` each host worker keeps
+//! one heap buffer; on `SwAthread` the one trampoline takes each CPE's
+//! buffer **from its 256 kB LDM** for the launch, so a kernel whose scratch
+//! demand exceeds LDM fails exactly as it would on hardware (see the
+//! `ldm_overflow` test).
 
-use sunway_sim::CpeCtx;
-
-use crate::functor::IterCost;
-use crate::policy::tiles_per_cpe;
-use crate::registry::{self, KernelKind, Launch};
+use crate::functor::{For, IterCost, TileBody};
+use crate::policy::TeamPolicy;
 use crate::space::Space;
-
-/// League execution policy: `league_size` teams, each with
-/// `scratch_len` f64 values of team-private scratch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TeamPolicy {
-    pub league_size: usize,
-    pub scratch_len: usize,
-}
-
-impl TeamPolicy {
-    pub fn new(league_size: usize, scratch_len: usize) -> Self {
-        Self {
-            league_size,
-            scratch_len,
-        }
-    }
-}
 
 /// A team kernel: invoked once per league rank with its scratch pad.
 pub trait FunctorTeam: Sync {
@@ -46,90 +28,29 @@ pub trait FunctorTeam: Sync {
     }
 }
 
-/// The team trampoline: this CPE's Eq. (2) share of the league, each team
-/// with its scratch in LDM. Its payload is the one
-/// [`registry::Launch`]; a team launch has no partials.
-fn tramp_team<F: FunctorTeam>(ctx: &mut CpeCtx, arg: usize) {
-    // SAFETY: as for `registry::tramp`: `parallel_for_team` runs this
-    // trampoline only after looking it up under `F`'s key and the team
-    // kind, and passes its own `Launch<F, TeamPolicy>`, which outlives the
-    // blocking run.
-    let l = unsafe { &*(arg as *const Launch<F, TeamPolicy>) };
-    let per = tiles_per_cpe(l.policy.league_size, ctx.num_cpes());
-    let first = ctx.cpe_id() * per;
-    let ldm = ctx.ldm();
-    for league in first..(first + per).min(l.policy.league_size) {
-        // Team scratch lives in LDM — overflow panics like hardware.
-        let mut scratch = ldm
-            .alloc::<f64>(l.policy.scratch_len)
-            .unwrap_or_else(|e| panic!("team scratch does not fit in LDM: {e}"));
-        l.functor.operator(league, &mut scratch);
-        ctx.account_flops_simd(l.cost.flops);
-        ctx.account_dma_traffic(l.cost.bytes as usize);
+impl<F: FunctorTeam> TileBody<TeamPolicy, For> for F {
+    #[inline]
+    fn tile(&self, _: &TeamPolicy, league: usize, _: &mut f64, scratch: &mut [f64]) {
+        scratch.fill(0.0);
+        self.operator(league, scratch);
+    }
+    fn tile_cost(&self) -> IterCost {
+        self.cost()
     }
 }
 
 /// Register a team functor for the `SwAthread` backend
-/// (`KOKKOS_REGISTER_TEAM` analogue).
-pub fn register_team<F: FunctorTeam + 'static>(name: &'static str) {
-    registry::insert(
-        registry::key_of::<F>(),
-        name,
-        KernelKind::Team,
-        tramp_team::<F>,
-    );
-}
-
-/// Macro sugar mirroring [`crate::register_for_1d!`].
+/// (`KOKKOS_REGISTER_TEAM` analogue); see [`crate::register_for_1d!`].
 #[macro_export]
 macro_rules! register_team {
     ($name:ident, $f:ty) => {
-        #[allow(non_snake_case)]
-        pub fn $name() {
-            $crate::team::register_team::<$f>(stringify!($name));
-        }
+        $crate::__register!($name, $f, TeamPolicy, For);
     };
 }
 
 /// Launch a team kernel on `space`.
 pub fn parallel_for_team<F: FunctorTeam + 'static>(space: &Space, policy: TeamPolicy, f: &F) {
-    let _span = crate::profiling::begin_kernel(
-        space,
-        crate::profiling::PatternKind::ParallelFor,
-        std::any::type_name::<F>(),
-        crate::profiling::PolicyKind::Team,
-        policy.league_size as u64,
-    );
-    match space {
-        Space::Serial => {
-            let mut scratch = vec![0.0f64; policy.scratch_len];
-            for league in 0..policy.league_size {
-                scratch.fill(0.0);
-                f.operator(league, &mut scratch);
-            }
-        }
-        Space::Threads(_) | Space::DeviceSim(_) => {
-            use rayon::prelude::*;
-            (0..policy.league_size).into_par_iter().for_each(|league| {
-                let mut scratch = vec![0.0f64; policy.scratch_len];
-                f.operator(league, &mut scratch);
-            });
-        }
-        Space::SwAthread(sw) => {
-            let Some(tramp) = registry::lookup_simd(registry::key_of::<F>(), KernelKind::Team)
-            else {
-                crate::parallel::not_registered::<F>(KernelKind::Team);
-            };
-            let payload = Launch {
-                functor: f,
-                policy: &policy,
-                cost: f.cost(),
-                partials: &mut [],
-                identity: 0.0,
-            };
-            sw.cg.lock().run(tramp, &payload as *const _ as usize);
-        }
-    }
+    crate::parallel::launch::<F, _, For>(space, &policy, f, crate::Reducer::Sum);
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 use std::sync::Arc;
 
 use kokkos_rs::{
-    deep_copy, parallel_for_1d, parallel_for_list, parallel_reduce_3d, parallel_reduce_list,
-    Functor1D, FunctorList, Layout, ListPolicy, MDRangePolicy3, MemSpace, RangePolicy,
-    ReduceFunctor3D, ReduceFunctorList, Reducer, Space, View, View1, View2,
+    deep_copy, parallel_for_1d, parallel_for_list, parallel_reduce_list, Functor1D, FunctorList,
+    Layout, ListPolicy, MemSpace, RangePolicy, ReduceFunctorList, Reducer, Space, View, View1,
+    View2,
 };
 use proptest::prelude::*;
 
@@ -20,16 +20,21 @@ impl Functor1D for Scale {
 }
 kokkos_rs::register_for_1d!(prop_scale, Scale);
 
-/// A sum along one row: reduced over `MDRangePolicy3::new([1, 1, n])`.
+/// A sum over the entries of an index list.
 struct Sum {
     x: View1<f64>,
 }
-impl ReduceFunctor3D for Sum {
-    fn contribute(&self, _k: usize, _j: usize, i: usize, acc: &mut f64) {
-        *acc += self.x.at(i);
+impl ReduceFunctorList for Sum {
+    fn contribute(&self, _n: usize, idx: u32, acc: &mut f64) {
+        *acc += self.x.at(idx as usize);
     }
 }
-kokkos_rs::register_reduce_3d!(prop_sum, Sum);
+kokkos_rs::register_reduce_list!(prop_sum, Sum);
+
+/// The list `0..n` in `tile`-entry tiles.
+fn iota(n: usize, tile: usize) -> ListPolicy {
+    ListPolicy::new(Arc::new((0..n as u32).collect())).with_tile(tile)
+}
 
 /// Gather through an index list: `dst[idx] = a * src[idx]`. Duplicate
 /// indices write the same value, so the result is deterministic for any
@@ -104,7 +109,7 @@ proptest! {
             (((i as u64 + 1).wrapping_mul(seed * 2654435761 + 1) % 1000) as f64 - 500.0) * 1.0e-3
         });
         let f = Sum { x };
-        let policy = MDRangePolicy3::new([1, 1, n]).with_tile([1, 1, tile]);
+        let policy = iota(n, tile);
         let spaces = [
             Space::serial(),
             Space::threads(),
@@ -113,7 +118,7 @@ proptest! {
         ];
         let bits: Vec<u64> = spaces
             .iter()
-            .map(|s| parallel_reduce_3d(s, policy, &f, Reducer::Sum).to_bits())
+            .map(|s| parallel_reduce_list(s, &policy, &f, Reducer::Sum).to_bits())
             .collect();
         prop_assert!(bits.iter().all(|&b| b == bits[0]), "bits {:?}", bits);
     }
@@ -215,16 +220,15 @@ proptest! {
     #[test]
     fn prop_min_max_reducers(vals in proptest::collection::vec(-1e6f64..1e6, 1..500)) {
         struct MinF { x: View1<f64> }
-        impl ReduceFunctor3D for MinF {
-            fn contribute(&self, _k: usize, _j: usize, i: usize, acc: &mut f64) {
-                *acc = acc.min(self.x.at(i));
+        impl ReduceFunctorList for MinF {
+            fn contribute(&self, _n: usize, idx: u32, acc: &mut f64) {
+                *acc = acc.min(self.x.at(idx as usize));
             }
         }
         let x: View1<f64> = View::host("x", [vals.len()]);
         x.copy_from_slice(&vals);
         let f = MinF { x };
-        let policy = MDRangePolicy3::new([1, 1, vals.len()]);
-        let got = parallel_reduce_3d(&Space::threads(), policy, &f, Reducer::Min);
+        let got = parallel_reduce_list(&Space::threads(), &iota(vals.len(), 256), &f, Reducer::Min);
         let want = vals.iter().cloned().fold(f64::INFINITY, f64::min);
         prop_assert_eq!(got, want);
     }

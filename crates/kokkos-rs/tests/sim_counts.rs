@@ -9,16 +9,16 @@
 use std::sync::Arc;
 
 use kokkos_rs::{
-    parallel_for_1d, parallel_for_3d, parallel_for_list, parallel_reduce_3d, parallel_reduce_list,
-    Functor1D, Functor3D, FunctorList, IterCost, ListPolicy, MDRangePolicy3, RangePolicy,
-    ReduceFunctor3D, ReduceFunctorList, Reducer, Space, View, View1,
+    parallel_for_1d, parallel_for_3d, parallel_for_list, parallel_for_team, parallel_reduce_list,
+    Functor1D, Functor3D, FunctorList, FunctorTeam, IterCost, ListPolicy, MDRangePolicy3,
+    RangePolicy, ReduceFunctorList, Reducer, Space, TeamPolicy, View, View1,
 };
 use sunway_sim::CgConfig;
 
 const N: usize = 6 * 23 * 71;
 
-/// One functor for every pattern: a for-body scales its element, a
-/// reduction sums it. Its declared cost is not the default, so the
+/// One functor for every pattern: a for-body scales its element (a team
+/// member through its scratch), a reduction sums it. Its declared cost is not the default, so the
 /// retiling of dense for-launches has something to size from.
 struct Probe {
     x: View1<f64>,
@@ -62,9 +62,10 @@ impl FunctorList for Probe {
         COST
     }
 }
-impl ReduceFunctor3D for Probe {
-    fn contribute(&self, k: usize, j: usize, i: usize, acc: &mut f64) {
-        *acc += self.at((k * 23 + j) * 71 + i);
+impl FunctorTeam for Probe {
+    fn operator(&self, league: usize, scratch: &mut [f64]) {
+        scratch[0] = self.at(league);
+        self.x.set_at(league, 0.5 * scratch[0]);
     }
     fn cost(&self) -> IterCost {
         COST
@@ -99,7 +100,7 @@ kokkos_rs::register_for_1d!(sim_counts_for_1d, Probe);
 kokkos_rs::register_for_3d!(sim_counts_for_3d, Probe);
 kokkos_rs::register_for_3d!(sim_counts_for_3d_ring, Ringed);
 kokkos_rs::register_for_list!(sim_counts_for_list, Probe);
-kokkos_rs::register_reduce_3d!(sim_counts_reduce_3d, Probe);
+kokkos_rs::register_team!(sim_counts_team, Probe);
 kokkos_rs::register_reduce_list!(sim_counts_reduce_list, Probe);
 
 /// A list over every index, out of order, with a skewed cost prefix.
@@ -147,11 +148,11 @@ fn counts(cfg: &CgConfig, launch: impl FnOnce(&Space, &Probe)) -> [u64; 11] {
 
 type Launch = fn(&Space, &Probe);
 
-/// Every pattern once, the 3-D ones also over a single level (the shape a
-/// 2-D kernel launches as), and the 3-D for-launch of a body that holds
-/// two rows of its tiles at once; the dense policies are offset and their
-/// tiles divide nothing.
-const LAUNCHES: [(&str, Launch); 8] = [
+/// Every pattern and shape once, the 3-D for-launch also over a single
+/// level (the shape a 2-D kernel launches as) and for a body that holds two
+/// rows of its tiles at once; the dense policies are offset and their tiles
+/// divide nothing.
+const LAUNCHES: [(&str, Launch); 7] = [
     ("for_1d", |s, f| {
         parallel_for_1d(s, RangePolicy::range(3, N).with_tile(50), f)
     }),
@@ -169,13 +170,8 @@ const LAUNCHES: [(&str, Launch); 8] = [
         parallel_for_3d(s, p.with_offset([1, 2, 1]), &ring)
     }),
     ("for_list", |s, f| parallel_for_list(s, &list(), f)),
-    ("reduce_one_level", |s, f| {
-        let p = MDRangePolicy3::new([1, 6 * 23 - 1, 69]).with_tile([1, 5, 9]);
-        parallel_reduce_3d(s, p.with_offset([0, 1, 2]), f, Reducer::Sum);
-    }),
-    ("reduce_3d", |s, f| {
-        let p = MDRangePolicy3::new([5, 21, 70]).with_tile([2, 3, 11]);
-        parallel_reduce_3d(s, p.with_offset([1, 2, 1]), f, Reducer::Sum);
+    ("team", |s, f| {
+        parallel_for_team(s, TeamPolicy::new(N - 3, 24), f)
     }),
     ("reduce_list", |s, f| {
         parallel_reduce_list(s, &list(), f, Reducer::Sum);
@@ -187,13 +183,13 @@ fn register_all() {
     sim_counts_for_3d();
     sim_counts_for_3d_ring();
     sim_counts_for_list();
-    sim_counts_reduce_3d();
+    sim_counts_team();
     sim_counts_reduce_list();
 }
 
 /// Compare every row, then print the whole table as found, so a deliberate
 /// change is a paste.
-fn check(cfg: &CgConfig, want: &[(&str, [u64; 11]); 8]) {
+fn check(cfg: &CgConfig, want: &[(&str, [u64; 11]); 7]) {
     register_all();
     let got: Vec<(&str, [u64; 11])> = LAUNCHES
         .iter()
@@ -243,15 +239,9 @@ fn every_pattern_charges_its_literal_counts_on_the_test_core_group() {
                 ],
             ),
             (
-                "reduce_one_level",
+                "team",
                 [
-                    1, 128548, 125930, 85077, 252080, 126040, 1292, 955378, 0, 720, 224,
-                ],
-            ),
-            (
-                "reduce_3d",
-                [
-                    1, 90552, 71561, 66150, 196000, 98000, 686, 542167, 0, 1056, 147,
+                    1, 1304065, 1303276, 88155, 264465, 127335, 19590, 9779744, 0, 576, 9795,
                 ],
             ),
             (
@@ -300,15 +290,9 @@ fn every_pattern_charges_its_literal_counts_on_the_bench_core_group() {
                 ],
             ),
             (
-                "reduce_one_level",
+                "team",
                 [
-                    1, 128548, 125930, 85077, 252080, 126040, 1292, 955378, 0, 720, 224,
-                ],
-            ),
-            (
-                "reduce_3d",
-                [
-                    1, 90552, 71561, 66150, 196000, 98000, 686, 542167, 0, 1056, 147,
+                    1, 1304065, 1303276, 88155, 264465, 127335, 19590, 9779744, 0, 576, 9795,
                 ],
             ),
             (

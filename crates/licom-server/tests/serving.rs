@@ -129,8 +129,12 @@ fn global_backpressure_enforced() {
     });
     // Distinct tenants so the per-tenant quota never triggers; the head
     // job occupies the worker while the queue fills.
-    server.submit(tiny("t0", Priority::Normal, 300)).unwrap();
-    std::thread::sleep(Duration::from_millis(5)); // let the worker claim it
+    let head = server.submit(tiny("t0", Priority::Normal, 300)).unwrap();
+    // The worker has claimed it once it has built its model.
+    match head.events.recv_timeout(Duration::from_secs(60)) {
+        Ok(JobEvent::Started { .. }) => {}
+        other => panic!("expected the head job to start, got {other:?}"),
+    }
     server.submit(tiny("t1", Priority::Normal, 4)).unwrap();
     server.submit(tiny("t2", Priority::Normal, 4)).unwrap();
     match server.submit(tiny("t3", Priority::Normal, 4)) {

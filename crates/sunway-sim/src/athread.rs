@@ -189,8 +189,8 @@ impl CpeCtx {
 
     /// Charge the *time and traffic* of a blocking DMA round-trip of `bytes`
     /// without moving data: one transaction latency plus the full streaming
-    /// time, all stalled. The team launch's charge, and the unpipelined
-    /// baseline [`crate::pipeline::DmaPipe`] is held to beating.
+    /// time, all stalled: the unpipelined baseline
+    /// [`crate::pipeline::DmaPipe`] is held to beating.
     pub fn account_dma_traffic(&mut self, bytes: usize) {
         self.counters.dma_transactions += 1;
         self.counters.dma_get_bytes += bytes as u64;
