@@ -173,36 +173,6 @@ fn main() {
         );
     }
 
-    banner("Ablation 5 (SS V-C2): LDM-scratch team launch for the implicit solves");
-    // Run the vertical solves through TeamPolicy on the simulated CG: the
-    // tridiagonal work arrays live in LDM. Identical results; the
-    // simulated counters show the LDM residency, cycles and DMA
-    // transactions.
-    for team in [false, true] {
-        let cfg = cfg.clone();
-        let (checksum, counters) = World::run(1, move |comm| {
-            let opts = ModelOptions {
-                vmix_team: team,
-                ..ModelOptions::default()
-            };
-            let space = kokkos_rs::Space::sw_athread_with(sunway_sim::CgConfig {
-                num_cpes: 16,
-                host_workers: 8,
-                ..sunway_sim::CgConfig::default()
-            });
-            let mut m = Model::new(comm, cfg.clone(), space.clone(), opts);
-            m.run_steps(2);
-            (m.checksum(), m.sunway_counters().unwrap_or_default())
-        })
-        .pop()
-        .unwrap();
-        println!(
-            "vmix_team={team}: checksum {checksum:x}, peak LDM residency {} B, {} cycles, {} DMA transactions",
-            counters.totals.ldm_high_water, counters.kernel_cycles, counters.totals.dma_transactions
-        );
-    }
-    println!("(identical checksums; the team launch stages its work arrays in LDM)");
-
     banner("Full-scale projection: optimized vs original (paper 2.7x / 3.9x)");
     println!(
         "{:<12} {:>12} {:>14} {:>14} {:>10} {:>10}",

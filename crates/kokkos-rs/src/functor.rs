@@ -186,15 +186,11 @@ impl Pattern for Reduce {
 
 /// One whole tile of policy `P` under pattern `M`: the seam through which
 /// the one launch path and the one CPE trampoline reach a kernel. Kernels
-/// implement the traits above or [`crate::FunctorTeam`]; one blanket impl
-/// each (the team's in [`crate::team`]) maps it onto its policy. A for-body
-/// runs the tile and leaves `acc` alone; a reduction folds the tile into
-/// `acc`, the tile's partial. `scratch` is the worker's
-/// [`Policy::scratch_len`] words, which only a team body reads.
-///
-/// [`Policy::scratch_len`]: crate::Policy::scratch_len
+/// implement the traits above; one blanket impl each maps it onto its
+/// policy. A for-body runs the tile and leaves `acc` alone; a reduction
+/// folds the tile into `acc`, the tile's partial.
 pub trait TileBody<P, M>: Sync {
-    fn tile(&self, policy: &P, t: usize, acc: &mut f64, scratch: &mut [f64]);
+    fn tile(&self, policy: &P, t: usize, acc: &mut f64);
     /// The kernel's declared [`IterCost`].
     fn tile_cost(&self) -> IterCost;
     /// [`Functor3D::resident_rows`] of a 3-D for-body; `None` for any
@@ -206,7 +202,7 @@ pub trait TileBody<P, M>: Sync {
 
 impl<F: Functor1D> TileBody<RangePolicy, For> for F {
     #[inline]
-    fn tile(&self, policy: &RangePolicy, t: usize, _: &mut f64, _: &mut [f64]) {
+    fn tile(&self, policy: &RangePolicy, t: usize, _: &mut f64) {
         let (lo, hi) = policy.tile_range(t);
         for i in lo..hi {
             self.operator(i);
@@ -219,7 +215,7 @@ impl<F: Functor1D> TileBody<RangePolicy, For> for F {
 
 impl<F: Functor3D> TileBody<MDRangePolicy3, For> for F {
     #[inline]
-    fn tile(&self, policy: &MDRangePolicy3, t: usize, _: &mut f64, _: &mut [f64]) {
+    fn tile(&self, policy: &MDRangePolicy3, t: usize, _: &mut f64) {
         self.operator_tile(policy.tile_bounds(t));
     }
     fn tile_cost(&self) -> IterCost {
@@ -232,7 +228,7 @@ impl<F: Functor3D> TileBody<MDRangePolicy3, For> for F {
 
 impl<F: FunctorList> TileBody<ListPolicy, For> for F {
     #[inline]
-    fn tile(&self, policy: &ListPolicy, t: usize, _: &mut f64, _: &mut [f64]) {
+    fn tile(&self, policy: &ListPolicy, t: usize, _: &mut f64) {
         let (n0, entries) = policy.tile_entries(t);
         self.operator_span(n0, entries);
     }
@@ -243,7 +239,7 @@ impl<F: FunctorList> TileBody<ListPolicy, For> for F {
 
 impl<F: ReduceFunctorList> TileBody<ListPolicy, Reduce> for F {
     #[inline]
-    fn tile(&self, policy: &ListPolicy, t: usize, acc: &mut f64, _: &mut [f64]) {
+    fn tile(&self, policy: &ListPolicy, t: usize, acc: &mut f64) {
         let (n0, entries) = policy.tile_entries(t);
         self.contribute_span(n0, entries, acc);
     }

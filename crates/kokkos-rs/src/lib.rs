@@ -8,10 +8,10 @@
 //! |-----------------------|-----------------------------------------------|
 //! | `Kokkos::View`        | [`view::View`] — rank-`R` arrays, `LayoutLeft`/`LayoutRight`, shared ownership, `deep_copy`, mirrors |
 //! | Execution spaces      | [`space::Space`] — `Serial`, `Threads` (host pool, OpenMP-like), `DeviceSim` (CUDA/HIP-like), `SwAthread` (Sunway CPEs) |
-//! | Memory spaces         | [`memspace::MemSpace`] — `Host` and `Device`, with H2D/D2H transfer accounting |
-//! | `RangePolicy`/`MDRangePolicy`/`TeamPolicy` | [`policy`] — `RangePolicy`, `MDRangePolicy3` (a 2-D launch is its one-level case), `ListPolicy`, `TeamPolicy`; incl. the CPE tile mapping of paper Eq. (1)–(2) |
-//! | Functors (`operator()`) | [`functor`] traits `Functor1D/3D`, `FunctorList`, `ReduceFunctorList`, and [`team`]'s `FunctorTeam` |
-//! | `parallel_for` / `parallel_reduce` | [`parallel`] — five entry points, `parallel_for_{1d,3d,list,team}` and `parallel_reduce_list`, one launch |
+//! | Memory spaces         | [`memspace::MemSpace`] — `Host` and `Device`; a crossing `deep_copy` reports both spaces and its bytes to the profiling tool |
+//! | `RangePolicy`/`MDRangePolicy` | [`policy`] — `RangePolicy`, `MDRangePolicy3` (a 2-D launch is its one-level case), `ListPolicy`; incl. the CPE tile mapping of paper Eq. (1)–(2) |
+//! | Functors (`operator()`) | [`functor`] traits `Functor1D/3D`, `FunctorList`, `ReduceFunctorList` |
+//! | `parallel_for` / `parallel_reduce` | [`parallel`] — four entry points, `parallel_for_{1d,3d,list}` and `parallel_reduce_list`, one launch |
 //! | `KOKKOS_REGISTER_FOR_1D(name, Functor)` | `register_for_1d!` etc. + the linked-list [`registry`] |
 //!
 //! ## Why a registry at all?
@@ -44,7 +44,6 @@ pub mod policy;
 pub mod profiling;
 pub mod registry;
 pub mod space;
-pub mod team;
 pub mod view;
 
 pub use functor::{
@@ -53,10 +52,9 @@ pub use functor::{
 pub use memspace::MemSpace;
 pub use parallel::fence;
 pub use parallel::{parallel_for_1d, parallel_for_3d, parallel_for_list, parallel_reduce_list};
-pub use policy::{ListPolicy, MDRangePolicy3, Policy, RangePolicy, TeamPolicy};
+pub use policy::{ListPolicy, MDRangePolicy3, Policy, RangePolicy};
 pub use profiling::{DeepCopyInfo, KernelId, KernelInfo, PatternKind, PolicyKind, ProfilingHooks};
 pub use space::Space;
-pub use team::{parallel_for_team, FunctorTeam};
 pub use view::{deep_copy, Layout, View, View1, View2, View3};
 
 /// Convenience: the list of all execution-space names this build supports,

@@ -1,16 +1,14 @@
-//! Memory spaces and host↔device transfer accounting.
+//! Memory spaces.
 //!
 //! On ORISE, "the CPU and GPUs are interconnected through 32-bit PCIe buses
 //! featuring a DMA with a bandwidth of 16 GB/s", and because the systems
 //! "lack support for GPU-aware MPI technology", every halo exchange must
 //! stage through host memory. The paper's communication optimization
 //! therefore includes *minimizing data copying between the host and
-//! devices* — which is only observable if transfers are counted. Every
-//! [`crate::view::deep_copy`] that crosses spaces increments the global
-//! counters here; the Sunway/host spaces are unified (as on hardware) and
-//! cost nothing.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! devices* — which is only observable if transfers are seen. Every
+//! [`crate::view::deep_copy`] reports both spaces and its bytes to the
+//! attached profiling tool ([`crate::profiling::DeepCopyInfo`]); the
+//! Sunway/host spaces are unified (as on hardware).
 
 /// Where a `View`'s allocation lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,68 +19,4 @@ pub enum MemSpace {
     Host,
     /// Simulated discrete-accelerator memory (CUDA/HIP device).
     Device,
-}
-
-static H2D_BYTES: AtomicU64 = AtomicU64::new(0);
-static D2H_BYTES: AtomicU64 = AtomicU64::new(0);
-static H2D_TRANSFERS: AtomicU64 = AtomicU64::new(0);
-static D2H_TRANSFERS: AtomicU64 = AtomicU64::new(0);
-
-/// Record a host→device transfer (called by `deep_copy`).
-pub fn record_h2d(bytes: usize) {
-    H2D_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    H2D_TRANSFERS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Record a device→host transfer (called by `deep_copy`).
-pub fn record_d2h(bytes: usize) {
-    D2H_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    D2H_TRANSFERS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Snapshot of PCIe traffic since process start (or last [`reset_transfer_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransferStats {
-    pub h2d_bytes: u64,
-    pub d2h_bytes: u64,
-    pub h2d_transfers: u64,
-    pub d2h_transfers: u64,
-}
-
-/// Read the global transfer counters.
-pub fn transfer_stats() -> TransferStats {
-    TransferStats {
-        h2d_bytes: H2D_BYTES.load(Ordering::Relaxed),
-        d2h_bytes: D2H_BYTES.load(Ordering::Relaxed),
-        h2d_transfers: H2D_TRANSFERS.load(Ordering::Relaxed),
-        d2h_transfers: D2H_TRANSFERS.load(Ordering::Relaxed),
-    }
-}
-
-/// Zero the global transfer counters (e.g. between benchmark phases).
-pub fn reset_transfer_stats() {
-    H2D_BYTES.store(0, Ordering::Relaxed);
-    D2H_BYTES.store(0, Ordering::Relaxed);
-    H2D_TRANSFERS.store(0, Ordering::Relaxed);
-    D2H_TRANSFERS.store(0, Ordering::Relaxed);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counters_track_directions_separately() {
-        reset_transfer_stats();
-        record_h2d(100);
-        record_h2d(50);
-        record_d2h(7);
-        let s = transfer_stats();
-        assert_eq!(s.h2d_bytes, 150);
-        assert_eq!(s.h2d_transfers, 2);
-        assert_eq!(s.d2h_bytes, 7);
-        assert_eq!(s.d2h_transfers, 1);
-        reset_transfer_stats();
-        assert_eq!(transfer_stats(), TransferStats::default());
-    }
 }

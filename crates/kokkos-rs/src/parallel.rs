@@ -1,11 +1,10 @@
 //! `parallel_for` / `parallel_reduce` dispatch.
 //!
-//! Five entry points and one launch: `parallel_for_{1d,3d,list}`,
-//! `parallel_reduce_list` and the team's [`crate::parallel_for_team`]. Each
-//! names its policy and pattern, and `launch` runs every tile of the policy
-//! through [`TileBody::tile`]. A 2-D kernel is a 3-D one over a single
-//! level (`MDRangePolicy3::new([1, ny, nx])`). The [`Space`] decides how
-//! tiles are executed:
+//! Four entry points and one launch: `parallel_for_{1d,3d,list}` and
+//! `parallel_reduce_list`. Each names its policy and pattern, and `launch`
+//! runs every tile of the policy through [`TileBody::tile`]. A 2-D kernel
+//! is a 3-D one over a single level (`MDRangePolicy3::new([1, ny, nx])`).
+//! The [`Space`] decides how tiles are executed:
 //!
 //! * `Serial` — tiles in order, one thread;
 //! * `Threads` — tiles on the host pool, or in order on the launching
@@ -71,29 +70,23 @@ fn forks(space: &Space, iterations: usize) -> bool {
     }
 }
 
-/// Run `run_tile` over every tile of `policy` on a host backend, each with
-/// its worker's scratch. On the pool, a policy with worker ranges gives each
-/// worker its contiguous tile range ([`Policy::worker_tile_range`]) and one
-/// scratch buffer; any other hands out tiles in chunks. Tile contents never
-/// depend on the split, so results stay bitwise identical to the serial
-/// sweep.
-fn drive_tiles<P: Policy>(space: &Space, policy: &P, run_tile: impl Fn(usize, &mut [f64]) + Sync) {
-    let scratch = || vec![0.0; policy.scratch_len()];
+/// Run `run_tile` over every tile of `policy` on a host backend. On the
+/// pool, a policy with worker ranges gives each worker its contiguous tile
+/// range ([`Policy::worker_tile_range`]); any other hands out tiles in
+/// chunks. Tile contents never depend on the split, so results stay
+/// bitwise identical to the serial sweep.
+fn drive_tiles<P: Policy>(space: &Space, policy: &P, run_tile: impl Fn(usize) + Sync) {
     let total = policy.total_tiles();
     if !forks(space, policy.iterations()) {
-        let mut s = scratch();
-        (0..total).for_each(|t| run_tile(t, &mut s))
+        (0..total).for_each(run_tile)
     } else if P::WORKER_RANGES {
         let workers = rayon::current_num_threads();
         (0..workers).into_par_iter().for_each(|w| {
             let (lo, hi) = policy.worker_tile_range(w, workers);
-            let mut s = scratch();
-            (lo..hi).for_each(|t| run_tile(t, &mut s));
+            (lo..hi).for_each(&run_tile);
         });
     } else {
-        (0..total)
-            .into_par_iter()
-            .for_each(|t| run_tile(t, &mut scratch()))
+        (0..total).into_par_iter().for_each(run_tile)
     }
 }
 
@@ -111,7 +104,7 @@ fn drive_tiles<P: Policy>(space: &Space, policy: &P, run_tile: impl Fn(usize, &m
 /// holds at once ([`Functor3D::resident_rows`]) and the core group's
 /// LDM/bandwidth/latency parameters
 /// ([`sunway_sim::pipeline::choose_tile_elems`]); for-loops write disjoint
-/// elements, so retiling cannot change results. List and team launches keep
+/// elements, so retiling cannot change results. A list launch keeps
 /// the caller's tiles ([`Policy::retiled`] is `None`): a list's tiles are
 /// its cost-prefix schedule and its reduction's partials.
 pub(crate) fn launch<F, P, M>(space: &Space, policy: &P, f: &F, op: Reducer) -> f64
@@ -159,9 +152,9 @@ where
             let partials: Vec<AtomicU64> = (0..tiles)
                 .map(|_| AtomicU64::new(identity.to_bits()))
                 .collect();
-            drive_tiles(host, policy, |t, scratch| {
+            drive_tiles(host, policy, |t| {
                 let mut acc = identity;
-                f.tile(policy, t, &mut acc, scratch);
+                f.tile(policy, t, &mut acc);
                 // Relaxed: slot `t` is written by the one thread that runs
                 // tile `t`, and read only after the drive has returned,
                 // which the pool's join orders.

@@ -4,9 +4,7 @@
 
 use super::*;
 use crate::profiling::{KernelId, KernelInfo, ProfilingHooks};
-use crate::team::{parallel_for_team, FunctorTeam};
 use crate::view::{View, View1};
-use crate::TeamPolicy;
 use proptest::prelude::*;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
@@ -20,8 +18,7 @@ fn val(n: usize) -> f64 {
 }
 
 /// One functor for every pattern and shape. As a for-body it adds to the
-/// element it was called for (twice called ≠ once called; a team member
-/// through its scratch, which must arrive zeroed); as a reduction it folds
+/// element it was called for (twice called ≠ once called); as a reduction it folds
 /// `val` of the list entry with `op`.
 struct Probe {
     op: Reducer,
@@ -58,12 +55,6 @@ impl Functor3D for Probe {
 impl FunctorList for Probe {
     fn operator(&self, _n: usize, idx: u32) {
         self.visit(idx as usize);
-    }
-}
-impl FunctorTeam for Probe {
-    fn operator(&self, league: usize, scratch: &mut [f64]) {
-        scratch[0] += 1.0 + val(league);
-        self.out.set_at(league, self.out.at(league) + scratch[0]);
     }
 }
 impl ReduceFunctorList for Probe {
@@ -109,10 +100,10 @@ impl ProfilingHooks for Count {
     }
 }
 
-/// Launches per [`run_all`] call: five for-loops, a reduction × Sum, Max.
-const LAUNCHES: usize = 7;
+/// Launches per [`run_all`] call: four for-loops, a reduction × Sum, Max.
+const LAUNCHES: usize = 6;
 
-/// Every pattern and shape once over `dims` (1-D, list and team over the
+/// Every pattern and shape once over `dims` (1-D and list over the
 /// product, one level over `[nk * nj, ni]`), with tiles that divide nothing;
 /// the bits of everything they produced.
 fn run_all(space: &Space, dims: [usize; 3], tile: [usize; 3]) -> Vec<u64> {
@@ -131,7 +122,6 @@ fn run_all(space: &Space, dims: [usize; 3], tile: [usize; 3]) -> Vec<u64> {
     parallel_for_3d(space, p2, &f);
     parallel_for_3d(space, p3, &f);
     parallel_for_list(space, &pl, &f);
-    parallel_for_team(space, TeamPolicy::new(n, tile[0]), &f);
     bits.extend(f.out.to_vec().iter().map(|v| v.to_bits()));
     for op in [Reducer::Sum, Reducer::Max] {
         let f = Probe::new(op, dims);

@@ -19,9 +19,6 @@
 //! **cost weight** (e.g. wet levels per column); workers/CPEs then split
 //! tiles by cumulative cost instead of count ([`Policy::worker_tile_range`]),
 //! generalizing the canuto column balancer into the dispatch layer.
-//!
-//! [`TeamPolicy`] is a team launch's league: one member a tile, each with
-//! the policy's private scratch.
 
 use std::sync::Arc;
 
@@ -191,13 +188,6 @@ pub trait Policy: Sync {
         (lo, (lo + per).min(total))
     }
 
-    /// `f64` words of private scratch a launch hands each tile: one buffer a
-    /// host worker or CPE (on SwAthread, in its LDM), zeroed by the body
-    /// before every tile. Only a team launch has any.
-    fn scratch_len(&self) -> usize {
-        0
-    }
-
     /// This policy re-tiled to about `elems` iterations a tile, as a dense
     /// SwAthread for-launch streams it through LDM; `None` keeps the
     /// caller's tiles.
@@ -288,51 +278,6 @@ impl Policy for ListPolicy {
             self.cost_boundary(w, workers, total),
             self.cost_boundary(w + 1, workers, total),
         )
-    }
-}
-
-/// League policy of a team launch ([`crate::team`]): `league_size`
-/// members, each handed `scratch_len` zeroed `f64` words of private
-/// scratch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TeamPolicy {
-    pub league_size: usize,
-    pub scratch_len: usize,
-}
-
-impl TeamPolicy {
-    pub fn new(league_size: usize, scratch_len: usize) -> Self {
-        Self {
-            league_size,
-            scratch_len,
-        }
-    }
-}
-
-/// One league member a tile, split over host workers and CPEs by Eq. (2),
-/// each keeping one scratch buffer for all its members.
-impl Policy for TeamPolicy {
-    const KIND: PolicyKind = PolicyKind::Team;
-    const WORKER_RANGES: bool = true;
-
-    fn iterations(&self) -> usize {
-        self.league_size
-    }
-    fn total_tiles(&self) -> usize {
-        self.league_size
-    }
-    fn tile_iterations(&self, _t: usize) -> usize {
-        1
-    }
-    fn tile_elems(&self) -> usize {
-        1
-    }
-    /// A member stages its work rows, the scratch.
-    fn resident_elems(&self, _rows: Option<usize>) -> usize {
-        self.scratch_len.max(1)
-    }
-    fn scratch_len(&self) -> usize {
-        self.scratch_len
     }
 }
 
@@ -692,8 +637,6 @@ mod tests {
         check_policy(&MDRangePolicy3::new([4, 7, 9]).with_tile([2, 3, 4]));
         check_policy(&list(103, 16).slice(5, 99));
         check_policy(&RangePolicy::new(0));
-        check_policy(&TeamPolicy::new(37, 5));
-        check_policy(&TeamPolicy::new(0, 5));
     }
 
     #[test]
@@ -726,6 +669,5 @@ mod tests {
         assert_eq!(p.resident_elems(Some(3)), 2 * 3 * 64);
         assert_eq!(p.resident_elems(Some(20)), p.tile_elems());
         assert_eq!(list(10, 4).resident_elems(Some(3)), 4);
-        assert_eq!(TeamPolicy::new(10, 9).resident_elems(None), 9);
     }
 }

@@ -10,7 +10,7 @@
 //!   default body, so the trait itself is the null object.
 //! * [`set_hooks`] / [`clear_hooks`] — fill or empty the one
 //!   process-global consumer slot (e.g. `kokkos_profiling::Profiler`).
-//! * Dispatch sites in [`crate::parallel`], [`crate::team`] and
+//! * Dispatch sites in [`crate::parallel`] and
 //!   [`crate::view::deep_copy`] create a [`KernelSpan`] guard around the
 //!   launch; the guard emits the matching `end_*` event from its `Drop`
 //!   impl, so begin/end stay strictly nested **even when a functor
@@ -71,7 +71,6 @@ pub enum PolicyKind {
     Range,
     MDRange3,
     List,
-    Team,
 }
 
 impl PolicyKind {
@@ -80,7 +79,6 @@ impl PolicyKind {
             PolicyKind::Range => "Range",
             PolicyKind::MDRange3 => "MDRange3",
             PolicyKind::List => "List",
-            PolicyKind::Team => "Team",
         }
     }
 }
@@ -95,7 +93,7 @@ pub struct KernelInfo {
     pub pattern: PatternKind,
     pub policy: PolicyKind,
     /// Total iterations the policy covers (list length for `List`,
-    /// extent product for ranges, league size for `Team`).
+    /// extent product for ranges).
     pub work_items: u64,
 }
 
@@ -225,8 +223,8 @@ pub struct KernelSpan {
 }
 
 /// Open a kernel span. This is the single chokepoint every dispatch in
-/// [`crate::parallel`] and [`crate::team`] passes through; `DeviceSim`
-/// launch accounting lives here (and only here).
+/// [`crate::parallel`] passes through; `DeviceSim` launch accounting lives
+/// here (and only here).
 #[inline]
 pub(crate) fn begin_kernel(
     space: &Space,

@@ -48,8 +48,6 @@ pub enum KernelKind {
     /// Compact index-list launch ([`crate::policy::ListPolicy`]).
     ForList,
     ReduceList,
-    /// Hierarchical team launch with LDM scratch (see [`crate::team`]).
-    Team,
 }
 
 impl KernelKind {
@@ -60,7 +58,6 @@ impl KernelKind {
             KernelKind::For3D => "register_for_3d",
             KernelKind::ForList => "register_for_list",
             KernelKind::ReduceList => "register_reduce_list",
-            KernelKind::Team => "register_team",
         }
     }
 }
@@ -260,7 +257,7 @@ fn drive_pipelined(
 /// by explicitly invoking the overloaded operator() method"), one
 /// monomorphic copy per registered `(F, P, M)`: this CPE's share of the
 /// policy's tiles, each run through [`TileBody::tile`] inside the DMA
-/// pipeline, with the policy's scratch in this CPE's LDM.
+/// pipeline.
 fn tramp<F: TileBody<P, M>, P: Policy, M>(ctx: &mut CpeCtx, arg: usize) {
     // SAFETY: `arg` must be the address of a `Launch<F, P>` alive for the
     // whole run. `parallel::launch` runs this trampoline only after looking
@@ -268,15 +265,12 @@ fn tramp<F: TileBody<P, M>, P: Policy, M>(ctx: &mut CpeCtx, arg: usize) {
     // which outlives the blocking `CoreGroup::run`; a trampoline taken from
     // the public `lookup` and run by hand owes the same.
     let l = unsafe { &*(arg as *const Launch<F, P>) };
-    // Team scratch lives in LDM — overflow panics like hardware.
-    let mut scratch = (ctx.ldm().alloc::<f64>(l.policy.scratch_len()))
-        .unwrap_or_else(|e| panic!("team scratch does not fit in LDM: {e}"));
     let tiles = l.policy.worker_tile_range(ctx.cpe_id(), ctx.num_cpes());
     let iters = |t: usize| l.policy.tile_iterations(t) as u64;
     let resident = l.policy.resident_elems(l.functor.resident_rows());
     drive_pipelined(ctx, l.cost, resident, tiles, iters, |t| {
         let mut acc = l.identity;
-        l.functor.tile(l.policy, t, &mut acc, &mut scratch);
+        l.functor.tile(l.policy, t, &mut acc);
         if t < l.partials.len() {
             // SAFETY: slot `t` is in bounds, the launching frame keeps the
             // slots alive, and worker tile ranges are disjoint, so slot `t`
@@ -295,7 +289,6 @@ pub(crate) fn kind_of<P: Policy, M: Pattern>() -> KernelKind {
         (_, Range) => KernelKind::For1D,
         (_, MDRange3) => KernelKind::For3D,
         (_, List) => KernelKind::ForList,
-        (_, Team) => KernelKind::Team,
     }
 }
 

@@ -171,13 +171,6 @@ impl Space {
             _ => MemSpace::Host,
         }
     }
-
-    /// Whether host MPI buffers can be used directly (no device staging).
-    /// False on `DeviceSim` — the paper's systems "lack support for
-    /// GPU-aware MPI technology".
-    pub fn unified_with_host(&self) -> bool {
-        !matches!(self, Space::DeviceSim(_))
-    }
 }
 
 impl std::fmt::Debug for Space {
@@ -207,12 +200,13 @@ mod tests {
     }
 
     #[test]
-    fn memspace_and_unification() {
+    fn memspace_of_each_backend() {
         assert_eq!(Space::serial().memspace(), MemSpace::Host);
         assert_eq!(Space::device_sim().memspace(), MemSpace::Device);
-        assert!(Space::serial().unified_with_host());
-        assert!(!Space::device_sim().unified_with_host());
-        // Sunway MPE/CPE share memory — unified, per paper §V-B.
-        assert!(Space::sw_athread_with(CgConfig::test_small()).unified_with_host());
+        // Sunway MPE/CPE share memory — the host space, per paper §V-B.
+        assert_eq!(
+            Space::sw_athread_with(CgConfig::test_small()).memspace(),
+            MemSpace::Host
+        );
     }
 }

@@ -16,7 +16,7 @@
 use std::alloc::Layout as AllocLayout;
 use std::sync::Arc;
 
-use crate::memspace::{self, MemSpace};
+use crate::memspace::MemSpace;
 
 /// Element ordering of a `View`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -440,8 +440,8 @@ impl<T: Copy> View<T, 3> {
 ///
 /// Shapes must match; layouts may differ. The copy is index-wise, with a
 /// `memcpy` fast path when both views are root views of one layout (a
-/// subview's storage order is not its logical order). Crossing memory
-/// spaces records PCIe traffic in [`crate::memspace`].
+/// subview's storage order is not its logical order). The attached
+/// profiling tool sees both spaces and the bytes of every copy.
 pub fn deep_copy<T: Copy + Send + Sync, const R: usize>(dst: &View<T, R>, src: &View<T, R>) {
     assert_eq!(dst.dims(), src.dims(), "deep_copy shape mismatch");
     let bytes = std::mem::size_of::<T>() * src.len();
@@ -452,11 +452,6 @@ pub fn deep_copy<T: Copy + Send + Sync, const R: usize>(dst: &View<T, R>, src: &
         src_space: src.space(),
         bytes: bytes as u64,
     });
-    match (src.space(), dst.space()) {
-        (MemSpace::Host, MemSpace::Device) => memspace::record_h2d(bytes),
-        (MemSpace::Device, MemSpace::Host) => memspace::record_d2h(bytes),
-        _ => {}
-    }
     if dst.layout() == src.layout() && dst.is_root_view() && src.is_root_view() {
         dst.copy_from_slice(src.as_slice());
         return;
@@ -548,18 +543,6 @@ mod tests {
         }
         // but the storage order differs
         assert_ne!(a.to_vec(), b.to_vec());
-    }
-
-    #[test]
-    fn deep_copy_counts_pcie_traffic() {
-        crate::memspace::reset_transfer_stats();
-        let h: View1<f64> = View::new("h", [100], Layout::Right, MemSpace::Host);
-        let d: View1<f64> = h.mirror(MemSpace::Device);
-        deep_copy(&d, &h);
-        deep_copy(&h, &d);
-        let s = crate::memspace::transfer_stats();
-        assert_eq!(s.h2d_bytes, 800);
-        assert_eq!(s.d2h_bytes, 800);
     }
 
     #[test]

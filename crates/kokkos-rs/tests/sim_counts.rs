@@ -9,16 +9,16 @@
 use std::sync::Arc;
 
 use kokkos_rs::{
-    parallel_for_1d, parallel_for_3d, parallel_for_list, parallel_for_team, parallel_reduce_list,
-    Functor1D, Functor3D, FunctorList, FunctorTeam, IterCost, ListPolicy, MDRangePolicy3,
-    RangePolicy, ReduceFunctorList, Reducer, Space, TeamPolicy, View, View1,
+    parallel_for_1d, parallel_for_3d, parallel_for_list, parallel_reduce_list, Functor1D,
+    Functor3D, FunctorList, IterCost, ListPolicy, MDRangePolicy3, RangePolicy, ReduceFunctorList,
+    Reducer, Space, View, View1,
 };
 use sunway_sim::CgConfig;
 
 const N: usize = 6 * 23 * 71;
 
-/// One functor for every pattern: a for-body scales its element (a team
-/// member through its scratch), a reduction sums it. Its declared cost is not the default, so the
+/// One functor for every pattern: a for-body scales its element, a
+/// reduction sums it. Its declared cost is not the default, so the
 /// retiling of dense for-launches has something to size from.
 struct Probe {
     x: View1<f64>,
@@ -62,15 +62,6 @@ impl FunctorList for Probe {
         COST
     }
 }
-impl FunctorTeam for Probe {
-    fn operator(&self, league: usize, scratch: &mut [f64]) {
-        scratch[0] = self.at(league);
-        self.x.set_at(league, 0.5 * scratch[0]);
-    }
-    fn cost(&self) -> IterCost {
-        COST
-    }
-}
 impl ReduceFunctorList for Probe {
     fn contribute(&self, _n: usize, idx: u32, acc: &mut f64) {
         *acc += self.at(idx as usize);
@@ -100,7 +91,6 @@ kokkos_rs::register_for_1d!(sim_counts_for_1d, Probe);
 kokkos_rs::register_for_3d!(sim_counts_for_3d, Probe);
 kokkos_rs::register_for_3d!(sim_counts_for_3d_ring, Ringed);
 kokkos_rs::register_for_list!(sim_counts_for_list, Probe);
-kokkos_rs::register_team!(sim_counts_team, Probe);
 kokkos_rs::register_reduce_list!(sim_counts_reduce_list, Probe);
 
 /// A list over every index, out of order, with a skewed cost prefix.
@@ -152,7 +142,7 @@ type Launch = fn(&Space, &Probe);
 /// level (the shape a 2-D kernel launches as) and for a body that holds two
 /// rows of its tiles at once; the dense policies are offset and their tiles
 /// divide nothing.
-const LAUNCHES: [(&str, Launch); 7] = [
+const LAUNCHES: [(&str, Launch); 6] = [
     ("for_1d", |s, f| {
         parallel_for_1d(s, RangePolicy::range(3, N).with_tile(50), f)
     }),
@@ -170,9 +160,6 @@ const LAUNCHES: [(&str, Launch); 7] = [
         parallel_for_3d(s, p.with_offset([1, 2, 1]), &ring)
     }),
     ("for_list", |s, f| parallel_for_list(s, &list(), f)),
-    ("team", |s, f| {
-        parallel_for_team(s, TeamPolicy::new(N - 3, 24), f)
-    }),
     ("reduce_list", |s, f| {
         parallel_reduce_list(s, &list(), f, Reducer::Sum);
     }),
@@ -183,13 +170,12 @@ fn register_all() {
     sim_counts_for_3d();
     sim_counts_for_3d_ring();
     sim_counts_for_list();
-    sim_counts_team();
     sim_counts_reduce_list();
 }
 
 /// Compare every row, then print the whole table as found, so a deliberate
 /// change is a paste.
-fn check(cfg: &CgConfig, want: &[(&str, [u64; 11]); 7]) {
+fn check(cfg: &CgConfig, want: &[(&str, [u64; 11]); 6]) {
     register_all();
     let got: Vec<(&str, [u64; 11])> = LAUNCHES
         .iter()
@@ -239,12 +225,6 @@ fn every_pattern_charges_its_literal_counts_on_the_test_core_group() {
                 ],
             ),
             (
-                "team",
-                [
-                    1, 1304065, 1303276, 88155, 264465, 127335, 19590, 9779744, 0, 576, 9795,
-                ],
-            ),
-            (
                 "reduce_list",
                 [
                     1, 70379, 66954, 88119, 261127, 130513, 606, 505140, 0, 1552, 101,
@@ -287,12 +267,6 @@ fn every_pattern_charges_its_literal_counts_on_the_bench_core_group() {
                 "for_list",
                 [
                     1, 70379, 66954, 88119, 261127, 130513, 606, 505140, 0, 1552, 101,
-                ],
-            ),
-            (
-                "team",
-                [
-                    1, 1304065, 1303276, 88155, 264465, 127335, 19590, 9779744, 0, 576, 9795,
                 ],
             ),
             (

@@ -43,12 +43,11 @@
 //! All three bodies are [`ColumnKernel`]s, generic over the number `W` of
 //! adjacent columns they run together: the wet-list launch walks each run
 //! of wet columns down the ladder of [`crate::lanes`] and the per-entry
-//! `operator` is `W = 1`. `ModelOptions::vmix_team` launches the two
-//! new-level bodies at `W = 1` as a `TeamPolicy` over the owned columns
-//! whose work rows are team scratch (LDM on the Sunway backend — the §V-C2
-//! "local arrays within the functor" strategy).
+//! `operator` is `W = 1`. A block's work rows are its functor's local
+//! arrays (the §V-C2 "local arrays within the functor" strategy); those of
+//! a full-depth column fit a quarter of a CPE's LDM.
 
-use kokkos_rs::{FunctorList, FunctorTeam, IterCost, View1, View2, View3};
+use kokkos_rs::{FunctorList, IterCost, View1, View2, View3};
 use ocean_grid::GRAVITY;
 
 use crate::advect::AdvectZ;
@@ -398,11 +397,10 @@ impl TracerHDiff {
     }
 }
 
-/// The list and team launch shapes of a column pass. A list entry is a
-/// packed owned wet column `jl · pi + il` (`pi` is the mask's row pitch); a
-/// league rank `r` is the owned column `(r / nx, r % nx)`, land included.
+/// The list launch of a column pass. A list entry is a packed owned wet
+/// column `jl · pi + il` (`pi` is the mask's row pitch).
 macro_rules! column_pass {
-    ($F:ty, $list:ident, $team:ident) => {
+    ($F:ty, $list:ident) => {
         impl FunctorList for $F {
             fn operator(&self, _n: usize, idx: u32) {
                 lanes::run_column(self, self.solve.mask.extent(1), idx);
@@ -420,39 +418,18 @@ macro_rules! column_pass {
             }
         }
 
-        impl FunctorTeam for $F {
-            fn operator(&self, league: usize, scratch: &mut [f64]) {
-                lanes::run_team_column(self, self.solve.mask.extent(1), league, scratch);
-            }
-
-            fn cost(&self) -> IterCost {
-                self.footprint()
-            }
-        }
-
         kokkos_rs::register_for_list!($list, $F);
-        kokkos_rs::register_team!($team, $F);
     };
 }
 
-column_pass!(
-    FunctorVelocityColumns,
-    kernel_velocity_columns,
-    kernel_velocity_columns_team
-);
-column_pass!(
-    FunctorTracerColumns,
-    kernel_tracer_columns,
-    kernel_tracer_columns_team
-);
+column_pass!(FunctorVelocityColumns, kernel_velocity_columns);
+column_pass!(FunctorTracerColumns, kernel_tracer_columns);
 
 /// Register this module's functors.
 pub fn register() {
     kernel_density_columns();
     kernel_velocity_columns();
-    kernel_velocity_columns_team();
     kernel_tracer_columns();
-    kernel_tracer_columns_team();
 }
 
 #[cfg(test)]
@@ -619,10 +596,11 @@ mod tests {
         assert!(untouched.as_slice().iter().all(|&k| k == -1.0));
     }
 
-    /// The team launches run one column with its work rows in team scratch
-    /// (LDM on the Sunway backend): at the deepest supported column both
-    /// new-level passes fit the ¼-LDM stream budget of a CPE, and so does
-    /// the old-level pass's block at `W = 1` (it has no team launch).
+    /// The §V-C2 evidence for the list launch: a column pass keeps a
+    /// block's levels in its work rows, the functor's local arrays, from
+    /// its first member to its last. At the deepest supported column the
+    /// work rows of all three passes at `W = 1` fit the ¼-LDM stream budget
+    /// of a CPE.
     #[test]
     fn a_full_depth_column_fits_a_quarter_of_ldm() {
         let nz = lanes::MAX_NZ;

@@ -45,16 +45,15 @@
 use std::cell::RefCell;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
-use halo_exchange::HALO as H;
 use kokkos_rs::{View2, View3};
 
 /// Columns per block on the span path (a 64-byte row of `f64`).
 pub const LANES: usize = 8;
 
-/// Deepest supported column. A team launch of a column pass keeps one
-/// column's work rows in LDM, at most `(7 · nz + 2)` words (the tracer
-/// pass), which at this depth is 14 kB — inside the ¼-LDM stream budget of
-/// a CPE; the 244-level full-depth configuration fits. Checked once where
+/// Deepest supported column. A column pass keeps one column's work rows,
+/// at most `(7 · nz + 2)` words (the tracer pass), which at this depth is
+/// 14 kB — inside the ¼-LDM stream budget of a CPE; the 244-level
+/// full-depth configuration fits. Checked once where
 /// the grid is built
 /// ([`crate::localgrid::LocalGrid::build`]).
 pub const MAX_NZ: usize = 256;
@@ -550,15 +549,6 @@ pub fn run_column<K: ColumnKernel>(kernel: &K, pi: usize, packed: u32) {
     with_scratch(kernel.scratch_words(), |scratch| {
         kernel.block::<1>(packed / pi, packed % pi, scratch);
     });
-}
-
-/// Run `kernel` on the owned column of league rank `league` of a team
-/// launch over every owned column of a padded block of row pitch `pi`:
-/// `(league / nx, league % nx)` with `nx = pi − 2H` — the team path.
-#[inline]
-pub fn run_team_column<K: ColumnKernel>(kernel: &K, pi: usize, league: usize, scratch: &mut [f64]) {
-    let nx = pi - 2 * H;
-    kernel.block::<1>(league / nx + H, league % nx + H, scratch);
 }
 
 /// A horizontal kernel written once: `block::<W>` updates the `W` points

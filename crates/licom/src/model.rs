@@ -34,10 +34,7 @@
 //! SYPD is measured as the paper measures it: wall-clock of the daily
 //! loop, initialization and I/O excluded (§VI-C).
 
-use kokkos_rs::{
-    parallel_for_list, parallel_for_team, FunctorList, FunctorTeam, ListPolicy, Space, TeamPolicy,
-    View, View1, View2,
-};
+use kokkos_rs::{ListPolicy, Space, View, View1, View2};
 use mpi_sim::{CartComm, Comm, ReduceOp, RetryPolicy};
 use ocean_grid::{Bathymetry, GlobalGrid, ModelConfig, GRAVITY};
 
@@ -45,7 +42,6 @@ use halo_exchange::{FoldKind, Halo2D, Halo3D, HaloError, IntegrityConfig, Strate
 
 use crate::diag::{self, Diagnostics};
 use crate::guard::{ColumnMaxima, GuardConfig, GuardViolation};
-use crate::lanes::ColumnKernel;
 use crate::localgrid::LocalGrid;
 use crate::state::State;
 use crate::timers::Timers;
@@ -54,7 +50,7 @@ mod step;
 pub use step::{Carry, Phase, Poster, PHASES};
 
 /// Model configuration: the planet, the knobs of the paper's optimizations
-/// (`limiter`, `overlap`, `vmix_team`), the wait schedule
+/// (`limiter`, `overlap`), the wait schedule
 /// and where post-mortem bundles land. The physics guard ([`crate::guard`],
 /// default [`crate::GuardConfig`] bounds), the CRC framing of every halo
 /// message and the flight recorder are always on.
@@ -71,12 +67,6 @@ pub struct ModelOptions {
     /// where it is posted — same kernels, same messages, same bits, only
     /// the waits move.
     pub overlap: bool,
-    /// Launch the two column passes ([`crate::columns`]), whose implicit
-    /// vertical solves are their middle members, as TeamPolicy launches
-    /// whose work rows live in team scratch (LDM on the Sunway backend —
-    /// the §V-C2 "local arrays within the functor" strategy). The same
-    /// bodies as the wet-list launch, bitwise.
-    pub vmix_team: bool,
     /// The one timeout/backoff/jitter schedule for every deadline-bounded
     /// wait in the model: the escrow retries of the CRC-framed halo messages,
     /// step-status votes, and the elastic-recovery consensus all derive
@@ -97,7 +87,6 @@ impl Default for ModelOptions {
             bathymetry: Bathymetry::earth_like(),
             limiter: true,
             overlap: true,
-            vmix_team: false,
             retry: RetryPolicy::default(),
             flight_dir: None,
         }
@@ -470,27 +459,6 @@ impl Model {
         self.gv.fill(0.0);
         self.maxima.speed.fill(0.0);
         self.maxima.excess.fill(0.0);
-    }
-
-    /// Launch a column pass ([`crate::columns`]) over the wet list `wet`
-    /// (the packed owned columns it finishes: `ucols` for the velocity
-    /// pass, `cols` for the tracer pass); or, with `vmix_team`, as a
-    /// TeamPolicy launch over every owned column with its work rows in team
-    /// scratch.
-    fn launch_columns<K>(&self, kernel: &K, wet: &ListPolicy)
-    where
-        K: ColumnKernel + FunctorList + FunctorTeam + 'static,
-    {
-        if self.opts.vmix_team {
-            let league = self.grid.ny * self.grid.nx;
-            parallel_for_team(
-                &self.space,
-                TeamPolicy::new(league, kernel.scratch_words()),
-                kernel,
-            );
-        } else {
-            parallel_for_list(&self.space, wet, kernel);
-        }
     }
 
     /// Cumulative halo receive-wait nanoseconds on this rank (shared by

@@ -291,7 +291,7 @@ fn vmix_momentum(s: &mut Step<'_>) -> Result<(), StepError> {
         bt: [st.ubt.clone(), st.vbt.clone()],
         speed: m.maxima.speed.clone(),
     };
-    m.launch_columns(&pass, &m.wet.ucols);
+    parallel_for_list(&m.space, &m.wet.ucols, &pass);
     Ok(())
 }
 
@@ -368,7 +368,7 @@ fn vmix_tracer(s: &mut Step<'_>) -> Result<(), StepError> {
         bounds: [gcfg.t_bounds, gcfg.s_bounds],
         excess: m.maxima.excess.clone(),
     };
-    m.launch_columns(&pass, &m.wet.cols);
+    parallel_for_list(&m.space, &m.wet.cols, &pass);
     s.poll(Carry::Uv)
 }
 

@@ -436,43 +436,6 @@ fn choose_dims_respects_fold_constraint() {
     assert_eq!(360 % px, 0);
 }
 
-/// `vmix_team` launches the two column passes as team launches over every
-/// owned column, with their work rows in team scratch: the same bodies, so
-/// the same bits as the wet-list launches, rank by rank, on a 2×2
-/// decomposition.
-#[test]
-fn team_column_passes_are_bitwise_identical_in_the_full_model() {
-    // 90×57×6: nx divides over two columns of ranks.
-    let cfg = Resolution::Coarse100km.config().scaled_down(4, 6);
-    let checksums = |team: bool| {
-        World::run(4, |comm| {
-            let mut opts = ModelOptions::default();
-            opts.vmix_team = team;
-            let mut m = Model::new(comm, cfg.clone(), kokkos_rs::Space::serial(), opts);
-            m.run_steps(6);
-            m.checksum()
-        })
-    };
-    assert_eq!(
-        checksums(false),
-        checksums(true),
-        "team column passes diverged"
-    );
-}
-
-#[test]
-fn team_vmix_runs_on_simulated_sunway() {
-    let cfg = Resolution::Coarse100km.config().scaled_down(12, 5);
-    World::run(1, |comm| {
-        let mut opts = ModelOptions::default();
-        opts.vmix_team = true;
-        let space = kokkos_rs::Space::sw_athread_with(sunway_sim::CgConfig::test_small());
-        let mut m = Model::new(comm, cfg.clone(), space, opts);
-        m.run_steps(2);
-        assert!(!m.state.has_nan());
-    });
-}
-
 #[test]
 fn polar_filter_engages_when_cap_is_cfl_tight() {
     // At /2 scale the tripolar cap rows are narrower than the barotropic

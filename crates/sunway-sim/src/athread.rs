@@ -92,7 +92,7 @@ impl CpeCtx {
     }
 
     /// The CPE's LDM scratchpad allocator. Returned by value (cheap clone
-    /// sharing the same bookkeeping) so buffers do not borrow the context
+    /// sharing the same bookkeeping) so reservations do not borrow the context
     /// and can coexist with `&mut self` DMA calls.
     pub fn ldm(&self) -> LdmAllocator {
         self.ldm.clone()
@@ -185,20 +185,6 @@ impl CpeCtx {
             ready_at: self.counters.cycles + chunks * self.cfg.dma_latency_cycles + stream,
             bytes,
         }
-    }
-
-    /// Charge the *time and traffic* of a blocking DMA round-trip of `bytes`
-    /// without moving data: one transaction latency plus the full streaming
-    /// time, all stalled: the unpipelined baseline
-    /// [`crate::pipeline::DmaPipe`] is held to beating.
-    pub fn account_dma_traffic(&mut self, bytes: usize) {
-        self.counters.dma_transactions += 1;
-        self.counters.dma_get_bytes += bytes as u64;
-        // Assume all CPEs stream concurrently (worst-case contention): the
-        // model's stencil kernels launch on all 64 CPEs at once.
-        let t = self.cfg.dma_transfer_cycles(bytes, self.num_cpes);
-        self.counters.dma_stall_cycles += t;
-        self.counters.cycles += t;
     }
 }
 
@@ -517,7 +503,7 @@ mod tests {
         // The high-water must be captured at kernel end, not only when a
         // DMA transaction happens to record it.
         fn alloc_only(ctx: &mut CpeCtx, _: usize) {
-            let _buf = ctx.ldm().alloc::<f64>(128).unwrap();
+            let _buf = ctx.ldm().reserve(1024, "", 0).unwrap();
         }
         let mut cg = CoreGroup::new(CgConfig::test_small());
         cg.run(alloc_only, 0);
@@ -527,10 +513,10 @@ mod tests {
     #[test]
     fn persistent_ldm_pools_reset_between_launches() {
         fn big(ctx: &mut CpeCtx, _: usize) {
-            let _buf = ctx.ldm().alloc::<u8>(8 * 1024).unwrap();
+            let _buf = ctx.ldm().reserve(8 * 1024, "", 0).unwrap();
         }
         fn small(ctx: &mut CpeCtx, _: usize) {
-            let _buf = ctx.ldm().alloc::<u8>(16).unwrap();
+            let _buf = ctx.ldm().reserve(16, "", 0).unwrap();
         }
         let mut cg = CoreGroup::new(CgConfig::test_small());
         cg.run(big, 0);
@@ -558,7 +544,7 @@ mod tests {
         let mut cg = CoreGroup::new(CgConfig::test_small());
         fn bad(ctx: &mut CpeCtx, _: usize) {
             // Overflow the 16 kB test LDM on every CPE.
-            let _ = ctx.ldm().alloc::<u8>(1 << 20).unwrap();
+            let _ = ctx.ldm().reserve(1 << 20, "", 0).unwrap();
         }
         cg.run(bad, 0);
     }

@@ -13,8 +13,7 @@
 //! (`CpeCtx::dma_get_async_model` / `dma_put_async_model`) return a
 //! [`DmaHandle`] whose `ready_at` cycle stamp is resolved by
 //! `CpeCtx::dma_wait`, so overlapped kernels genuinely hide transfer time in
-//! the simulated clock; `CpeCtx::account_dma_traffic` charges a blocking
-//! round-trip.
+//! the simulated clock.
 
 /// Cycles charged for issuing an asynchronous DMA descriptor (the CPE keeps
 /// running afterwards).

@@ -3,25 +3,21 @@
 //! Each SW26010 Pro CPE owns 256 kB of low-latency memory. Kernels stage
 //! tiles of `View` data here via DMA, compute on them, and write results
 //! back. The allocator is a classic bump allocator with scoped frees:
-//! buffers decrement the watermark when dropped, and exceeding capacity is a
-//! hard, *typed* failure — on real hardware it is a link-time or runtime
-//! crash, and the paper's double-buffered advection kernel is sized around
-//! exactly this limit.
+//! reservations decrement the watermark when dropped, and exceeding
+//! capacity is a hard, *typed* failure — on real hardware it is a link-time
+//! or runtime crash, and the paper's double-buffered advection kernel is
+//! sized around exactly this limit.
 //!
-//! The allocator is cheaply cloneable (shared bookkeeping) so buffers do not
-//! borrow the CPE context, letting kernels interleave allocations with
+//! The allocator is cheaply cloneable (shared bookkeeping) so reservations
+//! do not borrow the CPE context, letting kernels interleave them with
 //! `&mut`-taking DMA calls — the natural shape of a double-buffered loop.
 //!
-//! Two residency flavours exist:
-//!
-//! * [`LdmAllocator::alloc`] — a real, zero-initialised buffer
-//!   ([`LdmBuf`]) for kernels that stage data.
-//! * [`LdmAllocator::reserve`] — an accounting-only reservation
-//!   ([`LdmReservation`]) for the cycle-model pipelines in
-//!   [`crate::pipeline`]: the functor reads host memory directly
-//!   (shared-space simulation), but the simulated LDM pays the residency
-//!   of the double-buffered tiles it would hold on hardware, so
-//!   `high_water` and overflow behave exactly as if the data were staged.
+//! Residency is accounting-only: [`LdmAllocator::reserve`] returns an
+//! [`LdmReservation`] for the cycle-model pipelines in [`crate::pipeline`].
+//! The functor reads host memory directly (shared-space simulation), but
+//! the simulated LDM pays the residency of the double-buffered tiles it
+//! would hold on hardware, so `high_water` and overflow behave exactly as
+//! if the data were staged.
 //!
 //! Allocators are persistent across kernel launches (the [`crate::CoreGroup`]
 //! keeps one per logical CPE); [`LdmAllocator::begin_kernel_window`] rewinds
@@ -35,14 +31,14 @@ use std::sync::Arc;
 /// Error returned when a kernel requests more LDM than remains.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LdmOverflow {
-    /// Bytes requested by the failing allocation.
+    /// Bytes requested by the failing reservation.
     pub requested: usize,
     /// Bytes still free at the time of the request.
     pub available: usize,
     /// Total LDM capacity of the CPE.
     pub capacity: usize,
-    /// What the allocation was for (e.g. the pipeline's buffer role);
-    /// empty for plain `alloc` calls.
+    /// What the reservation was for (e.g. the pipeline's buffer role);
+    /// may be empty.
     pub context: &'static str,
     /// Tile length (elements) being staged when the overflow hit, if the
     /// caller was tiling; 0 otherwise.
@@ -120,33 +116,10 @@ impl LdmAllocator {
         Ok(())
     }
 
-    /// Allocate a zero-initialised buffer of `len` elements of `T`.
-    ///
-    /// The buffer returns its bytes to the allocator when dropped, so
-    /// double-buffering loops can reuse LDM across iterations.
-    pub fn alloc<T: Default + Clone>(&self, len: usize) -> Result<LdmBuf<T>, LdmOverflow> {
-        self.alloc_ctx(len, "")
-    }
-
-    /// [`Self::alloc`] with an overflow-report context string.
-    pub fn alloc_ctx<T: Default + Clone>(
-        &self,
-        len: usize,
-        context: &'static str,
-    ) -> Result<LdmBuf<T>, LdmOverflow> {
-        let bytes = len * std::mem::size_of::<T>();
-        self.take(bytes, context, len)?;
-        Ok(LdmBuf {
-            data: vec![T::default(); len],
-            bytes,
-            owner: Arc::clone(&self.inner),
-        })
-    }
-
-    /// Reserve `bytes` of residency without a backing buffer — the
-    /// accounting-only twin of [`Self::alloc`] used by the cycle-model
-    /// DMA pipelines. Counts against capacity and the high-water mark;
-    /// released on drop.
+    /// Reserve `bytes` of residency without a backing buffer, as the
+    /// cycle-model DMA pipelines stage a tile. Counts against capacity and
+    /// the high-water mark; released on drop, so double-buffering loops
+    /// reuse LDM across iterations.
     pub fn reserve(
         &self,
         bytes: usize,
@@ -193,33 +166,6 @@ impl LdmAllocator {
     }
 }
 
-/// A typed LDM buffer. Dereferences to a slice; frees on drop.
-#[derive(Debug)]
-pub struct LdmBuf<T> {
-    data: Vec<T>,
-    bytes: usize,
-    owner: Arc<LdmInner>,
-}
-
-impl<T> std::ops::Deref for LdmBuf<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        &self.data
-    }
-}
-
-impl<T> std::ops::DerefMut for LdmBuf<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-}
-
-impl<T> Drop for LdmBuf<T> {
-    fn drop(&mut self) {
-        self.owner.used.fetch_sub(self.bytes, Ordering::Relaxed);
-    }
-}
-
 /// Accounting-only LDM residency (see [`LdmAllocator::reserve`]).
 #[derive(Debug)]
 pub struct LdmReservation {
@@ -248,11 +194,11 @@ mod tests {
     fn alloc_and_free_roundtrip() {
         let ldm = LdmAllocator::new(1024);
         {
-            let a = ldm.alloc::<f64>(64).unwrap(); // 512 B
+            let a = ldm.reserve(512, "", 64).unwrap();
             assert_eq!(ldm.used(), 512);
-            assert_eq!(a.len(), 64);
-            let b = ldm.alloc::<u8>(512).unwrap(); // fills it
-            assert_eq!(b.len(), 512);
+            assert_eq!(a.bytes(), 512);
+            let b = ldm.reserve(512, "", 0).unwrap(); // fills it
+            assert_eq!(b.bytes(), 512);
             assert_eq!(ldm.available(), 0);
         }
         assert_eq!(ldm.used(), 0);
@@ -262,8 +208,8 @@ mod tests {
     #[test]
     fn overflow_is_reported_with_sizes() {
         let ldm = LdmAllocator::new(100);
-        let _a = ldm.alloc::<u8>(60).unwrap();
-        let err = ldm.alloc::<u8>(41).unwrap_err();
+        let _a = ldm.reserve(60, "", 0).unwrap();
+        let err = ldm.reserve(41, "", 0).unwrap_err();
         assert_eq!(err.requested, 41);
         assert_eq!(err.available, 40);
         assert_eq!(err.capacity, 100);
@@ -281,21 +227,14 @@ mod tests {
     }
 
     #[test]
-    fn buffers_are_zero_initialised() {
-        let ldm = LdmAllocator::new(4096);
-        let buf = ldm.alloc::<f64>(16).unwrap();
-        assert!(buf.iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
     fn double_buffer_pattern_fits() {
-        // The double-buffered DMA pattern allocates two tiles and ping-pongs;
+        // The double-buffered DMA pattern reserves two tiles and ping-pongs;
         // capacity must be judged on simultaneous residency, not total
-        // allocations over time.
+        // reservations over time.
         let ldm = LdmAllocator::new(1000);
         for _ in 0..100 {
-            let t0 = ldm.alloc::<u8>(400).unwrap();
-            let t1 = ldm.alloc::<u8>(400).unwrap();
+            let t0 = ldm.reserve(400, "", 0).unwrap();
+            let t1 = ldm.reserve(400, "", 0).unwrap();
             drop(t0);
             drop(t1);
         }
@@ -318,44 +257,33 @@ mod tests {
     fn kernel_window_rewinds_high_water() {
         let ldm = LdmAllocator::new(1000);
         {
-            let _a = ldm.alloc::<u8>(900).unwrap();
+            let _a = ldm.reserve(900, "", 0).unwrap();
         }
         assert_eq!(ldm.high_water(), 900);
         // Next kernel launch on the persistent allocator: window resets.
         ldm.begin_kernel_window();
         assert_eq!(ldm.high_water(), 0);
-        let _b = ldm.alloc::<u8>(300).unwrap();
+        let _b = ldm.reserve(300, "", 0).unwrap();
         assert_eq!(ldm.high_water(), 300);
     }
 
     #[test]
-    fn reservations_count_like_allocations() {
+    fn a_reservation_holds_its_bytes_until_dropped() {
         let ldm = LdmAllocator::new(1000);
         let r = ldm.reserve(400, "pipe", 50).unwrap();
         assert_eq!(r.bytes(), 400);
         assert_eq!(ldm.used(), 400);
-        // A real buffer and a reservation share the same budget.
-        assert!(ldm.alloc::<u8>(700).is_err());
+        assert!(ldm.reserve(700, "", 0).is_err());
         drop(r);
         assert_eq!(ldm.used(), 0);
-        assert!(ldm.alloc::<u8>(700).is_ok());
-    }
-
-    #[test]
-    fn write_through_deref_mut() {
-        let ldm = LdmAllocator::new(4096);
-        let mut buf = ldm.alloc::<f64>(8).unwrap();
-        for (i, x) in buf.iter_mut().enumerate() {
-            *x = i as f64;
-        }
-        assert_eq!(buf[7], 7.0);
+        assert!(ldm.reserve(700, "", 0).is_ok());
     }
 
     #[test]
     fn clones_share_bookkeeping() {
         let ldm = LdmAllocator::new(1024);
         let ldm2 = ldm.clone();
-        let _a = ldm.alloc::<u8>(100).unwrap();
+        let _a = ldm.reserve(100, "", 0).unwrap();
         assert_eq!(ldm2.used(), 100);
     }
 }

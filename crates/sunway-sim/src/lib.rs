@@ -17,7 +17,7 @@
 //!   `KOKKOS_REGISTER_FOR_*` macros) and dispatch through a lookup table.
 //! * [`ldm`] is an explicitly managed scratchpad: 256 kB per CPE, bump
 //!   allocated, with hard failure on exhaustion.
-//! * [`dma`] transfers are charged explicitly, blocking or asynchronous
+//! * [`dma`] transfers are charged explicitly and asynchronously
 //!   (double-buffered through [`pipeline::DmaPipe`]); simulated cost follows
 //!   the CG's 51.2 GB/s memory bandwidth shared by all active CPEs.
 //!

@@ -257,6 +257,18 @@ mod tests {
         probe
     }
 
+    /// Charge the time and traffic of a blocking DMA round-trip of `bytes`:
+    /// one transaction's latency plus the whole stream, all stalled. The
+    /// unpipelined baseline the pipe is held to beating.
+    fn account_dma_traffic(ctx: &mut CpeCtx, bytes: usize) {
+        ctx.counters.dma_transactions += 1;
+        ctx.counters.dma_get_bytes += bytes as u64;
+        // Every CPE streams at once (worst-case contention).
+        let t = ctx.config().dma_transfer_cycles(bytes, ctx.num_cpes());
+        ctx.counters.dma_stall_cycles += t;
+        ctx.counters.cycles += t;
+    }
+
     #[test]
     fn pipe_overlap_beats_blocking_model() {
         // Heavy compute per tile: the pipelined schedule should hide the
@@ -271,7 +283,7 @@ mod tests {
             // SAFETY: as in `pipe_kernel`: a live probe, CPE 0 its one user.
             let probe = unsafe { &mut *(arg as *mut PipeProbe) };
             for &(inb, outb) in probe.tiles.iter() {
-                ctx.account_dma_traffic((inb + outb) as usize);
+                account_dma_traffic(ctx, (inb + outb) as usize);
                 ctx.account_cycles(probe.compute_per_tile);
             }
             probe.cycles = ctx.counters.cycles;

@@ -100,11 +100,9 @@
 #
 # A dense launch has one rank: a 2-D kernel is a `Functor3D` launched over
 # a one-level `MDRangePolicy3` (`[1, ny, nx]`), and a `RowKernel` reaches it
-# through the one `row_functor!` impl. Every launch shape, the team launch
-# with its LDM scratch included, goes through `parallel::launch` and the
-# one `registry::tramp`: a team league is one more `Policy` (one member a
-# tile, its scratch a fact of the policy), and a reduction is a list
-# launch. Each launch shape costs the Athread backend a registration
+# through the one `row_functor!` impl. Every launch shape goes through
+# `parallel::launch` and the one `registry::tramp`, and a reduction is a
+# list launch. Each launch shape costs the Athread backend a registration
 # macro, a kind and a tile body, so rule 1's list also holds the rank-2 shape (`MDRangePolicy2`,
 # `Functor2D`, `ReduceFunctor2D`, `FunctorTriple2D`, `parallel_for_2d`,
 # `parallel_reduce_2d`, `register_for_2d`, `register_reduce_2d`, `For2D`,
@@ -119,6 +117,24 @@
 # (`lookup_simd_hit_index`, `umask`, `View4`): a second dense rank, a
 # dense masked reduction or a second CPE trampoline must not grow back
 # beside the one.
+#
+# A column pass has one launch shape: the list over its wet columns, its
+# work rows the functor's local arrays (§V-C2). Rule 1's list also holds the
+# team launch that ran the same bodies over every owned column, land
+# included, with its work rows in per-worker scratch and, on SwAthread, an
+# LDM buffer (`TeamPolicy`, `FunctorTeam`, `parallel_for_team`,
+# `register_team`, `KernelKind::Team`, `PolicyKind::Team`, the option that
+# chose it and its launcher, `vmix_team` and `launch_columns`, its column
+# walker `run_team_column`, its registrations `kernel_velocity_columns_team`
+# and `kernel_tracer_columns_team`, and the scratch it threaded through
+# every launch, `scratch_len`); sunway-sim's data-holding LDM buffer only
+# that launch allocated (`LdmBuf`, `alloc_ctx`; every launch reserves its
+# staging); and kokkos-rs's process-global PCIe counters and the space
+# query nothing read (`record_h2d`, `record_d2h`, `TransferStats`,
+# `transfer_stats`, `reset_transfer_stats`, `unified_with_host`; the
+# deep-copy profiling hook hands the tool both spaces and the bytes). A
+# second launch shape of a column pass, or scratch plumbed through the one
+# launch path, must not grow back.
 #
 # An instrument has one consumer slot: `kokkos_rs::profiling` delivers to
 # the one process-global tool (`set_hooks`), and every `licom::Model` owns
@@ -162,7 +178,7 @@ cd "$(dirname "$0")/.."
 failed=0
 
 # Whole identifiers.
-gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph|StepMonitor|TelemetryConfig|DriftDetector|DriftBank|RingBuffer|surface_scalars|hotspot_shares|gather_phases|flush_ghost_debt|EwPosted|NsPosted|post_ns|FunctorAsselin2D|FunctorAsselin3|FunctorBtStep|kernel_asselin_2d|kernel_asselin_3|kernel_bt_step|Payload1D|Payload2D|Payload3D|PayloadList|PayloadReduce1D|PayloadReduce2D|PayloadReduce3D|PayloadReduceList|PayloadTeam|tramp_for_1d|tramp_for_2d|tramp_for_3d|tramp_for_list|tramp_reduce_1d|tramp_reduce_2d|tramp_reduce_3d|tramp_reduce_list|sw_retile_1d|sw_retile_2d|sw_retile_3d|drive_list_tiles|host_partials|register_1d|register_2d|register_3d|register_list|insert_team|FunctorPair2D|CounterTable|TimerStat|render_named_counters_labeled|render_named_gauges_labeled|render_phase_seconds_labeled|render_traffic_labeled|record_collective_entry|record_collective_op|record_barrier|record_pool_allocation|record_pool_reuse|record_pooled_bytes|record_fault_dropped|record_fault_duplicated|record_fault_delayed|record_fault_bitflipped|record_fault_truncated|record_rank_stall|record_crc_failure|record_halo_retry|record_recv_timeout|record_rank_death|record_peer_dead_error|record_send_suppressed|CollectiveState|CollInner|coll_dead|view_allgather|SubComm|subcomm|broadcast|allreduce_vec_f64|allreduce_usize_sum|try_allreduce_f64|try_barrier|LivenessView|liveness|peer_epoch|sendrecv|irecv|RecvReq|isend|FunctorLeapfrog3D|kernel_leapfrog_3d|FunctorBtCorrect|kernel_bt_correct|FunctorSurfaceRestore|kernel_surface_restore|FunctorVmixImplicit|FunctorVmixTeam|kernel_vmix_implicit_pair|kernel_vmix_team|launch_vmix|solve_block|FunctorAdvectZ|kernel_advect_z|FunctorTracerHDiff|kernel_tracer_hdiff|cells3_own_interior|cells3_own_rim|FunctorGuardMaxAbs|kernel_guard_max_abs|ucells3_own|CanutoMode|canuto_mode|FunctorEos|FunctorPressure|FunctorCanutoCols|compute_density_pressure|kernel_eos|kernel_pressure|kernel_canuto_cols|flight_ring|flight_world|kernel_ids_assigned|MDRangePolicy2|Functor2D|ReduceFunctor2D|ReduceFunctor1D|FunctorTriple2D|parallel_for_2d|parallel_reduce_2d|parallel_reduce_1d|register_for_2d|register_reduce_2d|register_reduce_1d|For2D|Reduce2D|Reduce1D|MDRange2|row_kernel_2d|ReduceFunctor3D|parallel_reduce_3d|register_reduce_3d|Reduce3D|tramp_team|kmu_as_kmt|ReduceKineticEnergy|ReduceTracerTotal|ReduceMaxAbs|ReduceSstArea|lookup_simd_hit_index|umask|View4|InstanceKey|next_instance_key|register_instance_hooks|unregister_instance_hooks|enter_instance|InstanceScope|current_instance|attach_instance|detach_instance|stream_tiles|stream_tiles_blocking|dma_get|dma_put|dma_get_async|dma_put_async|gyre_strength_sv|evaluate_buffer|is_done|world_size|death_epoch|land_ranks|halo_cells|area_t|top_imbalanced|adv_tmp|BAND_DEPTH|BLOCK_ROWS|kernel_advect_x|kernel_advect_y|FunctorDiagnoseW|kernel_diagnose_w)\b|\bflight: (bool|true|false)\b|\.flight = |\bopts\.flight\b|"(u|v|eta)_new"'
+gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph|StepMonitor|TelemetryConfig|DriftDetector|DriftBank|RingBuffer|surface_scalars|hotspot_shares|gather_phases|flush_ghost_debt|EwPosted|NsPosted|post_ns|FunctorAsselin2D|FunctorAsselin3|FunctorBtStep|kernel_asselin_2d|kernel_asselin_3|kernel_bt_step|Payload1D|Payload2D|Payload3D|PayloadList|PayloadReduce1D|PayloadReduce2D|PayloadReduce3D|PayloadReduceList|PayloadTeam|tramp_for_1d|tramp_for_2d|tramp_for_3d|tramp_for_list|tramp_reduce_1d|tramp_reduce_2d|tramp_reduce_3d|tramp_reduce_list|sw_retile_1d|sw_retile_2d|sw_retile_3d|drive_list_tiles|host_partials|register_1d|register_2d|register_3d|register_list|insert_team|FunctorPair2D|CounterTable|TimerStat|render_named_counters_labeled|render_named_gauges_labeled|render_phase_seconds_labeled|render_traffic_labeled|record_collective_entry|record_collective_op|record_barrier|record_pool_allocation|record_pool_reuse|record_pooled_bytes|record_fault_dropped|record_fault_duplicated|record_fault_delayed|record_fault_bitflipped|record_fault_truncated|record_rank_stall|record_crc_failure|record_halo_retry|record_recv_timeout|record_rank_death|record_peer_dead_error|record_send_suppressed|CollectiveState|CollInner|coll_dead|view_allgather|SubComm|subcomm|broadcast|allreduce_vec_f64|allreduce_usize_sum|try_allreduce_f64|try_barrier|LivenessView|liveness|peer_epoch|sendrecv|irecv|RecvReq|isend|FunctorLeapfrog3D|kernel_leapfrog_3d|FunctorBtCorrect|kernel_bt_correct|FunctorSurfaceRestore|kernel_surface_restore|FunctorVmixImplicit|FunctorVmixTeam|kernel_vmix_implicit_pair|kernel_vmix_team|launch_vmix|solve_block|FunctorAdvectZ|kernel_advect_z|FunctorTracerHDiff|kernel_tracer_hdiff|cells3_own_interior|cells3_own_rim|FunctorGuardMaxAbs|kernel_guard_max_abs|ucells3_own|CanutoMode|canuto_mode|FunctorEos|FunctorPressure|FunctorCanutoCols|compute_density_pressure|kernel_eos|kernel_pressure|kernel_canuto_cols|flight_ring|flight_world|kernel_ids_assigned|MDRangePolicy2|Functor2D|ReduceFunctor2D|ReduceFunctor1D|FunctorTriple2D|parallel_for_2d|parallel_reduce_2d|parallel_reduce_1d|register_for_2d|register_reduce_2d|register_reduce_1d|For2D|Reduce2D|Reduce1D|MDRange2|row_kernel_2d|ReduceFunctor3D|parallel_reduce_3d|register_reduce_3d|Reduce3D|tramp_team|kmu_as_kmt|ReduceKineticEnergy|ReduceTracerTotal|ReduceMaxAbs|ReduceSstArea|lookup_simd_hit_index|umask|View4|InstanceKey|next_instance_key|register_instance_hooks|unregister_instance_hooks|enter_instance|InstanceScope|current_instance|attach_instance|detach_instance|stream_tiles|stream_tiles_blocking|dma_get|dma_put|dma_get_async|dma_put_async|gyre_strength_sv|evaluate_buffer|is_done|world_size|death_epoch|land_ranks|halo_cells|area_t|top_imbalanced|adv_tmp|BAND_DEPTH|BLOCK_ROWS|kernel_advect_x|kernel_advect_y|FunctorDiagnoseW|kernel_diagnose_w|TeamPolicy|FunctorTeam|parallel_for_team|register_team|KernelKind::Team|PolicyKind::Team|vmix_team|run_team_column|launch_columns|scratch_len|kernel_velocity_columns_team|kernel_tracer_columns_team|LdmBuf|alloc_ctx|record_h2d|record_d2h|TransferStats|transfer_stats|reset_transfer_stats|unified_with_host)\b|\bflight: (bool|true|false)\b|\.flight = |\bopts\.flight\b|"(u|v|eta)_new"'
 frozen_sample='^crates/bench/src/bin/licom_bench/tracer\.rs:[0-9]+: +assert_eq!\(layer_of_kernel\("FunctorEos"\), Layer::Licom\);$'
 if hits=$(git grep -nE "$gone" -- crates src tests examples ':!crates/perf-model' |
     grep -vE "$frozen_sample"); then
