@@ -114,14 +114,16 @@ fn main() {
             let fields = licom::canuto::CanutoFields {
                 u: m.state.u[c].clone(),
                 v: m.state.v[c].clone(),
-                km: m.state.km.clone(),
-                kh: m.state.kh.clone(),
                 kmt: m.grid.kmt.clone(),
                 z_t: m.grid.z_t.clone(),
                 nz: m.grid.nz,
             };
+            // Nor are the coefficients: the new level's column pass keeps
+            // them in work rows. The balancer leaves them in these.
+            let d3w = [m.grid.nz + 1, m.grid.pj, m.grid.pi];
+            let (km, kh): (View3<f64>, View3<f64>) = (View::host("km", d3w), View::host("kh", d3w));
             let wet = &m.grid.wet.cols_own.indices;
-            licom::canuto::balanced_cross_rank(comm, &fields, &rho, wet, m.grid.pi)
+            licom::canuto::balanced_cross_rank(comm, &fields, &rho, [&km, &kh], wet, m.grid.pi)
         });
         println!(
             "{:>6} {:>14} {:>10} {:>10}",

@@ -9,8 +9,8 @@
 //! of its own. This repository runs each over a pair of fields and counts
 //! what the pair shares (coefficients, masks, `w`) once, reads the old
 //! level in one column pass that keeps density in work rows, and finishes
-//! the new level in two column passes that count a field two members touch
-//! once. The checks
+//! the new level in one column pass that keeps the canuto coefficients in
+//! work rows and counts a field two members touch once. The checks
 //! below relate the two explicitly: a census row is the paired cost plus
 //! the shared part a second time, and a column pass is the sum of the rows
 //! it runs less what a launch of their own pays again.
@@ -112,9 +112,9 @@ const SEPARATE_AGAIN: (u64, u64) = (0, 8 * (2 + 10 + 2));
 fn advection_census_is_the_horizontal_passes_and_a_vertical_pass_per_field() {
     // Census entry "advection_tracer" = the paper's separate x and y
     // passes (each per cell for both tracers) + 2 tracers x a per-field z
-    // pass, which runs as the first member of the tracer column pass. The
-    // wavefront is the two passes less what their separate launches pay
-    // again.
+    // pass, which runs as the first member of the new level's tracer
+    // chain. The wavefront is the two passes less what their separate
+    // launches pay again.
     let [(w_flops, w_bytes), x, y] = horizontal_advection();
     assert_eq!(
         (w_flops + SEPARATE_AGAIN.0, w_bytes + SEPARATE_AGAIN.1),
@@ -134,9 +134,8 @@ fn advection_census_is_the_horizontal_passes_and_a_vertical_pass_per_field() {
 /// the staged rows, `w` and the metrics each (80 bytes).
 const Z_PER_FIELD: (f64, f64) = (60.0, 160.0);
 
-/// The old level's column pass, per column of `nz` levels, with the
-/// closure member on (owned columns) or off (the halo ring).
-fn old_level_pass(nz: usize, closure: bool) -> (f64, f64) {
+/// The old level's column pass, per column of `nz` levels.
+fn old_level_pass(nz: usize) -> (f64, f64) {
     use kokkos_rs::FunctorList;
     let c = licom::columns::FunctorDensityColumns {
         t: v3(nz),
@@ -145,15 +144,6 @@ fn old_level_pass(nz: usize, closure: bool) -> (f64, f64) {
         dz: v1(nz),
         kmt: v2i(nz as i32),
         nz,
-        closure: closure.then(|| licom::canuto::CanutoFields {
-            u: v3(nz),
-            v: v3(nz),
-            km: v3(nz + 1),
-            kh: v3(nz + 1),
-            kmt: v2i(nz as i32),
-            z_t: v1(nz),
-            nz,
-        }),
     }
     .cost();
     (c.flops as f64, c.bytes as f64)
@@ -164,20 +154,12 @@ fn the_old_level_pass_is_its_census_rows_less_the_stored_density() {
     let nz = 4;
     let rows = |names: &[&str]| sum(&names.iter().map(|n| census(n)).collect::<Vec<_>>());
     // Per level, what separate launches pay for density and the pass does
-    // not: its store by the EOS and its reload by each later member.
+    // not: its store by the EOS and its reload by the pressure integral.
     const RHO: (f64, f64) = (0.0, 8.0);
-    let per_column = |(f, b): (f64, f64), reloads: f64| {
-        (nz as f64 * f, nz as f64 * (b - RHO.1 * (1.0 + reloads)))
-    };
+    let (f, b) = rows(&["eos", "pressure"]);
     assert_eq!(
-        old_level_pass(nz, true),
-        per_column(rows(&["eos", "pressure", "canuto"]), 2.0),
-        "owned columns"
-    );
-    assert_eq!(
-        old_level_pass(nz, false),
-        per_column(rows(&["eos", "pressure"]), 1.0),
-        "the ring"
+        old_level_pass(nz),
+        (nz as f64 * f, nz as f64 * (b - 2.0 * RHO.1))
     );
 }
 
@@ -198,7 +180,6 @@ fn vmix_census_is_two_single_field_solves() {
 
 fn solve(nz: usize) -> licom::vmix::VerticalSolve {
     licom::vmix::VerticalSolve {
-        kcoef: v3(nz + 1),
         mask: v2i(nz as i32),
         dz: v1(nz),
         z_t: v1(nz),
@@ -218,49 +199,57 @@ fn sum(parts: &[(f64, f64)]) -> (f64, f64) {
 fn column_passes_are_their_census_rows_less_what_they_count_once() {
     use kokkos_rs::FunctorList;
     let nz = 4;
-    let velocity = licom::columns::FunctorVelocityColumns {
-        old: [v3(nz), v3(nz)],
-        new: [v3(nz), v3(nz)],
-        solve: solve(nz),
-        bt: [v2(), v2()],
-        speed: v2(),
-    }
-    .cost();
-    let tracer = licom::columns::FunctorTracerColumns {
-        q: [v3(nz), v3(nz)],
-        advect: licom::advect::AdvectZ {
+    let new_level = licom::columns::FunctorNewLevelColumns {
+        closure: licom::canuto::CanutoFields {
             u: v3(nz),
             v: v3(nz),
             kmt: v2i(nz as i32),
-            dxt: v1(8),
-            dyt: 1.0e5,
-            dz: v1(nz),
-            dt: 20.0,
+            z_t: v1(nz),
             nz,
-            limited: true,
         },
-        hdiff: licom::columns::TracerHDiff {
-            q_cur: [v3(nz), v3(nz)],
-            kmt: v2i(nz as i32),
-            dxt: v1(8),
-            dyt: 1.0e5,
-            kappa: 1.0e2,
-            dt: 20.0,
+        velocity: licom::columns::VelocityChain {
+            old: [v3(nz), v3(nz)],
+            new: [v3(nz), v3(nz)],
+            solve: solve(nz),
+            bt: [v2(), v2()],
+            speed: v2(),
         },
-        solve: solve(nz),
-        restore: licom::forcing::SurfaceRestore {
-            lat: v1(8),
-            dt: 20.0,
+        tracer: licom::columns::TracerChain {
+            q: [v3(nz), v3(nz)],
+            advect: licom::advect::AdvectZ {
+                u: v3(nz),
+                v: v3(nz),
+                kmt: v2i(nz as i32),
+                dxt: v1(8),
+                dyt: 1.0e5,
+                dz: v1(nz),
+                dt: 20.0,
+                nz,
+                limited: true,
+            },
+            hdiff: licom::columns::TracerHDiff {
+                q_cur: [v3(nz), v3(nz)],
+                kmt: v2i(nz as i32),
+                dxt: v1(8),
+                dyt: 1.0e5,
+                kappa: 1.0e2,
+                dt: 20.0,
+            },
+            solve: solve(nz),
+            restore: licom::forcing::SurfaceRestore {
+                lat: v1(8),
+                dt: 20.0,
+            },
+            bounds: [(-5.0, 45.0), (18.0, 50.0)],
+            excess: v2(),
         },
-        bounds: [(-5.0, 45.0), (18.0, 50.0)],
-        excess: v2(),
     }
     .cost();
     // What the guard's scans cost per cell as launches of their own:
     // |u|, |v| and the T, S bounds.
     const GUARD_SPEED: (f64, f64) = (4.0, 16.0);
     const GUARD_BOUNDS: (f64, f64) = (8.0, 16.0);
-    // Per level, counted once by the velocity pass: the matrix the two
+    // Per level, counted once by the velocity chain: the matrix the two
     // solves share; the new level's store, which the leapfrog made and the
     // solve re-read and re-wrote; the leapfrog's two mask reads; the mode
     // correction's passes over u and v; the guard's two reads.
@@ -271,12 +260,12 @@ fn column_passes_are_their_census_rows_less_what_they_count_once() {
         (0.0, 48.0),
         (0.0, 16.0),
     ]);
-    // Per level, counted once by the tracer pass: `w` between the continuity
-    // diagnosis and the vertical passes (its store and its load), the CFL
-    // and `w` the two vertical passes share, the metrics and masks the two
-    // diffusions share, the matrix the two solves share, the new level
-    // between the members (the advection's store, the diffusion's load and
-    // store, the solve's load), the guard's two reads.
+    // Per level, counted once by the tracer chain: `w` between the
+    // continuity diagnosis and the vertical passes (its store and its
+    // load), the CFL and `w` the two vertical passes share, the metrics and
+    // masks the two diffusions share, the matrix the two solves share, the
+    // new level between the members (the advection's store, the diffusion's
+    // load and store, the solve's load), the guard's two reads.
     let ts_once = sum(&[
         (0.0, 16.0),
         (4.0, 16.0),
@@ -285,45 +274,45 @@ fn column_passes_are_their_census_rows_less_what_they_count_once() {
         (0.0, 64.0),
         (0.0, 16.0),
     ]);
-    // Per column: the velocity pass reads the window averages and stores
-    // its maximum (32 B) and divides and subtracts twice; the tracer pass
+    // Per level, counted once by the closure: density between the EOS and
+    // canuto (its store and its load); the `T` / `S` loads and the eight
+    // velocity-corner loads, which the tracer chain's diffusion and `w`
+    // diagnosis make too; `km` / `kh` between canuto and the solves (their
+    // stores, and the two solves' loads).
+    let closure_once = sum(&[(0.0, 16.0), (0.0, 16.0), (0.0, 64.0), (0.0, 32.0)]);
+    // Per column: the velocity chain reads the window averages and stores
+    // its maximum (32 B) and divides and subtracts twice; the tracer chain
     // restores the surface (16 flops, 48 B, less its load and store of the
     // surface row: 32 B) and stores its maximum (16 B).
     const UV_COLUMN: (f64, f64) = (4.0, 32.0);
     const TS_COLUMN: (f64, f64) = (16.0, 32.0);
-    let column = |level: (f64, f64), column: (f64, f64)| {
-        (
-            nz as f64 * level.0 + column.0,
-            nz as f64 * level.1 + column.1,
-        )
-    };
     let rows = |names: &[&str]| sum(&names.iter().map(|n| census(n)).collect::<Vec<_>>());
     let less = |a: (f64, f64), b: (f64, f64)| (a.0 - b.0, a.1 - b.1);
+    let per_level = sum(&[
+        less(
+            sum(&[
+                rows(&["leapfrog_uv", "vmix_momentum", "bt_correct"]),
+                GUARD_SPEED,
+            ]),
+            uv_once,
+        ),
+        less(
+            sum(&[
+                Z_PER_FIELD,
+                rows(&["diagnose_w", "tracer_hdiff", "vmix_tracer"]),
+                GUARD_BOUNDS,
+            ]),
+            ts_once,
+        ),
+        less(rows(&["eos", "canuto"]), closure_once),
+    ]);
+    let per_column = sum(&[UV_COLUMN, TS_COLUMN]);
     assert_eq!(
-        [velocity, tracer].map(|c| (c.flops as f64, c.bytes as f64)),
-        [
-            column(
-                less(
-                    sum(&[
-                        rows(&["leapfrog_uv", "vmix_momentum", "bt_correct"]),
-                        GUARD_SPEED
-                    ]),
-                    uv_once
-                ),
-                UV_COLUMN
-            ),
-            column(
-                less(
-                    sum(&[
-                        Z_PER_FIELD,
-                        rows(&["diagnose_w", "tracer_hdiff", "vmix_tracer"]),
-                        GUARD_BOUNDS
-                    ]),
-                    ts_once
-                ),
-                TS_COLUMN
-            ),
-        ]
+        (new_level.flops as f64, new_level.bytes as f64),
+        (
+            nz as f64 * per_level.0 + per_column.0,
+            nz as f64 * per_level.1 + per_column.1
+        )
     );
 }
 

@@ -584,8 +584,9 @@ kokkos_rs::register_for_3d!(kernel_advect_wave, FunctorAdvectWave);
 /// the stencil, so one body does every step). `w` lives only in the
 /// block's work rows, and the interface CFL `c = |w| dt / dz` — a divide —
 /// serves `T` and `S`. Not a launch of its own: the first member of the
-/// tracer column pass ([`crate::columns::FunctorTracerColumns`]), which
-/// takes its result straight into diffusion and the implicit solve.
+/// tracer chain of the new level's column pass
+/// ([`crate::columns::TracerChain`]), which takes its result straight into
+/// diffusion and the implicit solve.
 pub struct AdvectZ {
     /// The current velocity level (its ghosts the previous step's
     /// filtered ones), from which `w` is diagnosed.
@@ -769,8 +770,8 @@ pub fn register() {
 
 /// The horizontal half of the dimension-split advection of both tracers
 /// `q` over `dt`, writing `q_out`; the vertical half is the first member of
-/// the tracer column pass ([`crate::columns::FunctorTracerColumns`]), which
-/// runs on `q_out` next. Requires valid halos on `q`, `u`, `v`. One
+/// the tracer chain of the new level's column pass
+/// ([`crate::columns::TracerChain`]), which runs on `q_out` next. Requires valid halos on `q`, `u`, `v`. One
 /// schedule on every rank count and block height, in three steps:
 ///
 /// 1. **boundary x** — the x pass on the owned rows of `band` (a

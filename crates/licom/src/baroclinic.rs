@@ -1,6 +1,6 @@
 //! Baroclinic momentum: the B-grid 3-D momentum tendency and the Asselin
 //! filter. The leapfrog step itself is the first member of the velocity
-//! column pass ([`crate::columns::FunctorVelocityColumns`]).
+//! chain of the new level's column pass ([`crate::columns::VelocityChain`]).
 //!
 //! Tendency terms at velocity corners (all masked by `kmu`):
 //! baroclinic pressure gradient, Coriolis, centered horizontal advection
@@ -8,9 +8,9 @@
 //! level, as leapfrog stability requires), and quadratic bottom drag.
 //! Wind stress is added separately ([`crate::forcing`]); the surface
 //! (barotropic) pressure gradient lives in the split-explicit solver and
-//! its window average re-enters through the velocity column pass, which
-//! replaces the depth-mean of the updated 3-D velocity with the
-//! barotropic transport (mode consistency).
+//! its window average re-enters through the velocity chain of the new
+//! level's column pass, which replaces the depth-mean of the updated 3-D
+//! velocity with the barotropic transport (mode consistency).
 //!
 //! Vertical momentum advection is neglected (a documented fidelity
 //! simplification — it is dynamically subdominant at these scales and
@@ -48,8 +48,8 @@ pub struct FunctorMomentumTend {
     /// block and the column east of it (`LocalGrid::wet.cols_halo`).
     pub pressure: View3<f64>,
     /// Written: the tendency of `u` and `v`. The step hands it the new
-    /// velocity level, which the velocity column pass reads it from
-    /// ([`crate::columns::FunctorVelocityColumns`]).
+    /// velocity level, which the new level's column pass reads it from
+    /// ([`crate::columns::VelocityChain`]).
     pub ut: View3<f64>,
     pub vt: View3<f64>,
     pub kmu: View2<i32>,
@@ -128,7 +128,7 @@ impl RowKernel for FunctorMomentumTend {
 /// Entry `idx` is a packed owned wet velocity cell `(k·pj + jl)·pi + il`
 /// (`k < kmu`; `[pj, pi]` are `kmu`'s extents). Dry cells are not visited:
 /// they keep the `+0` every level of the new velocity holds there, which is
-/// the tendency the velocity column pass reads for a dry lane.
+/// the tendency the new level's velocity chain reads for a dry lane.
 impl FunctorList for FunctorMomentumTend {
     fn operator(&self, _n: usize, idx: u32) {
         let [pj, pi] = self.kmu.dims();

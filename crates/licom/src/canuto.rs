@@ -18,9 +18,10 @@
 //!
 //! 1. within a rank, the closure runs over the wet columns packed densely
 //!    as a [`kokkos_rs::ListPolicy`] whose tiles are cut by cumulative wet
-//!    depth — the last member of the old level's column pass
-//!    ([`crate::columns::FunctorDensityColumns`]), which hands it the
-//!    density rows it has just computed;
+//!    depth — the first member of the column pass that finishes the new
+//!    level ([`crate::columns::FunctorNewLevelColumns`]), which hands its
+//!    two coefficient rows straight to the velocity and tracer solves, so
+//!    `km` / `kh` are never stored;
 //! 2. [`balanced_cross_rank`] — ranks even out their wet-column counts by
 //!    shipping column inputs to under-loaded ranks and collecting the
 //!    results (the full Fig. 4 scheme, the ablation's library function).
@@ -88,15 +89,13 @@ pub fn mixing_coefficients(ri: f64) -> (f64, f64) {
     (km.0[0], kh.0[0])
 }
 
-/// What the closure reads and writes besides the density of its columns.
+/// What the closure reads besides the density of its columns.
 #[derive(Clone)]
 pub struct CanutoFields {
+    /// The current velocity level, averaged from the 4 corners of a T
+    /// column.
     pub u: View3<f64>,
     pub v: View3<f64>,
-    /// Output: viscosity at interfaces (`nz+1` levels).
-    pub km: View3<f64>,
-    /// Output: diffusivity at interfaces.
-    pub kh: View3<f64>,
     pub kmt: View2<i32>,
     pub z_t: View1<f64>,
     pub nz: usize,
@@ -153,10 +152,12 @@ impl CanutoFields {
 
     /// The closure of the columns `(jl, il..il + W)` of wet depths `depths`
     /// (from [`lanes::depths`]) on their density rows `rho` (levels
-    /// `0..kmax`): interfaces `1..kmt` of each get closure values, the rest
-    /// background. Down to the block's deepest column every lane evaluates
-    /// the closure and lanes already below their own bottom select
-    /// background, so what `rho` holds there is never read into a result.
+    /// `0..kmax`), into the coefficient rows `[km, kh]` (interfaces
+    /// `0..=kmax`): interfaces `1..kmt` of each lane get closure values, the
+    /// rest background. Down to the block's deepest column every lane
+    /// evaluates the closure and lanes already below their own bottom
+    /// select background, so what `rho` holds there is never read into a
+    /// result.
     #[inline(always)]
     pub fn closure<const W: usize>(
         &self,
@@ -165,10 +166,10 @@ impl CanutoFields {
         (kmt, kmax): ([i32; W], usize),
         rho: &[[f64; W]],
         scratch: &mut [f64],
+        [km_out, kh_out]: [&mut [[f64; W]]; 2],
     ) {
         let (km_bg, kh_bg) = (F64x::<W>::splat(KM_BACKGROUND), F64x::splat(KH_BACKGROUND));
-        km_bg.store(&self.km, 0, jl, il);
-        kh_bg.store(&self.kh, 0, jl, il);
+        (km_out[0], kh_out[0]) = (km_bg.0, kh_bg.0);
         if kmax > 1 {
             // Stage the block's velocities first: this loop is loads and
             // three adds, so a cache miss per level stays in flight; the
@@ -186,13 +187,44 @@ impl CanutoFields {
                 let ri = n2 / s2.max(F64x::splat(1e-12));
                 let (km, kh) = mixing_lanes(ri);
                 let wet = above(k, &kmt);
-                wet.select(km, km_bg).store(&self.km, k, jl, il);
-                wet.select(kh, kh_bg).store(&self.kh, k, jl, il);
+                km_out[k] = wet.select(km, km_bg).0;
+                kh_out[k] = wet.select(kh, kh_bg).0;
             }
         }
-        for k in kmax.max(1)..=self.nz {
-            km_bg.store(&self.km, k, jl, il);
-            kh_bg.store(&self.kh, k, jl, il);
+        if kmax > 0 {
+            // The deepest lane's bottom.
+            (km_out[kmax], kh_out[kmax]) = (km_bg.0, kh_bg.0);
+        }
+    }
+
+    /// The closure of the packed wet columns `wet_cols` (`jl · pi + il`)
+    /// one at a time on the density view `rho`, into every interface of
+    /// `[km, kh]` at those columns: the local evaluation the cross-rank
+    /// scheme must reproduce.
+    pub fn evaluate(&self, rho: &View3<f64>, wet_cols: &[u32], pi: usize, out: [&View3<f64>; 2]) {
+        let nz = self.nz;
+        let mut scratch = vec![0.0; 3 * (nz + 1) + self.scratch_words()];
+        for &col in wet_cols {
+            let (jl, il) = (col as usize / pi, col as usize % pi);
+            let depths = lanes::depths::<1>(&self.kmt, jl, il);
+            let (rows, work) = scratch.split_at_mut(3 * (nz + 1));
+            let (rho_rows, coef) = rows.split_at_mut(nz + 1);
+            let (km, kh) = coef.split_at_mut(nz + 1);
+            let rho_rows = lanes::rows::<1>(rho_rows, depths.1);
+            for (k, row) in rho_rows.iter_mut().enumerate() {
+                *row = [rho.at(k, jl, il)];
+            }
+            let (km, kh) = (lanes::rows::<1>(km, nz + 1), lanes::rows::<1>(kh, nz + 1));
+            self.closure::<1>(jl, il, depths, rho_rows, work, [&mut *km, &mut *kh]);
+            for k in 0..=nz {
+                let (m, h) = if k <= depths.1 {
+                    (km[k][0], kh[k][0])
+                } else {
+                    (KM_BACKGROUND, KH_BACKGROUND)
+                };
+                out[0].set_at(k, jl, il, m);
+                out[1].set_at(k, jl, il, h);
+            }
         }
     }
 }
@@ -214,13 +246,15 @@ pub struct BalanceReport {
 /// ranks, evaluate everywhere, and return the coefficients to the owner.
 /// Bitwise identical to evaluating locally.
 ///
-/// `rho` is the density of this rank's padded block and `wet_cols` its
-/// packed owned wet columns `jl · pi + il` (the model's `cols` list).
-/// Columns are shipped from the tail of the list.
+/// `rho` is the density of this rank's padded block, `wet_cols` its packed
+/// owned wet columns `jl · pi + il` (the model's `cols` list) and
+/// `[km, kh]` (`nz + 1` interfaces) receive every interface of those
+/// columns. Columns are shipped from the tail of the list.
 pub fn balanced_cross_rank(
     comm: &Comm,
     fields: &CanutoFields,
     rho: &View3<f64>,
+    [km, kh]: [&View3<f64>; 2],
     wet_cols: &[u32],
     pi: usize,
 ) -> BalanceReport {
@@ -284,17 +318,7 @@ pub fn balanced_cross_rank(
         .collect();
     let total_out: usize = my_out.iter().map(|(_, _, n)| n).sum();
     let keep = wet_cols.len() - total_out;
-    let mut scratch = vec![0.0; nz + fields.scratch_words()];
-    for &col in &wet_cols[..keep] {
-        let (jl, il) = (col as usize / pi, col as usize % pi);
-        let depths = lanes::depths::<1>(&fields.kmt, jl, il);
-        let (rows, work) = scratch.split_at_mut(nz);
-        let rows = lanes::rows::<1>(rows, depths.1);
-        for (k, row) in rows.iter_mut().enumerate() {
-            *row = [rho.at(k, jl, il)];
-        }
-        fields.closure::<1>(jl, il, depths, rows, work);
-    }
+    fields.evaluate(rho, &wet_cols[..keep], pi, [km, kh]);
     // Fixed record size: nz-1 interface pairs per column (dry interfaces
     // padded with a s2<0 sentinel). Messages go through the pooled
     // send/recv path, so repeated balanced evaluations reuse buffers.
@@ -364,14 +388,14 @@ pub fn balanced_cross_rank(
                 // the local evaluation.
                 let kmt = fields.kmt.at(jl, il) as usize;
                 for k in 0..=nz {
-                    let (km, kh) = if k >= 1 && k < kmt && k < nz {
+                    let (km_k, kh_k) = if k >= 1 && k < kmt && k < nz {
                         let off = ci * rec + (k - 1) * 2;
                         (out[off], out[off + 1])
                     } else {
                         (KM_BACKGROUND, KH_BACKGROUND)
                     };
-                    fields.km.set_at(k, jl, il, km);
-                    fields.kh.set_at(k, jl, il, kh);
+                    km.set_at(k, jl, il, km_k);
+                    kh.set_at(k, jl, il, kh_k);
                 }
             }
         });

@@ -5,9 +5,10 @@
 //! need — buoyancy gradients driven by temperature and salinity — without
 //! the 25-term UNESCO polynomial (a fidelity, not performance, detail).
 //! Density is no stored field: the old level's column pass
-//! ([`crate::columns::FunctorDensityColumns`]) computes it into work rows,
-//! integrates the hydrostatic pressure from them and hands them to the
-//! canuto closure.
+//! ([`crate::columns::FunctorDensityColumns`]) computes it into work rows
+//! and integrates the hydrostatic pressure from them, and the new level's
+//! column pass ([`crate::columns::FunctorNewLevelColumns`]) computes it
+//! into work rows again for the canuto closure.
 
 use ocean_grid::RHO0;
 

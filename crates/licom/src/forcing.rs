@@ -88,9 +88,9 @@ kokkos_rs::register_for_list!(kernel_wind_stress, FunctorWindStress);
 
 /// Restoring of the new-level surface tracers toward the climatological
 /// target with timescale [`RESTORE_SECONDS`]. Not a launch of its own: the
-/// last member of the tracer column pass
-/// ([`crate::columns::FunctorTracerColumns`]), applied to the surface row
-/// the implicit solve leaves behind.
+/// last member of the tracer chain of the new level's column pass
+/// ([`crate::columns::TracerChain`]), applied to the surface row the
+/// implicit solve leaves behind.
 pub struct SurfaceRestore {
     pub lat: View1<f64>,
     pub dt: f64,

@@ -51,9 +51,9 @@ use kokkos_rs::{View2, View3};
 pub const LANES: usize = 8;
 
 /// Deepest supported column. A column pass keeps one column's work rows,
-/// at most `(7 · nz + 2)` words (the tracer pass), which at this depth is
-/// 14 kB — inside the ¼-LDM stream budget of a CPE; the 244-level
-/// full-depth configuration fits. Checked once where
+/// at most `(9 · nz + 4)` words (the new level's pass: two coefficient rows
+/// and the tracer chain's), which at this depth is 18 kB — inside the ¼-LDM
+/// stream budget of a CPE; the 244-level full-depth configuration fits. Checked once where
 /// the grid is built
 /// ([`crate::localgrid::LocalGrid::build`]).
 pub const MAX_NZ: usize = 256;
@@ -168,6 +168,16 @@ impl<const W: usize> F64x<W> {
         for l in 0..W {
             if m.0[l] != 0 {
                 v.set_at(k, jl, il + l, self.0[l]);
+            }
+        }
+    }
+
+    /// [`Self::store_where`] to a 2-D field.
+    #[inline(always)]
+    pub fn store2_where(self, m: Mask<W>, v: &View2<f64>, jl: usize, il: usize) {
+        for l in 0..W {
+            if m.0[l] != 0 {
+                v.set_at(jl, il + l, self.0[l]);
             }
         }
     }

@@ -1,31 +1,30 @@
 //! The LICOMK++ model driver: one object per rank, stepping the full
 //! split-explicit system on a runtime-selected execution space.
 //!
-//! The per-step sequence — [`PHASES`], the twelve rows [`Model::try_step`]
+//! The per-step sequence — [`PHASES`], the nine rows [`Model::try_step`]
 //! walks — mirrors LICOM:
 //!
-//! 1. the old level's column pass (`canuto`): density, the baroclinic
-//!    hydrostatic pressure and the *canuto* mixing coefficients from one
-//!    read of each owned wet column, then density and pressure over the
-//!    halo columns whose pressure the momentum stencil reads;
+//! 1. the old level's column pass (`eos`): density and the baroclinic
+//!    hydrostatic pressure from one read of each owned wet column and of
+//!    the halo columns whose pressure the momentum stencil reads;
 //! 2. 3-D momentum tendency + wind stress (`momentum`);
 //! 3. split-explicit barotropic window with per-substep 2-D halo updates
 //!    and polar filtering (`barotropic`);
-//! 4. the velocity column pass: leapfrog momentum update, implicit
-//!    vertical friction, barotropic mode correction (`vmix_momentum`);
-//! 5. 3-D halo update of the new velocities, posted before the
-//!    continuity diagnosis of `w` (`halo_uv`);
-//! 6. the horizontal passes of the two-step shape-preserving tracer
-//!    advection with a mid-pass halo update (`advection_tracer`), then the
-//!    tracer column pass: vertical advection, horizontal diffusion,
-//!    implicit vertical mixing, surface restoring (`vmix_tracer`);
-//! 7. 3-D halo update of the new tracers and the Asselin filter
-//!    (`halo_ts`, `asselin`, `halo_drain`), then the physics guard and the
-//!    step's accounting (`guard`, `telemetry`).
+//! 4. the horizontal passes of the two-step shape-preserving tracer
+//!    advection with a mid-pass halo update (`advection_tracer`);
+//! 5. the new level's column pass (`vmix_tracer`): the *canuto* mixing
+//!    coefficients into work rows, the velocity chain (leapfrog momentum
+//!    update, implicit vertical friction, barotropic mode correction) and
+//!    the tracer chain (vertical advection, horizontal diffusion, implicit
+//!    vertical mixing, surface restoring), then one 3-D halo update of the
+//!    new velocities and tracers;
+//! 6. the Asselin filter and its halo update (`asselin`), both exchanges
+//!    landed (`halo_drain`), then the physics guard and the step's
+//!    accounting (`guard`, `telemetry`).
 //!
 //! Every masked kernel iterates a packed wet list ([`WetPolicies`]); the
 //! column passes ([`crate::columns`]) read the old level once and finish
-//! each new level in one launch, leaving the physics guard its per-column
+//! the new level in one launch, leaving the physics guard its per-column
 //! maxima. The
 //! kernels that stay dense do so because their land writes are semantic:
 //! the Asselin stream, the advection x/y passes, the barotropic substep
@@ -141,7 +140,7 @@ struct WetPolicies {
     /// — density and pressure alone.
     cols_halo: ListPolicy,
     /// Owned wet velocity corners (`kmu > 0`) — depth mean, wind stress,
-    /// the velocity column pass, the guard's fold.
+    /// the guard's fold.
     ucols: ListPolicy,
     /// Interior/rim split of the owned wet velocity cells (`k < kmu`; a
     /// 1-cell horizontal rim) — momentum tendency.
@@ -430,12 +429,11 @@ impl Model {
 
     /// Zero every non-prognostic work array — the new velocity level
     /// included, which nothing reads before the step writes it and the
-    /// checkpoint image does not carry — and reset the mixing coefficients
-    /// to their background values, so a model restored from a checkpoint
-    /// is indistinguishable from a freshly constructed one that loaded the
-    /// same state. Asserted bitwise by the checkpoint round-trip tests.
+    /// checkpoint image does not carry — so a model restored from a
+    /// checkpoint is indistinguishable from a freshly constructed one that
+    /// loaded the same state. Asserted bitwise by the checkpoint round-trip
+    /// tests.
     pub fn reset_transients(&mut self) {
-        use crate::constants::{KH_BACKGROUND, KM_BACKGROUND};
         let s = &mut self.state;
         let n = s.new_lev();
         for v in [&s.u[n], &s.v[n], &s.pressure] {
@@ -453,8 +451,6 @@ impl Model {
             s.bt_u[lev].fill(0.0);
             s.bt_v[lev].fill(0.0);
         }
-        s.km.fill(KM_BACKGROUND);
-        s.kh.fill(KH_BACKGROUND);
         self.gu.fill(0.0);
         self.gv.fill(0.0);
         self.maxima.speed.fill(0.0);

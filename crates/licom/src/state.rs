@@ -7,11 +7,11 @@
 //! and leaves its average in `η[new]` — and nothing reads their `old`, so
 //! they have two levels ([`TwoLevel`]), whose handles `rotate` swaps. The
 //! momentum tendency is no field either: it is computed into the new
-//! velocity level, which the velocity column pass reads it from and
-//! overwrites ([`crate::columns::FunctorVelocityColumns`]). Diagnostic
-//! fields (pressure, mixing coefficients) have a single level; density and
-//! the vertical velocity are no fields (the column passes keep them in work
-//! rows). All step-transient scratch lives in [`Workspace`], allocated once
+//! velocity level, which the new level's column pass reads it from and
+//! overwrites ([`crate::columns::VelocityChain`]). The one diagnostic
+//! field, pressure, has a single level; density, the vertical velocity and
+//! the mixing coefficients are no fields (the column passes keep them in
+//! work rows). All step-transient scratch lives in [`Workspace`], allocated once
 //! at construction so [`crate::Model::step`] never touches the heap in
 //! steady state.
 
@@ -114,10 +114,6 @@ pub struct State {
     pub vbt: View2<f64>,
     // Diagnostics.
     pub pressure: View3<f64>,
-    /// Vertical viscosity at interfaces.
-    pub km: View3<f64>,
-    /// Vertical diffusivity at interfaces.
-    pub kh: View3<f64>,
     /// Preallocated per-step scratch (the advection band, the filter
     /// buffer, the barotropic window accumulators).
     pub work: Workspace,
@@ -135,7 +131,6 @@ impl State {
     /// Allocate a zeroed state for the given local grid.
     pub fn new(g: &LocalGrid) -> Self {
         let d3 = [g.nz, g.pj, g.pi];
-        let d3w = [g.nz + 1, g.pj, g.pi];
         let d2 = [g.pj, g.pi];
         let v3 = |label: &str| -> [View3<f64>; LEVELS] {
             [
@@ -153,8 +148,6 @@ impl State {
             ubt: View::host("ubt", d2),
             vbt: View::host("vbt", d2),
             pressure: View::host("pressure", d3),
-            km: View::host("km", d3w),
-            kh: View::host("kh", d3w),
             work: Workspace::new(g),
             bt_eta: [
                 View::host("bt_eta0", d2),
@@ -210,7 +203,7 @@ impl State {
         impl Iterator<Item = &View2<f64>>,
     ) {
         let w = &self.work;
-        let single3 = [&self.pressure, &self.km, &self.kh];
+        let single3 = [&self.pressure];
         let tracers = self.t.levels().into_iter().chain(self.s.levels());
         let level3 = [&self.u, &self.v].into_iter().flatten().chain(tracers);
         let band = w.adv_band.iter().map(RowBand::data);
@@ -283,8 +276,6 @@ impl State {
         }
         self.ubt.fill(0.0);
         self.vbt.fill(0.0);
-        self.km.fill(constants::KM_BACKGROUND);
-        self.kh.fill(constants::KH_BACKGROUND);
     }
 
     /// A 64-bit FNV hash over the bit patterns of all prognostic fields —
@@ -379,18 +370,11 @@ mod tests {
             }
             self.ubt.fill(0.0);
             self.vbt.fill(0.0);
-            self.km.fill(constants::KM_BACKGROUND);
-            self.kh.fill(constants::KH_BACKGROUND);
         }
 
         /// The fields an init owns, in a fixed order.
         fn initialised(&self) -> Vec<&[f64]> {
-            let mut f = vec![
-                self.ubt.as_slice(),
-                self.vbt.as_slice(),
-                self.km.as_slice(),
-                self.kh.as_slice(),
-            ];
+            let mut f = vec![self.ubt.as_slice(), self.vbt.as_slice()];
             for l in 0..LEVELS {
                 f.extend([&self.u[l], &self.v[l]].map(|v| v.as_slice()));
             }
@@ -539,24 +523,23 @@ mod tests {
     fn resident_bytes_count_every_array_once() {
         let g = local();
         let s = State::new(&g);
-        let (c3, cw, c2) = (g.nz * g.pj * g.pi, (g.nz + 1) * g.pj * g.pi, g.pj * g.pi);
+        let (c3, c2) = (g.nz * g.pj * g.pi, g.pj * g.pi);
         let band: usize = s.work.adv_band.iter().map(|b| b.data().len()).sum();
-        // u, v: 3 levels; t, s: 2; pressure; km, kh on interfaces; eta: 2
-        // levels; the three barotropic work triples; ubt, vbt and the four
-        // window buffers.
-        let words = (6 + 4 + 1) * c3 + 2 * cw + band + (2 + 3 * 3 + 6) * c2;
+        // u, v: 3 levels; t, s: 2; pressure; eta: 2 levels; the three
+        // barotropic work triples; ubt, vbt and the four window buffers.
+        let words = (6 + 4 + 1) * c3 + band + (2 + 3 * 3 + 6) * c2;
         assert_eq!(s.resident_bytes(), 8 * words);
     }
 
     /// One rank's state on the `kernel_serial_1r` grid, 180×115×30, as a
-    /// literal that may only fall: 13 padded 3-D fields, the two advection
-    /// bands and 17 2-D fields (69.34 MiB). `examples/cold_start.rs`
+    /// literal that may only fall: 11 padded 3-D fields, the two advection
+    /// bands and 17 2-D fields (58.98 MiB). `examples/cold_start.rs`
     /// prints the same figure in its `State MiB` column.
     #[test]
     fn resident_bytes_at_the_benchmark_grid() {
         let global = GlobalGrid::build(180, 115, 30, &Bathymetry::Flat(4000.0), false);
         let g = locals(&global, 1).pop().unwrap();
-        assert_eq!(State::new(&g).resident_bytes(), 72_703_552);
+        assert_eq!(State::new(&g).resident_bytes(), 61_843_136);
     }
 
     /// Every array of a fresh state starts on a 64-byte line and reads

@@ -8,10 +8,12 @@
 //!
 //! one tridiagonal system per wet column, solved with the Thomas
 //! algorithm. The solver is not a launch of its own: it is the middle of
-//! the two column passes ([`crate::columns`]), which hand it the
-//! right-hand sides they have just computed and take the solution back in
-//! the same rows, so the new level is never stored between the step before
-//! the solve and the one after it. There is one solver body,
+//! the velocity and the tracer chain of the column pass that finishes the
+//! new level ([`crate::columns`]), which hands it the right-hand sides it
+//! has just computed and the coefficients the canuto closure has just left
+//! in work rows, and takes the solution back in the same rows, so neither
+//! the new level nor a coefficient is stored between the step before the
+//! solve and the one after it. There is one solver body,
 //! [`VerticalSolve::solve`], generic over the number `W` of adjacent
 //! columns it eliminates together (see [`crate::lanes`]) **and** the number
 //! `N` of fields it solves against the same matrix: `u` and `v` share
@@ -23,17 +25,15 @@
 //! words, of which a block touches only the rows down to its deepest
 //! column; ragged depths inside a block are lane masks.
 
-use kokkos_rs::{IterCost, View1, View2, View3};
+use kokkos_rs::{IterCost, View1, View2};
 
 use crate::lanes::{self, above, F64x, Mask};
 
-/// The matrix `I − dt ∂z K ∂z` of the wet columns under `mask`.
-///
-/// `kcoef` holds interface coefficients (`nz+1` levels; interfaces `0`
-/// and `kmt` act as zero-flux boundaries). `mask` is `kmt` for tracers or
-/// `kmu` for momentum.
+/// The matrix `I − dt ∂z K ∂z` of the wet columns under `mask`, on
+/// interface coefficients `K` a block hands [`Self::solve`] in work rows
+/// (interfaces `0` and `kmt` act as zero-flux boundaries). `mask` is `kmt`
+/// for tracers or `kmu` for momentum.
 pub struct VerticalSolve {
-    pub kcoef: View3<f64>,
     pub mask: View2<i32>,
     pub dz: View1<f64>,
     pub z_t: View1<f64>,
@@ -49,7 +49,7 @@ pub(crate) const fn work_words(n_fields: usize, nz: usize) -> usize {
 
 /// Per column, as a launch of its own would count it: the matrix
 /// (coefficients, elimination of `b`) once, the right-hand side update and
-/// back substitution per field. Bytes likewise: `kcoef` and the `a`/`b`/`c`
+/// back substitution per field. Bytes likewise: `K` and the `a`/`b`/`c`
 /// rows are shared, `q` in and out and the `d` row are per field. `N = 1`
 /// is the single-field solve's 14 flops and 64 bytes per level.
 pub const fn solve_cost(n_fields: usize, nz: usize) -> IterCost {
@@ -60,12 +60,13 @@ pub const fn solve_cost(n_fields: usize, nz: usize) -> IterCost {
 }
 
 impl VerticalSolve {
-    /// The tridiagonal solve of the `W` columns `(jl, il..il + W)` for `N`
+    /// The tridiagonal solve of a block of `W` adjacent columns for `N`
     /// fields, in place on their right-hand sides — the one arithmetic body
-    /// behind both column passes, on every launch shape.
+    /// behind both chains of the column pass.
     ///
     /// `kb` and `kmax` are the block's column depths under `mask` and the
-    /// deepest ([`lanes::depths`]), `kmax > 0`. `abc` holds the `a`, `b`,
+    /// deepest ([`lanes::depths`]), `kmax > 0`. `kcoef` holds the columns'
+    /// interface coefficients (rows `1..kmax` are read). `abc` holds the `a`, `b`,
     /// `c` work rows (`≥ 3 · kmax` rows of `W`); row `k · N + f` of `d` is
     /// field `f`'s right-hand side at level `k` on entry and its solution on
     /// return. The matrix — the coefficient divides and the elimination
@@ -78,9 +79,8 @@ impl VerticalSolve {
     #[inline(always)]
     pub fn solve<const W: usize, const N: usize>(
         &self,
-        jl: usize,
-        il: usize,
         (kb, kmax): ([i32; W], usize),
+        kcoef: &[[f64; W]],
         abc: &mut [f64],
         d: &mut [[f64; W]],
     ) {
@@ -88,20 +88,20 @@ impl VerticalSolve {
         let (b, c) = rest.split_at_mut(kmax * W);
         let rows = |s| lanes::rows::<W>(s, kmax);
         let (a, b, c) = (rows(a), rows(b), rows(c));
-        let (kcoef, dz, z_t, dt) = (&self.kcoef, &self.dz, &self.z_t, self.dt);
+        let (dz, z_t, dt) = (&self.dz, &self.z_t, self.dt);
 
         let zero = F64x::<W>::splat(0.0);
         for k in 0..kmax {
             let dzk = dz.at(k);
             let au = if k > 0 {
                 let dzw = z_t.at(k) - z_t.at(k - 1);
-                -dt * F64x::load(kcoef, k, jl, il) / (dzk * dzw)
+                -dt * F64x(kcoef[k]) / (dzk * dzw)
             } else {
                 zero
             };
             let cl = if k + 1 < kmax {
                 let dzw = z_t.at(k + 1) - z_t.at(k);
-                let below = -dt * F64x::load(kcoef, k + 1, jl, il) / (dzk * dzw);
+                let below = -dt * F64x(kcoef[k + 1]) / (dzk * dzw);
                 above(k + 1, &kb).select(below, zero)
             } else {
                 zero
@@ -136,37 +136,36 @@ mod tests {
     use halo_exchange::HALO as H;
     use kokkos_rs::View;
 
-    fn setup(nz: usize, k: f64) -> VerticalSolve {
+    /// A solve of `nz` levels 10 m apart, every interface coefficient `k`.
+    fn setup(nz: usize, k: f64) -> (VerticalSolve, Vec<[f64; 1]>) {
         let (pj, pi) = (1 + 2 * H, 1 + 2 * H);
-        let kc: View3<f64> = View::host("kc", [nz + 1, pj, pi]);
         let mask: View2<i32> = View::host("mask", [pj, pi]);
         let dz: View1<f64> = View::host("dz", [nz]);
         let z_t: View1<f64> = View::host("z_t", [nz]);
-        kc.fill(k);
         mask.fill(nz as i32);
         dz.fill(10.0);
         for kk in 0..nz {
             z_t.set_at(kk, 5.0 + 10.0 * kk as f64);
         }
-        VerticalSolve {
-            kcoef: kc,
+        let f = VerticalSolve {
             mask,
             dz,
             z_t,
             dt: 1800.0,
             nz,
-        }
+        };
+        (f, vec![[k]; nz + 1])
     }
 
     /// Solve the block's one owned column in place on `q` (its wet levels).
-    fn solve_column(f: &VerticalSolve, q: &mut [f64]) {
+    fn solve_column((f, kcoef): &(VerticalSolve, Vec<[f64; 1]>), q: &mut [f64]) {
         let (kb, kmax) = lanes::depths::<1>(&f.mask, H, H);
         if kmax == 0 {
             return;
         }
         let mut abc = vec![0.0; 3 * f.nz];
         let mut d: Vec<[f64; 1]> = q[..kmax].iter().map(|&x| [x]).collect();
-        f.solve::<1, 1>(H, H, (kb, kmax), &mut abc, &mut d);
+        f.solve::<1, 1>((kb, kmax), kcoef, &mut abc, &mut d);
         for (q, d) in q.iter_mut().zip(&d) {
             *q = d[0];
         }
@@ -221,7 +220,7 @@ mod tests {
     #[test]
     fn partial_column_respects_kmt() {
         let f = setup(10, 5e-2);
-        f.mask.set_at(H, H, 4);
+        f.0.mask.set_at(H, H, 4);
         let mut q: Vec<f64> = (0..10)
             .map(|k| if k < 4 { k as f64 } else { -99.0 })
             .collect();
@@ -244,10 +243,10 @@ mod tests {
                     .map(|k| std::array::from_fn(|l| ((k * 31 + l * 7 + salt) as f64).sin() * 9.0))
                     .collect()
             };
+            let kcoef: Vec<[f64; W]> = (0..=nz)
+                .map(|k| std::array::from_fn(|l| 1.0e-3 + 4.0e-3 * ((k * 5 + H + l) % 7) as f64))
+                .collect();
             let f = VerticalSolve {
-                kcoef: View::from_fn("kc", [nz + 1, pj, pi], |[k, _, i]| {
-                    1.0e-3 + 4.0e-3 * ((k * 5 + i) % 7) as f64
-                }),
                 mask: View::from_fn("mask", [pj, pi], |[_, i]| 1 + ((i * 5) % nz) as i32),
                 dz: View::from_fn("dz", [nz], |[k]| 5.0 + 3.0 * k as f64),
                 z_t: View::from_fn("z_t", [nz], |[k]| 2.5 + 6.5 * k as f64),
@@ -259,10 +258,10 @@ mod tests {
             let (t, s) = (field(1), field(2));
             let mut alone = [t.clone(), s.clone()];
             for d in &mut alone {
-                f.solve::<W, 1>(H, H, depths, &mut abc, d);
+                f.solve::<W, 1>(depths, &kcoef, &mut abc, d);
             }
             let mut pair: Vec<[f64; W]> = t.iter().zip(&s).flat_map(|(t, s)| [*t, *s]).collect();
-            f.solve::<W, 2>(H, H, depths, &mut abc, &mut pair);
+            f.solve::<W, 2>(depths, &kcoef, &mut abc, &mut pair);
             for k in 0..nz {
                 for l in 0..W {
                     if (k as i32) < depths.0[l] {

@@ -91,7 +91,7 @@ fn revolve(limited: bool) -> (Vec<f64>, f64, f64, Vec<f64>) {
         }
         let initial = q.to_vec();
         // `advect_tracer` is the horizontal half of the scheme; its
-        // vertical pass (a member of the tracer column pass) and the surface
+        // vertical pass (a member of the new level's tracer chain) and the surface
         // dilution flux are covered by the conservation tests.
         // dz-weighted mass over both layers.
         let mass = |f: &View3<f64>| -> f64 {

@@ -19,8 +19,8 @@
 //! The stencil that runs over packed wet cells (momentum tendency) is held
 //! to the same: a list span (`operator_span`, runs walked in blocks) against
 //! its entries one by one, and the interior + rim lists against the whole
-//! one. (The tracer diffusion is a member of the tracer column pass, held
-//! to `W = 1` in `column_blocks.rs`.)
+//! one. (The tracer diffusion is a member of the new level's column pass,
+//! held to `W = 1` in `column_blocks.rs`.)
 
 use halo_exchange::{FoldKind, Halo2D, Halo3D, RowBand, Strategy3D, HALO as H};
 use kokkos_rs::{

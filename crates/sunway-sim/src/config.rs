@@ -73,17 +73,6 @@ impl CgConfig {
         }
     }
 
-    /// Cycles needed to move `bytes` over DMA when `active_cpes` CPEs share
-    /// the CG memory interface. The per-CPE share of bandwidth shrinks as
-    /// more CPEs stream concurrently, which is exactly the "memory access
-    /// bottleneck" the paper cites for Sunway (§VII-D reason 1).
-    pub fn dma_transfer_cycles(&self, bytes: usize, active_cpes: usize) -> u64 {
-        let active = active_cpes.max(1) as f64;
-        let per_cpe_bw = self.mem_bandwidth_bps / active;
-        let seconds = bytes as f64 / per_cpe_bw;
-        self.dma_latency_cycles + (seconds * self.clock_hz).ceil() as u64
-    }
-
     /// Peak double-precision FLOPS of the whole CG (FMA on all SIMD lanes).
     pub fn peak_flops(&self) -> f64 {
         self.num_cpes as f64 * self.clock_hz * self.simd_f64_lanes as f64 * 2.0
@@ -100,27 +89,6 @@ mod tests {
         assert_eq!(c.num_cpes, 64);
         assert_eq!(c.ldm_bytes, 256 * 1024);
         assert!((c.mem_bandwidth_bps - 51.2e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn dma_cost_scales_with_contention() {
-        let c = CgConfig::default();
-        let solo = c.dma_transfer_cycles(1 << 20, 1);
-        let shared = c.dma_transfer_cycles(1 << 20, 64);
-        assert!(shared > solo, "contended DMA must be slower");
-        // Transfer part should scale ~64x; latency is constant.
-        let solo_xfer = solo - c.dma_latency_cycles;
-        let shared_xfer = shared - c.dma_latency_cycles;
-        let ratio = shared_xfer as f64 / solo_xfer as f64;
-        assert!((ratio - 64.0).abs() < 1.0, "ratio was {ratio}");
-    }
-
-    #[test]
-    fn dma_latency_dominates_small_transfers() {
-        let c = CgConfig::default();
-        let tiny = c.dma_transfer_cycles(8, 1);
-        // 8 bytes at full bandwidth is well under a cycle of transfer time.
-        assert!(tiny <= c.dma_latency_cycles + 2);
     }
 
     #[test]

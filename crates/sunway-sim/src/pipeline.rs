@@ -263,8 +263,11 @@ mod tests {
     fn account_dma_traffic(ctx: &mut CpeCtx, bytes: usize) {
         ctx.counters.dma_transactions += 1;
         ctx.counters.dma_get_bytes += bytes as u64;
-        // Every CPE streams at once (worst-case contention).
-        let t = ctx.config().dma_transfer_cycles(bytes, ctx.num_cpes());
+        // The stream at this CPE's share of the CG bandwidth, as
+        // `CpeCtx::dma_async_model` charges every launch.
+        let cfg = ctx.config();
+        let per_cpe_bw = cfg.mem_bandwidth_bps / ctx.num_cpes() as f64;
+        let t = cfg.dma_latency_cycles + (bytes as f64 / per_cpe_bw * cfg.clock_hz).ceil() as u64;
         ctx.counters.dma_stall_cycles += t;
         ctx.counters.cycles += t;
     }

@@ -9,13 +9,13 @@
 # `std::thread::local::LocalKey`; per instantiation it prints who enters it
 # and how many packed divides are 256-bit (`ymm`) against 128-bit (`xmm`).
 #
-# It also fails unless the three column passes — the one that reads the old
-# level and the two that finish the new one — run inside a clone: each
+# It also fails unless the two column passes — the one that reads the old
+# level and the one that finishes the new one — run inside a clone: each
 # pass's list span (`operator_span` of `licom::columns::
-# FunctorDensityColumns` / `FunctorVelocityColumns` / `FunctorTracerColumns`,
-# kept out of line so it has a symbol) must reach an instantiation of the
-# clone within three calls — through the per-thread scratch
-# (`LocalKey::with`) it enters the clone from.
+# FunctorDensityColumns` / `FunctorNewLevelColumns`, kept out of line so it
+# has a symbol) must reach an instantiation of the clone within three
+# calls — through the per-thread scratch (`LocalKey::with`) it enters the
+# clone from.
 #
 #   scripts/check_isa_clone.sh BINARY     (any release binary that steps a model,
 #                                          e.g. target/release/licomkpp)
@@ -35,7 +35,7 @@ if [ ! -x "$bin" ]; then
     exit 2
 fi
 
-objdump -d -C --no-show-raw-insn "$bin" | awk -v passes="FunctorDensityColumns FunctorVelocityColumns FunctorTracerColumns" '
+objdump -d -C --no-show-raw-insn "$bin" | awk -v passes="FunctorDensityColumns FunctorNewLevelColumns" '
     # "0000000000134e20 <name>:" opens a function.
     /^[0-9a-f]+ <.*>:$/ {
         addr = $1; sub(/^0+/, "", addr)

@@ -35,7 +35,8 @@ fn basin_cfg(nx: usize, ny: usize, nz: usize) -> (ModelConfig, ModelOptions) {
 
 /// The vertical advection pass of both tracers `q`, in place, over the
 /// packed wet columns `cols` of row pitch `pi`: the first member of the
-/// model's tracer column pass, one column at a time, its wet rows stored.
+/// tracer chain of the model's new-level column pass, one column at a time,
+/// its wet rows stored.
 fn vertical_pass(az: &AdvectZ, q: [&View3<f64>; 2], cols: &[u32], pi: usize) {
     let mut scratch = vec![0.0; AdvectZ::scratch_words(az.nz)];
     let mut rows = vec![[0.0f64; 1]; 2 * az.nz];

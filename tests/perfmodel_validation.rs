@@ -87,8 +87,10 @@ fn both_settings_send_the_same_traffic() {
     // advection intermediate is a band whose exchange moves no east/west
     // strip: 3 ranks × 2 strips × 27 rows × H × 6 levels × 2 fields × 8 B
     // fewer (389 376 − 31 104); every peer still trades fold rows or
-    // corners, so no message goes.
-    assert_eq!((carried.0, carried.1), (168, 358_272));
+    // corners, so no message goes. The new level's u, v, T and S go in one
+    // exchange where two went: 27 exchanges a step, 6 messages and their
+    // 32 B frame headers fewer (168 − 6, 358 272 − 6·32).
+    assert_eq!((carried.0, carried.1), (162, 358_080));
 
     let plan = FaultPlan::new(21).rule(
         FaultRule::new(

@@ -60,10 +60,13 @@ fn four_spaces_trace_validly_and_send_the_same_literal_traffic() {
         // 2 708 − 2·12 messages, 5 300 032 − 2·33 024 B. η keeps two
         // levels, not three, so start-up exchanges 12 fields: one 2-D
         // exchange of 12 messages and 5 824 B fewer, 2 684 − 12 messages,
-        // 5 233 984 − 5 824 B.
+        // 5 233 984 − 5 824 B. The new level's u, v, T and S go in one
+        // exchange where two went (3 a step, not 4): 8 exchanges of 12
+        // messages fewer, each message's 32 B frame header with it,
+        // 2 672 − 96 messages, 5 228 160 − 96·32 B.
         assert_eq!(
             (traffic.p2p_messages, traffic.p2p_bytes, wet_cells[0]),
-            (2_672, 5_228_160, 2_522),
+            (2_576, 5_225_088, 2_522),
             "{name}: (p2p messages, p2p bytes, rank 0's wet cells)"
         );
 
