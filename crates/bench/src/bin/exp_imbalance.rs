@@ -70,7 +70,8 @@ fn main() {
                 .collect();
             (
                 m.comm().allgather(phases),
-                m.grid.wet.cells3_own.indices.len() as u64,
+                // Wet cells: Σ kmt over the owned wet columns.
+                m.grid.wet.cols_own.total_cost(),
             )
         });
         let report = ImbalanceReport::from_profiles(&results[0].0);

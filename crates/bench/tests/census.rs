@@ -7,10 +7,12 @@
 //! the tracer diffusion and the vertical advection pass once **per field**,
 //! and every step of the old level's and the new level's chains as a launch
 //! of its own. This repository runs each over a pair of fields and counts
-//! what the pair shares (coefficients, masks, `w`) once, reads the old
-//! level in one column pass that keeps density in work rows, and finishes
-//! the new level in one column pass that keeps the canuto coefficients in
-//! work rows and counts a field two members touch once. The checks
+//! what the pair shares (coefficients, masks, `w`) once, computes the
+//! momentum tendency in one pass over the velocity columns that keeps
+//! density and pressure in work rows and adds the wind stress and the depth
+//! mean on the way, and finishes the new level in one column pass that
+//! keeps the canuto coefficients in work rows and counts a field two
+//! members touch once. The checks
 //! below relate the two explicitly: a census row is the paired cost plus
 //! the shared part a second time, and a column pass is the sum of the rows
 //! it runs less what a launch of their own pays again.
@@ -49,27 +51,58 @@ fn v1i() -> View1<i32> {
     View::host("r", [8])
 }
 
+/// The wind stress as a launch of its own, per velocity column (the
+/// functor's declared cost before the momentum pass took it in): the corner
+/// latitude, the two stresses and the top level's read-modify-write.
+const WIND: (f64, f64) = (20.0, 48.0);
+
 #[test]
-fn momentum_census_matches_functor_cost() {
-    let f = licom::baroclinic::FunctorMomentumTend {
-        u_cur: v3(4),
-        v_cur: v3(4),
-        u_old: v3(4),
-        v_old: v3(4),
-        pressure: v3(4),
-        ut: v3(4),
-        vt: v3(4),
-        kmu: v2i(4),
-        fcor: v1(8),
-        dxt: v1(8),
-        dyt: 1.0e5,
-        dz: v1(4),
-        visc: 1.0e3,
-    };
+fn the_momentum_pass_is_its_census_rows_less_what_it_pays_once() {
     use kokkos_rs::FunctorList;
-    let c = f.cost();
-    let (flops, bytes) = census("momentum_tend");
-    assert_eq!((c.flops as f64, c.bytes as f64), (flops, bytes));
+    let nz = 4;
+    let f = licom::baroclinic::FunctorMomentumColumns {
+        tend: licom::baroclinic::MomentumTend {
+            u_cur: v3(nz),
+            v_cur: v3(nz),
+            u_old: v3(nz),
+            v_old: v3(nz),
+            kmu: v2i(nz as i32),
+            fcor: v1(8),
+            dxt: v1(8),
+            dyt: 1.0e5,
+            dz: v1(nz),
+            visc: 1.0e3,
+        },
+        ts: [v3(nz), v3(nz)],
+        kmt: v2i(nz as i32),
+        lat: v1(8),
+        out: [v3(nz), v3(nz)],
+        mean: [v2(), v2()],
+    }
+    .cost();
+    let rows = |names: &[&str]| sum(&names.iter().map(|n| census(n)).collect::<Vec<_>>());
+    let less = |a: (f64, f64), b: (f64, f64)| (a.0 - b.0, a.1 - b.1);
+    // Per level: the tendency less the four pressure loads it takes from
+    // work rows; the EOS and the pressure integral for each of the two T
+    // rows a run of corners integrates, less density's store and reload and
+    // the pressure's store; the depth mean, which as a launch of its own
+    // makes two products and three sums over the two tendencies it reloads
+    // and `dz` (5 flops, 24 B), on the tendency in register and the `dz`
+    // the tendency's drag reads.
+    let tend = less(rows(&["momentum_tend"]), (0.0, 32.0));
+    let old_level = less(rows(&["eos", "pressure"]), (0.0, 8.0 + 8.0 + 8.0));
+    const DEPTH_MEAN: (f64, f64) = (5.0, 24.0);
+    let per_level = sum(&[tend, old_level, old_level, less(DEPTH_MEAN, (0.0, 24.0))]);
+    // Per column: the wind less the top level's load and store (32 B), the
+    // means' two divides and their two stores.
+    let per_column = sum(&[less(WIND, (0.0, 32.0)), (2.0, 16.0)]);
+    assert_eq!(
+        (f.flops as f64, f.bytes as f64),
+        (
+            nz as f64 * per_level.0 + per_column.0,
+            nz as f64 * per_level.1 + per_column.1
+        )
+    );
 }
 
 /// The advection wavefront per interior cell, both tracers, and the x and
@@ -133,35 +166,6 @@ fn advection_census_is_the_horizontal_passes_and_a_vertical_pass_per_field() {
 /// update per tracer, the interface CFL each (30 flops); `q` in, `q1` out,
 /// the staged rows, `w` and the metrics each (80 bytes).
 const Z_PER_FIELD: (f64, f64) = (60.0, 160.0);
-
-/// The old level's column pass, per column of `nz` levels.
-fn old_level_pass(nz: usize) -> (f64, f64) {
-    use kokkos_rs::FunctorList;
-    let c = licom::columns::FunctorDensityColumns {
-        t: v3(nz),
-        s: v3(nz),
-        pressure: v3(nz),
-        dz: v1(nz),
-        kmt: v2i(nz as i32),
-        nz,
-    }
-    .cost();
-    (c.flops as f64, c.bytes as f64)
-}
-
-#[test]
-fn the_old_level_pass_is_its_census_rows_less_the_stored_density() {
-    let nz = 4;
-    let rows = |names: &[&str]| sum(&names.iter().map(|n| census(n)).collect::<Vec<_>>());
-    // Per level, what separate launches pay for density and the pass does
-    // not: its store by the EOS and its reload by the pressure integral.
-    const RHO: (f64, f64) = (0.0, 8.0);
-    let (f, b) = rows(&["eos", "pressure"]);
-    assert_eq!(
-        old_level_pass(nz),
-        (nz as f64 * f, nz as f64 * (b - 2.0 * RHO.1))
-    );
-}
 
 #[test]
 fn vmix_census_is_two_single_field_solves() {

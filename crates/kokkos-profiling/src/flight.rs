@@ -546,7 +546,7 @@ mod tests {
 
     #[test]
     fn trace_export_of_bundle_is_schema_valid() {
-        let h = name_hash("FunctorDensityColumns");
+        let h = name_hash("FunctorNewLevelColumns");
         let clock = LamportClock::default();
         let ring = FlightRing::new(0, 16);
         ring.record(&clock, FlightEventKind::KernelBegin, 1, h, 100);
@@ -554,13 +554,13 @@ mod tests {
         ring.record(&clock, FlightEventKind::HaloSend, 0x30001, 1, 64);
         ring.record(&clock, FlightEventKind::KernelBegin, 2, h, 100); // unclosed
         let events = snapshot_all(&[ring]);
-        let names: BTreeMap<u64, String> = [(h, "FunctorDensityColumns".to_string())].into();
+        let names: BTreeMap<u64, String> = [(h, "FunctorNewLevelColumns".to_string())].into();
         let trace = bundle_to_trace_events(&events, &names);
         let doc = crate::trace::render(&trace);
         let summary = json::validate_chrome_trace(&doc).unwrap();
         assert_eq!(summary.spans, 1);
         assert_eq!(summary.instants, 2);
-        assert!(doc.contains("FunctorDensityColumns"));
+        assert!(doc.contains("FunctorNewLevelColumns"));
     }
 
     #[test]
@@ -582,7 +582,7 @@ mod tests {
 
     #[test]
     fn name_hash_fits_48_bits() {
-        for name in ["FunctorDensityColumns", "FunctorBarotropic", "x"] {
+        for name in ["FunctorNewLevelColumns", "FunctorBarotropic", "x"] {
             assert!(name_hash(name) < (1 << 48));
         }
         assert_ne!(name_hash("a"), name_hash("b"));

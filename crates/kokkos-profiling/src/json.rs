@@ -558,7 +558,7 @@ mod tests {
     const BUNDLE: &str = r#"{"schema":"licomkpp-flight-v1","reason":"guard-trip","ranks":[0,1],
         "events":[{"t_ns":1,"lamport":1,"rank":0,"kind":"StepBegin","a":3,"b":0,"c":0},
                   {"t_ns":2,"lamport":2,"rank":1,"kind":"GuardTrip","a":3,"b":2,"c":0}],
-        "kernel_names":{"17":"FunctorDensityColumns"}}"#;
+        "kernel_names":{"17":"FunctorNewLevelColumns"}}"#;
 
     /// `parse` on the text and `read_bundle` on the raw bytes: each must
     /// come back (`Ok` or `Err`) inside the allowance.

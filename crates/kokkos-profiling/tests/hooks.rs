@@ -324,7 +324,7 @@ proptest! {
 fn golden_chrome_trace_document() {
     let events = vec![
         TraceEvent {
-            name: "FunctorDensityColumns".into(),
+            name: "FunctorNewLevelColumns".into(),
             cat: "kernel",
             ph: 'X',
             ts_ns: 1_500,
@@ -362,7 +362,7 @@ fn golden_chrome_trace_document() {
         r#"{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"thread 0"}},"#,
         r#"{"name":"thread_name","ph":"M","pid":1,"tid":1000000,"args":{"name":"comm"}},"#,
         r#"{"name":"thread_name","ph":"M","pid":1,"tid":1000001,"args":{"name":"counters"}},"#,
-        r#"{"name":"FunctorDensityColumns","cat":"kernel","ph":"X","ts":1.500,"dur":2.500,"pid":0,"tid":0,"args":{"work_items":42}},"#,
+        r#"{"name":"FunctorNewLevelColumns","cat":"kernel","ph":"X","ts":1.500,"dur":2.500,"pid":0,"tid":0,"args":{"work_items":42}},"#,
         r#"{"name":"send","cat":"comm","ph":"i","ts":3.000,"s":"t","pid":1,"tid":1000000,"args":{"bytes":1024}},"#,
         r#"{"name":"sw.dma_get_bytes","cat":"counter","ph":"C","ts":4.096,"pid":1,"tid":1000001,"args":{"value":12.5}}"#,
         r#"]}"#,

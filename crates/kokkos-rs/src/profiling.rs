@@ -203,7 +203,7 @@ fn current_hooks() -> Option<Arc<dyn ProfilingHooks>> {
 }
 
 /// Strip path and generic parameters from a type name:
-/// `licom::columns::FunctorDensityColumns` → `FunctorDensityColumns`.
+/// `licom::columns::FunctorNewLevelColumns` → `FunctorNewLevelColumns`.
 pub fn short_type_name(full: &'static str) -> &'static str {
     let no_generics = match full.find('<') {
         Some(p) => &full[..p],
@@ -400,8 +400,8 @@ mod tests {
     #[test]
     fn short_names_strip_paths_and_generics() {
         assert_eq!(
-            short_type_name("licom::columns::FunctorDensityColumns"),
-            "FunctorDensityColumns"
+            short_type_name("licom::columns::FunctorNewLevelColumns"),
+            "FunctorNewLevelColumns"
         );
         assert_eq!(short_type_name("FunctorAxpy"), "FunctorAxpy");
         assert_eq!(

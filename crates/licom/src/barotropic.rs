@@ -16,8 +16,7 @@
 //! zonal **polar filter** smooths the fast fields on the offending rows.
 
 use kokkos_rs::{
-    parallel_for_3d, Functor3D, FunctorList, FunctorTriple, IterCost, MDRangePolicy3, Space, View1,
-    View2, View3,
+    parallel_for_3d, Functor3D, FunctorTriple, IterCost, MDRangePolicy3, Space, View1, View2,
 };
 use ocean_grid::GRAVITY;
 
@@ -28,64 +27,6 @@ use crate::lanes::{self, row_functor, F64x, RowKernel};
 use crate::localgrid::LocalGrid;
 use crate::model::Poster;
 use crate::state::State;
-
-/// Depth-means of the two 3-D momentum tendencies at B-grid corners,
-/// weighted by layer thickness over the corner's active column:
-/// `(ut, vt) → (gu, gv)`, the tendencies read from the new velocity level
-/// the momentum kernel wrote them into. The column thickness `h` is summed once and
-/// serves both. Paired for the launch count and the simulated CG, not for
-/// host time: in the traced step it is ≈ 0.4 ms slower than two
-/// single-field launches (60 page streams instead of 30; EXPERIMENTS.md
-/// "Divide once").
-pub struct FunctorDepthMean {
-    pub tend: [View3<f64>; 2],
-    pub out: [View2<f64>; 2],
-    pub kmu: View2<i32>,
-    pub dz: View1<f64>,
-}
-
-impl FunctorDepthMean {
-    /// One corner at **padded** indices.
-    fn column(&self, jl: usize, il: usize) {
-        let kb = self.kmu.at(jl, il) as usize;
-        let (mut sum, mut h) = ([0.0; 2], 0.0);
-        for k in 0..kb {
-            let dz = self.dz.at(k);
-            for (sum, tend) in sum.iter_mut().zip(&self.tend) {
-                *sum += tend.at(k, jl, il) * dz;
-            }
-            h += dz;
-        }
-        for (sum, out) in sum.iter().zip(&self.out) {
-            out.set_at(jl, il, if kb == 0 { 0.0 } else { sum / h });
-        }
-    }
-}
-
-/// Entry `idx` is a packed owned wet velocity corner `jl·pi + il`
-/// (`kmu > 0`; `pi` is `kmu`'s row pitch). Dry corners keep the output's
-/// initial zero, and nothing else writes `out`. (The substep kernel
-/// [`FunctorBtSubstep`] deliberately stays dense: the zonal polar filter
-/// and the Asselin filter write land cells unmasked, so their land zeros
-/// are real state the next substep's stencils read.)
-impl FunctorList for FunctorDepthMean {
-    fn operator(&self, _n: usize, idx: u32) {
-        let pi = self.kmu.extent(1);
-        self.column(idx as usize / pi, idx as usize % pi);
-    }
-
-    /// Per corner, both components: a multiply-add per level and component
-    /// plus the shared thickness sum; two tendency columns read, `dz` and
-    /// `kmu` once (a single-field mean is 60 flops over 500 bytes).
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 100,
-            bytes: 750,
-        }
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_depth_mean, FunctorDepthMean);
 
 /// One leapfrog continuity substep:
 /// `η_new = η_old − dt2 · ∇·(H u_bt) / area` on T cells.
@@ -397,7 +338,6 @@ fn batch(f: [&View2<f64>; 3]) -> [(&View2<f64>, FoldKind); 3] {
 
 /// Register this module's functors.
 pub fn register() {
-    kernel_depth_mean();
     kernel_bt_substep();
     kernel_zonal_filter();
     kernel_copy_2d();
@@ -638,7 +578,7 @@ pub fn integrate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kokkos_rs::{View, View3};
+    use kokkos_rs::View;
 
     fn views2(n: usize) -> (usize, usize) {
         (n + 2 * H, n + 2 * H)
@@ -761,30 +701,6 @@ mod tests {
         }
         // ...and leaves unflagged rows untouched.
         assert_eq!(dst.at(H + 2, H + 3), 5.0);
-    }
-
-    #[test]
-    fn depth_mean_weights_by_thickness() {
-        let (pj, pi) = views2(2);
-        let nz = 3;
-        let tend: View3<f64> = View::host("t", [nz, pj, pi]);
-        let f = FunctorDepthMean {
-            tend: [tend.clone(), View::host("t2", [nz, pj, pi])],
-            out: [View::host("o", [pj, pi]), View::host("o2", [pj, pi])],
-            kmu: View::host("k", [pj, pi]),
-            dz: View::host("dz", [nz]),
-        };
-        f.kmu.fill(3);
-        f.dz.set_at(0, 10.0);
-        f.dz.set_at(1, 20.0);
-        f.dz.set_at(2, 70.0);
-        tend.set_at(0, H, H, 1.0);
-        tend.set_at(1, H, H, 2.0);
-        tend.set_at(2, H, H, 3.0);
-        f.operator(0, (H * pi + H) as u32);
-        let want = (10.0 + 40.0 + 210.0) / 100.0;
-        assert!((f.out[0].at(H, H) - want).abs() < 1e-12);
-        assert_eq!(f.out[1].at(H, H), 0.0);
     }
 
     #[test]

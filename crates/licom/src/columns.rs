@@ -1,18 +1,9 @@
-//! The column passes: the old level read once, the new level finished once.
+//! The column pass that finishes the new level.
 //!
-//! What a step needs of the old level before the momentum tendency is
-//! column-local: density from `T` / `S` and the hydrostatic pressure
-//! integral of it. That chain is one kernel whose density lives only in
-//! the block's work rows:
-//!
-//! * [`FunctorDensityColumns`] over `cols` (`kmt > 0`, owned) and over
-//!   `cols_halo` (the wet halo columns whose pressure the momentum stencil
-//!   reads: the row north of the block and the column east of it).
-//!
-//! Once the momentum tendency, the barotropic window and the horizontal
-//! advection passes are done, what is left of the new level is
-//! column-local, and it is one kernel over the owned wet T columns,
-//! [`FunctorNewLevelColumns`] over `cols`. A block of columns runs three
+//! Once the momentum pass ([`crate::baroclinic::FunctorMomentumColumns`]),
+//! the barotropic window and the horizontal advection passes are done, what
+//! is left of the new level is column-local, and it is one kernel over the
+//! owned wet T columns, [`FunctorNewLevelColumns`] over `cols`. A block of columns runs three
 //! chains, each in its own order of operations:
 //!
 //! 1. the canuto closure ([`CanutoFields::closure`]) on the current level,
@@ -47,19 +38,19 @@
 //! order, so a chain split out as a launch of its own would leave the same
 //! bits. The velocity chain stores wet cells only: the owned dry velocity
 //! cells (land columns, levels `≥ kmu`) must hold `+0` in every level,
-//! which they do because the state starts so, the Asselin filter of three
-//! `+0` is `+0`, and a checkpoint holds what it saved
+//! which they do because the state starts so, the momentum pass stores
+//! `+0` on a block's dry lanes, the Asselin filter of three `+0` is `+0`,
+//! and a checkpoint holds what it saved
 //! (`tests/dry_velocity.rs`).
 //!
-//! Both bodies are [`ColumnKernel`]s, generic over the number `W` of
-//! adjacent columns they run together: the wet-list launch walks each run
+//! The body is a [`ColumnKernel`], generic over the number `W` of
+//! adjacent columns it runs together: the wet-list launch walks each run
 //! of wet columns down the ladder of [`crate::lanes`] and the per-entry
 //! `operator` is `W = 1`. A block's work rows are its functor's local
 //! arrays (the §V-C2 "local arrays within the functor" strategy); those of
 //! a full-depth column fit a quarter of a CPE's LDM.
 
 use kokkos_rs::{FunctorList, IterCost, View1, View2, View3};
-use ocean_grid::GRAVITY;
 
 use crate::advect::AdvectZ;
 use crate::canuto::CanutoFields;
@@ -68,86 +59,6 @@ use crate::forcing::SurfaceRestore;
 use crate::guard;
 use crate::lanes::{self, above, ColumnKernel, F64x, Isa};
 use crate::vmix::{work_words, VerticalSolve};
-
-/// The old-level chain: density from `T` / `S` into work rows, then the
-/// hydrostatic pressure integral of them (stored).
-pub struct FunctorDensityColumns {
-    /// `T` and `S` at the current level.
-    pub t: View3<f64>,
-    pub s: View3<f64>,
-    /// Written: every level of each column, held constant below its bottom.
-    pub pressure: View3<f64>,
-    pub dz: View1<f64>,
-    pub kmt: View2<i32>,
-    pub nz: usize,
-}
-
-impl FunctorDensityColumns {
-    /// The census rows of its members per level — the EOS (6 flops, 24 B)
-    /// and the pressure integral (5, 24) — less what launches of their own
-    /// pay again: the store of density and the integral's reload of it (8 B
-    /// each).
-    fn footprint(&self) -> IterCost {
-        let nz = self.nz as u64;
-        IterCost {
-            flops: (6 + 5) * nz,
-            bytes: (24 + 24 - 2 * 8) * nz,
-        }
-    }
-}
-
-impl ColumnKernel for FunctorDensityColumns {
-    /// The density rows.
-    fn scratch_words(&self) -> usize {
-        self.nz
-    }
-
-    /// The columns `(jl, il..il + W)` at **padded** indices: pressure is
-    /// integrated down to each lane's bottom and held constant below it.
-    #[inline(always)]
-    fn block<const W: usize>(&self, jl: usize, il: usize, scratch: &mut [f64]) {
-        let (kb, kmax) = lanes::depths::<W>(&self.kmt, jl, il);
-        let rho = lanes::rows::<W>(scratch, kmax);
-        let mut p = F64x::<W>::splat(0.0);
-        let mut prev_rho_dz = F64x::<W>::splat(0.0);
-        for (k, row) in rho.iter_mut().enumerate() {
-            let r = eos::density(
-                F64x::load(&self.t, k, jl, il),
-                F64x::load(&self.s, k, jl, il),
-            );
-            *row = r.0;
-            let rdz = r * self.dz.at(k);
-            p = above(k, &kb).select(p + GRAVITY * 0.5 * (prev_rho_dz + rdz), p);
-            p.store(&self.pressure, k, jl, il);
-            prev_rho_dz = rdz;
-        }
-        for k in kmax..self.nz {
-            p.store(&self.pressure, k, jl, il);
-        }
-    }
-}
-
-/// Entry `idx` is a packed wet column `jl · pi + il` (`pi` is `kmt`'s row
-/// pitch). Dry columns are not visited: their pressure stays the zero it
-/// was allocated with, the integral over no water.
-impl FunctorList for FunctorDensityColumns {
-    fn operator(&self, _n: usize, idx: u32) {
-        lanes::run_column(self, self.kmt.extent(1), idx);
-    }
-
-    /// Out of line, once a tile, so `scripts/check_isa_clone.sh` can follow
-    /// the pass into its AVX2 clone.
-    #[inline(never)]
-    fn operator_span(&self, _n0: usize, entries: &[u32]) {
-        lanes::run_span(Isa::detect(), self, self.kmt.extent(1), entries);
-    }
-
-    fn cost(&self) -> IterCost {
-        self.footprint()
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_density_columns, FunctorDensityColumns);
 
 /// The velocity chain: `new = old + dt2 · tend`, implicit friction on
 /// `km` / `kmu` over `dt2`, then each wet column's thickness-weighted mean
@@ -508,7 +419,6 @@ kokkos_rs::register_for_list!(kernel_new_level_columns, FunctorNewLevelColumns);
 
 /// Register this module's functors.
 pub fn register() {
-    kernel_density_columns();
     kernel_new_level_columns();
 }
 
@@ -645,34 +555,15 @@ mod tests {
     }
 
     /// Reference water (`T_REF`, `S_REF`) 10 m a level in one column of
-    /// `kmt` wet levels: the old-level pass's pressure, and the closure's
-    /// `km` on every interface.
+    /// `kmt` wet levels: the closure's `km` on every interface.
     #[test]
-    fn the_old_level_pass_integrates_pressure_and_the_closure_closes_the_column() {
-        use crate::constants::{KM_BACKGROUND, S_REF, T_REF};
+    fn the_closure_closes_a_still_column() {
+        use crate::constants::KM_BACKGROUND;
         use ocean_grid::RHO0;
         let (nz, kmt) = (6, 4);
         let (d3, mask, _) = block(nz);
         mask.set_at(H, H, kmt);
         let col = (H * d3[2] + H) as u32;
-        let f = FunctorDensityColumns {
-            t: View::from_fn("t", d3, |_| T_REF),
-            s: View::from_fn("s", d3, |_| S_REF),
-            pressure: View::host("p", d3),
-            dz: View::from_fn("dz", [nz], |_| 10.0),
-            kmt: mask.clone(),
-            nz,
-        };
-        FunctorList::operator(&f, 0, col);
-        let p = &f.pressure;
-        let want = GRAVITY * RHO0 * 5.0;
-        assert!((p.at(0, H, H) - want).abs() / want < 1e-12);
-        for k in 1..kmt as usize {
-            assert!(p.at(k, H, H) > p.at(k - 1, H, H), "level {k}");
-        }
-        for k in kmt as usize..nz {
-            assert_eq!(p.at(k, H, H), p.at(kmt as usize - 1, H, H), "level {k}");
-        }
         // Still, unstratified water: no shear, no N², neutral closure above
         // the bottom and background on and below it.
         let closure = CanutoFields {
@@ -692,23 +583,14 @@ mod tests {
         }
     }
 
-    /// The §V-C2 evidence for the list launch: a column pass keeps a
+    /// The §V-C2 evidence for the list launch: the column pass keeps a
     /// block's levels in its work rows, the functor's local arrays, from
-    /// its first member to its last. At the deepest supported column the
-    /// work rows of both passes at `W = 1` fit the ¼-LDM stream budget of a
-    /// CPE.
+    /// its first member to its last. At the deepest supported column its
+    /// work rows at `W = 1` fit the ¼-LDM stream budget of a CPE.
     #[test]
     fn a_full_depth_column_fits_a_quarter_of_ldm() {
         let nz = lanes::MAX_NZ;
         let (d3, kmt, dz) = block(nz);
-        let old_level = FunctorDensityColumns {
-            t: View::host("t", d3),
-            s: View::host("s", d3),
-            pressure: View::host("p", d3),
-            dz: dz.clone(),
-            kmt: kmt.clone(),
-            nz,
-        };
         let solve = || VerticalSolve {
             mask: kmt.clone(),
             dz: dz.clone(),
@@ -763,14 +645,9 @@ mod tests {
                 excess: View::host("excess", d2),
             },
         };
-        assert_eq!(old_level.scratch_words(), nz);
         // The two coefficient rows and the tracer chain's rows.
-        assert_eq!(
-            new_level.scratch_words(),
-            2 * (nz + 1) + 2 * nz + AdvectZ::scratch_words(nz)
-        );
-        for words in [old_level.scratch_words(), new_level.scratch_words()] {
-            assert!(words * 8 <= 256 * 1024 / 4, "{words} words");
-        }
+        let words = new_level.scratch_words();
+        assert_eq!(words, 2 * (nz + 1) + 2 * nz + AdvectZ::scratch_words(nz));
+        assert!(words * 8 <= 256 * 1024 / 4, "{words} words");
     }
 }

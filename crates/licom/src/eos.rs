@@ -4,10 +4,11 @@
 //! `ρ = ρ0 (1 − α(T−T0) + β(S−S0))`, which preserves what the dynamics
 //! need — buoyancy gradients driven by temperature and salinity — without
 //! the 25-term UNESCO polynomial (a fidelity, not performance, detail).
-//! Density is no stored field: the old level's column pass
-//! ([`crate::columns::FunctorDensityColumns`]) computes it into work rows
-//! and integrates the hydrostatic pressure from them, and the new level's
-//! column pass ([`crate::columns::FunctorNewLevelColumns`]) computes it
+//! Density is no stored field, nor is the hydrostatic pressure integrated
+//! from it: the momentum pass
+//! ([`crate::baroclinic::FunctorMomentumColumns`]) works out both for its
+//! corners' T cells one level at a time in work rows, and the new level's
+//! column pass ([`crate::columns::FunctorNewLevelColumns`]) computes density
 //! into work rows again for the canuto closure.
 
 use ocean_grid::RHO0;

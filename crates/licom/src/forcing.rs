@@ -9,14 +9,14 @@
 //! boundary currents and fronts, which is what the submesoscale
 //! diagnostics (Fig. 6) feed on.
 
-use kokkos_rs::{FunctorList, IterCost, View1, View2, View3};
-
-use ocean_grid::RHO0;
+use kokkos_rs::View1;
 
 use crate::lanes::{F64x, Mask};
 
 /// Zonal wind stress (N/m²) as a function of latitude: trades/westerlies
-/// pattern peaking at ±0.1 N/m².
+/// pattern peaking at ±0.1 N/m². The momentum pass adds `τ / (ρ0 dz0)` to
+/// the top level's tendency at each wet corner
+/// ([`crate::baroclinic::FunctorMomentumColumns`]).
 pub fn wind_stress_x(lat_deg: f64) -> f64 {
     let phi = lat_deg.to_radians();
     // Classic double-gyre-like profile extended globally.
@@ -41,51 +41,6 @@ pub fn sss_target(lat_deg: f64) -> f64 {
 /// Restoring timescale for surface tracers, seconds (30 days).
 pub const RESTORE_SECONDS: f64 = 30.0 * 86_400.0;
 
-/// Add wind-stress acceleration to the top-layer momentum tendency at
-/// B-grid corners: `du/dt += τx / (ρ0 dz0)`. `ut` / `vt` are the tendency
-/// the momentum kernel left in the new velocity level.
-pub struct FunctorWindStress {
-    pub ut: View3<f64>,
-    pub vt: View3<f64>,
-    pub lat: View1<f64>,
-    pub kmu: View2<i32>,
-    pub dz0: f64,
-}
-
-impl FunctorWindStress {
-    /// One corner at **padded** indices.
-    fn column(&self, jl: usize, il: usize) {
-        if self.kmu.at(jl, il) == 0 {
-            return;
-        }
-        // Corner latitude ≈ midpoint of adjacent rows.
-        let lat = 0.5 * (self.lat.at(jl) + self.lat.at(jl + 1));
-        let fac = 1.0 / (RHO0 * self.dz0);
-        self.ut
-            .set_at(0, jl, il, self.ut.at(0, jl, il) + wind_stress_x(lat) * fac);
-        self.vt
-            .set_at(0, jl, il, self.vt.at(0, jl, il) + wind_stress_y(lat) * fac);
-    }
-}
-
-/// Entry `idx` is a packed owned wet velocity corner `jl·pi + il` (`pi` is
-/// `kmu`'s row pitch).
-impl FunctorList for FunctorWindStress {
-    fn operator(&self, _n: usize, idx: u32) {
-        let pi = self.kmu.extent(1);
-        self.column(idx as usize / pi, idx as usize % pi);
-    }
-
-    fn cost(&self) -> IterCost {
-        IterCost {
-            flops: 20,
-            bytes: 48,
-        }
-    }
-}
-
-kokkos_rs::register_for_list!(kernel_wind_stress, FunctorWindStress);
-
 /// Restoring of the new-level surface tracers toward the climatological
 /// target with timescale [`RESTORE_SECONDS`]. Not a launch of its own: the
 /// last member of the tracer chain of the new level's column pass
@@ -109,11 +64,6 @@ impl SurfaceRestore {
             wet.select(s + gamma * (sss_target(lat) - s), s),
         ]
     }
-}
-
-/// Register this module's functors.
-pub fn register() {
-    kernel_wind_stress();
 }
 
 #[cfg(test)]

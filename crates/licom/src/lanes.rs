@@ -33,12 +33,11 @@
 //! row, [`run_tile`] walks an MDRange policy tile with it
 //! (`lane_blocks!` is the ladder itself, for bodies that stage through
 //! scratch between two sweeps of a row), and the
-//! per-point `operator` is the `W = 1` instantiation. The stencil that runs
-//! over packed wet cells (momentum tendency) is a [`RowKernel`] at padded
-//! indices — its wet-list span ([`run_cells`]) walks its runs in the same
-//! blocks — and takes its free-slip neighbours from
-//! [`wet_around`] / [`free_slip`], as the tracer pass's diffusion does per
-//! level of a column block.
+//! per-point `operator` is the `W = 1` instantiation. The momentum pass
+//! walks its list tile level by level, each run of velocity columns in
+//! [`lane_blocks!`] at every level, and its tendency takes its free-slip
+//! neighbours from [`wet_around`] / [`free_slip`], as the tracer pass's
+//! diffusion does per level of a column block.
 //! `LANES` is a constant, not an option; how many of those lanes a register
 //! holds is the host's business ([`Isa`]).
 
@@ -562,10 +561,10 @@ pub fn run_column<K: ColumnKernel>(kernel: &K, pi: usize, packed: u32) {
 }
 
 /// A horizontal kernel written once: `block::<W>` updates the `W` points
-/// `(k, j, i..i + W)` (a 2-D kernel ignores `k`), in whichever coordinates
-/// its walker hands it — policy ones from [`run_tile`], padded ones from
-/// [`run_cells`]. Points of a row are independent, so a block reads whatever
-/// neighbours the per-point body reads and writes only its own `W` outputs.
+/// `(k, j, i..i + W)` (a 2-D kernel ignores `k`) in the policy coordinates
+/// [`run_tile`] hands it. Points of a row are independent, so a block reads
+/// whatever neighbours the per-point body reads and writes only its own `W`
+/// outputs.
 pub trait RowKernel {
     fn block<const W: usize>(&self, k: usize, j: usize, i: usize);
 }
@@ -599,22 +598,6 @@ pub fn run_tile<K: RowKernel>(isa: Isa, kernel: &K, bounds: [(usize, usize); 3])
                 for j in j0..j1 {
                     lane_blocks!(d, W in i1 - i0 => kernel.block::<W>(k, j, i0 + d));
                 }
-            }
-        },
-    );
-}
-
-/// Run `kernel` over one list tile of packed cells `(k · pj + jl) · pi + il`
-/// at **padded** indices: `(k, jl, il)` decoded once per run of cells
-/// adjacent in `i`, each run in blocks.
-#[inline]
-pub fn run_cells<K: RowKernel>(isa: Isa, kernel: &K, pj: usize, pi: usize, entries: &[u32]) {
-    isa.run(
-        kernel,
-        #[inline(always)]
-        |kernel| {
-            for (row, il, len) in runs(entries, pi) {
-                lane_blocks!(d, W in len => kernel.block::<W>(row / pj, row % pj, il + d));
             }
         },
     );
@@ -687,13 +670,9 @@ mod tests {
                 run_tile(Isa::detect(), &log, [(0, 1), (0, 1), (start, start + len)]);
                 let tile: Vec<_> = log.0.borrow().iter().map(|&(w, _, _, i)| (w, i)).collect();
                 assert_ladder(&tile, start, len);
-                // The same run as a wet list, of cells and of columns.
+                // The same run as a wet list of columns.
                 let pi = 2 * LANES + len + 1;
                 let entries: Vec<u32> = (start..start + len).map(|i| (pi + i) as u32).collect();
-                log.0.borrow_mut().clear();
-                run_cells(Isa::detect(), &log, 3, pi, &entries);
-                let cells: Vec<_> = log.0.borrow().iter().map(|&(w, _, _, i)| (w, i)).collect();
-                assert_eq!(cells, tile, "run_cells walks the run as run_tile does");
                 let spans = RefCell::new(Vec::new());
                 run_span(Isa::detect(), &Count(&spans), pi, &entries);
                 let span: Vec<_> = (spans.borrow().iter())
@@ -721,27 +700,25 @@ mod tests {
                     (gap..gap + len).chain([2 * gap + len]).map(move |i| (j * pi + i) as u32)
                 })
                 .collect();
-            let log = Log(RefCell::new(Vec::new()));
-            run_cells(Isa::detect(), &log, usize::MAX, pi, &entries);
-            let cells = log.0.into_inner();
+            let spans = RefCell::new(Vec::new());
+            run_span(Isa::detect(), &Count(&spans), pi, &entries);
+            let spans = spans.into_inner();
+            let blocks: Vec<_> = spans.iter().copied().filter(|&(w, _, _)| w > 0).collect();
             for (j, &(len, gap)) in rows.iter().enumerate() {
-                let row: Vec<_> = (cells.iter())
-                    .filter(|b| b.2 == j)
-                    .map(|&(w, _, _, i)| (w, i))
+                let row: Vec<_> = (blocks.iter())
+                    .filter(|b| b.1 == j)
+                    .map(|&(w, _, i)| (w, i))
                     .collect();
                 let (run, lone) = row.split_at(row.len() - 1);
                 assert_ladder(run, gap, len);
                 proptest::prop_assert_eq!(lone, &[(1, 2 * gap + len)]);
             }
-            let spans = RefCell::new(Vec::new());
-            run_span(Isa::detect(), &Count(&spans), pi, &entries);
-            let blocks: Vec<_> = cells.iter().map(|&(w, _, j, i)| (w, j, i)).collect();
             let mut want = Vec::new();
             for (n, &block) in blocks.iter().enumerate() {
                 want.extend(blocks.get(n + 1).map(|&(_, j, i)| (0, j, i)));
                 want.push(block);
             }
-            proptest::prop_assert_eq!(spans.into_inner(), want);
+            proptest::prop_assert_eq!(spans, want);
         }
     }
 

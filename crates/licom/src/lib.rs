@@ -82,7 +82,6 @@ pub fn register_all_kernels() {
     barotropic::register();
     advect::register();
     columns::register();
-    forcing::register();
     diag::register();
     guard::register();
 }

@@ -11,31 +11,21 @@ use ocean_grid::{ActiveSet, ActiveSet3, GlobalGrid};
 
 use halo_exchange::{Halo2D, HALO as H};
 
-/// Packed wet-point index sets, built once per rank from `kmt`/`kmu` and
-/// shared (via `Arc`) with every `ListPolicy` launch. The split between
-/// owned and halo sets follows what each kernel needs: pressure must cover
-/// halo columns (the momentum gradient reads them), while everything else
-/// touches owned cells only.
+/// Packed wet-point index sets of the owned block, built once per rank
+/// from `kmt`/`kmu` and shared (via `Arc`) with every `ListPolicy` launch.
+/// Every masked kernel touches owned cells only: what the momentum pass
+/// reads of the halo (the `T` / `S` of the row north of the block and the
+/// column east of it, its corners' pressure) it reads from inside an owned
+/// column's walk.
 pub struct WetSets {
     /// Owned-interior wet tracer columns (`kmt > 0`), packed
     /// `jl * pi + il`; cost = wet levels.
     pub cols_own: ActiveSet,
-    /// The wet tracer columns of the halo that the momentum stencil reads
-    /// pressure at: a velocity corner `(jl, il)` takes it from the T cells
-    /// `(jl..=jl + 1, il..=il + 1)`, so the row north of the block and the
-    /// column east of it (their corner included); cost = wet levels.
-    pub cols_halo: ActiveSet,
     /// Owned-interior wet velocity columns (`kmu > 0`); cost = wet levels.
     pub ucols_own: ActiveSet,
-    /// Owned-interior 3-D wet tracer cells.
+    /// Owned-interior 3-D wet tracer cells. No kernel iterates them:
+    /// `licom_bench` counts the wet cells of a rank with them.
     pub cells3_own: ActiveSet3,
-    /// Owned-interior 3-D wet velocity cells (`k < kmu`), split into
-    /// (interior, rim) with a 1-cell horizontal rim: the interior depends
-    /// only on locally-valid halo data, so a kernel can run it while an
-    /// exchange is still in flight and sweep the rim after. Interior ∪ rim
-    /// is every owned wet velocity cell exactly.
-    pub ucells3_own_interior: ActiveSet3,
-    pub ucells3_own_rim: ActiveSet3,
 }
 
 impl WetSets {
@@ -46,17 +36,10 @@ impl WetSets {
         let (rows, cols) = (H..pj - H, H..pi - H);
         let kmt_at = |jl: usize, il: usize| kmt.at(jl, il).max(0) as u32;
         let kmu_at = |jl: usize, il: usize| kmu.at(jl, il).max(0) as u32;
-        let (ucells3_own_interior, ucells3_own_rim) =
-            ActiveSet3::build_cells_split(nz, pj, pi, rows.clone(), cols.clone(), 1, kmu_at);
-        let owned = |jl: usize, il: usize| rows.contains(&jl) && cols.contains(&il);
-        let halo_at = |jl, il| if owned(jl, il) { 0 } else { kmt_at(jl, il) };
         Self {
             cols_own: ActiveSet::build_columns(pi, rows.clone(), cols.clone(), kmt_at),
-            cols_halo: ActiveSet::build_columns(pi, H..pj - H + 1, H..pi - H + 1, halo_at),
             ucols_own: ActiveSet::build_columns(pi, rows.clone(), cols.clone(), kmu_at),
-            cells3_own: ActiveSet3::build_cells(nz, pj, pi, rows.clone(), cols.clone(), kmt_at),
-            ucells3_own_interior,
-            ucells3_own_rim,
+            cells3_own: ActiveSet3::build_cells(nz, pj, pi, rows, cols, kmt_at),
         }
     }
 }
@@ -280,20 +263,13 @@ mod tests {
 
     type Block = (Range<usize>, Range<usize>);
 
-    /// The packed columns of `block` with `mask > 0` where `keep(jl, il)`,
-    /// in row-major scan order, and the running wet depth.
-    fn support2(
-        mask: &View2<i32>,
-        (rows, cols): Block,
-        keep: impl Fn(usize, usize) -> bool,
-    ) -> (Vec<u32>, Vec<u64>) {
+    /// The packed columns of `block` with `mask > 0`, in row-major scan
+    /// order, and the running wet depth.
+    fn support2(mask: &View2<i32>, (rows, cols): Block) -> (Vec<u32>, Vec<u64>) {
         let pi = mask.extent(1);
         let (mut idx, mut prefix) = (Vec::new(), vec![0u64]);
         for jl in rows {
-            for il in cols
-                .clone()
-                .filter(|&il| mask.at(jl, il) > 0 && keep(jl, il))
-            {
+            for il in cols.clone().filter(|&il| mask.at(jl, il) > 0) {
                 idx.push((jl * pi + il) as u32);
                 prefix.push(prefix[idx.len() - 1] + mask.at(jl, il) as u64);
             }
@@ -301,20 +277,15 @@ mod tests {
         (idx, prefix)
     }
 
-    /// The packed cells `k < mask` of `block` where `keep(jl, il)`,
-    /// level-major, and the offset at which each level starts.
-    fn support3(
-        nz: usize,
-        mask: &View2<i32>,
-        (rows, cols): Block,
-        keep: impl Fn(usize, usize) -> bool,
-    ) -> (Vec<u32>, Vec<usize>) {
+    /// The packed cells `k < mask` of `block`, level-major, and the offset
+    /// at which each level starts.
+    fn support3(nz: usize, mask: &View2<i32>, (rows, cols): Block) -> (Vec<u32>, Vec<usize>) {
         let [pj, pi] = mask.dims();
         let (mut idx, mut offsets) = (Vec::new(), vec![0]);
         for k in 0..nz {
             for jl in rows.clone() {
                 for il in cols.clone() {
-                    if (k as i32) < mask.at(jl, il) && keep(jl, il) {
+                    if (k as i32) < mask.at(jl, il) {
                         idx.push(((k * pj + jl) * pi + il) as u32);
                     }
                 }
@@ -329,46 +300,20 @@ mod tests {
         let [pj, pi] = kmt.dims();
         let owned: Block = (H..pj - H, H..pi - H);
         let w = WetSets::build(nz, kmt, kmu);
-        let inside = |jl: usize, il: usize| {
-            (H + 1..pj - H - 1).contains(&jl) && (H + 1..pi - H - 1).contains(&il)
-        };
-        let owned_at = |jl: usize, il: usize| owned.0.contains(&jl) && owned.1.contains(&il);
-        // The owned block grown by one row north and one column east.
-        let north_east: Block = (H..pj - H + 1, H..pi - H + 1);
-        type Keep<'a> = &'a dyn Fn(usize, usize) -> bool;
-        let (all, inner, rim, halo): (Keep, Keep, Keep, Keep) = (
-            &|_, _| true,
-            &inside,
-            &|jl, il| !inside(jl, il),
-            &|jl, il| !owned_at(jl, il),
-        );
-        for (name, set, mask, block, keep) in [
-            ("cols_own", &w.cols_own, kmt, &owned, all),
-            ("cols_halo", &w.cols_halo, kmt, &north_east, halo),
-            ("ucols_own", &w.ucols_own, kmu, &owned, all),
+        for (name, set, mask) in [
+            ("cols_own", &w.cols_own, kmt),
+            ("ucols_own", &w.ucols_own, kmu),
         ] {
-            let (idx, prefix) = support2(mask, block.clone(), keep);
+            let (idx, prefix) = support2(mask, owned.clone());
             prop_assert!(**set.indices == idx, "{name}");
             prop_assert!(**set.cost_prefix == prefix, "{name}: cost_prefix");
             // Row-major scan order is packed order: sorted, no repeats.
             prop_assert!(set.indices.windows(2).all(|p| p[0] < p[1]), "{name}: order");
         }
-        let (u_in, u_rim) = (&w.ucells3_own_interior, &w.ucells3_own_rim);
-        for (name, set, mask, block, keep) in [
-            ("cells3_own", &w.cells3_own, kmt, &owned, all),
-            ("ucells3_own_interior", u_in, kmu, &owned, inner),
-            ("ucells3_own_rim", u_rim, kmu, &owned, rim),
-        ] {
-            let (idx, offsets) = support3(nz, mask, block.clone(), keep);
-            prop_assert!(**set.indices == idx, "{name}");
-            prop_assert!(set.level_offsets == offsets, "{name}: level_offsets");
-            prop_assert!(set.indices.windows(2).all(|p| p[0] < p[1]), "{name}: order");
-        }
-        let mut merged = [&**u_in.indices, &**u_rim.indices].concat();
-        merged.sort_unstable();
-        // Equal to a duplicate-free list: a union, and a disjoint one.
-        let (whole, _) = support3(nz, kmu, owned, all);
-        prop_assert!(merged == whole, "interior ∪ rim is not the whole");
+        let (idx, offsets) = support3(nz, kmt, owned);
+        let cells = &w.cells3_own;
+        prop_assert!(**cells.indices == idx, "cells3_own");
+        prop_assert!(cells.level_offsets == offsets, "cells3_own: level_offsets");
         Ok(())
     }
 

@@ -1,31 +1,31 @@
 //! The LICOMK++ model driver: one object per rank, stepping the full
 //! split-explicit system on a runtime-selected execution space.
 //!
-//! The per-step sequence — [`PHASES`], the nine rows [`Model::try_step`]
+//! The per-step sequence — [`PHASES`], the eight rows [`Model::try_step`]
 //! walks — mirrors LICOM:
 //!
-//! 1. the old level's column pass (`eos`): density and the baroclinic
-//!    hydrostatic pressure from one read of each owned wet column and of
-//!    the halo columns whose pressure the momentum stencil reads;
-//! 2. 3-D momentum tendency + wind stress (`momentum`);
-//! 3. split-explicit barotropic window with per-substep 2-D halo updates
-//!    and polar filtering (`barotropic`);
-//! 4. the horizontal passes of the two-step shape-preserving tracer
+//! 1. the momentum pass (`momentum`): per owned wet velocity column, the
+//!    baroclinic hydrostatic pressure of its corners integrated level by
+//!    level from `T` / `S` into work rows, the 3-D momentum tendency and the
+//!    wind stress on it, and the tendency's depth mean;
+//! 2. split-explicit barotropic window forced by that mean, with
+//!    per-substep 2-D halo updates and polar filtering (`barotropic`);
+//! 3. the horizontal passes of the two-step shape-preserving tracer
 //!    advection with a mid-pass halo update (`advection_tracer`);
-//! 5. the new level's column pass (`vmix_tracer`): the *canuto* mixing
+//! 4. the new level's column pass (`vmix_tracer`): the *canuto* mixing
 //!    coefficients into work rows, the velocity chain (leapfrog momentum
 //!    update, implicit vertical friction, barotropic mode correction) and
 //!    the tracer chain (vertical advection, horizontal diffusion, implicit
 //!    vertical mixing, surface restoring), then one 3-D halo update of the
 //!    new velocities and tracers;
-//! 6. the Asselin filter and its halo update (`asselin`), both exchanges
+//! 5. the Asselin filter and its halo update (`asselin`), both exchanges
 //!    landed (`halo_drain`), then the physics guard and the step's
 //!    accounting (`guard`, `telemetry`).
 //!
 //! Every masked kernel iterates a packed wet list ([`WetPolicies`]); the
-//! column passes ([`crate::columns`]) read the old level once and finish
-//! the new level in one launch, leaving the physics guard its per-column
-//! maxima. The
+//! momentum pass reads the old level's columns once and the column pass
+//! ([`crate::columns`]) finishes the new level in one launch, leaving the
+//! physics guard its per-column maxima. The
 //! kernels that stay dense do so because their land writes are semantic:
 //! the Asselin stream, the advection x/y passes, the barotropic substep
 //! kernels and the polar filter.
@@ -39,6 +39,7 @@ use ocean_grid::{Bathymetry, GlobalGrid, ModelConfig, GRAVITY};
 
 use halo_exchange::{FoldKind, Halo2D, Halo3D, HaloError, IntegrityConfig, Strategy3D};
 
+use crate::baroclinic::FunctorMomentumColumns;
 use crate::diag::{self, Diagnostics};
 use crate::guard::{ColumnMaxima, GuardConfig, GuardViolation};
 use crate::localgrid::LocalGrid;
@@ -60,11 +61,11 @@ pub struct ModelOptions {
     pub limiter: bool,
     /// Where a posted halo exchange is finished. The step has one
     /// schedule ([`PHASES`]): every exchange is one batched split-phase
-    /// message set, and the stencil kernels launch interior then rim around
-    /// it. `true` keeps the exchange in flight under the kernels between
-    /// its post and the first read of its ghosts; `false` finishes it
-    /// where it is posted — same kernels, same messages, same bits, only
-    /// the waits move.
+    /// message set, and tracer advection launches its interior and then its
+    /// rims around the one it posts mid-phase. `true` keeps an exchange in
+    /// flight under the kernels between its post and the first read of its
+    /// ghosts; `false` finishes it where it is posted — same kernels, same
+    /// messages, same bits, only the waits move.
     pub overlap: bool,
     /// The one timeout/backoff/jitter schedule for every deadline-bounded
     /// wait in the model: the escrow retries of the CRC-framed halo messages,
@@ -132,20 +133,12 @@ impl std::error::Error for StepError {}
 /// once so the steady-state step stays allocation-free. Column policies
 /// carry per-column wet depth as the scheduling cost.
 struct WetPolicies {
-    /// Owned wet T columns — the old level's pass, w diagnosis, the tracer
-    /// column pass, the guard's fold and its re-scan on a trip.
+    /// Owned wet T columns — the new level's column pass, the guard's fold
+    /// and its re-scan on a trip.
     cols: ListPolicy,
-    /// The wet T columns of the halo that the momentum stencil reads
-    /// pressure at (the row north of the block and the column east of it)
-    /// — density and pressure alone.
-    cols_halo: ListPolicy,
-    /// Owned wet velocity corners (`kmu > 0`) — depth mean, wind stress,
-    /// the guard's fold.
+    /// Owned wet velocity columns (`kmu > 0`) — the momentum pass, in its
+    /// tiles ([`FunctorMomentumColumns::TILE`]), and the guard's fold.
     ucols: ListPolicy,
-    /// Interior/rim split of the owned wet velocity cells (`k < kmu`; a
-    /// 1-cell horizontal rim) — momentum tendency.
-    ucells_interior: ListPolicy,
-    ucells_rim: ListPolicy,
 }
 
 impl WetPolicies {
@@ -154,12 +147,9 @@ impl WetPolicies {
         Self {
             cols: ListPolicy::new(w.cols_own.indices.clone())
                 .with_cost_prefix(w.cols_own.cost_prefix.clone()),
-            cols_halo: ListPolicy::new(w.cols_halo.indices.clone())
-                .with_cost_prefix(w.cols_halo.cost_prefix.clone()),
             ucols: ListPolicy::new(w.ucols_own.indices.clone())
-                .with_cost_prefix(w.ucols_own.cost_prefix.clone()),
-            ucells_interior: ListPolicy::new(w.ucells3_own_interior.indices.clone()),
-            ucells_rim: ListPolicy::new(w.ucells3_own_rim.indices.clone()),
+                .with_cost_prefix(w.ucols_own.cost_prefix.clone())
+                .with_tile(FunctorMomentumColumns::TILE),
         }
     }
 }
@@ -436,7 +426,7 @@ impl Model {
     pub fn reset_transients(&mut self) {
         let s = &mut self.state;
         let n = s.new_lev();
-        for v in [&s.u[n], &s.v[n], &s.pressure] {
+        for v in [&s.u[n], &s.v[n]] {
             v.fill(0.0);
         }
         for b in &s.work.adv_band {

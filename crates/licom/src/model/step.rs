@@ -1,4 +1,4 @@
-//! The baroclinic step, written once: [`PHASES`] lists its nine phases in
+//! The baroclinic step, written once: [`PHASES`] lists its eight phases in
 //! execution order, and [`Step::run`] is the only code that walks them.
 //!
 //! A row names the phase (its `Timers` entry and depth-0 profiling
@@ -7,10 +7,13 @@
 //! exchanges are the 3-D halo refreshes whose ghosts nothing reads before
 //! the next step: the new level (`u`, `v`, `T`, `S` in one exchange, posted
 //! by the one column pass that finishes them) and the Asselin-filtered
-//! current velocity level ([`Carry`]). Whether a posted exchange flies under the rows
-//! that follow or is finished where it was posted is the [`Poster`]'s
-//! decision alone: every row launches the same kernels over the same
-//! partitions and sends the same messages either way.
+//! current velocity level ([`Carry`]). Both land in `halo_drain`, before the
+//! step ends: the next step's momentum pass reads the tracers' ghosts north
+//! and east of the block (its corners' pressure) and the velocities'.
+//! Whether a posted exchange flies under the rows that follow or is
+//! finished where it was posted is the [`Poster`]'s decision alone: every
+//! row launches the same kernels over the same partitions and sends the
+//! same messages either way.
 
 use halo_exchange::{FoldKind, HaloError, HaloField, Pending};
 use kokkos_rs::{parallel_for_3d, parallel_for_list, MDRangePolicy3, View2, View3};
@@ -19,13 +22,11 @@ use mpi_sim::TrafficSnapshot;
 
 use super::{Model, StepError};
 use crate::advect::{self, AdvectZ};
-use crate::baroclinic::{FunctorAsselin3D, FunctorMomentumTend};
-use crate::barotropic::{self, FunctorDepthMean};
+use crate::baroclinic::{FunctorAsselin3D, FunctorMomentumColumns, MomentumTend};
+use crate::barotropic;
 use crate::canuto::CanutoFields;
-use crate::columns::{
-    FunctorDensityColumns, FunctorNewLevelColumns, TracerChain, TracerHDiff, VelocityChain,
-};
-use crate::forcing::{FunctorWindStress, SurfaceRestore};
+use crate::columns::{FunctorNewLevelColumns, TracerChain, TracerHDiff, VelocityChain};
+use crate::forcing::SurfaceRestore;
 use crate::guard::{self, GuardConfig};
 use crate::localgrid::LocalGrid;
 use crate::state::State;
@@ -83,8 +84,7 @@ pub struct Phase {
 /// `halo_drain` launches nothing: it is where both land, before the guard
 /// reads the new level and the step commits.
 #[rustfmt::skip]
-pub const PHASES: [Phase; 9] = [
-    Phase { name: "eos",              run: eos,              posts: None,                  lands: &[] },
+pub const PHASES: [Phase; 8] = [
     Phase { name: "momentum",         run: momentum,         posts: None,                  lands: &[] },
     Phase { name: "barotropic",       run: barotropic,       posts: None,                  lands: &[] },
     Phase { name: "advection_tracer", run: advection_tracer, posts: None,                  lands: &[] },
@@ -166,70 +166,39 @@ impl<'m> Step<'m> {
     }
 }
 
-/// The old level's column pass: density and the hydrostatic pressure over
-/// the owned wet columns and over the halo columns whose pressure the
-/// momentum stencil reads (north and east of the block). Land keeps its
-/// initial zeros.
-fn eos(s: &mut Step<'_>) -> Result<(), StepError> {
-    let (m, st, g, _) = s.parts();
-    let pass = FunctorDensityColumns {
-        t: st.t.cur().clone(),
-        s: st.s.cur().clone(),
-        pressure: st.pressure.clone(),
-        dz: g.dz.clone(),
-        kmt: g.kmt.clone(),
-        nz: g.nz,
-    };
-    for cols in [&m.wet.cols, &m.wet.cols_halo] {
-        parallel_for_list(&m.space, cols, &pass);
-    }
-    Ok(())
-}
-
-/// Momentum tendency + wind stress, into the new velocity level (the
-/// new level's column pass reads it there and overwrites it).
+/// The momentum pass over the owned wet velocity columns: the corners'
+/// hydrostatic pressure in work rows, the tendency and the wind stress into
+/// the new velocity level (the new level's column pass reads it there and
+/// overwrites it), its depth means into `gu` / `gv`.
 fn momentum(s: &mut Step<'_>) -> Result<(), StepError> {
     let (m, st, g, (o, c, n)) = s.parts();
-    let f_tend = FunctorMomentumTend {
-        u_cur: st.u[c].clone(),
-        v_cur: st.v[c].clone(),
-        u_old: st.u[o].clone(),
-        v_old: st.v[o].clone(),
-        pressure: st.pressure.clone(),
-        ut: st.u[n].clone(),
-        vt: st.v[n].clone(),
-        kmu: g.kmu.clone(),
-        fcor: g.fcor.clone(),
-        dxt: g.dxt.clone(),
-        dyt: g.dyt,
-        dz: g.dz.clone(),
-        visc: m.visc,
-    };
-    let f_wind = FunctorWindStress {
-        ut: st.u[n].clone(),
-        vt: st.v[n].clone(),
+    let pass = FunctorMomentumColumns {
+        tend: MomentumTend {
+            u_cur: st.u[c].clone(),
+            v_cur: st.v[c].clone(),
+            u_old: st.u[o].clone(),
+            v_old: st.v[o].clone(),
+            kmu: g.kmu.clone(),
+            fcor: g.fcor.clone(),
+            dxt: g.dxt.clone(),
+            dyt: g.dyt,
+            dz: g.dz.clone(),
+            visc: m.visc,
+        },
+        ts: [st.t.cur().clone(), st.s.cur().clone()],
+        kmt: g.kmt.clone(),
         lat: g.lat.clone(),
-        kmu: g.kmu.clone(),
-        dz0: g.dz.at(0),
+        out: [st.u[n].clone(), st.v[n].clone()],
+        mean: [m.gu.clone(), m.gv.clone()],
     };
-    for wet in [&m.wet.ucells_interior, &m.wet.ucells_rim] {
-        parallel_for_list(&m.space, wet, &f_tend);
-    }
-    parallel_for_list(&m.space, &m.wet.ucols, &f_wind);
+    parallel_for_list(&m.space, &m.wet.ucols, &pass);
     Ok(())
 }
 
 /// The barotropic window, forced by the depth mean of the momentum
-/// tendency in the new velocity level.
+/// tendency.
 fn barotropic(s: &mut Step<'_>) -> Result<(), StepError> {
-    let (m, st, g, (_, _, n)) = s.parts();
-    let f_dm = FunctorDepthMean {
-        tend: [st.u[n].clone(), st.v[n].clone()],
-        out: [m.gu.clone(), m.gv.clone()],
-        kmu: g.kmu.clone(),
-        dz: g.dz.clone(),
-    };
-    parallel_for_list(&m.space, &m.wet.ucols, &f_dm);
+    let (m, st, g, _) = s.parts();
     let dtb = m.cfg.dt_barotropic;
     barotropic::integrate(
         &m.space,

@@ -8,10 +8,10 @@
 //! they have two levels ([`TwoLevel`]), whose handles `rotate` swaps. The
 //! momentum tendency is no field either: it is computed into the new
 //! velocity level, which the new level's column pass reads it from and
-//! overwrites ([`crate::columns::VelocityChain`]). The one diagnostic
-//! field, pressure, has a single level; density, the vertical velocity and
-//! the mixing coefficients are no fields (the column passes keep them in
-//! work rows). All step-transient scratch lives in [`Workspace`], allocated once
+//! overwrites ([`crate::columns::VelocityChain`]). No diagnostic is a
+//! field: the momentum pass keeps pressure and density in work rows
+//! ([`crate::baroclinic::FunctorMomentumColumns`]), and the column pass the
+//! vertical velocity and the mixing coefficients. All step-transient scratch lives in [`Workspace`], allocated once
 //! at construction so [`crate::Model::step`] never touches the heap in
 //! steady state.
 
@@ -112,8 +112,6 @@ pub struct State {
     // Barotropic transports (window-averaged, current).
     pub ubt: View2<f64>,
     pub vbt: View2<f64>,
-    // Diagnostics.
-    pub pressure: View3<f64>,
     /// Preallocated per-step scratch (the advection band, the filter
     /// buffer, the barotropic window accumulators).
     pub work: Workspace,
@@ -147,7 +145,6 @@ impl State {
             eta: TwoLevel::new("eta", d2),
             ubt: View::host("ubt", d2),
             vbt: View::host("vbt", d2),
-            pressure: View::host("pressure", d3),
             work: Workspace::new(g),
             bt_eta: [
                 View::host("bt_eta0", d2),
@@ -194,8 +191,8 @@ impl State {
         self.s.swap();
     }
 
-    /// Every array the state holds — prognostics, diagnostics and scratch —
-    /// the 3-D ones and the 2-D ones.
+    /// Every array the state holds — prognostics and scratch — the 3-D
+    /// ones and the 2-D ones.
     fn arrays(
         &self,
     ) -> (
@@ -203,7 +200,6 @@ impl State {
         impl Iterator<Item = &View2<f64>>,
     ) {
         let w = &self.work;
-        let single3 = [&self.pressure];
         let tracers = self.t.levels().into_iter().chain(self.s.levels());
         let level3 = [&self.u, &self.v].into_iter().flatten().chain(tracers);
         let band = w.adv_band.iter().map(RowBand::data);
@@ -214,10 +210,7 @@ impl State {
             .into_iter()
             .flatten()
             .chain(self.eta.levels());
-        (
-            single3.into_iter().chain(band).chain(level3),
-            single2.into_iter().chain(level2),
-        )
+        (band.chain(level3), single2.into_iter().chain(level2))
     }
 
     /// Bytes of every array the state holds (the padded block, scratch
@@ -525,21 +518,21 @@ mod tests {
         let s = State::new(&g);
         let (c3, c2) = (g.nz * g.pj * g.pi, g.pj * g.pi);
         let band: usize = s.work.adv_band.iter().map(|b| b.data().len()).sum();
-        // u, v: 3 levels; t, s: 2; pressure; eta: 2 levels; the three
-        // barotropic work triples; ubt, vbt and the four window buffers.
-        let words = (6 + 4 + 1) * c3 + band + (2 + 3 * 3 + 6) * c2;
+        // u, v: 3 levels; t, s: 2; eta: 2 levels; the three barotropic
+        // work triples; ubt, vbt and the four window buffers.
+        let words = (6 + 4) * c3 + band + (2 + 3 * 3 + 6) * c2;
         assert_eq!(s.resident_bytes(), 8 * words);
     }
 
     /// One rank's state on the `kernel_serial_1r` grid, 180×115×30, as a
-    /// literal that may only fall: 11 padded 3-D fields, the two advection
-    /// bands and 17 2-D fields (58.98 MiB). `examples/cold_start.rs`
+    /// literal that may only fall: 10 padded 3-D fields, the two advection
+    /// bands and 17 2-D fields (53.97 MiB). `examples/cold_start.rs`
     /// prints the same figure in its `State MiB` column.
     #[test]
     fn resident_bytes_at_the_benchmark_grid() {
         let global = GlobalGrid::build(180, 115, 30, &Bathymetry::Flat(4000.0), false);
         let g = locals(&global, 1).pop().unwrap();
-        assert_eq!(State::new(&g).resident_bytes(), 61_843_136);
+        assert_eq!(State::new(&g).resident_bytes(), 56_588_096);
     }
 
     /// Every array of a fresh state starts on a 64-byte line and reads

@@ -1,13 +1,14 @@
-//! The lane-blocked column kernels against their own `W = 1` instantiation,
-//! and the paired depth mean against its fields taken one at a time.
+//! The lane-blocked column kernels against their own `W = 1` instantiation
+//! and against the launches they replaced, run one after another.
 //!
-//! Each of the column passes — the old level's (density, pressure; over
-//! the owned columns and over the halo ring) and the one that finishes the
-//! new level (the canuto closure into work rows; velocity: leapfrog,
-//! friction solve, mode correction; tracers: vertical advection, diffusion,
-//! mixing solve, surface restore — each with the guard's per-column
-//! maximum) — has one body, generic over the number `W` of adjacent
-//! columns it runs together. A list launch hands
+//! Each of the column passes — the momentum pass over the wet velocity
+//! columns (per level, its corners' hydrostatic pressure into work rows, the
+//! tendency from it, the wind stress on the top level, the depth means) and
+//! the one that finishes the new level (the canuto closure into work rows;
+//! velocity: leapfrog, friction solve, mode correction; tracers: vertical
+//! advection, diffusion, mixing solve, surface restore — each with the
+//! guard's per-column maximum) — has one body, generic over the number `W`
+//! of adjacent columns it runs together. A list launch hands
 //! it whole tiles (`FunctorList::operator_span`), which it walks down the
 //! ladder — `LANES`-wide blocks, then at most one block each of 4, 2 and 1
 //! columns; calling
@@ -16,38 +17,40 @@
 //! the wet mask looks like: isolated wet columns, runs shorter than, equal
 //! to and longer than a block, runs cut by a tile boundary, one-level
 //! columns, a one-level grid, all-land rows, ragged depths inside a block,
-//! wet T columns without velocity cells inside a run. The new level's pass
-//! is held to more than its own `W = 1`: to its three chains run one after
-//! another, a column at a time — the closure over every wet T column into
-//! `km` / `kh` fields, the velocity chain over the columns with `kmu > 0`,
-//! the tracer chain over every wet T column — as separate passes would.
+//! wet T columns without velocity cells inside a run, a north halo row
+//! that is the fold's mirror of the top row. Each pass is held to more
+//! than its own `W = 1`: to the launches it replaced, run one after
+//! another, a column at a time. The momentum pass is held to density and
+//! the pressure integral over the owned wet T columns and the wet halo
+//! columns north and east of the block into a pressure field, the tendency
+//! per wet velocity cell from that field, the wind stress on the top level
+//! and the thickness-weighted depth means; the new level's pass to the
+//! closure over every wet T column into `km` / `kh` fields, the velocity
+//! chain over the columns with `kmu > 0`, the tracer chain over every wet T
+//! column.
 //! A launch walks its spans under `Isa::detect()`; the same walk pinned to
 //! `Isa::BASELINE` must leave those bits too — on an AVX2 host that holds
 //! the clone to the baseline and to `W = 1`, elsewhere it walks the fallback
 //! twice.
 //!
-//! The paired depth mean must leave in each field that field's own
-//! thickness-weighted sum. The tracer pass's vertical advection, which
-//! diagnoses `w` and the CFL once for both tracers, has no single-field form to
-//! compare with; it must instead not care which partner a tracer is paired
-//! with, or which slot it rides in. (That the paired implicit solve leaves
-//! each field the bits of its own single-field solve is a unit test of
-//! `licom::vmix`.)
+//! The tracer pass's vertical advection, which diagnoses `w` and the CFL
+//! once for both tracers, has no single-field form to compare with; it must
+//! instead not care which partner a tracer is paired with, or which slot it
+//! rides in. (That the paired implicit solve leaves each field the bits of
+//! its own single-field solve is a unit test of `licom::vmix`.)
 
 use halo_exchange::HALO as H;
 use kokkos_rs::{
     parallel_for_list, FunctorList, ListPolicy, Policy, Space, View, View1, View2, View3,
 };
 use licom::advect::AdvectZ;
-use licom::barotropic::FunctorDepthMean;
+use licom::baroclinic::{FunctorMomentumColumns, MomentumTend};
 use licom::canuto::CanutoFields;
-use licom::columns::{
-    FunctorDensityColumns, FunctorNewLevelColumns, TracerChain, TracerHDiff, VelocityChain,
-};
-use licom::forcing::SurfaceRestore;
+use licom::columns::{FunctorNewLevelColumns, TracerChain, TracerHDiff, VelocityChain};
+use licom::forcing::{wind_stress_x, wind_stress_y, SurfaceRestore};
 use licom::lanes::{self, ColumnKernel, F64x, Isa, LANES};
 use licom::vmix::VerticalSolve;
-use ocean_grid::ActiveSet;
+use ocean_grid::{ActiveSet, GRAVITY, RHO0};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use sunway_sim::CgConfig;
@@ -67,7 +70,13 @@ macro_rules! pinned {
         }
     )*};
 }
-pinned!(FunctorDensityColumns, FunctorNewLevelColumns);
+pinned!(FunctorNewLevelColumns);
+
+impl Pinned for FunctorMomentumColumns {
+    fn span(&self, isa: Isa, _pi: usize, entries: &[u32]) {
+        FunctorMomentumColumns::span(self, isa, entries);
+    }
+}
 
 /// splitmix64: the fields are a pure function of `(seed, position)`.
 fn mix(seed: u64, n: u64) -> u64 {
@@ -104,6 +113,20 @@ enum Depth {
     Ragged,
 }
 
+/// The least of the four `kmt` at and north-east of a cell, as the grid
+/// builds `kmu`: a wet T column may have no velocity cell.
+fn kmu_of(kmt: &View2<i32>) -> View2<i32> {
+    let [pj, pi] = kmt.dims();
+    View::from_fn("kmu", [pj, pi], |[jl, il]| {
+        let (jn, i_n) = ((jl + 1).min(pj - 1), (il + 1).min(pi - 1));
+        [(jl, il), (jl, i_n), (jn, il), (jn, i_n)]
+            .map(|(j, i)| kmt.at(j, i))
+            .into_iter()
+            .min()
+            .unwrap()
+    })
+}
+
 struct Case {
     nz: usize,
     ny: usize,
@@ -116,11 +139,10 @@ struct Case {
     kmu: View2<i32>,
     /// The owned wet columns.
     policy: ListPolicy,
-    /// The wet columns of the whole halo ring (wider than the model's
-    /// `cols_halo`, so the pressure-only body meets every halo shape): the
-    /// rows above and below the owned block (a northern rank's fold rows)
-    /// and the columns beside it.
-    ring: ListPolicy,
+    /// The owned wet velocity columns (`kmu > 0`).
+    ucols: ListPolicy,
+    /// The north halo rows mirror the top rows, as at the fold.
+    folded: bool,
 }
 
 impl Case {
@@ -151,21 +173,8 @@ impl Case {
                 kmt.set_at(j + H, i + H, levels as i32);
             }
         }
-        let kmu: View2<i32> = View::from_fn("kmu", [pj, pi], |[jl, il]| {
-            let (jn, i_n) = ((jl + 1).min(pj - 1), (il + 1).min(pi - 1));
-            [(jl, il), (jl, i_n), (jn, il), (jn, i_n)]
-                .map(|(j, i)| kmt.at(j, i))
-                .into_iter()
-                .min()
-                .unwrap()
-        });
-        let (own, ring) =
-            ActiveSet::build_columns_split(pi, 0..pj, 0..pi, H, |j, i| kmt.at(j, i) as u32);
-        let list = |set: ActiveSet| {
-            ListPolicy::new(set.indices.clone())
-                .with_cost_prefix(set.cost_prefix.clone())
-                .with_tile(tile)
-        };
+        let kmu = kmu_of(&kmt);
+        let (policy, ucols) = Self::lists(&kmt, &kmu, tile);
         Self {
             nz,
             ny,
@@ -174,21 +183,64 @@ impl Case {
             seed,
             kmt,
             kmu,
-            policy: list(own),
-            ring: list(ring),
+            policy,
+            ucols,
+            folded: false,
         }
+    }
+
+    /// The owned wet T columns and velocity columns, in tiles of `tile`.
+    fn lists(kmt: &View2<i32>, kmu: &View2<i32>, tile: usize) -> (ListPolicy, ListPolicy) {
+        let [pj, pi] = kmt.dims();
+        let list = |mask: &View2<i32>| {
+            let set = ActiveSet::build_columns(pi, H..pj - H, H..pi - H, |j, i| {
+                mask.at(j, i).max(0) as u32
+            });
+            ListPolicy::new(set.indices.clone())
+                .with_cost_prefix(set.cost_prefix.clone())
+                .with_tile(tile)
+        };
+        (list(kmt), list(kmu))
+    }
+
+    /// This case with the north halo rows the i-mirror of the top owned rows
+    /// (a one-rank-wide block at the tripolar fold): `kmt` here, and every
+    /// field [`Case::field`] makes.
+    fn folded(mut self) -> Self {
+        let [pj, pi] = self.kmt.dims();
+        for d in 0..H {
+            for il in 0..pi {
+                let mirror = self.kmt.at(pj - H - 1 - d, pi - 1 - il);
+                self.kmt.set_at(pj - H + d, il, mirror);
+            }
+        }
+        self.kmu = kmu_of(&self.kmt);
+        (self.policy, self.ucols) = Self::lists(&self.kmt, &self.kmu, self.tile);
+        self.folded = true;
+        self
     }
 
     fn dims(&self, levels: usize) -> [usize; 3] {
         [levels, self.ny + 2 * H, self.nx + 2 * H]
     }
 
-    /// A `levels`-deep field of values in `lo..hi`, halo included.
+    /// A `levels`-deep field of values in `lo..hi`, halo included (its
+    /// north halo rows the fold's mirror on a folded case).
     fn field(&self, salt: u64, levels: usize, lo: f64, hi: f64) -> View3<f64> {
         let [_, pj, pi] = self.dims(levels);
-        View::from_fn("field", self.dims(levels), |[k, j, i]| {
+        let f = View::from_fn("field", self.dims(levels), |[k, j, i]| {
             lo + (hi - lo) * unit(self.seed ^ salt, ((k * pj + j) * pi + i) as u64)
-        })
+        });
+        if self.folded {
+            for k in 0..levels {
+                for d in 0..H {
+                    for il in 0..pi {
+                        f.set_at(k, pj - H + d, il, f.at(k, pj - H - 1 - d, pi - 1 - il));
+                    }
+                }
+            }
+        }
+        f
     }
 
     /// A tracer with flat stretches (`dq == 0` faces) among the noise.
@@ -234,6 +286,24 @@ impl Case {
         View::from_fn("field2", [self.ny + 2 * H, pi], |[j, i]| {
             lo + (hi - lo) * unit(self.seed ^ salt, (j * pi + i) as u64)
         })
+    }
+
+    /// The wet velocity columns whose corners reach the north halo row and
+    /// the east halo column.
+    fn corners_on_the_halo(&self) -> [usize; 2] {
+        let pi = self.nx + 2 * H;
+        let at = |c: &u32| (*c as usize / pi, *c as usize % pi);
+        let corners: Vec<_> = self.ucols.indices().iter().map(at).collect();
+        [
+            corners
+                .iter()
+                .filter(|&&(jl, _)| jl == H + self.ny - 1)
+                .count(),
+            corners
+                .iter()
+                .filter(|&&(_, il)| il == H + self.nx - 1)
+                .count(),
+        ]
     }
 
     /// Owned wet T columns with no velocity cell (`kmu = 0 < kmt`) that
@@ -482,34 +552,136 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
         };
         check_advect_partners(case, &az, [&q0, &s0])?;
     }
-    let (t, s) = (
-        case.field(4, nz, -2.0, 30.0),
-        case.field(12, nz, 30.0, 38.0),
-    );
-    for (list, policy) in [("owned", &case.policy), ("ring", &case.ring)] {
-        let reference = |f: &FunctorDensityColumns| per_entry(f, policy);
-        check(
-            &format!("old level, {list} columns"),
-            case,
-            policy,
-            reference,
-            || {
-                // Poisoned output: every level of a wet column's pressure must
-                // be written.
-                let p = case.field(11, nz, -9.0, -8.0);
-                let f = FunctorDensityColumns {
-                    t: t.clone(),
-                    s: s.clone(),
-                    pressure: p.clone(),
-                    dz: dz.clone(),
-                    kmt: kmt.clone(),
-                    nz,
-                };
-                (f, vec![(&p).into()])
-            },
-        )?;
+    check_momentum(case, [&u, &v])?;
+    Ok(())
+}
+
+/// The momentum pass on `case`'s velocity columns: `T` / `S` from salts 4
+/// and 12, `[u, v]` at the current level, the old level from salts 23 and
+/// 24, writing `out` and `mean`.
+fn momentum(
+    case: &Case,
+    [u, v]: [&View3<f64>; 2],
+    out: [View3<f64>; 2],
+    mean: [View2<f64>; 2],
+) -> FunctorMomentumColumns {
+    let nz = case.nz;
+    FunctorMomentumColumns {
+        tend: MomentumTend {
+            u_cur: u.clone(),
+            v_cur: v.clone(),
+            u_old: case.field(23, nz, -1.5, 1.5),
+            v_old: case.field(24, nz, -1.5, 1.5),
+            kmu: case.kmu.clone(),
+            fcor: View::from_fn("fcor", [case.ny + 2 * H], |[j]| 1.0e-4 - 3.0e-6 * j as f64),
+            dxt: case.dxt(),
+            dyt: 1.1e4,
+            dz: case.dz(),
+            visc: 1.0e3,
+        },
+        ts: [
+            case.field(4, nz, -2.0, 30.0),
+            case.field(12, nz, 30.0, 38.0),
+        ],
+        kmt: case.kmt.clone(),
+        lat: View::from_fn("lat", [case.ny + 2 * H], |[j]| 20.0 * j as f64 - 40.0),
+        out,
+        mean,
     }
-    check_depth_mean(case, [&u, &v])
+}
+
+/// The momentum pass as the launches it replaced, one after another, a
+/// column or a cell at a time: density and the pressure integral over the
+/// owned wet T columns and the wet halo columns north and east of the block
+/// into a pressure field (held below a column's bottom, zero on land); the
+/// tendency at each wet velocity cell from that field; the wind stress
+/// added to the top level; the thickness-weighted depth means summed from
+/// the surface down.
+fn four_launches(case: &Case, f: &FunctorMomentumColumns) {
+    let (nz, pi) = (case.nz, case.nx + 2 * H);
+    let (kmt, [t, s], dz) = (&case.kmt, &f.ts, &f.tend.dz);
+    let p: View3<f64> = View::host("p", case.dims(nz));
+    for jl in H..=H + case.ny {
+        for il in (H..=H + case.nx).filter(|&il| kmt.at(jl, il) > 0) {
+            let (mut pk, mut prev_rho_dz) = (0.0, 0.0);
+            for k in 0..nz {
+                if (k as i32) < kmt.at(jl, il) {
+                    let rho = licom::eos::density(F64x([t.at(k, jl, il)]), F64x([s.at(k, jl, il)]));
+                    let rdz = rho.0[0] * dz.at(k);
+                    pk = pk + GRAVITY * 0.5 * (prev_rho_dz + rdz);
+                    prev_rho_dz = rdz;
+                }
+                p.set_at(k, jl, il, pk);
+            }
+        }
+    }
+    let corner = |c: &u32| (*c as usize / pi, *c as usize % pi);
+    for (jl, il) in case.ucols.indices().iter().map(corner) {
+        let kmu = case.kmu.at(jl, il);
+        for k in 0..kmu as usize {
+            let at = |jn, i_n| F64x([p.at(k, jn, i_n)]);
+            let corners = [
+                at(jl, il),
+                at(jl, il + 1),
+                at(jl + 1, il),
+                at(jl + 1, il + 1),
+            ];
+            let tend = f.tend.block::<1>(k, jl, il, &[kmu], corners);
+            for (out, d) in f.out.iter().zip(tend) {
+                out.set_at(k, jl, il, d.0[0]);
+            }
+        }
+        let lat = 0.5 * (f.lat.at(jl) + f.lat.at(jl + 1));
+        let fac = 1.0 / (RHO0 * dz.at(0));
+        for (out, tau) in f.out.iter().zip([wind_stress_x(lat), wind_stress_y(lat)]) {
+            out.set_at(0, jl, il, out.at(0, jl, il) + tau * fac);
+        }
+        for (out, mean) in f.out.iter().zip(&f.mean) {
+            let (mut sum, mut h) = (0.0, 0.0);
+            for k in 0..kmu as usize {
+                sum += out.at(k, jl, il) * dz.at(k);
+                h += dz.at(k);
+            }
+            mean.set_at(jl, il, sum / h);
+        }
+    }
+}
+
+/// The momentum pass against [`four_launches`]. Its outputs start as the
+/// step hands them over: the tendency `+0` on dry cells (which a block's dry
+/// lanes store) and poisoned on wet ones, the means poisoned, so every wet
+/// cell and every mean must be written and nothing else may change.
+fn check_momentum(case: &Case, uv: [&View3<f64>; 2]) -> Result<(), TestCaseError> {
+    let nz = case.nz;
+    let poison = |salt| {
+        let q = case.field(salt, nz, -9.0, -8.0);
+        let [_, pj, pi] = case.dims(nz);
+        for k in 0..nz {
+            for jl in 0..pj {
+                for il in 0..pi {
+                    let owned = (H..pj - H).contains(&jl) && (H..pi - H).contains(&il);
+                    if !owned || k as i32 >= case.kmu.at(jl, il) {
+                        q.set_at(k, jl, il, 0.0);
+                    }
+                }
+            }
+        }
+        q
+    };
+    let (ut, vt) = (poison(25), poison(26));
+    let reference = |f: &FunctorMomentumColumns| four_launches(case, f);
+    check("momentum", case, &case.ucols, reference, || {
+        let out = [copy_of(&ut), copy_of(&vt)];
+        let mean = [case.field2(27, -9.0, -8.0), case.field2(28, -9.0, -8.0)];
+        let outs = vec![
+            (&out[0]).into(),
+            (&out[1]).into(),
+            (&mean[0]).into(),
+            (&mean[1]).into(),
+        ];
+        (momentum(case, uv, out, mean), outs)
+    })?;
+    Ok(())
 }
 
 /// The rows the vertical advection leaves for the pair `q`, `W` adjacent
@@ -568,58 +740,18 @@ fn check_advect_partners(
     Ok(())
 }
 
-/// The paired depth mean against each field's own thickness-weighted sum,
-/// accumulated the way the kernel does (level by level from the surface).
-fn check_depth_mean(case: &Case, tend: [&View3<f64>; 2]) -> Result<(), TestCaseError> {
-    let (pj, pi) = (case.ny + 2 * H, case.nx + 2 * H);
-    let dz = case.dz();
-    let make = || {
-        // Poisoned outputs: a wet corner's mean must be written.
-        let out: [View2<f64>; 2] = [View::host("gu", [pj, pi]), View::host("gv", [pj, pi])];
-        out.iter().for_each(|o| o.fill(-9.0));
-        let f = FunctorDepthMean {
-            tend: tend.map(View3::clone),
-            out: out.clone(),
-            kmu: case.kmt.clone(),
-            dz: dz.clone(),
-        };
-        (f, out)
-    };
-    let mut want = [vec![-9.0f64; pj * pi], vec![-9.0f64; pj * pi]];
-    for &packed in case.policy.indices().iter() {
-        let (jl, il) = (packed as usize / pi, packed as usize % pi);
-        for (want, tend) in want.iter_mut().zip(tend) {
-            let (mut sum, mut h) = (0.0, 0.0);
-            for k in 0..case.kmt.at(jl, il) as usize {
-                sum += tend.at(k, jl, il) * dz.at(k);
-                h += dz.at(k);
-            }
-            want[packed as usize] = sum / h;
-        }
-    }
-    let want = want.map(|w| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
-    for space in spaces() {
-        let (f, out) = make();
-        parallel_for_list(&space, &case.policy, &f);
-        let got = out.map(|o| o.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>());
-        prop_assert!(
-            got == want,
-            "depth mean: the paired launch on {} differs from per-field sums",
-            space.name()
-        );
-    }
-    Ok(())
-}
-
 /// The shapes the issue names, one by one, so a failure says which.
 #[test]
 #[rustfmt::skip] // one shape per line
 fn named_mask_shapes_are_bitwise_equal() {
     let w = LANES;
-    let shape = |name: &str, nz, nx, rows: &[Row], depth, tile| {
-        if let Err(e) = check_all(&Case::new(nz, nx, rows, depth, tile, 0xC01)) {
+    let check_case = |name: &str, case: &Case| {
+        if let Err(e) = check_all(case) {
             panic!("{name}: {e:?}");
         }
+    };
+    let shape = |name: &str, nz, nx, rows: &[Row], depth, tile| {
+        check_case(name, &Case::new(nz, nx, rows, depth, tile, 0xC01));
     };
     use Depth::{Flat, One, Ragged};
     shape("isolated wet columns", 6, 20, &[Row::Isolated; 2], Ragged, 256);
@@ -641,6 +773,112 @@ fn named_mask_shapes_are_bitwise_equal() {
     let case = Case::new(5, 3 * w + 1, &coast, Ragged, 256, 0xC01);
     assert!(case.velocity_less_lanes_in_runs() > 0, "the shape has no such lane");
     shape("wet T columns without velocity cells", 5, 3 * w + 1, &coast, Ragged, 256);
+    // The top row's corners take the north half of their pressure from the
+    // halo row, here the fold's mirror of the top row, and a full row's
+    // last corner the east half from the halo column.
+    let top = [Row::Runs(w + 3), Row::Full];
+    let fold = Case::new(5, 3 * w + 1, &top, Ragged, 256, 0xC01).folded();
+    let [north, east] = fold.corners_on_the_halo();
+    assert!(north > 0 && east > 0, "the shape reaches the halo: {north}, {east}");
+    check_case("a north halo row at the fold, the east halo column", &fold);
+}
+
+/// Bottom drag applies to the lanes whose cell is the deepest wet one. One
+/// row per placement of such a lane in a block of the level below the
+/// surface: inside it, at either edge, in every lane, in none.
+#[test]
+fn a_bottom_layer_inside_at_the_edge_of_or_absent_from_a_block() {
+    licom::register_all_kernels();
+    let (nz, nx) = (4, 2 * LANES + 3);
+    let shallow: [&[usize]; 5] = [
+        &[LANES / 2],
+        &[0, LANES - 1],
+        &[LANES, 2 * LANES - 1, 2 * LANES],
+        &[],
+        &(0..nx).collect::<Vec<_>>(),
+    ];
+    let mut case = Case::new(nz, nx, &[Row::Full; 5], Depth::Flat, 256, 0xB0D);
+    for (j, cols) in shallow.iter().enumerate() {
+        for i in 0..nx {
+            // Two levels where named, full depth elsewhere: level 1 is the
+            // bottom of exactly the named columns.
+            let depth = if cols.contains(&i) { 2 } else { nz };
+            case.kmu.set_at(j + H, i + H, depth as i32);
+        }
+    }
+    (case.policy, case.ucols) = Case::lists(&case.kmt, &case.kmu, case.tile);
+    let uv = [case.field(1, nz, -1.5, 1.5), case.field(2, nz, -1.5, 1.5)];
+    check_momentum(&case, [&uv[0], &uv[1]]).unwrap();
+    // Guard the test itself: the drag is in the result.
+    let out = [case.field(9, nz, -9.0, -8.0), case.field(9, nz, -9.0, -8.0)];
+    let mean = [case.field2(9, -9.0, -8.0), case.field2(9, -9.0, -8.0)];
+    let f = momentum(&case, [&uv[0], &uv[1]], out.clone(), mean);
+    let (jl, il) = (H, H + LANES / 2);
+    let corner = (jl * (nx + 2 * H) + il) as u32;
+    f.operator(0, corner);
+    let dragged = out[0].at(1, jl, il);
+    case.kmu.set_at(jl, il, nz as i32);
+    f.operator(0, corner);
+    assert_ne!(dragged.to_bits(), out[0].at(1, jl, il).to_bits());
+}
+
+/// The pressure-gradient term is `(-gx) / RHO0`. In a state at rest over
+/// level water (one `T`, one `S`, one depth, the halo included) the
+/// corners' pressure is equal, so `gx = +0`, and `-gx = -0` survives the
+/// rest of the sum when every later term is a zero of the right sign — here
+/// `v = -0` (so `f·v = -0`) and an old velocity of `+0` among neighbours of
+/// `-0` (so the Laplacian is `-0`). `0 - gx` would leave `+0`: a different
+/// bit, and the goldens pin every bit. The level probed is neither the top
+/// (the wind) nor the bottom (the drag).
+#[test]
+fn a_zero_pressure_gradient_keeps_its_sign() {
+    licom::register_all_kernels();
+    let (nz, nx, k) = (3, 2 * LANES + 1, 1);
+    let mut case = Case::new(nz, nx, &[Row::Full; 3], Depth::Flat, 256, 0x51);
+    case.kmt.fill(nz as i32);
+    case.kmu = kmu_of(&case.kmt);
+    (case.policy, case.ucols) = Case::lists(&case.kmt, &case.kmu, case.tile);
+    let uv = [case.field(1, nz, 0.0, 0.0), case.field(2, nz, 0.0, 0.0)];
+    uv[1].fill(-0.0);
+    let ut = case.field(9, nz, -9.0, -8.0);
+    let (vt, mean) = (case.field(10, nz, -9.0, -8.0), case.field2(9, -9.0, -8.0));
+    let f = momentum(
+        &case,
+        [&uv[0], &uv[1]],
+        [ut.clone(), vt],
+        [mean.clone(), mean],
+    );
+    f.ts[0].fill(10.0);
+    f.ts[1].fill(35.0);
+    f.tend.v_old.fill(0.0);
+    f.tend.u_old.fill(-0.0);
+    // One probe per block position: lane 0, an inner lane, the last block.
+    let probes = [0, LANES / 2, 2 * LANES];
+    for i in probes {
+        f.tend.u_old.set_at(k, 1 + H, i + H, 0.0);
+    }
+    let corner = |i: usize| ((1 + H) * (nx + 2 * H) + i + H) as u32;
+    let minus_zero = (-0.0f64).to_bits();
+    for i in probes {
+        f.operator(0, corner(i));
+        assert_eq!(
+            ut.at(k, 1 + H, i + H).to_bits(),
+            minus_zero,
+            "W = 1, i = {i}"
+        );
+    }
+    ut.fill(9.0);
+    parallel_for_list(&Space::serial(), &case.ucols, &f);
+    for i in probes {
+        assert_eq!(
+            ut.at(k, 1 + H, i + H).to_bits(),
+            minus_zero,
+            "blocks, i = {i}"
+        );
+    }
+    // Elsewhere the old velocity is uniform, its Laplacian `+0`, and the
+    // sum ends on `+0` whatever the gradient's sign.
+    assert_eq!(ut.at(k, 1 + H, 2 + H).to_bits(), 0.0f64.to_bits());
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! The lane-blocked row kernels against their own `W = 1` instantiation.
 //!
 //! The advection x and y passes and their row wavefront, the barotropic
-//! substep kernels, the 3-D Asselin stream and the momentum tendency each
-//! have one body, generic over the number `W` of points adjacent in `i` it
+//! substep kernels and the 3-D Asselin stream each have one body, generic over the number `W` of points adjacent in `i` it
 //! updates together. An MDRange launch
 //! hands the functor whole policy tiles (`operator_tile`), which it walks
 //! down the ladder — `LANES`-wide blocks, then at most one block each of 4,
@@ -15,22 +14,17 @@
 //! under `Isa::detect()`; the same walk pinned to `Isa::BASELINE` must leave
 //! those bits too — on an AVX2 host that holds the clone to the baseline and
 //! to `W = 1`, elsewhere it walks the fallback twice.
-//!
-//! The stencil that runs over packed wet cells (momentum tendency) is held
-//! to the same: a list span (`operator_span`, runs walked in blocks) against
-//! its entries one by one, and the interior + rim lists against the whole
-//! one. (The tracer diffusion is a member of the new level's column pass,
-//! held to `W = 1` in `column_blocks.rs`.)
+//! (The momentum tendency and the tracer diffusion are members of column
+//! passes, held to `W = 1` in `column_blocks.rs`.)
 
 use halo_exchange::{FoldKind, Halo2D, Halo3D, RowBand, Strategy3D, HALO as H};
 use kokkos_rs::{
-    parallel_for_3d, parallel_for_list, Functor3D, FunctorList, ListPolicy, MDRangePolicy3, Policy,
-    Space, View, View1, View2, View3,
+    parallel_for_3d, Functor3D, MDRangePolicy3, Policy, Space, View, View1, View2, View3,
 };
 use licom::advect::{
     advect_tracer, AdvectFields, FunctorAdvectWave, FunctorAdvectX, FunctorAdvectY,
 };
-use licom::baroclinic::{FunctorAsselin3D, FunctorMomentumTend};
+use licom::baroclinic::FunctorAsselin3D;
 use licom::barotropic::{
     split_substep, FunctorAccum2D, FunctorBtEta, FunctorBtSubstep, FunctorBtVel, FunctorCopy2D,
     FunctorScaleAssign2D, FunctorZonalFilter,
@@ -38,19 +32,14 @@ use licom::barotropic::{
 use licom::lanes::{self, Isa, LANES};
 use licom::localgrid::LocalGrid;
 use mpi_sim::{CartComm, World};
-use ocean_grid::{ActiveSet3, Bathymetry, GlobalGrid};
+use ocean_grid::{Bathymetry, GlobalGrid};
 use proptest::prelude::*;
 use sunway_sim::CgConfig;
 
-/// A functor's walk of one policy tile or list span with the ISA an
-/// argument instead of detected — what its `operator_tile` /
-/// `operator_span` does under `Isa::detect()`.
+/// A functor's walk of one policy tile with the ISA an argument instead of
+/// detected — what its `operator_tile` does under `Isa::detect()`.
 trait PinnedTile {
     fn tile(&self, isa: Isa, bounds: [(usize, usize); 3]);
-}
-
-trait PinnedSpan {
-    fn span(&self, isa: Isa, entries: &[u32]);
 }
 
 macro_rules! pinned {
@@ -60,15 +49,6 @@ macro_rules! pinned {
         impl PinnedTile for $F {
             fn tile(&self, isa: Isa, bounds: [(usize, usize); 3]) {
                 lanes::run_tile(isa, self, bounds);
-            }
-        }
-    )*};
-    // The wet-list stencils: packed cells of the mask's padded block.
-    (cells: $($F:ty => $mask:ident),*) => {$(
-        impl PinnedSpan for $F {
-            fn span(&self, isa: Isa, entries: &[u32]) {
-                let [pj, pi] = self.$mask.dims();
-                lanes::run_cells(isa, self, pj, pi, entries);
             }
         }
     )*};
@@ -83,7 +63,6 @@ macro_rules! pinned {
 }
 pinned!(rows: FunctorBtSubstep, FunctorZonalFilter, FunctorCopy2D, FunctorAccum2D,
     FunctorScaleAssign2D, FunctorAsselin3D);
-pinned!(cells: FunctorMomentumTend => kmu);
 pinned!(swept: FunctorAdvectX<RowBand>, FunctorAdvectY<RowBand>, FunctorAdvectWave);
 
 /// splitmix64: the fields are a pure function of `(seed, position)`.
@@ -178,11 +157,6 @@ impl Case {
         self.nx + 2 * H
     }
 
-    /// The packed list entry of the owned cell `(k, j, i)`.
-    fn cell(&self, k: usize, j: usize, i: usize) -> u32 {
-        (((k * self.pj() + j + H) * self.pi()) + i + H) as u32
-    }
-
     /// A `levels`-deep field of values in `lo..hi`, halo included.
     fn field3(&self, salt: u64, levels: usize, lo: f64, hi: f64) -> View3<f64> {
         let (pj, pi) = (self.pj(), self.pi());
@@ -222,38 +196,6 @@ impl Case {
 
     fn dxt(&self) -> View1<f64> {
         View::from_fn("dxt", [self.pj()], |[j]| 9.0e3 + 137.0 * j as f64)
-    }
-
-    /// The momentum tendency on this case's fields (a pure function of the
-    /// seed), writing `ut` / `vt`.
-    fn momentum(&self, ut: &View3<f64>, vt: &View3<f64>) -> FunctorMomentumTend {
-        let nz = self.nz;
-        FunctorMomentumTend {
-            u_cur: self.field3(20, nz, -1.0, 1.0),
-            v_cur: self.field3(21, nz, -1.0, 1.0),
-            u_old: self.field3(22, nz, -1.0, 1.0),
-            v_old: self.field3(23, nz, -1.0, 1.0),
-            pressure: self.field3(24, nz, 0.0, 3.0e5),
-            ut: ut.clone(),
-            vt: vt.clone(),
-            kmu: self.kmu.clone(),
-            fcor: View::from_fn("fcor", [self.pj()], |[j]| 1.0e-4 - 3.0e-6 * j as f64),
-            dxt: self.dxt(),
-            dyt: 1.1e4,
-            dz: View::from_fn("dz", [nz], |[k]| 5.0 + 3.0 * k as f64),
-            visc: 1.0e3,
-        }
-    }
-
-    /// The owned wet cells of `mask` as the model packs them: the whole
-    /// list, and its 1-cell interior / rim split.
-    fn wet_cells(&self, mask: &View2<i32>) -> [ActiveSet3; 3] {
-        let (rows, cols) = (H..H + self.ny, H..H + self.nx);
-        let depth = |j, i| mask.at(j, i).max(0) as u32;
-        let (pj, pi) = (self.pj(), self.pi());
-        let whole = ActiveSet3::build_cells(self.nz, pj, pi, rows.clone(), cols.clone(), depth);
-        let (interior, rim) = ActiveSet3::build_cells_split(self.nz, pj, pi, rows, cols, 1, depth);
-        [whole, interior, rim]
     }
 
     /// The one-level launch shapes a kernel must not care about: the dense
@@ -498,71 +440,6 @@ fn check_3d(case: &Case, policy: MDRangePolicy3) -> Result<(), TestCaseError> {
     })
 }
 
-/// `make` as in [`check3`]. The reference runs the list entry by entry
-/// (`W = 1`); every space must reproduce its bits through the span path, and
-/// so must the span walk pinned to `Isa::BASELINE`. Returns the reference
-/// bits.
-fn check_list<F: FunctorList + PinnedSpan + 'static>(
-    kernel: &str,
-    policy: &ListPolicy,
-    make: impl Fn() -> (F, Vec<Out>),
-) -> Result<Vec<Vec<u64>>, TestCaseError> {
-    let (f, out) = make();
-    for n in policy.start..policy.end {
-        f.operator(n, policy.entry(n));
-    }
-    let want = bits(&out);
-    for space in spaces() {
-        let (f, out) = make();
-        parallel_for_list(&space, policy, &f);
-        prop_assert!(
-            bits(&out) == want,
-            "{kernel}: span execution on {} differs from per-entry execution \
-             ({} entries, tile {})",
-            space.name(),
-            policy.len(),
-            policy.tile
-        );
-    }
-    let (f, out) = make();
-    for t in 0..policy.total_tiles() {
-        f.span(Isa::BASELINE, policy.tile_entries(t).1);
-    }
-    prop_assert!(
-        bits(&out) == want,
-        "{kernel}: the span walk under Isa::BASELINE differs from per-entry \
-         execution (the spaces ran under {:?})",
-        Isa::detect()
-    );
-    Ok(want)
-}
-
-/// The list-launched stencil over this case's wet cells, list tiles of
-/// `tile` entries: span vs per-entry and interior + rim vs the whole list
-/// (outputs start as the model's do: zero tendencies).
-fn check_lists(case: &Case, tile: usize) -> Result<(), TestCaseError> {
-    let (nz, pj, pi) = (case.nz, case.pj(), case.pi());
-    let policy = |set: &ActiveSet3| ListPolicy::new(set.indices.clone()).with_tile(tile);
-    let zeros = || -> View3<f64> { View::host("tend", [nz, pj, pi]) };
-
-    let [whole, interior, rim] = case.wet_cells(&case.kmu).map(|s| policy(&s));
-    let tend = |ut: &View3<f64>, vt: &View3<f64>| case.momentum(ut, vt);
-    let want = check_list("momentum_tend", &whole, || {
-        let (ut, vt) = (zeros(), zeros());
-        (tend(&ut, &vt), vec![Out::from(&ut), Out::from(&vt)])
-    })?;
-    let (ut, vt) = (zeros(), zeros());
-    for part in [&interior, &rim] {
-        parallel_for_list(&Space::serial(), part, &tend(&ut, &vt));
-    }
-    prop_assert!(
-        bits(&[Out::from(&ut), Out::from(&vt)]) == want,
-        "momentum_tend: interior + rim differs from the whole list"
-    );
-
-    Ok(())
-}
-
 /// Every row-bodied 2-D kernel over the one-level `policy`. The owned-cell
 /// kernels add the halo width themselves; accumulate / scale-assign index
 /// the padded block directly, so the same policy reaches other cells of
@@ -669,10 +546,6 @@ fn check_all(case: &Case) -> Result<(), TestCaseError> {
     for p in case.policies3() {
         check_3d(case, p)?;
     }
-    // Whole runs in a tile, and runs cut by tile boundaries.
-    for tile in [256, LANES + 3] {
-        check_lists(case, tile)?;
-    }
     Ok(())
 }
 
@@ -718,93 +591,6 @@ fn a_full_row_really_is_walked_in_blocks() {
     let policy = MDRangePolicy3::new([1, 1, 2 * LANES + 7]);
     lanes::run_tile(Isa::detect(), &log, policy.tile_bounds(0));
     assert_eq!(*log.0.borrow(), [LANES, LANES, 4, 2, 1]);
-}
-
-/// Bottom drag applies to the lanes whose cell is the deepest wet one. One
-/// row per placement of such a lane in a block of the level below the
-/// surface: inside it, at either edge, in every lane, in none.
-#[test]
-fn a_bottom_layer_inside_at_the_edge_of_or_absent_from_a_block() {
-    licom::register_all_kernels();
-    let (nz, nx) = (4, 2 * LANES + 3);
-    let shallow: [&[usize]; 5] = [
-        &[LANES / 2],
-        &[0, LANES - 1],
-        &[LANES, 2 * LANES - 1, 2 * LANES],
-        &[],
-        &(0..nx).collect::<Vec<_>>(),
-    ];
-    let case = Case::new(nz, shallow.len(), nx, Wet::Ragged, 0xB0D);
-    for (j, cols) in shallow.iter().enumerate() {
-        for i in 0..nx {
-            // Two levels where named, full depth elsewhere: level 1 is the
-            // bottom of exactly the named columns.
-            let depth = if cols.contains(&i) { 2 } else { nz };
-            case.kmu.set_at(j + H, i + H, depth as i32);
-        }
-    }
-    check_lists(&case, 256).unwrap();
-    // Guard the test itself: the drag is in the result.
-    let (ut, vt) = (
-        case.field3(9, nz, -9.0, -8.0),
-        case.field3(9, nz, -9.0, -8.0),
-    );
-    let f = case.momentum(&ut, &vt);
-    f.operator(0, case.cell(1, 0, LANES / 2));
-    let dragged = ut.at(1, H, H + LANES / 2);
-    case.kmu.set_at(H, H + LANES / 2, nz as i32);
-    f.operator(0, case.cell(1, 0, LANES / 2));
-    assert_ne!(dragged.to_bits(), ut.at(1, H, H + LANES / 2).to_bits());
-}
-
-/// The pressure-gradient term is `(-gx) / RHO0`. In a state at rest with a
-/// flat pressure field `gx = +0`, and `-gx = -0` survives the rest of the
-/// sum when every later term is a zero of the right sign — here `v = -0`
-/// (so `f·v = -0`) and an old velocity of `+0` among neighbours of `-0` (so
-/// the Laplacian is `-0`). `0 - gx` would leave `+0`: a different bit, and
-/// the goldens pin every bit.
-#[test]
-fn a_zero_pressure_gradient_keeps_its_sign() {
-    let (nz, ny, nx) = (2, 3, 2 * LANES + 1);
-    let case = Case::new(nz, ny, nx, Wet::Ragged, 0x51);
-    case.kmu.fill(nz as i32);
-    let (ut, vt) = (
-        case.field3(9, nz, -9.0, -8.0),
-        case.field3(9, nz, -9.0, -8.0),
-    );
-    let f = case.momentum(&ut, &vt);
-    f.pressure.fill(1.0e5);
-    f.u_cur.fill(0.0);
-    f.v_cur.fill(-0.0);
-    f.v_old.fill(0.0);
-    // One probe per block position: lane 0, an inner lane, the last block.
-    let probes = [0, LANES / 2, 2 * LANES];
-    f.u_old.fill(-0.0);
-    for i in probes {
-        f.u_old.set_at(0, 1 + H, i + H, 0.0);
-    }
-    let minus_zero = (-0.0f64).to_bits();
-    for i in probes {
-        f.operator(0, case.cell(0, 1, i));
-        assert_eq!(
-            ut.at(0, 1 + H, i + H).to_bits(),
-            minus_zero,
-            "W = 1, i = {i}"
-        );
-    }
-    ut.fill(9.0);
-    let [wet, _, _] = case.wet_cells(&case.kmu);
-    parallel_for_list(&Space::serial(), &ListPolicy::new(wet.indices), &f);
-    for i in probes {
-        assert_eq!(
-            ut.at(0, 1 + H, i + H).to_bits(),
-            minus_zero,
-            "blocks, i = {i}"
-        );
-    }
-    // Elsewhere the old velocity is uniform, its Laplacian `+0`, and the
-    // sum ends on `+0` whatever the gradient's sign.
-    assert_eq!(ut.at(0, 1 + H, 2 + H).to_bits(), 0.0f64.to_bits());
 }
 
 /// `advect_tracer` on `px × py` ranks of an `nx × ny` grid, with the
@@ -941,8 +727,5 @@ proptest! {
             &case,
             MDRangePolicy3::new([nz, ej, ei]).with_tile(tile).with_offset([0, oj, oi]),
         )?;
-        // Wet runs of whatever length the mask leaves, cut every `tile[2]`
-        // entries.
-        check_lists(&case, tile[2])?;
     }
 }

@@ -68,48 +68,6 @@ impl ActiveSet {
         }
     }
 
-    /// Split [`ActiveSet::build_columns`] into an **interior** set (points
-    /// at least `rim` rows/columns inside `j_range × i_range`) and a
-    /// **rim** set (the remaining boundary band). Both preserve row-major
-    /// scan order, are disjoint, and their union is exactly the dense set
-    /// — so a kernel launched over interior-then-rim touches each wet
-    /// column once, enabling comm/compute overlap without changing which
-    /// cells are updated. If the range is too narrow for an interior
-    /// (`width ≤ 2·rim`), the interior set is empty and the rim holds
-    /// everything.
-    pub fn build_columns_split(
-        pi: usize,
-        j_range: std::ops::Range<usize>,
-        i_range: std::ops::Range<usize>,
-        rim: usize,
-        levels: impl Fn(usize, usize) -> u32,
-    ) -> (Self, Self) {
-        let ij = (j_range.start + rim)..j_range.end.saturating_sub(rim).max(j_range.start + rim);
-        let ii = (i_range.start + rim)..i_range.end.saturating_sub(rim).max(i_range.start + rim);
-        let mut sets = [
-            (Vec::new(), vec![0u64]), // interior
-            (Vec::new(), vec![0u64]), // rim
-        ];
-        for j in j_range {
-            for i in i_range.clone() {
-                let kb = levels(j, i);
-                if kb > 0 {
-                    let packed = j * pi + i;
-                    assert!(packed <= u32::MAX as usize, "packed index overflows u32");
-                    let which = usize::from(!(ij.contains(&j) && ii.contains(&i)));
-                    let (idx, prefix) = &mut sets[which];
-                    idx.push(packed as u32);
-                    prefix.push(prefix.last().unwrap() + kb as u64);
-                }
-            }
-        }
-        let mut out = sets.into_iter().map(|(idx, prefix)| Self {
-            indices: Arc::new(idx),
-            cost_prefix: Arc::new(prefix),
-        });
-        (out.next().unwrap(), out.next().unwrap())
-    }
-
     /// Number of wet columns.
     pub fn len(&self) -> usize {
         self.indices.len()
@@ -172,51 +130,6 @@ impl ActiveSet3 {
             indices: Arc::new(indices),
             level_offsets,
         }
-    }
-
-    /// Split [`ActiveSet3::build_cells`] into interior and rim sets, the
-    /// 3-D analogue of [`ActiveSet::build_columns_split`]: the rim is a
-    /// horizontal band of width `rim` around `j_range × i_range` on every
-    /// level (the vertical direction has no halo, so `k` never rims).
-    /// Within each level the two sets are disjoint and their union in scan
-    /// order is exactly the dense level slice.
-    pub fn build_cells_split(
-        nz: usize,
-        pj: usize,
-        pi: usize,
-        j_range: std::ops::Range<usize>,
-        i_range: std::ops::Range<usize>,
-        rim: usize,
-        levels: impl Fn(usize, usize) -> u32,
-    ) -> (Self, Self) {
-        assert!(
-            nz.saturating_mul(pj).saturating_mul(pi) <= u32::MAX as usize + 1,
-            "3-D packed index overflows u32"
-        );
-        let ij = (j_range.start + rim)..j_range.end.saturating_sub(rim).max(j_range.start + rim);
-        let ii = (i_range.start + rim)..i_range.end.saturating_sub(rim).max(i_range.start + rim);
-        let mut sets = [
-            (Vec::new(), vec![0usize]), // interior
-            (Vec::new(), vec![0usize]), // rim
-        ];
-        for k in 0..nz {
-            for j in j_range.clone() {
-                for i in i_range.clone() {
-                    if (k as u32) < levels(j, i) {
-                        let which = usize::from(!(ij.contains(&j) && ii.contains(&i)));
-                        sets[which].0.push(((k * pj + j) * pi + i) as u32);
-                    }
-                }
-            }
-            for (idx, offs) in sets.iter_mut() {
-                offs.push(idx.len());
-            }
-        }
-        let mut out = sets.into_iter().map(|(idx, offs)| Self {
-            indices: Arc::new(idx),
-            level_offsets: offs,
-        });
-        (out.next().unwrap(), out.next().unwrap())
     }
 
     /// Number of wet cells across all levels.
@@ -286,54 +199,6 @@ mod tests {
             for &p in &set.indices[lo..hi] {
                 assert_eq!((p as usize) / (6 * 8), k);
             }
-        }
-    }
-
-    #[test]
-    fn columns_split_is_disjoint_union_of_dense() {
-        let dense = ActiveSet::build_columns(8, 1..5, 1..8, levels);
-        let (int, rim) = ActiveSet::build_columns_split(8, 1..5, 1..8, 1, levels);
-        // Disjoint, and merged-by-scan-order equals dense.
-        let mut merged: Vec<u32> = int
-            .indices
-            .iter()
-            .chain(rim.indices.iter())
-            .copied()
-            .collect();
-        merged.sort_unstable();
-        assert_eq!(merged, **dense.indices);
-        assert_eq!(int.total_cost() + rim.total_cost(), dense.total_cost());
-        // Interior points really are ≥ 1 inside the range.
-        for &p in int.indices.iter() {
-            let (j, i) = ((p / 8) as usize, (p % 8) as usize);
-            assert!((2..4).contains(&j) && (2..7).contains(&i), "({j},{i})");
-        }
-    }
-
-    #[test]
-    fn columns_split_narrow_range_is_all_rim() {
-        let (int, rim) = ActiveSet::build_columns_split(8, 2..4, 1..8, 1, levels);
-        assert!(int.is_empty());
-        let dense = ActiveSet::build_columns(8, 2..4, 1..8, levels);
-        assert_eq!(*rim.indices, *dense.indices);
-    }
-
-    #[test]
-    fn cells3_split_partitions_each_level() {
-        let dense = ActiveSet3::build_cells(4, 6, 8, 1..5, 1..8, levels);
-        let (int, rim) = ActiveSet3::build_cells_split(4, 6, 8, 1..5, 1..8, 1, levels);
-        assert_eq!(int.len() + rim.len(), dense.len());
-        for k in 0..4 {
-            let (ilo, ihi) = int.level_range(k);
-            let (rlo, rhi) = rim.level_range(k);
-            let (dlo, dhi) = dense.level_range(k);
-            let mut merged: Vec<u32> = int.indices[ilo..ihi]
-                .iter()
-                .chain(rim.indices[rlo..rhi].iter())
-                .copied()
-                .collect();
-            merged.sort_unstable();
-            assert_eq!(merged, dense.indices[dlo..dhi], "level {k}");
         }
     }
 

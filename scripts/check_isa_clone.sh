@@ -9,13 +9,13 @@
 # `std::thread::local::LocalKey`; per instantiation it prints who enters it
 # and how many packed divides are 256-bit (`ymm`) against 128-bit (`xmm`).
 #
-# It also fails unless the two column passes — the one that reads the old
-# level and the one that finishes the new one — run inside a clone: each
-# pass's list span (`operator_span` of `licom::columns::
-# FunctorDensityColumns` / `FunctorNewLevelColumns`, kept out of line so it
-# has a symbol) must reach an instantiation of the clone within three
-# calls — through the per-thread scratch (`LocalKey::with`) it enters the
-# clone from.
+# It also fails unless the two column passes — the momentum pass that reads
+# the old level and the one that finishes the new level — run inside a
+# clone: each pass's list span (`operator_span` of `licom::baroclinic::
+# FunctorMomentumColumns` / `licom::columns::FunctorNewLevelColumns`, kept
+# out of line so it has a symbol) must reach an instantiation of the clone
+# within three calls — through the per-thread scratch (`LocalKey::with`) it
+# enters the clone from.
 #
 #   scripts/check_isa_clone.sh BINARY     (any release binary that steps a model,
 #                                          e.g. target/release/licomkpp)
@@ -35,7 +35,7 @@ if [ ! -x "$bin" ]; then
     exit 2
 fi
 
-objdump -d -C --no-show-raw-insn "$bin" | awk -v passes="FunctorDensityColumns FunctorNewLevelColumns" '
+objdump -d -C --no-show-raw-insn "$bin" | awk -v passes="baroclinic::FunctorMomentumColumns columns::FunctorNewLevelColumns" '
     # "0000000000134e20 <name>:" opens a function.
     /^[0-9a-f]+ <.*>:$/ {
         addr = $1; sub(/^0+/, "", addr)
@@ -75,7 +75,7 @@ objdump -d -C --no-show-raw-insn "$bin" | awk -v passes="FunctorDensityColumns F
         # Each column pass: its span, and the clone it reaches.
         np = split(passes, pass, " ")
         for (p = 1; p <= np; p++) {
-            want = "<licom::columns::" pass[p] " as kokkos_rs::functor::FunctorList>::operator_span"
+            want = "<licom::" pass[p] " as kokkos_rs::functor::FunctorList>::operator_span"
             found = ""
             for (a in name) {
                 if (name[a] != want) continue

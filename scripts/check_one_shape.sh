@@ -83,10 +83,10 @@
 # chain, or a separate launch of one of its members, must not grow back
 # beside the pass.
 #
-# The old level is read once, by one column pass (`licom::columns::
-# FunctorDensityColumns`): density into work rows, the pressure integral,
-# the canuto closure, over the owned wet columns, and the same body with
-# the closure off over the halo ring. Rule 1's list also holds the three
+# The old level was read once, by one column pass (density into work rows,
+# the pressure integral, the canuto closure) over the owned wet columns,
+# and the same body with the closure off over the halo ring. Rule 1's list
+# also holds the three
 # launches it replaced — the EOS and its stored density (`FunctorEos`,
 # `kernel_eos`), the pressure integral (`FunctorPressure`,
 # `kernel_pressure`), the closure's own launch (`FunctorCanutoCols`,
@@ -186,6 +186,25 @@
 # CPEs, where every launch is charged by `CpeCtx::dma_async_model` at the
 # whole group's share).
 #
+# The momentum tendency is one list launch over the owned wet velocity
+# columns (`licom::baroclinic::FunctorMomentumColumns`): a tile walks its
+# columns level by level, integrates its corners' hydrostatic pressure from
+# `T` / `S` into work rows, adds the wind stress on the top level and sums
+# the depth means on the way, and no exchange is in flight while it runs.
+# So rule 1's list also holds the launches it replaced — the old level's
+# pass (`FunctorDensityColumns`, `kernel_density_columns`) with the halo
+# columns only it read (`cols_halo`), the tendency over 3-D velocity cells
+# (`FunctorMomentumTend`, `kernel_momentum_tend`) with its interior / rim
+# cell lists and their policies (`ucells3_own_interior`, `ucells3_own_rim`,
+# `ucells_interior`, `ucells_rim`), the split builders and the cell walker
+# nothing else called (`build_columns_split`, `build_cells_split`,
+# `run_cells`), the wind stress (`FunctorWindStress`, `kernel_wind_stress`)
+# and the depth mean (`FunctorDepthMean`, `kernel_depth_mean`) — and the
+# stored pressure (the `State` field, as `st.pressure`, `state.pressure`
+# or `s.pressure`; `backpressure` and `bt_vel_pressure_gradient` are other
+# words): a stored intermediate, or a second launch over the velocity
+# columns, must not grow back beside the pass.
+#
 #   scripts/check_one_shape.sh      (from the repository root)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -193,7 +212,7 @@ cd "$(dirname "$0")/.."
 failed=0
 
 # Whole identifiers.
-gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph|StepMonitor|TelemetryConfig|DriftDetector|DriftBank|RingBuffer|surface_scalars|hotspot_shares|gather_phases|flush_ghost_debt|EwPosted|NsPosted|post_ns|FunctorAsselin2D|FunctorAsselin3|FunctorBtStep|kernel_asselin_2d|kernel_asselin_3|kernel_bt_step|Payload1D|Payload2D|Payload3D|PayloadList|PayloadReduce1D|PayloadReduce2D|PayloadReduce3D|PayloadReduceList|PayloadTeam|tramp_for_1d|tramp_for_2d|tramp_for_3d|tramp_for_list|tramp_reduce_1d|tramp_reduce_2d|tramp_reduce_3d|tramp_reduce_list|sw_retile_1d|sw_retile_2d|sw_retile_3d|drive_list_tiles|host_partials|register_1d|register_2d|register_3d|register_list|insert_team|FunctorPair2D|CounterTable|TimerStat|render_named_counters_labeled|render_named_gauges_labeled|render_phase_seconds_labeled|render_traffic_labeled|record_collective_entry|record_collective_op|record_barrier|record_pool_allocation|record_pool_reuse|record_pooled_bytes|record_fault_dropped|record_fault_duplicated|record_fault_delayed|record_fault_bitflipped|record_fault_truncated|record_rank_stall|record_crc_failure|record_halo_retry|record_recv_timeout|record_rank_death|record_peer_dead_error|record_send_suppressed|CollectiveState|CollInner|coll_dead|view_allgather|SubComm|subcomm|broadcast|allreduce_vec_f64|allreduce_usize_sum|try_allreduce_f64|try_barrier|LivenessView|liveness|peer_epoch|sendrecv|irecv|RecvReq|isend|FunctorLeapfrog3D|kernel_leapfrog_3d|FunctorBtCorrect|kernel_bt_correct|FunctorSurfaceRestore|kernel_surface_restore|FunctorVmixImplicit|FunctorVmixTeam|kernel_vmix_implicit_pair|kernel_vmix_team|launch_vmix|solve_block|FunctorAdvectZ|kernel_advect_z|FunctorTracerHDiff|kernel_tracer_hdiff|cells3_own_interior|cells3_own_rim|FunctorGuardMaxAbs|kernel_guard_max_abs|ucells3_own|CanutoMode|canuto_mode|FunctorEos|FunctorPressure|FunctorCanutoCols|compute_density_pressure|kernel_eos|kernel_pressure|kernel_canuto_cols|flight_ring|flight_world|kernel_ids_assigned|MDRangePolicy2|Functor2D|ReduceFunctor2D|ReduceFunctor1D|FunctorTriple2D|parallel_for_2d|parallel_reduce_2d|parallel_reduce_1d|register_for_2d|register_reduce_2d|register_reduce_1d|For2D|Reduce2D|Reduce1D|MDRange2|row_kernel_2d|ReduceFunctor3D|parallel_reduce_3d|register_reduce_3d|Reduce3D|tramp_team|kmu_as_kmt|ReduceKineticEnergy|ReduceTracerTotal|ReduceMaxAbs|ReduceSstArea|lookup_simd_hit_index|umask|View4|InstanceKey|next_instance_key|register_instance_hooks|unregister_instance_hooks|enter_instance|InstanceScope|current_instance|attach_instance|detach_instance|stream_tiles|stream_tiles_blocking|dma_get|dma_put|dma_get_async|dma_put_async|gyre_strength_sv|evaluate_buffer|is_done|world_size|death_epoch|land_ranks|halo_cells|area_t|top_imbalanced|adv_tmp|BAND_DEPTH|BLOCK_ROWS|kernel_advect_x|kernel_advect_y|FunctorDiagnoseW|kernel_diagnose_w|TeamPolicy|FunctorTeam|parallel_for_team|register_team|KernelKind::Team|PolicyKind::Team|vmix_team|run_team_column|launch_columns|scratch_len|kernel_velocity_columns_team|kernel_tracer_columns_team|LdmBuf|alloc_ctx|record_h2d|record_d2h|TransferStats|transfer_stats|reset_transfer_stats|unified_with_host|FunctorVelocityColumns|FunctorTracerColumns|kernel_velocity_columns|kernel_tracer_columns|Carry::Uv|Carry::Ts|dma_transfer_cycles)\b|\b(st|state)\.k[mh]\b|\bflight: (bool|true|false)\b|\.flight = |\bopts\.flight\b|"(u|v|eta)_new"'
+gone='\b(active_set|CanutoMode::Rect|FunctorCanutoRect|compute_density_pressure_active|wet_columns|canuto_cols|batched_halo|halo_strategy|flight_capacity|TmpExchange|StepGraph|StepMonitor|TelemetryConfig|DriftDetector|DriftBank|RingBuffer|surface_scalars|hotspot_shares|gather_phases|flush_ghost_debt|EwPosted|NsPosted|post_ns|FunctorAsselin2D|FunctorAsselin3|FunctorBtStep|kernel_asselin_2d|kernel_asselin_3|kernel_bt_step|Payload1D|Payload2D|Payload3D|PayloadList|PayloadReduce1D|PayloadReduce2D|PayloadReduce3D|PayloadReduceList|PayloadTeam|tramp_for_1d|tramp_for_2d|tramp_for_3d|tramp_for_list|tramp_reduce_1d|tramp_reduce_2d|tramp_reduce_3d|tramp_reduce_list|sw_retile_1d|sw_retile_2d|sw_retile_3d|drive_list_tiles|host_partials|register_1d|register_2d|register_3d|register_list|insert_team|FunctorPair2D|CounterTable|TimerStat|render_named_counters_labeled|render_named_gauges_labeled|render_phase_seconds_labeled|render_traffic_labeled|record_collective_entry|record_collective_op|record_barrier|record_pool_allocation|record_pool_reuse|record_pooled_bytes|record_fault_dropped|record_fault_duplicated|record_fault_delayed|record_fault_bitflipped|record_fault_truncated|record_rank_stall|record_crc_failure|record_halo_retry|record_recv_timeout|record_rank_death|record_peer_dead_error|record_send_suppressed|CollectiveState|CollInner|coll_dead|view_allgather|SubComm|subcomm|broadcast|allreduce_vec_f64|allreduce_usize_sum|try_allreduce_f64|try_barrier|LivenessView|liveness|peer_epoch|sendrecv|irecv|RecvReq|isend|FunctorLeapfrog3D|kernel_leapfrog_3d|FunctorBtCorrect|kernel_bt_correct|FunctorSurfaceRestore|kernel_surface_restore|FunctorVmixImplicit|FunctorVmixTeam|kernel_vmix_implicit_pair|kernel_vmix_team|launch_vmix|solve_block|FunctorAdvectZ|kernel_advect_z|FunctorTracerHDiff|kernel_tracer_hdiff|cells3_own_interior|cells3_own_rim|FunctorGuardMaxAbs|kernel_guard_max_abs|ucells3_own|CanutoMode|canuto_mode|FunctorEos|FunctorPressure|FunctorCanutoCols|compute_density_pressure|kernel_eos|kernel_pressure|kernel_canuto_cols|flight_ring|flight_world|kernel_ids_assigned|MDRangePolicy2|Functor2D|ReduceFunctor2D|ReduceFunctor1D|FunctorTriple2D|parallel_for_2d|parallel_reduce_2d|parallel_reduce_1d|register_for_2d|register_reduce_2d|register_reduce_1d|For2D|Reduce2D|Reduce1D|MDRange2|row_kernel_2d|ReduceFunctor3D|parallel_reduce_3d|register_reduce_3d|Reduce3D|tramp_team|kmu_as_kmt|ReduceKineticEnergy|ReduceTracerTotal|ReduceMaxAbs|ReduceSstArea|lookup_simd_hit_index|umask|View4|InstanceKey|next_instance_key|register_instance_hooks|unregister_instance_hooks|enter_instance|InstanceScope|current_instance|attach_instance|detach_instance|stream_tiles|stream_tiles_blocking|dma_get|dma_put|dma_get_async|dma_put_async|gyre_strength_sv|evaluate_buffer|is_done|world_size|death_epoch|land_ranks|halo_cells|area_t|top_imbalanced|adv_tmp|BAND_DEPTH|BLOCK_ROWS|kernel_advect_x|kernel_advect_y|FunctorDiagnoseW|kernel_diagnose_w|TeamPolicy|FunctorTeam|parallel_for_team|register_team|KernelKind::Team|PolicyKind::Team|vmix_team|run_team_column|launch_columns|scratch_len|kernel_velocity_columns_team|kernel_tracer_columns_team|LdmBuf|alloc_ctx|record_h2d|record_d2h|TransferStats|transfer_stats|reset_transfer_stats|unified_with_host|FunctorVelocityColumns|FunctorTracerColumns|kernel_velocity_columns|kernel_tracer_columns|Carry::Uv|Carry::Ts|dma_transfer_cycles|FunctorDensityColumns|kernel_density_columns|FunctorWindStress|kernel_wind_stress|FunctorDepthMean|kernel_depth_mean|FunctorMomentumTend|kernel_momentum_tend|cols_halo|ucells3_own_interior|ucells3_own_rim|ucells_interior|ucells_rim|build_columns_split|build_cells_split|run_cells)\b|\b(st|state)\.k[mh]\b|\b(st|state|s)\.pressure\b|\bflight: (bool|true|false)\b|\.flight = |\bopts\.flight\b|"(u|v|eta)_new"'
 frozen_sample='^crates/bench/src/bin/licom_bench/tracer\.rs:[0-9]+: +assert_eq!\(layer_of_kernel\("FunctorEos"\), Layer::Licom\);$'
 if hits=$(git grep -nE "$gone" -- crates src tests examples ':!crates/perf-model' |
     grep -vE "$frozen_sample"); then

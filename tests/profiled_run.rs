@@ -38,7 +38,8 @@ fn four_spaces_trace_validly_and_send_the_same_literal_traffic() {
             };
             let mut m = Model::new(comm, run_cfg.clone(), space, ModelOptions::default());
             m.run_steps(STEPS);
-            m.grid.wet.cells3_own.indices.len()
+            // Wet cells: Σ kmt over the owned wet columns.
+            m.grid.wet.cols_own.total_cost()
         });
         detach();
 

@@ -93,7 +93,7 @@ fn sunway_backend_counters_are_coherent() {
     // The run's total includes `Model::new`'s start-up exchanges, whose
     // strips the CPEs copy; with two tracer levels, not three, there are
     // two of them fewer: 53 760 B.
-    assert_eq!(dma_bytes, 8_566_888 * STEPS - 53_760, "DMA bytes, 8 steps");
+    assert_eq!(dma_bytes, 8_213_940 * STEPS - 53_760, "DMA bytes, 8 steps");
     assert_eq!(c.totals.ldm_high_water, 4_096, "LDM high-water bytes");
     // Stalled over busy CPE cycles (the mean CPE's, times 8 CPEs) is the
     // DMA-stall fraction, 0.976324: kept as the integers it is made of.
@@ -146,10 +146,17 @@ fn sunway_backend_counters_are_coherent() {
     // pass over the tracer columns that runs the canuto closure into work
     // rows, where the old-level pass stored `km` / `kh` and each solve
     // reloaded one: one launch a step fewer, 8 794 888 → 8 566 888 B a
-    // step, (440 907 060, 56 444 604) cycles.
+    // step, (440 907 060, 56 444 604) cycles. Then the momentum tendency
+    // became one pass over the velocity columns in tiles of 512 that
+    // integrates its corners' pressure into work rows and adds the wind
+    // stress and the depth mean, where the old level's pass stored the
+    // pressure over the owned and the halo columns, the tendency launches
+    // over the interior and the rim cells reloaded it, and the wind and the
+    // depth mean reloaded the tendency: five launches a step fewer,
+    // 8 566 888 → 8 213 940 B a step, (435 047 660, 55 701 156) cycles.
     assert_eq!(
         (c.totals.dma_stall_cycles, c.kernel_cycles_mean),
-        (440_907_060, 56_444_604),
+        (435_047_660, 55_701_156),
         "(dma_stall_cycles, kernel_cycles_mean)"
     );
 }
